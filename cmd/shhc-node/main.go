@@ -43,10 +43,10 @@ func run() error {
 		model    = flag.String("device", "ssd", "modeled index device: ssd|hdd|ram|null")
 		sleep    = flag.Bool("sleep-device", false, "realize modeled device latency with real sleeps")
 		noBloom  = flag.Bool("no-bloom", false, "disable the Bloom filter")
-		wb       = flag.Bool("write-back", false, "delay SSD inserts until cache destage (asynchronous group commit)")
-		wbBatch  = flag.Int("destage-batch", 0, "largest group-commit destage wave in entries (0 = default 256)")
+		wb       = flag.Bool("write-back", false, "acknowledge inserts from RAM and destage them in group-commit waves ahead of eviction")
+		wbBatch  = flag.Int("destage-batch", 0, "largest group-commit destage wave in entries (0 = half of -cache, at least 256)")
 		wbIval   = flag.Duration("destage-interval", 0, "longest a dirty entry waits before a destage wave fires (0 = default 2ms)")
-		wbQueue  = flag.Int("destage-queue", 0, "dirty destage buffer bound in entries; evictions block when full (0 = default 4x batch)")
+		wbQueue  = flag.Int("destage-queue", 0, "dirty destage buffer bound in entries; evictions block when full (0 = 4x -destage-batch when set, else an eighth of -cache, at least 1024)")
 		journal  = flag.Bool("journal", false, "durable destage journal (write-back + -dir only): fsync evicted dirty entries to <dir>/<id>.wal before acking and replay the journal on restart")
 		lockedIO = flag.Bool("locked-io", false, "probe the SSD under the stripe lock (pre-pipeline baseline, for ablations)")
 		lockedRd = flag.Bool("locked-reads", false, "take the stripe lock on cache hits too (disables the lock-free read fast path, for ablations)")

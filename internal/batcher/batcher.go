@@ -56,12 +56,17 @@ func (c *Config) fill() {
 // ErrClosed is returned for queries submitted after Close.
 var ErrClosed = errors.New("batcher: closed")
 
+// waiter is one queued query. Every query of one call shares ch, which is
+// buffered for all of them, so the flush goroutine never blocks on a caller
+// that has gone away.
 type waiter struct {
 	pair core.Pair
+	idx  int // position in the call's pairs
 	ch   chan outcome
 }
 
 type outcome struct {
+	idx int
 	res core.LookupResult
 	err error
 }
@@ -111,44 +116,72 @@ func (b *Batcher) stripe(fp fingerprint.Fingerprint) *batcherStripe {
 }
 
 // LookupOrInsert enqueues one query and blocks until its batch completes
-// or ctx is cancelled. A cancelled caller returns ctx.Err() immediately
-// and abandons its slot without stranding batch-mates: the batch still
-// executes (the waiter's channel is buffered, so the flush goroutine
-// never blocks on a departed caller) and every other query in it gets its
-// result. The abandoned query may or may not have reached the cluster —
-// exactly the guarantee (none) a cancelled caller must assume.
+// or ctx is cancelled: BatchLookupOrInsert for a single pair.
 func (b *Batcher) LookupOrInsert(ctx context.Context, fp fingerprint.Fingerprint, val core.Value) (core.LookupResult, error) {
-	if err := ctx.Err(); err != nil {
+	rs, err := b.BatchLookupOrInsert(ctx, []core.Pair{{FP: fp, Val: val}})
+	if err != nil {
 		return core.LookupResult{}, err
 	}
-	w := waiter{pair: core.Pair{FP: fp, Val: val}, ch: make(chan outcome, 1)}
-	s := b.stripe(fp)
+	return rs[0], nil
+}
 
-	s.mu.Lock()
-	if s.closed {
+// BatchLookupOrInsert enqueues all of a caller's queries — a small plan —
+// and then blocks until every one has its result or ctx is cancelled, so the
+// plan waits for one aggregation window and not one per fingerprint. Results
+// are in input order. A stripe takes its share of the pairs in one piece, in
+// input order, and flushes at most once after it: a fingerprint that appears
+// twice always travels in one batch, and the second occurrence sees the
+// first as a duplicate. (A batch may therefore exceed MaxBatch by up to the
+// size of the call that filled it.) Each pair counts as one query in Stats.
+//
+// A cancelled caller returns ctx.Err() immediately and abandons all its
+// slots without stranding batch-mates: the batches still execute (the
+// result channel is buffered for every slot, so no flush goroutine ever
+// blocks on a departed caller) and every other query in them gets its
+// result. The abandoned queries may or may not have reached the cluster —
+// exactly the guarantee (none) a cancelled caller must assume.
+func (b *Batcher) BatchLookupOrInsert(ctx context.Context, pairs []core.Pair) ([]core.LookupResult, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	ch := make(chan outcome, len(pairs))
+	for si := range b.stripes {
+		s := &b.stripes[si]
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			return nil, ErrClosed
+		}
+		queued := len(s.pending)
+		for i, p := range pairs {
+			if b.stripe(p.FP) == s {
+				s.pending = append(s.pending, waiter{pair: p, idx: i, ch: ch})
+			}
+		}
+		s.queries += uint64(len(s.pending) - queued)
+		if len(s.pending) >= b.cfg.MaxBatch {
+			b.flushLocked(s)
+		} else if len(s.pending) > queued && s.timer == nil {
+			gen := s.timerGen
+			s.timer = time.AfterFunc(b.cfg.MaxDelay, func() { b.flushTimer(s, gen) })
+		}
 		s.mu.Unlock()
-		return core.LookupResult{}, ErrClosed
 	}
-	s.pending = append(s.pending, w)
-	s.queries++
-	if len(s.pending) >= b.cfg.MaxBatch {
-		b.flushLocked(s)
-	} else if s.timer == nil {
-		gen := s.timerGen
-		s.timer = time.AfterFunc(b.cfg.MaxDelay, func() { b.flushTimer(s, gen) })
-	}
-	s.mu.Unlock()
 
-	if ctx.Done() == nil {
-		out := <-w.ch
-		return out.res, out.err
+	results := make([]core.LookupResult, len(pairs))
+	for range pairs {
+		var out outcome
+		select {
+		case out = <-ch:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		if out.err != nil {
+			return nil, out.err
+		}
+		results[out.idx] = out.res
 	}
-	select {
-	case out := <-w.ch:
-		return out.res, out.err
-	case <-ctx.Done():
-		return core.LookupResult{}, ctx.Err()
-	}
+	return results, nil
 }
 
 // flushTimer is the MaxDelay expiry path. gen guards against a callback
@@ -194,9 +227,9 @@ func (b *Batcher) flushLocked(s *batcherStripe) {
 		}
 		for i, w := range batch {
 			if err != nil {
-				w.ch <- outcome{err: err}
+				w.ch <- outcome{idx: w.idx, err: err}
 			} else {
-				w.ch <- outcome{res: results[i]}
+				w.ch <- outcome{idx: w.idx, res: results[i]}
 			}
 		}
 	}()

@@ -3,85 +3,125 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"shhc/internal/fingerprint"
 	"shhc/internal/hashdb"
+	"shhc/internal/lru"
 	"shhc/internal/metrics"
 )
 
-// This file implements the write-back node's asynchronous destage pipeline.
+// This file implements the write-back node's asynchronous destage pipeline:
+// one goroutine (the destager) that moves dirty entries to the store in
+// group-commit waves, from two sources.
 //
-// Before it existed, evicting a dirty entry performed the store write
-// inside the LRU eviction callback — with the evicted entry's cache-stripe
-// lock held, so one modeled SSD write stalled every cache operation on
-// that stripe. Now an eviction only moves the entry into a bounded
-// per-node dirty buffer (pure RAM, O(1)) and a dedicated destager
-// goroutine drains the buffer in group-commit waves: it waits until
-// DestageBatch entries are pending or the oldest has waited
-// DestageInterval, then writes the whole wave through the store's batched
-// write path (hashdb.BatchPutter), paying one page read-modify-write per
-// dirtied bucket page instead of one device round-trip per entry.
+// Clean-ahead. The destager runs ahead of eviction: once a wave's worth of
+// dirty entries has accumulated in the cache it copies the coldest of them
+// into a wave — they stay in the cache, readable, the whole time — writes
+// the wave through the store's batched write path (hashdb.BatchPutter), and
+// marks each entry clean if it still holds the value that was written. A
+// wave is sized by what is pending, up to half the cache by default, so it
+// spans the table's bucket pages several times over and pays one page
+// read-modify-write for all of a page's dirty entries instead of one per
+// entry. In steady state an eviction therefore finds a clean victim: no
+// journal record, no fsync barrier, no buffer slot, nothing to wait for.
+//
+// The dirty buffer. An eviction that does find a dirty victim — the
+// destager has fallen behind, or the victim was re-dirtied after its wave —
+// moves the entry into a bounded per-node dirty buffer (pure RAM, O(1)),
+// journaled when the node has a journal; the next wave drains the buffer
+// first. No device I/O ever runs under a cache-stripe lock.
 //
 // Correctness invariants:
 //
-//   - An entry is findable at every instant between eviction and durable
-//     store write: it stays in the buffer's index until the wave that
-//     wrote it completes, and every lookup path consults the buffer
-//     (under the fingerprint's node-stripe lock) after the RAM tiers and
-//     before the SSD tier, so the Figure-4 cache→bloom→SSD ordering stays
-//     exact per fingerprint.
-//   - At most one pending value per fingerprint: re-dirtying an already
-//     pending fingerprint overwrites its buffered value in place (write
-//     coalescing — the duplicate-heavy-trace win). A value overwritten
-//     while its wave is in flight is detected by a generation counter and
-//     re-queued, so the newest value is never lost.
+//   - A dirty entry is findable at every instant until its store write has
+//     completed: it is either in the cache (clean-ahead never removes it) or
+//     in the buffer's index until the wave that wrote it completes, and
+//     every lookup path consults the buffer (under the fingerprint's
+//     node-stripe lock) after the RAM tiers and before the SSD tier, so the
+//     Figure-4 cache→bloom→SSD ordering stays exact per fingerprint.
+//   - Waves run one at a time on the destager goroutine, so two writes of
+//     one fingerprint reach the store in the order they were captured. A
+//     clean-ahead capture skips fingerprints that also sit in the buffer:
+//     the buffered value is the older one and must not land second.
+//   - An entry is marked clean only by lru.MarkCleanIf with the value its
+//     wave wrote: re-dirtied with a newer value mid-wave, it stays dirty and
+//     a later wave writes it again. A cleaned entry is as durable as a
+//     write-through insert — written to the store, fsynced by the next
+//     store Sync — so evicting it needs no journal record.
+//   - At most one buffered value per fingerprint: re-dirtying an already
+//     buffered fingerprint overwrites its value in place (write
+//     coalescing). A value overwritten while its wave is in flight is
+//     detected by a generation counter and re-queued, so the newest value
+//     is never lost.
 //   - The buffer is bounded: an eviction into a full buffer blocks until
-//     the destager frees space (backpressure). The destager needs only
-//     its own locks and the store to make progress, never a cache or
-//     node-stripe lock, so blocked enqueuers cannot deadlock it.
-//   - A failed wave re-queues its entries — falling back to per-key
-//     writes so only entries whose own write fails accrue retries — and
-//     gives up on an entry only after maxDestageRetries, parking the
-//     error (the pre-existing delivery path: next insert, Flush, or
-//     Close), so a transient error never forfeits acknowledged inserts
-//     and a permanently broken store cannot wedge drain/Close.
+//     the destager frees space (backpressure). The destager never waits
+//     for a cache or node-stripe lock (clean-ahead only TryLocks cache
+//     stripes), so blocked enqueuers cannot deadlock it.
+//   - A failed wave re-queues its buffered entries — falling back to
+//     per-key writes so only entries whose own write fails accrue retries —
+//     and gives up on one only after maxDestageRetries, parking the error
+//     (the pre-existing delivery path: next insert, Flush, or Close), so a
+//     transient error never forfeits acknowledged inserts and a permanently
+//     broken store cannot wedge drain/Close. A clean-ahead entry whose
+//     write failed simply stays dirty in the cache.
 //   - Remove (migration) calls forget, which waits out a wave that has
-//     already picked the fingerprint up — otherwise the wave's store
-//     write could resurrect an entry deleted right after it.
+//     already picked the fingerprint up from either source — otherwise the
+//     wave's store write could resurrect an entry deleted right after it.
 //
-// Locking. The entry index is sharded (destageShard) so the hot-path
-// peek — which every SSD-bound lookup performs inside its stripe-locked
-// walk — contends only with operations on fingerprints of the same
-// shard, never across stripes. Every dirtyEntry field access holds its
-// shard's mutex. The group-commit state (FIFO queue, backpressure and
-// settle conditions, drain/stop flags) lives under the global d.mu; the
-// lock order is d.mu → shard.mu, never the reverse, and peek takes only
-// the shard lock.
+// Locking. The buffer's entry index is sharded (destageShard) so the
+// hot-path peek — which every SSD-bound lookup performs inside its
+// stripe-locked walk — contends only with operations on fingerprints of the
+// same shard, never across stripes. Every dirtyEntry field access holds its
+// shard's mutex. The group-commit state (FIFO queue, the wave being built,
+// backpressure and settle conditions, drain/stop flags) lives under the
+// global d.mu; the lock order is cache stripe → d.mu → shard.mu, never the
+// reverse, and peek takes only the shard lock.
 
-// Default destage tuning. A 256-entry wave over a table sized for ~50%
-// full bucket pages dirties an order of magnitude fewer pages than
-// entries; 2ms bounds how long a dirty entry can sit in RAM only.
+// Default destage tuning, used for the NodeConfig fields left zero. A wave
+// holds up to half the cache: the table is sized for half-full bucket pages,
+// so a wave of that many uniformly hashed entries lands several on every
+// page it touches. The buffer only has to absorb the evictions the destager
+// did not get ahead of, and 2ms bounds how long a buffered entry waits for
+// its wave.
 const (
-	defaultDestageBatch    = 256
+	minDestageBatch        = 256
+	minDestageQueue        = 1024
 	defaultDestageInterval = 2 * time.Millisecond
 )
 
-// maxDestageRetries bounds how many failed writes one entry may see
-// before it is abandoned.
+// maxDestageRetries bounds how many failed writes one buffered entry may
+// see before it is abandoned.
 const maxDestageRetries = 2
 
+// Two pauses, counted in DestageIntervals so that a test's explicit interval
+// scales them: how long clean-ahead holds off after a wave could not write
+// its cache entries, and how long the node must be quiet before the
+// destager wakes just to truncate the journal.
+const (
+	cleanHoldIntervals    = 50
+	idleTruncateIntervals = 100
+)
+
 // journalCheckpointBytes bounds the destage journal under sustained
-// eviction load. Quiesce truncation alone only fires when a wave leaves
-// the buffer empty — which steady pressure can postpone forever, growing
-// the journal without bound and making the next replay arbitrarily long.
-// Past this size the destager checkpoints: new enqueues briefly block
-// (the same backpressure path as a full buffer), waves fire immediately
-// until the buffer drains, and the quiesce truncation resets the file.
-// A var, not a const, so tests can trigger it at toy sizes.
+// eviction load. Truncation needs a moment when the buffer is empty — which
+// steady pressure can postpone forever, growing the journal without bound
+// and making the next replay arbitrarily long. Past this size the destager
+// checkpoints: new enqueues briefly block (the same backpressure path as a
+// full buffer), waves fire immediately until the buffer drains, and the
+// truncation resets the file. A var, not a const, so tests can trigger it
+// at toy sizes.
 var journalCheckpointBytes int64 = 4 << 20
+
+// journalTruncateDivisor sets the journal size, as a fraction of
+// journalCheckpointBytes, below which a wave that leaves the buffer empty
+// does not bother to truncate: each truncation costs a store fsync, a
+// journal fsync and a second store fsync at the next mutation, and keeping
+// records longer is always safe.
+const journalTruncateDivisor = 4
 
 // dirtyEntry is one evicted-but-not-yet-destaged cache entry. All fields
 // are guarded by the owning shard's mutex.
@@ -110,20 +150,20 @@ type destageShard struct {
 	_       [40]byte // keep neighboring shard locks off one cache line
 }
 
-// destager is the bounded dirty buffer plus the goroutine that drains it.
+// destager is the bounded dirty buffer plus the goroutine that runs the
+// waves.
 type destager struct {
 	n *Node
 
-	// shards index the pending entries by fingerprint. Shard locks nest
+	// shards index the buffered entries by fingerprint. Shard locks nest
 	// inside d.mu (d.mu → shard.mu) and are never held while sleeping.
 	shards    []destageShard
 	shardMask uint64
-	// pendingN mirrors the total entry count atomically so peek can skip
-	// even the shard lock whenever the buffer is empty (read-heavy
-	// phases). A zero read is exact for the looked-up fingerprint: its
-	// eviction's enqueue completed — increment included — before the
-	// cache-stripe mutex the reader's cache miss just synchronized with
-	// was released.
+	// pendingN mirrors the buffer's entry count atomically so peek can skip
+	// even the shard lock whenever the buffer is empty (the steady state).
+	// A zero read is exact for the looked-up fingerprint: its eviction's
+	// enqueue completed — increment included — before the cache-stripe
+	// mutex the reader's cache miss just synchronized with was released.
 	pendingN atomic.Int64
 
 	mu      sync.Mutex //shhc:lock rank=1
@@ -134,17 +174,34 @@ type destager struct {
 	// queuedCount tracks entries with queued=true (the queue slice may
 	// hold stale fingerprints forget already dropped).
 	queuedCount int
-	draining    int // drain() callers wanting waves fired immediately
-	stopping    bool
+	// pairs is the wave being built or in flight: pairs[:nbuf] came from
+	// the buffer (gens holds their captured generations), pairs[nbuf:] are
+	// clean-ahead copies of dirty cache entries. Only the destager
+	// goroutine writes it, under d.mu; forget reads it under d.mu. The
+	// backing arrays are reused from wave to wave.
+	pairs []hashdb.Pair
+	gens  []uint64
+	nbuf  int
+	// draining asks for waves to fire immediately until the buffer and the
+	// cache hold nothing dirty; the loop clears it when that pass ends.
+	draining bool
+	stopping bool
 	// checkpointing blocks new enqueues and fires waves immediately until
-	// the buffer empties, so the journal's quiesce truncation can run;
-	// set by maybeCheckpointJournal when the journal outgrows
+	// the buffer empties, so the journal can be truncated; set by
+	// maybeCheckpointJournal when the journal outgrows
 	// journalCheckpointBytes.
 	checkpointing bool
+	// cleanErr is the error of the last wave that failed to write a
+	// clean-ahead entry; Flush reports it when entries stay dirty.
+	cleanErr error
 
 	batch    int
 	capacity int
 	interval time.Duration
+
+	// cleanHold (unix nanoseconds) suspends clean-ahead until then; see
+	// holdCleaningLocked.
+	cleanHold atomic.Int64
 
 	kick chan struct{} // wakes the loop; buffered, non-blocking sends
 	done chan struct{} // closed when the loop exits
@@ -163,25 +220,25 @@ type destager struct {
 	waveHist  *metrics.Histogram
 }
 
-// waveItem is one buffer entry captured into a group-commit wave.
-type waveItem struct {
-	fp  fingerprint.Fingerprint
-	val Value
-	gen uint64
-}
-
-func newDestager(n *Node, batch, capacity int, interval time.Duration) *destager {
-	if batch <= 0 {
-		batch = defaultDestageBatch
+// newDestager sizes the destager from the NodeConfig fields: zero values
+// derive from cacheSize, explicit ones are honored as given (a DestageBatch
+// without a DestageQueue bounds the buffer at four waves).
+func newDestager(n *Node, cacheSize, batch, capacity int, interval time.Duration) *destager {
+	explicit := batch > 0
+	if !explicit {
+		batch = max(minDestageBatch, cacheSize/2)
+	}
+	if capacity <= 0 {
+		capacity = max(minDestageQueue, cacheSize/8)
+		if explicit {
+			capacity = 4 * batch
+		}
+	}
+	if explicit && capacity < batch {
+		capacity = batch
 	}
 	if interval <= 0 {
 		interval = defaultDestageInterval
-	}
-	if capacity <= 0 {
-		capacity = 4 * batch
-	}
-	if capacity < batch {
-		capacity = batch
 	}
 	d := &destager{
 		n: n,
@@ -218,25 +275,44 @@ func (d *destager) wake() {
 	}
 }
 
-// enqueue parks an evicted dirty entry for group-committed destage. It is
-// called from the LRU eviction callback with the evicted entry's
-// cache-stripe lock (and the evicting caller's node-stripe lock) held —
-// which is safe precisely because it does no device I/O: it either
-// overwrites an already-pending value or appends to the in-RAM queue,
-// blocking only when the buffer is at capacity (backpressure) until the
-// destager — which takes no cache or node-stripe locks — frees space.
+// cleanable returns how many dirty cache entries clean-ahead may pick up:
+// all of them, or none while a failed wave's hold lasts.
+func (d *destager) cleanable() int {
+	if hold := d.cleanHold.Load(); hold != 0 && time.Now().UnixNano() < hold {
+		return 0
+	}
+	return d.n.cache.DirtyLen()
+}
+
+// nudge wakes the destager once a wave's worth of entries is pending. The
+// write-back insert paths call it after their cache inserts, holding no
+// lock; it reads a few atomics and never blocks.
+func (d *destager) nudge() {
+	if int(d.pendingN.Load())+d.cleanable() >= d.batch {
+		d.wake()
+	}
+}
+
+// enqueue parks an evicted dirty entry in the buffer. It is called from the
+// LRU eviction callback with the evicted entry's cache-stripe lock (and the
+// evicting caller's node-stripe lock) held, so it does no device I/O: it
+// either overwrites an already-buffered value or appends to the in-RAM
+// queue. When the buffer is at capacity it blocks, both locks still held,
+// until the destager — which waits for neither — frees space. That is the
+// pipeline's backpressure, and it needs the destager to be a whole buffer
+// behind: clean-ahead starts once batch entries are dirty and writes the
+// coldest first, so while it keeps up the cold CacheSize − batch entries
+// are clean and evictions never get here at all.
 //
 // With a journal, the entry is also appended to it — under the shard lock,
-// so per-fingerprint record order matches buffer order — and, when
-// waitDurable is set (the eviction path), enqueue blocks until the record
-// is fsynced before returning: that wait is the group-commit durability
-// barrier the eviction acknowledges through. The journal syncer takes no
-// cache, node, or destager locks, so waiting here cannot deadlock; it only
-// stalls the evicting stripe for (a share of) one fsync.
-func (d *destager) enqueue(fp fingerprint.Fingerprint, val Value, waitDurable bool) {
+// so per-fingerprint record order matches buffer order. The append is not
+// waited durable here: an fsync wait under the cache-stripe lock would
+// serialize every eviction on that stripe behind it. The insert that caused
+// the eviction waits in afterDirtyInsert, with no lock held, so concurrent
+// evictors share one group commit.
+func (d *destager) enqueue(fp fingerprint.Fingerprint, val Value) {
 	sh := d.shard(fp)
 	j := d.n.jnl
-	var lsn uint64
 	d.mu.Lock()
 	for {
 		sh.mu.Lock()
@@ -247,26 +323,24 @@ func (d *destager) enqueue(fp fingerprint.Fingerprint, val Value, waitDurable bo
 			e.gen++
 			e.retries = 0
 			if j != nil {
-				lsn = j.append(journalPut, fp, val)
+				j.append(journalPut, fp, val)
 			}
 			sh.mu.Unlock()
 			d.mu.Unlock()
 			d.coalesced.Add(1)
-			d.journalWait(j, lsn, waitDurable)
 			return
 		}
 		if (int(d.pendingN.Load()) < d.capacity && !d.checkpointing) || d.stopping {
 			sh.pending[fp] = &dirtyEntry{val: val, queued: true, at: time.Now()}
 			d.pendingN.Add(1)
 			if j != nil {
-				lsn = j.append(journalPut, fp, val)
+				j.append(journalPut, fp, val)
 			}
 			sh.mu.Unlock()
 			d.queue = append(d.queue, fp)
 			d.queuedCount++
 			d.mu.Unlock()
 			d.wake() // the loop derives the group-commit deadline from entry.at
-			d.journalWait(j, lsn, waitDurable)
 			return
 		}
 		sh.mu.Unlock()
@@ -274,19 +348,7 @@ func (d *destager) enqueue(fp fingerprint.Fingerprint, val Value, waitDurable bo
 	}
 }
 
-// journalWait blocks until the journal record at lsn is durable, parking
-// a dead journal's error for the usual delivery path (next insert, Flush,
-// or Close) — an eviction callback has no error return of its own.
-func (d *destager) journalWait(j *journal, lsn uint64, wait bool) {
-	if j == nil || !wait {
-		return
-	}
-	if err := j.wait(lsn); err != nil {
-		d.n.recordDestageErr(fmt.Errorf("core: node %s: destage journal: %w", d.n.id, err))
-	}
-}
-
-// peek returns the pending value for fp, if any. Lookup paths call it
+// peek returns the buffered value for fp, if any. Lookup paths call it
 // under fp's node-stripe lock after the RAM tiers miss, which keeps the
 // tier ordering exact: an entry leaves the buffer only after its wave's
 // store write completed, so a miss here means the SSD probe will see it.
@@ -307,60 +369,100 @@ func (d *destager) peek(fp fingerprint.Fingerprint) (Value, bool) {
 	return v, ok
 }
 
-// forget drops any pending destage of fp. If a wave already holds fp in
-// flight it waits for that wave to land first, so after forget returns no
-// buffered write of fp can reach the store. Called by Remove under fp's
-// node-stripe lock (the destager never takes those, so waiting here is
+// forget drops any buffered destage of fp and waits out a wave that already
+// holds fp in flight — from the buffer or as a clean-ahead copy — so after
+// forget returns no write of fp captured before it can reach the store.
+// Called by Remove under fp's node-stripe lock, after the cache entry is
+// gone (the destager never takes node-stripe locks, so waiting here is
 // deadlock-free).
 func (d *destager) forget(fp fingerprint.Fingerprint) {
 	sh := d.shard(fp)
 	d.mu.Lock()
 	for {
 		sh.mu.Lock()
-		e, ok := sh.pending[fp]
-		if !ok {
-			sh.mu.Unlock()
-			break
-		}
-		if e.queued {
+		e, inFlight := sh.pending[fp]
+		if inFlight && e.queued {
 			// Still only queued: drop it. Its fingerprint stays in the
 			// queue slice; the pop skips entries no longer pending.
 			delete(sh.pending, fp)
 			d.pendingN.Add(-1)
-			sh.mu.Unlock()
 			d.queuedCount--
 			d.space.Broadcast()
-			break
+			inFlight = false
 		}
 		sh.mu.Unlock()
+		if !inFlight && !d.cleaningLocked(fp) {
+			break
+		}
 		d.settled.Wait()
 	}
 	d.mu.Unlock()
 }
 
-// drain blocks until the buffer is empty, firing waves immediately
-// (ignoring the batch/interval group-commit triggers) while it waits.
+// cleaningLocked reports whether the wave in flight carries a clean-ahead
+// copy of fp. A linear scan: Remove is a migration-time operation that
+// already pays a store delete and a journal fsync. Caller holds d.mu.
+func (d *destager) cleaningLocked(fp fingerprint.Fingerprint) bool {
+	for _, p := range d.pairs[d.nbuf:] {
+		if p.FP == fp {
+			return true
+		}
+	}
+	return false
+}
+
+// drain blocks until the buffer is empty and no cache entry clean-ahead can
+// write is dirty, firing waves immediately (ignoring the group-commit
+// triggers) while it waits. A failed write ends the pass early: buffered
+// entries are retried and then dropped with a parked error, cache entries
+// stay dirty for the caller to find. Callers hold every node-stripe lock,
+// so drains never overlap and nothing re-dirties the cache meanwhile.
 func (d *destager) drain() {
+	d.cleanHold.Store(0) // an explicit flush retries a held-off store at once
 	d.mu.Lock()
-	d.draining++
-	d.mu.Unlock()
+	d.draining = true
 	d.wake()
-	d.mu.Lock()
-	for d.pendingN.Load() > 0 {
+	for d.draining {
 		d.settled.Wait()
 	}
-	d.draining--
 	d.mu.Unlock()
 }
 
-// depth reports the current number of pending entries.
+// depth reports the current number of buffered entries.
 func (d *destager) depth() int {
 	return int(d.pendingN.Load())
 }
 
-// stop shuts the destager down after draining whatever is still queued.
-// The node calls it with the buffer already drained and the node closed,
-// so no new entries can arrive.
+// journalDirty appends a journal record for every dirty cache entry and
+// waits for them to be durable. Flush and Close fall back to it for the
+// entries a failing store left dirty. Caller holds every node-stripe lock,
+// so no cache stripe is busy and the scan misses nothing.
+func (d *destager) journalDirty() {
+	j := d.n.jnl
+	if j == nil {
+		return
+	}
+	var lsn uint64
+	d.n.cache.ColdDirty(d.n.cache.Capacity(), func(fp fingerprint.Fingerprint, val lru.Value) bool {
+		lsn = j.append(journalPut, fp, Value(val))
+		return true
+	})
+	if err := j.wait(lsn); err != nil {
+		d.n.recordDestageErr(fmt.Errorf("core: node %s: destage journal: %w", d.n.id, err))
+	}
+}
+
+// lastCleanErr returns the error of the last wave that could not write a
+// clean-ahead entry.
+func (d *destager) lastCleanErr() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.cleanErr
+}
+
+// stop shuts the destager down after writing whatever is still buffered.
+// The node calls it with the node closed and the buffer drained, so no new
+// entries can arrive.
 func (d *destager) stop() {
 	d.mu.Lock()
 	d.stopping = true
@@ -392,16 +494,11 @@ func (d *destager) advanceHeadLocked() (time.Time, bool) {
 	return time.Time{}, false
 }
 
-// popWaveLocked captures up to batch queued entries into a wave, leaving
-// them in the index (marked in flight) so lookups still find them. Caller
-// holds d.mu.
-func (d *destager) popWaveLocked() []waveItem {
-	n := d.batch
-	if n > d.queuedCount {
-		n = d.queuedCount
-	}
-	wave := make([]waveItem, 0, n)
-	for len(wave) < d.batch && d.head < len(d.queue) {
+// popWaveLocked starts a wave with up to batch queued entries, leaving them
+// in the index (marked in flight) so lookups still find them. Caller holds
+// d.mu.
+func (d *destager) popWaveLocked() {
+	for len(d.pairs) < d.batch && d.head < len(d.queue) {
 		fp := d.queue[d.head]
 		d.head++
 		sh := d.shard(fp)
@@ -412,7 +509,8 @@ func (d *destager) popWaveLocked() []waveItem {
 			continue
 		}
 		e.queued = false
-		wave = append(wave, waveItem{fp: fp, val: e.val, gen: e.gen})
+		d.pairs = append(d.pairs, hashdb.Pair{FP: fp, Val: e.val})
+		d.gens = append(d.gens, e.gen)
 		sh.mu.Unlock()
 		d.queuedCount--
 	}
@@ -420,66 +518,157 @@ func (d *destager) popWaveLocked() []waveItem {
 		d.queue = d.queue[:0]
 		d.head = 0
 	}
-	return wave
+	d.nbuf = len(d.pairs)
+}
+
+// captureClean fills the wave's remaining room with copies of the coldest
+// dirty cache entries. Each copy is appended with its cache-stripe lock
+// held (see lru.Striped.ColdDirty), so a Remove either took the entry out
+// of the cache before the copy — and it is not copied — or finds the copy
+// in the wave and waits for it in forget. A fingerprint that also sits in
+// the buffer is skipped: the buffered value is the older one, and this
+// wave or the next writes it before any later capture of the cache entry.
+//
+// A fingerprint the journal may still hold a record for gets a fresh record
+// first, made durable before the wave is written: that older record — a
+// value evicted earlier, or a Remove's tombstone — would otherwise be
+// replayed over a store write the journal knows nothing about. With the
+// journal empty, the steady state, nothing is appended.
+func (d *destager) captureClean() {
+	if len(d.pairs) >= d.batch || d.cleanable() == 0 {
+		return
+	}
+	j := d.n.jnl
+	var lsn uint64
+	d.n.cache.ColdDirty(d.batch-len(d.pairs), func(fp fingerprint.Fingerprint, val lru.Value) bool {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		if len(d.pairs) >= d.batch {
+			return false
+		}
+		if d.pendingN.Load() > 0 {
+			sh := d.shard(fp)
+			sh.mu.Lock()
+			_, buffered := sh.pending[fp]
+			sh.mu.Unlock()
+			if buffered {
+				return true
+			}
+		}
+		if j != nil && j.mayHold(fp) {
+			lsn = j.append(journalPut, fp, Value(val))
+		}
+		d.pairs = append(d.pairs, hashdb.Pair{FP: fp, Val: Value(val)})
+		return true
+	})
+	if lsn == 0 {
+		return
+	}
+	if err := j.wait(lsn); err != nil {
+		// A dead journal cannot order these writes against its records;
+		// leave the entries dirty.
+		d.n.recordDestageErr(fmt.Errorf("core: node %s: destage journal: %w", d.n.id, err))
+		d.mu.Lock()
+		d.pairs = d.pairs[:d.nbuf]
+		d.holdCleaningLocked(err)
+		d.settled.Broadcast()
+		d.mu.Unlock()
+	}
+}
+
+// holdCleaningLocked suspends clean-ahead after a wave could not write its
+// cache entries, so a broken store is retried at a bounded rate and not
+// once per insert. Caller holds d.mu.
+func (d *destager) holdCleaningLocked(err error) {
+	d.cleanErr = err
+	d.cleanHold.Store(time.Now().Add(cleanHoldIntervals * d.interval).UnixNano())
 }
 
 // loop is the destager goroutine: group-commit scheduling plus wave
-// execution.
+// execution. A wave fires when batch entries are pending — buffered or
+// dirty in the cache — or the oldest buffered entry has waited interval, or
+// at once while draining, checkpointing or stopping.
 func (d *destager) loop() {
 	defer close(d.done)
 	for {
 		d.maybeCheckpointJournal()
 		d.mu.Lock()
-		headAt, ok := d.advanceHeadLocked()
-		if !ok {
-			if d.stopping {
-				d.mu.Unlock()
-				return
-			}
+		headAt, queued := d.advanceHeadLocked()
+		fire := d.draining || d.stopping || d.checkpointing || d.queuedCount+d.cleanable() >= d.batch
+		wait := time.Duration(-1)
+		if !fire && queued {
+			wait = d.interval - time.Since(headAt)
+			fire = wait <= 0
+		}
+		if !fire {
 			d.mu.Unlock()
-			<-d.kick
+			d.idle(wait)
 			continue
 		}
-		if d.queuedCount < d.batch && d.draining == 0 && !d.stopping && !d.checkpointing {
-			if wait := d.interval - time.Since(headAt); wait > 0 {
-				d.mu.Unlock()
-				t := time.NewTimer(wait)
-				select {
-				case <-d.kick:
-				case <-t.C:
-				}
-				t.Stop()
-				continue
-			}
-		}
-		wave := d.popWaveLocked()
+		d.popWaveLocked()
 		d.mu.Unlock()
-		d.runWave(wave)
+		d.captureClean()
+		if len(d.pairs) > 0 {
+			d.runWave()
+			continue
+		}
+		// Nothing could be picked up. Whatever is still dirty sits in a
+		// cache stripe that was busy; look again shortly.
+		d.mu.Lock()
+		if d.stopping {
+			d.mu.Unlock()
+			return
+		}
+		if d.draining && d.cleanable() == 0 {
+			d.draining = false
+			d.settled.Broadcast()
+		}
+		d.mu.Unlock()
+		d.idle(min(d.interval, time.Millisecond))
 	}
 }
 
-// runWave writes one group-commit wave through the store — batched when
-// the store supports it — then retires the written entries. Entries
-// overwritten while the wave was in flight are re-queued with their newer
-// value. When the batched write fails, the wave falls back to per-key
-// writes so each entry's fate depends on its *own* write (a batch error
-// may cover chains that were never attempted): entries whose write
-// succeeded retire normally, entries whose write failed are re-queued —
-// still findable in the buffer — and dropped only after
-// maxDestageRetries of their own failures. The wave runs under no
-// context: caller cancellation must never abandon dirty data the cache
-// has already forgotten.
-func (d *destager) runWave(wave []waveItem) {
-	if len(wave) == 0 {
+// idle parks the loop until it is kicked or wait has passed; a negative
+// wait means nothing is scheduled. An unscheduled loop whose journal still
+// holds records wakes once more, after the node has been quiet for
+// idleTruncateIntervals, to truncate it.
+func (d *destager) idle(wait time.Duration) {
+	truncate := wait < 0 && d.journalOwesNothing()
+	if truncate {
+		wait = idleTruncateIntervals * d.interval
+	}
+	if wait < 0 {
+		<-d.kick
 		return
 	}
-	pairs := make([]hashdb.Pair, len(wave))
-	for i, it := range wave {
-		pairs[i] = hashdb.Pair{FP: it.fp, Val: it.val}
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case <-d.kick:
+	case <-t.C:
+		if truncate {
+			d.truncateJournal()
+		}
 	}
+}
+
+// runWave writes the wave in d.pairs through the store — batched when the
+// store supports it — then retires it. Buffered entries overwritten while
+// the wave was in flight are re-queued with their newer value; clean-ahead
+// copies are marked clean in the cache unless their entry changed. When the
+// batched write fails, the wave falls back to per-key writes so each
+// entry's fate depends on its *own* write (a batch error may cover chains
+// that were never attempted): entries whose write succeeded retire
+// normally; buffered entries whose write failed are re-queued — still
+// findable in the buffer — and dropped only after maxDestageRetries of
+// their own failures; cache entries whose write failed stay dirty. The
+// wave runs under no context: caller cancellation must never abandon dirty
+// data.
+func (d *destager) runWave() {
+	pairs, nbuf := d.pairs, d.nbuf
 	var (
 		pages     int
-		succeeded = len(wave)
+		succeeded = len(pairs)
 		failed    []bool // per-entry write failure; nil = all succeeded
 		// lastErr is this wave's most recent write failure. It is NOT
 		// parked here: a transient error the fallback or a retry absorbs
@@ -508,21 +697,21 @@ func (d *destager) runWave(wave []waveItem) {
 	d.entries.Add(uint64(succeeded))
 	d.pages.Add(uint64(pages))
 	d.waves.Add(1)
-	d.waveHist.Observe(time.Duration(len(wave)))
+	d.waveHist.Observe(time.Duration(len(pairs)))
 
 	d.mu.Lock()
 	dropped := 0
-	for i, it := range wave {
-		sh := d.shard(it.fp)
+	for i, p := range pairs[:nbuf] {
+		sh := d.shard(p.FP)
 		sh.mu.Lock()
-		e, ok := sh.pending[it.fp]
+		e, ok := sh.pending[p.FP]
 		if !ok {
 			sh.mu.Unlock()
 			continue // forgotten (Remove) while in flight
 		}
 		requeue := false
 		switch {
-		case e.gen != it.gen:
+		case e.gen != d.gens[i]:
 			// Overwritten mid-flight: the newer value still owes a write
 			// regardless of how this wave fared.
 			e.retries = 0
@@ -541,39 +730,86 @@ func (d *destager) runWave(wave []waveItem) {
 			e.queued = true
 			e.at = time.Now()
 			sh.mu.Unlock()
-			d.queue = append(d.queue, it.fp)
+			d.queue = append(d.queue, p.FP)
 			d.queuedCount++
 			continue
 		}
-		delete(sh.pending, it.fp)
+		delete(sh.pending, p.FP)
 		d.pendingN.Add(-1)
 		sh.mu.Unlock()
 	}
 	d.space.Broadcast()
 	d.settled.Broadcast()
 	d.mu.Unlock()
+
+	// Clean the cache copies while they still count as in flight: a Remove
+	// that ran since the capture is parked in forget until they retire, so
+	// an entry found here is never a re-insert whose store delete is still
+	// to come. The destager cannot wait for a cache-stripe lock (an evictor
+	// may hold one until the buffer has room again), so an entry whose
+	// stripe is busy twice over just stays dirty and is written again.
+	unwritten := 0
+	var busy []int
+	for i, p := range pairs[nbuf:] {
+		if failed != nil && failed[nbuf+i] {
+			unwritten++
+			continue
+		}
+		if !d.n.cache.TryMarkCleanIf(p.FP, lru.Value(p.Val)) {
+			busy = append(busy, nbuf+i)
+		}
+	}
+	if len(busy) > 0 {
+		runtime.Gosched()
+		for _, i := range busy {
+			d.n.cache.TryMarkCleanIf(pairs[i].FP, lru.Value(pairs[i].Val))
+		}
+	}
+
+	d.mu.Lock()
+	d.pairs, d.gens, d.nbuf = d.pairs[:0], d.gens[:0], 0
+	if unwritten > 0 {
+		d.holdCleaningLocked(lastErr)
+	}
+	d.settled.Broadcast()
+	d.mu.Unlock()
 	if dropped > 0 {
 		d.keepJournal.Store(true)
 		d.n.recordDestageErr(fmt.Errorf("core: node %s: destage: dropped %d entries after %d failed writes each: %w", d.n.id, dropped, maxDestageRetries+1, lastErr))
 	}
-	d.maybeTruncateJournal()
+	if j := d.n.jnl; j != nil && j.size() >= journalCheckpointBytes/journalTruncateDivisor {
+		d.truncateJournal()
+	}
 }
 
-// maybeTruncateJournal empties the journal once a wave has left the
-// buffer empty: every record it holds then describes an entry the store
-// has already absorbed, so after one store fsync the records are
-// redundant. The truncation re-checks, under the journal lock, that
-// nothing was appended since the LSN captured *before* the store sync and
-// that the buffer is still empty — any record a concurrent eviction or
-// Remove appends is thereby kept, because its store mutation may postdate
-// the sync. Once keepJournal latches (an entry was dropped after
-// exhausting its write retries), truncation stops entirely: the journal
-// is that entry's only copy.
-func (d *destager) maybeTruncateJournal() {
+// journalOwesNothing reports whether the journal holds records and every
+// one of them describes an entry the store has already absorbed: the
+// buffer is empty, and nothing was dropped to the journal for good.
+func (d *destager) journalOwesNothing() bool {
 	j := d.n.jnl
-	if j == nil || d.keepJournal.Load() || d.pendingN.Load() != 0 || j.size() == 0 {
+	return j != nil && !d.keepJournal.Load() && d.pendingN.Load() == 0 && j.size() > journalHdrSize
+}
+
+// truncateJournal empties the journal if the buffer is empty: every record
+// it holds then describes an entry the store has already absorbed, so after
+// one store fsync the records are redundant. The truncation re-checks,
+// under the journal lock, that nothing was appended since the LSN captured
+// *before* the store sync and that the buffer is still empty — any record a
+// concurrent eviction or Remove appends is thereby kept, because its store
+// mutation may postdate the sync. Once keepJournal latches (an entry was
+// dropped after exhausting its write retries), truncation stops entirely:
+// the journal is that entry's only copy.
+//
+// It runs when a wave leaves the buffer empty and the journal has grown
+// past a quarter of journalCheckpointBytes, when the node has gone quiet,
+// and on every Flush and Close. In between records simply stay — replaying
+// one twice is an update to the same value — and journalCheckpointBytes
+// still bounds what a restart has to replay.
+func (d *destager) truncateJournal() {
+	if !d.journalOwesNothing() {
 		return
 	}
+	j := d.n.jnl
 	a := j.appendedLSN()
 	if err := d.n.store.Sync(); err != nil {
 		return // keep the journal; the wave path already surfaces store errors
@@ -586,11 +822,11 @@ func (d *destager) maybeTruncateJournal() {
 }
 
 // maybeCheckpointJournal enters or leaves checkpoint mode. Entering
-// requires pending entries (otherwise there is no wave to drive the drain
-// and quiesce truncation either already ran or is blocked on a store
-// error — blocking enqueues would then deadlock the node for nothing);
-// leaving happens as soon as the buffer is empty, after the post-wave
-// quiesce truncation had its chance to reset the file.
+// requires buffered entries (otherwise there is no wave to drive the drain
+// and truncation either already ran or is blocked on a store error —
+// blocking enqueues would then deadlock the node for nothing); leaving
+// happens as soon as the buffer is empty, after the wave that emptied it
+// truncated the file.
 func (d *destager) maybeCheckpointJournal() {
 	j := d.n.jnl
 	if j == nil || d.keepJournal.Load() {

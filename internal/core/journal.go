@@ -21,11 +21,18 @@ package core
 //     instead of paying one each;
 //   - Remove appends a tombstone (after the store delete, before the
 //     remove acknowledges), so replay cannot resurrect a migrated entry;
-//   - after a destage wave leaves the buffer empty, the store is fsynced
-//     and the journal truncated — every record it held described an entry
-//     the sync just made durable (the truncate re-checks, under the
-//     journal lock, that nothing was appended since, so a record for a
-//     not-yet-synced entry can never be dropped);
+//   - once the buffer is empty, the store can be fsynced and the journal
+//     truncated — every record it held described an entry the sync just
+//     made durable (the truncate re-checks, under the journal lock, that
+//     nothing was appended since, so a record for a not-yet-synced entry
+//     can never be dropped). The destager does so when the journal has
+//     grown or the node is quiet, and on every Flush and Close;
+//   - a store write that bypasses the journal — clean-ahead — must never
+//     be newer than a record the journal still holds for the same
+//     fingerprint, or replay would put the older value (or a tombstone)
+//     back over it. The journal therefore remembers which fingerprints it
+//     holds records for (mayHold), and clean-ahead appends a fresh record
+//     for such an entry, durable before its wave is written;
 //   - NewNode replays the journal into the store before anything else
 //     (dropping a torn tail record, tolerating records the store already
 //     has — replay is idempotent), so a crash anywhere between eviction
@@ -45,6 +52,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"shhc/internal/fingerprint"
 	"shhc/internal/hashdb"
@@ -57,6 +65,11 @@ const (
 
 	// journal record: crc32(4) kind(1) fp(20) val(8).
 	journalRecSize = 4 + 1 + fingerprint.Size + 8
+
+	// journalHeldBits sizes the filter behind mayHold: one bit per
+	// fingerprint hash, 128 KiB. At the 4 MiB checkpoint bound the journal
+	// holds ~127k records, which fill an eighth of it.
+	journalHeldBits = 1 << 20
 
 	journalPut    = byte(1)
 	journalDelete = byte(2)
@@ -92,6 +105,11 @@ type journal struct {
 	err     error
 	closed  bool
 	done    chan struct{}
+
+	// held has a bit set for every fingerprint with a record appended since
+	// the last truncation (a one-hash Bloom filter: no false negatives).
+	// Written under mu, read lock-free by mayHold.
+	held [journalHeldBits / 64]atomic.Uint64
 }
 
 // openJournal opens (or creates) the journal at path, returning the valid
@@ -213,8 +231,25 @@ func (j *journal) append(kind byte, fp fingerprint.Fingerprint, val Value) uint6
 	j.buf = append(j.buf, rec[:]...)
 	j.appended++
 	lsn := j.appended
+	w, bit := heldBit(fp)
+	j.held[w].Store(j.held[w].Load() | bit)
 	j.cond.Broadcast() // wake the syncer
 	return lsn
+}
+
+func heldBit(fp fingerprint.Fingerprint) (word int, bit uint64) {
+	h := fp.Bucket64() % journalHeldBits
+	return int(h / 64), 1 << (h % 64)
+}
+
+// mayHold reports whether the journal may hold a record for fp; false is
+// exact. The answer covers every append that happened before the call: a
+// caller that must also order later appends does so with its own locks (a
+// record for fp is only ever appended under fp's node-stripe or
+// cache-stripe lock).
+func (j *journal) mayHold(fp fingerprint.Fingerprint) bool {
+	w, bit := heldBit(fp)
+	return j.held[w].Load()&bit != 0
 }
 
 // wait blocks until the record at lsn is durable (fsynced, or proven
@@ -242,11 +277,13 @@ func (j *journal) appendedLSN() uint64 {
 	return j.appended
 }
 
-// size reports the journal's logical size in bytes (file + commit buffer).
+// size reports the journal's size in bytes once the commit buffer is
+// written: the file's size, header included, so it compares directly with
+// journalCheckpointBytes and with what a stat of the file shows.
 func (j *journal) size() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.off + int64(len(j.buf)) - journalHdrSize
+	return j.off + int64(len(j.buf))
 }
 
 // truncateIf empties the journal if pred still holds under the journal
@@ -280,6 +317,9 @@ func (j *journal) truncateIf(pred func() bool) error {
 	j.off = journalHdrSize
 	j.buf = j.buf[:0]
 	j.durable = j.appended
+	for i := range j.held {
+		j.held[i].Store(0)
+	}
 	j.cond.Broadcast()
 	return nil
 }
@@ -370,8 +410,8 @@ type RecoveryStats struct {
 }
 
 // journalLSN snapshots the journal's append cursor (0 without a journal).
-// Pair with journalBarrierFrom around a write-back cache insert: any
-// eviction the insert triggers appends its record between the two.
+// Pair with afterDirtyInsert around a write-back cache insert: any eviction
+// the insert triggers appends its record between the two.
 func (n *Node) journalLSN() uint64 {
 	if n.jnl == nil {
 		return 0
@@ -379,15 +419,21 @@ func (n *Node) journalLSN() uint64 {
 	return n.jnl.appendedLSN()
 }
 
-// journalBarrierFrom blocks until every journal record appended since the
-// paired journalLSN snapshot is durable, and is a no-op when nothing was
-// appended anywhere in the window (the common non-evicting insert). It
-// runs with no cache-stripe lock held — that is the point: evictions from
-// every cache stripe append without waiting, concurrent barriers share
-// one group-commit fsync, and only the operations that actually evicted
-// pay for it. A dead journal's error is parked for the usual delivery
-// path.
-func (n *Node) journalBarrierFrom(before uint64) {
+// afterDirtyInsert finishes a write-back cache insert, with no lock held.
+// It wakes the destager if the insert made a wave's worth of entries
+// pending, and it is the durability barrier of the evictions the insert
+// displaced: it blocks until every journal record appended since the
+// paired journalLSN snapshot is durable. Nothing was appended when every
+// victim was clean — the steady state clean-ahead maintains — and then it
+// returns at once. Running without a cache-stripe lock is the point:
+// evictions from every cache stripe append without waiting, concurrent
+// barriers share one group-commit fsync, and only the operations that
+// actually evicted a dirty entry pay for it. A dead journal's error is
+// parked for the usual delivery path.
+func (n *Node) afterDirtyInsert(before uint64) {
+	if n.dst != nil {
+		n.dst.nudge()
+	}
 	if n.jnl == nil {
 		return
 	}

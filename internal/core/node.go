@@ -104,15 +104,19 @@ type NodeConfig struct {
 	BloomExpected int
 	// BloomFPRate is the filter's target false-positive rate; default 1%.
 	BloomFPRate float64
-	// WriteBack delays SSD inserts until cache eviction (destage),
-	// trading durability for insert latency — the paper's Figure 4
-	// "LRU full? → Destage" arm and dedupv1's delayed-write idea.
-	// Evicted dirty entries are parked in a bounded dirty buffer and
-	// destaged asynchronously in page-coalesced group-commit waves (see
+	// WriteBack acknowledges inserts from RAM and writes them to the SSD
+	// hash table later, in bulk — the paper's Figure 4 "LRU full? →
+	// Destage" arm and dedupv1's delayed-write idea. A destager goroutine
+	// runs ahead of eviction: it writes the cold dirty end of the cache in
+	// page-coalesced group-commit waves and marks the entries clean, so an
+	// eviction normally finds a clean victim. A dirty victim is parked in a
+	// bounded dirty buffer that the next wave drains first (see
 	// destage.go); no device I/O ever runs under a cache-stripe lock.
 	WriteBack bool
 	// DestageBatch is the largest group-commit wave (entries) the
-	// write-back destager writes at once. 0 selects the default (256).
+	// write-back destager writes at once, and the number of pending
+	// entries — dirty in the cache or buffered — that makes a wave fire.
+	// 0 selects the default: half of CacheSize, at least 256.
 	DestageBatch int
 	// DestageInterval bounds how long an evicted dirty entry waits in the
 	// destage buffer before a wave is forced even if DestageBatch entries
@@ -120,16 +124,18 @@ type NodeConfig struct {
 	DestageInterval time.Duration
 	// DestageQueue bounds the dirty destage buffer (entries); evictions
 	// into a full buffer block until the destager frees space
-	// (backpressure). 0 selects the default (4 × DestageBatch).
+	// (backpressure). 0 selects the default: 4 × DestageBatch when that is
+	// set, otherwise an eighth of CacheSize, at least 1024.
 	DestageQueue int
 	// JournalPath enables the durable destage journal (WriteBack only):
 	// every entry entering the dirty buffer is appended here and
-	// group-commit fsynced before the eviction acknowledges, the journal
-	// is truncated once a destage wave leaves the buffer empty (after an
-	// fsync of the store), and NewNode replays it into the store — so a
-	// crash between eviction and destage loses nothing. Empty disables
-	// the journal (the pre-journal write-back behavior: entries in the
-	// dirty buffer survive only until a crash).
+	// group-commit fsynced before the eviction acknowledges, and NewNode
+	// replays it into the store — so a crash between eviction and destage
+	// loses nothing. The journal is truncated, after an fsync of the store,
+	// once the buffer is empty and the journal has grown past 1 MiB or the
+	// node has gone quiet, and on every Flush and Close. Empty disables the
+	// journal (entries in the dirty buffer then survive only until a
+	// crash).
 	JournalPath string
 	// Stripes is the number of hot-path lock stripes (rounded down to a
 	// power of two). Operations on fingerprints in different stripes run
@@ -510,33 +516,23 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		return fail(errors.New("core: WriteBack requires a cache"))
 	}
 	if cfg.WriteBack {
-		n.dst = newDestager(n, cfg.DestageBatch, cfg.DestageQueue, cfg.DestageInterval)
+		n.dst = newDestager(n, cfg.CacheSize, cfg.DestageBatch, cfg.DestageQueue, cfg.DestageInterval)
 	}
 	return n, nil
 }
 
-// onEvict hands dirty evicted entries to the destage pipeline (Figure 4's
-// "Destage" box). The striped cache invokes it with the evicted entry's
-// cache-stripe lock held, which is why it must not touch the device: it
-// only parks the entry in the bounded dirty buffer (pure RAM, blocking
-// solely on buffer-full backpressure); the destager goroutine performs the
-// actual store writes in group-commit waves with no cache or node-stripe
-// locks held. Lookups of the evicted fingerprint find it in the buffer
-// until the destage lands, so the eviction is still atomic as observed
-// through the Figure 4 walk.
+// onEvict hands dirty evicted entries to the destage buffer (Figure 4's
+// "Destage" box); a victim the destager already cleaned needs nothing. The
+// striped cache invokes it with the evicted entry's cache-stripe lock held,
+// which is why it must not touch the device: enqueue only parks the entry in
+// RAM, appends its journal record, and blocks solely on buffer-full
+// backpressure. Lookups of the evicted fingerprint find it in the buffer
+// until its wave lands, so the eviction is still atomic as observed through
+// the Figure 4 walk.
 func (n *Node) onEvict(fp fingerprint.Fingerprint, val lru.Value, dirty bool) {
-	if !dirty {
-		return
+	if dirty {
+		n.dst.enqueue(fp, Value(val))
 	}
-	// The entry's journal record is appended here (under the shard lock,
-	// inside enqueue) but NOT waited durable: onEvict runs with the
-	// evicted entry's cache-stripe lock held, and an fsync wait here
-	// would serialize every eviction on that stripe behind one fsync.
-	// The write-back insert paths run a journalBarrierFrom after the
-	// cache put returns — with no cache lock held — so the insert that
-	// triggered the eviction still does not acknowledge until the record
-	// is durable, while concurrent evictors share one group commit.
-	n.dst.enqueue(fp, Value(val), false)
 }
 
 // recordDestageErr parks the first destage failure for delivery on the
@@ -625,7 +621,7 @@ func (n *Node) LookupOrInsert(ctx context.Context, fp fingerprint.Fingerprint, v
 	// An eviction the insert displaced must be journal-durable before the
 	// ack; waiting here, with the lock released, lets concurrent stripes
 	// share one group commit.
-	n.journalBarrierFrom(before)
+	n.afterDirtyInsert(before)
 	return r, err
 }
 
@@ -708,9 +704,9 @@ func (n *Node) insertLocked(s *nodeStripe, fp fingerprint.Fingerprint, val Value
 		n.bloom.Add(fp)
 	}
 	if n.wb {
-		// Write-back: park dirty in the cache; destage on eviction. Any
+		// Write-back: park dirty in the cache for the destager. Any dirty
 		// eviction this displaced appended its journal record inside
-		// PutDirty; the *callers* run journalBarrierFrom after releasing
+		// PutDirty; the *callers* run afterDirtyInsert after releasing
 		// the stripe lock, so the fsync wait never stalls the stripe.
 		n.cache.PutDirty(fp, lru.Value(val))
 		return n.takeDestageErr()
@@ -753,7 +749,7 @@ func (n *Node) Insert(ctx context.Context, fp fingerprint.Fingerprint, val Value
 			s.mu.Unlock()
 			// Journal-durability wait for any displaced eviction runs
 			// with the stripe lock released.
-			n.journalBarrierFrom(before)
+			n.afterDirtyInsert(before)
 			return err
 		}
 		s.mu.Unlock()
@@ -930,7 +926,7 @@ func (n *Node) batchLocked(ctx context.Context, count int, fpOf func(int) finger
 		s.mu.Unlock()
 		// One journal barrier per stripe group: every eviction the
 		// group's inserts displaced is durable before the batch acks.
-		n.journalBarrierFrom(before)
+		n.afterDirtyInsert(before)
 		return err
 	}
 
@@ -994,35 +990,33 @@ func (n *Node) Flush() error {
 	return n.store.Sync()
 }
 
-// flushLocked routes every dirty cache entry through the destage pipeline
-// and drains it, so the flush itself benefits from group-committed,
-// page-coalesced writes. Caller holds every stripe lock (the destager
-// takes none of them, so the drain always progresses). Entries are marked
-// clean only after the drain succeeded, keeping a failed flush retryable.
+// flushLocked has the destager write out the buffer and every dirty cache
+// entry, so the flush itself runs as page-coalesced waves and entries are
+// cleaned the one way they ever are: by the wave that wrote them, if their
+// value is unchanged. Caller holds every stripe lock (the destager takes
+// none of them, so the drain always progresses). An entry whose write
+// failed stays dirty — and is journaled, when there is a journal — keeping a
+// failed flush retryable.
 func (n *Node) flushLocked() error {
 	if n.cache == nil || !n.wb {
 		return nil
 	}
-	dirty := n.cache.DirtyKeys()
-	for _, fp := range dirty {
-		if v, ok := n.cache.Peek(fp); ok {
-			// No per-entry journal wait: the drain below plus the caller's
-			// store sync are this path's durability barrier, so the flush
-			// is not serialized on one fsync per entry.
-			n.dst.enqueue(fp, Value(v), false)
+	n.dst.drain()
+	err := n.takeDestageErr()
+	if left := n.cache.DirtyLen(); left > 0 {
+		// What the store would not take, the journal keeps: a shutdown
+		// over a failing store still loses no acknowledged insert.
+		n.dst.journalDirty()
+		if err == nil {
+			err = fmt.Errorf("%d entries still dirty: %w", left, n.dst.lastCleanErr())
 		}
 	}
-	n.dst.drain()
-	if err := n.takeDestageErr(); err != nil {
+	if err != nil {
 		return fmt.Errorf("core: node %s: flush: %w", n.id, err)
 	}
-	// The drain emptied the buffer, so the journal owes nothing; truncate
-	// it here (not just from the destager's wave tail) so a returned
-	// Flush means the quiesce truncation has actually happened.
-	n.dst.maybeTruncateJournal()
-	for _, fp := range dirty {
-		n.cache.MarkClean(fp)
-	}
+	// The buffer is empty, so the journal owes nothing; truncating it here
+	// makes a returned Flush mean the journal is empty.
+	n.dst.truncateJournal()
 	return nil
 }
 

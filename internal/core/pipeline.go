@@ -322,7 +322,7 @@ func (n *Node) bloomInsert(ctx context.Context, s *nodeStripe, fp fingerprint.Fi
 		before := n.journalLSN()
 		n.cache.PutDirty(fp, lru.Value(val))
 		s.mu.Unlock()
-		n.journalBarrierFrom(before)
+		n.afterDirtyInsert(before)
 		if derr := n.takeDestageErr(); derr != nil {
 			return LookupResult{}, derr
 		}
@@ -467,7 +467,7 @@ func (n *Node) ssdPhase(s *nodeStripe, fp fingerprint.Fingerprint, val Value, in
 	s.mu.Unlock()
 	// An eviction the write-back install displaced must be journal-durable
 	// before anyone reads this flight as complete.
-	n.journalBarrierFrom(before)
+	n.afterDirtyInsert(before)
 	close(f.done)
 	n.flights.Done()
 	// The drain must only happen where the return value is read: inline
@@ -895,7 +895,7 @@ func (n *Node) batchAsync(ctx context.Context, count int, fpOf func(int) fingerp
 	}
 
 	if n.wb {
-		n.journalBarrierFrom(journalBefore)
+		n.afterDirtyInsert(journalBefore)
 		if derr := n.takeDestageErr(); derr != nil {
 			return nil, derr
 		}

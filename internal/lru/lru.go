@@ -22,7 +22,8 @@ import (
 type Value uint64
 
 // entry is one cached fingerprint. The recency list (prev/next), the map,
-// and dirty are owned by the cache's single writer (the stripe lock). The
+// and dirty (changed only through setDirty) are owned by the cache's single
+// writer (the stripe lock). The
 // remaining fields form the lock-free read protocol: fp is written once
 // before the entry is published through an atomic pointer (index bucket or
 // hnext), val/dead/ref are atomics, so GetFast can walk an index chain and
@@ -71,6 +72,9 @@ type Cache struct {
 	// fastHits counts GetFast hits; it is the only counter written without
 	// the owner's serialization, so it is atomic and folded in by Stats.
 	fastHits atomic.Uint64
+	// dirtyN counts entries whose dirty flag is set. Written by the
+	// serialized mutators, read lock-free by DirtyLen.
+	dirtyN atomic.Int64
 }
 
 // New creates a cache holding at most capacity entries. onEvict may be nil.
@@ -162,7 +166,7 @@ func (c *Cache) Put(fp fingerprint.Fingerprint, val Value) bool {
 }
 
 // PutDirty inserts or updates an entry that has not been persisted yet.
-// The eviction callback sees dirty=true unless MarkClean is called first.
+// The eviction callback sees dirty=true unless MarkCleanIf cleans it first.
 func (c *Cache) PutDirty(fp fingerprint.Fingerprint, val Value) bool {
 	return c.put(fp, val, true)
 }
@@ -183,7 +187,9 @@ func (c *Cache) PutIfAbsent(fp fingerprint.Fingerprint, val Value) bool {
 func (c *Cache) put(fp fingerprint.Fingerprint, val Value, dirty bool) bool {
 	if e, ok := c.items[fp]; ok {
 		e.val.Store(uint64(val))
-		e.dirty = e.dirty || dirty
+		if dirty {
+			c.setDirty(e, true)
+		}
 		c.moveToFront(e)
 		return false
 	}
@@ -192,8 +198,9 @@ func (c *Cache) put(fp fingerprint.Fingerprint, val Value, dirty bool) bool {
 		c.evictTail()
 		evicted = true
 	}
-	e := &entry{fp: fp, dirty: dirty}
+	e := &entry{fp: fp}
 	e.val.Store(uint64(val))
+	c.setDirty(e, dirty)
 	c.items[fp] = e
 	c.pushFront(e)
 	c.indexInsert(e)
@@ -227,11 +234,51 @@ func (c *Cache) indexRemove(e *entry) {
 	}
 }
 
-// MarkClean clears the dirty flag after the owner has flushed the entry.
-func (c *Cache) MarkClean(fp fingerprint.Fingerprint) {
-	if e, ok := c.items[fp]; ok {
-		e.dirty = false
+// setDirty is the one place an entry's dirty flag changes, keeping dirtyN
+// exact.
+func (c *Cache) setDirty(e *entry, dirty bool) {
+	if e.dirty == dirty {
+		return
 	}
+	e.dirty = dirty
+	if dirty {
+		c.dirtyN.Add(1)
+	} else {
+		c.dirtyN.Add(-1)
+	}
+}
+
+// MarkCleanIf clears fp's dirty flag if the entry still holds val — the
+// value the owner just persisted. An entry re-dirtied with a newer value
+// while that write was in flight stays dirty. It reports whether the entry
+// is clean with val on return.
+func (c *Cache) MarkCleanIf(fp fingerprint.Fingerprint, val Value) bool {
+	e, ok := c.items[fp]
+	if !ok || Value(e.val.Load()) != val {
+		return false
+	}
+	c.setDirty(e, false)
+	return true
+}
+
+// DirtyLen returns the number of dirty entries. Safe to call without the
+// owner's serialization.
+func (c *Cache) DirtyLen() int { return int(c.dirtyN.Load()) }
+
+// ColdDirty visits up to limit dirty entries, coldest first, stopping
+// early when visit returns false. It returns the number visited.
+func (c *Cache) ColdDirty(limit int, visit func(fp fingerprint.Fingerprint, val Value) bool) int {
+	n := 0
+	for e := c.tail; e != nil && n < limit && n < int(c.dirtyN.Load()); e = e.prev {
+		if !e.dirty {
+			continue
+		}
+		n++
+		if !visit(e.fp, Value(e.val.Load())) {
+			break
+		}
+	}
+	return n
 }
 
 // Remove deletes an entry without invoking the eviction callback.
@@ -244,6 +291,7 @@ func (c *Cache) Remove(fp fingerprint.Fingerprint) bool {
 	c.unlink(e)
 	delete(c.items, fp)
 	c.indexRemove(e)
+	c.setDirty(e, false)
 	return true
 }
 
@@ -261,19 +309,6 @@ func (c *Cache) Keys() []fingerprint.Fingerprint {
 	keys := make([]fingerprint.Fingerprint, 0, len(c.items))
 	for e := c.head; e != nil; e = e.next {
 		keys = append(keys, e.fp)
-	}
-	return keys
-}
-
-// DirtyKeys returns the fingerprints of entries whose dirty flag is set,
-// most- to least-recently-used. The write-back node flushes exactly these
-// instead of rewriting every cached entry.
-func (c *Cache) DirtyKeys() []fingerprint.Fingerprint {
-	var keys []fingerprint.Fingerprint
-	for e := c.head; e != nil; e = e.next {
-		if e.dirty {
-			keys = append(keys, e.fp)
-		}
 	}
 	return keys
 }
@@ -327,8 +362,10 @@ func (c *Cache) evictTail() {
 		delete(c.items, e.fp)
 		c.indexRemove(e)
 		c.evictions++
+		dirty := e.dirty
+		c.setDirty(e, false)
 		if c.onEvict != nil {
-			c.onEvict(e.fp, Value(e.val.Load()), e.dirty)
+			c.onEvict(e.fp, Value(e.val.Load()), dirty)
 		}
 		return
 	}

@@ -69,10 +69,12 @@ func TestDirtyTracking(t *testing.T) {
 	c.PutDirty(fp(1), 1)
 	c.Put(fp(2), 2) // evicts dirty 1
 	c.PutDirty(fp(3), 3)
-	c.MarkClean(fp(3))
-	c.Put(fp(4), 4) // evicts fp(3), which MarkClean made clean
+	if !c.MarkCleanIf(fp(3), 3) {
+		t.Fatal("MarkCleanIf with the current value did not clean the entry")
+	}
+	c.Put(fp(4), 4) // evicts fp(3), which MarkCleanIf made clean
 
-	// Evictions: fp(1) dirty, fp(2) clean, fp(3) cleaned via MarkClean.
+	// Evictions: fp(1) dirty, fp(2) clean, fp(3) cleaned via MarkCleanIf.
 	want := []bool{true, false, false}
 	if len(gotDirty) != len(want) {
 		t.Fatalf("dirty flags = %v, want %v", gotDirty, want)
@@ -80,6 +82,87 @@ func TestDirtyTracking(t *testing.T) {
 	for i := range want {
 		if gotDirty[i] != want[i] {
 			t.Fatalf("dirty flags = %v, want %v", gotDirty, want)
+		}
+	}
+}
+
+// TestMarkCleanIfChecksValue: an entry re-dirtied with a newer value while
+// the owner was persisting the old one must stay dirty, and DirtyLen must
+// follow every transition of the flag.
+func TestMarkCleanIfChecksValue(t *testing.T) {
+	var dirtyAtEvict []bool
+	c := New(2, func(_ fingerprint.Fingerprint, _ Value, dirty bool) {
+		dirtyAtEvict = append(dirtyAtEvict, dirty)
+	})
+	c.PutDirty(fp(1), 1)
+	c.PutDirty(fp(2), 2)
+	if c.DirtyLen() != 2 {
+		t.Fatalf("DirtyLen = %d, want 2", c.DirtyLen())
+	}
+	c.PutDirty(fp(1), 11) // re-dirtied while the write of 1 is in flight
+	if c.MarkCleanIf(fp(1), 1) {
+		t.Fatal("MarkCleanIf cleaned an entry whose value had changed")
+	}
+	if c.MarkCleanIf(fp(7), 7) {
+		t.Fatal("MarkCleanIf reported an absent entry clean")
+	}
+	if !c.MarkCleanIf(fp(2), 2) || c.DirtyLen() != 1 {
+		t.Fatalf("after cleaning fp(2): DirtyLen = %d, want 1", c.DirtyLen())
+	}
+	if !c.MarkCleanIf(fp(2), 2) || c.DirtyLen() != 1 {
+		t.Fatalf("cleaning a clean entry moved DirtyLen to %d", c.DirtyLen())
+	}
+	c.Put(fp(3), 3) // evicts fp(2) (clean); fp(1) was promoted by its update
+	c.Put(fp(4), 4) // evicts fp(1), still dirty
+	if len(dirtyAtEvict) != 2 || dirtyAtEvict[0] || !dirtyAtEvict[1] {
+		t.Fatalf("dirty flags at eviction = %v, want [false true]", dirtyAtEvict)
+	}
+	if c.DirtyLen() != 0 {
+		t.Fatalf("DirtyLen after evicting the last dirty entry = %d, want 0", c.DirtyLen())
+	}
+	c.PutDirty(fp(5), 5)
+	c.Remove(fp(5))
+	if c.DirtyLen() != 0 {
+		t.Fatalf("DirtyLen after Remove of a dirty entry = %d, want 0", c.DirtyLen())
+	}
+}
+
+// TestColdDirtyVisitsColdestFirst: the scan skips clean entries, starts at
+// the LRU end, and honors both the limit and an early stop.
+func TestColdDirtyVisitsColdestFirst(t *testing.T) {
+	c := New(8, nil)
+	for i := uint64(1); i <= 6; i++ {
+		if i%2 == 0 {
+			c.Put(fp(i), Value(i))
+		} else {
+			c.PutDirty(fp(i), Value(i))
+		}
+	}
+	collect := func(limit, stopAfter int) []Value {
+		var got []Value
+		c.ColdDirty(limit, func(_ fingerprint.Fingerprint, v Value) bool {
+			got = append(got, v)
+			return len(got) < stopAfter
+		})
+		return got
+	}
+	for _, tc := range []struct {
+		limit, stopAfter int
+		want             []Value
+	}{
+		{10, 10, []Value{1, 3, 5}},
+		{2, 10, []Value{1, 3}},
+		{10, 1, []Value{1}},
+		{0, 10, nil},
+	} {
+		got := collect(tc.limit, tc.stopAfter)
+		if len(got) != len(tc.want) {
+			t.Fatalf("ColdDirty(limit %d, stop after %d) = %v, want %v", tc.limit, tc.stopAfter, got, tc.want)
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Fatalf("ColdDirty(limit %d, stop after %d) = %v, want %v", tc.limit, tc.stopAfter, got, tc.want)
+			}
 		}
 	}
 }

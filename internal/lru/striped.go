@@ -132,12 +132,61 @@ func (s *Striped) PutIfAbsent(fp fingerprint.Fingerprint, val Value) bool {
 	return st.c.PutIfAbsent(fp, val)
 }
 
-// MarkClean clears the dirty flag after the owner has flushed the entry.
-func (s *Striped) MarkClean(fp fingerprint.Fingerprint) {
+// TryMarkCleanIf clears fp's dirty flag if the entry still holds val, the
+// value the owner just persisted (see Cache.MarkCleanIf). Like ColdDirty it
+// never waits for the stripe lock: it reports false when the stripe was
+// busy and the entry was left as it is.
+func (s *Striped) TryMarkCleanIf(fp fingerprint.Fingerprint, val Value) bool {
 	st := s.stripe(fp)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.c.MarkClean(fp)
+	if !st.mu.TryLock() {
+		return false
+	}
+	st.c.MarkCleanIf(fp, val)
+	st.mu.Unlock()
+	return true
+}
+
+// DirtyLen returns the number of dirty entries across stripes without
+// taking any stripe lock.
+func (s *Striped) DirtyLen() int {
+	n := 0
+	for i := range s.stripes {
+		n += s.stripes[i].c.DirtyLen()
+	}
+	return n
+}
+
+// ColdDirty visits up to limit dirty entries, an equal share per stripe and
+// coldest first within each, returning the number visited. visit runs with
+// the entry's stripe lock held — so the entry cannot be evicted, updated or
+// removed until visit returns — and must therefore stay in RAM; returning
+// false ends that stripe's share.
+//
+// ColdDirty never waits for a stripe lock: an eviction callback may hold one
+// for as long as its owner applies backpressure, and the caller may be the
+// very goroutine that relieves it. A stripe that is busy on both of two
+// passes is skipped; its entries stay dirty for the next call.
+func (s *Striped) ColdDirty(limit int, visit func(fp fingerprint.Fingerprint, val Value) bool) int {
+	share := (limit + len(s.stripes) - 1) / len(s.stripes)
+	n := 0
+	var busy []*cacheStripe
+	scan := func(st *cacheStripe) bool {
+		if !st.mu.TryLock() {
+			return false
+		}
+		n += st.c.ColdDirty(share, visit)
+		st.mu.Unlock()
+		return true
+	}
+	for i := range s.stripes {
+		if st := &s.stripes[i]; st.c.DirtyLen() > 0 && !scan(st) {
+			busy = append(busy, st)
+		}
+	}
+	for _, st := range busy {
+		scan(st)
+	}
+	return n
 }
 
 // Remove deletes an entry without invoking the eviction callback.
@@ -175,18 +224,6 @@ func (s *Striped) Keys() []fingerprint.Fingerprint {
 	for i := range s.stripes {
 		s.stripes[i].mu.Lock()
 		keys = append(keys, s.stripes[i].c.Keys()...)
-		s.stripes[i].mu.Unlock()
-	}
-	return keys
-}
-
-// DirtyKeys returns every cached fingerprint whose dirty flag is set,
-// stripe by stripe and most- to least-recently-used within each stripe.
-func (s *Striped) DirtyKeys() []fingerprint.Fingerprint {
-	var keys []fingerprint.Fingerprint
-	for i := range s.stripes {
-		s.stripes[i].mu.Lock()
-		keys = append(keys, s.stripes[i].c.DirtyKeys()...)
 		s.stripes[i].mu.Unlock()
 	}
 	return keys

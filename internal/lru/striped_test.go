@@ -131,3 +131,61 @@ func TestStripedPutIfAbsent(t *testing.T) {
 		t.Fatalf("Peek = (%v, %v), want (10, true)", v, ok)
 	}
 }
+
+// TestStripedColdDirtySkipsBusyStripe: the scan must not wait for a stripe
+// lock — an eviction callback can hold one for as long as its owner applies
+// backpressure — and must still visit every other stripe's dirty entries.
+func TestStripedColdDirtySkipsBusyStripe(t *testing.T) {
+	s := NewStriped(4, 64, nil)
+	for i := uint64(0); i < 32; i++ {
+		s.PutDirty(fp(i), Value(i))
+	}
+	if s.DirtyLen() != 32 {
+		t.Fatalf("DirtyLen = %d, want 32", s.DirtyLen())
+	}
+	busy := s.StripeFor(fp(0))
+	inBusy := 0
+	for i := uint64(0); i < 32; i++ {
+		if s.StripeFor(fp(i)) == busy {
+			inBusy++
+		}
+	}
+	s.stripes[busy].mu.Lock()
+	visited := make(map[fingerprint.Fingerprint]bool)
+	n := s.ColdDirty(1<<10, func(f fingerprint.Fingerprint, _ Value) bool {
+		if s.StripeFor(f) == busy {
+			t.Errorf("visited %s in the locked stripe", f.Short())
+		}
+		visited[f] = true
+		return true
+	})
+	s.stripes[busy].mu.Unlock()
+	if n != 32-inBusy || len(visited) != n {
+		t.Fatalf("visited %d (%d distinct) with one stripe busy, want %d", n, len(visited), 32-inBusy)
+	}
+	if n := s.ColdDirty(1<<10, func(fingerprint.Fingerprint, Value) bool { return true }); n != 32 {
+		t.Fatalf("visited %d with no stripe busy, want 32", n)
+	}
+	s.stripes[busy].mu.Lock()
+	if s.TryMarkCleanIf(fp(0), 0) {
+		t.Fatal("TryMarkCleanIf reported a locked stripe examined")
+	}
+	s.stripes[busy].mu.Unlock()
+	for f := range visited {
+		if !s.TryMarkCleanIf(f, s.mustPeek(t, f)) {
+			t.Fatalf("TryMarkCleanIf(%s) found its idle stripe busy", f.Short())
+		}
+	}
+	if s.DirtyLen() != inBusy {
+		t.Fatalf("DirtyLen after cleaning the visited entries = %d, want %d", s.DirtyLen(), inBusy)
+	}
+}
+
+func (s *Striped) mustPeek(t *testing.T, f fingerprint.Fingerprint) Value {
+	t.Helper()
+	v, ok := s.Peek(f)
+	if !ok {
+		t.Fatalf("Peek(%s): not cached", f.Short())
+	}
+	return v
+}

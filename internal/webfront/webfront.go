@@ -243,20 +243,14 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 }
 
 // executePlan runs the batch against the cluster, pooling small plans
-// through the shared aggregator when enabled.
+// through the shared aggregator when enabled. A pooled plan enqueues all its
+// fingerprints at once, so it waits for one aggregation window, not one per
+// fingerprint.
 func (s *Server) executePlan(ctx context.Context, pairs []core.Pair) ([]core.LookupResult, error) {
 	if s.agg == nil || len(pairs) >= s.cfg.AggregateBelow {
 		return s.cfg.Index.BatchLookupOrInsert(ctx, pairs)
 	}
-	results := make([]core.LookupResult, len(pairs))
-	for i, p := range pairs {
-		r, err := s.agg.LookupOrInsert(ctx, p.FP, p.Val)
-		if err != nil {
-			return nil, err
-		}
-		results[i] = r
-	}
-	return results, nil
+	return s.agg.BatchLookupOrInsert(ctx, pairs)
 }
 
 // statusForError maps context expiry to 504 (the shared-timeout idiom for

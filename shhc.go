@@ -135,21 +135,25 @@ type ClusterOptions struct {
 	ExpectedItems int
 	// DisableBloom turns Bloom filters off (ablation).
 	DisableBloom bool
-	// WriteBack delays SSD inserts until LRU destage: evicted dirty
-	// entries are parked in a bounded per-node buffer and destaged
-	// asynchronously in page-coalesced group-commit waves. Inserts are
-	// RAM-speed; entries not yet destaged survive only until a crash
-	// (call Flush/Close to drain durably).
+	// WriteBack acknowledges inserts from RAM and writes the SSD hash
+	// table later: a per-node destager cleans the cold dirty end of the
+	// cache in page-coalesced group-commit waves, ahead of eviction, and a
+	// dirty entry that is evicted anyway is parked in a bounded per-node
+	// buffer for the next wave. Inserts are RAM-speed; entries not yet
+	// destaged survive only until a crash (call Flush/Close to write them
+	// out durably).
 	WriteBack bool
 	// DestageBatch is the largest group-commit destage wave in entries
-	// (write-back only); 0 selects the default (256).
+	// (write-back only); 0 selects the default (half of CacheSize, at
+	// least 256).
 	DestageBatch int
 	// DestageInterval bounds how long an evicted dirty entry waits
 	// before a destage wave is forced; 0 selects the default (2ms).
 	DestageInterval time.Duration
 	// DestageQueue bounds the per-node dirty destage buffer; evictions
 	// block when it is full (backpressure). 0 selects the default
-	// (4 × DestageBatch).
+	// (4 × DestageBatch when that is set, otherwise an eighth of
+	// CacheSize, at least 1024).
 	DestageQueue int
 	// Journal enables each node's durable destage journal (requires Dir
 	// and WriteBack): an evicted dirty entry is group-commit fsynced to
