@@ -13,11 +13,21 @@
 package shhc
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"shhc/internal/bench"
+	"shhc/internal/cloudsim"
+	"shhc/internal/core"
+	"shhc/internal/fingerprint"
+	"shhc/internal/hashdb"
+	"shhc/internal/ring"
 	"shhc/internal/trace"
+	"shhc/internal/webfront"
 )
 
 // BenchmarkFigure1 runs the Figure 1 simulator at the paper's operating
@@ -220,4 +230,62 @@ func BenchmarkAblationVNodes(b *testing.B) {
 			b.ReportMetric(spread, "entries_max_over_min")
 		})
 	}
+}
+
+// BenchmarkPlanPath drives the front tier's whole request path in process:
+// the /v1/plan handler, the cluster router and two nodes, one 2 048-
+// fingerprint plan of cache hits per iteration — the incremental backup of
+// the end-to-end benchmark's incr_hot, without the sockets. allocs/op is per
+// plan and must not depend on the plan's size.
+func BenchmarkPlanPath(b *testing.B) {
+	const planSize = 2048
+	backends := make([]core.Backend, 2)
+	for i := range backends {
+		n, err := core.NewNode(core.NodeConfig{
+			ID:            ring.NodeID(fmt.Sprintf("node-%02d", i)),
+			Store:         hashdb.NewMemStore(nil),
+			CacheSize:     1 << 13,
+			BloomExpected: 1 << 16,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		backends[i] = n
+	}
+	cluster, err := core.NewCluster(core.ClusterConfig{}, backends...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cluster.Close()
+	chunks := cloudsim.New(cloudsim.Config{})
+	defer chunks.Close()
+	front, err := webfront.New(webfront.Config{Index: cluster, Chunks: chunks})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fps := make([]string, planSize)
+	for i := range fps {
+		fps[i] = fingerprint.FromUint64(uint64(i)).String()
+	}
+	body, err := json.Marshal(webfront.PlanRequest{Fingerprints: fps})
+	if err != nil {
+		b.Fatal(err)
+	}
+	handler := front.Handler()
+	post := func() *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		handler.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body)))
+		return w
+	}
+	if w := post(); w.Code != http.StatusOK { // first sight inserts
+		b.Fatalf("seed plan: status %d: %s", w.Code, w.Body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if w := post(); w.Body.String() != "{\"missing\":[]}\n" {
+			b.Fatalf("plan: status %d: %.100s", w.Code, w.Body)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/planSize, "ns/fp")
 }

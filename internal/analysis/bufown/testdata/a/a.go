@@ -1,9 +1,15 @@
 // Positive cases: each want line must fire.
 package a
 
-import "bufowntest/pool"
+import (
+	"errors"
+
+	"bufowntest/pool"
+)
 
 func sink([]byte) {}
+
+var errFailed = errors.New("failed")
 
 func leakOnEarlyReturn(cond bool) {
 	bp := pool.GetBuf() // want `pooled buffer "bp" is not released on`
@@ -54,4 +60,27 @@ func releaseAfterMuxHandOff(m *pool.Mux) {
 	bp := pool.GetBuf()
 	m.Enqueue(*bp, bp)
 	pool.PutBuf(bp) // want `pooled buffer "bp" may be released twice`
+}
+
+// leakScratchOnEarlyReturn: a pooled scratch record is owned like a buffer.
+func leakScratchOnEarlyReturn(cond bool) {
+	sc := pool.GetScratch() // want `pooled buffer "sc" is not released on`
+	if cond {
+		return
+	}
+	pool.PutScratch(sc)
+}
+
+// leakPairsAfterUse mirrors an rpc handler arm that forgets putPairBuf on
+// its error return.
+func leakPairsAfterUse(src []byte, fail bool) error {
+	pp, err := pool.DecodePairs(src) // want `pooled buffer "pp" is not released on`
+	if err != nil {
+		return err
+	}
+	if fail {
+		return errFailed
+	}
+	pool.PutPairs(pp)
+	return nil
 }

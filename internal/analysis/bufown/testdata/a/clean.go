@@ -62,3 +62,28 @@ func muxHandOff(m *pool.Mux) error {
 	bp := pool.GetBuf()
 	return m.Enqueue(*bp, bp)
 }
+
+// scratchDeferred is the handler shape: take the scratch, defer its return,
+// use views of it (never the pointer itself) inside closures.
+func scratchDeferred(n int) int {
+	sc := pool.GetScratch()
+	defer pool.PutScratch(sc)
+	pairs := sc.Pairs[:0]
+	sum := func() int { return len(pairs) + n }
+	return sum()
+}
+
+// pairsReleasedBeforeBranch mirrors the rpc batch arm: the decoded pairs go
+// back as soon as the backend call returns, before the error is examined.
+func pairsReleasedBeforeBranch(src []byte, call func([]int) error) error {
+	pp, err := pool.DecodePairs(src)
+	if err != nil {
+		return err
+	}
+	err = call(*pp)
+	pool.PutPairs(pp)
+	if err != nil {
+		return err
+	}
+	return nil
+}

@@ -50,3 +50,40 @@ func (m *Mux) Enqueue(frame []byte, bp *[]byte) error {
 	PutBuf(bp)
 	return nil
 }
+
+// Scratch mirrors the pooled scratch records (webfront.planScratch,
+// core.batchScratch): a pooled *struct is owned exactly like a pooled
+// *[]byte. PutScratch drops an oversized record's arrays but always returns
+// the record itself, so every path through it is a release.
+type Scratch struct{ Pairs []int }
+
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+//shhc:returns-buf
+func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+
+//shhc:takes-buf sc
+func PutScratch(sc *Scratch) {
+	if cap(sc.Pairs) > 1<<16 {
+		*sc = Scratch{}
+	}
+	scratchPool.Put(sc)
+}
+
+var pairPool = sync.Pool{New: func() any { return new([]int) }}
+
+// DecodePairs mirrors rpc's decodeCorePairs: a pooled *[]T that is non-nil
+// exactly when the error is nil.
+//
+//shhc:returns-buf
+func DecodePairs(src []byte) (*[]int, error) {
+	if len(src) == 0 {
+		return nil, errors.New("pool: empty batch")
+	}
+	pp := pairPool.Get().(*[]int)
+	*pp = append((*pp)[:0], len(src))
+	return pp, nil
+}
+
+//shhc:takes-buf pp
+func PutPairs(pp *[]int) { pairPool.Put(pp) }

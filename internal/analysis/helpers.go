@@ -24,23 +24,26 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return f
 }
 
-// IsBufType reports whether t is one of the pooled-buffer shapes the
-// ownership analyzers track: *[]byte (the wire pool) or []byte (the
-// hashdb page pool).
+// IsBufType reports whether t is one of the pooled shapes the ownership
+// analyzers track in the results of a //shhc:returns-buf function: []byte
+// (the hashdb page pool), a pointer to a slice (*[]byte, the wire pool;
+// *[]core.Pair, the rpc server's decoded batches) or a pointer to a struct
+// (a pooled scratch record: webfront's planScratch, core's batchScratch).
 func IsBufType(t types.Type) bool {
 	if t == nil {
 		return false
 	}
-	u := t.Underlying()
-	if p, ok := u.(*types.Pointer); ok {
-		u = p.Elem().Underlying()
+	switch u := t.Underlying().(type) {
+	case *types.Pointer:
+		switch u.Elem().Underlying().(type) {
+		case *types.Slice, *types.Struct:
+			return true
+		}
+	case *types.Slice:
+		b, ok := u.Elem().Underlying().(*types.Basic)
+		return ok && b.Kind() == types.Byte
 	}
-	s, ok := u.(*types.Slice)
-	if !ok {
-		return false
-	}
-	b, ok := s.Elem().Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Byte
+	return false
 }
 
 // FuncHasGoto reports whether any statement in body is a goto; the

@@ -32,3 +32,16 @@ func unmarkedReturn() *[]byte {
 func storeInSlice(dst []*[]byte) {
 	dst[0] = pool.GetBuf() // want `pooled buffer stored in a slice or map element may outlive its release`
 }
+
+type scratchHolder struct {
+	sc *pool.Scratch
+}
+
+func storeScratchInField(h *scratchHolder) {
+	h.sc = pool.GetScratch() // want `pooled buffer stored in field sc may outlive its release`
+}
+
+func unmarkedScratchReturn() *pool.Scratch {
+	sc := pool.GetScratch()
+	return sc // want `pooled buffer returned from a function not marked //shhc:returns-buf hides the ownership transfer`
+}

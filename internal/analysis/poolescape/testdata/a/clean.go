@@ -24,3 +24,11 @@ func markedReturn() *[]byte {
 func passedDown() {
 	pool.PutBuf(pool.GetBuf())
 }
+
+// scratchScoped uses a pooled scratch record and fills its own fields:
+// storing INTO the record is not the record escaping.
+func scratchScoped(n int) {
+	sc := pool.GetScratch()
+	defer pool.PutScratch(sc)
+	sc.Pairs = append(sc.Pairs[:0], n)
+}

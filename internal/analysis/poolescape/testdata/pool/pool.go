@@ -15,3 +15,15 @@ func GetBuf() *[]byte {
 func PutBuf(bp *[]byte) {
 	bufPool.Put(bp)
 }
+
+// Scratch is a pooled scratch record: a pooled *struct escapes like a
+// pooled *[]byte.
+type Scratch struct{ Pairs []int }
+
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+//shhc:returns-buf
+func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+
+//shhc:takes-buf sc
+func PutScratch(sc *Scratch) { scratchPool.Put(sc) }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"shhc/internal/fingerprint"
@@ -24,7 +25,10 @@ type Backend interface {
 	Lookup(ctx context.Context, fp fingerprint.Fingerprint) (LookupResult, error)
 	// LookupOrInsert runs the Figure 4 flow.
 	LookupOrInsert(ctx context.Context, fp fingerprint.Fingerprint, val Value) (LookupResult, error)
-	// BatchLookupOrInsert runs the flow for each pair, in order.
+	// BatchLookupOrInsert runs the flow for each pair, in order. pairs is
+	// the caller's: it is only valid until the call returns (the cluster
+	// hands out slices of pooled scratch), so an implementation that needs
+	// a pair afterwards copies it first.
 	BatchLookupOrInsert(ctx context.Context, pairs []Pair) ([]LookupResult, error)
 	// Insert unconditionally records fp -> val.
 	Insert(ctx context.Context, fp fingerprint.Fingerprint, val Value) error
@@ -92,6 +96,9 @@ type ClusterConfig struct {
 // client-side view of SHHC: the web front-end holds one Cluster and sends
 // each fingerprint (or batch) to the node owning its hash range.
 type Cluster struct {
+	// mu guards membership: the ring's writers and the backends map, which
+	// also holds a draining node the ring no longer names. Routing never
+	// takes it — every operation routes on the snapshot in route.
 	mu       sync.RWMutex
 	ring     *ring.Ring
 	vnodes   int
@@ -103,12 +110,9 @@ type Cluster struct {
 	// and read-repair on the lookup paths. See ClusterConfig.
 	quorum       int
 	noReadRepair bool
-	// gen counts ring membership changes. Batches capture it with their
-	// routing decision as a cheap filter: only when it moved can any
-	// miss need reconciliation (see ownerMoved/reconcileMiss), closing
-	// the window where an entry migrates away between routing and
-	// execution.
-	gen uint64
+	// route is the routing snapshot every operation loads once; each
+	// membership change publishes a new one under mu.
+	route atomic.Pointer[routing]
 
 	// repl holds the replication counters (see ReplicationStats).
 	repl replCounters
@@ -147,7 +151,7 @@ func NewCluster(cfg ClusterConfig, backends ...Backend) (*Cluster, error) {
 		quorum = replicas
 	}
 	c := &Cluster{
-		ring:         ring.New(cfg.VirtualNodes),
+		ring:         ring.NewReplicated(cfg.VirtualNodes, replicas),
 		vnodes:       cfg.VirtualNodes,
 		backends:     make(map[ring.NodeID]Backend, len(backends)),
 		replicas:     replicas,
@@ -177,6 +181,74 @@ func NewCluster(cfg ClusterConfig, backends ...Backend) (*Cluster, error) {
 	return c, nil
 }
 
+// routing is what one operation routes on: the ring's table, the backend of
+// each table node (indexed like table.Nodes()), and the membership
+// generation the two belong to. gen rides in the same snapshot so that "did
+// membership change since I routed?" compares against the generation of the
+// very table the routing decisions came from — read separately, a bump
+// between the two loads could pair a new table with an old generation and
+// hide an owner move from reconciliation.
+type routing struct {
+	// gen counts membership changes. A batch only has misses to reconcile
+	// when it moved (see ownerMoved/reconcileMiss), closing the window
+	// where an entry migrates away between routing and execution.
+	gen      uint64
+	table    *ring.Table
+	backends []Backend
+}
+
+// publishLocked swaps in the routing snapshot for the ring and backends as
+// they are now. Callers hold c.mu for writing (or own c exclusively).
+func (c *Cluster) publishLocked() {
+	rt := &routing{table: c.ring.Table()}
+	if old := c.route.Load(); old != nil {
+		rt.gen = old.gen + 1
+	}
+	rt.backends = make([]Backend, len(rt.table.Nodes()))
+	for i, id := range rt.table.Nodes() {
+		rt.backends[i] = c.backends[id]
+	}
+	c.route.Store(rt)
+	c.signalMembershipChange()
+}
+
+// point returns fp's ring position, or ring.ErrEmpty.
+func (rt *routing) point(fp fingerprint.Fingerprint) (int, error) {
+	if rt.table.Len() == 0 {
+		return 0, ring.ErrEmpty
+	}
+	return rt.table.Point(fp.Prefix64()), nil
+}
+
+// owner returns the ID of the node owning fp.
+func (rt *routing) owner(fp fingerprint.Fingerprint) (ring.NodeID, error) {
+	p, err := rt.point(fp)
+	if err != nil {
+		return "", err
+	}
+	return rt.table.Nodes()[rt.table.Owner(p)], nil
+}
+
+// replicasFor returns the backends holding fp, owner first. The slice is
+// the caller's to keep but not to modify: without replication it aliases
+// the snapshot.
+func (rt *routing) replicasFor(fp fingerprint.Fingerprint) ([]Backend, error) {
+	p, err := rt.point(fp)
+	if err != nil {
+		return nil, err
+	}
+	succ := rt.table.Successors(p)
+	if len(succ) == 1 {
+		o := succ[0]
+		return rt.backends[o : o+1 : o+1], nil
+	}
+	backends := make([]Backend, len(succ))
+	for i, idx := range succ {
+		backends[i] = rt.backends[idx]
+	}
+	return backends, nil
+}
+
 func (c *Cluster) addLocked(b Backend) error {
 	id := b.ID()
 	if _, dup := c.backends[id]; dup {
@@ -186,8 +258,7 @@ func (c *Cluster) addLocked(b Backend) error {
 		return err
 	}
 	c.backends[id] = b
-	c.gen++
-	c.signalMembershipChange()
+	c.publishLocked()
 	return nil
 }
 
@@ -212,8 +283,7 @@ func (c *Cluster) RemoveNode(id ring.NodeID) error {
 		return err
 	}
 	delete(c.backends, id)
-	c.gen++
-	c.signalMembershipChange()
+	c.publishLocked()
 	return nil
 }
 
@@ -238,26 +308,7 @@ func (c *Cluster) NodeIDs() []ring.NodeID {
 
 // Owner returns the node responsible for a fingerprint.
 func (c *Cluster) Owner(fp fingerprint.Fingerprint) (ring.NodeID, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.ring.Lookup(fp)
-}
-
-// replicasFor returns the backends holding fp, owner first.
-func (c *Cluster) replicasFor(fp fingerprint.Fingerprint) ([]Backend, error) {
-	ids, err := c.ring.LookupN(fp, c.replicas)
-	if err != nil {
-		return nil, err
-	}
-	backends := make([]Backend, 0, len(ids))
-	for _, id := range ids {
-		b, ok := c.backends[id]
-		if !ok {
-			return nil, fmt.Errorf("core: ring references unknown backend %q", id)
-		}
-		backends = append(backends, b)
-	}
-	return backends, nil
+	return c.route.Load().owner(fp)
 }
 
 // routeRetries bounds how many times a miss is replayed after the queried
@@ -266,18 +317,9 @@ func (c *Cluster) replicasFor(fp fingerprint.Fingerprint) ([]Backend, error) {
 // retries is effectively "until stable".
 const routeRetries = 3
 
-// routingFor snapshots the replica set for fp under the ring lock.
+// routingFor returns fp's replica set under the current routing snapshot.
 func (c *Cluster) routingFor(fp fingerprint.Fingerprint) ([]Backend, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.replicasFor(fp)
-}
-
-// routingChanged reports whether membership changed since gen.
-func (c *Cluster) routingChanged(gen uint64) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.gen != gen
+	return c.route.Load().replicasFor(fp)
 }
 
 // ownerMoved reports whether fp's owner is now a different node than the
@@ -288,9 +330,7 @@ func (c *Cluster) routingChanged(gen uint64) bool {
 // "duplicate". Only when ownership actually moved can the current owner
 // know something the queried node did not (a migrated entry).
 func (c *Cluster) ownerMoved(fp fingerprint.Fingerprint, queried ring.NodeID) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	owner, err := c.ring.Lookup(fp)
+	owner, err := c.Owner(fp)
 	return err == nil && owner != queried
 }
 
@@ -573,9 +613,87 @@ func (c *Cluster) lookupOrInsertOnce(ctx context.Context, fp fingerprint.Fingerp
 	return res, owner, nil
 }
 
+// grouped is a batch sorted by owner node: node k's group is
+// pairs[start[k]:start[k+1]], indices[j] is the input position of pairs[j],
+// and points[i] the ring position of input pair i — owner, replica set and,
+// after a membership change, the NodeID that was asked all derive from it.
+type grouped struct {
+	pairs   []Pair
+	indices []int32
+	points  []int32
+	start   []int32 // one entry per table node, plus one
+}
+
+// batchScratch is the pooled working memory of one BatchLookupOrInsert.
+// Everything in it belongs to the call that took it from the pool and goes
+// back when that call returns, which is why a Backend must not keep the
+// pairs it was handed (see Backend).
+type batchScratch struct {
+	grouped
+	next []int32 // the scatter cursor per node
+}
+
+// maxPooledBatch bounds the scratch the pool keeps: one huge plan must not
+// pin its megabytes forever.
+const maxPooledBatch = 1 << 16
+
+var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+//shhc:returns-buf
+func getBatchScratch() *batchScratch { return batchScratchPool.Get().(*batchScratch) }
+
+//shhc:takes-buf sc
+func putBatchScratch(sc *batchScratch) {
+	if cap(sc.pairs) > maxPooledBatch {
+		*sc = batchScratch{}
+	}
+	batchScratchPool.Put(sc)
+}
+
+// group sorts the batch by owner node under rt into sc — a counting sort,
+// so each group keeps its pairs in input order — and returns the view of sc
+// that holds it, valid until sc goes back to the pool.
+func (sc *batchScratch) group(rt *routing, pairs []Pair) grouped {
+	if cap(sc.pairs) < len(pairs) {
+		sc.pairs = make([]Pair, len(pairs))
+		sc.indices = make([]int32, len(pairs))
+		sc.points = make([]int32, len(pairs))
+	}
+	if nodes := len(rt.backends); cap(sc.start) <= nodes {
+		sc.start = make([]int32, nodes+1)
+		sc.next = make([]int32, nodes+1)
+	}
+	g := grouped{
+		pairs:   sc.pairs[:len(pairs)],
+		indices: sc.indices[:len(pairs)],
+		points:  sc.points[:len(pairs)],
+		start:   sc.start[:len(rt.backends)+1],
+	}
+	clear(g.start)
+	for i := range pairs {
+		p := rt.table.Point(pairs[i].FP.Prefix64())
+		g.points[i] = int32(p)
+		g.start[rt.table.Owner(p)+1]++
+	}
+	for k := 1; k < len(g.start); k++ {
+		g.start[k] += g.start[k-1]
+	}
+	next := sc.next[:len(g.start)]
+	copy(next, g.start)
+	for i := range pairs {
+		o := rt.table.Owner(int(g.points[i]))
+		j := next[o]
+		next[o]++
+		g.pairs[j], g.indices[j] = pairs[i], int32(i)
+	}
+	return g
+}
+
 // BatchLookupOrInsert routes each pair to its owner node, issues one batch
 // per node in parallel, and reassembles results in input order. This is the
 // batching path the web front-end uses (paper §IV: batch sizes 1/128/2048).
+// The batch routes on one snapshot of the routing table and is regrouped in
+// pooled scratch, so a call allocates per node it reaches, not per pair.
 // Misses — the pairs the owner's batch created — are then replicated as one
 // ApplyRepair wave per mirror node (piggybacking on the mirror's own
 // group-commit destage batching), so replication costs one extra batched
@@ -594,36 +712,13 @@ func (c *Cluster) BatchLookupOrInsert(ctx context.Context, pairs []Pair) ([]Look
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	c.mu.RLock()
-	type routed struct {
-		backend Backend
-		pairs   []Pair
-		indices []int
-		// mirrors[k] holds the successor replicas for pairs[k]; replica
-		// sets differ per fingerprint even within one owner's group.
-		mirrors [][]Backend
+	rt := c.route.Load()
+	if rt.table.Len() == 0 {
+		return nil, ring.ErrEmpty
 	}
-	groups := make(map[ring.NodeID]*routed)
-	gen := c.gen
-	owners := make([]ring.NodeID, len(pairs))
-	for i, p := range pairs {
-		targets, err := c.replicasFor(p.FP)
-		if err != nil {
-			c.mu.RUnlock()
-			return nil, err
-		}
-		owner := targets[0]
-		owners[i] = owner.ID()
-		g, ok := groups[owner.ID()]
-		if !ok {
-			g = &routed{backend: owner}
-			groups[owner.ID()] = g
-		}
-		g.pairs = append(g.pairs, p)
-		g.indices = append(g.indices, i)
-		g.mirrors = append(g.mirrors, targets[1:])
-	}
-	c.mu.RUnlock()
+	sc := getBatchScratch()
+	defer putBatchScratch(sc)
+	g := sc.group(rt, pairs)
 
 	results := make([]LookupResult, len(pairs))
 	var (
@@ -631,49 +726,64 @@ func (c *Cluster) BatchLookupOrInsert(ctx context.Context, pairs []Pair) ([]Look
 		errMu    sync.Mutex
 		firstErr error
 	)
-	for _, g := range groups {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rs, err := g.backend.BatchLookupOrInsert(ctx, g.pairs)
+	runGroup := func(k int) {
+		gpairs, gidx := g.pairs[g.start[k]:g.start[k+1]], g.indices[g.start[k]:g.start[k+1]]
+		rs, err := rt.backends[k].BatchLookupOrInsert(ctx, gpairs)
+		if err != nil {
+			// A dead owner fails its whole group's decision. With
+			// replication the successors hold the same ranges, so fail
+			// each pair over to the single-key path, which decides on
+			// the next reachable replica and replicates from there.
+			// Erroring the batch instead would strand the groups that
+			// DID decide: their entries are already durable, so a
+			// retried plan would call them duplicates for chunks the
+			// client never uploaded (the same poison the degraded
+			// quorum path avoids — see replicateInsert). Cancellation
+			// is the caller's decision, not a node failure: no failover.
+			if ctx.Err() == nil && c.replicas > 1 {
+				err = nil
+				for j, p := range gpairs {
+					r, _, perr := c.lookupOrInsertOnce(ctx, p.FP, p.Val)
+					if perr != nil {
+						err = perr
+						break
+					}
+					results[gidx[j]] = r
+				}
+			}
 			if err != nil {
-				// A dead owner fails its whole group's decision. With
-				// replication the successors hold the same ranges, so fail
-				// each pair over to the single-key path, which decides on
-				// the next reachable replica and replicates from there.
-				// Erroring the batch instead would strand the groups that
-				// DID decide: their entries are already durable, so a
-				// retried plan would call them duplicates for chunks the
-				// client never uploaded (the same poison the degraded
-				// quorum path avoids — see replicateInsert). Cancellation
-				// is the caller's decision, not a node failure: no failover.
-				if ctx.Err() == nil && c.replicas > 1 {
-					err = nil
-					for k, p := range g.pairs {
-						r, _, perr := c.lookupOrInsertOnce(ctx, p.FP, p.Val)
-						if perr != nil {
-							err = perr
-							break
-						}
-						results[g.indices[k]] = r
-					}
+				errMu.Lock()
+				if firstErr == nil {
+					firstErr = err
 				}
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-				}
-				return
+				errMu.Unlock()
 			}
-			for k, r := range rs {
-				results[g.indices[k]] = r
-			}
-			c.replicateBatch(ctx, g.pairs, g.indices, g.mirrors, rs, results)
-		}()
+			return
+		}
+		for j, r := range rs {
+			results[gidx[j]] = r
+		}
+		if rt.table.Width() > 1 {
+			c.replicateBatch(ctx, rt, g.points, gpairs, gidx, rs, results)
+		}
 	}
+	// Every group but the last gets a goroutine; the last runs here, so a
+	// batch that reaches one node — every small one — starts none.
+	last := -1
+	for k := range rt.backends {
+		if g.start[k] == g.start[k+1] {
+			continue
+		}
+		if last >= 0 {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				runGroup(k)
+			}(last)
+		}
+		last = k
+	}
+	runGroup(last)
 	wg.Wait()
 	if firstErr != nil {
 		if isCtxErr(firstErr) {
@@ -685,12 +795,15 @@ func (c *Cluster) BatchLookupOrInsert(ctx context.Context, pairs []Pair) ([]Look
 	// reconcileMiss): a miss whose owner is unchanged is final, and
 	// probing again would read back this batch's own insert as a spurious
 	// duplicate, dropping the chunk from the upload plan.
-	if c.routingChanged(gen) {
+	if c.route.Load().gen != rt.gen {
 		for i, r := range results {
-			if r.Exists || !c.ownerMoved(pairs[i].FP, owners[i]) {
+			if r.Exists {
 				continue
 			}
-			results[i] = c.reconcileMiss(ctx, pairs[i].FP, pairs[i].Val, r)
+			queried := rt.table.Nodes()[rt.table.Owner(int(g.points[i]))]
+			if c.ownerMoved(pairs[i].FP, queried) {
+				results[i] = c.reconcileMiss(ctx, pairs[i].FP, pairs[i].Val, r)
+			}
 		}
 	}
 	return results, nil
@@ -881,8 +994,7 @@ func (c *Cluster) DrainNode(ctx context.Context, id ring.NodeID) (RebalanceStats
 		c.mu.Unlock()
 		return RebalanceStats{}, err
 	}
-	c.gen++
-	c.signalMembershipChange()
+	c.publishLocked()
 	c.mu.Unlock()
 
 	moved, scanned, err := c.migrateFrom(ctx, id, m, true)
@@ -916,9 +1028,7 @@ func (c *Cluster) migrateFrom(ctx context.Context, source ring.NodeID, m Migrato
 			toMove = append(toMove, entry{fp, val})
 			return true
 		}
-		c.mu.RLock()
-		owner, lerr := c.ring.Lookup(fp)
-		c.mu.RUnlock()
+		owner, lerr := c.Owner(fp)
 		if lerr != nil {
 			err = lerr
 			return false
@@ -939,9 +1049,7 @@ func (c *Cluster) migrateFrom(ctx context.Context, source ring.NodeID, m Migrato
 		if cerr := ctx.Err(); cerr != nil {
 			return moved, scanned, fmt.Errorf("core: migrate from %s: %w", source, cerr)
 		}
-		c.mu.RLock()
-		targets, terr := c.replicasFor(e.fp)
-		c.mu.RUnlock()
+		targets, terr := c.routingFor(e.fp)
 		if terr != nil {
 			return moved, scanned, terr
 		}

@@ -62,8 +62,9 @@ type replCounters struct {
 // repair/backfill verb (local *Node, and RPC clients whose peer negotiated
 // protocol >= 4). ApplyRepair has exactly BatchLookupOrInsert semantics —
 // existing entries keep their stored value, missing ones are created, and
-// the per-pair results report which was which — but the receiver accounts
-// the traffic as replication repair rather than foreground lookups.
+// the per-pair results report which was which, and pairs is only valid
+// until the call returns — but the receiver accounts the traffic as
+// replication repair rather than foreground lookups.
 type RepairApplier interface {
 	ApplyRepair(ctx context.Context, pairs []Pair) ([]LookupResult, error)
 }
@@ -243,23 +244,16 @@ func (c *Cluster) drainRepairBatch(ctx context.Context) bool {
 	// or is no longer in the fingerprint's replica set (the entry's range
 	// moved — e.g. the key was migrated or removed), is dropped: applying
 	// it could resurrect an entry on a node that just migrated it off.
+	rt := c.route.Load()
 	groups := make(map[ring.NodeID][]Pair)
+	backends := make(map[ring.NodeID]Backend)
 	var dropped uint64
-	c.mu.RLock()
 	for _, t := range tasks {
-		if _, ok := c.backends[t.key.target]; !ok {
-			dropped++
-			continue
-		}
-		ids, err := c.ring.LookupN(t.key.fp, c.replicas)
-		if err != nil {
-			dropped++
-			continue
-		}
+		replicas, _ := rt.replicasFor(t.key.fp) // empty ring: no replicas, dropped
 		valid := false
-		for _, id := range ids {
-			if id == t.key.target {
-				valid = true
+		for _, b := range replicas {
+			if b.ID() == t.key.target {
+				backends[t.key.target], valid = b, true
 				break
 			}
 		}
@@ -269,11 +263,6 @@ func (c *Cluster) drainRepairBatch(ctx context.Context) bool {
 		}
 		groups[t.key.target] = append(groups[t.key.target], Pair{FP: t.key.fp, Val: t.val})
 	}
-	backends := make(map[ring.NodeID]Backend, len(groups))
-	for id := range groups {
-		backends[id] = c.backends[id]
-	}
-	c.mu.RUnlock()
 
 	for id, pairs := range groups {
 		if _, err := applyRepair(ctx, backends[id], pairs); err != nil {
@@ -394,48 +383,44 @@ func (c *Cluster) replicateInsert(ctx context.Context, fp fingerprint.Fingerprin
 // in rs) to their mirror replicas as a single ApplyRepair wave per mirror
 // node — the batched analogue of replicateInsert, and the reason batch
 // replication costs one extra group-commit wave per replica instead of a
-// per-key fan-out. indices maps group-local positions to the caller's
-// results slice; a mirror that reports a pair already present flips that
-// pair's result to the duplicate answer (see replicateInsert for the
-// bias). The call returns as soon as every created pair has met its write
+// per-key fan-out. pairs is the group, indices maps its positions to the
+// caller's results slice, and points gives each input pair's ring position:
+// a pair's mirrors are that position's successors under rt, after the
+// owner. A mirror that reports a pair already present flips that pair's
+// result to the duplicate answer (see replicateInsert for the bias). The
+// call returns as soon as every created pair has met its write
 // quorum — waves still in the air past that point complete asynchronously
 // and account for themselves, so batch latency is set by the quorum, not
-// the slowest replica. Failed waves are queued for async repair, and —
-// like replicateInsert — a pair left below its quorum never fails the
-// batch: the owner's copies are durable, so the batch degrades to the
-// safe "new" answers (counted in QuorumFailures) and replication
-// converges through repair.
-func (c *Cluster) replicateBatch(ctx context.Context, pairs []Pair, indices []int, mirrors [][]Backend, rs []LookupResult, results []LookupResult) {
+// the slowest replica; that is why a wave carries its own copy of its
+// pairs, never a slice of the caller's scratch. Failed waves are queued for
+// async repair, and — like replicateInsert — a pair left below its quorum
+// never fails the batch: the owner's copies are durable, so the batch
+// degrades to the safe "new" answers (counted in QuorumFailures) and
+// replication converges through repair.
+func (c *Cluster) replicateBatch(ctx context.Context, rt *routing, points []int32, pairs []Pair, indices []int32, rs []LookupResult, results []LookupResult) {
 	type wave struct {
 		backend Backend
 		pairs   []Pair
 		ks      []int // group-local pair positions
 	}
-	// requiredFor clamps the write quorum to the pair's reachable replica
-	// set (the cluster may be smaller than Replicas).
-	requiredFor := func(k int) int {
-		required := c.quorum
-		if lim := 1 + len(mirrors[k]); required > lim {
-			required = lim
-		}
-		return required
-	}
-	waves := make(map[ring.NodeID]*wave)
-	var fanned, waited uint64
-	missCount := 0
+	// Every position's successor set has the same size, so one clamp of the
+	// write quorum to it (the cluster may be smaller than Replicas) serves
+	// the whole group.
+	required := min(c.quorum, rt.table.Width())
+	waves := make([]*wave, len(rt.backends))
+	var fanned uint64
+	nwaves, missCount := 0, 0
 	for k, r := range rs {
-		if r.Exists || len(mirrors[k]) == 0 {
+		if r.Exists {
 			continue
 		}
 		missCount++
-		if requiredFor(k) > 1 {
-			waited++
-		}
-		for _, m := range mirrors[k] {
-			w := waves[m.ID()]
+		for _, m := range rt.table.Successors(int(points[indices[k]]))[1:] {
+			w := waves[m]
 			if w == nil {
-				w = &wave{backend: m}
-				waves[m.ID()] = w
+				w = &wave{backend: rt.backends[m]}
+				waves[m] = w
+				nwaves++
 			}
 			w.pairs = append(w.pairs, pairs[k])
 			w.ks = append(w.ks, k)
@@ -446,7 +431,14 @@ func (c *Cluster) replicateBatch(ctx context.Context, pairs []Pair, indices []in
 		return
 	}
 	c.repl.fannedWrites.Add(fanned)
-	c.repl.quorumWaits.Add(waited)
+	// pending counts the created pairs still short of their write quorum;
+	// once it reaches zero the batch is acked and the remaining waves are
+	// stragglers (their duplicate-flips are dropped — the safe direction).
+	pending := 0
+	if required > 1 {
+		pending = missCount
+		c.repl.quorumWaits.Add(uint64(missCount))
+	}
 
 	// Wave goroutines never touch acks or results — both are owned by this
 	// goroutine, which may hand results back to the caller while straggler
@@ -456,9 +448,11 @@ func (c *Cluster) replicateBatch(ctx context.Context, pairs []Pair, indices []in
 		w   *wave
 		out []LookupResult // nil when the wave failed
 	}
-	ch := make(chan outcome, len(waves))
+	ch := make(chan outcome, nwaves)
 	for _, w := range waves {
-		w := w
+		if w == nil {
+			continue
+		}
 		go func() {
 			out, err := applyRepair(ctx, w.backend, w.pairs)
 			if err != nil || len(out) != len(w.pairs) {
@@ -472,20 +466,8 @@ func (c *Cluster) replicateBatch(ctx context.Context, pairs []Pair, indices []in
 		}()
 	}
 
-	// pending counts the created pairs still short of their write quorum;
-	// once it reaches zero the batch is acked and the remaining waves are
-	// stragglers (their duplicate-flips are dropped — the safe direction).
 	acks := make([]int, len(pairs)) // mirror acks per group-local pair
-	pending := 0
-	for k, r := range rs {
-		if r.Exists || len(mirrors[k]) == 0 {
-			continue
-		}
-		if requiredFor(k) > 1 {
-			pending++
-		}
-	}
-	for seen := 0; pending > 0 && seen < len(waves); seen++ {
+	for seen := 0; pending > 0 && seen < nwaves; seen++ {
 		o := <-ch
 		if o.out == nil {
 			continue
@@ -493,7 +475,7 @@ func (c *Cluster) replicateBatch(ctx context.Context, pairs []Pair, indices []in
 		for i, r2 := range o.out {
 			k := o.w.ks[i]
 			acks[k]++
-			if 1+acks[k] == requiredFor(k) {
+			if 1+acks[k] == required {
 				pending--
 			}
 			// Same flip as replicateInsert: a mirror that already held
@@ -579,28 +561,21 @@ func (c *Cluster) AntiEntropy(ctx context.Context) (AntiEntropyStats, error) {
 
 		// Bucket each entry to the replicas its current placement names.
 		srcID := src.ID()
+		rt := c.route.Load()
 		buckets := make(map[ring.NodeID][]Pair)
-		c.mu.RLock()
+		targets := make(map[ring.NodeID]Backend)
 		for _, e := range entries {
-			ids, err := c.ring.LookupN(e.FP, c.replicas)
+			replicas, err := rt.replicasFor(e.FP)
 			if err != nil {
 				continue
 			}
-			for _, id := range ids {
-				if id == srcID {
-					continue
+			for _, b := range replicas {
+				if id := b.ID(); id != srcID {
+					buckets[id] = append(buckets[id], e)
+					targets[id] = b
 				}
-				if _, ok := c.backends[id]; !ok {
-					continue
-				}
-				buckets[id] = append(buckets[id], e)
 			}
 		}
-		targets := make(map[ring.NodeID]Backend, len(buckets))
-		for id := range buckets {
-			targets[id] = c.backends[id]
-		}
-		c.mu.RUnlock()
 
 		for id, pairs := range buckets {
 			for len(pairs) > 0 {

@@ -41,3 +41,22 @@ func BenchmarkLookupN(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTablePoint is the owner lookup alone — what a batch pays per
+// fingerprint — without the SHA-1 the benchmarks above spend minting one.
+func BenchmarkTablePoint(b *testing.B) {
+	for _, nodes := range []int{2, 16, 64} {
+		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
+			t := benchRing(b, nodes, DefaultVirtualNodes).Table()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var h uint64
+			var sink int32
+			for i := 0; i < b.N; i++ {
+				h += 0x9e3779b97f4a7c15
+				sink += t.Owner(t.Point(h))
+			}
+			_ = sink
+		})
+	}
+}

@@ -58,8 +58,8 @@ func TestReplicaPlacementProperty(t *testing.T) {
 }
 
 // TestReplicaPlacementAcrossMembershipChange checks that the property holds
-// through Add/Remove churn and that lookupNHash agrees with LookupN for the
-// fingerprint's own prefix hash.
+// through Add/Remove churn and that the reference walk (reference_test.go)
+// agrees with LookupN for the fingerprint's own prefix hash.
 func TestReplicaPlacementAcrossMembershipChange(t *testing.T) {
 	r := New(32)
 	for i := 0; i < 5; i++ {
@@ -69,6 +69,7 @@ func TestReplicaPlacementAcrossMembershipChange(t *testing.T) {
 	}
 	check := func(nodes int) {
 		t.Helper()
+		ref := newReference(r)
 		want := 3
 		if want > nodes {
 			want = nodes
@@ -89,7 +90,7 @@ func TestReplicaPlacementAcrossMembershipChange(t *testing.T) {
 				}
 				seen[id] = struct{}{}
 			}
-			byHash, err := r.lookupNHash(fp.Prefix64(), 3)
+			byHash, err := ref.lookupNHash(fp.Prefix64(), 3)
 			if err != nil {
 				t.Fatalf("lookupNHash: %v", err)
 			}

@@ -616,19 +616,9 @@ func (c *Client) ApplyRepair(ctx context.Context, pairs []core.Pair) ([]core.Loo
 	if err != nil {
 		return nil, err
 	}
-	rs, err := wire.DecodeBatchResult(resp.Payload)
+	out, err := decodeCoreResults(resp.Payload, len(pairs), "repair")
 	wire.PutBuf(body)
-	if err != nil {
-		return nil, err
-	}
-	if len(rs) != len(pairs) {
-		return nil, fmt.Errorf("rpc: repair answered %d results for %d pairs", len(rs), len(pairs))
-	}
-	out := make([]core.LookupResult, len(rs))
-	for i, r := range rs {
-		out[i] = fromWireResult(r)
-	}
-	return out, nil
+	return out, err
 }
 
 var _ core.RepairApplier = (*Client)(nil)
@@ -707,12 +697,18 @@ func appendCorePairBatch(pairs []core.Pair) *[]byte {
 // ctx.Done() alongside Done when waiting for either.
 func (b *BatchCall) Done() <-chan struct{} {
 	if b.pc == nil {
-		closed := make(chan struct{})
-		close(closed)
-		return closed
+		return closedChan
 	}
 	return b.pc.settled
 }
+
+// closedChan is what Done returns for every call that failed before it was
+// sent.
+var closedChan = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
 
 // Results blocks for the response and decodes the ordered results. It is
 // safe to call more than once; every call returns the same outcome.
@@ -741,20 +737,7 @@ func (b *BatchCall) wait() {
 		b.resErr = decodeServerError(resp.Payload)
 		return
 	}
-	rs, err := wire.DecodeBatchResult(resp.Payload)
-	if err != nil {
-		b.resErr = err
-		return
-	}
-	if len(rs) != b.n {
-		b.resErr = fmt.Errorf("rpc: batch answered %d results for %d pairs", len(rs), b.n)
-		return
-	}
-	out := make([]core.LookupResult, len(rs))
-	for i, r := range rs {
-		out[i] = fromWireResult(r)
-	}
-	b.results = out
+	b.results, b.resErr = decodeCoreResults(resp.Payload, b.n, "batch")
 }
 
 // Stats fetches the remote node's counters.

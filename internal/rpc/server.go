@@ -552,7 +552,8 @@ func (s *Server) handle(ctx context.Context, f wire.Frame, version int) (wire.Fr
 		if err != nil {
 			return badReq(err)
 		}
-		rs, err := s.backend.BatchLookupOrInsert(ctx, pairs)
+		rs, err := s.backend.BatchLookupOrInsert(ctx, *pairs)
+		putPairBuf(pairs)
 		if err != nil {
 			return fail(err)
 		}
@@ -571,10 +572,11 @@ func (s *Server) handle(ctx context.Context, f wire.Frame, version int) (wire.Fr
 		}
 		var rs []core.LookupResult
 		if ra, ok := s.backend.(core.RepairApplier); ok {
-			rs, err = ra.ApplyRepair(ctx, pairs)
+			rs, err = ra.ApplyRepair(ctx, *pairs)
 		} else {
-			rs, err = s.backend.BatchLookupOrInsert(ctx, pairs)
+			rs, err = s.backend.BatchLookupOrInsert(ctx, *pairs)
 		}
+		putPairBuf(pairs)
 		if err != nil {
 			return fail(err)
 		}
@@ -600,18 +602,62 @@ func appendUint32(b []byte, v uint32) []byte {
 	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
-// decodeCorePairs decodes a wire pair batch straight into core.Pair values,
-// skipping the intermediate []wire.PairPayload copy DecodeBatch would cost.
-func decodeCorePairs(payload []byte) ([]core.Pair, error) {
-	wirePairs, err := wire.DecodeBatch(payload)
+// pairBufPool recycles the decoded pairs of batch frames. A buffer is the
+// serving goroutine's from decodeCorePairs until the backend call returns —
+// core.Backend implementations do not retain the pairs they are handed — and
+// goes back with putPairBuf.
+var pairBufPool = sync.Pool{New: func() any { return new([]core.Pair) }}
+
+// maxPooledPairs bounds what putPairBuf keeps (1 MiB of pairs).
+const maxPooledPairs = 1 << 15
+
+//shhc:takes-buf pp
+func putPairBuf(pp *[]core.Pair) {
+	if cap(*pp) > maxPooledPairs {
+		*pp = nil
+	}
+	pairBufPool.Put(pp)
+}
+
+// decodeCorePairs decodes a wire pair batch straight into core.Pair values
+// in a pooled buffer: one copy per frame and, at steady state, no
+// allocation. The buffer is non-nil exactly when the error is nil.
+//
+//shhc:returns-buf
+func decodeCorePairs(payload []byte) (*[]core.Pair, error) {
+	count, err := wire.BatchCount(payload)
 	if err != nil {
 		return nil, err
 	}
-	pairs := make([]core.Pair, len(wirePairs))
-	for i, p := range wirePairs {
+	pp := pairBufPool.Get().(*[]core.Pair)
+	if cap(*pp) < count {
+		*pp = make([]core.Pair, count)
+	}
+	pairs := (*pp)[:count]
+	for i := range pairs {
+		p := wire.PairAt(payload, i)
 		pairs[i] = core.Pair{FP: p.FP, Val: core.Value(p.Val)}
 	}
-	return pairs, nil
+	*pp = pairs
+	return pp, nil
+}
+
+// decodeCoreResults decodes a batch-result payload straight into
+// core.LookupResult values and checks it answers want pairs; verb names the
+// request in the mismatch error.
+func decodeCoreResults(payload []byte, want int, verb string) ([]core.LookupResult, error) {
+	count, err := wire.BatchResultCount(payload)
+	if err != nil {
+		return nil, err
+	}
+	if count != want {
+		return nil, fmt.Errorf("rpc: %s answered %d results for %d pairs", verb, count, want)
+	}
+	out := make([]core.LookupResult, count)
+	for i := range out {
+		out[i] = fromWireResult(wire.ResultAt(payload, i))
+	}
+	return out, nil
 }
 
 func toWireResult(r core.LookupResult) wire.ResultPayload {

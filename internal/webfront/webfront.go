@@ -38,7 +38,9 @@ import (
 
 // Index is the hash-cluster view the front-end needs (a *core.Cluster).
 // Handlers pass each request's context through, so a client that hangs
-// up or times out releases its hash-cluster work.
+// up or times out releases its hash-cluster work. The pairs of a
+// BatchLookupOrInsert live in the request's pooled scratch (see plan.go):
+// an implementation must not retain them after it returns.
 type Index interface {
 	BatchLookupOrInsert(ctx context.Context, pairs []core.Pair) ([]core.LookupResult, error)
 	Stats(ctx context.Context) ([]core.NodeStats, error)
@@ -90,7 +92,7 @@ type Server struct {
 	// agg pools small plan requests across clients (nil when disabled).
 	agg *batcher.Batcher
 
-	// locator is the next chunk locator to assign; the paper stores a
+	// locator is the last chunk locator assigned; the paper stores a
 	// <fingerprint, location> entry per chunk.
 	locator atomic.Uint64
 
@@ -194,52 +196,6 @@ type PlanResponse struct {
 	// Missing holds indices into the request's Fingerprints array for
 	// chunks not yet in cloud storage.
 	Missing []int `json:"missing"`
-}
-
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	var req PlanRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 256<<20)).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(req.Fingerprints) > s.cfg.MaxPlanSize {
-		http.Error(w, "too many fingerprints", http.StatusRequestEntityTooLarge)
-		return
-	}
-	pairs := make([]core.Pair, len(req.Fingerprints))
-	for i, hexFP := range req.Fingerprints {
-		fp, err := fingerprint.Parse(hexFP)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("fingerprint %d: %v", i, err), http.StatusBadRequest)
-			return
-		}
-		pairs[i] = core.Pair{FP: fp, Val: core.Value(s.locator.Add(1))}
-	}
-
-	// One batched query to the hash cluster — the aggregation the paper's
-	// front-end performs to preserve chunk locality. Small plans from
-	// chatty clients are pooled with other requests first. The request's
-	// context rides along: a client that disconnects mid-plan stops its
-	// cluster work instead of holding flight-table slots.
-	results, err := s.executePlan(r.Context(), pairs)
-	if err != nil {
-		s.cfg.Logger.Printf("webfront: plan: %v", err)
-		http.Error(w, "hash cluster error: "+err.Error(), statusForError(err))
-		return
-	}
-	resp := PlanResponse{Missing: []int{}}
-	for i, res := range results {
-		if !res.Exists {
-			resp.Missing = append(resp.Missing, i)
-		}
-	}
-	s.plans.Add(1)
-	s.lookups.Add(int64(len(pairs)))
-	writeJSON(w, resp)
 }
 
 // executePlan runs the batch against the cluster, pooling small plans

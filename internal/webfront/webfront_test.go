@@ -18,12 +18,18 @@ import (
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server, *cloudsim.Store) {
 	t.Helper()
+	return newTestServerCached(t, 128)
+}
+
+// newTestServerCached is newTestServer with cacheSize LRU entries per node.
+func newTestServerCached(t *testing.T, cacheSize int) (*Server, *httptest.Server, *cloudsim.Store) {
+	t.Helper()
 	backends := make([]core.Backend, 2)
 	for i := range backends {
 		node, err := core.NewNode(core.NodeConfig{
 			ID:            ring.NodeID(fmt.Sprintf("n%d", i)),
 			Store:         hashdb.NewMemStore(nil),
-			CacheSize:     128,
+			CacheSize:     cacheSize,
 			BloomExpected: 10000,
 		})
 		if err != nil {

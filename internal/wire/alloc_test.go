@@ -51,6 +51,42 @@ func TestAllocDecodeResult(t *testing.T) {
 	}
 }
 
+// TestAllocBatchDecodeInPlace: BatchCount/PairAt and BatchResultCount/
+// ResultAt let rpc decode straight into its own types; the walk itself
+// must allocate nothing.
+func TestAllocBatchDecodeInPlace(t *testing.T) {
+	pairs := make([]PairPayload, 64)
+	results := make([]ResultPayload, 64)
+	for i := range pairs {
+		pairs[i] = PairPayload{FP: allocFP(uint64(i)), Val: uint64(i) + 1}
+		results[i] = ResultPayload{Exists: i%2 == 0, Source: 2, Val: uint64(i) + 1}
+	}
+	batch, answer := EncodeBatch(pairs), EncodeBatchResult(results)
+	allocs := testing.AllocsPerRun(1000, func() {
+		n, err := BatchCount(batch)
+		if err != nil || n != len(pairs) {
+			t.Fatal(n, err)
+		}
+		for i := 0; i < n; i++ {
+			if PairAt(batch, i) != pairs[i] {
+				t.Fatalf("pair %d", i)
+			}
+		}
+		n, err = BatchResultCount(answer)
+		if err != nil || n != len(results) {
+			t.Fatal(n, err)
+		}
+		for i := 0; i < n; i++ {
+			if ResultAt(answer, i) != results[i] {
+				t.Fatalf("result %d", i)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("in-place batch decode allocates %v/op; want 0", allocs)
+	}
+}
+
 func TestAllocGetPutBuf(t *testing.T) {
 	// Steady-state pool round-trips must not allocate: the pool stores
 	// *[]byte precisely so Put does not box a slice header.

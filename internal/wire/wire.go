@@ -361,22 +361,39 @@ func EncodeBatch(pairs []PairPayload) []byte {
 	return AppendBatch(make([]byte, 0, 4+len(pairs)*pairSize), pairs)
 }
 
-// DecodeBatch decodes a batch of pairs.
-func DecodeBatch(b []byte) ([]PairPayload, error) {
+// BatchCount checks a TypeBatch/TypeRepair payload's framing and returns how
+// many pairs it holds. With PairAt it lets a caller decode straight into its
+// own pair type, without a []PairPayload in between.
+func BatchCount(b []byte) (int, error) {
 	if len(b) < 4 {
-		return nil, fmt.Errorf("wire: batch payload: missing count: %w", ErrShortPayload)
+		return 0, fmt.Errorf("wire: batch payload: missing count: %w", ErrShortPayload)
 	}
 	count := binary.BigEndian.Uint32(b[0:4])
 	want := 4 + int(count)*pairSize
 	if len(b) != want {
-		return nil, fmt.Errorf("wire: batch payload: want %d bytes for %d pairs, got %d: %w", want, count, len(b), ErrShortPayload)
+		return 0, fmt.Errorf("wire: batch payload: want %d bytes for %d pairs, got %d: %w", want, count, len(b), ErrShortPayload)
+	}
+	return int(count), nil
+}
+
+// PairAt decodes pair i of a payload BatchCount accepted.
+func PairAt(b []byte, i int) PairPayload {
+	off := 4 + i*pairSize
+	var p PairPayload
+	copy(p.FP[:], b[off:off+fingerprint.Size])
+	p.Val = binary.BigEndian.Uint64(b[off+fingerprint.Size : off+pairSize])
+	return p
+}
+
+// DecodeBatch decodes a batch of pairs.
+func DecodeBatch(b []byte) ([]PairPayload, error) {
+	count, err := BatchCount(b)
+	if err != nil {
+		return nil, err
 	}
 	pairs := make([]PairPayload, count)
-	off := 4
 	for i := range pairs {
-		copy(pairs[i].FP[:], b[off:off+fingerprint.Size])
-		pairs[i].Val = binary.BigEndian.Uint64(b[off+fingerprint.Size:])
-		off += pairSize
+		pairs[i] = PairAt(b, i)
 	}
 	return pairs, nil
 }
@@ -424,21 +441,35 @@ func EncodeBatchResult(rs []ResultPayload) []byte {
 	return AppendBatchResult(make([]byte, 0, 4+len(rs)*resultSize), rs)
 }
 
-// DecodeBatchResult decodes a batch of answers.
-func DecodeBatchResult(b []byte) ([]ResultPayload, error) {
+// BatchResultCount checks a TypeBatchResult payload's framing and returns
+// how many answers it holds; ResultAt then decodes them one at a time.
+func BatchResultCount(b []byte) (int, error) {
 	if len(b) < 4 {
-		return nil, fmt.Errorf("wire: batch result: missing count: %w", ErrShortPayload)
+		return 0, fmt.Errorf("wire: batch result: missing count: %w", ErrShortPayload)
 	}
 	count := binary.BigEndian.Uint32(b[0:4])
 	want := 4 + int(count)*resultSize
 	if len(b) != want {
-		return nil, fmt.Errorf("wire: batch result: want %d bytes for %d results, got %d: %w", want, count, len(b), ErrShortPayload)
+		return 0, fmt.Errorf("wire: batch result: want %d bytes for %d results, got %d: %w", want, count, len(b), ErrShortPayload)
+	}
+	return int(count), nil
+}
+
+// ResultAt decodes answer i of a payload BatchResultCount accepted.
+func ResultAt(b []byte, i int) ResultPayload {
+	off := 4 + i*resultSize
+	return decodeResultFrom(b[off : off+resultSize])
+}
+
+// DecodeBatchResult decodes a batch of answers.
+func DecodeBatchResult(b []byte) ([]ResultPayload, error) {
+	count, err := BatchResultCount(b)
+	if err != nil {
+		return nil, err
 	}
 	rs := make([]ResultPayload, count)
-	off := 4
 	for i := range rs {
-		rs[i] = decodeResultFrom(b[off : off+resultSize])
-		off += resultSize
+		rs[i] = ResultAt(b, i)
 	}
 	return rs, nil
 }
