@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
+	"shhc/internal/device"
 	"shhc/internal/hashdb"
 	"shhc/internal/ring"
 )
@@ -79,6 +81,59 @@ func BenchmarkNodeBatch(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(size), "pairs/op")
+		})
+	}
+}
+
+// BenchmarkNodeBatchMiss is the node's share of the end-to-end benchmark's
+// miss-path workloads, without the stack around it: 1 024-pair batches on a
+// node with the shhc-node default cache over an on-disk table. store-hit
+// replays a preloaded set three times the cache in order, so every lookup
+// misses the LRU and is answered by hashdb.GetBatch (second_full); all-new
+// inserts fingerprints never seen, Bloom-negative into hashdb.PutBatch
+// (first_full). One op is one pair.
+func BenchmarkNodeBatchMiss(b *testing.B) {
+	const batch, cache = 1024, 1 << 16
+	for _, mode := range []string{"store-hit", "all-new"} {
+		b.Run(mode, func(b *testing.B) {
+			db, err := hashdb.Create(filepath.Join(b.TempDir(), "bench.shdb"), hashdb.Options{
+				ExpectedItems: 1 << 20,
+				Device:        device.New(device.Null, device.Account),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			n, err := NewNode(NodeConfig{ID: "bench", Store: db, CacheSize: cache, BloomExpected: 1 << 20})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { n.Close() })
+			ctx := context.Background()
+			pairs := make([]Pair, 3*cache)
+			if mode == "all-new" {
+				pairs = make([]Pair, (b.N+batch-1)/batch*batch)
+			}
+			for i := range pairs {
+				pairs[i] = Pair{FP: fp(uint64(i)), Val: Value(i)}
+			}
+			if mode == "store-hit" {
+				for at := 0; at < len(pairs); at += batch {
+					if _, err := n.BatchLookupOrInsert(ctx, pairs[at:at+batch]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done, at := 0, 0; done < b.N; done, at = done+batch, (at+batch)%len(pairs) {
+				rs, err := n.BatchLookupOrInsert(ctx, pairs[at:at+batch])
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rs[0].Exists != (mode == "store-hit") || rs[0].Source == SourceCache {
+					b.Fatalf("%s: first answer %+v", mode, rs[0])
+				}
+			}
 		})
 	}
 }

@@ -1141,12 +1141,14 @@ func (n *Node) Stats(ctx context.Context) (NodeStats, error) {
 			RepairCreated: n.replRepairCreated.Load(),
 		},
 	}
+	var fastHits uint64
 	for i := range n.stripes {
 		s := &n.stripes[i]
 		// Lock-free cache hits are counted once and folded into both
 		// Lookups and CacheHits, so the per-source sum stays exact even
 		// though the fast path never takes the stripe lock.
 		fh := s.fastHits.Load()
+		fastHits += fh
 		st.Lookups += s.lookups + fh
 		st.Inserts += s.inserts
 		st.CacheHits += s.cacheHits + fh
@@ -1178,7 +1180,10 @@ func (n *Node) Stats(ctx context.Context) (NodeStats, error) {
 		SSD:   mergedPhase(func(s *nodeStripe) *metrics.Histogram { return s.histSSD }),
 	}
 	if n.cache != nil {
+		// The cache counts its locked hits; the lock-free ones are counted
+		// here, once per batch per stripe.
 		st.Cache = n.cache.Stats()
+		st.Cache.Hits += fastHits
 	}
 	if n.bloom != nil {
 		st.Bloom = BloomStats{

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -57,10 +59,21 @@ import (
 // Lock ordering: an operation holds at most one stripe lock at a time and
 // never sleeps on a flight while holding it (it unlocks, waits on
 // flight.done, then relocks). Flight completion re-acquires the stripe
-// lock, re-validates nothing was torn down (closed), installs the result
-// into the cache, updates the stripe counters, removes the in-flight
-// entry, and only then wakes waiters — so a woken waiter re-running its
-// RAM walk finds the installed cache entry.
+// lock, installs the result into the cache, updates the stripe counters,
+// removes the in-flight entry, and only then wakes waiters — so a woken
+// waiter re-running its RAM walk finds the installed cache entry.
+//
+// Flight records. A single-key operation allocates its flight and its done
+// channel. A batch allocates one slab of flights and one done channel for
+// all the SSD phases it owns: the slab is an ordinary garbage-collected
+// slice, never pooled, because riders from other operations keep pointers
+// into it for as long as they please — a late rider reads a landed flight,
+// never a recycled one. The shared done closes once, after the batch has
+// completed (or failed) every flight of the slab under the stripe locks; a
+// rider therefore waits for the whole wave it joined, which is one
+// coalesced SSD phase. Later items of the same batch find the batch's own
+// flight in the in-flight table (its done is the batch's) and resolve after
+// it as its duplicates.
 
 // flight is one in-progress SSD phase for a fingerprint: a probe,
 // optionally followed by the insert the probe's miss calls for. Outcome
@@ -71,7 +84,7 @@ type flight struct {
 	// exists reports whether the fingerprint is present in the index when
 	// the flight lands — true both for a probe hit and after a successful
 	// insert, so a waiter always reads its answer as "duplicate, with
-	// val".
+	// val". While a batch's wave is in the air it holds the probe's answer.
 	exists bool
 	val    Value
 	err    error
@@ -88,6 +101,11 @@ type flight struct {
 	// hot path.
 	interest int
 	aborted  atomic.Bool
+
+	// item is the input index of the batch item that owns the flight, and
+	// direct marks a Bloom-negative insert: no probe needed, just the put.
+	item   int32
+	direct bool
 }
 
 // abortErr is the error an aborted flight lands with when every
@@ -233,30 +251,11 @@ func (n *Node) lookupAsync(ctx context.Context, fp fingerprint.Fingerprint, val 
 				}
 				return LookupResult{}, f.err
 			}
-			if f.exists {
-				// No cache install here: only the flight's prober writes
-				// the cache, inside the critical section that retires the
-				// flight. A waiter installing after re-locking could race
-				// a Remove (migration) that ran between the flight's
-				// completion and this wake-up and resurrect the entry —
-				// Remove's wait-out-the-flight guard cannot see waiters.
+			if f.exists || !insert {
 				s.mu.Lock()
-				s.coalesced++
-				s.storeHits++
-				s.lookups++
+				r := n.adoptLocked(s, f)
 				s.mu.Unlock()
-				return LookupResult{Exists: true, Value: f.val, Source: SourceStore}, nil
-			}
-			if !insert {
-				s.mu.Lock()
-				s.coalesced++
-				s.storeMiss++
-				if n.bloom != nil {
-					s.bloomFalse++
-				}
-				s.lookups++
-				s.mu.Unlock()
-				return LookupResult{Exists: false, Source: SourceNew}, nil
+				return r, nil
 			}
 			// The flight we joined was a read-only probe that missed; we
 			// still owe the insert. Re-run the walk and claim the
@@ -329,6 +328,7 @@ func (n *Node) bloomInsert(ctx context.Context, s *nodeStripe, fp fingerprint.Fi
 		return LookupResult{Exists: false, Source: SourceBloom}, nil
 	}
 	f := n.registerFlightLocked(s, fp)
+	f.direct = true
 	s.mu.Unlock()
 	if ctx.Done() == nil {
 		return n.directInsert(s, fp, val, f)
@@ -360,20 +360,7 @@ func (n *Node) directInsert(s *nodeStripe, fp fingerprint.Fingerprint, val Value
 	if perr != nil {
 		return LookupResult{}, n.failFlight(s, fp, f, fmt.Errorf("core: node %s: insert %s: %w", n.id, fp.Short(), perr))
 	}
-	f.exists, f.val = true, val
-	f.ownerRes = LookupResult{Exists: false, Source: SourceBloom}
-	s.mu.Lock()
-	s.bloomShort++
-	s.lookups++
-	s.inserts++
-	if n.cache != nil {
-		n.cache.Put(fp, lru.Value(val))
-	}
-	delete(s.inflight, fp)
-	s.mu.Unlock()
-	close(f.done)
-	n.flights.Done()
-	return LookupResult{Exists: false, Source: SourceBloom}, nil
+	return n.landFlight(s, fp, val, f, true), nil
 }
 
 // ssdPhase runs fp's probe — and, on a miss with insert semantics, the
@@ -397,36 +384,10 @@ func (n *Node) ssdPhase(s *nodeStripe, fp fingerprint.Fingerprint, val Value, in
 		s.histSSD.Observe(time.Since(t0))
 		return LookupResult{}, n.failFlight(s, fp, f, fmt.Errorf("core: node %s: lookup: %w", n.id, err))
 	}
-	if ok {
+	f.exists, f.val = ok, v
+	if ok || !insert {
 		s.histSSD.Observe(time.Since(t0))
-		f.exists, f.val = true, v
-		f.ownerRes = LookupResult{Exists: true, Value: v, Source: SourceStore}
-		s.mu.Lock()
-		s.storeHits++
-		s.lookups++
-		if n.cache != nil {
-			n.cache.Put(fp, lru.Value(v))
-		}
-		delete(s.inflight, fp)
-		s.mu.Unlock()
-		close(f.done)
-		n.flights.Done()
-		return f.ownerRes, nil
-	}
-	if !insert {
-		s.histSSD.Observe(time.Since(t0))
-		f.ownerRes = LookupResult{Exists: false, Source: SourceNew}
-		s.mu.Lock()
-		s.storeMiss++
-		if n.bloom != nil {
-			s.bloomFalse++
-		}
-		s.lookups++
-		delete(s.inflight, fp)
-		s.mu.Unlock()
-		close(f.done)
-		n.flights.Done()
-		return f.ownerRes, nil
+		return n.landFlight(s, fp, val, f, insert), nil
 	}
 	// Miss with insert semantics. Write-through pays the store write out
 	// here with no locks held; write-back parks the entry dirty in the
@@ -445,31 +406,7 @@ func (n *Node) ssdPhase(s *nodeStripe, fp fingerprint.Fingerprint, val Value, in
 		}
 	}
 	s.histSSD.Observe(time.Since(t0))
-	f.exists, f.val = true, val // waiters read our insert as their duplicate
-	f.ownerRes = LookupResult{Exists: false, Source: SourceNew}
-	before := n.journalLSN()
-	s.mu.Lock()
-	s.storeMiss++
-	if n.bloom != nil {
-		s.bloomFalse++
-		n.bloom.Add(fp)
-	}
-	s.lookups++
-	s.inserts++
-	if n.cache != nil {
-		if n.wb {
-			n.cache.PutDirty(fp, lru.Value(val))
-		} else {
-			n.cache.Put(fp, lru.Value(val))
-		}
-	}
-	delete(s.inflight, fp)
-	s.mu.Unlock()
-	// An eviction the write-back install displaced must be journal-durable
-	// before anyone reads this flight as complete.
-	n.afterDirtyInsert(before)
-	close(f.done)
-	n.flights.Done()
+	res := n.landFlight(s, fp, val, f, true)
 	// The drain must only happen where the return value is read: inline
 	// mode drains here; in detached (prober-goroutine) mode the waiting
 	// owner drains after f.done instead — a drain here would consume the
@@ -479,30 +416,129 @@ func (n *Node) ssdPhase(s *nodeStripe, fp fingerprint.Fingerprint, val Value, in
 			return LookupResult{}, derr
 		}
 	}
-	return f.ownerRes, nil
+	return res, nil
 }
 
-// ownedFlight is one flight a batch registered for itself during its RAM
-// pass, resolved by the batch's single coalesced SSD phase.
-type ownedFlight struct {
-	idx    int  // input index of the item that owns the flight
-	si     int  // stripe index
-	direct bool // Bloom-negative insert: no probe needed, just the put
-	f      *flight
-	// Probe outcome (valid after the SSD phase; direct inserts skip it).
-	exists bool
-	val    Value
-	// joiners are later items of this batch with the same fingerprint;
-	// they resolve as duplicates of the owner, costing no extra I/O.
-	joiners []int
+// landFlight completes a single-key flight whose device work is done and
+// wakes its waiters. An eviction that a write-back install displaced must be
+// journal-durable before anyone reads the flight as complete, hence the
+// barrier between the stripe lock and the wake-up.
+func (n *Node) landFlight(s *nodeStripe, fp fingerprint.Fingerprint, val Value, f *flight, insert bool) LookupResult {
+	before := n.journalLSN()
+	s.mu.Lock()
+	f.ownerRes = n.completeLocked(s, f, fp, val, insert)
+	delete(s.inflight, fp)
+	s.mu.Unlock()
+	if insert && !f.ownerRes.Exists {
+		n.afterDirtyInsert(before)
+	}
+	close(f.done)
+	n.flights.Done()
+	return f.ownerRes
 }
 
-// foreignJoin is a batch item whose fingerprint is in flight on behalf of
-// some other caller; the batch waits for that flight and adopts its
-// outcome.
-type foreignJoin struct {
-	idx int
-	f   *flight
+// completeLocked lands f, whose device work succeeded, for its owner: it
+// counts the lookup under the tier that answered it, installs the entry in
+// the cache (and the filter), leaves in f what riders will read — after an
+// insert the fingerprint exists, with val — and returns the owner's answer.
+// On entry f.exists and f.val hold the probe's answer, unless f is direct.
+// Caller holds s.mu, and retires the flight before releasing it.
+func (n *Node) completeLocked(s *nodeStripe, f *flight, fp fingerprint.Fingerprint, val Value, insert bool) LookupResult {
+	s.lookups++
+	switch {
+	case f.direct:
+		s.bloomShort++
+	case f.exists:
+		s.storeHits++
+		if n.cache != nil {
+			n.cache.Put(fp, lru.Value(f.val))
+		}
+		return LookupResult{Exists: true, Value: f.val, Source: SourceStore}
+	default:
+		s.storeMiss++
+		if n.bloom != nil {
+			s.bloomFalse++
+		}
+		if !insert {
+			return LookupResult{Exists: false, Source: SourceNew}
+		}
+		if n.bloom != nil {
+			n.bloom.Add(fp)
+		}
+	}
+	s.inserts++
+	if n.wb {
+		n.cache.PutDirty(fp, lru.Value(val))
+	} else if n.cache != nil {
+		n.cache.Put(fp, lru.Value(val))
+	}
+	f.exists, f.val = true, val
+	if f.direct {
+		return LookupResult{Exists: false, Source: SourceBloom}
+	}
+	return LookupResult{Exists: false, Source: SourceNew}
+}
+
+// adoptLocked answers an operation that waited on f — a rider from another
+// operation, or a later item of the batch that owns f — from f's outcome
+// instead of a probe of its own: a duplicate of what the flight found or
+// inserted, or the miss of a read-only probe. It installs nothing: only a
+// flight's owner writes the cache, inside the critical section that retires
+// the flight. A waiter installing after re-locking could race a Remove
+// (migration) that ran between the flight's completion and this wake-up and
+// resurrect the entry — Remove's wait-out-the-flight guard cannot see
+// waiters. Caller holds s.mu.
+func (n *Node) adoptLocked(s *nodeStripe, f *flight) LookupResult {
+	s.coalesced++
+	s.lookups++
+	if f.exists {
+		s.storeHits++
+		return LookupResult{Exists: true, Value: f.val, Source: SourceStore}
+	}
+	s.storeMiss++
+	if n.bloom != nil {
+		s.bloomFalse++
+	}
+	return LookupResult{Exists: false, Source: SourceNew}
+}
+
+// waiter is a batch item whose fingerprint is in somebody's flight: the
+// batch's own (an earlier item registered it; this one costs no I/O and
+// resolves after its owner as the owner's duplicate, exactly as sequential
+// processing would) or some other caller's (the batch waits for that flight
+// and adopts its outcome).
+type waiter struct {
+	item int32
+	f    *flight
+}
+
+// nodeScratch is the pooled working memory of one batchAsync: the counting
+// sort of the items by stripe, the items that wait on a flight they do not
+// own, and the keys handed to the store — which must not keep them (see
+// hashdb.BatchGetter). The flights themselves are never pooled.
+type nodeScratch struct {
+	hits    []int32 // lock-free cache hits per stripe
+	start   []int32 // stripe si's items are order[start[si]:start[si+1]]
+	order   []int32
+	dups    []waiter // on the batch's own flights
+	foreign []waiter // on other operations' flights
+	fps     []fingerprint.Fingerprint
+	pairs   []hashdb.Pair
+}
+
+var nodeScratchPool = sync.Pool{New: func() any { return new(nodeScratch) }}
+
+//shhc:returns-buf
+func getNodeScratch() *nodeScratch { return nodeScratchPool.Get().(*nodeScratch) }
+
+//shhc:takes-buf sc
+func putNodeScratch(sc *nodeScratch) {
+	clear(sc.dups) // hold no flight beyond the batch
+	clear(sc.foreign)
+	if cap(sc.order) > maxPooledBatch {
+		*sc = nodeScratch{}
+	}
+	nodeScratchPool.Put(sc)
 }
 
 // batchAsync runs a batch through the two-phase pipeline: one RAM pass per
@@ -525,74 +561,136 @@ func (n *Node) batchAsync(ctx context.Context, count int, fpOf func(int) fingerp
 	// pass and SSD-phase installs displaced is durable before the batch
 	// acknowledges, at the cost of a single shared group commit.
 	journalBefore := n.journalLSN()
+	sc := getNodeScratch()
+	defer putNodeScratch(sc)
+	stripeOf := func(i int) int { return n.stripeIndex(fpOf(i)) }
 
-	// Phase 0 — lock-free prepass: resolve cache hits with no stripe lock
-	// before grouping. A resolved item (Source is set; the zero Source
-	// marks unresolved) never enters the locked RAM pass, so a cache-
-	// resident batch touches no mutex at all.
-	remaining := count
-	if n.cache != nil && !n.lockedReads && !n.closedFast.Load() {
-		for i := 0; i < count; i++ {
-			fp := fpOf(i)
+	// Phase 0 — lock-free prepass: resolve cache hits with no stripe lock,
+	// and count what is left per stripe. A resolved item (Source is set; the
+	// zero Source marks unresolved) never enters the locked RAM pass, so a
+	// cache-resident batch touches no mutex at all, and one shared counter
+	// per stripe it hit.
+	sc.hits = slices.Grow(sc.hits[:0], len(n.stripes))[:len(n.stripes)]
+	sc.start = slices.Grow(sc.start[:0], len(n.stripes)+1)[:len(n.stripes)+1]
+	clear(sc.hits)
+	clear(sc.start)
+	fast := n.cache != nil && !n.lockedReads && !n.closedFast.Load()
+	for i := 0; i < count; i++ {
+		fp := fpOf(i)
+		si := n.stripeIndex(fp)
+		if fast {
 			if v, ok := n.cache.GetFast(fp); ok {
-				n.stripes[n.stripeIndex(fp)].fastHits.Add(1)
+				sc.hits[si]++
 				results[i] = LookupResult{Exists: true, Value: Value(v), Source: SourceCache}
-				remaining--
+				continue
 			}
 		}
+		sc.start[si+1]++
 	}
+	for si, h := range sc.hits {
+		if h > 0 {
+			n.stripes[si].fastHits.Add(uint64(h))
+		}
+		sc.start[si+1] += sc.start[si]
+	}
+	remaining := int(sc.start[len(n.stripes)])
 	if remaining == 0 {
 		return results, nil
 	}
-
-	groups := make(map[int][]int, len(n.stripes))
+	// The counting sort's scatter; start[si] ends as the end of stripe si's
+	// group, which is where the RAM pass reads it from.
+	sc.order = slices.Grow(sc.order[:0], remaining)[:remaining]
 	for i := 0; i < count; i++ {
-		if results[i].Source != 0 {
-			continue
+		if results[i].Source == 0 {
+			si := stripeOf(i)
+			sc.order[sc.start[si]] = int32(i)
+			sc.start[si]++
 		}
-		groups[n.stripeIndex(fpOf(i))] = append(groups[n.stripeIndex(fpOf(i))], i)
 	}
 
-	var (
-		owned     []ownedFlight
-		ownedByFP = make(map[fingerprint.Fingerprint]int)
-		foreign   []foreignJoin
-	)
+	// flights are the SSD phases this batch owns, one slab in stripe order
+	// (the RAM pass visits stripes in ascending order), sharing done. The
+	// slab is sized once, by the first registration, for every item the RAM
+	// pass has yet to visit — other operations hold pointers into it.
+	var flights []flight
+	var done chan struct{}
+	sc.dups, sc.foreign = sc.dups[:0], sc.foreign[:0]
 	// leaveForeigns withdraws interest from foreign flights not yet
 	// waited out, starting at index from.
 	leaveForeigns := func(from int) {
-		for _, fj := range foreign[from:] {
-			n.abandonFlight(&n.stripes[n.stripeIndex(fpOf(fj.idx))], fj.f)
+		for _, fj := range sc.foreign[from:] {
+			n.abandonFlight(&n.stripes[stripeOf(int(fj.item))], fj.f)
 		}
 	}
-	// abort fails every flight this batch registered so waiters in other
-	// goroutines never hang on a batch that errored out.
-	abort := func(err error) ([]LookupResult, error) {
-		for i := range owned {
-			n.failFlight(&n.stripes[owned[i].si], fpOf(owned[i].idx), owned[i].f, err)
+	// land completes the batch's flights, stripe by stripe under the stripe's
+	// lock, and only then wakes whoever waits on them — so a woken rider
+	// re-running its RAM walk finds the installed cache entry. With err set
+	// the flights fail instead, and the batch with them: no waiter ever
+	// hangs on a batch that errored out.
+	land := func(err error) ([]LookupResult, error) {
+		di := 0
+		for lo, hi := 0, 0; lo < len(flights); lo = hi {
+			si := stripeOf(int(flights[lo].item))
+			for hi = lo + 1; hi < len(flights) && stripeOf(int(flights[hi].item)) == si; hi++ {
+			}
+			s := &n.stripes[si]
+			s.mu.Lock()
+			for oi := lo; oi < hi; oi++ {
+				f, i := &flights[oi], int(flights[oi].item)
+				if f.err = err; err == nil {
+					results[i] = n.completeLocked(s, f, fpOf(i), valOf(i), insert)
+				}
+				delete(s.inflight, fpOf(i))
+			}
+			for ; err == nil && di < len(sc.dups) && stripeOf(int(sc.dups[di].item)) == si; di++ {
+				results[sc.dups[di].item] = n.adoptLocked(s, sc.dups[di].f)
+			}
+			s.mu.Unlock()
 		}
-		leaveForeigns(0)
-		return nil, err
+		if done != nil {
+			close(done)
+			n.flights.Add(-len(flights))
+		}
+		if err != nil {
+			leaveForeigns(0)
+			return nil, err
+		}
+		return results, nil
 	}
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	// Phase A — RAM pass, one stripe-lock hold per stripe group.
-	for si, idxs := range groups {
+	// Phase A — RAM pass, one stripe-lock hold per stripe group. The first
+	// item of each group is the sample the cache and Bloom histograms see:
+	// a per-key probe time, at three clock reads per group.
+	for si, lo := 0, int32(0); si < len(n.stripes); si, lo = si+1, sc.start[si] {
+		group := sc.order[lo:sc.start[si]]
+		if len(group) == 0 {
+			continue
+		}
 		s := &n.stripes[si]
 		s.mu.Lock()
-		for _, i := range idxs {
-			if n.closed {
-				s.mu.Unlock()
-				return abort(errNodeClosed)
-			}
+		if n.closed {
+			s.mu.Unlock()
+			return land(errNodeClosed)
+		}
+		registered := len(flights)
+		for k, i32 := range group {
+			i, timed := int(i32), k == 0
 			fp := fpOf(i)
+			var t0 time.Time
+			if timed {
+				t0 = time.Now()
+			}
 			if n.cache != nil {
-				t0 := time.Now()
 				v, ok := n.cache.Get(fp)
-				s.histCache.Observe(time.Since(t0))
+				if timed {
+					t1 := time.Now()
+					s.histCache.Observe(t1.Sub(t0))
+					t0 = t1
+				}
 				if ok {
 					s.cacheHits++
 					s.lookups++
@@ -600,10 +698,12 @@ func (n *Node) batchAsync(ctx context.Context, count int, fpOf func(int) fingerp
 					continue
 				}
 			}
+			direct := false
 			if n.bloom != nil {
-				t0 := time.Now()
 				neg := !n.bloom.MayContain(fp)
-				s.histBloom.Observe(time.Since(t0))
+				if timed {
+					s.histBloom.Observe(time.Since(t0))
+				}
 				if neg {
 					if !insert {
 						s.bloomShort++
@@ -622,9 +722,7 @@ func (n *Node) batchAsync(ctx context.Context, count int, fpOf func(int) fingerp
 					}
 					// Write-through: register a direct-insert flight; the
 					// put itself joins the coalesced SSD phase.
-					ownedByFP[fp] = len(owned)
-					owned = append(owned, ownedFlight{idx: i, si: si, direct: true, f: n.registerFlightLocked(s, fp)})
-					continue
+					direct = true
 				}
 			}
 			if n.dst != nil {
@@ -636,262 +734,80 @@ func (n *Node) batchAsync(ctx context.Context, count int, fpOf func(int) fingerp
 					continue
 				}
 			}
-			if oi, ok := ownedByFP[fp]; ok {
-				owned[oi].joiners = append(owned[oi].joiners, i)
-				continue
+			if !direct { // what the filter just proved new is in nobody's flight
+				if f, ok := s.inflight[fp]; ok {
+					if f.done == done {
+						sc.dups = append(sc.dups, waiter{i32, f})
+					} else {
+						f.interest++
+						sc.foreign = append(sc.foreign, waiter{i32, f})
+					}
+					continue
+				}
 			}
-			if f, ok := s.inflight[fp]; ok {
-				f.interest++
-				foreign = append(foreign, foreignJoin{idx: i, f: f})
-				continue
+			if flights == nil {
+				flights = make([]flight, 0, len(sc.order)-int(lo)-k)
+				done = make(chan struct{})
 			}
-			ownedByFP[fp] = len(owned)
-			owned = append(owned, ownedFlight{idx: i, si: si, f: n.registerFlightLocked(s, fp)})
+			flights = append(flights, flight{done: done, interest: 1, item: i32, direct: direct})
+			s.inflight[fp] = &flights[len(flights)-1]
+		}
+		if len(flights) > registered {
+			n.flights.Add(len(flights) - registered)
 		}
 		s.mu.Unlock()
 	}
 
 	if err := ctx.Err(); err != nil {
-		return abort(err)
+		return land(err)
 	}
-
-	// Phase B — the coalesced SSD phase, no stripe locks held. The whole
-	// wave is observed as one SSD-phase sample, attributed to the first
-	// owned flight's stripe (per-stripe attribution of a cross-stripe
-	// wave is an approximation; the merged digest in Stats is what
-	// matters).
-	observeWave := func(t0 time.Time) {
-		if len(owned) > 0 {
-			n.stripes[owned[0].si].histSSD.Observe(time.Since(t0))
-		}
-	}
-	var probes []int // indices into owned that need a store read
-	for oi := range owned {
-		if !owned[oi].direct {
-			probes = append(probes, oi)
+	if len(flights) > 0 {
+		// Phase B — the coalesced SSD phase, no stripe locks held. The
+		// whole wave is one SSD-phase sample, attributed to the first
+		// flight's stripe (Stats merges the stripes' digests anyway).
+		t0 := time.Now()
+		err := n.ssdWave(ctx, sc, flights, fpOf, valOf, insert)
+		n.stripes[stripeOf(int(flights[0].item))].histSSD.Observe(time.Since(t0))
+		if err != nil {
+			return land(err)
 		}
 	}
-	t0 := time.Now()
-	if len(probes) > 0 {
-		fps := make([]fingerprint.Fingerprint, len(probes))
-		for k, oi := range probes {
-			fps[k] = fpOf(owned[oi].idx)
-		}
-		if bg, ok := n.store.(hashdb.BatchGetter); ok {
-			vals, found, err := bg.GetBatch(ctx, fps)
-			if err != nil {
-				observeWave(t0)
-				if isCtxErr(err) {
-					return abort(err)
-				}
-				return abort(fmt.Errorf("core: node %s: batch lookup: %w", n.id, err))
-			}
-			for k, oi := range probes {
-				owned[oi].exists, owned[oi].val = found[k], vals[k]
-			}
-		} else {
-			err := parallel.Do(ctx, len(probes), parallel.IODepth, func(k int) error {
-				oi := probes[k]
-				v, ok, gerr := n.store.Get(fps[k])
-				if gerr != nil {
-					return gerr
-				}
-				owned[oi].exists, owned[oi].val = ok, v
-				return nil
-			})
-			if err != nil {
-				observeWave(t0)
-				if isCtxErr(err) {
-					return abort(err)
-				}
-				return abort(fmt.Errorf("core: node %s: batch lookup: %w", n.id, err))
-			}
-		}
-	}
-	if insert && !n.wb {
-		// Write-through inserts: direct (Bloom-negative) flights plus
-		// probe misses. Stores with a batched write path coalesce them
-		// into one read-modify-write per bucket page (the group-committed
-		// twin of GetBatch); otherwise per-key puts overlap like the
-		// reads.
-		var puts []int
-		for oi := range owned {
-			if owned[oi].direct || !owned[oi].exists {
-				puts = append(puts, oi)
-			}
-		}
-		if len(puts) > 0 {
-			var err error
-			if bp, ok := n.store.(hashdb.BatchPutter); ok {
-				pairs := make([]hashdb.Pair, len(puts))
-				for k, oi := range puts {
-					pairs[k] = hashdb.Pair{FP: fpOf(owned[oi].idx), Val: valOf(owned[oi].idx)}
-				}
-				_, _, err = bp.PutBatch(ctx, pairs)
-			} else {
-				err = parallel.Do(ctx, len(puts), parallel.IODepth, func(k int) error {
-					oi := puts[k]
-					_, perr := n.store.Put(fpOf(owned[oi].idx), valOf(owned[oi].idx))
-					return perr
-				})
-			}
-			if err != nil {
-				observeWave(t0)
-				if isCtxErr(err) {
-					return abort(err)
-				}
-				return abort(fmt.Errorf("core: node %s: batch insert: %w", n.id, err))
-			}
-		}
-	}
-	observeWave(t0)
-
-	// Phase C — completion, one stripe-lock hold per stripe, waking
-	// waiters only after the stripe's results are installed.
-	byStripe := make(map[int][]int, len(groups))
-	for oi := range owned {
-		byStripe[owned[oi].si] = append(byStripe[owned[oi].si], oi)
-	}
-	for si, ois := range byStripe {
-		s := &n.stripes[si]
-		s.mu.Lock()
-		for _, oi := range ois {
-			o := &owned[oi]
-			fp := fpOf(o.idx)
-			val := valOf(o.idx)
-			switch {
-			case o.direct:
-				s.bloomShort++
-				s.lookups++
-				s.inserts++
-				if n.cache != nil {
-					n.cache.Put(fp, lru.Value(val))
-				}
-				o.f.exists, o.f.val = true, val
-				results[o.idx] = LookupResult{Exists: false, Source: SourceBloom}
-			case o.exists:
-				s.storeHits++
-				s.lookups++
-				if n.cache != nil {
-					n.cache.Put(fp, lru.Value(o.val))
-				}
-				o.f.exists, o.f.val = true, o.val
-				results[o.idx] = LookupResult{Exists: true, Value: o.val, Source: SourceStore}
-			case insert:
-				s.storeMiss++
-				if n.bloom != nil {
-					s.bloomFalse++
-					n.bloom.Add(fp)
-				}
-				s.lookups++
-				s.inserts++
-				if n.cache != nil {
-					if n.wb {
-						n.cache.PutDirty(fp, lru.Value(val))
-					} else {
-						n.cache.Put(fp, lru.Value(val))
-					}
-				}
-				o.f.exists, o.f.val = true, val
-				results[o.idx] = LookupResult{Exists: false, Source: SourceNew}
-			default:
-				s.storeMiss++
-				if n.bloom != nil {
-					s.bloomFalse++
-				}
-				s.lookups++
-				results[o.idx] = LookupResult{Exists: false, Source: SourceNew}
-			}
-			// Same-batch duplicates: later occurrences see the owner's
-			// outcome as their duplicate (or its miss, for read-only
-			// batches), exactly as sequential processing would.
-			for _, j := range o.joiners {
-				s.coalesced++
-				s.lookups++
-				if o.f.exists {
-					s.storeHits++
-					results[j] = LookupResult{Exists: true, Value: o.f.val, Source: SourceStore}
-				} else {
-					s.storeMiss++
-					if n.bloom != nil {
-						s.bloomFalse++
-					}
-					results[j] = LookupResult{Exists: false, Source: SourceNew}
-				}
-			}
-			delete(s.inflight, fp)
-		}
-		s.mu.Unlock()
-		for _, oi := range ois {
-			close(owned[oi].f.done)
-			n.flights.Done()
-		}
-	}
+	land(nil) // Phase C — completion
 
 	// Foreign flights: adopt the outcome another caller's SSD phase
-	// produced. The rare read-only-miss + insert case re-runs the full
-	// per-item pipeline.
+	// produced. A flight that was abandoned (its owner was cancelled; that
+	// is not this batch's failure) or that was a read-only probe's miss
+	// while this batch inserts leaves the item to re-run the per-item
+	// pipeline.
 	cancellable := ctx.Done() != nil
-	for fi, fj := range foreign {
+	for fi, fj := range sc.foreign {
 		if cancellable {
 			select {
 			case <-fj.f.done:
 			case <-ctx.Done():
-				n.abandonFlight(&n.stripes[n.stripeIndex(fpOf(fj.idx))], fj.f)
-				leaveForeigns(fi + 1)
+				leaveForeigns(fi)
 				return nil, ctx.Err()
 			}
 		} else {
 			<-fj.f.done
 		}
-		if fj.f.err != nil {
-			if isCtxErr(fj.f.err) {
-				// The foreign flight's owner was cancelled; re-run this
-				// item through the per-item pipeline instead of adopting
-				// the abandonment.
-				r, err := n.lookupAsync(ctx, fpOf(fj.idx), valOf(fj.idx), insert)
-				if err != nil {
-					leaveForeigns(fi + 1)
-					return nil, fmt.Errorf("core: batch item %d: %w", fj.idx, err)
-				}
-				results[fj.idx] = r
-				continue
-			}
-			leaveForeigns(fi + 1)
-			return nil, fmt.Errorf("core: batch item %d: %w", fj.idx, fj.f.err)
-		}
-		fp := fpOf(fj.idx)
-		s := &n.stripes[n.stripeIndex(fp)]
-		if fj.f.exists {
-			// Like the single-item waiter: adopt the outcome but do not
-			// install into the cache (a Remove may have run since the
-			// foreign flight landed).
+		i := int(fj.item)
+		var err error
+		switch {
+		case fj.f.err != nil && !isCtxErr(fj.f.err):
+			err = fj.f.err
+		case fj.f.err == nil && (fj.f.exists || !insert):
+			s := &n.stripes[stripeOf(i)]
 			s.mu.Lock()
-			s.coalesced++
-			s.storeHits++
-			s.lookups++
+			results[i] = n.adoptLocked(s, fj.f)
 			s.mu.Unlock()
-			results[fj.idx] = LookupResult{Exists: true, Value: fj.f.val, Source: SourceStore}
-			continue
+		default:
+			results[i], err = n.lookupAsync(ctx, fpOf(i), valOf(i), insert)
 		}
-		if !insert {
-			s.mu.Lock()
-			s.coalesced++
-			s.storeMiss++
-			if n.bloom != nil {
-				s.bloomFalse++
-			}
-			s.lookups++
-			s.mu.Unlock()
-			results[fj.idx] = LookupResult{Exists: false, Source: SourceNew}
-			continue
-		}
-		r, err := n.lookupAsync(ctx, fp, valOf(fj.idx), true)
 		if err != nil {
 			leaveForeigns(fi + 1)
-			return nil, fmt.Errorf("core: batch item %d: %w", fj.idx, err)
+			return nil, fmt.Errorf("core: batch item %d: %w", i, err)
 		}
-		results[fj.idx] = r
 	}
 
 	if n.wb {
@@ -901,4 +817,71 @@ func (n *Node) batchAsync(ctx context.Context, count int, fpOf func(int) fingerp
 		}
 	}
 	return results, nil
+}
+
+// ssdWave is a batch's coalesced SSD phase: one batched read for the
+// flights that need a probe — their answers land in the flights — then, on
+// a write-through node that inserts, one batched write for the direct
+// (Bloom-negative) flights plus the probe misses: one read-modify-write per
+// bucket page, the group-committed twin of the read. Stores without the
+// batched surfaces get per-key operations overlapped the same way.
+func (n *Node) ssdWave(ctx context.Context, sc *nodeScratch, flights []flight, fpOf func(int) fingerprint.Fingerprint, valOf func(int) Value, insert bool) error {
+	wrap := func(what string, err error) error {
+		if err == nil || isCtxErr(err) {
+			return err
+		}
+		return fmt.Errorf("core: node %s: batch %s: %w", n.id, what, err)
+	}
+	sc.fps = sc.fps[:0]
+	for oi := range flights {
+		if !flights[oi].direct {
+			sc.fps = append(sc.fps, fpOf(int(flights[oi].item)))
+		}
+	}
+	if len(sc.fps) > 0 {
+		var (
+			vals  []Value
+			found []bool
+			err   error
+		)
+		if bg, ok := n.store.(hashdb.BatchGetter); ok {
+			vals, found, err = bg.GetBatch(ctx, sc.fps)
+		} else {
+			vals, found = make([]Value, len(sc.fps)), make([]bool, len(sc.fps))
+			err = parallel.Do(ctx, len(sc.fps), parallel.IODepth, func(k int) (gerr error) {
+				vals[k], found[k], gerr = n.store.Get(sc.fps[k])
+				return gerr
+			})
+		}
+		if err != nil {
+			return wrap("lookup", err)
+		}
+		k := 0
+		for oi := range flights {
+			if f := &flights[oi]; !f.direct {
+				f.exists, f.val = found[k], vals[k]
+				k++
+			}
+		}
+	}
+	if !insert || n.wb {
+		return nil
+	}
+	sc.pairs = sc.pairs[:0]
+	for oi := range flights {
+		if f := &flights[oi]; f.direct || !f.exists {
+			sc.pairs = append(sc.pairs, hashdb.Pair{FP: fpOf(int(f.item)), Val: valOf(int(f.item))})
+		}
+	}
+	if len(sc.pairs) == 0 {
+		return nil
+	}
+	if bp, ok := n.store.(hashdb.BatchPutter); ok {
+		_, _, err := bp.PutBatch(ctx, sc.pairs)
+		return wrap("insert", err)
+	}
+	return wrap("insert", parallel.Do(ctx, len(sc.pairs), parallel.IODepth, func(k int) error {
+		_, perr := n.store.Put(sc.pairs[k].FP, sc.pairs[k].Val)
+		return perr
+	}))
 }

@@ -1,7 +1,10 @@
 package hashdb
 
 import (
+	"cmp"
 	"context"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"shhc/internal/fingerprint"
@@ -16,7 +19,9 @@ type BatchGetter interface {
 	// GetBatch looks up every fingerprint, returning values and found
 	// flags in input order. A lookup error fails the whole batch. A
 	// cancelled ctx stops the batch from issuing further device reads
-	// (reads already issued complete) and fails it with ctx.Err().
+	// (reads already issued complete) and fails it with ctx.Err(). fps
+	// belongs to the caller again when GetBatch returns: an implementation
+	// must not keep it.
 	GetBatch(ctx context.Context, fps []fingerprint.Fingerprint) ([]Value, []bool, error)
 }
 
@@ -25,121 +30,240 @@ var (
 	_ BatchGetter = (*MemStore)(nil)
 )
 
-// groupBy partitions item indices by a shard key (bucket page for the
-// on-disk table, map shard for the in-RAM store), returning the groups as
-// a slice the worker pool can pull from. Within a group, indices keep
-// input order, which is what gives batched writes their in-order duplicate
-// semantics.
-func groupBy(n int, keyOf func(int) uint64) [][]int {
-	groups := make(map[uint64][]int, n)
-	for i := 0; i < n; i++ {
-		k := keyOf(i)
-		groups[k] = append(groups[k], i)
-	}
-	work := make([][]int, 0, len(groups))
-	for _, idxs := range groups {
-		work = append(work, idxs)
-	}
-	return work
+// keyed is one item of a batch: its input index under its group key (bucket
+// page for the on-disk table, map shard for MemStore), scrambled by spread.
+type keyed struct {
+	key uint64
+	idx int32
 }
 
-// groupIdxBy is groupBy over an explicit index set: the retry rounds of a
-// batch regroup only the indices a concurrent bucket split displaced.
-// Relative input order is preserved within each group.
-func groupIdxBy(idxs []int, keyOf func(int) uint64) [][]int {
-	groups := make(map[uint64][]int, len(idxs))
-	for _, i := range idxs {
-		k := keyOf(i)
-		groups[k] = append(groups[k], i)
+// spread is the odd multiplier (2^64/φ) that scrambles group keys. It is a
+// bijection on uint64, so equal products mean equal keys, and its top bits
+// depend on every bit of the key — which makes them a partition number, and
+// makes the order groups come out in unrelated to bucket order: walking the
+// file in bucket order measured 3 µs per fingerprint slower than a
+// scattered walk (PR 12).
+const spread = 0x9E3779B97F4A7C15
+
+// groupScratch is the pooled working memory of one batch's grouping. After
+// group, run r is items[starts[r]:starts[r+1]]: the items that share a key,
+// in input order — which is what gives batched writes their in-order
+// duplicate semantics.
+type groupScratch struct {
+	items, unsorted []keyed
+	starts, count   []int32
+}
+
+var groupScratchPool = sync.Pool{New: func() any { return new(groupScratch) }}
+
+//shhc:returns-buf
+func getGroupScratch() *groupScratch { return groupScratchPool.Get().(*groupScratch) }
+
+//shhc:takes-buf sc
+func putGroupScratch(sc *groupScratch) {
+	if cap(sc.items) > 1<<16 { // one huge batch must not pin its megabytes
+		*sc = groupScratch{}
 	}
-	work := make([][]int, 0, len(groups))
-	for _, g := range groups {
-		work = append(work, g)
+	groupScratchPool.Put(sc)
+}
+
+// group sorts the items idxs — every index below n when idxs is nil; a retry
+// round regroups only what a concurrent bucket split displaced — into runs
+// of equal key. It is a counting sort on the top bits of the scrambled key
+// into more partitions than items, so nearly every partition holds one key
+// and a stable sort of the few that hold more finishes the job: linear
+// whether the batch spreads over as many keys as it has items or lands on one.
+func (sc *groupScratch) group(n int, idxs []int32, keyOf func(int) uint64) {
+	if idxs != nil {
+		n = len(idxs)
 	}
-	return work
+	shift := 64 - bits.Len(uint(n))
+	parts := 1 << (64 - shift)
+	sc.items = slices.Grow(sc.items[:0], n)[:n]
+	sc.unsorted = slices.Grow(sc.unsorted[:0], n)[:n]
+	sc.count = slices.Grow(sc.count[:0], parts+1)[:parts+1]
+	count := sc.count // count[p+1] counts partition p, then count[p] is its cursor
+	clear(count)
+	for j := range sc.unsorted {
+		i := j
+		if idxs != nil {
+			i = int(idxs[j])
+		}
+		k := keyOf(i) * spread
+		sc.unsorted[j] = keyed{k, int32(i)}
+		count[k>>shift+1]++
+	}
+	for p := 1; p < len(count); p++ {
+		count[p] += count[p-1]
+	}
+	for _, it := range sc.unsorted {
+		p := it.key >> shift
+		sc.items[count[p]] = it
+		count[p]++
+	}
+	lo := int32(0)
+	for _, hi := range count[:parts] { // each cursor has reached its partition's end
+		if hi-lo > 1 {
+			slices.SortStableFunc(sc.items[lo:hi], func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
+		}
+		lo = hi
+	}
+	sc.starts = sc.starts[:0]
+	for j := range sc.items {
+		if j == 0 || sc.items[j].key != sc.items[j-1].key {
+			sc.starts = append(sc.starts, int32(j))
+		}
+	}
+	sc.starts = append(sc.starts, int32(n))
+}
+
+// chainScratch is the pooled staging of the chain walks one worker makes:
+// the indices of a run that still map to its bucket, the ones not yet
+// resolved, and the chain's pages. It owns its page buffers — they are not
+// the page pool's — and keeps them from one walk to the next.
+type chainScratch struct {
+	live, remaining []int32
+	chain           []chainPage
+}
+
+var chainScratchPool = sync.Pool{New: func() any { return new(chainScratch) }}
+
+//shhc:returns-buf
+func getChainScratch() *chainScratch { return chainScratchPool.Get().(*chainScratch) }
+
+//shhc:takes-buf sc
+func putChainScratch(sc *chainScratch) {
+	if cap(sc.chain) > 8 { // one long chain must not pin its pages
+		*sc = chainScratch{}
+	}
+	chainScratchPool.Put(sc)
+}
+
+// addPage extends the staged chain by one page: page number no, clean,
+// contents left for the caller to read or clear.
+func (sc *chainScratch) addPage(no uint64) *chainPage {
+	sc.chain = slices.Grow(sc.chain, 1)[:len(sc.chain)+1]
+	cp := &sc.chain[len(sc.chain)-1]
+	if cp.buf == nil {
+		cp.buf = make([]byte, PageSize)
+	}
+	cp.no, cp.dirty = no, false
+	return cp
+}
+
+// eachRun calls fn for every run of the grouping, up to parallel.IODepth
+// runs at a time, so modeled (Sleep-mode) devices overlap page I/O the way
+// real flash channels do. A worker takes several consecutive runs per pull
+// once there are many, and makes all of them with one scratch: a batch of a
+// thousand one-key chains is not a thousand trips to a mutex and a pool.
+func (sc *groupScratch) eachRun(ctx context.Context, fn func(cs *chainScratch, run []keyed) error) error {
+	runs := len(sc.starts) - 1
+	per := (runs + 4*parallel.IODepth - 1) / (4 * parallel.IODepth)
+	return parallel.Do(ctx, (runs+per-1)/per, parallel.IODepth, func(c int) error {
+		cs := getChainScratch()
+		defer putChainScratch(cs)
+		for r := c * per; r < min((c+1)*per, runs); r++ {
+			if err := fn(cs, sc.items[sc.starts[r]:sc.starts[r+1]]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// staleList collects, from concurrent chain walks, the items a concurrent
+// linear-hashing split remapped between the lock-free grouping and the
+// stripe lock. The batch regroups and retries them; splits are rare and
+// move one bucket at a time, so the retry set collapses immediately.
+type staleList struct {
+	mu   sync.Mutex
+	idxs []int32
+}
+
+func (s *staleList) add(idx int32) {
+	s.mu.Lock()
+	s.idxs = append(s.idxs, idx)
+	s.mu.Unlock()
+}
+
+// take hands the collected items to the caller and starts a new list.
+func (s *staleList) take() (idxs []int32) {
+	idxs, s.idxs = s.idxs, nil
+	return idxs
+}
+
+// live filters run down to the items that map to bucket now that its stripe
+// is locked — the mapping is stable under the lock, so the filter is
+// authoritative — and reports the others stale.
+func (db *DB) live(cs *chainScratch, bucket uint64, run []keyed, fpOf func(int32) fingerprint.Fingerprint, stale *staleList) []int32 {
+	cs.live = cs.live[:0]
+	for _, it := range run {
+		if !db.resizable || db.bucketOf(fpOf(it.idx)) == bucket {
+			cs.live = append(cs.live, it.idx)
+		} else {
+			stale.add(it.idx)
+		}
+	}
+	return cs.live
 }
 
 // GetBatch looks up every fingerprint, reading each distinct bucket page
 // once. Probes are grouped by bucket page; each group walks its bucket
-// chain under the owning stripe's read lock, scanning one pooled page
-// buffer for all of the group's fingerprints. Groups run concurrently up
-// to parallel.IODepth, so modeled (Sleep-mode) devices overlap reads the
-// way real flash channels do. Results are positionally aligned with fps;
-// duplicate fingerprints in the input each get the same answer at the cost
-// of no extra I/O. Cancelling ctx stops new page reads between groups and
-// between chain pages.
+// chain under the owning stripe's read lock, scanning one page buffer for
+// all of the group's fingerprints. Results are positionally aligned with
+// fps; duplicate fingerprints in the input each get the same answer at the
+// cost of no extra I/O. Cancelling ctx stops new page reads between groups
+// and between chain pages.
 func (db *DB) GetBatch(ctx context.Context, fps []fingerprint.Fingerprint) ([]Value, []bool, error) {
 	vals := make([]Value, len(fps))
 	found := make([]bool, len(fps))
 	if len(fps) == 0 {
 		return vals, found, nil
 	}
-	pending := make([]int, len(fps))
-	for i := range pending {
-		pending[i] = i
-	}
-	// A concurrent linear-hashing split can remap probes between the
-	// lock-free grouping and the stripe lock; getChain reports those back
-	// and the batch regroups and retries them (see PutBatch).
-	for len(pending) > 0 {
-		work := groupIdxBy(pending, func(i int) uint64 { return db.bucketOf(fps[i]) })
-		var staleMu sync.Mutex
-		var stale []int
-		err := parallel.Do(ctx, len(work), parallel.IODepth, func(w int) error {
-			idxs := work[w]
-			st, err := db.getChain(ctx, db.bucketOf(fps[idxs[0]]), idxs, fps, vals, found)
-			if len(st) > 0 {
-				staleMu.Lock()
-				stale = append(stale, st...)
-				staleMu.Unlock()
-			}
-			return err
+	g := getGroupScratch()
+	defer putGroupScratch(g)
+	var (
+		stale   staleList
+		pending []int32 // nil: everything
+	)
+	for {
+		g.group(len(fps), pending, func(i int) uint64 { return db.bucketOf(fps[i]) })
+		err := g.eachRun(ctx, func(cs *chainScratch, run []keyed) error {
+			return db.getChain(ctx, cs, run, fps, vals, found, &stale)
 		})
 		if err != nil {
 			return nil, nil, err
 		}
-		pending = stale
+		if pending = stale.take(); pending == nil {
+			return vals, found, nil
+		}
 	}
-	return vals, found, nil
 }
 
-// getChain walks one bucket chain, resolving every probe index in idxs.
-// Each chain page is read exactly once and scanned for all still-missing
-// fingerprints of the group. Probes a concurrent split remapped away from
-// bucket are returned in stale for the caller to retry.
-func (db *DB) getChain(ctx context.Context, bucket uint64, idxs []int, fps []fingerprint.Fingerprint, vals []Value, found []bool) (stale []int, err error) {
+// getChain walks one bucket chain, resolving every probe of the run. Each
+// chain page is read exactly once and scanned for all still-missing
+// fingerprints of the group.
+func (db *DB) getChain(ctx context.Context, cs *chainScratch, run []keyed, fps []fingerprint.Fingerprint, vals []Value, found []bool, stale *staleList) error {
+	bucket := db.bucketOf(fps[run[0].idx])
 	st := db.stripeOf(bucket)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	if db.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	live := idxs
-	if db.resizable {
-		live = make([]int, 0, len(idxs))
-		for _, idx := range idxs {
-			if db.bucketOf(fps[idx]) == bucket {
-				live = append(live, idx)
-			} else {
-				stale = append(stale, idx)
-			}
-		}
-		if len(live) == 0 {
-			return stale, nil
-		}
-	}
+	live := db.live(cs, bucket, run, func(i int32) fingerprint.Fingerprint { return fps[i] }, stale)
 	done := ctx.Done()
-	page := getPage()
-	defer putPage(page)
+	cs.chain = cs.chain[:0]
+	page := cs.addPage(0).buf
 	remaining := len(live)
 	for p := db.bucketPageOf(bucket); p != 0 && remaining > 0; {
 		if done != nil {
 			if err := ctx.Err(); err != nil {
-				return stale, err
+				return err
 			}
 		}
 		if err := db.readPage(p, page); err != nil {
-			return stale, err
+			return err
 		}
 		n := pageCount(page)
 		for i := 0; i < n && remaining > 0; i++ {
@@ -154,7 +278,7 @@ func (db *DB) getChain(ctx context.Context, bucket uint64, idxs []int, fps []fin
 		}
 		p = pageNext(page)
 	}
-	return stale, nil
+	return nil
 }
 
 // GetBatch looks up every fingerprint. The in-RAM store has no pages to
@@ -169,28 +293,25 @@ func (s *MemStore) GetBatch(ctx context.Context, fps []fingerprint.Fingerprint) 
 	if len(fps) == 0 {
 		return vals, found, nil
 	}
-	work := groupBy(len(fps), func(i int) uint64 {
-		return fps[i].Bucket64() & (memShards - 1)
-	})
+	g := getGroupScratch()
+	defer putGroupScratch(g)
+	g.group(len(fps), nil, func(i int) uint64 { return fps[i].Bucket64() & (memShards - 1) })
 	done := ctx.Done()
-	err := parallel.Do(ctx, len(work), parallel.IODepth, func(w int) error {
-		idxs := work[w]
-		sh := s.shard(fps[idxs[0]])
+	err := g.eachRun(ctx, func(_ *chainScratch, run []keyed) error {
+		sh := s.shard(fps[run[0].idx])
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
 		if s.closed {
 			return ErrClosed
 		}
-		for _, idx := range idxs {
+		for _, it := range run {
 			if done != nil {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
 			s.dev.Read(entrySize)
-			v, ok := sh.m[fps[idx]]
-			vals[idx] = v
-			found[idx] = ok
+			vals[it.idx], found[it.idx] = sh.m[fps[it.idx]]
 		}
 		return nil
 	})

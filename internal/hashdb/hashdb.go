@@ -719,22 +719,24 @@ func (db *DB) Has(fp fingerprint.Fingerprint) (bool, error) {
 	return ok, err
 }
 
-// oneIdx is the index group of a single-pair chain walk (Put).
-var oneIdx = []int{0}
-
 // Put stores fp -> v, overwriting any previous value. It reports whether a
 // new entry was created (false means an existing entry was updated). Put is
 // the single-pair case of the batched chain walk (putChain): one read and
-// at most one write per chain page, all through pooled page buffers.
+// at most one write per chain page.
 func (db *DB) Put(fp fingerprint.Fingerprint, v Value) (bool, error) {
 	pairs := [1]Pair{{FP: fp, Val: v}}
-	var created [1]bool
+	var (
+		created [1]bool
+		run     [1]keyed
+		stale   staleList
+	)
+	cs := getChainScratch()
+	defer putChainScratch(cs)
 	for {
-		_, stale, err := db.putChain(context.Background(), db.bucketOf(fp), oneIdx, pairs[:], created[:])
-		if err != nil {
+		if _, err := db.putChain(context.Background(), cs, run[:], pairs[:], created[:], &stale); err != nil {
 			return created[0], err
 		}
-		if len(stale) == 0 {
+		if stale.take() == nil {
 			break
 		}
 		// A concurrent split remapped fp between the bucket computation

@@ -10,11 +10,9 @@ package hashdb
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 
 	"shhc/internal/fingerprint"
-	"shhc/internal/parallel"
 )
 
 // Pair couples a fingerprint with the value to store for it.
@@ -39,7 +37,8 @@ type BatchPutter interface {
 	// fails it with ctx.Err(); a chain whose in-memory mutation has
 	// finished always writes out completely, so cancellation can strand
 	// at most already-allocated (unreferenced) overflow pages, never a
-	// torn chain.
+	// torn chain. pairs belongs to the caller again when PutBatch returns:
+	// an implementation must not keep it.
 	PutBatch(ctx context.Context, pairs []Pair) (created []bool, pagesWritten int, err error)
 }
 
@@ -54,39 +53,33 @@ var (
 //
 // The bucket grouping is computed without locks, so a concurrent linear-
 // hashing split can remap some pairs between grouping and the stripe
-// lock; putChain detects those under the lock and reports them back, and
-// the batch simply regroups and retries the leftovers — splits are rare
-// and move at most one bucket at a time, so the retry set collapses
-// immediately.
+// lock; putChain detects those under the lock and reports them stale, and
+// the batch regroups and retries them (see staleList).
 func (db *DB) PutBatch(ctx context.Context, pairs []Pair) ([]bool, int, error) {
 	created := make([]bool, len(pairs))
 	if len(pairs) == 0 {
 		return created, 0, nil
 	}
-	var pages atomic.Int64
-	pending := make([]int, len(pairs))
-	for i := range pending {
-		pending[i] = i
-	}
-	for len(pending) > 0 {
-		work := groupIdxBy(pending, func(i int) uint64 { return db.bucketOf(pairs[i].FP) })
-		var staleMu sync.Mutex
-		var stale []int
-		err := parallel.Do(ctx, len(work), parallel.IODepth, func(w int) error {
-			idxs := work[w]
-			n, st, err := db.putChain(ctx, db.bucketOf(pairs[idxs[0]].FP), idxs, pairs, created)
+	g := getGroupScratch()
+	defer putGroupScratch(g)
+	var (
+		pages   atomic.Int64
+		stale   staleList
+		pending []int32 // nil: everything
+	)
+	for {
+		g.group(len(pairs), pending, func(i int) uint64 { return db.bucketOf(pairs[i].FP) })
+		err := g.eachRun(ctx, func(cs *chainScratch, run []keyed) error {
+			n, err := db.putChain(ctx, cs, run, pairs, created, &stale)
 			pages.Add(int64(n))
-			if len(st) > 0 {
-				staleMu.Lock()
-				stale = append(stale, st...)
-				staleMu.Unlock()
-			}
 			return err
 		})
 		if err != nil {
 			return nil, 0, err
 		}
-		pending = stale
+		if pending = stale.take(); pending == nil {
+			break
+		}
 	}
 	if err := db.maybeSplit(); err != nil {
 		return nil, 0, err
@@ -103,49 +96,33 @@ type chainPage struct {
 	dirty bool
 }
 
-// putChain applies the group's pairs to one bucket chain as a single
+// putChain applies the run's pairs to one bucket chain as a single
 // read-modify-write under the owning stripe's lock: the chain is read once
-// into pooled page buffers, all updates and appends are applied in memory
-// (growing the chain with placeholder pages when it fills), overflow
+// into the scratch's page buffers, all updates and appends are applied in
+// memory (growing the chain with placeholder pages when it fills), overflow
 // allocations claim their page numbers in one allocRun call (draining the
 // free list before extending the file), and only then are the dirty pages
 // written — new overflow pages before the pages that link to them, so an
 // interrupted batch strands orphan pages rather than dangling pointers.
-// bucket is a bucket index; pairs a concurrent split remapped away from it
-// since the caller grouped them are returned in stale for the caller to
-// retry (the mapping is stable under the stripe lock, so the filter is
-// authoritative). Returns the number of page writes issued.
-func (db *DB) putChain(ctx context.Context, bucket uint64, idxs []int, pairs []Pair, created []bool) (writes int, stale []int, err error) {
+// Pairs a concurrent split remapped away from the run's bucket since the
+// caller grouped them are reported in stale. Returns the number of page
+// writes issued.
+func (db *DB) putChain(ctx context.Context, cs *chainScratch, run []keyed, pairs []Pair, created []bool, stale *staleList) (writes int, err error) {
+	bucket := db.bucketOf(pairs[run[0].idx].FP)
 	st := db.stripeOf(bucket)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if db.closed {
-		return 0, nil, ErrClosed
+		return 0, ErrClosed
 	}
-	live := idxs
-	if db.resizable {
-		live = make([]int, 0, len(idxs))
-		for _, idx := range idxs {
-			if db.bucketOf(pairs[idx].FP) == bucket {
-				live = append(live, idx)
-			} else {
-				stale = append(stale, idx)
-			}
-		}
-		if len(live) == 0 {
-			return 0, stale, nil
-		}
+	live := db.live(cs, bucket, run, func(i int32) fingerprint.Fingerprint { return pairs[i].FP }, stale)
+	if len(live) == 0 {
+		return 0, nil
 	}
 	if err := db.markDirty(); err != nil {
-		return 0, stale, err
+		return 0, err
 	}
 
-	var chain []chainPage
-	defer func() {
-		for i := range chain {
-			putPage(chain[i].buf)
-		}
-	}()
 	// Read the chain, applying in-place updates (in input order) as pages
 	// arrive and stopping early once every pair is satisfied — a
 	// pure-update group pays only the pages up to its last hit, like the
@@ -153,22 +130,21 @@ func (db *DB) putChain(ctx context.Context, bucket uint64, idxs []int, pairs []P
 	// so a resolved pair cannot also live on an unread page. Appends need
 	// the whole chain (free-slot search + tail link), so reading
 	// continues while any pair is unresolved.
-	remaining := append(make([]int, 0, len(live)), live...)
+	cs.chain = cs.chain[:0]
+	cs.remaining = append(cs.remaining[:0], live...)
+	remaining := cs.remaining // filtered in place as pairs resolve
 	done := ctx.Done()
 	for p := db.bucketPageOf(bucket); p != 0 && len(remaining) > 0; {
 		if done != nil {
 			if err := ctx.Err(); err != nil {
-				return 0, stale, err
+				return 0, err
 			}
 		}
-		buf := getPage()
+		cp := cs.addPage(p)
+		buf := cp.buf
 		if err := db.readPage(p, buf); err != nil {
-			putPage(buf)
-			return 0, stale, err
+			return 0, err
 		}
-		//lint:ignore poolescape chain is a function-local staging slice; every chainPage.buf is released by the putPage loop before putBatch returns.
-		chain = append(chain, chainPage{no: p, buf: buf})
-		cp := &chain[len(chain)-1]
 		n := pageCount(buf)
 		for j := 0; j < n && len(remaining) > 0; j++ {
 			efp, _ := entryAt(buf, j)
@@ -187,7 +163,7 @@ func (db *DB) putChain(ctx context.Context, bucket uint64, idxs []int, pairs []P
 		}
 		p = pageNext(buf)
 	}
-	db.observeChain(len(chain))
+	db.observeChain(len(cs.chain))
 
 	// Apply the still-unresolved pairs against the in-memory chain. A
 	// full chain grows by a placeholder page (no=0), so intra-batch
@@ -196,38 +172,38 @@ func (db *DB) putChain(ctx context.Context, bucket uint64, idxs []int, pairs []P
 	var createdCount, newPages int
 	for _, idx := range remaining {
 		fp, val := pairs[idx].FP, pairs[idx].Val
-		if chainUpdate(chain, fp, val) {
+		if chainUpdate(cs.chain, fp, val) {
 			continue
 		}
 		placed := false
-		for i := range chain {
-			if n := pageCount(chain[i].buf); n < SlotsPerPage {
-				setEntryAt(chain[i].buf, n, fp, val)
-				setPageCount(chain[i].buf, n+1)
-				chain[i].dirty = true
+		for i := range cs.chain {
+			if n := pageCount(cs.chain[i].buf); n < SlotsPerPage {
+				setEntryAt(cs.chain[i].buf, n, fp, val)
+				setPageCount(cs.chain[i].buf, n+1)
+				cs.chain[i].dirty = true
 				placed = true
 				break
 			}
 		}
 		if !placed {
-			buf := getPage()
-			clear(buf)
-			setEntryAt(buf, 0, fp, val)
-			setPageCount(buf, 1)
-			//lint:ignore poolescape chain is a function-local staging slice; every chainPage.buf is released by the putPage loop before putBatch returns.
-			chain = append(chain, chainPage{buf: buf, dirty: true})
+			cp := cs.addPage(0)
+			clear(cp.buf)
+			setEntryAt(cp.buf, 0, fp, val)
+			setPageCount(cp.buf, 1)
+			cp.dirty = true
 			newPages++
 		}
 		created[idx] = true
 		createdCount++
 	}
+	chain := cs.chain
 
 	// One allocRun call claims file positions for every new overflow
 	// page, reusing freed pages before growing the file.
 	if newPages > 0 {
 		nos, err := db.allocRun(newPages)
 		if err != nil {
-			return 0, stale, err
+			return 0, err
 		}
 		k := 0
 		for i := range chain {
@@ -249,13 +225,13 @@ func (db *DB) putChain(ctx context.Context, bucket uint64, idxs []int, pairs []P
 			continue
 		}
 		if err := db.writePage(chain[i].no, chain[i].buf); err != nil {
-			return writes, stale, err
+			return writes, err
 		}
 		writes++
 	}
 	db.entries.Add(uint64(createdCount))
 	db.overflowPages.Add(uint64(newPages))
-	return writes, stale, nil
+	return writes, nil
 }
 
 // chainUpdate overwrites fp's entry in the in-memory chain, reporting
@@ -285,28 +261,27 @@ func (s *MemStore) PutBatch(ctx context.Context, pairs []Pair) ([]bool, int, err
 	if len(pairs) == 0 {
 		return created, 0, nil
 	}
-	work := groupBy(len(pairs), func(i int) uint64 {
-		return pairs[i].FP.Bucket64() & (memShards - 1)
-	})
+	g := getGroupScratch()
+	defer putGroupScratch(g)
+	g.group(len(pairs), nil, func(i int) uint64 { return pairs[i].FP.Bucket64() & (memShards - 1) })
 	done := ctx.Done()
-	err := parallel.Do(ctx, len(work), parallel.IODepth, func(w int) error {
-		idxs := work[w]
-		sh := s.shard(pairs[idxs[0]].FP)
+	err := g.eachRun(ctx, func(_ *chainScratch, run []keyed) error {
+		sh := s.shard(pairs[run[0].idx].FP)
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 		if s.closed {
 			return ErrClosed
 		}
-		for _, idx := range idxs {
+		for _, it := range run {
 			if done != nil {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
 			s.dev.Write(entrySize)
-			_, existed := sh.m[pairs[idx].FP]
-			sh.m[pairs[idx].FP] = pairs[idx].Val
-			created[idx] = !existed
+			_, existed := sh.m[pairs[it.idx].FP]
+			sh.m[pairs[it.idx].FP] = pairs[it.idx].Val
+			created[it.idx] = !existed
 		}
 		return nil
 	})

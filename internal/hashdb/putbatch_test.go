@@ -2,6 +2,7 @@ package hashdb
 
 import (
 	"context"
+	"encoding/binary"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -348,6 +349,121 @@ func BenchmarkDBPutBatch(b *testing.B) {
 		}
 		if _, _, err := db.PutBatch(context.Background(), pairs); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// inBucket mints the k-th fingerprint of a family that all hash to bucket b
+// of a table with nb buckets.
+func inBucket(nb, b, k uint64) fingerprint.Fingerprint {
+	f := fp(k)
+	binary.BigEndian.PutUint64(f[:8], k*nb+b)
+	return f
+}
+
+// TestBatchSkewedOntoOneBucket: the two batches the grouping must not
+// degrade on. Every key in one bucket is one run, one chain walk growing
+// through overflow pages; one fingerprint repeated is one run resolving in
+// input order — the first occurrence creates, the last value wins. Both are
+// checked against what sequential Puts would do, for the table and for its
+// in-RAM stand-in.
+func TestBatchSkewedOntoOneBucket(t *testing.T) {
+	ctx := context.Background()
+	db := testDB(t, Options{ExpectedItems: 4096})
+	nb := db.numBuckets()
+	skewed := make([]Pair, 2*SlotsPerPage+7)
+	for i := range skewed {
+		skewed[i] = Pair{FP: inBucket(nb, 3, uint64(i)), Val: Value(i + 1)}
+	}
+	same := make([]Pair, 256)
+	for i := range same {
+		same[i] = Pair{FP: inBucket(nb, 5, 0), Val: Value(1000 + i)}
+	}
+	for name, pairs := range map[string][]Pair{"one bucket": skewed, "one key": same} {
+		for _, store := range []interface {
+			BatchPutter
+			BatchGetter
+		}{db, NewMemStore(nil)} {
+			created, _, err := store.PutBatch(ctx, pairs)
+			if err != nil {
+				t.Fatalf("%s: PutBatch: %v", name, err)
+			}
+			model := make(map[fingerprint.Fingerprint]Value)
+			fps := make([]fingerprint.Fingerprint, len(pairs))
+			for i, p := range pairs {
+				if _, existed := model[p.FP]; created[i] == existed {
+					t.Fatalf("%s: created[%d] = %v, sequential Puts say %v", name, i, created[i], !existed)
+				}
+				model[p.FP], fps[i] = p.Val, p.FP
+			}
+			vals, found, err := store.GetBatch(ctx, fps)
+			if err != nil {
+				t.Fatalf("%s: GetBatch: %v", name, err)
+			}
+			for i, f := range fps {
+				if !found[i] || vals[i] != model[f] {
+					t.Fatalf("%s: GetBatch[%d] = %d,%v, sequential Puts leave %d", name, i, vals[i], found[i], model[f])
+				}
+			}
+		}
+	}
+	if st := db.Stats(); st.OverflowPages < 2 {
+		t.Fatalf("OverflowPages = %d: the one-bucket batch never grew its chain", st.OverflowPages)
+	}
+	if err := db.Check(); err != nil {
+		t.Fatalf("Check: %v", err)
+	}
+}
+
+// TestAllocHashdbBatch: a batch allocates its answers, its workers and — the
+// first time — its scratch; not a map entry and three or four slices per
+// chain. sync.Pool drops items at random under -race, so the bounds are
+// loose: they fail at one allocation per four keys.
+func TestAllocHashdbBatch(t *testing.T) {
+	ctx := context.Background()
+	db := testDB(t, Options{ExpectedItems: 1 << 17, Device: device.New(device.Null, device.Account)})
+	next := uint64(0)
+	run := func(size int) (put, get float64) {
+		const runs = 20
+		batches := make([][]Pair, runs+1) // AllocsPerRun warms up with one extra run
+		fps := make([][]fingerprint.Fingerprint, runs+1)
+		for i := range batches {
+			batches[i] = make([]Pair, size)
+			fps[i] = make([]fingerprint.Fingerprint, size)
+			for j := range batches[i] {
+				batches[i][j] = Pair{FP: fp(next), Val: Value(next)}
+				fps[i][j] = fp(next)
+				next++
+			}
+		}
+		i := 0
+		put = testing.AllocsPerRun(runs, func() {
+			if _, _, err := db.PutBatch(ctx, batches[i]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		i = 0
+		get = testing.AllocsPerRun(runs, func() {
+			if _, found, err := db.GetBatch(ctx, fps[i]); err != nil || !found[size-1] {
+				t.Fatalf("GetBatch: %v, %v", found[size-1], err)
+			}
+			i++
+		})
+		return put, get
+	}
+	smallPut, smallGet := run(256)
+	largePut, largeGet := run(1024)
+	t.Logf("allocs per batch: PutBatch %v at 256 pairs, %v at 1024; GetBatch %v, %v", smallPut, largePut, smallGet, largeGet)
+	for _, c := range []struct {
+		name         string
+		small, large float64
+	}{{"PutBatch", smallPut, largePut}, {"GetBatch", smallGet, largeGet}} {
+		if c.large > 256 {
+			t.Errorf("%s: a 1024-key batch allocates %v objects; want a small constant", c.name, c.large)
+		}
+		if c.large > c.small+96 {
+			t.Errorf("%s: allocations grow with the batch: %v at 256 keys, %v at 1024", c.name, c.small, c.large)
 		}
 	}
 }

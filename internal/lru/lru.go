@@ -8,9 +8,19 @@
 // moves to the MRU end; on insertion into a full cache the LRU entry is
 // destaged (evicted) — optionally notifying the owner, which the hybrid
 // node uses to flush dirty entries to the SSD hash table.
+//
+// A Cache is one fixed slab of entries and one index over it. Entries are
+// addressed by slot number (0 is nil), so the recency list and the index
+// chains hold no pointers and an insert into a full cache rewrites the
+// victim's slot in place: the steady state allocates nothing. The index is
+// a chained hash table of atomic slot numbers; the serialized writer walks
+// it for every operation and is the only one to change it, and GetFast
+// walks it with no lock, validating each slot it reads against the slot's
+// version (see entry.seq).
 package lru
 
 import (
+	"encoding/binary"
 	"sync/atomic"
 
 	"shhc/internal/fingerprint"
@@ -21,31 +31,56 @@ import (
 // locator> entries and keeps cache accounting simple.
 type Value uint64
 
-// entry is one cached fingerprint. The recency list (prev/next), the map,
-// and dirty (changed only through setDirty) are owned by the cache's single
-// writer (the stripe lock). The
-// remaining fields form the lock-free read protocol: fp is written once
-// before the entry is published through an atomic pointer (index bucket or
-// hnext), val/dead/ref are atomics, so GetFast can walk an index chain and
-// read a value with no lock at all.
-type entry struct {
-	fp         fingerprint.Fingerprint
-	val        atomic.Uint64
-	dirty      bool
-	prev, next *entry
+// key is a fingerprint as the three words an entry stores it in.
+type key struct {
+	a, b uint64
+	c    uint32
+}
 
-	// hnext chains entries within one index bucket, newest first.
-	hnext atomic.Pointer[entry]
-	// dead is set (before unlinking) when the entry leaves the cache, so a
-	// reader that still holds a pointer to it reports a miss instead of a
-	// value that may since have been superseded by a re-insert.
-	dead atomic.Bool
+func keyOf(fp fingerprint.Fingerprint) key {
+	return key{fp.Prefix64(), fp.Bucket64(), binary.BigEndian.Uint32(fp[16:])}
+}
+
+func (k key) fingerprint() (fp fingerprint.Fingerprint) {
+	binary.BigEndian.PutUint64(fp[:8], k.a)
+	binary.BigEndian.PutUint64(fp[8:16], k.b)
+	binary.BigEndian.PutUint32(fp[16:], k.c)
+	return fp
+}
+
+// entry is one slot of the slab. prev/next (the recency list, or the free
+// list while the slot is vacant) and dirty (changed only through setDirty)
+// belong to the cache's single writer. Everything a lock-free reader
+// touches is atomic, and seq, the slot's version, makes the group of them
+// readable as one — a seqlock. It is even while the slot holds a live
+// entry and odd while it does not: vacated by Remove, or between an
+// eviction and the insert that reuses the slot. The writer makes it odd
+// before it unlinks the slot or touches fp, and even again only once the
+// new fingerprint, value and chain link are in place. A reader loads seq,
+// then the fields, then seq again: an odd or changed version means the
+// slot was recycled under it, and it reports a miss — which only ever
+// sends the caller to the locked walk. fp is held as atomic words so that
+// a reader racing the rewrite is a benign mismatch, not a data race.
+type entry struct {
+	fpA, fpB   atomic.Uint64
+	val        atomic.Uint64
+	fpC        atomic.Uint32
+	seq        atomic.Uint32
+	hnext      atomic.Uint32 // next slot in the index chain, newest first
+	prev, next uint32
 	// ref is the lossy clock bit: GetFast sets it instead of touching the
 	// recency list; evictTail's second-chance sweep consumes it under the
 	// lock. When no lock-free reads occur the bit stays clear and eviction
 	// order is the exact LRU order.
-	ref atomic.Bool
+	ref   atomic.Bool
+	dirty bool
 }
+
+func (e *entry) holds(k key) bool {
+	return e.fpA.Load() == k.a && e.fpB.Load() == k.b && e.fpC.Load() == k.c
+}
+
+func (e *entry) key() key { return key{e.fpA.Load(), e.fpB.Load(), e.fpC.Load()} }
 
 // EvictFunc observes a destaged entry. dirty reports whether the entry was
 // inserted (or updated) through PutDirty and never flushed.
@@ -54,24 +89,25 @@ type EvictFunc func(fp fingerprint.Fingerprint, val Value, dirty bool)
 // Cache is a fixed-capacity LRU map from fingerprint to Value.
 // Mutators are not safe for concurrent use — the owning node serializes
 // them — but GetFast may run concurrently with any of them: it touches
-// only the atomic index published by the single writer.
+// only the atomic index and slot fields published by the single writer.
 type Cache struct {
 	capacity int
-	items    map[fingerprint.Fingerprint]*entry
-	// head is most recently used, tail is least recently used.
-	head, tail *entry
-	onEvict    EvictFunc
+	onEvict  EvictFunc
 
-	// index is a chained hash table over the live entries, readable with
-	// no lock. Buckets and chain links are atomic pointers; only the
-	// (serialized) mutators write them.
-	index   []atomic.Pointer[entry]
+	// slab[1..capacity] are the slots; slots are first handed out in order
+	// (used counts them), then recycled: by eviction in place, by Remove
+	// through the free list.
+	slab []entry
+	n    int
+	used uint32
+	free uint32
+	// head is most recently used, tail is least recently used.
+	head, tail uint32
+
+	index   []atomic.Uint32
 	idxMask uint64
 
-	hits, misses, evictions uint64
-	// fastHits counts GetFast hits; it is the only counter written without
-	// the owner's serialization, so it is atomic and folded in by Stats.
-	fastHits atomic.Uint64
+	hits, misses, evictions uint64 // GetFast counts nothing here
 	// dirtyN counts entries whose dirty flag is set. Written by the
 	// serialized mutators, read lock-free by DirtyLen.
 	dirtyN atomic.Int64
@@ -84,91 +120,105 @@ func New(capacity int, onEvict EvictFunc) *Cache {
 	if capacity <= 0 {
 		panic("lru: capacity must be positive")
 	}
+	// Two 4-byte buckets per entry: a miss — the common answer on the path
+	// that inserts — then usually ends at an empty bucket, not at some
+	// other entry's cache line.
 	buckets := 1
-	for buckets < capacity {
+	for buckets < 2*capacity {
 		buckets <<= 1
 	}
 	return &Cache{
 		capacity: capacity,
-		items:    make(map[fingerprint.Fingerprint]*entry, capacity),
 		onEvict:  onEvict,
-		index:    make([]atomic.Pointer[entry], buckets),
+		slab:     make([]entry, capacity+1),
+		index:    make([]atomic.Uint32, buckets),
 		idxMask:  uint64(buckets - 1),
 	}
 }
 
-// idxBucket picks an index bucket from bits independent of the stripe
+// bucket picks an index bucket from bits independent of the stripe
 // selector: Striped routes on the low bits of Bucket64, so within one
 // stripe those bits are constant and only the high half spreads.
-func (c *Cache) idxBucket(fp fingerprint.Fingerprint) uint64 {
-	return (fp.Bucket64() >> 32) & c.idxMask
+func (c *Cache) bucket(k key) *atomic.Uint32 {
+	return &c.index[(k.b>>32)&c.idxMask]
+}
+
+// find is the writer's index walk: the slot holding k, or 0.
+func (c *Cache) find(k key) uint32 {
+	for i := c.bucket(k).Load(); i != 0; i = c.slab[i].hnext.Load() {
+		if c.slab[i].holds(k) {
+			return i
+		}
+	}
+	return 0
 }
 
 // Len returns the number of cached entries.
-func (c *Cache) Len() int { return len(c.items) }
+func (c *Cache) Len() int { return c.n }
 
 // Capacity returns the maximum number of entries.
 func (c *Cache) Capacity() int { return c.capacity }
 
 // Get looks up a fingerprint, promoting it to most-recently-used on a hit.
 func (c *Cache) Get(fp fingerprint.Fingerprint) (Value, bool) {
-	e, ok := c.items[fp]
-	if !ok {
+	i := c.find(keyOf(fp))
+	if i == 0 {
 		c.misses++
 		return 0, false
 	}
 	c.hits++
-	c.moveToFront(e)
-	return Value(e.val.Load()), true
+	c.moveToFront(i)
+	return Value(c.slab[i].val.Load()), true
 }
 
 // GetFast looks up a fingerprint without taking any lock. It may run
 // concurrently with the (serialized) mutators. Recency is recorded as a
 // clock bit instead of a list move; a hit on an entry being concurrently
 // removed linearizes before the removal, and a miss is always safe — the
-// caller's locked slow path re-checks. GetFast never counts misses (the
-// slow path will), so hits+misses still sum to lookups.
+// caller's locked slow path re-checks. A slot recycled mid-walk ends the
+// walk with a miss rather than following a link into some other chain.
+// GetFast counts nothing: the slow path counts its misses, the caller its
+// hits.
 func (c *Cache) GetFast(fp fingerprint.Fingerprint) (Value, bool) {
-	for e := c.index[c.idxBucket(fp)].Load(); e != nil; e = e.hnext.Load() {
-		if e.fp != fp {
-			continue
-		}
-		if e.dead.Load() {
-			// A re-insert of fp publishes ahead of this corpse; missing
-			// here (rather than scanning on) can only send the caller to
-			// the slow path, never return a stale value.
+	k := keyOf(fp)
+	for i := c.bucket(k).Load(); i != 0; {
+		e := &c.slab[i]
+		seq := e.seq.Load()
+		match, v, next := e.holds(k), e.val.Load(), e.hnext.Load()
+		if seq&1 != 0 || e.seq.Load() != seq {
 			return 0, false
 		}
-		v := Value(e.val.Load())
-		if !e.ref.Load() {
-			e.ref.Store(true)
+		if match {
+			if !e.ref.Load() {
+				e.ref.Store(true)
+			}
+			return Value(v), true
 		}
-		c.fastHits.Add(1)
-		return v, true
+		i = next
 	}
 	return 0, false
 }
 
 // Peek looks up a fingerprint without updating recency or statistics.
 func (c *Cache) Peek(fp fingerprint.Fingerprint) (Value, bool) {
-	e, ok := c.items[fp]
-	if !ok {
+	i := c.find(keyOf(fp))
+	if i == 0 {
 		return 0, false
 	}
-	return Value(e.val.Load()), true
+	return Value(c.slab[i].val.Load()), true
 }
 
 // Put inserts or updates a clean entry (one already persisted on SSD),
 // promoting it to most-recently-used. It reports whether an older entry was
 // evicted to make room.
 func (c *Cache) Put(fp fingerprint.Fingerprint, val Value) bool {
-	return c.put(fp, val, false)
+	return c.put(keyOf(fp), val, false)
 }
 
 // PutDirty inserts or updates an entry that has not been persisted yet.
 // The eviction callback sees dirty=true unless MarkCleanIf cleans it first.
 func (c *Cache) PutDirty(fp fingerprint.Fingerprint, val Value) bool {
-	return c.put(fp, val, true)
+	return c.put(keyOf(fp), val, true)
 }
 
 // PutIfAbsent inserts a clean entry only when the fingerprint is not
@@ -177,58 +227,81 @@ func (c *Cache) PutDirty(fp fingerprint.Fingerprint, val Value) bool {
 // install (e.g. of a stale probe result) can never overwrite a fresher or
 // dirty entry.
 func (c *Cache) PutIfAbsent(fp fingerprint.Fingerprint, val Value) bool {
-	if _, ok := c.items[fp]; ok {
+	k := keyOf(fp)
+	if c.find(k) != 0 {
 		return false
 	}
-	c.put(fp, val, false)
+	c.insert(k, val, false)
 	return true
 }
 
-func (c *Cache) put(fp fingerprint.Fingerprint, val Value, dirty bool) bool {
-	if e, ok := c.items[fp]; ok {
+func (c *Cache) put(k key, val Value, dirty bool) bool {
+	if i := c.find(k); i != 0 {
+		e := &c.slab[i]
 		e.val.Store(uint64(val))
 		if dirty {
 			c.setDirty(e, true)
 		}
-		c.moveToFront(e)
+		c.moveToFront(i)
 		return false
 	}
-	evicted := false
-	if len(c.items) >= c.capacity {
-		c.evictTail()
-		evicted = true
+	return c.insert(k, val, dirty)
+}
+
+// insert adds an entry known to be absent, into the slot of the entry it
+// evicts when the cache is full. The slot it writes is vacant (seq odd, in
+// no chain); the seq increment makes the rewritten fields valid to a reader
+// that still holds the slot number, and the store into the bucket publishes
+// the entry to everyone else.
+func (c *Cache) insert(k key, val Value, dirty bool) bool {
+	evicted := c.n >= c.capacity
+	var i uint32
+	switch {
+	case evicted:
+		i = c.evictTail()
+	case c.free != 0:
+		i = c.free
+		c.free = c.slab[i].next
+	default:
+		c.used++
+		i = c.used
+		c.slab[i].seq.Store(1)
 	}
-	e := &entry{fp: fp}
+	e := &c.slab[i]
+	e.fpA.Store(k.a)
+	e.fpB.Store(k.b)
+	e.fpC.Store(k.c)
 	e.val.Store(uint64(val))
+	if e.ref.Load() {
+		e.ref.Store(false)
+	}
 	c.setDirty(e, dirty)
-	c.items[fp] = e
-	c.pushFront(e)
-	c.indexInsert(e)
+	b := c.bucket(k)
+	e.hnext.Store(b.Load())
+	e.seq.Add(1)
+	b.Store(i)
+	c.pushFront(i)
+	c.n++
 	return evicted
 }
 
-// indexInsert publishes e at the head of its index chain. The store into
-// the bucket is the release point: every field written above it is visible
-// to a GetFast that loads the pointer.
-func (c *Cache) indexInsert(e *entry) {
-	b := c.idxBucket(e.fp)
-	e.hnext.Store(c.index[b].Load())
-	c.index[b].Store(e)
-}
-
-// indexRemove marks e dead, then unlinks it from its chain. Readers that
-// already hold e keep a valid (GC-protected) snapshot; readers that reach
-// it after the dead store report a miss.
-func (c *Cache) indexRemove(e *entry) {
-	e.dead.Store(true)
-	b := c.idxBucket(e.fp)
-	if c.index[b].Load() == e {
-		c.index[b].Store(e.hnext.Load())
+// vacate takes slot i out of the cache: off the recency list, marked
+// vacant — before it leaves its chain, so a reader that reaches it from
+// now on reports a miss instead of walking past a possible fresh reinsert
+// ahead of it — and unlinked from the index.
+func (c *Cache) vacate(i uint32) {
+	e := &c.slab[i]
+	c.unlink(i)
+	c.n--
+	e.seq.Add(1)
+	b := c.bucket(e.key())
+	if b.Load() == i {
+		b.Store(e.hnext.Load())
 		return
 	}
-	for p := c.index[b].Load(); p != nil; p = p.hnext.Load() {
-		if p.hnext.Load() == e {
-			p.hnext.Store(e.hnext.Load())
+	for p := b.Load(); p != 0; p = c.slab[p].hnext.Load() {
+		if c.slab[p].hnext.Load() == i {
+			c.slab[p].hnext.Store(e.hnext.Load())
 			return
 		}
 	}
@@ -253,11 +326,11 @@ func (c *Cache) setDirty(e *entry, dirty bool) {
 // while that write was in flight stays dirty. It reports whether the entry
 // is clean with val on return.
 func (c *Cache) MarkCleanIf(fp fingerprint.Fingerprint, val Value) bool {
-	e, ok := c.items[fp]
-	if !ok || Value(e.val.Load()) != val {
+	i := c.find(keyOf(fp))
+	if i == 0 || Value(c.slab[i].val.Load()) != val {
 		return false
 	}
-	c.setDirty(e, false)
+	c.setDirty(&c.slab[i], false)
 	return true
 }
 
@@ -269,12 +342,13 @@ func (c *Cache) DirtyLen() int { return int(c.dirtyN.Load()) }
 // early when visit returns false. It returns the number visited.
 func (c *Cache) ColdDirty(limit int, visit func(fp fingerprint.Fingerprint, val Value) bool) int {
 	n := 0
-	for e := c.tail; e != nil && n < limit && n < int(c.dirtyN.Load()); e = e.prev {
+	for i := c.tail; i != 0 && n < limit && n < int(c.dirtyN.Load()); i = c.slab[i].prev {
+		e := &c.slab[i]
 		if !e.dirty {
 			continue
 		}
 		n++
-		if !visit(e.fp, Value(e.val.Load())) {
+		if !visit(e.key().fingerprint(), Value(e.val.Load())) {
 			break
 		}
 	}
@@ -284,31 +358,31 @@ func (c *Cache) ColdDirty(limit int, visit func(fp fingerprint.Fingerprint, val 
 // Remove deletes an entry without invoking the eviction callback.
 // It reports whether the entry existed.
 func (c *Cache) Remove(fp fingerprint.Fingerprint) bool {
-	e, ok := c.items[fp]
-	if !ok {
+	i := c.find(keyOf(fp))
+	if i == 0 {
 		return false
 	}
-	c.unlink(e)
-	delete(c.items, fp)
-	c.indexRemove(e)
-	c.setDirty(e, false)
+	c.vacate(i)
+	c.setDirty(&c.slab[i], false)
+	c.slab[i].next = c.free
+	c.free = i
 	return true
 }
 
 // Oldest returns the least-recently-used fingerprint, if any.
 func (c *Cache) Oldest() (fingerprint.Fingerprint, bool) {
-	if c.tail == nil {
+	if c.tail == 0 {
 		return fingerprint.Zero, false
 	}
-	return c.tail.fp, true
+	return c.slab[c.tail].key().fingerprint(), true
 }
 
 // Keys returns fingerprints from most- to least-recently-used. It allocates
 // a fresh slice; mutation by the caller cannot corrupt the cache.
 func (c *Cache) Keys() []fingerprint.Fingerprint {
-	keys := make([]fingerprint.Fingerprint, 0, len(c.items))
-	for e := c.head; e != nil; e = e.next {
-		keys = append(keys, e.fp)
+	keys := make([]fingerprint.Fingerprint, 0, c.n)
+	for i := c.head; i != 0; i = c.slab[i].next {
+		keys = append(keys, c.slab[i].key().fingerprint())
 	}
 	return keys
 }
@@ -331,76 +405,71 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Stats returns a snapshot of the counters. Lock-free GetFast hits are
-// folded into Hits.
+// Stats returns a snapshot of the counters. Hits are Get hits only (see
+// GetFast).
 func (c *Cache) Stats() Stats {
 	return Stats{
-		Hits:      c.hits + c.fastHits.Load(),
+		Hits:      c.hits,
 		Misses:    c.misses,
 		Evictions: c.evictions,
-		Len:       len(c.items),
+		Len:       c.n,
 		Capacity:  c.capacity,
 	}
 }
 
-func (c *Cache) evictTail() {
+// evictTail evicts the least-recently-used entry and returns its slot,
+// vacant, for the caller to reuse.
+func (c *Cache) evictTail() uint32 {
 	// Second-chance sweep: a tail entry whose clock bit was set by GetFast
 	// gets promoted (its lossy recency batched into the exact list, here,
 	// under the lock) instead of evicted. Bounded by one full rotation so a
 	// pathological all-referenced cache still evicts.
-	for i := 0; i <= len(c.items); i++ {
-		e := c.tail
-		if e == nil {
-			return
-		}
-		if e.ref.Load() && i < len(c.items) {
-			e.ref.Store(false)
-			c.moveToFront(e)
-			continue
-		}
-		c.unlink(e)
-		delete(c.items, e.fp)
-		c.indexRemove(e)
-		c.evictions++
-		dirty := e.dirty
-		c.setDirty(e, false)
-		if c.onEvict != nil {
-			c.onEvict(e.fp, Value(e.val.Load()), dirty)
-		}
-		return
+	for spared := 0; spared < c.n && c.slab[c.tail].ref.Load(); spared++ {
+		c.slab[c.tail].ref.Store(false)
+		c.moveToFront(c.tail)
+	}
+	i := c.tail
+	e := &c.slab[i]
+	c.vacate(i)
+	c.evictions++
+	dirty := e.dirty
+	c.setDirty(e, false)
+	if c.onEvict != nil {
+		c.onEvict(e.key().fingerprint(), Value(e.val.Load()), dirty)
+	}
+	return i
+}
+
+func (c *Cache) pushFront(i uint32) {
+	e := &c.slab[i]
+	e.prev, e.next = 0, c.head
+	if c.head != 0 {
+		c.slab[c.head].prev = i
+	}
+	c.head = i
+	if c.tail == 0 {
+		c.tail = i
 	}
 }
 
-func (c *Cache) pushFront(e *entry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *Cache) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+func (c *Cache) unlink(i uint32) {
+	e := &c.slab[i]
+	if e.prev != 0 {
+		c.slab[e.prev].next = e.next
 	} else {
 		c.head = e.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if e.next != 0 {
+		c.slab[e.next].prev = e.prev
 	} else {
 		c.tail = e.prev
 	}
-	e.prev, e.next = nil, nil
 }
 
-func (c *Cache) moveToFront(e *entry) {
-	if c.head == e {
+func (c *Cache) moveToFront(i uint32) {
+	if c.head == i {
 		return
 	}
-	c.unlink(e)
-	c.pushFront(e)
+	c.unlink(i)
+	c.pushFront(i)
 }

@@ -92,7 +92,9 @@ func (s *Striped) Get(fp fingerprint.Fingerprint) (Value, bool) {
 // index (see Cache.GetFast), recording recency as a clock bit that the
 // next locked eviction sweep folds into the exact LRU order. A miss says
 // nothing definitive — callers fall through to the locked walk, which
-// re-checks under the stripe lock and counts the miss exactly once.
+// re-checks under the stripe lock and counts the miss exactly once. A hit
+// is counted by nobody here: Stats reports locked hits only, and the caller
+// adds up its lock-free hits itself (a batch: once per stripe, not per key).
 func (s *Striped) GetFast(fp fingerprint.Fingerprint) (Value, bool) {
 	return s.stripe(fp).c.GetFast(fp)
 }
