@@ -90,7 +90,7 @@ func nextPow2(v int) int {
 func (s *ChunkStash) positions(fp fingerprint.Fingerprint) (uint64, uint64, uint16) {
 	mask := uint64(len(s.buckets) - 1)
 	h1 := fp.Prefix64() & mask
-	sig := uint16(fp[16])<<8 | uint16(fp[17])
+	sig := uint16(fp.Tail32() >> 16) // digest bytes 16 and 17
 	// Cuckoo's partial-key alternate: h2 = h1 XOR hash(sig), always
 	// recomputable from the slot alone.
 	h2 := (h1 ^ (uint64(sig)*0x5bd1e995 + 1)) & mask

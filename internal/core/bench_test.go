@@ -83,6 +83,31 @@ func BenchmarkNodeBatch(b *testing.B) {
 			b.ReportMetric(float64(size), "pairs/op")
 		})
 	}
+	// incr_hot's node call: a 1 024-pair batch answered wholly by the LRU.
+	b.Run("cache-hit", func(b *testing.B) {
+		const size = 1024
+		n := benchNode(b, 1<<16, false)
+		pairs := make([]Pair, 1<<15)
+		for i := range pairs {
+			pairs[i] = Pair{FP: fp(uint64(i)), Val: Value(i)}
+		}
+		if _, err := n.BatchLookupOrInsert(context.Background(), pairs); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			at := i * size % len(pairs)
+			rs, err := n.BatchLookupOrInsert(context.Background(), pairs[at:at+size])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rs[0].Source != SourceCache {
+				b.Fatalf("first answer %+v, want a cache hit", rs[0])
+			}
+		}
+		b.ReportMetric(size, "pairs/op")
+	})
 }
 
 // BenchmarkNodeBatchMiss is the node's share of the end-to-end benchmark's

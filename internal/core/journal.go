@@ -198,9 +198,7 @@ func readJournalRecords(f *os.File, size int64) ([]jrec, int64, int64, error) {
 		if crc32.ChecksumIEEE(rec[4:]) != binary.BigEndian.Uint32(rec[0:4]) {
 			break
 		}
-		r := jrec{kind: rec[4]}
-		copy(r.fp[:], rec[5:5+fingerprint.Size])
-		r.val = Value(binary.BigEndian.Uint64(rec[5+fingerprint.Size:]))
+		r := jrec{kind: rec[4], fp: fingerprint.FromBytes(rec[5:]), val: Value(binary.BigEndian.Uint64(rec[5+fingerprint.Size:]))}
 		if r.kind != journalPut && r.kind != journalDelete {
 			break
 		}
@@ -219,7 +217,7 @@ func readJournalRecords(f *os.File, size int64) ([]jrec, int64, int64, error) {
 func (j *journal) append(kind byte, fp fingerprint.Fingerprint, val Value) uint64 {
 	var rec [journalRecSize]byte
 	rec[4] = kind
-	copy(rec[5:], fp[:])
+	fp.Put(rec[5:])
 	binary.BigEndian.PutUint64(rec[5+fingerprint.Size:], uint64(val))
 	binary.BigEndian.PutUint32(rec[0:4], crc32.ChecksumIEEE(rec[4:]))
 

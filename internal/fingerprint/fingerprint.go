@@ -3,31 +3,61 @@
 //
 // SHHC identifies every data chunk by its SHA-1 digest, following the paper
 // ("calculates a fingerprint for each chunk using a cryptographic hash
-// function (e.g. SHA-1)"). A fingerprint is an opaque 20-byte value; the
-// cluster routes on a 64-bit prefix of it.
+// function (e.g. SHA-1)"). The cluster routes on a 64-bit prefix of it.
+//
+// Representation. A Fingerprint is the digest held as three integer words —
+// bytes 0–8, 8–16 and 16–20 read big-endian — not as a [20]byte. Go passes
+// a struct of up to four words in registers and an array of more than one
+// element never, so the array form was copied through the stack at every
+// call of the hit and miss paths, and the word loads that followed each copy
+// defeated store-to-load forwarding. As words, == is three integer compares
+// and Prefix64/Bucket64/Tail32 are field reads.
+//
+// The type is opaque: never reach for the bytes on a hot path. The 20 digest
+// bytes exist only at the edges — wire frames, hashdb pages, journal
+// records, trace files, hex — and cross them through FromBytes, Put, Append
+// and Bytes, which keep every encoded form byte-identical to the digest.
 package fingerprint
 
 import (
+	"cmp"
 	"crypto/sha1"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 )
 
-// Size is the length of a fingerprint in bytes (SHA-1 digest size).
+// Size is the encoded length of a fingerprint in bytes (SHA-1 digest size).
 const Size = sha1.Size
 
-// Fingerprint is the SHA-1 digest of a chunk's content.
-type Fingerprint [Size]byte
+// Fingerprint is the SHA-1 digest of a chunk's content. It is comparable
+// and usable as a map key; its zero value is Zero.
+type Fingerprint struct {
+	a, b uint64
+	c    uint32
+}
 
 // Zero is the all-zero fingerprint. It is never produced by hashing real
 // data (probabilistically) and is used as a sentinel for "empty slot" in
 // on-disk structures.
 var Zero Fingerprint
 
+// FromBytes reads a fingerprint from the first Size bytes of b, which must
+// hold at least that many.
+func FromBytes(b []byte) Fingerprint {
+	_ = b[Size-1]
+	return Fingerprint{binary.BigEndian.Uint64(b), binary.BigEndian.Uint64(b[8:]), binary.BigEndian.Uint32(b[16:])}
+}
+
+// FromWords is the inverse of Prefix64, Bucket64 and Tail32.
+func FromWords(prefix, bucket uint64, tail uint32) Fingerprint {
+	return Fingerprint{prefix, bucket, tail}
+}
+
 // FromData computes the fingerprint of a chunk's content.
 func FromData(data []byte) Fingerprint {
-	return Fingerprint(sha1.Sum(data))
+	sum := sha1.Sum(data)
+	return FromBytes(sum[:])
 }
 
 // FromUint64 derives a deterministic synthetic fingerprint from a counter.
@@ -36,30 +66,53 @@ func FromData(data []byte) Fingerprint {
 func FromUint64(v uint64) Fingerprint {
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], v)
-	return Fingerprint(sha1.Sum(buf[:]))
+	return FromData(buf[:])
 }
 
 // Parse decodes a 40-character hex string into a fingerprint.
 func Parse(s string) (Fingerprint, error) {
-	var fp Fingerprint
+	var raw [Size]byte
 	if len(s) != hex.EncodedLen(Size) {
-		return fp, fmt.Errorf("fingerprint: parse %q: want %d hex chars, got %d",
+		return Zero, fmt.Errorf("fingerprint: parse %q: want %d hex chars, got %d",
 			s, hex.EncodedLen(Size), len(s))
 	}
-	if _, err := hex.Decode(fp[:], []byte(s)); err != nil {
-		return fp, fmt.Errorf("fingerprint: parse %q: %w", s, err)
+	if _, err := hex.Decode(raw[:], []byte(s)); err != nil {
+		return Zero, fmt.Errorf("fingerprint: parse %q: %w", s, err)
 	}
-	return fp, nil
+	return FromBytes(raw[:]), nil
+}
+
+// Put writes the digest into the first Size bytes of dst.
+func (fp Fingerprint) Put(dst []byte) {
+	_ = dst[Size-1]
+	binary.BigEndian.PutUint64(dst, fp.a)
+	binary.BigEndian.PutUint64(dst[8:], fp.b)
+	binary.BigEndian.PutUint32(dst[16:], fp.c)
+}
+
+// Append appends the digest to dst.
+func (fp Fingerprint) Append(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, fp.a)
+	dst = binary.BigEndian.AppendUint64(dst, fp.b)
+	return binary.BigEndian.AppendUint32(dst, fp.c)
+}
+
+// Bytes returns the digest.
+func (fp Fingerprint) Bytes() (raw [Size]byte) {
+	fp.Put(raw[:])
+	return raw
 }
 
 // String returns the lowercase hex encoding of the fingerprint.
 func (fp Fingerprint) String() string {
-	return hex.EncodeToString(fp[:])
+	raw := fp.Bytes()
+	return hex.EncodeToString(raw[:])
 }
 
 // Short returns the first 8 hex characters, for logs.
 func (fp Fingerprint) Short() string {
-	return hex.EncodeToString(fp[:4])
+	raw := fp.Bytes()
+	return hex.EncodeToString(raw[:4])
 }
 
 // IsZero reports whether the fingerprint is the zero sentinel.
@@ -70,25 +123,23 @@ func (fp Fingerprint) IsZero() bool {
 // Prefix64 returns the first 8 bytes as a big-endian uint64. The ring
 // partitioner and the on-disk hash table both key off this prefix; SHA-1
 // output is uniform, so the prefix is uniform too.
-func (fp Fingerprint) Prefix64() uint64 {
-	return binary.BigEndian.Uint64(fp[:8])
-}
+func (fp Fingerprint) Prefix64() uint64 { return fp.a }
 
 // Bucket64 returns a second independent 64-bit value (bytes 8..16), used
 // for double hashing in the Bloom filter and cuckoo index.
-func (fp Fingerprint) Bucket64() uint64 {
-	return binary.BigEndian.Uint64(fp[8:16])
-}
+func (fp Fingerprint) Bucket64() uint64 { return fp.b }
 
-// Compare orders fingerprints lexicographically, returning -1, 0 or +1.
+// Tail32 returns the last 4 bytes as a big-endian uint32.
+func (fp Fingerprint) Tail32() uint32 { return fp.c }
+
+// Compare orders fingerprints lexicographically by digest, returning -1, 0
+// or +1.
 func (fp Fingerprint) Compare(other Fingerprint) int {
-	for i := 0; i < Size; i++ {
-		switch {
-		case fp[i] < other[i]:
-			return -1
-		case fp[i] > other[i]:
-			return 1
-		}
+	if c := cmp.Compare(fp.a, other.a); c != 0 {
+		return c
 	}
-	return 0
+	if c := cmp.Compare(fp.b, other.b); c != 0 {
+		return c
+	}
+	return cmp.Compare(fp.c, other.c)
 }

@@ -147,7 +147,7 @@ func (sc *chainScratch) addPage(no uint64) *chainPage {
 	if cp.buf == nil {
 		cp.buf = make([]byte, PageSize)
 	}
-	cp.no, cp.dirty = no, false
+	cp.no, cp.had, cp.dirty = no, 0, false
 	return cp
 }
 
@@ -267,10 +267,9 @@ func (db *DB) getChain(ctx context.Context, cs *chainScratch, run []keyed, fps [
 		}
 		n := pageCount(page)
 		for i := 0; i < n && remaining > 0; i++ {
-			efp, v := entryAt(page, i)
 			for _, idx := range live {
-				if !found[idx] && fps[idx] == efp {
-					vals[idx] = v
+				if !found[idx] && entryIs(page, i, fps[idx]) {
+					vals[idx] = entryVal(page, i)
 					found[idx] = true
 					remaining--
 				}

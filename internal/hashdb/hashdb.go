@@ -22,6 +22,7 @@
 package hashdb
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -598,14 +599,9 @@ func (db *DB) readPage(p uint64, buf []byte) error {
 	return nil
 }
 
-func isZeroPage(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
+var zeroPage [PageSize]byte
+
+func isZeroPage(b []byte) bool { return bytes.Equal(b, zeroPage[:len(b)]) }
 
 func (db *DB) writePage(p uint64, buf []byte) error {
 	binary.BigEndian.PutUint32(buf[0:pageCRCSize], crc32.ChecksumIEEE(buf[pageCRCSize:]))
@@ -676,16 +672,25 @@ func setPageNext(page []byte, p uint64) {
 }
 
 func entryAt(page []byte, i int) (fingerprint.Fingerprint, Value) {
-	off := pageHdrSize + i*entrySize
-	var fp fingerprint.Fingerprint
-	copy(fp[:], page[off:off+fingerprint.Size])
-	return fp, Value(binary.BigEndian.Uint64(page[off+fingerprint.Size : off+entrySize]))
+	e := page[pageHdrSize+i*entrySize:][:entrySize]
+	return fingerprint.FromBytes(e), Value(binary.BigEndian.Uint64(e[fingerprint.Size:]))
+}
+
+// entryIs reports whether slot i holds fp. It compiles to word compares
+// against the page, prefix first: the chain scans dismiss nearly every entry
+// on one load, and materialise none.
+func entryIs(page []byte, i int, fp fingerprint.Fingerprint) bool {
+	return fingerprint.FromBytes(page[pageHdrSize+i*entrySize:]) == fp
+}
+
+func entryVal(page []byte, i int) Value {
+	return Value(binary.BigEndian.Uint64(page[pageHdrSize+i*entrySize+fingerprint.Size:]))
 }
 
 func setEntryAt(page []byte, i int, fp fingerprint.Fingerprint, v Value) {
-	off := pageHdrSize + i*entrySize
-	copy(page[off:], fp[:])
-	binary.BigEndian.PutUint64(page[off+fingerprint.Size:off+entrySize], uint64(v))
+	e := page[pageHdrSize+i*entrySize:][:entrySize]
+	fp.Put(e)
+	binary.BigEndian.PutUint64(e[fingerprint.Size:], uint64(v))
 }
 
 // Get returns the value stored for fp.
@@ -703,9 +708,8 @@ func (db *DB) Get(fp fingerprint.Fingerprint) (Value, bool, error) {
 		}
 		n := pageCount(page)
 		for i := 0; i < n; i++ {
-			efp, v := entryAt(page, i)
-			if efp == fp {
-				return v, true, nil
+			if entryIs(page, i, fp) {
+				return entryVal(page, i), true, nil
 			}
 		}
 		p = pageNext(page)
@@ -767,8 +771,7 @@ func (db *DB) Delete(fp fingerprint.Fingerprint) (bool, error) {
 		n := pageCount(page)
 		next := pageNext(page)
 		for i := 0; i < n; i++ {
-			efp, _ := entryAt(page, i)
-			if efp != fp {
+			if !entryIs(page, i, fp) {
 				continue
 			}
 			if err := db.markDirty(); err != nil {

@@ -2,6 +2,7 @@ package hashdb
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -387,4 +388,35 @@ func TestQuickGetAfterPut(t *testing.T) {
 
 func writeFile(path string, data []byte) error {
 	return osWriteFile(path, data)
+}
+
+// TestGoldenPageEntry pins a page entry's bytes: whatever the fingerprint's
+// in-memory representation, slot i of a page is the 20 digest bytes then the
+// value, big-endian, at page offset 14+28i — after crc32(4) count(2) next(8).
+func TestGoldenPageEntry(t *testing.T) {
+	const abc = "\xa9\x99\x3e\x36\x47\x06\x81\x6a\xba\x3e\x25\x71\x78\x50\xc2\x6c\x9c\xd0\xd8\x9d" // SHA-1("abc")
+	path := filepath.Join(t.TempDir(), "golden.shdb")
+	db, err := Create(path, Options{Buckets: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Pair{{fp(1), 1}, {fingerprint.FromData([]byte("abc")), 0x0102030405060708}} {
+		if _, err := db.Put(p.FP, p.Val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := file[PageSize : 2*PageSize] // page 0 is the header, page 1 the only bucket
+	if got, want := page[14+28:14+2*28], abc+"\x01\x02\x03\x04\x05\x06\x07\x08"; string(got) != want {
+		t.Fatalf("slot 1 of the bucket page = %x, want %x", got, want)
+	}
+	if efp, v := entryAt(page, 1); efp.String() != "a9993e364706816aba3e25717850c26c9cd0d89d" || v != 0x0102030405060708 {
+		t.Fatalf("entryAt = %v, %#x", efp, v)
+	}
 }

@@ -89,10 +89,12 @@ func (db *DB) PutBatch(ctx context.Context, pairs []Pair) ([]bool, int, error) {
 
 // chainPage is one page of a bucket chain held in memory during a batched
 // read-modify-write. no == 0 marks a fresh overflow page whose file
-// position has not been allocated yet.
+// position has not been allocated yet. had is the entry count putChain read
+// the page with: slots from had up were appended by the call in progress.
 type chainPage struct {
 	no    uint64
 	buf   []byte
+	had   int
 	dirty bool
 }
 
@@ -146,14 +148,14 @@ func (db *DB) putChain(ctx context.Context, cs *chainScratch, run []keyed, pairs
 			return 0, err
 		}
 		n := pageCount(buf)
+		cp.had = n
 		for j := 0; j < n && len(remaining) > 0; j++ {
-			efp, _ := entryAt(buf, j)
 			kept := remaining[:0]
 			for _, idx := range remaining {
-				if pairs[idx].FP == efp {
+				if entryIs(buf, j, pairs[idx].FP) {
 					// Later duplicates of one fingerprint overwrite in
 					// order; the last value wins, as sequential Puts would.
-					setEntryAt(buf, j, efp, pairs[idx].Val)
+					setEntryAt(buf, j, pairs[idx].FP, pairs[idx].Val)
 					cp.dirty = true
 					continue
 				}
@@ -165,10 +167,10 @@ func (db *DB) putChain(ctx context.Context, cs *chainScratch, run []keyed, pairs
 	}
 	db.observeChain(len(cs.chain))
 
-	// Apply the still-unresolved pairs against the in-memory chain. A
-	// full chain grows by a placeholder page (no=0), so intra-batch
-	// duplicates of a fresh fingerprint are found by the same scan that
-	// finds on-disk entries.
+	// The still-unresolved pairs are on no page as read — the loop above
+	// compared every entry against each of them — so each is an append,
+	// unless an earlier pair of this batch already appended its fingerprint.
+	// A full chain grows by a placeholder page (no=0).
 	var createdCount, newPages int
 	for _, idx := range remaining {
 		fp, val := pairs[idx].FP, pairs[idx].Val
@@ -234,16 +236,14 @@ func (db *DB) putChain(ctx context.Context, cs *chainScratch, run []keyed, pairs
 	return writes, nil
 }
 
-// chainUpdate overwrites fp's entry in the in-memory chain, reporting
-// whether it was present.
+// chainUpdate overwrites fp's entry among the slots this call appended to
+// the in-memory chain (on pages that are therefore dirty already),
+// reporting whether it was there.
 func chainUpdate(chain []chainPage, fp fingerprint.Fingerprint, val Value) bool {
 	for i := range chain {
-		n := pageCount(chain[i].buf)
-		for j := 0; j < n; j++ {
-			efp, _ := entryAt(chain[i].buf, j)
-			if efp == fp {
+		for j, n := chain[i].had, pageCount(chain[i].buf); j < n; j++ {
+			if entryIs(chain[i].buf, j, fp) {
 				setEntryAt(chain[i].buf, j, fp, val)
-				chain[i].dirty = true
 				return true
 			}
 		}

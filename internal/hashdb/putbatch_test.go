@@ -2,7 +2,6 @@ package hashdb
 
 import (
 	"context"
-	"encoding/binary"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -357,8 +356,7 @@ func BenchmarkDBPutBatch(b *testing.B) {
 // of a table with nb buckets.
 func inBucket(nb, b, k uint64) fingerprint.Fingerprint {
 	f := fp(k)
-	binary.BigEndian.PutUint64(f[:8], k*nb+b)
-	return f
+	return fingerprint.FromWords(k*nb+b, f.Bucket64(), f.Tail32())
 }
 
 // TestBatchSkewedOntoOneBucket: the two batches the grouping must not

@@ -20,7 +20,6 @@
 package lru
 
 import (
-	"encoding/binary"
 	"sync/atomic"
 
 	"shhc/internal/fingerprint"
@@ -30,23 +29,6 @@ import (
 // SHHC stores a location token; 8 bytes matches the paper's <fingerprint,
 // locator> entries and keeps cache accounting simple.
 type Value uint64
-
-// key is a fingerprint as the three words an entry stores it in.
-type key struct {
-	a, b uint64
-	c    uint32
-}
-
-func keyOf(fp fingerprint.Fingerprint) key {
-	return key{fp.Prefix64(), fp.Bucket64(), binary.BigEndian.Uint32(fp[16:])}
-}
-
-func (k key) fingerprint() (fp fingerprint.Fingerprint) {
-	binary.BigEndian.PutUint64(fp[:8], k.a)
-	binary.BigEndian.PutUint64(fp[8:16], k.b)
-	binary.BigEndian.PutUint32(fp[16:], k.c)
-	return fp
-}
 
 // entry is one slot of the slab. prev/next (the recency list, or the free
 // list while the slot is vacant) and dirty (changed only through setDirty)
@@ -76,11 +58,13 @@ type entry struct {
 	dirty bool
 }
 
-func (e *entry) holds(k key) bool {
-	return e.fpA.Load() == k.a && e.fpB.Load() == k.b && e.fpC.Load() == k.c
+func (e *entry) holds(fp fingerprint.Fingerprint) bool {
+	return e.fpA.Load() == fp.Prefix64() && e.fpB.Load() == fp.Bucket64() && e.fpC.Load() == fp.Tail32()
 }
 
-func (e *entry) key() key { return key{e.fpA.Load(), e.fpB.Load(), e.fpC.Load()} }
+func (e *entry) fingerprint() fingerprint.Fingerprint {
+	return fingerprint.FromWords(e.fpA.Load(), e.fpB.Load(), e.fpC.Load())
+}
 
 // EvictFunc observes a destaged entry. dirty reports whether the entry was
 // inserted (or updated) through PutDirty and never flushed.
@@ -139,14 +123,14 @@ func New(capacity int, onEvict EvictFunc) *Cache {
 // bucket picks an index bucket from bits independent of the stripe
 // selector: Striped routes on the low bits of Bucket64, so within one
 // stripe those bits are constant and only the high half spreads.
-func (c *Cache) bucket(k key) *atomic.Uint32 {
-	return &c.index[(k.b>>32)&c.idxMask]
+func (c *Cache) bucket(fp fingerprint.Fingerprint) *atomic.Uint32 {
+	return &c.index[(fp.Bucket64()>>32)&c.idxMask]
 }
 
-// find is the writer's index walk: the slot holding k, or 0.
-func (c *Cache) find(k key) uint32 {
-	for i := c.bucket(k).Load(); i != 0; i = c.slab[i].hnext.Load() {
-		if c.slab[i].holds(k) {
+// find is the writer's index walk: the slot holding fp, or 0.
+func (c *Cache) find(fp fingerprint.Fingerprint) uint32 {
+	for i := c.bucket(fp).Load(); i != 0; i = c.slab[i].hnext.Load() {
+		if c.slab[i].holds(fp) {
 			return i
 		}
 	}
@@ -161,7 +145,7 @@ func (c *Cache) Capacity() int { return c.capacity }
 
 // Get looks up a fingerprint, promoting it to most-recently-used on a hit.
 func (c *Cache) Get(fp fingerprint.Fingerprint) (Value, bool) {
-	i := c.find(keyOf(fp))
+	i := c.find(fp)
 	if i == 0 {
 		c.misses++
 		return 0, false
@@ -180,11 +164,10 @@ func (c *Cache) Get(fp fingerprint.Fingerprint) (Value, bool) {
 // GetFast counts nothing: the slow path counts its misses, the caller its
 // hits.
 func (c *Cache) GetFast(fp fingerprint.Fingerprint) (Value, bool) {
-	k := keyOf(fp)
-	for i := c.bucket(k).Load(); i != 0; {
+	for i := c.bucket(fp).Load(); i != 0; {
 		e := &c.slab[i]
 		seq := e.seq.Load()
-		match, v, next := e.holds(k), e.val.Load(), e.hnext.Load()
+		match, v, next := e.holds(fp), e.val.Load(), e.hnext.Load()
 		if seq&1 != 0 || e.seq.Load() != seq {
 			return 0, false
 		}
@@ -201,7 +184,7 @@ func (c *Cache) GetFast(fp fingerprint.Fingerprint) (Value, bool) {
 
 // Peek looks up a fingerprint without updating recency or statistics.
 func (c *Cache) Peek(fp fingerprint.Fingerprint) (Value, bool) {
-	i := c.find(keyOf(fp))
+	i := c.find(fp)
 	if i == 0 {
 		return 0, false
 	}
@@ -212,13 +195,13 @@ func (c *Cache) Peek(fp fingerprint.Fingerprint) (Value, bool) {
 // promoting it to most-recently-used. It reports whether an older entry was
 // evicted to make room.
 func (c *Cache) Put(fp fingerprint.Fingerprint, val Value) bool {
-	return c.put(keyOf(fp), val, false)
+	return c.put(fp, val, false)
 }
 
 // PutDirty inserts or updates an entry that has not been persisted yet.
 // The eviction callback sees dirty=true unless MarkCleanIf cleans it first.
 func (c *Cache) PutDirty(fp fingerprint.Fingerprint, val Value) bool {
-	return c.put(keyOf(fp), val, true)
+	return c.put(fp, val, true)
 }
 
 // PutIfAbsent inserts a clean entry only when the fingerprint is not
@@ -227,16 +210,15 @@ func (c *Cache) PutDirty(fp fingerprint.Fingerprint, val Value) bool {
 // install (e.g. of a stale probe result) can never overwrite a fresher or
 // dirty entry.
 func (c *Cache) PutIfAbsent(fp fingerprint.Fingerprint, val Value) bool {
-	k := keyOf(fp)
-	if c.find(k) != 0 {
+	if c.find(fp) != 0 {
 		return false
 	}
-	c.insert(k, val, false)
+	c.insert(fp, val, false)
 	return true
 }
 
-func (c *Cache) put(k key, val Value, dirty bool) bool {
-	if i := c.find(k); i != 0 {
+func (c *Cache) put(fp fingerprint.Fingerprint, val Value, dirty bool) bool {
+	if i := c.find(fp); i != 0 {
 		e := &c.slab[i]
 		e.val.Store(uint64(val))
 		if dirty {
@@ -245,7 +227,7 @@ func (c *Cache) put(k key, val Value, dirty bool) bool {
 		c.moveToFront(i)
 		return false
 	}
-	return c.insert(k, val, dirty)
+	return c.insert(fp, val, dirty)
 }
 
 // insert adds an entry known to be absent, into the slot of the entry it
@@ -253,7 +235,7 @@ func (c *Cache) put(k key, val Value, dirty bool) bool {
 // no chain); the seq increment makes the rewritten fields valid to a reader
 // that still holds the slot number, and the store into the bucket publishes
 // the entry to everyone else.
-func (c *Cache) insert(k key, val Value, dirty bool) bool {
+func (c *Cache) insert(fp fingerprint.Fingerprint, val Value, dirty bool) bool {
 	evicted := c.n >= c.capacity
 	var i uint32
 	switch {
@@ -268,15 +250,15 @@ func (c *Cache) insert(k key, val Value, dirty bool) bool {
 		c.slab[i].seq.Store(1)
 	}
 	e := &c.slab[i]
-	e.fpA.Store(k.a)
-	e.fpB.Store(k.b)
-	e.fpC.Store(k.c)
+	e.fpA.Store(fp.Prefix64())
+	e.fpB.Store(fp.Bucket64())
+	e.fpC.Store(fp.Tail32())
 	e.val.Store(uint64(val))
 	if e.ref.Load() {
 		e.ref.Store(false)
 	}
 	c.setDirty(e, dirty)
-	b := c.bucket(k)
+	b := c.bucket(fp)
 	e.hnext.Store(b.Load())
 	e.seq.Add(1)
 	b.Store(i)
@@ -294,7 +276,7 @@ func (c *Cache) vacate(i uint32) {
 	c.unlink(i)
 	c.n--
 	e.seq.Add(1)
-	b := c.bucket(e.key())
+	b := c.bucket(e.fingerprint())
 	if b.Load() == i {
 		b.Store(e.hnext.Load())
 		return
@@ -326,7 +308,7 @@ func (c *Cache) setDirty(e *entry, dirty bool) {
 // while that write was in flight stays dirty. It reports whether the entry
 // is clean with val on return.
 func (c *Cache) MarkCleanIf(fp fingerprint.Fingerprint, val Value) bool {
-	i := c.find(keyOf(fp))
+	i := c.find(fp)
 	if i == 0 || Value(c.slab[i].val.Load()) != val {
 		return false
 	}
@@ -348,7 +330,7 @@ func (c *Cache) ColdDirty(limit int, visit func(fp fingerprint.Fingerprint, val 
 			continue
 		}
 		n++
-		if !visit(e.key().fingerprint(), Value(e.val.Load())) {
+		if !visit(e.fingerprint(), Value(e.val.Load())) {
 			break
 		}
 	}
@@ -358,7 +340,7 @@ func (c *Cache) ColdDirty(limit int, visit func(fp fingerprint.Fingerprint, val 
 // Remove deletes an entry without invoking the eviction callback.
 // It reports whether the entry existed.
 func (c *Cache) Remove(fp fingerprint.Fingerprint) bool {
-	i := c.find(keyOf(fp))
+	i := c.find(fp)
 	if i == 0 {
 		return false
 	}
@@ -374,7 +356,7 @@ func (c *Cache) Oldest() (fingerprint.Fingerprint, bool) {
 	if c.tail == 0 {
 		return fingerprint.Zero, false
 	}
-	return c.slab[c.tail].key().fingerprint(), true
+	return c.slab[c.tail].fingerprint(), true
 }
 
 // Keys returns fingerprints from most- to least-recently-used. It allocates
@@ -382,7 +364,7 @@ func (c *Cache) Oldest() (fingerprint.Fingerprint, bool) {
 func (c *Cache) Keys() []fingerprint.Fingerprint {
 	keys := make([]fingerprint.Fingerprint, 0, c.n)
 	for i := c.head; i != 0; i = c.slab[i].next {
-		keys = append(keys, c.slab[i].key().fingerprint())
+		keys = append(keys, c.slab[i].fingerprint())
 	}
 	return keys
 }
@@ -435,7 +417,7 @@ func (c *Cache) evictTail() uint32 {
 	dirty := e.dirty
 	c.setDirty(e, false)
 	if c.onEvict != nil {
-		c.onEvict(e.key().fingerprint(), Value(e.val.Load()), dirty)
+		c.onEvict(e.fingerprint(), Value(e.val.Load()), dirty)
 	}
 	return i
 }

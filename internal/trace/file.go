@@ -62,7 +62,8 @@ func NewWriter(path, name string, chunkSize int) (*Writer, error) {
 
 // Write appends one fingerprint.
 func (w *Writer) Write(fp fingerprint.Fingerprint) error {
-	if _, err := w.bw.Write(fp[:]); err != nil {
+	raw := fp.Bytes()
+	if _, err := w.bw.Write(raw[:]); err != nil {
 		return fmt.Errorf("trace: write fingerprint: %w", err)
 	}
 	w.count++
@@ -147,12 +148,12 @@ func (r *Reader) Next() (fingerprint.Fingerprint, bool, error) {
 	if r.read >= r.count {
 		return fingerprint.Zero, false, nil
 	}
-	var fp fingerprint.Fingerprint
-	if _, err := io.ReadFull(r.br, fp[:]); err != nil {
-		return fp, false, fmt.Errorf("%w: truncated at record %d: %v", ErrBadTrace, r.read, err)
+	var raw [fingerprint.Size]byte
+	if _, err := io.ReadFull(r.br, raw[:]); err != nil {
+		return fingerprint.Zero, false, fmt.Errorf("%w: truncated at record %d: %v", ErrBadTrace, r.read, err)
 	}
 	r.read++
-	return fp, true, nil
+	return fingerprint.FromBytes(raw[:]), true, nil
 }
 
 // Close closes the underlying file.

@@ -106,7 +106,7 @@ func (s *Spec) fill() {
 }
 
 // maxWindow bounds generator memory: the replay window holds at most this
-// many recent fingerprints (20 bytes each; 8M -> 160 MB).
+// many recent fingerprints (24 bytes each in memory; 8M -> 192 MB).
 const maxWindow = 8 << 20
 
 // Generator produces a workload stream one fingerprint at a time.

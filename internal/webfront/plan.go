@@ -163,15 +163,16 @@ func scanPlan(b []byte, dst []core.Pair, limit int) (int, scanResult) {
 			if n == limit {
 				// Judge the element before counting it: a malformed one
 				// is the slow path's to report.
-				var fp fingerprint.Fingerprint
-				if !decodeHex(&fp, b[i+1:i+41]) {
+				if _, ok := decodeHex(b[i+1 : i+41]); !ok {
 					return 0, scanFallback
 				}
 				return 0, scanTooMany
 			}
-			if !decodeHex(&dst[n].FP, b[i+1:i+41]) {
+			fp, ok := decodeHex(b[i+1 : i+41])
+			if !ok {
 				return 0, scanFallback
 			}
+			dst[n].FP = fp
 			n++
 			i = skipSpace(b, i+42)
 			if i == len(b) {
@@ -218,17 +219,27 @@ var hexNibble = func() (t [256]byte) {
 	return t
 }()
 
-// decodeHex decodes the 40 hex digits of src into fp and reports whether
-// all of them were hex digits.
-func decodeHex(fp *fingerprint.Fingerprint, src []byte) bool {
+// decodeHex decodes the 40 hex digits of src, straight into the
+// fingerprint's three words, and reports whether all of them were hex
+// digits.
+func decodeHex(src []byte) (fingerprint.Fingerprint, bool) {
 	src = src[:2*fingerprint.Size]
-	var bad byte
-	for j := range fp {
-		hi, lo := hexNibble[src[2*j]], hexNibble[src[2*j+1]]
-		bad |= hi | lo
-		fp[j] = hi<<4 | lo
+	var (
+		a, b uint64
+		c    uint32
+		bad  byte
+	)
+	for j := 0; j < 16; j++ {
+		x, y := hexNibble[src[j]], hexNibble[src[16+j]]
+		bad |= x | y
+		a, b = a<<4|uint64(x), b<<4|uint64(y)
 	}
-	return bad < 16
+	for _, ch := range src[32:] {
+		x := hexNibble[ch]
+		bad |= x
+		c = c<<4 | uint32(x)
+	}
+	return fingerprint.FromWords(a, b, c), bad < 16
 }
 
 // decodePlanSlow is the general decoder: everything encoding/json accepts

@@ -12,7 +12,7 @@ import (
 // boxing, or slice escape on any of these paths fails the suite, not just
 // a benchmark chart.
 
-func allocFP(i uint64) [20]byte { return fingerprint.FromUint64(i) }
+func allocFP(i uint64) fingerprint.Fingerprint { return fingerprint.FromUint64(i) }
 
 func TestAllocAppendPair(t *testing.T) {
 	buf := make([]byte, 0, 64)

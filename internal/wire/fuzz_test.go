@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"shhc/internal/fingerprint"
 )
 
 // FuzzDecodeFrame feeds arbitrary bytes to the frame reader at every
@@ -15,7 +17,7 @@ import (
 func FuzzDecodeFrame(f *testing.F) {
 	// Seeds: one well-formed frame per layout, plus payload shapes.
 	var v0, v1, v5 bytes.Buffer
-	WriteFrameV(&v0, Frame{Type: TypeLookup, ID: 7, Payload: EncodeFP([20]byte{1, 2})}, Version0)
+	WriteFrameV(&v0, Frame{Type: TypeLookup, ID: 7, Payload: EncodeFP(fingerprint.FromWords(0x0102<<48, 0, 0))}, Version0)
 	WriteFrameV(&v1, Frame{Type: TypeBatch, ID: 9, Timeout: time.Second, Payload: EncodeBatch([]PairPayload{{Val: 3}})}, Version1)
 	WriteFrameV(&v5, Frame{Type: TypeWindowUpdate, ID: 3, Stream: 12, Payload: AppendWindowUpdate(nil, 4096)}, Version5)
 	f.Add(v0.Bytes())
@@ -182,7 +184,7 @@ func TestMalformedFrames(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	good := frame(Version1, Frame{Type: TypeLookup, ID: 1, Payload: EncodeFP([20]byte{9})})
+	good := frame(Version1, Frame{Type: TypeLookup, ID: 1, Payload: EncodeFP(fingerprint.FromWords(9<<56, 0, 0))})
 
 	cases := []struct {
 		name    string

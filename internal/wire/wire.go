@@ -335,10 +335,7 @@ func DecodePair(b []byte) (PairPayload, error) {
 	if len(b) != pairSize {
 		return PairPayload{}, fmt.Errorf("wire: pair payload: want %d bytes, got %d: %w", pairSize, len(b), ErrShortPayload)
 	}
-	var p PairPayload
-	copy(p.FP[:], b[:fingerprint.Size])
-	p.Val = binary.BigEndian.Uint64(b[fingerprint.Size:])
-	return p, nil
+	return PairPayload{FP: fingerprint.FromBytes(b), Val: binary.BigEndian.Uint64(b[fingerprint.Size:])}, nil
 }
 
 // EncodeFP encodes a bare fingerprint payload (TypeLookup).
@@ -348,12 +345,10 @@ func EncodeFP(fp fingerprint.Fingerprint) []byte {
 
 // DecodeFP decodes a bare fingerprint payload.
 func DecodeFP(b []byte) (fingerprint.Fingerprint, error) {
-	var fp fingerprint.Fingerprint
 	if len(b) != fingerprint.Size {
-		return fp, fmt.Errorf("wire: fingerprint payload: want %d bytes, got %d: %w", fingerprint.Size, len(b), ErrShortPayload)
+		return fingerprint.Zero, fmt.Errorf("wire: fingerprint payload: want %d bytes, got %d: %w", fingerprint.Size, len(b), ErrShortPayload)
 	}
-	copy(fp[:], b)
-	return fp, nil
+	return fingerprint.FromBytes(b), nil
 }
 
 // EncodeBatch encodes a batch of pairs (TypeBatch).
@@ -378,11 +373,8 @@ func BatchCount(b []byte) (int, error) {
 
 // PairAt decodes pair i of a payload BatchCount accepted.
 func PairAt(b []byte, i int) PairPayload {
-	off := 4 + i*pairSize
-	var p PairPayload
-	copy(p.FP[:], b[off:off+fingerprint.Size])
-	p.Val = binary.BigEndian.Uint64(b[off+fingerprint.Size : off+pairSize])
-	return p
+	b = b[4+i*pairSize:][:pairSize]
+	return PairPayload{FP: fingerprint.FromBytes(b), Val: binary.BigEndian.Uint64(b[fingerprint.Size:])}
 }
 
 // DecodeBatch decodes a batch of pairs.

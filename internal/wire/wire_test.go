@@ -338,3 +338,24 @@ func TestQuickFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGoldenBatchFrame pins the bytes a fingerprint travels as: whatever its
+// in-memory representation, pair i of a TypeBatch frame is the 20 digest
+// bytes then the value, big-endian, at payload offset 4+28i — after the
+// 25-byte header of the current layout: length(4) type(1) id(8) timeout(8)
+// stream(4).
+func TestGoldenBatchFrame(t *testing.T) {
+	const abc = "\xa9\x99\x3e\x36\x47\x06\x81\x6a\xba\x3e\x25\x71\x78\x50\xc2\x6c\x9c\xd0\xd8\x9d" // SHA-1("abc")
+	pairs := []PairPayload{{FP: fingerprint.FromUint64(1), Val: 1}, {FP: fingerprint.FromData([]byte("abc")), Val: 0x0102030405060708}}
+	var buf bytes.Buffer
+	if err := WriteFrameV(&buf, Frame{Type: TypeBatch, ID: 9, Stream: 3, Payload: EncodeBatch(pairs)}, MaxVersion); err != nil {
+		t.Fatal(err)
+	}
+	const at = 25 + 4 + 28
+	if got, want := buf.Bytes()[at:], abc+"\x01\x02\x03\x04\x05\x06\x07\x08"; string(got) != want {
+		t.Fatalf("pair 1 of the frame = %x, want %x", got, want)
+	}
+	if got := PairAt(buf.Bytes()[25:], 1); got != pairs[1] {
+		t.Fatalf("PairAt = %+v, want %+v", got, pairs[1])
+	}
+}

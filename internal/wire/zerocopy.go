@@ -8,6 +8,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"shhc/internal/fingerprint"
 )
 
 // This file is the zero-copy / zero-alloc layer of the wire protocol:
@@ -83,14 +85,13 @@ func AppendHelloWindow(dst []byte, version int, window uint32) []byte {
 }
 
 // AppendFP appends a bare fingerprint payload (TypeLookup) to dst.
-func AppendFP(dst []byte, fp [20]byte) []byte {
-	return append(dst, fp[:]...)
+func AppendFP(dst []byte, fp fingerprint.Fingerprint) []byte {
+	return fp.Append(dst)
 }
 
 // AppendPair appends a fingerprint+value payload to dst.
 func AppendPair(dst []byte, p PairPayload) []byte {
-	dst = append(dst, p.FP[:]...)
-	return binary.BigEndian.AppendUint64(dst, p.Val)
+	return binary.BigEndian.AppendUint64(p.FP.Append(dst), p.Val)
 }
 
 // AppendBatch appends a batch of pairs (TypeBatch) to dst.
