@@ -29,14 +29,12 @@ func main() {
 
 func run() error {
 	var (
-		runSel = flag.String("run", "all", "experiments: all|fig1|table1|fig5|fig6|ablations|async|writes|recovery|hotpath|transport|growth (comma-separated)")
+		runSel = flag.String("run", "all", "experiments: all|fig1|table1|fig5|fig6|ablations|recovery|transport|growth (comma-separated)")
 		scale  = flag.Int("scale", 64, "workload scale divisor for cluster experiments")
 		t1     = flag.Int("table1-scale", 16, "workload scale divisor for Table I stats")
 		fps    = flag.Int("fps", 100000, "fingerprints per Figure 5 cell")
 		outPth = flag.String("out", "", "also write the report to this file")
-		wrOut  = flag.String("writes-out", "BENCH_writes.json", "write the write-path ablation results to this JSON file (empty disables)")
 		recOut = flag.String("recovery-out", "BENCH_recovery.json", "write the recovery benchmark results to this JSON file (empty disables)")
-		hpOut  = flag.String("hotpath-out", "BENCH_hotpath.json", "write the hot-path ablation results to this JSON file (empty disables)")
 		trOut  = flag.String("transport-out", "BENCH_transport.json", "write the mux transport benchmark results to this JSON file (empty disables)")
 		trCli  = flag.Int("transport-clients", 10000, "concurrent logical clients for the transport scale scenario")
 		trConn = flag.Int("transport-conns", 16, "TCP connections for the transport scale scenario (max 16)")
@@ -172,51 +170,6 @@ func run() error {
 			return err
 		}
 		fmt.Fprint(out, bench.FormatStripeSweep(stripePoints))
-	}
-
-	if want("ablations") || want("async") {
-		section("Ablation: locked I/O vs asynchronous pipeline")
-		start := time.Now()
-		asyncPoints, err := bench.RunAsyncAblation(0, 0, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, bench.FormatAsyncAblation(asyncPoints))
-		fmt.Fprintf(out, "(%v)\n", time.Since(start).Round(time.Millisecond))
-	}
-
-	if want("ablations") || want("writes") {
-		section("Ablation: write path (per-key vs batched vs async destage)")
-		start := time.Now()
-		writePoints, err := bench.RunWriteSweep(0, 0, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, bench.FormatWriteSweep(writePoints))
-		fmt.Fprintf(out, "(%v)\n", time.Since(start).Round(time.Millisecond))
-		if *wrOut != "" {
-			if err := bench.EmitWritesJSON(*wrOut, writePoints); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *wrOut)
-		}
-	}
-
-	if want("ablations") || want("hotpath") {
-		section("Ablation: zero-alloc hot path (locked vs lock-free reads × backends)")
-		start := time.Now()
-		hpPoints, err := bench.RunHotPathSweep(0, 0, 0)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, bench.FormatHotPathSweep(hpPoints))
-		fmt.Fprintf(out, "(%v)\n", time.Since(start).Round(time.Millisecond))
-		if *hpOut != "" {
-			if err := bench.EmitHotPathJSON(*hpOut, hpPoints); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *hpOut)
-		}
 	}
 
 	if want("transport") {

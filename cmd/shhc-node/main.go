@@ -48,8 +48,6 @@ func run() error {
 		wbIval   = flag.Duration("destage-interval", 0, "longest a dirty entry waits before a destage wave fires (0 = default 2ms)")
 		wbQueue  = flag.Int("destage-queue", 0, "dirty destage buffer bound in entries; evictions block when full (0 = 4x -destage-batch when set, else an eighth of -cache, at least 1024)")
 		journal  = flag.Bool("journal", false, "durable destage journal (write-back + -dir only): fsync evicted dirty entries to <dir>/<id>.wal before acking and replay the journal on restart")
-		lockedIO = flag.Bool("locked-io", false, "probe the SSD under the stripe lock (pre-pipeline baseline, for ablations)")
-		lockedRd = flag.Bool("locked-reads", false, "take the stripe lock on cache hits too (disables the lock-free read fast path, for ablations)")
 		backend  = flag.String("backend", "buffered", "hash table I/O backend (-dir only): buffered|direct (direct = O_DIRECT, bypassing the page cache; falls back to buffered where unsupported)")
 		qdepth   = flag.Int("direct-queue-depth", 0, "direct backend: concurrent O_DIRECT transfers (0 = default 32)")
 		pprofOn  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty = off")
@@ -141,8 +139,6 @@ func run() error {
 		DestageInterval: *wbIval,
 		DestageQueue:    *wbQueue,
 		JournalPath:     journalPath,
-		LockedIO:        *lockedIO,
-		LockedReads:     *lockedRd,
 	})
 	if err != nil {
 		store.Close()

@@ -4,6 +4,7 @@
 package a
 
 import (
+	"context"
 	"os"
 	"sync"
 )
@@ -13,10 +14,18 @@ type shard struct {
 	hits int
 }
 
+// store is reached only through its interface, as the node reaches
+// hashdb.Store: no implementation is visible at the call site, so the
+// marker on the method is all that says the call is I/O.
+type store interface {
+	putBatch(ctx context.Context, keys []uint64) (int, error) //shhc:io
+}
+
 type dev struct {
 	mu     sync.Mutex //shhc:lock rank=1
 	shards [4]shard
 	path   string
+	st     store
 }
 
 // ioUnderStripe reads the device while a RAM-only stripe lock is held.
@@ -39,6 +48,14 @@ func (d *dev) transitiveIO(i int) error {
 
 func (d *dev) flush() error {
 	return os.WriteFile(d.path, nil, 0o644)
+}
+
+// markedInterfaceIO calls a //shhc:io interface method under the stripe.
+func (d *dev) markedInterfaceIO(ctx context.Context, i int, keys []uint64) (int, error) {
+	s := &d.shards[i]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return d.st.putBatch(ctx, keys) // want `may perform I/O while s\.mu \(//shhc:lock ramonly\) is held`
 }
 
 // rankInversion acquires the rank-1 coordinator lock while already

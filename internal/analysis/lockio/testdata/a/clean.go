@@ -1,7 +1,10 @@
 // Negative cases: the disciplined flows the node actually uses.
 package a
 
-import "os"
+import (
+	"context"
+	"os"
+)
 
 // ramOnlyUnderStripe touches memory only while the stripe is held and
 // does its I/O after the unlock.
@@ -11,6 +14,16 @@ func (d *dev) ramOnlyUnderStripe(i int) error {
 	s.hits++
 	s.mu.Unlock()
 	return d.flush()
+}
+
+// markedInterfaceIOAfterUnlock is the node's batch shape: the RAM walk
+// under the stripe, the store's batch call once it is released.
+func (d *dev) markedInterfaceIOAfterUnlock(ctx context.Context, i int, keys []uint64) (int, error) {
+	s := &d.shards[i]
+	s.mu.Lock()
+	s.hits++
+	s.mu.Unlock()
+	return d.st.putBatch(ctx, keys)
 }
 
 // ioUnderCoordinator is allowed: d.mu is not RAM-only, only ordered.

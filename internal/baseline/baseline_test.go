@@ -8,6 +8,7 @@ import (
 	"shhc/internal/device"
 	"shhc/internal/fingerprint"
 	"shhc/internal/hashdb"
+	"shhc/internal/hashdb/storetest"
 )
 
 func fp(i uint64) fingerprint.Fingerprint { return fingerprint.FromUint64(i) }
@@ -85,7 +86,7 @@ func TestChunkStashNegativeLookupsAvoidSSD(t *testing.T) {
 	before := dev.Stats().Reads
 	misses := 0
 	for i := uint64(100000); i < 101000; i++ {
-		if ok, _ := s.Has(fp(i)); !ok {
+		if _, ok, _ := s.Get(fp(i)); !ok {
 			misses++
 		}
 	}
@@ -143,6 +144,15 @@ func TestChunkStashClosed(t *testing.T) {
 	if err := s.Close(); err == nil {
 		t.Fatal("double Close succeeded")
 	}
+}
+
+// TestChunkStashConformance runs hashdb's store conformance checks on the
+// one Store outside that package. The index is undersized on purpose: it
+// grows under the checks, and a delete must survive the rehash.
+func TestChunkStashConformance(t *testing.T) {
+	open := func(*testing.T) hashdb.Store { return NewChunkStash(64, nil) }
+	t.Run("GetBatchMatchesGet", func(t *testing.T) { storetest.GetBatchMatchesGet(t, open) })
+	t.Run("PutBatchMatchesPut", func(t *testing.T) { storetest.PutBatchMatchesPut(t, open) })
 }
 
 // Property: ChunkStash agrees with a shadow map under random ops.

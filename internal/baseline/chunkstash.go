@@ -15,7 +15,7 @@
 package baseline
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"sync"
 
@@ -43,6 +43,9 @@ type stashSlot struct {
 type logRecord struct {
 	fp  fingerprint.Fingerprint
 	val hashdb.Value
+	// dead tombstones a deleted record: the log is append-only, so the
+	// record stays, and grow and Range skip it.
+	dead bool
 }
 
 // ChunkStash is a compact-RAM-index + SSD-log fingerprint store.
@@ -97,37 +100,38 @@ func (s *ChunkStash) positions(fp fingerprint.Fingerprint) (uint64, uint64, uint
 	return h1, h2, sig
 }
 
-// Get returns the value stored for fp: a RAM probe plus, on signature
-// match, one SSD log read to confirm the full fingerprint.
+// find returns fp's cuckoo slot, or nil when fp is not stored: a RAM probe
+// plus, per signature match, one SSD log read to confirm the full
+// fingerprint (a signature collision keeps scanning). Caller holds mu.
+func (s *ChunkStash) find(fp fingerprint.Fingerprint) *stashSlot {
+	h1, h2, sig := s.positions(fp)
+	for _, h := range [2]uint64{h1, h2} {
+		for i := range s.buckets[h] {
+			slot := &s.buckets[h][i]
+			if !slot.used || slot.sig != sig {
+				continue
+			}
+			s.dev.Read(logRecordSize)
+			if s.log[slot.ptr].fp == fp {
+				return slot
+			}
+		}
+	}
+	return nil
+}
+
+// Get returns the value stored for fp: RAM-only when no signature matches,
+// one flash read per positive lookup.
 func (s *ChunkStash) Get(fp fingerprint.Fingerprint) (hashdb.Value, bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return 0, false, hashdb.ErrClosed
 	}
-	h1, h2, sig := s.positions(fp)
-	for _, h := range [2]uint64{h1, h2} {
-		for i := 0; i < stashAssoc; i++ {
-			slot := s.buckets[h][i]
-			if !slot.used || slot.sig != sig {
-				continue
-			}
-			// Signature hit: one flash read to fetch the full record.
-			s.dev.Read(logRecordSize)
-			rec := s.log[slot.ptr]
-			if rec.fp == fp {
-				return rec.val, true, nil
-			}
-			// Signature collision; keep scanning.
-		}
+	if slot := s.find(fp); slot != nil {
+		return s.log[slot.ptr].val, true, nil
 	}
 	return 0, false, nil
-}
-
-// Has reports whether fp is stored.
-func (s *ChunkStash) Has(fp fingerprint.Fingerprint) (bool, error) {
-	_, ok, err := s.Get(fp)
-	return ok, err
 }
 
 // Put appends the record to the SSD log and inserts its compact entry into
@@ -138,22 +142,12 @@ func (s *ChunkStash) Put(fp fingerprint.Fingerprint, v hashdb.Value) (bool, erro
 	if s.closed {
 		return false, hashdb.ErrClosed
 	}
-	h1, h2, sig := s.positions(fp)
 
 	// Update in place if present (needs the same confirm read as Get).
-	for _, h := range [2]uint64{h1, h2} {
-		for i := 0; i < stashAssoc; i++ {
-			slot := s.buckets[h][i]
-			if !slot.used || slot.sig != sig {
-				continue
-			}
-			s.dev.Read(logRecordSize)
-			if s.log[slot.ptr].fp == fp {
-				s.dev.Write(logRecordSize)
-				s.log[slot.ptr].val = v
-				return false, nil
-			}
-		}
+	if slot := s.find(fp); slot != nil {
+		s.dev.Write(logRecordSize)
+		s.log[slot.ptr].val = v
+		return false, nil
 	}
 
 	// Append to the SSD log.
@@ -161,15 +155,13 @@ func (s *ChunkStash) Put(fp fingerprint.Fingerprint, v hashdb.Value) (bool, erro
 	ptr := uint32(len(s.log))
 	s.log = append(s.log, logRecord{fp: fp, val: v})
 
-	if !s.insertSlot(h1, h2, sig, ptr, 0) {
-		// Displacement chain too long: grow and rehash the RAM index
-		// (pure RAM work; the log is untouched).
+	if h1, h2, sig := s.positions(fp); !s.insertSlot(h1, h2, sig, ptr, 0) {
+		// Displacement chain too long: grow and rehash the RAM index (pure
+		// RAM work; the log is untouched). The rehash indexes every log
+		// record, the one just appended included — a second slot for it
+		// would survive a later Delete.
 		if err := s.grow(); err != nil {
 			return false, err
-		}
-		nh1, nh2, nsig := s.positions(fp)
-		if !s.insertSlot(nh1, nh2, nsig, ptr, 0) {
-			return false, errors.New("baseline: chunkstash: insert failed after grow")
 		}
 	}
 	s.n++
@@ -206,6 +198,9 @@ func (s *ChunkStash) grow() error {
 		s.buckets = make([][stashAssoc]stashSlot, len(s.buckets)*2)
 		ok := true
 		for ptr, rec := range s.log {
+			if rec.dead {
+				continue
+			}
 			h1, h2, sig := s.positions(rec.fp)
 			if !s.insertSlot(h1, h2, sig, uint32(ptr), 0) {
 				ok = false
@@ -220,6 +215,74 @@ func (s *ChunkStash) grow() error {
 			return fmt.Errorf("baseline: chunkstash: cannot rehash %d entries", len(s.log))
 		}
 	}
+}
+
+// Delete clears fp's cuckoo slot and tombstones its log record, at the
+// cost of the same confirm read as Get plus the tombstone write.
+func (s *ChunkStash) Delete(fp fingerprint.Fingerprint) (bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false, hashdb.ErrClosed
+	}
+	slot := s.find(fp)
+	if slot == nil {
+		return false, nil
+	}
+	s.dev.Write(logRecordSize)
+	s.log[slot.ptr].dead = true
+	*slot = stashSlot{}
+	s.n--
+	return true, nil
+}
+
+// GetBatch is a loop over Get: the log has no pages to coalesce, every
+// positive lookup is its own flash read.
+func (s *ChunkStash) GetBatch(ctx context.Context, fps []fingerprint.Fingerprint) ([]hashdb.Value, []bool, error) {
+	vals, found := make([]hashdb.Value, len(fps)), make([]bool, len(fps))
+	for i, fp := range fps {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		var err error
+		if vals[i], found[i], err = s.Get(fp); err != nil {
+			return nil, nil, err
+		}
+	}
+	return vals, found, nil
+}
+
+// PutBatch is a loop over Put, in input order; pagesWritten counts entry
+// writes, as for every store without pages.
+func (s *ChunkStash) PutBatch(ctx context.Context, pairs []hashdb.Pair) ([]bool, int, error) {
+	created := make([]bool, len(pairs))
+	for i, p := range pairs {
+		if err := ctx.Err(); err != nil {
+			return nil, i, err
+		}
+		var err error
+		if created[i], err = s.Put(p.FP, p.Val); err != nil {
+			return nil, i, err
+		}
+	}
+	return created, len(pairs), nil
+}
+
+// Range walks the log, one sequential read, calling fn for every live
+// record until fn returns false.
+func (s *ChunkStash) Range(fn func(fp fingerprint.Fingerprint, v hashdb.Value) bool) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		return hashdb.ErrClosed
+	}
+	s.dev.Read(len(s.log) * logRecordSize)
+	for _, rec := range s.log {
+		if !rec.dead && !fn(rec.fp, rec.val) {
+			break
+		}
+	}
+	return nil
 }
 
 // Len returns the number of stored entries.

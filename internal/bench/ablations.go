@@ -3,8 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
@@ -573,139 +571,4 @@ func FormatStripeSweep(points []StripePoint) string {
 		)
 	}
 	return "Ablation: hot-path lock stripes (single node, cache-resident set)\n" + t.String()
-}
-
-// ---------------------------------------------------------------------------
-// Ablation: locked I/O vs the asynchronous two-phase pipeline (does taking
-// the SSD out of the stripe locks buy what it should?).
-// ---------------------------------------------------------------------------
-
-// AsyncPoint is one cell of the async-pipeline ablation: a device profile
-// crossed with an I/O mode.
-type AsyncPoint struct {
-	Device      string
-	Mode        string // "locked" (probe under the stripe lock) or "async"
-	Throughput  float64
-	Elapsed     time.Duration
-	DeviceReads int64
-}
-
-// RunAsyncAblation compares the LockedIO baseline (every SSD probe holds
-// its stripe lock, so a batch's device concurrency is capped at the stripe
-// count) against the asynchronous pipeline (probes run outside the locks
-// and coalesce into page-granular batch reads) on a real on-disk hash
-// table whose device sleeps its modeled latency. Stripes is pinned at 4 —
-// the paper's node count, and few enough that the lock bound is visible —
-// and the cache is tiny so every lookup reaches the SSD tier. The same
-// pre-seeded table is probed read-only in batches; only the I/O mode and
-// device model vary.
-func RunAsyncAblation(fingerprints, batchSize int, models []device.Model) ([]AsyncPoint, error) {
-	if fingerprints <= 0 {
-		fingerprints = 2048
-	}
-	if batchSize <= 0 {
-		batchSize = 512
-	}
-	if len(models) == 0 {
-		models = []device.Model{device.SSD, device.HDD}
-	}
-	dir, err := os.MkdirTemp("", "shhc-async-ablation")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-
-	fps := make([]fingerprint.Fingerprint, fingerprints)
-	for i := range fps {
-		fps[i] = fingerprint.FromUint64(uint64(i))
-	}
-
-	var points []AsyncPoint
-	for _, model := range models {
-		for _, mode := range []string{"locked", "async"} {
-			// Seed on a non-sleeping accountant, then reopen the same
-			// file on the sleeping device so only lookups pay latency.
-			path := filepath.Join(dir, fmt.Sprintf("%s-%s.db", model.Name, mode))
-			db, err := hashdb.Create(path, hashdb.Options{
-				ExpectedItems: fingerprints,
-				Device:        device.New(device.SSD, device.Account),
-			})
-			if err != nil {
-				return nil, err
-			}
-			for i, f := range fps {
-				if _, err := db.Put(f, hashdb.Value(i+1)); err != nil {
-					db.Close()
-					return nil, err
-				}
-			}
-			if err := db.Close(); err != nil {
-				return nil, err
-			}
-			dev := device.New(model, device.Sleep)
-			db, err = hashdb.Open(path, dev)
-			if err != nil {
-				return nil, err
-			}
-			node, err := core.NewNode(core.NodeConfig{
-				ID:            ring.NodeID("async-ablation-" + model.Name + "-" + mode),
-				Store:         db,
-				CacheSize:     64, // cold: the working set is far larger
-				BloomExpected: fingerprints * 2,
-				Stripes:       4,
-				LockedIO:      mode == "locked",
-			})
-			if err != nil {
-				db.Close()
-				return nil, err
-			}
-			readsBefore := dev.Stats().Reads
-			start := time.Now()
-			for off := 0; off < len(fps); off += batchSize {
-				end := off + batchSize
-				if end > len(fps) {
-					end = len(fps)
-				}
-				rs, lerr := node.LookupBatch(context.Background(), fps[off:end])
-				if lerr != nil {
-					node.Close()
-					return nil, lerr
-				}
-				for k, r := range rs {
-					if !r.Exists {
-						node.Close()
-						return nil, fmt.Errorf("bench: async ablation: seeded fingerprint %d missing", off+k)
-					}
-				}
-			}
-			elapsed := time.Since(start)
-			reads := dev.Stats().Reads - readsBefore
-			if err := node.Close(); err != nil {
-				return nil, err
-			}
-			points = append(points, AsyncPoint{
-				Device:      model.Name,
-				Mode:        mode,
-				Throughput:  float64(len(fps)) / elapsed.Seconds(),
-				Elapsed:     elapsed,
-				DeviceReads: reads,
-			})
-		}
-	}
-	return points, nil
-}
-
-// FormatAsyncAblation renders the comparison.
-func FormatAsyncAblation(points []AsyncPoint) string {
-	t := &table{header: []string{"device", "i/o mode", "throughput(lookups/s)", "device reads", "elapsed"}}
-	for _, p := range points {
-		t.addRow(
-			p.Device,
-			p.Mode,
-			fmt.Sprintf("%.0f", p.Throughput),
-			fmt.Sprintf("%d", p.DeviceReads),
-			p.Elapsed.Round(time.Millisecond).String(),
-		)
-	}
-	return "Ablation: locked I/O vs asynchronous pipelined lookups (on-disk table, sleeping device, stripes=4, cold cache)\n" + t.String()
 }

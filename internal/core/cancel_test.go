@@ -54,6 +54,14 @@ func (g *gatedStore) Put(fp fingerprint.Fingerprint, v hashdb.Value) (bool, erro
 	return g.MemStore.Put(fp, v)
 }
 
+func (g *gatedStore) GetBatch(_ context.Context, fps []fingerprint.Fingerprint) ([]hashdb.Value, []bool, error) {
+	return getEach(g.Get, fps)
+}
+
+func (g *gatedStore) PutBatch(_ context.Context, pairs []hashdb.Pair) ([]bool, int, error) {
+	return putEach(g.Put, pairs)
+}
+
 func (g *gatedStore) counts() (gets, puts int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -308,10 +316,8 @@ func TestCancelBatchStopsDeviceReads(t *testing.T) {
 	}
 }
 
-// failingPutStore fails every Put and PutBatch once armed; Gets pass
-// through. PutBatch must be overridden too: the destager prefers the
-// batched write path, and the promoted MemStore method would dodge the
-// injected failure.
+// failingPutStore fails every Put once armed, a batched one included; Gets
+// pass through.
 type failingPutStore struct {
 	*hashdb.MemStore
 	failPuts atomic.Bool
@@ -324,11 +330,8 @@ func (f *failingPutStore) Put(fp fingerprint.Fingerprint, v hashdb.Value) (bool,
 	return f.MemStore.Put(fp, v)
 }
 
-func (f *failingPutStore) PutBatch(ctx context.Context, pairs []hashdb.Pair) ([]bool, int, error) {
-	if f.failPuts.Load() {
-		return nil, 0, errors.New("injected put failure")
-	}
-	return f.MemStore.PutBatch(ctx, pairs)
+func (f *failingPutStore) PutBatch(_ context.Context, pairs []hashdb.Pair) ([]bool, int, error) {
+	return putEach(f.Put, pairs)
 }
 
 // TestCancelPathSurfacesDestageError: on a write-back node, a destage

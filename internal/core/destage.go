@@ -21,7 +21,7 @@ import (
 // Clean-ahead. The destager runs ahead of eviction: once a wave's worth of
 // dirty entries has accumulated in the cache it copies the coldest of them
 // into a wave — they stay in the cache, readable, the whole time — writes
-// the wave through the store's batched write path (hashdb.BatchPutter), and
+// the wave through the store's batched write path (hashdb.Store.PutBatch), and
 // marks each entry clean if it still holds the value that was written. A
 // wave is sized by what is pending, up to half the cache by default, so it
 // spans the table's bucket pages several times over and pays one page
@@ -652,8 +652,8 @@ func (d *destager) idle(wait time.Duration) {
 	}
 }
 
-// runWave writes the wave in d.pairs through the store — batched when the
-// store supports it — then retires it. Buffered entries overwritten while
+// runWave writes the wave in d.pairs through the store's PutBatch, then
+// retires it. Buffered entries overwritten while
 // the wave was in flight are re-queued with their newer value; clean-ahead
 // copies are marked clean in the cache unless their entry changed. When the
 // batched write fails, the wave falls back to per-key writes so each
@@ -677,11 +677,8 @@ func (d *destager) runWave() {
 		// actually dropped below.
 		lastErr error
 	)
-	bp, batchable := d.n.store.(hashdb.BatchPutter)
-	if batchable {
-		_, pages, lastErr = bp.PutBatch(context.Background(), pairs)
-	}
-	if !batchable || lastErr != nil {
+	_, pages, lastErr = d.n.store.PutBatch(context.Background(), pairs)
+	if lastErr != nil {
 		failed = make([]bool, len(pairs))
 		pages, succeeded = 0, 0
 		for i, p := range pairs {

@@ -122,9 +122,8 @@ func (g *gatedWriteStore) Put(f fingerprint.Fingerprint, v hashdb.Value) (bool, 
 	return g.MemStore.Put(f, v)
 }
 
-func (g *gatedWriteStore) PutBatch(ctx context.Context, pairs []hashdb.Pair) ([]bool, int, error) {
-	<-g.gate
-	return g.MemStore.PutBatch(ctx, pairs)
+func (g *gatedWriteStore) PutBatch(_ context.Context, pairs []hashdb.Pair) ([]bool, int, error) {
+	return putEach(g.Put, pairs)
 }
 
 // TestDestageNoDeviceIOUnderCacheLock proves the acceptance property: an
@@ -292,11 +291,11 @@ type flakyPutStore struct {
 	remaining atomic.Int64
 }
 
-func (f *flakyPutStore) PutBatch(ctx context.Context, pairs []hashdb.Pair) ([]bool, int, error) {
+func (f *flakyPutStore) PutBatch(_ context.Context, pairs []hashdb.Pair) ([]bool, int, error) {
 	if f.remaining.Add(-1) >= 0 {
 		return nil, 0, fmt.Errorf("injected transient wave failure")
 	}
-	return f.MemStore.PutBatch(ctx, pairs)
+	return putEach(f.Put, pairs)
 }
 
 // TestDestageTransientFailureRetries: one failed wave must not forfeit

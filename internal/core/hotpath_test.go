@@ -106,25 +106,6 @@ func TestHotPathBatchPrepass(t *testing.T) {
 	}
 }
 
-// TestHotPathLockedReadsAblation: with the ablation knob the fast path is
-// off but answers are identical.
-func TestHotPathLockedReadsAblation(t *testing.T) {
-	n := newHotPathNode(t, NodeConfig{CacheSize: 4096, Stripes: 4, LockedReads: true})
-	ctx := context.Background()
-	fp := fingerprint.FromUint64(7)
-	if _, err := n.LookupOrInsert(ctx, fp, 9); err != nil {
-		t.Fatal(err)
-	}
-	res, err := n.Lookup(ctx, fp)
-	if err != nil || !res.Exists || res.Value != 9 || res.Source != SourceCache {
-		t.Fatalf("locked-reads lookup = %+v, %v; want cache hit 9", res, err)
-	}
-	st, _ := n.Stats(ctx)
-	if st.CacheHits != 1 || st.Lookups != 2 {
-		t.Fatalf("stats = hits %d lookups %d; want 1, 2", st.CacheHits, st.Lookups)
-	}
-}
-
 // TestHotPathClosedNode: the fast path must not answer from the cache of a
 // closed node.
 func TestHotPathClosedNode(t *testing.T) {

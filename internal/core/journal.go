@@ -453,8 +453,8 @@ type storeRecoveryReporter interface {
 // replayJournal applies the journal's records to the store. Records fold
 // to one final state per fingerprint first — the last record wins, exactly
 // as buffer coalescing ordered the live run — then the surviving puts go
-// through one page-coalesced PutBatch (when the store has one) and the
-// surviving tombstones through Delete. Replay is idempotent: re-putting an
+// through one page-coalesced PutBatch and the surviving tombstones through
+// Delete. Replay is idempotent: re-putting an
 // entry the store already holds is an update to the same value.
 func (n *Node) replayJournal(recs []jrec) error {
 	type final struct {
@@ -484,24 +484,12 @@ func (n *Node) replayJournal(recs []jrec) error {
 	}
 
 	if len(puts) > 0 {
-		if bp, ok := n.store.(hashdb.BatchPutter); ok {
-			if _, _, err := bp.PutBatch(context.Background(), puts); err != nil {
-				return fmt.Errorf("core: node %s: journal replay: %w", n.id, err)
-			}
-		} else {
-			for _, p := range puts {
-				if _, err := n.store.Put(p.FP, p.Val); err != nil {
-					return fmt.Errorf("core: node %s: journal replay %s: %w", n.id, p.FP.Short(), err)
-				}
-			}
+		if _, _, err := n.store.PutBatch(context.Background(), puts); err != nil {
+			return fmt.Errorf("core: node %s: journal replay: %w", n.id, err)
 		}
 	}
 	for _, fp := range dels {
-		d, ok := n.store.(Deleter)
-		if !ok {
-			return fmt.Errorf("core: node %s: journal replay: store cannot delete", n.id)
-		}
-		if _, err := d.Delete(fp); err != nil {
+		if _, err := n.store.Delete(fp); err != nil {
 			return fmt.Errorf("core: node %s: journal replay delete %s: %w", n.id, fp.Short(), err)
 		}
 	}

@@ -141,21 +141,9 @@ type NodeConfig struct {
 	// power of two). Operations on fingerprints in different stripes run
 	// concurrently; operations on one fingerprint always serialize, which
 	// is what keeps the Figure 4 cache→bloom→SSD ordering exact per
-	// fingerprint. 0 selects a GOMAXPROCS-based default; 1 recovers the
-	// original fully-serialized node.
+	// fingerprint. 0 selects a GOMAXPROCS-based default; 1 serializes every
+	// RAM walk behind one lock (SSD phases still overlap, outside it).
 	Stripes int
-	// LockedIO holds the stripe lock across SSD probes and inserts (the
-	// pre-pipeline behavior): one Bloom false positive or genuine
-	// duplicate then stalls every other fingerprint on its stripe for a
-	// full device round-trip. Kept as the ablation baseline for the
-	// asynchronous two-phase pipeline, which is the default.
-	LockedIO bool
-	// LockedReads disables the lock-free cache-hit fast path, forcing
-	// every lookup to take its stripe mutex even when the answer is a RAM
-	// cache hit (the pre-zero-alloc behavior). Kept as the ablation
-	// baseline for the lock-free read protocol, which is the default.
-	// LockedIO implies LockedReads.
-	LockedReads bool
 }
 
 // PhaseTimings are per-tier latency digests of the lookup pipeline: how
@@ -318,9 +306,8 @@ func defaultStripeCount() int {
 // whole Figure 4 flow for one fingerprint runs under one lock while flows
 // for other fingerprints proceed in parallel.
 type nodeStripe struct {
-	// mu serializes the stripe's RAM walk. The SSD phase runs outside it
-	// (pipeline.go); only the LockedIO ablation deliberately violates
-	// that, with inline suppressions where it does.
+	// mu serializes the stripe's RAM walk. The SSD phase always runs
+	// outside it (pipeline.go); shhc-vet's lockio check enforces that.
 	mu sync.Mutex //shhc:lock ramonly
 
 	// inflight holds the stripe's fingerprints whose SSD phase is running
@@ -357,15 +344,13 @@ type nodeStripe struct {
 // tier ordering exactly as a single-lock node would), while lookups of
 // different fingerprints scale with cores.
 type Node struct {
-	id          ring.NodeID
-	store       hashdb.Store
-	cache       *lru.Striped // nil when disabled
-	bloom       *bloom.Scalable
-	wb          bool
-	lockedIO    bool
-	lockedReads bool
-	stripes     []nodeStripe
-	mask        uint64
+	id      ring.NodeID
+	store   hashdb.Store
+	cache   *lru.Striped // nil when disabled
+	bloom   *bloom.Scalable
+	wb      bool
+	stripes []nodeStripe
+	mask    uint64
 
 	// dst is the asynchronous destage pipeline (write-back nodes only):
 	// evictions enqueue dirty entries here and a dedicated goroutine
@@ -400,12 +385,18 @@ type Node struct {
 	closedFast atomic.Bool
 }
 
-// Ranger is implemented by stores that can enumerate their entries;
-// NewNode uses it to rebuild the Bloom filter when a node restarts on an
-// existing hash table. Both *hashdb.DB and *hashdb.MemStore implement it.
-type Ranger interface {
-	Range(fn func(fp fingerprint.Fingerprint, v hashdb.Value) bool) error //shhc:io
-}
+// Ranger and Deleter name two methods of hashdb.Store. Nothing in this
+// module asserts against them any more: the frozen benchmark's decorator
+// test is their last user, and the PR that extends that instrument (ROADMAP
+// item 3) removes them.
+type (
+	Ranger interface {
+		Range(fn func(fp fingerprint.Fingerprint, v hashdb.Value) bool) error //shhc:io
+	}
+	Deleter interface {
+		Delete(fp fingerprint.Fingerprint) (bool, error)
+	}
+)
 
 // NewNode creates a hybrid hash node. If the store already holds entries
 // (a node restarting on its persistent hash table), the Bloom filter is
@@ -423,13 +414,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	nstripes = pow2.Floor(nstripes)
 	n := &Node{
-		id:          cfg.ID,
-		store:       cfg.Store,
-		wb:          cfg.WriteBack,
-		lockedIO:    cfg.LockedIO,
-		lockedReads: cfg.LockedReads || cfg.LockedIO,
-		stripes:     make([]nodeStripe, nstripes),
-		mask:        uint64(nstripes - 1),
+		id:      cfg.ID,
+		store:   cfg.Store,
+		wb:      cfg.WriteBack,
+		stripes: make([]nodeStripe, nstripes),
+		mask:    uint64(nstripes - 1),
 	}
 	for i := range n.stripes {
 		n.stripes[i].inflight = make(map[fingerprint.Fingerprint]*flight)
@@ -491,11 +480,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		}
 		n.bloom = bloom.NewScalable(expected, rate)
 		if cfg.Store.Len() > 0 {
-			r, ok := cfg.Store.(Ranger)
-			if !ok {
-				return fail(fmt.Errorf("core: node %s: store holds %d entries but cannot enumerate them to rebuild the Bloom filter; disable the filter or use a Ranger store", cfg.ID, cfg.Store.Len()))
-			}
-			if err := r.Range(func(fp fingerprint.Fingerprint, _ hashdb.Value) bool {
+			if err := cfg.Store.Range(func(fp fingerprint.Fingerprint, _ hashdb.Value) bool {
 				n.bloom.Add(fp)
 				return true
 			}); err != nil {
@@ -581,119 +566,20 @@ func (n *Node) unlockAll() {
 	}
 }
 
-// Lookup answers whether the fingerprint is stored, without inserting. By
-// default the SSD probe runs outside the stripe lock (see pipeline.go) and
-// honors ctx: a cancelled caller stops waiting immediately and its probe
-// is handed to a waiting rider or aborted. With LockedIO the whole walk
-// holds the lock and ctx is only checked before it starts.
+// Lookup answers whether the fingerprint is stored, without inserting. The
+// SSD probe runs outside the stripe lock (see pipeline.go) and honors ctx:
+// a cancelled caller stops waiting immediately and its probe is handed to a
+// waiting rider or aborted.
 func (n *Node) Lookup(ctx context.Context, fp fingerprint.Fingerprint) (LookupResult, error) {
-	if !n.lockedIO {
-		return n.lookupAsync(ctx, fp, 0, false)
-	}
-	if err := ctx.Err(); err != nil {
-		return LookupResult{}, err
-	}
-	s := &n.stripes[n.stripeIndex(fp)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	//lint:ignore lockio LockedIO is the paper's ablation baseline: it deliberately holds the stripe lock across the SSD read to measure what the async pipeline buys.
-	return n.lookupLocked(s, fp)
+	return n.lookupAsync(ctx, fp, 0, false)
 }
 
 // LookupOrInsert runs the full Figure 4 flow: answer whether the
-// fingerprint exists, inserting it with val when it does not. By default
-// the SSD phase runs outside the stripe lock, serialized per fingerprint
-// by the in-flight table (see pipeline.go), and honors ctx (see Lookup);
-// with LockedIO the whole flow holds the lock.
+// fingerprint exists, inserting it with val when it does not. The SSD phase
+// runs outside the stripe lock, serialized per fingerprint by the in-flight
+// table (see pipeline.go), and honors ctx (see Lookup).
 func (n *Node) LookupOrInsert(ctx context.Context, fp fingerprint.Fingerprint, val Value) (LookupResult, error) {
-	if !n.lockedIO {
-		return n.lookupAsync(ctx, fp, val, true)
-	}
-	if err := ctx.Err(); err != nil {
-		return LookupResult{}, err
-	}
-	s := &n.stripes[n.stripeIndex(fp)]
-	s.mu.Lock()
-	before := n.journalLSN()
-	//lint:ignore lockio LockedIO is the paper's ablation baseline: it deliberately holds the stripe lock across the SSD phase to measure what the async pipeline buys.
-	r, err := n.lookupOrInsertLocked(s, fp, val)
-	s.mu.Unlock()
-	// An eviction the insert displaced must be journal-durable before the
-	// ack; waiting here, with the lock released, lets concurrent stripes
-	// share one group commit.
-	n.afterDirtyInsert(before)
-	return r, err
-}
-
-// lookupOrInsertLocked runs the Figure 4 flow with the SSD tier probed
-// under the stripe lock (the LockedIO baseline). Caller holds s.mu, and s
-// is the stripe owning fp.
-func (n *Node) lookupOrInsertLocked(s *nodeStripe, fp fingerprint.Fingerprint, val Value) (LookupResult, error) {
-	if n.closed {
-		return LookupResult{}, errNodeClosed
-	}
-	s.lookups++
-
-	// 1. RAM cache.
-	if n.cache != nil {
-		t0 := time.Now()
-		v, ok := n.cache.Get(fp)
-		s.histCache.Observe(time.Since(t0))
-		if ok {
-			s.cacheHits++
-			return LookupResult{Exists: true, Value: Value(v), Source: SourceCache}, nil
-		}
-	}
-
-	// 2. Bloom filter: a negative proves the fingerprint is new.
-	if n.bloom != nil {
-		t0 := time.Now()
-		neg := !n.bloom.MayContain(fp)
-		s.histBloom.Observe(time.Since(t0))
-		if neg {
-			s.bloomShort++
-			if err := n.insertLocked(s, fp, val); err != nil {
-				return LookupResult{}, err
-			}
-			return LookupResult{Exists: false, Source: SourceBloom}, nil
-		}
-	}
-
-	// 2b. Destage dirty buffer: an entry evicted from the cache but not
-	// yet group-committed to the SSD is still part of the logical store.
-	if n.dst != nil {
-		if v, ok := n.dst.peek(fp); ok {
-			s.destageHits++
-			s.storeHits++
-			return LookupResult{Exists: true, Value: v, Source: SourceStore}, nil
-		}
-	}
-
-	// 3. SSD hash table.
-	t0 := time.Now()
-	v, ok, err := n.store.Get(fp)
-	if err != nil {
-		s.histSSD.Observe(time.Since(t0))
-		return LookupResult{}, fmt.Errorf("core: node %s: lookup: %w", n.id, err)
-	}
-	if ok {
-		s.histSSD.Observe(time.Since(t0))
-		s.storeHits++
-		if n.cache != nil {
-			n.cache.Put(fp, lru.Value(v))
-		}
-		return LookupResult{Exists: true, Value: v, Source: SourceStore}, nil
-	}
-	s.storeMiss++
-	if n.bloom != nil {
-		s.bloomFalse++
-	}
-	err = n.insertLocked(s, fp, val)
-	s.histSSD.Observe(time.Since(t0))
-	if err != nil {
-		return LookupResult{}, err
-	}
-	return LookupResult{Exists: false, Source: SourceNew}, nil
+	return n.lookupAsync(ctx, fp, val, true)
 }
 
 // insertLocked records a new fingerprint in bloom, cache and store
@@ -766,14 +652,12 @@ func (n *Node) Insert(ctx context.Context, fp fingerprint.Fingerprint, val Value
 }
 
 // BatchLookupOrInsert processes pairs through the Figure 4 flow. The
-// default pipeline makes one RAM pass per stripe under its lock, then
+// pipeline makes one RAM pass per stripe under its lock, then
 // resolves every fingerprint that reached the SSD tier in a single
 // coalesced SSD phase with no stripe locks held: the store reads each
 // distinct bucket page once and overlaps page reads and inserts up to the
 // device's modeled parallelism, so batch throughput under SSD latency is
-// bounded by the device, not by the stripe count. With LockedIO the batch
-// is instead partitioned by stripe and each stripe's share runs
-// sequentially under its lock (the pre-pipeline behavior).
+// bounded by the device, not by the stripe count.
 //
 // Results are returned in input order, and a fingerprint appearing twice
 // in one batch resolves in input order, so the second occurrence sees the
@@ -785,15 +669,9 @@ func (n *Node) BatchLookupOrInsert(ctx context.Context, pairs []Pair) ([]LookupR
 	if len(pairs) == 0 {
 		return nil, nil
 	}
-	if !n.lockedIO {
-		return n.batchAsync(ctx, len(pairs),
-			func(i int) fingerprint.Fingerprint { return pairs[i].FP },
-			func(i int) Value { return pairs[i].Val }, true)
-	}
-	return n.batchLocked(ctx, len(pairs), func(i int) fingerprint.Fingerprint { return pairs[i].FP },
-		func(s *nodeStripe, i int) (LookupResult, error) {
-			return n.lookupOrInsertLocked(s, pairs[i].FP, pairs[i].Val)
-		})
+	return n.batchAsync(ctx, len(pairs),
+		func(i int) fingerprint.Fingerprint { return pairs[i].FP },
+		func(i int) Value { return pairs[i].Val }, true)
 }
 
 // ApplyRepair applies a replication backfill batch. Each pair runs through
@@ -826,154 +704,9 @@ func (n *Node) LookupBatch(ctx context.Context, fps []fingerprint.Fingerprint) (
 	if len(fps) == 0 {
 		return nil, nil
 	}
-	if !n.lockedIO {
-		return n.batchAsync(ctx, len(fps),
-			func(i int) fingerprint.Fingerprint { return fps[i] },
-			func(int) Value { return 0 }, false)
-	}
-	return n.batchLocked(ctx, len(fps), func(i int) fingerprint.Fingerprint { return fps[i] },
-		func(s *nodeStripe, i int) (LookupResult, error) {
-			return n.lookupLocked(s, fps[i])
-		})
-}
-
-// lookupLocked is the read-only Figure 4 flow with the SSD tier probed
-// under the stripe lock (the LockedIO baseline). Caller holds s.mu, and s
-// is the stripe owning fp.
-func (n *Node) lookupLocked(s *nodeStripe, fp fingerprint.Fingerprint) (LookupResult, error) {
-	if n.closed {
-		return LookupResult{}, errNodeClosed
-	}
-	s.lookups++
-	if n.cache != nil {
-		t0 := time.Now()
-		v, ok := n.cache.Get(fp)
-		s.histCache.Observe(time.Since(t0))
-		if ok {
-			s.cacheHits++
-			return LookupResult{Exists: true, Value: Value(v), Source: SourceCache}, nil
-		}
-	}
-	if n.bloom != nil {
-		t0 := time.Now()
-		neg := !n.bloom.MayContain(fp)
-		s.histBloom.Observe(time.Since(t0))
-		if neg {
-			s.bloomShort++
-			return LookupResult{Exists: false, Source: SourceBloom}, nil
-		}
-	}
-	if n.dst != nil {
-		if v, ok := n.dst.peek(fp); ok {
-			s.destageHits++
-			s.storeHits++
-			return LookupResult{Exists: true, Value: v, Source: SourceStore}, nil
-		}
-	}
-	t0 := time.Now()
-	v, ok, err := n.store.Get(fp)
-	s.histSSD.Observe(time.Since(t0))
-	if err != nil {
-		return LookupResult{}, fmt.Errorf("core: node %s: lookup: %w", n.id, err)
-	}
-	if !ok {
-		s.storeMiss++
-		if n.bloom != nil {
-			s.bloomFalse++
-		}
-		return LookupResult{Exists: false, Source: SourceNew}, nil
-	}
-	s.storeHits++
-	if n.cache != nil {
-		n.cache.Put(fp, lru.Value(v))
-	}
-	return LookupResult{Exists: true, Value: v, Source: SourceStore}, nil
-}
-
-// batchLocked partitions item indices by stripe and runs each stripe's
-// share under its lock, concurrently across stripes, reassembling results
-// in input order. This is the LockedIO baseline batch path: concurrency is
-// capped at the stripe count because every SSD probe holds its stripe
-// lock. ctx is checked between items (probes themselves are not
-// interruptible under the lock).
-func (n *Node) batchLocked(ctx context.Context, count int, fpOf func(int) fingerprint.Fingerprint,
-	run func(s *nodeStripe, i int) (LookupResult, error)) ([]LookupResult, error) {
-	if count == 0 {
-		return nil, nil
-	}
-	results := make([]LookupResult, count)
-
-	done := ctx.Done()
-	runGroup := func(si int, idxs []int) error {
-		s := &n.stripes[si]
-		before := n.journalLSN()
-		s.mu.Lock()
-		err := func() error {
-			for _, i := range idxs {
-				if done != nil {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-				}
-				r, err := run(s, i)
-				if err != nil {
-					return fmt.Errorf("core: batch item %d: %w", i, err)
-				}
-				results[i] = r
-			}
-			return nil
-		}()
-		s.mu.Unlock()
-		// One journal barrier per stripe group: every eviction the
-		// group's inserts displaced is durable before the batch acks.
-		n.afterDirtyInsert(before)
-		return err
-	}
-
-	if count == 1 {
-		if err := runGroup(n.stripeIndex(fpOf(0)), []int{0}); err != nil {
-			return nil, err
-		}
-		return results, nil
-	}
-
-	groups := make(map[int][]int, len(n.stripes))
-	for i := 0; i < count; i++ {
-		si := n.stripeIndex(fpOf(i))
-		groups[si] = append(groups[si], i)
-	}
-	if len(groups) == 1 {
-		for si, idxs := range groups {
-			if err := runGroup(si, idxs); err != nil {
-				return nil, err
-			}
-		}
-		return results, nil
-	}
-
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for si, idxs := range groups {
-		wg.Add(1)
-		go func(si int, idxs []int) {
-			defer wg.Done()
-			if err := runGroup(si, idxs); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-			}
-		}(si, idxs)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return results, nil
+	return n.batchAsync(ctx, len(fps),
+		func(i int) fingerprint.Fingerprint { return fps[i] },
+		func(int) Value { return 0 }, false)
 }
 
 // Flush destages every dirty cache entry to the store, drains the destage
@@ -1036,12 +769,8 @@ func (n *Node) Entries(ctx context.Context, fn func(fp fingerprint.Fingerprint, 
 	if err := n.flushLocked(); err != nil {
 		return err
 	}
-	r, ok := n.store.(Ranger)
-	if !ok {
-		return fmt.Errorf("core: node %s: store cannot enumerate entries", n.id)
-	}
 	var ctxErr error
-	err := r.Range(func(fp fingerprint.Fingerprint, v hashdb.Value) bool {
+	err := n.store.Range(func(fp fingerprint.Fingerprint, v hashdb.Value) bool {
 		if ctxErr = ctx.Err(); ctxErr != nil {
 			return false
 		}
@@ -1051,12 +780,6 @@ func (n *Node) Entries(ctx context.Context, fn func(fp fingerprint.Fingerprint, 
 		return ctxErr
 	}
 	return err
-}
-
-// Deleter is implemented by stores that can remove entries (both hashdb
-// stores implement it; the ChunkStash log does not).
-type Deleter interface {
-	Delete(fp fingerprint.Fingerprint) (bool, error)
 }
 
 // Remove deletes a fingerprint from the node's cache and store. The Bloom
@@ -1081,11 +804,6 @@ func (n *Node) Remove(fp fingerprint.Fingerprint) (bool, error) {
 		s.mu.Unlock()
 		<-f.done
 	}
-	d, ok := n.store.(Deleter)
-	if !ok {
-		s.mu.Unlock()
-		return false, fmt.Errorf("core: node %s: store cannot delete entries", n.id)
-	}
 	if n.cache != nil {
 		n.cache.Remove(fp)
 	}
@@ -1095,7 +813,7 @@ func (n *Node) Remove(fp fingerprint.Fingerprint) (bool, error) {
 		// delete below.
 		n.dst.forget(fp)
 	}
-	removed, err := d.Delete(fp)
+	removed, err := n.store.Delete(fp)
 	var lsn uint64
 	if err == nil && n.jnl != nil {
 		// Tombstone the journal while still holding the stripe lock — a

@@ -12,23 +12,22 @@ import (
 	"shhc/internal/fingerprint"
 	"shhc/internal/hashdb"
 	"shhc/internal/lru"
-	"shhc/internal/parallel"
 )
 
-// This file implements the node's two-phase asynchronous lookup pipeline.
+// This file implements the node's lookup path, the one walk of Figure 4: a
+// two-phase asynchronous pipeline.
 //
 // Phase 1 (the RAM walk) runs the Figure 4 RAM tiers — LRU cache, Bloom
-// filter — under the fingerprint's stripe lock, exactly as the fully
-// locked design does. Phase 2 (the SSD phase) releases the stripe lock
-// before touching the store, so one modeled SSD round-trip no longer
-// stalls every other fingerprint on the stripe.
+// filter — under the fingerprint's stripe lock. Phase 2 (the SSD phase)
+// releases the stripe lock before touching the store, so one SSD
+// round-trip never stalls every other fingerprint on the stripe.
 //
-// What used to be guaranteed by "the whole walk holds the stripe lock" —
-// per-fingerprint serialization, hence exactly-once inserts — is instead
-// guaranteed by a per-stripe in-flight table: before its SSD phase starts,
-// an operation registers its fingerprint; any later operation on the same
-// fingerprint finds the entry and waits for the flight to land instead of
-// issuing a second probe or a second insert. The invariant becomes:
+// Per-fingerprint serialization, hence exactly-once inserts, is therefore
+// not the stripe lock's doing but a per-stripe in-flight table's: before
+// its SSD phase starts, an operation registers its fingerprint; any later
+// operation on the same fingerprint finds the entry and waits for the
+// flight to land instead of issuing a second probe or a second insert.
+// The invariant:
 //
 //	a fingerprint's RAM walk runs under its stripe lock; its SSD phase
 //	is serialized by the stripe's in-flight table.
@@ -163,7 +162,7 @@ func (n *Node) lookupAsync(ctx context.Context, fp fingerprint.Fingerprint, val 
 	// guarded). The cache is the top Figure 4 tier, so a hit here can never
 	// shadow a fresher destage-buffer or SSD answer; a miss proves nothing
 	// and falls through to the locked walk, which re-checks the cache.
-	if n.cache != nil && !n.lockedReads && !n.closedFast.Load() {
+	if n.cache != nil && !n.closedFast.Load() {
 		if cancellable {
 			if err := ctx.Err(); err != nil {
 				return LookupResult{}, err
@@ -515,7 +514,7 @@ type waiter struct {
 // nodeScratch is the pooled working memory of one batchAsync: the counting
 // sort of the items by stripe, the items that wait on a flight they do not
 // own, and the keys handed to the store — which must not keep them (see
-// hashdb.BatchGetter). The flights themselves are never pooled.
+// hashdb.Store). The flights themselves are never pooled.
 type nodeScratch struct {
 	hits    []int32 // lock-free cache hits per stripe
 	start   []int32 // stripe si's items are order[start[si]:start[si+1]]
@@ -574,7 +573,7 @@ func (n *Node) batchAsync(ctx context.Context, count int, fpOf func(int) fingerp
 	sc.start = slices.Grow(sc.start[:0], len(n.stripes)+1)[:len(n.stripes)+1]
 	clear(sc.hits)
 	clear(sc.start)
-	fast := n.cache != nil && !n.lockedReads && !n.closedFast.Load()
+	fast := n.cache != nil && !n.closedFast.Load()
 	for i := 0; i < count; i++ {
 		fp := fpOf(i)
 		si := n.stripeIndex(fp)
@@ -823,8 +822,7 @@ func (n *Node) batchAsync(ctx context.Context, count int, fpOf func(int) fingerp
 // flights that need a probe — their answers land in the flights — then, on
 // a write-through node that inserts, one batched write for the direct
 // (Bloom-negative) flights plus the probe misses: one read-modify-write per
-// bucket page, the group-committed twin of the read. Stores without the
-// batched surfaces get per-key operations overlapped the same way.
+// bucket page, the group-committed twin of the read.
 func (n *Node) ssdWave(ctx context.Context, sc *nodeScratch, flights []flight, fpOf func(int) fingerprint.Fingerprint, valOf func(int) Value, insert bool) error {
 	wrap := func(what string, err error) error {
 		if err == nil || isCtxErr(err) {
@@ -839,20 +837,7 @@ func (n *Node) ssdWave(ctx context.Context, sc *nodeScratch, flights []flight, f
 		}
 	}
 	if len(sc.fps) > 0 {
-		var (
-			vals  []Value
-			found []bool
-			err   error
-		)
-		if bg, ok := n.store.(hashdb.BatchGetter); ok {
-			vals, found, err = bg.GetBatch(ctx, sc.fps)
-		} else {
-			vals, found = make([]Value, len(sc.fps)), make([]bool, len(sc.fps))
-			err = parallel.Do(ctx, len(sc.fps), parallel.IODepth, func(k int) (gerr error) {
-				vals[k], found[k], gerr = n.store.Get(sc.fps[k])
-				return gerr
-			})
-		}
+		vals, found, err := n.store.GetBatch(ctx, sc.fps)
 		if err != nil {
 			return wrap("lookup", err)
 		}
@@ -876,12 +861,6 @@ func (n *Node) ssdWave(ctx context.Context, sc *nodeScratch, flights []flight, f
 	if len(sc.pairs) == 0 {
 		return nil
 	}
-	if bp, ok := n.store.(hashdb.BatchPutter); ok {
-		_, _, err := bp.PutBatch(ctx, sc.pairs)
-		return wrap("insert", err)
-	}
-	return wrap("insert", parallel.Do(ctx, len(sc.pairs), parallel.IODepth, func(k int) error {
-		_, perr := n.store.Put(sc.pairs[k].FP, sc.pairs[k].Val)
-		return perr
-	}))
+	_, _, err := n.store.PutBatch(ctx, sc.pairs)
+	return wrap("insert", err)
 }

@@ -11,25 +11,6 @@ import (
 	"shhc/internal/parallel"
 )
 
-// BatchGetter is implemented by stores whose point probes can be coalesced
-// into one batched read. The hybrid node's asynchronous SSD phase uses it
-// to pay one device charge per bucket page instead of one per fingerprint,
-// and to overlap page reads up to the device's internal parallelism.
-type BatchGetter interface {
-	// GetBatch looks up every fingerprint, returning values and found
-	// flags in input order. A lookup error fails the whole batch. A
-	// cancelled ctx stops the batch from issuing further device reads
-	// (reads already issued complete) and fails it with ctx.Err(). fps
-	// belongs to the caller again when GetBatch returns: an implementation
-	// must not keep it.
-	GetBatch(ctx context.Context, fps []fingerprint.Fingerprint) ([]Value, []bool, error)
-}
-
-var (
-	_ BatchGetter = (*DB)(nil)
-	_ BatchGetter = (*MemStore)(nil)
-)
-
 // keyed is one item of a batch: its input index under its group key (bucket
 // page for the on-disk table, map shard for MemStore), scrambled by spread.
 type keyed struct {

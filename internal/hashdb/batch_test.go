@@ -11,49 +11,6 @@ import (
 	"shhc/internal/fingerprint"
 )
 
-func TestGetBatchMatchesGet(t *testing.T) {
-	dev := device.New(device.SSD, device.Account)
-	db, err := Create(filepath.Join(t.TempDir(), "batch.db"), Options{ExpectedItems: 1 << 12, Device: dev})
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	defer db.Close()
-
-	const n = 2000
-	for i := uint64(0); i < n; i++ {
-		if _, err := db.Put(fingerprint.FromUint64(i), Value(i+1)); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-	}
-
-	// Mix of present, absent, and duplicate probes.
-	fps := make([]fingerprint.Fingerprint, 0, n/2+200)
-	for i := uint64(0); i < n; i += 2 {
-		fps = append(fps, fingerprint.FromUint64(i))
-	}
-	for i := uint64(n); i < n+100; i++ {
-		fps = append(fps, fingerprint.FromUint64(i))
-	}
-	fps = append(fps, fps[:100]...)
-
-	vals, found, err := db.GetBatch(context.Background(), fps)
-	if err != nil {
-		t.Fatalf("GetBatch: %v", err)
-	}
-	if len(vals) != len(fps) || len(found) != len(fps) {
-		t.Fatalf("GetBatch returned %d vals, %d flags for %d probes", len(vals), len(found), len(fps))
-	}
-	for i, fp := range fps {
-		wantV, wantOK, gerr := db.Get(fp)
-		if gerr != nil {
-			t.Fatalf("Get: %v", gerr)
-		}
-		if found[i] != wantOK || (wantOK && vals[i] != wantV) {
-			t.Fatalf("probe %d (%s): batch = (%v,%v), point = (%v,%v)", i, fp.Short(), vals[i], found[i], wantV, wantOK)
-		}
-	}
-}
-
 // TestGetBatchCoalescesPageReads is the point of the API: a batch touching
 // b distinct buckets must charge the device ~b page reads, not one per
 // fingerprint.
@@ -118,33 +75,6 @@ func TestGetBatchEmptyAndClosed(t *testing.T) {
 	}
 	if _, _, err := db.GetBatch(context.Background(), []fingerprint.Fingerprint{fingerprint.FromUint64(1)}); err == nil {
 		t.Fatal("GetBatch on closed DB succeeded")
-	}
-}
-
-func TestMemStoreGetBatch(t *testing.T) {
-	s := NewMemStore(nil)
-	defer s.Close()
-	const n = 300
-	for i := uint64(0); i < n; i++ {
-		if _, err := s.Put(fingerprint.FromUint64(i), Value(i*3)); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-	}
-	fps := make([]fingerprint.Fingerprint, n+50)
-	for i := range fps {
-		fps[i] = fingerprint.FromUint64(uint64(i))
-	}
-	vals, found, err := s.GetBatch(context.Background(), fps)
-	if err != nil {
-		t.Fatalf("GetBatch: %v", err)
-	}
-	for i := range fps {
-		if i < n && (!found[i] || vals[i] != Value(uint64(i)*3)) {
-			t.Fatalf("probe %d = (%v,%v), want (%d,true)", i, vals[i], found[i], i*3)
-		}
-		if i >= n && found[i] {
-			t.Fatalf("absent probe %d reported found", i)
-		}
 	}
 }
 

@@ -32,7 +32,6 @@ func TestCancelGetBatchStopsDeviceReads(t *testing.T) {
 			dev := device.New(device.Model{Name: "slow", ReadBase: 10 * time.Millisecond}, device.Sleep)
 			s := tc.store(dev)
 			defer s.Close()
-			bg := s.(BatchGetter)
 
 			const batch = 512
 			fps := make([]fingerprint.Fingerprint, batch)
@@ -43,7 +42,7 @@ func TestCancelGetBatchStopsDeviceReads(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 			defer cancel()
 			start := time.Now()
-			_, _, err := bg.GetBatch(ctx, fps)
+			_, _, err := s.GetBatch(ctx, fps)
 			elapsed := time.Since(start)
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("cancelled GetBatch = %v, want context.DeadlineExceeded", err)
@@ -55,7 +54,7 @@ func TestCancelGetBatchStopsDeviceReads(t *testing.T) {
 			}
 
 			// The store remains usable.
-			if _, _, err := bg.GetBatch(context.Background(), fps[:4]); err != nil {
+			if _, _, err := s.GetBatch(context.Background(), fps[:4]); err != nil {
 				t.Fatalf("GetBatch after cancellation: %v", err)
 			}
 		})

@@ -31,10 +31,8 @@ import (
 // has killed.
 var ErrKilled = errors.New("hashdb: failpoint: killed")
 
-// Failpoint wraps a Store, killing it at the Nth entry write. It forwards
-// the batched read/write surfaces (BatchGetter, BatchPutter, Deleter,
-// Ranger) so it is a drop-in stand-in for either hashdb store under the
-// hybrid node.
+// Failpoint wraps a Store, killing it at the Nth entry write, so it is a
+// drop-in stand-in for any store under the hybrid node.
 type Failpoint struct {
 	inner Store
 
@@ -107,33 +105,12 @@ func (f *Failpoint) Get(fp fingerprint.Fingerprint) (Value, bool, error) {
 	return f.inner.Get(fp)
 }
 
-// Has reports whether fp is stored.
-func (f *Failpoint) Has(fp fingerprint.Fingerprint) (bool, error) {
-	if f.killed.Load() {
-		return false, ErrKilled
-	}
-	return f.inner.Has(fp)
-}
-
-// GetBatch forwards to the inner store's batched read path when it has
-// one, and falls back to per-key Gets otherwise.
+// GetBatch forwards to the inner store's batched read path.
 func (f *Failpoint) GetBatch(ctx context.Context, fps []fingerprint.Fingerprint) ([]Value, []bool, error) {
 	if f.killed.Load() {
 		return nil, nil, ErrKilled
 	}
-	if bg, ok := f.inner.(BatchGetter); ok {
-		return bg.GetBatch(ctx, fps)
-	}
-	vals := make([]Value, len(fps))
-	found := make([]bool, len(fps))
-	for i, fp := range fps {
-		v, ok, err := f.inner.Get(fp)
-		if err != nil {
-			return nil, nil, err
-		}
-		vals[i], found[i] = v, ok
-	}
-	return vals, found, nil
+	return f.inner.GetBatch(ctx, fps)
 }
 
 // Put stores fp -> v unless this is the killing write.
@@ -152,13 +129,11 @@ func (f *Failpoint) PutBatch(ctx context.Context, pairs []Pair) ([]bool, int, er
 		return nil, 0, ErrKilled
 	}
 	if rem := f.remaining.Load(); rem > int64(len(pairs)) {
-		if bp, ok := f.inner.(BatchPutter); ok {
-			created, pages, err := bp.PutBatch(ctx, pairs)
-			if err == nil {
-				f.remaining.Add(-int64(len(pairs)))
-			}
-			return created, pages, err
+		created, pages, err := f.inner.PutBatch(ctx, pairs)
+		if err == nil {
+			f.remaining.Add(-int64(len(pairs)))
 		}
+		return created, pages, err
 	}
 	created := make([]bool, len(pairs))
 	writes := 0
@@ -181,30 +156,15 @@ func (f *Failpoint) Delete(fp fingerprint.Fingerprint) (bool, error) {
 	if !f.consume() {
 		return false, ErrKilled
 	}
-	d, ok := f.inner.(Deleter)
-	if !ok {
-		return false, errors.New("hashdb: failpoint: inner store cannot delete")
-	}
-	return d.Delete(fp)
+	return f.inner.Delete(fp)
 }
 
-// Deleter matches core's optional store surface without importing core.
-type Deleter interface {
-	Delete(fp fingerprint.Fingerprint) (bool, error)
-}
-
-// Range forwards enumeration when the inner store supports it.
+// Range forwards enumeration to the inner store.
 func (f *Failpoint) Range(fn func(fp fingerprint.Fingerprint, v Value) bool) error {
 	if f.killed.Load() {
 		return ErrKilled
 	}
-	r, ok := f.inner.(interface {
-		Range(fn func(fp fingerprint.Fingerprint, v Value) bool) error
-	})
-	if !ok {
-		return errors.New("hashdb: failpoint: inner store cannot enumerate")
-	}
-	return r.Range(fn)
+	return f.inner.Range(fn)
 }
 
 // Len returns the number of stored entries.
@@ -227,12 +187,6 @@ func (f *Failpoint) Close() error {
 	}
 	return f.inner.Close()
 }
-
-var (
-	_ Store       = (*Failpoint)(nil)
-	_ BatchGetter = (*Failpoint)(nil)
-	_ BatchPutter = (*Failpoint)(nil)
-)
 
 // FailFile wraps a backing File, killing it at the Nth file write with
 // the first Partial bytes of the killing write applied (a torn write).

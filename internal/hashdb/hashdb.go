@@ -717,7 +717,8 @@ func (db *DB) Get(fp fingerprint.Fingerprint) (Value, bool, error) {
 	return 0, false, nil
 }
 
-// Has reports whether fp is stored, at the same I/O cost as Get.
+// Has reports whether fp is stored, at the same I/O cost as Get. It is no
+// part of Store; the frozen benchmark's store decorator still calls it.
 func (db *DB) Has(fp fingerprint.Fingerprint) (bool, error) {
 	_, ok, err := db.Get(fp)
 	return ok, err

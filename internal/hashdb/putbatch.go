@@ -21,32 +21,6 @@ type Pair struct {
 	Val Value
 }
 
-// BatchPutter is implemented by stores whose point inserts can be
-// coalesced into one batched read-modify-write per bucket page. The hybrid
-// node's batch-insert arm and its group-commit destager use it to pay one
-// page write per dirtied page instead of one device round-trip per entry.
-type BatchPutter interface {
-	// PutBatch stores every pair, overwriting existing values. created
-	// reports, in input order, whether each pair created a new entry
-	// (a fingerprint appearing twice in one batch resolves in input
-	// order, so the second occurrence is an update). pagesWritten is the
-	// number of device page writes the batch cost — entry writes for
-	// stores without pages — the denominator of the write-coalescing
-	// ratio. A store error fails the whole batch. A cancelled ctx stops
-	// the batch from issuing device I/O for further bucket chains and
-	// fails it with ctx.Err(); a chain whose in-memory mutation has
-	// finished always writes out completely, so cancellation can strand
-	// at most already-allocated (unreferenced) overflow pages, never a
-	// torn chain. pairs belongs to the caller again when PutBatch returns:
-	// an implementation must not keep it.
-	PutBatch(ctx context.Context, pairs []Pair) (created []bool, pagesWritten int, err error)
-}
-
-var (
-	_ BatchPutter = (*DB)(nil)
-	_ BatchPutter = (*MemStore)(nil)
-)
-
 // PutBatch stores every pair with one read-modify-write per distinct
 // bucket chain. Chains run concurrently up to parallel.IODepth, so modeled
 // (Sleep-mode) devices overlap page I/O the way real flash channels do.

@@ -179,39 +179,6 @@ func TestPutUpdateStopsAtHitPage(t *testing.T) {
 	}
 }
 
-func TestPutBatchMatchesPut(t *testing.T) {
-	// The batched path and the per-key path must produce identical
-	// logical contents on the same (duplicate-heavy) input.
-	rng := rand.New(rand.NewSource(42))
-	pairs := make([]Pair, 500)
-	for i := range pairs {
-		pairs[i] = Pair{FP: fp(uint64(rng.Intn(120))), Val: Value(rng.Intn(1 << 20))}
-	}
-
-	sequential := testDB(t, Options{Buckets: 3})
-	batched := testDB(t, Options{Buckets: 3})
-	for _, p := range pairs {
-		if _, err := sequential.Put(p.FP, p.Val); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-	}
-	if _, _, err := batched.PutBatch(context.Background(), pairs); err != nil {
-		t.Fatalf("PutBatch: %v", err)
-	}
-	if sequential.Len() != batched.Len() {
-		t.Fatalf("Len mismatch: sequential %d, batched %d", sequential.Len(), batched.Len())
-	}
-	if err := sequential.Range(func(f fingerprint.Fingerprint, v Value) bool {
-		bv, ok, err := batched.Get(f)
-		if err != nil || !ok || bv != v {
-			t.Fatalf("batched Get(%s) = (%v,%v,%v), want (%v,true,nil)", f.Short(), bv, ok, err, v)
-		}
-		return true
-	}); err != nil {
-		t.Fatalf("Range: %v", err)
-	}
-}
-
 func TestPutBatchCancelled(t *testing.T) {
 	db := testDB(t, Options{ExpectedItems: 1000})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -378,10 +345,7 @@ func TestBatchSkewedOntoOneBucket(t *testing.T) {
 		same[i] = Pair{FP: inBucket(nb, 5, 0), Val: Value(1000 + i)}
 	}
 	for name, pairs := range map[string][]Pair{"one bucket": skewed, "one key": same} {
-		for _, store := range []interface {
-			BatchPutter
-			BatchGetter
-		}{db, NewMemStore(nil)} {
+		for _, store := range []Store{db, NewMemStore(nil)} {
 			created, _, err := store.PutBatch(ctx, pairs)
 			if err != nil {
 				t.Fatalf("%s: PutBatch: %v", name, err)

@@ -1,17 +1,23 @@
 package hashdb
 
 import (
+	"context"
 	"sync"
 
 	"shhc/internal/device"
 	"shhc/internal/fingerprint"
 )
 
-// Store is the persistent-index contract the hybrid hash node builds on.
-// *DB (SSD/HDD page store) and *MemStore (pure RAM) both implement it, as
-// does the ChunkStash-style baseline index. Implementations must be safe
-// for concurrent use: the striped hybrid node issues overlapping probes
-// from every stripe.
+// Store is the persistent-index contract the hybrid hash node builds on:
+// one interface, with the batch calls as the primitive. The node's SSD
+// phase, its destage waves and its journal replay all hand the store a
+// whole batch, because that is what lets a paged store pay one device
+// access per bucket page instead of one per fingerprint and overlap pages
+// up to the device's parallelism; Get and Put serve the node's single-key
+// operations. *DB (SSD/HDD page store), *MemStore (pure RAM), the Failpoint
+// wrapper and the ChunkStash-style baseline index implement it.
+// Implementations must be safe for concurrent use: the striped hybrid node
+// issues overlapping probes from every stripe.
 // The //shhc:io markers declare every probe and mutation to be I/O for
 // the lockio analyzer: call sites dispatch through this interface, so the
 // SSD-backed implementation is not statically visible there, and even the
@@ -19,10 +25,35 @@ import (
 type Store interface {
 	// Get returns the value stored for fp.
 	Get(fp fingerprint.Fingerprint) (Value, bool, error) //shhc:io
-	// Has reports whether fp is stored.
-	Has(fp fingerprint.Fingerprint) (bool, error) //shhc:io
 	// Put stores fp -> v, reporting whether a new entry was created.
 	Put(fp fingerprint.Fingerprint, v Value) (bool, error) //shhc:io
+	// Delete removes fp, reporting whether it was present. Not marked
+	// //shhc:io: ctxfirst would then demand a context of core.Node.Remove,
+	// whose signature core.Migrator and the frozen benchmark pin.
+	Delete(fp fingerprint.Fingerprint) (bool, error)
+	// GetBatch looks up every fingerprint, returning values and found
+	// flags in input order. A lookup error fails the whole batch. A
+	// cancelled ctx stops the batch from issuing further device reads
+	// (reads already issued complete) and fails it with ctx.Err(). fps
+	// belongs to the caller again when GetBatch returns: an implementation
+	// must not keep it.
+	GetBatch(ctx context.Context, fps []fingerprint.Fingerprint) ([]Value, []bool, error) //shhc:io
+	// PutBatch stores every pair, overwriting existing values. created
+	// reports, in input order, whether each pair created a new entry
+	// (a fingerprint appearing twice in one batch resolves in input
+	// order, so the second occurrence is an update). pagesWritten is the
+	// number of device page writes the batch cost — entry writes for
+	// stores without pages — the denominator of the write-coalescing
+	// ratio. A store error fails the whole batch. A cancelled ctx stops
+	// the batch from issuing device I/O for further bucket chains and
+	// fails it with ctx.Err(); a chain whose in-memory mutation has
+	// finished always writes out completely, so cancellation can strand
+	// at most already-allocated (unreferenced) overflow pages, never a
+	// torn chain. pairs belongs to the caller again when PutBatch returns:
+	// an implementation must not keep it.
+	PutBatch(ctx context.Context, pairs []Pair) (created []bool, pagesWritten int, err error) //shhc:io
+	// Range calls fn for every entry until fn returns false.
+	Range(fn func(fp fingerprint.Fingerprint, v Value) bool) error //shhc:io
 	// Len returns the number of stored entries.
 	Len() int
 	// Sync makes all previous writes durable.
@@ -34,6 +65,7 @@ type Store interface {
 var (
 	_ Store = (*DB)(nil)
 	_ Store = (*MemStore)(nil)
+	_ Store = (*Failpoint)(nil)
 )
 
 // memShards is the MemStore shard count (power of two). 64 shards keep
@@ -89,12 +121,6 @@ func (s *MemStore) Get(fp fingerprint.Fingerprint) (Value, bool, error) {
 	s.dev.Read(entrySize)
 	v, ok := sh.m[fp]
 	return v, ok, nil
-}
-
-// Has reports whether fp is stored.
-func (s *MemStore) Has(fp fingerprint.Fingerprint) (bool, error) {
-	_, ok, err := s.Get(fp)
-	return ok, err
 }
 
 // Put stores fp -> v, reporting whether a new entry was created.

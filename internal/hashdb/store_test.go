@@ -31,8 +31,8 @@ func TestMemStoreRoundTrip(t *testing.T) {
 	if err != nil || !ok || v != 12 {
 		t.Fatalf("Get = (%v, %v, %v), want (12, true, nil)", v, ok, err)
 	}
-	if ok, _ := s.Has(fp(2)); ok {
-		t.Fatal("Has(absent) = true")
+	if _, ok, _ := s.Get(fp(2)); ok {
+		t.Fatal("Get(absent) found an entry")
 	}
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", s.Len())
