@@ -113,7 +113,7 @@ func run() error {
 }
 
 // probeNode dials a hash node's RPC port directly, exercises a few
-// streams, and prints the negotiated transport's vitals.
+// streams, and prints the transport's vitals.
 func probeNode(ctx context.Context, target string) error {
 	id, hostport, ok := strings.Cut(strings.TrimSpace(target), "=")
 	if !ok {
@@ -130,11 +130,10 @@ func probeNode(ctx context.Context, target string) error {
 		return fmt.Errorf("ping: %w", err)
 	}
 	rtt := time.Since(start)
-	fmt.Printf("node %s at %s: protocol v%d, ping %v\n", id, hostport, client.Version(), rtt.Round(time.Microsecond))
+	fmt.Printf("node %s at %s: protocol v%d, ping %v\n", id, hostport, wire.ProtocolVersion, rtt.Round(time.Microsecond))
 
 	// One read-only round trip per stream handle: proves per-stream
-	// traffic flows (and, below protocol 5, that the legacy path serves
-	// the same handles).
+	// traffic flows.
 	const streams = 4
 	for i := 0; i < streams; i++ {
 		s := client.OpenStream()
@@ -147,13 +146,9 @@ func probeNode(ctx context.Context, target string) error {
 	if err != nil {
 		return fmt.Errorf("stats: %w", err)
 	}
-	if client.Version() >= wire.Version5 {
-		fmt.Printf("transport: %d streams open, %d credit stalls, %d bytes in flight, %d window updates, %d redirects issued\n",
-			st.Transport.StreamsOpen, st.Transport.CreditStalls, st.Transport.BytesInFlight,
-			st.Transport.WindowUpdates, st.Transport.RedirectsIssued)
-	} else {
-		fmt.Println("transport: legacy single-stream path (peer predates protocol 5); no transport counters")
-	}
+	fmt.Printf("transport: %d streams open, %d credit stalls, %d bytes in flight, %d window updates, %d redirects issued\n",
+		st.Transport.StreamsOpen, st.Transport.CreditStalls, st.Transport.BytesInFlight,
+		st.Transport.WindowUpdates, st.Transport.RedirectsIssued)
 	fmt.Printf("index: %d entries, %d lookups served\n", st.StoreEntries, st.Lookups)
 	return nil
 }

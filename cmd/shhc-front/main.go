@@ -40,7 +40,7 @@ func run() error {
 		quorum   = flag.Int("quorum", 0, "write quorum when replicas > 1 (0 = majority)")
 		antiGap  = flag.Duration("anti-entropy", 0, "anti-entropy sweep interval when replicas > 1 (0 = only on membership changes)")
 		pprofOn  = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the front-end mux")
-		rpcConns = flag.Int("rpc-conns", 0, "TCP connections per remote hash node (0 = default 4; streams multiplex over them)")
+		rpcConns = flag.Int("rpc-conns", 0, "TCP connections per remote hash node (0 = default 2; streams multiplex over them)")
 		rpcStrms = flag.Int("rpc-streams", 0, "logical streams per node connection for plain calls (0 = default 4)")
 		rpcWin   = flag.Int("rpc-window", 0, "per-stream send-credit window in bytes (0 = default 256KiB)")
 	)

@@ -51,7 +51,7 @@ func run() error {
 		backend  = flag.String("backend", "buffered", "hash table I/O backend (-dir only): buffered|direct (direct = O_DIRECT, bypassing the page cache; falls back to buffered where unsupported)")
 		qdepth   = flag.Int("direct-queue-depth", 0, "direct backend: concurrent O_DIRECT transfers (0 = default 32)")
 		pprofOn  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty = off")
-		muxWin   = flag.Int("mux-window", 0, "per-stream send-credit window in bytes for multiplexed (protocol >= 5) connections (0 = default 256KiB)")
+		muxWin   = flag.Int("mux-window", 0, "per-stream send-credit window in bytes for responses (0 = default 256KiB)")
 	)
 	flag.Parse()
 

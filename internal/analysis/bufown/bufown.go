@@ -1,5 +1,5 @@
 // Package bufown enforces the zero-copy wire layer's ownership rule:
-// every pooled buffer acquisition (wire.GetBuf, wire.ReadFrameVInto,
+// every pooled buffer acquisition (wire.GetBuf, wire.ReadFrame,
 // hashdb's page pool — any function marked //shhc:returns-buf) reaches
 // exactly one release on every path. A release is passing the buffer
 // where ownership is declared to move — a //shhc:takes-buf parameter
@@ -17,7 +17,7 @@
 // buffer is reported as a double release. Functions containing goto are
 // skipped. Buffers whose acquisition also yielded an error value are
 // only considered owned on the error-free path, mirroring the
-// "non-nil exactly when the error is nil" contract of ReadFrameVInto.
+// "non-nil exactly when the error is nil" contract of ReadFrame.
 package bufown
 
 import (
@@ -164,6 +164,14 @@ func (s *state) merge(other *state) {
 			delete(s.deferred, k)
 		}
 	}
+}
+
+// owns reports whether v is held, undeferred, on this path. A buffer
+// acquired only on an arm that has since terminated is absent from the
+// state, not owned.
+func (s *state) owns(v *types.Var) bool {
+	st, ok := s.st[v]
+	return ok && st == stOwned && !s.deferred[v]
 }
 
 type loopCtx struct {
@@ -384,7 +392,7 @@ func (w *walker) loop(body *ast.BlockStmt, post ast.Stmt, s *state, infinite boo
 	// lost when the next iteration shadows them.
 	if !iter.terminated {
 		for v := range ctx.innerVars {
-			if iter.st[v] == stOwned && !iter.deferred[v] {
+			if iter.owns(v) {
 				tv := w.tracked[v]
 				w.reportOnce(tv.acquiredAt, "pooled buffer %q is not released by the end of the loop iteration (leak)", v.Name())
 			}
@@ -435,7 +443,7 @@ func (w *walker) branch(st *ast.BranchStmt, s *state) {
 		ctx.breaks = append(ctx.breaks, s.clone())
 	case token.CONTINUE:
 		for v := range ctx.innerVars {
-			if s.st[v] == stOwned && !s.deferred[v] {
+			if s.owns(v) {
 				tv := w.tracked[v]
 				line := w.pass.Fset.Position(st.Pos()).Line
 				w.reportOnce(tv.acquiredAt, "pooled buffer %q is not released before the continue at line %d (leak)", v.Name(), line)
@@ -564,7 +572,7 @@ func (w *walker) define(names []*ast.Ident, values []ast.Expr, s *state) {
 }
 
 func (w *walker) assign(st *ast.AssignStmt, s *state) {
-	// Acquisition: `v := GetBuf(...)` or `f, bp, err := ReadFrameVInto(...)`.
+	// Acquisition: `v := GetBuf(...)` or `f, bp, err := ReadFrame(...)`.
 	if len(st.Rhs) == 1 {
 		if call, ok := ast.Unparen(st.Rhs[0]).(*ast.CallExpr); ok && w.isReturnsBuf(call) {
 			idents := make([]*ast.Ident, 0, len(st.Lhs))

@@ -29,10 +29,10 @@ func discardResult() {
 	pool.GetBuf() // want `pooled buffer result is discarded \(leak\)`
 }
 
-// leakFromFrame drops the buffer ReadFrameVInto transferred to us: the
+// leakFromFrame drops the buffer ReadFrame transferred to us: the
 // marked return made this function the owner, and no path releases it.
 func leakFromFrame(src []byte) error {
-	bp, err := pool.ReadFrameVInto(src) // want `pooled buffer "bp" is not released on`
+	bp, err := pool.ReadFrame(src) // want `pooled buffer "bp" is not released on`
 	if err != nil {
 		return err
 	}

@@ -17,11 +17,11 @@ func deferredRelease() {
 	sink(*bp)
 }
 
-// frameOwnership is the ReadFrameVInto happy path: ownership transfers in
+// frameOwnership is the ReadFrame happy path: ownership transfers in
 // on success only (the error branch holds nothing), and the deferred
 // release settles it.
 func frameOwnership(src []byte) error {
-	bp, err := pool.ReadFrameVInto(src)
+	bp, err := pool.ReadFrame(src)
 	if err != nil {
 		return err
 	}
@@ -41,7 +41,7 @@ func handOff() {
 //
 //shhc:returns-buf
 func forwardFrame(src []byte) (*[]byte, error) {
-	return pool.ReadFrameVInto(src)
+	return pool.ReadFrame(src)
 }
 
 // borrowDoesNotRelease passes the buffer to a plain function: that is a
@@ -86,4 +86,22 @@ func pairsReleasedBeforeBranch(src []byte, call func([]int) error) error {
 		return err
 	}
 	return nil
+}
+
+// refuseInLoop is the rpc read loop's refusal arm: a buffer acquired, handed
+// off and abandoned by `continue` inside one branch does not exist on the
+// path that falls out of the if, so neither the end of the iteration nor a
+// later continue owns it.
+func refuseInLoop(srcs [][]byte, m *pool.Mux) {
+	for _, src := range srcs {
+		if len(src) == 0 {
+			bp := pool.GetBuf()
+			m.Enqueue(*bp, bp)
+			continue
+		}
+		if len(src) == 1 {
+			continue
+		}
+		sink(src)
+	}
 }

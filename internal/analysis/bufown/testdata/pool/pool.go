@@ -1,6 +1,6 @@
 // Package pool mirrors the wire package's pooled-buffer surface: an
 // acquire marked //shhc:returns-buf, a release marked //shhc:takes-buf,
-// and a ReadFrameVInto-shaped helper that acquires internally and hands
+// and a ReadFrame-shaped helper that acquires internally and hands
 // ownership to its caller through the marked return.
 package pool
 
@@ -25,11 +25,11 @@ func PutBuf(bp *[]byte) {
 	bufPool.Put(bp)
 }
 
-// ReadFrameVInto decodes src into a pooled buffer the caller owns on
+// ReadFrame decodes src into a pooled buffer the caller owns on
 // success; on error no buffer is retained.
 //
 //shhc:returns-buf
-func ReadFrameVInto(src []byte) (*[]byte, error) {
+func ReadFrame(src []byte) (*[]byte, error) {
 	if len(src) == 0 {
 		return nil, errors.New("pool: empty frame")
 	}

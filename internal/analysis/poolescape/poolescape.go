@@ -8,7 +8,7 @@
 // enough to collide.
 //
 // A value is "pooled" when it comes from a call to a function marked
-// //shhc:returns-buf (wire.GetBuf, ReadFrameVInto, hashdb getPage, …)
+// //shhc:returns-buf (wire.GetBuf, ReadFrame, hashdb getPage, …)
 // or is a parameter named by a //shhc:takes-buf marker. The analyzer
 // flags, flow-insensitively:
 //

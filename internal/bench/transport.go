@@ -13,11 +13,10 @@ import (
 	"shhc/internal/fingerprint"
 	"shhc/internal/ring"
 	"shhc/internal/rpc"
-	"shhc/internal/wire"
 )
 
 // ---------------------------------------------------------------------------
-// Benchmark: the multiplexed transport (wire protocol 5).
+// Benchmark: the multiplexed transport.
 //
 // Two questions, two scenarios:
 //
@@ -29,30 +28,25 @@ import (
 //
 //  2. Isolation — when one consumer stalls (issues pipelined batches and
 //     never collects the results), does its exhausted credit window stay
-//     its own problem? Three cells: a healthy v5 baseline, v5 with a
-//     staller, and v4 with a staller (the legacy single-stream path,
-//     where nothing bounds the stalled consumer's buffered responses).
-//     The isolation ratio is stalled-v5 / baseline-v5 healthy throughput.
+//     its own problem? Two cells: a healthy baseline and the same load
+//     with a staller. The isolation ratio is stalled / baseline healthy
+//     throughput.
 // ---------------------------------------------------------------------------
 
 // Transport scenario names, as they appear in the JSON.
 const (
 	TransportScenarioScale    = "mux-scale"
-	TransportScenarioScaleV4  = "mux-scale/legacy-v4"
-	TransportScenarioBaseline = "stalled-consumer/baseline-v5"
-	TransportScenarioStallV5  = "stalled-consumer/stalled-v5"
-	TransportScenarioStallV4  = "stalled-consumer/stalled-v4"
+	TransportScenarioBaseline = "stalled-consumer/baseline"
+	TransportScenarioStall    = "stalled-consumer/stalled"
 )
 
 // TransportPoint is one cell of the transport benchmark.
 type TransportPoint struct {
 	Scenario string `json:"scenario"`
-	// Protocol is the negotiated wire version the cell ran at.
-	Protocol int `json:"protocol"`
 	// TCPConns is the number of TCP connections carrying the cell's load.
 	TCPConns int `json:"tcpConns"`
-	// LogicalClients is the number of concurrent callers (each with its
-	// own stream handle in v5 cells).
+	// LogicalClients is the number of concurrent callers, each with its
+	// own stream handle.
 	LogicalClients int `json:"logicalClients"`
 	// Ops counts completed lookups (scale) or batch entries (stall cells)
 	// by the healthy workers only — the staller's traffic never counts.
@@ -62,7 +56,7 @@ type TransportPoint struct {
 	// ServerCreditStalls / ServerBytesInFlight snapshot the server's mux
 	// after the cell: stalls prove the staller actually exhausted its
 	// window; bytes-in-flight show how much queued memory the credit cap
-	// bounds (v5) or fails to bound (v4, always zero — no mux).
+	// bounds.
 	ServerCreditStalls  uint64 `json:"serverCreditStalls"`
 	ServerBytesInFlight uint64 `json:"serverBytesInFlight"`
 	ServerWindowUpdates uint64 `json:"serverWindowUpdates"`
@@ -71,7 +65,7 @@ type TransportPoint struct {
 }
 
 // TransportReport is the emitted benchmark: the cells plus the headline
-// isolation ratio (stalled-v5 healthy throughput over baseline-v5).
+// isolation ratio (stalled healthy throughput over baseline).
 type TransportReport struct {
 	Experiment    string           `json:"experiment"`
 	Points        []TransportPoint `json:"points"`
@@ -130,42 +124,23 @@ func RunTransportBench(logicalClients, tcpConns, measureMillis int) (TransportRe
 
 	report := TransportReport{Experiment: "mux-transport"}
 
-	scale, err := runTransportScale(logicalClients, tcpConns, wire.Version5, measure)
+	scale, err := runTransportScale(logicalClients, tcpConns, measure)
 	if err != nil {
 		return report, fmt.Errorf("bench: transport scale: %w", err)
 	}
 	report.Points = append(report.Points, scale)
 
-	// The same load on the legacy v4 path (shared pipelined conns, no
-	// streams): the cost-of-mux comparison at scale.
-	scaleV4, err := runTransportScale(logicalClients, tcpConns, wire.Version4, measure)
+	baseline, err := runTransportStallCell(TransportScenarioBaseline, false, measure)
 	if err != nil {
-		return report, fmt.Errorf("bench: transport scale v4: %w", err)
+		return report, fmt.Errorf("bench: transport %s: %w", TransportScenarioBaseline, err)
 	}
-	scaleV4.Scenario = TransportScenarioScaleV4
-	report.Points = append(report.Points, scaleV4)
-
-	var baseline TransportPoint
-	for _, cell := range []struct {
-		scenario string
-		version  int
-		staller  bool
-	}{
-		{TransportScenarioBaseline, wire.Version5, false},
-		{TransportScenarioStallV5, wire.Version5, true},
-		{TransportScenarioStallV4, wire.Version4, true},
-	} {
-		p, err := runTransportStallCell(cell.scenario, cell.version, cell.staller, measure)
-		if err != nil {
-			return report, fmt.Errorf("bench: transport %s: %w", cell.scenario, err)
-		}
-		report.Points = append(report.Points, p)
-		if cell.scenario == TransportScenarioBaseline {
-			baseline = p
-		}
-		if cell.scenario == TransportScenarioStallV5 && baseline.Throughput > 0 {
-			report.IsolatedRatio = p.Throughput / baseline.Throughput
-		}
+	stalled, err := runTransportStallCell(TransportScenarioStall, true, measure)
+	if err != nil {
+		return report, fmt.Errorf("bench: transport %s: %w", TransportScenarioStall, err)
+	}
+	report.Points = append(report.Points, baseline, stalled)
+	if baseline.Throughput > 0 {
+		report.IsolatedRatio = stalled.Throughput / baseline.Throughput
 	}
 	return report, nil
 }
@@ -182,14 +157,14 @@ func startTransportServer() (*rpc.Server, string, error) {
 
 // runTransportScale: logicalClients goroutines, each with its own stream
 // handle, share tcpConns TCP connections and hammer synchronous lookups.
-func runTransportScale(logicalClients, tcpConns, version int, measure time.Duration) (TransportPoint, error) {
+func runTransportScale(logicalClients, tcpConns int, measure time.Duration) (TransportPoint, error) {
 	srv, addr, err := startTransportServer()
 	if err != nil {
 		return TransportPoint{}, err
 	}
 	defer srv.Close()
 
-	client, err := rpc.Dial("bench-transport", addr, rpc.ClientConfig{Conns: tcpConns, MaxVersion: version})
+	client, err := rpc.Dial("bench-transport", addr, rpc.ClientConfig{Conns: tcpConns})
 	if err != nil {
 		return TransportPoint{}, err
 	}
@@ -234,7 +209,6 @@ func runTransportScale(logicalClients, tcpConns, version int, measure time.Durat
 	n := ops.Load()
 	return TransportPoint{
 		Scenario:            TransportScenarioScale,
-		Protocol:            client.Version(),
 		TCPConns:            tcpConns,
 		LogicalClients:      logicalClients,
 		Ops:                 n,
@@ -255,7 +229,7 @@ const (
 	stallBatchSize      = 64
 )
 
-func runTransportStallCell(scenario string, version int, staller bool, measure time.Duration) (TransportPoint, error) {
+func runTransportStallCell(scenario string, staller bool, measure time.Duration) (TransportPoint, error) {
 	srv, addr, err := startTransportServer()
 	if err != nil {
 		return TransportPoint{}, err
@@ -264,14 +238,11 @@ func runTransportStallCell(scenario string, version int, staller bool, measure t
 
 	// One TCP connection: isolation must come from stream credit, not
 	// from the staller being parked on a different socket.
-	client, err := rpc.Dial("bench-transport", addr, rpc.ClientConfig{Conns: 1, MaxVersion: version})
+	client, err := rpc.Dial("bench-transport", addr, rpc.ClientConfig{Conns: 1})
 	if err != nil {
 		return TransportPoint{}, err
 	}
 	defer client.Close()
-	if client.Version() != version {
-		return TransportPoint{}, fmt.Errorf("negotiated v%d, want v%d", client.Version(), version)
-	}
 
 	var (
 		ops     atomic.Int64
@@ -352,7 +323,6 @@ func runTransportStallCell(scenario string, version int, staller bool, measure t
 	}
 	return TransportPoint{
 		Scenario:            scenario,
-		Protocol:            version,
 		TCPConns:            1,
 		LogicalClients:      clients,
 		Ops:                 n,
@@ -368,12 +338,11 @@ func runTransportStallCell(scenario string, version int, staller bool, measure t
 // FormatTransportBench renders the report with the isolation headline.
 func FormatTransportBench(r TransportReport) string {
 	t := &table{header: []string{
-		"scenario", "proto", "tcpConns", "clients", "throughput(ops/s)", "srvStalls", "srvBytesQ", "cliStalls",
+		"scenario", "tcpConns", "clients", "throughput(ops/s)", "srvStalls", "srvBytesQ", "cliStalls",
 	}}
 	for _, p := range r.Points {
 		t.addRow(
 			p.Scenario,
-			fmt.Sprintf("v%d", p.Protocol),
 			fmt.Sprintf("%d", p.TCPConns),
 			fmt.Sprintf("%d", p.LogicalClients),
 			fmt.Sprintf("%.0f", p.Throughput),
@@ -383,7 +352,7 @@ func FormatTransportBench(r TransportReport) string {
 		)
 	}
 	return fmt.Sprintf(
-		"Benchmark: multiplexed transport (streams + credit flow control; isolation ratio = stalled-v5/baseline-v5 healthy throughput: %.2f)\n%s",
+		"Benchmark: multiplexed transport (streams + credit flow control; isolation ratio = stalled/baseline healthy throughput: %.2f)\n%s",
 		r.IsolatedRatio, t.String())
 }
 

@@ -202,7 +202,7 @@ type ReplicaStats struct {
 }
 
 // TransportStats snapshots a node's RPC transport: the stream-multiplexed
-// connections (protocol >= 5) serving it. An in-process node has none;
+// connections serving it. An in-process node has none;
 // the RPC server overlays these onto the stats it returns, and clients
 // carry them back through the wire stats payload.
 type TransportStats struct {

@@ -59,8 +59,7 @@ type replCounters struct {
 }
 
 // RepairApplier is implemented by backends that support the dedicated
-// repair/backfill verb (local *Node, and RPC clients whose peer negotiated
-// protocol >= 4). ApplyRepair has exactly BatchLookupOrInsert semantics —
+// repair/backfill verb (local *Node, and RPC clients). ApplyRepair has exactly BatchLookupOrInsert semantics —
 // existing entries keep their stored value, missing ones are created, and
 // the per-pair results report which was which, and pairs is only valid
 // until the call returns — but the receiver accounts the traffic as
@@ -73,7 +72,7 @@ var _ RepairApplier = (*Node)(nil)
 
 // applyRepair sends a repair batch to a backend, using the dedicated verb
 // when the backend supports it and falling back to BatchLookupOrInsert
-// (identical presence semantics) for plain backends and pre-4 peers.
+// (identical presence semantics) for plain backends.
 func applyRepair(ctx context.Context, b Backend, pairs []Pair) ([]LookupResult, error) {
 	if ra, ok := b.(RepairApplier); ok {
 		return ra.ApplyRepair(ctx, pairs)

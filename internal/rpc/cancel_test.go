@@ -1,11 +1,8 @@
 package rpc
 
 import (
-	"bufio"
 	"context"
 	"errors"
-	"net"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -93,10 +90,10 @@ func (b *blockingBackend) Lookup(ctx context.Context, p fingerprint.Fingerprint)
 	return core.LookupResult{}, ctx.Err()
 }
 
-// TestCancelFrameStopsServerWork: cancelling the client context makes the
-// client return immediately AND propagates a CANCEL frame that unblocks
-// the server-side handler.
-func TestCancelFrameStopsServerWork(t *testing.T) {
+// startBlockingServer serves a blockingBackend and returns it with the
+// server's address.
+func startBlockingServer(t *testing.T) (*blockingBackend, string) {
+	t.Helper()
 	node, err := core.NewNode(core.NodeConfig{ID: "n1", Store: hashdb.NewMemStore(nil)})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
@@ -107,19 +104,23 @@ func TestCancelFrameStopsServerWork(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	client, err := Dial("n1", addr.String(), ClientConfig{Timeout: 30 * time.Second})
+	t.Cleanup(func() {
+		srv.Close()
+		node.Close()
+	})
+	return bb, addr.String()
+}
+
+// TestCancelFrameStopsServerWork: cancelling the client context makes the
+// client return immediately AND propagates a CANCEL frame that unblocks
+// the server-side handler.
+func TestCancelFrameStopsServerWork(t *testing.T) {
+	bb, addr := startBlockingServer(t)
+	client, err := Dial("n1", addr, ClientConfig{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	defer func() {
-		client.Close()
-		srv.Close()
-		node.Close()
-	}()
-	if v := client.Version(); v < wire.Version1 {
-		t.Fatalf("negotiated version %d, want >= 1", v)
-	}
-
+	defer client.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -149,166 +150,53 @@ func TestCancelFrameStopsServerWork(t *testing.T) {
 // TestDeadlineRidesWireToServer: the server derives its handler context
 // from the frame's deadline — even with no client-side waiting involved,
 // a request whose deadline lapses server-side answers with the context
-// error. Uses a raw version-1 conn so the client-side select cannot be
-// the one enforcing the deadline.
+// error. Uses a raw conn so the client-side select cannot be the one
+// enforcing the deadline.
 func TestDeadlineRidesWireToServer(t *testing.T) {
-	node, err := core.NewNode(core.NodeConfig{ID: "n1", Store: hashdb.NewMemStore(nil)})
-	if err != nil {
-		t.Fatalf("NewNode: %v", err)
-	}
-	bb := &blockingBackend{Backend: node}
-	srv := NewServer(bb, ServerConfig{})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer func() {
-		srv.Close()
-		node.Close()
-	}()
-
-	conn, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	bw := bufio.NewWriter(conn)
-	br := bufio.NewReader(conn)
-
-	// Handshake.
-	// Pin protocol 1: this test speaks raw v1 frames on the socket (the
-	// deadline field is what it exercises), so it must not negotiate the
-	// multiplexed v5 layout.
-	if err := wire.WriteFrame(bw, wire.Frame{Type: wire.TypeHello, ID: 1, Payload: wire.EncodeHello(wire.Version1)}); err != nil {
-		t.Fatalf("hello: %v", err)
-	}
-	bw.Flush()
-	ack, err := wire.ReadFrame(br)
-	if err != nil || ack.Type != wire.TypeHelloAck {
-		t.Fatalf("hello ack = %+v, %v", ack, err)
-	}
+	bb, addr := startBlockingServer(t)
+	peer := dialRaw(t, addr)
+	peer.hello()
 
 	// A lookup with a 30ms budget; the blocked handler can only be
 	// released by that server-side derived deadline.
-	if err := wire.WriteFrameV(bw, wire.Frame{Type: wire.TypeLookup, ID: 2, Timeout: 30 * time.Millisecond, Payload: wire.EncodeFP(fp(3))}, wire.Version1); err != nil {
-		t.Fatalf("lookup frame: %v", err)
-	}
-	bw.Flush()
-	resp, err := wire.ReadFrameV(br, wire.Version1)
-	if err != nil {
-		t.Fatalf("read response: %v", err)
-	}
+	peer.send(wire.Frame{Type: wire.TypeLookup, ID: 2, Timeout: 30 * time.Millisecond, Payload: wire.AppendFP(nil, fp(3))})
+	resp := peer.recv()
 	if resp.Type != wire.TypeError {
 		t.Fatalf("response type = %v, want error", resp.Type)
 	}
-	msg, err := wire.DecodeError(resp.Payload)
+	ep, err := wire.DecodeErrorPayload(resp.Payload)
 	if err != nil {
 		t.Fatalf("decode error payload: %v", err)
 	}
-	if want := context.DeadlineExceeded.Error(); !strings.Contains(msg, want) {
-		t.Fatalf("server error %q does not carry %q", msg, want)
+	if ep.Code != wire.CodeDeadline {
+		t.Fatalf("server error %+v does not carry %v", ep, wire.CodeDeadline)
 	}
 	if bb.cancelled.Load() != 1 {
 		t.Fatalf("handler cancelled %d times, want 1", bb.cancelled.Load())
 	}
 }
 
-// TestDeadlineErrorMapsAcrossWire: a ServerError carrying the canonical
-// deadline string unwraps to context.DeadlineExceeded on the client.
+// TestDeadlineErrorMapsAcrossWire: a server error carrying the DEADLINE
+// code unwraps to context.DeadlineExceeded on the client, CANCELLED to
+// context.Canceled, and nothing else does — whatever the message says.
 func TestDeadlineErrorMapsAcrossWire(t *testing.T) {
-	err := newServerError("core: node n1: lookup: context deadline exceeded")
+	coded := func(code wire.Code, msg string) error {
+		return decodeServerError(wire.AppendError(nil, wire.ErrorPayload{Code: code, Msg: msg}))
+	}
+	err := coded(wire.CodeDeadline, "core: node n1: lookup: context deadline exceeded")
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("mapped server error %v does not unwrap to DeadlineExceeded", err)
 	}
-	err = newServerError("context canceled")
+	err = coded(wire.CodeCancelled, "context canceled")
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mapped server error %v does not unwrap to Canceled", err)
 	}
-	err = newServerError("disk on fire")
+	err = coded(wire.CodeInternal, "disk on fire")
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("generic server error %v wrongly unwraps to a context error", err)
 	}
-}
-
-// TestCancelVersion0PeerInterop: a version-0 peer — speaking the original
-// frame layout with no Hello — still works against the new server, and
-// the new client falls back to version 0 against a server that rejects
-// Hello the way the old implementation did.
-func TestCancelVersion0PeerInterop(t *testing.T) {
-	// Old client, new server: raw v0 frames straight onto the socket.
-	node, client := startNode(t, "n1")
-	addrClient, err := net.Dial("tcp", client.Addr())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer addrClient.Close()
-	bw := bufio.NewWriter(addrClient)
-	br := bufio.NewReader(addrClient)
-	if err := wire.WriteFrame(bw, wire.Frame{Type: wire.TypeLookupOrInsert, ID: 7, Payload: wire.EncodePair(wire.PairPayload{FP: fp(77), Val: 5})}); err != nil {
-		t.Fatalf("v0 frame: %v", err)
-	}
-	bw.Flush()
-	resp, err := wire.ReadFrame(br)
-	if err != nil {
-		t.Fatalf("v0 read: %v", err)
-	}
-	if resp.Type != wire.TypeResult || resp.ID != 7 {
-		t.Fatalf("v0 response = %+v, want result id=7", resp)
-	}
-	r, err := wire.DecodeResult(resp.Payload)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if r.Exists {
-		t.Fatal("first insert of fp(77) reported duplicate")
-	}
-	if _, err := node.Lookup(context.Background(), fp(77)); err != nil {
-		t.Fatalf("node lookup after v0 insert: %v", err)
-	}
-
-	// New client, old server: a fake listener that answers Hello with
-	// TypeError (exactly what the old handle() did for unknown types),
-	// then serves one v0 ping.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		cbr := bufio.NewReader(conn)
-		cbw := bufio.NewWriter(conn)
-		for {
-			f, err := wire.ReadFrame(cbr)
-			if err != nil {
-				return
-			}
-			var out wire.Frame
-			switch f.Type {
-			case wire.TypePing:
-				out = wire.Frame{Type: wire.TypePong, ID: f.ID}
-			default:
-				out = wire.Frame{Type: wire.TypeError, ID: f.ID, Payload: wire.EncodeError("rpc: unsupported request type " + f.Type.String())}
-			}
-			if err := wire.WriteFrame(cbw, out); err != nil {
-				return
-			}
-			cbw.Flush()
-		}
-	}()
-	oldPeer, err := Dial("old", ln.Addr().String(), ClientConfig{Conns: 1, Timeout: 2 * time.Second})
-	if err != nil {
-		t.Fatalf("Dial old peer: %v", err)
-	}
-	defer oldPeer.Close()
-	if v := oldPeer.Version(); v != wire.Version0 {
-		t.Fatalf("negotiated version with old peer = %d, want 0", v)
-	}
-	if err := oldPeer.Ping(context.Background()); err != nil {
-		t.Fatalf("Ping old peer: %v", err)
+	err = coded(wire.CodeInternal, "replica said: context deadline exceeded")
+	if errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("server error %v unwraps to a context error on the strength of its message", err)
 	}
 }

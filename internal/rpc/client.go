@@ -3,10 +3,10 @@ package rpc
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,63 +17,44 @@ import (
 	"shhc/internal/wire"
 )
 
-func ringNodeID(s string) ring.NodeID { return ring.NodeID(s) }
-
 // ErrClientClosed is returned by operations on a closed client.
 var ErrClientClosed = errors.New("rpc: client is closed")
 
 // ServerError is a failure reported by the remote node (as opposed to a
-// transport failure). When the remote failure was a context cancellation
-// or deadline on the server side, Unwrap exposes the matching context
-// error so errors.Is(err, context.DeadlineExceeded) holds across the wire.
-// On protocol >= 5 connections Code carries the server's compact error
-// code; CodeNotOwner additionally populates the true owner's identity.
+// transport failure). Code is the server's error code, and the only thing
+// that maps to behaviour: CodeCancelled and CodeDeadline unwrap to the
+// matching context error, so errors.Is(err, context.DeadlineExceeded)
+// holds across the wire; CodeNotOwner additionally populates the true
+// owner's identity; Dial fails with CodeVersionMismatch against a peer on
+// another protocol. Msg is for people.
 type ServerError struct {
 	Msg       string
 	Code      wire.Code
 	OwnerID   string
 	OwnerAddr string
-	cause     error
 }
 
 func (e *ServerError) Error() string { return "rpc: server: " + e.Msg }
 
-// Unwrap exposes the underlying context error, if the server's failure
-// was one.
-func (e *ServerError) Unwrap() error { return e.cause }
-
-// newServerError classifies a server-reported message, recovering context
-// errors from their canonical strings (stable since Go 1.0, and the only
-// representation a version-0 peer can send).
-func newServerError(msg string) *ServerError {
-	e := &ServerError{Msg: msg}
-	switch {
-	case strings.Contains(msg, context.DeadlineExceeded.Error()):
-		e.cause = context.DeadlineExceeded
-	case strings.Contains(msg, context.Canceled.Error()):
-		e.cause = context.Canceled
+// Unwrap exposes the context error the server's failure was, if it was
+// one.
+func (e *ServerError) Unwrap() error {
+	switch e.Code {
+	case wire.CodeCancelled:
+		return context.Canceled
+	case wire.CodeDeadline:
+		return context.DeadlineExceeded
 	}
-	return e
+	return nil
 }
 
-// decodeServerError turns a TypeError payload (either layout) into a
-// *ServerError, preferring the v5 code over string sniffing when present.
+// decodeServerError turns a TypeError payload into a *ServerError.
 func decodeServerError(payload []byte) *ServerError {
 	ep, err := wire.DecodeErrorPayload(payload)
 	if err != nil {
 		return &ServerError{Msg: "undecodable server error"}
 	}
-	e := newServerError(ep.Msg)
-	e.Code = ep.Code
-	e.OwnerID = ep.OwnerID
-	e.OwnerAddr = ep.OwnerAddr
-	switch ep.Code {
-	case wire.CodeCancelled:
-		e.cause = context.Canceled
-	case wire.CodeDeadline:
-		e.cause = context.DeadlineExceeded
-	}
-	return e
+	return &ServerError{Msg: ep.Msg, Code: ep.Code, OwnerID: ep.OwnerID, OwnerAddr: ep.OwnerAddr}
 }
 
 // ClientConfig configures a Client.
@@ -81,23 +62,19 @@ type ClientConfig struct {
 	// Conns is the connection pool size; requests round-robin across it.
 	// Default 2 (one per direction of the paper's two client machines).
 	Conns int
-	// DialTimeout bounds connection establishment (including the version
+	// DialTimeout bounds connection establishment (including the
 	// handshake). Default 5s.
 	DialTimeout time.Duration
 	// Timeout bounds each request round-trip when the caller's context
 	// carries no earlier deadline. Default 30s.
 	Timeout time.Duration
-	// MaxVersion caps the protocol version offered in the handshake
-	// (0 = wire.MaxVersion). For version-skew tests and staged rollouts.
-	MaxVersion int
 	// StreamsPerConn is how many logical streams the client's default
 	// (non-OpenStream) traffic round-robins across on each connection.
-	// Default 4. Protocol >= 5 connections only; below that there is one
-	// implicit stream.
+	// Default 4.
 	StreamsPerConn int
 	// Window is the initial per-stream send-credit window in bytes
 	// (0 = wire.DefaultWindow). Must match nothing on the server — each
-	// side declares the window it grants for traffic flowing toward it.
+	// side sizes its own send window and announces it in the handshake.
 	Window int
 	// RedialAttempts bounds how many times an operation redials a dead
 	// connection slot before giving up (default 3). With RedialBackoff
@@ -107,7 +84,7 @@ type ClientConfig struct {
 	// RedialBackoff is the initial sleep between redial attempts,
 	// doubling each attempt (default 50ms).
 	RedialBackoff time.Duration
-	// NoRedirects disables following NOT_OWNER redirects (protocol >= 5).
+	// NoRedirects disables following NOT_OWNER redirects.
 	// Redirected-to clients set it internally so a bouncing ring view
 	// cannot chain redirects.
 	NoRedirects bool
@@ -122,9 +99,6 @@ func (c *ClientConfig) fill() {
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 30 * time.Second
-	}
-	if c.MaxVersion <= 0 || c.MaxVersion > wire.MaxVersion {
-		c.MaxVersion = wire.MaxVersion
 	}
 	if c.StreamsPerConn <= 0 {
 		c.StreamsPerConn = 4
@@ -145,11 +119,9 @@ func (c *ClientConfig) fill() {
 // exactly as it routes to in-process ones.
 //
 // Every operation takes a context: its deadline travels to the server in
-// the request frame (protocol version 1), and cancelling it both returns
-// promptly on the client and sends a CANCEL frame so the server stops
-// working on the abandoned request. Against a version-0 server the
-// deadline and cancellation are still enforced client-side; only the
-// server keeps working until its own timeout.
+// the request frame, and cancelling it both returns promptly on the client
+// and sends a CANCEL frame so the server stops working on the abandoned
+// request.
 type Client struct {
 	id   ring.NodeID
 	addr string
@@ -162,7 +134,7 @@ type Client struct {
 
 	// nextStreamID hands out logical stream ids: 1..StreamsPerConn are
 	// the default round-robin pool, the repair stream and OpenStream
-	// handles take ids above that. Stream 0 is the control/legacy stream.
+	// handles take ids above that. Stream 0 is the control stream.
 	nextStreamID uint32
 	repairStream uint32
 	streamNext   uint64 // atomic; round-robins default traffic over the pool
@@ -178,8 +150,9 @@ type Client struct {
 
 var _ core.Backend = (*Client)(nil)
 
-// Dial connects to a hash node server and negotiates the protocol
-// version.
+// Dial connects to a hash node server and completes the handshake on the
+// first pooled connection. Against a peer that speaks another protocol
+// version it fails with a *ServerError whose Code is CodeVersionMismatch.
 func Dial(id ring.NodeID, addr string, cfg ClientConfig) (*Client, error) {
 	cfg.fill()
 	c := &Client{
@@ -231,19 +204,6 @@ func (c *Client) ID() ring.NodeID { return c.id }
 // Addr returns the remote address.
 func (c *Client) Addr() string { return c.addr }
 
-// Version reports the protocol version negotiated with the server
-// (the first pooled connection's; all connections negotiate alike).
-func (c *Client) Version() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, cc := range c.conns {
-		if cc != nil {
-			return cc.version
-		}
-	}
-	return wire.Version0
-}
-
 func (c *Client) dialConn() (*clientConn, error) {
 	conn, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
 	if err != nil {
@@ -261,72 +221,66 @@ func (c *Client) dialConn() (*clientConn, error) {
 		deadCh:  make(chan struct{}),
 		stalls:  &c.creditStalls,
 	}
-	version, srvWindow, err := negotiate(conn, cc.fw, c.cfg.DialTimeout, c.cfg.MaxVersion, uint32(c.cfg.Window))
+	br := bufio.NewReaderSize(conn, 64<<10)
+	srvWindow, err := cc.handshake(br, c.cfg.DialTimeout)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	cc.version = version
 	// The server advertised its per-stream response window in the
-	// HelloAck (0 on pre-advertisement peers). Knowing it lets us
-	// coalesce consumption grants: withhold WINDOW_UPDATE frames until a
-	// quarter-window is pending, cutting per-op frame count without ever
-	// letting the server's window run dry.
+	// HelloAck. Knowing it lets us coalesce consumption grants: withhold
+	// WINDOW_UPDATE frames until a quarter-window is pending, cutting
+	// per-op frame count without ever letting the server's window run dry.
 	cc.grantEvery = int64(srvWindow / 4)
-	go cc.readLoop()
+	go cc.readLoop(br)
 	return cc, nil
 }
 
-// negotiate performs the client side of the version handshake on a fresh
-// connection, before the read loop starts: send Hello (version-0 layout),
-// read one frame back. HelloAck carries the negotiated version; TypeError
-// means the peer is a version-0 server that rejected the unknown frame
-// type — fully supported, just no deadlines or cancels on the wire.
-// It also returns the server's advertised per-stream response window (0
-// when the peer predates window advertisement).
-func negotiate(conn net.Conn, fw *wire.FrameWriter, timeout time.Duration, maxVersion int, sendWindow uint32) (int, uint32, error) {
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return 0, 0, fmt.Errorf("rpc: handshake: %w", err)
+// handshake performs the client side of the opening exchange on a fresh
+// connection, before the read loop starts: send a Hello carrying
+// wire.ProtocolVersion and our per-stream send window (so the server can
+// coalesce the credit grants it returns for flushed requests), read one
+// frame back. It returns the server's advertised per-stream response
+// window. A server on another version answers with a VERSION_MISMATCH
+// error, or acks a version that is not ours; both surface as a
+// *ServerError with that code — there is no older protocol to retry as.
+func (cc *clientConn) handshake(br *bufio.Reader, timeout time.Duration) (uint32, error) {
+	if err := cc.conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+		return 0, fmt.Errorf("rpc: handshake: %w", err)
 	}
-	defer conn.SetDeadline(time.Time{})
+	defer cc.conn.SetDeadline(time.Time{})
 	var hello [8]byte
-	payload := wire.AppendHello(hello[:0], maxVersion)
-	if maxVersion >= wire.Version5 {
-		// Offering the multiplexed protocol: extend the Hello with our
-		// per-stream send window so the server can coalesce the credit
-		// grants it returns for flushed requests.
-		payload = wire.AppendHelloWindow(hello[:0], maxVersion, sendWindow)
-	}
-	err := fw.WriteFrame(wire.Frame{Type: wire.TypeHello, Payload: payload}, wire.Version0)
+	err := cc.fw.WriteFrame(wire.Frame{Type: wire.TypeHello, Payload: wire.AppendHello(hello[:0], wire.ProtocolVersion, uint32(cc.window))})
 	if err != nil {
-		return 0, 0, fmt.Errorf("rpc: handshake send: %w", err)
+		return 0, fmt.Errorf("rpc: handshake send: %w", err)
 	}
-	// Read straight off the conn: a buffered reader here could slurp
-	// bytes that belong to the read loop's own reader.
-	resp, err := wire.ReadFrame(conn)
+	resp, body, err := wire.ReadFrame(br)
 	if err != nil {
-		return 0, 0, fmt.Errorf("rpc: handshake read: %w", err)
+		return 0, fmt.Errorf("rpc: handshake read: %w", err)
 	}
+	defer wire.PutBuf(body)
 	switch resp.Type {
 	case wire.TypeHelloAck:
-		v, err := wire.DecodeHello(resp.Payload)
+		v, window, err := wire.DecodeHello(resp.Payload)
 		if err != nil {
-			return 0, 0, fmt.Errorf("rpc: handshake: %w", err)
+			return 0, fmt.Errorf("rpc: handshake: %w", err)
 		}
-		if v > maxVersion {
-			return 0, 0, fmt.Errorf("rpc: handshake: server negotiated unsupported version %d", v)
+		if v != wire.ProtocolVersion {
+			return 0, &ServerError{
+				Code: wire.CodeVersionMismatch,
+				Msg:  fmt.Sprintf("server acked protocol %d, this client speaks %d", v, wire.ProtocolVersion),
+			}
 		}
-		return v, wire.HelloWindow(resp.Payload), nil
+		return window, nil
 	case wire.TypeError:
-		// A version-0 server rejects the Hello frame type; fall back.
-		return wire.Version0, 0, nil
+		return 0, decodeServerError(resp.Payload)
 	default:
-		return 0, 0, fmt.Errorf("rpc: handshake: unexpected %v response", resp.Type)
+		return 0, fmt.Errorf("rpc: handshake: unexpected %v response", resp.Type)
 	}
 }
 
 // pick returns a live pooled connection, redialing dead slots lazily.
-// The dial (TCP connect + version handshake, up to DialTimeout) runs
+// The dial (TCP connect + handshake, up to DialTimeout) runs
 // OUTSIDE c.mu: one dead slot must not stall callers that round-robin
 // onto healthy connections. A dial failure is retried RedialAttempts
 // times with doubling backoff (under ctx), so a briefly-restarted node
@@ -434,7 +388,7 @@ func (c *Client) call(ctx context.Context, stream uint32, reqType wire.Type, req
 	if reqBuf != nil {
 		payload = *reqBuf
 	}
-	holdReq := c.redirectable(reqType, cc.version) && reqBuf != nil
+	holdReq := c.redirectable(reqType) && reqBuf != nil
 	pc, err := cc.start(ctx, stream, reqType, payload, c.timeoutFor(ctx))
 	if !holdReq {
 		// start wrote (or failed to write) the frame; the payload's last
@@ -471,9 +425,9 @@ func (c *Client) call(ctx context.Context, stream uint32, reqType wire.Type, req
 }
 
 // redirectable reports whether a verb can follow a NOT_OWNER redirect:
-// single-key verbs on a protocol >= 5 connection, unless disabled.
-func (c *Client) redirectable(t wire.Type, version int) bool {
-	if c.cfg.NoRedirects || version < wire.Version5 {
+// single-key verbs, unless disabled.
+func (c *Client) redirectable(t wire.Type) bool {
+	if c.cfg.NoRedirects {
 		return false
 	}
 	return t == wire.TypeLookup || t == wire.TypeLookupOrInsert || t == wire.TypeInsert
@@ -511,7 +465,7 @@ func (c *Client) redirectTo(id, addr string) (*Client, error) {
 	cfg := c.cfg
 	cfg.Conns = 1
 	cfg.NoRedirects = true
-	fresh, err := Dial(ringNodeID(id), addr, cfg)
+	fresh, err := Dial(ring.NodeID(id), addr, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -547,7 +501,15 @@ func (c *Client) Lookup(ctx context.Context, fp fingerprint.Fingerprint) (core.L
 func (c *Client) lookupOn(ctx context.Context, stream uint32, fp fingerprint.Fingerprint) (core.LookupResult, error) {
 	buf := wire.GetBuf(fingerprint.Size)
 	*buf = wire.AppendFP((*buf)[:0], fp)
-	resp, body, err := c.call(ctx, stream, wire.TypeLookup, buf)
+	return c.resultCall(ctx, stream, wire.TypeLookup, buf)
+}
+
+// resultCall is call for the single-key verbs answered by a TypeResult. It
+// takes ownership of reqBuf as call does.
+//
+//shhc:takes-buf reqBuf
+func (c *Client) resultCall(ctx context.Context, stream uint32, reqType wire.Type, reqBuf *[]byte) (core.LookupResult, error) {
+	resp, body, err := c.call(ctx, stream, reqType, reqBuf)
 	if err != nil {
 		return core.LookupResult{}, err
 	}
@@ -567,16 +529,7 @@ func (c *Client) LookupOrInsert(ctx context.Context, fp fingerprint.Fingerprint,
 func (c *Client) lookupOrInsertOn(ctx context.Context, stream uint32, fp fingerprint.Fingerprint, val core.Value) (core.LookupResult, error) {
 	buf := wire.GetBuf(0)
 	*buf = wire.AppendPair((*buf)[:0], wire.PairPayload{FP: fp, Val: uint64(val)})
-	resp, body, err := c.call(ctx, stream, wire.TypeLookupOrInsert, buf)
-	if err != nil {
-		return core.LookupResult{}, err
-	}
-	r, err := wire.DecodeResult(resp.Payload)
-	wire.PutBuf(body)
-	if err != nil {
-		return core.LookupResult{}, err
-	}
-	return fromWireResult(r), nil
+	return c.resultCall(ctx, stream, wire.TypeLookupOrInsert, buf)
 }
 
 // Insert unconditionally records fp -> val on the remote node.
@@ -598,21 +551,15 @@ func (c *Client) BatchLookupOrInsert(ctx context.Context, pairs []core.Pair) ([]
 	return c.GoBatchLookupOrInsert(ctx, pairs).Results()
 }
 
-// ApplyRepair sends a replication repair batch to the remote node. On a
-// protocol >= 4 connection it uses the REPAIR verb so the server can
-// account the traffic separately from client load; against an older peer
-// it degrades to a plain BATCH frame, which has identical lookup-or-insert
-// semantics — the repair still lands, it just isn't counted as one.
+// ApplyRepair sends a replication repair batch to the remote node with the
+// REPAIR verb, so the server can account the traffic separately from
+// client load.
 func (c *Client) ApplyRepair(ctx context.Context, pairs []core.Pair) ([]core.LookupResult, error) {
-	reqType := wire.TypeRepair
-	if c.Version() < wire.Version4 {
-		reqType = wire.TypeBatch
-	}
 	// Repair rides its own dedicated stream: backfill bursts share wire
 	// bytes with foreground lookups but never a credit window, so a big
 	// repair batch cannot head-of-line-block client traffic (or vice
-	// versa) on a multiplexed connection.
-	resp, body, err := c.call(ctx, c.repairStream, reqType, appendCorePairBatch(pairs))
+	// versa).
+	resp, body, err := c.call(ctx, c.repairStream, wire.TypeRepair, appendCorePairBatch(pairs))
 	if err != nil {
 		return nil, err
 	}
@@ -675,14 +622,13 @@ func (c *Client) goBatchOn(ctx context.Context, stream uint32, pairs []core.Pair
 }
 
 // appendCorePairBatch encodes a batch payload straight from core pairs into
-// a pooled buffer, skipping the []wire.PairPayload copy EncodeBatch would
-// cost. The caller (or c.call) releases the buffer after the frame is
-// written.
+// a pooled buffer. The caller (or c.call) releases the buffer after the
+// frame is written.
 //
 //shhc:returns-buf
 func appendCorePairBatch(pairs []core.Pair) *[]byte {
 	buf := wire.GetBuf(4 + len(pairs)*(fingerprint.Size+8))
-	b := appendUint32((*buf)[:0], uint32(len(pairs)))
+	b := binary.BigEndian.AppendUint32((*buf)[:0], uint32(len(pairs)))
 	for i := range pairs {
 		b = wire.AppendPair(b, wire.PairPayload{FP: pairs[i].FP, Val: uint64(pairs[i].Val)})
 	}
@@ -784,8 +730,7 @@ func (c *Client) Close() error {
 // returns a handle whose operations all ride that stream: its own credit
 // window, its own place in the server's round-robin scheduler. Cheap —
 // no wire traffic, just an id — so each subsystem (webfront, batcher,
-// replication) can own one. On pre-5 connections the handle still works;
-// it simply shares the single implicit stream with everything else.
+// replication) can own one.
 func (c *Client) OpenStream() *ClientStream {
 	id := atomic.AddUint32(&c.nextStreamID, 1) - 1
 	return &ClientStream{c: c, id: id}
@@ -846,15 +791,13 @@ func (s *ClientStream) Stats(ctx context.Context) (core.NodeStats, error) {
 // Client (whose lifetime the owner manages) stays open.
 func (s *ClientStream) Close() error { return nil }
 
-// clientConn is one pipelined connection with an id-keyed pending table.
-// On protocol >= 5 connections it additionally tracks one send-credit
-// window per logical stream: a caller writing on a stream whose window is
-// exhausted blocks (in start) until the server grants credit back — that
-// per-caller blocking IS the isolation, because callers on other streams
-// never touch the exhausted window.
+// clientConn is one pipelined connection with an id-keyed pending table
+// and one send-credit window per logical stream: a caller writing on a
+// stream whose window is exhausted blocks (in start) until the server
+// grants credit back — that per-caller blocking IS the isolation, because
+// callers on other streams never touch the exhausted window.
 type clientConn struct {
-	conn    net.Conn
-	version int // negotiated protocol version, fixed after the handshake
+	conn net.Conn
 
 	writeMu sync.Mutex
 	fw      *wire.FrameWriter
@@ -875,10 +818,9 @@ type clientConn struct {
 
 	// grantEvery coalesces consumption grants: withhold WINDOW_UPDATE
 	// frames for a stream until this many consumed bytes are pending
-	// (a quarter of the server's advertised response window; 0 — peer
-	// did not advertise — grants immediately). Withholding less than
-	// the full window can never wedge the stream: the server always
-	// retains at least three quarters of its credit.
+	// (a quarter of the server's advertised response window). Withholding
+	// less than the full window can never wedge the stream: the server
+	// always retains at least three quarters of its credit.
 	grantEvery int64
 
 	closeOnce sync.Once
@@ -912,7 +854,7 @@ func (cc *clientConn) windowFor(stream uint32) *sendWindow {
 // while the balance is empty. The window may go negative (one oversized
 // frame), which blocks the stream until grants restore it.
 func (cc *clientConn) acquire(ctx context.Context, stream uint32, n int) error {
-	if cc.version < wire.Version5 || stream == 0 || n == 0 {
+	if stream == 0 || n == 0 {
 		return nil
 	}
 	w := cc.windowFor(stream)
@@ -960,36 +902,33 @@ func (cc *clientConn) grantSend(stream uint32, n int) {
 }
 
 // grantConsumed tells the server we consumed n bytes of response payload
-// on the stream, reopening its response window (protocol >= 5). Sent on
+// on the stream, reopening its response window. Sent on
 // consumption — not delivery — so an unconsumed future keeps its stream's
 // server-side window shut, which is exactly the back-pressure the mux
 // design wants.
 func (cc *clientConn) grantConsumed(stream uint32, n int) {
-	if cc.version < wire.Version5 || stream == 0 || n == 0 || cc.isDead() {
+	if stream == 0 || n == 0 || cc.isDead() {
 		return
 	}
-	credit := int64(n)
-	if cc.grantEvery > 0 {
-		// Coalesce: accumulate until a quarter of the server's window is
-		// pending, then grant the whole batch in one frame.
-		w := cc.windowFor(stream)
-		w.mu.Lock()
-		w.pendGrant += credit
-		if w.pendGrant < cc.grantEvery {
-			w.mu.Unlock()
-			return
-		}
-		credit = w.pendGrant
-		w.pendGrant = 0
+	// Coalesce: accumulate until a quarter of the server's window is
+	// pending, then grant the whole batch in one frame.
+	w := cc.windowFor(stream)
+	w.mu.Lock()
+	w.pendGrant += int64(n)
+	if w.pendGrant < cc.grantEvery {
 		w.mu.Unlock()
+		return
 	}
+	credit := w.pendGrant
+	w.pendGrant = 0
+	w.mu.Unlock()
 	var payload [4]byte
 	cc.writeMu.Lock()
 	err := cc.fw.WriteFrame(wire.Frame{
 		Type:    wire.TypeWindowUpdate,
 		Stream:  stream,
 		Payload: wire.AppendWindowUpdate(payload[:0], uint32(credit)),
-	}, cc.version)
+	})
 	cc.writeMu.Unlock()
 	if err != nil {
 		cc.shutdown(fmt.Errorf("rpc: send window update: %w", err))
@@ -1043,10 +982,9 @@ func (cc *clientConn) shutdown(err error) {
 	}
 }
 
-func (cc *clientConn) readLoop() {
-	br := bufio.NewReaderSize(cc.conn, 64<<10)
+func (cc *clientConn) readLoop(br *bufio.Reader) {
 	for {
-		frame, body, err := wire.ReadFrameVInto(br, cc.version)
+		frame, body, err := wire.ReadFrame(br)
 		if err != nil {
 			cc.shutdown(fmt.Errorf("rpc: connection lost: %w", err))
 			return
@@ -1086,10 +1024,9 @@ func (cc *clientConn) readLoop() {
 
 // start registers a call and writes its request frame, returning without
 // waiting for the response — this is what pipelines multiple requests onto
-// one connection. timeout (relative, 0 = none) rides in the frame on
-// version >= 1 connections. On protocol >= 5 connections the payload is
-// first charged against the stream's send window; a caller on an
-// exhausted stream blocks here (under ctx) until the server grants
+// one connection. timeout (relative, 0 = none) rides in the frame. The
+// payload is first charged against the stream's send window; a caller on
+// an exhausted stream blocks here (under ctx) until the server grants
 // credit, while callers on other streams sail past.
 func (cc *clientConn) start(ctx context.Context, stream uint32, reqType wire.Type, payload []byte, timeout time.Duration) (*pendingCall, error) {
 	if err := cc.acquire(ctx, stream, len(payload)); err != nil {
@@ -1113,7 +1050,7 @@ func (cc *clientConn) start(ctx context.Context, stream uint32, reqType wire.Typ
 	cc.mu.Unlock()
 
 	cc.writeMu.Lock()
-	err := cc.fw.WriteFrame(wire.Frame{Type: reqType, ID: id, Timeout: timeout, Stream: stream, Payload: payload}, cc.version)
+	err := cc.fw.WriteFrame(wire.Frame{Type: reqType, ID: id, Timeout: timeout, Stream: stream, Payload: payload})
 	cc.writeMu.Unlock()
 	if err != nil {
 		cc.shutdown(fmt.Errorf("rpc: send: %w", err))
@@ -1122,14 +1059,14 @@ func (cc *clientConn) start(ctx context.Context, stream uint32, reqType wire.Typ
 	return pc, nil
 }
 
-// sendCancel tells the server to abandon the request (protocol >= 1;
-// best-effort — a failure only means the server works a little longer).
+// sendCancel tells the server to abandon the request (best-effort — a
+// failure only means the server works a little longer).
 func (cc *clientConn) sendCancel(id uint64) {
-	if cc.version < wire.Version1 || cc.isDead() {
+	if cc.isDead() {
 		return
 	}
 	cc.writeMu.Lock()
-	err := cc.fw.WriteFrame(wire.Frame{Type: wire.TypeCancel, ID: id}, cc.version)
+	err := cc.fw.WriteFrame(wire.Frame{Type: wire.TypeCancel, ID: id})
 	cc.writeMu.Unlock()
 	if err != nil {
 		cc.shutdown(fmt.Errorf("rpc: send cancel: %w", err))

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"sync"
@@ -39,11 +40,10 @@ func TestDecodeCoreResults(t *testing.T) {
 		{Exists: false, Source: core.SourceNew},
 		{Exists: true, Source: core.SourceStore, Value: 1 << 40},
 	}
-	wireResults := make([]wire.ResultPayload, len(want))
-	for i, r := range want {
-		wireResults[i] = toWireResult(r)
+	payload := binary.BigEndian.AppendUint32(nil, uint32(len(want)))
+	for _, r := range want {
+		payload = wire.AppendResult(payload, toWireResult(r))
 	}
-	payload := wire.EncodeBatchResult(wireResults)
 	got, err := decodeCoreResults(payload, len(want), "batch")
 	if err != nil {
 		t.Fatalf("decodeCoreResults: %v", err)

@@ -1,26 +1,18 @@
 package rpc
 
 import (
-	"bufio"
 	"context"
-	"net"
-	"sync"
 	"testing"
-	"time"
 
 	"shhc/internal/core"
-	"shhc/internal/wire"
 )
 
 // TestRepairVerbRoundTrip drives the REPAIR verb end to end: the remote
 // node applies the batch with lookup-or-insert semantics, accounts it in
-// the replication stats block, and those counters survive the version-4
-// stats payload back to the client.
+// the replication stats block, and those counters survive the stats
+// payload back to the client.
 func TestRepairVerbRoundTrip(t *testing.T) {
 	node, client := startNode(t, "n1")
-	if v := client.Version(); v < wire.Version4 {
-		t.Fatalf("negotiated version = %d, want >= %d", v, wire.Version4)
-	}
 
 	pairs := []core.Pair{
 		{FP: fp(1), Val: 11},
@@ -59,177 +51,5 @@ func TestRepairVerbRoundTrip(t *testing.T) {
 	}
 	if remote.Replica != st.Replica {
 		t.Fatalf("replica stats over the wire = %+v, want %+v", remote.Replica, st.Replica)
-	}
-}
-
-// fakeVersionedServer is a hand-rolled peer pinned at an old protocol
-// version. It negotiates (or, for version 0, rejects) the Hello, then
-// answers batch frames with all-new results and anything else with an
-// error — exactly the surface an old node exposes to repair traffic. It
-// records every request type it sees.
-func fakeVersionedServer(t *testing.T, version int) (addr string, sawType func() []wire.Type) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	t.Cleanup(func() { ln.Close() })
-
-	var mu sync.Mutex
-	var seen []wire.Type
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				br := bufio.NewReader(conn)
-				bw := bufio.NewWriter(conn)
-				// Handshake frames always use the version-0 layout.
-				f, err := wire.ReadFrame(br)
-				if err != nil {
-					return
-				}
-				if f.Type != wire.TypeHello {
-					return
-				}
-				if version == wire.Version0 {
-					// The pre-handshake implementation rejected the
-					// unknown Hello type with an error frame.
-					wire.WriteFrame(bw, wire.Frame{Type: wire.TypeError, ID: f.ID, Payload: wire.EncodeError("rpc: unsupported request type")})
-				} else {
-					wire.WriteFrame(bw, wire.Frame{Type: wire.TypeHelloAck, ID: f.ID, Payload: wire.EncodeHello(version)})
-				}
-				bw.Flush()
-				for {
-					f, err := wire.ReadFrameV(br, version)
-					if err != nil {
-						return
-					}
-					mu.Lock()
-					seen = append(seen, f.Type)
-					mu.Unlock()
-					var out wire.Frame
-					switch f.Type {
-					case wire.TypeBatch:
-						pairs, err := wire.DecodeBatch(f.Payload)
-						if err != nil {
-							out = wire.Frame{Type: wire.TypeError, ID: f.ID, Payload: wire.EncodeError(err.Error())}
-							break
-						}
-						rs := make([]wire.ResultPayload, len(pairs))
-						out = wire.Frame{Type: wire.TypeBatchResult, ID: f.ID, Payload: wire.EncodeBatchResult(rs)}
-					default:
-						out = wire.Frame{Type: wire.TypeError, ID: f.ID, Payload: wire.EncodeError("rpc: unsupported request type " + f.Type.String())}
-					}
-					if err := wire.WriteFrameV(bw, out, version); err != nil {
-						return
-					}
-					bw.Flush()
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String(), func() []wire.Type {
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]wire.Type(nil), seen...)
-	}
-}
-
-// TestRepairFallsBackToBatchOnOldPeers: against every pre-4 protocol
-// version the client must deliver the repair as a plain BATCH frame —
-// identical semantics, just not accounted as repair traffic — and never
-// put a REPAIR frame on the wire.
-func TestRepairFallsBackToBatchOnOldPeers(t *testing.T) {
-	for _, version := range []int{wire.Version0, wire.Version1, wire.Version2, wire.Version3} {
-		addr, sawType := fakeVersionedServer(t, version)
-		client, err := Dial("old", addr, ClientConfig{Conns: 1, Timeout: 2 * time.Second})
-		if err != nil {
-			t.Fatalf("v%d: Dial: %v", version, err)
-		}
-		if got := client.Version(); got != version {
-			t.Fatalf("negotiated version = %d, want %d", got, version)
-		}
-		rs, err := client.ApplyRepair(context.Background(), []core.Pair{{FP: fp(1), Val: 1}, {FP: fp(2), Val: 2}})
-		if err != nil {
-			t.Fatalf("v%d: ApplyRepair: %v", version, err)
-		}
-		if len(rs) != 2 {
-			t.Fatalf("v%d: got %d results, want 2", version, len(rs))
-		}
-		for _, typ := range sawType() {
-			if typ == wire.TypeRepair {
-				t.Fatalf("v%d: REPAIR frame sent to a pre-4 peer", version)
-			}
-		}
-		saw := sawType()
-		if len(saw) == 0 || saw[len(saw)-1] != wire.TypeBatch {
-			t.Fatalf("v%d: request types %v, want trailing BATCH", version, saw)
-		}
-		client.Close()
-	}
-}
-
-// TestStatsVersionSkew negotiates each pre-4 version against the real
-// server and checks the stats payload comes back in that version's
-// layout — decodable, with the replication counters absent (zero) on
-// layouts that predate them.
-func TestStatsVersionSkew(t *testing.T) {
-	node, client := startNode(t, "skew")
-	// Put something in the replication counters so a leak into an old
-	// layout would be visible.
-	if _, err := node.ApplyRepair(context.Background(), []core.Pair{{FP: fp(9), Val: 9}}); err != nil {
-		t.Fatalf("ApplyRepair: %v", err)
-	}
-
-	for _, version := range []int{wire.Version1, wire.Version2, wire.Version3} {
-		conn, err := net.Dial("tcp", client.Addr())
-		if err != nil {
-			t.Fatalf("dial: %v", err)
-		}
-		bw := bufio.NewWriter(conn)
-		br := bufio.NewReader(conn)
-		if err := wire.WriteFrame(bw, wire.Frame{Type: wire.TypeHello, ID: 1, Payload: wire.EncodeHello(version)}); err != nil {
-			t.Fatalf("hello: %v", err)
-		}
-		bw.Flush()
-		ack, err := wire.ReadFrame(br)
-		if err != nil || ack.Type != wire.TypeHelloAck {
-			t.Fatalf("hello ack = %+v, %v", ack, err)
-		}
-		if v, _ := wire.DecodeHello(ack.Payload); v != version {
-			t.Fatalf("server negotiated %d, want %d", v, version)
-		}
-		if err := wire.WriteFrameV(bw, wire.Frame{Type: wire.TypeStats, ID: 2}, version); err != nil {
-			t.Fatalf("stats req: %v", err)
-		}
-		bw.Flush()
-		resp, err := wire.ReadFrameV(br, version)
-		if err != nil {
-			t.Fatalf("v%d stats read: %v", version, err)
-		}
-		if resp.Type != wire.TypeStatsResult {
-			t.Fatalf("v%d stats response = %v", version, resp.Type)
-		}
-		s, err := wire.DecodeStats(resp.Payload)
-		if err != nil {
-			t.Fatalf("v%d stats decode: %v", version, err)
-		}
-		if s.ReplRepairBatches != 0 || s.ReplRepairPairs != 0 || s.ReplRepairCreated != 0 {
-			t.Fatalf("v%d layout carried replication counters: %+v", version, s)
-		}
-		conn.Close()
-	}
-
-	// The v4 connection does carry them.
-	remote, err := client.Stats(context.Background())
-	if err != nil {
-		t.Fatalf("Stats: %v", err)
-	}
-	if remote.Replica.RepairBatches != 1 || remote.Replica.RepairPairs != 1 {
-		t.Fatalf("v4 replica stats = %+v, want 1 batch / 1 pair", remote.Replica)
 	}
 }

@@ -12,6 +12,7 @@ package rpc
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -24,6 +25,7 @@ import (
 	"shhc/internal/core"
 	"shhc/internal/fingerprint"
 	"shhc/internal/metrics"
+	"shhc/internal/ring"
 	"shhc/internal/wire"
 )
 
@@ -51,13 +53,12 @@ type Server struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	// Transport accounting: the live mux writers (one per protocol >= 5
-	// connection) plus counters carried over from retired connections, so
-	// a stats snapshot covers the server's whole lifetime.
+	// Transport accounting: the live mux writers (one per connection) plus
+	// counters carried over from retired connections, so a stats snapshot
+	// covers the server's whole lifetime.
 	muxMu               sync.Mutex
 	muxes               map[*wire.MuxWriter]struct{}
 	retiredCreditStalls uint64
-	retiredFramesSent   uint64
 
 	windowUpdates   uint64 // atomic: WINDOW_UPDATE grants sent
 	redirectsIssued uint64 // atomic: NOT_OWNER answers sent
@@ -68,14 +69,14 @@ type ServerConfig struct {
 	// Logger receives connection-level errors; nil discards them.
 	Logger *log.Logger
 	// Window is the initial per-stream send-credit window, in bytes, for
-	// responses on protocol >= 5 connections (0 = wire.DefaultWindow).
+	// responses (0 = wire.DefaultWindow).
 	Window int
-	// Owner, when set, is consulted for every single-key verb on a
-	// protocol >= 5 connection: if it reports the fingerprint belongs to
-	// another node, the server answers NOT_OWNER carrying that node's
-	// identity instead of serving the request, and the client re-routes.
-	// Nil means the server answers everything it is asked (pre-5
-	// behaviour, and the right choice for single-node deployments).
+	// Owner, when set, is consulted for every single-key verb: if it
+	// reports the fingerprint belongs to another node, the server answers
+	// NOT_OWNER carrying that node's identity instead of serving the
+	// request, and the client re-routes. Nil means the server answers
+	// everything it is asked (the right choice for single-node
+	// deployments).
 	Owner func(fp fingerprint.Fingerprint) (ownerID, ownerAddr string, owned bool)
 }
 
@@ -119,7 +120,6 @@ func (s *Server) retireMux(m *wire.MuxWriter) {
 	s.muxMu.Lock()
 	delete(s.muxes, m)
 	s.retiredCreditStalls += st.CreditStalls
-	s.retiredFramesSent += st.FramesSent
 	s.muxMu.Unlock()
 }
 
@@ -203,34 +203,37 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 
+	br := bufio.NewReaderSize(conn, 64<<10)
+	clientWin, err := s.handshake(conn, br)
+	if err != nil {
+		if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+			s.logger.Printf("rpc: handshake with %s: %v", conn.RemoteAddr(), err)
+		}
+		return
+	}
+
 	// connCtx parents every request on this connection: it dies with the
 	// connection (peer gone — nobody is left to read the answers) and
 	// with the server's root context (Close). Cancelled below, ahead of
 	// reqWG.Wait.
 	connCtx, connCancel := context.WithCancel(s.rootCtx)
 
-	var (
-		br      = bufio.NewReaderSize(conn, 64<<10)
-		fw      = wire.NewFrameWriter(conn)
-		version = wire.Version0 // until a Hello negotiates higher
-		writeMu sync.Mutex
-		reqWG   sync.WaitGroup
-		sem     = make(chan struct{}, maxInflightPerConn)
+	// From here on the mux's flusher owns the socket's write side: every
+	// response and every credit grant leaves through it.
+	mux := wire.NewMuxWriter(conn, s.window)
+	s.registerMux(mux)
 
-		// mux is non-nil once a Hello negotiates protocol >= 5; from then
-		// on every response leaves through it (the flusher owns the
-		// socket's write side). Written only by this read loop; handler
-		// goroutines read it under writeMu.
-		mux *wire.MuxWriter
+	var (
+		reqWG sync.WaitGroup
+		sem   = make(chan struct{}, maxInflightPerConn)
 
 		// grantPend accumulates per-stream send credit owed to the client
 		// for flushed requests, granted in one WINDOW_UPDATE once it
 		// reaches grantEvery (a quarter of the client's advertised send
-		// window). Both are set before mux and, like the onFlush hooks
-		// that touch grantPend, only ever run on the mux flush goroutine —
-		// no lock needed.
-		grantEvery uint32
-		grantPend  map[uint32]uint32
+		// window). Only the onFlush hooks touch it, and those run on the
+		// mux flush goroutine alone — no lock needed.
+		grantEvery = clientWin / 4
+		grantPend  = make(map[uint32]uint32)
 
 		// inflight maps request id -> cancel for CANCEL frames.
 		inflightMu sync.Mutex
@@ -238,37 +241,51 @@ func (s *Server) serveConn(conn net.Conn) {
 	)
 	// Cancel the connection context BEFORE waiting for handlers: when the
 	// peer goes away, nobody is left to read the answers, so in-flight
-	// handlers must be unwound, not waited out (a deadline-less v0
-	// request on a slow device would otherwise pin this goroutine, its
-	// semaphore slot, and the conn indefinitely).
+	// handlers must be unwound, not waited out (a deadline-less request on
+	// a slow device would otherwise pin this goroutine, its semaphore
+	// slot, and the conn indefinitely).
 	defer func() {
 		connCancel()
 		reqWG.Wait()
-		if mux != nil {
-			// Unblock a flusher stuck mid-write to a gone peer before
-			// waiting for it; the outer defer's conn.Close is then a no-op.
-			conn.Close()
-			mux.Close()
-			s.retireMux(mux)
-		}
+		// Unblock a flusher stuck mid-write to a gone peer before waiting
+		// for it; the outer defer's conn.Close is then a no-op.
+		conn.Close()
+		mux.Close()
+		s.retireMux(mux)
 	}()
 
-	// respond writes one frame under the write mutex via vectored I/O —
-	// header+payload leave in a single writev syscall with no intermediate
-	// buffer — then releases the pooled payload buffer (nil for payloads
-	// that are not pooled, e.g. Pong's empty one).
-	respond := func(f wire.Frame, buf *[]byte, v int) {
-		writeMu.Lock()
-		err := fw.WriteFrame(f, v)
-		writeMu.Unlock()
-		wire.PutBuf(buf)
-		if err != nil {
+	// respond queues resp on its request's stream, where the flusher
+	// interleaves it with other streams' traffic, round-robin. Once its
+	// bytes reach the socket the onFlush hook returns the REQUEST's size
+	// as send credit — the client charged its own window to send the
+	// request, and this grant is what reopens it. The mux releases
+	// respBuf after the flush.
+	respond := func(stream uint32, reqSize int, resp wire.Frame, respBuf *[]byte) {
+		resp.Stream = stream
+		var onFlush func()
+		if credit := uint32(reqSize); stream != 0 && credit != 0 {
+			onFlush = func() {
+				pend := grantPend[stream] + credit
+				if pend < grantEvery {
+					grantPend[stream] = pend
+					return
+				}
+				delete(grantPend, stream)
+				gb := wire.GetBuf(4)
+				*gb = wire.AppendWindowUpdate((*gb)[:0], pend)
+				gf := wire.Frame{Type: wire.TypeWindowUpdate, Stream: stream, Payload: *gb}
+				if err := mux.EnqueueControl(gf, gb); err == nil {
+					atomic.AddUint64(&s.windowUpdates, 1)
+				}
+			}
+		}
+		if err := mux.Enqueue(resp, respBuf, onFlush); err != nil {
 			s.logger.Printf("rpc: write to %s: %v", conn.RemoteAddr(), err)
 		}
 	}
 
 	for {
-		frame, body, err := wire.ReadFrameVInto(br, version)
+		frame, body, err := wire.ReadFrame(br)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.logger.Printf("rpc: read from %s: %v", conn.RemoteAddr(), err)
@@ -277,54 +294,16 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		switch frame.Type {
 		case wire.TypeHello:
-			// Handled inline, before any other frame: the ack travels in
-			// the version-0 layout and every later frame in the
-			// negotiated one.
-			theirs, err := wire.DecodeHello(frame.Payload)
-			clientWin := wire.HelloWindow(frame.Payload)
+			// The handshake is the first frame and only the first.
 			wire.PutBuf(body)
-			if err != nil {
-				respond(wire.Frame{Type: wire.TypeError, ID: frame.ID, Payload: wire.EncodeError(err.Error())}, nil, wire.Version0)
-				continue
-			}
-			if mux != nil {
-				// Renegotiating after the mux owns the write side would
-				// interleave a raw HelloAck with the flusher's writev.
-				s.logger.Printf("rpc: %s sent a second Hello on a multiplexed connection", conn.RemoteAddr())
-				return
-			}
-			v := wire.MaxVersion
-			if theirs < v {
-				v = theirs
-			}
-			ackPayload := wire.EncodeHello(v)
-			if v >= wire.Version5 {
-				// Advertise our per-stream response window so the client
-				// can coalesce its consumption grants.
-				ackPayload = wire.AppendHelloWindow(make([]byte, 0, 8), v, uint32(s.window))
-			}
-			respond(wire.Frame{Type: wire.TypeHelloAck, ID: frame.ID, Payload: ackPayload}, nil, wire.Version0)
-			if v >= wire.Version5 {
-				// Coalesce the send-credit grants we return for flushed
-				// requests: withhold until a quarter of the client's
-				// advertised send window is pending per stream (0 — no
-				// advertisement — grants after every response).
-				grantEvery = clientWin / 4
-				grantPend = make(map[uint32]uint32)
-				m := wire.NewMuxWriter(conn, v, s.window)
-				s.registerMux(m)
-				writeMu.Lock()
-				mux = m
-				writeMu.Unlock()
-			}
-			version = v
-			continue
+			s.logger.Printf("rpc: %s sent a second Hello", conn.RemoteAddr())
+			return
 		case wire.TypeWindowUpdate:
 			// Credit grant from the client: it consumed response bytes on
 			// this stream, so the stream's queued responses may flow again.
 			n, derr := wire.DecodeWindowUpdate(frame.Payload)
 			wire.PutBuf(body)
-			if derr != nil || mux == nil {
+			if derr != nil {
 				s.logger.Printf("rpc: bad window update from %s", conn.RemoteAddr())
 				return
 			}
@@ -362,71 +341,108 @@ func (s *Server) serveConn(conn net.Conn) {
 			rctx, rcancel = context.WithCancel(connCtx)
 		}
 		inflightMu.Lock()
-		inflight[frame.ID] = rcancel
+		_, dup := inflight[frame.ID]
+		if !dup {
+			inflight[frame.ID] = rcancel
+		}
 		inflightMu.Unlock()
+		if dup {
+			// The id names a request still in flight. Registering it would
+			// overwrite that request's cancel hook, and whichever handler
+			// finished first would unregister the other's: refuse the
+			// frame without registering or spawning anything.
+			rcancel()
+			reqSize := len(frame.Payload)
+			wire.PutBuf(body)
+			resp, respBuf := errorFrame(frame.ID, wire.ErrorPayload{
+				Code: wire.CodeBadRequest,
+				Msg:  fmt.Sprintf("rpc: request id %d is already in flight on this connection", frame.ID),
+			})
+			respond(frame.Stream, reqSize, resp, respBuf)
+			continue
+		}
 
 		sem <- struct{}{}
 		reqWG.Add(1)
-		go func(ctx context.Context, cancel context.CancelFunc, f wire.Frame, reqBody *[]byte, v int) {
+		go func(ctx context.Context, cancel context.CancelFunc, f wire.Frame, reqBody *[]byte) {
 			defer reqWG.Done()
 			defer func() { <-sem }()
-			defer func() {
-				inflightMu.Lock()
-				delete(inflight, f.ID)
-				inflightMu.Unlock()
-				cancel()
-			}()
 
 			// handle decodes the request payload before touching the
 			// backend, so the request buffer can be released as soon as it
-			// returns; the response payload rides in its own pooled buffer,
-			// released after the write (by respond, or by the mux when the
-			// coalesced flush completes).
+			// returns; the response payload rides in its own pooled buffer.
 			reqSize := len(f.Payload)
-			resp, respBuf := s.handle(ctx, f, v)
+			resp, respBuf := s.handle(ctx, f)
 			wire.PutBuf(reqBody)
-			resp.Stream = f.Stream
-			writeMu.Lock()
-			m := mux
-			writeMu.Unlock()
-			if m == nil {
-				respond(resp, respBuf, v)
-				return
-			}
-			// Multiplexed path: the response queues on its request's
-			// stream and the flusher interleaves it with other streams'
-			// traffic, round-robin. Once its bytes reach the socket the
-			// onFlush hook returns the REQUEST's size as send credit —
-			// the client charged its own window to send the request, and
-			// this grant is what reopens it.
-			var onFlush func()
-			if stream, credit := f.Stream, uint32(reqSize); stream != 0 && credit != 0 {
-				onFlush = func() {
-					// Flush-goroutine only: grantPend is unlocked by design.
-					pend := grantPend[stream] + credit
-					if pend < grantEvery {
-						grantPend[stream] = pend
-						return
-					}
-					delete(grantPend, stream)
-					gb := wire.GetBuf(4)
-					*gb = wire.AppendWindowUpdate((*gb)[:0], pend)
-					gf := wire.Frame{Type: wire.TypeWindowUpdate, Stream: stream, Payload: *gb}
-					if err := m.EnqueueControl(gf, gb); err == nil {
-						atomic.AddUint64(&s.windowUpdates, 1)
-					}
-				}
-			}
-			if err := m.Enqueue(resp, respBuf, onFlush); err != nil {
-				s.logger.Printf("rpc: write to %s: %v", conn.RemoteAddr(), err)
-			}
-		}(rctx, rcancel, frame, body, version)
+			// Unregister before the answer can reach the peer: once it
+			// has the answer, the id is the peer's to use again.
+			inflightMu.Lock()
+			delete(inflight, f.ID)
+			inflightMu.Unlock()
+			cancel()
+			respond(f.Stream, reqSize, resp, respBuf)
+		}(rctx, rcancel, frame, body)
 	}
 }
 
+// handshake reads a connection's first frame, which must be a Hello
+// carrying wire.ProtocolVersion, and acknowledges it with the server's own
+// version and response window; it returns the send window the client
+// advertised. Anything else — another version, another frame type, bytes
+// that do not frame — is answered with one VERSION_MISMATCH error, written
+// straight to the socket, and the caller closes the connection: nothing is
+// negotiated.
+func (s *Server) handshake(conn net.Conn, br *bufio.Reader) (uint32, error) {
+	fw := wire.NewFrameWriter(conn)
+	refuse := func(id uint64, cause error) (uint32, error) {
+		resp, buf := errorFrame(id, wire.ErrorPayload{
+			Code: wire.CodeVersionMismatch,
+			Msg:  fmt.Sprintf("rpc: this node speaks protocol %d only: %v", wire.ProtocolVersion, cause),
+		})
+		// Best effort: the connection closes whether or not the peer
+		// gets to read why.
+		_ = fw.WriteFrame(resp)
+		wire.PutBuf(buf)
+		return 0, cause
+	}
+	frame, body, err := wire.ReadFrame(br)
+	if err != nil {
+		if errors.Is(err, wire.ErrShortPayload) || errors.Is(err, wire.ErrFrameTooLarge) {
+			return refuse(0, err)
+		}
+		return 0, err
+	}
+	version, window, err := wire.DecodeHello(frame.Payload)
+	wire.PutBuf(body)
+	switch {
+	case frame.Type != wire.TypeHello:
+		return refuse(frame.ID, fmt.Errorf("first frame is %v, want hello", frame.Type))
+	case err != nil:
+		return refuse(frame.ID, err)
+	case version != wire.ProtocolVersion:
+		return refuse(frame.ID, fmt.Errorf("peer offers protocol %d", version))
+	}
+	var ack [8]byte
+	err = fw.WriteFrame(wire.Frame{
+		Type:    wire.TypeHelloAck,
+		ID:      frame.ID,
+		Payload: wire.AppendHello(ack[:0], wire.ProtocolVersion, uint32(s.window)),
+	})
+	return window, err
+}
+
+// errorFrame builds the TypeError response to request id in a pooled
+// buffer, which the caller releases after the frame is written.
+//
+//shhc:returns-buf
+func errorFrame(id uint64, e wire.ErrorPayload) (wire.Frame, *[]byte) {
+	buf := wire.GetBuf(0)
+	*buf = wire.AppendError((*buf)[:0], e)
+	return wire.Frame{Type: wire.TypeError, ID: id, Payload: *buf}, buf
+}
+
 // handle executes one request frame under ctx and builds the response
-// frame. version is the connection's negotiated protocol version, which
-// selects the stats payload layout (old peers get the legacy one).
+// frame.
 //
 // The returned *[]byte is the pooled buffer the response payload lives in
 // (nil when the payload is empty or not pooled); the caller releases it
@@ -434,19 +450,9 @@ func (s *Server) serveConn(conn net.Conn) {
 // returns — every arm decodes it into owned values up front.
 //
 //shhc:returns-buf
-func (s *Server) handle(ctx context.Context, f wire.Frame, version int) (wire.Frame, *[]byte) {
-	// failCode builds an error response. On protocol >= 5 it carries a
-	// compact code the client can dispatch on without string matching;
-	// older peers get the legacy length-prefixed message.
-	failCode := func(code wire.Code, err error) (wire.Frame, *[]byte) {
-		buf := wire.GetBuf(0)
-		if version >= wire.Version5 {
-			*buf = wire.AppendErrorCoded((*buf)[:0], wire.ErrorPayload{Code: code, Msg: err.Error()})
-		} else {
-			*buf = wire.AppendError((*buf)[:0], err.Error())
-		}
-		return wire.Frame{Type: wire.TypeError, ID: f.ID, Payload: *buf}, buf
-	}
+func (s *Server) handle(ctx context.Context, f wire.Frame) (wire.Frame, *[]byte) {
+	// fail builds an error response whose code lets the client recover a
+	// context error without string matching.
 	fail := func(err error) (wire.Frame, *[]byte) {
 		code := wire.CodeInternal
 		switch {
@@ -455,17 +461,17 @@ func (s *Server) handle(ctx context.Context, f wire.Frame, version int) (wire.Fr
 		case errors.Is(err, context.DeadlineExceeded):
 			code = wire.CodeDeadline
 		}
-		return failCode(code, err)
+		return errorFrame(f.ID, wire.ErrorPayload{Code: code, Msg: err.Error()})
 	}
 	badReq := func(err error) (wire.Frame, *[]byte) {
-		return failCode(wire.CodeBadRequest, err)
+		return errorFrame(f.ID, wire.ErrorPayload{Code: wire.CodeBadRequest, Msg: err.Error()})
 	}
 	// notOwner consults the ownership hook for single-key verbs: a
 	// fingerprint the ring assigns elsewhere answers NOT_OWNER with the
 	// true owner's identity, and the client re-dials it — one extra RTT
 	// for a stale ring view instead of a wrong answer or a proxy hop.
 	notOwner := func(fp fingerprint.Fingerprint) (wire.Frame, *[]byte, bool) {
-		if s.owner == nil || version < wire.Version5 {
+		if s.owner == nil {
 			return wire.Frame{}, nil, false
 		}
 		id, addr, owned := s.owner(fp)
@@ -473,14 +479,13 @@ func (s *Server) handle(ctx context.Context, f wire.Frame, version int) (wire.Fr
 			return wire.Frame{}, nil, false
 		}
 		atomic.AddUint64(&s.redirectsIssued, 1)
-		buf := wire.GetBuf(0)
-		*buf = wire.AppendErrorCoded((*buf)[:0], wire.ErrorPayload{
+		resp, buf := errorFrame(f.ID, wire.ErrorPayload{
 			Code:      wire.CodeNotOwner,
 			Msg:       "fingerprint is owned by " + id,
 			OwnerID:   id,
 			OwnerAddr: addr,
 		})
-		return wire.Frame{Type: wire.TypeError, ID: f.ID, Payload: *buf}, buf, true
+		return resp, buf, true
 	}
 	result := func(t wire.Type, r wire.ResultPayload) (wire.Frame, *[]byte) {
 		buf := wire.GetBuf(0)
@@ -490,7 +495,7 @@ func (s *Server) handle(ctx context.Context, f wire.Frame, version int) (wire.Fr
 	batchResult := func(rs []core.LookupResult) (wire.Frame, *[]byte) {
 		buf := wire.GetBuf(4 + len(rs)*10)
 		b := (*buf)[:0]
-		b = appendUint32(b, uint32(len(rs)))
+		b = binary.BigEndian.AppendUint32(b, uint32(len(rs)))
 		for _, r := range rs {
 			b = wire.AppendResult(b, toWireResult(r))
 		}
@@ -547,31 +552,18 @@ func (s *Server) handle(ctx context.Context, f wire.Frame, version int) (wire.Fr
 		}
 		return result(wire.TypeResult, wire.ResultPayload{})
 
-	case wire.TypeBatch:
+	case wire.TypeBatch, wire.TypeRepair:
 		pairs, err := decodeCorePairs(f.Payload)
 		if err != nil {
 			return badReq(err)
 		}
-		rs, err := s.backend.BatchLookupOrInsert(ctx, *pairs)
-		putPairBuf(pairs)
-		if err != nil {
-			return fail(err)
-		}
-		return batchResult(rs)
-
-	case wire.TypeRepair:
-		// The replication backfill verb (protocol >= 4): same pair batch
-		// as TypeBatch, same keep-existing semantics, but routed through
-		// the backend's repair path so the node accounts it as replication
-		// traffic. Backends without the repair path (e.g. a chained RPC
-		// client to a pre-4 peer) fall back to a plain batch — the
-		// presence semantics are identical.
-		pairs, err := decodeCorePairs(f.Payload)
-		if err != nil {
-			return badReq(err)
-		}
+		// TypeRepair is the replication backfill verb: the same pair batch
+		// with the same keep-existing semantics, routed through the
+		// backend's repair path so the node accounts it as replication
+		// traffic. A backend without that path applies it as a plain
+		// batch — the presence semantics are identical.
 		var rs []core.LookupResult
-		if ra, ok := s.backend.(core.RepairApplier); ok {
+		if ra, ok := s.backend.(core.RepairApplier); ok && f.Type == wire.TypeRepair {
 			rs, err = ra.ApplyRepair(ctx, *pairs)
 		} else {
 			rs, err = s.backend.BatchLookupOrInsert(ctx, *pairs)
@@ -591,15 +583,10 @@ func (s *Server) handle(ctx context.Context, f wire.Frame, version int) (wire.Fr
 		// overlay its live aggregate here so remote stats readers see it.
 		st.Transport = s.transportStats()
 		buf := wire.GetBuf(0)
-		*buf = wire.AppendStatsV((*buf)[:0], toWireStats(st), version)
+		*buf = wire.AppendStats((*buf)[:0], toWireStats(st))
 		return wire.Frame{Type: wire.TypeStatsResult, ID: f.ID, Payload: *buf}, buf
 	}
-	return fail(fmt.Errorf("rpc: unsupported request type %v", f.Type))
-}
-
-// appendUint32 appends a big-endian uint32 (the batch-result count prefix).
-func appendUint32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+	return badReq(fmt.Errorf("rpc: unsupported request type %v", f.Type))
 }
 
 // pairBufPool recycles the decoded pairs of batch frames. A buffer is the
@@ -776,7 +763,7 @@ func toWireStats(st core.NodeStats) wire.StatsPayload {
 
 func fromWireStats(s wire.StatsPayload) core.NodeStats {
 	st := core.NodeStats{
-		ID:           ringNodeID(s.ID),
+		ID:           ring.NodeID(s.ID),
 		Lookups:      s.Lookups,
 		Inserts:      s.Inserts,
 		CacheHits:    s.CacheHits,

@@ -1,10 +1,8 @@
 package rpc
 
 import (
-	"bufio"
 	"context"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -41,10 +39,6 @@ func TestMuxStreamInterleavingStormRPC(t *testing.T) {
 		srv.Close()
 		node.Close()
 	}()
-	if v := client.Version(); v < wire.Version5 {
-		t.Fatalf("negotiated version %d, want >= 5", v)
-	}
-
 	const (
 		streams = 24
 		rounds  = 30
@@ -102,91 +96,9 @@ func TestMuxStreamInterleavingStormRPC(t *testing.T) {
 	}
 }
 
-// TestStreamVersionSkewV4Client pins the legacy path: a client capped at
-// protocol 4 against the current server negotiates 4, speaks the
-// unmultiplexed layout (no stream ids, no credit), and still gets every
-// verb — with the stats reply carrying no transport counters, because the
-// version-4 stats layout predates them.
-func TestStreamVersionSkewV4Client(t *testing.T) {
-	node, err := core.NewNode(core.NodeConfig{ID: "skew", Store: hashdb.NewMemStore(nil), CacheSize: 64})
-	if err != nil {
-		t.Fatalf("NewNode: %v", err)
-	}
-	srv := NewServer(node, ServerConfig{})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	client, err := Dial("skew", addr.String(), ClientConfig{Conns: 1, MaxVersion: wire.Version4, Timeout: 5 * time.Second})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer func() {
-		client.Close()
-		srv.Close()
-		node.Close()
-	}()
-	if v := client.Version(); v != wire.Version4 {
-		t.Fatalf("negotiated version %d, want exactly 4", v)
-	}
-
-	ctx := context.Background()
-	if res, err := client.LookupOrInsert(ctx, fp(1), 7); err != nil || res.Exists {
-		t.Fatalf("v4 LookupOrInsert = %+v, %v", res, err)
-	}
-	if res, err := client.Lookup(ctx, fp(1)); err != nil || !res.Exists || res.Value != 7 {
-		t.Fatalf("v4 Lookup = %+v, %v", res, err)
-	}
-	if _, err := client.BatchLookupOrInsert(ctx, []core.Pair{{FP: fp(2), Val: 9}}); err != nil {
-		t.Fatalf("v4 batch: %v", err)
-	}
-	st, err := client.Stats(ctx)
-	if err != nil {
-		t.Fatalf("v4 Stats: %v", err)
-	}
-	if st.Transport != (core.TransportStats{}) {
-		t.Fatalf("v4 stats reply carries transport counters %+v — the v4 layout has no room for them", st.Transport)
-	}
-
-	// Stream handles still work over the legacy path (the stream id is
-	// simply never serialized below protocol 5).
-	s := client.OpenStream()
-	if res, err := s.Lookup(ctx, fp(1)); err != nil || res.Value != 7 {
-		t.Fatalf("v4 stream-handle lookup = %+v, %v", res, err)
-	}
-}
-
-// TestStreamVersionSkewV4Server pins the other direction: the current
-// client against a version-4 peer (simulated by fakeVersionedServer)
-// downgrades cleanly and never emits protocol-5 frame types on the wire.
-func TestStreamVersionSkewV4Server(t *testing.T) {
-	addr, sawType := fakeVersionedServer(t, wire.Version4)
-	client, err := Dial("old", addr, ClientConfig{Conns: 1, Timeout: 2 * time.Second})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer client.Close()
-	if v := client.Version(); v != wire.Version4 {
-		t.Fatalf("negotiated version %d with v4 peer, want 4", v)
-	}
-	if _, err := client.BatchLookupOrInsert(context.Background(), []core.Pair{{FP: fp(3), Val: 1}}); err != nil {
-		t.Fatalf("batch against v4 peer: %v", err)
-	}
-	// Stream handles degrade to the shared pipeline: still no v5 frames.
-	if _, err := client.OpenStream().BatchLookupOrInsert(context.Background(), []core.Pair{{FP: fp(4), Val: 1}}); err != nil {
-		t.Fatalf("stream batch against v4 peer: %v", err)
-	}
-	for _, typ := range sawType() {
-		if typ == wire.TypeWindowUpdate {
-			t.Fatal("client sent WINDOW_UPDATE to a version-4 peer")
-		}
-	}
-}
-
-// TestStreamHandshakeWindowAdvertisement pins the extended hello: a
-// protocol-5 handshake carries the server's per-stream response window in
-// the HelloAck (so the client can coalesce consumption grants), while a
-// version-4 handshake keeps the original 4-byte payload.
+// TestStreamHandshakeWindowAdvertisement pins the hello exchange: the
+// HelloAck carries the server's per-stream response window, so the client
+// can coalesce consumption grants.
 func TestStreamHandshakeWindowAdvertisement(t *testing.T) {
 	node, err := core.NewNode(core.NodeConfig{ID: "hello", Store: hashdb.NewMemStore(nil)})
 	if err != nil {
@@ -202,32 +114,9 @@ func TestStreamHandshakeWindowAdvertisement(t *testing.T) {
 		node.Close()
 	}()
 
-	ack := func(hello []byte) wire.Frame {
-		t.Helper()
-		conn, err := net.Dial("tcp", addr.String())
-		if err != nil {
-			t.Fatalf("dial: %v", err)
-		}
-		defer conn.Close()
-		bw := bufio.NewWriter(conn)
-		if err := wire.WriteFrame(bw, wire.Frame{Type: wire.TypeHello, ID: 1, Payload: hello}); err != nil {
-			t.Fatalf("hello: %v", err)
-		}
-		bw.Flush()
-		resp, err := wire.ReadFrame(bufio.NewReader(conn))
-		if err != nil || resp.Type != wire.TypeHelloAck {
-			t.Fatalf("hello ack = %+v, %v", resp, err)
-		}
-		return resp
-	}
-
-	resp := ack(wire.AppendHelloWindow(nil, wire.Version5, 64<<10))
-	if got := wire.HelloWindow(resp.Payload); got != 128<<10 {
-		t.Fatalf("v5 HelloAck advertises window %d, want the server's configured %d", got, 128<<10)
-	}
-	resp = ack(wire.EncodeHello(wire.Version4))
-	if len(resp.Payload) != 4 {
-		t.Fatalf("v4 HelloAck payload is %d bytes, want the original 4", len(resp.Payload))
+	ack := dialRaw(t, addr.String()).hello()
+	if _, got, err := wire.DecodeHello(ack.Payload); err != nil || got != 128<<10 {
+		t.Fatalf("HelloAck advertises window %d (%v), want the server's configured %d", got, err, 128<<10)
 	}
 }
 

@@ -287,8 +287,7 @@ type StatsResponse struct {
 	Uploads     int64            `json:"uploads"`
 	Replication *ReplicationJSON `json:"replication,omitempty"`
 	// Transport reports the front-end's client side of the multiplexed
-	// RPC transport; present only when the index talks to remote nodes
-	// over protocol >= 5 connections.
+	// RPC transport; present only when the index talks to remote nodes.
 	Transport *FrontTransportJSON `json:"transport,omitempty"`
 	Nodes     []NodeStatsJSON     `json:"nodes"`
 }
@@ -404,7 +403,7 @@ type BloomJSON struct {
 }
 
 // TransportJSON reports one node's server side of the multiplexed RPC
-// transport (protocol >= 5): live stream/byte gauges plus lifetime
+// transport: live stream/byte gauges plus lifetime
 // credit-stall, window-grant, and redirect counters.
 type TransportJSON struct {
 	StreamsOpen     uint64 `json:"streamsOpen"`

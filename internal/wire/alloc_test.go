@@ -32,15 +32,15 @@ func TestAllocAppendBatch(t *testing.T) {
 	}
 	buf := make([]byte, 0, 4+len(pairs)*pairSize)
 	allocs := testing.AllocsPerRun(1000, func() {
-		buf = AppendBatch(buf[:0], pairs)
+		buf = appendBatch(buf[:0], pairs)
 	})
 	if allocs != 0 {
-		t.Fatalf("AppendBatch allocates %v/op into a reused buffer; want 0", allocs)
+		t.Fatalf("a batch of AppendPair allocates %v/op into a reused buffer; want 0", allocs)
 	}
 }
 
 func TestAllocDecodeResult(t *testing.T) {
-	payload := EncodeResult(ResultPayload{Exists: true, Source: 2, Val: 99})
+	payload := AppendResult(nil, ResultPayload{Exists: true, Source: 2, Val: 99})
 	allocs := testing.AllocsPerRun(1000, func() {
 		if _, err := DecodeResult(payload); err != nil {
 			t.Fatal(err)
@@ -61,7 +61,7 @@ func TestAllocBatchDecodeInPlace(t *testing.T) {
 		pairs[i] = PairPayload{FP: allocFP(uint64(i)), Val: uint64(i) + 1}
 		results[i] = ResultPayload{Exists: i%2 == 0, Source: 2, Val: uint64(i) + 1}
 	}
-	batch, answer := EncodeBatch(pairs), EncodeBatchResult(results)
+	batch, answer := appendBatch(nil, pairs), appendBatchResult(nil, results)
 	allocs := testing.AllocsPerRun(1000, func() {
 		n, err := BatchCount(batch)
 		if err != nil || n != len(pairs) {
@@ -102,10 +102,10 @@ func TestAllocGetPutBuf(t *testing.T) {
 
 func TestAllocFrameWriterWriteFrame(t *testing.T) {
 	fw := NewFrameWriter(io.Discard)
-	payload := EncodeResult(ResultPayload{Exists: true, Source: 1, Val: 7})
+	payload := AppendResult(nil, ResultPayload{Exists: true, Source: 1, Val: 7})
 	f := Frame{Type: TypeResult, ID: 9, Payload: payload}
 	allocs := testing.AllocsPerRun(1000, func() {
-		if err := fw.WriteFrame(f, MaxVersion); err != nil {
+		if err := fw.WriteFrame(f); err != nil {
 			t.Fatal(err)
 		}
 	})

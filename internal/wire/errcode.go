@@ -1,20 +1,11 @@
 package wire
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
-// Compact error codes (protocol >= 5). Pre-5 TypeError payloads carry only
-// a string; the v5 layout prefixes a one-byte code plus, for CodeNotOwner,
-// the true owner's identity, so a client with a stale ring view can re-dial
-// the correct node instead of parsing prose.
-//
-// The v5 coded layout is distinguishable from the legacy one by a sentinel:
-// it opens with 0xFFFF where the legacy layout carries the message length
-// (a legacy message is capped at 65535 bytes but the whole frame at 64 MiB,
-// so a length of exactly 0xFFFF never names a valid legacy payload of
-// different shape — DecodeErrorPayload still accepts both and falls back).
+// Code is the one-byte error code that opens every TypeError payload, so a
+// client dispatches on a number instead of parsing prose. The table in
+// docs/PROTOCOL.md lists what each code carries and what a client does with
+// it.
 type Code uint8
 
 // Error codes.
@@ -32,31 +23,31 @@ const (
 	// address so the client can re-dial it directly (one extra RTT
 	// instead of proxying through the wrong node).
 	CodeNotOwner
+	// CodeVersionMismatch refuses a connection whose first frame is not a
+	// Hello carrying ProtocolVersion. The connection closes behind it.
+	CodeVersionMismatch
 )
 
+// codeNames is what Code.String prints, and the "Name" column of the
+// error table in docs/PROTOCOL.md.
+var codeNames = [...]string{
+	CodeInternal:        "INTERNAL",
+	CodeBadRequest:      "BAD_REQUEST",
+	CodeCancelled:       "CANCELLED",
+	CodeDeadline:        "DEADLINE",
+	CodeNotOwner:        "NOT_OWNER",
+	CodeVersionMismatch: "VERSION_MISMATCH",
+}
+
 func (c Code) String() string {
-	switch c {
-	case CodeInternal:
-		return "INTERNAL"
-	case CodeBadRequest:
-		return "BAD_REQUEST"
-	case CodeCancelled:
-		return "CANCELLED"
-	case CodeDeadline:
-		return "DEADLINE"
-	case CodeNotOwner:
-		return "NOT_OWNER"
+	if int(c) < len(codeNames) {
+		return codeNames[c]
 	}
 	return fmt.Sprintf("code(%d)", uint8(c))
 }
 
-// codedErrorSentinel opens every v5 coded TypeError payload where the
-// legacy layout carries its message length.
-const codedErrorSentinel = 0xFFFF
-
-// ErrorPayload is a decoded TypeError payload: the legacy layouts populate
-// only Msg (Code stays CodeInternal); the v5 coded layout adds the code
-// and, for CodeNotOwner, the owner fields.
+// ErrorPayload is a decoded TypeError payload. The owner fields are set
+// only with CodeNotOwner.
 type ErrorPayload struct {
 	Code      Code
 	Msg       string
@@ -64,72 +55,39 @@ type ErrorPayload struct {
 	OwnerAddr string
 }
 
-// AppendErrorCoded appends a v5 coded TypeError payload to dst:
+// AppendError appends a TypeError payload to dst:
 //
-//	uint16  0xFFFF sentinel
 //	uint8   code
 //	uint16  message length | message bytes
 //	uint16  owner id length | id bytes      (CodeNotOwner, else 0)
 //	uint16  owner addr length | addr bytes  (CodeNotOwner, else 0)
-func AppendErrorCoded(dst []byte, e ErrorPayload) []byte {
-	dst = binary.BigEndian.AppendUint16(dst, codedErrorSentinel)
+func AppendError(dst []byte, e ErrorPayload) []byte {
 	dst = append(dst, byte(e.Code))
-	dst = appendLenPrefixed(dst, e.Msg)
-	dst = appendLenPrefixed(dst, e.OwnerID)
-	return appendLenPrefixed(dst, e.OwnerAddr)
+	dst = appendString(dst, e.Msg)
+	dst = appendString(dst, e.OwnerID)
+	return appendString(dst, e.OwnerAddr)
 }
 
-func appendLenPrefixed(dst []byte, s string) []byte {
-	if len(s) > 65534 {
-		s = s[:65534]
-	}
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(s)))
-	return append(dst, s...)
-}
-
-// EncodeErrorCoded encodes a v5 coded TypeError payload.
-func EncodeErrorCoded(e ErrorPayload) []byte {
-	return AppendErrorCoded(make([]byte, 0, 9+len(e.Msg)+len(e.OwnerID)+len(e.OwnerAddr)), e)
-}
-
-// DecodeErrorPayload decodes a TypeError payload in either layout: the v5
-// coded one (0xFFFF sentinel) or the legacy bare string, which decodes
-// with CodeInternal. Use this instead of DecodeError wherever the code or
-// owner identity matters; DecodeError remains for legacy callers and
-// returns only the message.
+// DecodeErrorPayload decodes a TypeError payload. A code this build does
+// not know decodes as itself and, mapping to nothing, acts as CodeInternal.
 func DecodeErrorPayload(b []byte) (ErrorPayload, error) {
-	if len(b) >= 3 && binary.BigEndian.Uint16(b[0:2]) == codedErrorSentinel {
-		e := ErrorPayload{Code: Code(b[2])}
-		rest := b[3:]
-		var err error
-		if e.Msg, rest, err = cutLenPrefixed(rest); err != nil {
-			return ErrorPayload{}, fmt.Errorf("wire: coded error message: %w", err)
-		}
-		if e.OwnerID, rest, err = cutLenPrefixed(rest); err != nil {
-			return ErrorPayload{}, fmt.Errorf("wire: coded error owner id: %w", err)
-		}
-		if e.OwnerAddr, rest, err = cutLenPrefixed(rest); err != nil {
-			return ErrorPayload{}, fmt.Errorf("wire: coded error owner addr: %w", err)
-		}
-		if len(rest) != 0 {
-			return ErrorPayload{}, fmt.Errorf("wire: coded error payload: %d trailing bytes: %w", len(rest), ErrShortPayload)
-		}
-		return e, nil
+	if len(b) < 1 {
+		return ErrorPayload{}, fmt.Errorf("wire: error payload: missing code: %w", ErrShortPayload)
 	}
-	msg, err := DecodeError(b)
-	if err != nil {
-		return ErrorPayload{}, err
+	e := ErrorPayload{Code: Code(b[0])}
+	rest := b[1:]
+	var err error
+	if e.Msg, rest, err = cutString(rest); err != nil {
+		return ErrorPayload{}, fmt.Errorf("wire: error payload message: %w", err)
 	}
-	return ErrorPayload{Code: CodeInternal, Msg: msg}, nil
-}
-
-func cutLenPrefixed(b []byte) (string, []byte, error) {
-	if len(b) < 2 {
-		return "", nil, fmt.Errorf("wire: missing length prefix: %w", ErrShortPayload)
+	if e.OwnerID, rest, err = cutString(rest); err != nil {
+		return ErrorPayload{}, fmt.Errorf("wire: error payload owner id: %w", err)
 	}
-	n := int(binary.BigEndian.Uint16(b[0:2]))
-	if len(b) < 2+n {
-		return "", nil, fmt.Errorf("wire: truncated string (want %d bytes, have %d): %w", n, len(b)-2, ErrShortPayload)
+	if e.OwnerAddr, rest, err = cutString(rest); err != nil {
+		return ErrorPayload{}, fmt.Errorf("wire: error payload owner addr: %w", err)
 	}
-	return string(b[2 : 2+n]), b[2+n:], nil
+	if len(rest) != 0 {
+		return ErrorPayload{}, fmt.Errorf("wire: error payload: %d trailing bytes: %w", len(rest), ErrShortPayload)
+	}
+	return e, nil
 }

@@ -10,103 +10,117 @@ import (
 	"shhc/internal/fingerprint"
 )
 
-// FuzzDecodeFrame feeds arbitrary bytes to the frame reader at every
-// protocol layout and to every payload decoder. Nothing may panic; a
-// frame that decodes must re-encode and decode back to itself (the codec
+// readChecked runs the pooled frame reader and holds it to its ownership
+// contract on every path: a buffer comes back exactly when the error is
+// nil (on every error path the reader has already released what it took).
+func readChecked(t testing.TB, data []byte) (Frame, *[]byte, error) {
+	t.Helper()
+	fr, bp, err := ReadFrame(bytes.NewReader(data))
+	if (bp == nil) != (err != nil) {
+		t.Fatalf("ReadFrame returned buffer %v with error %v", bp != nil, err)
+	}
+	return fr, bp, err
+}
+
+// FuzzDecodeFrame feeds arbitrary bytes to the frame reader and to every
+// payload decoder production calls. Nothing may panic; a frame or payload
+// that decodes must re-encode to the bytes it was decoded from (the codec
 // is its own round-trip oracle).
 func FuzzDecodeFrame(f *testing.F) {
-	// Seeds: one well-formed frame per layout, plus payload shapes.
-	var v0, v1, v5 bytes.Buffer
-	WriteFrameV(&v0, Frame{Type: TypeLookup, ID: 7, Payload: EncodeFP(fingerprint.FromWords(0x0102<<48, 0, 0))}, Version0)
-	WriteFrameV(&v1, Frame{Type: TypeBatch, ID: 9, Timeout: time.Second, Payload: EncodeBatch([]PairPayload{{Val: 3}})}, Version1)
-	WriteFrameV(&v5, Frame{Type: TypeWindowUpdate, ID: 3, Stream: 12, Payload: AppendWindowUpdate(nil, 4096)}, Version5)
-	f.Add(v0.Bytes())
-	f.Add(v1.Bytes())
-	f.Add(v5.Bytes())
-	f.Add(EncodeStats(StatsPayload{ID: "node", Lookups: 1}))
-	f.Add(EncodeError("boom"))
-	f.Add(EncodeErrorCoded(ErrorPayload{Code: CodeNotOwner, Msg: "moved", OwnerID: "n2", OwnerAddr: "127.0.0.1:9"}))
+	f.Add(frameBytes(f, Frame{Type: TypeLookup, ID: 7, Payload: AppendFP(nil, fingerprint.FromWords(0x0102<<48, 0, 0))}))
+	f.Add(frameBytes(f, Frame{Type: TypeBatch, ID: 9, Timeout: time.Second, Payload: appendBatch(nil, []PairPayload{{Val: 3}})}))
+	f.Add(frameBytes(f, Frame{Type: TypeWindowUpdate, ID: 3, Stream: 12, Payload: AppendWindowUpdate(nil, 4096)}))
+	f.Add(AppendStats(nil, StatsPayload{ID: "node", Lookups: 1}))
+	f.Add(appendBatchResult(nil, []ResultPayload{{Exists: true, Source: 2, Val: 5}, {}}))
+	f.Add(AppendError(nil, ErrorPayload{Code: CodeNotOwner, Msg: "moved", OwnerID: "n2", OwnerAddr: "127.0.0.1:9"}))
 	f.Add([]byte{0, 0, 0, 2, 1})    // length shorter than header
 	f.Add([]byte{0xff, 0xff, 0xff}) // truncated length prefix
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, version := range []int{Version0, Version1, Version5} {
-			fr, err := ReadFrameV(bytes.NewReader(data), version)
-			if err != nil {
-				continue
-			}
-			var buf bytes.Buffer
-			if err := WriteFrameV(&buf, fr, version); err != nil {
-				t.Fatalf("v%d: re-encode of decoded frame failed: %v", version, err)
-			}
-			fr2, err := ReadFrameV(&buf, version)
-			if err != nil {
-				t.Fatalf("v%d: re-decode failed: %v", version, err)
-			}
-			if fr2.Type != fr.Type || fr2.ID != fr.ID || fr2.Timeout != fr.Timeout || fr2.Stream != fr.Stream || !bytes.Equal(fr2.Payload, fr.Payload) {
-				t.Fatalf("v%d: round trip mutated frame: %+v -> %+v", version, fr, fr2)
+		if fr, bp, err := readChecked(t, data); err == nil {
+			again := frameBytes(t, fr)
+			PutBuf(bp)
+			if !bytes.Equal(again, data[:len(again)]) {
+				t.Fatalf("frame re-encodes to %x, was read from %x", again, data[:len(again)])
 			}
 		}
-		// Payload decoders must never panic on arbitrary input.
-		DecodeHello(data)
-		DecodePair(data)
-		DecodeFP(data)
-		DecodeBatch(data)
-		DecodeResult(data)
-		DecodeBatchResult(data)
-		DecodeStats(data)
-		DecodeError(data)
-		DecodeErrorPayload(data)
-		DecodeWindowUpdate(data)
+
+		if n, err := BatchCount(data); err == nil {
+			pairs := make([]PairPayload, n)
+			for i := range pairs {
+				pairs[i] = PairAt(data, i)
+			}
+			if again := appendBatch(nil, pairs); !bytes.Equal(again, data) {
+				t.Fatalf("batch re-encodes to %x, was %x", again, data)
+			}
+		}
+		if n, err := BatchResultCount(data); err == nil {
+			// Any byte but 1 reads as "absent", so answers compare as
+			// values, not bytes.
+			rs := make([]ResultPayload, n)
+			for i := range rs {
+				rs[i] = ResultAt(data, i)
+			}
+			again := appendBatchResult(nil, rs)
+			if m, err := BatchResultCount(again); err != nil || m != n {
+				t.Fatalf("batch result re-decode: %d results, %v; want %d", m, err, n)
+			}
+			for i := range rs {
+				if got := ResultAt(again, i); got != rs[i] {
+					t.Fatalf("result %d round trip: %+v -> %+v", i, rs[i], got)
+				}
+			}
+		}
+		if r, err := DecodeResult(data); err == nil {
+			if r2, err := DecodeResult(AppendResult(nil, r)); err != nil || r2 != r {
+				t.Fatalf("result round trip: %+v -> %+v, %v", r, r2, err)
+			}
+		}
+		if p, err := DecodePair(data); err == nil && !bytes.Equal(AppendPair(nil, p), data) {
+			t.Fatalf("pair re-encodes to %x, was %x", AppendPair(nil, p), data)
+		}
+		if fp, err := DecodeFP(data); err == nil && !bytes.Equal(AppendFP(nil, fp), data) {
+			t.Fatalf("fingerprint re-encodes to %x, was %x", AppendFP(nil, fp), data)
+		}
+		if s, err := DecodeStats(data); err == nil && !bytes.Equal(AppendStats(nil, s), data) {
+			t.Fatalf("stats re-encode differs from the %d bytes decoded", len(data))
+		}
+		fuzzControl(t, data)
 	})
 }
 
-// FuzzMuxControl focuses the fuzzer on the protocol-5 control payloads —
-// coded errors, window updates, the extended hello. None may panic on
-// arbitrary bytes; anything that decodes must survive a re-encode/decode
-// round trip.
+// fuzzControl is the shared body of the control-payload checks: coded
+// errors, window updates, the hello. Whatever decodes re-encodes to the
+// same bytes.
+func fuzzControl(t *testing.T, data []byte) {
+	if e, err := DecodeErrorPayload(data); err == nil && !bytes.Equal(AppendError(nil, e), data) {
+		t.Fatalf("error payload re-encodes to %x, was %x", AppendError(nil, e), data)
+	}
+	if n, err := DecodeWindowUpdate(data); err == nil && !bytes.Equal(AppendWindowUpdate(nil, n), data) {
+		t.Fatalf("window update re-encodes to %x, was %x", AppendWindowUpdate(nil, n), data)
+	}
+	if v, win, err := DecodeHello(data); err == nil && !bytes.Equal(AppendHello(nil, v, win), data) {
+		t.Fatalf("hello re-encodes to %x, was %x", AppendHello(nil, v, win), data)
+	}
+}
+
+// FuzzMuxControl focuses the fuzzer on the control payloads — coded errors,
+// window updates, the hello. None may panic on arbitrary bytes; anything
+// that decodes must survive a re-encode unchanged.
 func FuzzMuxControl(f *testing.F) {
-	f.Add(EncodeErrorCoded(ErrorPayload{Code: CodeNotOwner, Msg: "moved", OwnerID: "n2", OwnerAddr: "127.0.0.1:9"}))
-	f.Add(EncodeErrorCoded(ErrorPayload{Code: CodeDeadline, Msg: "context deadline exceeded"}))
-	f.Add(EncodeError("legacy error"))
+	f.Add(AppendError(nil, ErrorPayload{Code: CodeNotOwner, Msg: "moved", OwnerID: "n2", OwnerAddr: "127.0.0.1:9"}))
+	f.Add(AppendError(nil, ErrorPayload{Code: CodeDeadline, Msg: "context deadline exceeded"}))
+	f.Add(AppendError(nil, ErrorPayload{Code: CodeVersionMismatch, Msg: "peer offers protocol 6"}))
 	f.Add(AppendWindowUpdate(nil, 1<<18))
-	f.Add(AppendHelloWindow(nil, Version5, DefaultWindow))
-	f.Add(EncodeHello(Version1))
-	f.Add([]byte{0xff, 0xff, 4}) // sentinel + code, truncated fields
+	f.Add(AppendHello(nil, ProtocolVersion, DefaultWindow))
+	f.Add(AppendHello(nil, ProtocolVersion+1, 0))
+	f.Add([]byte{0xff, 0xff, 4}) // what opened a coded error before version 7
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if e, err := DecodeErrorPayload(data); err == nil &&
-			len(e.Msg) <= 65534 && len(e.OwnerID) <= 65534 && len(e.OwnerAddr) <= 65534 {
-			// (the encoder truncates fields past 65534 bytes, which a
-			// legacy 65535-byte message would trip — not a round-trip bug)
-			e2, err := DecodeErrorPayload(EncodeErrorCoded(e))
-			if err != nil {
-				t.Fatalf("re-decode of coded error failed: %v", err)
-			}
-			if e2 != e {
-				t.Fatalf("coded error round trip mutated payload: %+v -> %+v", e, e2)
-			}
-		}
-		if n, err := DecodeWindowUpdate(data); err == nil {
-			m, err := DecodeWindowUpdate(AppendWindowUpdate(nil, n))
-			if err != nil || m != n {
-				t.Fatalf("window update round trip: %d -> %d, %v", n, m, err)
-			}
-		}
-		if v, err := DecodeHello(data); err == nil {
-			win := HelloWindow(data)
-			rt := AppendHelloWindow(nil, v, win)
-			v2, err := DecodeHello(rt)
-			if err != nil || v2 != v || HelloWindow(rt) != win {
-				t.Fatalf("hello round trip: (%d,%d) -> (%d,%d), %v", v, win, v2, HelloWindow(rt), err)
-			}
-		}
-	})
+	f.Fuzz(fuzzControl)
 }
 
-// FuzzStatsRoundTrip encodes a fuzzed StatsPayload at every protocol
-// version and asserts the decoder recovers exactly the fields that
-// version carries, with the rest zero.
+// FuzzStatsRoundTrip encodes a fuzzed StatsPayload and asserts the decoder
+// recovers every field, and that the decoder accepts that length only.
 func FuzzStatsRoundTrip(f *testing.F) {
 	f.Add("node-a", []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add("", []byte{})
@@ -133,42 +147,23 @@ func FuzzStatsRoundTrip(f *testing.F) {
 			}
 		}
 
-		for _, version := range []int{Version0, Version1, Version2, Version3, Version4, Version5} {
-			enc := EncodeStatsV(s, version)
-			dec, err := DecodeStats(enc)
-			if err != nil {
-				t.Fatalf("v%d: DecodeStats of own encoding failed: %v", version, err)
-			}
-			wantID := id
-			if len(wantID) > 65535 {
-				wantID = wantID[:65535]
-			}
-			if dec.ID != wantID {
-				t.Fatalf("v%d: id %q -> %q", version, wantID, dec.ID)
-			}
-			nc, ns := statsLayout(version)
-			for i, c := range s.counters() {
-				got := *dec.counters()[i]
-				want := *c
-				if i >= nc {
-					want = 0 // not carried at this version
-				}
-				if got != want {
-					t.Fatalf("v%d: counter %d = %d, want %d", version, i, got, want)
-				}
-			}
-			for i, sum := range s.summaries() {
-				for j, field := range sum.fields() {
-					got := *dec.summaries()[i].fields()[j]
-					want := *field
-					if i >= ns {
-						want = 0
-					}
-					if got != want {
-						t.Fatalf("v%d: summary %d field %d = %d, want %d", version, i, j, got, want)
-					}
-				}
-			}
+		enc := AppendStats(nil, s)
+		dec, err := DecodeStats(enc)
+		if err != nil {
+			t.Fatalf("DecodeStats of own encoding failed: %v", err)
+		}
+		want := s
+		if len(want.ID) > maxString {
+			want.ID = want.ID[:maxString]
+		}
+		if dec != want {
+			t.Fatalf("stats round trip:\n got %+v\nwant %+v", dec, want)
+		}
+		if _, err := DecodeStats(enc[:len(enc)-8]); err == nil {
+			t.Fatal("DecodeStats accepted a payload one counter short")
+		}
+		if _, err := DecodeStats(append(enc, make([]byte, 8)...)); err == nil {
+			t.Fatal("DecodeStats accepted a payload one counter long")
 		}
 	})
 }
@@ -177,61 +172,60 @@ func FuzzStatsRoundTrip(f *testing.F) {
 // table of hostile inputs the codec must reject with an error — never a
 // panic, never a garbage frame.
 func TestMalformedFrames(t *testing.T) {
-	frame := func(version int, f Frame) []byte {
-		var buf bytes.Buffer
-		if err := WriteFrameV(&buf, f, version); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	good := frame(Version1, Frame{Type: TypeLookup, ID: 1, Payload: EncodeFP(fingerprint.FromWords(9<<56, 0, 0))})
+	good := frameBytes(t, Frame{Type: TypeLookup, ID: 1, Payload: AppendFP(nil, fingerprint.FromWords(9<<56, 0, 0))})
 
 	cases := []struct {
-		name    string
-		data    []byte
-		version int
+		name string
+		data []byte
 	}{
-		{"empty", nil, Version0},
-		{"truncated length prefix", []byte{0, 0, 1}, Version0},
-		{"length below v0 header", []byte{0, 0, 0, 8, 1, 2, 3, 4, 5, 6, 7, 8}, Version0},
-		{"length below v1 header", frame(Version0, Frame{Type: TypePing, ID: 1}), Version1},
-		{"length above MaxFrameSize", []byte{0xff, 0xff, 0xff, 0xff}, Version0},
-		{"body shorter than length", good[:len(good)-3], Version1},
+		{"empty", nil},
+		{"truncated length prefix", []byte{0, 0, 1}},
+		// Frames as peers older than the one header wrote them: a body
+		// too short even for type+id, and one that is exactly type+id.
+		{"length below v0 header", []byte{0, 0, 0, 8, 1, 2, 3, 4, 5, 6, 7, 8}},
+		{"length below v1 header", []byte{0, 0, 0, 9, byte(TypePing), 0, 0, 0, 0, 0, 0, 0, 1}},
+		{"length above MaxFrameSize", []byte{0xff, 0xff, 0xff, 0xff}},
+		{"body shorter than length", good[:len(good)-3]},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ReadFrameV(bytes.NewReader(tc.data), tc.version); err == nil {
-				t.Fatalf("ReadFrameV accepted malformed input")
+			if _, bp, err := readChecked(t, tc.data); err == nil {
+				PutBuf(bp)
+				t.Fatalf("ReadFrame accepted malformed input")
 			}
 		})
 	}
 
+	notOwner := AppendError(nil, ErrorPayload{Code: CodeNotOwner, OwnerID: "n2", OwnerAddr: "a:1"})
+	stats := AppendStats(nil, StatsPayload{ID: "n"})
+	decodeError := func(b []byte) error { _, err := DecodeErrorPayload(b); return err }
+	decodeStats := func(b []byte) error { _, err := DecodeStats(b); return err }
+	decodeHello := func(b []byte) error { _, _, err := DecodeHello(b); return err }
+	batchCount := func(b []byte) error { _, err := BatchCount(b); return err }
 	payloadCases := []struct {
 		name   string
 		decode func([]byte) error
 		data   []byte
 	}{
-		{"hello wrong size", func(b []byte) error { _, err := DecodeHello(b); return err }, []byte{1, 2, 3}},
+		{"hello wrong size", decodeHello, []byte{1, 2, 3}},
+		{"hello wrong length (4 bytes)", decodeHello, []byte{0, 0, 0, ProtocolVersion}},
 		{"pair short", func(b []byte) error { _, err := DecodePair(b); return err }, make([]byte, pairSize-1)},
 		{"fp long", func(b []byte) error { _, err := DecodeFP(b); return err }, make([]byte, 21)},
-		{"batch count lies", func(b []byte) error { _, err := DecodeBatch(b); return err },
-			append([]byte{0, 0, 0, 9}, make([]byte, pairSize)...)},
-		{"batch missing count", func(b []byte) error { _, err := DecodeBatch(b); return err }, []byte{1}},
+		{"batch count lies", batchCount, append([]byte{0, 0, 0, 9}, make([]byte, pairSize)...)},
+		{"batch missing count", batchCount, []byte{1}},
 		{"result short", func(b []byte) error { _, err := DecodeResult(b); return err }, make([]byte, resultSize-1)},
-		{"batch result count lies", func(b []byte) error { _, err := DecodeBatchResult(b); return err },
+		{"batch result count lies", func(b []byte) error { _, err := BatchResultCount(b); return err },
 			append([]byte{0, 0, 0, 2}, make([]byte, resultSize)...)},
-		{"stats id length lies", func(b []byte) error { _, err := DecodeStats(b); return err },
-			[]byte{0xff, 0xff, 1, 2, 3}},
-		{"stats truncated counters", func(b []byte) error { _, err := DecodeStats(b); return err },
-			EncodeStats(StatsPayload{ID: "n"})[:40]},
-		{"error length lies", func(b []byte) error { _, err := DecodeError(b); return err },
-			[]byte{0, 10, 'h', 'i'}},
-		{"window update short", func(b []byte) error { _, err := DecodeWindowUpdate(b); return err },
-			[]byte{1, 2, 3}},
-		{"coded error truncated owner", func(b []byte) error { _, err := DecodeErrorPayload(b); return err },
-			EncodeErrorCoded(ErrorPayload{Code: CodeNotOwner, OwnerID: "n2", OwnerAddr: "a:1"})[:9]},
-		{"coded error trailing bytes", func(b []byte) error { _, err := DecodeErrorPayload(b); return err },
-			append(EncodeErrorCoded(ErrorPayload{Code: CodeInternal, Msg: "x"}), 0)},
+		{"stats id length lies", decodeStats, []byte{0xff, 0xff, 1, 2, 3}},
+		{"stats truncated counters", decodeStats, stats[:40]},
+		{"stats one counter short", decodeStats, stats[:len(stats)-8]},
+		{"error length lies", decodeError, []byte{byte(CodeInternal), 0, 10, 'h', 'i'}},
+		{"window update short", func(b []byte) error { _, err := DecodeWindowUpdate(b); return err }, []byte{1, 2, 3}},
+		{"coded error truncated owner", decodeError, notOwner[:len(notOwner)-2]},
+		{"coded error trailing bytes", decodeError, append(AppendError(nil, ErrorPayload{Code: CodeInternal, Msg: "x"}), 0)},
+		// The version-6 coded layout: 0xFFFF, code, then the strings.
+		{"error payload with the old 0xFFFF sentinel", decodeError,
+			append([]byte{0xff, 0xff}, AppendError(nil, ErrorPayload{Code: CodeDeadline, Msg: "late"})...)},
 	}
 	for _, tc := range payloadCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -239,36 +233,5 @@ func TestMalformedFrames(t *testing.T) {
 				t.Fatalf("decoder accepted malformed payload")
 			}
 		})
-	}
-}
-
-// TestStatsVersionSkewInterop pins the cross-version stats contract
-// directly: a Version2 encoding (no recovery counters) decodes on a
-// Version3 reader with recovery fields zero, and the Version3 encoding
-// carries them through.
-func TestStatsVersionSkewInterop(t *testing.T) {
-	s := StatsPayload{
-		ID:                      "skew",
-		Lookups:                 11,
-		DestageEntries:          22,
-		RecoveryJournalReplayed: 33,
-		RecoveryStoreTornPages:  44,
-	}
-	dec2, err := DecodeStats(EncodeStatsV(s, Version2))
-	if err != nil {
-		t.Fatalf("decode v2: %v", err)
-	}
-	if dec2.Lookups != 11 || dec2.DestageEntries != 22 {
-		t.Fatalf("v2 lost pre-recovery fields: %+v", dec2)
-	}
-	if dec2.RecoveryJournalReplayed != 0 || dec2.RecoveryStoreTornPages != 0 {
-		t.Fatalf("v2 encoding carried recovery fields it should not have: %+v", dec2)
-	}
-	dec3, err := DecodeStats(EncodeStatsV(s, Version3))
-	if err != nil {
-		t.Fatalf("decode v3: %v", err)
-	}
-	if dec3.RecoveryJournalReplayed != 33 || dec3.RecoveryStoreTornPages != 44 {
-		t.Fatalf("v3 encoding dropped recovery fields: %+v", dec3)
 	}
 }

@@ -1,16 +1,15 @@
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"io"
 	"net"
 	"sync"
 )
 
-// This file is the stream-multiplexing layer of the wire protocol
-// (protocol >= 5): many logical streams share one connection, each with
-// an independent credit window, so a slow consumer exhausts only its own
+// This file is the stream-multiplexing layer of the wire protocol: many
+// logical streams share one connection, each with an independent credit
+// window, so a slow consumer exhausts only its own
 // stream's credit while every other stream keeps flowing.
 //
 // MuxWriter is the sending half. Frames enqueue without blocking —
@@ -21,7 +20,7 @@ import (
 // send window is positive; the window is charged the full payload size
 // at flush (one oversized frame may drive it negative, blocking the
 // stream until WINDOW_UPDATE grants restore it). Stream 0 is the
-// control/legacy stream and is never credit-charged.
+// control stream and is never credit-charged.
 //
 // Buffer ownership across the mux boundary: Enqueue and EnqueueControl
 // take ownership of the frame's pooled payload buffer — the mux releases
@@ -65,9 +64,8 @@ type muxStream struct {
 // writer. Enqueue never blocks on peer consumption; a background flusher
 // writes ready frames. Safe for concurrent use.
 type MuxWriter struct {
-	w       io.Writer
-	version int
-	window  int64
+	w      io.Writer
+	window int64
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -80,12 +78,10 @@ type MuxWriter struct {
 
 	queuedBytes  int64
 	creditStalls uint64
-	framesSent   uint64
-	flushes      uint64
 
 	// Flusher-only scratch: per-frame headers and the iovec list, reused
 	// across flushes so a flush allocates nothing.
-	hdrs [maxCoalesce][4 + headerSizeV5]byte
+	hdrs [maxCoalesce][4 + headerSize]byte
 	vecs net.Buffers
 }
 
@@ -93,13 +89,12 @@ type MuxWriter struct {
 // flush becomes one writev). window is the initial per-stream send
 // credit; 0 means DefaultWindow. The returned writer owns a background
 // flusher goroutine until Close.
-func NewMuxWriter(w io.Writer, version int, window int) *MuxWriter {
+func NewMuxWriter(w io.Writer, window int) *MuxWriter {
 	if window <= 0 {
 		window = DefaultWindow
 	}
 	m := &MuxWriter{
 		w:       w,
-		version: version,
 		window:  int64(window),
 		streams: make(map[uint32]*muxStream),
 		done:    make(chan struct{}),
@@ -109,9 +104,6 @@ func NewMuxWriter(w io.Writer, version int, window int) *MuxWriter {
 	go m.flushLoop()
 	return m
 }
-
-// Window returns the initial per-stream send credit.
-func (m *MuxWriter) Window() int { return int(m.window) }
 
 func (s *muxStream) flushable(id uint32) bool {
 	return len(s.q) > 0 && (id == 0 || s.win > 0)
@@ -132,7 +124,7 @@ func (m *MuxWriter) Enqueue(f Frame, bp *[]byte, onFlush func()) error {
 	return m.enqueue(muxFrame{f: f, bp: bp, onFlush: onFlush}, false)
 }
 
-// EnqueueControl queues a control frame (WindowUpdate, HelloAck, Pong…):
+// EnqueueControl queues a control frame (a WINDOW_UPDATE grant):
 // never credit-charged and flushed ahead of data frames. Takes ownership
 // of bp exactly as Enqueue does.
 //
@@ -210,8 +202,6 @@ type MuxStats struct {
 	StreamsOpen  int    // streams with queued frames or charged credit
 	CreditStalls uint64 // enqueues that found the stream's window exhausted
 	BytesQueued  int64  // payload bytes enqueued but not yet flushed
-	FramesSent   uint64
-	Flushes      uint64
 }
 
 // Stats snapshots the transport counters.
@@ -222,8 +212,6 @@ func (m *MuxWriter) Stats() MuxStats {
 		StreamsOpen:  len(m.streams),
 		CreditStalls: m.creditStalls,
 		BytesQueued:  m.queuedBytes,
-		FramesSent:   m.framesSent,
-		Flushes:      m.flushes,
 	}
 }
 
@@ -334,10 +322,6 @@ func (m *MuxWriter) flushLoop() {
 			}
 			batch[i] = muxFrame{}
 		}
-		m.mu.Lock()
-		m.framesSent += uint64(n)
-		m.flushes++
-		m.mu.Unlock()
 	}
 }
 
@@ -345,25 +329,14 @@ func (m *MuxWriter) flushLoop() {
 // from the reused scratch array interleaved with the payloads. Runs only
 // on the flusher goroutine.
 func (m *MuxWriter) writeBatch(batch []muxFrame) error {
-	hs := headerSizeFor(m.version)
 	m.vecs = m.vecs[:0]
 	for i := range batch {
 		f := &batch[i].f
-		n := hs + len(f.Payload)
-		if n > MaxFrameSize {
-			return ErrFrameTooLarge
-		}
 		hdr := &m.hdrs[i]
-		binary.BigEndian.PutUint32(hdr[0:4], uint32(n))
-		hdr[4] = byte(f.Type)
-		binary.BigEndian.PutUint64(hdr[5:13], f.ID)
-		if m.version >= Version1 {
-			binary.BigEndian.PutUint64(hdr[13:21], uint64(f.Timeout))
+		if err := putHeader(hdr, f); err != nil {
+			return err
 		}
-		if m.version >= Version5 {
-			binary.BigEndian.PutUint32(hdr[21:25], f.Stream)
-		}
-		m.vecs = append(m.vecs, hdr[:4+hs])
+		m.vecs = append(m.vecs, hdr[:])
 		if len(f.Payload) > 0 {
 			m.vecs = append(m.vecs, f.Payload)
 		}

@@ -14,38 +14,18 @@ import (
 func TestMuxFrameV5RoundTripCarriesStream(t *testing.T) {
 	in := Frame{Type: TypeBatch, ID: 42, Timeout: time.Second, Stream: 7, Payload: []byte{1, 2, 3}}
 	var buf bytes.Buffer
-	if err := WriteFrameV(&buf, in, Version5); err != nil {
-		t.Fatalf("WriteFrameV: %v", err)
+	if err := writeFrame(&buf, in); err != nil {
+		t.Fatalf("WriteFrame: %v", err)
 	}
-	if got, want := buf.Len(), 4+headerSizeV5+3; got != want {
-		t.Fatalf("v5 frame is %d bytes, want %d", got, want)
+	if got, want := buf.Len(), 4+headerSize+3; got != want {
+		t.Fatalf("frame is %d bytes, want %d", got, want)
 	}
-	out, err := ReadFrameV(&buf, Version5)
+	out, err := readFrame(&buf)
 	if err != nil {
-		t.Fatalf("ReadFrameV: %v", err)
+		t.Fatalf("ReadFrame: %v", err)
 	}
 	if out.Type != in.Type || out.ID != in.ID || out.Timeout != in.Timeout || out.Stream != in.Stream || !bytes.Equal(out.Payload, in.Payload) {
 		t.Fatalf("round trip = %+v, want %+v", out, in)
-	}
-}
-
-func TestMuxFrameV4LayoutHasNoStreamField(t *testing.T) {
-	// A stream id set on a pre-5 frame must not leak onto the wire: old
-	// peers parse the v1 layout.
-	in := Frame{Type: TypeLookup, ID: 9, Stream: 99, Payload: []byte{5}}
-	var buf bytes.Buffer
-	if err := WriteFrameV(&buf, in, Version4); err != nil {
-		t.Fatalf("WriteFrameV: %v", err)
-	}
-	if got, want := buf.Len(), 4+headerSizeV1+1; got != want {
-		t.Fatalf("v4 frame is %d bytes, want %d (no stream field)", got, want)
-	}
-	out, err := ReadFrameV(&buf, Version4)
-	if err != nil {
-		t.Fatalf("ReadFrameV: %v", err)
-	}
-	if out.Stream != 0 {
-		t.Fatalf("v4 read produced stream %d, want 0", out.Stream)
 	}
 }
 
@@ -53,12 +33,12 @@ func TestMuxFrameWriterV5(t *testing.T) {
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)
 	in := Frame{Type: TypeResult, ID: 3, Stream: 11, Payload: []byte{9, 8}}
-	if err := fw.WriteFrame(in, Version5); err != nil {
+	if err := fw.WriteFrame(in); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
-	out, bp, err := ReadFrameVInto(&buf, Version5)
+	out, bp, err := ReadFrame(&buf)
 	if err != nil {
-		t.Fatalf("ReadFrameVInto: %v", err)
+		t.Fatalf("ReadFrame: %v", err)
 	}
 	defer PutBuf(bp)
 	if out.Stream != 11 || out.ID != 3 || !bytes.Equal(out.Payload, in.Payload) {
@@ -79,20 +59,12 @@ func TestMuxWindowUpdateRoundTrip(t *testing.T) {
 
 func TestRedirectErrorCodeRoundTrip(t *testing.T) {
 	in := ErrorPayload{Code: CodeNotOwner, Msg: "key moved", OwnerID: "node-b", OwnerAddr: "10.0.0.2:7000"}
-	out, err := DecodeErrorPayload(EncodeErrorCoded(in))
+	out, err := DecodeErrorPayload(AppendError(nil, in))
 	if err != nil {
 		t.Fatalf("DecodeErrorPayload: %v", err)
 	}
 	if out != in {
 		t.Fatalf("round trip = %+v, want %+v", out, in)
-	}
-	// The legacy layout still decodes, as CodeInternal.
-	legacy, err := DecodeErrorPayload(EncodeError("plain failure"))
-	if err != nil {
-		t.Fatalf("DecodeErrorPayload(legacy): %v", err)
-	}
-	if legacy.Code != CodeInternal || legacy.Msg != "plain failure" {
-		t.Fatalf("legacy decode = %+v", legacy)
 	}
 	if got := CodeNotOwner.String(); got != "NOT_OWNER" {
 		t.Fatalf("CodeNotOwner.String() = %q", got)
@@ -122,11 +94,10 @@ func (c *muxConn) Write(p []byte) (int, error) {
 		if len(c.pending) < 4+n {
 			return len(p), nil
 		}
-		f, err := ReadFrameV(bytes.NewReader(c.pending[:4+n]), Version5)
+		f, err := readFrame(bytes.NewReader(c.pending[:4+n]))
 		if err != nil {
 			return 0, fmt.Errorf("muxConn: bad frame in flush: %w", err)
 		}
-		f.Payload = append([]byte(nil), f.Payload...)
 		c.frames = append(c.frames, f)
 		c.pending = c.pending[4+n:]
 	}
@@ -158,7 +129,7 @@ func waitFrames(t *testing.T, c *muxConn, n int) []Frame {
 // another stream on the same writer keeps flowing.
 func TestMuxCreditStallIsolation(t *testing.T) {
 	conn := &muxConn{}
-	m := NewMuxWriter(conn, Version5, 100) // tiny window: one 60-byte frame fits, two don't
+	m := NewMuxWriter(conn, 100) // tiny window: one 60-byte frame fits, two don't
 	defer m.Close()
 
 	payload := func() *[]byte {
@@ -215,7 +186,7 @@ func TestMuxCreditStallIsolation(t *testing.T) {
 // callback fires only once the frame's bytes hit the socket.
 func TestMuxStreamOnFlushRunsAfterWrite(t *testing.T) {
 	conn := &muxConn{}
-	m := NewMuxWriter(conn, Version5, 0)
+	m := NewMuxWriter(conn, 0)
 	defer m.Close()
 	done := make(chan struct{})
 	bp := GetBuf(4)
@@ -237,7 +208,7 @@ func TestMuxStreamOnFlushRunsAfterWrite(t *testing.T) {
 // when every data stream is credit-blocked.
 func TestMuxStreamControlBypassesCredit(t *testing.T) {
 	conn := &muxConn{}
-	m := NewMuxWriter(conn, Version5, 10)
+	m := NewMuxWriter(conn, 10)
 	defer m.Close()
 	big := GetBuf(64)
 	*big = (*big)[:64]
@@ -275,7 +246,7 @@ func TestMuxStreamControlBypassesCredit(t *testing.T) {
 // in-order within its stream.
 func TestMuxStreamInterleavingStorm(t *testing.T) {
 	conn := &muxConn{}
-	m := NewMuxWriter(conn, Version5, 512)
+	m := NewMuxWriter(conn, 512)
 	const (
 		streams   = 32
 		perStream = 50
@@ -354,7 +325,7 @@ func TestMuxStreamInterleavingStorm(t *testing.T) {
 // arm: Close drains queued frames (releasing their pooled buffers) and
 // later enqueues fail cleanly.
 func TestMuxStreamCloseReleasesQueued(t *testing.T) {
-	m := NewMuxWriter(io.Discard, Version5, 10)
+	m := NewMuxWriter(io.Discard, 10)
 	big := GetBuf(64)
 	*big = (*big)[:64]
 	_ = m.Enqueue(Frame{Type: TypeResult, ID: 1, Stream: 1, Payload: *big}, big, nil)
@@ -369,41 +340,5 @@ func TestMuxStreamCloseReleasesQueued(t *testing.T) {
 	}
 	if st := m.Stats(); st.BytesQueued != 0 || st.StreamsOpen != 0 {
 		t.Fatalf("after close: %+v, want empty", st)
-	}
-}
-
-// TestStreamStatsVersionSkewInterop pins the Version5 stats contract: the
-// Version4 encoding (no transport counters) decodes with the transport
-// fields zero, and the Version5 encoding carries them through.
-func TestStreamStatsVersionSkewInterop(t *testing.T) {
-	s := StatsPayload{
-		ID:                       "mux-skew",
-		Lookups:                  11,
-		ReplRepairBatches:        22,
-		TransportStreamsOpen:     33,
-		TransportCreditStalls:    44,
-		TransportBytesInFlight:   55,
-		TransportWindowUpdates:   66,
-		TransportRedirectsIssued: 77,
-	}
-	dec4, err := DecodeStats(EncodeStatsV(s, Version4))
-	if err != nil {
-		t.Fatalf("decode v4: %v", err)
-	}
-	if dec4.Lookups != 11 || dec4.ReplRepairBatches != 22 {
-		t.Fatalf("v4 lost pre-transport fields: %+v", dec4)
-	}
-	if dec4.TransportStreamsOpen != 0 || dec4.TransportCreditStalls != 0 || dec4.TransportRedirectsIssued != 0 {
-		t.Fatalf("v4 encoding carried transport fields it should not have: %+v", dec4)
-	}
-	dec5, err := DecodeStats(EncodeStatsV(s, Version5))
-	if err != nil {
-		t.Fatalf("decode v5: %v", err)
-	}
-	if dec5 != s {
-		t.Fatalf("v5 round trip = %+v, want %+v", dec5, s)
-	}
-	if v5, v4 := EncodeStatsV(s, Version5), EncodeStatsV(s, Version4); len(v5) <= len(v4) {
-		t.Fatalf("v5 payload (%d bytes) not larger than v4 payload (%d bytes)", len(v5), len(v4))
 	}
 }

@@ -1,49 +1,41 @@
 // Package wire defines SHHC's binary protocol between the web front-end
-// (or any client) and the hash nodes.
+// (or any client) and the hash nodes. docs/PROTOCOL.md is the normative
+// description — layering, handshake, message and error tables, flow control,
+// deadlines — and TestProtocolDocMatchesCode holds its tables to the
+// constants declared here.
 //
 // Frames are length-prefixed so a connection can carry pipelined,
 // out-of-order responses, which the batching design of the paper relies on:
 //
-//	uint32  payload length (excluding this prefix, including type+id)
+//	uint32  frame length (excluding this prefix, including the header)
 //	uint8   message type
 //	uint64  request id (echoed in the response)
-//	uint64  timeout, nanoseconds remaining, 0 = none (protocol >= 1 only)
+//	uint64  timeout, nanoseconds remaining, 0 = none
+//	uint32  stream id, 0 = the control stream
 //	...     type-specific payload
 //
 // All integers are big-endian. Fingerprints travel as raw 20-byte values.
 //
-// # Versioning
-//
-// Version 0 is the original frame layout with no deadline field and no
-// Hello/Cancel frames. Version 1 adds:
-//
-//   - a Hello/HelloAck handshake: the client's first frame is a v0-layout
-//     TypeHello carrying its highest supported version; the server answers
-//     TypeHelloAck (v0 layout) with the negotiated version, and both sides
-//     switch to that version's layout for every later frame. A v0 server
-//     answers Hello with TypeError ("unsupported request type"), which a
-//     v1 client treats as "peer speaks version 0" — old peers interoperate
-//     with no configuration.
-//   - a per-request deadline in the frame header, carried as the
-//     *relative* time remaining (nanoseconds) rather than an absolute
-//     timestamp, so clock skew between client and server cannot shrink
-//     or extend it (the same reasoning as gRPC's wire timeouts); the
-//     server derives a context.WithTimeout for the handler.
-//   - TypeCancel: the ID names an in-flight request to abandon; the server
-//     cancels that request's context. Cancel has no response frame (the
-//     cancelled request itself answers with an error, or with its result
-//     if it won the race).
+// The deadline is carried as the *relative* time remaining rather than an
+// absolute timestamp, so clock skew between client and server cannot shrink
+// or extend it (the same reasoning as gRPC's wire timeouts); the server
+// derives a context.WithTimeout for the handler.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"shhc/internal/fingerprint"
 )
+
+// ProtocolVersion is the one protocol version this package speaks. Both
+// sides of a connection state it in the Hello/HelloAck exchange; a peer
+// that states another is refused with CodeVersionMismatch, never
+// negotiated down to.
+const ProtocolVersion = 7
 
 // Type identifies a frame's payload.
 type Type uint8
@@ -65,7 +57,7 @@ const (
 
 	// TypeResult answers TypeLookup / TypeLookupOrInsert / TypeInsert.
 	TypeResult
-	// TypeBatchResult answers TypeBatch.
+	// TypeBatchResult answers TypeBatch / TypeRepair.
 	TypeBatchResult
 	// TypeStatsResult answers TypeStats.
 	TypeStatsResult
@@ -74,103 +66,63 @@ const (
 	// TypeError reports a server-side failure for the echoed request id.
 	TypeError
 
-	// TypeHello opens version negotiation (payload: highest supported
-	// version). Always sent and answered in the version-0 frame layout.
+	// TypeHello is the first frame of every connection: the client's
+	// protocol version and per-stream send window.
 	TypeHello
-	// TypeHelloAck answers TypeHello with the negotiated version.
+	// TypeHelloAck answers TypeHello with the server's version and window.
 	TypeHelloAck
-	// TypeCancel abandons the in-flight request whose id it echoes.
-	// No response frame. Protocol >= 1 only.
+	// TypeCancel abandons the in-flight request whose id it echoes. It has
+	// no response frame: the cancelled request itself answers with an
+	// error, or with its result if it won the race.
 	TypeCancel
 
-	// TypeRepair carries a replication backfill batch (protocol >= 4).
-	// The payload is the same pair batch as TypeBatch and the answer is a
-	// TypeBatchResult, but the verb marks the traffic as repair — the
-	// receiving node applies it with lookup-or-insert semantics (existing
-	// entries keep their stored value) and accounts it in the replication
-	// stats block rather than the foreground counters.
+	// TypeRepair carries a replication backfill batch. The payload is the
+	// same pair batch as TypeBatch and the answer is a TypeBatchResult,
+	// but the verb marks the traffic as repair — the receiving node
+	// applies it with lookup-or-insert semantics (existing entries keep
+	// their stored value) and accounts it in the replication stats block
+	// rather than the foreground counters.
 	TypeRepair
 
-	// TypeWindowUpdate grants flow-control credit (protocol >= 5): the
-	// header's stream field names the stream and the payload carries the
-	// number of bytes the receiver has consumed and returns to the
-	// sender's window. Control traffic — never itself credit-charged.
+	// TypeWindowUpdate grants flow-control credit: the header's stream
+	// field names the stream and the payload carries the number of bytes
+	// the receiver has consumed and returns to the sender's window.
+	// Control traffic — never itself credit-charged.
 	TypeWindowUpdate
 )
 
-// Protocol versions. Version 0 is the original deadline-less protocol;
-// Version1 adds the deadline header field and the Hello/Cancel frames;
-// Version2 keeps the frame layout of Version1 and extends the stats
-// payload with the write-back destage counters; Version3 extends it again
-// with the crash-recovery counters (journal replay plus the hash table's
-// open-time repair pass); Version4 adds the TypeRepair backfill verb and
-// the replication counters in the stats payload. Version5 is the
-// multiplexed transport: frames gain a 4-byte stream id in the header,
-// TypeWindowUpdate carries per-stream credit grants, TypeError payloads
-// gain a compact error code (including the NOT_OWNER redirect carrying
-// the true owner's id and address), and the stats payload grows the
-// transport counters. Old peers negotiate down and receive/send their
-// version's layouts (a pre-5 peer runs the legacy single-stream path; a
-// pre-4 peer is repaired via plain TypeBatch instead of TypeRepair).
-// Version6 keeps Version5's frame layout and extends the stats payload
-// with the scalable Bloom filter's shape and accuracy counters (rates
-// travel as fixed-point parts-per-billion; see StatsPayload).
-const (
-	Version0   = 0
-	Version1   = 1
-	Version2   = 2
-	Version3   = 3
-	Version4   = 4
-	Version5   = 5
-	Version6   = 6
-	MaxVersion = Version6
-)
+// typeNames is what Type.String prints, and the "Name" column of the
+// message table in docs/PROTOCOL.md.
+var typeNames = [...]string{
+	TypeLookup:         "lookup",
+	TypeLookupOrInsert: "lookup-or-insert",
+	TypeBatch:          "batch",
+	TypeInsert:         "insert",
+	TypeStats:          "stats",
+	TypePing:           "ping",
+	TypeResult:         "result",
+	TypeBatchResult:    "batch-result",
+	TypeStatsResult:    "stats-result",
+	TypePong:           "pong",
+	TypeError:          "error",
+	TypeHello:          "hello",
+	TypeHelloAck:       "hello-ack",
+	TypeCancel:         "cancel",
+	TypeRepair:         "repair",
+	TypeWindowUpdate:   "window-update",
+}
 
 func (t Type) String() string {
-	switch t {
-	case TypeLookup:
-		return "lookup"
-	case TypeLookupOrInsert:
-		return "lookup-or-insert"
-	case TypeBatch:
-		return "batch"
-	case TypeInsert:
-		return "insert"
-	case TypeStats:
-		return "stats"
-	case TypePing:
-		return "ping"
-	case TypeResult:
-		return "result"
-	case TypeBatchResult:
-		return "batch-result"
-	case TypeStatsResult:
-		return "stats-result"
-	case TypePong:
-		return "pong"
-	case TypeError:
-		return "error"
-	case TypeHello:
-		return "hello"
-	case TypeHelloAck:
-		return "hello-ack"
-	case TypeCancel:
-		return "cancel"
-	case TypeRepair:
-		return "repair"
-	case TypeWindowUpdate:
-		return "window-update"
+	if int(t) < len(typeNames) && typeNames[t] != "" {
+		return typeNames[t]
 	}
 	return fmt.Sprintf("type(%d)", uint8(t))
 }
 
 const (
-	headerSize = 1 + 8 // type + request id (length prefix not included)
-	// headerSizeV1 adds the 8-byte timeout field.
-	headerSizeV1 = headerSize + 8
-	// headerSizeV5 adds the 4-byte stream id. Stream 0 is the legacy
-	// single-stream path; nonzero ids name multiplexed logical streams.
-	headerSizeV5 = headerSizeV1 + 4
+	// headerSize is what a frame carries between its length prefix and its
+	// payload: type + request id + timeout + stream id.
+	headerSize = 1 + 8 + 8 + 4
 
 	// MaxFrameSize bounds a frame to keep a misbehaving peer from forcing
 	// huge allocations. 64 MiB admits batches of >2M fingerprints.
@@ -180,6 +132,11 @@ const (
 	pairSize = fingerprint.Size + 8
 	// resultSize is one lookup result on the wire: flags + source + value.
 	resultSize = 1 + 1 + 8
+	// helloSize is a Hello/HelloAck payload: version + window.
+	helloSize = 4 + 4
+	// maxString is the longest string a uint16 length prefix can carry;
+	// encoders truncate to it.
+	maxString = 65535
 )
 
 // Frame errors.
@@ -194,153 +151,86 @@ type Frame struct {
 	ID   uint64
 	// Timeout is the time remaining until the request's deadline; 0
 	// means none. It travels as a relative duration — never an absolute
-	// timestamp — so peer clock skew cannot shrink or extend it. Carried
-	// on the wire only at protocol version >= 1.
+	// timestamp — so peer clock skew cannot shrink or extend it.
 	Timeout time.Duration
-	// Stream names the logical stream this frame belongs to. Carried on
-	// the wire only at protocol version >= 5; 0 is the legacy
-	// single-stream path that pre-5 peers implicitly use.
+	// Stream names the logical stream this frame belongs to; 0 is the
+	// control stream, which is never credit-charged.
 	Stream  uint32
 	Payload []byte
 }
 
-// WriteFrame encodes and writes one frame in the version-0 layout.
-func WriteFrame(w io.Writer, f Frame) error {
-	return WriteFrameV(w, f, Version0)
-}
-
-// WriteFrameV encodes and writes one frame in the given protocol
-// version's layout.
-func WriteFrameV(w io.Writer, f Frame, version int) error {
-	hs := headerSizeFor(version)
-	n := hs + len(f.Payload)
+// putHeader writes f's length prefix and header into hdr. It is the only
+// place a frame header is encoded; FrameWriter and MuxWriter both call it.
+func putHeader(hdr *[4 + headerSize]byte, f *Frame) error {
+	n := headerSize + len(f.Payload)
 	if n > MaxFrameSize {
 		return ErrFrameTooLarge
 	}
-	// Stack header: the old per-call make was the hot path's top allocator.
-	var hdr [4 + headerSizeV5]byte
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(n))
 	hdr[4] = byte(f.Type)
 	binary.BigEndian.PutUint64(hdr[5:13], f.ID)
-	if version >= Version1 {
-		binary.BigEndian.PutUint64(hdr[13:21], uint64(f.Timeout))
-	}
-	if version >= Version5 {
-		binary.BigEndian.PutUint32(hdr[21:25], f.Stream)
-	}
-	if _, err := w.Write(hdr[:4+hs]); err != nil {
-		return fmt.Errorf("wire: write frame header: %w", err)
-	}
-	if len(f.Payload) > 0 {
-		if _, err := w.Write(f.Payload); err != nil {
-			return fmt.Errorf("wire: write frame payload: %w", err)
-		}
-	}
+	binary.BigEndian.PutUint64(hdr[13:21], uint64(f.Timeout))
+	binary.BigEndian.PutUint32(hdr[21:25], f.Stream)
 	return nil
 }
 
-// ReadFrame reads and decodes one frame in the version-0 layout.
-func ReadFrame(r io.Reader) (Frame, error) {
-	return ReadFrameV(r, Version0)
-}
-
-// ReadFrameV reads and decodes one frame in the given protocol version's
-// layout.
-func ReadFrameV(r io.Reader, version int) (Frame, error) {
-	hs := headerSizeFor(version)
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return Frame{}, io.EOF
-		}
-		return Frame{}, fmt.Errorf("wire: read frame length: %w", err)
-	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n > MaxFrameSize {
-		return Frame{}, ErrFrameTooLarge
-	}
-	if n < uint32(hs) {
-		return Frame{}, ErrShortPayload
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return Frame{}, fmt.Errorf("wire: read frame body: %w", err)
-	}
-	f := Frame{
-		Type: Type(body[0]),
-		ID:   binary.BigEndian.Uint64(body[1:9]),
-	}
-	if version >= Version1 {
-		f.Timeout = time.Duration(binary.BigEndian.Uint64(body[9:17]))
-	}
-	if version >= Version5 {
-		f.Stream = binary.BigEndian.Uint32(body[17:21])
-	}
-	f.Payload = body[hs:]
-	return f, nil
-}
-
-// headerSizeFor returns the frame header size (beyond the length prefix)
-// for the given protocol version's layout.
-func headerSizeFor(version int) int {
-	switch {
-	case version >= Version5:
-		return headerSizeV5
-	case version >= Version1:
-		return headerSizeV1
-	default:
-		return headerSize
+// parseHeader decodes a frame body — everything after the length prefix,
+// which ReadFrame has checked holds at least headerSize bytes. The
+// returned frame's Payload aliases body.
+func parseHeader(body []byte) Frame {
+	return Frame{
+		Type:    Type(body[0]),
+		ID:      binary.BigEndian.Uint64(body[1:9]),
+		Timeout: time.Duration(binary.BigEndian.Uint64(body[9:17])),
+		Stream:  binary.BigEndian.Uint32(body[17:21]),
+		Payload: body[headerSize:],
 	}
 }
 
-// EncodeHello encodes a Hello or HelloAck payload: the sender's highest
-// supported (or the negotiated) protocol version.
-func EncodeHello(version int) []byte {
-	return AppendHello(make([]byte, 0, 4), version)
-}
-
-// DecodeHello decodes a Hello or HelloAck payload. Both the original
-// 4-byte (version only) and the extended 8-byte (version + advertised
-// window, protocol >= 5) layouts are accepted.
-func DecodeHello(b []byte) (int, error) {
-	if len(b) != 4 && len(b) != 8 {
-		return 0, fmt.Errorf("wire: hello payload: want 4 or 8 bytes, got %d: %w", len(b), ErrShortPayload)
+// appendString appends a uint16-length-prefixed string, truncated to
+// maxString bytes.
+func appendString(dst []byte, s string) []byte {
+	if len(s) > maxString {
+		s = s[:maxString]
 	}
-	return int(binary.BigEndian.Uint32(b)), nil
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(s)))
+	return append(dst, s...)
 }
 
-// HelloWindow extracts the advertised per-stream flow-control window from
-// an extended Hello/HelloAck payload. Returns 0 — "not advertised, grant
-// immediately" — for the original 4-byte layout.
-func HelloWindow(b []byte) uint32 {
-	if len(b) < 8 {
-		return 0
+// cutString decodes a uint16-length-prefixed string off the front of b and
+// returns what follows it.
+func cutString(b []byte) (string, []byte, error) {
+	if len(b) < 2 {
+		return "", nil, fmt.Errorf("wire: missing length prefix: %w", ErrShortPayload)
 	}
-	return binary.BigEndian.Uint32(b[4:8])
-}
-
-// PairPayload holds one fingerprint plus the value to assign on insert.
-type PairPayload struct {
-	FP  fingerprint.Fingerprint
-	Val uint64
-}
-
-// EncodePair encodes a single fingerprint+value payload.
-func EncodePair(p PairPayload) []byte {
-	return AppendPair(make([]byte, 0, pairSize), p)
-}
-
-// DecodePair decodes a single fingerprint+value payload.
-func DecodePair(b []byte) (PairPayload, error) {
-	if len(b) != pairSize {
-		return PairPayload{}, fmt.Errorf("wire: pair payload: want %d bytes, got %d: %w", pairSize, len(b), ErrShortPayload)
+	n := int(binary.BigEndian.Uint16(b[0:2]))
+	if len(b) < 2+n {
+		return "", nil, fmt.Errorf("wire: truncated string (want %d bytes, have %d): %w", n, len(b)-2, ErrShortPayload)
 	}
-	return PairPayload{FP: fingerprint.FromBytes(b), Val: binary.BigEndian.Uint64(b[fingerprint.Size:])}, nil
+	return string(b[2 : 2+n]), b[2+n:], nil
 }
 
-// EncodeFP encodes a bare fingerprint payload (TypeLookup).
-func EncodeFP(fp fingerprint.Fingerprint) []byte {
-	return AppendFP(make([]byte, 0, fingerprint.Size), fp)
+// AppendHello appends a Hello or HelloAck payload to dst: the sender's
+// protocol version and the per-stream send window it will charge itself.
+// The peer uses the advertisement to coalesce its credit grants: it may
+// withhold WINDOW_UPDATE frames until a quarter-window of credit is
+// pending, which is only safe when it knows how big the window is.
+func AppendHello(dst []byte, version int, window uint32) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(version))
+	return binary.BigEndian.AppendUint32(dst, window)
+}
+
+// DecodeHello decodes a Hello or HelloAck payload.
+func DecodeHello(b []byte) (version int, window uint32, err error) {
+	if len(b) != helloSize {
+		return 0, 0, fmt.Errorf("wire: hello payload: want %d bytes, got %d: %w", helloSize, len(b), ErrShortPayload)
+	}
+	return int(binary.BigEndian.Uint32(b)), binary.BigEndian.Uint32(b[4:]), nil
+}
+
+// AppendFP appends a bare fingerprint payload (TypeLookup) to dst.
+func AppendFP(dst []byte, fp fingerprint.Fingerprint) []byte {
+	return fp.Append(dst)
 }
 
 // DecodeFP decodes a bare fingerprint payload.
@@ -351,9 +241,24 @@ func DecodeFP(b []byte) (fingerprint.Fingerprint, error) {
 	return fingerprint.FromBytes(b), nil
 }
 
-// EncodeBatch encodes a batch of pairs (TypeBatch).
-func EncodeBatch(pairs []PairPayload) []byte {
-	return AppendBatch(make([]byte, 0, 4+len(pairs)*pairSize), pairs)
+// PairPayload holds one fingerprint plus the value to assign on insert.
+type PairPayload struct {
+	FP  fingerprint.Fingerprint
+	Val uint64
+}
+
+// AppendPair appends a fingerprint+value payload to dst. A TypeBatch /
+// TypeRepair payload is a uint32 count followed by that many pairs.
+func AppendPair(dst []byte, p PairPayload) []byte {
+	return binary.BigEndian.AppendUint64(p.FP.Append(dst), p.Val)
+}
+
+// DecodePair decodes a single fingerprint+value payload.
+func DecodePair(b []byte) (PairPayload, error) {
+	if len(b) != pairSize {
+		return PairPayload{}, fmt.Errorf("wire: pair payload: want %d bytes, got %d: %w", pairSize, len(b), ErrShortPayload)
+	}
+	return PairPayload{FP: fingerprint.FromBytes(b), Val: binary.BigEndian.Uint64(b[fingerprint.Size:])}, nil
 }
 
 // BatchCount checks a TypeBatch/TypeRepair payload's framing and returns how
@@ -377,19 +282,6 @@ func PairAt(b []byte, i int) PairPayload {
 	return PairPayload{FP: fingerprint.FromBytes(b), Val: binary.BigEndian.Uint64(b[fingerprint.Size:])}
 }
 
-// DecodeBatch decodes a batch of pairs.
-func DecodeBatch(b []byte) ([]PairPayload, error) {
-	count, err := BatchCount(b)
-	if err != nil {
-		return nil, err
-	}
-	pairs := make([]PairPayload, count)
-	for i := range pairs {
-		pairs[i] = PairAt(b, i)
-	}
-	return pairs, nil
-}
-
 // ResultPayload is one lookup answer on the wire.
 type ResultPayload struct {
 	Exists bool
@@ -397,14 +289,15 @@ type ResultPayload struct {
 	Val    uint64
 }
 
-func encodeResultInto(buf []byte, r ResultPayload) {
+// AppendResult appends a single lookup answer (TypeResult) to dst. A
+// TypeBatchResult payload is a uint32 count followed by that many answers.
+func AppendResult(dst []byte, r ResultPayload) []byte {
+	var exists byte
 	if r.Exists {
-		buf[0] = 1
-	} else {
-		buf[0] = 0
+		exists = 1
 	}
-	buf[1] = r.Source
-	binary.BigEndian.PutUint64(buf[2:10], r.Val)
+	dst = append(dst, exists, r.Source)
+	return binary.BigEndian.AppendUint64(dst, r.Val)
 }
 
 func decodeResultFrom(buf []byte) ResultPayload {
@@ -415,22 +308,12 @@ func decodeResultFrom(buf []byte) ResultPayload {
 	}
 }
 
-// EncodeResult encodes a single lookup answer (TypeResult).
-func EncodeResult(r ResultPayload) []byte {
-	return AppendResult(make([]byte, 0, resultSize), r)
-}
-
 // DecodeResult decodes a single lookup answer.
 func DecodeResult(b []byte) (ResultPayload, error) {
 	if len(b) != resultSize {
 		return ResultPayload{}, fmt.Errorf("wire: result payload: want %d bytes, got %d: %w", resultSize, len(b), ErrShortPayload)
 	}
 	return decodeResultFrom(b), nil
-}
-
-// EncodeBatchResult encodes a batch of answers (TypeBatchResult).
-func EncodeBatchResult(rs []ResultPayload) []byte {
-	return AppendBatchResult(make([]byte, 0, 4+len(rs)*resultSize), rs)
 }
 
 // BatchResultCount checks a TypeBatchResult payload's framing and returns
@@ -453,34 +336,19 @@ func ResultAt(b []byte, i int) ResultPayload {
 	return decodeResultFrom(b[off : off+resultSize])
 }
 
-// DecodeBatchResult decodes a batch of answers.
-func DecodeBatchResult(b []byte) ([]ResultPayload, error) {
-	count, err := BatchResultCount(b)
-	if err != nil {
-		return nil, err
-	}
-	rs := make([]ResultPayload, count)
-	for i := range rs {
-		rs[i] = ResultAt(b, i)
-	}
-	return rs, nil
+// AppendWindowUpdate appends a WINDOW_UPDATE payload to dst: the number of
+// bytes of credit the receiver grants back to the sender's window for the
+// stream named in the frame header.
+func AppendWindowUpdate(dst []byte, credit uint32) []byte {
+	return binary.BigEndian.AppendUint32(dst, credit)
 }
 
-// EncodeError encodes a server error message (TypeError).
-func EncodeError(msg string) []byte {
-	return AppendError(make([]byte, 0, 2+len(msg)), msg)
-}
-
-// DecodeError decodes a server error message.
-func DecodeError(b []byte) (string, error) {
-	if len(b) < 2 {
-		return "", fmt.Errorf("wire: error payload: missing length: %w", ErrShortPayload)
+// DecodeWindowUpdate decodes a WINDOW_UPDATE payload.
+func DecodeWindowUpdate(b []byte) (uint32, error) {
+	if len(b) != 4 {
+		return 0, fmt.Errorf("wire: window update payload: want 4 bytes, got %d: %w", len(b), ErrShortPayload)
 	}
-	n := binary.BigEndian.Uint16(b[0:2])
-	if len(b) != 2+int(n) {
-		return "", fmt.Errorf("wire: error payload: want %d bytes, got %d: %w", 2+n, len(b), ErrShortPayload)
-	}
-	return string(b[2:]), nil
+	return binary.BigEndian.Uint32(b), nil
 }
 
 // SummaryPayload is one latency-histogram digest on the wire. All
@@ -496,11 +364,10 @@ type SummaryPayload struct {
 	P99NS  uint64
 }
 
-// summaryFields is the number of uint64 fields in a SummaryPayload.
-const summaryFields = 8
-
 // StatsPayload mirrors core.NodeStats for transport without importing core
-// (core depends on nothing above it; wire stays at the bottom layer).
+// (core depends on nothing above it; wire stays at the bottom layer). It
+// travels as the id, then every counter in declaration order, then the four
+// summaries, eight fields each — all uint64.
 // PhaseCache/PhaseBloom/PhaseSSD digest the per-tier latency of the node's
 // two-phase lookup pipeline; the Destage* counters and DestageWaveSizes
 // describe the write-back group-commit pipeline (DestageWaveSizes carries
@@ -527,7 +394,7 @@ type StatsPayload struct {
 	DestageWaves     uint64
 	DestageCoalesced uint64
 	DestageHits      uint64
-	// Recovery counters (protocol >= 3): what the node repaired at open.
+	// Recovery counters: what the node repaired at open.
 	// RecoveryJournalReplayed/TornBytes describe destage-journal replay;
 	// the RecoveryStore* fields mirror the hash table's own open-time
 	// recovery pass (hashdb.RecoveryStats).
@@ -540,25 +407,25 @@ type StatsPayload struct {
 	RecoveryStoreLinks       uint64
 	RecoveryStoreOrphans     uint64
 	RecoveryStoreSalvaged    uint64
-	// Replication counters (protocol >= 4): repair/backfill traffic this
-	// node absorbed as a replica target (batches applied, pairs examined,
-	// entries actually created because they were missing).
+	// Replication counters: repair/backfill traffic this node absorbed as
+	// a replica target (batches applied, pairs examined, entries actually
+	// created because they were missing).
 	ReplRepairBatches uint64
 	ReplRepairPairs   uint64
 	ReplRepairCreated uint64
-	// Transport counters (protocol >= 5): the multiplexed wire as the
-	// node sees it — logical streams currently open across all conns,
-	// times a response had to wait for stream credit, response bytes
-	// queued but not yet flushed, WINDOW_UPDATE grants sent, and
-	// NOT_OWNER redirects issued to stale-ring clients.
+	// Transport counters: the multiplexed wire as the node sees it —
+	// logical streams currently open across all conns, times a response
+	// had to wait for stream credit, response bytes queued but not yet
+	// flushed, WINDOW_UPDATE grants sent, and NOT_OWNER redirects issued
+	// to stale-ring clients.
 	TransportStreamsOpen     uint64
 	TransportCreditStalls    uint64
 	TransportBytesInFlight   uint64
 	TransportWindowUpdates   uint64
 	TransportRedirectsIssued uint64
-	// Bloom counters (protocol >= 6): the scalable filter's shape and
-	// accuracy. The two rates are fixed-point parts-per-billion (a rate
-	// of 0.01 travels as 10_000_000); BloomSaturated is 0 or 1.
+	// Bloom counters: the scalable filter's shape and accuracy. The two
+	// rates are fixed-point parts-per-billion (a rate of 0.01 travels as
+	// 10_000_000); BloomSaturated is 0 or 1.
 	BloomEntries     uint64
 	BloomSizeBytes   uint64
 	BloomSlices      uint64
@@ -571,23 +438,9 @@ type StatsPayload struct {
 	DestageWaveSizes SummaryPayload
 }
 
-// statsCounterFields is the number of plain uint64 counters in a
-// StatsPayload (everything after the ID, before the phase summaries);
-// statsSummaryCount is the number of SummaryPayload digests that follow.
-// Older layouts carry prefixes of the counter list: protocol < 2 stops
-// before the destage fields, protocol 2 before the recovery fields,
-// protocol 3 before the replication fields, protocol 4 before the
-// transport fields, protocol 5 before the Bloom fields.
-const (
-	statsCounterFields       = 43
-	statsSummaryCount        = 4
-	v5StatsCounterFields     = 37
-	v4StatsCounterFields     = 32
-	v3StatsCounterFields     = 29
-	v2StatsCounterFields     = 20
-	legacyStatsCounterFields = 14
-	legacyStatsSummaryCount  = 3
-)
+// statsFields is the number of uint64 values a stats payload carries after
+// the id: 43 counters plus 4 summaries of 8 fields.
+const statsFields = 43 + 4*8
 
 func (s *StatsPayload) counters() []*uint64 {
 	return []*uint64{
@@ -616,84 +469,41 @@ func (p *SummaryPayload) fields() []*uint64 {
 	return []*uint64{&p.Count, &p.SumNS, &p.MinNS, &p.MaxNS, &p.MeanNS, &p.P50NS, &p.P90NS, &p.P99NS}
 }
 
-// statsLayout returns how many counters and summaries the given protocol
-// version carries in a stats payload.
-func statsLayout(version int) (counters, summaries int) {
-	switch {
-	case version >= Version6:
-		return statsCounterFields, statsSummaryCount
-	case version == Version5:
-		return v5StatsCounterFields, statsSummaryCount
-	case version == Version4:
-		return v4StatsCounterFields, statsSummaryCount
-	case version == Version3:
-		return v3StatsCounterFields, statsSummaryCount
-	case version == Version2:
-		return v2StatsCounterFields, statsSummaryCount
-	default:
-		return legacyStatsCounterFields, legacyStatsSummaryCount
+// AppendStats appends node statistics (TypeStatsResult) to dst.
+func AppendStats(dst []byte, s StatsPayload) []byte {
+	dst = appendString(dst, s.ID)
+	for _, v := range s.counters() {
+		dst = binary.BigEndian.AppendUint64(dst, *v)
 	}
-}
-
-// EncodeStats encodes node statistics (TypeStatsResult) in the newest
-// layout.
-func EncodeStats(s StatsPayload) []byte {
-	return EncodeStatsV(s, MaxVersion)
-}
-
-// EncodeStatsV encodes node statistics in the given protocol version's
-// layout: peers that negotiated below Version2 receive the legacy payload
-// (without the destage fields), so stats interop survives version skew.
-func EncodeStatsV(s StatsPayload, version int) []byte {
-	nc, ns := statsLayout(version)
-	return AppendStatsV(make([]byte, 0, 2+len(s.ID)+(nc+ns*summaryFields)*8), s, version)
-}
-
-// DecodeStats decodes node statistics. Every historical layout (the
-// Version6 Bloom-extended one, the Version5 transport-extended one, the
-// Version4 replication-extended one, the Version3 recovery-extended one,
-// the Version2 destage-extended one, and the original) is accepted — the
-// payload length distinguishes them, and absent fields decode as zero —
-// so a new client can read an old server's stats regardless of what
-// version the connection negotiated.
-func DecodeStats(b []byte) (StatsPayload, error) {
-	var s StatsPayload
-	if len(b) < 2 {
-		return s, fmt.Errorf("wire: stats payload: missing id length: %w", ErrShortPayload)
-	}
-	idLen := int(binary.BigEndian.Uint16(b[0:2]))
-	nc, ns := statsLayout(MaxVersion)
-	legacy := 2 + idLen + (legacyStatsCounterFields+legacyStatsSummaryCount*summaryFields)*8
-	v2 := 2 + idLen + (v2StatsCounterFields+statsSummaryCount*summaryFields)*8
-	v3 := 2 + idLen + (v3StatsCounterFields+statsSummaryCount*summaryFields)*8
-	v4 := 2 + idLen + (v4StatsCounterFields+statsSummaryCount*summaryFields)*8
-	v5 := 2 + idLen + (v5StatsCounterFields+statsSummaryCount*summaryFields)*8
-	switch len(b) {
-	case legacy:
-		nc, ns = legacyStatsCounterFields, legacyStatsSummaryCount
-	case v2:
-		nc, ns = v2StatsCounterFields, statsSummaryCount
-	case v3:
-		nc, ns = v3StatsCounterFields, statsSummaryCount
-	case v4:
-		nc, ns = v4StatsCounterFields, statsSummaryCount
-	case v5:
-		nc, ns = v5StatsCounterFields, statsSummaryCount
-	default:
-		if want := 2 + idLen + (nc+ns*summaryFields)*8; len(b) != want {
-			return s, fmt.Errorf("wire: stats payload: want %d (or %d / %d / %d / %d / legacy %d) bytes, got %d: %w", want, v5, v4, v3, v2, legacy, len(b), ErrShortPayload)
+	for _, sum := range s.summaries() {
+		for _, v := range sum.fields() {
+			dst = binary.BigEndian.AppendUint64(dst, *v)
 		}
 	}
-	s.ID = string(b[2 : 2+idLen])
-	off := 2 + idLen
-	for _, f := range s.counters()[:nc] {
-		*f = binary.BigEndian.Uint64(b[off:])
-		off += 8
+	return dst
+}
+
+// DecodeStats decodes node statistics. The payload must be exactly the id
+// plus statsFields values: a peer with a different counter list is a peer
+// with a different ProtocolVersion, and the handshake has refused it.
+func DecodeStats(b []byte) (StatsPayload, error) {
+	var s StatsPayload
+	id, rest, err := cutString(b)
+	if err != nil {
+		return s, fmt.Errorf("wire: stats payload id: %w", err)
 	}
-	for _, sum := range s.summaries()[:ns] {
+	if len(rest) != statsFields*8 {
+		return s, fmt.Errorf("wire: stats payload: want %d bytes after the id, got %d: %w", statsFields*8, len(rest), ErrShortPayload)
+	}
+	s.ID = id
+	for _, f := range s.counters() {
+		*f = binary.BigEndian.Uint64(rest)
+		rest = rest[8:]
+	}
+	for _, sum := range s.summaries() {
 		for _, f := range sum.fields() {
-			*f = binary.BigEndian.Uint64(b[off:])
-			off += 8
+			*f = binary.BigEndian.Uint64(rest)
+			rest = rest[8:]
 		}
 	}
 	return s, nil

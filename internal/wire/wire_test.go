@@ -7,17 +7,62 @@ import (
 	"io"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"shhc/internal/fingerprint"
 )
 
+// The helpers below are the tests' view of the codec: frames go out through
+// FrameWriter and come back through the pooled ReadFrame, and counted
+// payloads are built the way package rpc does it — a uint32 count, then
+// Append* per element.
+
+func writeFrame(w io.Writer, f Frame) error { return NewFrameWriter(w).WriteFrame(f) }
+
+// readFrame reads one frame and detaches its payload from the pooled
+// buffer, which it releases.
+func readFrame(r io.Reader) (Frame, error) {
+	f, bp, err := ReadFrame(r)
+	if err != nil {
+		return Frame{}, err
+	}
+	f.Payload = append([]byte(nil), f.Payload...)
+	PutBuf(bp)
+	return f, nil
+}
+
+func frameBytes(t testing.TB, f Frame) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, f); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func appendBatch(dst []byte, pairs []PairPayload) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(pairs)))
+	for i := range pairs {
+		dst = AppendPair(dst, pairs[i])
+	}
+	return dst
+}
+
+func appendBatchResult(dst []byte, rs []ResultPayload) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(rs)))
+	for i := range rs {
+		dst = AppendResult(dst, rs[i])
+	}
+	return dst
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := Frame{Type: TypeBatch, ID: 42, Payload: []byte("hello")}
-	if err := WriteFrame(&buf, in); err != nil {
+	if err := writeFrame(&buf, in); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
-	out, err := ReadFrame(&buf)
+	out, err := readFrame(&buf)
 	if err != nil {
 		t.Fatalf("ReadFrame: %v", err)
 	}
@@ -28,10 +73,10 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, Frame{Type: TypePing, ID: 7}); err != nil {
+	if err := writeFrame(&buf, Frame{Type: TypePing, ID: 7}); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
-	f, err := ReadFrame(&buf)
+	f, err := readFrame(&buf)
 	if err != nil {
 		t.Fatalf("ReadFrame: %v", err)
 	}
@@ -43,10 +88,10 @@ func TestFrameEmptyPayload(t *testing.T) {
 func TestFramePipelining(t *testing.T) {
 	var buf bytes.Buffer
 	for i := uint64(0); i < 10; i++ {
-		WriteFrame(&buf, Frame{Type: TypeLookup, ID: i, Payload: EncodeFP(fingerprint.FromUint64(i))})
+		writeFrame(&buf, Frame{Type: TypeLookup, ID: i, Payload: AppendFP(nil, fingerprint.FromUint64(i))})
 	}
 	for i := uint64(0); i < 10; i++ {
-		f, err := ReadFrame(&buf)
+		f, err := readFrame(&buf)
 		if err != nil {
 			t.Fatalf("ReadFrame %d: %v", i, err)
 		}
@@ -54,43 +99,43 @@ func TestFramePipelining(t *testing.T) {
 			t.Fatalf("frame %d has ID %d", i, f.ID)
 		}
 	}
-	if _, err := ReadFrame(&buf); !errors.Is(err, io.EOF) {
+	if _, err := readFrame(&buf); !errors.Is(err, io.EOF) {
 		t.Fatalf("after drain: %v, want EOF", err)
 	}
 }
 
 func TestFrameTooLarge(t *testing.T) {
-	if err := WriteFrame(io.Discard, Frame{Payload: make([]byte, MaxFrameSize)}); !errors.Is(err, ErrFrameTooLarge) {
+	if err := writeFrame(io.Discard, Frame{Payload: make([]byte, MaxFrameSize)}); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("WriteFrame oversized = %v, want ErrFrameTooLarge", err)
 	}
 	// A length prefix claiming an oversized frame is rejected on read.
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], MaxFrameSize+1)
-	if _, err := ReadFrame(bytes.NewReader(hdr[:])); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := readFrame(bytes.NewReader(hdr[:])); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("ReadFrame oversized = %v, want ErrFrameTooLarge", err)
 	}
 }
 
 func TestFrameShortHeader(t *testing.T) {
 	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], 3) // below headerSize
-	if _, err := ReadFrame(bytes.NewReader(hdr[:])); !errors.Is(err, ErrShortPayload) {
+	binary.BigEndian.PutUint32(hdr[:], headerSize-1)
+	if _, err := readFrame(bytes.NewReader(hdr[:])); !errors.Is(err, ErrShortPayload) {
 		t.Fatalf("ReadFrame short = %v, want ErrShortPayload", err)
 	}
 }
 
 func TestFrameTruncatedBody(t *testing.T) {
 	var buf bytes.Buffer
-	WriteFrame(&buf, Frame{Type: TypeLookup, ID: 1, Payload: []byte("abcdef")})
+	writeFrame(&buf, Frame{Type: TypeLookup, ID: 1, Payload: []byte("abcdef")})
 	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, err := ReadFrame(bytes.NewReader(trunc)); err == nil {
+	if _, err := readFrame(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("ReadFrame of truncated body succeeded")
 	}
 }
 
 func TestPairRoundTrip(t *testing.T) {
 	in := PairPayload{FP: fingerprint.FromUint64(5), Val: 12345}
-	out, err := DecodePair(EncodePair(in))
+	out, err := DecodePair(AppendPair(nil, in))
 	if err != nil {
 		t.Fatalf("DecodePair: %v", err)
 	}
@@ -104,7 +149,7 @@ func TestPairRoundTrip(t *testing.T) {
 
 func TestFPRoundTrip(t *testing.T) {
 	fp := fingerprint.FromUint64(9)
-	out, err := DecodeFP(EncodeFP(fp))
+	out, err := DecodeFP(AppendFP(nil, fp))
 	if err != nil || out != fp {
 		t.Fatalf("fp round trip = (%v, %v)", out, err)
 	}
@@ -118,31 +163,32 @@ func TestBatchRoundTrip(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = PairPayload{FP: fingerprint.FromUint64(uint64(i)), Val: uint64(i * 3)}
 	}
-	out, err := DecodeBatch(EncodeBatch(pairs))
+	b := appendBatch(nil, pairs)
+	n, err := BatchCount(b)
 	if err != nil {
-		t.Fatalf("DecodeBatch: %v", err)
+		t.Fatalf("BatchCount: %v", err)
 	}
-	if len(out) != len(pairs) {
-		t.Fatalf("len = %d, want %d", len(out), len(pairs))
+	if n != len(pairs) {
+		t.Fatalf("len = %d, want %d", n, len(pairs))
 	}
 	for i := range pairs {
-		if out[i] != pairs[i] {
+		if PairAt(b, i) != pairs[i] {
 			t.Fatalf("pair %d mismatch", i)
 		}
 	}
 }
 
 func TestBatchEmptyAndErrors(t *testing.T) {
-	out, err := DecodeBatch(EncodeBatch(nil))
-	if err != nil || len(out) != 0 {
-		t.Fatalf("empty batch = (%v, %v)", out, err)
+	n, err := BatchCount(appendBatch(nil, nil))
+	if err != nil || n != 0 {
+		t.Fatalf("empty batch = (%v, %v)", n, err)
 	}
-	if _, err := DecodeBatch([]byte{1}); err == nil {
-		t.Fatal("DecodeBatch(truncated count) succeeded")
+	if _, err := BatchCount([]byte{1}); err == nil {
+		t.Fatal("BatchCount(truncated count) succeeded")
 	}
-	bad := EncodeBatch([]PairPayload{{FP: fingerprint.FromUint64(1)}})
-	if _, err := DecodeBatch(bad[:len(bad)-2]); err == nil {
-		t.Fatal("DecodeBatch(truncated pairs) succeeded")
+	bad := appendBatch(nil, []PairPayload{{FP: fingerprint.FromUint64(1)}})
+	if _, err := BatchCount(bad[:len(bad)-2]); err == nil {
+		t.Fatal("BatchCount(truncated pairs) succeeded")
 	}
 }
 
@@ -152,7 +198,7 @@ func TestResultRoundTrip(t *testing.T) {
 		{Exists: false, Source: 4, Val: 0},
 	}
 	for _, in := range tests {
-		out, err := DecodeResult(EncodeResult(in))
+		out, err := DecodeResult(AppendResult(nil, in))
 		if err != nil || out != in {
 			t.Fatalf("result round trip: %+v vs %+v (%v)", out, in, err)
 		}
@@ -168,35 +214,35 @@ func TestBatchResultRoundTrip(t *testing.T) {
 		{Exists: false, Source: 2, Val: 2},
 		{Exists: true, Source: 3, Val: 3},
 	}
-	out, err := DecodeBatchResult(EncodeBatchResult(rs))
-	if err != nil {
-		t.Fatalf("DecodeBatchResult: %v", err)
+	b := appendBatchResult(nil, rs)
+	if n, err := BatchResultCount(b); err != nil || n != len(rs) {
+		t.Fatalf("BatchResultCount = %d, %v", n, err)
 	}
 	for i := range rs {
-		if out[i] != rs[i] {
+		if ResultAt(b, i) != rs[i] {
 			t.Fatalf("result %d mismatch", i)
 		}
 	}
-	if _, err := DecodeBatchResult([]byte{0, 0}); err == nil {
-		t.Fatal("DecodeBatchResult(short) succeeded")
+	if _, err := BatchResultCount([]byte{0, 0}); err == nil {
+		t.Fatal("BatchResultCount(short) succeeded")
 	}
 }
 
 func TestErrorRoundTrip(t *testing.T) {
-	msg, err := DecodeError(EncodeError("boom"))
-	if err != nil || msg != "boom" {
-		t.Fatalf("error round trip = (%q, %v)", msg, err)
+	e, err := DecodeErrorPayload(AppendError(nil, ErrorPayload{Code: CodeInternal, Msg: "boom"}))
+	if err != nil || e.Msg != "boom" {
+		t.Fatalf("error round trip = (%+v, %v)", e, err)
 	}
-	if _, err := DecodeError([]byte{9}); err == nil {
-		t.Fatal("DecodeError(short) succeeded")
+	if _, err := DecodeErrorPayload([]byte{9}); err == nil {
+		t.Fatal("DecodeErrorPayload(short) succeeded")
 	}
 	long := make([]byte, 70000)
 	for i := range long {
 		long[i] = 'x'
 	}
-	msg, err = DecodeError(EncodeError(string(long)))
-	if err != nil || len(msg) != 65535 {
-		t.Fatalf("oversized error message handled badly: len=%d err=%v", len(msg), err)
+	e, err = DecodeErrorPayload(AppendError(nil, ErrorPayload{Msg: string(long)}))
+	if err != nil || len(e.Msg) != 65535 {
+		t.Fatalf("oversized error message handled badly: len=%d err=%v", len(e.Msg), err)
 	}
 }
 
@@ -214,7 +260,7 @@ func TestStatsRoundTrip(t *testing.T) {
 		PhaseSSD:         SummaryPayload{Count: 40, SumNS: 41, MinNS: 42, MaxNS: 43, MeanNS: 44, P50NS: 45, P90NS: 46, P99NS: 47},
 		DestageWaveSizes: SummaryPayload{Count: 60, SumNS: 61, MinNS: 62, MaxNS: 63, MeanNS: 64, P50NS: 65, P90NS: 66, P99NS: 67},
 	}
-	out, err := DecodeStats(EncodeStats(in))
+	out, err := DecodeStats(AppendStats(nil, in))
 	if err != nil {
 		t.Fatalf("DecodeStats: %v", err)
 	}
@@ -226,66 +272,39 @@ func TestStatsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStatsLegacyLayoutInterop(t *testing.T) {
-	// A peer that negotiated below Version2 sends and expects the
-	// pre-destage stats layout; DecodeStats must accept it with the
-	// destage fields zeroed, so stats interop survives version skew.
-	in := StatsPayload{
-		ID: "old-peer", Lookups: 1, Inserts: 2, CacheHits: 3, BloomShort: 4,
-		StoreHits: 5, StoreMisses: 6, BloomFalse: 7, Coalesced: 8, StoreEntries: 9,
-		CacheHitsLRU: 10, CacheMisses: 11, CacheEvicts: 12, CacheLen: 13, CacheCap: 14,
-		// Destage fields set on purpose: the legacy encoding must drop
-		// them, not smuggle them into the payload.
-		DestageQueue: 99, DestageEntries: 98,
-		PhaseCache:       SummaryPayload{Count: 20, MaxNS: 23},
-		PhaseBloom:       SummaryPayload{Count: 30, MaxNS: 33},
-		PhaseSSD:         SummaryPayload{Count: 40, MaxNS: 43},
-		DestageWaveSizes: SummaryPayload{Count: 50, MaxNS: 53},
+func TestCancelFrameV1RoundTripCarriesTimeout(t *testing.T) {
+	budget := 5 * time.Second
+	in := Frame{Type: TypeLookup, ID: 42, Timeout: budget, Payload: []byte{1, 2, 3}}
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, in); err != nil {
+		t.Fatalf("WriteFrame: %v", err)
 	}
-	legacy := EncodeStatsV(in, Version1)
-	if full := EncodeStatsV(in, Version2); len(legacy) >= len(full) {
-		t.Fatalf("legacy payload (%d bytes) not smaller than v2 payload (%d bytes)", len(legacy), len(full))
-	}
-	out, err := DecodeStats(legacy)
+	out, err := readFrame(&buf)
 	if err != nil {
-		t.Fatalf("DecodeStats(legacy): %v", err)
+		t.Fatalf("ReadFrame: %v", err)
 	}
-	if out.ID != in.ID || out.Lookups != in.Lookups || out.CacheCap != in.CacheCap ||
-		out.PhaseSSD != in.PhaseSSD {
-		t.Fatalf("legacy decode lost counters: %+v", out)
-	}
-	if out.DestageQueue != 0 || out.DestageEntries != 0 || out.DestageWaveSizes != (SummaryPayload{}) {
-		t.Fatalf("legacy decode produced destage fields: %+v", out)
+	if out.Type != in.Type || out.ID != in.ID || out.Timeout != budget || !bytes.Equal(out.Payload, in.Payload) {
+		t.Fatalf("round trip = %+v, want %+v", out, in)
 	}
 }
 
-func TestStatsV5LayoutInterop(t *testing.T) {
-	// A Version5 peer's stats payload stops before the Bloom counters;
-	// DecodeStats must accept it with those fields zeroed, and the v5
-	// encoding must not smuggle Bloom fields onto the wire.
-	in := StatsPayload{
-		ID: "v5-peer", Lookups: 1, Inserts: 2, StoreEntries: 9,
-		TransportStreamsOpen: 61, TransportRedirectsIssued: 65,
-		BloomEntries: 70, BloomSizeBytes: 71, BloomSlices: 3,
-		BloomFillPPB: 420_000_000, BloomFPRatePPB: 9_500_000, BloomSaturated: 1,
-		PhaseSSD: SummaryPayload{Count: 40, MaxNS: 43},
+func TestRepairTypeString(t *testing.T) {
+	if got := TypeRepair.String(); got != "repair" {
+		t.Fatalf("TypeRepair.String() = %q, want repair", got)
 	}
-	v5 := EncodeStatsV(in, Version5)
-	if v6 := EncodeStatsV(in, Version6); len(v5) >= len(v6) {
-		t.Fatalf("v5 payload (%d bytes) not smaller than v6 payload (%d bytes)", len(v5), len(v6))
-	}
-	out, err := DecodeStats(v5)
+}
+
+func TestCancelHelloRoundTrip(t *testing.T) {
+	b := AppendHello(nil, ProtocolVersion, DefaultWindow)
+	v, win, err := DecodeHello(b)
 	if err != nil {
-		t.Fatalf("DecodeStats(v5): %v", err)
+		t.Fatalf("DecodeHello: %v", err)
 	}
-	if out.ID != in.ID || out.Lookups != in.Lookups ||
-		out.TransportStreamsOpen != in.TransportStreamsOpen ||
-		out.TransportRedirectsIssued != in.TransportRedirectsIssued ||
-		out.PhaseSSD != in.PhaseSSD {
-		t.Fatalf("v5 decode lost counters: %+v", out)
+	if v != ProtocolVersion || win != DefaultWindow {
+		t.Fatalf("DecodeHello = (%d, %d), want (%d, %d)", v, win, ProtocolVersion, DefaultWindow)
 	}
-	if out.BloomEntries != 0 || out.BloomSlices != 0 || out.BloomFPRatePPB != 0 || out.BloomSaturated != 0 {
-		t.Fatalf("v5 decode produced Bloom fields: %+v", out)
+	if _, _, err := DecodeHello([]byte{1, 2}); err == nil {
+		t.Fatal("short hello payload decoded without error")
 	}
 }
 
@@ -307,12 +326,13 @@ func TestQuickBatchRoundTrip(t *testing.T) {
 		for i, s := range seeds {
 			pairs[i] = PairPayload{FP: fingerprint.FromUint64(s), Val: s * 31}
 		}
-		out, err := DecodeBatch(EncodeBatch(pairs))
-		if err != nil || len(out) != len(pairs) {
+		b := appendBatch(nil, pairs)
+		n, err := BatchCount(b)
+		if err != nil || n != len(pairs) {
 			return false
 		}
 		for i := range pairs {
-			if out[i] != pairs[i] {
+			if PairAt(b, i) != pairs[i] {
 				return false
 			}
 		}
@@ -328,10 +348,10 @@ func TestQuickFrameRoundTrip(t *testing.T) {
 	f := func(ty uint8, id uint64, payload []byte) bool {
 		var buf bytes.Buffer
 		in := Frame{Type: Type(ty), ID: id, Payload: payload}
-		if err := WriteFrame(&buf, in); err != nil {
+		if err := writeFrame(&buf, in); err != nil {
 			return len(payload) > MaxFrameSize-headerSize
 		}
-		out, err := ReadFrame(&buf)
+		out, err := readFrame(&buf)
 		return err == nil && out.Type == in.Type && out.ID == in.ID && bytes.Equal(out.Payload, in.Payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -342,13 +362,12 @@ func TestQuickFrameRoundTrip(t *testing.T) {
 // TestGoldenBatchFrame pins the bytes a fingerprint travels as: whatever its
 // in-memory representation, pair i of a TypeBatch frame is the 20 digest
 // bytes then the value, big-endian, at payload offset 4+28i — after the
-// 25-byte header of the current layout: length(4) type(1) id(8) timeout(8)
-// stream(4).
+// 25-byte header: length(4) type(1) id(8) timeout(8) stream(4).
 func TestGoldenBatchFrame(t *testing.T) {
 	const abc = "\xa9\x99\x3e\x36\x47\x06\x81\x6a\xba\x3e\x25\x71\x78\x50\xc2\x6c\x9c\xd0\xd8\x9d" // SHA-1("abc")
 	pairs := []PairPayload{{FP: fingerprint.FromUint64(1), Val: 1}, {FP: fingerprint.FromData([]byte("abc")), Val: 0x0102030405060708}}
 	var buf bytes.Buffer
-	if err := WriteFrameV(&buf, Frame{Type: TypeBatch, ID: 9, Stream: 3, Payload: EncodeBatch(pairs)}, MaxVersion); err != nil {
+	if err := writeFrame(&buf, Frame{Type: TypeBatch, ID: 9, Stream: 3, Payload: appendBatch(nil, pairs)}); err != nil {
 		t.Fatal(err)
 	}
 	const at = 25 + 4 + 28
@@ -357,5 +376,41 @@ func TestGoldenBatchFrame(t *testing.T) {
 	}
 	if got := PairAt(buf.Bytes()[25:], 1); got != pairs[1] {
 		t.Fatalf("PairAt = %+v, want %+v", got, pairs[1])
+	}
+}
+
+// TestGoldenHandshake pins the bytes that open every connection. This is
+// the one exchange a future protocol version must keep byte-compatible:
+// it is how a peer on another version learns that it is one, instead of
+// misparsing what follows.
+func TestGoldenHandshake(t *testing.T) {
+	const (
+		// length 29 = 21-byte header + 8-byte payload | type 12 (hello) |
+		// id 5 | timeout 0 | stream 0 | version 7 | window 256 KiB
+		hello = "\x00\x00\x00\x1d" + "\x0c" + "\x00\x00\x00\x00\x00\x00\x00\x05" +
+			"\x00\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00" +
+			"\x00\x00\x00\x07" + "\x00\x04\x00\x00"
+		// the same with type 13 (hello-ack) and a 128 KiB window
+		helloAck = "\x00\x00\x00\x1d" + "\x0d" + "\x00\x00\x00\x00\x00\x00\x00\x05" +
+			"\x00\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00" +
+			"\x00\x00\x00\x07" + "\x00\x02\x00\x00"
+	)
+	if ProtocolVersion != 7 {
+		t.Fatalf("ProtocolVersion = %d: re-pin the golden bytes, and keep their framing", ProtocolVersion)
+	}
+	got := frameBytes(t, Frame{Type: TypeHello, ID: 5, Payload: AppendHello(nil, ProtocolVersion, DefaultWindow)})
+	if string(got) != hello {
+		t.Fatalf("hello frame = %x, want %x", got, hello)
+	}
+	got = frameBytes(t, Frame{Type: TypeHelloAck, ID: 5, Payload: AppendHello(nil, ProtocolVersion, 128<<10)})
+	if string(got) != helloAck {
+		t.Fatalf("hello-ack frame = %x, want %x", got, helloAck)
+	}
+	f, err := readFrame(bytes.NewReader([]byte(helloAck)))
+	if err != nil || f.Type != TypeHelloAck || f.ID != 5 {
+		t.Fatalf("golden hello-ack reads back as %+v, %v", f, err)
+	}
+	if v, win, err := DecodeHello(f.Payload); err != nil || v != 7 || win != 128<<10 {
+		t.Fatalf("golden hello-ack payload = (%d, %d, %v), want (7, 131072, nil)", v, win, err)
 	}
 }

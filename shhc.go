@@ -346,10 +346,10 @@ func DialNode(id NodeID, addr string) (Backend, error) {
 	return rpc.Dial(id, addr, rpc.ClientConfig{})
 }
 
-// TransportOptions tunes the multiplexed client transport (wire
-// protocol 5). Zero values select the defaults.
+// TransportOptions tunes the multiplexed client transport. Zero values
+// select the defaults.
 type TransportOptions struct {
-	// Conns is the TCP connection pool size per node (default 4).
+	// Conns is the TCP connection pool size per node (default 2).
 	Conns int
 	// StreamsPerConn is how many logical streams round-robin over each
 	// connection for plain calls (default 4).
