@@ -1,7 +1,8 @@
 // Command shhc-front runs the web front-end tier: the HTTP service backup
-// clients talk to. It routes fingerprint batches to hash nodes (remote
-// shhc-node processes, or an embedded local cluster for single-machine
-// use) and forwards new chunks to the (simulated) cloud store.
+// clients talk to. It pools small plans from many clients into shared
+// batches, routes fingerprint batches to hash nodes (remote shhc-node
+// processes, or an embedded local cluster for single-machine use) and
+// forwards new chunks to the (simulated) cloud store.
 //
 // Examples:
 //
@@ -56,7 +57,14 @@ func run() error {
 	chunks := cloudsim.New(cloudsim.Config{})
 	defer chunks.Close()
 
-	front, err := webfront.New(webfront.Config{Index: cluster, Chunks: chunks, EnablePprof: *pprofOn, Logger: log.Default()})
+	// Plans of fewer than 64 fingerprints are pooled across clients
+	// (§III.A; the end-to-end benchmark's value): an idle front pays nothing
+	// for it, a busy one batches what arrives during each round trip.
+	// /v1/stats "aggregation" shows it working.
+	front, err := webfront.New(webfront.Config{
+		Index: cluster, Chunks: chunks, AggregateBelow: 64,
+		EnablePprof: *pprofOn, Logger: log.Default(),
+	})
 	if err != nil {
 		return err
 	}

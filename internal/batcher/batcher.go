@@ -1,10 +1,23 @@
-// Package batcher aggregates single fingerprint queries into batches.
+// Package batcher aggregates small fingerprint queries into batches.
 //
 // The paper's web front-end "aggregates fingerprints from clients and sends
-// them as a batch to hybrid nodes" (§III.A), and the evaluation (§IV.B)
-// shows batch mode is worth an order of magnitude of throughput at the cost
-// of queueing latency — the tradeoff this package's MaxBatch/MaxDelay knobs
-// expose (batch sizes 1/128/2048 in Figure 5).
+// them as a batch to hybrid nodes" (§III.A), and the evaluation (§IV.B,
+// Figure 5: batch sizes 1/128/2048) shows batch mode is worth an order of
+// magnitude of throughput at the cost of queueing latency. The queue here
+// pays that price only when there is throughput to buy, by Nagle's rule: a
+// call that finds no flight outstanding is dispatched at once; a call that
+// arrives while a flight is out queues behind it, and the queue goes out as
+// one batch the moment a flight lands, when it reaches MaxBatch, or when its
+// oldest call has waited MaxDelay — whichever is first. Under load a batch
+// is what arrived during the previous round trip; at idle nothing waits.
+//
+// The cost of one flight at a time shows with about MaxBatch closed-loop
+// callers: the size trigger never fires, the callers settle into two groups
+// that alternate behind each other's flight, and a key costs one and a half
+// to two times what a fixed window that fills by size on every arrival
+// charges — still several times under unbatched (BenchmarkBatcherClosedLoop,
+// docs/ARCHITECTURE.md "Aggregation"). Allowing more flights helps only as
+// far as the executor runs them in parallel, which the batcher cannot see.
 package batcher
 
 import (
@@ -15,32 +28,26 @@ import (
 
 	"shhc/internal/core"
 	"shhc/internal/fingerprint"
-	"shhc/internal/pow2"
 )
 
-// Func executes one aggregated batch, returning results in input order.
-// A core.Cluster's BatchLookupOrInsert is the usual implementation. The
-// batcher invokes it with a background-derived context, never any single
-// caller's: a batch aggregates queries from many callers, and one
-// caller's cancellation must not take its batch-mates' results down.
+// Func executes one aggregated batch, returning results in input order; it
+// must not retain pairs after it returns. A core.Cluster's
+// BatchLookupOrInsert is the usual implementation. The batcher invokes it
+// with a background-derived context, never any single caller's: a batch
+// aggregates queries from many callers, and one caller's cancellation must
+// not take its batch-mates' results down.
 type Func func(ctx context.Context, pairs []core.Pair) ([]core.LookupResult, error)
 
-// Config tunes the aggregation window.
+// Config tunes the aggregation queue.
 type Config struct {
-	// MaxBatch flushes when this many queries are pending. Default 128.
-	// With Stripes > 1 the limit applies per stripe.
+	// MaxBatch dispatches the queue when this many queries are pending,
+	// without waiting for the flight in progress. Default 128.
 	MaxBatch int
-	// MaxDelay flushes a non-empty partial batch after this long,
-	// bounding the latency a query can spend queued. Default 2ms.
+	// MaxDelay dispatches a queue whose oldest call has waited this long,
+	// bounding the latency a query can spend queued. It is a bound behind a
+	// stalled flight, not a wait: a call that finds the batcher idle never
+	// sees it. Default 2ms.
 	MaxDelay time.Duration
-	// Stripes splits the aggregation queue into independent stripes
-	// (rounded down to a power of two), each with its own lock, pending
-	// batch, and flush timer. A fingerprint always joins the same stripe,
-	// so stripe batches arrive pre-partitioned for the striped node's
-	// batch fan-out. Raise it when tens of client goroutines contend on
-	// one front-end batcher. Default 1 (a single shared queue — maximal
-	// aggregation, exactly the paper's behavior).
-	Stripes int
 }
 
 func (c *Config) fill() {
@@ -50,73 +57,60 @@ func (c *Config) fill() {
 	if c.MaxDelay <= 0 {
 		c.MaxDelay = 2 * time.Millisecond
 	}
-	c.Stripes = pow2.Floor(c.Stripes)
 }
 
 // ErrClosed is returned for queries submitted after Close.
 var ErrClosed = errors.New("batcher: closed")
 
-// waiter is one queued query. Every query of one call shares ch, which is
-// buffered for all of them, so the flush goroutine never blocks on a caller
+// call is one queued BatchLookupOrInsert: its pairs are the batch's
+// pairs[off:off+n]. ch is buffered, so a flight never blocks on a caller
 // that has gone away.
-type waiter struct {
-	pair core.Pair
-	idx  int // position in the call's pairs
-	ch   chan outcome
+type call struct {
+	off, n int
+	ch     chan outcome
 }
 
 type outcome struct {
-	idx int
-	res core.LookupResult
+	res []core.LookupResult
 	err error
 }
 
-// batcherStripe is one independent aggregation queue.
-type batcherStripe struct {
+// batch is a queue detached for dispatch: whole calls, in arrival order.
+type batch struct {
+	pairs []core.Pair
+	calls []call
+}
+
+// Batcher coalesces concurrent lookup calls into batches. It is safe for
+// concurrent use.
+type Batcher struct {
+	do  Func
+	cfg Config
+
 	mu      sync.Mutex
-	pending []waiter
+	queue   batch // non-empty only while flights > 0
+	flights int   // batches dispatched and not yet landed
 	timer   *time.Timer
-	// timerGen invalidates stale timer callbacks: a timer that fired
-	// after its batch was already flushed (by MaxBatch or Close) must not
-	// flush the next, younger partial batch before its MaxDelay elapsed.
-	// Incremented by every flush; armed timers capture the value.
+	// timerGen invalidates stale timer callbacks: a timer that fired after
+	// its queue was already dispatched (by a landing flight, MaxBatch or
+	// Close) must not dispatch the next, younger queue before its MaxDelay
+	// elapsed. Incremented by every dispatch; armed timers capture the value.
 	timerGen uint64
 	closed   bool
 
 	batches uint64
 	queries uint64
-}
 
-// Batcher coalesces concurrent LookupOrInsert calls into batches.
-// It is safe for concurrent use.
-type Batcher struct {
-	do      Func
-	cfg     Config
-	stripes []batcherStripe
-	mask    uint64
-	flushWG sync.WaitGroup
+	flushWG sync.WaitGroup // one count per flight
 }
 
 // New creates a batcher around the given batch executor.
 func New(do Func, cfg Config) *Batcher {
 	cfg.fill()
-	return &Batcher{
-		do:      do,
-		cfg:     cfg,
-		stripes: make([]batcherStripe, cfg.Stripes),
-		mask:    uint64(cfg.Stripes - 1),
-	}
+	return &Batcher{do: do, cfg: cfg}
 }
 
-// Stripes returns the number of aggregation stripes.
-func (b *Batcher) Stripes() int { return len(b.stripes) }
-
-func (b *Batcher) stripe(fp fingerprint.Fingerprint) *batcherStripe {
-	return &b.stripes[fp.Bucket64()&b.mask]
-}
-
-// LookupOrInsert enqueues one query and blocks until its batch completes
-// or ctx is cancelled: BatchLookupOrInsert for a single pair.
+// LookupOrInsert is BatchLookupOrInsert for a single pair.
 func (b *Batcher) LookupOrInsert(ctx context.Context, fp fingerprint.Fingerprint, val core.Value) (core.LookupResult, error) {
 	rs, err := b.BatchLookupOrInsert(ctx, []core.Pair{{FP: fp, Val: val}})
 	if err != nil {
@@ -125,114 +119,114 @@ func (b *Batcher) LookupOrInsert(ctx context.Context, fp fingerprint.Fingerprint
 	return rs[0], nil
 }
 
-// BatchLookupOrInsert enqueues all of a caller's queries — a small plan —
-// and then blocks until every one has its result or ctx is cancelled, so the
-// plan waits for one aggregation window and not one per fingerprint. Results
-// are in input order. A stripe takes its share of the pairs in one piece, in
-// input order, and flushes at most once after it: a fingerprint that appears
-// twice always travels in one batch, and the second occurrence sees the
+// BatchLookupOrInsert submits all of a caller's queries — a small plan — as
+// one call and blocks until its batch completes or ctx is cancelled. The
+// pairs are copied before it returns to waiting; results are in input order
+// and belong to the caller. A call is never split: a fingerprint that
+// appears twice travels in one batch, and the second occurrence sees the
 // first as a duplicate. (A batch may therefore exceed MaxBatch by up to the
-// size of the call that filled it.) Each pair counts as one query in Stats.
+// size of the call that filled it.) Each pair counts as one query in Stats;
+// an empty call returns an empty result without enqueueing.
 //
-// A cancelled caller returns ctx.Err() immediately and abandons all its
-// slots without stranding batch-mates: the batches still execute (the
-// result channel is buffered for every slot, so no flush goroutine ever
-// blocks on a departed caller) and every other query in them gets its
+// A cancelled caller returns ctx.Err() immediately without stranding
+// batch-mates: the batch still executes and every other call in it gets its
 // result. The abandoned queries may or may not have reached the cluster —
 // exactly the guarantee (none) a cancelled caller must assume.
 func (b *Batcher) BatchLookupOrInsert(ctx context.Context, pairs []core.Pair) ([]core.LookupResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ch := make(chan outcome, len(pairs))
-	for si := range b.stripes {
-		s := &b.stripes[si]
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return nil, ErrClosed
-		}
-		queued := len(s.pending)
-		for i, p := range pairs {
-			if b.stripe(p.FP) == s {
-				s.pending = append(s.pending, waiter{pair: p, idx: i, ch: ch})
-			}
-		}
-		s.queries += uint64(len(s.pending) - queued)
-		if len(s.pending) >= b.cfg.MaxBatch {
-			b.flushLocked(s)
-		} else if len(s.pending) > queued && s.timer == nil {
-			gen := s.timerGen
-			s.timer = time.AfterFunc(b.cfg.MaxDelay, func() { b.flushTimer(s, gen) })
-		}
-		s.mu.Unlock()
+	ch := make(chan outcome, 1)
+	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
+		return nil, ErrClosed
 	}
+	if len(pairs) == 0 {
+		b.mu.Unlock()
+		return []core.LookupResult{}, nil
+	}
+	q := &b.queue
+	q.calls = append(q.calls, call{off: len(q.pairs), n: len(pairs), ch: ch})
+	q.pairs = append(q.pairs, pairs...)
+	b.queries += uint64(len(pairs))
+	switch {
+	case b.flights == 0 || len(q.pairs) >= b.cfg.MaxBatch:
+		go b.fly(b.takeLocked())
+	case len(q.calls) == 1:
+		gen := b.timerGen
+		b.timer = time.AfterFunc(b.cfg.MaxDelay, func() { b.flushTimer(gen) })
+	}
+	b.mu.Unlock()
 
-	results := make([]core.LookupResult, len(pairs))
-	for range pairs {
-		var out outcome
-		select {
-		case out = <-ch:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if out.err != nil {
-			return nil, out.err
-		}
-		results[out.idx] = out.res
+	select {
+	case out := <-ch:
+		return out.res, out.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
-	return results, nil
 }
 
 // flushTimer is the MaxDelay expiry path. gen guards against a callback
-// that lost the race with a MaxBatch flush or Close: by the time it runs,
-// its batch is gone and the pending queue (if any) belongs to a younger
-// timer.
-func (b *Batcher) flushTimer(s *batcherStripe, gen uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.timerGen != gen {
+// that lost the race with another dispatch: by the time it runs, its queue
+// is gone and the pending one (if any) belongs to a younger timer.
+func (b *Batcher) flushTimer(gen uint64) {
+	b.mu.Lock()
+	if b.closed || b.timerGen != gen {
+		b.mu.Unlock()
 		return
 	}
-	b.flushLocked(s)
+	bt := b.takeLocked()
+	b.mu.Unlock()
+	b.fly(bt)
 }
 
-// flushLocked dispatches the stripe's pending batch. Caller holds s.mu.
-func (b *Batcher) flushLocked(s *batcherStripe) {
-	s.timerGen++
-	if s.timer != nil {
-		s.timer.Stop()
-		s.timer = nil
+// takeLocked detaches the non-empty queue as a flight the caller must fly.
+// Caller holds b.mu.
+func (b *Batcher) takeLocked() batch {
+	b.timerGen++
+	if b.timer != nil {
+		b.timer.Stop()
+		b.timer = nil
 	}
-	if len(s.pending) == 0 {
-		return
-	}
-	batch := s.pending
-	s.pending = nil
-	s.batches++
-
+	bt := b.queue
+	b.queue = batch{}
+	b.batches++
+	b.flights++
 	b.flushWG.Add(1)
-	go func() {
-		defer b.flushWG.Done()
-		pairs := make([]core.Pair, len(batch))
-		for i, w := range batch {
-			pairs[i] = w.pair
-		}
+	return bt
+}
+
+// fly executes bt and then, on the same goroutine, whatever queued behind
+// it, until a flight lands with nothing waiting.
+func (b *Batcher) fly(bt batch) {
+	for more := true; more; {
 		// The batch runs detached from any one caller's context (see
 		// Func): batch-mates that are still waiting get their results
-		// even if the caller that happened to trigger the flush is gone.
-		results, err := b.do(context.Background(), pairs)
-		if err == nil && len(results) != len(batch) {
+		// even if the caller that happened to trigger the flight is gone.
+		results, err := b.do(context.Background(), bt.pairs)
+		if err == nil && len(results) != len(bt.pairs) {
 			err = errors.New("batcher: executor returned wrong result count")
 		}
-		for i, w := range batch {
+		for _, c := range bt.calls {
 			if err != nil {
-				w.ch <- outcome{idx: w.idx, err: err}
+				c.ch <- outcome{err: err}
 			} else {
-				w.ch <- outcome{idx: w.idx, res: results[i]}
+				// Capped, so a caller appending to its results cannot
+				// write into a batch-mate's.
+				c.ch <- outcome{res: results[c.off : c.off+c.n : c.off+c.n]}
 			}
 		}
-	}()
+		b.mu.Lock()
+		b.flights--
+		if more = len(b.queue.calls) > 0; more {
+			// Counted before this flight's count is dropped: flushWG
+			// never reads zero mid-chain, so Close waits for all of it.
+			bt = b.takeLocked()
+		}
+		b.mu.Unlock()
+		b.flushWG.Done()
+	}
 }
 
 // Stats reports aggregation effectiveness.
@@ -249,36 +243,26 @@ func (s Stats) MeanBatchSize() float64 {
 	return float64(s.Queries) / float64(s.Batches)
 }
 
-// Stats returns a snapshot of the counters summed over stripes.
+// Stats returns a snapshot of the counters.
 func (b *Batcher) Stats() Stats {
-	var st Stats
-	for i := range b.stripes {
-		s := &b.stripes[i]
-		s.mu.Lock()
-		st.Queries += s.queries
-		st.Batches += s.batches
-		s.mu.Unlock()
-	}
-	return st
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return Stats{Queries: b.queries, Batches: b.batches}
 }
 
-// Close flushes any partial batches, waits for in-flight batches, and
-// rejects further queries.
+// Close dispatches the queue, waits for every flight — including those
+// chained behind a landing one — and rejects further queries.
 func (b *Batcher) Close() error {
-	alreadyClosed := true
-	for i := range b.stripes {
-		s := &b.stripes[i]
-		s.mu.Lock()
-		if !s.closed {
-			alreadyClosed = false
-			s.closed = true
-			b.flushLocked(s)
-		}
-		s.mu.Unlock()
-	}
-	if alreadyClosed {
+	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
 		return ErrClosed
 	}
+	b.closed = true
+	if len(b.queue.calls) > 0 {
+		go b.fly(b.takeLocked())
+	}
+	b.mu.Unlock()
 	b.flushWG.Wait()
 	return nil
 }

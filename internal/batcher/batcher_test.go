@@ -14,126 +14,469 @@ import (
 
 func fp(i uint64) fingerprint.Fingerprint { return fingerprint.FromUint64(i) }
 
-// echoExec answers every pair with Exists=false and Value=pair value,
-// recording batch sizes.
-type echoExec struct {
-	mu     sync.Mutex
-	sizes  []int
-	delay  time.Duration
-	failOn func([]core.Pair) error
-}
-
-func (e *echoExec) do(_ context.Context, pairs []core.Pair) ([]core.LookupResult, error) {
-	e.mu.Lock()
-	e.sizes = append(e.sizes, len(pairs))
-	e.mu.Unlock()
-	if e.delay > 0 {
-		time.Sleep(e.delay)
-	}
-	if e.failOn != nil {
-		if err := e.failOn(pairs); err != nil {
-			return nil, err
-		}
-	}
+// echo answers every pair with Exists=false and Value=pair value.
+func echo(pairs []core.Pair) []core.LookupResult {
 	out := make([]core.LookupResult, len(pairs))
 	for i, p := range pairs {
 		out[i] = core.LookupResult{Exists: false, Value: p.Val, Source: core.SourceNew}
 	}
-	return out, nil
+	return out
 }
 
-func (e *echoExec) batchSizes() []int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]int(nil), e.sizes...)
+// flight is one executor call a test holds open.
+type flight struct {
+	pairs []core.Pair
+	land  chan struct{} // close to let the flight return
 }
 
+// heldExec is an executor whose flights stay out until the test lands them,
+// so the order of arrivals, dispatches and landings is the test's, not the
+// clock's. Every flight echoes its pairs, or fails with err if set.
+type heldExec struct {
+	flights chan *flight  // every flight, as it starts
+	all     chan struct{} // closed by openAll: nothing is held any more
+	err     error
+	landed  atomic.Int64 // flights that have returned
+}
+
+func newHeldExec() *heldExec {
+	// Buffered above the number of flights any test here makes, so the
+	// executor never blocks on a test that has stopped looking.
+	return &heldExec{flights: make(chan *flight, 4096), all: make(chan struct{})}
+}
+
+func (h *heldExec) do(_ context.Context, pairs []core.Pair) ([]core.LookupResult, error) {
+	f := &flight{pairs: append([]core.Pair(nil), pairs...), land: make(chan struct{})}
+	h.flights <- f
+	select {
+	case <-f.land:
+	case <-h.all:
+	}
+	defer h.landed.Add(1)
+	if h.err != nil {
+		return nil, h.err
+	}
+	return echo(pairs), nil
+}
+
+// next returns the next flight to start, failing the test if none does.
+func (h *heldExec) next(t *testing.T) *flight {
+	t.Helper()
+	select {
+	case f := <-h.flights:
+		return f
+	case <-time.After(5 * time.Second):
+		t.Fatal("no flight was dispatched")
+		return nil
+	}
+}
+
+func (h *heldExec) openAll() { close(h.all) }
+
+// sizes drains the flights started so far into their batch sizes.
+func (h *heldExec) sizes() []int {
+	var out []int
+	for {
+		select {
+		case f := <-h.flights:
+			out = append(out, len(f.pairs))
+		default:
+			return out
+		}
+	}
+}
+
+type reply struct {
+	rs  []core.LookupResult
+	err error
+}
+
+// submit submits keys from, from+1, … (value = key) on its own goroutine.
+func submit(ctx context.Context, b *Batcher, from, n int) <-chan reply {
+	pairs := make([]core.Pair, n)
+	for i := range pairs {
+		pairs[i] = core.Pair{FP: fp(uint64(from + i)), Val: core.Value(from + i)}
+	}
+	out := make(chan reply, 1)
+	go func() {
+		rs, err := b.BatchLookupOrInsert(ctx, pairs)
+		out <- reply{rs, err}
+	}()
+	return out
+}
+
+// await returns c's reply, failing the test if the call hangs.
+func await(t *testing.T, c <-chan reply) reply {
+	t.Helper()
+	select {
+	case r := <-c:
+		return r
+	case <-time.After(5 * time.Second):
+		t.Fatal("call never returned")
+		return reply{}
+	}
+}
+
+// wantEcho checks a reply to submit(…, from, n).
+func wantEcho(t *testing.T, r reply, from, n int) {
+	t.Helper()
+	if r.err != nil || len(r.rs) != n {
+		t.Fatalf("call %d+%d: %d results, err %v", from, n, len(r.rs), r.err)
+	}
+	for i, res := range r.rs {
+		if res.Value != core.Value(from+i) {
+			t.Fatalf("call %d+%d: result %d carries value %d (crossed or out of input order)", from, n, i, res.Value)
+		}
+	}
+}
+
+// queued waits until the batcher has accepted n queries in all.
+func queued(t *testing.T, b *Batcher, n uint64) {
+	t.Helper()
+	waitFor(t, func() bool { return b.Stats().Queries == n })
+}
+
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition never became true")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// leadFlight puts one single-key call (key 0) in flight and returns it held:
+// whatever the test submits next queues behind it.
+func leadFlight(t *testing.T, h *heldExec, b *Batcher) (*flight, <-chan reply) {
+	t.Helper()
+	c := submit(context.Background(), b, 0, 1)
+	return h.next(t), c
+}
+
+// TestIdleCallDispatchesImmediately: with no flight outstanding nothing
+// waits — a lone plan goes out whole, at once, however long MaxDelay is.
+func TestIdleCallDispatchesImmediately(t *testing.T) {
+	h := newHeldExec()
+	h.openAll()
+	b := New(h.do, Config{MaxBatch: 64, MaxDelay: time.Hour})
+	defer b.Close()
+
+	const k = 8
+	wantEcho(t, await(t, submit(context.Background(), b, 100, k)), 100, k)
+	if sizes := h.sizes(); len(sizes) != 1 || sizes[0] != k {
+		t.Fatalf("batch sizes = %v, want [%d]", sizes, k)
+	}
+	if st := b.Stats(); st.Queries != k || st.Batches != 1 {
+		t.Fatalf("Stats = %+v, want %d queries in 1 batch", st, k)
+	}
+}
+
+// TestCallsBehindAFlightShareTheNextBatch: what arrives during a round trip
+// is the next batch, dispatched when the flight lands.
+func TestCallsBehindAFlightShareTheNextBatch(t *testing.T) {
+	h := newHeldExec()
+	b := New(h.do, Config{MaxBatch: 1000, MaxDelay: time.Hour})
+	defer b.Close()
+	defer h.openAll()
+
+	f1, lead := leadFlight(t, h, b)
+	const n = 16
+	calls := make([]<-chan reply, n)
+	for i := range calls {
+		calls[i] = submit(context.Background(), b, 1+i, 1)
+	}
+	queued(t, b, 1+n)
+	if st := b.Stats(); st.Batches != 1 {
+		t.Fatalf("%d batches dispatched while flight 1 was out, want 1", st.Batches)
+	}
+	close(f1.land)
+	wantEcho(t, await(t, lead), 0, 1)
+	f2 := h.next(t)
+	if len(f2.pairs) != n {
+		t.Fatalf("flight 2 carries %d queries, want all %d that queued behind flight 1", len(f2.pairs), n)
+	}
+	close(f2.land)
+	for i, c := range calls {
+		wantEcho(t, await(t, c), 1+i, 1)
+	}
+	if st := b.Stats(); st.Batches != 2 {
+		t.Fatalf("Batches = %d, want 2", st.Batches)
+	}
+}
+
+// TestFlushOnMaxBatch: behind a held flight — so the idle rule cannot be
+// what fires — the queue goes out when it reaches MaxBatch and not before.
 func TestFlushOnMaxBatch(t *testing.T) {
-	exec := &echoExec{}
-	b := New(exec.do, Config{MaxBatch: 4, MaxDelay: time.Hour})
+	h := newHeldExec()
+	b := New(h.do, Config{MaxBatch: 4, MaxDelay: time.Hour})
 	defer b.Close()
+	defer h.openAll()
 
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r, err := b.LookupOrInsert(context.Background(), fp(uint64(i)), core.Value(i))
-			if err != nil {
-				t.Errorf("LookupOrInsert: %v", err)
-				return
-			}
-			if r.Value != core.Value(i) {
-				t.Errorf("result value = %d, want %d", r.Value, i)
-			}
-		}(i)
+	f1, lead := leadFlight(t, h, b)
+	calls := make([]<-chan reply, 4)
+	for i := 0; i < 3; i++ {
+		calls[i] = submit(context.Background(), b, 1+i, 1)
 	}
-	wg.Wait()
+	queued(t, b, 4)
+	if st := b.Stats(); st.Batches != 1 {
+		t.Fatalf("queue of 3 dispatched below MaxBatch (Batches=%d)", st.Batches)
+	}
+	calls[3] = submit(context.Background(), b, 4, 1)
+	f2 := h.next(t)
+	if len(f2.pairs) != 4 {
+		t.Fatalf("size-triggered batch = %d, want 4", len(f2.pairs))
+	}
+	close(f2.land)
+	for i, c := range calls {
+		wantEcho(t, await(t, c), 1+i, 1)
+	}
+	close(f1.land)
+	wantEcho(t, await(t, lead), 0, 1)
+}
 
-	sizes := exec.batchSizes()
-	if len(sizes) != 1 || sizes[0] != 4 {
-		t.Fatalf("batch sizes = %v, want [4]", sizes)
+// TestMaxBatchOverlapsAFlight: a full queue does not wait for the flight in
+// progress — its batch goes out, lands and answers while that flight is
+// still held — and exceeds MaxBatch by at most the call that filled it.
+func TestMaxBatchOverlapsAFlight(t *testing.T) {
+	h := newHeldExec()
+	b := New(h.do, Config{MaxBatch: 4, MaxDelay: time.Hour})
+	defer b.Close()
+	defer h.openAll()
+
+	f1, lead := leadFlight(t, h, b)
+	three := submit(context.Background(), b, 10, 3)
+	queued(t, b, 4)
+	five := submit(context.Background(), b, 20, 5)
+	f2 := h.next(t)
+	if len(f2.pairs) != 8 {
+		t.Fatalf("overlapping batch = %d queries, want 8 (both calls, whole)", len(f2.pairs))
+	}
+	close(f2.land)
+	wantEcho(t, await(t, three), 10, 3)
+	wantEcho(t, await(t, five), 20, 5)
+	select {
+	case <-lead:
+		t.Fatal("flight 1 landed; the overlap was never exercised")
+	default:
+	}
+	close(f1.land)
+	wantEcho(t, await(t, lead), 0, 1)
+}
+
+// TestMaxDelayBoundsWaitBehindStuckFlight: MaxDelay is the bound a stalled
+// node cannot exceed — a call queued behind a flight that never lands is
+// dispatched once it has waited MaxDelay, and not earlier.
+func TestMaxDelayBoundsWaitBehindStuckFlight(t *testing.T) {
+	const delay = 20 * time.Millisecond
+	h := newHeldExec()
+	b := New(h.do, Config{MaxBatch: 1000, MaxDelay: delay})
+	defer b.Close()
+	defer h.openAll()
+
+	_, lead := leadFlight(t, h, b) // never landed before the deferred openAll
+	start := time.Now()
+	c := submit(context.Background(), b, 1, 1)
+	f2 := h.next(t)
+	if waited := time.Since(start); waited < delay {
+		t.Fatalf("queued call dispatched after %v, before MaxDelay (%v) and with flight 1 still out", waited, delay)
+	}
+	close(f2.land)
+	wantEcho(t, await(t, c), 1, 1)
+	select {
+	case <-lead:
+		t.Fatal("the stuck flight landed; MaxDelay was not what dispatched the queue")
+	default:
 	}
 }
 
-func TestFlushOnDelay(t *testing.T) {
-	exec := &echoExec{}
-	b := New(exec.do, Config{MaxBatch: 1000, MaxDelay: 5 * time.Millisecond})
-	defer b.Close()
+// TestStaleTimerDoesNotFlushYoungerBatch simulates a MaxDelay timer that
+// fired for a queue already dispatched by MaxBatch: when its callback
+// finally runs, a younger queue is pending, and the stale callback must
+// leave it alone (its own MaxDelay has not elapsed).
+func TestStaleTimerDoesNotFlushYoungerBatch(t *testing.T) {
+	h := newHeldExec()
+	b := New(h.do, Config{MaxBatch: 2, MaxDelay: time.Hour})
+	defer h.openAll()
 
-	start := time.Now()
-	if _, err := b.LookupOrInsert(context.Background(), fp(1), 1); err != nil {
-		t.Fatalf("LookupOrInsert: %v", err)
+	f1, _ := leadFlight(t, h, b)
+	submit(context.Background(), b, 1, 1) // first queued call arms the timer
+	queued(t, b, 2)
+	b.mu.Lock()
+	staleGen := b.timerGen
+	b.mu.Unlock()
+	submit(context.Background(), b, 2, 1) // reaches MaxBatch: dispatch, invalidating staleGen
+	close(h.next(t).land)
+	waitFor(t, func() bool { // landed with nothing behind it: only flight 1 is out
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.flights == 1
+	})
+
+	// A younger queue with an hour of delay budget.
+	young := submit(context.Background(), b, 3, 1)
+	queued(t, b, 4)
+
+	// The stale callback finally runs: it must not dispatch.
+	b.flushTimer(staleGen)
+	b.mu.Lock()
+	pending := len(b.queue.calls)
+	b.mu.Unlock()
+	if st := b.Stats(); pending != 1 || st.Batches != 2 {
+		t.Fatalf("stale timer dispatched the younger queue (pending=%d, batches=%d)", pending, st.Batches)
 	}
-	elapsed := time.Since(start)
-	if elapsed < 4*time.Millisecond {
-		t.Fatalf("flushed after %v, before the delay window", elapsed)
+
+	close(f1.land) // the landing flight takes the younger queue with it
+	close(h.next(t).land)
+	wantEcho(t, await(t, young), 3, 1)
+	if err := b.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
-	sizes := exec.batchSizes()
-	if len(sizes) != 1 || sizes[0] != 1 {
-		t.Fatalf("batch sizes = %v, want [1]", sizes)
+	if st := b.Stats(); st.Batches != 3 {
+		t.Fatalf("final batch count = %d, want 3 (lead + MaxBatch + landing)", st.Batches)
 	}
+}
+
+// TestChainedFlightsDrainOnClose: Close while a chained flight is out with
+// a queue behind it dispatches that queue, waits for both — the chained
+// flight runs on the goroutine of the one that landed — and rejects the
+// rest: every caller gets a result or ErrClosed, none hangs.
+func TestChainedFlightsDrainOnClose(t *testing.T) {
+	h := newHeldExec()
+	b := New(h.do, Config{MaxBatch: 1000, MaxDelay: time.Hour})
+
+	f1, lead := leadFlight(t, h, b)
+	second := submit(context.Background(), b, 1, 3)
+	queued(t, b, 4)
+	close(f1.land)
+	wantEcho(t, await(t, lead), 0, 1)
+	f2 := h.next(t) // chained behind flight 1, held
+	third := submit(context.Background(), b, 4, 2)
+	queued(t, b, 6)
+
+	closed := make(chan error, 1)
+	go func() { closed <- b.Close() }()
+	f3 := h.next(t) // Close dispatched the queue without waiting for flight 2
+	if len(f3.pairs) != 2 {
+		t.Fatalf("Close dispatched %d queries, want the 2 queued", len(f3.pairs))
+	}
+	if r := await(t, submit(context.Background(), b, 9, 1)); !errors.Is(r.err, ErrClosed) {
+		t.Fatalf("call after Close = %v, want ErrClosed", r.err)
+	}
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) with two flights still out", err)
+	default:
+	}
+	close(f3.land)
+	close(f2.land)
+	wantEcho(t, await(t, second), 1, 3)
+	wantEcho(t, await(t, third), 4, 2)
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close never returned")
+	}
+	if n := h.landed.Load(); n != 3 {
+		t.Fatalf("Close returned with %d of 3 flights landed", n)
+	}
+}
+
+// TestEmptyCall: nothing to ask is answered without a batch.
+func TestEmptyCall(t *testing.T) {
+	h := newHeldExec()
+	h.openAll()
+	b := New(h.do, Config{})
+	rs, err := b.BatchLookupOrInsert(context.Background(), nil)
+	if err != nil || len(rs) != 0 {
+		t.Fatalf("empty call = %v, %v; want no results, no error", rs, err)
+	}
+	if st := b.Stats(); st != (Stats{}) || len(h.sizes()) != 0 {
+		t.Fatalf("empty call was enqueued: %+v", st)
+	}
+	b.Close()
+	if _, err := b.BatchLookupOrInsert(context.Background(), nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("empty call after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestResultSubslicesDoNotAlias: batch-mates receive windows of one result
+// slice; a caller appending to its window must not write a neighbour's.
+func TestResultSubslicesDoNotAlias(t *testing.T) {
+	h := newHeldExec()
+	b := New(h.do, Config{MaxBatch: 1000, MaxDelay: time.Hour})
+	defer b.Close()
+	defer h.openAll()
+
+	f1, _ := leadFlight(t, h, b)
+	first := submit(context.Background(), b, 1, 2)
+	queued(t, b, 3)
+	second := submit(context.Background(), b, 3, 2)
+	queued(t, b, 5)
+	close(f1.land)
+	close(h.next(t).land)
+	r1, r2 := await(t, first), await(t, second)
+	if len(r1.rs) != cap(r1.rs) {
+		t.Fatalf("result window has len %d, cap %d: an append would land in the next call's results", len(r1.rs), cap(r1.rs))
+	}
+	r1.rs = append(r1.rs, core.LookupResult{Value: 999})
+	wantEcho(t, r2, 3, 2)
 }
 
 func TestResultsRouteToCorrectWaiters(t *testing.T) {
-	exec := &echoExec{}
-	b := New(exec.do, Config{MaxBatch: 64, MaxDelay: time.Millisecond})
+	h := newHeldExec()
+	b := New(h.do, Config{MaxBatch: 64, MaxDelay: time.Millisecond})
 	defer b.Close()
 
+	// Everything queues behind one held flight, so aggregation comes from
+	// the flight and not from how the scheduler interleaves 512 goroutines.
+	_, lead := leadFlight(t, h, b)
 	const n = 512
-	var wg sync.WaitGroup
-	var wrong atomic.Int64
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r, err := b.LookupOrInsert(context.Background(), fp(uint64(i)), core.Value(i))
-			if err != nil || r.Value != core.Value(i) {
-				wrong.Add(1)
-			}
-		}(i)
+	calls := make([]<-chan reply, n)
+	for i := range calls {
+		calls[i] = submit(context.Background(), b, 1+i, 1)
 	}
-	wg.Wait()
-	if wrong.Load() != 0 {
-		t.Fatalf("%d waiters got wrong results", wrong.Load())
+	queued(t, b, 1+n)
+	h.openAll()
+	wantEcho(t, await(t, lead), 0, 1)
+	for i, c := range calls {
+		wantEcho(t, await(t, c), 1+i, 1)
 	}
 	st := b.Stats()
-	if st.Queries != n {
-		t.Fatalf("Queries = %d, want %d", st.Queries, n)
+	if st.Queries != 1+n {
+		t.Fatalf("Queries = %d, want %d", st.Queries, 1+n)
 	}
 	if st.MeanBatchSize() < 2 {
 		t.Fatalf("MeanBatchSize = %v; aggregation did not happen", st.MeanBatchSize())
 	}
 }
 
+// TestExecutorErrorPropagates: the executor's error reaches every call of
+// the batch.
 func TestExecutorErrorPropagates(t *testing.T) {
 	wantErr := errors.New("node down")
-	exec := &echoExec{failOn: func([]core.Pair) error { return wantErr }}
-	b := New(exec.do, Config{MaxBatch: 2, MaxDelay: time.Millisecond})
+	h := newHeldExec()
+	h.err = wantErr
+	b := New(h.do, Config{MaxBatch: 2, MaxDelay: time.Hour})
 	defer b.Close()
 
-	if _, err := b.LookupOrInsert(context.Background(), fp(1), 1); !errors.Is(err, wantErr) {
-		t.Fatalf("err = %v, want %v", err, wantErr)
+	f1, lead := leadFlight(t, h, b)
+	one := submit(context.Background(), b, 1, 1)
+	queued(t, b, 2)
+	three := submit(context.Background(), b, 2, 3) // fills the batch
+	if f2 := h.next(t); len(f2.pairs) != 4 {
+		t.Fatalf("second batch = %d queries, want both calls (4)", len(f2.pairs))
+	}
+	h.openAll()
+	close(f1.land)
+	for _, c := range []<-chan reply{lead, one, three} {
+		if r := await(t, c); !errors.Is(r.err, wantErr) {
+			t.Fatalf("err = %v, want %v", r.err, wantErr)
+		}
 	}
 }
 
@@ -148,27 +491,26 @@ func TestWrongResultCountIsError(t *testing.T) {
 	}
 }
 
+// TestCloseFlushesPartialBatch: a queue below MaxBatch, behind a flight that
+// has not landed, is dispatched by Close itself.
 func TestCloseFlushesPartialBatch(t *testing.T) {
-	exec := &echoExec{}
-	b := New(exec.do, Config{MaxBatch: 1000, MaxDelay: time.Hour})
+	h := newHeldExec()
+	b := New(h.do, Config{MaxBatch: 1000, MaxDelay: time.Hour})
 
-	done := make(chan error, 1)
-	go func() {
-		_, err := b.LookupOrInsert(context.Background(), fp(1), 1)
-		done <- err
-	}()
-	// Wait until the query is enqueued.
-	for {
-		if b.Stats().Queries == 1 {
-			break
-		}
-		time.Sleep(100 * time.Microsecond)
+	leadFlight(t, h, b)
+	done := submit(context.Background(), b, 1, 1)
+	queued(t, b, 2)
+	closed := make(chan error, 1)
+	go func() { closed <- b.Close() }()
+	if f := h.next(t); len(f.pairs) != 1 {
+		t.Fatalf("Close dispatched %d queries, want the 1 queued", len(f.pairs))
 	}
-	if err := b.Close(); err != nil {
+	h.openAll()
+	if err := <-closed; err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if err := <-done; err != nil {
-		t.Fatalf("query stranded by Close: %v", err)
+	if r := await(t, done); r.err != nil {
+		t.Fatalf("query stranded by Close: %v", r.err)
 	}
 	if err := b.Close(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("double Close = %v, want ErrClosed", err)
@@ -180,8 +522,9 @@ func TestCloseFlushesPartialBatch(t *testing.T) {
 
 func TestDelayBoundsLatency(t *testing.T) {
 	// A lone query must not wait for MaxBatch companions.
-	exec := &echoExec{}
-	b := New(exec.do, Config{MaxBatch: 1 << 20, MaxDelay: 3 * time.Millisecond})
+	b := New(func(_ context.Context, pairs []core.Pair) ([]core.LookupResult, error) {
+		return echo(pairs), nil
+	}, Config{MaxBatch: 1 << 20, MaxDelay: 3 * time.Millisecond})
 	defer b.Close()
 	start := time.Now()
 	if _, err := b.LookupOrInsert(context.Background(), fp(1), 1); err != nil {
@@ -189,74 +532,6 @@ func TestDelayBoundsLatency(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
 		t.Fatalf("lone query took %v; delay flush broken", elapsed)
-	}
-}
-
-func TestStripedBatcherRoutesAndAggregates(t *testing.T) {
-	exec := &echoExec{}
-	b := New(exec.do, Config{MaxBatch: 8, MaxDelay: 5 * time.Millisecond, Stripes: 4})
-	defer b.Close()
-	if b.Stripes() != 4 {
-		t.Fatalf("Stripes() = %d, want 4", b.Stripes())
-	}
-
-	const queries = 256
-	var wg sync.WaitGroup
-	var wrong atomic.Uint64
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < queries/8; i++ {
-				key := uint64(g*(queries/8) + i)
-				res, err := b.LookupOrInsert(context.Background(), fp(key), core.Value(key))
-				if err != nil {
-					t.Errorf("LookupOrInsert: %v", err)
-					return
-				}
-				if res.Value != core.Value(key) {
-					wrong.Add(1)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if w := wrong.Load(); w > 0 {
-		t.Fatalf("%d queries answered with another query's result", w)
-	}
-	st := b.Stats()
-	if st.Queries != queries {
-		t.Fatalf("Queries = %d, want %d", st.Queries, queries)
-	}
-	if st.Batches == 0 || st.Batches > queries {
-		t.Fatalf("Batches = %d, want within (0, %d]", st.Batches, queries)
-	}
-}
-
-func TestStripedBatcherCloseRejectsAndDrains(t *testing.T) {
-	exec := &echoExec{delay: time.Millisecond}
-	b := New(exec.do, Config{MaxBatch: 100, MaxDelay: time.Hour, Stripes: 4})
-
-	var wg sync.WaitGroup
-	for i := uint64(0); i < 16; i++ {
-		wg.Add(1)
-		go func(i uint64) {
-			defer wg.Done()
-			// Either outcome is valid depending on Close timing; what must
-			// hold is that no call hangs and post-Close calls error.
-			_, _ = b.LookupOrInsert(context.Background(), fp(i), 0)
-		}(i)
-	}
-	time.Sleep(2 * time.Millisecond)
-	if err := b.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	wg.Wait()
-	if _, err := b.LookupOrInsert(context.Background(), fp(99), 0); !errors.Is(err, ErrClosed) {
-		t.Fatalf("post-Close error = %v, want ErrClosed", err)
-	}
-	if err := b.Close(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("second Close = %v, want ErrClosed", err)
 	}
 }
 
@@ -274,7 +549,7 @@ func TestCloseNeverDropsQueries(t *testing.T) {
 			out[i] = core.LookupResult{Exists: true, Value: pairs[i].Val}
 		}
 		return out, nil
-	}, Config{MaxBatch: 8, MaxDelay: 100 * time.Microsecond, Stripes: 4})
+	}, Config{MaxBatch: 8, MaxDelay: 100 * time.Microsecond})
 
 	const goroutines = 8
 	var (
@@ -308,7 +583,8 @@ func TestCloseNeverDropsQueries(t *testing.T) {
 		}(g)
 	}
 	close(start)
-	time.Sleep(5 * time.Millisecond) // let the enqueue/flush machinery heat up
+	// Let the enqueue / land / chain machinery heat up before closing.
+	waitFor(t, func() bool { return answered.Load() >= 2000 || t.Failed() })
 	if err := b.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -337,7 +613,7 @@ func TestEnqueueRacingCloseIsFlushedOrRejected(t *testing.T) {
 		b := New(func(_ context.Context, pairs []core.Pair) ([]core.LookupResult, error) {
 			executed.Add(int64(len(pairs)))
 			return make([]core.LookupResult, len(pairs)), nil
-		}, Config{MaxBatch: 64, MaxDelay: time.Hour}) // only Close can flush
+		}, Config{MaxBatch: 64, MaxDelay: time.Hour})
 
 		type outcome struct {
 			err error
@@ -363,82 +639,5 @@ func TestEnqueueRacingCloseIsFlushedOrRejected(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("round %d: query neither flushed nor rejected (hung)", round)
 		}
-	}
-}
-
-// TestStaleTimerDoesNotFlushYoungerBatch simulates a MaxDelay timer that
-// fired for a batch already flushed by MaxBatch: when its callback finally
-// runs, a younger partial batch is pending, and the stale callback must
-// leave it alone (its own MaxDelay has not elapsed).
-func TestStaleTimerDoesNotFlushYoungerBatch(t *testing.T) {
-	var flushes atomic.Int64
-	b := New(func(_ context.Context, pairs []core.Pair) ([]core.LookupResult, error) {
-		flushes.Add(1)
-		return make([]core.LookupResult, len(pairs)), nil
-	}, Config{MaxBatch: 2, MaxDelay: time.Hour})
-	s := &b.stripes[0]
-
-	done := make(chan struct{})
-	go func() { // first pair arms the gen-0 timer
-		b.LookupOrInsert(context.Background(), fingerprint.FromUint64(1), 1)
-		done <- struct{}{}
-	}()
-	waitFor(t, func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return len(s.pending) == 1
-	})
-	staleGen := func() uint64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.timerGen
-	}()
-	go func() { // second pair reaches MaxBatch: flushes, invalidating gen 0
-		b.LookupOrInsert(context.Background(), fingerprint.FromUint64(2), 2)
-		done <- struct{}{}
-	}()
-	<-done
-	<-done
-	if flushes.Load() != 1 {
-		t.Fatalf("MaxBatch flush count = %d, want 1", flushes.Load())
-	}
-
-	// Third pair: a younger partial batch with an hour of delay budget.
-	go func() {
-		b.LookupOrInsert(context.Background(), fingerprint.FromUint64(3), 3)
-		done <- struct{}{}
-	}()
-	waitFor(t, func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return len(s.pending) == 1
-	})
-
-	// The stale gen-0 callback finally runs: it must not flush.
-	b.flushTimer(s, staleGen)
-	s.mu.Lock()
-	pending := len(s.pending)
-	s.mu.Unlock()
-	if pending != 1 || flushes.Load() != 1 {
-		t.Fatalf("stale timer flushed the younger batch (pending=%d, flushes=%d)", pending, flushes.Load())
-	}
-
-	if err := b.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	<-done
-	if flushes.Load() != 2 {
-		t.Fatalf("final flush count = %d, want 2 (MaxBatch + Close)", flushes.Load())
-	}
-}
-
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition never became true")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

@@ -3,8 +3,6 @@ package batcher
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,69 +12,35 @@ import (
 
 // TestCancelledCallerDoesNotStrandBatchMates is the regression test for
 // the abandoned-slot bug class: a caller that gives up mid-batch must get
-// ctx.Err() promptly, while its batch-mates — flushed in the same batch —
+// ctx.Err() promptly, while its batch-mates — dispatched in the same batch —
 // still receive their results.
 func TestCancelledCallerDoesNotStrandBatchMates(t *testing.T) {
-	gate := make(chan struct{})
-	var executed atomic.Int64
-	b := New(func(_ context.Context, pairs []core.Pair) ([]core.LookupResult, error) {
-		<-gate // hold the batch in flight while the caller cancels
-		executed.Add(int64(len(pairs)))
-		out := make([]core.LookupResult, len(pairs))
-		for i, p := range pairs {
-			out[i] = core.LookupResult{Exists: true, Value: p.Val, Source: core.SourceStore}
-		}
-		return out, nil
-	}, Config{MaxBatch: 2, MaxDelay: time.Hour})
-	var gateOnce sync.Once
-	openGate := func() { gateOnce.Do(func() { close(gate) }) }
-	defer b.Close()  // after the gate opens, so Close's drain cannot hang
-	defer openGate() // runs first (LIFO)
+	h := newHeldExec()
+	b := New(h.do, Config{MaxBatch: 2, MaxDelay: time.Hour})
+	defer b.Close()   // after everything lands, so Close's drain cannot hang
+	defer h.openAll() // runs first (LIFO)
 
+	leadFlight(t, h, b)
 	ctx, cancel := context.WithCancel(context.Background())
-	abandoned := make(chan error, 1)
-	go func() {
-		_, err := b.LookupOrInsert(ctx, fingerprint.FromUint64(1), 1)
-		abandoned <- err
-	}()
-	mate := make(chan core.LookupResult, 1)
-	go func() {
-		// Second query completes the MaxBatch=2 batch and triggers the
-		// flush; it waits under a background context.
-		r, err := b.LookupOrInsert(context.Background(), fingerprint.FromUint64(2), 2)
-		if err != nil {
-			t.Errorf("batch-mate: %v", err)
-		}
-		mate <- r
-	}()
+	abandoned := submit(ctx, b, 1, 1)
+	queued(t, b, 2)
+	// The second query completes the MaxBatch=2 batch and triggers its
+	// dispatch; it waits under a background context.
+	mate := submit(context.Background(), b, 2, 1)
+	f2 := h.next(t)
 
-	// Wait for both queries to be in the dispatched batch.
-	waitFor(t, func() bool { return b.Stats().Batches == 1 })
-
-	// Cancel the first caller while the executor is gated: it must return
-	// immediately, well before the batch completes.
+	// Cancel the first caller while its batch is held in flight: it must
+	// return immediately, well before the batch completes.
 	cancel()
-	select {
-	case err := <-abandoned:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("abandoned caller got %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancelled caller stayed blocked on its flushed batch")
+	if r := await(t, abandoned); !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("abandoned caller got %v, want context.Canceled", r.err)
 	}
 
-	// Release the batch: the surviving batch-mate must get its result.
-	openGate()
-	select {
-	case r := <-mate:
-		if !r.Exists || r.Value != 2 {
-			t.Fatalf("batch-mate result = %+v, want Exists=true Value=2", r)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("batch-mate never got its result after a mate abandoned the batch")
-	}
-	if executed.Load() != 2 {
-		t.Fatalf("executor saw %d queries, want 2 (abandonment must not shrink the batch)", executed.Load())
+	// Land the batch: the surviving batch-mate must get its result.
+	close(f2.land)
+	wantEcho(t, await(t, mate), 2, 1)
+	if len(f2.pairs) != 2 {
+		t.Fatalf("executor saw %d queries, want 2 (abandonment must not shrink the batch)", len(f2.pairs))
 	}
 }
 

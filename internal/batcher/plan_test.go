@@ -9,41 +9,6 @@ import (
 	"shhc/internal/core"
 )
 
-// TestPlanWaitsOneWindow is the regression test for the serial-await bug: a
-// k-fingerprint plan below MaxBatch must form one batch and complete in
-// about one MaxDelay, not k of them.
-func TestPlanWaitsOneWindow(t *testing.T) {
-	const k, delay = 8, 40 * time.Millisecond
-	exec := &echoExec{}
-	b := New(exec.do, Config{MaxBatch: 64, MaxDelay: delay})
-	defer b.Close()
-
-	pairs := make([]core.Pair, k)
-	for i := range pairs {
-		pairs[i] = core.Pair{FP: fp(uint64(i)), Val: core.Value(100 + i)}
-	}
-	start := time.Now()
-	rs, err := b.BatchLookupOrInsert(context.Background(), pairs)
-	took := time.Since(start)
-	if err != nil {
-		t.Fatalf("BatchLookupOrInsert: %v", err)
-	}
-	for i, r := range rs {
-		if r.Value != core.Value(100+i) {
-			t.Fatalf("result %d carries value %d, want %d (results out of input order)", i, r.Value, 100+i)
-		}
-	}
-	if sizes := exec.batchSizes(); len(sizes) != 1 || sizes[0] != k {
-		t.Fatalf("batch sizes = %v, want [%d]", sizes, k)
-	}
-	if took < delay || took >= 3*delay {
-		t.Fatalf("plan of %d took %v, want about one MaxDelay (%v), not %d of them", k, took, delay, k)
-	}
-	if st := b.Stats(); st.Queries != k || st.Batches != 1 {
-		t.Fatalf("Stats = %+v, want %d queries in 1 batch", st, k)
-	}
-}
-
 // TestPlanDuplicatesShareABatchInOrder: both occurrences of a fingerprint
 // reach the executor in one batch, first occurrence first, even when the
 // plan straddles MaxBatch — which is what lets the cluster answer the second
@@ -87,47 +52,23 @@ func TestPlanDuplicatesShareABatchInOrder(t *testing.T) {
 // every one of its slots still executes, and a batch-mate from another
 // caller gets its result.
 func TestCancelledPlanAbandonsAllSlots(t *testing.T) {
-	gate := make(chan struct{})
-	executed := make(chan int, 1)
-	b := New(func(_ context.Context, pairs []core.Pair) ([]core.LookupResult, error) {
-		<-gate
-		executed <- len(pairs)
-		return make([]core.LookupResult, len(pairs)), nil
-	}, Config{MaxBatch: 4, MaxDelay: time.Hour})
+	h := newHeldExec()
+	b := New(h.do, Config{MaxBatch: 4, MaxDelay: time.Hour})
 
+	leadFlight(t, h, b)
 	ctx, cancel := context.WithCancel(context.Background())
-	abandoned := make(chan error, 1)
-	go func() {
-		_, err := b.BatchLookupOrInsert(ctx, []core.Pair{{FP: fp(1)}, {FP: fp(2)}, {FP: fp(3)}})
-		abandoned <- err
-	}()
-	waitFor(t, func() bool { return b.Stats().Queries == 3 })
-	mate := make(chan error, 1)
-	go func() {
-		_, err := b.LookupOrInsert(context.Background(), fp(4), 4) // fills the batch
-		mate <- err
-	}()
-	waitFor(t, func() bool { return b.Stats().Batches == 1 })
+	abandoned := submit(ctx, b, 1, 3)
+	queued(t, b, 4)
+	mate := submit(context.Background(), b, 4, 1) // fills the batch
+	f2 := h.next(t)
 
 	cancel()
-	select {
-	case err := <-abandoned:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled plan got %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancelled plan stayed blocked on its flushed batch")
+	if r := await(t, abandoned); !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("cancelled plan got %v, want context.Canceled", r.err)
 	}
-	close(gate)
-	select {
-	case err := <-mate:
-		if err != nil {
-			t.Fatalf("batch-mate: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("batch-mate never got its result after the plan abandoned the batch")
-	}
-	if n := <-executed; n != 4 {
+	h.openAll()
+	wantEcho(t, await(t, mate), 4, 1)
+	if n := len(f2.pairs); n != 4 {
 		t.Fatalf("executor saw %d queries, want 4 (abandonment must not shrink the batch)", n)
 	}
 	if err := b.Close(); err != nil {

@@ -96,10 +96,15 @@ func (sc *planScratch) readBody(body io.Reader, declared, limit int64) error {
 		buf = buf[:len(buf)+n]
 		if err != nil {
 			sc.body = buf
-			if err == io.EOF {
-				return nil
+			if err != io.EOF {
+				return err
 			}
-			return err
+			// A pooled buffer roomier than limit never fills, so the
+			// check above never ran.
+			if int64(len(buf)) > limit {
+				return errPlanBodyTooLarge
+			}
+			return nil
 		}
 	}
 }

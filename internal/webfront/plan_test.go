@@ -197,6 +197,12 @@ func TestPlanRejectsOversizedBody(t *testing.T) {
 	if status, msg := postRaw(t, url, strings.NewReader(pad(limit-19))); status != http.StatusOK || msg != "{\"missing\":[]}\n" {
 		t.Fatalf("body at the bound: status %d %q, want 200", status, msg)
 	}
+	// The bound holds whatever buffer the pool hands out: one roomier than
+	// the limit never fills, and the body must be refused all the same.
+	sc := &planScratch{body: make([]byte, 0, 4*limit)}
+	if err := sc.readBody(strings.NewReader(pad(limit)), -1, int64(limit)); err != errPlanBodyTooLarge {
+		t.Fatalf("oversized chunked body into a roomy pooled buffer: %v, want errPlanBodyTooLarge", err)
+	}
 }
 
 func TestPlanWithoutContentLength(t *testing.T) {

@@ -68,9 +68,16 @@ type Config struct {
 	// queries into shared batches (the paper's front-end "aggregates
 	// fingerprints from clients and sends them as a batch to hybrid
 	// nodes"). 0 disables pooling; larger plans always go out directly
-	// since they already amortize the round trip.
+	// since they already amortize the round trip. Pooling follows Nagle's
+	// rule (package batcher): a small plan that finds no pooled batch in
+	// flight goes out at once, one that arrives during a flight shares the
+	// next batch with whatever else arrived — so an idle front pays nothing
+	// for it, and the paper's latency-for-throughput trade is made only
+	// when there is throughput to buy. It is also the batch size that
+	// dispatches without waiting for the flight to land.
 	AggregateBelow int
-	// AggregateDelay bounds how long a pooled query waits. Default 2ms.
+	// AggregateDelay bounds how long a pooled query can wait behind a
+	// stalled flight; it is not a wait every query pays. Default 2ms.
 	AggregateDelay time.Duration
 	// EnablePprof registers net/http/pprof's handlers under /debug/pprof/
 	// on the server's mux, so CPU and allocation profiles can be pulled
@@ -199,9 +206,9 @@ type PlanResponse struct {
 }
 
 // executePlan runs the batch against the cluster, pooling small plans
-// through the shared aggregator when enabled. A pooled plan enqueues all its
-// fingerprints at once, so it waits for one aggregation window, not one per
-// fingerprint.
+// through the shared aggregator when enabled. A pooled plan is one call to
+// the aggregator: it goes out at once if no pooled batch is in flight, and
+// otherwise whole, in the batch that follows the one in flight.
 func (s *Server) executePlan(ctx context.Context, pairs []core.Pair) ([]core.LookupResult, error) {
 	if s.agg == nil || len(pairs) >= s.cfg.AggregateBelow {
 		return s.cfg.Index.BatchLookupOrInsert(ctx, pairs)
@@ -286,10 +293,21 @@ type StatsResponse struct {
 	Lookups     int64            `json:"lookups"`
 	Uploads     int64            `json:"uploads"`
 	Replication *ReplicationJSON `json:"replication,omitempty"`
+	// Aggregation reports cross-request pooling of small plans; present
+	// only when pooling is on (Config.AggregateBelow > 0).
+	Aggregation *AggregationJSON `json:"aggregation,omitempty"`
 	// Transport reports the front-end's client side of the multiplexed
 	// RPC transport; present only when the index talks to remote nodes.
 	Transport *FrontTransportJSON `json:"transport,omitempty"`
 	Nodes     []NodeStatsJSON     `json:"nodes"`
+}
+
+// AggregationJSON is Server.AggregationStats: fingerprints that went
+// through the aggregator and the batches they left in. queries/batches is
+// the mean pooled batch size.
+type AggregationJSON struct {
+	Queries uint64 `json:"queries"`
+	Batches uint64 `json:"batches"`
 }
 
 // FrontTransportJSON is the front-end's own view of the mux transport:
@@ -458,6 +476,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Lookups: s.lookups.Load(),
 		Uploads: s.uploads.Load(),
 		Nodes:   make([]NodeStatsJSON, len(nodeStats)),
+	}
+	if s.agg != nil {
+		as := s.AggregationStats()
+		resp.Aggregation = &AggregationJSON{Queries: as.Queries, Batches: as.Batches}
 	}
 	if tr, ok := s.cfg.Index.(clientTransportReporter); ok {
 		if ts := tr.ClientTransportStats(); ts.RedirectsFollowed != 0 || ts.CreditStalls != 0 {

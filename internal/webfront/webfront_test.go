@@ -22,6 +22,7 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server, *cloudsim.Store) {
 }
 
 // newTestServerCached is newTestServer with cacheSize LRU entries per node.
+// Small plans are pooled, as in cmd/shhc-front.
 func newTestServerCached(t *testing.T, cacheSize int) (*Server, *httptest.Server, *cloudsim.Store) {
 	t.Helper()
 	backends := make([]core.Backend, 2)
@@ -42,13 +43,14 @@ func newTestServerCached(t *testing.T, cacheSize int) (*Server, *httptest.Server
 		t.Fatalf("NewCluster: %v", err)
 	}
 	chunks := cloudsim.New(cloudsim.Config{})
-	srv, err := New(Config{Index: cluster, Chunks: chunks})
+	srv, err := New(Config{Index: cluster, Chunks: chunks, AggregateBelow: 64})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
+		srv.Close() // drains the aggregator; a test may have closed it already
 		cluster.Close()
 		chunks.Close()
 	})
@@ -226,6 +228,11 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if len(stats.Nodes) != 2 {
 		t.Fatalf("got %d nodes, want 2", len(stats.Nodes))
+	}
+	// The two-fingerprint plan was small enough to be pooled, and went out
+	// whole.
+	if a := stats.Aggregation; a == nil || *a != (AggregationJSON{Queries: 2, Batches: 1}) {
+		t.Fatalf("aggregation block = %+v, want 2 queries in 1 batch", a)
 	}
 	// The per-tier latency histograms of the lookup pipeline must travel
 	// through the endpoint: the plan above exercised the RAM tiers on at

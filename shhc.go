@@ -368,9 +368,12 @@ func DialNodeTransport(id NodeID, addr string, o TransportOptions) (Backend, err
 	})
 }
 
-// NewBatcher wraps a cluster with front-end-style query aggregation.
-// maxBatch and maxDelayMillis bound the batch window (paper batch sizes:
-// 1, 128, 2048).
+// NewBatcher wraps a cluster with front-end-style query aggregation, by
+// Nagle's rule: a call that finds no batch in flight goes out at once; calls
+// that arrive during a flight share the next batch, which leaves when that
+// flight lands, at maxBatch queries (paper batch sizes: 1, 128, 2048), or
+// after maxDelayMillis behind a stalled flight — a bound, not a wait. The
+// paper's latency-for-throughput trade is paid only under load.
 func NewBatcher(cluster *Cluster, maxBatch int, maxDelayMillis int) *Batcher {
 	return batcher.New(cluster.BatchLookupOrInsert, batcher.Config{
 		MaxBatch: maxBatch,
