@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"shhc/internal/device"
 	"shhc/internal/hashdb"
@@ -161,6 +163,88 @@ func BenchmarkNodeBatchMiss(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkForegroundUnderWave is first_full_wb's contention without the
+// stack around it: a write-back node over an on-disk table, an inserter that
+// keeps clean-ahead waves firing, and a prober that wakes every 500 µs to
+// have a 1 024-pair batch answered by the LRU. One op is one probe, timed
+// from the instant it was due, so what p50-µs and p95-µs report is how long
+// a request that became runnable mid-wave waited for a processor, plus the
+// ≈ 40 µs the batch itself takes. The inserter's think time holds it near
+// first_full_wb's rate per node (≈ 400k pairs/s), where clean-ahead keeps up
+// and no eviction finds the buffer full; at 100 µs most waves have an evictor
+// parked on them, and run at full depth for it.
+func BenchmarkForegroundUnderWave(b *testing.B) {
+	const batch, cache, period, think = 1024, 1 << 16, 500 * time.Microsecond, 2 * time.Millisecond
+	db, err := hashdb.Create(filepath.Join(b.TempDir(), "bench.shdb"), hashdb.Options{
+		ExpectedItems: 1 << 20,
+		Device:        device.New(device.Null, device.Account),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n, err := NewNode(NodeConfig{ID: "bench", Store: db, CacheSize: cache, BloomExpected: 1 << 20, WriteBack: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { n.Close() })
+	ctx := context.Background()
+	hot := make([]Pair, batch)
+	for i := range hot {
+		hot[i] = Pair{FP: fp(uint64(i)), Val: Value(i)}
+	}
+	if _, err := n.BatchLookupOrInsert(ctx, hot); err != nil {
+		b.Fatal(err)
+	}
+	stop, inserted := make(chan struct{}), make(chan error, 1)
+	go func() {
+		fresh := make([]Pair, batch)
+		for next := uint64(batch); ; next += batch {
+			select {
+			case <-stop:
+				inserted <- nil
+				return
+			default:
+			}
+			for i := range fresh {
+				fresh[i] = Pair{FP: fp(next + uint64(i)), Val: Value(i)}
+			}
+			if _, err := n.BatchLookupOrInsert(ctx, fresh); err != nil {
+				inserted <- err
+				return
+			}
+			time.Sleep(think)
+		}
+	}()
+	waited := make([]time.Duration, b.N)
+	b.ResetTimer()
+	due := time.Now()
+	for i := range waited {
+		due = due.Add(period)
+		time.Sleep(time.Until(due))
+		rs, err := n.BatchLookupOrInsert(ctx, hot)
+		waited[i] = time.Since(due)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rs[0].Source != SourceCache {
+			b.Fatalf("first answer %+v, want a cache hit", rs[0])
+		}
+	}
+	b.StopTimer()
+	close(stop)
+	if err := <-inserted; err != nil {
+		b.Fatal(err)
+	}
+	st, err := n.Stats(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	slices.Sort(waited)
+	b.ReportMetric(float64(waited[len(waited)/2].Nanoseconds())/1e3, "p50-µs")
+	b.ReportMetric(float64(waited[len(waited)*95/100].Nanoseconds())/1e3, "p95-µs")
+	b.ReportMetric(float64(st.Destage.Waves), "waves")
 }
 
 // BenchmarkNodeLookupParallel measures lookup throughput under concurrent

@@ -12,6 +12,7 @@ import (
 	"shhc/internal/hashdb"
 	"shhc/internal/lru"
 	"shhc/internal/metrics"
+	"shhc/internal/parallel"
 )
 
 // This file implements the write-back node's asynchronous destage pipeline:
@@ -71,6 +72,11 @@ import (
 //   - Remove (migration) calls forget, which waits out a wave that has
 //     already picked the fingerprint up from either source — otherwise the
 //     wave's store write could resurrect an entry deleted right after it.
+//   - Scheduling. A wave nobody waits for — fired by the batch threshold or
+//     the interval — runs on parallel's background lane and never holds a P
+//     for more than one chunk of chains. A wave that Flush, Close, Remove, a
+//     checkpoint or a full buffer waits for runs at full depth, from its
+//     start or from the chunk after the wait began (awaited).
 //
 // Locking. The buffer's entry index is sharded (destageShard) so the
 // hot-path peek — which every SSD-bound lookup performs inside its
@@ -191,6 +197,10 @@ type destager struct {
 	// maybeCheckpointJournal when the journal outgrows
 	// journalCheckpointBytes.
 	checkpointing bool
+	// awaited takes the wave in flight off the background lane. Set under mu
+	// by the loop as a wave starts, then by whoever is about to wait for it
+	// (and by hashdb, from inside the wave, when the store blocks).
+	awaited atomic.Bool
 	// cleanErr is the error of the last wave that failed to write a
 	// clean-ahead entry; Flush reports it when entries stay dirty.
 	cleanErr error
@@ -344,6 +354,7 @@ func (d *destager) enqueue(fp fingerprint.Fingerprint, val Value) {
 			return
 		}
 		sh.mu.Unlock()
+		d.awaited.Store(true)
 		d.space.Wait()
 	}
 }
@@ -394,6 +405,7 @@ func (d *destager) forget(fp fingerprint.Fingerprint) {
 		if !inFlight && !d.cleaningLocked(fp) {
 			break
 		}
+		d.awaited.Store(true)
 		d.settled.Wait()
 	}
 	d.mu.Unlock()
@@ -421,6 +433,7 @@ func (d *destager) drain() {
 	d.cleanHold.Store(0) // an explicit flush retries a held-off store at once
 	d.mu.Lock()
 	d.draining = true
+	d.awaited.Store(true)
 	d.wake()
 	for d.draining {
 		d.settled.Wait()
@@ -466,6 +479,7 @@ func (d *destager) lastCleanErr() error {
 func (d *destager) stop() {
 	d.mu.Lock()
 	d.stopping = true
+	d.awaited.Store(true)
 	d.space.Broadcast()
 	d.mu.Unlock()
 	d.wake()
@@ -594,7 +608,8 @@ func (d *destager) loop() {
 		d.maybeCheckpointJournal()
 		d.mu.Lock()
 		headAt, queued := d.advanceHeadLocked()
-		fire := d.draining || d.stopping || d.checkpointing || d.queuedCount+d.cleanable() >= d.batch
+		awaited := d.draining || d.stopping || d.checkpointing
+		fire := awaited || d.queuedCount+d.cleanable() >= d.batch
 		wait := time.Duration(-1)
 		if !fire && queued {
 			wait = d.interval - time.Since(headAt)
@@ -606,6 +621,8 @@ func (d *destager) loop() {
 			continue
 		}
 		d.popWaveLocked()
+		// A full buffer has evictors parked on it (see Scheduling above).
+		d.awaited.Store(awaited || int(d.pendingN.Load()) >= d.capacity)
 		d.mu.Unlock()
 		d.captureClean()
 		if len(d.pairs) > 0 {
@@ -677,7 +694,7 @@ func (d *destager) runWave() {
 		// actually dropped below.
 		lastErr error
 	)
-	_, pages, lastErr = d.n.store.PutBatch(context.Background(), pairs)
+	_, pages, lastErr = d.n.store.PutBatch(parallel.Background(context.Background(), &d.awaited), pairs)
 	if lastErr != nil {
 		failed = make([]bool, len(pairs))
 		pages, succeeded = 0, 0

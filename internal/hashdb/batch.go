@@ -3,9 +3,11 @@ package hashdb
 import (
 	"cmp"
 	"context"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
+	"time"
 
 	"shhc/internal/fingerprint"
 	"shhc/internal/parallel"
@@ -132,21 +134,49 @@ func (sc *chainScratch) addPage(no uint64) *chainPage {
 	return cp
 }
 
+// maxChunkRuns caps a chunk: how long a worker holds its processor (100–200
+// µs) and the spacing of the yields on parallel's background lane. A batch of
+// up to 2 048 runs never reaches it; a destage wave's 13k did (≈ 200 a chunk
+// before). 16 and 32 read the same plan_p95_ms (15.8, 15.9; parent 26.8), 32
+// the better plan_p50_ms (+15 % against +19 %) and fps_per_s; 64 read a worse
+// plan_p95_ms (17.3) and 8 a worse plan_p50_ms (+32 %) (first_full_wb, PR 21).
+const maxChunkRuns = 32
+
+// blockingChain is the wall time of one chain (stripe lock, page read, page
+// write) above which its I/O must have blocked: eachRun's probe read 1–7 µs
+// over the page cache (10–27 µs under -race) and 42–166 µs over O_DIRECT on
+// a virtio ext4 disk, where one worker takes 922 ms for 8 192 chains and
+// IODepth workers 510 (BenchmarkWavePutBatch, PR 21). A device whose direct
+// chain is faster than this was not at hand; it would keep one worker.
+const blockingChain = 30 * time.Microsecond
+
 // eachRun calls fn for every run of the grouping, up to parallel.IODepth
 // runs at a time, so modeled (Sleep-mode) devices overlap page I/O the way
 // real flash channels do. A worker takes several consecutive runs per pull
 // once there are many, and makes all of them with one scratch: a batch of a
 // thousand one-key chains is not a thousand trips to a mutex and a pool.
+// The first chunk times its runs and, if even the fastest blocked (a
+// preempted run is not the fastest), says so: parallel.Widen.
 func (sc *groupScratch) eachRun(ctx context.Context, fn func(cs *chainScratch, run []keyed) error) error {
 	runs := len(sc.starts) - 1
-	per := (runs + 4*parallel.IODepth - 1) / (4 * parallel.IODepth)
+	per := min(maxChunkRuns, (runs+4*parallel.IODepth-1)/(4*parallel.IODepth))
 	return parallel.Do(ctx, (runs+per-1)/per, parallel.IODepth, func(c int) error {
 		cs := getChainScratch()
 		defer putChainScratch(cs)
+		fastest, start := time.Duration(math.MaxInt64), time.Time{}
 		for r := c * per; r < min((c+1)*per, runs); r++ {
+			if c == 0 {
+				start = time.Now()
+			}
 			if err := fn(cs, sc.items[sc.starts[r]:sc.starts[r+1]]); err != nil {
 				return err
 			}
+			if c == 0 {
+				fastest = min(fastest, time.Since(start))
+			}
+		}
+		if c == 0 && fastest > blockingChain {
+			parallel.Widen(ctx)
 		}
 		return nil
 	})

@@ -1,10 +1,18 @@
 package hashdb
 
 import (
+	"context"
+	"fmt"
+	"math"
+	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"shhc/internal/device"
+	"shhc/internal/directio"
+	"shhc/internal/parallel"
 )
 
 func benchDB(b *testing.B, expected int) *DB {
@@ -65,6 +73,77 @@ func BenchmarkMemStorePut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Put(fp(uint64(i)), Value(i)); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWavePutBatch is the measurement blockingChain rests on: one op is
+// one PutBatch of `runs` one-key chains, a destage wave's shape, on either
+// lane of package parallel, over storage that does not block (the page
+// cache) and storage that does (O_DIRECT where the filesystem has it, and the
+// Sleep-mode SSD model). chain-µs is one chain alone, the fastest of 16.
+func BenchmarkWavePutBatch(b *testing.B) {
+	buffered := func(dev *device.Device) func(*testing.B, string) (File, *device.Device) {
+		return func(b *testing.B, path string) (File, *device.Device) {
+			f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return f, dev
+		}
+	}
+	for _, backend := range []struct {
+		name string
+		open func(*testing.B, string) (File, *device.Device)
+	}{
+		{"pagecache", buffered(device.New(device.Null, device.Account))},
+		{"direct", func(b *testing.B, path string) (File, *device.Device) {
+			f, err := directio.Open(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644, directio.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !f.Direct() {
+				b.Skip("no O_DIRECT on this filesystem")
+			}
+			return f, device.New(device.Null, device.Account)
+		}},
+		{"ssd", buffered(device.New(device.SSD, device.Sleep))},
+	} {
+		for _, runs := range []int{128, 8192} {
+			for _, lane := range []string{"foreground", "background"} {
+				b.Run(fmt.Sprintf("%s/runs=%d/%s", backend.name, runs, lane), func(b *testing.B) {
+					path := filepath.Join(b.TempDir(), "wave.shdb")
+					f, dev := backend.open(b, path)
+					db, err := CreateFile(f, path, Options{Buckets: 1 << 16, Device: dev})
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer db.Close()
+					pairs := distinctChains(db, runs+16)
+					fastest := time.Duration(math.MaxInt64)
+					for i := range pairs[runs:] {
+						start := time.Now()
+						if _, _, err := db.PutBatch(context.Background(), pairs[runs+i:runs+i+1]); err != nil {
+							b.Fatal(err)
+						}
+						fastest = min(fastest, time.Since(start))
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						ctx := context.Background()
+						if lane == "background" {
+							ctx = parallel.Background(ctx, new(atomic.Bool))
+						}
+						for j := range pairs[:runs] {
+							pairs[j].Val = Value(i + 1)
+						}
+						if _, _, err := db.PutBatch(ctx, pairs[:runs]); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(fastest.Nanoseconds())/1e3, "chain-µs")
+				})
+			}
 		}
 	}
 }

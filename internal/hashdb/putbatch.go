@@ -5,8 +5,11 @@ package hashdb
 // page and performs one read-modify-write per bucket chain — every chain
 // page is read at most once and written at most once no matter how many of
 // the batch's entries land on it — with chains processed concurrently up
-// to parallel.IODepth. This is what turns the small random SSD writes that
-// dominate flash-backed stores into a handful of large page writes.
+// to parallel.IODepth, or one at a time with a yield every maxChunkRuns
+// chains when the caller's ctx is parallel.Background (a destage wave nobody
+// waits for) and page I/O does not block. This is what turns the small
+// random SSD writes that dominate flash-backed stores into a handful of
+// large page writes.
 
 import (
 	"context"
@@ -23,7 +26,9 @@ type Pair struct {
 
 // PutBatch stores every pair with one read-modify-write per distinct
 // bucket chain. Chains run concurrently up to parallel.IODepth, so modeled
-// (Sleep-mode) devices overlap page I/O the way real flash channels do.
+// (Sleep-mode) devices overlap page I/O the way real flash channels do; a
+// parallel.Background ctx trades that overlap for yielding while I/O does
+// not block (see package parallel).
 //
 // The bucket grouping is computed without locks, so a concurrent linear-
 // hashing split can remap some pairs between grouping and the stripe

@@ -3,12 +3,17 @@ package hashdb
 import (
 	"context"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"shhc/internal/device"
 	"shhc/internal/fingerprint"
+	"shhc/internal/parallel"
 )
 
 func testDB(t *testing.T, opts Options) *DB {
@@ -427,5 +432,99 @@ func TestAllocHashdbBatch(t *testing.T) {
 		if c.large > c.small+96 {
 			t.Errorf("%s: allocations grow with the batch: %v at 256 keys, %v at 1024", c.name, c.small, c.large)
 		}
+	}
+}
+
+// goroutineFile counts the goroutines that read pages through it: the first
+// one, and how many reads came from any other. It sits inside the chains
+// eachRun times, so it is kept cheap (runtime.Stack is ≈ 1 µs; ≈ 10 µs under
+// -race, where a page-cache chain then borders on blockingChain).
+type goroutineFile struct {
+	File
+	first  atomic.Uint64
+	others atomic.Int64
+}
+
+func (f *goroutineFile) ReadAt(p []byte, off int64) (int, error) {
+	var buf [32]byte
+	runtime.Stack(buf[:], false)
+	id := uint64(0)
+	for _, c := range buf[len("goroutine "):] {
+		if c < '0' || c > '9' {
+			break
+		}
+		id = id*10 + uint64(c-'0')
+	}
+	if !f.first.CompareAndSwap(0, id) && f.first.Load() != id {
+		f.others.Add(1)
+	}
+	return f.File.ReadAt(p, off)
+}
+
+// distinctChains returns n pairs that land in n different buckets of db.
+func distinctChains(db *DB, n int) []Pair {
+	pairs, buckets := make([]Pair, 0, n), map[uint64]bool{}
+	for i := uint64(0); len(pairs) < n; i++ {
+		if b := db.bucketOf(fp(i)); !buckets[b] {
+			buckets[b] = true
+			pairs = append(pairs, Pair{FP: fp(i), Val: Value(i)})
+		}
+	}
+	return pairs
+}
+
+// TestBackgroundWidensWhenIOBlocks pins both halves of the background lane
+// as PutBatch sees it. Over storage that never blocks, a background batch of
+// one-key chains reads every page on one goroutine and leaves the lane's flag
+// alone. Over a device whose page I/O sleeps it notices from its first chunk
+// — however few chains that chunk holds: 4 of 256, 2 of 128 — sets the flag
+// and overlaps the rest: 256 chains of 1 ms reads finish in a fraction of the
+// 256 ms one worker would need.
+func TestBackgroundWidensWhenIOBlocks(t *testing.T) {
+	sleeps := func(d time.Duration) *device.Device {
+		return device.New(device.Model{Name: "slow", ReadBase: d}, device.Sleep)
+	}
+	for _, tc := range []struct {
+		name   string
+		dev    *device.Device
+		chains int
+		within time.Duration // 0: the lane must not widen
+	}{
+		{"account", device.New(device.SSD, device.Account), 1024, 0},
+		{"sleep 1 ms", sleeps(time.Millisecond), 256, 192 * time.Millisecond},
+		// One worker at the nominal 100 µs would pass the bound too: the
+		// goroutine count decides. Sleeps round up to about 1 ms on some hosts.
+		{"sleep 100 µs", sleeps(100 * time.Microsecond), 128, 96 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "lane.shdb")
+			osf, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := &goroutineFile{File: osf}
+			db, err := CreateFile(f, path, Options{Buckets: 1 << 14, Device: tc.dev})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			pairs := distinctChains(db, tc.chains)
+			var widened atomic.Bool
+			start := time.Now()
+			if _, _, err := db.PutBatch(parallel.Background(context.Background(), &widened), pairs); err != nil {
+				t.Fatal(err)
+			}
+			took := time.Since(start)
+			others := f.others.Load()
+			if tc.within == 0 && widened.Load() && raceEnabled {
+				t.Skip("under the race detector a page-cache chain costs more than blockingChain")
+			}
+			if tc.within == 0 && (others != 0 || widened.Load()) {
+				t.Fatalf("%d page reads off the caller's goroutine (widened: %v), want none", others, widened.Load())
+			}
+			if tc.within != 0 && (others == 0 || !widened.Load() || took > tc.within) {
+				t.Fatalf("%d chains took %v, %d page reads off the caller's goroutine (widened: %v): the lane did not widen", tc.chains, took, others, widened.Load())
+			}
+		})
 	}
 }
