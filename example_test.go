@@ -67,10 +67,14 @@ func ExampleCluster_LookupOrInsert() {
 	// exists=true source=cache value=42
 }
 
-// ExampleCluster_Lookup_deadline bounds a lookup with a context deadline:
-// a request stuck behind a slow device (here: a modeled HDD with real
-// sleeps) returns context.DeadlineExceeded instead of holding the caller
-// — the same context would also propagate over the wire to remote nodes.
+// ExampleCluster_Lookup_deadline bounds a request with a context deadline.
+// A lookup is a batch of one, and a deadline acts between device
+// operations: a read already issued completes (one lookup behind one slow
+// read returns its answer, late), the next is never issued. So the example
+// asks for 64 fingerprints over a modeled HDD with real sleeps — 64 seeks
+// of 6 ms, sixteen at a time — and gets context.DeadlineExceeded back after
+// the reads in flight, not after all 64. The same context would
+// also propagate over the wire to remote nodes.
 func ExampleCluster_Lookup_deadline() {
 	cluster, err := shhc.NewLocalCluster(shhc.ClusterOptions{
 		Nodes:        1,
@@ -84,9 +88,13 @@ func ExampleCluster_Lookup_deadline() {
 	}
 	defer cluster.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	pairs := make([]shhc.Pair, 64)
+	for i := range pairs {
+		pairs[i] = shhc.Pair{FP: shhc.FingerprintOf([]byte{byte(i)}), Val: shhc.Value(i)}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
-	_, err = cluster.Lookup(ctx, shhc.FingerprintOf([]byte("cold chunk")))
+	_, err = cluster.BatchLookupOrInsert(ctx, pairs)
 	fmt.Println("deadline bounded the slow device:", errors.Is(err, context.DeadlineExceeded))
 	// Output:
 	// deadline bounded the slow device: true

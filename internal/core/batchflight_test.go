@@ -159,6 +159,7 @@ func TestCancelledBatchRidersRerun(t *testing.T) {
 	if o := <-owner; !errors.Is(o.err, context.Canceled) {
 		t.Fatalf("cancelled batch returned %v, want context.Canceled", o.err)
 	}
+	close(store.gate) // the riders' re-runs are batches too
 	s, r := <-single, <-rider
 	if s.err != nil || r.err != nil {
 		t.Fatalf("riders adopted the owner's cancellation: %v, %v", s.err, r.err)

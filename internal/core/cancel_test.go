@@ -16,75 +16,6 @@ import (
 	"shhc/internal/ring"
 )
 
-// gatedStore wraps a MemStore, parking every Get on a gate channel so
-// tests can hold an SSD probe in the air at will. Close the gate to let
-// probes through. Puts are counted but not gated.
-type gatedStore struct {
-	*hashdb.MemStore
-	gate chan struct{} // receive one token per Get allowed through
-
-	mu      sync.Mutex
-	gets    int
-	puts    int
-	getting chan struct{} // closed once the first Get has started
-	once    sync.Once
-}
-
-func newGatedStore() *gatedStore {
-	return &gatedStore{
-		MemStore: hashdb.NewMemStore(nil),
-		gate:     make(chan struct{}),
-		getting:  make(chan struct{}),
-	}
-}
-
-func (g *gatedStore) Get(fp fingerprint.Fingerprint) (hashdb.Value, bool, error) {
-	g.once.Do(func() { close(g.getting) })
-	g.mu.Lock()
-	g.gets++
-	g.mu.Unlock()
-	<-g.gate
-	return g.MemStore.Get(fp)
-}
-
-func (g *gatedStore) Put(fp fingerprint.Fingerprint, v hashdb.Value) (bool, error) {
-	g.mu.Lock()
-	g.puts++
-	g.mu.Unlock()
-	return g.MemStore.Put(fp, v)
-}
-
-func (g *gatedStore) GetBatch(_ context.Context, fps []fingerprint.Fingerprint) ([]hashdb.Value, []bool, error) {
-	return getEach(g.Get, fps)
-}
-
-func (g *gatedStore) PutBatch(_ context.Context, pairs []hashdb.Pair) ([]bool, int, error) {
-	return putEach(g.Put, pairs)
-}
-
-func (g *gatedStore) counts() (gets, puts int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.gets, g.puts
-}
-
-func newGatedNode(t *testing.T, store hashdb.Store) *Node {
-	t.Helper()
-	n, err := NewNode(NodeConfig{
-		ID:    ring.NodeID("gated"),
-		Store: store,
-		// No cache and no bloom filter: every lookup reaches the SSD arm,
-		// which is the phase under test.
-		CacheSize:    0,
-		DisableBloom: true,
-		Stripes:      1,
-	})
-	if err != nil {
-		t.Fatalf("NewNode: %v", err)
-	}
-	return n
-}
-
 func waitCond(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -96,120 +27,90 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestCancelOwnerHandsFlightToRider: the owner of an in-flight SSD probe
-// is cancelled while a rider waits on the same fingerprint. The owner must
-// return ctx.Err() immediately; the probe must keep flying and answer the
-// rider.
+// TestCancelOwnerHandsFlightToRider: what a cancelled owner hands its rider
+// is the work, not the flight (until PR 22 a prober goroutine kept the flight
+// flying). A single-key call is a batch of one, so the batch rule holds — the
+// owner of an in-flight SSD probe is cancelled while a rider waits on the same
+// fingerprint; the owner fails its flight and returns its context's error,
+// and the rider, whose context it was not, re-runs the walk itself and gets
+// the stored answer. The store sees at most the two probes and no goroutine
+// outlives the calls (TestMain fails the package on one).
 func TestCancelOwnerHandsFlightToRider(t *testing.T) {
-	gs := newGatedStore()
-	n := newGatedNode(t, gs)
-	defer n.Close()
-
-	fp := fingerprint.FromUint64(42)
-	if _, err := gs.MemStore.Put(fp, 7); err != nil {
+	store := newGatedBatchStore()
+	n := newSSDOnlyNode(t, store)
+	shared := fp(42)
+	if _, err := store.MemStore.Put(shared, 7); err != nil {
 		t.Fatalf("seed store: %v", err)
 	}
 
 	ownerCtx, cancelOwner := context.WithCancel(context.Background())
+	defer cancelOwner()
 	ownerDone := make(chan error, 1)
 	go func() {
-		_, err := n.Lookup(ownerCtx, fp)
+		_, err := n.Lookup(ownerCtx, shared)
 		ownerDone <- err
 	}()
-	<-gs.getting // owner's probe is in the air
+	<-store.entered // owner's probe is in the air
 
-	riderDone := make(chan LookupResult, 1)
+	riderDone := make(chan batchAnswer, 1)
 	go func() {
-		r, err := n.Lookup(context.Background(), fp)
-		if err != nil {
-			t.Errorf("rider: %v", err)
-		}
-		riderDone <- r
+		r, err := n.Lookup(context.Background(), shared)
+		riderDone <- batchAnswer{[]LookupResult{r}, err}
 	}()
-	// The rider has joined once it is counted as interested; the only
-	// observable proxy without poking internals is a short settle plus the
-	// final assertion that it got the flying probe's answer.
-	waitCond(t, "rider to join the flight", func() bool {
-		n.stripes[0].mu.Lock()
-		defer n.stripes[0].mu.Unlock()
-		f, ok := n.stripes[0].inflight[fp]
-		return ok && f.interest >= 2
-	})
-
-	cancelOwner()
-	select {
-	case err := <-ownerDone:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled owner returned %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancelled owner did not return while its probe was gated")
-	}
-
-	// Let the probe land: the rider must get the stored answer.
-	close(gs.gate)
-	select {
-	case r := <-riderDone:
-		if !r.Exists || r.Value != 7 {
-			t.Fatalf("rider result = %+v, want Exists=true Value=7", r)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("rider never got the handed-off flight's answer")
-	}
-	if gets, _ := gs.counts(); gets != 1 {
-		t.Fatalf("store saw %d probes, want 1 (rider must adopt the owner's probe)", gets)
-	}
-}
-
-// TestCancelOwnerWithoutRidersAbortsInsert: an owner cancelled with nobody
-// else interested must abort the flight — in particular the insert its
-// probe miss would have performed must not happen once the cancellation
-// lands before the write is issued.
-func TestCancelOwnerWithoutRidersAbortsInsert(t *testing.T) {
-	gs := newGatedStore()
-	n := newGatedNode(t, gs)
-	defer n.Close()
-
-	fp := fingerprint.FromUint64(99)
-	ownerCtx, cancelOwner := context.WithCancel(context.Background())
-	ownerDone := make(chan error, 1)
-	go func() {
-		_, err := n.LookupOrInsert(ownerCtx, fp, 5)
-		ownerDone <- err
-	}()
-	<-gs.getting
+	waitCond(t, "rider to join the flight", func() bool { return interestIn(n, shared) == 2 })
 
 	cancelOwner()
 	if err := <-ownerDone; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled owner returned %v, want context.Canceled", err)
 	}
-
-	// Release the gated probe; with interest zero the prober must skip
-	// the insert and retire the flight as cancelled.
-	close(gs.gate)
-	waitCond(t, "flight retirement", func() bool {
-		n.stripes[0].mu.Lock()
-		defer n.stripes[0].mu.Unlock()
-		_, ok := n.stripes[0].inflight[fp]
-		return !ok
-	})
-	if _, puts := gs.counts(); puts != 0 {
-		t.Fatalf("store saw %d puts after aborted insert, want 0", puts)
+	<-store.entered // the rider's own probe
+	close(store.gate)
+	if r := <-riderDone; r.err != nil || !r.rs[0].Exists || r.rs[0].Value != 7 {
+		t.Fatalf("rider = %+v, %v, want Exists=true Value=7", r.rs[0], r.err)
 	}
-	if got := gs.Len(); got != 0 {
-		t.Fatalf("store holds %d entries after aborted insert, want 0", got)
+	if got := store.probed.Load(); got > 2 {
+		t.Fatalf("store saw %d probes, want at most 2 (the owner's and the rider's)", got)
+	}
+	assertStatsInvariant(t, n)
+}
+
+// TestCancelOwnerWithoutRidersAbortsInsert: a LookupOrInsert cancelled with
+// its probe in the air, before the wave's write, must not insert — the
+// fingerprint stays unrecorded, which is what a caller that got ctx.Err()
+// must assume — and its failed flight must not poison a later call, which
+// claims the fingerprint and inserts it.
+func TestCancelOwnerWithoutRidersAbortsInsert(t *testing.T) {
+	store := newGatedBatchStore()
+	n := newSSDOnlyNode(t, store)
+	lone := fp(99)
+	ownerCtx, cancelOwner := context.WithCancel(context.Background())
+	ownerDone := make(chan error, 1)
+	go func() {
+		_, err := n.LookupOrInsert(ownerCtx, lone, 5)
+		ownerDone <- err
+	}()
+	<-store.entered
+
+	cancelOwner()
+	if err := <-ownerDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled owner returned %v, want context.Canceled", err)
+	}
+	if got := interestIn(n, lone); got != 0 {
+		t.Fatalf("flight still registered after its owner returned (interest %d)", got)
+	}
+	if got := store.Len(); got != 0 {
+		t.Fatalf("store holds %d entries after the cancelled insert, want 0", got)
 	}
 
-	// The abandoned flight must not poison later operations: a fresh
-	// LookupOrInsert must succeed and insert.
-	r, err := n.LookupOrInsert(context.Background(), fp, 5)
+	close(store.gate)
+	r, err := n.LookupOrInsert(context.Background(), lone, 5)
 	if err != nil {
-		t.Fatalf("post-abort LookupOrInsert: %v", err)
+		t.Fatalf("post-cancel LookupOrInsert: %v", err)
 	}
 	if r.Exists {
-		t.Fatalf("post-abort LookupOrInsert reported duplicate; the aborted insert leaked")
+		t.Fatal("post-cancel LookupOrInsert reported duplicate; the cancelled insert leaked")
 	}
-	if got := gs.Len(); got != 1 {
+	if got := store.Len(); got != 1 {
 		t.Fatalf("store holds %d entries, want 1", got)
 	}
 }
@@ -217,17 +118,14 @@ func TestCancelOwnerWithoutRidersAbortsInsert(t *testing.T) {
 // TestCancelRiderLeavesFlightIntact: a rider whose context is cancelled
 // stops waiting without disturbing the owner's flight.
 func TestCancelRiderLeavesFlightIntact(t *testing.T) {
-	gs := newGatedStore()
-	n := newGatedNode(t, gs)
-	defer n.Close()
-
+	store := newGatedBatchStore()
+	n := newSSDOnlyNode(t, store)
 	fp := fingerprint.FromUint64(7)
-	if _, err := gs.MemStore.Put(fp, 3); err != nil {
+	if _, err := store.MemStore.Put(fp, 3); err != nil {
 		t.Fatalf("seed store: %v", err)
 	}
 
-	// Owner with a cancellable context that is never cancelled (so the
-	// prober runs detached but completes normally).
+	// Owner with a cancellable context that is never cancelled.
 	ownerCtx, cancelOwner := context.WithCancel(context.Background())
 	defer cancelOwner()
 	ownerDone := make(chan LookupResult, 1)
@@ -238,7 +136,7 @@ func TestCancelRiderLeavesFlightIntact(t *testing.T) {
 		}
 		ownerDone <- r
 	}()
-	<-gs.getting
+	<-store.entered
 
 	riderCtx, cancelRider := context.WithCancel(context.Background())
 	riderDone := make(chan error, 1)
@@ -246,19 +144,14 @@ func TestCancelRiderLeavesFlightIntact(t *testing.T) {
 		_, err := n.Lookup(riderCtx, fp)
 		riderDone <- err
 	}()
-	waitCond(t, "rider to join the flight", func() bool {
-		n.stripes[0].mu.Lock()
-		defer n.stripes[0].mu.Unlock()
-		f, ok := n.stripes[0].inflight[fp]
-		return ok && f.interest >= 2
-	})
+	waitCond(t, "rider to join the flight", func() bool { return interestIn(n, fp) == 2 })
 
 	cancelRider()
 	if err := <-riderDone; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled rider returned %v, want context.Canceled", err)
 	}
 
-	close(gs.gate)
+	close(store.gate)
 	select {
 	case r := <-ownerDone:
 		if !r.Exists || r.Value != 3 {
@@ -336,8 +229,7 @@ func (f *failingPutStore) PutBatch(_ context.Context, pairs []hashdb.Pair) ([]bo
 
 // TestCancelPathSurfacesDestageError: on a write-back node, a destage
 // failure parked by an eviction must surface on the next insert even when
-// that insert runs with a cancellable context (the prober-goroutine mode,
-// whose discarded return value must not swallow the drained error).
+// that insert runs with a cancellable context.
 func TestCancelPathSurfacesDestageError(t *testing.T) {
 	fs := &failingPutStore{MemStore: hashdb.NewMemStore(nil)}
 	n, err := NewNode(NodeConfig{
@@ -354,7 +246,7 @@ func TestCancelPathSurfacesDestageError(t *testing.T) {
 	defer n.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel() // cancellable but never cancelled: prober mode
+	defer cancel() // cancellable but never cancelled
 	fs.failPuts.Store(true)
 	var lastErr error
 	// Overflow the 2-entry cache: evictions feed the asynchronous
@@ -376,7 +268,7 @@ func TestCancelPathSurfacesDestageError(t *testing.T) {
 
 // TestCancelStormNoGoroutineLeak hammers a slow node with lookups that are
 // all cancelled and checks the goroutine count returns to baseline: no
-// prober, owner, or rider may be left behind.
+// owner or rider may be left behind.
 func TestCancelStormNoGoroutineLeak(t *testing.T) {
 	dev := device.New(device.Model{Name: "slow", ReadBase: 2 * time.Millisecond}, device.Sleep)
 	store := hashdb.NewMemStore(dev)
@@ -407,9 +299,7 @@ func TestCancelStormNoGoroutineLeak(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	// Probers may still be draining for a moment after Close returns
-	// (Close waits for flights, so they should not be, but give the
-	// runtime a beat to reap).
+	// Give the runtime a beat to reap the storm's own goroutines.
 	waitCond(t, "goroutines to drain", func() bool {
 		runtime.GC()
 		return runtime.NumGoroutine() <= before+5

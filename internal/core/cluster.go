@@ -78,18 +78,6 @@ type ClusterConfig struct {
 	// heals them. 0 keeps only the membership-triggered sweeps;
 	// AntiEntropy can also be called manually at any time.
 	AntiEntropyInterval time.Duration
-	// HedgeAfter enables hedged reads on Lookup when Replicas > 1: if the
-	// owner has not answered after this long, the same read is issued to
-	// the next replica and the first hit wins — the loser's probe is
-	// cancelled. Zero disables hedging. This bounds tail latency for
-	// duplicate lookups (one slow device or node no longer defines p99) at
-	// the cost of a small amount of duplicate read load. A miss, by
-	// contrast, does not win the race: replicas are durable copies now, so
-	// a single successor's "new" for a fingerprint the slow owner holds is
-	// a divergence, not an answer — the race waits for a hit (repairing
-	// the missing replica) or for every replica to confirm the miss. With
-	// DisableReadRepair the old first-answer-wins behavior returns.
-	HedgeAfter time.Duration
 }
 
 // Cluster routes fingerprint operations across hash nodes. It is the
@@ -104,7 +92,6 @@ type Cluster struct {
 	vnodes   int
 	backends map[ring.NodeID]Backend
 	replicas int
-	hedge    time.Duration
 	// quorum is the resolved write quorum (acks required per insert,
 	// deciding node included); noReadRepair disables miss verification
 	// and read-repair on the lookup paths. See ClusterConfig.
@@ -157,7 +144,6 @@ func NewCluster(cfg ClusterConfig, backends ...Backend) (*Cluster, error) {
 		replicas:     replicas,
 		quorum:       quorum,
 		noReadRepair: cfg.DisableReadRepair,
-		hedge:        cfg.HedgeAfter,
 	}
 	for _, b := range backends {
 		if err := c.addLocked(b); err != nil {
@@ -335,29 +321,17 @@ func (c *Cluster) ownerMoved(fp fingerprint.Fingerprint, queried ring.NodeID) bo
 }
 
 // Lookup queries the owner node, failing over to successor replicas when
-// the owner errors (only useful with Replicas > 1). With
-// ClusterConfig.HedgeAfter set, a slow owner is raced against the next
-// replica (see LookupHedged). A miss that raced an ownership change (the
-// entry may have just migrated to a new owner) is retried against the
-// current ring.
+// the owner errors (only useful with Replicas > 1). A miss that raced an
+// ownership change (the entry may have just migrated to a new owner) is
+// retried against the current ring.
 func (c *Cluster) Lookup(ctx context.Context, fp fingerprint.Fingerprint) (LookupResult, error) {
-	return c.LookupHedged(ctx, fp, c.hedge)
-}
-
-// LookupHedged is Lookup with a per-call hedging delay: if the owner has
-// not answered after `after`, the read is also issued to the next replica
-// and the first successful answer wins; the loser's probe is cancelled
-// through its context. after <= 0 disables hedging for this call.
-// Hedging needs Replicas > 1 (reads are only hedged against nodes that
-// hold the same entries).
-func (c *Cluster) LookupHedged(ctx context.Context, fp fingerprint.Fingerprint, after time.Duration) (LookupResult, error) {
 	var (
 		res LookupResult
 		err error
 	)
 	for attempt := 0; attempt < routeRetries; attempt++ {
 		var owner ring.NodeID
-		res, owner, err = c.lookupOnce(ctx, fp, after)
+		res, owner, err = c.lookupOnce(ctx, fp)
 		if err != nil || res.Exists || !c.ownerMoved(fp, owner) {
 			return res, err
 		}
@@ -373,16 +347,12 @@ func (c *Cluster) LookupHedged(ctx context.Context, fp fingerprint.Fingerprint, 
 // spurious "new" — only when every reachable replica misses is the miss
 // returned. With DisableReadRepair (or Replicas == 1) the first answer,
 // hit or miss, wins.
-func (c *Cluster) lookupOnce(ctx context.Context, fp fingerprint.Fingerprint, hedge time.Duration) (LookupResult, ring.NodeID, error) {
+func (c *Cluster) lookupOnce(ctx context.Context, fp fingerprint.Fingerprint) (LookupResult, ring.NodeID, error) {
 	targets, err := c.routingFor(fp)
 	if err != nil {
 		return LookupResult{}, "", err
 	}
 	owner := targets[0].ID()
-	if hedge > 0 && len(targets) > 1 {
-		r, herr := c.raceReplicas(ctx, fp, targets, hedge)
-		return r, owner, herr
-	}
 	verifyMiss := len(targets) > 1 && !c.noReadRepair
 	var (
 		lastErr   error
@@ -417,119 +387,15 @@ func (c *Cluster) lookupOnce(ctx context.Context, fp fingerprint.Fingerprint, he
 	return LookupResult{}, owner, fmt.Errorf("core: lookup %s: all replicas failed: %w", fp.Short(), lastErr)
 }
 
-// raceReplicas implements the hedged read: the owner is queried first;
-// every `hedge` without an answer brings the next replica into the race.
-// The first hit wins and the losers' probes are cancelled (hctx). A
-// replica that fails outright is replaced immediately — an error is a
-// faster signal than the hedge timer. A miss does not win (unless
-// read-repair is disabled): it is a possible divergence, so the misser is
-// recorded, the next replica joins the race immediately, and the race
-// continues until a hit arrives — which read-repairs the recorded missers
-// — or every replica has answered, at which point the confirmed miss (or
-// the last error) is returned.
-func (c *Cluster) raceReplicas(ctx context.Context, fp fingerprint.Fingerprint, targets []Backend, hedge time.Duration) (LookupResult, error) {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel() // cancels every probe still in the air once a winner returns
-
-	type outcome struct {
-		b   Backend
-		res LookupResult
-		err error
-	}
-	ch := make(chan outcome, len(targets)) // buffered: losers never block or leak
-	launch := func(b Backend) {
-		go func() {
-			r, err := b.Lookup(hctx, fp)
-			ch <- outcome{b, r, err}
-		}()
-	}
-	launch(targets[0])
-	launched, outstanding := 1, 1
-	timer := time.NewTimer(hedge)
-	defer timer.Stop()
-	var (
-		lastErr   error
-		missSeen  bool
-		firstMiss LookupResult
-		missers   []Backend
-	)
-	for {
-		select {
-		case o := <-ch:
-			outstanding--
-			if o.err == nil && o.res.Exists {
-				c.readRepair(missers, fp, o.res.Value)
-				return o.res, nil
-			}
-			if o.err == nil {
-				if c.noReadRepair {
-					return o.res, nil
-				}
-				if !missSeen {
-					missSeen, firstMiss = true, o.res
-				}
-				missers = append(missers, o.b)
-			} else {
-				lastErr = o.err
-			}
-			if launched < len(targets) {
-				launch(targets[launched])
-				launched++
-				outstanding++
-				// The replacement restarts the hedge clock: without the
-				// reset, a timer armed long before this answer would fire
-				// almost immediately and launch yet another replica far
-				// inside the configured delay.
-				if !timer.Stop() {
-					select {
-					case <-timer.C:
-					default:
-					}
-				}
-				timer.Reset(hedge)
-			} else if outstanding == 0 {
-				if missSeen {
-					return firstMiss, nil
-				}
-				return LookupResult{}, fmt.Errorf("core: lookup %s: all replicas failed: %w", fp.Short(), lastErr)
-			}
-		case <-timer.C:
-			if launched < len(targets) {
-				launch(targets[launched])
-				launched++
-				outstanding++
-				timer.Reset(hedge)
-			}
-		case <-ctx.Done():
-			return LookupResult{}, ctx.Err()
-		}
-	}
-}
-
-// LookupOrInsert runs the Figure 4 flow on the owner and, when the
-// fingerprint is new, replicates the insert to the remaining replicas with
-// quorum acknowledgment (see ClusterConfig.WriteQuorum and
-// replicateInsert): the call does not return until WriteQuorum replicas
-// durably hold the entry, so an acked insert survives the loss of any
-// WriteQuorum-1 nodes. Mirrors beyond the quorum complete asynchronously;
-// a failed mirror is backfilled by the repair queue. A quorum that cannot
-// be met does not fail the call — once the entry is durably created,
-// erroring would make a retried insert look like a stored duplicate and
-// lose the upload; the call degrades to the safe "new" answer instead
-// (see replicateInsert). A
-// miss whose owner changed mid-flight is reconciled against the current
-// owner (see reconcileMiss): a fingerprint that had already migrated is
-// reported as a duplicate instead of "new", while a genuinely new
-// fingerprint keeps its "new" answer so the client still uploads the
-// chunk. A miss whose owner did NOT change is final: probing again would
-// find this call's own insert and misreport a new chunk as a duplicate the
-// client then never uploads.
+// LookupOrInsert runs the Figure 4 flow for one fingerprint: a
+// BatchLookupOrInsert of one, with that call's routing, fail-over, quorum
+// replication and miss reconciliation.
 func (c *Cluster) LookupOrInsert(ctx context.Context, fp fingerprint.Fingerprint, val Value) (LookupResult, error) {
-	res, owner, err := c.lookupOrInsertOnce(ctx, fp, val)
-	if err != nil || res.Exists || !c.ownerMoved(fp, owner) {
-		return res, err
+	rs, err := c.BatchLookupOrInsert(ctx, []Pair{{FP: fp, Val: val}})
+	if err != nil {
+		return LookupResult{}, err
 	}
-	return c.reconcileMiss(ctx, fp, val, res), nil
+	return rs[0], nil
 }
 
 // reconcileMiss re-examines a LookupOrInsert miss whose owner moved while
@@ -574,43 +440,6 @@ func (c *Cluster) reconcileMiss(ctx context.Context, fp fingerprint.Fingerprint,
 		}
 	}
 	return miss
-}
-
-func (c *Cluster) lookupOrInsertOnce(ctx context.Context, fp fingerprint.Fingerprint, val Value) (LookupResult, ring.NodeID, error) {
-	targets, err := c.routingFor(fp)
-	if err != nil {
-		return LookupResult{}, "", err
-	}
-	owner := targets[0].ID()
-	var (
-		res     LookupResult
-		resErr  error
-		decided = -1
-	)
-	for i, b := range targets {
-		res, resErr = b.LookupOrInsert(ctx, fp, val)
-		if resErr != nil {
-			if ctx.Err() != nil {
-				// Cancellation is the caller's decision, not a node
-				// failure: do not fail over.
-				return LookupResult{}, owner, ctx.Err()
-			}
-			continue // fail over to the next replica for the decision
-		}
-		decided = i
-		break
-	}
-	if decided < 0 {
-		return LookupResult{}, owner, fmt.Errorf("core: lookup-or-insert %s: all replicas failed: %w", fp.Short(), resErr)
-	}
-	if res.Exists || len(targets) == 1 {
-		// Duplicate: the entry was already quorum-replicated when it was
-		// first inserted; nothing to fan out.
-		return res, owner, nil
-	}
-	// New entry: replicate to the co-replicas and wait for the quorum.
-	c.replicateInsert(ctx, fp, val, targets, decided, &res)
-	return res, owner, nil
 }
 
 // grouped is a batch sorted by owner node: node k's group is
@@ -700,9 +529,9 @@ func (sc *batchScratch) group(rt *routing, pairs []Pair) grouped {
 // round per replica rather than a per-key fan-out; the batch does not
 // return until every created pair reached its write quorum (a quorum that
 // cannot be met degrades to the safe "new" answers instead of failing —
-// see replicateBatch). A group whose owner node is down fails over to the
-// single-key path per pair, so one dead node does not fail the batch when
-// its ranges have live replicas.
+// see replicateBatch). A group whose owner node is down fails over to its
+// pairs' next replicas as sub-batches (see failOver), so one dead node does
+// not fail the batch when its ranges have live replicas.
 // A cancelled ctx fails the whole batch with ctx.Err(); per-node batches
 // already in flight stop issuing device reads.
 func (c *Cluster) BatchLookupOrInsert(ctx context.Context, pairs []Pair) ([]LookupResult, error) {
@@ -731,25 +560,16 @@ func (c *Cluster) BatchLookupOrInsert(ctx context.Context, pairs []Pair) ([]Look
 		rs, err := rt.backends[k].BatchLookupOrInsert(ctx, gpairs)
 		if err != nil {
 			// A dead owner fails its whole group's decision. With
-			// replication the successors hold the same ranges, so fail
-			// each pair over to the single-key path, which decides on
-			// the next reachable replica and replicates from there.
-			// Erroring the batch instead would strand the groups that
-			// DID decide: their entries are already durable, so a
-			// retried plan would call them duplicates for chunks the
-			// client never uploaded (the same poison the degraded
-			// quorum path avoids — see replicateInsert). Cancellation
-			// is the caller's decision, not a node failure: no failover.
-			if ctx.Err() == nil && c.replicas > 1 {
-				err = nil
-				for j, p := range gpairs {
-					r, _, perr := c.lookupOrInsertOnce(ctx, p.FP, p.Val)
-					if perr != nil {
-						err = perr
-						break
-					}
-					results[gidx[j]] = r
-				}
+			// replication the successors hold the same ranges, so the
+			// group fails over to them. Erroring the batch instead would
+			// strand the groups that DID decide: their entries are
+			// already durable, so a retried plan would call them
+			// duplicates for chunks the client never uploaded (the same
+			// poison the degraded quorum path avoids — see
+			// replicateBatch). Cancellation is the caller's decision, not
+			// a node failure: no failover.
+			if ctx.Err() == nil && rt.table.Width() > 1 {
+				err = c.failOver(ctx, rt, g.points, gpairs, gidx, results, err)
 			}
 			if err != nil {
 				errMu.Lock()
@@ -764,7 +584,7 @@ func (c *Cluster) BatchLookupOrInsert(ctx context.Context, pairs []Pair) ([]Look
 			results[gidx[j]] = r
 		}
 		if rt.table.Width() > 1 {
-			c.replicateBatch(ctx, rt, g.points, gpairs, gidx, rs, results)
+			c.replicateBatch(ctx, rt, g.points, gpairs, gidx, rs, results, 0)
 		}
 	}
 	// Every group but the last gets a goroutine; the last runs here, so a
@@ -807,6 +627,53 @@ func (c *Cluster) BatchLookupOrInsert(ctx context.Context, pairs []Pair) ([]Look
 		}
 	}
 	return results, nil
+}
+
+// failOver decides a group whose owner errored (with err) on its pairs' other
+// replicas. Rank by rank — rank r is the r-th node of a pair's successor list,
+// the owner being rank 0 — the pairs still undecided are bucketed by their
+// node of that rank, and each bucket goes out as one sub-batch that the node
+// decides and replicateBatch mirrors to the pair's other ranks (the dead
+// owner's wave fails and queues its repair). A dead node so costs its group
+// one more backend call per node and rank, never one per pair. Pairs that no
+// rank could decide fail the batch with the last node's error; pairs and
+// indices are the group's, positions into points and results as in
+// replicateBatch.
+func (c *Cluster) failOver(ctx context.Context, rt *routing, points []int32, pairs []Pair, indices []int32, results []LookupResult, err error) error {
+	type bucket struct {
+		pairs   []Pair
+		indices []int32
+	}
+	for rank := 1; rank < rt.table.Width() && len(pairs) > 0; rank++ {
+		buckets := make([]bucket, len(rt.backends))
+		for k, p := range pairs {
+			b := &buckets[rt.table.Successors(int(points[indices[k]]))[rank]]
+			b.pairs, b.indices = append(b.pairs, p), append(b.indices, indices[k])
+		}
+		pairs, indices = nil, nil // what this rank cannot decide either
+		for m, b := range buckets {
+			if len(b.pairs) == 0 {
+				continue
+			}
+			rs, berr := rt.backends[m].BatchLookupOrInsert(ctx, b.pairs)
+			if berr != nil {
+				if cerr := ctx.Err(); cerr != nil {
+					return cerr
+				}
+				err = berr
+				pairs, indices = append(pairs, b.pairs...), append(indices, b.indices...)
+				continue
+			}
+			for j, r := range rs {
+				results[b.indices[j]] = r
+			}
+			c.replicateBatch(ctx, rt, points, b.pairs, b.indices, rs, results, rank)
+		}
+	}
+	if len(pairs) > 0 {
+		return fmt.Errorf("core: lookup-or-insert %s: all replicas failed: %w", pairs[0].FP.Short(), err)
+	}
+	return nil
 }
 
 // Migrator is implemented by backends whose entries can be enumerated and

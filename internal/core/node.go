@@ -332,9 +332,10 @@ type nodeStripe struct {
 	destageHits uint64 // lookups answered from the destage dirty buffer
 
 	// fastHits counts cache hits answered by the lock-free fast path,
-	// which by construction cannot take mu; Stats folds it into both
-	// CacheHits and Lookups, preserving the sources-sum-to-Lookups
-	// invariant. Atomic, padded apart from mu by the fields above.
+	// which by construction cannot take mu — a batch's on the stripe of
+	// its first hit; Stats folds the sum into both CacheHits and Lookups,
+	// preserving the sources-sum-to-Lookups invariant. Atomic, padded
+	// apart from mu by the fields above.
 	fastHits atomic.Uint64
 }
 
@@ -566,20 +567,25 @@ func (n *Node) unlockAll() {
 	}
 }
 
-// Lookup answers whether the fingerprint is stored, without inserting. The
-// SSD probe runs outside the stripe lock (see pipeline.go) and honors ctx:
-// a cancelled caller stops waiting immediately and its probe is handed to a
-// waiting rider or aborted.
+// Lookup answers whether the fingerprint is stored, without inserting: a
+// LookupBatch of one (see pipeline.go for what cancelling ctx does).
 func (n *Node) Lookup(ctx context.Context, fp fingerprint.Fingerprint) (LookupResult, error) {
-	return n.lookupAsync(ctx, fp, 0, false)
+	return n.one(ctx, Pair{FP: fp}, false)
 }
 
 // LookupOrInsert runs the full Figure 4 flow: answer whether the
-// fingerprint exists, inserting it with val when it does not. The SSD phase
-// runs outside the stripe lock, serialized per fingerprint by the in-flight
-// table (see pipeline.go), and honors ctx (see Lookup).
+// fingerprint exists, inserting it with val when it does not — a
+// BatchLookupOrInsert of one.
 func (n *Node) LookupOrInsert(ctx context.Context, fp fingerprint.Fingerprint, val Value) (LookupResult, error) {
-	return n.lookupAsync(ctx, fp, val, true)
+	return n.one(ctx, Pair{FP: fp, Val: val}, true)
+}
+
+// one runs a batch of one; the pair and its answer never leave the stack.
+func (n *Node) one(ctx context.Context, p Pair, insert bool) (LookupResult, error) {
+	var res [1]LookupResult
+	pairs := [1]Pair{p}
+	err := n.batchPairs(ctx, res[:], pairs[:], insert)
+	return res[0], err
 }
 
 // insertLocked records a new fingerprint in bloom, cache and store
@@ -669,9 +675,11 @@ func (n *Node) BatchLookupOrInsert(ctx context.Context, pairs []Pair) ([]LookupR
 	if len(pairs) == 0 {
 		return nil, nil
 	}
-	return n.batchAsync(ctx, len(pairs),
-		func(i int) fingerprint.Fingerprint { return pairs[i].FP },
-		func(i int) Value { return pairs[i].Val }, true)
+	results := make([]LookupResult, len(pairs))
+	if err := n.batchPairs(ctx, results, pairs, true); err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
 // ApplyRepair applies a replication backfill batch. Each pair runs through
@@ -704,9 +712,14 @@ func (n *Node) LookupBatch(ctx context.Context, fps []fingerprint.Fingerprint) (
 	if len(fps) == 0 {
 		return nil, nil
 	}
-	return n.batchAsync(ctx, len(fps),
+	results := make([]LookupResult, len(fps))
+	err := n.batchAsync(ctx, results,
 		func(i int) fingerprint.Fingerprint { return fps[i] },
 		func(int) Value { return 0 }, false)
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
 // Flush destages every dirty cache entry to the store, drains the destage

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"shhc/internal/fingerprint"
@@ -15,9 +14,9 @@ import (
 )
 
 // This file implements the node's lookup path, the one walk of Figure 4: a
-// two-phase asynchronous pipeline.
+// two-phase batch pipeline. A single fingerprint is a batch of one.
 //
-// Phase 1 (the RAM walk) runs the Figure 4 RAM tiers — LRU cache, Bloom
+// Phase 1 (the RAM pass) runs the Figure 4 RAM tiers — LRU cache, Bloom
 // filter — under the fingerprint's stripe lock. Phase 2 (the SSD phase)
 // releases the stripe lock before touching the store, so one SSD
 // round-trip never stalls every other fingerprint on the stripe.
@@ -32,39 +31,26 @@ import (
 //	a fingerprint's RAM walk runs under its stripe lock; its SSD phase
 //	is serialized by the stripe's in-flight table.
 //
-// Cancellation. Every operation takes a context, and a flight's device
-// work is decoupled from the caller that started it:
+// Cancellation. The SSD phase runs in the caller, under the caller's
+// context, and there is one rule:
 //
-//   - When the caller's context can be cancelled, the SSD phase runs in a
-//     prober goroutine that also completes the flight (counters, cache
-//     install, retirement). The owner merely waits — so a cancelled owner
-//     hands the flight off: it returns ctx.Err() immediately while the
-//     prober lands the flight for any waiting riders.
-//   - Each flight carries an interest count (the owner plus every rider).
-//     When the last interested party abandons, the flight's abort flag is
-//     raised, and the prober aborts before issuing the next device
-//     operation (I/O already issued completes; it is never revoked).
-//   - A rider whose context is cancelled stops waiting and returns
-//     ctx.Err() without touching the flight table. A rider that waited
-//     out a flight which landed with a context error (its owner was
-//     cancelled and nobody stayed interested) does not adopt that error:
-//     it re-runs the walk and claims the fingerprint itself, so an
+//   - A call whose context ends stops issuing device operations (one already
+//     issued completes; it is never revoked), fails the flights it owns with
+//     the context's error and returns it. Nothing is handed off.
+//   - A rider never adopts a flight's context error — it was not the rider's
+//     context: it re-runs the walk and claims the fingerprint itself, so an
 //     abandoned flight never poisons later operations.
-//   - When the caller's context can never be cancelled (ctx.Done() ==
-//     nil, e.g. context.Background()), the prober goroutine is skipped
-//     and the SSD phase runs inline in the caller — the exact PR-2 fast
-//     path, with zero added overhead.
+//   - A rider whose own context ends stops waiting and returns ctx.Err()
+//     without touching the flight table.
 //
 // Lock ordering: an operation holds at most one stripe lock at a time and
-// never sleeps on a flight while holding it (it unlocks, waits on
-// flight.done, then relocks). Flight completion re-acquires the stripe
-// lock, installs the result into the cache, updates the stripe counters,
-// removes the in-flight entry, and only then wakes waiters — so a woken
-// waiter re-running its RAM walk finds the installed cache entry.
+// never sleeps on a flight while holding it. Flight completion re-acquires
+// the stripe lock, installs the result into the cache, updates the stripe
+// counters, removes the in-flight entry, and only then wakes waiters — so a
+// woken waiter re-running its RAM walk finds the installed cache entry.
 //
-// Flight records. A single-key operation allocates its flight and its done
-// channel. A batch allocates one slab of flights and one done channel for
-// all the SSD phases it owns: the slab is an ordinary garbage-collected
+// Flight records. A batch allocates one slab of flights and one done channel
+// for all the SSD phases it owns: the slab is an ordinary garbage-collected
 // slice, never pooled, because riders from other operations keep pointers
 // into it for as long as they please — a late rider reads a landed flight,
 // never a recycled one. The shared done closes once, after the batch has
@@ -76,7 +62,7 @@ import (
 
 // flight is one in-progress SSD phase for a fingerprint: a probe,
 // optionally followed by the insert the probe's miss calls for. Outcome
-// fields are written by the prober before done is closed and read by
+// fields are written by the owning batch before done is closed and read by
 // waiters only after <-done.
 type flight struct {
 	done chan struct{}
@@ -87,19 +73,12 @@ type flight struct {
 	exists bool
 	val    Value
 	err    error
-	// ownerRes is the owner-role result (SourceStore/SourceNew/...); a
-	// cancelled owner's result is simply never read.
-	ownerRes LookupResult
 
-	// interest counts parties awaiting the flight's outcome: the owner
-	// plus every rider. Guarded by the owning stripe's mutex. When the
-	// last interested party abandons (cancellation), aborted is raised so
-	// the prober stops issuing device I/O. A plain atomic flag — not a
-	// context — because the prober only ever polls it between device
-	// operations; this keeps flight registration allocation-free on the
-	// hot path.
+	// interest counts the parties that have awaited the flight: its owner
+	// plus every rider that joined. Guarded by the owning stripe's mutex.
+	// Nothing in the pipeline acts on it — no flight is handed off or aborted
+	// on its riders' account; it is how a test knows a rider has joined.
 	interest int
-	aborted  atomic.Bool
 
 	// item is the input index of the batch item that owns the flight, and
 	// direct marks a Bloom-negative insert: no probe needed, just the put.
@@ -107,333 +86,10 @@ type flight struct {
 	direct bool
 }
 
-// abortErr is the error an aborted flight lands with when every
-// interested party left before the next device operation.
-var abortErr = context.Canceled
-
 // isCtxErr reports whether err is a context cancellation or deadline
 // error — the class of flight failures a waiting rider must not adopt.
 func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// registerFlightLocked creates and registers a flight for fp. Caller holds
-// s.mu, owns the stripe for fp, and must have checked fp is not in flight.
-func (n *Node) registerFlightLocked(s *nodeStripe, fp fingerprint.Fingerprint) *flight {
-	f := &flight{done: make(chan struct{}), interest: 1}
-	s.inflight[fp] = f
-	n.flights.Add(1)
-	return f
-}
-
-// abandonFlight is called by an interested party (owner or rider) whose
-// context was cancelled while the flight was in the air: it withdraws its
-// interest and, when it was the last one, aborts the probe. Harmless on a
-// flight that already landed. Caller must not hold s.mu.
-func (n *Node) abandonFlight(s *nodeStripe, f *flight) {
-	s.mu.Lock()
-	f.interest--
-	if f.interest <= 0 {
-		f.aborted.Store(true)
-	}
-	s.mu.Unlock()
-}
-
-// failFlight publishes err to any waiters, retires the flight, and returns
-// err for the owner. Caller must not hold s.mu.
-func (n *Node) failFlight(s *nodeStripe, fp fingerprint.Fingerprint, f *flight, err error) error {
-	f.err = err
-	s.mu.Lock()
-	delete(s.inflight, fp)
-	s.mu.Unlock()
-	close(f.done)
-	n.flights.Done()
-	return err
-}
-
-// lookupAsync runs the two-phase Figure 4 flow for one fingerprint.
-// insert selects LookupOrInsert semantics (insert on miss) over read-only
-// Lookup semantics.
-func (n *Node) lookupAsync(ctx context.Context, fp fingerprint.Fingerprint, val Value, insert bool) (LookupResult, error) {
-	s := &n.stripes[n.stripeIndex(fp)]
-	cancellable := ctx.Done() != nil
-	// Phase 0 — the lock-free cache-hit fast path: no stripe mutex, no
-	// allocation, no phase-timing observation (the histograms are lock-
-	// guarded). The cache is the top Figure 4 tier, so a hit here can never
-	// shadow a fresher destage-buffer or SSD answer; a miss proves nothing
-	// and falls through to the locked walk, which re-checks the cache.
-	if n.cache != nil && !n.closedFast.Load() {
-		if cancellable {
-			if err := ctx.Err(); err != nil {
-				return LookupResult{}, err
-			}
-		}
-		if v, ok := n.cache.GetFast(fp); ok {
-			s.fastHits.Add(1)
-			return LookupResult{Exists: true, Value: Value(v), Source: SourceCache}, nil
-		}
-	}
-	for {
-		if cancellable {
-			if err := ctx.Err(); err != nil {
-				return LookupResult{}, err
-			}
-		}
-		s.mu.Lock()
-		if n.closed {
-			s.mu.Unlock()
-			return LookupResult{}, errNodeClosed
-		}
-
-		// Phase 1 — RAM tiers, under the stripe lock.
-		if n.cache != nil {
-			t0 := time.Now()
-			v, ok := n.cache.Get(fp)
-			s.histCache.Observe(time.Since(t0))
-			if ok {
-				s.cacheHits++
-				s.lookups++
-				s.mu.Unlock()
-				return LookupResult{Exists: true, Value: Value(v), Source: SourceCache}, nil
-			}
-		}
-		if n.bloom != nil {
-			t0 := time.Now()
-			neg := !n.bloom.MayContain(fp)
-			s.histBloom.Observe(time.Since(t0))
-			if neg {
-				if !insert {
-					s.bloomShort++
-					s.lookups++
-					s.mu.Unlock()
-					return LookupResult{Exists: false, Source: SourceBloom}, nil
-				}
-				return n.bloomInsert(ctx, s, fp, val)
-			}
-		}
-		// Destage dirty buffer: an entry evicted from the cache but not
-		// yet group-committed to the SSD is still part of the logical
-		// store; answering it here (under the stripe lock, before the SSD
-		// arm) keeps the Figure 4 tier ordering exact per fingerprint.
-		if n.dst != nil {
-			if v, ok := n.dst.peek(fp); ok {
-				s.destageHits++
-				s.storeHits++
-				s.lookups++
-				s.mu.Unlock()
-				return LookupResult{Exists: true, Value: v, Source: SourceStore}, nil
-			}
-		}
-
-		// Phase 2 — the SSD arm. Join an in-flight operation on the same
-		// fingerprint as a rider, or run our own probe with the stripe
-		// lock released.
-		if f, ok := s.inflight[fp]; ok {
-			f.interest++
-			s.mu.Unlock()
-			if cancellable {
-				select {
-				case <-f.done:
-				case <-ctx.Done():
-					n.abandonFlight(s, f)
-					return LookupResult{}, ctx.Err()
-				}
-			} else {
-				<-f.done
-			}
-			if f.err != nil {
-				if isCtxErr(f.err) {
-					// The flight's owner was cancelled and nobody stayed
-					// interested; its abandonment is not our failure.
-					// Re-run the walk and claim the fingerprint ourselves.
-					continue
-				}
-				return LookupResult{}, f.err
-			}
-			if f.exists || !insert {
-				s.mu.Lock()
-				r := n.adoptLocked(s, f)
-				s.mu.Unlock()
-				return r, nil
-			}
-			// The flight we joined was a read-only probe that missed; we
-			// still owe the insert. Re-run the walk and claim the
-			// fingerprint ourselves.
-			continue
-		}
-		f := n.registerFlightLocked(s, fp)
-		s.mu.Unlock()
-		if !cancellable {
-			// Background-context fast path: no prober goroutine, the SSD
-			// phase runs inline exactly as before contexts existed.
-			return n.ssdPhase(s, fp, val, insert, f, false)
-		}
-		go n.ssdPhase(s, fp, val, insert, f, true)
-		select {
-		case <-f.done:
-			if f.err != nil {
-				return LookupResult{}, f.err
-			}
-			// The wb destage-error drain happens here, on the waiting
-			// owner, not in the prober: a prober's return value is
-			// discarded, and a drain there would swallow the failure
-			// (or lose it entirely if the owner had abandoned). The
-			// !Exists guard mirrors the inline path exactly — only the
-			// miss-with-insert branch drains, so a duplicate answer is
-			// never displaced by an unrelated destage failure.
-			if insert && n.wb && !f.ownerRes.Exists {
-				if derr := n.takeDestageErr(); derr != nil {
-					return LookupResult{}, derr
-				}
-			}
-			return f.ownerRes, nil
-		case <-ctx.Done():
-			// Ownership handoff: the prober keeps flying and completes
-			// the flight for any riders; we only stop waiting. If no
-			// rider is interested the probe is aborted instead.
-			n.abandonFlight(s, f)
-			return LookupResult{}, ctx.Err()
-		}
-	}
-}
-
-// bloomInsert handles the Bloom-negative insert arm: the filter proved fp
-// new, so no probe is needed. Caller holds s.mu; bloomInsert releases it.
-// The filter add happens before the stripe lock drops, which steers every
-// later lookup of fp into the SSD arm where the in-flight entry (for the
-// write-through store put) serializes it — this is what keeps the insert
-// exactly-once without holding the lock across the SSD write. A cancelled
-// owner abandons the flight like any other: if the put had not started it
-// is aborted (the filter stays conservatively stale — one extra probe
-// later, never a wrong answer); once started, it runs to completion.
-func (n *Node) bloomInsert(ctx context.Context, s *nodeStripe, fp fingerprint.Fingerprint, val Value) (LookupResult, error) {
-	n.bloom.Add(fp)
-	if n.wb {
-		// Write-back: the insert is pure RAM (destage happens on
-		// eviction), so it completes inside phase 1 — except that an
-		// eviction it displaced must be journal-durable before the ack
-		// (the barrier runs with no locks held and is a no-op when
-		// nothing evicted).
-		s.bloomShort++
-		s.lookups++
-		s.inserts++
-		before := n.journalLSN()
-		n.cache.PutDirty(fp, lru.Value(val))
-		s.mu.Unlock()
-		n.afterDirtyInsert(before)
-		if derr := n.takeDestageErr(); derr != nil {
-			return LookupResult{}, derr
-		}
-		return LookupResult{Exists: false, Source: SourceBloom}, nil
-	}
-	f := n.registerFlightLocked(s, fp)
-	f.direct = true
-	s.mu.Unlock()
-	if ctx.Done() == nil {
-		return n.directInsert(s, fp, val, f)
-	}
-	go n.directInsert(s, fp, val, f)
-	select {
-	case <-f.done:
-		if f.err != nil {
-			return LookupResult{}, f.err
-		}
-		return f.ownerRes, nil
-	case <-ctx.Done():
-		n.abandonFlight(s, f)
-		return LookupResult{}, ctx.Err()
-	}
-}
-
-// directInsert performs the Bloom-negative write-through store put with no
-// locks held, then completes the flight. It is the prober for bloomInsert
-// flights.
-func (n *Node) directInsert(s *nodeStripe, fp fingerprint.Fingerprint, val Value, f *flight) (LookupResult, error) {
-	if f.aborted.Load() {
-		// Every interested party left before the write started.
-		return LookupResult{}, n.failFlight(s, fp, f, abortErr)
-	}
-	t0 := time.Now()
-	_, perr := n.store.Put(fp, val)
-	s.histSSD.Observe(time.Since(t0))
-	if perr != nil {
-		return LookupResult{}, n.failFlight(s, fp, f, fmt.Errorf("core: node %s: insert %s: %w", n.id, fp.Short(), perr))
-	}
-	return n.landFlight(s, fp, val, f, true), nil
-}
-
-// ssdPhase runs fp's probe — and, on a miss with insert semantics, the
-// insert — with no locks held, then completes the flight: counters and
-// cache install land under one stripe-lock hold together with the
-// in-flight entry's removal, and waiters wake only after that. It is the
-// prober for lookup flights: when the owner's context is cancellable it
-// runs in its own goroutine and survives the owner's departure. The
-// flight's abort flag gates each device operation — once every interested
-// party has abandoned, the next device operation is skipped and the
-// flight lands with the cancellation error (which riders never adopt).
-// detached marks the prober-goroutine mode, where the return value is
-// discarded and the waiting owner reads the flight instead.
-func (n *Node) ssdPhase(s *nodeStripe, fp fingerprint.Fingerprint, val Value, insert bool, f *flight, detached bool) (LookupResult, error) {
-	if f.aborted.Load() {
-		return LookupResult{}, n.failFlight(s, fp, f, abortErr)
-	}
-	t0 := time.Now()
-	v, ok, err := n.store.Get(fp)
-	if err != nil {
-		s.histSSD.Observe(time.Since(t0))
-		return LookupResult{}, n.failFlight(s, fp, f, fmt.Errorf("core: node %s: lookup: %w", n.id, err))
-	}
-	f.exists, f.val = ok, v
-	if ok || !insert {
-		s.histSSD.Observe(time.Since(t0))
-		return n.landFlight(s, fp, val, f, insert), nil
-	}
-	// Miss with insert semantics. Write-through pays the store write out
-	// here with no locks held; write-back parks the entry dirty in the
-	// cache during completion. The write is skipped if everyone lost
-	// interest while the probe was in the air — the fingerprint simply
-	// stays unrecorded, which is what a caller that got ctx.Err() must
-	// assume anyway.
-	if !n.wb {
-		if f.aborted.Load() {
-			s.histSSD.Observe(time.Since(t0))
-			return LookupResult{}, n.failFlight(s, fp, f, abortErr)
-		}
-		if _, perr := n.store.Put(fp, val); perr != nil {
-			s.histSSD.Observe(time.Since(t0))
-			return LookupResult{}, n.failFlight(s, fp, f, fmt.Errorf("core: node %s: insert %s: %w", n.id, fp.Short(), perr))
-		}
-	}
-	s.histSSD.Observe(time.Since(t0))
-	res := n.landFlight(s, fp, val, f, true)
-	// The drain must only happen where the return value is read: inline
-	// mode drains here; in detached (prober-goroutine) mode the waiting
-	// owner drains after f.done instead — a drain here would consume the
-	// failure and throw it away with the ignored return value.
-	if n.wb && !detached {
-		if derr := n.takeDestageErr(); derr != nil {
-			return LookupResult{}, derr
-		}
-	}
-	return res, nil
-}
-
-// landFlight completes a single-key flight whose device work is done and
-// wakes its waiters. An eviction that a write-back install displaced must be
-// journal-durable before anyone reads the flight as complete, hence the
-// barrier between the stripe lock and the wake-up.
-func (n *Node) landFlight(s *nodeStripe, fp fingerprint.Fingerprint, val Value, f *flight, insert bool) LookupResult {
-	before := n.journalLSN()
-	s.mu.Lock()
-	f.ownerRes = n.completeLocked(s, f, fp, val, insert)
-	delete(s.inflight, fp)
-	s.mu.Unlock()
-	if insert && !f.ownerRes.Exists {
-		n.afterDirtyInsert(before)
-	}
-	close(f.done)
-	n.flights.Done()
-	return f.ownerRes
 }
 
 // completeLocked lands f, whose device work succeeded, for its owner: it
@@ -511,12 +167,11 @@ type waiter struct {
 	f    *flight
 }
 
-// nodeScratch is the pooled working memory of one batchAsync: the counting
+// nodeScratch is the pooled working memory of one batchMisses: the counting
 // sort of the items by stripe, the items that wait on a flight they do not
 // own, and the keys handed to the store — which must not keep them (see
 // hashdb.Store). The flights themselves are never pooled.
 type nodeScratch struct {
-	hits    []int32 // lock-free cache hits per stripe
 	start   []int32 // stripe si's items are order[start[si]:start[si+1]]
 	order   []int32
 	dups    []waiter // on the batch's own flights
@@ -540,22 +195,53 @@ func putNodeScratch(sc *nodeScratch) {
 	nodeScratchPool.Put(sc)
 }
 
-// batchAsync runs a batch through the two-phase pipeline: one RAM pass per
-// stripe under its lock, a single coalesced SSD phase with no stripe locks
-// held (each distinct hash-table page is read once, reads and writes
-// overlap up to the store's batch parallelism), then a per-stripe
-// completion pass. Results are in input order; a fingerprint appearing
-// twice resolves in input order, the second occurrence seeing the first as
-// a duplicate.
+// batchAsync runs a batch through the pipeline: a lock-free pass over the
+// cache, then — for what it did not answer — the two phases of batchMisses.
+// It answers item i in results[i], which the caller hands in zeroed — one per
+// item, in input order; a fingerprint appearing twice resolves in input
+// order, the second occurrence seeing the first as a duplicate.
+func (n *Node) batchAsync(ctx context.Context, results []LookupResult, fpOf func(int) fingerprint.Fingerprint, valOf func(int) Value, insert bool) error {
+	// Phase 0 — lock-free prepass: resolve cache hits with no stripe lock. A
+	// resolved item (Source is set; the zero Source marks unresolved) never
+	// enters the locked RAM pass, so a cache-resident batch touches no mutex
+	// and no pooled scratch, and one shared counter: all its hits are counted
+	// on the stripe of the first (Stats only ever sums the stripes' counters;
+	// they are per stripe to spread the callers, not to attribute the hits).
+	if n.cache != nil && !n.closedFast.Load() {
+		hits, counted := 0, 0
+		for i := range results {
+			fp := fpOf(i)
+			if v, ok := n.cache.GetFast(fp); ok {
+				if hits == 0 {
+					counted = n.stripeIndex(fp)
+				}
+				hits++
+				results[i] = LookupResult{Exists: true, Value: Value(v), Source: SourceCache}
+			}
+		}
+		if hits > 0 {
+			n.stripes[counted].fastHits.Add(uint64(hits))
+		}
+		if hits == len(results) {
+			return nil
+		}
+	}
+	return n.batchMisses(ctx, results, fpOf, valOf, insert)
+}
+
+// batchMisses runs the items batchAsync's prepass left unresolved through
+// the two-phase pipeline: one RAM pass per stripe under its lock, a single
+// coalesced SSD phase with no stripe locks held (each distinct hash-table
+// page is read once, reads and writes overlap up to the store's batch
+// parallelism), then a per-stripe completion pass.
 //
 // Cancelling ctx mid-batch stops the coalesced SSD phase from issuing
 // further device operations and fails the batch with ctx.Err(). The
 // batch's own flights are failed with the context error — riders from
 // other operations waiting on them observe a cancellation, never adopt
-// it, and re-run their own walks (no handoff on the batch path; the
-// batch's whole wave is cancelled together).
-func (n *Node) batchAsync(ctx context.Context, count int, fpOf func(int) fingerprint.Fingerprint, valOf func(int) Value, insert bool) ([]LookupResult, error) {
-	results := make([]LookupResult, count)
+// it, and re-run their own walks (the batch's whole wave is cancelled
+// together).
+func (n *Node) batchMisses(ctx context.Context, results []LookupResult, fpOf func(int) fingerprint.Fingerprint, valOf func(int) Value, insert bool) error {
 	// One journal barrier covers the whole batch: every eviction its RAM
 	// pass and SSD-phase installs displaced is durable before the batch
 	// acknowledges, at the cost of a single shared group commit.
@@ -564,42 +250,23 @@ func (n *Node) batchAsync(ctx context.Context, count int, fpOf func(int) fingerp
 	defer putNodeScratch(sc)
 	stripeOf := func(i int) int { return n.stripeIndex(fpOf(i)) }
 
-	// Phase 0 — lock-free prepass: resolve cache hits with no stripe lock,
-	// and count what is left per stripe. A resolved item (Source is set; the
-	// zero Source marks unresolved) never enters the locked RAM pass, so a
-	// cache-resident batch touches no mutex at all, and one shared counter
-	// per stripe it hit.
-	sc.hits = slices.Grow(sc.hits[:0], len(n.stripes))[:len(n.stripes)]
+	// Counting sort of the unresolved items by stripe: count, prefix sum,
+	// scatter.
 	sc.start = slices.Grow(sc.start[:0], len(n.stripes)+1)[:len(n.stripes)+1]
-	clear(sc.hits)
 	clear(sc.start)
-	fast := n.cache != nil && !n.closedFast.Load()
-	for i := 0; i < count; i++ {
-		fp := fpOf(i)
-		si := n.stripeIndex(fp)
-		if fast {
-			if v, ok := n.cache.GetFast(fp); ok {
-				sc.hits[si]++
-				results[i] = LookupResult{Exists: true, Value: Value(v), Source: SourceCache}
-				continue
-			}
+	for i := range results {
+		if results[i].Source == 0 {
+			sc.start[stripeOf(i)+1]++
 		}
-		sc.start[si+1]++
 	}
-	for si, h := range sc.hits {
-		if h > 0 {
-			n.stripes[si].fastHits.Add(uint64(h))
-		}
+	for si := range n.stripes {
 		sc.start[si+1] += sc.start[si]
 	}
 	remaining := int(sc.start[len(n.stripes)])
-	if remaining == 0 {
-		return results, nil
-	}
 	// The counting sort's scatter; start[si] ends as the end of stripe si's
 	// group, which is where the RAM pass reads it from.
 	sc.order = slices.Grow(sc.order[:0], remaining)[:remaining]
-	for i := 0; i < count; i++ {
+	for i := range results {
 		if results[i].Source == 0 {
 			si := stripeOf(i)
 			sc.order[sc.start[si]] = int32(i)
@@ -614,19 +281,12 @@ func (n *Node) batchAsync(ctx context.Context, count int, fpOf func(int) fingerp
 	var flights []flight
 	var done chan struct{}
 	sc.dups, sc.foreign = sc.dups[:0], sc.foreign[:0]
-	// leaveForeigns withdraws interest from foreign flights not yet
-	// waited out, starting at index from.
-	leaveForeigns := func(from int) {
-		for _, fj := range sc.foreign[from:] {
-			n.abandonFlight(&n.stripes[stripeOf(int(fj.item))], fj.f)
-		}
-	}
 	// land completes the batch's flights, stripe by stripe under the stripe's
 	// lock, and only then wakes whoever waits on them — so a woken rider
 	// re-running its RAM walk finds the installed cache entry. With err set
 	// the flights fail instead, and the batch with them: no waiter ever
 	// hangs on a batch that errored out.
-	land := func(err error) ([]LookupResult, error) {
+	land := func(err error) error {
 		di := 0
 		for lo, hi := 0, 0; lo < len(flights); lo = hi {
 			si := stripeOf(int(flights[lo].item))
@@ -650,15 +310,11 @@ func (n *Node) batchAsync(ctx context.Context, count int, fpOf func(int) fingerp
 			close(done)
 			n.flights.Add(-len(flights))
 		}
-		if err != nil {
-			leaveForeigns(0)
-			return nil, err
-		}
-		return results, nil
+		return err
 	}
 
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 
 	// Phase A — RAM pass, one stripe-lock hold per stripe group. The first
@@ -776,46 +432,57 @@ func (n *Node) batchAsync(ctx context.Context, count int, fpOf func(int) fingerp
 	// Foreign flights: adopt the outcome another caller's SSD phase
 	// produced. A flight that was abandoned (its owner was cancelled; that
 	// is not this batch's failure) or that was a read-only probe's miss
-	// while this batch inserts leaves the item to re-run the per-item
-	// pipeline.
-	cancellable := ctx.Done() != nil
-	for fi, fj := range sc.foreign {
-		if cancellable {
-			select {
-			case <-fj.f.done:
-			case <-ctx.Done():
-				leaveForeigns(fi)
-				return nil, ctx.Err()
-			}
-		} else {
-			<-fj.f.done
+	// while this batch inserts leaves its item unanswered; what is left
+	// re-runs the walk as one follow-up batch and claims its fingerprints
+	// itself. Items of one fingerprint stay in input order: they share a
+	// stripe, and the RAM pass visited it in that order.
+	var again []Pair
+	var rerun []int32
+	for _, fj := range sc.foreign {
+		select {
+		case <-fj.f.done:
+		case <-ctx.Done():
+			return ctx.Err()
 		}
 		i := int(fj.item)
-		var err error
 		switch {
 		case fj.f.err != nil && !isCtxErr(fj.f.err):
-			err = fj.f.err
+			return fmt.Errorf("core: batch item %d: %w", i, fj.f.err)
 		case fj.f.err == nil && (fj.f.exists || !insert):
 			s := &n.stripes[stripeOf(i)]
 			s.mu.Lock()
 			results[i] = n.adoptLocked(s, fj.f)
 			s.mu.Unlock()
 		default:
-			results[i], err = n.lookupAsync(ctx, fpOf(i), valOf(i), insert)
+			again = append(again, Pair{FP: fpOf(i), Val: valOf(i)})
+			rerun = append(rerun, fj.item)
 		}
-		if err != nil {
-			leaveForeigns(fi + 1)
-			return nil, fmt.Errorf("core: batch item %d: %w", i, err)
+	}
+	if len(again) > 0 {
+		rs := make([]LookupResult, len(again))
+		if err := n.batchPairs(ctx, rs, again, insert); err != nil {
+			return err
+		}
+		for k, i := range rerun {
+			results[i] = rs[k]
 		}
 	}
 
 	if n.wb {
 		n.afterDirtyInsert(journalBefore)
 		if derr := n.takeDestageErr(); derr != nil {
-			return nil, derr
+			return derr
 		}
 	}
-	return results, nil
+	return nil
+}
+
+// batchPairs is batchAsync over a slice of pairs; a read-only batch ignores
+// their values.
+func (n *Node) batchPairs(ctx context.Context, results []LookupResult, pairs []Pair, insert bool) error {
+	return n.batchAsync(ctx, results,
+		func(i int) fingerprint.Fingerprint { return pairs[i].FP },
+		func(i int) Value { return pairs[i].Val }, insert)
 }
 
 // ssdWave is a batch's coalesced SSD phase: one batched read for the

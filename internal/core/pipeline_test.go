@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -422,29 +424,93 @@ func TestAsyncWriteBackBatch(t *testing.T) {
 	}
 }
 
-// TestSequentialWorkloadAnswers runs a repeating single-key workload
-// through the pipeline and checks every answer against the expected one —
-// a key is new exactly once — and the stats invariant.
+// TestSequentialWorkloadAnswers drives one seeded stream — rounds of 64
+// distinct keys, one verb a round, in shuffled order — through the
+// single-key calls and through batches of one and of 64. A single-key call
+// is the batch of one, so all three must give every operation the same
+// answer from the same tier and leave the same counters; a key is new
+// exactly once. The cache holds exactly one round and each round is flushed,
+// so neither eviction order nor destage timing can tell the drivers apart.
 func TestSequentialWorkloadAnswers(t *testing.T) {
-	n := newMemNode(t, NodeConfig{CacheSize: 32, BloomExpected: 1 << 12, Stripes: 4})
-	const count = 2000
-	for i := 0; i < count; i++ {
-		key := uint64(i % 700) // repeats: mix of new and duplicate
-		r, err := n.LookupOrInsert(context.Background(), fp(key), Value(key))
-		if err != nil {
-			t.Fatalf("LookupOrInsert: %v", err)
-		}
-		wantExists := i >= 700
-		if r.Exists != wantExists {
-			t.Fatalf("op %d: Exists = %v, want %v", i, r.Exists, wantExists)
-		}
-		if r.Exists && r.Value != Value(key) {
-			t.Fatalf("op %d: Value = %d, want %d", i, r.Value, key)
-		}
+	const round = 64
+	stream := []struct {
+		insert bool
+		base   uint64
+		exists bool
+	}{
+		{true, 0, false},     // all new
+		{true, 64, false},    // all new, and the first round leaves the cache
+		{false, 0, true},     // store hits, loaded back into the cache
+		{false, 0, true},     // cache hits
+		{false, 1000, false}, // never stored: the filter's miss, or the store's
+		{true, 64, true},     // duplicates the store answers
+		{true, 1000, false},  // new after the read-only miss
 	}
-	st := assertStatsInvariant(t, n)
-	if st.Inserts != 700 {
-		t.Fatalf("Inserts = %d, want 700", st.Inserts)
+	order := rand.New(rand.NewSource(22)).Perm(round)
+	configs := map[string]NodeConfig{
+		"write-through": {CacheSize: round, Stripes: 4},
+		"write-back":    {CacheSize: round, Stripes: 4, WriteBack: true},
+		"no-filter":     {CacheSize: round, Stripes: 4, DisableBloom: true},
+	}
+	ctx := context.Background()
+	for name, cfg := range configs {
+		t.Run(name, func(t *testing.T) {
+			var want []LookupResult
+			var wantCounters [6]uint64
+			for _, size := range []int{0, 1, round} { // 0: the single-key calls
+				n := newMemNode(t, cfg)
+				var got []LookupResult
+				for _, st := range stream {
+					pairs := make([]Pair, round)
+					fps := make([]fingerprint.Fingerprint, round)
+					for i, k := range order {
+						fps[i] = fp(st.base + uint64(k))
+						pairs[i] = Pair{FP: fps[i], Val: Value(st.base) + Value(k)}
+					}
+					for at := 0; at < round; at += max(size, 1) {
+						rs := make([]LookupResult, 1)
+						var err error
+						switch {
+						case size == 0 && st.insert:
+							rs[0], err = n.LookupOrInsert(ctx, pairs[at].FP, pairs[at].Val)
+						case size == 0:
+							rs[0], err = n.Lookup(ctx, fps[at])
+						case st.insert:
+							rs, err = n.BatchLookupOrInsert(ctx, pairs[at:at+size])
+						default:
+							rs, err = n.LookupBatch(ctx, fps[at:at+size])
+						}
+						if err != nil {
+							t.Fatalf("size %d: %v", size, err)
+						}
+						got = append(got, rs...)
+					}
+					for i, r := range got[len(got)-round:] {
+						if r.Exists != st.exists || (r.Exists && r.Value != pairs[i].Val) {
+							t.Fatalf("size %d, round at %d, op %d: %+v, want exists %v", size, st.base, i, r, st.exists)
+						}
+					}
+					if err := n.Flush(); err != nil {
+						t.Fatalf("Flush: %v", err)
+					}
+				}
+				st := assertStatsInvariant(t, n)
+				counters := [6]uint64{st.Lookups, st.CacheHits, st.BloomShort, st.StoreHits, st.Inserts, st.Coalesced}
+				if want == nil {
+					want, wantCounters = got, counters
+					if st.Inserts != 3*round {
+						t.Fatalf("Inserts = %d, want %d", st.Inserts, 3*round)
+					}
+					continue
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("batches of %d answer differently from the single-key calls", size)
+				}
+				if counters != wantCounters {
+					t.Fatalf("batches of %d leave lookups, cacheHits, bloomShort, storeHits, inserts, coalesced = %v, single-key calls %v", size, counters, wantCounters)
+				}
+			}
+		})
 	}
 }
 

@@ -12,23 +12,6 @@ import (
 	"shhc/internal/ring"
 )
 
-// slowNode wraps a node and delays read lookups; writes pass straight
-// through. It hides the node's ApplyRepair on purpose, so repair traffic
-// to it takes the generic batch path.
-type slowNode struct {
-	Backend
-	delay time.Duration
-}
-
-func (s *slowNode) Lookup(ctx context.Context, fp fingerprint.Fingerprint) (LookupResult, error) {
-	select {
-	case <-time.After(s.delay):
-	case <-ctx.Done():
-		return LookupResult{}, ctx.Err()
-	}
-	return s.Backend.Lookup(ctx, fp)
-}
-
 // TestLookupRepairsMissingOwner: the owner lost an entry its successor
 // holds (the wipe-disk shape). A plain Lookup must answer with the
 // replica's copy — a single replica's miss never wins — and one lookup
@@ -78,56 +61,6 @@ func TestLookupRepairsMissingOwner(t *testing.T) {
 	or, err := nodes[0].Lookup(ctx, fp)
 	if err != nil || !or.Exists || or.Value != 7 {
 		t.Fatalf("owner after read-repair = %+v, %v, want exists value 7", or, err)
-	}
-}
-
-// TestHedgedLookupRepairsMissingReplica: the owner holds the entry but is
-// slow; the hedged race gets a fast miss from the successor. The miss
-// must not win the race, and the lookup must backfill the successor.
-func TestHedgedLookupRepairsMissingReplica(t *testing.T) {
-	nodes := make([]*Node, 2)
-	backends := make([]Backend, 2)
-	for i := range nodes {
-		node, err := NewNode(NodeConfig{
-			ID:            ring.NodeID(fmt.Sprintf("node-%d", i)),
-			Store:         hashdb.NewMemStore(nil),
-			CacheSize:     256,
-			BloomExpected: 100000,
-		})
-		if err != nil {
-			t.Fatalf("NewNode: %v", err)
-		}
-		nodes[i] = node
-		backends[i] = node
-	}
-	// Delay only node-0's lookups so the successor always answers first.
-	backends[0] = &slowNode{Backend: nodes[0], delay: 30 * time.Millisecond}
-	c, err := NewCluster(ClusterConfig{Replicas: 2}, backends...)
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	defer c.Close()
-	ctx := context.Background()
-
-	fp := fpOwnedBy(t, c, "node-0")
-	// Seed only the (slow) owner: the successor is under-replicated.
-	if err := nodes[0].Insert(ctx, fp, 9); err != nil {
-		t.Fatalf("Insert: %v", err)
-	}
-
-	r, err := c.LookupHedged(ctx, fp, time.Millisecond)
-	if err != nil {
-		t.Fatalf("LookupHedged: %v", err)
-	}
-	if !r.Exists || r.Value != 9 {
-		t.Fatalf("hedged lookup = %+v, want exists value 9 (the replica's fast miss must not win)", r)
-	}
-	if err := c.FlushRepairs(ctx); err != nil {
-		t.Fatalf("FlushRepairs: %v", err)
-	}
-	sr, err := nodes[1].Lookup(ctx, fp)
-	if err != nil || !sr.Exists || sr.Value != 9 {
-		t.Fatalf("successor after read-repair = %+v, %v, want exists value 9", sr, err)
 	}
 }
 

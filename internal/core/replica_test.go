@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,6 +12,12 @@ import (
 	"shhc/internal/hashdb"
 	"shhc/internal/ring"
 )
+
+// fpOwnedBy searches for a fingerprint whose ring owner is the wanted node.
+func fpOwnedBy(t *testing.T, c *Cluster, want ring.NodeID) fingerprint.Fingerprint {
+	t.Helper()
+	return fpOwnedBy2(t, c, want, fingerprint.Fingerprint{})
+}
 
 // fpOwnedBy2 is fpOwnedBy excluding one fingerprint already in use.
 func fpOwnedBy2(t *testing.T, c *Cluster, want ring.NodeID, not fingerprint.Fingerprint) fingerprint.Fingerprint {
@@ -279,6 +287,118 @@ func TestBatchQuorumFailoverWhenOwnerDown(t *testing.T) {
 			if r, err := n.Lookup(ctx, p.FP); err != nil || !r.Exists || r.Value != p.Val {
 				t.Fatalf("node %s pair %d after revive = %+v, %v, want exists value %d", n.ID(), i, r, err, p.Val)
 			}
+		}
+	}
+}
+
+// countingBackend wraps a node, counts the calls the cluster makes of it and
+// records which pairs it was asked to decide and to mirror; dead, it fails
+// them all the same.
+type countingBackend struct {
+	*Node
+	dead             atomic.Bool
+	batches, singles atomic.Int64
+	mu               sync.Mutex
+	decided, mirror  map[fingerprint.Fingerprint]bool
+}
+
+func (b *countingBackend) note(set map[fingerprint.Fingerprint]bool, pairs []Pair) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, p := range pairs {
+		set[p.FP] = true
+	}
+	if b.dead.Load() {
+		return errInjected
+	}
+	return nil
+}
+
+func (b *countingBackend) LookupOrInsert(ctx context.Context, fp fingerprint.Fingerprint, v Value) (LookupResult, error) {
+	b.singles.Add(1)
+	return b.Node.LookupOrInsert(ctx, fp, v)
+}
+
+func (b *countingBackend) BatchLookupOrInsert(ctx context.Context, pairs []Pair) ([]LookupResult, error) {
+	b.batches.Add(1)
+	if err := b.note(b.decided, pairs); err != nil {
+		return nil, err
+	}
+	return b.Node.BatchLookupOrInsert(ctx, pairs)
+}
+
+func (b *countingBackend) ApplyRepair(ctx context.Context, pairs []Pair) ([]LookupResult, error) {
+	if err := b.note(b.mirror, pairs); err != nil {
+		return nil, err
+	}
+	return b.Node.ApplyRepair(ctx, pairs)
+}
+
+// TestDeadOwnerFailsOverInBatches: a 1 024-pair group whose owner is down is
+// decided by its pairs' rank-1 successors in one sub-batch per node — at most
+// Replicas batched backend calls for the group, the dead one included, and no
+// single-key call — and each pair is mirrored to its rank 0 (the dead owner,
+// whose wave fails) and rank 2, not back to the node that decided it. The
+// answers degrade as TestBatchQuorumFailoverWhenOwnerDown says: all new,
+// every pair a quorum failure (WriteQuorum 3 cannot be met), and a retry is
+// answered duplicate.
+func TestDeadOwnerFailsOverInBatches(t *testing.T) {
+	const replicas, size = 3, 1024
+	wrapped := make([]*countingBackend, replicas)
+	backends := make([]Backend, replicas)
+	for i := range wrapped {
+		wrapped[i] = &countingBackend{
+			Node:    newNamedNode(t, fmt.Sprintf("node-%d", i)),
+			decided: make(map[fingerprint.Fingerprint]bool),
+			mirror:  make(map[fingerprint.Fingerprint]bool),
+		}
+		backends[i] = wrapped[i]
+	}
+	c, err := NewCluster(ClusterConfig{Replicas: replicas, WriteQuorum: replicas}, backends...)
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	t.Cleanup(func() { c.Close() })
+	ctx := context.Background()
+	var pairs []Pair
+	for i := uint64(0); len(pairs) < size; i++ {
+		if owner, _ := c.Owner(fp(i)); owner == "node-1" {
+			pairs = append(pairs, Pair{FP: fp(i), Val: Value(i + 1)})
+		}
+	}
+
+	wrapped[1].dead.Store(true)
+	rs, err := c.BatchLookupOrInsert(ctx, pairs)
+	if err != nil {
+		t.Fatalf("batch with dead owner errored instead of failing over: %v", err)
+	}
+	var batches, singles int64
+	for _, b := range wrapped {
+		batches, singles = batches+b.batches.Load(), singles+b.singles.Load()
+	}
+	if batches > replicas || singles != 0 {
+		t.Fatalf("the dead owner's group cost %d batched and %d single-key backend calls, want at most %d and 0", batches, singles, replicas)
+	}
+	if got := c.ReplicationStats().QuorumFailures; got != size {
+		t.Fatalf("QuorumFailures = %d, want %d", got, size)
+	}
+	for i, p := range pairs {
+		if rs[i].Exists {
+			t.Fatalf("pair %d = %+v, want the safe 'new' answer", i, rs[i])
+		}
+		succ, _ := c.routingFor(p.FP)
+		dead, decider, last := wrapped[1], succ[1].(*countingBackend), succ[2].(*countingBackend)
+		if !dead.decided[p.FP] || !decider.decided[p.FP] || last.decided[p.FP] {
+			t.Fatalf("pair %d was not decided by its rank-1 successor alone", i)
+		}
+		if !dead.mirror[p.FP] || decider.mirror[p.FP] || !last.mirror[p.FP] {
+			t.Fatalf("pair %d mirrored to rank 0/1/2 = %v/%v/%v, want true/false/true", i, dead.mirror[p.FP], decider.mirror[p.FP], last.mirror[p.FP])
+		}
+	}
+	rs, err = c.BatchLookupOrInsert(ctx, pairs)
+	for i := range pairs {
+		if err != nil || !rs[i].Exists || rs[i].Value != pairs[i].Val {
+			t.Fatalf("retry pair %d = %+v, %v, want exists value %d", i, rs[i], err, pairs[i].Val)
 		}
 	}
 }

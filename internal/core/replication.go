@@ -4,24 +4,23 @@ package core
 //
 // Three paths keep the owner's successor set converged on the same entries:
 //
-//   - Quorum fan-out (replicateInsert / the batch mirror waves in
-//     cluster.go): every insert that creates an entry on its deciding node
-//     is replicated to the remaining replicas as one ApplyRepair batch per
-//     mirror, and the insert does not acknowledge until WriteQuorum
-//     replicas hold it. On a write-back node with a journal, a replica's
-//     ack is a durable ack (the batch does not return before the journal
-//     group-commit fsync), so a quorum-acked insert survives the loss of
-//     any quorum-minus-one nodes. An insert that cannot reach its quorum
-//     (mirrors down) does NOT fail: the deciding node's copy is already
-//     durable, so failing would poison the index — a retry would be
-//     answered "duplicate" and the client would skip uploading a chunk no
-//     one stored. Instead the insert degrades to the safe "new" answer
-//     (counted in QuorumFailures), the client uploads, and the repair
-//     queue / anti-entropy converge replication.
-//   - Read-repair (enqueueRepair from the lookup paths): when a failover
-//     or hedged lookup observes divergent answers — one replica hits while
-//     another missed — the missing replicas are backfilled asynchronously
-//     through the repair queue.
+//   - Quorum fan-out (replicateBatch): every insert that creates an entry
+//     on its deciding node is replicated to the remaining replicas as one
+//     ApplyRepair batch per mirror, and the insert does not acknowledge
+//     until WriteQuorum replicas hold it. On a write-back node with a
+//     journal, a replica's ack is a durable ack (the batch does not return
+//     before the journal group-commit fsync), so a quorum-acked insert
+//     survives the loss of any quorum-minus-one nodes. An insert that
+//     cannot reach its quorum (mirrors down) does NOT fail: the deciding
+//     node's copy is already durable, so failing would poison the index —
+//     a retry would be answered "duplicate" and the client would skip
+//     uploading a chunk no one stored. Instead the insert degrades to the
+//     safe "new" answer (counted in QuorumFailures), the client uploads,
+//     and the repair queue / anti-entropy converge replication.
+//   - Read-repair (enqueueRepair from the lookup paths): when a lookup
+//     observes divergent answers — one replica hits while another missed —
+//     the missing replicas are backfilled asynchronously through the repair
+//     queue.
 //   - Anti-entropy (AntiEntropy / the background sweeper): a full sweep
 //     that enumerates every node's entries and re-replicates each to its
 //     current successor set, healing under-replicated ranges after a
@@ -294,109 +293,36 @@ func (c *Cluster) readRepair(missers []Backend, fp fingerprint.Fingerprint, val 
 	c.repl.readRepairs.Add(uint64(len(missers)))
 }
 
-// replicateInsert fans a freshly created entry to the deciding node's
-// co-replicas and waits for the write quorum. targets is the full replica
-// set (owner first); decided indexes the node whose LookupOrInsert created
-// the entry (it counts as the first ack). A mirror that reports the entry
-// already present under a different locator reveals a divergence: the
-// mirror's copy predates this insert, so the result is flipped to its
-// duplicate answer — the same safe bias as reconcileMiss (a wrong "new"
-// costs one redundant upload; a wrong "duplicate" would lose data, and
-// here the mirror's copy proves the chunk is stored). Mirrors that fail
-// are queued for async repair; stragglers past the quorum keep running and
-// account for themselves.
+// replicateBatch fans the pairs one node's batch freshly created (the misses
+// in rs) to their other replicas as a single ApplyRepair wave per mirror
+// node, so replication costs one extra group-commit wave per replica, not a
+// per-key fan-out. pairs is what the node decided, indices maps its positions
+// to the caller's results slice, points gives each input pair's ring
+// position, and decided is the rank of the deciding node in every pair's
+// successor list under rt (0: the owner; above it after a fail-over): a
+// pair's mirrors are its successors of every other rank.
 //
-// replicateInsert never fails the insert: by the time it runs, the
-// deciding node holds the entry durably, and an error here would be
-// indistinguishable — on retry — from a stored duplicate, making the
-// client skip the upload of a chunk that was never stored. When the
-// quorum cannot be met (or the caller cancels mid-wait), the insert
-// degrades: QuorumFailures is bumped, the safe "new" answer stands, and
-// the missing mirrors converge through the repair queue / anti-entropy.
-func (c *Cluster) replicateInsert(ctx context.Context, fp fingerprint.Fingerprint, val Value, targets []Backend, decided int, res *LookupResult) {
-	required := c.quorum
-	if required > len(targets) {
-		required = len(targets)
-	}
-	type outcome struct {
-		r  LookupResult
-		ok bool
-	}
-	ch := make(chan outcome, len(targets)-1)
-	fanned := 0
-	for i, m := range targets {
-		if i == decided {
-			continue
-		}
-		fanned++
-		go func(m Backend) {
-			rs, err := applyRepair(ctx, m, []Pair{{FP: fp, Val: val}})
-			if err != nil || len(rs) != 1 {
-				c.enqueueRepair(m.ID(), fp, val)
-				ch <- outcome{ok: false}
-				return
-			}
-			ch <- outcome{r: rs[0], ok: true}
-		}(m)
-	}
-	c.repl.fannedWrites.Add(uint64(fanned))
-	if required > 1 {
-		c.repl.quorumWaits.Add(1)
-	}
-	acks, done := 1, 0 // the deciding node's ack is durable already
-	for acks < required {
-		if done == fanned {
-			// Quorum unmet: every failed mirror is already queued for
-			// repair. Degrade to the "new" answer instead of erroring —
-			// see the function comment.
-			c.repl.quorumFailures.Add(1)
-			return
-		}
-		select {
-		case o := <-ch:
-			done++
-			if !o.ok {
-				continue
-			}
-			acks++
-			// A mirror that already held the pair means the fingerprint
-			// existed before this insert — the decider's miss was a
-			// divergence (e.g. a wiped disk), not a first sighting. Flip
-			// the answer to the duplicate the mirror preserved; the
-			// decider's own insert just backfilled itself.
-			if o.r.Exists && !res.Exists {
-				*res = o.r
-				c.repl.readRepairs.Add(1)
-			}
-		case <-ctx.Done():
-			// The caller is leaving, but the decider's insert is durable:
-			// degrade rather than error (the in-flight mirrors enqueue
-			// their own repairs when the cancellation reaches them).
-			c.repl.quorumFailures.Add(1)
-			return
-		}
-	}
-}
-
-// replicateBatch fans one owner group's freshly created pairs (the misses
-// in rs) to their mirror replicas as a single ApplyRepair wave per mirror
-// node — the batched analogue of replicateInsert, and the reason batch
-// replication costs one extra group-commit wave per replica instead of a
-// per-key fan-out. pairs is the group, indices maps its positions to the
-// caller's results slice, and points gives each input pair's ring position:
-// a pair's mirrors are that position's successors under rt, after the
-// owner. A mirror that reports a pair already present flips that pair's
-// result to the duplicate answer (see replicateInsert for the bias). The
-// call returns as soon as every created pair has met its write
-// quorum — waves still in the air past that point complete asynchronously
-// and account for themselves, so batch latency is set by the quorum, not
-// the slowest replica; that is why a wave carries its own copy of its
-// pairs, never a slice of the caller's scratch. Failed waves are queued for
-// async repair, and — like replicateInsert — a pair left below its quorum
-// never fails the batch: the owner's copies are durable, so the batch
-// degrades to the safe "new" answers (counted in QuorumFailures) and
-// replication converges through repair.
-func (c *Cluster) replicateBatch(ctx context.Context, rt *routing, points []int32, pairs []Pair, indices []int32, rs []LookupResult, results []LookupResult) {
+// A mirror that reports a pair already present under its own locator reveals
+// a divergence: the mirror's copy predates this insert (the decider's miss
+// was a wiped disk, not a first sighting), so that pair's result is flipped
+// to the mirror's duplicate answer — the same safe bias as reconcileMiss (a
+// wrong "new" costs one redundant upload; a wrong "duplicate" would lose
+// data, and here the mirror's copy proves the chunk is stored).
+//
+// The call returns as soon as every created pair has met its write quorum —
+// waves still in the air past that point complete asynchronously and account
+// for themselves, so batch latency is set by the quorum, not the slowest
+// replica; that is why a wave carries its own copy of its pairs, never a
+// slice of the caller's scratch. Failed waves are queued for async repair.
+//
+// replicateBatch never fails the batch: by the time it runs, the deciding
+// node holds the entries durably, and an error here would be
+// indistinguishable — on retry — from a stored duplicate, making the client
+// skip the upload of a chunk that was never stored. A pair left below its
+// quorum degrades instead: QuorumFailures is bumped, the safe "new" answer
+// stands, and the missing mirrors converge through the repair queue and
+// anti-entropy.
+func (c *Cluster) replicateBatch(ctx context.Context, rt *routing, points []int32, pairs []Pair, indices []int32, rs []LookupResult, results []LookupResult, decided int) {
 	type wave struct {
 		backend Backend
 		pairs   []Pair
@@ -414,7 +340,10 @@ func (c *Cluster) replicateBatch(ctx context.Context, rt *routing, points []int3
 			continue
 		}
 		missCount++
-		for _, m := range rt.table.Successors(int(points[indices[k]]))[1:] {
+		for rank, m := range rt.table.Successors(int(points[indices[k]])) {
+			if rank == decided {
+				continue
+			}
 			w := waves[m]
 			if w == nil {
 				w = &wave{backend: rt.backends[m]}
@@ -477,8 +406,8 @@ func (c *Cluster) replicateBatch(ctx context.Context, rt *routing, points []int3
 			if 1+acks[k] == required {
 				pending--
 			}
-			// Same flip as replicateInsert: a mirror that already held
-			// the pair proves the decider's miss was divergence.
+			// A mirror that already held the pair proves the decider's
+			// miss was divergence.
 			if r2.Exists && !results[indices[k]].Exists {
 				results[indices[k]] = r2
 				c.repl.readRepairs.Add(1)
@@ -486,7 +415,7 @@ func (c *Cluster) replicateBatch(ctx context.Context, rt *routing, points []int3
 		}
 	}
 	// Every wave answered and some pairs are still below quorum: degrade
-	// instead of failing (see replicateInsert) — their repairs are queued.
+	// instead of failing — their repairs are queued.
 	if pending > 0 {
 		c.repl.quorumFailures.Add(uint64(pending))
 	}

@@ -26,11 +26,10 @@
 //
 // Every lookup, insert, stats, and membership operation takes a
 // context.Context as its first argument: deadlines bound how long a
-// request may hold flight-table slots and device queues, cancellation
-// releases them early (propagated over the wire to remote nodes), and
-// ClusterOptions.HedgeAfter turns replicated clusters' tail latency into
-// a race the fastest replica wins. Callers that need none of that pass
-// context.Background() and pay nothing for the rest.
+// request may hold flight-table slots and device queues, and cancellation
+// releases them early (propagated over the wire to remote nodes): a
+// cancelled call issues no further device operation. Callers that need
+// none of that pass context.Background().
 //
 //shhc:ctxapi
 package shhc
@@ -186,11 +185,6 @@ type ClusterOptions struct {
 	AntiEntropyInterval time.Duration
 	// VirtualNodes per node on the hash ring; 0 selects the default.
 	VirtualNodes int
-	// HedgeAfter enables hedged reads when Replicas > 1: a Lookup that
-	// has not answered after this long is raced against the next replica
-	// and the first hit wins (a lone miss waits for the other replicas —
-	// see core.ClusterConfig.HedgeAfter).
-	HedgeAfter time.Duration
 }
 
 func (o *ClusterOptions) fill() {
@@ -273,7 +267,6 @@ func NewLocalCluster(opts ClusterOptions) (*Cluster, error) {
 		Replicas:            opts.Replicas,
 		WriteQuorum:         opts.WriteQuorum,
 		AntiEntropyInterval: opts.AntiEntropyInterval,
-		HedgeAfter:          opts.HedgeAfter,
 	}, backends...)
 	if err != nil {
 		closeAll(backends)
@@ -289,7 +282,7 @@ func closeAll(backends []core.Backend) {
 }
 
 // ClusterConfig configures NewCluster (explicit-backend clusters): the
-// replication factor, ring virtual-node count, and hedged-read delay.
+// replication factor, write quorum and ring virtual-node count.
 // Unlike the old NewCluster(replicas int, ...) signature, every routing
 // knob is reachable for distributed deployments, not only for
 // NewLocalCluster's in-process ones.
