@@ -39,7 +39,7 @@ func run() error {
 		addr     = flag.String("addr", "127.0.0.1:7001", "listen address")
 		dir      = flag.String("dir", "", "directory for the on-disk hash table (empty = in-memory)")
 		cache    = flag.Int("cache", 1<<16, "LRU cache capacity in entries")
-		expected = flag.Int("expected", 1<<20, "expected fingerprints (sizes Bloom filter and buckets)")
+		expected = flag.Int("expected", 1<<20, "expected fingerprints (sizes the Bloom filter; the hash table starts small and grows with its content)")
 		model    = flag.String("device", "ssd", "modeled index device: ssd|hdd|ram|null")
 		sleep    = flag.Bool("sleep-device", false, "realize modeled device latency with real sleeps")
 		noBloom  = flag.Bool("no-bloom", false, "disable the Bloom filter")

@@ -4,10 +4,12 @@ package bench
 // Growth benchmark: what overfilling a fixed table costs, and what online
 // linear-hashing splits buy back.
 //
-// Two tables are created with the same ExpectedItems estimate — one with
-// resizing off (the pre-v4 behaviour: the bucket region is fixed forever)
-// and one with resizing on — then both are filled in waves to 0.5×, 1×,
-// 2×, 4× and 8× the estimate. Every wave measures batched insert
+// Two tables are given the same ExpectedItems estimate — one with resizing
+// off, whose bucket region is sized from it once and fixed forever (the
+// pre-v4 behaviour), and one with resizing on, which ignores the estimate,
+// starts at hashdb's small base and splits to the size of its content, so
+// the two differ from the first insert — then both are filled in waves to
+// 0.5×, 1×, 2×, 4× and 8× the estimate. Every wave measures batched insert
 // throughput and lookup throughput over a 50% present / 50% absent probe
 // mix, plus the table-shape stats (buckets, max chain, load factor, splits,
 // free pages) that explain the curves. The fixed table's chains grow
@@ -93,12 +95,7 @@ func runGrowthKind(dir, kind string, expected int) ([]GrowthPoint, error) {
 	db, err := hashdb.Create(path, hashdb.Options{
 		ExpectedItems: expected,
 		Resize:        mode,
-		// Create sizes the bucket region for ~half-full pages at
-		// ExpectedItems; splitting at 0.5 holds that contract online, so
-		// the resizable table's per-lookup page-scan cost stays at the
-		// design point no matter how far past the estimate it grows.
-		SplitLoadFactor: 0.5,
-		Device:          device.New(device.SSD, device.Account),
+		Device:        device.New(device.SSD, device.Account),
 	})
 	if err != nil {
 		return nil, err

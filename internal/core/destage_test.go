@@ -285,6 +285,89 @@ func TestDestageCoalescing(t *testing.T) {
 	}
 }
 
+// TestDestageWavesSharePagesOnYoungTable is what a table the size of its
+// content buys the write-back path: a wave of half the cache lands on the few
+// hundred bucket pages a young table has, not on the fourteen thousand a
+// table sized for a million entries started with, so already the second wave
+// of a node's life puts ten and more entries on each page it writes (2.5 on
+// the pre-sized table). The stack's configuration: default-created table,
+// 64 Ki-entry cache, default wave size.
+func TestDestageWavesSharePagesOnYoungTable(t *testing.T) {
+	db, err := hashdb.Create(filepath.Join(t.TempDir(), "young.shdb"), hashdb.Options{ExpectedItems: 1 << 20})
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	n, err := NewNode(NodeConfig{ID: "young", Store: db, CacheSize: 1 << 16, WriteBack: true})
+	if err != nil {
+		t.Fatalf("NewNode: %v", err)
+	}
+	defer n.Close()
+	ctx := context.Background()
+	const batch = 2048
+	destage := func() DestageStats {
+		t.Helper()
+		st, err := n.Stats(ctx)
+		if err != nil {
+			t.Fatalf("Stats: %v", err)
+		}
+		return st.Destage
+	}
+	var (
+		total uint64
+		early DestageStats // the counters between two waves, the first behind them
+	)
+	pairs := make([]Pair, batch)
+	for waves := uint64(0); early.Waves == 0 || waves == early.Waves; {
+		for i := range pairs {
+			pairs[i] = Pair{FP: fp(total + uint64(i)), Val: Value(total + uint64(i) + 1)}
+		}
+		if _, err := n.BatchLookupOrInsert(ctx, pairs); err != nil {
+			t.Fatalf("BatchLookupOrInsert at %d: %v", total, err)
+		}
+		total += batch
+		if total > 1<<20 {
+			t.Fatal("a million inserts and no second destage wave")
+		}
+		ds := destage()
+		if early.Waves == 0 && ds.Waves > 0 {
+			// The three counters move one after the other as a wave ends:
+			// a reading is between waves if the next one is the same.
+			if again := destage(); again.Entries == ds.Entries && again.Pages == ds.Pages && again.Waves == ds.Waves {
+				early = ds
+			}
+		}
+		waves = ds.Waves
+	}
+	if err := n.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	ds := destage()
+	entries, pages := ds.Entries-early.Entries, ds.Pages-early.Pages
+	t.Logf("first %d wave(s) %d entries on %d pages; the %d after them %d on %d; table %d buckets",
+		early.Waves, early.Entries, early.Pages, ds.Waves-early.Waves, entries, pages, db.Stats().Buckets)
+	if pages == 0 || float64(entries)/float64(pages) < 10 {
+		t.Fatalf("after the first wave, %d entries cost %d page writes: under 10 entries a page", entries, pages)
+	}
+	if ds := db.Stats(); ds.Splits == 0 || uint64(db.Len()) != total {
+		t.Fatalf("table after Flush: %d entries of %d, %d splits", db.Len(), total, ds.Splits)
+	}
+	fps := make([]fingerprint.Fingerprint, batch)
+	for at := uint64(0); at < total; at += batch {
+		for i := range fps {
+			fps[i] = fp(at + uint64(i))
+		}
+		vals, found, err := db.GetBatch(ctx, fps)
+		if err != nil {
+			t.Fatalf("GetBatch at %d: %v", at, err)
+		}
+		for i := range fps {
+			if !found[i] || vals[i] != Value(at+uint64(i)+1) {
+				t.Fatalf("fingerprint %d after Flush = (%d, %v)", at+uint64(i), vals[i], found[i])
+			}
+		}
+	}
+}
+
 // flakyPutStore fails the first `failures` batched writes, then recovers.
 type flakyPutStore struct {
 	*hashdb.MemStore

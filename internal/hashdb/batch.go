@@ -248,6 +248,7 @@ func (db *DB) GetBatch(ctx context.Context, fps []fingerprint.Fingerprint) ([]Va
 		if pending = stale.take(); pending == nil {
 			return vals, found, nil
 		}
+		db.staleRetries.Add(1)
 	}
 }
 

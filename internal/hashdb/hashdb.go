@@ -114,19 +114,41 @@ const (
 )
 
 // DefaultSplitLoadFactor is the aggregate load factor (entries per
-// bucket-region slot) past which a resizable table runs incremental
-// splits. 0.75 keeps the expected chain around one page while splitting
-// well before overflow chains dominate.
-const DefaultSplitLoadFactor = 0.75
+// bucket-region slot) at which a resizable table runs incremental splits.
+// Linear hashing is skewed 2 : 1 — a bucket the split pointer has not yet
+// reached holds twice what one it has passed does — so late in a level the
+// unsplit buckets carry up to twice the mean, 2 × trigger × SlotsPerPage
+// entries each. The trigger therefore sits under one half, for those
+// buckets to fit their one page and a lookup to stay one page read: at 0.45
+// they hold 130 ± 11 of 145 slots at worst, and the benchmark's full-backup
+// tables end with overflow pages on 0.2–0.3 % of their buckets and no chain
+// over two pages (0.4: none; 0.5: 2.6–3.5 %; 0.75, the value this replaced,
+// a second page on every other bucket). TestCreateStartsSmall holds the
+// bound at every point of every level.
+const DefaultSplitLoadFactor = 0.45
+
+// startBuckets is the bucket count a resizable table is created with: 1 MiB
+// of bucket pages, whatever the caller expects to store. Splits keep the
+// table at the size of its content from there, so every batch and every
+// destage wave shares pages at every age of the table instead of only once
+// ExpectedItems entries have arrived. A constant, not an option: 64, 256 and
+// 1 024 read the same fps_per_s on first_full_wb (three seeds each, inside
+// the host's noise; CHANGES.md, PR 23), so it is the smallest round number
+// that keeps a table's first wave from being mostly splits.
+const startBuckets = 256
 
 // Options configures database creation.
 type Options struct {
-	// ExpectedItems sizes the bucket region for ~50% initial fill so most
-	// lookups cost a single page read. Defaults to 1<<20. A resizable
-	// table outgrows this estimate online; a fixed one degrades past it.
+	// ExpectedItems sizes the bucket region of a table whose geometry is
+	// pinned (ResizeOff) for ~50% fill at that many entries, so most lookups
+	// cost a single page read; such a table degrades past the estimate.
+	// Defaults to 1<<20. A resizable table ignores it: it starts at
+	// startBuckets and splits to the size of its content.
 	ExpectedItems int
-	// Buckets overrides the computed bucket count directly (testing and
-	// sizing experiments). If zero it is derived from ExpectedItems.
+	// Buckets overrides the bucket count directly (testing and sizing
+	// experiments) and, under ResizeAuto, pins it. If zero, a resizable
+	// table starts at startBuckets and a fixed one derives it from
+	// ExpectedItems.
 	Buckets uint64
 	// Stripes is the number of bucket-region lock stripes (rounded to a
 	// power of two). A stripe is a runtime construct, not persisted in the
@@ -142,21 +164,27 @@ type Options struct {
 	Device *device.Device
 }
 
-func (o *Options) fill() {
+// fill resolves the defaults and reports whether the table grows online:
+// ResizeAuto means "unless the caller pinned Buckets", which only the
+// options as given can say.
+func (o *Options) fill() (resizable bool) {
+	resizable = o.Resize == ResizeOn || (o.Resize == ResizeAuto && o.Buckets == 0)
 	if o.ExpectedItems <= 0 {
 		o.ExpectedItems = 1 << 20
 	}
 	if o.Buckets == 0 {
-		// Target half-full bucket pages at the expected load.
-		perBucket := SlotsPerPage / 2
-		o.Buckets = uint64((o.ExpectedItems + perBucket - 1) / perBucket)
-		if o.Buckets == 0 {
-			o.Buckets = 1
+		if resizable {
+			o.Buckets = startBuckets
+		} else {
+			// Pinned geometry: half-full bucket pages at the expected load.
+			perBucket := SlotsPerPage / 2
+			o.Buckets = uint64((o.ExpectedItems + perBucket - 1) / perBucket)
 		}
 	}
 	if o.Device == nil {
 		o.Device = device.New(device.SSD, device.Account)
 	}
+	return resizable
 }
 
 // defaultStripes is the default lock-stripe count (power of two). 64 is
@@ -222,6 +250,13 @@ type DB struct {
 	// chainSplitTrigger+ pages; the next write drains it into a split.
 	wantSplit atomic.Bool
 	splits    atomic.Uint64
+	// staleRetries counts the rounds in which a batch (or a Put) regrouped
+	// and retried keys a concurrent split remapped between its lock-free
+	// bucket computation and the stripe lock.
+	staleRetries atomic.Uint64
+	// split is splitOne's staging, kept from one split to the next; splitMu
+	// guards it.
+	split splitScratch
 	// recovering suppresses split triggering while the open-time recovery
 	// pass re-inserts salvaged entries through the normal write path.
 	// Written and read only while Open runs single-threaded.
@@ -313,8 +348,7 @@ func Create(path string, opts Options) (*DB, error) {
 // in messages and is removed when initialization fails. CreateFile takes
 // ownership of f.
 func CreateFile(f File, path string, opts Options) (*DB, error) {
-	explicitBuckets := opts.Buckets != 0
-	opts.fill()
+	resizable := opts.fill()
 	db := &DB{
 		f:           f,
 		path:        path,
@@ -322,8 +356,7 @@ func CreateFile(f File, path string, opts Options) (*DB, error) {
 		baseBuckets: opts.Buckets,
 		stripes:     newStripes(opts.Stripes),
 	}
-	db.resizable = opts.Resize == ResizeOn ||
-		(opts.Resize == ResizeAuto && !explicitBuckets)
+	db.resizable = resizable
 	db.splitLF = opts.SplitLoadFactor
 	if db.splitLF <= 0 {
 		db.splitLF = DefaultSplitLoadFactor
@@ -746,8 +779,9 @@ func (db *DB) Put(fp fingerprint.Fingerprint, v Value) (bool, error) {
 		}
 		// A concurrent split remapped fp between the bucket computation
 		// and the stripe lock; retry against the new bucket.
+		db.staleRetries.Add(1)
 	}
-	return created[0], db.maybeSplit()
+	return created[0], db.maybeSplit(0)
 }
 
 // Delete removes fp, reporting whether it was present. The slot is filled
@@ -955,6 +989,9 @@ type Stats struct {
 	Level        uint8
 	SplitPointer uint64
 	Splits       uint64
+	// StaleRetries counts batch rounds (and Puts) repeated for keys a
+	// concurrent split moved to another bucket after they were grouped.
+	StaleRetries uint64
 	// FreePages is the length of the persistent free-page list the
 	// allocator drains before extending the file.
 	FreePages     uint64
@@ -999,6 +1036,7 @@ func (db *DB) Stats() Stats {
 		Level:         level,
 		SplitPointer:  split,
 		Splits:        db.splits.Load(),
+		StaleRetries:  db.staleRetries.Load(),
 		FreePages:     freePages,
 		Resizable:     db.resizable,
 		Stripes:       len(db.stripes),

@@ -39,6 +39,12 @@ func (db *DB) PutBatch(ctx context.Context, pairs []Pair) ([]bool, int, error) {
 	if len(pairs) == 0 {
 		return created, 0, nil
 	}
+	// Grow for the whole batch before grouping it: the chains below then
+	// find room on their bucket pages, and the grouping is computed against
+	// the mapping the splits leave behind.
+	if err := db.maybeSplit(len(pairs)); err != nil {
+		return nil, 0, err
+	}
 	g := getGroupScratch()
 	defer putGroupScratch(g)
 	var (
@@ -59,8 +65,11 @@ func (db *DB) PutBatch(ctx context.Context, pairs []Pair) ([]bool, int, error) {
 		if pending = stale.take(); pending == nil {
 			break
 		}
+		db.staleRetries.Add(1)
 	}
-	if err := db.maybeSplit(); err != nil {
+	// What the walks above asked for (a chain of chainSplitTrigger pages),
+	// and whatever a concurrent batch's split kept this one from growing.
+	if err := db.maybeSplit(0); err != nil {
 		return nil, 0, err
 	}
 	return created, int(pages.Load()), nil
@@ -182,7 +191,7 @@ func (db *DB) putChain(ctx context.Context, cs *chainScratch, run []keyed, pairs
 	// One allocRun call claims file positions for every new overflow
 	// page, reusing freed pages before growing the file.
 	if newPages > 0 {
-		nos, err := db.allocRun(newPages)
+		nos, err := db.allocRun(nil, newPages)
 		if err != nil {
 			return 0, err
 		}

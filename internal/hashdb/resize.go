@@ -4,11 +4,14 @@ package hashdb
 // splits, the persistent page free list, and the compaction pass that
 // feeds it.
 //
-// The static geometry the store launched with — bucket count fixed at
-// create time — is a latent scalability bug: past the ExpectedItems
-// estimate every bucket chain grows without bound and each lookup pays
-// one page read per chain page forever. Linear hashing removes the
-// ceiling without downtime or a rebuild:
+// A bucket count fixed at create time makes the table depend on the
+// operator's estimate: past ExpectedItems every chain grows without bound
+// and each lookup pays one page read per chain page forever, and short of
+// it a batch finds one entry per page to write where a table its own size
+// would give it thirty. So growth is the normal state of a table, not the
+// exception past an estimate: a resizable table is created at startBuckets
+// and linear hashing keeps it at the size of its content, without downtime
+// or a rebuild:
 //
 //   - the table runs at a (level, split) state: base<<level buckets are
 //     addressed at the current level and the buckets below the split
@@ -19,7 +22,8 @@ package hashdb
 //   - splits are incremental — one bucket at a time, under the two
 //     affected bucket-region stripe locks — and are triggered by the live
 //     telemetry the write path already records (load factor and observed
-//     chain length), not by an offline rebuild.
+//     chain length), not by an offline rebuild. A batch splits ahead of
+//     itself, for the entries it is about to add (maybeSplit).
 //
 // Bucket pages beyond the base region cannot live at a fixed file offset,
 // so they are recorded in a small directory: a chain of pages holding
@@ -40,6 +44,7 @@ package hashdb
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"shhc/internal/fingerprint"
 )
@@ -169,19 +174,20 @@ func (db *DB) lockBucket(h uint64) (uint64, *dbStripe) {
 // records the head. Recovery never trusts the chain after a crash — it
 // rebuilds the free list from the unreferenced empty pages it finds.
 
-// allocRun claims n page numbers, draining the free list before
-// extending the file. Free-list pops cost one page read each (to follow
-// the chain); extension is a counter bump, with the actual growth
-// happening when the new page is written. Callers must have marked the
-// file dirty.
-func (db *DB) allocRun(n int) ([]uint64, error) {
+// allocRun claims n page numbers and appends them to dst, draining the
+// free list before extending the file. Free-list pops cost one page read
+// each (to follow the chain); extension is a counter bump, with the actual
+// growth happening when the new page is written. Callers must have marked
+// the file dirty.
+func (db *DB) allocRun(dst []uint64, n int) ([]uint64, error) {
 	db.allocMu.Lock()
 	defer db.allocMu.Unlock()
-	pages := make([]uint64, 0, n)
+	pages := slices.Grow(dst, n)
+	want := len(dst) + n
 	if db.freeHead != 0 {
 		buf := getPage()
 		defer putPage(buf)
-		for len(pages) < n && db.freeHead != 0 {
+		for len(pages) < want && db.freeHead != 0 {
 			p := db.freeHead
 			if err := db.readPage(p, buf); err != nil {
 				return nil, err
@@ -191,7 +197,7 @@ func (db *DB) allocRun(n int) ([]uint64, error) {
 			pages = append(pages, p)
 		}
 	}
-	if rest := n - len(pages); rest > 0 {
+	if rest := want - len(pages); rest > 0 {
 		base := db.pages.Load()
 		db.pages.Add(uint64(rest))
 		for i := 0; i < rest; i++ {
@@ -240,7 +246,7 @@ func (db *DB) dirAppend(newPage uint64) error {
 		// The last directory page is full (or none exists): start a new
 		// one, then link it — new page before the pointer to it, so a
 		// crash strands an unreferenced page, never a dangling link.
-		np, err := db.allocRun(1)
+		np, err := db.allocRun(nil, 1)
 		if err != nil {
 			return err
 		}
@@ -298,28 +304,27 @@ func (db *DB) publishDirEntry(newPage uint64) {
 // reads.
 const chainSplitTrigger = 3
 
-// loadFactor returns entries / total bucket-region slots at the current
-// bucket count.
-func (db *DB) loadFactor() float64 {
-	nb := db.numBuckets()
-	if nb == 0 {
-		return 0
-	}
-	return float64(db.entries.Load()) / float64(nb*SlotsPerPage)
+// overloaded reports whether the table would sit at or past its split
+// threshold with extra more entries than it holds now.
+func (db *DB) overloaded(extra int) bool {
+	slots := float64(db.numBuckets() * SlotsPerPage)
+	return float64(db.entries.Load()+uint64(extra)) >= db.splitLF*slots
 }
 
 // maybeSplit runs pending incremental splits if the live telemetry says
-// the table has outgrown its bucket count: the aggregate load factor
-// crossed the split threshold, or a write-path chain walk observed a
-// chain of chainSplitTrigger+ pages. At most one caller splits at a
-// time (TryLock); everyone else returns immediately, so the trigger
-// never convoys the write path. Callers must not hold stripe locks.
-func (db *DB) maybeSplit() error {
+// the table is too small for what it holds plus the extra entries the
+// caller is about to add: the aggregate load factor would reach the split
+// threshold, or a write-path chain walk observed a chain of
+// chainSplitTrigger+ pages. Splitting ahead of a batch is what keeps a
+// wave into a young table from building overflow chains only to split
+// them a millisecond later. At most one caller splits at a time (TryLock);
+// everyone else returns immediately, so the trigger never convoys the
+// write path. Callers must not hold stripe locks.
+func (db *DB) maybeSplit(extra int) error {
 	if !db.resizable || db.recovering {
 		return nil
 	}
-	want := db.wantSplit.Load()
-	if !want && db.loadFactor() < db.splitLF {
+	if !db.wantSplit.Load() && !db.overloaded(extra) {
 		return nil
 	}
 	if !db.splitMu.TryLock() {
@@ -331,12 +336,22 @@ func (db *DB) maybeSplit() error {
 			return err
 		}
 	}
-	for db.loadFactor() >= db.splitLF {
+	for db.overloaded(extra) {
 		if err := db.splitOne(); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// splitScratch is the staging one split works in: the source chain's pages
+// (buffers its own, as a chain walk's are), the entries moving out, the page
+// numbers of the new bucket's chain and of the source pages that emptied.
+type splitScratch struct {
+	src     chainScratch
+	moved   []Pair
+	nos     []uint64
+	dropped []uint64
 }
 
 // splitOne performs one linear-hashing split: the bucket at the split
@@ -383,29 +398,28 @@ func (db *DB) splitOne() error {
 		return err
 	}
 
-	// Read the source chain.
-	var chain []chainPage
-	defer func() {
-		for i := range chain {
-			putPage(chain[i].buf)
-		}
-	}()
+	// Read the source chain into the split scratch: growth is the normal
+	// state of a table, so a split keeps its staging from one to the next
+	// (splitMu guards it) instead of allocating it.
+	sc := &db.split
+	if cap(sc.src.chain) > 8 { // as putChainScratch: one long chain must not pin its pages
+		sc.src = chainScratch{}
+	}
+	sc.src.chain = sc.src.chain[:0]
 	for p := db.bucketPageOf(s); p != 0; {
-		buf := getPage()
-		if err := db.readPage(p, buf); err != nil {
-			putPage(buf)
+		cp := sc.src.addPage(p)
+		if err := db.readPage(p, cp.buf); err != nil {
 			return err
 		}
-		//lint:ignore poolescape chain is a function-local staging slice; every chainPage.buf is released by the deferred putPage loop.
-		chain = append(chain, chainPage{no: p, buf: buf})
-		p = pageNext(buf)
+		p = pageNext(cp.buf)
 	}
+	chain := sc.src.chain
 
 	// Partition: entries whose hash gains the new top bit move to t.
 	// The rewrite is page-local — movers are packed out of each source
 	// page independently — so a torn source write never loses an entry
 	// another page's write was carrying.
-	var moved []Pair
+	moved := sc.moved[:0]
 	for i := range chain {
 		buf := chain[i].buf
 		w := 0
@@ -426,16 +440,15 @@ func (db *DB) splitOne() error {
 			setPageCount(buf, w)
 		}
 	}
+	sc.moved = moved
 
 	// 1. Build and write the new bucket's chain, deepest page first.
-	tPages := 1
-	if len(moved) > SlotsPerPage {
-		tPages = (len(moved) + SlotsPerPage - 1) / SlotsPerPage
-	}
-	tNos, err := db.allocRun(tPages)
+	tPages := max(1, (len(moved)+SlotsPerPage-1)/SlotsPerPage)
+	tNos, err := db.allocRun(sc.nos[:0], tPages)
 	if err != nil {
 		return err
 	}
+	sc.nos = tNos
 	tBuf := getPage()
 	defer putPage(tBuf)
 	for i := tPages - 1; i >= 0; i-- {
@@ -459,41 +472,35 @@ func (db *DB) splitOne() error {
 		return err
 	}
 
-	// 3. Rewrite the source chain in place. From here on the split must
-	// roll forward: a failed page write leaves at worst a stale copy of
-	// a moved entry in the source chain, unreachable once the state
-	// publishes (Compact and recovery drop such strays), whereas
+	// 3. Rewrite the source chain in place, deepest page first. From here
+	// on the split must roll forward: a failed page write leaves at worst
+	// a stale copy of a moved entry in the source chain, unreachable once
+	// the state publishes (Compact and recovery drop such strays), whereas
 	// aborting now would lose the entries already packed out. The new
-	// chain skips pages that emptied; surviving pages keep their file
-	// positions and are relinked around the gaps.
+	// chain skips overflow pages that emptied; surviving pages keep their
+	// file positions and are relinked around the gaps.
 	var firstErr error
-	keep := make([]chainPage, 0, len(chain))
-	var dropped []uint64
-	for i := range chain {
-		if i == 0 || pageCount(chain[i].buf) > 0 {
-			keep = append(keep, chain[i])
-		} else {
-			dropped = append(dropped, chain[i].no)
-		}
-	}
-	for i := range keep {
-		next := uint64(0)
-		if i+1 < len(keep) {
-			next = keep[i+1].no
-		}
-		if pageNext(keep[i].buf) != next {
-			setPageNext(keep[i].buf, next)
-			keep[i].dirty = true
-		}
-	}
-	for i := len(keep) - 1; i >= 0; i-- {
-		if !keep[i].dirty {
+	dropped := sc.dropped[:0]
+	next := uint64(0) // the surviving page behind the one in hand
+	for i := len(chain) - 1; i >= 0; i-- {
+		cp := &chain[i]
+		if i > 0 && pageCount(cp.buf) == 0 {
+			dropped = append(dropped, cp.no)
 			continue
 		}
-		if err := db.writePage(keep[i].no, keep[i].buf); err != nil && firstErr == nil {
+		if pageNext(cp.buf) != next {
+			setPageNext(cp.buf, next)
+			cp.dirty = true
+		}
+		next = cp.no
+		if !cp.dirty {
+			continue
+		}
+		if err := db.writePage(cp.no, cp.buf); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
+	sc.dropped = dropped
 	// 4. Freed source overflow pages go to the free list.
 	for _, no := range dropped {
 		if err := db.freePage(no); err != nil && firstErr == nil {
@@ -604,14 +611,19 @@ func (db *DB) compactBucket(b uint64, cs *CompactStats) error {
 	}
 
 	// Repack into the chain's first needPages pages, then unlink and
-	// free the rest. Packed pages are written deepest-first; the freed
-	// tail keeps its (now duplicate) contents until freePage erases
-	// them, so a crash anywhere leaves every entry reachable.
+	// free the rest. Entries only ever move toward the head, so packed
+	// pages are written head-first: whatever a page held before its
+	// rewrite is by then on the pages already written or stays on it, and
+	// what the pages behind it held is still there, twice for a moment
+	// (deepest-first is for pages nothing links to yet; here a crash
+	// between two writes would lose the middle of the chain). The last
+	// packed page cuts the link to the tail, which keeps its now duplicate
+	// contents until freePage erases them.
 	movedBefore := 0
 	for i := 0; i < needPages; i++ {
 		movedBefore += pageCount(chain[i].buf)
 	}
-	for i := needPages - 1; i >= 0; i-- {
+	for i := 0; i < needPages; i++ {
 		buf := chain[i].buf
 		clear(buf)
 		lo := i * SlotsPerPage

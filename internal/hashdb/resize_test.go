@@ -1,13 +1,16 @@
 package hashdb
 
 import (
+	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"shhc/internal/device"
 	"shhc/internal/fingerprint"
+	"shhc/internal/parallel"
 )
 
 // TestResizeSplitsGrowBuckets drives a tiny resizable table far past its
@@ -195,6 +198,228 @@ func TestResizeExplicitBucketsStaysFixed(t *testing.T) {
 	if st.Resizable || st.Splits != 0 || st.Buckets != 1 {
 		t.Fatalf("explicit-bucket table grew: resizable=%v splits=%d buckets=%d",
 			st.Resizable, st.Splits, st.Buckets)
+	}
+
+	// The other pinned geometry: a table that may not grow is still sized
+	// from ExpectedItems, half-full bucket pages at the estimate.
+	off := newTestDB(t, Options{ExpectedItems: 10_000, Resize: ResizeOff})
+	want := uint64((10_000 + SlotsPerPage/2 - 1) / (SlotsPerPage / 2))
+	if st := off.Stats(); st.Resizable || st.Buckets != want || st.BaseBuckets != want {
+		t.Fatalf("ResizeOff table: resizable=%v buckets=%d base=%d, want fixed at %d",
+			st.Resizable, st.Buckets, st.BaseBuckets, want)
+	}
+}
+
+// TestCreateStartsSmall pins what a default-created table is: startBuckets
+// whatever the estimate says, then the size of its content — load factor
+// between half the trigger and the trigger, a file within a small multiple
+// of the entries' own bytes — and still one page read per lookup: no write
+// path walk ever saw a chain over two pages and overflow pages stay under
+// 1 % of the buckets at every point of every level, the late ones included,
+// where the unsplit buckets carry twice the mean.
+func TestCreateStartsSmall(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "small.shdb")
+	db, err := Create(path, Options{ExpectedItems: 1 << 24})
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	defer db.Close()
+	fileSize := func() int64 {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	if st := db.Stats(); !st.Resizable || st.Buckets != startBuckets {
+		t.Fatalf("default table: resizable=%v buckets=%d, want resizable at %d", st.Resizable, st.Buckets, startBuckets)
+	}
+	if sz := fileSize(); sz > 2<<20 {
+		t.Fatalf("an empty default table is %d bytes, want <= 2 MiB", sz)
+	}
+	const batch = 1024
+	total := 300 * batch // three and a half doublings past the first split
+	if raceEnabled {
+		total = 100 * batch // one goroutine: two doublings under the detector
+	}
+	trigger := DefaultSplitLoadFactor
+	pairs := make([]Pair, batch)
+	for n := 0; n < total; {
+		for i := range pairs {
+			pairs[i] = Pair{FP: fp(uint64(n + i)), Val: Value(n + i)}
+		}
+		if _, _, err := db.PutBatch(t.Context(), pairs); err != nil {
+			t.Fatalf("PutBatch at %d: %v", n, err)
+		}
+		n += batch
+		st := db.Stats()
+		if st.Entries != uint64(n) {
+			t.Fatalf("Entries = %d after %d inserts", st.Entries, n)
+		}
+		if st.Splits == 0 {
+			continue // still inside the base: its size is startBuckets, not the content's
+		}
+		if st.LoadFactor > trigger || st.LoadFactor < trigger/2 {
+			t.Fatalf("n=%d: load factor %.3f outside [%.3f, %.3f] (%d buckets)", n, st.LoadFactor, trigger/2, trigger, st.Buckets)
+		}
+		if st.MaxChain > 2 {
+			t.Fatalf("n=%d: a write walked a chain of %d pages", n, st.MaxChain)
+		}
+		if st.OverflowPages*100 > st.Buckets {
+			t.Fatalf("n=%d: %d overflow pages over %d buckets (level %d, split %d), want <= 1 %%",
+				n, st.OverflowPages, st.Buckets, st.Level, st.SplitPointer)
+		}
+		if sz, bound := fileSize(), int64(3*float64(n)*entrySize/trigger); sz > bound {
+			t.Fatalf("n=%d: file is %d bytes, want <= %d (3 x entries x %d / trigger)", n, sz, bound, entrySize)
+		}
+	}
+	if err := db.Check(); err != nil {
+		t.Fatalf("Check: %v", err)
+	}
+}
+
+// rangeOnce enumerates db into a map, failing if Range delivers a fingerprint
+// twice: on a quiet table an entry that shows up twice is stored twice.
+func rangeOnce(t *testing.T, db *DB, where string) map[fingerprint.Fingerprint]Value {
+	t.Helper()
+	seen := make(map[fingerprint.Fingerprint]Value, db.Len())
+	if err := db.Range(func(f fingerprint.Fingerprint, v Value) bool {
+		if _, dup := seen[f]; dup {
+			t.Fatalf("%s: Range delivered %s twice", where, f.Short())
+		}
+		seen[f] = v
+		return true
+	}); err != nil {
+		t.Fatalf("%s: Range: %v", where, err)
+	}
+	return seen
+}
+
+// TestGrowFromBaseUnderBatches grows a default-created table from its 256
+// buckets to some thousands under the traffic a node gives it — foreground
+// PutBatch and GetBatch callers and a destage-shaped wave on the background
+// lane, all at once — with every answer checked against what was acked. A
+// split now lands between most batches' grouping and their stripe locks, so
+// the stale-retry rounds must have run, and nothing may be lost or doubled.
+func TestGrowFromBaseUnderBatches(t *testing.T) {
+	db := newTestDB(t, Options{Device: device.New(device.Null, device.Account)})
+	const (
+		writers   = 3 // the last one is the background wave
+		batch     = 512
+		waveBatch = 8192
+		share     = batch / (2 * writers) // keys a read batch asks each writer's range for
+	)
+	wantBuckets := uint64(4000)
+	if testing.Short() {
+		wantBuckets = 1000
+	}
+	per := int(float64(wantBuckets*SlotsPerPage)*DefaultSplitLoadFactor)/writers + waveBatch
+	ctx := t.Context()
+	var acked [writers]atomic.Int64 // keys [w<<32, w<<32+acked[w]) are stored, value = key
+	key := func(w, i int) uint64 { return uint64(w)<<32 | uint64(i) }
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			size, wctx := batch, ctx
+			if w == writers-1 {
+				size, wctx = waveBatch, parallel.Background(ctx, new(atomic.Bool))
+			}
+			pairs := make([]Pair, size)
+			for at := 0; at < per; at += size {
+				for i := range pairs {
+					pairs[i] = Pair{FP: fp(key(w, at+i)), Val: Value(key(w, at+i))}
+				}
+				created, _, err := db.PutBatch(wctx, pairs)
+				if err != nil {
+					t.Errorf("writer %d PutBatch at %d: %v", w, at, err)
+					return
+				}
+				for i, c := range created {
+					if !c {
+						t.Errorf("writer %d: key %d of batch at %d reported an update", w, i, at)
+						return
+					}
+				}
+				acked[w].Store(int64(at + size))
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			fps := make([]fingerprint.Fingerprint, 0, batch)
+			keys := make([]uint64, 0, batch)
+			for round := 0; ; round++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Acked keys from all over every writer's range, and as many
+				// keys nobody ever writes.
+				fps, keys = fps[:0], keys[:0]
+				for w := 0; w < writers; w++ {
+					if n := int(acked[w].Load()); n > 0 {
+						for j := 0; j < share; j++ {
+							keys = append(keys, key(w, (round*131+j*977+r)%n))
+						}
+					}
+				}
+				for len(keys) < batch {
+					keys = append(keys, key(writers, round*batch+len(keys)))
+				}
+				for _, k := range keys {
+					fps = append(fps, fp(k))
+				}
+				vals, found, err := db.GetBatch(ctx, fps)
+				if err != nil {
+					t.Errorf("GetBatch: %v", err)
+					return
+				}
+				for i, k := range keys {
+					stored := k>>32 < writers
+					if found[i] != stored || (stored && vals[i] != Value(k)) {
+						t.Errorf("GetBatch key %#x = (%v, %v), want stored=%v", k, vals[i], found[i], stored)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	if t.Failed() {
+		return
+	}
+	st := db.Stats()
+	if st.BaseBuckets != startBuckets || st.Buckets < wantBuckets {
+		t.Fatalf("grew %d -> %d buckets, want %d -> at least %d", st.BaseBuckets, st.Buckets, startBuckets, wantBuckets)
+	}
+	if st.StaleRetries == 0 {
+		t.Fatalf("no batch ever retried a key a split displaced (%d splits): the retry path did not run", st.Splits)
+	}
+	t.Logf("%d buckets, %d splits, %d stale-retry rounds, %d overflow pages, max chain %d",
+		st.Buckets, st.Splits, st.StaleRetries, st.OverflowPages, st.MaxChain)
+	// Everything acked is there exactly once.
+	seen := rangeOnce(t, db, "after growth")
+	for w := 0; w < writers; w++ {
+		for i := 0; i < int(acked[w].Load()); i++ {
+			if v, ok := seen[fp(key(w, i))]; !ok || v != Value(key(w, i)) {
+				t.Fatalf("writer %d key %d acked, table has (%d, %v)", w, i, v, ok)
+			}
+		}
+	}
+	if uint64(len(seen)) != st.Entries {
+		t.Fatalf("Range saw %d entries, Stats says %d", len(seen), st.Entries)
+	}
+	if err := db.Check(); err != nil {
+		t.Fatalf("Check: %v", err)
 	}
 }
 

@@ -129,8 +129,9 @@ type ClusterOptions struct {
 	SleepDevices bool
 	// CacheSize is the per-node LRU capacity. Default 1<<16 entries.
 	CacheSize int
-	// ExpectedItems sizes per-node Bloom filters and bucket regions.
-	// Default 1<<20.
+	// ExpectedItems sizes per-node Bloom filters. Default 1<<20. The hash
+	// tables do not depend on it: they start small and split to the size
+	// of their content.
 	ExpectedItems int
 	// DisableBloom turns Bloom filters off (ablation).
 	DisableBloom bool
