@@ -1,6 +1,7 @@
 package bloom
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -128,7 +129,19 @@ func TestUnmarshalErrors(t *testing.T) {
 			b[4] = 9
 			return b
 		}()},
+		// Version 1 was the double-hashed layout: same header, bits that
+		// mean nothing to a blocked filter.
+		{name: "version 1", give: func() []byte {
+			b := append([]byte(nil), good...)
+			b[4] = 1
+			return b
+		}()},
 		{name: "length mismatch", give: good[:len(good)-8]},
+		{name: "word count past input", give: func() []byte {
+			b := append([]byte(nil), good...)
+			b[8] = 0x80
+			return b
+		}()},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -137,6 +150,81 @@ func TestUnmarshalErrors(t *testing.T) {
 				t.Fatal("unmarshal succeeded, want error")
 			}
 		})
+	}
+}
+
+// splitmix is a splitmix64 stream of fingerprints: as uniform in Prefix64
+// and Bucket64 as SHA-1's and far cheaper to mint, for tests that probe a
+// filter millions of times. Distinct seeds give disjoint streams in practice.
+type splitmix uint64
+
+func (s *splitmix) next() uint64 {
+	*s += 0x9E3779B97F4A7C15
+	z := uint64(*s)
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
+}
+
+func (s *splitmix) fp() fingerprint.Fingerprint {
+	return fingerprint.FromWords(s.next(), s.next(), uint32(s.next()))
+}
+
+// measuredFPRate probes f with fresh keys until about want false positives
+// are expected at rate est, at most limit probes.
+func measuredFPRate(f *Filter, seed splitmix, est float64, want, limit int) (rate float64, probes int) {
+	probes = min(limit, int(float64(want)/est))
+	hits := 0
+	for i := 0; i < probes; i++ {
+		if f.MayContain(seed.fp()) {
+			hits++
+		}
+	}
+	return float64(hits) / float64(probes), probes
+}
+
+// TestBloomBlockedFPRAtCapacity: at the rates of a node's first five
+// Scalable slices (the default 1 % bound halves per slice), a filter filled
+// to its capacity answers "maybe" for absent keys no more often than it was
+// built for. The log is the package doc's table.
+func TestBloomBlockedFPRAtCapacity(t *testing.T) {
+	const n = 1 << 16
+	for i, rate := range []float64{0.005, 0.0025, 0.00125, 0.000625, 0.0003125} {
+		f := New(n, rate)
+		src := splitmix(i + 1)
+		for j := 0; j < n; j++ {
+			f.Add(src.fp())
+		}
+		got, probes := measuredFPRate(f, splitmix(1000+i), rate, 1000, 1<<23)
+		std := -math.Log(rate) / (math.Ln2 * math.Ln2)
+		perKey := float64(f.Bits()) / n
+		t.Logf("rate %.4f%%: k=%d, %.1f bits/key (standard %.1f, %.2fx); measured %.4f%% over %d probes, model %.4f%%",
+			rate*100, f.Hashes(), perKey, std, perKey/std, got*100, probes, f.EstimatedFPRate()*100)
+		if got > rate {
+			t.Errorf("rate %g: measured %g at capacity", rate, got)
+		}
+	}
+}
+
+// TestBloomEstimateTracksMeasured: EstimatedFPRate — what NodeStats.Bloom,
+// the wire stats frame and /v1/stats report — lands within 25 % of the
+// measured rate at a quarter, half and all of a node-sized first slice's
+// capacity.
+func TestBloomEstimateTracksMeasured(t *testing.T) {
+	const n = 1 << 16
+	f := New(n, 0.005)
+	src := splitmix(7)
+	added := 0
+	for _, load := range []int{n / 4, n / 2, n} {
+		for ; added < load; added++ {
+			f.Add(src.fp())
+		}
+		est := f.EstimatedFPRate()
+		got, probes := measuredFPRate(f, splitmix(77+load), est, 400, 1<<22)
+		t.Logf("%d keys: estimated %.5f%%, measured %.5f%% over %d probes", load, est*100, got*100, probes)
+		if got == 0 || math.Abs(est/got-1) > 0.25 {
+			t.Errorf("%d keys: estimated %g, measured %g", load, est, got)
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -32,8 +33,8 @@ type scalableSlice struct {
 
 // Scalable is a Bloom filter that grows to hold any number of entries
 // while keeping its compounded false-positive rate under the construction
-// bound. Add and MayContain are safe for concurrent use with the same
-// memory-ordering contract as Filter: a completed Add is never reported
+// bound. Add, TestAndAdd and MayContain are safe for concurrent use with the
+// same memory-ordering contract as Filter: a completed Add is never reported
 // absent; "Add then MayContain" of the same fingerprint must be
 // serialized by the caller (the hybrid node's stripe lock does).
 // UnmarshalBinary must not race any other method.
@@ -98,6 +99,40 @@ func (s *Scalable) grow(fromLen int) {
 	grown := append(append(make([]scalableSlice, 0, len(cur)+1), cur...),
 		scalableSlice{f: New(int(cap), rate), cap: cap})
 	s.slices.Store(&grown)
+}
+
+// TestAndAdd is MayContain followed, when it answers false, by Add — the
+// insert path's two calls fused, so the newest slice's word is located and
+// loaded once. It reports what MayContain would have; a fingerprint it
+// answers true for is not added. Like Add then MayContain, two TestAndAdds
+// of the same fingerprint must be serialized by the caller.
+func (s *Scalable) TestAndAdd(fp fingerprint.Fingerprint) (mayContain bool) {
+	slices := *s.slices.Load()
+	last := &slices[len(slices)-1]
+	word, mask := last.f.locate(fp)
+	if atomic.LoadUint64(word)&mask == mask {
+		return true
+	}
+	for i := len(slices) - 2; i >= 0; i-- {
+		if slices[i].f.MayContain(fp) {
+			return true
+		}
+	}
+	if uint64(last.f.Len()) >= last.cap {
+		s.Add(fp) // chains the next slice first
+		return false
+	}
+	atomic.OrUint64(word, mask)
+	last.f.n.Add(1)
+	return false
+}
+
+// Prefetch loads the newest slice's word for fp and discards it: a caller
+// about to test a batch of keys one by one under locks takes the batch's
+// cache misses together, ahead of time.
+func (s *Scalable) Prefetch(fp fingerprint.Fingerprint) {
+	slices := *s.slices.Load()
+	atomic.LoadUint64(slices[len(slices)-1].f.word(fp))
 }
 
 // MayContain reports whether the fingerprint may have been added. A false
@@ -165,10 +200,12 @@ func (s *Scalable) SizeBytes() int {
 }
 
 // marshal layout: magic(4) version(1) pad(3) expected(8) rate(8)
-// sliceCount(4), then per slice: cap(8) len(4) filterBytes.
+// sliceCount(4), then per slice: cap(8) len(4) filterBytes. The version is
+// the slices' (Filter's marshalVersion).
 const (
 	scalableMagic   = "SSBF"
 	scalableHdrSize = 4 + 1 + 3 + 8 + 8 + 4
+	maxSlices       = 64
 )
 
 // MarshalBinary serializes the filter for node checkpointing. Like
@@ -190,7 +227,7 @@ func (s *Scalable) MarshalBinary() ([]byte, error) {
 	buf := make([]byte, 0, total)
 	var hdr [scalableHdrSize]byte
 	copy(hdr[0:4], scalableMagic)
-	hdr[4] = 1
+	hdr[4] = marshalVersion
 	binary.BigEndian.PutUint64(hdr[8:16], s.expected)
 	binary.BigEndian.PutUint64(hdr[16:24], math.Float64bits(s.rate))
 	binary.BigEndian.PutUint32(hdr[24:28], uint32(len(slices)))
@@ -205,8 +242,10 @@ func (s *Scalable) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalBinary restores a filter serialized by MarshalBinary. It must
-// not race any other method: it swaps the whole slice list.
+// UnmarshalBinary restores a filter serialized by MarshalBinary. It accepts
+// exactly the bytes MarshalBinary produces, checking every size field against
+// the input before it allocates. It must not race any other method: it swaps
+// the whole slice list.
 func (s *Scalable) UnmarshalBinary(data []byte) error {
 	if len(data) < scalableHdrSize {
 		return errors.New("bloom: unmarshal scalable: truncated header")
@@ -214,13 +253,16 @@ func (s *Scalable) UnmarshalBinary(data []byte) error {
 	if string(data[0:4]) != scalableMagic {
 		return fmt.Errorf("bloom: unmarshal scalable: bad magic %q", data[0:4])
 	}
-	if data[4] != 1 {
+	if data[4] != marshalVersion {
 		return fmt.Errorf("bloom: unmarshal scalable: unsupported version %d", data[4])
 	}
 	expected := binary.BigEndian.Uint64(data[8:16])
 	rate := math.Float64frombits(binary.BigEndian.Uint64(data[16:24]))
 	count := binary.BigEndian.Uint32(data[24:28])
-	if expected == 0 || rate <= 0 || rate >= 1 || count == 0 || count > 64 {
+	// The next slice's capacity, expected<<count, must still be an int.
+	if string(data[5:8]) != "\x00\x00\x00" || expected == 0 || !(rate > 0 && rate < 1) ||
+		count == 0 || count > maxSlices || bits.Len64(expected)+int(count) > 62 ||
+		uint64(len(data)-scalableHdrSize) < uint64(count)*(12+marshalHdrSize) {
 		return fmt.Errorf("bloom: unmarshal scalable: invalid header (expected=%d rate=%g slices=%d)", expected, rate, count)
 	}
 	restored := make([]scalableSlice, 0, count)
@@ -232,7 +274,7 @@ func (s *Scalable) UnmarshalBinary(data []byte) error {
 		cap := binary.BigEndian.Uint64(data[off : off+8])
 		n := int(binary.BigEndian.Uint32(data[off+8 : off+12]))
 		off += 12
-		if cap == 0 || n < 0 || len(data) < off+n {
+		if cap == 0 || n > len(data)-off {
 			return fmt.Errorf("bloom: unmarshal scalable: slice %d truncated", i)
 		}
 		f := &Filter{}

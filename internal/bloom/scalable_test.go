@@ -1,7 +1,9 @@
 package bloom
 
 import (
+	"bytes"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"shhc/internal/fingerprint"
@@ -140,23 +142,36 @@ func TestScalableMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestScalableConcurrentAdds races adds across the growth boundary; run
-// under -race this checks the copy-on-write slice publication, and the
-// post-condition checks no add was lost.
+// TestScalableConcurrentAdds races adds — Add on even workers, the insert
+// path's TestAndAdd on odd ones — against MayContain across the growth
+// boundary; run under -race this checks the copy-on-write slice publication,
+// and the post-condition checks no add was lost.
 func TestScalableConcurrentAdds(t *testing.T) {
 	s := NewScalable(64, 0.01)
 	const (
 		workers = 8
 		perW    = 2000
 	)
-	var wg sync.WaitGroup
+	var (
+		wg      sync.WaitGroup
+		skipped atomic.Int64 // TestAndAdds that answered true and added nothing
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			base := uint64(w * perW)
 			for i := uint64(0); i < perW; i++ {
-				s.Add(fingerprint.FromUint64(base + i))
+				fp := fingerprint.FromUint64(base + i)
+				if w%2 == 0 {
+					s.Add(fp)
+				} else if s.TestAndAdd(fp) {
+					skipped.Add(1)
+				}
+				if !s.MayContain(fp) {
+					t.Errorf("false negative for %d right after its add", base+i)
+					return
+				}
 				if i%16 == 0 {
 					s.MayContain(fingerprint.FromUint64(base + i/2))
 					s.EstimatedFPRate()
@@ -165,12 +180,81 @@ func TestScalableConcurrentAdds(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	if s.Slices() < 4 {
+		t.Fatalf("Slices = %d: the adds never crossed a growth", s.Slices())
+	}
 	for i := uint64(0); i < workers*perW; i++ {
 		if !s.MayContain(fingerprint.FromUint64(i)) {
 			t.Fatalf("false negative for %d after concurrent adds", i)
 		}
 	}
-	if s.Len() != workers*perW {
-		t.Fatalf("Len = %d, want %d", s.Len(), workers*perW)
+	if want := workers*perW - int(skipped.Load()); s.Len() != want {
+		t.Fatalf("Len = %d, want %d (%d TestAndAdds found their key present)", s.Len(), want, skipped.Load())
 	}
+}
+
+// TestScalableTestAndAdd: TestAndAdd answers what MayContain would have, and
+// adds exactly when that answer is false — into the newest slice, chaining
+// one when it is full.
+func TestScalableTestAndAdd(t *testing.T) {
+	s := NewScalable(100, 0.01)
+	src := splitmix(3)
+	for i := 0; i < 1000; i++ {
+		fp := src.fp()
+		may, before := s.MayContain(fp), s.Len()
+		if got := s.TestAndAdd(fp); got != may {
+			t.Fatalf("add %d: TestAndAdd = %v, MayContain said %v", i, got, may)
+		}
+		want := 1
+		if may {
+			want = 0
+		}
+		if added := s.Len() - before; added != want {
+			t.Fatalf("add %d: Len grew by %d after a TestAndAdd that answered %v", i, added, may)
+		}
+		if !s.TestAndAdd(fp) || !s.MayContain(fp) {
+			t.Fatalf("add %d: not present after TestAndAdd", i)
+		}
+	}
+	if s.Slices() < 3 {
+		t.Fatalf("Slices = %d after 10x the first slice's capacity", s.Slices())
+	}
+}
+
+// FuzzBloomUnmarshal: a filter read back from untrusted bytes — Filter's or
+// Scalable's encoding — never panics, and whatever decodes re-encodes to the
+// same bytes.
+func FuzzBloomUnmarshal(f *testing.F) {
+	fl := New(200, 0.01)
+	sc := NewScalable(20, 0.02)
+	for i := uint64(0); i < 100; i++ {
+		fl.Add(fingerprint.FromUint64(i))
+		sc.Add(fingerprint.FromUint64(i))
+	}
+	for _, m := range []interface{ MarshalBinary() ([]byte, error) }{fl, sc} {
+		b, err := m.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		v1 := append([]byte(nil), b...)
+		v1[4] = 1
+		f.Add(v1)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, u := range []interface {
+			UnmarshalBinary([]byte) error
+			MarshalBinary() ([]byte, error)
+			MayContain(fingerprint.Fingerprint) bool
+		}{&Filter{}, &Scalable{}} {
+			if u.UnmarshalBinary(data) != nil {
+				continue
+			}
+			u.MayContain(fingerprint.FromUint64(1))
+			out, err := u.MarshalBinary()
+			if err != nil || !bytes.Equal(out, data) {
+				t.Fatalf("%T: accepted %d bytes, re-marshals to %d (%v)", u, len(data), len(out), err)
+			}
+		}
+	})
 }

@@ -217,6 +217,11 @@ func (n *Node) batchAsync(ctx context.Context, results []LookupResult, fpOf func
 				}
 				hits++
 				results[i] = LookupResult{Exists: true, Value: Value(v), Source: SourceCache}
+			} else if n.bloom != nil {
+				// The RAM pass tests this key's filter word under a stripe
+				// lock, one key after another: load it now, while the loop
+				// has nothing waiting on it, so the batch's misses overlap.
+				n.bloom.Prefetch(fp)
 			}
 		}
 		if hits > 0 {
@@ -355,7 +360,13 @@ func (n *Node) batchMisses(ctx context.Context, results []LookupResult, fpOf fun
 			}
 			direct := false
 			if n.bloom != nil {
-				neg := !n.bloom.MayContain(fp)
+				// An insert adds what the filter proves new in the same call.
+				var neg bool
+				if insert {
+					neg = !n.bloom.TestAndAdd(fp)
+				} else {
+					neg = !n.bloom.MayContain(fp)
+				}
 				if timed {
 					s.histBloom.Observe(time.Since(t0))
 				}
@@ -366,7 +377,6 @@ func (n *Node) batchMisses(ctx context.Context, results []LookupResult, fpOf fun
 						results[i] = LookupResult{Exists: false, Source: SourceBloom}
 						continue
 					}
-					n.bloom.Add(fp)
 					if n.wb {
 						s.bloomShort++
 						s.lookups++

@@ -126,7 +126,8 @@ func (fp Fingerprint) IsZero() bool {
 func (fp Fingerprint) Prefix64() uint64 { return fp.a }
 
 // Bucket64 returns a second independent 64-bit value (bytes 8..16), used
-// for double hashing in the Bloom filter and cuckoo index.
+// for the Bloom filter's bit positions, the cuckoo index and the node's lock
+// stripes.
 func (fp Fingerprint) Bucket64() uint64 { return fp.b }
 
 // Tail32 returns the last 4 bytes as a big-endian uint32.

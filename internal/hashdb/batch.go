@@ -101,12 +101,15 @@ func (sc *groupScratch) group(n int, idxs []int32, keyOf func(int) uint64) {
 }
 
 // chainScratch is the pooled staging of the chain walks one worker makes:
-// the indices of a run that still map to its bucket, the ones not yet
-// resolved, and the chain's pages. It owns its page buffers — they are not
-// the page pool's — and keeps them from one walk to the next.
+// the indices of a run that still map to its bucket, putChain's index of the
+// run's distinct fingerprints (a Bucket64's bits above shift pick its first
+// slot), and the chain's pages. It owns its page buffers — they are not the
+// page pool's — and keeps them from one walk to the next.
 type chainScratch struct {
-	live, remaining []int32
-	chain           []chainPage
+	live  []int32
+	slots []runSlot
+	shift uint
+	chain []chainPage
 }
 
 var chainScratchPool = sync.Pool{New: func() any { return new(chainScratch) }}
@@ -116,7 +119,7 @@ func getChainScratch() *chainScratch { return chainScratchPool.Get().(*chainScra
 
 //shhc:takes-buf sc
 func putChainScratch(sc *chainScratch) {
-	if cap(sc.chain) > 8 { // one long chain must not pin its pages
+	if cap(sc.chain) > 8 || cap(sc.slots) > 1<<12 { // one long chain or run must not pin its memory
 		*sc = chainScratch{}
 	}
 	chainScratchPool.Put(sc)
@@ -130,7 +133,7 @@ func (sc *chainScratch) addPage(no uint64) *chainPage {
 	if cp.buf == nil {
 		cp.buf = make([]byte, PageSize)
 	}
-	cp.no, cp.had, cp.dirty = no, 0, false
+	cp.no, cp.dirty = no, false
 	return cp
 }
 

@@ -146,4 +146,47 @@ func BenchmarkWavePutBatch(b *testing.B) {
 			}
 		}
 	}
+
+	// A wave on a grown table: first_full_wb's runs, 22 new pairs on each
+	// chain of a table at the split trigger's load factor (≈ 65 entries a
+	// page), where the cases above have one pair a chain and cannot see the
+	// chain walk's in-memory scan. The geometry is pinned so that, off the
+	// clock, deleting each op's appends leaves every page as it was.
+	b.Run("pagecache/pairs=22/load=0.45", func(b *testing.B) {
+		const buckets, perChain = 1 << 10, 22
+		db, err := Create(filepath.Join(b.TempDir(), "wave.shdb"), Options{Buckets: buckets, Device: device.New(device.Null, device.Account)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer db.Close()
+		stored := make([]Pair, int(DefaultSplitLoadFactor*SlotsPerPage*buckets))
+		for i := range stored {
+			stored[i] = Pair{FP: fp(uint64(i)), Val: Value(i)}
+		}
+		wave := make([]Pair, 0, buckets*perChain)
+		for bk := uint64(0); bk < buckets; bk++ {
+			for j := uint64(0); j < perChain; j++ {
+				wave = append(wave, Pair{FP: inBucket(buckets, bk, bk*perChain+j), Val: Value(j)})
+			}
+		}
+		ctx := context.Background()
+		if _, _, err := db.PutBatch(ctx, stored); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := db.PutBatch(ctx, wave); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			for _, p := range wave {
+				if ok, err := db.Delete(p.FP); err != nil || !ok {
+					b.Fatalf("Delete: %v, %v", ok, err)
+				}
+			}
+			b.StartTimer()
+		}
+		b.StopTimer() // not the deferred Close
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*buckets)/1e3, "µs/chain")
+	})
 }

@@ -13,6 +13,9 @@ package hashdb
 
 import (
 	"context"
+	"encoding/binary"
+	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"shhc/internal/fingerprint"
@@ -77,13 +80,77 @@ func (db *DB) PutBatch(ctx context.Context, pairs []Pair) ([]bool, int, error) {
 
 // chainPage is one page of a bucket chain held in memory during a batched
 // read-modify-write. no == 0 marks a fresh overflow page whose file
-// position has not been allocated yet. had is the entry count putChain read
-// the page with: slots from had up were appended by the call in progress.
+// position has not been allocated yet.
 type chainPage struct {
 	no    uint64
 	buf   []byte
-	had   int
 	dirty bool
+}
+
+// runSlot is a slot of a run's open-addressed index (chainScratch.index): one
+// distinct fingerprint of the run under its Bucket64 — the first of its
+// pairs, which creates it if the chain lacks it, and the last, whose value it
+// ends with: in-batch duplicates resolve in input order, as sequential Puts
+// would.
+type runSlot struct {
+	hash        uint64
+	first, last int32
+	used, found bool
+}
+
+// index builds the run's table of distinct fingerprints, so the chain walk
+// costs one probe per page entry instead of one compare per pair, and
+// returns how many there are. It is keyed by Bucket64: every fingerprint of
+// a chain shares the bits of Prefix64 that chose its bucket, and none of
+// Bucket64's. The table is at most a quarter full.
+func (cs *chainScratch) index(live []int32, pairs []Pair) (distinct int) {
+	size := 4 << bits.Len(uint(len(live)))
+	cs.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	cs.slots = slices.Grow(cs.slots[:0], size)[:size]
+	clear(cs.slots)
+	for _, idx := range live {
+		if sl := cs.slot(pairs[idx].FP, pairs); sl.used {
+			sl.last = idx
+		} else {
+			*sl = runSlot{hash: pairs[idx].FP.Bucket64(), first: idx, last: idx, used: true}
+			distinct++
+		}
+	}
+	return distinct
+}
+
+// slot returns fp's slot in the run's index, or the empty slot it belongs in.
+func (cs *chainScratch) slot(fp fingerprint.Fingerprint, pairs []Pair) *runSlot {
+	h, mask := fp.Bucket64(), uint64(len(cs.slots)-1)
+	for s := h >> cs.shift; ; s = (s + 1) & mask {
+		if sl := &cs.slots[s]; !sl.used || sl.hash == h && pairs[sl.first].FP == fp {
+			return sl
+		}
+	}
+}
+
+// scanPage applies the run to one chain page as read: an entry the run holds
+// takes its last pair's value. It stops once want fingerprints are found and
+// reports how many it found.
+func (cs *chainScratch) scanPage(page []byte, pairs []Pair, want int) (found int) {
+	slots, mask := cs.slots, uint64(len(cs.slots)-1)
+	for j, n := 0, pageCount(page); j < n && found < want; j++ {
+		e := page[pageHdrSize+j*entrySize:][:entrySize]
+		h := binary.BigEndian.Uint64(e[8:]) // the entry's Bucket64
+		for s := h >> cs.shift; ; s = (s + 1) & mask {
+			sl := &slots[s]
+			if !sl.used {
+				break
+			}
+			if sl.hash == h && !sl.found && fingerprint.FromBytes(e) == pairs[sl.first].FP {
+				setEntryAt(page, j, pairs[sl.last].FP, pairs[sl.last].Val)
+				sl.found = true
+				found++
+				break
+			}
+		}
+	}
+	return found
 }
 
 // putChain applies the run's pairs to one bucket chain as a single
@@ -113,18 +180,16 @@ func (db *DB) putChain(ctx context.Context, cs *chainScratch, run []keyed, pairs
 		return 0, err
 	}
 
-	// Read the chain, applying in-place updates (in input order) as pages
-	// arrive and stopping early once every pair is satisfied — a
-	// pure-update group pays only the pages up to its last hit, like the
-	// old per-key Put did. A fingerprint appears at most once per chain,
-	// so a resolved pair cannot also live on an unread page. Appends need
-	// the whole chain (free-slot search + tail link), so reading
-	// continues while any pair is unresolved.
+	// Read the chain, applying in-place updates as pages arrive and
+	// stopping early once every fingerprint is found — a pure-update run
+	// pays only the pages up to its last hit, like the old per-key Put did.
+	// A fingerprint appears at most once per chain, so a found one cannot
+	// also live on an unread page. Appends need the whole chain (free-slot
+	// search + tail link), so reading continues while any is unresolved.
+	unresolved := cs.index(live, pairs)
 	cs.chain = cs.chain[:0]
-	cs.remaining = append(cs.remaining[:0], live...)
-	remaining := cs.remaining // filtered in place as pairs resolve
 	done := ctx.Done()
-	for p := db.bucketPageOf(bucket); p != 0 && len(remaining) > 0; {
+	for p := db.bucketPageOf(bucket); p != 0 && unresolved > 0; {
 		if done != nil {
 			if err := ctx.Err(); err != nil {
 				return 0, err
@@ -135,54 +200,42 @@ func (db *DB) putChain(ctx context.Context, cs *chainScratch, run []keyed, pairs
 		if err := db.readPage(p, buf); err != nil {
 			return 0, err
 		}
-		n := pageCount(buf)
-		cp.had = n
-		for j := 0; j < n && len(remaining) > 0; j++ {
-			kept := remaining[:0]
-			for _, idx := range remaining {
-				if entryIs(buf, j, pairs[idx].FP) {
-					// Later duplicates of one fingerprint overwrite in
-					// order; the last value wins, as sequential Puts would.
-					setEntryAt(buf, j, pairs[idx].FP, pairs[idx].Val)
-					cp.dirty = true
-					continue
-				}
-				kept = append(kept, idx)
-			}
-			remaining = kept
+		if found := cs.scanPage(buf, pairs, unresolved); found > 0 {
+			cp.dirty = true
+			unresolved -= found
 		}
 		p = pageNext(buf)
 	}
 	db.observeChain(len(cs.chain))
 
-	// The still-unresolved pairs are on no page as read — the loop above
-	// compared every entry against each of them — so each is an append,
-	// unless an earlier pair of this batch already appended its fingerprint.
-	// A full chain grows by a placeholder page (no=0).
+	// The fingerprints not found are on no page as read — the walk above
+	// probed every entry — so each is one append, in order of first
+	// appearance, into the first page with a free slot. A full chain grows
+	// by a placeholder page (no=0).
 	var createdCount, newPages int
-	for _, idx := range remaining {
-		fp, val := pairs[idx].FP, pairs[idx].Val
-		if chainUpdate(cs.chain, fp, val) {
+	free := 0 // the chain's pages before free are full
+	for _, idx := range live {
+		if unresolved == 0 {
+			break
+		}
+		k := cs.slot(pairs[idx].FP, pairs)
+		if k.found || k.first != idx {
 			continue
 		}
-		placed := false
-		for i := range cs.chain {
-			if n := pageCount(cs.chain[i].buf); n < SlotsPerPage {
-				setEntryAt(cs.chain[i].buf, n, fp, val)
-				setPageCount(cs.chain[i].buf, n+1)
-				cs.chain[i].dirty = true
-				placed = true
-				break
-			}
+		k.found = true
+		unresolved--
+		for free < len(cs.chain) && pageCount(cs.chain[free].buf) >= SlotsPerPage {
+			free++
 		}
-		if !placed {
-			cp := cs.addPage(0)
-			clear(cp.buf)
-			setEntryAt(cp.buf, 0, fp, val)
-			setPageCount(cp.buf, 1)
-			cp.dirty = true
+		if free == len(cs.chain) {
+			clear(cs.addPage(0).buf)
 			newPages++
 		}
+		cp := &cs.chain[free]
+		n := pageCount(cp.buf)
+		setEntryAt(cp.buf, n, pairs[idx].FP, pairs[k.last].Val)
+		setPageCount(cp.buf, n+1)
+		cp.dirty = true
 		created[idx] = true
 		createdCount++
 	}
@@ -222,21 +275,6 @@ func (db *DB) putChain(ctx context.Context, cs *chainScratch, run []keyed, pairs
 	db.entries.Add(uint64(createdCount))
 	db.overflowPages.Add(uint64(newPages))
 	return writes, nil
-}
-
-// chainUpdate overwrites fp's entry among the slots this call appended to
-// the in-memory chain (on pages that are therefore dirty already),
-// reporting whether it was there.
-func chainUpdate(chain []chainPage, fp fingerprint.Fingerprint, val Value) bool {
-	for i := range chain {
-		for j, n := chain[i].had, pageCount(chain[i].buf); j < n; j++ {
-			if entryIs(chain[i].buf, j, fp) {
-				setEntryAt(chain[i].buf, j, fp, val)
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // PutBatch stores every pair. The in-RAM store has no pages to coalesce —

@@ -309,6 +309,115 @@ func TestPutBatchConcurrentWithReads(t *testing.T) {
 	}
 }
 
+// chainPos returns the position, in its bucket's chain, of the page that
+// holds fp: 0 for the bucket page, -1 when no page does.
+func chainPos(t *testing.T, db *DB, f fingerprint.Fingerprint) int {
+	t.Helper()
+	page := make([]byte, PageSize)
+	pos := 0
+	for p := db.bucketPageOf(db.bucketOf(f)); p != 0; pos++ {
+		if err := db.readPage(p, page); err != nil {
+			t.Fatalf("readPage(%d): %v", p, err)
+		}
+		for j := 0; j < pageCount(page); j++ {
+			if entryIs(page, j, f) {
+				return pos
+			}
+		}
+		p = pageNext(page)
+	}
+	return -1
+}
+
+// TestPutBatchIndexedRunsMatchModel sends seeded random waves into a
+// default-created table and holds every answer to what sequential Puts into a
+// map would give. A wave is groups of 1–60 pairs whose fingerprints share the
+// low 24 bits of Prefix64 — one bucket at every size the table reaches, so
+// one run of putChain's index — mixing appends, updates of stored entries and
+// in-batch duplicates of both, up to three deep, shuffled. Three of the
+// patterns recur in every wave, so their chains outgrow a page: appends grow
+// overflow pages and updates land past the bucket page.
+func TestPutBatchIndexedRunsMatchModel(t *testing.T) {
+	ctx := context.Background()
+	db := testDB(t, Options{})
+	rng := rand.New(rand.NewSource(26))
+	model := map[fingerprint.Fingerprint]Value{}
+	stored := map[uint64][]fingerprint.Fingerprint{} // by pattern, in order of creation
+	hot := []uint64{0x00a5a5, 0x5a5a00, 0xf0f0f0}
+	var laterPage, dupStored, dupAppend, overflowWaves int
+	for wave := 0; wave < 40; wave++ {
+		var pairs []Pair
+		groups := hot[:0:0]
+		for _, h := range hot {
+			if rng.Intn(2) == 0 {
+				groups = append(groups, h)
+			}
+		}
+		for len(groups) < 24 {
+			groups = append(groups, uint64(rng.Intn(1<<24)))
+		}
+		fresh := map[fingerprint.Fingerprint]bool{} // appended earlier in this wave
+		for _, pat := range groups {
+			for n := 1 + rng.Intn(60); n > 0; {
+				var f fingerprint.Fingerprint
+				if old := stored[pat]; len(old) > 0 && rng.Intn(3) == 0 {
+					f = old[rng.Intn(len(old))]
+					if chainPos(t, db, f) > 0 {
+						laterPage++
+					}
+				} else {
+					f = fingerprint.FromWords(rng.Uint64()<<24|pat, rng.Uint64(), rng.Uint32())
+					fresh[f] = true
+					stored[pat] = append(stored[pat], f)
+				}
+				deep := min(n, 1+rng.Intn(3))
+				switch {
+				case deep == 1:
+				case fresh[f]:
+					dupAppend++
+				default:
+					dupStored++
+				}
+				for n -= deep; deep > 0; deep-- {
+					pairs = append(pairs, Pair{FP: f, Val: Value(rng.Uint64())})
+				}
+			}
+		}
+		rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+
+		overflowBefore := db.Stats().OverflowPages
+		created, _, err := db.PutBatch(ctx, pairs)
+		if err != nil {
+			t.Fatalf("wave %d: PutBatch: %v", wave, err)
+		}
+		if db.Stats().OverflowPages > overflowBefore {
+			overflowWaves++
+		}
+		for i, p := range pairs {
+			if _, existed := model[p.FP]; created[i] == existed {
+				t.Fatalf("wave %d: created[%d] = %v, sequential Puts say %v", wave, i, created[i], !existed)
+			}
+			model[p.FP] = p.Val
+		}
+		if st := db.Stats(); st.Entries != uint64(len(model)) {
+			t.Fatalf("wave %d: Stats().Entries = %d, model holds %d", wave, st.Entries, len(model))
+		}
+	}
+	for f, want := range model {
+		if v, ok, err := db.Get(f); err != nil || !ok || v != want {
+			t.Fatalf("Get(%v) = %d,%v,%v, model says %d", f, v, ok, err, want)
+		}
+	}
+	if err := db.Check(); err != nil {
+		t.Fatalf("Check: %v", err)
+	}
+	t.Logf("%d entries, %d overflow pages; %d updates past a bucket page, %d waves grew an overflow page, duplicates of %d stored entries and %d appends",
+		len(model), db.Stats().OverflowPages, laterPage, overflowWaves, dupStored, dupAppend)
+	if laterPage == 0 || overflowWaves == 0 || dupStored == 0 || dupAppend == 0 {
+		t.Fatal("a case the test exists for never came up")
+	}
+}
+
 func BenchmarkDBPutBatch(b *testing.B) {
 	db := benchDB(b, 1<<20)
 	const batch = 512
