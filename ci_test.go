@@ -1,0 +1,100 @@
+package shhc
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// TestCIPatternsMatchTests holds the CI workflow to the tests the tree
+// declares: every alternative of every `go test` -run and -fuzz pattern in
+// it must match a Test, Fuzz or Benchmark function of some *_test.go. A step
+// whose pattern names only deleted tests would pass while running nothing.
+func TestCIPatternsMatchTests(t *testing.T) {
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+	var names []string
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && (d.Name() == ".git" || d.Name() == "testdata"):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			names = append(names, string(m[1]))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	flag := regexp.MustCompile(`\s-(run|fuzz)[ =](?:'([^']*)'|"([^"]*)"|(\S+))`)
+	patterns := 0
+	for _, line := range strings.Split(string(ci), "\n") {
+		_, cmd, ok := strings.Cut(line, "go test ")
+		if !ok {
+			continue
+		}
+		for _, m := range flag.FindAllStringSubmatch(cmd, -1) {
+			patterns++
+			for _, alt := range alternatives(m[2] + m[3] + m[4]) {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("ci.yml: -%s %q: %v", m[1], alt, err)
+					continue
+				}
+				if re.MatchString("") {
+					continue // selects by other means: -run '^$' runs none beside -bench or -fuzz
+				}
+				if !matchesAny(re, names) {
+					t.Errorf("ci.yml: -%s alternative %q matches no test, fuzz target or benchmark", m[1], alt)
+				}
+			}
+		}
+	}
+	if patterns == 0 {
+		t.Fatal("found no -run or -fuzz pattern in ci.yml")
+	}
+}
+
+// alternatives splits a regexp on its top-level |.
+func alternatives(pattern string) []string {
+	var alts []string
+	depth, start := 0, 0
+	for i := 0; i < len(pattern); i++ {
+		switch pattern[i] {
+		case '\\':
+			i++
+		case '(', '[':
+			depth++
+		case ')', ']':
+			depth--
+		case '|':
+			if depth == 0 {
+				alts = append(alts, pattern[start:i])
+				start = i + 1
+			}
+		}
+	}
+	return append(alts, pattern[start:])
+}
+
+func matchesAny(re *regexp.Regexp, names []string) bool {
+	for _, n := range names {
+		if re.MatchString(n) {
+			return true
+		}
+	}
+	return false
+}

@@ -29,7 +29,7 @@ func main() {
 
 func run() error {
 	var (
-		runSel = flag.String("run", "all", "experiments: all|fig1|table1|fig5|fig6|ablations|recovery|transport|growth (comma-separated)")
+		runSel = flag.String("run", "all", "experiments: all|fig1|table1|fig5|fig6|ablations|recovery|transport (comma-separated)")
 		scale  = flag.Int("scale", 64, "workload scale divisor for cluster experiments")
 		t1     = flag.Int("table1-scale", 16, "workload scale divisor for Table I stats")
 		fps    = flag.Int("fps", 100000, "fingerprints per Figure 5 cell")
@@ -38,8 +38,6 @@ func run() error {
 		trOut  = flag.String("transport-out", "BENCH_transport.json", "write the mux transport benchmark results to this JSON file (empty disables)")
 		trCli  = flag.Int("transport-clients", 10000, "concurrent logical clients for the transport scale scenario")
 		trConn = flag.Int("transport-conns", 16, "TCP connections for the transport scale scenario (max 16)")
-		grExp  = flag.Int("growth-expected", 0, "create-time ExpectedItems for the growth benchmark (0 selects the default)")
-		grOut  = flag.String("growth-out", "BENCH_growth.json", "write the online-growth benchmark results to this JSON file (empty disables)")
 	)
 	flag.Parse()
 
@@ -186,23 +184,6 @@ func run() error {
 				return err
 			}
 			fmt.Fprintf(out, "wrote %s\n", *trOut)
-		}
-	}
-
-	if want("growth") {
-		section("Growth: fixed vs resizable table overfilled to 8x the estimate")
-		start := time.Now()
-		grPoints, err := bench.RunGrowthSweep(*grExp)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, bench.FormatGrowthSweep(grPoints))
-		fmt.Fprintf(out, "(%v)\n", time.Since(start).Round(time.Millisecond))
-		if *grOut != "" {
-			if err := bench.EmitGrowthJSON(*grOut, grPoints); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *grOut)
 		}
 	}
 

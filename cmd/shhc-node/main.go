@@ -35,23 +35,20 @@ func main() {
 
 func run() error {
 	var (
-		id       = flag.String("id", "node-00", "node identity on the hash ring")
-		addr     = flag.String("addr", "127.0.0.1:7001", "listen address")
-		dir      = flag.String("dir", "", "directory for the on-disk hash table (empty = in-memory)")
-		cache    = flag.Int("cache", 1<<16, "LRU cache capacity in entries")
-		expected = flag.Int("expected", 1<<20, "expected fingerprints (sizes the Bloom filter; the hash table starts small and grows with its content)")
-		model    = flag.String("device", "ssd", "modeled index device: ssd|hdd|ram|null")
-		sleep    = flag.Bool("sleep-device", false, "realize modeled device latency with real sleeps")
-		noBloom  = flag.Bool("no-bloom", false, "disable the Bloom filter")
-		wb       = flag.Bool("write-back", false, "acknowledge inserts from RAM and destage them in group-commit waves ahead of eviction")
-		wbBatch  = flag.Int("destage-batch", 0, "largest group-commit destage wave in entries (0 = half of -cache, at least 256)")
-		wbIval   = flag.Duration("destage-interval", 0, "longest a dirty entry waits before a destage wave fires (0 = default 2ms)")
-		wbQueue  = flag.Int("destage-queue", 0, "dirty destage buffer bound in entries; evictions block when full (0 = 4x -destage-batch when set, else an eighth of -cache, at least 1024)")
-		journal  = flag.Bool("journal", false, "durable destage journal (write-back + -dir only): fsync evicted dirty entries to <dir>/<id>.wal before acking and replay the journal on restart")
-		backend  = flag.String("backend", "buffered", "hash table I/O backend (-dir only): buffered|direct (direct = O_DIRECT, bypassing the page cache; falls back to buffered where unsupported)")
-		qdepth   = flag.Int("direct-queue-depth", 0, "direct backend: concurrent O_DIRECT transfers (0 = default 32)")
-		pprofOn  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty = off")
-		muxWin   = flag.Int("mux-window", 0, "per-stream send-credit window in bytes for responses (0 = default 256KiB)")
+		id      = flag.String("id", "node-00", "node identity on the hash ring")
+		addr    = flag.String("addr", "127.0.0.1:7001", "listen address")
+		dir     = flag.String("dir", "", "directory for the on-disk hash table (empty = in-memory)")
+		cache   = flag.Int("cache", 1<<16, "LRU cache capacity in entries")
+		model   = flag.String("device", "ssd", "modeled index device: ssd|hdd|ram|null")
+		sleep   = flag.Bool("sleep-device", false, "realize modeled device latency with real sleeps")
+		noBloom = flag.Bool("no-bloom", false, "disable the Bloom filter")
+		wb      = flag.Bool("write-back", false, "acknowledge inserts from RAM and destage them in group-commit waves ahead of eviction")
+		wbBatch = flag.Int("destage-batch", 0, "largest group-commit destage wave in entries (0 = half of -cache, at least 256)")
+		wbIval  = flag.Duration("destage-interval", 0, "longest a dirty entry waits before a destage wave fires (0 = default 2ms)")
+		wbQueue = flag.Int("destage-queue", 0, "dirty destage buffer bound in entries; evictions block when full (0 = 4x -destage-batch when set, else an eighth of -cache, at least 1024)")
+		journal = flag.Bool("journal", false, "durable destage journal (write-back + -dir only): fsync evicted dirty entries to <dir>/<id>.wal before acking and replay the journal on restart")
+		backend = flag.String("backend", "buffered", "hash table I/O backend (-dir only): buffered|direct (direct = O_DIRECT, bypassing the page cache; falls back to buffered where unsupported)")
+		pprofOn = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty = off")
 	)
 	flag.Parse()
 
@@ -77,7 +74,7 @@ func run() error {
 				f, err := os.OpenFile(path, flag, 0o644)
 				return f, "buffered", err
 			case "direct":
-				f, err := directio.Open(path, flag, 0o644, directio.Options{QueueDepth: *qdepth})
+				f, err := directio.Open(path, flag, 0o644, directio.Options{})
 				if err != nil {
 					return nil, "", err
 				}
@@ -106,7 +103,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			db, err := hashdb.CreateFile(f, path, hashdb.Options{ExpectedItems: *expected, Device: dev})
+			db, err := hashdb.CreateFile(f, path, hashdb.Options{Device: dev})
 			if err != nil {
 				return err
 			}
@@ -133,7 +130,6 @@ func run() error {
 		Store:           store,
 		CacheSize:       *cache,
 		DisableBloom:    *noBloom,
-		BloomExpected:   *expected,
 		WriteBack:       *wb,
 		DestageBatch:    *wbBatch,
 		DestageInterval: *wbIval,
@@ -156,7 +152,7 @@ func run() error {
 		}()
 	}
 
-	srv := rpc.NewServer(node, rpc.ServerConfig{Logger: log.Default(), Window: *muxWin})
+	srv := rpc.NewServer(node, rpc.ServerConfig{Logger: log.Default()})
 	bound, err := srv.Listen(*addr)
 	if err != nil {
 		node.Close()

@@ -31,10 +31,7 @@ func run(scale int) error {
 		scaled := spec.Scaled(scale)
 
 		// Cold cluster per workload, as in the paper's runs.
-		cluster, err := shhc.NewLocalCluster(shhc.ClusterOptions{
-			Nodes:         4,
-			ExpectedItems: scaled.Fingerprints + 1,
-		})
+		cluster, err := shhc.NewLocalCluster(shhc.ClusterOptions{Nodes: 4})
 		if err != nil {
 			return err
 		}

@@ -142,5 +142,5 @@ func newStore(cfg Config, model device.Model, tag string) (hashdb.Store, error) 
 		return nil, fmt.Errorf("baseline: Config.Dir required for on-disk %s store", tag)
 	}
 	path := filepath.Join(cfg.Dir, fmt.Sprintf("%s-%s.shdb", tag, cfg.ID))
-	return hashdb.Create(path, hashdb.Options{ExpectedItems: cfg.ExpectedItems, Device: dev})
+	return hashdb.Create(path, hashdb.Options{Device: dev})
 }

@@ -85,7 +85,7 @@ func RunRecoverySweep(ops int) ([]RecoveryPoint, error) {
 func runRecoveryInsertCell(dir string, journal bool, ops, writers int) (RecoveryPoint, error) {
 	dev := device.New(device.SSD, device.Account)
 	path := filepath.Join(dir, fmt.Sprintf("ins-%v-%d.shdb", journal, writers))
-	db, err := hashdb.Create(path, hashdb.Options{ExpectedItems: ops, Device: dev})
+	db, err := hashdb.Create(path, hashdb.Options{Device: dev})
 	if err != nil {
 		return RecoveryPoint{}, err
 	}
@@ -189,7 +189,7 @@ func runRecoveryReplayCell(dir string, dirty int) (RecoveryPoint, error) {
 		return RecoveryPoint{}, err
 	}
 	dbPath := filepath.Join(dir, fmt.Sprintf("replay-%d.shdb", dirty))
-	db, err := hashdb.Create(dbPath, hashdb.Options{ExpectedItems: dirty, Device: device.New(device.SSD, device.Account)})
+	db, err := hashdb.Create(dbPath, hashdb.Options{Device: device.New(device.SSD, device.Account)})
 	if err != nil {
 		return RecoveryPoint{}, err
 	}

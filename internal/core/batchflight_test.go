@@ -188,10 +188,7 @@ func TestCancelledBatchRidersRerun(t *testing.T) {
 // scratch and its page, mostly — so the bounds are loose: they fail at one
 // allocation per four keys.
 func TestAllocNodeBatchMiss(t *testing.T) {
-	db, err := hashdb.Create(filepath.Join(t.TempDir(), "alloc.shdb"), hashdb.Options{
-		ExpectedItems: 1 << 17,
-		Device:        device.New(device.Null, device.Account),
-	})
+	db, err := hashdb.Create(filepath.Join(t.TempDir(), "alloc.shdb"), hashdb.Options{Device: device.New(device.Null, device.Account)})
 	if err != nil {
 		t.Fatal(err)
 	}

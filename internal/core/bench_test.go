@@ -123,10 +123,7 @@ func BenchmarkNodeBatchMiss(b *testing.B) {
 	const batch, cache = 1024, 1 << 16
 	for _, mode := range []string{"store-hit", "all-new"} {
 		b.Run(mode, func(b *testing.B) {
-			db, err := hashdb.Create(filepath.Join(b.TempDir(), "bench.shdb"), hashdb.Options{
-				ExpectedItems: 1 << 20,
-				Device:        device.New(device.Null, device.Account),
-			})
+			db, err := hashdb.Create(filepath.Join(b.TempDir(), "bench.shdb"), hashdb.Options{Device: device.New(device.Null, device.Account)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -177,10 +174,7 @@ func BenchmarkNodeBatchMiss(b *testing.B) {
 // parked on them, and run at full depth for it.
 func BenchmarkForegroundUnderWave(b *testing.B) {
 	const batch, cache, period, think = 1024, 1 << 16, 500 * time.Microsecond, 2 * time.Millisecond
-	db, err := hashdb.Create(filepath.Join(b.TempDir(), "bench.shdb"), hashdb.Options{
-		ExpectedItems: 1 << 20,
-		Device:        device.New(device.Null, device.Account),
-	})
+	db, err := hashdb.Create(filepath.Join(b.TempDir(), "bench.shdb"), hashdb.Options{Device: device.New(device.Null, device.Account)})
 	if err != nil {
 		b.Fatal(err)
 	}

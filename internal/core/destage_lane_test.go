@@ -222,7 +222,7 @@ func TestForegroundBatchUnderWave(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := &gatedFile{File: osf, arm: make(chan struct{}), release: make(chan struct{}), parked: make(chan struct{})}
-	db, err := hashdb.CreateFile(f, path, hashdb.Options{ExpectedItems: 1 << 14, Device: device.New(device.Null, device.Account)})
+	db, err := hashdb.CreateFile(f, path, hashdb.Options{Device: device.New(device.Null, device.Account)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 func TestDestageDurabilityCloseReopen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wb.shdb")
-	db, err := hashdb.Create(path, hashdb.Options{ExpectedItems: 4096})
+	db, err := hashdb.Create(path, hashdb.Options{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -233,7 +233,7 @@ func TestDestageMidDrainCancellation(t *testing.T) {
 // dirty buffer, and group commit must write fewer pages than entries.
 func TestDestageCoalescing(t *testing.T) {
 	dir := t.TempDir()
-	db, err := hashdb.Create(filepath.Join(dir, "coalesce.shdb"), hashdb.Options{ExpectedItems: 2048})
+	db, err := hashdb.Create(filepath.Join(dir, "coalesce.shdb"), hashdb.Options{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -293,7 +293,7 @@ func TestDestageCoalescing(t *testing.T) {
 // the pre-sized table). The stack's configuration: default-created table,
 // 64 Ki-entry cache, default wave size.
 func TestDestageWavesSharePagesOnYoungTable(t *testing.T) {
-	db, err := hashdb.Create(filepath.Join(t.TempDir(), "young.shdb"), hashdb.Options{ExpectedItems: 1 << 20})
+	db, err := hashdb.Create(filepath.Join(t.TempDir(), "young.shdb"), hashdb.Options{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}

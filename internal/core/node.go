@@ -100,10 +100,9 @@ type NodeConfig struct {
 	CacheSize int
 	// DisableBloom turns the Bloom filter off (ablation).
 	DisableBloom bool
-	// BloomExpected sizes the filter; default 1<<20 entries.
+	// BloomExpected sizes the filter; default 1<<20 entries. Its target
+	// false-positive rate is bloomFPRate.
 	BloomExpected int
-	// BloomFPRate is the filter's target false-positive rate; default 1%.
-	BloomFPRate float64
 	// WriteBack acknowledges inserts from RAM and writes them to the SSD
 	// hash table later, in bulk — the paper's Figure 4 "LRU full? →
 	// Destage" arm and dedupv1's delayed-write idea. A destager goroutine
@@ -287,6 +286,11 @@ type BloomStats struct {
 // extra stripe. Below it the cache stays a single exact-LRU stripe, which
 // keeps eviction order deterministic for the small caches tests use.
 const minCachePerStripe = 1024
+
+// bloomFPRate is the Bloom filter's target false-positive rate: one
+// fingerprint in a hundred that the filter cannot rule out costs a page read
+// it did not need.
+const bloomFPRate = 0.01
 
 // defaultStripeCount sizes the stripe space to comfortably exceed the
 // number of threads that can contend, so two concurrent lookups rarely
@@ -475,11 +479,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			// present.
 			expected = existing * 2
 		}
-		rate := cfg.BloomFPRate
-		if rate <= 0 || rate >= 1 {
-			rate = 0.01
-		}
-		n.bloom = bloom.NewScalable(expected, rate)
+		n.bloom = bloom.NewScalable(expected, bloomFPRate)
 		if cfg.Store.Len() > 0 {
 			if err := cfg.Store.Range(func(fp fingerprint.Fingerprint, _ hashdb.Value) bool {
 				n.bloom.Add(fp)

@@ -220,7 +220,7 @@ func TestWriteBackFlush(t *testing.T) {
 
 func TestWriteBackCloseFlushes(t *testing.T) {
 	dir := t.TempDir()
-	db, err := hashdb.Create(filepath.Join(dir, "wb.shdb"), hashdb.Options{ExpectedItems: 100})
+	db, err := hashdb.Create(filepath.Join(dir, "wb.shdb"), hashdb.Options{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -295,7 +295,7 @@ func TestNodeRestartPreservesDedup(t *testing.T) {
 	// new (the filter would short-circuit to "absent").
 	dir := t.TempDir()
 	path := filepath.Join(dir, "restart.shdb")
-	db, err := hashdb.Create(path, hashdb.Options{ExpectedItems: 1000})
+	db, err := hashdb.Create(path, hashdb.Options{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -363,7 +363,7 @@ func TestDedupCorrectnessOnPersistentStore(t *testing.T) {
 	// End-to-end node property on the real page store: every unique
 	// fingerprint is created exactly once; every duplicate is detected.
 	dir := t.TempDir()
-	db, err := hashdb.Create(filepath.Join(dir, "dedup.shdb"), hashdb.Options{ExpectedItems: 2000})
+	db, err := hashdb.Create(filepath.Join(dir, "dedup.shdb"), hashdb.Options{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -314,6 +315,14 @@ func (b *countingBackend) note(set map[fingerprint.Fingerprint]bool, pairs []Pai
 	return nil
 }
 
+// sets copies decided and mirror under the lock: mirror waves a batch sent
+// may still be landing after the batch returned.
+func (b *countingBackend) sets() (decided, mirror map[fingerprint.Fingerprint]bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return maps.Clone(b.decided), maps.Clone(b.mirror)
+}
+
 func (b *countingBackend) LookupOrInsert(ctx context.Context, fp fingerprint.Fingerprint, v Value) (LookupResult, error) {
 	b.singles.Add(1)
 	return b.Node.LookupOrInsert(ctx, fp, v)
@@ -382,17 +391,34 @@ func TestDeadOwnerFailsOverInBatches(t *testing.T) {
 	if got := c.ReplicationStats().QuorumFailures; got != size {
 		t.Fatalf("QuorumFailures = %d, want %d", got, size)
 	}
+	// The mirror waves are asynchronous: wait until each pair has reached
+	// its rank 0 and rank 2, then judge the sets as they stand.
+	decided := make(map[*countingBackend]map[fingerprint.Fingerprint]bool, replicas)
+	mirror := make(map[*countingBackend]map[fingerprint.Fingerprint]bool, replicas)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		for _, b := range wrapped {
+			decided[b], mirror[b] = b.sets()
+		}
+		settled := true
+		for _, p := range pairs {
+			succ, _ := c.routingFor(p.FP)
+			settled = settled && mirror[wrapped[1]][p.FP] && mirror[succ[2].(*countingBackend)][p.FP]
+		}
+		if settled || time.Now().After(deadline) {
+			break
+		}
+	}
 	for i, p := range pairs {
 		if rs[i].Exists {
 			t.Fatalf("pair %d = %+v, want the safe 'new' answer", i, rs[i])
 		}
 		succ, _ := c.routingFor(p.FP)
 		dead, decider, last := wrapped[1], succ[1].(*countingBackend), succ[2].(*countingBackend)
-		if !dead.decided[p.FP] || !decider.decided[p.FP] || last.decided[p.FP] {
+		if !decided[dead][p.FP] || !decided[decider][p.FP] || decided[last][p.FP] {
 			t.Fatalf("pair %d was not decided by its rank-1 successor alone", i)
 		}
-		if !dead.mirror[p.FP] || decider.mirror[p.FP] || !last.mirror[p.FP] {
-			t.Fatalf("pair %d mirrored to rank 0/1/2 = %v/%v/%v, want true/false/true", i, dead.mirror[p.FP], decider.mirror[p.FP], last.mirror[p.FP])
+		if !mirror[dead][p.FP] || mirror[decider][p.FP] || !mirror[last][p.FP] {
+			t.Fatalf("pair %d mirrored to rank 0/1/2 = %v/%v/%v, want true/false/true", i, mirror[dead][p.FP], mirror[decider][p.FP], mirror[last][p.FP])
 		}
 	}
 	rs, err = c.BatchLookupOrInsert(ctx, pairs)

@@ -43,7 +43,7 @@ func wipeVal(i uint64) Value { return Value(i + 1) }
 // hash table under dir.
 func newWipeNode(t *testing.T, dir string, id ring.NodeID) *Node {
 	t.Helper()
-	db, err := hashdb.Create(filepath.Join(dir, string(id)+".shdb"), hashdb.Options{ExpectedItems: 1 << 12})
+	db, err := hashdb.Create(filepath.Join(dir, string(id)+".shdb"), hashdb.Options{})
 	if err != nil {
 		t.Fatalf("hashdb.Create(%s): %v", id, err)
 	}

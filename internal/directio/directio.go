@@ -51,7 +51,8 @@ const DefaultQueueDepth = 32
 type Options struct {
 	// QueueDepth caps concurrent direct transfers (a semaphore around the
 	// pread/pwrite). 0 means DefaultQueueDepth. Buffered fallback I/O is
-	// not throttled — the page cache absorbs it.
+	// not throttled — the page cache absorbs it. No binary sets it; it
+	// stays because tests drive the semaphore at a depth of 4.
 	QueueDepth int
 	// Disable forces buffered I/O even where O_DIRECT would work: the
 	// ablation knob for benchmarks comparing the two.

@@ -212,7 +212,7 @@ func (s *staleList) take() (idxs []int32) {
 func (db *DB) live(cs *chainScratch, bucket uint64, run []keyed, fpOf func(int32) fingerprint.Fingerprint, stale *staleList) []int32 {
 	cs.live = cs.live[:0]
 	for _, it := range run {
-		if !db.resizable || db.bucketOf(fpOf(it.idx)) == bucket {
+		if db.bucketOf(fpOf(it.idx)) == bucket {
 			cs.live = append(cs.live, it.idx)
 		} else {
 			stale.add(it.idx)

@@ -63,7 +63,7 @@ func TestGetBatchCoalescesPageReads(t *testing.T) {
 }
 
 func TestGetBatchEmptyAndClosed(t *testing.T) {
-	db, err := Create(filepath.Join(t.TempDir(), "edge.db"), Options{ExpectedItems: 16})
+	db, err := Create(filepath.Join(t.TempDir(), "edge.db"), Options{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}

@@ -21,7 +21,7 @@ func TestCancelGetBatchStopsDeviceReads(t *testing.T) {
 	}{
 		{"mem", func(d *device.Device) Store { return NewMemStore(d) }},
 		{"db", func(d *device.Device) Store {
-			db, err := Create(t.TempDir()+"/cancel.shdb", Options{ExpectedItems: 1 << 12, Device: d})
+			db, err := Create(t.TempDir()+"/cancel.shdb", Options{Device: d})
 			if err != nil {
 				t.Fatalf("Create: %v", err)
 			}

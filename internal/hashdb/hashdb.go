@@ -29,13 +29,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
 
 	"shhc/internal/device"
 	"shhc/internal/fingerprint"
-	"shhc/internal/pow2"
 )
 
 // Value is the 8-byte locator stored per fingerprint (e.g. the container or
@@ -47,13 +47,10 @@ const (
 	PageSize = 4096
 
 	magic = "SHDB"
-	// version3 is the static-geometry format; version4 appends the
-	// linear-hashing state, free-list root, and bucket-directory root to
-	// the header. v3 files open read-compatibly and upgrade to v4 the
-	// first time any of those fields becomes non-trivial (first split,
-	// first freed page).
-	version3 = 3
-	version4 = 4
+	// version is the file format. Format 4 is the first that records the
+	// linear-hashing state, free-list root and bucket-directory root; no
+	// other is read or written.
+	version = 4
 
 	// page layout: crc32 uint32 | count uint16 | next uint64 | entries...
 	// The CRC covers everything after itself and detects torn writes and
@@ -67,20 +64,14 @@ const (
 	// file header layout. Page 0 holds two header slots at offsets 0 and
 	// headerSlotStride; writeHeader alternates between them by sequence
 	// number, so a torn header write can destroy at most one slot and the
-	// other still describes a consistent (if slightly stale) state. A v3
-	// slot:
+	// other still describes a consistent (if slightly stale) state. A slot:
 	//
 	//	crc32(4) magic(4) version(4) pageSize(4) buckets(8) entries(8)
-	//	pages(8) clean(1) seq(8)
+	//	pages(8) clean(1) seq(8) level(4) split(8) freeHead(8)
+	//	freePages(8) dirHead(8)
 	//
-	// A v4 slot appends the online-growth state:
-	//
-	//	... level(4) split(8) freeHead(8) freePages(8) dirHead(8)
-	//
-	// The CRC covers everything after itself (to the version's length, so
-	// the version field must be read before the CRC can be checked).
-	fileHdrSize      = 4 + 4 + 4 + 4 + 8 + 8 + 8 + 1 + 8
-	fileHdrSizeV4    = fileHdrSize + 4 + 8 + 8 + 8 + 8
+	// The CRC covers everything after itself.
+	fileHdrSize      = 4 + 4 + 4 + 4 + 8 + 8 + 8 + 1 + 8 + 4 + 8 + 8 + 8 + 8
 	headerSlotStride = 512
 )
 
@@ -97,24 +88,8 @@ func (e *CorruptionError) Error() string {
 	return fmt.Sprintf("hashdb: %s: corrupt database: %s", e.Path, e.Detail)
 }
 
-// ResizeMode selects whether the table grows online via incremental
-// linear-hashing splits (see resize.go).
-type ResizeMode int
-
-const (
-	// ResizeAuto enables online growth unless the caller pinned the
-	// geometry with an explicit Options.Buckets — a pinned bucket count is
-	// a statement about shape (tests, sizing experiments, the fixed
-	// baseline), so it is honored.
-	ResizeAuto ResizeMode = iota
-	// ResizeOn always grows online, even with explicit Buckets.
-	ResizeOn
-	// ResizeOff pins the create-time geometry forever.
-	ResizeOff
-)
-
-// DefaultSplitLoadFactor is the aggregate load factor (entries per
-// bucket-region slot) at which a resizable table runs incremental splits.
+// splitLoadFactor is the aggregate load factor (entries per bucket-region
+// slot) at which a table runs incremental splits.
 // Linear hashing is skewed 2 : 1 — a bucket the split pointer has not yet
 // reached holds twice what one it has passed does — so late in a level the
 // unsplit buckets carry up to twice the mean, 2 × trigger × SlotsPerPage
@@ -125,72 +100,41 @@ const (
 // over two pages (0.4: none; 0.5: 2.6–3.5 %; 0.75, the value this replaced,
 // a second page on every other bucket). TestCreateStartsSmall holds the
 // bound at every point of every level.
-const DefaultSplitLoadFactor = 0.45
+const splitLoadFactor = 0.45
 
-// startBuckets is the bucket count a resizable table is created with: 1 MiB
-// of bucket pages, whatever the caller expects to store. Splits keep the
-// table at the size of its content from there, so every batch and every
-// destage wave shares pages at every age of the table instead of only once
-// ExpectedItems entries have arrived. A constant, not an option: 64, 256 and
-// 1 024 read the same fps_per_s on first_full_wb (three seeds each, inside
-// the host's noise; CHANGES.md, PR 23), so it is the smallest round number
-// that keeps a table's first wave from being mostly splits.
+// startBuckets is the bucket count a table is created with: 1 MiB of bucket
+// pages, whatever the caller expects to store. Splits keep the table at the
+// size of its content from there, so every batch and every destage wave
+// shares pages at every age of the table. A constant, not an option: 64, 256
+// and 1 024 read the same fps_per_s on first_full_wb (three seeds each,
+// inside the host's noise; CHANGES.md, PR 23), so it is the smallest round
+// number that keeps a table's first wave from being mostly splits.
 const startBuckets = 256
 
 // Options configures database creation.
 type Options struct {
-	// ExpectedItems sizes the bucket region of a table whose geometry is
-	// pinned (ResizeOff) for ~50% fill at that many entries, so most lookups
-	// cost a single page read; such a table degrades past the estimate.
-	// Defaults to 1<<20. A resizable table ignores it: it starts at
-	// startBuckets and splits to the size of its content.
+	// ExpectedItems does nothing: a table starts at startBuckets and
+	// splits to the size of its content, whatever its caller expects. It
+	// stays only because the end-to-end benchmark's stack (benchmark/
+	// stack.go), which is frozen, still sets it.
 	ExpectedItems int
-	// Buckets overrides the bucket count directly (testing and sizing
-	// experiments) and, under ResizeAuto, pins it. If zero, a resizable
-	// table starts at startBuckets and a fixed one derives it from
-	// ExpectedItems.
+	// Buckets is the bucket count the table starts with (tests); 0 selects
+	// startBuckets. The table grows from it like from any other.
 	Buckets uint64
-	// Stripes is the number of bucket-region lock stripes (rounded to a
-	// power of two). A stripe is a runtime construct, not persisted in the
-	// file. 0 selects the default; 1 recovers a single global lock.
-	Stripes int
-	// Resize selects whether the table splits buckets online as it fills.
-	Resize ResizeMode
-	// SplitLoadFactor overrides the load factor that triggers splits.
-	// 0 selects DefaultSplitLoadFactor.
-	SplitLoadFactor float64
 	// Device charges modeled latency per page I/O. Defaults to a
 	// non-sleeping SSD accountant.
 	Device *device.Device
 }
 
-// fill resolves the defaults and reports whether the table grows online:
-// ResizeAuto means "unless the caller pinned Buckets", which only the
-// options as given can say.
-func (o *Options) fill() (resizable bool) {
-	resizable = o.Resize == ResizeOn || (o.Resize == ResizeAuto && o.Buckets == 0)
-	if o.ExpectedItems <= 0 {
-		o.ExpectedItems = 1 << 20
-	}
-	if o.Buckets == 0 {
-		if resizable {
-			o.Buckets = startBuckets
-		} else {
-			// Pinned geometry: half-full bucket pages at the expected load.
-			perBucket := SlotsPerPage / 2
-			o.Buckets = uint64((o.ExpectedItems + perBucket - 1) / perBucket)
-		}
-	}
-	if o.Device == nil {
-		o.Device = device.New(device.SSD, device.Account)
-	}
-	return resizable
-}
+// stripeCount is the lock-stripe count (a power of two). 64 is enough to
+// keep stripe collisions rare at any realistic GOMAXPROCS while the
+// all-stripe operations (Sync, Range, Close) stay cheap.
+const stripeCount = 64
 
-// defaultStripes is the default lock-stripe count (power of two). 64 is
-// enough to keep stripe collisions rare at any realistic GOMAXPROCS while
-// the all-stripe operations (Sync, Range, Close) stay cheap.
-const defaultStripes = 64
+// testHook, when set, sees every table Create and OpenFile make before they
+// return it. Only this package's tests set it, to pin a table to the shape
+// it starts with or to move its split trigger.
+var testHook func(*DB)
 
 // dbStripe guards a slice of the bucket space: bucket b belongs to stripe
 // b & (len(stripes)-1). Overflow pages are reached only through their
@@ -231,10 +175,9 @@ type DB struct {
 	// linear-hashing mapping is anchored to it (numBuckets() =
 	// baseBuckets<<level + split).
 	baseBuckets uint64
-	// resizable enables online growth; splitLF is the load factor that
-	// triggers it. Both are fixed at create/open time.
-	resizable bool
-	splitLF   float64
+	// splitLF is the load factor that triggers splits: splitLoadFactor,
+	// unless a test moved it (testHook).
+	splitLF float64
 	// state packs the linear-hashing (level, split) position into one
 	// atomic word (see resize.go) so the read path derives a coherent
 	// mapping from a single load.
@@ -257,10 +200,11 @@ type DB struct {
 	// split is splitOne's staging, kept from one split to the next; splitMu
 	// guards it.
 	split splitScratch
-	// recovering suppresses split triggering while the open-time recovery
-	// pass re-inserts salvaged entries through the normal write path.
-	// Written and read only while Open runs single-threaded.
-	recovering bool
+	// holdSplits suppresses split triggering: while the open-time recovery
+	// pass re-inserts salvaged entries through the normal write path, and
+	// for good in a table a test pinned to its starting shape (testHook).
+	// Written only while Create or Open runs single-threaded.
+	holdSplits bool
 
 	// allocMu serializes page allocation (growing the file), the free
 	// list, and header state transitions. Lock order: stripe lock, then
@@ -316,7 +260,7 @@ func (db *DB) observeChain(n int) {
 		b = chainHistBuckets - 1
 	}
 	db.chainHist[b].Add(1)
-	if n >= chainSplitTrigger && db.resizable {
+	if n >= chainSplitTrigger {
 		db.wantSplit.Store(true)
 	}
 	for {
@@ -327,11 +271,15 @@ func (db *DB) observeChain(n int) {
 	}
 }
 
-func newStripes(n int) []dbStripe {
-	if n <= 0 {
-		n = defaultStripes
+// newDB is the in-memory side of a table over f, before its geometry is set.
+func newDB(f File, path string, dev *device.Device) *DB {
+	if dev == nil {
+		dev = device.New(device.SSD, device.Account)
 	}
-	return make([]dbStripe, pow2.Floor(n))
+	db := &DB{f: f, path: path, dev: dev, stripes: make([]dbStripe, stripeCount), splitLF: splitLoadFactor}
+	db.stripeMask = uint64(len(db.stripes) - 1)
+	db.dir.Store(&bucketDir{})
+	return db
 }
 
 // Create creates a new database file at path, failing if it exists.
@@ -348,22 +296,12 @@ func Create(path string, opts Options) (*DB, error) {
 // in messages and is removed when initialization fails. CreateFile takes
 // ownership of f.
 func CreateFile(f File, path string, opts Options) (*DB, error) {
-	resizable := opts.fill()
-	db := &DB{
-		f:           f,
-		path:        path,
-		dev:         opts.Device,
-		baseBuckets: opts.Buckets,
-		stripes:     newStripes(opts.Stripes),
+	db := newDB(f, path, opts.Device)
+	db.baseBuckets = opts.Buckets
+	if db.baseBuckets == 0 {
+		db.baseBuckets = startBuckets
 	}
-	db.resizable = resizable
-	db.splitLF = opts.SplitLoadFactor
-	if db.splitLF <= 0 {
-		db.splitLF = DefaultSplitLoadFactor
-	}
-	db.dir.Store(&bucketDir{})
-	db.stripeMask = uint64(len(db.stripes) - 1)
-	db.pages.Store(1 + opts.Buckets)
+	db.pages.Store(1 + db.baseBuckets)
 	// Zero-fill header + bucket region so bucket pages read back as empty.
 	if err := f.Truncate(int64(db.pages.Load()) * PageSize); err != nil {
 		f.Close()
@@ -374,6 +312,9 @@ func CreateFile(f File, path string, opts Options) (*DB, error) {
 		f.Close()
 		os.Remove(path)
 		return nil, err
+	}
+	if testHook != nil {
+		testHook(db)
 	}
 	return db, nil
 }
@@ -390,59 +331,58 @@ func Open(path string, dev *device.Device) (*DB, error) {
 	return OpenFile(f, path, dev)
 }
 
-// OpenOptions configures opening an existing database. Geometry comes
-// from the file; these are the runtime knobs only.
-type OpenOptions struct {
-	// Device charges modeled latency per page I/O. Defaults to a
-	// non-sleeping SSD accountant.
-	Device *device.Device
-	// Resize selects whether the table keeps growing online. ResizeAuto
-	// on open means resizable: growth is the production default, and a
-	// file that already split stays correct either way (the persisted
-	// (level, split) mapping is always honored; ResizeOff only stops
-	// further splits). Tests pinning physical shape use ResizeOff.
-	Resize ResizeMode
-	// SplitLoadFactor overrides the split trigger; 0 selects the default.
-	SplitLoadFactor float64
-}
-
 // OpenFile is Open over an injected backing file (testing and failure
 // injection; see FailFile). path is used for messages only. OpenFile takes
 // ownership of f and closes it when opening fails.
+//
+// A clean header is believed only once the file bears it out: its pages
+// exist, its directory loads, and the walk Check makes finds the chains, the
+// free list and the entry count it describes (a page whose checksum fails is
+// left for the read that touches it to report). A clean file that does not
+// is marked dirty and recovered like one a crash left behind.
 func OpenFile(f File, path string, dev *device.Device) (*DB, error) {
-	return OpenFileWithOptions(f, path, OpenOptions{Device: dev})
-}
-
-// OpenFileWithOptions is OpenFile with explicit runtime options.
-func OpenFileWithOptions(f File, path string, opts OpenOptions) (*DB, error) {
-	dev := opts.Device
-	if dev == nil {
-		dev = device.New(device.SSD, device.Account)
-	}
-	db := &DB{f: f, path: path, dev: dev, stripes: newStripes(0)}
-	db.resizable = opts.Resize != ResizeOff
-	db.splitLF = opts.SplitLoadFactor
-	if db.splitLF <= 0 {
-		db.splitLF = DefaultSplitLoadFactor
-	}
-	db.dir.Store(&bucketDir{})
-	db.stripeMask = uint64(len(db.stripes) - 1)
-	if err := db.readHeader(); err != nil {
+	db := newDB(f, path, dev)
+	fail := func(err error) (*DB, error) {
 		f.Close()
 		return nil, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return fail(fmt.Errorf("hashdb: %s: stat: %w", path, err))
+	}
+	filePages := uint64(fi.Size()) / PageSize
+	if err := db.readHeader(filePages); err != nil {
+		return fail(err)
+	}
+	if !db.dirty.Load() && !db.bearsOut(filePages) {
+		// Recovery rewrites pages, so the header says so first.
+		if err := db.markDirty(); err != nil {
+			return fail(err)
+		}
 	}
 	if db.dirty.Load() {
 		// recover validates (and if necessary rolls back) the directory
 		// and rebuilds the free list itself; it must not trust them.
 		if err := db.recover(); err != nil {
-			f.Close()
-			return nil, err
+			return fail(err)
 		}
-	} else if err := db.loadDir(); err != nil {
-		f.Close()
-		return nil, err
+	}
+	if testHook != nil {
+		testHook(db)
 	}
 	return db, nil
+}
+
+// bearsOut reports whether a file of filePages pages holds what its clean
+// header claims, loading the directory and counting the overflow pages on
+// the way. Runs single-threaded inside Open.
+func (db *DB) bearsOut(filePages uint64) bool {
+	if db.pages.Load() > filePages || db.loadDir() != nil {
+		return false
+	}
+	overflow, err := db.check(true)
+	db.overflowPages.Store(overflow)
+	return err == nil
 }
 
 // loadDir mirrors the on-disk bucket directory into memory on a clean
@@ -493,19 +433,9 @@ func (db *DB) loadDir() error {
 func (db *DB) writeHeader(clean bool) error {
 	seq := db.headerSeq + 1
 	level, split := unpackState(db.state.Load())
-	// A file stays v3 while the growth state is trivial — this is the
-	// read-compatible migration story: v3 files upgrade on first split
-	// (or first freed page), not on open.
-	v4 := level != 0 || split != 0 || db.freeHead != 0 || db.dirHead != 0
-	size := fileHdrSize
-	ver := uint32(version3)
-	if v4 {
-		size = fileHdrSizeV4
-		ver = version4
-	}
-	var buf [fileHdrSizeV4]byte
+	var buf [fileHdrSize]byte
 	copy(buf[4:8], magic)
-	binary.BigEndian.PutUint32(buf[8:12], ver)
+	binary.BigEndian.PutUint32(buf[8:12], version)
 	binary.BigEndian.PutUint32(buf[12:16], PageSize)
 	binary.BigEndian.PutUint64(buf[16:24], db.baseBuckets)
 	binary.BigEndian.PutUint64(buf[24:32], db.entries.Load())
@@ -514,16 +444,14 @@ func (db *DB) writeHeader(clean bool) error {
 		buf[40] = 1
 	}
 	binary.BigEndian.PutUint64(buf[41:49], seq)
-	if v4 {
-		binary.BigEndian.PutUint32(buf[49:53], uint32(level))
-		binary.BigEndian.PutUint64(buf[53:61], split)
-		binary.BigEndian.PutUint64(buf[61:69], db.freeHead)
-		binary.BigEndian.PutUint64(buf[69:77], db.freeCount)
-		binary.BigEndian.PutUint64(buf[77:85], db.dirHead)
-	}
-	binary.BigEndian.PutUint32(buf[0:4], crc32.ChecksumIEEE(buf[4:size]))
-	db.dev.Write(size)
-	if _, err := db.f.WriteAt(buf[:size], int64(seq%2)*headerSlotStride); err != nil {
+	binary.BigEndian.PutUint32(buf[49:53], uint32(level))
+	binary.BigEndian.PutUint64(buf[53:61], split)
+	binary.BigEndian.PutUint64(buf[61:69], db.freeHead)
+	binary.BigEndian.PutUint64(buf[69:77], db.freeCount)
+	binary.BigEndian.PutUint64(buf[77:85], db.dirHead)
+	binary.BigEndian.PutUint32(buf[0:4], crc32.ChecksumIEEE(buf[4:]))
+	db.dev.Write(fileHdrSize)
+	if _, err := db.f.WriteAt(buf[:], int64(seq%2)*headerSlotStride); err != nil {
 		return fmt.Errorf("hashdb: %s: write header: %w", db.path, err)
 	}
 	db.headerSeq = seq
@@ -538,48 +466,70 @@ func (db *DB) writeHeader(clean bool) error {
 	return nil
 }
 
-// decodeHeaderSlot validates one header slot, returning its sequence number
-// and clean flag after loading the geometry fields into db.
-func (db *DB) decodeHeaderSlot(buf []byte) (seq uint64, clean bool, ok bool) {
-	if string(buf[4:8]) != magic {
-		return 0, false, false
-	}
-	// The version picks the slot length the CRC covers, so it is read
-	// (but not trusted) before the checksum; a corrupt version field
-	// fails the CRC of whichever length it selects.
-	size := 0
-	switch binary.BigEndian.Uint32(buf[8:12]) {
-	case version3:
-		size = fileHdrSize
-	case version4:
-		size = fileHdrSizeV4
-	default:
-		return 0, false, false
-	}
-	if crc32.ChecksumIEEE(buf[4:size]) != binary.BigEndian.Uint32(buf[0:4]) {
-		return 0, false, false
-	}
-	if ps := binary.BigEndian.Uint32(buf[12:16]); ps != PageSize {
-		return 0, false, false
-	}
-	db.baseBuckets = binary.BigEndian.Uint64(buf[16:24])
-	db.entries.Store(binary.BigEndian.Uint64(buf[24:32]))
-	db.pages.Store(binary.BigEndian.Uint64(buf[32:40]))
-	if size == fileHdrSizeV4 {
-		db.state.Store(packState(uint8(binary.BigEndian.Uint32(buf[49:53])), binary.BigEndian.Uint64(buf[53:61])))
-		db.freeHead = binary.BigEndian.Uint64(buf[61:69])
-		db.freeCount = binary.BigEndian.Uint64(buf[69:77])
-		db.dirHead = binary.BigEndian.Uint64(buf[77:85])
-	} else {
-		db.state.Store(0)
-		db.freeHead, db.freeCount, db.dirHead = 0, 0, 0
-	}
-	return binary.BigEndian.Uint64(buf[41:49]), buf[40] == 1, true
+// header is one decoded header slot.
+type header struct {
+	seq, base, entries, pages  uint64
+	clean                      bool
+	level                      uint32
+	split, freeHead, freeCount uint64
+	dirHead                    uint64
 }
 
-func (db *DB) readHeader() error {
-	var slots [2][fileHdrSizeV4]byte
-	db.dev.Read(fileHdrSizeV4)
+// decodeHeaderSlot decodes one header slot, reporting whether it is one:
+// the magic, the version, the page size and the checksum all agree.
+func decodeHeaderSlot(buf []byte) (h header, ok bool) {
+	be := binary.BigEndian
+	if string(buf[4:8]) != magic || be.Uint32(buf[8:12]) != version || be.Uint32(buf[12:16]) != PageSize ||
+		crc32.ChecksumIEEE(buf[4:fileHdrSize]) != be.Uint32(buf[0:4]) {
+		return h, false
+	}
+	return header{
+		base: be.Uint64(buf[16:24]), entries: be.Uint64(buf[24:32]), pages: be.Uint64(buf[32:40]),
+		clean: buf[40] == 1, seq: be.Uint64(buf[41:49]),
+		level: be.Uint32(buf[49:53]), split: be.Uint64(buf[53:61]),
+		freeHead: be.Uint64(buf[61:69]), freeCount: be.Uint64(buf[69:77]), dirHead: be.Uint64(buf[77:85]),
+	}, true
+}
+
+// invalid says why no table in a file of filePages pages can have written h,
+// or returns "" when one can. It runs before anything is sized from the
+// header. A dirty header's growth state and counts only bound what recovery
+// re-derives from the file, so only a clean one answers for them.
+func (h *header) invalid(filePages uint64) string {
+	switch {
+	case h.base == 0 || h.pages <= h.base:
+		return "inconsistent geometry"
+	case h.base >= filePages:
+		return fmt.Sprintf("%d bucket pages do not fit a file of %d pages", h.base, filePages)
+	case h.level >= 64 || h.base > math.MaxUint64>>h.level || h.split >= 1<<splitBits ||
+		h.base<<h.level > math.MaxUint64-h.split:
+		return fmt.Sprintf("growth state (level %d, split %d) out of range", h.level, h.split)
+	}
+	top := h.base << h.level
+	if !h.clean {
+		return ""
+	}
+	if h.split >= top {
+		return fmt.Sprintf("split pointer %d past the %d buckets of level %d", h.split, top, h.level)
+	}
+	// Past the base region, the directory names a page per split bucket and
+	// takes pages of its own.
+	dirEntries := top - h.base + h.split
+	dirPages := dirEntries / dirSlotsPerPage
+	if dirEntries%dirSlotsPerPage != 0 {
+		dirPages++
+	}
+	if avail := h.pages - 1 - h.base; dirEntries > avail || dirPages > avail-dirEntries {
+		return fmt.Sprintf("%d split buckets and their directory do not fit %d pages", dirEntries, h.pages)
+	}
+	return ""
+}
+
+// readHeader loads the newer of the two header slots that decode, in a file
+// of filePages pages.
+func (db *DB) readHeader(filePages uint64) error {
+	var slots [2][fileHdrSize]byte
+	db.dev.Read(fileHdrSize)
 	if _, err := db.f.ReadAt(slots[0][:], 0); err != nil {
 		return fmt.Errorf("hashdb: %s: read header: %w", db.path, err)
 	}
@@ -587,28 +537,26 @@ func (db *DB) readHeader() error {
 	if _, err := db.f.ReadAt(slots[1][:], headerSlotStride); err != nil && !errors.Is(err, io.EOF) {
 		return fmt.Errorf("hashdb: %s: read header: %w", db.path, err)
 	}
-	best := -1
-	var bestSeq uint64
+	var h header
+	found := false
 	for i := range slots {
-		if seq, _, ok := db.decodeHeaderSlot(slots[i][:]); ok && (best < 0 || seq > bestSeq) {
-			best, bestSeq = i, seq
+		if s, ok := decodeHeaderSlot(slots[i][:]); ok && (!found || s.seq > h.seq) {
+			h, found = s, true
 		}
 	}
-	if best < 0 {
-		if string(slots[0][0:4]) == magic {
-			// Pre-v3 layout: magic first, no CRC, single slot. Not
-			// corruption — a format mismatch, reported as such.
-			return &CorruptionError{Path: db.path, Detail: fmt.Sprintf("unsupported pre-crash-safe header layout (file version %d)", binary.BigEndian.Uint32(slots[0][4:8]))}
-		}
+	if !found {
 		return &CorruptionError{Path: db.path, Detail: "no valid header slot"}
 	}
-	// Re-decode the winner so its geometry is what sticks.
-	seq, clean, _ := db.decodeHeaderSlot(slots[best][:])
-	db.headerSeq = seq
-	db.dirty.Store(!clean)
-	if db.baseBuckets == 0 || db.pages.Load() < 1+db.baseBuckets {
-		return &CorruptionError{Path: db.path, Detail: "inconsistent geometry"}
+	if why := h.invalid(filePages); why != "" {
+		return &CorruptionError{Path: db.path, Detail: why}
 	}
+	db.headerSeq = h.seq
+	db.dirty.Store(!h.clean)
+	db.baseBuckets = h.base
+	db.entries.Store(h.entries)
+	db.pages.Store(h.pages)
+	db.state.Store(packState(uint8(h.level), h.split))
+	db.freeHead, db.freeCount, db.dirHead = h.freeHead, h.freeCount, h.dirHead
 	return nil
 }
 
@@ -995,7 +943,6 @@ type Stats struct {
 	// FreePages is the length of the persistent free-page list the
 	// allocator drains before extending the file.
 	FreePages     uint64
-	Resizable     bool
 	Stripes       int
 	Pages         uint64
 	OverflowPages uint64
@@ -1038,7 +985,6 @@ func (db *DB) Stats() Stats {
 		Splits:        db.splits.Load(),
 		StaleRetries:  db.staleRetries.Load(),
 		FreePages:     freePages,
-		Resizable:     db.resizable,
 		Stripes:       len(db.stripes),
 		Pages:         db.pages.Load(),
 		OverflowPages: db.overflowPages.Load(),

@@ -28,8 +28,22 @@ func newTestDB(t *testing.T, opts Options) *DB {
 	return db
 }
 
+// shapeTables passes every table Create and OpenFile make for the rest of t
+// through shape (see testHook).
+func shapeTables(t testing.TB, shape func(*DB)) {
+	testHook = shape
+	t.Cleanup(func() { testHook = nil })
+}
+
+// pinShape holds the tables of the rest of t at the bucket count they start
+// with: neither the load factor nor a long chain splits them.
+func pinShape(t testing.TB) { shapeTables(t, func(db *DB) { db.holdSplits = true }) }
+
+// splitAt moves the load factor at which the tables of the rest of t split.
+func splitAt(t testing.TB, lf float64) { shapeTables(t, func(db *DB) { db.splitLF = lf }) }
+
 func TestPutGetRoundTrip(t *testing.T) {
-	db := newTestDB(t, Options{ExpectedItems: 1000})
+	db := newTestDB(t, Options{})
 	const n = 1000
 	for i := uint64(0); i < n; i++ {
 		created, err := db.Put(fp(i), Value(i*7))
@@ -58,7 +72,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 func TestPutOverwrite(t *testing.T) {
-	db := newTestDB(t, Options{ExpectedItems: 10})
+	db := newTestDB(t, Options{})
 	db.Put(fp(1), 10)
 	created, err := db.Put(fp(1), 20)
 	if err != nil {
@@ -76,7 +90,8 @@ func TestPutOverwrite(t *testing.T) {
 }
 
 func TestOverflowChains(t *testing.T) {
-	// One bucket forces every insert into the same chain.
+	// One bucket, pinned, forces every insert into the same chain.
+	pinShape(t)
 	db := newTestDB(t, Options{Buckets: 1})
 	n := SlotsPerPage*3 + 7 // several overflow pages
 	for i := 0; i < n; i++ {
@@ -127,7 +142,7 @@ func TestDelete(t *testing.T) {
 
 func TestPersistenceAcrossReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "persist.shdb")
-	db, err := Create(path, Options{ExpectedItems: 100})
+	db, err := Create(path, Options{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -156,7 +171,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 
 func TestCrashRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "crash.shdb")
-	db, err := Create(path, Options{ExpectedItems: 100})
+	db, err := Create(path, Options{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -227,7 +242,7 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 func TestEmptyBucketPagesReadCleanly(t *testing.T) {
 	// Fresh bucket pages are zero-filled (no CRC ever written); reads of
 	// absent keys must not report corruption.
-	db := newTestDB(t, Options{ExpectedItems: 10000})
+	db := newTestDB(t, Options{})
 	for i := uint64(0); i < 100; i++ {
 		if _, ok, err := db.Get(fp(i)); err != nil || ok {
 			t.Fatalf("Get on fresh db = (%v, %v)", ok, err)
@@ -318,7 +333,7 @@ func TestRange(t *testing.T) {
 func TestDeviceAccountingChargesPages(t *testing.T) {
 	dev := device.New(device.SSD, device.Account)
 	path := filepath.Join(t.TempDir(), "dev.shdb")
-	db, err := Create(path, Options{ExpectedItems: 100, Device: dev})
+	db, err := Create(path, Options{Device: dev})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -340,7 +355,7 @@ func TestDeviceAccountingChargesPages(t *testing.T) {
 }
 
 func TestStatsShape(t *testing.T) {
-	db := newTestDB(t, Options{ExpectedItems: 1000})
+	db := newTestDB(t, Options{})
 	for i := uint64(0); i < 500; i++ {
 		db.Put(fp(i), Value(i))
 	}

@@ -27,7 +27,7 @@ func testDB(t *testing.T, opts Options) *DB {
 }
 
 func TestPutBatchBasic(t *testing.T) {
-	db := testDB(t, Options{ExpectedItems: 1000})
+	db := testDB(t, Options{})
 	pairs := make([]Pair, 100)
 	for i := range pairs {
 		pairs[i] = Pair{FP: fp(uint64(i)), Val: Value(i + 1)}
@@ -81,7 +81,7 @@ func TestPutBatchBasic(t *testing.T) {
 }
 
 func TestPutBatchDuplicateInBatch(t *testing.T) {
-	db := testDB(t, Options{ExpectedItems: 100})
+	db := testDB(t, Options{})
 	pairs := []Pair{
 		{FP: fp(7), Val: 1},
 		{FP: fp(8), Val: 2},
@@ -103,8 +103,9 @@ func TestPutBatchDuplicateInBatch(t *testing.T) {
 }
 
 func TestPutBatchOverflowChains(t *testing.T) {
-	// One bucket: everything chains off a single page, forcing overflow
-	// allocation inside the batch.
+	// One bucket, pinned: everything chains off a single page, forcing
+	// overflow allocation inside the batch.
+	pinShape(t)
 	db := testDB(t, Options{Buckets: 1})
 	n := SlotsPerPage*3 + 5
 	pairs := make([]Pair, n)
@@ -160,6 +161,7 @@ func TestPutUpdateStopsAtHitPage(t *testing.T) {
 	// for the rest of the chain (the old per-key Put's early return,
 	// preserved by the streaming update in putChain).
 	dev := device.New(device.Null, device.Account)
+	pinShape(t)
 	db, err := Create(filepath.Join(t.TempDir(), "early.shdb"), Options{Buckets: 1, Device: dev})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
@@ -185,7 +187,7 @@ func TestPutUpdateStopsAtHitPage(t *testing.T) {
 }
 
 func TestPutBatchCancelled(t *testing.T) {
-	db := testDB(t, Options{ExpectedItems: 1000})
+	db := testDB(t, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	pairs := make([]Pair, 64)
@@ -208,9 +210,10 @@ func TestPutBatchCancelled(t *testing.T) {
 }
 
 // TestPutBatchConcurrentWithReads race-stresses batched writes against
-// point and batched reads all landing on one bucket page (Buckets: 1), the
-// worst case for the read-modify-write exclusion.
+// point and batched reads all landing on one bucket page (Buckets: 1,
+// pinned), the worst case for the read-modify-write exclusion.
 func TestPutBatchConcurrentWithReads(t *testing.T) {
+	pinShape(t)
 	db, err := Create(filepath.Join(t.TempDir(), "race.shdb"), Options{
 		Buckets: 1,
 		Device:  device.New(device.Null, device.Account),
@@ -419,7 +422,7 @@ func TestPutBatchIndexedRunsMatchModel(t *testing.T) {
 }
 
 func BenchmarkDBPutBatch(b *testing.B) {
-	db := benchDB(b, 1<<20)
+	db := benchDB(b)
 	const batch = 512
 	pairs := make([]Pair, batch)
 	b.ResetTimer()
@@ -448,7 +451,7 @@ func inBucket(nb, b, k uint64) fingerprint.Fingerprint {
 // in-RAM stand-in.
 func TestBatchSkewedOntoOneBucket(t *testing.T) {
 	ctx := context.Background()
-	db := testDB(t, Options{ExpectedItems: 4096})
+	db := testDB(t, Options{})
 	nb := db.numBuckets()
 	skewed := make([]Pair, 2*SlotsPerPage+7)
 	for i := range skewed {
@@ -497,7 +500,7 @@ func TestBatchSkewedOntoOneBucket(t *testing.T) {
 // loose: they fail at one allocation per four keys.
 func TestAllocHashdbBatch(t *testing.T) {
 	ctx := context.Background()
-	db := testDB(t, Options{ExpectedItems: 1 << 17, Device: device.New(device.Null, device.Account)})
+	db := testDB(t, Options{Device: device.New(device.Null, device.Account)})
 	next := uint64(0)
 	run := func(size int) (put, get float64) {
 		const runs = 20

@@ -39,7 +39,8 @@ package hashdb
 //     repaired file, and the header is rewritten clean and fsynced.
 //
 // The pass runs inside Open while the DB is still single-threaded,
-// whenever the header says the file was not closed cleanly.
+// whenever the header says the file was not closed cleanly or the file
+// does not bear out a header that says it was (see OpenFile).
 
 import (
 	"errors"
@@ -120,8 +121,8 @@ func (db *DB) readPageChecked(p uint64, buf []byte) error {
 // recover repairs the file after an unclean shutdown. It runs
 // single-threaded inside Open; see the file comment for the pass's steps.
 func (db *DB) recover() error {
-	db.recovering = true
-	defer func() { db.recovering = false }()
+	db.holdSplits = true
+	defer func() { db.holdSplits = false }()
 	rs := &db.recovery
 	rs.Runs++
 
@@ -134,8 +135,8 @@ func (db *DB) recover() error {
 	db.freeHead, db.freeCount = 0, 0
 	db.allocMu.Unlock()
 
-	// 1. Resize: drop a torn partial tail page; grow a file truncated
-	// below the bucket region back to empty bucket pages.
+	// 1. Resize: drop a torn partial tail page. The bucket region lies
+	// inside the file: readHeader refuses a header whose region does not.
 	fi, err := db.f.Stat()
 	if err != nil {
 		return fmt.Errorf("hashdb: %s: recover: %w", db.path, err)
@@ -149,12 +150,6 @@ func (db *DB) recover() error {
 		}
 	}
 	pages := uint64(size) / PageSize
-	if min := 1 + db.baseBuckets; pages < min {
-		if err := db.f.Truncate(int64(min) * PageSize); err != nil {
-			return fmt.Errorf("hashdb: %s: recover: restore bucket region: %w", db.path, err)
-		}
-		pages = min
-	}
 	db.pages.Store(pages)
 
 	// 2. CRC scan: quarantine torn pages. A quarantined page reads back
@@ -187,7 +182,7 @@ func (db *DB) recover() error {
 	// linear hashing because the bucket count moves one split at a time
 	// and every rolled-back bucket's entries re-hash into reachable
 	// buckets under the earlier mapping.
-	committed := int(db.numBuckets() - db.baseBuckets)
+	committed := db.numBuckets() - db.baseBuckets
 	var dirEntries, dirPageNos []uint64
 	inDir := make(map[uint64]bool)
 	if db.dirHead != 0 && db.dirHead < pages && db.dirHead > db.baseBuckets {
@@ -213,7 +208,10 @@ func (db *DB) recover() error {
 			p = next
 		}
 	}
-	target := min(len(dirEntries), committed)
+	target := len(dirEntries)
+	if uint64(target) > committed {
+		target = int(committed)
+	}
 	extras := dirEntries[target:]
 	rs.SplitRollbacks += uint64(len(extras))
 	// Re-anchor the in-memory mapping at the reconciled bucket count.
@@ -276,9 +274,14 @@ func (db *DB) recover() error {
 
 	// 4. Chain walk: recount entries, cut links that dangle, and pack out
 	// duplicate or stray entries (see the file comment). reached marks
-	// every page owned by some bucket chain or by the directory.
+	// every page owned by some bucket chain or by the directory; the heads
+	// of split buckets are marked up front, so a link into one is cut
+	// rather than walked into a chain two buckets would share.
 	reached := make([]bool, pages)
 	for _, p := range db.dirPages {
+		reached[p] = true
+	}
+	for _, p := range dirCopy {
 		reached[p] = true
 	}
 	chainSeen := make(map[fingerprint.Fingerprint]struct{})
@@ -398,11 +401,11 @@ func (db *DB) recover() error {
 }
 
 // Check CRC-scans every page and validates the directory, every bucket
-// chain, and the free list without modifying anything, returning the
-// first inconsistency found (nil means the file is structurally sound).
-// It holds every stripe read lock for the duration, which also quiesces
-// splits and compaction (both need stripe write locks), so the growth
-// state it validates is stable.
+// chain, the entry count and the free list without modifying anything,
+// returning the first inconsistency found (nil means the file is
+// structurally sound). It holds every stripe read lock for the duration,
+// which also quiesces splits and compaction (both need stripe write locks),
+// so the growth state it validates is stable.
 func (db *DB) Check() error {
 	for i := range db.stripes {
 		db.stripes[i].mu.RLock()
@@ -415,57 +418,99 @@ func (db *DB) Check() error {
 	if db.closed {
 		return ErrClosed
 	}
+	_, err := db.check(false)
+	return err
+}
+
+// check is Check's walk over a quiesced table; it counts the overflow pages
+// on the chains. At open (lenient) a page whose checksum fails is passed
+// over, its link unfollowed and its entries uncounted: in a file its header
+// calls clean, such a page is the business of the read that touches it.
+func (db *DB) check(lenient bool) (overflow uint64, err error) {
+	corrupt := func(format string, args ...any) error {
+		return &CorruptionError{Path: db.path, Detail: fmt.Sprintf(format, args...)}
+	}
 	pages := db.pages.Load()
 	db.allocMu.Lock()
 	freeHead, freeCount := db.freeHead, db.freeCount
 	db.allocMu.Unlock()
 	page := getPage()
 	defer putPage(page)
+	damaged := false
+	// read reports whether page p read back whole into page.
+	read := func(p uint64) (bool, error) {
+		if err := db.readPage(p, page); err != nil {
+			var ce *CorruptionError
+			if lenient && errors.As(err, &ce) {
+				damaged = true
+				return false, nil
+			}
+			return false, err
+		}
+		if c := pageCount(page); c > SlotsPerPage {
+			return false, corrupt("page %d count %d exceeds capacity", p, c)
+		}
+		return true, nil
+	}
 	reached := make([]bool, pages)
 	for _, dp := range db.dirPages {
 		if dp >= pages || dp <= db.baseBuckets {
-			return &CorruptionError{Path: db.path, Detail: fmt.Sprintf("directory page %d out of range", dp)}
+			return 0, corrupt("directory page %d out of range", dp)
 		}
 		reached[dp] = true
 	}
+	var entries uint64
 	nb := db.numBuckets()
 	for b := uint64(0); b < nb; b++ {
 		head := db.bucketPageOf(b)
 		if head == 0 || head >= pages || (b >= db.baseBuckets && head <= db.baseBuckets) {
-			return &CorruptionError{Path: db.path, Detail: fmt.Sprintf("bucket %d head page %d out of range", b, head)}
+			return 0, corrupt("bucket %d head page %d out of range", b, head)
 		}
 		if b >= db.baseBuckets && reached[head] {
-			return &CorruptionError{Path: db.path, Detail: fmt.Sprintf("bucket %d head page %d shared", b, head)}
+			return 0, corrupt("bucket %d head page %d shared", b, head)
 		}
 		for p := head; p != 0; {
 			reached[p] = true
-			if err := db.readPageChecked(p, page); err != nil {
-				return err
+			if ok, err := read(p); !ok {
+				if err != nil {
+					return 0, err
+				}
+				break
+			}
+			entries += uint64(pageCount(page))
+			if p != head {
+				overflow++
 			}
 			next := pageNext(page)
 			if next != 0 && (next >= pages || next <= db.baseBuckets || reached[next]) {
-				return &CorruptionError{Path: db.path, Detail: fmt.Sprintf("page %d links to invalid page %d", p, next)}
+				return 0, corrupt("page %d links to invalid page %d", p, next)
 			}
 			p = next
 		}
 	}
+	if !damaged && entries != db.entries.Load() {
+		return 0, corrupt("chains hold %d entries, the count says %d", entries, db.entries.Load())
+	}
 	var free uint64
 	for p := freeHead; p != 0; {
 		if p >= pages || p <= db.baseBuckets || reached[p] {
-			return &CorruptionError{Path: db.path, Detail: fmt.Sprintf("free list reaches invalid page %d", p)}
+			return 0, corrupt("free list reaches invalid page %d", p)
 		}
 		reached[p] = true
-		if err := db.readPageChecked(p, page); err != nil {
-			return err
+		if ok, err := read(p); !ok {
+			if err == nil { // the allocator could not take it
+				return 0, corrupt("free page %d does not read back", p)
+			}
+			return 0, err
 		}
 		if pageCount(page) != 0 {
-			return &CorruptionError{Path: db.path, Detail: fmt.Sprintf("free page %d is not empty", p)}
+			return 0, corrupt("free page %d is not empty", p)
 		}
 		free++
 		p = pageNext(page)
 	}
 	if free != freeCount {
-		return &CorruptionError{Path: db.path, Detail: fmt.Sprintf("free list holds %d pages, header says %d", free, freeCount)}
+		return 0, corrupt("free list holds %d pages, header says %d", free, freeCount)
 	}
 	// Unreferenced pages (strandable by a cancelled batch) just need to
 	// be readable.
@@ -473,9 +518,9 @@ func (db *DB) Check() error {
 		if reached[p] {
 			continue
 		}
-		if err := db.readPageChecked(p, page); err != nil {
-			return err
+		if _, err := read(p); err != nil {
+			return 0, err
 		}
 	}
-	return nil
+	return overflow, nil
 }

@@ -11,12 +11,13 @@ import (
 	"shhc/internal/fingerprint"
 )
 
-// crashDB creates a database at path with Buckets=1 (so every entry is on
-// the single bucket chain and overflow pages exist), fills it with n
-// entries, and abandons it dirty — the header says unclean, so the next
-// Open runs recovery.
+// crashDB creates a database at path with one bucket, pinned (so every
+// entry is on the single bucket chain and overflow pages exist), fills it
+// with n entries, and abandons it dirty — the header says unclean, so the
+// next Open runs recovery.
 func crashDB(t *testing.T, path string, n uint64) {
 	t.Helper()
+	pinShape(t)
 	db, err := Create(path, Options{Buckets: 1})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
@@ -260,7 +261,7 @@ func TestHeaderSurvivesOneTornSlot(t *testing.T) {
 // removes.
 func TestReopenMatrix(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "reopen.shdb")
-	db, err := Create(path, Options{ExpectedItems: 1000})
+	db, err := Create(path, Options{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}

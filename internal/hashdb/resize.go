@@ -4,14 +4,13 @@ package hashdb
 // splits, the persistent page free list, and the compaction pass that
 // feeds it.
 //
-// A bucket count fixed at create time makes the table depend on the
-// operator's estimate: past ExpectedItems every chain grows without bound
-// and each lookup pays one page read per chain page forever, and short of
-// it a batch finds one entry per page to write where a table its own size
-// would give it thirty. So growth is the normal state of a table, not the
-// exception past an estimate: a resizable table is created at startBuckets
-// and linear hashing keeps it at the size of its content, without downtime
-// or a rebuild:
+// A bucket count fixed at create time would make the table depend on an
+// operator's estimate: past it every chain grows without bound and each
+// lookup pays one page read per chain page forever, and short of it a batch
+// finds one entry per page to write where a table its own size would give
+// it thirty. So growth is the normal state of a table: every table is
+// created at startBuckets and linear hashing keeps it at the size of its
+// content, without downtime or a rebuild:
 //
 //   - the table runs at a (level, split) state: base<<level buckets are
 //     addressed at the current level and the buckets below the split
@@ -27,7 +26,7 @@ package hashdb
 //
 // Bucket pages beyond the base region cannot live at a fixed file offset,
 // so they are recorded in a small directory: a chain of pages holding
-// 8-byte page numbers, rooted at the v4 header's dirHead field. The
+// 8-byte page numbers, rooted at the header's dirHead field. The
 // in-memory mirror (bucketDir) is published with an atomic pointer so the
 // read path resolves bucket→page with two atomic loads and no lock.
 //
@@ -321,7 +320,7 @@ func (db *DB) overloaded(extra int) bool {
 // everyone else returns immediately, so the trigger never convoys the
 // write path. Callers must not hold stripe locks.
 func (db *DB) maybeSplit(extra int) error {
-	if !db.resizable || db.recovering {
+	if db.holdSplits {
 		return nil
 	}
 	if !db.wantSplit.Load() && !db.overloaded(extra) {
@@ -592,7 +591,7 @@ func (db *DB) compactBucket(b uint64, cs *CompactStats) error {
 		cnt := pageCount(chain[i].buf)
 		for j := 0; j < cnt; j++ {
 			efp, v := entryAt(chain[i].buf, j)
-			if db.resizable && db.bucketOfHash(efp.Prefix64()) != b {
+			if db.bucketOfHash(efp.Prefix64()) != b {
 				strays++
 				continue
 			}

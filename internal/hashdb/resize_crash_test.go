@@ -10,10 +10,6 @@ package hashdb
 // carve-out; atomic kills may lose nothing) — plus the delete guarantee:
 // a split rollback or compaction replay must never resurrect an
 // acknowledged delete.
-//
-// The template is seeded below the split threshold and closed cleanly, so
-// its header is still v3: every run also exercises the v3→v4 header
-// upgrade happening under fire.
 
 import (
 	"context"
@@ -28,15 +24,8 @@ import (
 	"shhc/internal/fingerprint"
 )
 
-// resizeCrashOpen opens a crash-run file with growth forced on and a split
-// threshold low enough that the schedule's ~60 keys split the 2-bucket
-// template several times.
-func resizeCrashOpen(f File, path string) (*DB, error) {
-	return OpenFileWithOptions(f, path, OpenOptions{
-		Resize:          ResizeOn,
-		SplitLoadFactor: 0.05,
-	})
-}
+// openCrashFile opens a crash-run file the way a node does.
+func openCrashFile(f File, path string) (*DB, error) { return OpenFile(f, path, nil) }
 
 // resizeCrashSchedule drives creates, updates, deletes, a Compact, and a
 // refill that reuses compaction's freed pages, updating the model as
@@ -76,7 +65,7 @@ func resizeCrashSchedule(db *DB, m *crashModel) error {
 	}
 
 	// 1: a batched create wave large enough to push load past the split
-	// threshold — the v3 header upgrades to v4 on the first split.
+	// threshold.
 	batchA := make([]uint64, 30)
 	for i := range batchA {
 		batchA[i] = 100 + uint64(i)
@@ -130,12 +119,11 @@ func resizeCrashSchedule(db *DB, m *crashModel) error {
 	return db.Sync()
 }
 
-// seedResizeCrashTemplate builds the pre-crash image: a 2-bucket resizable
-// table holding keys 0..9 — below the split threshold, so the header is
-// still v3 — closed cleanly.
+// seedResizeCrashTemplate builds the pre-crash image: a 2-bucket table
+// holding keys 0..9, closed cleanly.
 func seedResizeCrashTemplate(t *testing.T, path string, m *crashModel) {
 	t.Helper()
-	db, err := Create(path, Options{Buckets: 2, Resize: ResizeOn, SplitLoadFactor: 0.05})
+	db, err := Create(path, Options{Buckets: 2})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -147,15 +135,15 @@ func seedResizeCrashTemplate(t *testing.T, path string, m *crashModel) {
 		}
 		m.ackPut(k, v)
 	}
-	if st := db.Stats(); st.Splits != 0 {
-		t.Fatalf("template split during seeding (%d splits); template must stay v3", st.Splits)
-	}
 	if err := db.Close(); err != nil {
 		t.Fatalf("seed Close: %v", err)
 	}
 }
 
+// TestResizeCrashInjectionEveryWritePoint splits at a load factor low enough
+// that the schedule's ~60 keys split the 2-bucket template several times.
 func TestResizeCrashInjectionEveryWritePoint(t *testing.T) {
+	splitAt(t, 0.05)
 	dir := t.TempDir()
 	tmpl := filepath.Join(dir, "tmpl.shdb")
 	seedResizeCrashTemplate(t, tmpl, newCrashModel())
@@ -166,7 +154,7 @@ func TestResizeCrashInjectionEveryWritePoint(t *testing.T) {
 
 	// Probe the schedule's write count — and that it actually grows the
 	// table.
-	totalWrites, st := probeSchedule(t, tmplBytes, dir, resizeCrashOpen, resizeCrashSchedule)
+	totalWrites, st := probeSchedule(t, tmplBytes, dir, openCrashFile, resizeCrashSchedule)
 	if st.Splits == 0 {
 		t.Fatalf("probe schedule made no splits; the harness is not exercising growth (stats %+v)", st)
 	}
@@ -176,7 +164,7 @@ func TestResizeCrashInjectionEveryWritePoint(t *testing.T) {
 
 	for _, partial := range []int{-1, 7, PageSize / 2, PageSize - 1} {
 		for k := int64(1); k <= totalWrites; k++ {
-			runGrowthCrashPoint(t, tmplBytes, dir, k, partial, resizeCrashOpen, resizeCrashSchedule, nil)
+			runGrowthCrashPoint(t, tmplBytes, dir, k, partial, openCrashFile, resizeCrashSchedule, nil)
 		}
 	}
 }
@@ -193,16 +181,6 @@ func minedKeys(n int, parity uint64) []uint64 {
 		}
 	}
 	return keys
-}
-
-// compactCrashOpen disables load-factor splits (threshold no real load
-// reaches) so growth comes only from the chain-length trigger — exactly
-// one split fires, and the sparse chains survive for Compact to repack.
-func compactCrashOpen(f File, path string) (*DB, error) {
-	return OpenFileWithOptions(f, path, OpenOptions{
-		Resize:          ResizeOn,
-		SplitLoadFactor: 2.0,
-	})
 }
 
 // compactCrashSchedule builds a three-page chain in one bucket, lets the
@@ -266,7 +244,11 @@ func compactCrashSchedule(db *DB, m *crashModel, cs *CompactStats) error {
 	return db.Sync()
 }
 
+// TestCompactCrashInjectionEveryWritePoint splits at a load factor no real
+// load reaches, so growth comes only from the chain-length trigger — exactly
+// one split fires, and the sparse chains survive for Compact to repack.
 func TestCompactCrashInjectionEveryWritePoint(t *testing.T) {
+	splitAt(t, 2.0)
 	dir := t.TempDir()
 	tmpl := filepath.Join(dir, "tmpl.shdb")
 	seedResizeCrashTemplate(t, tmpl, newCrashModel())
@@ -278,7 +260,7 @@ func TestCompactCrashInjectionEveryWritePoint(t *testing.T) {
 	// Probe: the schedule must actually split once and give Compact real
 	// work, or the kill sweep proves nothing about those code paths.
 	var cs CompactStats
-	totalWrites, st := probeSchedule(t, tmplBytes, dir, compactCrashOpen, func(db *DB, m *crashModel) error {
+	totalWrites, st := probeSchedule(t, tmplBytes, dir, openCrashFile, func(db *DB, m *crashModel) error {
 		return compactCrashSchedule(db, m, &cs)
 	})
 	if st.Splits == 0 {
@@ -294,7 +276,7 @@ func TestCompactCrashInjectionEveryWritePoint(t *testing.T) {
 	}
 	for _, partial := range []int{-1, 7, PageSize / 2, PageSize - 1} {
 		for k := int64(1); k <= totalWrites; k++ {
-			runGrowthCrashPoint(t, tmplBytes, dir, k, partial, compactCrashOpen, schedule, nil)
+			runGrowthCrashPoint(t, tmplBytes, dir, k, partial, openCrashFile, schedule, nil)
 		}
 	}
 }
@@ -306,6 +288,7 @@ func TestCompactCrashInjectionEveryWritePoint(t *testing.T) {
 // entries only move toward the head (deepest-first lost the middle of the
 // chain to a kill between the two writes).
 func TestCompactCrashMultiPageRepack(t *testing.T) {
+	pinShape(t)
 	dir := t.TempDir()
 	tmpl := filepath.Join(dir, "tmpl.shdb")
 	db, err := Create(tmpl, Options{Buckets: 1})
@@ -348,20 +331,19 @@ func TestCompactCrashMultiPageRepack(t *testing.T) {
 		packed = cs
 		return db.Sync()
 	}
-	open := func(f File, path string) (*DB, error) { return OpenFile(f, path, nil) }
-	totalWrites, _ := probeSchedule(t, tmplBytes, dir, open, schedule)
+	totalWrites, _ := probeSchedule(t, tmplBytes, dir, openCrashFile, schedule)
 	if packed.ChainsPacked != 1 || packed.PagesFreed != 1 {
 		t.Fatalf("the schedule's Compact packed %+v, want one chain into two pages and one page freed", packed)
 	}
 	for _, partial := range []int{-1, 7, PageSize / 2, PageSize - 1} {
 		for k := int64(1); k <= totalWrites; k++ {
-			runGrowthCrashPoint(t, tmplBytes, dir, k, partial, open, schedule, nil)
+			runGrowthCrashPoint(t, tmplBytes, dir, k, partial, openCrashFile, schedule, nil)
 		}
 	}
 }
 
 // The path every node takes since tables start small: a default-created
-// table — no Buckets, no SplitLoadFactor, nothing a test shaped — filled to
+// table — no Buckets, no hook, nothing a test shaped — filled to
 // just under its trigger and closed cleanly, then grown by PutBatch waves.
 // Each wave splits ahead of itself and then walks its chains, so the kill
 // points fall inside a split-ahead run, between it and the chain writes, and
@@ -389,7 +371,7 @@ func growCrashSchedule(db *DB, m *crashModel) error {
 		return nil
 	}
 	// 1: the wave that takes the table over its trigger: the first splits
-	// of the file's life (its header goes v3 -> v4), then the chain writes.
+	// of the file's life, then the chain writes.
 	if err := wave(100, 130); err != nil {
 		return err
 	}
@@ -423,7 +405,7 @@ func TestGrowCrashInjectionEveryWritePoint(t *testing.T) {
 		}
 	}
 	// Fill to sixty entries under the trigger, so the first wave crosses it.
-	room := int(DefaultSplitLoadFactor*startBuckets*SlotsPerPage) - 10 - 60
+	room := int(splitLoadFactor*startBuckets*SlotsPerPage) - 10 - 60
 	filler := make(map[fingerprint.Fingerprint]Value, room)
 	pairs := make([]Pair, room)
 	for i := range pairs {
@@ -444,9 +426,7 @@ func TestGrowCrashInjectionEveryWritePoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	open := func(f File, path string) (*DB, error) { return OpenFile(f, path, nil) }
-
-	totalWrites, st := probeSchedule(t, tmplBytes, dir, open, growCrashSchedule)
+	totalWrites, st := probeSchedule(t, tmplBytes, dir, openCrashFile, growCrashSchedule)
 	if st.Splits < 4 {
 		t.Fatalf("probe schedule split %d times; the waves are not growing the table (stats %+v)", st.Splits, st)
 	}
@@ -483,7 +463,7 @@ func TestGrowCrashInjectionEveryWritePoint(t *testing.T) {
 	}
 	for _, partial := range []int{-1, PageSize / 2} {
 		for k := int64(1); k <= totalWrites; k += step {
-			runGrowthCrashPoint(t, tmplBytes, dir, k, partial, open, growCrashSchedule, check)
+			runGrowthCrashPoint(t, tmplBytes, dir, k, partial, openCrashFile, growCrashSchedule, check)
 		}
 	}
 }
@@ -494,8 +474,8 @@ func TestGrowCrashInjectionEveryWritePoint(t *testing.T) {
 // split since its last Sync undone and grows again on its next write. With a
 // Sync on the way the header knows the directory, and recovery rolls the
 // later splits back one by one; with none since Create the header is still
-// v3 and names no directory, so every split bucket's pages are orphans and
-// are salvaged as such. Either way nothing acked is lost, nothing doubles,
+// Create's and names no directory, so every split bucket's pages are orphans
+// and are salvaged as such. Either way nothing acked is lost, nothing doubles,
 // and the log line says how long the reopen took.
 func TestGrowUnsyncedCrashReopens(t *testing.T) {
 	target := uint64(2000)
@@ -557,7 +537,7 @@ func TestGrowUnsyncedCrashReopens(t *testing.T) {
 				t.Fatalf("rolled back %d splits, want %d", rs.SplitRollbacks, undone)
 			}
 			if syncAt == 0 && (rs.SplitRollbacks != 0 || rs.OrphanPages < undone/2) {
-				t.Fatalf("a v3 header names no directory: want no rollbacks and the split buckets salvaged as orphans, got %+v", rs)
+				t.Fatalf("Create's header names no directory: want no rollbacks and the split buckets salvaged as orphans, got %+v", rs)
 			}
 			if rs.SalvagedEntries == 0 || rs.SalvagedEntries >= n || st.Entries != n {
 				t.Fatalf("salvaged %d of %d entries, table holds %d", rs.SalvagedEntries, n, st.Entries)
@@ -580,9 +560,9 @@ func TestGrowUnsyncedCrashReopens(t *testing.T) {
 			verify("after recovery")
 			// The next write grows the table back to the size of its content.
 			wave()
-			if st := db.Stats(); st.LoadFactor > DefaultSplitLoadFactor || st.Buckets < grown.Buckets {
+			if st := db.Stats(); st.LoadFactor > splitLoadFactor || st.Buckets < grown.Buckets {
 				t.Fatalf("after the next wave: %d buckets at load factor %.2f, want at least %d under %.2f",
-					st.Buckets, st.LoadFactor, grown.Buckets, DefaultSplitLoadFactor)
+					st.Buckets, st.LoadFactor, grown.Buckets, splitLoadFactor)
 			}
 			verify("after regrowth")
 		})

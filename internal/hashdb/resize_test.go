@@ -13,12 +13,12 @@ import (
 	"shhc/internal/parallel"
 )
 
-// TestResizeSplitsGrowBuckets drives a tiny resizable table far past its
-// create-time capacity and verifies that linear-hashing splits grew the
+// TestResizeSplitsGrowBuckets drives a tiny table far past its create-time
+// capacity and verifies that linear-hashing splits grew the
 // bucket count online, every key stayed retrievable through the growth,
 // and the file remains structurally sound.
 func TestResizeSplitsGrowBuckets(t *testing.T) {
-	db := newTestDB(t, Options{Buckets: 2, Resize: ResizeOn, SplitLoadFactor: 0.5})
+	db := newTestDB(t, Options{Buckets: 2})
 	const n = 4000
 	for i := uint64(0); i < n; i++ {
 		if _, err := db.Put(fp(i), Value(i)); err != nil {
@@ -49,40 +49,32 @@ func TestResizeSplitsGrowBuckets(t *testing.T) {
 	}
 }
 
-// TestResizeKeepsChainsShort is the capacity bug this PR fixes: a fixed
-// table driven past its sizing grows long overflow chains, while a
-// resizable one holds them flat by splitting.
+// TestResizeKeepsChainsShort: a table started at four buckets and driven to
+// fifteen hundred entries a bucket holds its chains flat by splitting, and
+// its load factor near its trigger.
 func TestResizeKeepsChainsShort(t *testing.T) {
 	const n = 6000
-	fixed := newTestDB(t, Options{Buckets: 4, Resize: ResizeOff})
-	grow := newTestDB(t, Options{Buckets: 4, Resize: ResizeOn})
+	db := newTestDB(t, Options{Buckets: 4})
 	for i := uint64(0); i < n; i++ {
-		if _, err := fixed.Put(fp(i), Value(i)); err != nil {
-			t.Fatalf("fixed Put(%d): %v", i, err)
-		}
-		if _, err := grow.Put(fp(i), Value(i)); err != nil {
-			t.Fatalf("grow Put(%d): %v", i, err)
+		if _, err := db.Put(fp(i), Value(i)); err != nil {
+			t.Fatalf("Put(%d): %v", i, err)
 		}
 	}
-	fs, gs := fixed.Stats(), grow.Stats()
-	if fs.Splits != 0 {
-		t.Fatalf("fixed table split %d times", fs.Splits)
+	st := db.Stats()
+	if st.MaxChain > 2 {
+		t.Fatalf("a write walked a chain of %d pages", st.MaxChain)
 	}
-	if fs.MaxChain < 2*gs.MaxChain {
-		t.Fatalf("fixed MaxChain %d not clearly worse than resizable %d", fs.MaxChain, gs.MaxChain)
-	}
-	// A resizable table's load factor settles near its split trigger.
-	if ceiling := DefaultSplitLoadFactor * 1.5; gs.LoadFactor > ceiling {
-		t.Fatalf("resizable load factor %.2f above split ceiling %.2f", gs.LoadFactor, ceiling)
+	if st.LoadFactor > splitLoadFactor {
+		t.Fatalf("load factor %.2f above the split trigger %.2f", st.LoadFactor, splitLoadFactor)
 	}
 }
 
-// TestResizeStatePersistsAcrossReopen verifies the v4 header round-trips
-// the growth state: after splits, close and reopen restore the same
+// TestResizeStatePersistsAcrossReopen verifies the header round-trips the
+// growth state: after splits, close and reopen restore the same
 // level/pointer/bucket-directory and every key.
 func TestResizeStatePersistsAcrossReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "grow.shdb")
-	db, err := Create(path, Options{Buckets: 2, Resize: ResizeOn, SplitLoadFactor: 0.5})
+	db, err := Create(path, Options{Buckets: 2})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -114,8 +106,8 @@ func TestResizeStatePersistsAcrossReopen(t *testing.T) {
 			before.Buckets, before.Level, before.SplitPointer,
 			after.Buckets, after.Level, after.SplitPointer)
 	}
-	if after.Entries != n {
-		t.Fatalf("Entries = %d, want %d", after.Entries, n)
+	if after.Entries != n || after.OverflowPages != before.OverflowPages {
+		t.Fatalf("Entries, OverflowPages = %d, %d after reopen, want %d, %d", after.Entries, after.OverflowPages, n, before.OverflowPages)
 	}
 	for i := uint64(0); i < n; i++ {
 		v, ok, err := db.Get(fp(i))
@@ -128,90 +120,8 @@ func TestResizeStatePersistsAcrossReopen(t *testing.T) {
 	}
 }
 
-// TestResizeV3FileUpgradesOnFirstSplit is the migration path: a file
-// written by the fixed-capacity format (v3 header) opens read-compatible,
-// and the first split upgrades it to v4 without losing anything.
-func TestResizeV3FileUpgradesOnFirstSplit(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v3.shdb")
-	// ResizeOff at create keeps the header v3 (no growth state to record).
-	db, err := Create(path, Options{Buckets: 2, Resize: ResizeOff})
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	const seed = 200
-	for i := uint64(0); i < seed; i++ {
-		db.Put(fp(i), Value(i))
-	}
-	if err := db.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	// Default open is resizable: the v3 file starts splitting under load.
-	db, err = Open(path, device.New(device.SSD, device.Account))
-	if err != nil {
-		t.Fatalf("Open v3 file: %v", err)
-	}
-	if st := db.Stats(); !st.Resizable {
-		t.Fatal("reopened file is not resizable by default")
-	}
-	const n = 4000
-	for i := uint64(0); i < n; i++ {
-		if _, err := db.Put(fp(i), Value(i)); err != nil {
-			t.Fatalf("Put(%d): %v", i, err)
-		}
-	}
-	if st := db.Stats(); st.Splits == 0 {
-		t.Fatal("upgraded file never split")
-	}
-	if err := db.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	// The upgraded (v4) file reopens with everything intact.
-	db, err = Open(path, device.New(device.SSD, device.Account))
-	if err != nil {
-		t.Fatalf("Open v4 file: %v", err)
-	}
-	defer db.Close()
-	for i := uint64(0); i < n; i++ {
-		v, ok, err := db.Get(fp(i))
-		if err != nil || !ok || v != Value(i) {
-			t.Fatalf("Get(%d) after upgrade = (%v, %v, %v)", i, v, ok, err)
-		}
-	}
-	if err := db.Check(); err != nil {
-		t.Fatalf("Check: %v", err)
-	}
-}
-
-// TestResizeExplicitBucketsStaysFixed pins the compatibility rule: sizing
-// a table with an explicit bucket count (tests, sizing experiments) opts
-// out of growth unless ResizeOn is asked for.
-func TestResizeExplicitBucketsStaysFixed(t *testing.T) {
-	db := newTestDB(t, Options{Buckets: 1})
-	for i := uint64(0); i < 2000; i++ {
-		if _, err := db.Put(fp(i), Value(i)); err != nil {
-			t.Fatalf("Put(%d): %v", i, err)
-		}
-	}
-	st := db.Stats()
-	if st.Resizable || st.Splits != 0 || st.Buckets != 1 {
-		t.Fatalf("explicit-bucket table grew: resizable=%v splits=%d buckets=%d",
-			st.Resizable, st.Splits, st.Buckets)
-	}
-
-	// The other pinned geometry: a table that may not grow is still sized
-	// from ExpectedItems, half-full bucket pages at the estimate.
-	off := newTestDB(t, Options{ExpectedItems: 10_000, Resize: ResizeOff})
-	want := uint64((10_000 + SlotsPerPage/2 - 1) / (SlotsPerPage / 2))
-	if st := off.Stats(); st.Resizable || st.Buckets != want || st.BaseBuckets != want {
-		t.Fatalf("ResizeOff table: resizable=%v buckets=%d base=%d, want fixed at %d",
-			st.Resizable, st.Buckets, st.BaseBuckets, want)
-	}
-}
-
-// TestCreateStartsSmall pins what a default-created table is: startBuckets
-// whatever the estimate says, then the size of its content — load factor
+// TestCreateStartsSmall pins what a default-created table is: startBuckets,
+// then the size of its content — load factor
 // between half the trigger and the trigger, a file within a small multiple
 // of the entries' own bytes — and still one page read per lookup: no write
 // path walk ever saw a chain over two pages and overflow pages stay under
@@ -219,7 +129,7 @@ func TestResizeExplicitBucketsStaysFixed(t *testing.T) {
 // where the unsplit buckets carry twice the mean.
 func TestCreateStartsSmall(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "small.shdb")
-	db, err := Create(path, Options{ExpectedItems: 1 << 24})
+	db, err := Create(path, Options{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -231,8 +141,8 @@ func TestCreateStartsSmall(t *testing.T) {
 		}
 		return fi.Size()
 	}
-	if st := db.Stats(); !st.Resizable || st.Buckets != startBuckets {
-		t.Fatalf("default table: resizable=%v buckets=%d, want resizable at %d", st.Resizable, st.Buckets, startBuckets)
+	if st := db.Stats(); st.Buckets != startBuckets {
+		t.Fatalf("default table: %d buckets, want %d", st.Buckets, startBuckets)
 	}
 	if sz := fileSize(); sz > 2<<20 {
 		t.Fatalf("an empty default table is %d bytes, want <= 2 MiB", sz)
@@ -242,7 +152,7 @@ func TestCreateStartsSmall(t *testing.T) {
 	if raceEnabled {
 		total = 100 * batch // one goroutine: two doublings under the detector
 	}
-	trigger := DefaultSplitLoadFactor
+	trigger := splitLoadFactor
 	pairs := make([]Pair, batch)
 	for n := 0; n < total; {
 		for i := range pairs {
@@ -313,7 +223,7 @@ func TestGrowFromBaseUnderBatches(t *testing.T) {
 	if testing.Short() {
 		wantBuckets = 1000
 	}
-	per := int(float64(wantBuckets*SlotsPerPage)*DefaultSplitLoadFactor)/writers + waveBatch
+	per := int(float64(wantBuckets*SlotsPerPage)*splitLoadFactor)/writers + waveBatch
 	ctx := t.Context()
 	var acked [writers]atomic.Int64 // keys [w<<32, w<<32+acked[w]) are stored, value = key
 	key := func(w, i int) uint64 { return uint64(w)<<32 | uint64(i) }
@@ -428,7 +338,7 @@ func TestGrowFromBaseUnderBatches(t *testing.T) {
 // its new bucket. Run under -race this also checks the split/reader
 // synchronization.
 func TestSplitConcurrentWritesAndReads(t *testing.T) {
-	db := newTestDB(t, Options{Buckets: 2, Resize: ResizeOn, SplitLoadFactor: 0.5})
+	db := newTestDB(t, Options{Buckets: 2})
 	const (
 		writers = 4
 		perW    = 1500
@@ -479,7 +389,7 @@ func TestSplitConcurrentWritesAndReads(t *testing.T) {
 // GetBatch, whose lock-free grouping races the split's bucket remapping;
 // the stale-retry rounds must converge with nothing lost.
 func TestSplitBatchedWritesDuringGrowth(t *testing.T) {
-	db := newTestDB(t, Options{Buckets: 2, Resize: ResizeOn, SplitLoadFactor: 0.5})
+	db := newTestDB(t, Options{Buckets: 2})
 	const (
 		batches   = 30
 		batchSize = 200
@@ -522,6 +432,7 @@ func TestSplitBatchedWritesDuringGrowth(t *testing.T) {
 // Compact packs the survivors into fewer pages and reclaims the rest into
 // the free list.
 func TestCompactRepacksSparseChains(t *testing.T) {
+	pinShape(t)
 	db := newTestDB(t, Options{Buckets: 1})
 	n := SlotsPerPage * 4 // five-page chain
 	for i := 0; i < n; i++ {
@@ -577,6 +488,7 @@ func TestCompactRepacksSparseChains(t *testing.T) {
 // TestFreelistReuseBoundsFileGrowth fills, deletes, compacts, then fills
 // again: the second fill must drain the free list before the file grows.
 func TestFreelistReuseBoundsFileGrowth(t *testing.T) {
+	pinShape(t)
 	db := newTestDB(t, Options{Buckets: 1})
 	n := SlotsPerPage * 4
 	for i := 0; i < n; i++ {
@@ -618,6 +530,7 @@ func TestFreelistReuseBoundsFileGrowth(t *testing.T) {
 // delete-heavy churn grew chains without bound. With unlink + free-list
 // reuse, chain length and file size stay flat across churn cycles.
 func TestFreelistDeleteChurnKeepsChainsFlat(t *testing.T) {
+	pinShape(t)
 	db := newTestDB(t, Options{Buckets: 1})
 	wave := SlotsPerPage * 2 // two fresh pages per wave
 	var pagesHigh uint64
@@ -655,7 +568,7 @@ func TestFreelistDeleteChurnKeepsChainsFlat(t *testing.T) {
 // concurrently; chunked Range locking means none of them may deadlock or
 // starve, and the table must stay consistent.
 func TestCompactDuringRangeAndWrites(t *testing.T) {
-	db := newTestDB(t, Options{Buckets: 2, Resize: ResizeOn, SplitLoadFactor: 0.5})
+	db := newTestDB(t, Options{Buckets: 2})
 	const n = 2000
 	for i := uint64(0); i < n; i++ {
 		db.Put(fp(i), Value(i))

@@ -69,7 +69,8 @@ type ServerConfig struct {
 	// Logger receives connection-level errors; nil discards them.
 	Logger *log.Logger
 	// Window is the initial per-stream send-credit window, in bytes, for
-	// responses (0 = wire.DefaultWindow).
+	// responses (0 = wire.DefaultWindow). No binary sets it; it stays
+	// because tests run streams under a smaller window.
 	Window int
 	// Owner, when set, is consulted for every single-key verb: if it
 	// reports the fingerprint belongs to another node, the server answers

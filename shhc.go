@@ -129,10 +129,6 @@ type ClusterOptions struct {
 	SleepDevices bool
 	// CacheSize is the per-node LRU capacity. Default 1<<16 entries.
 	CacheSize int
-	// ExpectedItems sizes per-node Bloom filters. Default 1<<20. The hash
-	// tables do not depend on it: they start small and split to the size
-	// of their content.
-	ExpectedItems int
 	// DisableBloom turns Bloom filters off (ablation).
 	DisableBloom bool
 	// WriteBack acknowledges inserts from RAM and writes the SSD hash
@@ -195,9 +191,6 @@ func (o *ClusterOptions) fill() {
 	if o.CacheSize <= 0 {
 		o.CacheSize = 1 << 16
 	}
-	if o.ExpectedItems <= 0 {
-		o.ExpectedItems = 1 << 20
-	}
 	if o.DeviceModel == "" {
 		o.DeviceModel = "ssd"
 	}
@@ -229,7 +222,7 @@ func NewLocalCluster(opts ClusterOptions) (*Cluster, error) {
 		if opts.Dir != "" {
 			db, err := hashdb.Create(
 				fmt.Sprintf("%s/%s.shdb", opts.Dir, id),
-				hashdb.Options{ExpectedItems: opts.ExpectedItems, Device: dev},
+				hashdb.Options{Device: dev},
 			)
 			if err != nil {
 				closeAll(backends)
@@ -248,7 +241,6 @@ func NewLocalCluster(opts ClusterOptions) (*Cluster, error) {
 			Store:           store,
 			CacheSize:       opts.CacheSize,
 			DisableBloom:    opts.DisableBloom,
-			BloomExpected:   opts.ExpectedItems,
 			WriteBack:       opts.WriteBack,
 			DestageBatch:    opts.DestageBatch,
 			DestageInterval: opts.DestageInterval,
