@@ -180,7 +180,7 @@ func run() error {
 		fmt.Fprint(out, bench.FormatTransportBench(report))
 		fmt.Fprintf(out, "(%v)\n", time.Since(start).Round(time.Millisecond))
 		if *trOut != "" {
-			if err := bench.EmitTransportJSON(*trOut, report); err != nil {
+			if err := bench.EmitTransportReport(*trOut, report); err != nil {
 				return err
 			}
 			fmt.Fprintf(out, "wrote %s\n", *trOut)
@@ -197,7 +197,7 @@ func run() error {
 		fmt.Fprint(out, bench.FormatRecoverySweep(recPoints))
 		fmt.Fprintf(out, "(%v)\n", time.Since(start).Round(time.Millisecond))
 		if *recOut != "" {
-			if err := bench.EmitRecoveryJSON(*recOut, recPoints); err != nil {
+			if err := bench.EmitRecoveryReport(*recOut, recPoints); err != nil {
 				return err
 			}
 			fmt.Fprintf(out, "wrote %s\n", *recOut)

@@ -4,8 +4,9 @@
 //
 // It can also probe a hash node directly over the multiplexed RPC
 // transport (bypassing the front-end), reporting the negotiated protocol
-// version and the node's transport counters — handy for checking that a
-// deployment actually negotiated streams and credit flow control.
+// version and every counter the node's STATS answer carries, one
+// "name value" line each — handy for checking that a deployment actually
+// negotiated streams and credit flow control.
 //
 // Examples:
 //
@@ -26,6 +27,7 @@ import (
 
 	"shhc/internal/backup"
 	"shhc/internal/fingerprint"
+	"shhc/internal/metrics"
 	"shhc/internal/ring"
 	"shhc/internal/rpc"
 	"shhc/internal/wire"
@@ -48,7 +50,7 @@ func run() error {
 		chunkSize = flag.Int("chunk", 4096, "fixed chunk size in bytes (0 = content-defined)")
 		batch     = flag.Int("batch", 2048, "fingerprints per plan request")
 		timeout   = flag.Duration("timeout", 0, "overall run deadline (0 = none)")
-		probe     = flag.String("probe", "", "probe a hash node directly over RPC (id=host:port): ping, one round-trip per stream, transport stats")
+		probe     = flag.String("probe", "", "probe a hash node directly over RPC (id=host:port): ping, one round-trip per stream, every stats counter")
 	)
 	flag.Parse()
 
@@ -113,7 +115,7 @@ func run() error {
 }
 
 // probeNode dials a hash node's RPC port directly, exercises a few
-// streams, and prints the transport's vitals.
+// streams, and prints every counter of the node's stats by name.
 func probeNode(ctx context.Context, target string) error {
 	id, hostport, ok := strings.Cut(strings.TrimSpace(target), "=")
 	if !ok {
@@ -146,9 +148,11 @@ func probeNode(ctx context.Context, target string) error {
 	if err != nil {
 		return fmt.Errorf("stats: %w", err)
 	}
-	fmt.Printf("transport: %d streams open, %d credit stalls, %d bytes in flight, %d window updates, %d redirects issued\n",
-		st.Transport.StreamsOpen, st.Transport.CreditStalls, st.Transport.BytesInFlight,
-		st.Transport.WindowUpdates, st.Transport.RedirectsIssued)
-	fmt.Printf("index: %d entries, %d lookups served\n", st.StoreEntries, st.Lookups)
+	for name, v := range metrics.Values(&st) {
+		if d, ok := v.(time.Duration); ok {
+			v = int64(d) // as /v1/stats has it; destage.wave_sizes.* are entries
+		}
+		fmt.Println(name, v)
+	}
 	return nil
 }

@@ -245,9 +245,9 @@ func FormatRecoverySweep(points []RecoveryPoint) string {
 	return b.String()
 }
 
-// EmitRecoveryJSON writes the sweep to path as the BENCH_recovery.json
+// EmitRecoveryReport writes the sweep to path as the BENCH_recovery.json
 // artifact.
-func EmitRecoveryJSON(path string, points []RecoveryPoint) error {
+func EmitRecoveryReport(path string, points []RecoveryPoint) error {
 	data, err := json.MarshalIndent(struct {
 		Experiment string          `json:"experiment"`
 		Points     []RecoveryPoint `json:"points"`

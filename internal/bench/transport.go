@@ -356,9 +356,9 @@ func FormatTransportBench(r TransportReport) string {
 		r.IsolatedRatio, t.String())
 }
 
-// EmitTransportJSON writes the report to path as JSON for regression
+// EmitTransportReport writes the report to path as JSON for regression
 // tracking (BENCH_transport.json in CI and CHANGES.md).
-func EmitTransportJSON(path string, r TransportReport) error {
+func EmitTransportReport(path string, r TransportReport) error {
 	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return err

@@ -234,7 +234,11 @@ type NodeStats struct {
 	// Coalesced counts lookups answered by joining another lookup's
 	// in-flight SSD phase instead of issuing their own probe (they still
 	// count once under StoreHits or StoreMisses).
-	Coalesced    uint64
+	Coalesced uint64
+	// StoreEntries is the number of fingerprints the node holds: the
+	// store's, plus on a write-back node those acknowledged but not yet
+	// destaged. An entry a wave is landing, or one rewritten over a stored
+	// entry, counts twice until its wave retires.
 	StoreEntries int
 	Cache        lru.Stats
 	// Phases digests per-tier latency (see PhaseTimings).
@@ -891,6 +895,9 @@ func (n *Node) Stats(ctx context.Context) (NodeStats, error) {
 		st.Destage.BufferHits += s.destageHits
 	}
 	if n.dst != nil {
+		// Acknowledged entries are part of the index before their wave
+		// lands: dirty in the cache, or parked in the buffer.
+		st.StoreEntries += n.cache.DirtyLen() + n.dst.depth()
 		st.Destage.QueueDepth = uint64(n.dst.depth())
 		st.Destage.Entries = n.dst.entries.Load()
 		st.Destage.Pages = n.dst.pages.Load()
@@ -925,11 +932,6 @@ func (n *Node) Stats(ctx context.Context) (NodeStats, error) {
 			EstimatedFPRate: n.bloom.EstimatedFPRate(),
 			Saturated:       n.bloom.Saturated(),
 		}
-	}
-	if n.wb {
-		// Dirty cache entries are part of the logical index even though
-		// they have not been destaged yet.
-		st.StoreEntries = int(st.Inserts)
 	}
 	return st, nil
 }

@@ -245,6 +245,68 @@ func TestWriteBackCloseFlushes(t *testing.T) {
 	}
 }
 
+// TestWriteBackStoreEntries: a write-back node reports what it holds — the
+// store's entries plus those acknowledged but not yet destaged — across a
+// reopen, a Remove and a Flush, not the inserts since it opened.
+func TestWriteBackStoreEntries(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wb.shdb")
+	open := func(db *hashdb.DB, err error) (*Node, *hashdb.DB) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("open store: %v", err)
+		}
+		// A cache twice the inserts and an hour's interval: no wave fires
+		// before Flush, so every new entry is still dirty in the cache.
+		n, err := NewNode(NodeConfig{ID: "wb", Store: db, CacheSize: 4096, WriteBack: true,
+			BloomExpected: 1 << 14, DestageInterval: time.Hour})
+		if err != nil {
+			t.Fatalf("NewNode: %v", err)
+		}
+		return n, db
+	}
+	entries := func(n *Node, want int, when string) {
+		t.Helper()
+		st, err := n.Stats(context.Background())
+		if err != nil {
+			t.Fatalf("Stats: %v", err)
+		}
+		if st.StoreEntries != want {
+			t.Fatalf("%s: StoreEntries = %d, want %d", when, st.StoreEntries, want)
+		}
+	}
+	ctx := context.Background()
+
+	n, _ := open(hashdb.Create(path, hashdb.Options{}))
+	for i := uint64(0); i < 2000; i++ {
+		n.LookupOrInsert(ctx, fp(i), Value(i+1))
+	}
+	entries(n, 2000, "before the first wave")
+	if err := n.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	n, db := open(hashdb.Open(path, nil))
+	defer n.Close()
+	entries(n, 2000, "after reopen")
+	for i := uint64(0); i < 1000; i++ {
+		if _, err := n.Remove(fp(i)); err != nil {
+			t.Fatalf("Remove: %v", err)
+		}
+	}
+	entries(n, 1000, "after removing 1 000")
+	for i := uint64(2000); i < 2500; i++ {
+		n.LookupOrInsert(ctx, fp(i), Value(i+1))
+	}
+	entries(n, 1500, "with 500 new entries still dirty")
+	if err := n.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	entries(n, 1500, "after Flush")
+	if db.Len() != 1500 {
+		t.Fatalf("store holds %d entries after Flush, want 1500", db.Len())
+	}
+}
+
 func TestStatsCounters(t *testing.T) {
 	n := newMemNode(t, NodeConfig{CacheSize: 8})
 	n.LookupOrInsert(context.Background(), fp(1), 1) // bloom short-circuit insert

@@ -13,6 +13,7 @@ import (
 
 	"shhc/internal/core"
 	"shhc/internal/fingerprint"
+	"shhc/internal/metrics"
 	"shhc/internal/ring"
 	"shhc/internal/wire"
 )
@@ -692,12 +693,14 @@ func (c *Client) Stats(ctx context.Context) (core.NodeStats, error) {
 	if err != nil {
 		return core.NodeStats{}, err
 	}
-	s, err := wire.DecodeStats(resp.Payload)
+	id, fs, err := wire.DecodeStats(resp.Payload)
 	wire.PutBuf(body)
 	if err != nil {
 		return core.NodeStats{}, err
 	}
-	return fromWireStats(s), nil
+	st := core.NodeStats{ID: ring.NodeID(id)}
+	metrics.SetFields(&st, fs)
+	return st, nil
 }
 
 // Close tears down all pooled connections and any cached redirect

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"shhc/internal/core"
 	"shhc/internal/fingerprint"
 	"shhc/internal/hashdb"
+	"shhc/internal/metrics"
 	"shhc/internal/ring"
 )
 
@@ -132,6 +134,55 @@ func TestRemoteStats(t *testing.T) {
 	}
 	if st.CacheHits != 1 {
 		t.Fatalf("CacheHits = %d, want 1", st.CacheHits)
+	}
+}
+
+// statsBackend is a backend whose only verb is Stats: a fixed snapshot.
+type statsBackend struct {
+	core.Backend
+	st core.NodeStats
+}
+
+func (b statsBackend) Stats(context.Context) (core.NodeStats, error) { return b.st, nil }
+
+// TestRemoteStatsCarriesEveryCounter: a remote reader sees exactly the
+// NodeStats the node reported, every leaf of it. The snapshot gets a
+// distinct value in every leaf through the stats walker itself, so a
+// counter added to NodeStats is covered without an edit here.
+func TestRemoteStatsCarriesEveryCounter(t *testing.T) {
+	fs := metrics.Fields(core.NodeStats{})
+	for i := range fs {
+		fs[i].Bits = uint64(i+1) << 8
+	}
+	want := core.NodeStats{ID: "every-counter"}
+	metrics.SetFields(&want, fs)
+
+	srv := NewServer(statsBackend{st: want}, ServerConfig{})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer srv.Close()
+	client, err := Dial(want.ID, addr.String(), ClientConfig{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer client.Close()
+
+	got, err := client.Stats(context.Background())
+	if err != nil {
+		t.Fatalf("Stats: %v", err)
+	}
+	// The server overlays its own transport counters on the backend's.
+	got.Transport = want.Transport
+	if !reflect.DeepEqual(got, want) {
+		gotFs, wantFs := metrics.Fields(&got), metrics.Fields(&want)
+		for i := range wantFs {
+			if gotFs[i] != wantFs[i] {
+				t.Errorf("%s = %#x, want %#x", wantFs[i].Name, gotFs[i].Bits, wantFs[i].Bits)
+			}
+		}
+		t.Fatalf("remote stats differ from the node's")
 	}
 }
 

@@ -20,12 +20,10 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"shhc/internal/core"
 	"shhc/internal/fingerprint"
 	"shhc/internal/metrics"
-	"shhc/internal/ring"
 	"shhc/internal/wire"
 )
 
@@ -584,7 +582,7 @@ func (s *Server) handle(ctx context.Context, f wire.Frame) (wire.Frame, *[]byte)
 		// overlay its live aggregate here so remote stats readers see it.
 		st.Transport = s.transportStats()
 		buf := wire.GetBuf(0)
-		*buf = wire.AppendStats((*buf)[:0], toWireStats(st))
+		*buf = wire.AppendStats((*buf)[:0], string(st.ID), metrics.Fields(&st))
 		return wire.Frame{Type: wire.TypeStatsResult, ID: f.ID, Payload: *buf}, buf
 	}
 	return badReq(fmt.Errorf("rpc: unsupported request type %v", f.Type))
@@ -654,166 +652,6 @@ func toWireResult(r core.LookupResult) wire.ResultPayload {
 
 func fromWireResult(r wire.ResultPayload) core.LookupResult {
 	return core.LookupResult{Exists: r.Exists, Source: core.Source(r.Source), Value: core.Value(r.Val)}
-}
-
-func toWireSummary(s metrics.Summary) wire.SummaryPayload {
-	return wire.SummaryPayload{
-		Count:  uint64(s.Count),
-		SumNS:  uint64(s.Sum),
-		MinNS:  uint64(s.Min),
-		MaxNS:  uint64(s.Max),
-		MeanNS: uint64(s.Mean),
-		P50NS:  uint64(s.P50),
-		P90NS:  uint64(s.P90),
-		P99NS:  uint64(s.P99),
-	}
-}
-
-func fromWireSummary(p wire.SummaryPayload) metrics.Summary {
-	return metrics.Summary{
-		Count: int64(p.Count),
-		Sum:   time.Duration(p.SumNS),
-		Min:   time.Duration(p.MinNS),
-		Max:   time.Duration(p.MaxNS),
-		Mean:  time.Duration(p.MeanNS),
-		P50:   time.Duration(p.P50NS),
-		P90:   time.Duration(p.P90NS),
-		P99:   time.Duration(p.P99NS),
-	}
-}
-
-// rateToPPB / ppbToRate convert a probability in [0, 1] to and from the
-// fixed-point parts-per-billion encoding the wire's Bloom counters use
-// (floats never travel raw on this protocol).
-func rateToPPB(r float64) uint64 {
-	if r <= 0 {
-		return 0
-	}
-	if r >= 1 {
-		return 1_000_000_000
-	}
-	return uint64(r * 1e9)
-}
-
-func ppbToRate(p uint64) float64 { return float64(p) / 1e9 }
-
-func boolToUint64(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func toWireStats(st core.NodeStats) wire.StatsPayload {
-	return wire.StatsPayload{
-		ID:               string(st.ID),
-		Lookups:          st.Lookups,
-		Inserts:          st.Inserts,
-		CacheHits:        st.CacheHits,
-		BloomShort:       st.BloomShort,
-		StoreHits:        st.StoreHits,
-		StoreMisses:      st.StoreMisses,
-		BloomFalse:       st.BloomFalse,
-		Coalesced:        st.Coalesced,
-		StoreEntries:     uint64(st.StoreEntries),
-		CacheHitsLRU:     st.Cache.Hits,
-		CacheMisses:      st.Cache.Misses,
-		CacheEvicts:      st.Cache.Evictions,
-		CacheLen:         uint64(st.Cache.Len),
-		CacheCap:         uint64(st.Cache.Capacity),
-		DestageQueue:     st.Destage.QueueDepth,
-		DestageEntries:   st.Destage.Entries,
-		DestagePages:     st.Destage.Pages,
-		DestageWaves:     st.Destage.Waves,
-		DestageCoalesced: st.Destage.Coalesced,
-		DestageHits:      st.Destage.BufferHits,
-
-		RecoveryJournalReplayed:  st.Recovery.JournalReplayed,
-		RecoveryJournalTornBytes: st.Recovery.JournalTornBytes,
-		RecoveryStoreRuns:        st.Recovery.Store.Runs,
-		RecoveryStorePagesScan:   st.Recovery.Store.PagesScanned,
-		RecoveryStoreTornPages:   st.Recovery.Store.TornPages,
-		RecoveryStoreTailBytes:   st.Recovery.Store.TailBytes,
-		RecoveryStoreLinks:       st.Recovery.Store.RepairedLinks,
-		RecoveryStoreOrphans:     st.Recovery.Store.OrphanPages,
-		RecoveryStoreSalvaged:    st.Recovery.Store.SalvagedEntries,
-
-		ReplRepairBatches: st.Replica.RepairBatches,
-		ReplRepairPairs:   st.Replica.RepairPairs,
-		ReplRepairCreated: st.Replica.RepairCreated,
-
-		TransportStreamsOpen:     st.Transport.StreamsOpen,
-		TransportCreditStalls:    st.Transport.CreditStalls,
-		TransportBytesInFlight:   st.Transport.BytesInFlight,
-		TransportWindowUpdates:   st.Transport.WindowUpdates,
-		TransportRedirectsIssued: st.Transport.RedirectsIssued,
-
-		BloomEntries:   st.Bloom.Entries,
-		BloomSizeBytes: st.Bloom.SizeBytes,
-		BloomSlices:    uint64(st.Bloom.Slices),
-		BloomFillPPB:   rateToPPB(st.Bloom.FillRatio),
-		BloomFPRatePPB: rateToPPB(st.Bloom.EstimatedFPRate),
-		BloomSaturated: boolToUint64(st.Bloom.Saturated),
-
-		PhaseCache:       toWireSummary(st.Phases.Cache),
-		PhaseBloom:       toWireSummary(st.Phases.Bloom),
-		PhaseSSD:         toWireSummary(st.Phases.SSD),
-		DestageWaveSizes: toWireSummary(st.Destage.WaveSizes),
-	}
-}
-
-func fromWireStats(s wire.StatsPayload) core.NodeStats {
-	st := core.NodeStats{
-		ID:           ring.NodeID(s.ID),
-		Lookups:      s.Lookups,
-		Inserts:      s.Inserts,
-		CacheHits:    s.CacheHits,
-		BloomShort:   s.BloomShort,
-		StoreHits:    s.StoreHits,
-		StoreMisses:  s.StoreMisses,
-		BloomFalse:   s.BloomFalse,
-		Coalesced:    s.Coalesced,
-		StoreEntries: int(s.StoreEntries),
-	}
-	st.Cache.Hits = s.CacheHitsLRU
-	st.Cache.Misses = s.CacheMisses
-	st.Cache.Evictions = s.CacheEvicts
-	st.Cache.Len = int(s.CacheLen)
-	st.Cache.Capacity = int(s.CacheCap)
-	st.Destage.QueueDepth = s.DestageQueue
-	st.Destage.Entries = s.DestageEntries
-	st.Destage.Pages = s.DestagePages
-	st.Destage.Waves = s.DestageWaves
-	st.Destage.Coalesced = s.DestageCoalesced
-	st.Destage.BufferHits = s.DestageHits
-	st.Recovery.JournalReplayed = s.RecoveryJournalReplayed
-	st.Recovery.JournalTornBytes = s.RecoveryJournalTornBytes
-	st.Recovery.Store.Runs = s.RecoveryStoreRuns
-	st.Recovery.Store.PagesScanned = s.RecoveryStorePagesScan
-	st.Recovery.Store.TornPages = s.RecoveryStoreTornPages
-	st.Recovery.Store.TailBytes = s.RecoveryStoreTailBytes
-	st.Recovery.Store.RepairedLinks = s.RecoveryStoreLinks
-	st.Recovery.Store.OrphanPages = s.RecoveryStoreOrphans
-	st.Recovery.Store.SalvagedEntries = s.RecoveryStoreSalvaged
-	st.Replica.RepairBatches = s.ReplRepairBatches
-	st.Replica.RepairPairs = s.ReplRepairPairs
-	st.Replica.RepairCreated = s.ReplRepairCreated
-	st.Transport.StreamsOpen = s.TransportStreamsOpen
-	st.Transport.CreditStalls = s.TransportCreditStalls
-	st.Transport.BytesInFlight = s.TransportBytesInFlight
-	st.Transport.WindowUpdates = s.TransportWindowUpdates
-	st.Transport.RedirectsIssued = s.TransportRedirectsIssued
-	st.Bloom.Entries = s.BloomEntries
-	st.Bloom.SizeBytes = s.BloomSizeBytes
-	st.Bloom.Slices = uint32(s.BloomSlices)
-	st.Bloom.FillRatio = ppbToRate(s.BloomFillPPB)
-	st.Bloom.EstimatedFPRate = ppbToRate(s.BloomFPRatePPB)
-	st.Bloom.Saturated = s.BloomSaturated != 0
-	st.Phases.Cache = fromWireSummary(s.PhaseCache)
-	st.Phases.Bloom = fromWireSummary(s.PhaseBloom)
-	st.Phases.SSD = fromWireSummary(s.PhaseSSD)
-	st.Destage.WaveSizes = fromWireSummary(s.DestageWaveSizes)
-	return st
 }
 
 // Close stops accepting, cancels the root context (so in-flight request

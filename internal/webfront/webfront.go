@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -286,53 +287,27 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
-// StatsResponse reports front-end and cluster counters. Replication is
-// present only when the index replicates (Replicas > 1 clusters).
+// StatsResponse reports front-end and cluster counters. Each block below
+// the front-end's own three is one flat object keyed by the metrics field
+// names of the struct it renders (see metrics.Fields), holding native JSON
+// values.
 type StatsResponse struct {
-	Plans       int64            `json:"plans"`
-	Lookups     int64            `json:"lookups"`
-	Uploads     int64            `json:"uploads"`
-	Replication *ReplicationJSON `json:"replication,omitempty"`
-	// Aggregation reports cross-request pooling of small plans; present
+	Plans   int64 `json:"plans"`
+	Lookups int64 `json:"lookups"`
+	Uploads int64 `json:"uploads"`
+	// Replication is core.ReplicationStats, present only when the index
+	// replicates (Replicas > 1 clusters).
+	Replication map[string]any `json:"replication,omitempty"`
+	// Aggregation is batcher.Stats for the pooling of small plans; present
 	// only when pooling is on (Config.AggregateBelow > 0).
-	Aggregation *AggregationJSON `json:"aggregation,omitempty"`
-	// Transport reports the front-end's client side of the multiplexed
-	// RPC transport; present only when the index talks to remote nodes.
-	Transport *FrontTransportJSON `json:"transport,omitempty"`
-	Nodes     []NodeStatsJSON     `json:"nodes"`
-}
-
-// AggregationJSON is Server.AggregationStats: fingerprints that went
-// through the aggregator and the batches they left in. queries/batches is
-// the mean pooled batch size.
-type AggregationJSON struct {
-	Queries uint64 `json:"queries"`
-	Batches uint64 `json:"batches"`
-}
-
-// FrontTransportJSON is the front-end's own view of the mux transport:
-// counters from the RPC clients it holds, as opposed to the per-node
-// server-side counters in NodeStatsJSON.Transport.
-type FrontTransportJSON struct {
-	RedirectsFollowed uint64 `json:"redirectsFollowed"`
-	CreditStalls      uint64 `json:"creditStalls"`
-}
-
-// ReplicationJSON reports the cluster's replication machinery: quorum
-// write fan-out, read-repair, the async repair queue, and anti-entropy
-// sweeps.
-type ReplicationJSON struct {
-	FannedWrites        uint64 `json:"fannedWrites"`
-	QuorumWaits         uint64 `json:"quorumWaits"`
-	QuorumFailures      uint64 `json:"quorumFailures"`
-	ReadRepairs         uint64 `json:"readRepairs"`
-	RepairsQueued       uint64 `json:"repairsQueued"`
-	RepairsApplied      uint64 `json:"repairsApplied"`
-	RepairsDropped      uint64 `json:"repairsDropped"`
-	AntiEntropyRuns     uint64 `json:"antiEntropyRuns"`
-	AntiEntropyScanned  uint64 `json:"antiEntropyScanned"`
-	AntiEntropyChecked  uint64 `json:"antiEntropyChecked"`
-	AntiEntropyRepaired uint64 `json:"antiEntropyRepaired"`
+	Aggregation map[string]any `json:"aggregation,omitempty"`
+	// Transport is core.ClientTransportStats, the front-end's client side
+	// of the multiplexed RPC transport; present only when its clients have
+	// followed a redirect or stalled on credit.
+	Transport map[string]any `json:"transport,omitempty"`
+	// Nodes holds one object per node: "id", then every core.NodeStats
+	// counter.
+	Nodes []map[string]any `json:"nodes"`
 }
 
 // replicationReporter is the optional cluster surface for replication
@@ -349,118 +324,6 @@ type clientTransportReporter interface {
 	ClientTransportStats() core.ClientTransportStats
 }
 
-// PhaseSummaryJSON digests one lookup-pipeline tier's latency histogram.
-// Durations are nanoseconds.
-type PhaseSummaryJSON struct {
-	Count     int64 `json:"count"`
-	MeanNanos int64 `json:"meanNanos"`
-	P50Nanos  int64 `json:"p50Nanos"`
-	P90Nanos  int64 `json:"p90Nanos"`
-	P99Nanos  int64 `json:"p99Nanos"`
-	MaxNanos  int64 `json:"maxNanos"`
-}
-
-// PhasesJSON carries the per-tier latency of a node's two-phase pipeline:
-// RAM cache probes, Bloom probes, and the SSD phase that runs outside the
-// stripe locks.
-type PhasesJSON struct {
-	Cache PhaseSummaryJSON `json:"cache"`
-	Bloom PhaseSummaryJSON `json:"bloom"`
-	SSD   PhaseSummaryJSON `json:"ssd"`
-}
-
-// DestageJSON describes a write-back node's group-commit destage
-// pipeline. EntriesDestaged/PagesWritten expose the write-coalescing
-// ratio; WaveSizes carries plain entry counts in its "nanos" fields.
-type DestageJSON struct {
-	QueueDepth      uint64           `json:"queueDepth"`
-	EntriesDestaged uint64           `json:"entriesDestaged"`
-	PagesWritten    uint64           `json:"pagesWritten"`
-	Waves           uint64           `json:"waves"`
-	Coalesced       uint64           `json:"coalescedUpdates"`
-	BufferHits      uint64           `json:"bufferHits"`
-	WaveSizes       PhaseSummaryJSON `json:"waveSizes"`
-}
-
-// RecoveryJSON reports what a node repaired when it opened: destage
-// journal replay plus the SSD hash table's own recovery pass. All zero
-// after a clean open.
-type RecoveryJSON struct {
-	JournalReplayed  uint64 `json:"journalReplayed"`
-	JournalTornBytes uint64 `json:"journalTornBytes"`
-	StoreRuns        uint64 `json:"storeRecoveryRuns"`
-	StorePagesScan   uint64 `json:"storePagesScanned"`
-	StoreTornPages   uint64 `json:"storeTornPages"`
-	StoreTailBytes   uint64 `json:"storeTailBytes"`
-	StoreLinks       uint64 `json:"storeRepairedLinks"`
-	StoreOrphans     uint64 `json:"storeOrphanPages"`
-	StoreSalvaged    uint64 `json:"storeSalvagedEntries"`
-}
-
-// ReplicaJSON reports repair traffic a node absorbed: batches applied on
-// behalf of peers (quorum mirrors, read-repair backfills, anti-entropy)
-// and how many entries those batches actually created.
-type ReplicaJSON struct {
-	RepairBatches uint64 `json:"repairBatches"`
-	RepairPairs   uint64 `json:"repairPairs"`
-	RepairCreated uint64 `json:"repairCreated"`
-}
-
-// BloomJSON reports one node's in-RAM scalable Bloom filter: how far it
-// has grown (slices chain on as the table outgrows its sizing) and how
-// accurate it still is. saturated means the filter outgrew its
-// construction estimate — an advisory capacity signal, not an accuracy
-// loss.
-type BloomJSON struct {
-	Entries         uint64  `json:"entries"`
-	SizeBytes       uint64  `json:"sizeBytes"`
-	Slices          uint32  `json:"slices"`
-	FillRatio       float64 `json:"fillRatio"`
-	EstimatedFPRate float64 `json:"estimatedFPRate"`
-	Saturated       bool    `json:"saturated"`
-}
-
-// TransportJSON reports one node's server side of the multiplexed RPC
-// transport: live stream/byte gauges plus lifetime
-// credit-stall, window-grant, and redirect counters.
-type TransportJSON struct {
-	StreamsOpen     uint64 `json:"streamsOpen"`
-	CreditStalls    uint64 `json:"creditStalls"`
-	BytesInFlight   uint64 `json:"bytesInFlight"`
-	WindowUpdates   uint64 `json:"windowUpdates"`
-	RedirectsIssued uint64 `json:"redirectsIssued"`
-}
-
-// NodeStatsJSON is the JSON shape of one node's statistics.
-type NodeStatsJSON struct {
-	ID           string        `json:"id"`
-	Lookups      uint64        `json:"lookups"`
-	Inserts      uint64        `json:"inserts"`
-	CacheHits    uint64        `json:"cacheHits"`
-	BloomShort   uint64        `json:"bloomShortCircuits"`
-	StoreHits    uint64        `json:"storeHits"`
-	StoreMisses  uint64        `json:"storeMisses"`
-	Coalesced    uint64        `json:"coalescedProbes"`
-	StoreEntries int           `json:"storeEntries"`
-	Phases       PhasesJSON    `json:"phases"`
-	Destage      DestageJSON   `json:"destage"`
-	Recovery     RecoveryJSON  `json:"recovery"`
-	Replica      ReplicaJSON   `json:"replica"`
-	Transport    TransportJSON `json:"transport"`
-	Bloom        BloomJSON     `json:"bloomFilter"`
-}
-
-func phaseJSON(s metrics.Summary) PhaseSummaryJSON {
-	return PhaseSummaryJSON{
-		Count:     s.Count,
-		MeanNanos: int64(s.Mean),
-		P50Nanos:  int64(s.P50),
-		P90Nanos:  int64(s.P90),
-		P99Nanos:  int64(s.P99),
-		MaxNanos:  int64(s.Max),
-	}
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET required", http.StatusMethodNotAllowed)
@@ -475,93 +338,22 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Plans:   s.plans.Load(),
 		Lookups: s.lookups.Load(),
 		Uploads: s.uploads.Load(),
-		Nodes:   make([]NodeStatsJSON, len(nodeStats)),
+		Nodes:   make([]map[string]any, len(nodeStats)),
 	}
 	if s.agg != nil {
-		as := s.AggregationStats()
-		resp.Aggregation = &AggregationJSON{Queries: as.Queries, Batches: as.Batches}
+		resp.Aggregation = maps.Collect(metrics.Values(s.AggregationStats()))
 	}
 	if tr, ok := s.cfg.Index.(clientTransportReporter); ok {
-		if ts := tr.ClientTransportStats(); ts.RedirectsFollowed != 0 || ts.CreditStalls != 0 {
-			resp.Transport = &FrontTransportJSON{
-				RedirectsFollowed: ts.RedirectsFollowed,
-				CreditStalls:      ts.CreditStalls,
-			}
+		if ts := tr.ClientTransportStats(); ts != (core.ClientTransportStats{}) {
+			resp.Transport = maps.Collect(metrics.Values(ts))
 		}
 	}
 	if rr, ok := s.cfg.Index.(replicationReporter); ok && rr.Replicated() {
-		rs := rr.ReplicationStats()
-		resp.Replication = &ReplicationJSON{
-			FannedWrites:        rs.FannedWrites,
-			QuorumWaits:         rs.QuorumWaits,
-			QuorumFailures:      rs.QuorumFailures,
-			ReadRepairs:         rs.ReadRepairs,
-			RepairsQueued:       rs.RepairsQueued,
-			RepairsApplied:      rs.RepairsApplied,
-			RepairsDropped:      rs.RepairsDropped,
-			AntiEntropyRuns:     rs.AntiEntropyRuns,
-			AntiEntropyScanned:  rs.AntiEntropyScanned,
-			AntiEntropyChecked:  rs.AntiEntropyChecked,
-			AntiEntropyRepaired: rs.AntiEntropyRepaired,
-		}
+		resp.Replication = maps.Collect(metrics.Values(rr.ReplicationStats()))
 	}
-	for i, st := range nodeStats {
-		resp.Nodes[i] = NodeStatsJSON{
-			ID:           string(st.ID),
-			Lookups:      st.Lookups,
-			Inserts:      st.Inserts,
-			CacheHits:    st.CacheHits,
-			BloomShort:   st.BloomShort,
-			StoreHits:    st.StoreHits,
-			StoreMisses:  st.StoreMisses,
-			Coalesced:    st.Coalesced,
-			StoreEntries: st.StoreEntries,
-			Phases: PhasesJSON{
-				Cache: phaseJSON(st.Phases.Cache),
-				Bloom: phaseJSON(st.Phases.Bloom),
-				SSD:   phaseJSON(st.Phases.SSD),
-			},
-			Destage: DestageJSON{
-				QueueDepth:      st.Destage.QueueDepth,
-				EntriesDestaged: st.Destage.Entries,
-				PagesWritten:    st.Destage.Pages,
-				Waves:           st.Destage.Waves,
-				Coalesced:       st.Destage.Coalesced,
-				BufferHits:      st.Destage.BufferHits,
-				WaveSizes:       phaseJSON(st.Destage.WaveSizes),
-			},
-			Recovery: RecoveryJSON{
-				JournalReplayed:  st.Recovery.JournalReplayed,
-				JournalTornBytes: st.Recovery.JournalTornBytes,
-				StoreRuns:        st.Recovery.Store.Runs,
-				StorePagesScan:   st.Recovery.Store.PagesScanned,
-				StoreTornPages:   st.Recovery.Store.TornPages,
-				StoreTailBytes:   st.Recovery.Store.TailBytes,
-				StoreLinks:       st.Recovery.Store.RepairedLinks,
-				StoreOrphans:     st.Recovery.Store.OrphanPages,
-				StoreSalvaged:    st.Recovery.Store.SalvagedEntries,
-			},
-			Replica: ReplicaJSON{
-				RepairBatches: st.Replica.RepairBatches,
-				RepairPairs:   st.Replica.RepairPairs,
-				RepairCreated: st.Replica.RepairCreated,
-			},
-			Transport: TransportJSON{
-				StreamsOpen:     st.Transport.StreamsOpen,
-				CreditStalls:    st.Transport.CreditStalls,
-				BytesInFlight:   st.Transport.BytesInFlight,
-				WindowUpdates:   st.Transport.WindowUpdates,
-				RedirectsIssued: st.Transport.RedirectsIssued,
-			},
-			Bloom: BloomJSON{
-				Entries:         st.Bloom.Entries,
-				SizeBytes:       st.Bloom.SizeBytes,
-				Slices:          st.Bloom.Slices,
-				FillRatio:       st.Bloom.FillRatio,
-				EstimatedFPRate: st.Bloom.EstimatedFPRate,
-				Saturated:       st.Bloom.Saturated,
-			},
-		}
+	for i := range nodeStats {
+		resp.Nodes[i] = maps.Collect(metrics.Values(&nodeStats[i]))
+		resp.Nodes[i]["id"] = nodeStats[i].ID
 	}
 	writeJSON(w, resp)
 }

@@ -9,10 +9,12 @@ import (
 	"strings"
 	"testing"
 
+	"shhc/internal/batcher"
 	"shhc/internal/cloudsim"
 	"shhc/internal/core"
 	"shhc/internal/fingerprint"
 	"shhc/internal/hashdb"
+	"shhc/internal/metrics"
 	"shhc/internal/ring"
 )
 
@@ -210,11 +212,10 @@ func TestChunkNotFound(t *testing.T) {
 	}
 }
 
-func TestStatsEndpoint(t *testing.T) {
-	_, ts, _ := newTestServer(t)
-	postPlan(t, ts.URL, []string{fingerprint.FromUint64(1).String(), fingerprint.FromUint64(2).String()})
-
-	resp, err := http.Get(ts.URL + "/v1/stats")
+// getStats fetches and decodes /v1/stats.
+func getStats(t *testing.T, url string) StatsResponse {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/stats")
 	if err != nil {
 		t.Fatalf("GET stats: %v", err)
 	}
@@ -223,6 +224,23 @@ func TestStatsEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatalf("decode stats: %v", err)
 	}
+	return stats
+}
+
+// sum adds counter name across the node objects.
+func sum(nodes []map[string]any, name string) float64 {
+	var total float64
+	for _, n := range nodes {
+		total += n[name].(float64)
+	}
+	return total
+}
+
+func TestStatsEndpoint(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	postPlan(t, ts.URL, []string{fingerprint.FromUint64(1).String(), fingerprint.FromUint64(2).String()})
+
+	stats := getStats(t, ts.URL)
 	if stats.Plans != 1 || stats.Lookups != 2 {
 		t.Fatalf("stats = %+v, want 1 plan / 2 lookups", stats)
 	}
@@ -231,41 +249,72 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	// The two-fingerprint plan was small enough to be pooled, and went out
 	// whole.
-	if a := stats.Aggregation; a == nil || *a != (AggregationJSON{Queries: 2, Batches: 1}) {
-		t.Fatalf("aggregation block = %+v, want 2 queries in 1 batch", a)
+	if a := stats.Aggregation; len(a) != 2 || a["queries"] != 2.0 || a["batches"] != 1.0 {
+		t.Fatalf("aggregation block = %v, want 2 queries in 1 batch", a)
 	}
 	// The per-tier latency histograms of the lookup pipeline must travel
 	// through the endpoint: the plan above exercised the RAM tiers on at
 	// least one node.
-	var bloomObs, ssdObs int64
+	if sum(stats.Nodes, "phases.bloom.count") == 0 {
+		t.Fatalf("no node reported bloom phase observations: %v", stats.Nodes)
+	}
+	if sum(stats.Nodes, "phases.ssd.count") == 0 {
+		t.Fatalf("no node reported SSD phase observations (the two inserts were write-through): %v", stats.Nodes)
+	}
+	// The Bloom-filter capacity block must travel through the endpoint,
+	// floats and bools as native JSON values: the two inserts above were
+	// added to some node's filter.
 	for _, n := range stats.Nodes {
-		bloomObs += n.Phases.Bloom.Count
-		ssdObs += n.Phases.SSD.Count
-	}
-	if bloomObs == 0 {
-		t.Fatalf("no node reported bloom phase observations: %+v", stats.Nodes)
-	}
-	if ssdObs == 0 {
-		t.Fatalf("no node reported SSD phase observations (the two inserts were write-through): %+v", stats.Nodes)
-	}
-	// The Bloom-filter capacity block must travel through the endpoint:
-	// the two inserts above were added to some node's filter.
-	var bloomEntries, bloomBytes uint64
-	for _, n := range stats.Nodes {
-		bloomEntries += n.Bloom.Entries
-		bloomBytes += n.Bloom.SizeBytes
-		if n.Bloom.Slices == 0 {
-			t.Fatalf("node %s reports a filter with no slices: %+v", n.ID, n.Bloom)
+		if n["bloom.slices"] == 0.0 {
+			t.Fatalf("node %s reports a filter with no slices: %v", n["id"], n)
 		}
-		if n.Bloom.Saturated {
-			t.Fatalf("node %s reports a saturated filter after two inserts: %+v", n.ID, n.Bloom)
+		if n["bloom.saturated"] != false {
+			t.Fatalf("node %s reports bloom.saturated = %v after two inserts", n["id"], n["bloom.saturated"])
+		}
+		if _, ok := n["bloom.estimated_fp_rate"].(float64); !ok {
+			t.Fatalf("node %s: bloom.estimated_fp_rate = %v, want a number", n["id"], n["bloom.estimated_fp_rate"])
 		}
 	}
-	if bloomEntries != 2 {
-		t.Fatalf("nodes report %d bloom entries, want 2", bloomEntries)
+	if got := sum(stats.Nodes, "bloom.entries"); got != 2 {
+		t.Fatalf("nodes report %v bloom entries, want 2", got)
 	}
-	if bloomBytes == 0 {
+	if sum(stats.Nodes, "bloom.size_bytes") == 0 {
 		t.Fatal("no node reported bloom filter size")
+	}
+}
+
+// TestStatsNodesCarryEverySchemaName: each node object holds "id" and
+// every core.NodeStats leaf, by the walker's name — so a counter added to
+// NodeStats reaches /v1/stats with no edit here.
+func TestStatsNodesCarryEverySchemaName(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	stats := getStats(t, ts.URL)
+	fields := metrics.Fields(core.NodeStats{})
+	for _, n := range stats.Nodes {
+		if id, _ := n["id"].(string); id == "" {
+			t.Fatalf("node object without an id: %v", n)
+		}
+		for _, f := range fields {
+			if _, ok := n[f.Name]; !ok {
+				t.Errorf("node %s: %q missing", n["id"], f.Name)
+			}
+		}
+		if len(n) != len(fields)+1 {
+			t.Errorf("node %s has %d keys, want id + %d counters", n["id"], len(n), len(fields))
+		}
+	}
+}
+
+// TestStatsSchemasWalk walks the zero value of every struct /v1/stats
+// renders: a field of a kind the walker cannot carry panics here, not in a
+// running front-end.
+func TestStatsSchemasWalk(t *testing.T) {
+	for _, v := range []any{core.NodeStats{}, core.ReplicationStats{}, batcher.Stats{}, core.ClientTransportStats{}} {
+		if len(metrics.Fields(v)) == 0 {
+			t.Errorf("%T has no counters", v)
+		}
+		for range metrics.Values(v) {
+		}
 	}
 }
 
@@ -275,18 +324,8 @@ func TestStatsEndpoint(t *testing.T) {
 func TestStatsReplicationBlock(t *testing.T) {
 	// The default newTestServer cluster has Replicas = 1: no block.
 	_, ts, _ := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatalf("GET stats: %v", err)
-	}
-	var stats StatsResponse
-	err = json.NewDecoder(resp.Body).Decode(&stats)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("decode stats: %v", err)
-	}
-	if stats.Replication != nil {
-		t.Fatalf("unreplicated cluster reported a replication block: %+v", stats.Replication)
+	if stats := getStats(t, ts.URL); stats.Replication != nil {
+		t.Fatalf("unreplicated cluster reported a replication block: %v", stats.Replication)
 	}
 
 	// A Replicas = 2 cluster reports fanned writes after a plan.
@@ -320,28 +359,16 @@ func TestStatsReplicationBlock(t *testing.T) {
 	})
 
 	postPlan(t, rts.URL, []string{fingerprint.FromUint64(1).String(), fingerprint.FromUint64(2).String()})
-	resp, err = http.Get(rts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatalf("GET stats: %v", err)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&stats)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("decode stats: %v", err)
-	}
+	stats := getStats(t, rts.URL)
 	if stats.Replication == nil {
 		t.Fatal("replicated cluster reported no replication block")
 	}
-	if stats.Replication.FannedWrites == 0 {
-		t.Fatalf("replication block shows no fanned writes: %+v", stats.Replication)
+	if stats.Replication["fanned_writes"] == 0.0 {
+		t.Fatalf("replication block shows no fanned writes: %v", stats.Replication)
 	}
 	// The mirror writes land as repair batches on the receiving nodes.
-	var repairPairs uint64
-	for _, n := range stats.Nodes {
-		repairPairs += n.Replica.RepairPairs
-	}
-	if repairPairs == 0 {
-		t.Fatalf("no node reported absorbed repair pairs: %+v", stats.Nodes)
+	if sum(stats.Nodes, "replica.repair_pairs") == 0 {
+		t.Fatalf("no node reported absorbed repair pairs: %v", stats.Nodes)
 	}
 }
 

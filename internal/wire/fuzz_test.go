@@ -3,11 +3,14 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"shhc/internal/fingerprint"
+	"shhc/internal/metrics"
 )
 
 // readChecked runs the pooled frame reader and holds it to its ownership
@@ -30,7 +33,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frameBytes(f, Frame{Type: TypeLookup, ID: 7, Payload: AppendFP(nil, fingerprint.FromWords(0x0102<<48, 0, 0))}))
 	f.Add(frameBytes(f, Frame{Type: TypeBatch, ID: 9, Timeout: time.Second, Payload: appendBatch(nil, []PairPayload{{Val: 3}})}))
 	f.Add(frameBytes(f, Frame{Type: TypeWindowUpdate, ID: 3, Stream: 12, Payload: AppendWindowUpdate(nil, 4096)}))
-	f.Add(AppendStats(nil, StatsPayload{ID: "node", Lookups: 1}))
+	f.Add(AppendStats(nil, "node", []metrics.Field{{Name: "lookups", Bits: 1}}))
 	f.Add(appendBatchResult(nil, []ResultPayload{{Exists: true, Source: 2, Val: 5}, {}}))
 	f.Add(AppendError(nil, ErrorPayload{Code: CodeNotOwner, Msg: "moved", OwnerID: "n2", OwnerAddr: "127.0.0.1:9"}))
 	f.Add([]byte{0, 0, 0, 2, 1})    // length shorter than header
@@ -82,7 +85,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if fp, err := DecodeFP(data); err == nil && !bytes.Equal(AppendFP(nil, fp), data) {
 			t.Fatalf("fingerprint re-encodes to %x, was %x", AppendFP(nil, fp), data)
 		}
-		if s, err := DecodeStats(data); err == nil && !bytes.Equal(AppendStats(nil, s), data) {
+		if id, fs, err := DecodeStats(data); err == nil && !bytes.Equal(AppendStats(nil, id, fs), data) {
 			t.Fatalf("stats re-encode differs from the %d bytes decoded", len(data))
 		}
 		fuzzControl(t, data)
@@ -119,51 +122,41 @@ func FuzzMuxControl(f *testing.F) {
 	f.Fuzz(fuzzControl)
 }
 
-// FuzzStatsRoundTrip encodes a fuzzed StatsPayload and asserts the decoder
-// recovers every field, and that the decoder accepts that length only.
+// FuzzStatsRoundTrip encodes a fuzzed id and counter list and asserts the
+// decoder recovers them exactly, and that every truncation of the encoding,
+// and the encoding with a byte appended, is refused with ErrShortPayload.
 func FuzzStatsRoundTrip(f *testing.F) {
-	f.Add("node-a", []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add("", []byte{})
-	f.Add(strings.Repeat("x", 300), bytes.Repeat([]byte{0xab}, 400))
+	f.Add("node-a", "lookups,cache.hits", []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add("", "", []byte{})
+	f.Add(strings.Repeat("x", 300), "bloom.fill_ratio,,destage.wave_sizes.p99", bytes.Repeat([]byte{0xab}, 400))
 
-	f.Fuzz(func(t *testing.T, id string, data []byte) {
-		var s StatsPayload
-		s.ID = id
-		next := func() uint64 {
-			if len(data) == 0 {
-				return 0
-			}
-			var b [8]byte
-			n := copy(b[:], data)
-			data = data[n:]
-			return binary.BigEndian.Uint64(b[:])
-		}
-		for _, c := range s.counters() {
-			*c = next()
-		}
-		for _, sum := range s.summaries() {
-			for _, field := range sum.fields() {
-				*field = next()
+	f.Fuzz(func(t *testing.T, id, names string, data []byte) {
+		var fs []metrics.Field
+		if names != "" {
+			for _, name := range strings.Split(names, ",") {
+				var b [8]byte
+				data = data[copy(b[:], data):]
+				fs = append(fs, metrics.Field{Name: name, Bits: binary.BigEndian.Uint64(b[:])})
 			}
 		}
-
-		enc := AppendStats(nil, s)
-		dec, err := DecodeStats(enc)
+		enc := AppendStats(nil, id, fs)
+		gotID, got, err := DecodeStats(enc)
 		if err != nil {
 			t.Fatalf("DecodeStats of own encoding failed: %v", err)
 		}
-		want := s
-		if len(want.ID) > maxString {
-			want.ID = want.ID[:maxString]
+		for i := range fs {
+			fs[i].Name = fs[i].Name[:min(len(fs[i].Name), maxString)]
 		}
-		if dec != want {
-			t.Fatalf("stats round trip:\n got %+v\nwant %+v", dec, want)
+		if gotID != id[:min(len(id), maxString)] || len(got) != len(fs) || (len(fs) > 0 && !reflect.DeepEqual(got, fs)) {
+			t.Fatalf("stats round trip:\n got %q %+v\nwant %q %+v", gotID, got, id, fs)
 		}
-		if _, err := DecodeStats(enc[:len(enc)-8]); err == nil {
-			t.Fatal("DecodeStats accepted a payload one counter short")
+		for n := range len(enc) {
+			if _, _, err := DecodeStats(enc[:n]); !errors.Is(err, ErrShortPayload) {
+				t.Fatalf("DecodeStats of the first %d of %d bytes: %v, want ErrShortPayload", n, len(enc), err)
+			}
 		}
-		if _, err := DecodeStats(append(enc, make([]byte, 8)...)); err == nil {
-			t.Fatal("DecodeStats accepted a payload one counter long")
+		if _, _, err := DecodeStats(append(enc, 0)); !errors.Is(err, ErrShortPayload) {
+			t.Fatalf("DecodeStats with a trailing byte: %v, want ErrShortPayload", err)
 		}
 	})
 }
@@ -197,9 +190,9 @@ func TestMalformedFrames(t *testing.T) {
 	}
 
 	notOwner := AppendError(nil, ErrorPayload{Code: CodeNotOwner, OwnerID: "n2", OwnerAddr: "a:1"})
-	stats := AppendStats(nil, StatsPayload{ID: "n"})
+	stats := AppendStats(nil, "n", []metrics.Field{{Name: "lookups", Bits: 1}, {Name: "cache.hits", Bits: 2}, {Name: "bloom_false"}})
 	decodeError := func(b []byte) error { _, err := DecodeErrorPayload(b); return err }
-	decodeStats := func(b []byte) error { _, err := DecodeStats(b); return err }
+	decodeStats := func(b []byte) error { _, _, err := DecodeStats(b); return err }
 	decodeHello := func(b []byte) error { _, _, err := DecodeHello(b); return err }
 	batchCount := func(b []byte) error { _, err := BatchCount(b); return err }
 	payloadCases := []struct {
@@ -218,7 +211,12 @@ func TestMalformedFrames(t *testing.T) {
 			append([]byte{0, 0, 0, 2}, make([]byte, resultSize)...)},
 		{"stats id length lies", decodeStats, []byte{0xff, 0xff, 1, 2, 3}},
 		{"stats truncated counters", decodeStats, stats[:40]},
-		{"stats one counter short", decodeStats, stats[:len(stats)-8]},
+		// A count no payload of this size could hold, refused before the
+		// decoder allocates a slice for it.
+		{"stats count lies", decodeStats, []byte{0, 1, 'n', 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+		{"stats name length lies", decodeStats, []byte{0, 0, 0, 0, 0, 1, 0xff, 0xff, 'x', 0, 0, 0, 0, 0, 0, 0, 0}},
+		{"stats value truncated", decodeStats, stats[:len(stats)-1]},
+		{"stats trailing bytes", decodeStats, append(stats[:len(stats):len(stats)], 0)},
 		{"error length lies", decodeError, []byte{byte(CodeInternal), 0, 10, 'h', 'i'}},
 		{"window update short", func(b []byte) error { _, err := DecodeWindowUpdate(b); return err }, []byte{1, 2, 3}},
 		{"coded error truncated owner", decodeError, notOwner[:len(notOwner)-2]},

@@ -29,13 +29,14 @@ import (
 	"time"
 
 	"shhc/internal/fingerprint"
+	"shhc/internal/metrics"
 )
 
 // ProtocolVersion is the one protocol version this package speaks. Both
 // sides of a connection state it in the Hello/HelloAck exchange; a peer
 // that states another is refused with CodeVersionMismatch, never
 // negotiated down to.
-const ProtocolVersion = 7
+const ProtocolVersion = 8
 
 // Type identifies a frame's payload.
 type Type uint8
@@ -351,160 +352,52 @@ func DecodeWindowUpdate(b []byte) (uint32, error) {
 	return binary.BigEndian.Uint32(b), nil
 }
 
-// SummaryPayload is one latency-histogram digest on the wire. All
-// durations travel as nanoseconds.
-type SummaryPayload struct {
-	Count  uint64
-	SumNS  uint64
-	MinNS  uint64
-	MaxNS  uint64
-	MeanNS uint64
-	P50NS  uint64
-	P90NS  uint64
-	P99NS  uint64
-}
+// statsFieldMin is the smallest (name, value) pair a stats-result payload
+// can carry: an empty name's length prefix and the value.
+const statsFieldMin = 2 + 8
 
-// StatsPayload mirrors core.NodeStats for transport without importing core
-// (core depends on nothing above it; wire stays at the bottom layer). It
-// travels as the id, then every counter in declaration order, then the four
-// summaries, eight fields each — all uint64.
-// PhaseCache/PhaseBloom/PhaseSSD digest the per-tier latency of the node's
-// two-phase lookup pipeline; the Destage* counters and DestageWaveSizes
-// describe the write-back group-commit pipeline (DestageWaveSizes carries
-// plain entry counts in its nanosecond fields).
-type StatsPayload struct {
-	ID               string
-	Lookups          uint64
-	Inserts          uint64
-	CacheHits        uint64
-	BloomShort       uint64
-	StoreHits        uint64
-	StoreMisses      uint64
-	BloomFalse       uint64
-	Coalesced        uint64
-	StoreEntries     uint64
-	CacheHitsLRU     uint64
-	CacheMisses      uint64
-	CacheEvicts      uint64
-	CacheLen         uint64
-	CacheCap         uint64
-	DestageQueue     uint64
-	DestageEntries   uint64
-	DestagePages     uint64
-	DestageWaves     uint64
-	DestageCoalesced uint64
-	DestageHits      uint64
-	// Recovery counters: what the node repaired at open.
-	// RecoveryJournalReplayed/TornBytes describe destage-journal replay;
-	// the RecoveryStore* fields mirror the hash table's own open-time
-	// recovery pass (hashdb.RecoveryStats).
-	RecoveryJournalReplayed  uint64
-	RecoveryJournalTornBytes uint64
-	RecoveryStoreRuns        uint64
-	RecoveryStorePagesScan   uint64
-	RecoveryStoreTornPages   uint64
-	RecoveryStoreTailBytes   uint64
-	RecoveryStoreLinks       uint64
-	RecoveryStoreOrphans     uint64
-	RecoveryStoreSalvaged    uint64
-	// Replication counters: repair/backfill traffic this node absorbed as
-	// a replica target (batches applied, pairs examined, entries actually
-	// created because they were missing).
-	ReplRepairBatches uint64
-	ReplRepairPairs   uint64
-	ReplRepairCreated uint64
-	// Transport counters: the multiplexed wire as the node sees it —
-	// logical streams currently open across all conns, times a response
-	// had to wait for stream credit, response bytes queued but not yet
-	// flushed, WINDOW_UPDATE grants sent, and NOT_OWNER redirects issued
-	// to stale-ring clients.
-	TransportStreamsOpen     uint64
-	TransportCreditStalls    uint64
-	TransportBytesInFlight   uint64
-	TransportWindowUpdates   uint64
-	TransportRedirectsIssued uint64
-	// Bloom counters: the scalable filter's shape and accuracy. The two
-	// rates are fixed-point parts-per-billion (a rate of 0.01 travels as
-	// 10_000_000); BloomSaturated is 0 or 1.
-	BloomEntries     uint64
-	BloomSizeBytes   uint64
-	BloomSlices      uint64
-	BloomFillPPB     uint64
-	BloomFPRatePPB   uint64
-	BloomSaturated   uint64
-	PhaseCache       SummaryPayload
-	PhaseBloom       SummaryPayload
-	PhaseSSD         SummaryPayload
-	DestageWaveSizes SummaryPayload
-}
-
-// statsFields is the number of uint64 values a stats payload carries after
-// the id: 43 counters plus 4 summaries of 8 fields.
-const statsFields = 43 + 4*8
-
-func (s *StatsPayload) counters() []*uint64 {
-	return []*uint64{
-		&s.Lookups, &s.Inserts, &s.CacheHits, &s.BloomShort, &s.StoreHits,
-		&s.StoreMisses, &s.BloomFalse, &s.Coalesced, &s.StoreEntries,
-		&s.CacheHitsLRU, &s.CacheMisses, &s.CacheEvicts, &s.CacheLen, &s.CacheCap,
-		&s.DestageQueue, &s.DestageEntries, &s.DestagePages, &s.DestageWaves,
-		&s.DestageCoalesced, &s.DestageHits,
-		&s.RecoveryJournalReplayed, &s.RecoveryJournalTornBytes,
-		&s.RecoveryStoreRuns, &s.RecoveryStorePagesScan, &s.RecoveryStoreTornPages,
-		&s.RecoveryStoreTailBytes, &s.RecoveryStoreLinks, &s.RecoveryStoreOrphans,
-		&s.RecoveryStoreSalvaged,
-		&s.ReplRepairBatches, &s.ReplRepairPairs, &s.ReplRepairCreated,
-		&s.TransportStreamsOpen, &s.TransportCreditStalls, &s.TransportBytesInFlight,
-		&s.TransportWindowUpdates, &s.TransportRedirectsIssued,
-		&s.BloomEntries, &s.BloomSizeBytes, &s.BloomSlices,
-		&s.BloomFillPPB, &s.BloomFPRatePPB, &s.BloomSaturated,
-	}
-}
-
-func (s *StatsPayload) summaries() []*SummaryPayload {
-	return []*SummaryPayload{&s.PhaseCache, &s.PhaseBloom, &s.PhaseSSD, &s.DestageWaveSizes}
-}
-
-func (p *SummaryPayload) fields() []*uint64 {
-	return []*uint64{&p.Count, &p.SumNS, &p.MinNS, &p.MaxNS, &p.MeanNS, &p.P50NS, &p.P90NS, &p.P99NS}
-}
-
-// AppendStats appends node statistics (TypeStatsResult) to dst.
-func AppendStats(dst []byte, s StatsPayload) []byte {
-	dst = appendString(dst, s.ID)
-	for _, v := range s.counters() {
-		dst = binary.BigEndian.AppendUint64(dst, *v)
-	}
-	for _, sum := range s.summaries() {
-		for _, v := range sum.fields() {
-			dst = binary.BigEndian.AppendUint64(dst, *v)
-		}
+// AppendStats appends node statistics (TypeStatsResult) to dst: the node
+// id, a uint32 count, then that many (name, uint64) pairs. The names and
+// what their values mean are the sender's stats schema (metrics.Fields);
+// wire only carries them.
+func AppendStats(dst []byte, id string, fs []metrics.Field) []byte {
+	dst = appendString(dst, id)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(fs)))
+	for _, f := range fs {
+		dst = binary.BigEndian.AppendUint64(appendString(dst, f.Name), f.Bits)
 	}
 	return dst
 }
 
-// DecodeStats decodes node statistics. The payload must be exactly the id
-// plus statsFields values: a peer with a different counter list is a peer
-// with a different ProtocolVersion, and the handshake has refused it.
-func DecodeStats(b []byte) (StatsPayload, error) {
-	var s StatsPayload
+// DecodeStats decodes node statistics. The payload is untrusted: a count
+// its bytes cannot hold is refused before anything is allocated, and so is
+// a name that overruns the payload or a byte past the last pair.
+func DecodeStats(b []byte) (string, []metrics.Field, error) {
 	id, rest, err := cutString(b)
 	if err != nil {
-		return s, fmt.Errorf("wire: stats payload id: %w", err)
+		return "", nil, fmt.Errorf("wire: stats payload id: %w", err)
 	}
-	if len(rest) != statsFields*8 {
-		return s, fmt.Errorf("wire: stats payload: want %d bytes after the id, got %d: %w", statsFields*8, len(rest), ErrShortPayload)
+	if len(rest) < 4 {
+		return "", nil, fmt.Errorf("wire: stats payload: missing count: %w", ErrShortPayload)
 	}
-	s.ID = id
-	for _, f := range s.counters() {
-		*f = binary.BigEndian.Uint64(rest)
+	count := binary.BigEndian.Uint32(rest)
+	rest = rest[4:]
+	if uint64(count)*statsFieldMin > uint64(len(rest)) {
+		return "", nil, fmt.Errorf("wire: stats payload: %d counters cannot fit in %d bytes: %w", count, len(rest), ErrShortPayload)
+	}
+	fs := make([]metrics.Field, count)
+	for i := range fs {
+		if fs[i].Name, rest, err = cutString(rest); err != nil {
+			return "", nil, fmt.Errorf("wire: stats counter %d name: %w", i, err)
+		}
+		if len(rest) < 8 {
+			return "", nil, fmt.Errorf("wire: stats counter %q: truncated value: %w", fs[i].Name, ErrShortPayload)
+		}
+		fs[i].Bits = binary.BigEndian.Uint64(rest)
 		rest = rest[8:]
 	}
-	for _, sum := range s.summaries() {
-		for _, f := range sum.fields() {
-			*f = binary.BigEndian.Uint64(rest)
-			rest = rest[8:]
-		}
+	if len(rest) != 0 {
+		return "", nil, fmt.Errorf("wire: stats payload: %d trailing bytes: %w", len(rest), ErrShortPayload)
 	}
-	return s, nil
+	return id, fs, nil
 }

@@ -5,11 +5,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"shhc/internal/fingerprint"
+	"shhc/internal/metrics"
 )
 
 // The helpers below are the tests' view of the codec: frames go out through
@@ -246,29 +249,28 @@ func TestErrorRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStatsRoundTrip: a stats-result carries the id and any list of named
+// counters — the names are the sender's, in its order — and a payload that
+// stops after the id is refused.
 func TestStatsRoundTrip(t *testing.T) {
-	in := StatsPayload{
-		ID: "node-3", Lookups: 1, Inserts: 2, CacheHits: 3, BloomShort: 4,
-		StoreHits: 5, StoreMisses: 6, BloomFalse: 7, Coalesced: 14, StoreEntries: 8,
-		CacheHitsLRU: 9, CacheMisses: 10, CacheEvicts: 11, CacheLen: 12, CacheCap: 13,
-		DestageQueue: 50, DestageEntries: 51, DestagePages: 52, DestageWaves: 53,
-		DestageCoalesced: 54, DestageHits: 55,
-		BloomEntries: 70, BloomSizeBytes: 71, BloomSlices: 3,
-		BloomFillPPB: 420_000_000, BloomFPRatePPB: 9_500_000, BloomSaturated: 1,
-		PhaseCache:       SummaryPayload{Count: 20, SumNS: 21, MinNS: 22, MaxNS: 23, MeanNS: 24, P50NS: 25, P90NS: 26, P99NS: 27},
-		PhaseBloom:       SummaryPayload{Count: 30, SumNS: 31, MinNS: 32, MaxNS: 33, MeanNS: 34, P50NS: 35, P90NS: 36, P99NS: 37},
-		PhaseSSD:         SummaryPayload{Count: 40, SumNS: 41, MinNS: 42, MaxNS: 43, MeanNS: 44, P50NS: 45, P90NS: 46, P99NS: 47},
-		DestageWaveSizes: SummaryPayload{Count: 60, SumNS: 61, MinNS: 62, MaxNS: 63, MeanNS: 64, P50NS: 65, P90NS: 66, P99NS: 67},
+	in := []metrics.Field{
+		{Name: "lookups", Bits: 1},
+		{Name: "bloom.fill_ratio", Bits: math.Float64bits(0.42)},
+		{Name: "destage.wave_sizes.p99", Bits: math.MaxUint64},
+		{Name: "", Bits: 7},
 	}
-	out, err := DecodeStats(AppendStats(nil, in))
+	id, out, err := DecodeStats(AppendStats(nil, "node-3", in))
 	if err != nil {
 		t.Fatalf("DecodeStats: %v", err)
 	}
-	if out != in {
-		t.Fatalf("stats mismatch:\n got %+v\nwant %+v", out, in)
+	if id != "node-3" || !reflect.DeepEqual(out, in) {
+		t.Fatalf("stats mismatch: got %q %+v, want node-3 %+v", id, out, in)
 	}
-	if _, err := DecodeStats([]byte{0}); err == nil {
-		t.Fatal("DecodeStats(short) succeeded")
+	if id, out, err := DecodeStats(AppendStats(nil, "empty", nil)); err != nil || id != "empty" || len(out) != 0 {
+		t.Fatalf("no counters: %q %+v %v", id, out, err)
+	}
+	if _, _, err := DecodeStats(appendString(nil, "n")); !errors.Is(err, ErrShortPayload) {
+		t.Fatalf("DecodeStats without a count = %v, want ErrShortPayload", err)
 	}
 }
 
@@ -386,16 +388,16 @@ func TestGoldenBatchFrame(t *testing.T) {
 func TestGoldenHandshake(t *testing.T) {
 	const (
 		// length 29 = 21-byte header + 8-byte payload | type 12 (hello) |
-		// id 5 | timeout 0 | stream 0 | version 7 | window 256 KiB
+		// id 5 | timeout 0 | stream 0 | version 8 | window 256 KiB
 		hello = "\x00\x00\x00\x1d" + "\x0c" + "\x00\x00\x00\x00\x00\x00\x00\x05" +
 			"\x00\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00" +
-			"\x00\x00\x00\x07" + "\x00\x04\x00\x00"
+			"\x00\x00\x00\x08" + "\x00\x04\x00\x00"
 		// the same with type 13 (hello-ack) and a 128 KiB window
 		helloAck = "\x00\x00\x00\x1d" + "\x0d" + "\x00\x00\x00\x00\x00\x00\x00\x05" +
 			"\x00\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00" +
-			"\x00\x00\x00\x07" + "\x00\x02\x00\x00"
+			"\x00\x00\x00\x08" + "\x00\x02\x00\x00"
 	)
-	if ProtocolVersion != 7 {
+	if ProtocolVersion != 8 {
 		t.Fatalf("ProtocolVersion = %d: re-pin the golden bytes, and keep their framing", ProtocolVersion)
 	}
 	got := frameBytes(t, Frame{Type: TypeHello, ID: 5, Payload: AppendHello(nil, ProtocolVersion, DefaultWindow)})
@@ -410,7 +412,7 @@ func TestGoldenHandshake(t *testing.T) {
 	if err != nil || f.Type != TypeHelloAck || f.ID != 5 {
 		t.Fatalf("golden hello-ack reads back as %+v, %v", f, err)
 	}
-	if v, win, err := DecodeHello(f.Payload); err != nil || v != 7 || win != 128<<10 {
-		t.Fatalf("golden hello-ack payload = (%d, %d, %v), want (7, 131072, nil)", v, win, err)
+	if v, win, err := DecodeHello(f.Payload); err != nil || v != 8 || win != 128<<10 {
+		t.Fatalf("golden hello-ack payload = (%d, %d, %v), want (8, 131072, nil)", v, win, err)
 	}
 }
