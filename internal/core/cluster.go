@@ -937,19 +937,16 @@ func (c *Cluster) migrateFrom(ctx context.Context, source ring.NodeID, m Migrato
 }
 
 // ClientTransportStats aggregates the client-side transport counters of
-// the cluster's remote backends: how many NOT_OWNER redirects their
-// clients followed and how often a caller stalled waiting for stream
-// send credit. In-process backends contribute nothing.
+// the cluster's remote backends: how often a caller stalled waiting for
+// stream send credit. In-process backends contribute nothing.
 type ClientTransportStats struct {
-	RedirectsFollowed uint64
-	CreditStalls      uint64
+	CreditStalls uint64
 }
 
 // clientTransportReporter is the optional backend surface for client-side
 // transport counters (implemented by rpc.Client); asserted rather than
 // added to Backend so in-process nodes need not carry it.
 type clientTransportReporter interface {
-	RedirectsFollowed() uint64
 	CreditStalls() uint64
 }
 
@@ -961,7 +958,6 @@ func (c *Cluster) ClientTransportStats() ClientTransportStats {
 	var ts ClientTransportStats
 	for _, b := range c.backends {
 		if r, ok := b.(clientTransportReporter); ok {
-			ts.RedirectsFollowed += r.RedirectsFollowed()
 			ts.CreditStalls += r.CreditStalls()
 		}
 	}

@@ -216,9 +216,6 @@ type TransportStats struct {
 	BytesInFlight uint64
 	// WindowUpdates counts WINDOW_UPDATE credit grants sent to peers.
 	WindowUpdates uint64
-	// RedirectsIssued counts NOT_OWNER answers sent to clients whose ring
-	// view routed a key to the wrong node.
-	RedirectsIssued uint64
 }
 
 // NodeStats snapshots a node's counters.

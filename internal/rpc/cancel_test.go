@@ -159,7 +159,7 @@ func TestDeadlineRidesWireToServer(t *testing.T) {
 
 	// A lookup with a 30ms budget; the blocked handler can only be
 	// released by that server-side derived deadline.
-	peer.send(wire.Frame{Type: wire.TypeLookup, ID: 2, Timeout: 30 * time.Millisecond, Payload: wire.AppendFP(nil, fp(3))})
+	peer.send(wire.Frame{Type: wire.TypeLookup, ID: 2, Timeout: 30 * time.Millisecond, Payload: pairBatch(core.Pair{FP: fp(3)})})
 	resp := peer.recv()
 	if resp.Type != wire.TypeError {
 		t.Fatalf("response type = %v, want error", resp.Type)

@@ -25,14 +25,11 @@ var ErrClientClosed = errors.New("rpc: client is closed")
 // transport failure). Code is the server's error code, and the only thing
 // that maps to behaviour: CodeCancelled and CodeDeadline unwrap to the
 // matching context error, so errors.Is(err, context.DeadlineExceeded)
-// holds across the wire; CodeNotOwner additionally populates the true
-// owner's identity; Dial fails with CodeVersionMismatch against a peer on
-// another protocol. Msg is for people.
+// holds across the wire, and Dial fails with CodeVersionMismatch against a
+// peer on another protocol. Msg is for people.
 type ServerError struct {
-	Msg       string
-	Code      wire.Code
-	OwnerID   string
-	OwnerAddr string
+	Msg  string
+	Code wire.Code
 }
 
 func (e *ServerError) Error() string { return "rpc: server: " + e.Msg }
@@ -55,7 +52,7 @@ func decodeServerError(payload []byte) *ServerError {
 	if err != nil {
 		return &ServerError{Msg: "undecodable server error"}
 	}
-	return &ServerError{Msg: ep.Msg, Code: ep.Code, OwnerID: ep.OwnerID, OwnerAddr: ep.OwnerAddr}
+	return &ServerError{Msg: ep.Msg, Code: ep.Code}
 }
 
 // ClientConfig configures a Client.
@@ -63,9 +60,6 @@ type ClientConfig struct {
 	// Conns is the connection pool size; requests round-robin across it.
 	// Default 2 (one per direction of the paper's two client machines).
 	Conns int
-	// DialTimeout bounds connection establishment (including the
-	// handshake). Default 5s.
-	DialTimeout time.Duration
 	// Timeout bounds each request round-trip when the caller's context
 	// carries no earlier deadline. Default 30s.
 	Timeout time.Duration
@@ -77,26 +71,22 @@ type ClientConfig struct {
 	// (0 = wire.DefaultWindow). Must match nothing on the server — each
 	// side sizes its own send window and announces it in the handshake.
 	Window int
-	// RedialAttempts bounds how many times an operation redials a dead
-	// connection slot before giving up (default 3). With RedialBackoff
-	// this makes a briefly-restarted node invisible to in-flight-free
-	// callers instead of an instant error.
-	RedialAttempts int
-	// RedialBackoff is the initial sleep between redial attempts,
-	// doubling each attempt (default 50ms).
-	RedialBackoff time.Duration
-	// NoRedirects disables following NOT_OWNER redirects.
-	// Redirected-to clients set it internally so a bouncing ring view
-	// cannot chain redirects.
-	NoRedirects bool
 }
+
+const (
+	// dialTimeout bounds connection establishment, handshake included.
+	dialTimeout = 5 * time.Second
+	// A call that finds its connection slot dead redials it up to
+	// redialAttempts times, redialBackoff apart and doubling, so a
+	// briefly restarted node costs in-flight-free callers a short wait
+	// instead of an error.
+	redialAttempts = 3
+	redialBackoff  = 50 * time.Millisecond
+)
 
 func (c *ClientConfig) fill() {
 	if c.Conns <= 0 {
 		c.Conns = 2
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 30 * time.Second
@@ -106,12 +96,6 @@ func (c *ClientConfig) fill() {
 	}
 	if c.Window <= 0 {
 		c.Window = wire.DefaultWindow
-	}
-	if c.RedialAttempts <= 0 {
-		c.RedialAttempts = 3
-	}
-	if c.RedialBackoff <= 0 {
-		c.RedialBackoff = 50 * time.Millisecond
 	}
 }
 
@@ -140,13 +124,7 @@ type Client struct {
 	repairStream uint32
 	streamNext   uint64 // atomic; round-robins default traffic over the pool
 
-	// redirects caches one child client per NOT_OWNER target so a stale
-	// ring view costs one extra dial, not one per request. Child clients
-	// never follow redirects themselves (no chains).
-	redirectMu        sync.Mutex
-	redirects         map[string]*Client
-	redirectsFollowed uint64
-	creditStalls      uint64
+	creditStalls uint64
 }
 
 var _ core.Backend = (*Client)(nil)
@@ -167,7 +145,6 @@ func Dial(id ring.NodeID, addr string, cfg ClientConfig) (*Client, error) {
 		// foreground lookups.
 		nextStreamID: uint32(cfg.StreamsPerConn) + 2,
 		repairStream: uint32(cfg.StreamsPerConn) + 1,
-		redirects:    make(map[string]*Client),
 	}
 	// Establish the first connection eagerly so configuration errors
 	// surface at startup; the rest dial lazily.
@@ -187,11 +164,10 @@ func (c *Client) nextStream() uint32 {
 	return 1 + uint32(n%uint64(c.cfg.StreamsPerConn))
 }
 
-// RedirectsFollowed reports how many NOT_OWNER redirects this client has
-// followed to the true owner.
-func (c *Client) RedirectsFollowed() uint64 {
-	return atomic.LoadUint64(&c.redirectsFollowed)
-}
+// RedirectsFollowed is always 0: the protocol has no redirect. It stays
+// only because the end-to-end benchmark still reads it, and leaves with
+// that instrument's next re-record.
+func (c *Client) RedirectsFollowed() uint64 { return 0 }
 
 // CreditStalls reports how many times a caller had to wait for stream
 // send credit before its request could be written.
@@ -206,7 +182,7 @@ func (c *Client) ID() ring.NodeID { return c.id }
 func (c *Client) Addr() string { return c.addr }
 
 func (c *Client) dialConn() (*clientConn, error) {
-	conn, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: dial %s: %w", c.addr, err)
 	}
@@ -223,7 +199,7 @@ func (c *Client) dialConn() (*clientConn, error) {
 		stalls:  &c.creditStalls,
 	}
 	br := bufio.NewReaderSize(conn, 64<<10)
-	srvWindow, err := cc.handshake(br, c.cfg.DialTimeout)
+	srvWindow, err := cc.handshake(br, dialTimeout)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -281,11 +257,9 @@ func (cc *clientConn) handshake(br *bufio.Reader, timeout time.Duration) (uint32
 }
 
 // pick returns a live pooled connection, redialing dead slots lazily.
-// The dial (TCP connect + handshake, up to DialTimeout) runs
+// The dial (TCP connect + handshake, up to dialTimeout) runs
 // OUTSIDE c.mu: one dead slot must not stall callers that round-robin
-// onto healthy connections. A dial failure is retried RedialAttempts
-// times with doubling backoff (under ctx), so a briefly-restarted node
-// costs in-flight-free callers a short wait instead of an error.
+// onto healthy connections.
 func (c *Client) pick(ctx context.Context) (*clientConn, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -324,12 +298,12 @@ func (c *Client) pick(ctx context.Context) (*clientConn, error) {
 	return fresh, nil
 }
 
-// redial dials with bounded retry: RedialAttempts attempts separated by
-// RedialBackoff, doubling, cut short by ctx. The last error wins.
+// redial dials with bounded retry: redialAttempts attempts separated by
+// redialBackoff, doubling, cut short by ctx. The last error wins.
 func (c *Client) redial(ctx context.Context) (*clientConn, error) {
-	backoff := c.cfg.RedialBackoff
+	backoff := redialBackoff
 	var err error
-	for attempt := 0; attempt < c.cfg.RedialAttempts; attempt++ {
+	for attempt := 0; attempt < redialAttempts; attempt++ {
 		if attempt > 0 {
 			timer := time.NewTimer(backoff)
 			select {
@@ -364,121 +338,44 @@ func (c *Client) timeoutFor(ctx context.Context) time.Duration {
 	return t
 }
 
-// call performs one round-trip under ctx on the given logical stream. It
-// takes ownership of reqBuf (the pooled buffer holding the request
-// payload; nil for empty payloads) and releases it once the frame is on
-// the wire — except on redirectable single-key verbs, where it is held
-// until the response so a NOT_OWNER answer can be retried against the
-// true owner without re-encoding from scratch. On success the returned
-// pooled buffer holds the response payload; the caller releases it with
-// wire.PutBuf after decoding.
+// send writes one request on the given logical stream and returns its
+// pending call. It takes ownership of reqBuf (the pooled buffer holding the
+// request payload; nil for empty payloads) and releases it once the frame
+// is on the wire.
 //
 //shhc:takes-buf reqBuf
-//shhc:returns-buf
-func (c *Client) call(ctx context.Context, stream uint32, reqType wire.Type, reqBuf *[]byte) (wire.Frame, *[]byte, error) {
+func (c *Client) send(ctx context.Context, stream uint32, reqType wire.Type, reqBuf *[]byte) (*pendingCall, error) {
 	if err := ctx.Err(); err != nil {
 		wire.PutBuf(reqBuf)
-		return wire.Frame{}, nil, err
+		return nil, err
 	}
 	cc, err := c.pick(ctx)
 	if err != nil {
 		wire.PutBuf(reqBuf)
-		return wire.Frame{}, nil, err
+		return nil, err
 	}
 	var payload []byte
 	if reqBuf != nil {
 		payload = *reqBuf
 	}
-	holdReq := c.redirectable(reqType) && reqBuf != nil
 	pc, err := cc.start(ctx, stream, reqType, payload, c.timeoutFor(ctx))
-	if !holdReq {
-		// start wrote (or failed to write) the frame; the payload's last
-		// use is behind us.
-		wire.PutBuf(reqBuf)
-		reqBuf = nil
-	}
-	if err != nil {
-		wire.PutBuf(reqBuf)
-		return wire.Frame{}, nil, err
-	}
-	resp, body, err := pc.wait(ctx, c.cfg.Timeout)
-	if err != nil {
-		wire.PutBuf(reqBuf)
-		return wire.Frame{}, nil, err
-	}
-	if resp.Type == wire.TypeError {
-		se := decodeServerError(resp.Payload)
-		n := len(resp.Payload)
-		wire.PutBuf(body)
-		cc.grantConsumed(resp.Stream, n)
-		if se.Code == wire.CodeNotOwner && reqBuf != nil && se.OwnerAddr != "" {
-			return c.redirectCall(ctx, stream, reqType, reqBuf, se)
-		}
-		wire.PutBuf(reqBuf)
-		return wire.Frame{}, nil, se
-	}
 	wire.PutBuf(reqBuf)
-	// The synchronous caller decodes the payload immediately after this
-	// returns; count it consumed now so the stream's response window
-	// reopens without another wire round.
-	cc.grantConsumed(resp.Stream, len(resp.Payload))
-	return resp, body, nil
+	return pc, err
 }
 
-// redirectable reports whether a verb can follow a NOT_OWNER redirect:
-// single-key verbs, unless disabled.
-func (c *Client) redirectable(t wire.Type) bool {
-	if c.cfg.NoRedirects {
-		return false
-	}
-	return t == wire.TypeLookup || t == wire.TypeLookupOrInsert || t == wire.TypeInsert
-}
-
-// redirectCall retries a NOT_OWNER-rejected request against the owner the
-// server named, through a cached child client — one extra RTT instead of
-// proxying every future request through the wrong node. Takes ownership
-// of reqBuf.
+// call performs one round-trip under ctx: send, then answer. It takes
+// ownership of reqBuf as send does. On success the returned pooled buffer
+// holds the response payload; the caller releases it with wire.PutBuf
+// after decoding.
 //
 //shhc:takes-buf reqBuf
 //shhc:returns-buf
-func (c *Client) redirectCall(ctx context.Context, stream uint32, reqType wire.Type, reqBuf *[]byte, se *ServerError) (wire.Frame, *[]byte, error) {
-	rc, err := c.redirectTo(se.OwnerID, se.OwnerAddr)
+func (c *Client) call(ctx context.Context, stream uint32, reqType wire.Type, reqBuf *[]byte) (wire.Frame, *[]byte, error) {
+	pc, err := c.send(ctx, stream, reqType, reqBuf)
 	if err != nil {
-		// The named owner is unreachable; surface the original redirect
-		// error (it carries the owner identity for the caller to act on).
-		wire.PutBuf(reqBuf)
-		return wire.Frame{}, nil, se
+		return wire.Frame{}, nil, err
 	}
-	atomic.AddUint64(&c.redirectsFollowed, 1)
-	return rc.call(ctx, stream, reqType, reqBuf)
-}
-
-// redirectTo returns (dialing and caching on first use) the child client
-// for a redirect target. Child clients are single-conn and never follow
-// redirects themselves, so a bouncing ring view cannot chain.
-func (c *Client) redirectTo(id, addr string) (*Client, error) {
-	c.redirectMu.Lock()
-	rc := c.redirects[addr]
-	c.redirectMu.Unlock()
-	if rc != nil {
-		return rc, nil
-	}
-	cfg := c.cfg
-	cfg.Conns = 1
-	cfg.NoRedirects = true
-	fresh, err := Dial(ring.NodeID(id), addr, cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.redirectMu.Lock()
-	if cur := c.redirects[addr]; cur != nil {
-		c.redirectMu.Unlock()
-		fresh.Close()
-		return cur, nil
-	}
-	c.redirects[addr] = fresh
-	c.redirectMu.Unlock()
-	return fresh, nil
+	return pc.answer(ctx, c.cfg.Timeout)
 }
 
 // Ping checks liveness of the remote node.
@@ -496,54 +393,34 @@ func (c *Client) Ping(ctx context.Context) error {
 
 // Lookup asks the remote node whether fp exists, without inserting.
 func (c *Client) Lookup(ctx context.Context, fp fingerprint.Fingerprint) (core.LookupResult, error) {
-	return c.lookupOn(ctx, c.nextStream(), fp)
-}
-
-func (c *Client) lookupOn(ctx context.Context, stream uint32, fp fingerprint.Fingerprint) (core.LookupResult, error) {
-	buf := wire.GetBuf(fingerprint.Size)
-	*buf = wire.AppendFP((*buf)[:0], fp)
-	return c.resultCall(ctx, stream, wire.TypeLookup, buf)
-}
-
-// resultCall is call for the single-key verbs answered by a TypeResult. It
-// takes ownership of reqBuf as call does.
-//
-//shhc:takes-buf reqBuf
-func (c *Client) resultCall(ctx context.Context, stream uint32, reqType wire.Type, reqBuf *[]byte) (core.LookupResult, error) {
-	resp, body, err := c.call(ctx, stream, reqType, reqBuf)
-	if err != nil {
-		return core.LookupResult{}, err
-	}
-	r, err := wire.DecodeResult(resp.Payload)
-	wire.PutBuf(body)
-	if err != nil {
-		return core.LookupResult{}, err
-	}
-	return fromWireResult(r), nil
+	return c.one(ctx, c.nextStream(), wire.TypeLookup, core.Pair{FP: fp})
 }
 
 // LookupOrInsert runs the Figure 4 flow on the remote node.
 func (c *Client) LookupOrInsert(ctx context.Context, fp fingerprint.Fingerprint, val core.Value) (core.LookupResult, error) {
-	return c.lookupOrInsertOn(ctx, c.nextStream(), fp, val)
-}
-
-func (c *Client) lookupOrInsertOn(ctx context.Context, stream uint32, fp fingerprint.Fingerprint, val core.Value) (core.LookupResult, error) {
-	buf := wire.GetBuf(0)
-	*buf = wire.AppendPair((*buf)[:0], wire.PairPayload{FP: fp, Val: uint64(val)})
-	return c.resultCall(ctx, stream, wire.TypeLookupOrInsert, buf)
+	return c.one(ctx, c.nextStream(), wire.TypeBatch, core.Pair{FP: fp, Val: val})
 }
 
 // Insert unconditionally records fp -> val on the remote node.
 func (c *Client) Insert(ctx context.Context, fp fingerprint.Fingerprint, val core.Value) error {
-	return c.insertOn(ctx, c.nextStream(), fp, val)
+	_, err := c.one(ctx, c.nextStream(), wire.TypeInsert, core.Pair{FP: fp, Val: val})
+	return err
 }
 
-func (c *Client) insertOn(ctx context.Context, stream uint32, fp fingerprint.Fingerprint, val core.Value) error {
-	buf := wire.GetBuf(0)
-	*buf = wire.AppendPair((*buf)[:0], wire.PairPayload{FP: fp, Val: uint64(val)})
-	_, body, err := c.call(ctx, stream, wire.TypeInsert, buf)
-	wire.PutBuf(body)
-	return err
+// one sends a batch of one pair with the given verb on stream — the wire
+// has no single-key frame — and decodes its one answer in place.
+func (c *Client) one(ctx context.Context, stream uint32, verb wire.Type, p core.Pair) (core.LookupResult, error) {
+	resp, body, err := c.call(ctx, stream, verb, appendCorePairBatch([]core.Pair{p}))
+	if err != nil {
+		return core.LookupResult{}, err
+	}
+	defer wire.PutBuf(body)
+	if n, err := wire.BatchResultCount(resp.Payload); err != nil {
+		return core.LookupResult{}, err
+	} else if n != 1 {
+		return core.LookupResult{}, fmt.Errorf("rpc: %v answered %d results for 1 pair", verb, n)
+	}
+	return fromWireResult(wire.ResultAt(resp.Payload, 0)), nil
 }
 
 // BatchLookupOrInsert sends one batch frame and decodes the ordered
@@ -602,29 +479,12 @@ func (c *Client) GoBatchLookupOrInsert(ctx context.Context, pairs []core.Pair) *
 
 func (c *Client) goBatchOn(ctx context.Context, stream uint32, pairs []core.Pair) *BatchCall {
 	call := &BatchCall{n: len(pairs), ctx: ctx, timeout: c.cfg.Timeout}
-	if err := ctx.Err(); err != nil {
-		call.err = err
-		return call
-	}
-	cc, err := c.pick(ctx)
-	if err != nil {
-		call.err = err
-		return call
-	}
-	buf := appendCorePairBatch(pairs)
-	pc, err := cc.start(ctx, stream, wire.TypeBatch, *buf, c.timeoutFor(ctx))
-	wire.PutBuf(buf)
-	if err != nil {
-		call.err = err
-		return call
-	}
-	call.pc = pc
+	call.pc, call.err = c.send(ctx, stream, wire.TypeBatch, appendCorePairBatch(pairs))
 	return call
 }
 
 // appendCorePairBatch encodes a batch payload straight from core pairs into
-// a pooled buffer. The caller (or c.call) releases the buffer after the
-// frame is written.
+// a pooled buffer, which send releases once the frame is written.
 //
 //shhc:returns-buf
 func appendCorePairBatch(pairs []core.Pair) *[]byte {
@@ -669,22 +529,17 @@ func (b *BatchCall) wait() {
 		b.resErr = b.err
 		return
 	}
-	resp, body, err := b.pc.wait(b.ctx, b.timeout)
-	if err != nil {
-		b.resErr = err
-		return
-	}
-	defer wire.PutBuf(body)
 	// Results() IS the consumption point of the pipelined protocol:
 	// only now do the response bytes return to the stream's window. A
 	// future nobody collects keeps its own stream credit-blocked — and
 	// no one else's.
-	b.pc.cc.grantConsumed(resp.Stream, len(resp.Payload))
-	if resp.Type == wire.TypeError {
-		b.resErr = decodeServerError(resp.Payload)
+	resp, body, err := b.pc.answer(b.ctx, b.timeout)
+	if err != nil {
+		b.resErr = err
 		return
 	}
 	b.results, b.resErr = decodeCoreResults(resp.Payload, b.n, "batch")
+	wire.PutBuf(body)
 }
 
 // Stats fetches the remote node's counters.
@@ -703,8 +558,7 @@ func (c *Client) Stats(ctx context.Context) (core.NodeStats, error) {
 	return st, nil
 }
 
-// Close tears down all pooled connections and any cached redirect
-// clients.
+// Close tears down all pooled connections.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -718,14 +572,6 @@ func (c *Client) Close() error {
 		}
 	}
 	c.mu.Unlock()
-
-	c.redirectMu.Lock()
-	children := c.redirects
-	c.redirects = make(map[string]*Client)
-	c.redirectMu.Unlock()
-	for _, rc := range children {
-		rc.Close()
-	}
 	return nil
 }
 
@@ -760,17 +606,18 @@ func (s *ClientStream) Ping(ctx context.Context) error { return s.c.Ping(ctx) }
 
 // Lookup runs a lookup on this handle's stream.
 func (s *ClientStream) Lookup(ctx context.Context, fp fingerprint.Fingerprint) (core.LookupResult, error) {
-	return s.c.lookupOn(ctx, s.id, fp)
+	return s.c.one(ctx, s.id, wire.TypeLookup, core.Pair{FP: fp})
 }
 
 // LookupOrInsert runs the Figure 4 flow on this handle's stream.
 func (s *ClientStream) LookupOrInsert(ctx context.Context, fp fingerprint.Fingerprint, val core.Value) (core.LookupResult, error) {
-	return s.c.lookupOrInsertOn(ctx, s.id, fp, val)
+	return s.c.one(ctx, s.id, wire.TypeBatch, core.Pair{FP: fp, Val: val})
 }
 
 // Insert unconditionally records fp -> val on this handle's stream.
 func (s *ClientStream) Insert(ctx context.Context, fp fingerprint.Fingerprint, val core.Value) error {
-	return s.c.insertOn(ctx, s.id, fp, val)
+	_, err := s.c.one(ctx, s.id, wire.TypeInsert, core.Pair{FP: fp, Val: val})
+	return err
 }
 
 // BatchLookupOrInsert sends one batch frame on this handle's stream.
@@ -1127,6 +974,25 @@ func (pc *pendingCall) wait(ctx context.Context, timeout time.Duration) (wire.Fr
 		}
 		return wire.Frame{}, nil, fmt.Errorf("rpc: %v: request timed out after %v", pc.reqType, timeout)
 	}
+}
+
+// answer is wait for a caller that decodes the response at once: it counts
+// the response consumed, so the stream's response window reopens without
+// another wire round, and turns an error frame into its *ServerError.
+//
+//shhc:returns-buf
+func (pc *pendingCall) answer(ctx context.Context, timeout time.Duration) (wire.Frame, *[]byte, error) {
+	resp, body, err := pc.wait(ctx, timeout)
+	if err != nil {
+		return wire.Frame{}, nil, err
+	}
+	pc.cc.grantConsumed(resp.Stream, len(resp.Payload))
+	if resp.Type == wire.TypeError {
+		se := decodeServerError(resp.Payload)
+		wire.PutBuf(body)
+		return wire.Frame{}, nil, se
+	}
+	return resp, body, nil
 }
 
 // discardSettled releases the response an abandon race lost to. When

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"io"
 	"net"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"shhc/internal/core"
 	"shhc/internal/wire"
 )
 
@@ -59,6 +61,11 @@ func (p *rawPeer) recv() wire.Frame {
 		p.t.Fatalf("read frame: %v", err)
 	}
 	return f
+}
+
+// pairBatch is the payload of every data verb: a count, then the pairs.
+func pairBatch(pairs ...core.Pair) []byte {
+	return *appendCorePairBatch(pairs)
 }
 
 // hello completes the handshake and returns the server's ack.
@@ -173,7 +180,7 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 				}
 			}()
 
-			c, err := Dial("other", ln.Addr().String(), ClientConfig{Conns: 1, DialTimeout: 2 * time.Second})
+			c, err := Dial("other", ln.Addr().String(), ClientConfig{Conns: 1})
 			if err == nil {
 				c.Close()
 				t.Fatal("Dial succeeded against a server on another version")
@@ -196,7 +203,7 @@ func TestDuplicateInflightIDRejected(t *testing.T) {
 	bb, addr := startBlockingServer(t)
 	p := dialRaw(t, addr)
 	p.hello()
-	lookup := wire.Frame{Type: wire.TypeLookup, ID: 7, Stream: 1, Payload: wire.AppendFP(nil, fp(3))}
+	lookup := wire.Frame{Type: wire.TypeLookup, ID: 7, Stream: 1, Payload: pairBatch(core.Pair{FP: fp(3)})}
 	p.send(lookup) // blocks in the backend
 	p.send(lookup) // same id, still in flight
 	if ep := p.expectError(7); ep.Code != wire.CodeBadRequest {
@@ -218,5 +225,35 @@ func TestDuplicateInflightIDRejected(t *testing.T) {
 	p.send(wire.Frame{Type: wire.TypePing, ID: 7})
 	if f := p.recv(); f.Type != wire.TypePong || f.ID != 7 {
 		t.Fatalf("reusing the id after completion got %+v, want pong", f)
+	}
+}
+
+// TestProtocolFreedTypesBadRequest: the type numbers protocol 8 used for its
+// single-key lookup-or-insert (2) and result (7) are requests of no type
+// now, and a data verb whose count lies is malformed. Each is answered
+// BAD_REQUEST, and the connection keeps serving.
+func TestProtocolFreedTypesBadRequest(t *testing.T) {
+	node, client := startNode(t, "freed")
+	p := dialRaw(t, client.Addr())
+	p.hello()
+	lies := append([]byte{0, 0, 0, 2}, pairBatch(core.Pair{FP: fp(1)})[4:]...)
+	for i, f := range []wire.Frame{
+		{Type: 2, Payload: pairBatch(core.Pair{FP: fp(1), Val: 1})},
+		{Type: 7, Payload: []byte{0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0}},
+		{Type: wire.TypeLookup, Payload: lies},
+		{Type: wire.TypeInsert, Payload: lies},
+	} {
+		f.ID, f.Stream = uint64(10+i), 1
+		p.send(f)
+		if ep := p.expectError(f.ID); ep.Code != wire.CodeBadRequest {
+			t.Fatalf("%v answered %+v, want %v", f.Type, ep, wire.CodeBadRequest)
+		}
+	}
+	p.send(wire.Frame{Type: wire.TypePing, ID: 20})
+	if f := p.recv(); f.Type != wire.TypePong || f.ID != 20 {
+		t.Fatalf("ping after the refusals got %+v, want pong", f)
+	}
+	if st, err := node.Stats(context.Background()); err != nil || st.Lookups != 0 || st.Inserts != 0 {
+		t.Fatalf("refused frames reached the node: %d lookups, %d inserts, %v", st.Lookups, st.Inserts, err)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"shhc/internal/hashdb"
 	"shhc/internal/metrics"
 	"shhc/internal/ring"
+	"shhc/internal/wire"
 )
 
 func fp(i uint64) fingerprint.Fingerprint { return fingerprint.FromUint64(i) }
@@ -78,21 +79,60 @@ func TestRemoteLookupOrInsert(t *testing.T) {
 	}
 }
 
+// TestRemoteReadOnlyLookupAndInsert: the lookup and insert verbs, sent as
+// a batch of one by the single-key calls and as a batch of many by anyone.
+// A lookup of any size inserts nothing; an insert of any size overwrites.
 func TestRemoteReadOnlyLookupAndInsert(t *testing.T) {
-	_, client := startNode(t, "n1")
-	r, err := client.Lookup(context.Background(), fp(5))
+	node, client := startNode(t, "n1")
+	ctx := context.Background()
+	r, err := client.Lookup(ctx, fp(5))
 	if err != nil {
 		t.Fatalf("Lookup: %v", err)
 	}
 	if r.Exists {
 		t.Fatal("absent fingerprint reported existing")
 	}
-	if err := client.Insert(context.Background(), fp(5), 50); err != nil {
+	if err := client.Insert(ctx, fp(5), 50); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
-	r, _ = client.Lookup(context.Background(), fp(5))
+	r, _ = client.Lookup(ctx, fp(5))
 	if !r.Exists || r.Value != 50 {
 		t.Fatalf("after Insert: %+v, want exists 50", r)
+	}
+
+	// verb sends pairs with one verb and decodes the batch-result.
+	verb := func(v wire.Type, pairs ...core.Pair) []core.LookupResult {
+		t.Helper()
+		resp, body, err := client.call(ctx, 1, v, appendCorePairBatch(pairs))
+		if err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		defer wire.PutBuf(body)
+		rs, err := decodeCoreResults(resp.Payload, len(pairs), v.String())
+		if err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		return rs
+	}
+	before, _ := node.Stats(ctx)
+	rs := verb(wire.TypeLookup, core.Pair{FP: fp(5), Val: 9}, core.Pair{FP: fp(6), Val: 9}, core.Pair{FP: fp(7), Val: 9})
+	if !rs[0].Exists || rs[0].Value != 50 || rs[1].Exists || rs[2].Exists {
+		t.Fatalf("lookup of three = %+v, want only fp 5, at 50", rs)
+	}
+	if st, _ := node.Stats(ctx); st.Inserts != before.Inserts || st.StoreEntries != 1 {
+		t.Fatalf("a lookup inserted: inserts %d -> %d, %d entries", before.Inserts, st.Inserts, st.StoreEntries)
+	}
+
+	rs = verb(wire.TypeInsert, core.Pair{FP: fp(5), Val: 51}, core.Pair{FP: fp(6), Val: 60})
+	for i, r := range rs {
+		if r != (core.LookupResult{}) {
+			t.Fatalf("insert answer %d = %+v, want all zero", i, r)
+		}
+	}
+	for _, want := range []core.Pair{{FP: fp(5), Val: 51}, {FP: fp(6), Val: 60}} {
+		if r, err := client.Lookup(ctx, want.FP); err != nil || !r.Exists || r.Value != want.Val {
+			t.Fatalf("after insert of two: %+v, %v; want exists %d", r, err, want.Val)
+		}
 	}
 }
 

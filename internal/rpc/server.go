@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 
 	"shhc/internal/core"
-	"shhc/internal/fingerprint"
 	"shhc/internal/metrics"
 	"shhc/internal/wire"
 )
@@ -39,7 +38,6 @@ type Server struct {
 	backend core.Backend
 	logger  *log.Logger
 	window  int
-	owner   func(fp fingerprint.Fingerprint) (ownerID, ownerAddr string, owned bool)
 
 	//lint:ignore ctxfirst rootCtx is the server's lifetime context (parent of every per-conn ctx), cancelled by Close; it is process-scoped by design, not a smuggled call ctx.
 	rootCtx    context.Context
@@ -58,8 +56,7 @@ type Server struct {
 	muxes               map[*wire.MuxWriter]struct{}
 	retiredCreditStalls uint64
 
-	windowUpdates   uint64 // atomic: WINDOW_UPDATE grants sent
-	redirectsIssued uint64 // atomic: NOT_OWNER answers sent
+	windowUpdates uint64 // atomic: WINDOW_UPDATE grants sent
 }
 
 // ServerConfig configures a Server.
@@ -70,13 +67,6 @@ type ServerConfig struct {
 	// responses (0 = wire.DefaultWindow). No binary sets it; it stays
 	// because tests run streams under a smaller window.
 	Window int
-	// Owner, when set, is consulted for every single-key verb: if it
-	// reports the fingerprint belongs to another node, the server answers
-	// NOT_OWNER carrying that node's identity instead of serving the
-	// request, and the client re-routes. Nil means the server answers
-	// everything it is asked (the right choice for single-node
-	// deployments).
-	Owner func(fp fingerprint.Fingerprint) (ownerID, ownerAddr string, owned bool)
 }
 
 // NewServer creates a server for the given backend.
@@ -97,7 +87,6 @@ func NewServer(backend core.Backend, cfg ServerConfig) *Server {
 		backend:    backend,
 		logger:     logger,
 		window:     window,
-		owner:      cfg.Owner,
 		rootCtx:    rootCtx,
 		rootCancel: rootCancel,
 		conns:      make(map[net.Conn]struct{}),
@@ -126,10 +115,7 @@ func (s *Server) retireMux(m *wire.MuxWriter) {
 // connections: gauges (streams open, bytes in flight) from live muxes
 // only, counters from both.
 func (s *Server) transportStats() core.TransportStats {
-	ts := core.TransportStats{
-		WindowUpdates:   atomic.LoadUint64(&s.windowUpdates),
-		RedirectsIssued: atomic.LoadUint64(&s.redirectsIssued),
-	}
+	ts := core.TransportStats{WindowUpdates: atomic.LoadUint64(&s.windowUpdates)}
 	s.muxMu.Lock()
 	ts.CreditStalls = s.retiredCreditStalls
 	for m := range s.muxes {
@@ -367,9 +353,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			defer reqWG.Done()
 			defer func() { <-sem }()
 
-			// handle decodes the request payload before touching the
-			// backend, so the request buffer can be released as soon as it
-			// returns; the response payload rides in its own pooled buffer.
+			// handle is done with the request payload when it returns, so
+			// the request buffer is released right after; the response
+			// payload rides in its own pooled buffer.
 			reqSize := len(f.Payload)
 			resp, respBuf := s.handle(ctx, f)
 			wire.PutBuf(reqBody)
@@ -446,7 +432,7 @@ func errorFrame(id uint64, e wire.ErrorPayload) (wire.Frame, *[]byte) {
 // The returned *[]byte is the pooled buffer the response payload lives in
 // (nil when the payload is empty or not pooled); the caller releases it
 // after the frame is written. f.Payload is not referenced after handle
-// returns — every arm decodes it into owned values up front.
+// returns.
 //
 //shhc:returns-buf
 func (s *Server) handle(ctx context.Context, f wire.Frame) (wire.Frame, *[]byte) {
@@ -464,32 +450,6 @@ func (s *Server) handle(ctx context.Context, f wire.Frame) (wire.Frame, *[]byte)
 	}
 	badReq := func(err error) (wire.Frame, *[]byte) {
 		return errorFrame(f.ID, wire.ErrorPayload{Code: wire.CodeBadRequest, Msg: err.Error()})
-	}
-	// notOwner consults the ownership hook for single-key verbs: a
-	// fingerprint the ring assigns elsewhere answers NOT_OWNER with the
-	// true owner's identity, and the client re-dials it — one extra RTT
-	// for a stale ring view instead of a wrong answer or a proxy hop.
-	notOwner := func(fp fingerprint.Fingerprint) (wire.Frame, *[]byte, bool) {
-		if s.owner == nil {
-			return wire.Frame{}, nil, false
-		}
-		id, addr, owned := s.owner(fp)
-		if owned {
-			return wire.Frame{}, nil, false
-		}
-		atomic.AddUint64(&s.redirectsIssued, 1)
-		resp, buf := errorFrame(f.ID, wire.ErrorPayload{
-			Code:      wire.CodeNotOwner,
-			Msg:       "fingerprint is owned by " + id,
-			OwnerID:   id,
-			OwnerAddr: addr,
-		})
-		return resp, buf, true
-	}
-	result := func(t wire.Type, r wire.ResultPayload) (wire.Frame, *[]byte) {
-		buf := wire.GetBuf(0)
-		*buf = wire.AppendResult((*buf)[:0], r)
-		return wire.Frame{Type: t, ID: f.ID, Payload: *buf}, buf
 	}
 	batchResult := func(rs []core.LookupResult) (wire.Frame, *[]byte) {
 		buf := wire.GetBuf(4 + len(rs)*10)
@@ -510,46 +470,31 @@ func (s *Server) handle(ctx context.Context, f wire.Frame) (wire.Frame, *[]byte)
 	case wire.TypePing:
 		return wire.Frame{Type: wire.TypePong, ID: f.ID}, nil
 
-	case wire.TypeLookup:
-		fp, err := wire.DecodeFP(f.Payload)
+	case wire.TypeLookup, wire.TypeInsert:
+		// core.Backend's single-key verbs, one pair at a time, read
+		// straight off the payload: no pair buffer, no result slice.
+		count, err := wire.BatchCount(f.Payload)
 		if err != nil {
 			return badReq(err)
 		}
-		if resp, buf, redirected := notOwner(fp); redirected {
-			return resp, buf
+		buf := wire.GetBuf(4 + count*10)
+		b := binary.BigEndian.AppendUint32((*buf)[:0], uint32(count))
+		for i := 0; i < count; i++ {
+			p := wire.PairAt(f.Payload, i)
+			var r core.LookupResult
+			if f.Type == wire.TypeLookup {
+				r, err = s.backend.Lookup(ctx, p.FP)
+			} else {
+				err = s.backend.Insert(ctx, p.FP, core.Value(p.Val))
+			}
+			if err != nil {
+				wire.PutBuf(buf)
+				return fail(err)
+			}
+			b = wire.AppendResult(b, toWireResult(r))
 		}
-		r, err := s.backend.Lookup(ctx, fp)
-		if err != nil {
-			return fail(err)
-		}
-		return result(wire.TypeResult, toWireResult(r))
-
-	case wire.TypeLookupOrInsert:
-		p, err := wire.DecodePair(f.Payload)
-		if err != nil {
-			return badReq(err)
-		}
-		if resp, buf, redirected := notOwner(p.FP); redirected {
-			return resp, buf
-		}
-		r, err := s.backend.LookupOrInsert(ctx, p.FP, core.Value(p.Val))
-		if err != nil {
-			return fail(err)
-		}
-		return result(wire.TypeResult, toWireResult(r))
-
-	case wire.TypeInsert:
-		p, err := wire.DecodePair(f.Payload)
-		if err != nil {
-			return badReq(err)
-		}
-		if resp, buf, redirected := notOwner(p.FP); redirected {
-			return resp, buf
-		}
-		if err := s.backend.Insert(ctx, p.FP, core.Value(p.Val)); err != nil {
-			return fail(err)
-		}
-		return result(wire.TypeResult, wire.ResultPayload{})
+		*buf = b
+		return wire.Frame{Type: wire.TypeBatchResult, ID: f.ID, Payload: b}, buf
 
 	case wire.TypeBatch, wire.TypeRepair:
 		pairs, err := decodeCorePairs(f.Payload)

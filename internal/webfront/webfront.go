@@ -303,7 +303,7 @@ type StatsResponse struct {
 	Aggregation map[string]any `json:"aggregation,omitempty"`
 	// Transport is core.ClientTransportStats, the front-end's client side
 	// of the multiplexed RPC transport; present only when its clients have
-	// followed a redirect or stalled on credit.
+	// stalled on credit.
 	Transport map[string]any `json:"transport,omitempty"`
 	// Nodes holds one object per node: "id", then every core.NodeStats
 	// counter.

@@ -39,15 +39,21 @@ func TestAllocAppendBatch(t *testing.T) {
 	}
 }
 
+// TestAllocDecodeResult: a single-key call's one answer decodes off its
+// batch-result into a value, allocating nothing.
 func TestAllocDecodeResult(t *testing.T) {
-	payload := AppendResult(nil, ResultPayload{Exists: true, Source: 2, Val: 99})
+	want := ResultPayload{Exists: true, Source: 2, Val: 99}
+	payload := appendBatchResult(nil, []ResultPayload{want})
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := DecodeResult(payload); err != nil {
-			t.Fatal(err)
+		if n, err := BatchResultCount(payload); err != nil || n != 1 {
+			t.Fatal(n, err)
+		}
+		if ResultAt(payload, 0) != want {
+			t.Fatal("answer mismatch")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("DecodeResult allocates %v/op; want 0", allocs)
+		t.Fatalf("decoding a batch-result of one allocates %v/op; want 0", allocs)
 	}
 }
 
@@ -102,8 +108,8 @@ func TestAllocGetPutBuf(t *testing.T) {
 
 func TestAllocFrameWriterWriteFrame(t *testing.T) {
 	fw := NewFrameWriter(io.Discard)
-	payload := AppendResult(nil, ResultPayload{Exists: true, Source: 1, Val: 7})
-	f := Frame{Type: TypeResult, ID: 9, Payload: payload}
+	payload := appendBatchResult(nil, []ResultPayload{{Exists: true, Source: 1, Val: 7}})
+	f := Frame{Type: TypeBatchResult, ID: 9, Payload: payload}
 	allocs := testing.AllocsPerRun(1000, func() {
 		if err := fw.WriteFrame(f); err != nil {
 			t.Fatal(err)

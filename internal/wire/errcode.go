@@ -4,28 +4,25 @@ import "fmt"
 
 // Code is the one-byte error code that opens every TypeError payload, so a
 // client dispatches on a number instead of parsing prose. The table in
-// docs/PROTOCOL.md lists what each code carries and what a client does with
+// docs/PROTOCOL.md lists what each code means and what a client does with
 // it.
 type Code uint8
 
-// Error codes.
+// Error codes. The numbers are the wire's, written out so that deleting a
+// code can never renumber the ones after it: 4 (protocol 8's NOT_OWNER) is
+// reserved and never reused.
 const (
 	// CodeInternal is a server-side failure with no routing significance.
-	CodeInternal Code = iota
+	CodeInternal Code = 0
 	// CodeBadRequest marks a malformed or unsupported request.
-	CodeBadRequest
+	CodeBadRequest Code = 1
 	// CodeCancelled reports that the request's context was cancelled.
-	CodeCancelled
+	CodeCancelled Code = 2
 	// CodeDeadline reports that the request's deadline expired.
-	CodeDeadline
-	// CodeNotOwner tells a stale-ring client this node does not own the
-	// requested key; the payload carries the current owner's id and
-	// address so the client can re-dial it directly (one extra RTT
-	// instead of proxying through the wrong node).
-	CodeNotOwner
+	CodeDeadline Code = 3
 	// CodeVersionMismatch refuses a connection whose first frame is not a
 	// Hello carrying ProtocolVersion. The connection closes behind it.
-	CodeVersionMismatch
+	CodeVersionMismatch Code = 5
 )
 
 // codeNames is what Code.String prints, and the "Name" column of the
@@ -35,41 +32,41 @@ var codeNames = [...]string{
 	CodeBadRequest:      "BAD_REQUEST",
 	CodeCancelled:       "CANCELLED",
 	CodeDeadline:        "DEADLINE",
-	CodeNotOwner:        "NOT_OWNER",
 	CodeVersionMismatch: "VERSION_MISMATCH",
 }
 
 func (c Code) String() string {
-	if int(c) < len(codeNames) {
+	if int(c) < len(codeNames) && codeNames[c] != "" {
 		return codeNames[c]
 	}
 	return fmt.Sprintf("code(%d)", uint8(c))
 }
 
-// ErrorPayload is a decoded TypeError payload. The owner fields are set
-// only with CodeNotOwner.
+// ErrorPayload is a decoded TypeError payload.
 type ErrorPayload struct {
-	Code      Code
-	Msg       string
-	OwnerID   string
-	OwnerAddr string
+	Code Code
+	Msg  string
 }
 
 // AppendError appends a TypeError payload to dst:
 //
 //	uint8   code
 //	uint16  message length | message bytes
-//	uint16  owner id length | id bytes      (CodeNotOwner, else 0)
-//	uint16  owner addr length | addr bytes  (CodeNotOwner, else 0)
+//	uint16  0   (reserved string, always empty)
+//	uint16  0   (reserved string, always empty)
+//
+// The two reserved strings keep the layout a protocol-8 peer decodes: it
+// refuses an error payload without them, and would then report a
+// VERSION_MISMATCH refusal as an undecodable INTERNAL error.
 func AppendError(dst []byte, e ErrorPayload) []byte {
 	dst = append(dst, byte(e.Code))
 	dst = appendString(dst, e.Msg)
-	dst = appendString(dst, e.OwnerID)
-	return appendString(dst, e.OwnerAddr)
+	return append(dst, 0, 0, 0, 0)
 }
 
-// DecodeErrorPayload decodes a TypeError payload. A code this build does
-// not know decodes as itself and, mapping to nothing, acts as CodeInternal.
+// DecodeErrorPayload decodes a TypeError payload. The reserved strings must
+// be present and are otherwise ignored. A code this build does not know
+// decodes as itself and, mapping to nothing, acts as CodeInternal.
 func DecodeErrorPayload(b []byte) (ErrorPayload, error) {
 	if len(b) < 1 {
 		return ErrorPayload{}, fmt.Errorf("wire: error payload: missing code: %w", ErrShortPayload)
@@ -80,11 +77,10 @@ func DecodeErrorPayload(b []byte) (ErrorPayload, error) {
 	if e.Msg, rest, err = cutString(rest); err != nil {
 		return ErrorPayload{}, fmt.Errorf("wire: error payload message: %w", err)
 	}
-	if e.OwnerID, rest, err = cutString(rest); err != nil {
-		return ErrorPayload{}, fmt.Errorf("wire: error payload owner id: %w", err)
-	}
-	if e.OwnerAddr, rest, err = cutString(rest); err != nil {
-		return ErrorPayload{}, fmt.Errorf("wire: error payload owner addr: %w", err)
+	for range 2 {
+		if _, rest, err = cutString(rest); err != nil {
+			return ErrorPayload{}, fmt.Errorf("wire: error payload reserved string: %w", err)
+		}
 	}
 	if len(rest) != 0 {
 		return ErrorPayload{}, fmt.Errorf("wire: error payload: %d trailing bytes: %w", len(rest), ErrShortPayload)

@@ -25,17 +25,22 @@ func readChecked(t testing.TB, data []byte) (Frame, *[]byte, error) {
 	return fr, bp, err
 }
 
+// v8NotOwner is an error payload as a protocol-8 node sent NOT_OWNER: code
+// 4, a message, and the owner's id and address in the two strings that are
+// now reserved.
+var v8NotOwner = []byte{4, 0, 5, 'm', 'o', 'v', 'e', 'd', 0, 2, 'n', '2', 0, 3, 'a', ':', '1'}
+
 // FuzzDecodeFrame feeds arbitrary bytes to the frame reader and to every
 // payload decoder production calls. Nothing may panic; a frame or payload
 // that decodes must re-encode to the bytes it was decoded from (the codec
 // is its own round-trip oracle).
 func FuzzDecodeFrame(f *testing.F) {
-	f.Add(frameBytes(f, Frame{Type: TypeLookup, ID: 7, Payload: AppendFP(nil, fingerprint.FromWords(0x0102<<48, 0, 0))}))
+	f.Add(frameBytes(f, Frame{Type: TypeLookup, ID: 7, Stream: 2, Payload: appendBatch(nil, []PairPayload{{FP: fingerprint.FromWords(0x0102<<48, 0, 0)}})}))
 	f.Add(frameBytes(f, Frame{Type: TypeBatch, ID: 9, Timeout: time.Second, Payload: appendBatch(nil, []PairPayload{{Val: 3}})}))
 	f.Add(frameBytes(f, Frame{Type: TypeWindowUpdate, ID: 3, Stream: 12, Payload: AppendWindowUpdate(nil, 4096)}))
 	f.Add(AppendStats(nil, "node", []metrics.Field{{Name: "lookups", Bits: 1}}))
 	f.Add(appendBatchResult(nil, []ResultPayload{{Exists: true, Source: 2, Val: 5}, {}}))
-	f.Add(AppendError(nil, ErrorPayload{Code: CodeNotOwner, Msg: "moved", OwnerID: "n2", OwnerAddr: "127.0.0.1:9"}))
+	f.Add(AppendError(nil, ErrorPayload{Code: CodeBadRequest, Msg: "rpc: unsupported request type type(2)"}))
 	f.Add([]byte{0, 0, 0, 2, 1})    // length shorter than header
 	f.Add([]byte{0xff, 0xff, 0xff}) // truncated length prefix
 
@@ -74,17 +79,6 @@ func FuzzDecodeFrame(f *testing.F) {
 				}
 			}
 		}
-		if r, err := DecodeResult(data); err == nil {
-			if r2, err := DecodeResult(AppendResult(nil, r)); err != nil || r2 != r {
-				t.Fatalf("result round trip: %+v -> %+v, %v", r, r2, err)
-			}
-		}
-		if p, err := DecodePair(data); err == nil && !bytes.Equal(AppendPair(nil, p), data) {
-			t.Fatalf("pair re-encodes to %x, was %x", AppendPair(nil, p), data)
-		}
-		if fp, err := DecodeFP(data); err == nil && !bytes.Equal(AppendFP(nil, fp), data) {
-			t.Fatalf("fingerprint re-encodes to %x, was %x", AppendFP(nil, fp), data)
-		}
 		if id, fs, err := DecodeStats(data); err == nil && !bytes.Equal(AppendStats(nil, id, fs), data) {
 			t.Fatalf("stats re-encode differs from the %d bytes decoded", len(data))
 		}
@@ -94,10 +88,13 @@ func FuzzDecodeFrame(f *testing.F) {
 
 // fuzzControl is the shared body of the control-payload checks: coded
 // errors, window updates, the hello. Whatever decodes re-encodes to the
-// same bytes.
+// same bytes — except an error's reserved strings, which decode to nothing
+// and re-encode empty, so an error compares as the value it decoded to.
 func fuzzControl(t *testing.T, data []byte) {
-	if e, err := DecodeErrorPayload(data); err == nil && !bytes.Equal(AppendError(nil, e), data) {
-		t.Fatalf("error payload re-encodes to %x, was %x", AppendError(nil, e), data)
+	if e, err := DecodeErrorPayload(data); err == nil {
+		if e2, err := DecodeErrorPayload(AppendError(nil, e)); err != nil || e2 != e {
+			t.Fatalf("error payload round trip: %+v -> %+v, %v", e, e2, err)
+		}
 	}
 	if n, err := DecodeWindowUpdate(data); err == nil && !bytes.Equal(AppendWindowUpdate(nil, n), data) {
 		t.Fatalf("window update re-encodes to %x, was %x", AppendWindowUpdate(nil, n), data)
@@ -111,7 +108,7 @@ func fuzzControl(t *testing.T, data []byte) {
 // window updates, the hello. None may panic on arbitrary bytes; anything
 // that decodes must survive a re-encode unchanged.
 func FuzzMuxControl(f *testing.F) {
-	f.Add(AppendError(nil, ErrorPayload{Code: CodeNotOwner, Msg: "moved", OwnerID: "n2", OwnerAddr: "127.0.0.1:9"}))
+	f.Add(v8NotOwner)
 	f.Add(AppendError(nil, ErrorPayload{Code: CodeDeadline, Msg: "context deadline exceeded"}))
 	f.Add(AppendError(nil, ErrorPayload{Code: CodeVersionMismatch, Msg: "peer offers protocol 6"}))
 	f.Add(AppendWindowUpdate(nil, 1<<18))
@@ -165,7 +162,7 @@ func FuzzStatsRoundTrip(f *testing.F) {
 // table of hostile inputs the codec must reject with an error — never a
 // panic, never a garbage frame.
 func TestMalformedFrames(t *testing.T) {
-	good := frameBytes(t, Frame{Type: TypeLookup, ID: 1, Payload: AppendFP(nil, fingerprint.FromWords(9<<56, 0, 0))})
+	good := frameBytes(t, Frame{Type: TypeLookup, ID: 1, Payload: appendBatch(nil, []PairPayload{{FP: fingerprint.FromWords(9<<56, 0, 0)}})})
 
 	cases := []struct {
 		name string
@@ -189,12 +186,25 @@ func TestMalformedFrames(t *testing.T) {
 		})
 	}
 
-	notOwner := AppendError(nil, ErrorPayload{Code: CodeNotOwner, OwnerID: "n2", OwnerAddr: "a:1"})
 	stats := AppendStats(nil, "n", []metrics.Field{{Name: "lookups", Bits: 1}, {Name: "cache.hits", Bits: 2}, {Name: "bloom_false"}})
 	decodeError := func(b []byte) error { _, err := DecodeErrorPayload(b); return err }
 	decodeStats := func(b []byte) error { _, _, err := DecodeStats(b); return err }
 	decodeHello := func(b []byte) error { _, _, err := DecodeHello(b); return err }
 	batchCount := func(b []byte) error { _, err := BatchCount(b); return err }
+	batchResultCount := func(b []byte) error { _, err := BatchResultCount(b); return err }
+	// frameBatch reads a whole frame and checks its pair batch, which is
+	// what the server does first for every data verb.
+	frameBatch := func(b []byte) error {
+		f, bp, err := readChecked(t, b)
+		if err != nil {
+			return err
+		}
+		defer PutBuf(bp)
+		_, err = BatchCount(f.Payload)
+		return err
+	}
+	countLies := append([]byte{0, 0, 0, 9}, make([]byte, pairSize)...)
+	onePair := appendBatch(nil, []PairPayload{{FP: fingerprint.FromUint64(1), Val: 2}})
 	payloadCases := []struct {
 		name   string
 		decode func([]byte) error
@@ -202,13 +212,15 @@ func TestMalformedFrames(t *testing.T) {
 	}{
 		{"hello wrong size", decodeHello, []byte{1, 2, 3}},
 		{"hello wrong length (4 bytes)", decodeHello, []byte{0, 0, 0, ProtocolVersion}},
-		{"pair short", func(b []byte) error { _, err := DecodePair(b); return err }, make([]byte, pairSize-1)},
-		{"fp long", func(b []byte) error { _, err := DecodeFP(b); return err }, make([]byte, 21)},
-		{"batch count lies", batchCount, append([]byte{0, 0, 0, 9}, make([]byte, pairSize)...)},
+		{"pair short", batchCount, onePair[:len(onePair)-1]},
+		// A batch of one whose fingerprint is a byte too long.
+		{"fp long", batchCount, append(onePair[:4+fingerprint.Size:4+fingerprint.Size], append([]byte{0}, onePair[4+fingerprint.Size:]...)...)},
+		{"batch count lies", batchCount, countLies},
+		{"lookup count lies", frameBatch, frameBytes(t, Frame{Type: TypeLookup, ID: 2, Payload: countLies})},
+		{"insert count lies", frameBatch, frameBytes(t, Frame{Type: TypeInsert, ID: 3, Payload: countLies})},
 		{"batch missing count", batchCount, []byte{1}},
-		{"result short", func(b []byte) error { _, err := DecodeResult(b); return err }, make([]byte, resultSize-1)},
-		{"batch result count lies", func(b []byte) error { _, err := BatchResultCount(b); return err },
-			append([]byte{0, 0, 0, 2}, make([]byte, resultSize)...)},
+		{"result short", batchResultCount, appendBatchResult(nil, []ResultPayload{{Exists: true}})[:4+resultSize-1]},
+		{"batch result count lies", batchResultCount, append([]byte{0, 0, 0, 2}, make([]byte, resultSize)...)},
 		{"stats id length lies", decodeStats, []byte{0xff, 0xff, 1, 2, 3}},
 		{"stats truncated counters", decodeStats, stats[:40]},
 		// A count no payload of this size could hold, refused before the
@@ -219,7 +231,8 @@ func TestMalformedFrames(t *testing.T) {
 		{"stats trailing bytes", decodeStats, append(stats[:len(stats):len(stats)], 0)},
 		{"error length lies", decodeError, []byte{byte(CodeInternal), 0, 10, 'h', 'i'}},
 		{"window update short", func(b []byte) error { _, err := DecodeWindowUpdate(b); return err }, []byte{1, 2, 3}},
-		{"coded error truncated owner", decodeError, notOwner[:len(notOwner)-2]},
+		{"coded error truncated reserved string", decodeError, v8NotOwner[:len(v8NotOwner)-2]},
+		{"coded error without reserved strings", decodeError, []byte{byte(CodeVersionMismatch), 0, 1, 'x'}},
 		{"coded error trailing bytes", decodeError, append(AppendError(nil, ErrorPayload{Code: CodeInternal, Msg: "x"}), 0)},
 		// The version-6 coded layout: 0xFFFF, code, then the strings.
 		{"error payload with the old 0xFFFF sentinel", decodeError,

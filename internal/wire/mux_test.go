@@ -32,7 +32,7 @@ func TestMuxFrameV5RoundTripCarriesStream(t *testing.T) {
 func TestMuxFrameWriterV5(t *testing.T) {
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)
-	in := Frame{Type: TypeResult, ID: 3, Stream: 11, Payload: []byte{9, 8}}
+	in := Frame{Type: TypeBatchResult, ID: 3, Stream: 11, Payload: []byte{9, 8}}
 	if err := fw.WriteFrame(in); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
@@ -57,8 +57,11 @@ func TestMuxWindowUpdateRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRedirectErrorCodeRoundTrip(t *testing.T) {
-	in := ErrorPayload{Code: CodeNotOwner, Msg: "key moved", OwnerID: "node-b", OwnerAddr: "10.0.0.2:7000"}
+// TestErrorCodeRoundTrip: a coded error round-trips, and the numbers
+// protocol 8 used for its single-key verbs and NOT_OWNER are free: they
+// print as unknown, so no table row or decoder can take them back.
+func TestErrorCodeRoundTrip(t *testing.T) {
+	in := ErrorPayload{Code: CodeVersionMismatch, Msg: "peer offers protocol 8"}
 	out, err := DecodeErrorPayload(AppendError(nil, in))
 	if err != nil {
 		t.Fatalf("DecodeErrorPayload: %v", err)
@@ -66,8 +69,13 @@ func TestRedirectErrorCodeRoundTrip(t *testing.T) {
 	if out != in {
 		t.Fatalf("round trip = %+v, want %+v", out, in)
 	}
-	if got := CodeNotOwner.String(); got != "NOT_OWNER" {
-		t.Fatalf("CodeNotOwner.String() = %q", got)
+	if got := Code(4).String(); got != "code(4)" {
+		t.Fatalf("Code(4).String() = %q, want code(4)", got)
+	}
+	for _, ty := range []Type{2, 7} {
+		if got, want := ty.String(), fmt.Sprintf("type(%d)", ty); got != want {
+			t.Fatalf("Type(%d).String() = %q, want %q", ty, got, want)
+		}
 	}
 }
 
@@ -143,7 +151,7 @@ func TestMuxCreditStallIsolation(t *testing.T) {
 	// (40-60 = -20); the third must stall.
 	for i := uint64(0); i < 3; i++ {
 		bp := payload()
-		if err := m.Enqueue(Frame{Type: TypeResult, ID: i, Stream: 1, Payload: *bp}, bp, nil); err != nil {
+		if err := m.Enqueue(Frame{Type: TypeBatchResult, ID: i, Stream: 1, Payload: *bp}, bp, nil); err != nil {
 			t.Fatalf("enqueue stream 1: %v", err)
 		}
 	}
@@ -151,7 +159,7 @@ func TestMuxCreditStallIsolation(t *testing.T) {
 	for i := uint64(10); i < 13; i++ {
 		bp := GetBuf(8)
 		*bp = (*bp)[:8]
-		if err := m.Enqueue(Frame{Type: TypeResult, ID: i, Stream: 2, Payload: *bp}, bp, nil); err != nil {
+		if err := m.Enqueue(Frame{Type: TypeBatchResult, ID: i, Stream: 2, Payload: *bp}, bp, nil); err != nil {
 			t.Fatalf("enqueue stream 2: %v", err)
 		}
 	}
@@ -191,7 +199,7 @@ func TestMuxStreamOnFlushRunsAfterWrite(t *testing.T) {
 	done := make(chan struct{})
 	bp := GetBuf(4)
 	*bp = (*bp)[:4]
-	if err := m.Enqueue(Frame{Type: TypeResult, ID: 1, Stream: 3, Payload: *bp}, bp, func() { close(done) }); err != nil {
+	if err := m.Enqueue(Frame{Type: TypeBatchResult, ID: 1, Stream: 3, Payload: *bp}, bp, func() { close(done) }); err != nil {
 		t.Fatalf("enqueue: %v", err)
 	}
 	select {
@@ -212,12 +220,12 @@ func TestMuxStreamControlBypassesCredit(t *testing.T) {
 	defer m.Close()
 	big := GetBuf(64)
 	*big = (*big)[:64]
-	if err := m.Enqueue(Frame{Type: TypeResult, ID: 1, Stream: 1, Payload: *big}, big, nil); err != nil {
+	if err := m.Enqueue(Frame{Type: TypeBatchResult, ID: 1, Stream: 1, Payload: *big}, big, nil); err != nil {
 		t.Fatal(err)
 	}
 	blocked := GetBuf(64)
 	*blocked = (*blocked)[:64]
-	if err := m.Enqueue(Frame{Type: TypeResult, ID: 2, Stream: 1, Payload: *blocked}, blocked, nil); err != nil {
+	if err := m.Enqueue(Frame{Type: TypeBatchResult, ID: 2, Stream: 1, Payload: *blocked}, blocked, nil); err != nil {
 		t.Fatal(err)
 	}
 	wu := GetBuf(4)
@@ -262,7 +270,7 @@ func TestMuxStreamInterleavingStorm(t *testing.T) {
 				bp := GetBuf(n)
 				*bp = (*bp)[:n]
 				(*bp)[0] = byte(i) // sequence marker for order checking
-				f := Frame{Type: TypeResult, ID: uint64(i), Stream: stream, Payload: *bp}
+				f := Frame{Type: TypeBatchResult, ID: uint64(i), Stream: stream, Payload: *bp}
 				if err := m.Enqueue(f, bp, nil); err != nil {
 					t.Errorf("enqueue: %v", err)
 					return
@@ -328,14 +336,14 @@ func TestMuxStreamCloseReleasesQueued(t *testing.T) {
 	m := NewMuxWriter(io.Discard, 10)
 	big := GetBuf(64)
 	*big = (*big)[:64]
-	_ = m.Enqueue(Frame{Type: TypeResult, ID: 1, Stream: 1, Payload: *big}, big, nil)
+	_ = m.Enqueue(Frame{Type: TypeBatchResult, ID: 1, Stream: 1, Payload: *big}, big, nil)
 	blocked := GetBuf(64)
 	*blocked = (*blocked)[:64]
-	_ = m.Enqueue(Frame{Type: TypeResult, ID: 2, Stream: 1, Payload: *blocked}, blocked, nil)
+	_ = m.Enqueue(Frame{Type: TypeBatchResult, ID: 2, Stream: 1, Payload: *blocked}, blocked, nil)
 	m.Close()
 	bp := GetBuf(4)
 	*bp = (*bp)[:4]
-	if err := m.Enqueue(Frame{Type: TypeResult, ID: 3, Stream: 1, Payload: *bp}, bp, nil); err == nil {
+	if err := m.Enqueue(Frame{Type: TypeBatchResult, ID: 3, Stream: 1, Payload: *bp}, bp, nil); err == nil {
 		t.Fatal("enqueue after close succeeded")
 	}
 	if st := m.Stats(); st.BytesQueued != 0 || st.StreamsOpen != 0 {

@@ -36,81 +36,84 @@ import (
 // sides of a connection state it in the Hello/HelloAck exchange; a peer
 // that states another is refused with CodeVersionMismatch, never
 // negotiated down to.
-const ProtocolVersion = 8
+const ProtocolVersion = 9
 
 // Type identifies a frame's payload.
 type Type uint8
 
-// Request and response frame types.
+// Request and response frame types. The numbers are the wire's, written out
+// so that deleting a type can never renumber the ones after it: 2 and 7
+// (protocol 8's single-key lookup-or-insert and its result) are reserved and
+// never reused.
+//
+// Every data request — lookup, batch, insert, repair — carries the same
+// pair batch and is answered by a TypeBatchResult; the frame type alone
+// picks what the node does with each pair.
 const (
-	// TypeLookup asks whether a fingerprint exists (no insert).
-	TypeLookup Type = iota + 1
-	// TypeLookupOrInsert runs the Figure 4 flow for one fingerprint.
-	TypeLookupOrInsert
-	// TypeBatch runs the flow for a batch of fingerprints.
-	TypeBatch
-	// TypeInsert unconditionally records a fingerprint.
-	TypeInsert
+	// TypeLookup answers whether each pair's fingerprint is stored, without
+	// inserting; the pairs' values are ignored.
+	TypeLookup Type = 1
+	// TypeBatch runs the Figure 4 flow for each pair: lookup, and insert
+	// the pair's value if the fingerprint is new.
+	TypeBatch Type = 3
+	// TypeInsert unconditionally records each pair, overwriting; its
+	// answers are all zero.
+	TypeInsert Type = 4
 	// TypeStats requests node statistics.
-	TypeStats
+	TypeStats Type = 5
 	// TypePing checks liveness.
-	TypePing
+	TypePing Type = 6
 
-	// TypeResult answers TypeLookup / TypeLookupOrInsert / TypeInsert.
-	TypeResult
-	// TypeBatchResult answers TypeBatch / TypeRepair.
-	TypeBatchResult
+	// TypeBatchResult answers every data request: one answer per pair, in
+	// order.
+	TypeBatchResult Type = 8
 	// TypeStatsResult answers TypeStats.
-	TypeStatsResult
+	TypeStatsResult Type = 9
 	// TypePong answers TypePing.
-	TypePong
+	TypePong Type = 10
 	// TypeError reports a server-side failure for the echoed request id.
-	TypeError
+	TypeError Type = 11
 
 	// TypeHello is the first frame of every connection: the client's
 	// protocol version and per-stream send window.
-	TypeHello
+	TypeHello Type = 12
 	// TypeHelloAck answers TypeHello with the server's version and window.
-	TypeHelloAck
+	TypeHelloAck Type = 13
 	// TypeCancel abandons the in-flight request whose id it echoes. It has
 	// no response frame: the cancelled request itself answers with an
 	// error, or with its result if it won the race.
-	TypeCancel
+	TypeCancel Type = 14
 
-	// TypeRepair carries a replication backfill batch. The payload is the
-	// same pair batch as TypeBatch and the answer is a TypeBatchResult,
-	// but the verb marks the traffic as repair — the receiving node
-	// applies it with lookup-or-insert semantics (existing entries keep
-	// their stored value) and accounts it in the replication stats block
-	// rather than the foreground counters.
-	TypeRepair
+	// TypeRepair carries a replication backfill batch with TypeBatch's
+	// semantics (existing entries keep their stored value); the verb marks
+	// the traffic as repair, so the receiving node accounts it in the
+	// replication stats block rather than the foreground counters.
+	TypeRepair Type = 15
 
 	// TypeWindowUpdate grants flow-control credit: the header's stream
 	// field names the stream and the payload carries the number of bytes
 	// the receiver has consumed and returns to the sender's window.
 	// Control traffic — never itself credit-charged.
-	TypeWindowUpdate
+	TypeWindowUpdate Type = 16
 )
 
 // typeNames is what Type.String prints, and the "Name" column of the
 // message table in docs/PROTOCOL.md.
 var typeNames = [...]string{
-	TypeLookup:         "lookup",
-	TypeLookupOrInsert: "lookup-or-insert",
-	TypeBatch:          "batch",
-	TypeInsert:         "insert",
-	TypeStats:          "stats",
-	TypePing:           "ping",
-	TypeResult:         "result",
-	TypeBatchResult:    "batch-result",
-	TypeStatsResult:    "stats-result",
-	TypePong:           "pong",
-	TypeError:          "error",
-	TypeHello:          "hello",
-	TypeHelloAck:       "hello-ack",
-	TypeCancel:         "cancel",
-	TypeRepair:         "repair",
-	TypeWindowUpdate:   "window-update",
+	TypeLookup:       "lookup",
+	TypeBatch:        "batch",
+	TypeInsert:       "insert",
+	TypeStats:        "stats",
+	TypePing:         "ping",
+	TypeBatchResult:  "batch-result",
+	TypeStatsResult:  "stats-result",
+	TypePong:         "pong",
+	TypeError:        "error",
+	TypeHello:        "hello",
+	TypeHelloAck:     "hello-ack",
+	TypeCancel:       "cancel",
+	TypeRepair:       "repair",
+	TypeWindowUpdate: "window-update",
 }
 
 func (t Type) String() string {
@@ -229,40 +232,20 @@ func DecodeHello(b []byte) (version int, window uint32, err error) {
 	return int(binary.BigEndian.Uint32(b)), binary.BigEndian.Uint32(b[4:]), nil
 }
 
-// AppendFP appends a bare fingerprint payload (TypeLookup) to dst.
-func AppendFP(dst []byte, fp fingerprint.Fingerprint) []byte {
-	return fp.Append(dst)
-}
-
-// DecodeFP decodes a bare fingerprint payload.
-func DecodeFP(b []byte) (fingerprint.Fingerprint, error) {
-	if len(b) != fingerprint.Size {
-		return fingerprint.Zero, fmt.Errorf("wire: fingerprint payload: want %d bytes, got %d: %w", fingerprint.Size, len(b), ErrShortPayload)
-	}
-	return fingerprint.FromBytes(b), nil
-}
-
 // PairPayload holds one fingerprint plus the value to assign on insert.
 type PairPayload struct {
 	FP  fingerprint.Fingerprint
 	Val uint64
 }
 
-// AppendPair appends a fingerprint+value payload to dst. A TypeBatch /
-// TypeRepair payload is a uint32 count followed by that many pairs.
+// AppendPair appends one fingerprint+value pair to dst. The payload of
+// every data request (TypeLookup, TypeBatch, TypeInsert, TypeRepair) is a
+// uint32 count followed by that many pairs.
 func AppendPair(dst []byte, p PairPayload) []byte {
 	return binary.BigEndian.AppendUint64(p.FP.Append(dst), p.Val)
 }
 
-// DecodePair decodes a single fingerprint+value payload.
-func DecodePair(b []byte) (PairPayload, error) {
-	if len(b) != pairSize {
-		return PairPayload{}, fmt.Errorf("wire: pair payload: want %d bytes, got %d: %w", pairSize, len(b), ErrShortPayload)
-	}
-	return PairPayload{FP: fingerprint.FromBytes(b), Val: binary.BigEndian.Uint64(b[fingerprint.Size:])}, nil
-}
-
-// BatchCount checks a TypeBatch/TypeRepair payload's framing and returns how
+// BatchCount checks a data request's pair batch framing and returns how
 // many pairs it holds. With PairAt it lets a caller decode straight into its
 // own pair type, without a []PairPayload in between.
 func BatchCount(b []byte) (int, error) {
@@ -290,8 +273,8 @@ type ResultPayload struct {
 	Val    uint64
 }
 
-// AppendResult appends a single lookup answer (TypeResult) to dst. A
-// TypeBatchResult payload is a uint32 count followed by that many answers.
+// AppendResult appends one answer to dst. A TypeBatchResult payload is a
+// uint32 count followed by that many answers.
 func AppendResult(dst []byte, r ResultPayload) []byte {
 	var exists byte
 	if r.Exists {
@@ -299,22 +282,6 @@ func AppendResult(dst []byte, r ResultPayload) []byte {
 	}
 	dst = append(dst, exists, r.Source)
 	return binary.BigEndian.AppendUint64(dst, r.Val)
-}
-
-func decodeResultFrom(buf []byte) ResultPayload {
-	return ResultPayload{
-		Exists: buf[0] == 1,
-		Source: buf[1],
-		Val:    binary.BigEndian.Uint64(buf[2:10]),
-	}
-}
-
-// DecodeResult decodes a single lookup answer.
-func DecodeResult(b []byte) (ResultPayload, error) {
-	if len(b) != resultSize {
-		return ResultPayload{}, fmt.Errorf("wire: result payload: want %d bytes, got %d: %w", resultSize, len(b), ErrShortPayload)
-	}
-	return decodeResultFrom(b), nil
 }
 
 // BatchResultCount checks a TypeBatchResult payload's framing and returns
@@ -333,8 +300,8 @@ func BatchResultCount(b []byte) (int, error) {
 
 // ResultAt decodes answer i of a payload BatchResultCount accepted.
 func ResultAt(b []byte, i int) ResultPayload {
-	off := 4 + i*resultSize
-	return decodeResultFrom(b[off : off+resultSize])
+	b = b[4+i*resultSize:][:resultSize]
+	return ResultPayload{Exists: b[0] == 1, Source: b[1], Val: binary.BigEndian.Uint64(b[2:])}
 }
 
 // AppendWindowUpdate appends a WINDOW_UPDATE payload to dst: the number of

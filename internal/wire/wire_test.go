@@ -91,7 +91,7 @@ func TestFrameEmptyPayload(t *testing.T) {
 func TestFramePipelining(t *testing.T) {
 	var buf bytes.Buffer
 	for i := uint64(0); i < 10; i++ {
-		writeFrame(&buf, Frame{Type: TypeLookup, ID: i, Payload: AppendFP(nil, fingerprint.FromUint64(i))})
+		writeFrame(&buf, Frame{Type: TypeLookup, ID: i, Payload: appendBatch(nil, []PairPayload{{FP: fingerprint.FromUint64(i)}})})
 	}
 	for i := uint64(0); i < 10; i++ {
 		f, err := readFrame(&buf)
@@ -136,28 +136,33 @@ func TestFrameTruncatedBody(t *testing.T) {
 	}
 }
 
+// TestPairRoundTrip: a single-key call travels as a batch of one pair, and
+// a batch of one a byte short of its pair is refused.
 func TestPairRoundTrip(t *testing.T) {
 	in := PairPayload{FP: fingerprint.FromUint64(5), Val: 12345}
-	out, err := DecodePair(AppendPair(nil, in))
-	if err != nil {
-		t.Fatalf("DecodePair: %v", err)
+	b := appendBatch(nil, []PairPayload{in})
+	if n, err := BatchCount(b); err != nil || n != 1 {
+		t.Fatalf("BatchCount = %d, %v; want 1", n, err)
 	}
-	if out != in {
+	if out := PairAt(b, 0); out != in {
 		t.Fatalf("pair mismatch: %+v vs %+v", out, in)
 	}
-	if _, err := DecodePair([]byte("short")); err == nil {
-		t.Fatal("DecodePair(short) succeeded")
+	if _, err := BatchCount(b[:len(b)-1]); !errors.Is(err, ErrShortPayload) {
+		t.Fatalf("BatchCount(short pair) = %v, want ErrShortPayload", err)
 	}
 }
 
+// TestFPRoundTrip: every fingerprint, the all-zero and all-ones ones
+// included, comes back from a pair as it went in.
 func TestFPRoundTrip(t *testing.T) {
-	fp := fingerprint.FromUint64(9)
-	out, err := DecodeFP(AppendFP(nil, fp))
-	if err != nil || out != fp {
-		t.Fatalf("fp round trip = (%v, %v)", out, err)
+	var ones [fingerprint.Size]byte
+	for i := range ones {
+		ones[i] = 0xff
 	}
-	if _, err := DecodeFP(nil); err == nil {
-		t.Fatal("DecodeFP(nil) succeeded")
+	for _, fp := range []fingerprint.Fingerprint{fingerprint.Zero, fingerprint.FromBytes(ones[:]), fingerprint.FromUint64(9)} {
+		if out := PairAt(appendBatch(nil, []PairPayload{{FP: fp}}), 0).FP; out != fp {
+			t.Fatalf("fp round trip = %v, want %v", out, fp)
+		}
 	}
 }
 
@@ -195,19 +200,24 @@ func TestBatchEmptyAndErrors(t *testing.T) {
 	}
 }
 
+// TestResultRoundTrip: a single-key call's answer is a batch-result of
+// one, and one a byte short of its answer is refused.
 func TestResultRoundTrip(t *testing.T) {
 	tests := []ResultPayload{
 		{Exists: true, Source: 1, Val: 77},
 		{Exists: false, Source: 4, Val: 0},
 	}
 	for _, in := range tests {
-		out, err := DecodeResult(AppendResult(nil, in))
-		if err != nil || out != in {
-			t.Fatalf("result round trip: %+v vs %+v (%v)", out, in, err)
+		b := appendBatchResult(nil, []ResultPayload{in})
+		if n, err := BatchResultCount(b); err != nil || n != 1 {
+			t.Fatalf("BatchResultCount = %d, %v; want 1", n, err)
 		}
-	}
-	if _, err := DecodeResult([]byte{1}); err == nil {
-		t.Fatal("DecodeResult(short) succeeded")
+		if out := ResultAt(b, 0); out != in {
+			t.Fatalf("result round trip: %+v vs %+v", out, in)
+		}
+		if _, err := BatchResultCount(b[:len(b)-1]); !errors.Is(err, ErrShortPayload) {
+			t.Fatalf("BatchResultCount(short answer) = %v, want ErrShortPayload", err)
+		}
 	}
 }
 
@@ -381,23 +391,29 @@ func TestGoldenBatchFrame(t *testing.T) {
 	}
 }
 
-// TestGoldenHandshake pins the bytes that open every connection. This is
-// the one exchange a future protocol version must keep byte-compatible:
-// it is how a peer on another version learns that it is one, instead of
-// misparsing what follows.
+// TestGoldenHandshake pins the bytes that open every connection, and the
+// refusal that may answer them. This is the one exchange a future protocol
+// version must keep byte-compatible: it is how a peer on another version
+// learns that it is one, instead of misparsing what follows.
 func TestGoldenHandshake(t *testing.T) {
 	const (
 		// length 29 = 21-byte header + 8-byte payload | type 12 (hello) |
-		// id 5 | timeout 0 | stream 0 | version 8 | window 256 KiB
+		// id 5 | timeout 0 | stream 0 | version 9 | window 256 KiB
 		hello = "\x00\x00\x00\x1d" + "\x0c" + "\x00\x00\x00\x00\x00\x00\x00\x05" +
 			"\x00\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00" +
-			"\x00\x00\x00\x08" + "\x00\x04\x00\x00"
+			"\x00\x00\x00\x09" + "\x00\x04\x00\x00"
 		// the same with type 13 (hello-ack) and a 128 KiB window
 		helloAck = "\x00\x00\x00\x1d" + "\x0d" + "\x00\x00\x00\x00\x00\x00\x00\x05" +
 			"\x00\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00" +
-			"\x00\x00\x00\x08" + "\x00\x02\x00\x00"
+			"\x00\x00\x00\x09" + "\x00\x02\x00\x00"
+		// length 30 = 21 + 9 | type 11 (error) | id 5 | timeout 0 |
+		// stream 0 | code 5 (VERSION_MISMATCH) | message "no" | two empty
+		// strings, without which a protocol-8 peer cannot decode it
+		refusal = "\x00\x00\x00\x1e" + "\x0b" + "\x00\x00\x00\x00\x00\x00\x00\x05" +
+			"\x00\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00" +
+			"\x05" + "\x00\x02no" + "\x00\x00" + "\x00\x00"
 	)
-	if ProtocolVersion != 8 {
+	if ProtocolVersion != 9 {
 		t.Fatalf("ProtocolVersion = %d: re-pin the golden bytes, and keep their framing", ProtocolVersion)
 	}
 	got := frameBytes(t, Frame{Type: TypeHello, ID: 5, Payload: AppendHello(nil, ProtocolVersion, DefaultWindow)})
@@ -412,7 +428,18 @@ func TestGoldenHandshake(t *testing.T) {
 	if err != nil || f.Type != TypeHelloAck || f.ID != 5 {
 		t.Fatalf("golden hello-ack reads back as %+v, %v", f, err)
 	}
-	if v, win, err := DecodeHello(f.Payload); err != nil || v != 8 || win != 128<<10 {
-		t.Fatalf("golden hello-ack payload = (%d, %d, %v), want (8, 131072, nil)", v, win, err)
+	if v, win, err := DecodeHello(f.Payload); err != nil || v != 9 || win != 128<<10 {
+		t.Fatalf("golden hello-ack payload = (%d, %d, %v), want (9, 131072, nil)", v, win, err)
+	}
+	got = frameBytes(t, Frame{Type: TypeError, ID: 5, Payload: AppendError(nil, ErrorPayload{Code: CodeVersionMismatch, Msg: "no"})})
+	if string(got) != refusal {
+		t.Fatalf("VERSION_MISMATCH frame = %x, want %x", got, refusal)
+	}
+	f, err = readFrame(bytes.NewReader([]byte(refusal)))
+	if err != nil || f.Type != TypeError || f.ID != 5 {
+		t.Fatalf("golden refusal reads back as %+v, %v", f, err)
+	}
+	if e, err := DecodeErrorPayload(f.Payload); err != nil || e != (ErrorPayload{Code: CodeVersionMismatch, Msg: "no"}) {
+		t.Fatalf("golden refusal payload = (%+v, %v), want VERSION_MISMATCH \"no\"", e, err)
 	}
 }
