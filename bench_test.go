@@ -1,9 +1,9 @@
-// Benchmarks regenerating the paper's evaluation. One benchmark family per
-// table/figure, plus the design-choice ablations from DESIGN.md §3.
+// Benchmarks regenerating the paper's evaluation, one benchmark family per
+// table/figure, and the front tier's request path (BenchmarkPlanPath).
 //
 //	go test -bench=. -benchmem
 //
-// Shape expectations (see EXPERIMENTS.md for measured numbers):
+// Shape expectations:
 //   - Figure1: execution time decreases with cluster size at saturating
 //     rates and converges to the arrival window below saturation.
 //   - Table1: measured redundancy/distance match the paper's trace stats.
@@ -134,102 +134,6 @@ func BenchmarkFigure6(b *testing.B) {
 		}
 	}
 	b.ReportMetric(worst*100, "worst_dev_pct")
-}
-
-// BenchmarkAblationBatchSweep sweeps batch sizes on a 4-node TCP cluster
-// (the latency/throughput tradeoff of paper §V).
-func BenchmarkAblationBatchSweep(b *testing.B) {
-	for _, batch := range []int{1, 32, 512} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			fingerprints := 20000
-			if batch == 1 {
-				fingerprints = 4000
-			}
-			var throughput float64
-			for i := 0; i < b.N; i++ {
-				points, err := bench.RunBatchSweep(4, fingerprints, 128, []int{batch})
-				if err != nil {
-					b.Fatal(err)
-				}
-				throughput = points[0].Throughput
-			}
-			b.ReportMetric(throughput, "chunks/s")
-		})
-	}
-}
-
-// BenchmarkAblationCacheSize sweeps the RAM LRU size on the Mail Server
-// workload (85% redundant: the cache's best case).
-func BenchmarkAblationCacheSize(b *testing.B) {
-	for _, size := range []int{1 << 8, 1 << 12, 1 << 16} {
-		b.Run(fmt.Sprintf("cache=%d", size), func(b *testing.B) {
-			var hitRate float64
-			for i := 0; i < b.N; i++ {
-				points, err := bench.RunCacheSweep(128, []int{size})
-				if err != nil {
-					b.Fatal(err)
-				}
-				hitRate = points[0].HitRate
-			}
-			b.ReportMetric(hitRate*100, "hit_pct")
-		})
-	}
-}
-
-// BenchmarkAblationBloom compares SSD reads with the Bloom filter on and
-// off on the Web Server workload (82% unique: the filter's best case).
-func BenchmarkAblationBloom(b *testing.B) {
-	for _, enabled := range []bool{true, false} {
-		b.Run(fmt.Sprintf("bloom=%v", enabled), func(b *testing.B) {
-			var reads int64
-			for i := 0; i < b.N; i++ {
-				points, err := bench.RunBloomAblation(128)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, p := range points {
-					if p.Bloom == enabled {
-						reads = p.SSDReads
-					}
-				}
-			}
-			b.ReportMetric(float64(reads), "ssd_reads")
-		})
-	}
-}
-
-// BenchmarkAblationBackends compares index designs (SHHC hybrid,
-// ChunkStash-like, HDD index, RAM-only) by modeled device time on the Home
-// Dir workload.
-func BenchmarkAblationBackends(b *testing.B) {
-	var results []bench.BackendPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		results, err = bench.RunBackendComparison(128)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, p := range results {
-		b.ReportMetric(float64(p.DeviceBusy.Milliseconds()), p.Kind.String()+"_busy_ms")
-	}
-}
-
-// BenchmarkAblationVNodes measures ring balance vs virtual-node count.
-func BenchmarkAblationVNodes(b *testing.B) {
-	for _, vn := range []int{1, 16, 128} {
-		b.Run(fmt.Sprintf("vnodes=%d", vn), func(b *testing.B) {
-			var spread float64
-			for i := 0; i < b.N; i++ {
-				points, err := bench.RunVNodeSweep(100000, []int{vn})
-				if err != nil {
-					b.Fatal(err)
-				}
-				spread = points[0].EntrySpread
-			}
-			b.ReportMetric(spread, "entries_max_over_min")
-		})
-	}
 }
 
 // BenchmarkPlanPath drives the front tier's whole request path in process:

@@ -1,6 +1,8 @@
 package shhc
 
 import (
+	"go/scanner"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -65,6 +67,88 @@ func TestCIPatternsMatchTests(t *testing.T) {
 	}
 	if patterns == 0 {
 		t.Fatal("found no -run or -fuzz pattern in ci.yml")
+	}
+}
+
+// TestDocReferencesResolve holds the prose to the tree: every *.md a Go
+// comment names, and every relative link in a Markdown file, must name a
+// file that exists. A name in a Go comment resolves against the file's own
+// directory or the repository root; a Markdown link resolves against its
+// file's directory, as a renderer reads it.
+func TestDocReferencesResolve(t *testing.T) {
+	var (
+		url    = regexp.MustCompile(`[a-z]+://\S+`)
+		mdName = regexp.MustCompile(`[\w./-]*\w\.md\b`)
+		mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
+	)
+	exists := func(path string) bool {
+		_, err := os.Stat(path)
+		return err == nil
+	}
+	checked := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && (d.Name() == ".git" || d.Name() == "testdata"):
+			return filepath.SkipDir
+		case d.IsDir():
+			return nil
+		}
+		ext := filepath.Ext(path)
+		if ext != ".go" && ext != ".md" {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		dir := filepath.Dir(path)
+		if ext == ".go" {
+			for _, c := range goComments(src) {
+				for _, name := range mdName.FindAllString(url.ReplaceAllString(c, ""), -1) {
+					checked++
+					if !exists(filepath.Join(dir, name)) && !exists(name) {
+						t.Errorf("%s: a comment names %s, which does not exist", path, name)
+					}
+				}
+			}
+			return nil
+		}
+		for _, m := range mdLink.FindAllStringSubmatch(string(src), -1) {
+			target, _, _ := strings.Cut(m[1], "#")
+			if target == "" || strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") {
+				continue
+			}
+			checked++
+			if !exists(filepath.Join(dir, target)) {
+				t.Errorf("%s: link to %s, which does not exist", path, m[1])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("found no document reference to check")
+	}
+}
+
+// goComments returns the text of every comment in a Go source file.
+func goComments(src []byte) []string {
+	fset := token.NewFileSet()
+	var s scanner.Scanner
+	s.Init(fset.AddFile("", fset.Base(), len(src)), src, nil, scanner.ScanComments)
+	var comments []string
+	for {
+		_, tok, lit := s.Scan()
+		switch tok {
+		case token.EOF:
+			return comments
+		case token.COMMENT:
+			comments = append(comments, lit)
+		}
 	}
 }
 

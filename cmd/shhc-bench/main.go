@@ -1,12 +1,11 @@
 // Command shhc-bench regenerates the paper's evaluation: Figure 1 (sim
 // sweep), Table I (workload stats), Figure 5 (cluster throughput), Figure 6
-// (load balance), and the design-choice ablations.
+// (load balance).
 //
 // Examples:
 //
 //	shhc-bench                     # full suite, paper-shaped parameters
 //	shhc-bench -run fig5 -scale 64 -fps 100000
-//	shhc-bench -run ablations
 package main
 
 import (
@@ -29,15 +28,11 @@ func main() {
 
 func run() error {
 	var (
-		runSel = flag.String("run", "all", "experiments: all|fig1|table1|fig5|fig6|ablations|recovery|transport (comma-separated)")
+		runSel = flag.String("run", "all", "experiments: all|fig1|table1|fig5|fig6 (comma-separated)")
 		scale  = flag.Int("scale", 64, "workload scale divisor for cluster experiments")
 		t1     = flag.Int("table1-scale", 16, "workload scale divisor for Table I stats")
 		fps    = flag.Int("fps", 100000, "fingerprints per Figure 5 cell")
 		outPth = flag.String("out", "", "also write the report to this file")
-		recOut = flag.String("recovery-out", "BENCH_recovery.json", "write the recovery benchmark results to this JSON file (empty disables)")
-		trOut  = flag.String("transport-out", "BENCH_transport.json", "write the mux transport benchmark results to this JSON file (empty disables)")
-		trCli  = flag.Int("transport-clients", 10000, "concurrent logical clients for the transport scale scenario")
-		trConn = flag.Int("transport-conns", 16, "TCP connections for the transport scale scenario (max 16)")
 	)
 	flag.Parse()
 
@@ -117,91 +112,6 @@ func run() error {
 		}
 		fmt.Fprint(out, bench.FormatFigure6(points))
 		fmt.Fprintf(out, "(%v)\n", time.Since(start).Round(time.Millisecond))
-	}
-
-	if want("ablations") {
-		section("Ablation: batch size sweep")
-		points, err := bench.RunBatchSweep(4, *fps/4, *scale, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, bench.FormatBatchSweep(points))
-
-		section("Ablation: LRU cache size")
-		cachePoints, err := bench.RunCacheSweep(*scale, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, bench.FormatCacheSweep(cachePoints))
-
-		section("Ablation: Bloom filter")
-		bloomPoints, err := bench.RunBloomAblation(*scale)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, bench.FormatBloomAblation(bloomPoints))
-
-		section("Ablation: index backends")
-		backendPoints, err := bench.RunBackendComparison(*scale)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, bench.FormatBackendComparison(backendPoints))
-
-		section("Ablation: dedup completeness vs sparse indexing")
-		compPoints, err := bench.RunCompleteness(*scale)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, bench.FormatCompleteness(compPoints))
-
-		section("Ablation: virtual nodes")
-		vnodePoints, err := bench.RunVNodeSweep(200000, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, bench.FormatVNodeSweep(vnodePoints))
-
-		section("Ablation: hot-path lock stripes")
-		stripePoints, err := bench.RunStripeSweep(0, 0, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, bench.FormatStripeSweep(stripePoints))
-	}
-
-	if want("transport") {
-		section("Transport: stream multiplexing, credit flow control, stall isolation")
-		start := time.Now()
-		report, err := bench.RunTransportBench(*trCli, *trConn, 0)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, bench.FormatTransportBench(report))
-		fmt.Fprintf(out, "(%v)\n", time.Since(start).Round(time.Millisecond))
-		if *trOut != "" {
-			if err := bench.EmitTransportReport(*trOut, report); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *trOut)
-		}
-	}
-
-	if want("recovery") {
-		section("Recovery: journal durability tax and reopen/replay cost")
-		start := time.Now()
-		recPoints, err := bench.RunRecoverySweep(0)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, bench.FormatRecoverySweep(recPoints))
-		fmt.Fprintf(out, "(%v)\n", time.Since(start).Round(time.Millisecond))
-		if *recOut != "" {
-			if err := bench.EmitRecoveryReport(*recOut, recPoints); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *recOut)
-		}
 	}
 
 	if file != nil {

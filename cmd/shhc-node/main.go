@@ -41,7 +41,6 @@ func run() error {
 		cache   = flag.Int("cache", 1<<16, "LRU cache capacity in entries")
 		model   = flag.String("device", "ssd", "modeled index device: ssd|hdd|ram|null")
 		sleep   = flag.Bool("sleep-device", false, "realize modeled device latency with real sleeps")
-		noBloom = flag.Bool("no-bloom", false, "disable the Bloom filter")
 		wb      = flag.Bool("write-back", false, "acknowledge inserts from RAM and destage them in group-commit waves ahead of eviction")
 		wbBatch = flag.Int("destage-batch", 0, "largest group-commit destage wave in entries (0 = half of -cache, at least 256)")
 		wbIval  = flag.Duration("destage-interval", 0, "longest a dirty entry waits before a destage wave fires (0 = default 2ms)")
@@ -129,7 +128,6 @@ func run() error {
 		ID:              ring.NodeID(*id),
 		Store:           store,
 		CacheSize:       *cache,
-		DisableBloom:    *noBloom,
 		WriteBack:       *wb,
 		DestageBatch:    *wbBatch,
 		DestageInterval: *wbIval,

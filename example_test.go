@@ -71,17 +71,16 @@ func ExampleCluster_LookupOrInsert() {
 // A lookup is a batch of one, and a deadline acts between device
 // operations: a read already issued completes (one lookup behind one slow
 // read returns its answer, late), the next is never issued. So the example
-// asks for 64 fingerprints over a modeled HDD with real sleeps — 64 seeks
-// of 6 ms, sixteen at a time — and gets context.DeadlineExceeded back after
-// the reads in flight, not after all 64. The same context would
-// also propagate over the wire to remote nodes.
+// stores 64 fingerprints, then asks for them again over a modeled HDD with
+// real sleeps — a 6 ms seek each, sixteen at a time — and gets
+// context.DeadlineExceeded back after the reads in flight, not after all 64.
+// The same context would also propagate over the wire to remote nodes.
 func ExampleCluster_Lookup_deadline() {
 	cluster, err := shhc.NewLocalCluster(shhc.ClusterOptions{
 		Nodes:        1,
 		DeviceModel:  "hdd",
 		SleepDevices: true, // modeled latency is real time.Sleep
-		CacheSize:    0,    // force every lookup to the slow device
-		DisableBloom: true,
+		CacheSize:    1,    // 0 would select the default; one entry sends reads to the device
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -91,6 +90,11 @@ func ExampleCluster_Lookup_deadline() {
 	pairs := make([]shhc.Pair, 64)
 	for i := range pairs {
 		pairs[i] = shhc.Pair{FP: shhc.FingerprintOf([]byte{byte(i)}), Val: shhc.Value(i)}
+	}
+	// Stored fingerprints pass the Bloom filter, so asking again reads the
+	// device.
+	if _, err := cluster.BatchLookupOrInsert(context.Background(), pairs); err != nil {
+		log.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()

@@ -1,7 +1,7 @@
-// Package bench is the experiment harness that regenerates every table and
-// figure in the paper's evaluation, plus the ablations DESIGN.md calls out.
-// cmd/shhc-bench drives it from the command line; the repository-root
-// benchmarks drive it from `go test -bench`.
+// Package bench is the experiment harness that regenerates the paper's
+// evaluation: Figure 1, Table I, Figure 5 and Figure 6. cmd/shhc-bench
+// drives it from the command line; the repository-root benchmarks drive it
+// from `go test -bench`.
 //
 // Absolute numbers depend on the host; the harness exists to reproduce the
 // *shape* of each result: which configuration wins, by roughly what factor,

@@ -138,30 +138,6 @@ func TestRunFigure5SimShape(t *testing.T) {
 	}
 }
 
-func TestRunCompleteness(t *testing.T) {
-	points, err := RunCompleteness(512)
-	if err != nil {
-		t.Fatalf("RunCompleteness: %v", err)
-	}
-	if len(points) != 4 {
-		t.Fatalf("got %d points, want 4", len(points))
-	}
-	for _, p := range points {
-		if p.SparseDups > p.ExactDups {
-			t.Fatalf("%s: sparse (%d) exceeds exact (%d)", p.Workload, p.SparseDups, p.ExactDups)
-		}
-		if p.ExactDups > 0 && p.SparseShare <= 0 {
-			t.Fatalf("%s: sparse found nothing", p.Workload)
-		}
-		if p.SparseRAMB >= p.ExactRAMB {
-			t.Fatalf("%s: sparse RAM %d not below exact %d", p.Workload, p.SparseRAMB, p.ExactRAMB)
-		}
-	}
-	if s := FormatCompleteness(points); !strings.Contains(s, "completeness") {
-		t.Fatalf("FormatCompleteness output malformed:\n%s", s)
-	}
-}
-
 func TestRunFigure6Balance(t *testing.T) {
 	points, err := RunFigure6(Figure6Config{Nodes: 4, Scale: 256, Fingerprints: 20000})
 	if err != nil {
@@ -184,111 +160,4 @@ func TestRunFigure6Balance(t *testing.T) {
 	if !strings.Contains(out, "Figure 6") {
 		t.Fatalf("FormatFigure6 output malformed:\n%s", out)
 	}
-}
-
-func TestRunBatchSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("TCP sweep is slow")
-	}
-	points, err := RunBatchSweep(2, 3000, 512, []int{1, 64})
-	if err != nil {
-		t.Fatalf("RunBatchSweep: %v", err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("got %d points, want 2", len(points))
-	}
-	if points[1].Throughput <= points[0].Throughput {
-		t.Fatalf("batch=64 (%.0f/s) not faster than batch=1 (%.0f/s)",
-			points[1].Throughput, points[0].Throughput)
-	}
-	_ = FormatBatchSweep(points)
-}
-
-func TestRunCacheSweep(t *testing.T) {
-	points, err := RunCacheSweep(512, []int{1 << 6, 1 << 12})
-	if err != nil {
-		t.Fatalf("RunCacheSweep: %v", err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("got %d points, want 2", len(points))
-	}
-	if points[1].HitRate < points[0].HitRate {
-		t.Fatalf("larger cache hit rate %.3f below smaller %.3f", points[1].HitRate, points[0].HitRate)
-	}
-	if points[1].SSDReads > points[0].SSDReads {
-		t.Fatalf("larger cache caused more SSD reads (%d > %d)", points[1].SSDReads, points[0].SSDReads)
-	}
-	_ = FormatCacheSweep(points)
-}
-
-func TestRunBloomAblation(t *testing.T) {
-	points, err := RunBloomAblation(512)
-	if err != nil {
-		t.Fatalf("RunBloomAblation: %v", err)
-	}
-	var on, off int64
-	for _, p := range points {
-		if p.Bloom {
-			on = p.SSDReads
-		} else {
-			off = p.SSDReads
-		}
-	}
-	// Web Server is 82% unique: without Bloom, every unique miss reads
-	// the SSD; with Bloom nearly none do.
-	if on*2 > off {
-		t.Fatalf("bloom on = %d SSD reads, off = %d; filter is not short-circuiting", on, off)
-	}
-	_ = FormatBloomAblation(points)
-}
-
-func TestRunBackendComparison(t *testing.T) {
-	points, err := RunBackendComparison(512)
-	if err != nil {
-		t.Fatalf("RunBackendComparison: %v", err)
-	}
-	busy := map[string]int64{}
-	for _, p := range points {
-		busy[p.Kind.String()] = int64(p.DeviceBusy)
-	}
-	// Shape: disk index pays orders of magnitude more device time than
-	// the flash designs; RAM-only pays the least.
-	if busy["disk-index"] < 10*busy["shhc-hybrid"] {
-		t.Fatalf("disk index busy %d not >> hybrid %d", busy["disk-index"], busy["shhc-hybrid"])
-	}
-	if busy["ram-only"] > busy["shhc-hybrid"] {
-		t.Fatalf("ram-only busy %d above hybrid %d", busy["ram-only"], busy["shhc-hybrid"])
-	}
-	_ = FormatBackendComparison(points)
-}
-
-func TestRunVNodeSweep(t *testing.T) {
-	points, err := RunVNodeSweep(20000, []int{1, 128})
-	if err != nil {
-		t.Fatalf("RunVNodeSweep: %v", err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("got %d points, want 2", len(points))
-	}
-	if points[1].MaxOverMin > points[0].MaxOverMin {
-		t.Fatalf("more vnodes worsened keyspace balance: %.2f vs %.2f",
-			points[1].MaxOverMin, points[0].MaxOverMin)
-	}
-	_ = FormatVNodeSweep(points)
-}
-
-func TestRunStripeSweep(t *testing.T) {
-	points, err := RunStripeSweep(4, 20000, []int{1, 8})
-	if err != nil {
-		t.Fatalf("RunStripeSweep: %v", err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("got %d points, want 2", len(points))
-	}
-	for _, p := range points {
-		if p.Throughput <= 0 {
-			t.Fatalf("stripes=%d throughput = %f, want > 0", p.Stripes, p.Throughput)
-		}
-	}
-	_ = FormatStripeSweep(points)
 }

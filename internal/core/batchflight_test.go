@@ -47,7 +47,7 @@ func (g *gatedBatchStore) Get(fp fingerprint.Fingerprint) (hashdb.Value, bool, e
 // arm, which is the phase under test.
 func newSSDOnlyNode(t *testing.T, store hashdb.Store) *Node {
 	t.Helper()
-	n, err := NewNode(NodeConfig{ID: ring.NodeID("flights"), Store: store, DisableBloom: true, Stripes: 4})
+	n, err := NewNode(NodeConfig{ID: ring.NodeID("flights"), Store: store, noBloom: true, stripes: 4})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}

@@ -14,13 +14,13 @@ import (
 	"shhc/internal/ring"
 )
 
-func benchNode(b *testing.B, cacheSize int, disableBloom bool) *Node {
+func benchNode(b *testing.B, cacheSize int, noBloom bool) *Node {
 	b.Helper()
 	n, err := NewNode(NodeConfig{
 		ID:            "bench",
 		Store:         hashdb.NewMemStore(nil),
 		CacheSize:     cacheSize,
-		DisableBloom:  disableBloom,
+		noBloom:       noBloom,
 		BloomExpected: 1 << 21,
 	})
 	if err != nil {
@@ -260,7 +260,7 @@ func BenchmarkNodeLookupParallel(b *testing.B) {
 				Store:         hashdb.NewMemStore(nil),
 				CacheSize:     1 << 16,
 				BloomExpected: 1 << 17,
-				Stripes:       cfg.stripes,
+				stripes:       cfg.stripes,
 			})
 			if err != nil {
 				b.Fatal(err)

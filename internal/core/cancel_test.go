@@ -169,11 +169,11 @@ func TestCancelBatchStopsDeviceReads(t *testing.T) {
 	dev := device.New(device.Model{Name: "slow", ReadBase: 20 * time.Millisecond}, device.Sleep)
 	store := hashdb.NewMemStore(dev)
 	n, err := NewNode(NodeConfig{
-		ID:           ring.NodeID("batch-cancel"),
-		Store:        store,
-		CacheSize:    0,
-		DisableBloom: true,
-		Stripes:      1,
+		ID:        ring.NodeID("batch-cancel"),
+		Store:     store,
+		CacheSize: 0,
+		noBloom:   true,
+		stripes:   1,
 	})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
@@ -233,12 +233,12 @@ func (f *failingPutStore) PutBatch(_ context.Context, pairs []hashdb.Pair) ([]bo
 func TestCancelPathSurfacesDestageError(t *testing.T) {
 	fs := &failingPutStore{MemStore: hashdb.NewMemStore(nil)}
 	n, err := NewNode(NodeConfig{
-		ID:           ring.NodeID("wb"),
-		Store:        fs,
-		CacheSize:    2,
-		DisableBloom: true, // force the flight-based insert arm
-		WriteBack:    true,
-		Stripes:      1,
+		ID:        ring.NodeID("wb"),
+		Store:     fs,
+		CacheSize: 2,
+		noBloom:   true, // force the flight-based insert arm
+		WriteBack: true,
+		stripes:   1,
 	})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
@@ -273,10 +273,10 @@ func TestCancelStormNoGoroutineLeak(t *testing.T) {
 	dev := device.New(device.Model{Name: "slow", ReadBase: 2 * time.Millisecond}, device.Sleep)
 	store := hashdb.NewMemStore(dev)
 	n, err := NewNode(NodeConfig{
-		ID:           ring.NodeID("storm"),
-		Store:        store,
-		CacheSize:    0,
-		DisableBloom: true,
+		ID:        ring.NodeID("storm"),
+		Store:     store,
+		CacheSize: 0,
+		noBloom:   true,
 	})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)

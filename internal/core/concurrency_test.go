@@ -22,8 +22,8 @@ import (
 // Run under -race this also proves the cache/bloom/store sharing is sound.
 func TestConcurrentLookupStatsConsistency(t *testing.T) {
 	n := newMemNode(t, NodeConfig{CacheSize: 1 << 12, BloomExpected: 1 << 16})
-	if n.Stripes() < 2 {
-		t.Fatalf("default Stripes() = %d, want >= 2 for a meaningful test", n.Stripes())
+	if len(n.stripes) < 2 {
+		t.Fatalf("default stripe count = %d, want >= 2 for a meaningful test", len(n.stripes))
 	}
 
 	const (

@@ -29,7 +29,7 @@ func newHotPathNode(t *testing.T, cfg NodeConfig) *Node {
 // TestHotPathCacheHitStats: lock-free cache hits must keep the Stats
 // invariant (per-source counters sum to Lookups) and land under CacheHits.
 func TestHotPathCacheHitStats(t *testing.T) {
-	n := newHotPathNode(t, NodeConfig{CacheSize: 4096, Stripes: 4})
+	n := newHotPathNode(t, NodeConfig{CacheSize: 4096, stripes: 4})
 	ctx := context.Background()
 	fps := make([]fingerprint.Fingerprint, 64)
 	for i := range fps {
@@ -66,7 +66,7 @@ func TestHotPathCacheHitStats(t *testing.T) {
 // TestHotPathBatchPrepass: a fully cache-resident batch resolves through
 // the lock-free prepass with every result a cache hit.
 func TestHotPathBatchPrepass(t *testing.T) {
-	n := newHotPathNode(t, NodeConfig{CacheSize: 4096, Stripes: 4})
+	n := newHotPathNode(t, NodeConfig{CacheSize: 4096, stripes: 4})
 	ctx := context.Background()
 	pairs := make([]Pair, 128)
 	for i := range pairs {
@@ -127,7 +127,7 @@ func TestHotPathClosedNode(t *testing.T) {
 // concurrent inserts and removals through the full node API; under -race
 // this exercises the publication protocol end to end.
 func TestHotPathConcurrentReadWrite(t *testing.T) {
-	n := newHotPathNode(t, NodeConfig{CacheSize: 8192, Stripes: 4})
+	n := newHotPathNode(t, NodeConfig{CacheSize: 8192, stripes: 4})
 	ctx := context.Background()
 	const keys = 512
 	for i := 0; i < keys; i++ {

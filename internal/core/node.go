@@ -98,8 +98,6 @@ type NodeConfig struct {
 	Store hashdb.Store
 	// CacheSize is the LRU capacity in entries; 0 disables the cache.
 	CacheSize int
-	// DisableBloom turns the Bloom filter off (ablation).
-	DisableBloom bool
 	// BloomExpected sizes the filter; default 1<<20 entries. Its target
 	// false-positive rate is bloomFPRate.
 	BloomExpected int
@@ -136,13 +134,13 @@ type NodeConfig struct {
 	// journal (entries in the dirty buffer then survive only until a
 	// crash).
 	JournalPath string
-	// Stripes is the number of hot-path lock stripes (rounded down to a
-	// power of two). Operations on fingerprints in different stripes run
-	// concurrently; operations on one fingerprint always serialize, which
-	// is what keeps the Figure 4 cache→bloom→SSD ordering exact per
-	// fingerprint. 0 selects a GOMAXPROCS-based default; 1 serializes every
-	// RAM walk behind one lock (SSD phases still overlap, outside it).
-	Stripes int
+
+	// stripes and noBloom are set only by this package's tests. stripes
+	// pins the hot-path lock stripe count (rounded down to a power of two;
+	// 0 selects defaultStripeCount); noBloom builds the node without its
+	// filter, so every cache miss reaches the store.
+	stripes int
+	noBloom bool
 }
 
 // PhaseTimings are per-tier latency digests of the lookup pipeline: how
@@ -414,7 +412,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.ID == "" {
 		return nil, errors.New("core: NodeConfig.ID is required")
 	}
-	nstripes := cfg.Stripes
+	nstripes := cfg.stripes
 	if nstripes <= 0 {
 		nstripes = defaultStripeCount()
 	}
@@ -470,7 +468,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if rr, ok := cfg.Store.(storeRecoveryReporter); ok {
 		n.recovery.Store = rr.Recovery()
 	}
-	if !cfg.DisableBloom {
+	if !cfg.noBloom {
 		expected := cfg.BloomExpected
 		if expected <= 0 {
 			expected = 1 << 20
@@ -543,9 +541,6 @@ func (n *Node) takeDestageErr() error {
 
 // ID returns the node's identity.
 func (n *Node) ID() ring.NodeID { return n.id }
-
-// Stripes returns the number of hot-path lock stripes.
-func (n *Node) Stripes() int { return len(n.stripes) }
 
 func (n *Node) stripeIndex(fp fingerprint.Fingerprint) int {
 	// Bucket64 (bytes 8..16 of the digest) is independent of the ring

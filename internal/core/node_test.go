@@ -88,7 +88,7 @@ func TestLookupFromStoreAfterCacheEviction(t *testing.T) {
 }
 
 func TestBloomDisabledGoesToStore(t *testing.T) {
-	n := newMemNode(t, NodeConfig{DisableBloom: true, CacheSize: 4})
+	n := newMemNode(t, NodeConfig{noBloom: true, CacheSize: 4})
 	r, err := n.LookupOrInsert(context.Background(), fp(1), 1)
 	if err != nil {
 		t.Fatalf("LookupOrInsert: %v", err)

@@ -106,7 +106,7 @@ func TestAsyncProbeCoalescing(t *testing.T) {
 	if _, err := hs.Store.Put(fp(1), 42); err != nil {
 		t.Fatalf("seed: %v", err)
 	}
-	n := newMemNode(t, NodeConfig{Store: hs, CacheSize: 16, DisableBloom: true})
+	n := newMemNode(t, NodeConfig{Store: hs, CacheSize: 16, noBloom: true})
 
 	const readers = 8
 	var wg sync.WaitGroup
@@ -205,7 +205,7 @@ func TestAsyncExactlyOnceInsert(t *testing.T) {
 func TestAsyncReadOnlyMissThenInsert(t *testing.T) {
 	gate := make(chan struct{})
 	hs := &hookStore{Store: hashdb.NewMemStore(nil), getGate: gate}
-	n := newMemNode(t, NodeConfig{Store: hs, CacheSize: 16, DisableBloom: true})
+	n := newMemNode(t, NodeConfig{Store: hs, CacheSize: 16, noBloom: true})
 
 	var (
 		wg                sync.WaitGroup
@@ -247,7 +247,7 @@ func TestAsyncReadOnlyMissThenInsert(t *testing.T) {
 func TestAsyncStoreErrorPropagates(t *testing.T) {
 	hs := &hookStore{Store: hashdb.NewMemStore(nil), getGate: make(chan struct{})}
 	hs.failGets.Store(true)
-	n := newMemNode(t, NodeConfig{Store: hs, CacheSize: 16, DisableBloom: true})
+	n := newMemNode(t, NodeConfig{Store: hs, CacheSize: 16, noBloom: true})
 
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
@@ -283,7 +283,7 @@ func TestCloseWaitsForInflightProbes(t *testing.T) {
 	if _, err := hs.Store.Put(fp(5), 55); err != nil {
 		t.Fatalf("seed: %v", err)
 	}
-	n, err := NewNode(NodeConfig{ID: "close-test", Store: hs, CacheSize: 16, DisableBloom: true})
+	n, err := NewNode(NodeConfig{ID: "close-test", Store: hs, CacheSize: 16, noBloom: true})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}
@@ -321,7 +321,7 @@ func TestCloseWaitsForInflightProbes(t *testing.T) {
 // fingerprint twice resolves in input order — first "new", second a
 // duplicate with the first's value — through the coalesced SSD phase.
 func TestBatchAsyncDuplicateFingerprints(t *testing.T) {
-	n := newMemNode(t, NodeConfig{CacheSize: 16, DisableBloom: true})
+	n := newMemNode(t, NodeConfig{CacheSize: 16, noBloom: true})
 	pairs := []Pair{
 		{FP: fp(1), Val: 10},
 		{FP: fp(2), Val: 20},
@@ -448,9 +448,9 @@ func TestSequentialWorkloadAnswers(t *testing.T) {
 	}
 	order := rand.New(rand.NewSource(22)).Perm(round)
 	configs := map[string]NodeConfig{
-		"write-through": {CacheSize: round, Stripes: 4},
-		"write-back":    {CacheSize: round, Stripes: 4, WriteBack: true},
-		"no-filter":     {CacheSize: round, Stripes: 4, DisableBloom: true},
+		"write-through": {CacheSize: round, stripes: 4},
+		"write-back":    {CacheSize: round, stripes: 4, WriteBack: true},
+		"no-filter":     {CacheSize: round, stripes: 4, noBloom: true},
 	}
 	ctx := context.Background()
 	for name, cfg := range configs {
@@ -555,7 +555,7 @@ func TestAsyncLookupsDuringRebalanceChaos(t *testing.T) {
 			Store:         hashdb.NewMemStore(device.New(device.SSD, device.Sleep)),
 			CacheSize:     64, // tiny: most lookups reach the SSD tier
 			BloomExpected: 1 << 14,
-			Stripes:       4,
+			stripes:       4,
 		})
 		if err != nil {
 			t.Fatalf("NewNode(%s): %v", id, err)

@@ -54,8 +54,8 @@ type Options struct {
 	// not throttled — the page cache absorbs it. No binary sets it; it
 	// stays because tests drive the semaphore at a depth of 4.
 	QueueDepth int
-	// Disable forces buffered I/O even where O_DIRECT would work: the
-	// ablation knob for benchmarks comparing the two.
+	// Disable forces buffered I/O even where O_DIRECT would work. No binary
+	// sets it; it stays because tests drive the buffered path with it.
 	Disable bool
 }
 

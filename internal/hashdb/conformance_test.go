@@ -9,7 +9,7 @@ import (
 )
 
 // stores is every Store this package implements; the conformance checks in
-// storetest run over each (and, from its own package, over ChunkStash).
+// storetest run over each.
 var stores = []struct {
 	name string
 	open func(t *testing.T) hashdb.Store

@@ -18,7 +18,7 @@
 //
 // Every physical page read/write is charged to a device.Device so the
 // store's latency follows the configured hardware model (SSD in the paper's
-// deployment, HDD for the disk-index baseline).
+// deployment).
 package hashdb
 
 import (

@@ -14,8 +14,8 @@ import (
 // whole batch, because that is what lets a paged store pay one device
 // access per bucket page instead of one per fingerprint and overlap pages
 // up to the device's parallelism; Get and Put serve the node's single-key
-// operations. *DB (SSD/HDD page store), *MemStore (pure RAM), the Failpoint
-// wrapper and the ChunkStash-style baseline index implement it.
+// operations. *DB (SSD/HDD page store), *MemStore (pure RAM) and the
+// Failpoint wrapper implement it.
 // Implementations must be safe for concurrent use: the striped hybrid node
 // issues overlapping probes from every stripe.
 // The //shhc:io markers declare every probe and mutation to be I/O for

@@ -1,6 +1,6 @@
 // Package storetest holds the conformance checks every hashdb.Store passes,
-// so the stores of other packages (the ChunkStash baseline) run the same
-// table as hashdb's own.
+// so a store written in another package runs the same table as hashdb's
+// own.
 package storetest
 
 import (

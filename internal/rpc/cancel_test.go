@@ -16,16 +16,18 @@ import (
 )
 
 // startSleepyNode serves a node whose store sleeps readBase per probe —
-// a modeled slow device with real (wall-clock) latency.
-func startSleepyNode(t *testing.T, id ring.NodeID, readBase time.Duration, cfg ClientConfig) (*core.Node, *Client) {
+// a modeled slow device with real (wall-clock) latency — and holds seeded.
+// Writes are free, so seeding costs nothing; the node's Bloom filter admits
+// the seeded fingerprints, so a lookup of one reaches the sleeping store.
+func startSleepyNode(t *testing.T, id ring.NodeID, readBase time.Duration, cfg ClientConfig, seeded ...fingerprint.Fingerprint) (*core.Node, *Client) {
 	t.Helper()
-	dev := device.New(device.Model{Name: "sleepy", ReadBase: readBase, WriteBase: readBase}, device.Sleep)
-	node, err := core.NewNode(core.NodeConfig{
-		ID:           id,
-		Store:        hashdb.NewMemStore(dev),
-		CacheSize:    0,
-		DisableBloom: true,
-	})
+	store := hashdb.NewMemStore(device.New(device.Model{Name: "sleepy", ReadBase: readBase}, device.Sleep))
+	for i, f := range seeded {
+		if _, err := store.Put(f, hashdb.Value(i+1)); err != nil {
+			t.Fatalf("seed: %v", err)
+		}
+	}
+	node, err := core.NewNode(core.NodeConfig{ID: id, Store: store})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}
@@ -51,7 +53,7 @@ func startSleepyNode(t *testing.T, id ring.NodeID, readBase time.Duration, cfg C
 // is stuck behind a sleeping device, and the failure is
 // context.DeadlineExceeded — not a generic wire error.
 func TestDeadlineBoundsSleepingRemoteLookup(t *testing.T) {
-	_, client := startSleepyNode(t, "sleepy", 300*time.Millisecond, ClientConfig{Timeout: 30 * time.Second})
+	_, client := startSleepyNode(t, "sleepy", 300*time.Millisecond, ClientConfig{Timeout: 30 * time.Second}, fp(1))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 	defer cancel()

@@ -94,6 +94,87 @@ func TestMuxStreamInterleavingStormRPC(t *testing.T) {
 	}
 }
 
+// TestCreditStallIsolatesSiblingStream: one stream pipelines batches and
+// never collects them, so its response window on the server runs dry and,
+// with the responses unflushed, its request window here runs dry too. A
+// sibling stream on the same connection must still complete its batches
+// before a deadline: a stalled consumer's exhausted credit is its own
+// problem, never its neighbours'.
+func TestCreditStallIsolatesSiblingStream(t *testing.T) {
+	node, err := core.NewNode(core.NodeConfig{ID: "stall", Store: hashdb.NewMemStore(nil), CacheSize: 1024})
+	if err != nil {
+		t.Fatalf("NewNode: %v", err)
+	}
+	srv := NewServer(node, ServerConfig{})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	// One TCP connection: isolation must come from stream credit, not from
+	// the staller being parked on a socket of its own.
+	client, err := Dial("stall", addr.String(), ClientConfig{Conns: 1, Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer func() {
+		client.Close()
+		srv.Close()
+		node.Close()
+	}()
+	batch := func(base uint64) []core.Pair {
+		pairs := make([]core.Pair, 64)
+		for i := range pairs {
+			pairs[i] = core.Pair{FP: fp(base + uint64(i)), Val: core.Value(i + 1)}
+		}
+		return pairs
+	}
+
+	// The staller's futures are never collected; cancelling its context is
+	// what unblocks its credit wait and settles them at teardown.
+	stallCtx, stopStaller := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		st, pairs := client.OpenStream(), batch(0)
+		for stallCtx.Err() == nil {
+			st.GoBatchLookupOrInsert(stallCtx, pairs)
+		}
+	}()
+	defer func() {
+		stopStaller()
+		wg.Wait()
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for {
+		st, err := client.Stats(ctx)
+		if err != nil {
+			t.Fatalf("the server's credit window never shut: %v", err)
+		}
+		if st.Transport.CreditStalls > 0 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	const batches = 200
+	sibling, pairs := client.OpenStream(), batch(1<<20)
+	for i := 0; i < batches; i++ {
+		rs, err := sibling.BatchLookupOrInsert(ctx, pairs)
+		if err != nil {
+			t.Fatalf("sibling batch %d of %d beside a stalled stream: %v", i, batches, err)
+		}
+		if !rs[0].Exists && i > 0 {
+			t.Fatalf("sibling batch %d: %+v, want the duplicate of batch 0", i, rs[0])
+		}
+	}
+	if client.CreditStalls() == 0 {
+		t.Fatal("the staller never blocked on send credit: the test did not stall anything")
+	}
+}
+
 // TestStreamHandshakeWindowAdvertisement pins the hello exchange: the
 // HelloAck carries the server's per-stream response window, so the client
 // can coalesce consumption grants.

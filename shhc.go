@@ -129,8 +129,6 @@ type ClusterOptions struct {
 	SleepDevices bool
 	// CacheSize is the per-node LRU capacity. Default 1<<16 entries.
 	CacheSize int
-	// DisableBloom turns Bloom filters off (ablation).
-	DisableBloom bool
 	// WriteBack acknowledges inserts from RAM and writes the SSD hash
 	// table later: a per-node destager cleans the cold dirty end of the
 	// cache in page-coalesced group-commit waves, ahead of eviction, and a
@@ -157,10 +155,6 @@ type ClusterOptions struct {
 	// is replayed into the hash table when the node restarts — closing
 	// write-back's crash window between eviction and destage.
 	Journal bool
-	// Stripes is the per-node hot-path lock stripe count; 0 selects a
-	// GOMAXPROCS-based default, 1 fully serializes each node (the
-	// original single-lock behavior).
-	Stripes int
 	// Replicas > 1 keeps that many durable copies of every entry on
 	// consecutive ring successors: inserts replicate with quorum
 	// acknowledgment, divergent lookups trigger read-repair, and
@@ -240,13 +234,11 @@ func NewLocalCluster(opts ClusterOptions) (*Cluster, error) {
 			ID:              id,
 			Store:           store,
 			CacheSize:       opts.CacheSize,
-			DisableBloom:    opts.DisableBloom,
 			WriteBack:       opts.WriteBack,
 			DestageBatch:    opts.DestageBatch,
 			DestageInterval: opts.DestageInterval,
 			DestageQueue:    opts.DestageQueue,
 			JournalPath:     journalPath,
-			Stripes:         opts.Stripes,
 		})
 		if err != nil {
 			store.Close()
