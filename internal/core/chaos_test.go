@@ -1,494 +1,561 @@
 package core
 
+// The chaos rows are the one driver for membership churn: each is a
+// topology, a worker mix and a fault script, seeded and run while the
+// workers hammer the cluster. Faults fire at worker op counts. Every answer
+// is held to the contract model (internal/simtest, ARCHITECTURE "Safety
+// contract"): no acked key answered "new" (R5), no fresh key answered
+// "duplicate" (R4), no value nobody wrote (R1). A failure names the row's
+// seed.
+
 import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"shhc/internal/device"
+	"shhc/internal/fingerprint"
 	"shhc/internal/hashdb"
 	"shhc/internal/ring"
+	"shhc/internal/simtest"
 )
 
-// TestConcurrentLookupsDuringRebalance hammers the cluster with lookups
-// while a two-phase JoinNode migrates entries under it. Requirements: no
-// errors, no seeded fingerprint ever reported as new (JoinNode pre-copies
-// entries before flipping routing), and the final state is consistent.
-func TestConcurrentLookupsDuringRebalance(t *testing.T) {
-	nodes := make([]*Node, 3)
-	backends := make([]Backend, 3)
-	for i := range nodes {
-		var err error
-		nodes[i], err = NewNode(NodeConfig{
-			ID:            ring.NodeID(fmt.Sprintf("node-%d", i)),
-			Store:         hashdb.NewMemStore(nil),
-			CacheSize:     256,
-			BloomExpected: 1 << 16,
-		})
-		if err != nil {
-			t.Fatalf("NewNode: %v", err)
-		}
-		backends[i] = nodes[i]
+// chaosWorker is one kind of client traffic.
+type chaosWorker uint8
+
+const (
+	dupes        chaosWorker = iota // LookupOrInsert of seeded keys
+	dupeBatches                     // 256-pair batches of seeded keys
+	reads                           // Lookup of seeded keys
+	fresh                           // LookupOrInsert of keys never seen before
+	freshBatches                    // 128-pair batches of fresh keys
+)
+
+type chaosRow struct {
+	name    string
+	nodes   int
+	cfg     ClusterConfig
+	member  func(e *chaosEnv, id string) *Node // nil: an in-memory node
+	scratch func(e *chaosEnv, id string) *Node // churn's joiners; nil: an in-memory node
+	seeded  int
+	hot     int // the seeded prefix workers ask for; 0: all of it
+	// reupload proposes a seeded key's own value, as a client re-uploading a
+	// chunk would; otherwise another one, so a migrated duplicate can be
+	// told from the call's own insert by value.
+	reupload bool
+	workers  []chaosWorker
+	fault    func(t *testing.T, e *chaosEnv)
+	// tolerate lets calls fail: a member is dead for part of the script.
+	tolerate bool
+	ex       simtest.Excuse
+	after    func(t *testing.T, e *chaosEnv)
+}
+
+type chaosEnv struct {
+	row   chaosRow
+	seed  int64
+	dir   string
+	c     *Cluster
+	m     *simtest.Model
+	nodes []*Node
+	ops   atomic.Int64  // worker calls made
+	next  atomic.Uint64 // the last fresh key handed out
+	// gate is read-held by every call and churn round, so a script can swap
+	// a dead member out with nothing in flight.
+	gate    sync.RWMutex
+	retired []*Node // nodes that left the ring, closed when the row ends
+
+	victim       *hashdb.Failpoint // kill-and-rebirth: the victim's store
+	victimMedium hashdb.Store      // and what survives it
+}
+
+func seedVal(i uint64) uint64 { return simtest.Val(i, 1) }
+
+func memNode(cache int) func(*chaosEnv, string) *Node {
+	return func(e *chaosEnv, id string) *Node {
+		return e.mustNode(NodeConfig{ID: ring.NodeID(id), Store: hashdb.NewMemStore(nil), CacheSize: cache, BloomExpected: 1 << 16})
 	}
-	c, err := NewCluster(ClusterConfig{}, backends...)
+}
+
+func (e *chaosEnv) mustNode(cfg NodeConfig) *Node {
+	n, err := NewNode(cfg)
+	if err != nil {
+		panic(fmt.Sprintf("NewNode(%s): %v", cfg.ID, err))
+	}
+	return n
+}
+
+// waitOps blocks until the workers have made n calls.
+func (e *chaosEnv) waitOps(t *testing.T, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); e.ops.Load() < n; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) || t.Failed() {
+			t.Fatalf("seed %d: workers stopped at %d of %d calls", e.seed, e.ops.Load(), n)
+		}
+	}
+}
+
+// joinDrain joins a scratch node and drains it again until done. Drained
+// nodes stay open until the row ends: a call that routed just before the
+// drain may still ask one, which must answer.
+func (e *chaosEnv) joinDrain(done func() bool) error {
+	for round := 0; !done(); round++ {
+		e.gate.RLock()
+		scratch := e.row.scratch(e, fmt.Sprintf("churn-%d", round))
+		_, err := e.c.JoinNode(context.Background(), scratch)
+		if err == nil {
+			_, err = e.c.DrainNode(context.Background(), scratch.ID())
+		}
+		e.retired = append(e.retired, scratch)
+		e.gate.RUnlock()
+		if err != nil {
+			return fmt.Errorf("churn round %d: %w", round, err)
+		}
+	}
+	return nil
+}
+
+// joinDrainUntil churns until the workers have made calls calls.
+func joinDrainUntil(calls int64) func(*testing.T, *chaosEnv) {
+	return func(t *testing.T, e *chaosEnv) {
+		if err := e.joinDrain(func() bool { return e.ops.Load() >= calls }); err != nil {
+			t.Fatalf("seed %d: %v", e.seed, err)
+		}
+	}
+}
+
+// call makes one worker call and holds its answers to the model.
+func (e *chaosEnv) call(rng *rand.Rand, kind chaosWorker) error {
+	ctx := context.Background()
+	hot := e.row.hot
+	if hot == 0 {
+		hot = e.row.seeded
+	}
+	var (
+		calls []simtest.Call
+		pairs []Pair
+		rs    []LookupResult
+		err   error
+	)
+	propose := func(k uint64, v uint64) {
+		f := fingerprint.FromUint64(k)
+		calls = append(calls, e.m.Propose(f, v))
+		pairs = append(pairs, Pair{FP: f, Val: Value(v)})
+	}
+	dupe := func(k uint64) {
+		if e.row.reupload {
+			propose(k, seedVal(k))
+		} else {
+			propose(k, simtest.Val(k, 2))
+		}
+	}
+	switch kind {
+	case dupes:
+		dupe(uint64(rng.Intn(hot)))
+	case dupeBatches:
+		for at, j := rng.Intn(hot), 0; j < 256; j++ {
+			dupe(uint64((at + j) % hot))
+		}
+	case reads:
+		f := fingerprint.FromUint64(uint64(rng.Intn(hot)))
+		c := e.m.Read(f)
+		r, err := e.c.Lookup(ctx, f)
+		if err != nil {
+			return e.soft(err)
+		}
+		return e.m.Answer(c, r.Exists, uint64(r.Value), e.row.ex)
+	case fresh:
+		k := e.next.Add(1)
+		propose(k, seedVal(k))
+	case freshBatches:
+		base := e.next.Add(128) - 127
+		for j := uint64(0); j < 128; j++ {
+			propose(base+j, seedVal(base+j))
+		}
+	}
+	if len(pairs) == 1 {
+		var r LookupResult
+		r, err = e.c.LookupOrInsert(ctx, pairs[0].FP, pairs[0].Val)
+		rs = []LookupResult{r}
+	} else {
+		rs, err = e.c.BatchLookupOrInsert(ctx, pairs)
+	}
+	if err != nil {
+		return e.soft(err)
+	}
+	for i, r := range rs {
+		if err := e.m.Answer(calls[i], r.Exists, uint64(r.Value), e.row.ex); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (e *chaosEnv) soft(err error) error {
+	if e.row.tolerate {
+		return nil
+	}
+	return err
+}
+
+// Each row runs as its own test, named after it, so one replays with -run.
+func TestConcurrentLookupsDuringRebalance(t *testing.T)                  { chaos(t) }
+func TestBatchesDuringJoinNode(t *testing.T)                             { chaos(t) }
+func TestFreshInsertsNeverReportedDuplicateDuringMigration(t *testing.T) { chaos(t) }
+func TestFreshBatchesNeverDuplicateDuringJoinDrain(t *testing.T)         { chaos(t) }
+func TestAsyncLookupsDuringRebalanceChaos(t *testing.T)                  { chaos(t) }
+func TestConcurrentMembershipAndTraffic(t *testing.T)                    { chaos(t) }
+func TestChaosDestageKillAndReopenDuringChurn(t *testing.T)              { chaos(t) }
+func TestChaosWipeDiskRejoinAndAntiEntropy(t *testing.T)                 { chaos(t) }
+
+// chaos runs the row the calling test is named after; its seed is the
+// row's place in chaosRows.
+func chaos(t *testing.T) {
+	for i, row := range chaosRows {
+		if "Test"+row.name == t.Name() {
+			runChaos(t, row, int64(i+1))
+			return
+		}
+	}
+	t.Fatalf("no chaos row for %s", t.Name())
+}
+
+func runChaos(t *testing.T, row chaosRow, seed int64) {
+	if row.member == nil {
+		row.member = memNode(256)
+	}
+	if row.scratch == nil {
+		row.scratch = memNode(128)
+	}
+	e := &chaosEnv{row: row, seed: seed, dir: t.TempDir(), m: simtest.NewModel()}
+	e.next.Store(1 << 30)
+	backends := make([]Backend, row.nodes)
+	for i := range backends {
+		n := row.member(e, fmt.Sprintf("node-%d", i))
+		e.nodes = append(e.nodes, n)
+		backends[i] = n
+	}
+	c, err := NewCluster(row.cfg, backends...)
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
-	defer c.Close()
-
-	const n = 5000
-	for i := uint64(0); i < n; i++ {
-		if _, err := c.LookupOrInsert(context.Background(), fp(i), Value(i)); err != nil {
-			t.Fatalf("seed insert: %v", err)
+	e.c = c
+	defer func() {
+		c.Close()
+		for _, n := range e.retired {
+			n.Close()
+		}
+	}()
+	// Seed through the model: every ack is a put the contract then holds.
+	seeds := make([]simtest.Call, row.seeded)
+	pairs := make([]Pair, row.seeded)
+	for i := range pairs {
+		f := fingerprint.FromUint64(uint64(i))
+		seeds[i] = e.m.Propose(f, seedVal(uint64(i)))
+		pairs[i] = Pair{FP: f, Val: Value(seedVal(uint64(i)))}
+	}
+	settle := func(when string) {
+		rs, err := c.BatchLookupOrInsert(context.Background(), pairs)
+		if err != nil {
+			t.Fatalf("seed %d: %s: %v", seed, when, err)
+		}
+		for i, r := range rs {
+			if err := e.m.Answer(seeds[i], r.Exists, uint64(r.Value), simtest.Excuse{}); err != nil {
+				t.Fatalf("seed %d: %s: %v", seed, when, err)
+			}
+			seeds[i] = e.m.Propose(pairs[i].FP, seedVal(uint64(i)))
 		}
 	}
+	settle("seeding")
 
-	extra, err := NewNode(NodeConfig{
-		ID:            "node-new",
-		Store:         hashdb.NewMemStore(nil),
-		CacheSize:     256,
-		BloomExpected: 1 << 16,
-	})
-	if err != nil {
-		t.Fatalf("NewNode: %v", err)
-	}
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		errCount  int
-		ghostNews int
-	)
 	stop := make(chan struct{})
-	for g := 0; g < 8; g++ {
+	var wg sync.WaitGroup
+	for w, kind := range row.workers {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			i := uint64(g)
+			rng := rand.New(rand.NewSource(seed*1000 + int64(w)))
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				// Propose a value no seeded entry stores (seeds use
-				// Value(0..n-1)): if a lookup races a migration, the
-				// reconciliation path tells "migrated duplicate" from
-				// "own racing insert" by value, and a colliding value
-				// would be (safely, but test-visibly) reported as new.
-				r, err := c.LookupOrInsert(context.Background(), fp(i%n), Value(n))
+				e.gate.RLock()
+				err := e.call(rng, kind)
+				e.gate.RUnlock()
+				e.ops.Add(1)
 				if err != nil {
-					mu.Lock()
-					errCount++
-					mu.Unlock()
+					t.Errorf("seed %d, worker %d: %v", seed, w, err)
 					return
 				}
-				if !r.Exists {
-					// A seeded fingerprint must never be seen as new.
-					mu.Lock()
-					ghostNews++
-					mu.Unlock()
-				}
-				i += 7
-			}
-		}(g)
-	}
-
-	if _, err := c.JoinNode(context.Background(), extra); err != nil {
-		t.Fatalf("JoinNode under load: %v", err)
-	}
-	close(stop)
-	wg.Wait()
-
-	if errCount > 0 {
-		t.Fatalf("%d lookup errors during rebalance", errCount)
-	}
-	if ghostNews > 0 {
-		t.Fatalf("%d seeded fingerprints reported as new during rebalance", ghostNews)
-	}
-
-	// Final state: everything still deduplicates.
-	for i := uint64(0); i < n; i++ {
-		r, err := c.LookupOrInsert(context.Background(), fp(i), 0)
-		if err != nil {
-			t.Fatalf("final check: %v", err)
-		}
-		if !r.Exists {
-			t.Fatalf("fingerprint %d lost", i)
-		}
-	}
-}
-
-// TestFreshInsertsNeverReportedDuplicateDuringMigration guards the other
-// direction of the rebalance race: while JoinNode/DrainNode migrations (and
-// their membership-generation bumps) run continuously, a fingerprint seen
-// for the very first time must always be reported as new — reporting it as
-// a duplicate would drop the chunk from the upload plan and lose data. A
-// reconciliation that re-reads its own insert (instead of checking whether
-// the fingerprint's owner actually moved) fails this test.
-func TestFreshInsertsNeverReportedDuplicateDuringMigration(t *testing.T) {
-	c := newTestCluster(t, 3, ClusterConfig{})
-	for i := uint64(0); i < 2000; i++ {
-		if _, err := c.LookupOrInsert(context.Background(), fp(i), Value(i)); err != nil {
-			t.Fatalf("seed insert: %v", err)
-		}
-	}
-
-	stop := make(chan struct{})
-	churnDone := make(chan error, 1)
-	go func() {
-		// Continuous migration traffic: join a scratch node (pre-copy +
-		// routing flip + cleanup), then drain it back out. Drained nodes
-		// stay open until the workers finish: a worker that resolved
-		// routing just before the drain may still probe one, which must
-		// answer, not error.
-		var drained []*Node
-		defer func() {
-			for _, n := range drained {
-				n.Close()
 			}
 		}()
-		for round := 0; ; round++ {
-			select {
-			case <-stop:
-				churnDone <- nil
-				return
-			default:
-			}
-			scratch, err := NewNode(NodeConfig{
-				ID:            ring.NodeID(fmt.Sprintf("churn-%d", round)),
-				Store:         hashdb.NewMemStore(nil),
-				CacheSize:     256,
-				BloomExpected: 1 << 16,
-			})
-			if err != nil {
-				churnDone <- err
-				return
-			}
-			if _, err := c.JoinNode(context.Background(), scratch); err != nil {
-				churnDone <- err
-				return
-			}
-			if _, err := c.DrainNode(context.Background(), scratch.ID()); err != nil {
-				churnDone <- err
-				return
-			}
-			drained = append(drained, scratch)
-		}
+	}
+	func() {
+		defer func() { close(stop); wg.Wait() }()
+		row.fault(t, e)
 	}()
-
-	// Fresh fingerprints, never inserted before, each with a unique value.
-	var next atomic.Uint64
-	next.Store(1 << 20)
-	var wg sync.WaitGroup
-	var spuriousDups atomic.Uint64
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := 0; k < 2000; k++ {
-				i := next.Add(1)
-				r, err := c.LookupOrInsert(context.Background(), fp(i), Value(i))
-				if err != nil {
-					t.Errorf("LookupOrInsert: %v", err)
-					return
-				}
-				if r.Exists {
-					spuriousDups.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	if err := <-churnDone; err != nil {
-		t.Fatalf("membership churn: %v", err)
-	}
 	if t.Failed() {
 		t.FailNow()
 	}
-	if d := spuriousDups.Load(); d > 0 {
-		t.Fatalf("%d fresh fingerprints reported as duplicates during migration (chunks would never be uploaded)", d)
+	// The churn is over: every seeded key is a duplicate again.
+	settle("final sweep")
+	if row.after != nil {
+		row.after(t, e)
 	}
 }
 
-// TestConcurrentMembershipAndTraffic exercises AddNode/RemoveNode while
-// batch lookups are in flight: the router must never panic or misroute to
-// a detached backend.
-func TestConcurrentMembershipAndTraffic(t *testing.T) {
-	c := newTestCluster(t, 3, ClusterConfig{})
-	const n = 1000
-	for i := uint64(0); i < n; i++ {
-		c.LookupOrInsert(context.Background(), fp(i), Value(i))
-	}
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pairs := make([]Pair, 64)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for j := range pairs {
-					pairs[j] = Pair{FP: fp(uint64(j) % n), Val: 0}
-				}
-				// Errors are tolerated (a batch may race a member
-				// leaving), and so is Exists=false: a key whose range
-				// momentarily moved to the scratch node is re-inserted
-				// there — the documented "one redundant upload" cost of
-				// membership change without Rebalance. Panics and lost
-				// entries are what this test must catch.
-				_, _ = c.BatchLookupOrInsert(context.Background(), pairs)
+var chaosRows = []chaosRow{
+	// A two-phase JoinNode migrates entries under LookupOrInsert traffic:
+	// pre-copy before the routing flip means no seeded key is ever "new".
+	{
+		name: "ConcurrentLookupsDuringRebalance", nodes: 3, seeded: 5000,
+		workers: []chaosWorker{dupes, dupes, dupes, dupes, dupes, dupes, dupes, dupes},
+		fault: func(t *testing.T, e *chaosEnv) {
+			e.waitOps(t, 100)
+			if _, err := e.c.JoinNode(context.Background(), memNode(256)(e, "node-new")); err != nil {
+				t.Fatalf("JoinNode under load: %v", err)
 			}
-		}()
-	}
-
-	// Membership churn: repeatedly add and remove a scratch node (no
-	// rebalance, so no data moves onto it before removal).
-	for round := 0; round < 20; round++ {
-		scratch, err := NewNode(NodeConfig{
-			ID:            ring.NodeID(fmt.Sprintf("scratch-%d", round)),
-			Store:         hashdb.NewMemStore(nil),
-			CacheSize:     16,
-			BloomExpected: 1024,
-		})
-		if err != nil {
-			t.Fatalf("NewNode: %v", err)
-		}
-		if err := c.AddNode(scratch); err != nil {
-			t.Fatalf("AddNode: %v", err)
-		}
-		if err := c.RemoveNode(scratch.ID()); err != nil {
-			t.Fatalf("RemoveNode: %v", err)
-		}
-		scratch.Close()
-	}
-	close(stop)
-	wg.Wait()
-
-	// With the ring back to the original members, every seeded entry is
-	// on its original node: nothing was lost by the churn.
-	for i := uint64(0); i < n; i++ {
-		r, err := c.Lookup(context.Background(), fp(i))
-		if err != nil {
-			t.Fatalf("final Lookup: %v", err)
-		}
-		if !r.Exists {
-			t.Fatalf("fingerprint %d lost across membership churn", i)
-		}
-	}
+		},
+	},
+	// Batches that routed on the old table ask an owner that may already
+	// have handed their entries over; reconciliation against the new owner
+	// turns the miss back into the duplicate it is.
+	{
+		name: "BatchesDuringJoinNode", nodes: 3, seeded: 4096,
+		workers: []chaosWorker{dupeBatches, dupeBatches, dupeBatches, dupeBatches},
+		fault: func(t *testing.T, e *chaosEnv) {
+			// Back to back: a batch descheduled across two joins is the case.
+			e.waitOps(t, 4)
+			for round := 0; round < 3; round++ {
+				if _, err := e.c.JoinNode(context.Background(), memNode(128)(e, fmt.Sprintf("joiner-%d", round))); err != nil {
+					t.Fatalf("JoinNode under batches: %v", err)
+				}
+			}
+		},
+	},
+	// The other direction: while JoinNode/DrainNode swap the table, a key
+	// seen for the first time is always "new" — a reconciliation that read
+	// back the call's own insert as a duplicate would lose the chunk.
+	{
+		name: "FreshInsertsNeverReportedDuplicateDuringMigration", nodes: 3, seeded: 2000,
+		workers: []chaosWorker{fresh, fresh, fresh, fresh},
+		fault:   joinDrainUntil(8000),
+	},
+	{
+		name: "FreshBatchesNeverDuplicateDuringJoinDrain", nodes: 3,
+		workers: []chaosWorker{freshBatches, freshBatches, freshBatches, freshBatches},
+		fault:   joinDrainUntil(96),
+	},
+	// Join/drain churn while lookups dwell mid-SSD-probe outside the stripe
+	// locks (a Sleep-mode device): the async pipeline keeps the guarantee.
+	{
+		name: "AsyncLookupsDuringRebalanceChaos", nodes: 3, seeded: 1200,
+		member: sleepNode, scratch: sleepNode,
+		workers: []chaosWorker{dupes, dupes, dupes, dupes},
+		fault:   joinDrainUntil(1000),
+		after: func(t *testing.T, e *chaosEnv) {
+			for _, n := range e.nodes {
+				assertStatsInvariant(t, n)
+			}
+		},
+	},
+	// AddNode/RemoveNode move no entries: a key whose range sits on the
+	// scratch node for a moment is re-inserted there, the documented
+	// redundant upload. Calls may race a member leaving; nothing may panic
+	// or be lost, and with the ring restored every seed is found.
+	{
+		name: "ConcurrentMembershipAndTraffic", nodes: 3, seeded: 1000,
+		workers:  []chaosWorker{dupeBatches, dupeBatches, dupeBatches, dupeBatches},
+		tolerate: true, ex: simtest.Excuse{Unmigrated: true},
+		fault: func(t *testing.T, e *chaosEnv) {
+			for round := 0; round < 20; round++ {
+				e.waitOps(t, int64(2*round))
+				scratch := memNode(16)(e, fmt.Sprintf("scratch-%d", round))
+				e.retired = append(e.retired, scratch)
+				if err := e.c.AddNode(scratch); err != nil {
+					t.Fatalf("AddNode: %v", err)
+				}
+				if err := e.c.RemoveNode(scratch.ID()); err != nil {
+					t.Fatalf("RemoveNode: %v", err)
+				}
+			}
+		},
+	},
+	// Destage waves run on journaled write-back nodes while join/drain churn
+	// the ring; one member's store is killed mid-wave, the node is reborn
+	// from its durable state (store + journal at the kill) and swapped back
+	// in. Calls fail while it is dead; answers are never wrong.
+	{
+		name: "ChaosDestageKillAndReopenDuringChurn", nodes: 3, seeded: 2000,
+		member:   wbNode,
+		workers:  []chaosWorker{dupes, dupes, dupes, dupes, fresh},
+		tolerate: true,
+		fault:    killAndRebirth,
+	},
+	// Replicas=2 over file-backed journaled nodes: one is killed, its disk
+	// wiped, and an empty node with its identity rejoins while readers and
+	// re-uploaders hammer the hot set. A wiped replica's miss is a
+	// divergence to repair, never an answer; one anti-entropy sweep then
+	// restores every seed on its full replica set.
+	{
+		name: "ChaosWipeDiskRejoinAndAntiEntropy", nodes: 3, seeded: 1500, hot: 300,
+		cfg: ClusterConfig{Replicas: 2}, member: fileNode, reupload: true,
+		workers:  []chaosWorker{reads, dupes, reads, dupes},
+		tolerate: true,
+		fault:    wipeAndRejoin,
+		after:    replicasHealed,
+	},
 }
 
-// TestChaosDestageKillAndReopenDuringChurn extends the chaos suite with
-// the durability dimension: while destage waves run on a journaled
-// write-back node and JoinNode/DrainNode churn the membership, the node is
-// killed mid-wave, reborn from its durable state (store + journal), and
-// swapped back into the ring — and throughout all of it the cluster must
-// never report a seeded fingerprint as new. Errors during the dead window
-// are tolerated (callers retry); wrong answers are not.
-func TestChaosDestageKillAndReopenDuringChurn(t *testing.T) {
-	const (
-		nodes  = 3
-		seeded = 2000
-	)
-	dir := t.TempDir()
-	backends := make([]Backend, nodes)
-	hybrids := make([]*Node, nodes)
-	inner := hashdb.NewMemStore(nil) // the killed node's durable medium
-	var failpoint *hashdb.Failpoint
-	victimJournal := filepath.Join(dir, "victim.wal")
-	for i := range hybrids {
-		var store hashdb.Store = hashdb.NewMemStore(nil)
-		jpath := filepath.Join(dir, fmt.Sprintf("node-%d.wal", i))
-		if i == nodes-1 {
-			failpoint = hashdb.NewFailpoint(inner, math.MaxInt64, nil)
-			store = failpoint
-			jpath = victimJournal
-		}
-		n, err := NewNode(NodeConfig{
-			ID:              ring.NodeID(fmt.Sprintf("node-%d", i)),
-			Store:           store,
-			CacheSize:       64,
-			BloomExpected:   1 << 16,
-			WriteBack:       true,
-			JournalPath:     jpath,
-			DestageBatch:    8,
-			DestageInterval: 100 * time.Microsecond,
-		})
-		if err != nil {
-			t.Fatalf("NewNode: %v", err)
-		}
-		hybrids[i] = n
-		backends[i] = n
-	}
-	victim := hybrids[nodes-1]
-	c, err := NewCluster(ClusterConfig{}, backends...)
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	defer c.Close()
+func sleepNode(e *chaosEnv, id string) *Node {
+	return e.mustNode(NodeConfig{
+		ID:            ring.NodeID(id),
+		Store:         hashdb.NewMemStore(device.New(device.SSD, device.Sleep)),
+		CacheSize:     64, // tiny: most lookups reach the SSD tier
+		BloomExpected: 1 << 14,
+		stripes:       4,
+	})
+}
 
-	for i := uint64(0); i < seeded; i++ {
-		if _, err := c.LookupOrInsert(context.Background(), fp(i), Value(i)); err != nil {
-			t.Fatalf("seed insert: %v", err)
-		}
+// wbNode is a journaled write-back node with small fast waves; node-2's
+// store can be killed and outlives the kill.
+func wbNode(e *chaosEnv, id string) *Node {
+	var store hashdb.Store = hashdb.NewMemStore(nil)
+	if id == "node-2" {
+		e.victimMedium = durableStore{hashdb.NewMemStore(nil)}
+		e.victim = hashdb.NewFailpoint(e.victimMedium, math.MaxInt64, nil)
+		store = e.victim
 	}
-	// Make the seeds durable everywhere: after this, "reported as new"
-	// can only come from lost state or routing bugs, never from the
-	// write-back window.
-	for _, n := range hybrids {
+	return e.wbNodeOn(id, store, filepath.Join(e.dir, id+".wal"))
+}
+
+func (e *chaosEnv) wbNodeOn(id string, store hashdb.Store, journal string) *Node {
+	return e.mustNode(NodeConfig{
+		ID: ring.NodeID(id), Store: store, CacheSize: 64, BloomExpected: 1 << 16,
+		WriteBack: true, JournalPath: journal, DestageBatch: 8, DestageInterval: 100 * time.Microsecond,
+	})
+}
+
+func killAndRebirth(t *testing.T, e *chaosEnv) {
+	// Seeds durable everywhere: after this a "new" can come only from lost
+	// state or routing, never from the write-back window.
+	for _, n := range e.nodes {
 		if err := n.Flush(); err != nil {
 			t.Fatalf("seed Flush: %v", err)
 		}
 	}
-
-	// gate pauses workers and churn while the dead node is swapped out.
-	var gate sync.RWMutex
-	stop := make(chan struct{})
-	var (
-		wg        sync.WaitGroup
-		ghostNews atomic.Uint64
-	)
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			i := uint64(g)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				gate.RLock()
-				r, err := c.LookupOrInsert(context.Background(), fp(i%seeded), Value(seeded))
-				gate.RUnlock()
-				if err == nil && !r.Exists {
-					ghostNews.Add(1)
-				}
-				i += 13
-			}
-		}(g)
-	}
-	// Fresh-insert traffic keeps destage waves in flight on every node.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		i := uint64(1 << 30)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			gate.RLock()
-			c.LookupOrInsert(context.Background(), fp(i), Value(i))
-			gate.RUnlock()
-			i++
+	var over atomic.Bool
+	churn := make(chan error, 1)
+	go func() { churn <- e.joinDrain(over.Load) }()
+	defer func() {
+		over.Store(true)
+		if err := <-churn; err != nil {
+			t.Errorf("seed %d: %v", e.seed, err)
 		}
 	}()
-	// Membership churn, one Join+Drain round per gate hold.
-	churnDone := make(chan error, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var drained []*Node
-		defer func() {
-			for _, n := range drained {
-				n.Close()
-			}
-		}()
-		for round := 0; ; round++ {
-			select {
-			case <-stop:
-				churnDone <- nil
-				return
-			default:
-			}
-			gate.RLock()
-			scratch, err := NewNode(NodeConfig{
-				ID:            ring.NodeID(fmt.Sprintf("churn-%d", round)),
-				Store:         hashdb.NewMemStore(nil),
-				CacheSize:     256,
-				BloomExpected: 1 << 16,
-			})
-			if err == nil {
-				if _, jerr := c.JoinNode(context.Background(), scratch); jerr == nil {
-					if _, derr := c.DrainNode(context.Background(), scratch.ID()); derr != nil {
-						err = derr
-					}
-				} else {
-					err = jerr
-				}
-				drained = append(drained, scratch)
-			}
-			gate.RUnlock()
-			if err != nil {
-				churnDone <- err
-				return
-			}
+	e.waitOps(t, 3000)
+	// With the gate held no call or churn round spans the dead window, but
+	// the destager keeps draining the dirty buffer the traffic left, so the
+	// kill still lands against in-flight waves.
+	func() {
+		e.gate.Lock()
+		defer e.gate.Unlock()
+		e.victim.Kill()
+		snap, err := os.ReadFile(filepath.Join(e.dir, "node-2.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		victim := e.nodes[2]
+		victim.Close() // error expected: the store is dead
+		e.nodes[2] = e.wbNodeOn("node-2", e.victimMedium, crashWAL(t, e.dir, snap))
+		if err := e.c.RemoveNode(victim.ID()); err != nil {
+			t.Fatalf("RemoveNode: %v", err)
+		}
+		if err := e.c.AddNode(e.nodes[2]); err != nil {
+			t.Fatalf("AddNode: %v", err)
 		}
 	}()
+	e.waitOps(t, e.ops.Load()+3000)
+}
 
-	// Let traffic and churn overlap, then kill the victim. The gate is
-	// taken first so no worker or churn round spans the dead window — but
-	// the destager keeps draining the dirty buffer the traffic left
-	// behind, so the kill still lands against in-flight destage waves.
-	time.Sleep(20 * time.Millisecond)
-	gate.Lock()
-	failpoint.Kill()
-	time.Sleep(2 * time.Millisecond) // let in-flight waves fail against the dead store
-	victim.Close()                   // error expected: the store is dead
-	reborn, err := NewNode(NodeConfig{
-		ID:              victim.ID(),
-		Store:           inner, // the durable medium as the kill froze it
-		CacheSize:       64,
-		BloomExpected:   1 << 16,
-		WriteBack:       true,
-		JournalPath:     victimJournal,
-		DestageBatch:    8,
-		DestageInterval: 100 * time.Microsecond,
-	})
+// fileNode is a journaled write-back node over a file-backed table in the
+// row's directory.
+func fileNode(e *chaosEnv, id string) *Node {
+	db, err := hashdb.Create(filepath.Join(e.dir, id+".shdb"), hashdb.Options{})
 	if err != nil {
-		gate.Unlock()
-		t.Fatalf("rebirth NewNode: %v", err)
+		panic(fmt.Sprintf("hashdb.Create(%s): %v", id, err))
 	}
-	if err := c.RemoveNode(victim.ID()); err != nil {
-		gate.Unlock()
+	return e.mustNode(NodeConfig{
+		ID: ring.NodeID(id), Store: db, CacheSize: 64, BloomExpected: 1 << 12,
+		WriteBack: true, JournalPath: filepath.Join(e.dir, id+".wal"),
+		DestageBatch: 8, DestageInterval: 200 * time.Microsecond, DestageQueue: 32,
+	})
+}
+
+func wipeAndRejoin(t *testing.T, e *chaosEnv) {
+	ctx := context.Background()
+	victim := e.nodes[1]
+	// Kill: the victim stops answering while still a ring member, so calls
+	// fail over and verify misses against a dead replica.
+	e.waitOps(t, 200)
+	victim.Close()
+	e.waitOps(t, e.ops.Load()+200)
+	// Wipe: the hash table and the journal are gone. Rejoin empty, under
+	// the same identity.
+	if err := e.c.RemoveNode(victim.ID()); err != nil {
 		t.Fatalf("RemoveNode: %v", err)
 	}
-	if err := c.AddNode(reborn); err != nil {
-		gate.Unlock()
+	for _, ext := range []string{".shdb", ".wal"} {
+		if err := os.Remove(filepath.Join(e.dir, string(victim.ID())+ext)); err != nil {
+			t.Fatalf("wipe: %v", err)
+		}
+	}
+	e.nodes[1] = fileNode(e, string(victim.ID()))
+	if err := e.c.AddNode(e.nodes[1]); err != nil {
 		t.Fatalf("AddNode: %v", err)
 	}
-	gate.Unlock()
+	e.waitOps(t, e.ops.Load()+400) // workers against the empty rejoined owner
+	// Heal. The membership changes woke the background sweeper too, which
+	// races this one: some sweep must repair, so poll the cumulative counter.
+	if _, err := e.c.AntiEntropy(ctx); err != nil {
+		t.Fatalf("AntiEntropy: %v", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); e.c.ReplicationStats().AntiEntropyRepaired == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no sweep repaired anything after the wipe")
+		}
+	}
+	if err := e.c.FlushRepairs(ctx); err != nil {
+		t.Fatalf("FlushRepairs: %v", err)
+	}
+}
 
-	time.Sleep(20 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-	if err := <-churnDone; err != nil {
-		t.Fatalf("membership churn: %v", err)
-	}
-	if g := ghostNews.Load(); g > 0 {
-		t.Fatalf("%d seeded fingerprints reported as new across kill-and-reopen", g)
-	}
-	// Final sweep: every seeded fingerprint is still a duplicate.
-	for i := uint64(0); i < seeded; i++ {
-		r, err := c.LookupOrInsert(context.Background(), fp(i), Value(seeded))
-		if err != nil {
-			t.Fatalf("final sweep Lookup(%d): %v", i, err)
+// replicasHealed: every seed is on its full replica set with its own value,
+// and the counters webfront surfaces show the sweep.
+func replicasHealed(t *testing.T, e *chaosEnv) {
+	for i := uint64(0); i < uint64(e.row.seeded); i++ {
+		f := fingerprint.FromUint64(i)
+		replicas, err := e.c.routingFor(f)
+		if err != nil || len(replicas) != 2 {
+			t.Fatalf("fingerprint %d routes to %d replicas (%v), want 2", i, len(replicas), err)
 		}
-		if !r.Exists {
-			t.Fatalf("seeded fingerprint %d lost across kill-and-reopen", i)
+		for _, b := range replicas {
+			r, err := b.Lookup(context.Background(), f)
+			if err != nil || !r.Exists || uint64(r.Value) != seedVal(i) {
+				t.Fatalf("replica %s of fingerprint %d = (%+v, %v), want value %d", b.ID(), i, r, err, seedVal(i))
+			}
 		}
+	}
+	if repl := e.c.ReplicationStats(); repl.AntiEntropyRuns == 0 || repl.AntiEntropyRepaired == 0 {
+		t.Fatalf("replication counters missed the sweep: %+v", repl)
 	}
 }

@@ -253,11 +253,7 @@ func TestCleanAheadStalledFallsBackToJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crashJournal := filepath.Join(dir, "crash.wal")
-	if err := os.WriteFile(crashJournal, snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	reborn := cleanAheadNode(t, hashdb.NewMemStore(nil), crashJournal)
+	reborn := cleanAheadNode(t, hashdb.NewMemStore(nil), crashWAL(t, dir, snap))
 	rst, err := reborn.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +314,7 @@ func TestJournalSurvivesManyWavesUntruncated(t *testing.T) {
 	}
 	const inserts = 4000
 	for i := uint64(0); i < inserts; i++ {
-		if _, err := n.LookupOrInsert(context.Background(), fp(i), crashVal(i)); err != nil {
+		if _, err := n.LookupOrInsert(context.Background(), fp(i), Value(i+1)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 		if i%512 == 0 {
@@ -344,14 +340,10 @@ func TestJournalSurvivesManyWavesUntruncated(t *testing.T) {
 		t.Fatalf("journal snapshot is only %d bytes: waves are still truncating it", len(snap))
 	}
 
-	crashJournal := filepath.Join(dir, "crash.wal")
 	for round := 0; round < 2; round++ {
 		// The same snapshot twice: the second replay lands on a store that
 		// has absorbed every record already.
-		if err := os.WriteFile(crashJournal, snap, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		reborn, err := NewNode(crashNodeConfig(inner, crashJournal))
+		reborn, err := NewNode(crashNodeConfig(inner, crashWAL(t, dir, snap)))
 		if err != nil {
 			t.Fatalf("round %d: NewNode after crash: %v", round, err)
 		}
@@ -361,8 +353,8 @@ func TestJournalSurvivesManyWavesUntruncated(t *testing.T) {
 		}
 		for i := uint64(0); i < inserts-crashCache; i++ {
 			r, err := reborn.Lookup(context.Background(), fp(i))
-			if err != nil || !r.Exists || r.Value != crashVal(i) {
-				t.Fatalf("round %d: acknowledged eviction %d = (%+v, %v), want value %d", round, i, r, err, crashVal(i))
+			if err != nil || !r.Exists || r.Value != Value(i+1) {
+				t.Fatalf("round %d: acknowledged eviction %d = (%+v, %v), want value %d", round, i, r, err, i+1)
 			}
 		}
 		if err := reborn.Close(); err != nil {
@@ -411,12 +403,8 @@ func TestCleanAheadJournalsOverAStaleRecord(t *testing.T) {
 	}
 	n.Close()
 
-	crashJournal := filepath.Join(dir, "crash.wal")
-	if err := os.WriteFile(crashJournal, snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	// Rebirth on the store as the crash left it: the re-insert is in it.
-	reborn := cleanAheadNode(t, store, crashJournal)
+	reborn := cleanAheadNode(t, store, crashWAL(t, dir, snap))
 	defer reborn.Close()
 	if r, err := reborn.Lookup(context.Background(), target); err != nil || !r.Exists || r.Value != 2 {
 		t.Fatalf("Lookup after replay = (%+v, %v), want the re-inserted value 2 (the stale tombstone won)", r, err)

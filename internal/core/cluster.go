@@ -235,6 +235,20 @@ func (rt *routing) replicasFor(fp fingerprint.Fingerprint) ([]Backend, error) {
 	return backends, nil
 }
 
+// places reports whether fp's replica set includes the node id.
+func (rt *routing) places(fp fingerprint.Fingerprint, id ring.NodeID) bool {
+	p, err := rt.point(fp)
+	if err != nil {
+		return false
+	}
+	for _, i := range rt.table.Successors(p) {
+		if rt.table.Nodes()[i] == id {
+			return true
+		}
+	}
+	return false
+}
+
 func (c *Cluster) addLocked(b Backend) error {
 	id := b.ID()
 	if _, dup := c.backends[id]; dup {
@@ -767,44 +781,15 @@ func (c *Cluster) JoinNode(ctx context.Context, b Backend) (RebalanceStats, erro
 	// Phase 1: copy soon-to-move entries to the joiner while routing is
 	// untouched (lookups still find them on their current owners).
 	var stats RebalanceStats
+	joiner := map[ring.NodeID]Backend{newID: b}
 	for _, m := range members {
 		mig, ok := m.(Migrator)
 		if !ok {
 			stats.Skipped++
 			continue
 		}
-		type entry struct {
-			fp  fingerprint.Fingerprint
-			val Value
-		}
-		var moving []entry
-		var lookupErr error
-		err := mig.Entries(ctx, func(fp fingerprint.Fingerprint, val Value) bool {
-			stats.Scanned++
-			if lookupErr = ctx.Err(); lookupErr != nil {
-				return false
-			}
-			owner, lerr := shadow.Lookup(fp)
-			if lerr != nil {
-				lookupErr = lerr
-				return false
-			}
-			if owner == newID {
-				moving = append(moving, entry{fp, val})
-			}
-			return true
-		})
-		if err == nil {
-			err = lookupErr
-		}
-		if err != nil {
-			return stats, fmt.Errorf("core: join copy from %s: %w", m.ID(), err)
-		}
-		for _, e := range moving {
-			if err := b.Insert(ctx, e.fp, e.val); err != nil {
-				return stats, fmt.Errorf("core: join copy %s: %w", e.fp.Short(), err)
-			}
-			stats.Moved++
+		if err := c.copyAhead(ctx, m.ID(), mig, shadow, joiner, &stats); err != nil {
+			return stats, err
 		}
 	}
 
@@ -834,11 +819,17 @@ func (c *Cluster) JoinNode(ctx context.Context, b Backend) (RebalanceStats, erro
 }
 
 // DrainNode migrates every entry off the named node and detaches it from
-// the cluster (graceful decommission). The backend itself is not closed;
-// its owner closes it after the drain. A cancelled ctx stops the copy
-// mid-pass: the node is already out of the ring (routing flips first) but
-// stays attached until every entry has moved, so un-migrated entries are
-// never orphaned and a later Rebalance can finish the job.
+// the cluster (graceful decommission), in JoinNode's three phases: it copies
+// every entry to its owner-to-be (computed against a shadow ring) while
+// routing still sends the node's range here, then flips routing, then moves
+// everything again to pick up what was inserted during the copy. A lookup
+// routed after the flip so finds an entry where it looks, never a miss
+// that answers a stored fingerprint "new". The backend itself is not
+// closed; its owner closes it after the drain. A cancelled ctx before the
+// flip aborts the drain; after it, the move stops mid-pass and the node,
+// out of the ring, stays attached until every entry has moved, so
+// un-migrated entries are never orphaned and a later Rebalance can finish
+// the job.
 func (c *Cluster) DrainNode(ctx context.Context, id ring.NodeID) (RebalanceStats, error) {
 	c.mu.Lock()
 	b, ok := c.backends[id]
@@ -855,8 +846,30 @@ func (c *Cluster) DrainNode(ctx context.Context, id ring.NodeID) (RebalanceStats
 		c.mu.Unlock()
 		return RebalanceStats{}, errors.New("core: cannot drain the last node")
 	}
-	// Take the node out of the ring first so migrated entries route to
-	// the surviving members; keep the backend reachable for the copy.
+	shadow := ring.New(c.vnodes)
+	rest := make(map[ring.NodeID]Backend, len(c.backends)-1)
+	for mid, mb := range c.backends {
+		if mid == id {
+			continue
+		}
+		if err := shadow.Add(mid); err != nil {
+			c.mu.Unlock()
+			return RebalanceStats{}, err
+		}
+		rest[mid] = mb
+	}
+	c.mu.Unlock()
+
+	if err := c.copyAhead(ctx, id, m, shadow, rest, &RebalanceStats{}); err != nil {
+		return RebalanceStats{}, err
+	}
+	// Take the node out of the ring so migrated entries route to the
+	// surviving members; keep the backend reachable for the move.
+	c.mu.Lock()
+	if _, ok := c.backends[id]; !ok {
+		c.mu.Unlock()
+		return RebalanceStats{}, fmt.Errorf("core: backend %q left during the drain", id)
+	}
 	if err := c.ring.Remove(id); err != nil {
 		c.mu.Unlock()
 		return RebalanceStats{}, err
@@ -924,7 +937,10 @@ func (c *Cluster) migrateFrom(ctx context.Context, source ring.NodeID, m Migrato
 			if t.ID() == source {
 				continue
 			}
-			if ierr := t.Insert(ctx, e.fp, e.val); ierr != nil {
+			// Fill a hole only: an entry the target holds is the one lookups
+			// routed there were answered from, while the source's may be a
+			// stray that a call routed on a superseded table left behind.
+			if _, ierr := t.LookupOrInsert(ctx, e.fp, e.val); ierr != nil {
 				return moved, scanned, fmt.Errorf("core: migrate %s to %s: %w", e.fp.Short(), t.ID(), ierr)
 			}
 		}
@@ -934,6 +950,55 @@ func (c *Cluster) migrateFrom(ctx context.Context, source ring.NodeID, m Migrato
 		moved++
 	}
 	return moved, scanned, nil
+}
+
+// copyAhead is a membership change's first phase: while routing is still
+// untouched, it copies every entry of from that shadow — the ring as it will
+// be — gives to a node of to, so the entry is in place when routing flips.
+// Only entries from holds for the table in force are copied: anything else
+// on it is a stray a call routed on a superseded table left behind, and
+// copied over the owner's entry it would change a stored fingerprint's
+// value.
+func (c *Cluster) copyAhead(ctx context.Context, id ring.NodeID, from Migrator, shadow *ring.Ring, to map[ring.NodeID]Backend, stats *RebalanceStats) error {
+	type entry struct {
+		fp  fingerprint.Fingerprint
+		val Value
+		to  Backend
+	}
+	var moving []entry
+	var lookupErr error
+	rt := c.route.Load()
+	err := from.Entries(ctx, func(fp fingerprint.Fingerprint, val Value) bool {
+		stats.Scanned++
+		if lookupErr = ctx.Err(); lookupErr != nil {
+			return false
+		}
+		if !rt.places(fp, id) {
+			return true
+		}
+		owner, lerr := shadow.Lookup(fp)
+		if lerr != nil {
+			lookupErr = lerr
+			return false
+		}
+		if b, ok := to[owner]; ok {
+			moving = append(moving, entry{fp, val, b})
+		}
+		return true
+	})
+	if err == nil {
+		err = lookupErr
+	}
+	if err != nil {
+		return fmt.Errorf("core: copy from %s: %w", id, err)
+	}
+	for _, e := range moving {
+		if err := e.to.Insert(ctx, e.fp, e.val); err != nil {
+			return fmt.Errorf("core: copy %s to %s: %w", e.fp.Short(), e.to.ID(), err)
+		}
+		stats.Moved++
+	}
+	return nil
 }
 
 // ClientTransportStats aggregates the client-side transport counters of

@@ -1,24 +1,14 @@
 package core
 
-// The node-level crash-injection property harness. A write-back node with
-// a journal runs a deterministic insert schedule over a store that dies at
-// the Nth entry write (hashdb.Failpoint). At the instant of death the
-// harness snapshots the journal file and the count of fully acknowledged
-// inserts; the node is then torn down and rebuilt from exactly the durable
-// state — the store's contents at the kill plus the journal snapshot — and
-// two properties are asserted for every kill point:
-//
-//   - No acked eviction is lost. The cache (capacity C, single exact-LRU
-//     stripe) evicts strictly in insert order, so after a acked inserts,
-//     inserts 0..a-1-C have all been evicted — and an eviction does not
-//     acknowledge until its journal record is fsynced. Every one of them
-//     must be found after recovery, via the store or the journal replay.
-//   - No corrupt data is served: every surviving fingerprint carries the
-//     exact value it was inserted with.
-//
-// A second flavor runs the same schedule over an on-disk hashdb.DB, so a
-// kill additionally leaves the store's own file dirty and the reopen
-// exercises hashdb's recovery pass under the node's replay.
+// The node-level kill-point sweeps. A write-back node with a journal runs a
+// schedule over a store that dies at its Nth entry write (hashdb.Failpoint);
+// the node is then rebuilt from exactly what a dead process leaves — the
+// store as the kill froze it and the journal as it was at that instant — and
+// what the reborn node serves is held to the contract model (internal/simtest,
+// ARCHITECTURE "Safety contract"). The only excuse is the write-back window:
+// the cache (one exact-LRU stripe of crashCache entries) acks inserts from
+// RAM, and an eviction acks only once its journal record is fsynced, so only
+// the crashCache keys acked last may be gone.
 
 import (
 	"context"
@@ -26,12 +16,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"shhc/internal/fingerprint"
 	"shhc/internal/hashdb"
 	"shhc/internal/ring"
+	"shhc/internal/simtest"
 )
 
 const (
@@ -39,7 +30,11 @@ const (
 	crashInserts = 48
 )
 
-func crashVal(i uint64) Value { return Value(i + 1000) }
+// crashOps inserts crashInserts fresh keys one at a time and flushes.
+var crashOps = simtest.Schedule{
+	{Kind: simtest.Put, Keys: simtest.Span(0, crashInserts), Gen: 1},
+	{Kind: simtest.Sync},
+}
 
 // crashNodeConfig builds the write-back node under test: small cache,
 // small fast waves so destage I/O interleaves the schedule densely.
@@ -57,240 +52,305 @@ func crashNodeConfig(store hashdb.Store, journalPath string) NodeConfig {
 	}
 }
 
-// runCrashSchedule drives the insert schedule, counting fully
-// acknowledged inserts in acked. It stops early only on errors that are
-// not the injected kill (the kill surfaces asynchronously through parked
-// destage errors; inserts themselves are RAM-speed and keep succeeding).
-func runCrashSchedule(t *testing.T, n *Node, acked *atomic.Uint64) {
-	t.Helper()
-	for i := uint64(0); i < crashInserts; i++ {
-		_, err := n.LookupOrInsert(context.Background(), fp(i), crashVal(i))
-		if err != nil {
-			if errors.Is(err, hashdb.ErrKilled) {
-				return // parked destage error delivered: the store is dead
-			}
-			t.Fatalf("insert %d failed with non-kill error: %v", i, err)
-		}
-		acked.Add(1)
+// backlogged holds cfg's destager back until two caches' worth of entries
+// are pending, so evictions pile up in the buffer and a kill strands acked
+// entries only the journal holds. With a wave every few inserts,
+// clean-ahead writes every entry before it is evicted, and a sweep would
+// pass with the journal snapshot emptied.
+func backlogged(cfg NodeConfig) NodeConfig {
+	cfg.DestageBatch, cfg.DestageInterval = 2*crashCache, time.Hour
+	return cfg
+}
+
+// nodeTarget runs a simtest schedule against a node: a put is the
+// lookup-or-insert flow, so it settles on the value the node already held.
+type nodeTarget struct{ n *Node }
+
+func (nt nodeTarget) PutBatch(fps []fingerprint.Fingerprint, vals []uint64) ([]uint64, error) {
+	pairs := make([]Pair, len(fps))
+	for i := range fps {
+		pairs[i] = Pair{FP: fps[i], Val: Value(vals[i])}
 	}
-	// Fully scheduled: force the rest out (dies mid-flush when the kill
-	// point lies in the tail).
-	n.Flush()
+	rs, err := nt.n.BatchLookupOrInsert(context.Background(), pairs)
+	if err != nil {
+		return nil, err
+	}
+	got := make([]uint64, len(rs))
+	for i, r := range rs {
+		got[i] = settled(r, vals[i])
+	}
+	return got, nil
+}
+
+func (nt nodeTarget) Put(f fingerprint.Fingerprint, v uint64) (uint64, error) {
+	r, err := nt.n.LookupOrInsert(context.Background(), f, Value(v))
+	return settled(r, v), err
+}
+
+func settled(r LookupResult, proposed uint64) uint64 {
+	if r.Exists {
+		return uint64(r.Value)
+	}
+	return proposed
+}
+
+func (nt nodeTarget) Delete(f fingerprint.Fingerprint) error {
+	_, err := nt.n.Remove(f)
+	return err
+}
+
+func (nt nodeTarget) Sync() error { return nt.n.Flush() }
+
+func (nodeTarget) Compact() error { return nil }
+
+// lookupVia reads one key the way a model check wants it.
+func lookupVia(b Backend) func(fingerprint.Fingerprint) (uint64, bool, error) {
+	return func(f fingerprint.Fingerprint) (uint64, bool, error) {
+		r, err := b.Lookup(context.Background(), f)
+		return uint64(r.Value), r.Exists, err
+	}
+}
+
+// crashWAL writes snap, a journal's bytes at the instant of a kill, to
+// crash.wal in dir and returns its path: the node reborn on it replays what
+// the dead one had made durable, whatever the dead one did to its own file
+// on the way down.
+func crashWAL(t *testing.T, dir string, snap []byte) string {
+	t.Helper()
+	path := filepath.Join(dir, "crash.wal")
+	if err := os.WriteFile(path, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// nodeSweep sweeps sched over a crash node's store, in memory or, onDisk,
+// a hashdb table whose reopen runs hashdb recovery under the journal replay.
+func nodeSweep(sched simtest.Schedule, onDisk bool) simtest.Sweep {
+	return simtest.Sweep{
+		Probe: func(t *testing.T) int64 {
+			dir := t.TempDir()
+			probe := hashdb.NewFailpoint(crashStore(t, dir, onDisk), math.MaxInt64, nil)
+			n, err := NewNode(backlogged(crashNodeConfig(probe, filepath.Join(dir, "node.wal"))))
+			if err != nil {
+				t.Fatalf("probe NewNode: %v", err)
+			}
+			if err := sched.Run(nodeTarget{n}, simtest.NewModel()); err != nil {
+				t.Fatalf("probe schedule: %v", err)
+			}
+			if err := n.Close(); err != nil {
+				t.Fatalf("probe Close: %v", err)
+			}
+			return probe.Writes()
+		},
+		Kill: func(t *testing.T, kill int64, _ int) { nodeKill(t, sched, onDisk, kill) },
+	}
+}
+
+// crashStore is the medium a crash node writes to. The in-memory one
+// survives the node's Close: a wave may write an entry twice (copied for
+// clean-ahead, then evicted dirty mid-wave), so a run can finish in fewer
+// writes than its probe counted and then closes cleanly before its rebirth.
+func crashStore(t *testing.T, dir string, onDisk bool) hashdb.Store {
+	if !onDisk {
+		return durableStore{hashdb.NewMemStore(nil)}
+	}
+	db, err := hashdb.Create(filepath.Join(dir, "node.shdb"), hashdb.Options{Buckets: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+func nodeKill(t *testing.T, sched simtest.Schedule, onDisk bool, kill int64) {
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, "node.wal")
+	inner := crashStore(t, dir, onDisk)
+	m := simtest.NewModel()
+	var snap []byte
+	store := hashdb.NewFailpoint(inner, kill, func() {
+		m.Crash()
+		snap, _ = os.ReadFile(jpath)
+	})
+	n, err := NewNode(backlogged(crashNodeConfig(store, jpath)))
+	if err != nil {
+		t.Fatalf("NewNode: %v", err)
+	}
+	if err := sched.Run(nodeTarget{n}, m); err != nil && !errors.Is(err, hashdb.ErrKilled) {
+		t.Fatalf("schedule failed with a non-kill error: %v", err)
+	}
+	n.Close() // tears down goroutines; errors expected after a kill
+
+	var ex simtest.Excuse
+	if store.Killed() {
+		if snap == nil {
+			t.Fatal("no journal snapshot captured at the kill")
+		}
+		jpath, ex.Window = crashWAL(t, dir, snap), crashCache
+		if db, ok := inner.(*hashdb.DB); ok {
+			// The process died: the table was never closed cleanly.
+			if err := db.CloseWithoutSync(); err != nil {
+				t.Fatalf("CloseWithoutSync: %v", err)
+			}
+		}
+	}
+	if onDisk {
+		if inner, err = hashdb.Open(filepath.Join(dir, "node.shdb"), nil); err != nil {
+			t.Fatalf("hashdb.Open after the crash: %v", err)
+		}
+	}
+	n2, err := NewNode(crashNodeConfig(inner, jpath))
+	if err != nil {
+		t.Fatalf("NewNode after the crash: %v", err)
+	}
+	defer n2.Close()
+	if err := m.Check(lookupVia(n2), ex); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestCrashEveryKillPointRecoversAckedEvictions(t *testing.T) {
-	// Probe the schedule's total store-write count with an unreachable
-	// kill point.
-	dir := t.TempDir()
-	probeStore := hashdb.NewFailpoint(hashdb.NewMemStore(nil), math.MaxInt64, nil)
-	pn, err := NewNode(crashNodeConfig(probeStore, filepath.Join(dir, "probe.wal")))
-	if err != nil {
-		t.Fatalf("probe NewNode: %v", err)
-	}
-	var probeAcked atomic.Uint64
-	runCrashSchedule(t, pn, &probeAcked)
-	if err := pn.Close(); err != nil {
-		t.Fatalf("probe Close: %v", err)
-	}
-	total := probeStore.Writes()
-	if total < int64(crashInserts)/2 {
-		t.Fatalf("schedule issued only %d store writes; harness too weak", total)
-	}
-
-	for k := int64(1); k <= total; k++ {
-		runNodeCrashPoint(t, k)
-	}
+	sw := nodeSweep(crashOps, false)
+	sw.Floor = crashInserts / 2
+	sw.Run(t)
 }
 
-func runNodeCrashPoint(t *testing.T, killAt int64) {
-	t.Helper()
-	dir := t.TempDir()
-	jpath := filepath.Join(dir, "node.wal")
-	// A wave may write an entry twice (copied for clean-ahead, then evicted
-	// dirty mid-wave), so a run can finish in fewer writes than the probe
-	// counted and never reach killAt; the medium must then survive the
-	// node's clean Close for the rebirth below.
-	inner := durableStore{hashdb.NewMemStore(nil)}
-
-	var (
-		ackedAtKill atomic.Int64
-		snapshot    atomic.Pointer[[]byte]
-		acked       atomic.Uint64
-	)
-	// onKill runs synchronously at the killing write: capture the ack
-	// count first, then the journal bytes — every insert counted below
-	// completed its eviction's journal fsync before the capture, so its
-	// records must be inside the snapshot.
-	store := hashdb.NewFailpoint(inner, killAt, func() {
-		ackedAtKill.Store(int64(acked.Load()))
-		b, err := os.ReadFile(jpath)
-		if err != nil {
-			b = nil
-		}
-		snapshot.Store(&b)
-	})
-
-	n, err := NewNode(crashNodeConfig(store, jpath))
-	if err != nil {
-		t.Fatalf("kill=%d: NewNode: %v", killAt, err)
-	}
-	runCrashSchedule(t, n, &acked)
-	killed := store.Killed()
-	n.Close() // tears down goroutines; errors expected after a kill
-
-	journalPath := jpath
-	a := int64(acked.Load())
-	if killed {
-		snap := snapshot.Load()
-		if snap == nil || *snap == nil {
-			t.Fatalf("kill=%d: no journal snapshot captured", killAt)
-		}
-		journalPath = filepath.Join(dir, "crash.wal")
-		if err := os.WriteFile(journalPath, *snap, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		a = ackedAtKill.Load()
-	}
-
-	// Rebirth from durable state only: the store as the kill froze it
-	// plus the journal snapshot.
-	n2, err := NewNode(crashNodeConfig(inner, journalPath))
-	if err != nil {
-		t.Fatalf("kill=%d: NewNode after crash: %v", killAt, err)
-	}
-	defer n2.Close()
-
-	// Durability floor: after a acked inserts, inserts 0..a-1-C were all
-	// evicted and acknowledged, so they must survive. (Without a kill,
-	// the Flush+Close made everything durable.)
-	mustSurvive := int64(crashInserts)
-	if killed {
-		mustSurvive = a - crashCache
-	}
-	for i := int64(0); i < mustSurvive; i++ {
-		r, err := n2.Lookup(context.Background(), fp(uint64(i)))
-		if err != nil {
-			t.Fatalf("kill=%d: Lookup(%d) after recovery: %v", killAt, i, err)
-		}
-		if !r.Exists {
-			t.Fatalf("kill=%d: acked eviction %d lost (acked=%d, cache=%d)", killAt, i, a, crashCache)
-		}
-		if r.Value != crashVal(uint64(i)) {
-			t.Fatalf("kill=%d: Lookup(%d) = %d, want %d (corrupt data served)", killAt, i, r.Value, crashVal(uint64(i)))
-		}
-	}
-	// No garbage anywhere: whatever else survived must carry its exact
-	// value.
-	for i := uint64(0); i < crashInserts; i++ {
-		r, err := n2.Lookup(context.Background(), fp(i))
-		if err != nil {
-			t.Fatalf("kill=%d: Lookup(%d): %v", killAt, i, err)
-		}
-		if r.Exists && r.Value != crashVal(i) {
-			t.Fatalf("kill=%d: Lookup(%d) = %d, want %d (corrupt data served)", killAt, i, r.Value, crashVal(i))
-		}
-	}
-}
-
-// TestCrashKillPointsOnDiskStore runs the same property over an on-disk
-// hashdb.DB: the kill leaves the store's file unclean, so the reopen path
-// is hashdb recovery plus journal replay stacked. A sparse sample of kill
-// points keeps the file churn affordable; the MemStore harness above
-// covers every point.
+// TestCrashKillPointsOnDiskStore runs the sweep over an on-disk table, so the
+// reopen is hashdb recovery plus journal replay stacked. Every third point
+// keeps the file churn affordable; the in-memory sweep covers every point.
 func TestCrashKillPointsOnDiskStore(t *testing.T) {
-	dir := t.TempDir()
-	probePath := filepath.Join(dir, "probe.shdb")
-	pdb, err := hashdb.Create(probePath, hashdb.Options{Buckets: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	probeStore := hashdb.NewFailpoint(pdb, math.MaxInt64, nil)
-	pn, err := NewNode(crashNodeConfig(probeStore, filepath.Join(dir, "probe.wal")))
-	if err != nil {
-		t.Fatalf("probe NewNode: %v", err)
-	}
-	var probeAcked atomic.Uint64
-	runCrashSchedule(t, pn, &probeAcked)
-	if err := pn.Close(); err != nil {
-		t.Fatalf("probe Close: %v", err)
-	}
-	total := probeStore.Writes()
-
-	for k := int64(1); k <= total; k += 3 {
-		runDiskCrashPoint(t, k)
-	}
+	sw := nodeSweep(crashOps, true)
+	sw.Step = 3
+	sw.Run(t)
 }
 
-func runDiskCrashPoint(t *testing.T, killAt int64) {
-	t.Helper()
-	dir := t.TempDir()
-	jpath := filepath.Join(dir, "node.wal")
-	dbPath := filepath.Join(dir, "node.shdb")
-	db, err := hashdb.Create(dbPath, hashdb.Options{Buckets: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var (
-		ackedAtKill atomic.Int64
-		snapshot    atomic.Pointer[[]byte]
-		acked       atomic.Uint64
-	)
-	store := hashdb.NewFailpoint(db, killAt, func() {
-		ackedAtKill.Store(int64(acked.Load()))
-		b, err := os.ReadFile(jpath)
-		if err != nil {
-			b = nil
-		}
-		snapshot.Store(&b)
+// FuzzNodeCrashSchedule composes crash × destage wave × hashdb recovery ×
+// journal replay: a schedule generated from seed runs on a crash node over an
+// on-disk table that dies at its kill-th entry write. The seed corpus runs
+// with the tests.
+func FuzzNodeCrashSchedule(f *testing.F) {
+	f.Add(int64(1), uint16(5))
+	f.Add(int64(2), uint16(40))
+	f.Add(int64(3), uint16(90))
+	f.Add(int64(4), uint16(150))
+	f.Add(int64(5), uint16(1000))
+	f.Fuzz(func(t *testing.T, seed int64, kill uint16) {
+		nodeKill(t, insertsOnly(simtest.Generate(seed, 200, 25)), true, int64(kill)+1)
 	})
-	n, err := NewNode(crashNodeConfig(store, jpath))
-	if err != nil {
-		t.Fatalf("kill=%d: NewNode: %v", killAt, err)
-	}
-	runCrashSchedule(t, n, &acked)
-	killed := store.Killed()
-	n.Close()
+}
 
-	journalPath := jpath
-	a := int64(acked.Load())
-	if killed {
-		// The process died: the DB was never closed cleanly. Drop the
-		// fd and reopen from the file — hashdb recovery runs.
-		if err := db.CloseWithoutSync(); err != nil {
-			t.Fatalf("kill=%d: CloseWithoutSync: %v", killAt, err)
+// insertsOnly drops the puts of keys the schedule holds at that point. A
+// node never overwrites, and a duplicate answered from its cache only sets
+// the entry's clock bit, which extends its residency at eviction time: the
+// write-back window, counted in acked keys, cannot bound that.
+func insertsOnly(s simtest.Schedule) simtest.Schedule {
+	live := make(map[uint64]bool)
+	var out simtest.Schedule
+	for _, op := range s {
+		switch op.Kind {
+		case simtest.Put, simtest.PutBatch:
+			var keys []uint64
+			for _, k := range op.Keys {
+				if !live[k] {
+					live[k] = true
+					keys = append(keys, k)
+				}
+			}
+			if len(keys) == 0 {
+				continue
+			}
+			op.Keys = keys
+		case simtest.Delete:
+			for _, k := range op.Keys {
+				delete(live, k)
+			}
 		}
-		snap := snapshot.Load()
-		if snap == nil || *snap == nil {
-			t.Fatalf("kill=%d: no journal snapshot captured", killAt)
-		}
-		journalPath = filepath.Join(dir, "crash.wal")
-		if err := os.WriteFile(journalPath, *snap, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		a = ackedAtKill.Load()
+		out = append(out, op)
 	}
-	db2, err := hashdb.Open(dbPath, nil)
-	if err != nil {
-		t.Fatalf("kill=%d: hashdb.Open after crash: %v", killAt, err)
-	}
-	n2, err := NewNode(crashNodeConfig(db2, journalPath))
-	if err != nil {
-		t.Fatalf("kill=%d: NewNode after crash: %v", killAt, err)
-	}
-	defer n2.Close()
+	return out
+}
 
-	mustSurvive := int64(crashInserts)
-	if killed {
-		mustSurvive = a - crashCache
-	}
-	for i := int64(0); i < mustSurvive; i++ {
-		r, err := n2.Lookup(context.Background(), fp(uint64(i)))
-		if err != nil {
-			t.Fatalf("kill=%d: Lookup(%d) after recovery: %v", killAt, i, err)
+// TestReplicatedCrashKillOwnerAtEveryWrite kills the owner's store at every
+// write while a 2-node, Replicas=2, 2-of-2-quorum cluster inserts keys node-0
+// owns. An ack either met the quorum (node-1 durably took the mirror write)
+// or degraded below it, which here happens only when node-1 decided the
+// insert after failover. Either way the survivor must serve every acked key
+// at its value, before any repair runs.
+func TestReplicatedCrashKillOwnerAtEveryWrite(t *testing.T) {
+	fps := replCrashFPs(t)
+	// run inserts every key, acking those whose insert returned: after the
+	// kill a failed insert is simply not acked.
+	run := func(t *testing.T, store hashdb.Store) (*Cluster, *Node, *simtest.Model) {
+		c, b := buildReplicatedPair(t, store, filepath.Join(t.TempDir(), "node.wal"))
+		m := simtest.NewModel()
+		for i, f := range fps {
+			v := simtest.Val(uint64(i), 1)
+			m.Put(f, v)
+			if _, err := c.LookupOrInsert(context.Background(), f, Value(v)); err == nil {
+				m.AckPut(f, v)
+			}
 		}
-		if !r.Exists || r.Value != crashVal(uint64(i)) {
-			t.Fatalf("kill=%d: acked eviction %d = %+v, want value %d", killAt, i, r, crashVal(uint64(i)))
+		return c, b, m
+	}
+	simtest.Sweep{
+		Floor: crashInserts / 2,
+		Probe: func(t *testing.T) int64 {
+			probe := hashdb.NewFailpoint(hashdb.NewMemStore(nil), math.MaxInt64, nil)
+			c, _, _ := run(t, probe)
+			c.Close() // flushes the owner's destage tail through the probe store
+			return probe.Writes()
+		},
+		Kill: func(t *testing.T, kill int64, _ int) {
+			c, b, m := run(t, hashdb.NewFailpoint(hashdb.NewMemStore(nil), kill, nil))
+			defer c.Close() // errors expected after a kill
+			if err := m.Check(lookupVia(b), simtest.Excuse{}); err != nil {
+				t.Fatalf("survivor: %v", err)
+			}
+		},
+	}.Run(t)
+}
+
+// replCrashFPs returns crashInserts fingerprints all owned by node-0 in a
+// 2-node ring — the ring layout depends only on the IDs, so a throwaway
+// cluster computes the same ownership the real runs will see.
+func replCrashFPs(t *testing.T) []fingerprint.Fingerprint {
+	t.Helper()
+	probe := newTestCluster(t, 2, ClusterConfig{Replicas: 2})
+	fps := make([]fingerprint.Fingerprint, 0, crashInserts)
+	for i := uint64(0); len(fps) < crashInserts; i++ {
+		if i > 100_000 {
+			t.Fatal("could not collect node-0-owned fingerprints")
+		}
+		f := fingerprint.FromUint64(i)
+		if owner, err := probe.Owner(f); err == nil && owner == "node-0" {
+			fps = append(fps, f)
 		}
 	}
+	return fps
+}
+
+// buildReplicatedPair assembles owner A (write-back, journaled, over the
+// given store) and survivor B (plain write-through), replicated 2×2.
+func buildReplicatedPair(t *testing.T, storeA hashdb.Store, journalA string) (*Cluster, *Node) {
+	t.Helper()
+	cfgA := crashNodeConfig(storeA, journalA)
+	cfgA.ID = ring.NodeID("node-0")
+	a, err := NewNode(cfgA)
+	if err != nil {
+		t.Fatalf("NewNode A: %v", err)
+	}
+	b, err := NewNode(NodeConfig{
+		ID:            ring.NodeID("node-1"),
+		Store:         hashdb.NewMemStore(nil),
+		CacheSize:     256,
+		BloomExpected: 1 << 12,
+	})
+	if err != nil {
+		t.Fatalf("NewNode B: %v", err)
+	}
+	c, err := NewCluster(ClusterConfig{Replicas: 2}, a, b)
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	return c, b
 }

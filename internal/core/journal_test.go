@@ -2,11 +2,15 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"shhc/internal/fingerprint"
 	"shhc/internal/hashdb"
 )
 
@@ -55,12 +59,8 @@ func TestJournalReplayRecoversBufferedEvictions(t *testing.T) {
 	}
 	n.Close()
 
-	crashJournal := filepath.Join(dir, "crash.wal")
-	if err := os.WriteFile(crashJournal, snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	// A brand-new store: what survives can only come from the journal.
-	n2 := stalledJournalNode(t, hashdb.NewMemStore(nil), crashJournal, cache)
+	n2 := stalledJournalNode(t, hashdb.NewMemStore(nil), crashWAL(t, dir, snap), cache)
 	defer n2.Close()
 
 	st, err := n2.Stats(context.Background())
@@ -160,11 +160,7 @@ func TestJournalTombstoneStopsResurrection(t *testing.T) {
 	}
 	n.Close()
 
-	crashJournal := filepath.Join(dir, "crash.wal")
-	if err := os.WriteFile(crashJournal, snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	n2 := stalledJournalNode(t, hashdb.NewMemStore(nil), crashJournal, cache)
+	n2 := stalledJournalNode(t, hashdb.NewMemStore(nil), crashWAL(t, dir, snap), cache)
 	defer n2.Close()
 	r, err := n2.Lookup(context.Background(), victim)
 	if err != nil {
@@ -199,12 +195,7 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	if len(snap) < 8+2*torn {
 		t.Fatalf("journal too small to tear: %d bytes", len(snap))
 	}
-	crashJournal := filepath.Join(dir, "crash.wal")
-	if err := os.WriteFile(crashJournal, snap[:len(snap)-torn], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	n2 := stalledJournalNode(t, hashdb.NewMemStore(nil), crashJournal, cache)
+	n2 := stalledJournalNode(t, hashdb.NewMemStore(nil), crashWAL(t, dir, snap[:len(snap)-torn]), cache)
 	defer n2.Close()
 	st, err := n2.Stats(context.Background())
 	if err != nil {
@@ -258,11 +249,7 @@ func TestJournalCoalescedOverwriteKeepsNewest(t *testing.T) {
 	}
 	n.Close()
 
-	crashJournal := filepath.Join(dir, "crash.wal")
-	if err := os.WriteFile(crashJournal, snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	n2 := stalledJournalNode(t, hashdb.NewMemStore(nil), crashJournal, cache)
+	n2 := stalledJournalNode(t, hashdb.NewMemStore(nil), crashWAL(t, dir, snap), cache)
 	defer n2.Close()
 	r, err := n2.Lookup(context.Background(), target)
 	if err != nil || !r.Exists {
@@ -319,4 +306,81 @@ func TestJournalCheckpointBoundsGrowth(t *testing.T) {
 			t.Fatalf("Lookup(%d) after checkpoint = (%+v, %v), want found with exact value", i, r, err)
 		}
 	}
+}
+
+// journalBytes encodes a journal file: the header, then recs.
+func journalBytes(recs ...jrec) []byte {
+	b := binary.BigEndian.AppendUint32([]byte(journalMagic), journalVersion)
+	for _, r := range recs {
+		var rec [journalRecSize]byte
+		rec[4] = r.kind
+		r.fp.Put(rec[5:])
+		binary.BigEndian.PutUint64(rec[5+fingerprint.Size:], uint64(r.val))
+		binary.BigEndian.PutUint32(rec[0:4], crc32.ChecksumIEEE(rec[4:]))
+		b = append(b, rec[:]...)
+	}
+	return b
+}
+
+// FuzzJournalReplay opens a write-back node on arbitrary bytes as its
+// journal. It must not panic or hang, must replay exactly the records
+// readJournalRecords accepts (the last record of a fingerprint wins, a
+// tombstone deletes), and a second replay of the same bytes into the store
+// the first left must change nothing.
+func FuzzJournalReplay(f *testing.F) {
+	put := func(k uint64) jrec { return jrec{kind: journalPut, fp: fp(k), val: Value(k + 7)} }
+	valid := journalBytes(put(1), put(2), jrec{kind: journalDelete, fp: fp(1)}, put(3), jrec{kind: journalPut, fp: fp(2), val: 9})
+	f.Add([]byte(nil))
+	f.Add(valid[:journalHdrSize])
+	f.Add(valid)
+	f.Add(valid[:len(valid)-17])                               // a torn tail
+	f.Add(append(valid[:journalHdrSize:journalHdrSize], 0, 1)) // a two-byte record
+	f.Add(journalBytes(put(4), jrec{kind: 3, fp: fp(5)}, put(6)))
+	f.Add([]byte("SHJL\x00\x00\x00\x02"))
+	f.Fuzz(func(t *testing.T, wal []byte) {
+		dir := t.TempDir()
+		var recs []jrec
+		torn := uint64(len(wal))
+		if len(wal) >= journalHdrSize && string(wal[:4]) == journalMagic && binary.BigEndian.Uint32(wal[4:8]) == journalVersion {
+			jf, err := os.Open(crashWAL(t, dir, wal))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var valid int64
+			recs, valid, _, err = readJournalRecords(jf, int64(len(wal)))
+			jf.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			torn -= uint64(valid)
+		}
+		want := make(map[fingerprint.Fingerprint]Value)
+		for _, r := range recs {
+			if r.kind == journalPut {
+				want[r.fp] = r.val
+			} else {
+				delete(want, r.fp)
+			}
+		}
+		store := durableStore{hashdb.NewMemStore(nil)}
+		for round := range 2 {
+			n := stalledJournalNode(t, store, crashWAL(t, dir, wal), 8)
+			st, err := n.Stats(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Recovery.JournalReplayed != uint64(len(recs)) || st.Recovery.JournalTornBytes != torn {
+				t.Fatalf("round %d: replayed %d records and dropped %d bytes, want %d and %d",
+					round, st.Recovery.JournalReplayed, st.Recovery.JournalTornBytes, len(recs), torn)
+			}
+			if err := n.Close(); err != nil {
+				t.Fatalf("round %d: Close: %v", round, err)
+			}
+			got := make(map[fingerprint.Fingerprint]Value)
+			store.Range(func(f fingerprint.Fingerprint, v Value) bool { got[f] = v; return true })
+			if !maps.Equal(got, want) {
+				t.Fatalf("round %d: the store holds %v after replay, want %v", round, got, want)
+			}
+		}
+	})
 }

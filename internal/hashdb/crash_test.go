@@ -1,25 +1,12 @@
 package hashdb
 
-// The kill-at-every-write crash-injection harness. A deterministic
-// workload (batched creates, per-key creates, updates, deletes, a second
-// batch, a sync) runs against a DB whose backing file dies at the Nth
-// write — for every N the schedule reaches, at several torn-write
-// granularities. After each kill the file is reopened and three properties
-// are asserted:
-//
-//  1. Open never fails permanently: recovery repairs whatever the kill
-//     tore and a second reopen is clean.
-//  2. No corrupt data is served: every readable value is one some
-//     operation actually wrote for that key, and reads never error.
-//  3. Durability: an operation that completed before the kill — and whose
-//     key no later (killed) operation touched — is fully visible, except
-//     that a torn in-place page overwrite may quarantine previously
-//     durable entries; when the kill granularity is whole-write (an
-//     atomic device), recovery must report zero torn pages and nothing
-//     acknowledged may be lost at all.
-//
-// Deletes are asserted the strongest way: an acknowledged delete stays
-// deleted through any later crash — recovery must never resurrect it.
+// The kill-at-every-write sweeps. Each runs a schedule over a copy of a
+// template table whose file dies at the Nth write, for every N the schedule
+// reaches and several torn-write sizes, then reopens the file: recovery must
+// converge (Check passes and a second open finds nothing to recover), an
+// atomic kill must leave no torn state, and what is served is held to the
+// contract model (internal/simtest, ARCHITECTURE "Safety contract") with a
+// torn page recovery reported as the only excuse for a lost acked put.
 
 import (
 	"context"
@@ -28,295 +15,371 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"shhc/internal/fingerprint"
+	"shhc/internal/simtest"
 )
 
-// crashModel tracks, per key, every value any operation attempted to
-// write, the last acknowledged state, and whether the key's final
-// attempted operation was acknowledged.
-type crashModel struct {
-	attempted  map[uint64]map[Value]bool
-	settledVal map[uint64]Value
-	settledDel map[uint64]bool
-	clean      map[uint64]bool // last attempt on the key acked
+// dbTarget runs a simtest schedule against a table.
+type dbTarget struct {
+	db        *DB
+	compacted CompactStats // the last Compact's, for a probe's guard
 }
 
-func newCrashModel() *crashModel {
-	return &crashModel{
-		attempted:  make(map[uint64]map[Value]bool),
-		settledVal: make(map[uint64]Value),
-		settledDel: make(map[uint64]bool),
-		clean:      make(map[uint64]bool),
+func (d *dbTarget) PutBatch(fps []fingerprint.Fingerprint, vals []uint64) ([]uint64, error) {
+	pairs := make([]Pair, len(fps))
+	for i := range fps {
+		pairs[i] = Pair{FP: fps[i], Val: Value(vals[i])}
 	}
+	_, _, err := d.db.PutBatch(context.Background(), pairs)
+	return vals, err
 }
 
-func (m *crashModel) attemptPut(k uint64, v Value) {
-	if m.attempted[k] == nil {
-		m.attempted[k] = make(map[Value]bool)
-	}
-	m.attempted[k][v] = true
-	m.clean[k] = false
+func (d *dbTarget) Put(f fingerprint.Fingerprint, v uint64) (uint64, error) {
+	_, err := d.db.Put(f, Value(v))
+	return v, err
 }
 
-func (m *crashModel) ackPut(k uint64, v Value) {
-	m.settledVal[k] = v
-	m.settledDel[k] = false
-	m.clean[k] = true
+func (d *dbTarget) Delete(f fingerprint.Fingerprint) error {
+	_, err := d.db.Delete(f)
+	return err
 }
 
-func (m *crashModel) attemptDel(k uint64) { m.clean[k] = false }
+func (d *dbTarget) Sync() error { return d.db.Sync() }
 
-func (m *crashModel) ackDel(k uint64) {
-	m.settledDel[k] = true
-	m.clean[k] = true
+func (d *dbTarget) Compact() (err error) {
+	d.compacted, err = d.db.Compact()
+	return err
 }
 
-// crashSchedule drives the workload against db, updating the model as
-// operations complete. It returns nil when the schedule finished, or the
-// kill error that stopped it.
-func crashSchedule(db *DB, m *crashModel) error {
-	ctx := context.Background()
-	putBatch := func(keys []uint64, gen uint64) error {
-		pairs := make([]Pair, len(keys))
-		for i, k := range keys {
-			pairs[i] = Pair{FP: fp(k), Val: Value(k*1000 + gen)}
-			m.attemptPut(k, pairs[i].Val)
-		}
-		if _, _, err := db.PutBatch(ctx, pairs); err != nil {
-			return err
-		}
-		for i, k := range keys {
-			m.ackPut(k, pairs[i].Val)
-		}
-		return nil
-	}
-	put := func(k, gen uint64) error {
-		v := Value(k*1000 + gen)
-		m.attemptPut(k, v)
-		if _, err := db.Put(fp(k), v); err != nil {
-			return err
-		}
-		m.ackPut(k, v)
-		return nil
-	}
-	del := func(k uint64) error {
-		m.attemptDel(k)
-		if _, err := db.Delete(fp(k)); err != nil {
-			return err
-		}
-		m.ackDel(k)
-		return nil
-	}
-
-	// 1: a batched create wave.
-	batchA := make([]uint64, 12)
-	for i := range batchA {
-		batchA[i] = 10 + uint64(i)
-	}
-	if err := putBatch(batchA, 1); err != nil {
-		return err
-	}
-	// 2: per-key creates.
-	for k := uint64(22); k < 28; k++ {
-		if err := put(k, 1); err != nil {
-			return err
-		}
-	}
-	// 3: updates of seeded entries.
-	for k := uint64(0); k < 4; k++ {
-		if err := put(k, 2); err != nil {
-			return err
-		}
-	}
-	// 4: deletes of seeded entries (never touched again).
-	for k := uint64(5); k < 8; k++ {
-		if err := del(k); err != nil {
-			return err
-		}
-	}
-	// 5: a second batch, growing the chains further.
-	batchB := make([]uint64, 10)
-	for i := range batchB {
-		batchB[i] = 30 + uint64(i)
-	}
-	if err := putBatch(batchB, 1); err != nil {
-		return err
-	}
-	// 6: updates of entries created under the failpoint.
-	for k := uint64(10); k < 13; k++ {
-		if err := put(k, 3); err != nil {
-			return err
-		}
-	}
-	// 7: an explicit durability barrier.
-	return db.Sync()
+// dbSweep is one kill-at-every-write sweep.
+type dbSweep struct {
+	opts  Options
+	seed  simtest.Schedule           // builds the template; settled in every run's model
+	fill  func(t *testing.T, db *DB) // writes the template's unmodelled ballast
+	sched simtest.Schedule           // the schedule the kill interrupts
+	open  func(t *testing.T, path string) File
+	guard func(t *testing.T, st Stats, cs CompactStats) // on the probe's table
+	check func(t *testing.T, db *DB)                    // on every recovered table
+	simtest.Sweep
 }
 
-// seedCrashTemplate builds the pre-crash database image: keys 0..9, closed
-// cleanly. Every run starts from a byte copy of it.
-func seedCrashTemplate(t *testing.T, path string, m *crashModel) {
-	t.Helper()
-	db, err := Create(path, Options{Buckets: 2})
+// sweep builds the template and returns the sweep over it.
+func (s dbSweep) sweep(t *testing.T) simtest.Sweep {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "tmpl.shdb")
+	db, err := Create(path, s.opts)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	for k := uint64(0); k < 10; k++ {
-		v := Value(k * 1000)
-		m.attemptPut(k, v)
-		if _, err := db.Put(fp(k), v); err != nil {
-			t.Fatalf("seed Put: %v", err)
-		}
-		m.ackPut(k, v)
+	base := simtest.NewModel()
+	if err := s.seed.Run(&dbTarget{db: db}, base); err != nil {
+		t.Fatalf("seeding the template: %v", err)
+	}
+	if s.fill != nil {
+		s.fill(t, db)
 	}
 	if err := db.Close(); err != nil {
-		t.Fatalf("seed Close: %v", err)
+		t.Fatalf("template Close: %v", err)
 	}
+	tmpl, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.open == nil {
+		s.open = func(t *testing.T, path string) File {
+			f, err := openRW(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+	}
+	// fresh lays the template down at name and opens it over a file that
+	// dies at the kill-th write.
+	fresh := func(t *testing.T, name string, kill int64, tear int) (string, File, *FailFile) {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, tmpl, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f := s.open(t, path)
+		return path, f, NewFailFile(f, kill, tear)
+	}
+	s.Probe = func(t *testing.T) int64 {
+		path, _, ff := fresh(t, "probe.shdb", math.MaxInt64, 0)
+		db, err := OpenFile(ff, path, nil)
+		if err != nil {
+			t.Fatalf("probe open: %v", err)
+		}
+		defer db.Close()
+		tg := &dbTarget{db: db}
+		if err := s.sched.Run(tg, simtest.NewModel()); err != nil {
+			t.Fatalf("probe schedule: %v", err)
+		}
+		if s.guard != nil {
+			s.guard(t, db.Stats(), tg.compacted)
+		}
+		return ff.Writes()
+	}
+	s.Kill = func(t *testing.T, kill int64, tear int) {
+		path, f, ff := fresh(t, "run.shdb", kill, tear)
+		db, err := OpenFile(ff, path, nil)
+		if err != nil {
+			t.Fatalf("open on the clean template: %v", err)
+		}
+		m := base.Clone()
+		err = s.sched.Run(&dbTarget{db: db}, m)
+		if err == nil {
+			// The kill point lies in Close's own writes or past them all;
+			// either way the result answers to the same contract.
+			err = db.Close()
+		}
+		switch {
+		case err == nil:
+		case errors.Is(err, ErrKilled):
+			f.Close() // the process died; release the fd
+		default:
+			t.Fatalf("schedule failed with a non-kill error: %v", err)
+		}
+
+		db2, err := OpenFile(s.open(t, path), path, nil)
+		if err != nil {
+			t.Fatalf("open after the crash: %v", err)
+		}
+		defer db2.Close()
+		if err := db2.Check(); err != nil {
+			t.Fatalf("Check after recovery: %v", err)
+		}
+		rs := db2.Recovery()
+		if tear == 0 && (rs.TornPages != 0 || rs.TailBytes != 0) {
+			t.Fatalf("recovery reports torn state %+v after an atomic kill", rs)
+		}
+		get := func(f fingerprint.Fingerprint) (uint64, bool, error) {
+			v, ok, err := db2.Get(f)
+			return uint64(v), ok, err
+		}
+		if err := m.Check(get, simtest.Excuse{Torn: rs.TornPages > 0}); err != nil {
+			t.Fatalf("%v (recovery %+v)", err, rs)
+		}
+		if s.check != nil {
+			s.check(t, db2)
+		}
+		db2.Close()
+		db3, err := OpenFile(s.open(t, path), path, nil)
+		if err != nil {
+			t.Fatalf("second open: %v", err)
+		}
+		defer db3.Close()
+		if rs := db3.Recovery(); rs.Runs != 0 {
+			t.Fatalf("second open ran recovery again: %+v", rs)
+		}
+	}
+	return s.Sweep
 }
+
+var (
+	// seedTen is the template most sweeps start from: keys 0..9, generation 0.
+	seedTen = simtest.Schedule{{Kind: simtest.Put, Keys: simtest.Span(0, 10)}}
+	// everyTear kills atomically and tears the killing write at three sizes.
+	everyTear = []int{0, 7, PageSize / 2, PageSize - 1}
+	// crashOps grows a two-bucket table's chains: batched and per-key
+	// creates, updates, deletes of seeded keys, a second batch, a barrier.
+	crashOps = simtest.Schedule{
+		{Kind: simtest.PutBatch, Keys: simtest.Span(10, 22), Gen: 1},
+		{Kind: simtest.Put, Keys: simtest.Span(22, 28), Gen: 1},
+		{Kind: simtest.Put, Keys: simtest.Span(0, 4), Gen: 2},
+		{Kind: simtest.Delete, Keys: simtest.Span(5, 8)},
+		{Kind: simtest.PutBatch, Keys: simtest.Span(30, 40), Gen: 1},
+		{Kind: simtest.Put, Keys: simtest.Span(10, 13), Gen: 3},
+		{Kind: simtest.Sync},
+	}
+)
 
 func TestCrashInjectionEveryWritePoint(t *testing.T) {
-	dir := t.TempDir()
-	tmpl := filepath.Join(dir, "tmpl.shdb")
-	seedCrashTemplate(t, tmpl, newCrashModel())
-	tmplBytes, err := os.ReadFile(tmpl)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Probe the schedule's total write count with an unreachable kill
-	// point.
-	probePath := filepath.Join(dir, "probe.shdb")
-	if err := os.WriteFile(probePath, tmplBytes, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pf, err := openRW(probePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := NewFailFile(pf, math.MaxInt64, 0)
-	pdb, err := OpenFile(probe, probePath, nil)
-	if err != nil {
-		t.Fatalf("probe OpenFile: %v", err)
-	}
-	if err := crashSchedule(pdb, newCrashModel()); err != nil {
-		t.Fatalf("probe schedule: %v", err)
-	}
-	totalWrites := probe.Writes()
-	pdb.Close()
-	if totalWrites < 20 {
-		t.Fatalf("schedule issued only %d writes; too small to be a meaningful harness", totalWrites)
-	}
-
-	// partial = -1 means whole-write atomic kills (the write simply never
-	// happens); the others tear the killing write at that byte offset.
-	for _, partial := range []int{-1, 7, PageSize / 2, PageSize - 1} {
-		for k := int64(1); k <= totalWrites; k++ {
-			runCrashPoint(t, tmplBytes, dir, k, partial)
-		}
-	}
+	dbSweep{
+		opts: Options{Buckets: 2}, seed: seedTen, sched: crashOps,
+		Sweep: simtest.Sweep{Floor: 20, Tears: everyTear},
+	}.sweep(t).Run(t)
 }
 
-func runCrashPoint(t *testing.T, tmplBytes []byte, dir string, killAt int64, partial int) {
-	t.Helper()
-	path := filepath.Join(dir, "run.shdb")
-	if err := os.WriteFile(path, tmplBytes, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m := newCrashModel()
-	seedModel(m)
-
-	f, err := openRW(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := partial
-	if p < 0 {
-		p = 0
-	}
-	ff := NewFailFile(f, killAt, p)
-	db, err := OpenFile(ff, path, nil)
-	if err != nil {
-		t.Fatalf("kill=%d partial=%d: OpenFile on clean seed: %v", killAt, partial, err)
-	}
-	serr := crashSchedule(db, m)
-	if serr == nil {
-		// Kill point beyond this schedule (it can finish early only if
-		// killAt > writes issued): everything settled; fall through to
-		// the same assertions after a clean close.
-		if err := db.Close(); err != nil {
-			t.Fatalf("kill=%d partial=%d: clean Close: %v", killAt, partial, err)
-		}
-	} else if !errors.Is(serr, ErrKilled) {
-		t.Fatalf("kill=%d partial=%d: schedule failed with non-kill error: %v", killAt, partial, serr)
-	} else {
-		f.Close() // the process died; release the fd
-	}
-
-	// Reopen: recovery must always produce a servable database.
-	db2, err := Open(path, nil)
-	if err != nil {
-		t.Fatalf("kill=%d partial=%d: Open after crash: %v", killAt, partial, err)
-	}
-	defer db2.Close()
-	if err := db2.Check(); err != nil {
-		t.Fatalf("kill=%d partial=%d: Check after recovery: %v", killAt, partial, err)
-	}
-	rs := db2.Recovery()
-	if partial < 0 && (rs.TornPages != 0 || rs.TailBytes != 0) {
-		t.Fatalf("kill=%d atomic: recovery reports torn state %+v from whole-write kills", killAt, rs)
-	}
-
-	for k, vals := range m.attempted {
-		v, ok, gerr := db2.Get(fp(k))
-		if gerr != nil {
-			t.Fatalf("kill=%d partial=%d: Get(%d) after recovery: %v", killAt, partial, k, gerr)
-		}
-		if ok && !vals[v] {
-			t.Fatalf("kill=%d partial=%d: Get(%d) = %d, a value never written for it (corrupt data served)", killAt, partial, k, v)
-		}
-		if !m.clean[k] {
-			continue // the key's last op was killed: either outcome is legal
-		}
-		if m.settledDel[k] {
-			if ok {
-				t.Fatalf("kill=%d partial=%d: key %d resurrected after acknowledged delete", killAt, partial, k)
+// TestResizeCrashInjectionEveryWritePoint splits at a load factor low enough
+// that the schedule's ~60 keys split the 2-bucket template several times, so
+// kills land inside splits, a compaction's repack and free-list reuse.
+func TestResizeCrashInjectionEveryWritePoint(t *testing.T) {
+	splitAt(t, 0.05)
+	dbSweep{
+		opts: Options{Buckets: 2}, seed: seedTen,
+		sched: simtest.Schedule{
+			{Kind: simtest.PutBatch, Keys: simtest.Span(100, 130), Gen: 1}, // past the split threshold
+			{Kind: simtest.Put, Keys: simtest.Span(130, 140), Gen: 1},
+			{Kind: simtest.Put, Keys: simtest.Span(0, 4), Gen: 2}, // seeded keys the splits moved
+			{Kind: simtest.Delete, Keys: simtest.Span(100, 115)},
+			{Kind: simtest.Compact},
+			{Kind: simtest.PutBatch, Keys: simtest.Span(140, 150), Gen: 1}, // drains the free list
+			{Kind: simtest.Put, Keys: simtest.Span(115, 118), Gen: 3},
+			{Kind: simtest.Delete, Keys: simtest.Span(118, 120)},
+			{Kind: simtest.Sync},
+		},
+		guard: func(t *testing.T, st Stats, _ CompactStats) {
+			if st.Splits == 0 {
+				t.Fatalf("the schedule made no splits (stats %+v)", st)
 			}
-			continue
-		}
-		want := m.settledVal[k]
-		if ok && v != want {
-			t.Fatalf("kill=%d partial=%d: settled key %d = %d, want %d", killAt, partial, k, v, want)
-		}
-		if !ok {
-			// A torn in-place overwrite may quarantine a page holding
-			// previously durable entries; that loss must be visible in
-			// the recovery report. Atomic kills may never lose settled
-			// state.
-			if partial < 0 {
-				t.Fatalf("kill=%d atomic: settled key %d lost with no torn page", killAt, k)
-			}
-			if rs.TornPages == 0 {
-				t.Fatalf("kill=%d partial=%d: settled key %d lost but recovery reports no torn pages", killAt, partial, k)
-			}
-		}
-	}
-
-	// A second reopen must be clean: recovery converged and committed.
-	db2.Close()
-	db3, err := Open(path, nil)
-	if err != nil {
-		t.Fatalf("kill=%d partial=%d: second Open: %v", killAt, partial, err)
-	}
-	if rs := db3.Recovery(); rs.Runs != 0 {
-		t.Fatalf("kill=%d partial=%d: second open ran recovery again: %+v", killAt, partial, rs)
-	}
-	db3.Close()
+		},
+		Sweep: simtest.Sweep{Floor: 50, Tears: everyTear},
+	}.sweep(t).Run(t)
 }
 
-// seedModel reproduces seedCrashTemplate's acknowledged state in a fresh
-// model (the template is byte-copied, not re-seeded, per run).
-func seedModel(m *crashModel) {
-	for k := uint64(0); k < 10; k++ {
-		v := Value(k * 1000)
-		m.attemptPut(k, v)
-		m.ackPut(k, v)
+// minedKeys returns the first n keys (from 1000 up) whose hash prefix has
+// the given parity — under the template's 2-bucket mapping they all land
+// in one bucket, which is how the compaction schedule builds a long chain
+// despite uniform hashing.
+func minedKeys(n int, parity uint64) []uint64 {
+	keys := make([]uint64, 0, n)
+	for k := uint64(1000); len(keys) < n; k++ {
+		if fp(k).Prefix64()%2 == parity {
+			keys = append(keys, k)
+		}
 	}
+	return keys
+}
+
+// TestCompactCrashInjectionEveryWritePoint splits at a load factor no real
+// load reaches, so growth comes only from the chain-length trigger: a mined
+// wave makes a three-page chain, one more put splits it once, deletes leave
+// both halves sparse, and Compact has real repacking and page-freeing to do.
+func TestCompactCrashInjectionEveryWritePoint(t *testing.T) {
+	splitAt(t, 2.0)
+	mined := minedKeys(2*SlotsPerPage+25, 0)
+	last := len(mined) - 1
+	dbSweep{
+		opts: Options{Buckets: 2}, seed: seedTen,
+		sched: simtest.Schedule{
+			{Kind: simtest.PutBatch, Keys: mined[:last], Gen: 1},
+			{Kind: simtest.Put, Keys: mined[last:], Gen: 1}, // walks the chain: the trigger splits it
+			{Kind: simtest.Delete, Keys: mined[:90]},        // sparse, but no page empties
+			{Kind: simtest.Compact},
+			{Kind: simtest.PutBatch, Keys: simtest.Span(140, 150), Gen: 1},
+			{Kind: simtest.Sync},
+		},
+		guard: func(t *testing.T, st Stats, cs CompactStats) {
+			if st.Splits == 0 {
+				t.Fatalf("the schedule made no splits (stats %+v)", st)
+			}
+			if cs.PagesFreed == 0 || cs.ChainsPacked == 0 {
+				t.Fatalf("Compact did no work (%+v); the sweep would not cover compaction", cs)
+			}
+		},
+		Sweep: simtest.Sweep{Tears: everyTear},
+	}.sweep(t).Run(t)
+}
+
+// TestCompactCrashMultiPageRepack kills a compaction that packs three sparse
+// pages into two at each of its writes. The schedules above only ever pack a
+// chain into one page; with two or more, the order of the page writes is
+// what keeps every entry on some page at every instant: head-first, because
+// entries only move toward the head (deepest-first lost the middle of the
+// chain to a kill between the two writes).
+func TestCompactCrashMultiPageRepack(t *testing.T) {
+	pinShape(t)
+	// A chain of 145 + 145 + 25; thirty deletes off the head page leave two
+	// pages' worth.
+	dbSweep{
+		opts: Options{Buckets: 1},
+		seed: simtest.Schedule{
+			{Kind: simtest.Put, Keys: simtest.Span(0, 2*SlotsPerPage+25)},
+			{Kind: simtest.Delete, Keys: simtest.Span(10, 40)},
+		},
+		sched: simtest.Schedule{{Kind: simtest.Compact}, {Kind: simtest.Sync}},
+		guard: func(t *testing.T, _ Stats, cs CompactStats) {
+			if cs.ChainsPacked != 1 || cs.PagesFreed != 1 {
+				t.Fatalf("Compact packed %+v, want one chain into two pages and one page freed", cs)
+			}
+		},
+		Sweep: simtest.Sweep{Tears: everyTear},
+	}.sweep(t).Run(t)
+}
+
+// growCrashFiller is the ballast that brings the template to its trigger:
+// keys the schedule never touches, checked after every crash by one Range.
+const growCrashFiller = 1 << 20
+
+// TestGrowCrashInjectionEveryWritePoint is the path every node takes since
+// tables start small: a default-created table filled to just under its
+// trigger and closed cleanly, then grown by PutBatch waves. Each wave splits
+// ahead of itself and then walks its chains, so the kill points fall inside a
+// split-ahead run, between it and the chain writes, and among the chain
+// writes into buckets split a moment before.
+func TestGrowCrashInjectionEveryWritePoint(t *testing.T) {
+	// Fill to sixty entries under the trigger, so the first wave crosses it.
+	room := int(splitLoadFactor*startBuckets*SlotsPerPage) - 10 - 60
+	filler := make(map[fingerprint.Fingerprint]Value, room)
+	dbSweep{
+		seed: seedTen,
+		fill: func(t *testing.T, db *DB) {
+			pairs := make([]Pair, room)
+			for i := range pairs {
+				k := uint64(growCrashFiller + i)
+				pairs[i] = Pair{FP: fp(k), Val: Value(k)}
+				filler[pairs[i].FP] = pairs[i].Val
+			}
+			if _, _, err := db.PutBatch(t.Context(), pairs); err != nil {
+				t.Fatalf("filler PutBatch: %v", err)
+			}
+			if st := db.Stats(); st.Splits != 0 || st.Buckets != startBuckets {
+				t.Fatalf("template split while filling: %+v", st)
+			}
+		},
+		sched: simtest.Schedule{
+			{Kind: simtest.PutBatch, Keys: simtest.Span(100, 230), Gen: 1}, // the file's first splits
+			{Kind: simtest.PutBatch, Keys: simtest.Span(300, 430), Gen: 1}, // no Sync between: both roll back
+			{Kind: simtest.Put, Keys: simtest.Span(0, 4), Gen: 2},
+			{Kind: simtest.Sync},
+		},
+		guard: func(t *testing.T, st Stats, _ CompactStats) {
+			if st.Splits < 4 {
+				t.Fatalf("the schedule split %d times; the waves are not growing the table (stats %+v)", st.Splits, st)
+			}
+		},
+		// Every filler entry survives any kill (a torn page may take its own
+		// entries with it), and nothing comes out of Range twice.
+		check: func(t *testing.T, db *DB) {
+			seen := rangeOnce(t, db, "after recovery")
+			missing := 0
+			for f, want := range filler {
+				if v, ok := seen[f]; !ok {
+					missing++
+				} else if v != want {
+					t.Fatalf("untouched entry %s = %d, want %d", f.Short(), v, want)
+				}
+			}
+			rs, st := db.Recovery(), db.Stats()
+			if missing != 0 && rs.TornPages == 0 {
+				t.Fatalf("%d untouched entries lost with no torn page (recovery %+v)", missing, rs)
+			}
+			if uint64(len(seen)) != st.Entries {
+				t.Fatalf("Range saw %d entries, Stats says %d", len(seen), st.Entries)
+			}
+			if rs.Runs == 1 && (rs.SplitRollbacks > st.Splits+20 || rs.PagesScanned < startBuckets || rs.SalvagedEntries > uint64(len(seen))) {
+				t.Fatalf("recovery stats out of proportion: %+v", rs)
+			}
+		},
+		Sweep: simtest.Sweep{Tears: []int{0, PageSize / 2}, RaceStep: 4},
+	}.sweep(t).Run(t)
+}
+
+// FuzzCrashSchedule composes crash × split × compact × delete: a schedule
+// generated from seed runs over a two-bucket table that splits at a low load
+// factor, and its file dies at write kill with tear bytes of that write
+// landing. The seed corpus runs with the tests.
+func FuzzCrashSchedule(f *testing.F) {
+	f.Add(int64(1), uint16(40), uint16(0))
+	f.Add(int64(2), uint16(95), uint16(7))
+	f.Add(int64(3), uint16(160), uint16(PageSize/2))
+	f.Add(int64(4), uint16(230), uint16(PageSize-1))
+	f.Add(int64(5), uint16(17), uint16(0))
+	f.Fuzz(func(t *testing.T, seed int64, kill, tear uint16) {
+		splitAt(t, 0.05)
+		sw := dbSweep{opts: Options{Buckets: 2}, seed: seedTen, sched: simtest.Generate(seed, 300, 30)}.sweep(t)
+		sw.Kill(t, int64(kill)+1, int(tear)%PageSize)
+	})
 }

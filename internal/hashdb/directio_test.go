@@ -1,14 +1,13 @@
 package hashdb
 
 import (
-	"errors"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"shhc/internal/directio"
 	"shhc/internal/fingerprint"
+	"shhc/internal/simtest"
 )
 
 func openDirect(t *testing.T, path string, flag int) *directio.File {
@@ -103,112 +102,16 @@ func TestDirectIOBackendBatch(t *testing.T) {
 	}
 }
 
-// TestDirectIOCrashEveryWrite is the kill-at-every-write crash harness run
-// through the direct-I/O backend: the same schedule, model, and invariants
-// as TestCrashInjectionEveryWritePoint, with the FailFile layered over a
-// directio.File instead of a bare os.File, and recovery reopening through
-// the backend as well. Proves the RMW bounce path cannot turn a torn write
-// into silent corruption.
+// TestDirectIOCrashEveryWrite is TestCrashInjectionEveryWritePoint through
+// the direct-I/O backend: the FailFile sits over a directio.File and recovery
+// reopens through the backend too, so the RMW bounce path cannot turn a torn
+// write into silent corruption. Atomic kills plus one torn shape keep it fast
+// enough for -race CI; the os.File sweep, which shares every layer above the
+// backend, covers the other shapes.
 func TestDirectIOCrashEveryWrite(t *testing.T) {
-	dir := t.TempDir()
-	tmpl := filepath.Join(dir, "tmpl.shdb")
-	seedCrashTemplate(t, tmpl, newCrashModel())
-	tmplBytes, err := os.ReadFile(tmpl)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Probe the schedule's write count with an unreachable kill point.
-	probePath := filepath.Join(dir, "probe.shdb")
-	if err := os.WriteFile(probePath, tmplBytes, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	probe := NewFailFile(openDirect(t, probePath, os.O_RDWR), math.MaxInt64, 0)
-	pdb, err := OpenFile(probe, probePath, nil)
-	if err != nil {
-		t.Fatalf("probe OpenFile: %v", err)
-	}
-	if err := crashSchedule(pdb, newCrashModel()); err != nil {
-		t.Fatalf("probe schedule: %v", err)
-	}
-	totalWrites := probe.Writes()
-	pdb.Close()
-
-	// Atomic kills plus one torn shape keep the sweep fast enough to ride
-	// along in -race CI; the full four-shape sweep lives in the os.File
-	// harness, which shares every layer above the backend.
-	for _, partial := range []int{-1, 7} {
-		for k := int64(1); k <= totalWrites; k++ {
-			runDirectIOCrashPoint(t, tmplBytes, dir, k, partial)
-		}
-	}
-}
-
-func runDirectIOCrashPoint(t *testing.T, tmplBytes []byte, dir string, killAt int64, partial int) {
-	t.Helper()
-	path := filepath.Join(dir, "run.shdb")
-	if err := os.WriteFile(path, tmplBytes, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m := newCrashModel()
-	seedModel(m)
-
-	f := openDirect(t, path, os.O_RDWR)
-	p := partial
-	if p < 0 {
-		p = 0
-	}
-	ff := NewFailFile(f, killAt, p)
-	db, err := OpenFile(ff, path, nil)
-	if err != nil {
-		t.Fatalf("kill=%d partial=%d: OpenFile on clean seed: %v", killAt, partial, err)
-	}
-	serr := crashSchedule(db, m)
-	if serr == nil {
-		if err := db.Close(); err != nil {
-			t.Fatalf("kill=%d partial=%d: clean Close: %v", killAt, partial, err)
-		}
-	} else if !errors.Is(serr, ErrKilled) {
-		t.Fatalf("kill=%d partial=%d: schedule failed with non-kill error: %v", killAt, partial, serr)
-	} else {
-		f.Close()
-	}
-
-	// Recovery must reopen and serve — again through the backend.
-	f2 := openDirect(t, path, os.O_RDWR)
-	db2, err := OpenFile(f2, path, nil)
-	if err != nil {
-		t.Fatalf("kill=%d partial=%d: reopen after crash: %v", killAt, partial, err)
-	}
-	defer db2.Close()
-	if err := db2.Check(); err != nil {
-		t.Fatalf("kill=%d partial=%d: Check after recovery: %v", killAt, partial, err)
-	}
-	for k, vals := range m.attempted {
-		v, ok, gerr := db2.Get(fp(k))
-		if gerr != nil {
-			t.Fatalf("kill=%d partial=%d: Get(%d): %v", killAt, partial, k, gerr)
-		}
-		if ok && !vals[v] {
-			t.Fatalf("kill=%d partial=%d: Get(%d) = %d, never-written value", killAt, partial, k, v)
-		}
-		if !m.clean[k] {
-			continue
-		}
-		if m.settledDel[k] {
-			if ok {
-				t.Fatalf("kill=%d partial=%d: key %d resurrected after acked delete", killAt, partial, k)
-			}
-			continue
-		}
-		if ok && v != m.settledVal[k] {
-			t.Fatalf("kill=%d partial=%d: settled key %d = %d, want %d", killAt, partial, k, v, m.settledVal[k])
-		}
-		if !ok && partial < 0 {
-			t.Fatalf("kill=%d atomic: settled key %d lost", killAt, k)
-		}
-		if !ok && db2.Recovery().TornPages == 0 {
-			t.Fatalf("kill=%d partial=%d: settled key %d lost with no torn page reported", killAt, partial, k)
-		}
-	}
+	dbSweep{
+		opts: Options{Buckets: 2}, seed: seedTen, sched: crashOps,
+		open:  func(t *testing.T, path string) File { return openDirect(t, path, os.O_RDWR) },
+		Sweep: simtest.Sweep{Tears: []int{0, 7}},
+	}.sweep(t).Run(t)
 }
