@@ -548,9 +548,12 @@ func TestAllocHashdbBatch(t *testing.T) {
 }
 
 // goroutineFile counts the goroutines that read pages through it: the first
-// one, and how many reads came from any other. It sits inside the chains
-// eachRun times, so it is kept cheap (runtime.Stack is ≈ 1 µs; ≈ 10 µs under
-// -race, where a page-cache chain then borders on blockingChain).
+// one, and how many reads came from any other. The caller locks its goroutine
+// to its OS thread, so no other goroutine reads on that thread and threadID
+// tells them apart. It sits inside the chains eachRun times, so it is kept
+// cheap: gettid is well under 1 µs, where runtime.Stack at the depth of a
+// chain walk took 13 µs on a 2-vCPU VM and pushed a page-cache chain past
+// blockingChain.
 type goroutineFile struct {
 	File
 	first  atomic.Uint64
@@ -558,16 +561,7 @@ type goroutineFile struct {
 }
 
 func (f *goroutineFile) ReadAt(p []byte, off int64) (int, error) {
-	var buf [32]byte
-	runtime.Stack(buf[:], false)
-	id := uint64(0)
-	for _, c := range buf[len("goroutine "):] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	if !f.first.CompareAndSwap(0, id) && f.first.Load() != id {
+	if id := threadID(); !f.first.CompareAndSwap(0, id) && f.first.Load() != id {
 		f.others.Add(1)
 	}
 	return f.File.ReadAt(p, off)
@@ -622,11 +616,14 @@ func TestBackgroundWidensWhenIOBlocks(t *testing.T) {
 			defer db.Close()
 			pairs := distinctChains(db, tc.chains)
 			var widened atomic.Bool
+			runtime.LockOSThread()
 			start := time.Now()
-			if _, _, err := db.PutBatch(parallel.Background(context.Background(), &widened), pairs); err != nil {
+			_, _, err = db.PutBatch(parallel.Background(context.Background(), &widened), pairs)
+			took := time.Since(start)
+			runtime.UnlockOSThread()
+			if err != nil {
 				t.Fatal(err)
 			}
-			took := time.Since(start)
 			others := f.others.Load()
 			if tc.within == 0 && widened.Load() && raceEnabled {
 				t.Skip("under the race detector a page-cache chain costs more than blockingChain")
