@@ -956,16 +956,12 @@ func (c *Cluster) migrateFrom(ctx context.Context, source ring.NodeID, m Migrato
 // untouched, it copies every entry of from that shadow — the ring as it will
 // be — gives to a node of to, so the entry is in place when routing flips.
 // Only entries from holds for the table in force are copied: anything else
-// on it is a stray a call routed on a superseded table left behind, and
-// copied over the owner's entry it would change a stored fingerprint's
-// value.
+// on it is a stray a call routed on a superseded table left behind. Like
+// migrateFrom, a copy only fills a hole: the owner-to-be may already hold
+// the key (a drained secondary replica's primary does), and its entry is
+// the one lookups were answered from.
 func (c *Cluster) copyAhead(ctx context.Context, id ring.NodeID, from Migrator, shadow *ring.Ring, to map[ring.NodeID]Backend, stats *RebalanceStats) error {
-	type entry struct {
-		fp  fingerprint.Fingerprint
-		val Value
-		to  Backend
-	}
-	var moving []entry
+	moving := make(map[Backend][]Pair)
 	var lookupErr error
 	rt := c.route.Load()
 	err := from.Entries(ctx, func(fp fingerprint.Fingerprint, val Value) bool {
@@ -982,7 +978,7 @@ func (c *Cluster) copyAhead(ctx context.Context, id ring.NodeID, from Migrator, 
 			return false
 		}
 		if b, ok := to[owner]; ok {
-			moving = append(moving, entry{fp, val, b})
+			moving[b] = append(moving[b], Pair{FP: fp, Val: val})
 		}
 		return true
 	})
@@ -992,14 +988,21 @@ func (c *Cluster) copyAhead(ctx context.Context, id ring.NodeID, from Migrator, 
 	if err != nil {
 		return fmt.Errorf("core: copy from %s: %w", id, err)
 	}
-	for _, e := range moving {
-		if err := e.to.Insert(ctx, e.fp, e.val); err != nil {
-			return fmt.Errorf("core: copy %s to %s: %w", e.fp.Short(), e.to.ID(), err)
+	for b, pairs := range moving {
+		for len(pairs) > 0 {
+			chunk := pairs[:min(len(pairs), copyAheadChunk)]
+			pairs = pairs[len(chunk):]
+			if _, err := b.BatchLookupOrInsert(ctx, chunk); err != nil {
+				return fmt.Errorf("core: copy from %s to %s: %w", id, b.ID(), err)
+			}
+			stats.Moved += len(chunk)
 		}
-		stats.Moved++
 	}
 	return nil
 }
+
+// copyAheadChunk bounds one copy-ahead batch.
+const copyAheadChunk = 512
 
 // ClientTransportStats aggregates the client-side transport counters of
 // the cluster's remote backends: how often a caller stalled waiting for

@@ -62,6 +62,24 @@ func backlogged(cfg NodeConfig) NodeConfig {
 	return cfg
 }
 
+// destagers are the two shapes a node sweep runs in: dense, whose kills land
+// inside small clean-ahead waves, and backlogged, whose kills test the
+// journal.
+var destagers = []struct {
+	name  string
+	shape func(NodeConfig) NodeConfig
+}{
+	{"dense", func(cfg NodeConfig) NodeConfig { return cfg }},
+	{"backlogged", backlogged},
+}
+
+// sweepDestagers runs sw(shape) once per destager, each as a subtest.
+func sweepDestagers(t *testing.T, sw func(shape func(NodeConfig) NodeConfig) simtest.Sweep) {
+	for _, d := range destagers {
+		t.Run(d.name, func(t *testing.T) { sw(d.shape).Run(t) })
+	}
+}
+
 // nodeTarget runs a simtest schedule against a node: a put is the
 // lookup-or-insert flow, so it settles on the value the node already held.
 type nodeTarget struct{ n *Node }
@@ -124,14 +142,15 @@ func crashWAL(t *testing.T, dir string, snap []byte) string {
 	return path
 }
 
-// nodeSweep sweeps sched over a crash node's store, in memory or, onDisk,
-// a hashdb table whose reopen runs hashdb recovery under the journal replay.
-func nodeSweep(sched simtest.Schedule, onDisk bool) simtest.Sweep {
+// nodeSweep sweeps sched over a crash node shaped by shape, whose store is in
+// memory or, onDisk, a hashdb table whose reopen runs hashdb recovery under
+// the journal replay.
+func nodeSweep(sched simtest.Schedule, onDisk bool, shape func(NodeConfig) NodeConfig) simtest.Sweep {
 	return simtest.Sweep{
 		Probe: func(t *testing.T) int64 {
 			dir := t.TempDir()
 			probe := hashdb.NewFailpoint(crashStore(t, dir, onDisk), math.MaxInt64, nil)
-			n, err := NewNode(backlogged(crashNodeConfig(probe, filepath.Join(dir, "node.wal"))))
+			n, err := NewNode(shape(crashNodeConfig(probe, filepath.Join(dir, "node.wal"))))
 			if err != nil {
 				t.Fatalf("probe NewNode: %v", err)
 			}
@@ -143,7 +162,7 @@ func nodeSweep(sched simtest.Schedule, onDisk bool) simtest.Sweep {
 			}
 			return probe.Writes()
 		},
-		Kill: func(t *testing.T, kill int64, _ int) { nodeKill(t, sched, onDisk, kill) },
+		Kill: func(t *testing.T, kill int64, _ int) { nodeKill(t, sched, onDisk, shape, kill) },
 	}
 }
 
@@ -162,7 +181,7 @@ func crashStore(t *testing.T, dir string, onDisk bool) hashdb.Store {
 	return db
 }
 
-func nodeKill(t *testing.T, sched simtest.Schedule, onDisk bool, kill int64) {
+func nodeKill(t *testing.T, sched simtest.Schedule, onDisk bool, shape func(NodeConfig) NodeConfig, kill int64) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "node.wal")
 	inner := crashStore(t, dir, onDisk)
@@ -172,7 +191,7 @@ func nodeKill(t *testing.T, sched simtest.Schedule, onDisk bool, kill int64) {
 		m.Crash()
 		snap, _ = os.ReadFile(jpath)
 	})
-	n, err := NewNode(backlogged(crashNodeConfig(store, jpath)))
+	n, err := NewNode(shape(crashNodeConfig(store, jpath)))
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}
@@ -210,18 +229,22 @@ func nodeKill(t *testing.T, sched simtest.Schedule, onDisk bool, kill int64) {
 }
 
 func TestCrashEveryKillPointRecoversAckedEvictions(t *testing.T) {
-	sw := nodeSweep(crashOps, false)
-	sw.Floor = crashInserts / 2
-	sw.Run(t)
+	sweepDestagers(t, func(shape func(NodeConfig) NodeConfig) simtest.Sweep {
+		sw := nodeSweep(crashOps, false, shape)
+		sw.Floor = crashInserts / 2
+		return sw
+	})
 }
 
 // TestCrashKillPointsOnDiskStore runs the sweep over an on-disk table, so the
 // reopen is hashdb recovery plus journal replay stacked. Every third point
 // keeps the file churn affordable; the in-memory sweep covers every point.
 func TestCrashKillPointsOnDiskStore(t *testing.T) {
-	sw := nodeSweep(crashOps, true)
-	sw.Step = 3
-	sw.Run(t)
+	sweepDestagers(t, func(shape func(NodeConfig) NodeConfig) simtest.Sweep {
+		sw := nodeSweep(crashOps, true, shape)
+		sw.Step = 3
+		return sw
+	})
 }
 
 // FuzzNodeCrashSchedule composes crash × destage wave × hashdb recovery ×
@@ -235,7 +258,7 @@ func FuzzNodeCrashSchedule(f *testing.F) {
 	f.Add(int64(4), uint16(150))
 	f.Add(int64(5), uint16(1000))
 	f.Fuzz(func(t *testing.T, seed int64, kill uint16) {
-		nodeKill(t, insertsOnly(simtest.Generate(seed, 200, 25)), true, int64(kill)+1)
+		nodeKill(t, insertsOnly(simtest.Generate(seed, 200, 25)), true, backlogged, int64(kill)+1)
 	})
 }
 

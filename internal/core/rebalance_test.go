@@ -214,6 +214,55 @@ func TestDrainNode(t *testing.T) {
 	nodes[1].Close()
 }
 
+// Draining a node that holds a key as a secondary replica must not copy its
+// entry over the primary's: the primary's value is the one lookups were
+// answered from. The secondary's entry is made to differ so an overwrite
+// shows.
+func TestDrainSecondaryKeepsPrimaryValue(t *testing.T) {
+	ctx := context.Background()
+	nodes := make([]*Node, 3)
+	backends := make([]Backend, 3)
+	for i := range nodes {
+		nodes[i] = newNamedNode(t, fmt.Sprintf("node-%d", i))
+		backends[i] = nodes[i]
+	}
+	c, err := NewCluster(ClusterConfig{Replicas: 2}, backends...)
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	defer c.Close()
+
+	primaries := map[uint64]Backend{}
+	for i := uint64(0); i < 300; i++ {
+		if _, err := c.LookupOrInsert(ctx, fp(i), Value(i)); err != nil {
+			t.Fatalf("LookupOrInsert: %v", err)
+		}
+		replicas, err := c.routingFor(fp(i))
+		if err != nil {
+			t.Fatalf("routingFor: %v", err)
+		}
+		if replicas[1].ID() == "node-1" {
+			primaries[i] = replicas[0]
+			if err := nodes[1].Insert(ctx, fp(i), Value(i+1_000_000)); err != nil {
+				t.Fatalf("Insert: %v", err)
+			}
+		}
+	}
+	if len(primaries) == 0 {
+		t.Fatal("node-1 is no key's secondary; test is vacuous")
+	}
+	if _, err := c.DrainNode(ctx, "node-1"); err != nil {
+		t.Fatalf("DrainNode: %v", err)
+	}
+	for i, p := range primaries {
+		r, err := p.Lookup(ctx, fp(i))
+		if err != nil || !r.Exists || r.Value != Value(i) {
+			t.Fatalf("primary %s of fingerprint %d = (%+v, %v) after the drain, want value %d", p.ID(), i, r, err, i)
+		}
+	}
+	nodes[1].Close()
+}
+
 func TestDrainLastNodeRefused(t *testing.T) {
 	node := newNamedNode(t, "only")
 	c, err := NewCluster(ClusterConfig{}, node)
