@@ -1,8 +1,9 @@
 // Dynamicscaling: grow and shrink a live SHHC cluster (the paper's
 // "dynamic resource scaling" future-work item). A fourth node joins a
-// loaded 3-node cluster and Rebalance migrates its share of fingerprints
-// over; later a node is drained and decommissioned with no loss of
-// duplicate detection.
+// loaded 3-node cluster and JoinNode hands its share of fingerprints over;
+// later DrainNode decommissions a node. Both copy ahead before routing
+// flips and remove an entry from its old node only once its new node holds
+// it durably, so duplicate detection never blinks.
 //
 //	go run ./examples/dynamicscaling
 package main
@@ -56,10 +57,8 @@ func run() error {
 	}
 	printDistribution(cluster, "before scaling")
 
-	// Scale up with the two-phase join: entries are copied to the new
-	// node BEFORE routing flips, so duplicate detection never blinks.
-	// (AddNode + Rebalance is the coarse alternative: moved ranges are
-	// re-uploaded once until migration completes.)
+	// Scale up: entries are copied to the new node BEFORE routing flips,
+	// then removed from their old nodes.
 	extra, err := newNode("node-03")
 	if err != nil {
 		return err

@@ -42,8 +42,8 @@ func TestAntiEntropyRestoresReplicationAfterJoin(t *testing.T) {
 		}
 	}
 
-	if err := c.AddNode(nodes[2]); err != nil {
-		t.Fatalf("AddNode: %v", err)
+	if err := c.addNode(nodes[2]); err != nil {
+		t.Fatalf("addNode: %v", err)
 	}
 	st, err := c.AntiEntropy(ctx)
 	if err != nil {
@@ -52,7 +52,7 @@ func TestAntiEntropyRestoresReplicationAfterJoin(t *testing.T) {
 	if st.Scanned < n {
 		t.Fatalf("sweep scanned %d entries, want >= %d", st.Scanned, n)
 	}
-	// AddNode woke the background sweeper, which races this manual sweep —
+	// addNode woke the background sweeper, which races this manual sweep —
 	// either may find the other already did the repairs, so assert the
 	// cumulative counter (polling: the background sweep posts its counters
 	// only when it finishes).
@@ -147,8 +147,8 @@ func TestAntiEntropyLoopHealsAfterMembershipChange(t *testing.T) {
 			t.Fatalf("seed %d: %v", i, err)
 		}
 	}
-	if err := c.AddNode(nodes[2]); err != nil {
-		t.Fatalf("AddNode: %v", err)
+	if err := c.addNode(nodes[2]); err != nil {
+		t.Fatalf("addNode: %v", err)
 	}
 
 	// The loop (woken by the membership change, and ticking every 5ms)

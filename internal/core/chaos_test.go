@@ -54,7 +54,6 @@ type chaosRow struct {
 	fault    func(t *testing.T, e *chaosEnv)
 	// tolerate lets calls fail: a member is dead for part of the script.
 	tolerate bool
-	ex       simtest.Excuse
 	after    func(t *testing.T, e *chaosEnv)
 }
 
@@ -170,7 +169,7 @@ func (e *chaosEnv) call(rng *rand.Rand, kind chaosWorker) error {
 		if err != nil {
 			return e.soft(err)
 		}
-		return e.m.Answer(c, r.Exists, uint64(r.Value), e.row.ex)
+		return e.m.Answer(c, r.Exists, uint64(r.Value), simtest.Excuse{})
 	case fresh:
 		k := e.next.Add(1)
 		propose(k, seedVal(k))
@@ -191,7 +190,7 @@ func (e *chaosEnv) call(rng *rand.Rand, kind chaosWorker) error {
 		return e.soft(err)
 	}
 	for i, r := range rs {
-		if err := e.m.Answer(calls[i], r.Exists, uint64(r.Value), e.row.ex); err != nil {
+		if err := e.m.Answer(calls[i], r.Exists, uint64(r.Value), simtest.Excuse{}); err != nil {
 			return err
 		}
 	}
@@ -214,6 +213,7 @@ func TestAsyncLookupsDuringRebalanceChaos(t *testing.T)                  { chaos
 func TestConcurrentMembershipAndTraffic(t *testing.T)                    { chaos(t) }
 func TestChaosDestageKillAndReopenDuringChurn(t *testing.T)              { chaos(t) }
 func TestChaosWipeDiskRejoinAndAntiEntropy(t *testing.T)                 { chaos(t) }
+func TestWriteBackTargetKilledAfterDrain(t *testing.T)                   { chaos(t) }
 
 // chaos runs the row the calling test is named after; its seed is the
 // row's place in chaosRows.
@@ -370,25 +370,23 @@ var chaosRows = []chaosRow{
 			}
 		},
 	},
-	// AddNode/RemoveNode move no entries: a key whose range sits on the
-	// scratch node for a moment is re-inserted there, the documented
-	// redundant upload. Calls may race a member leaving; nothing may panic
-	// or be lost, and with the ring restored every seed is found.
+	// Join/drain rounds of a tiny scratch node under batch traffic: its
+	// range is handed to it before routing flips to it and handed back
+	// before routing leaves it, so no seed is ever answered "new", and with
+	// the ring restored every seed is found.
 	{
 		name: "ConcurrentMembershipAndTraffic", nodes: 3, seeded: 1000,
-		workers:  []chaosWorker{dupeBatches, dupeBatches, dupeBatches, dupeBatches},
-		tolerate: true, ex: simtest.Excuse{Unmigrated: true},
+		scratch: memNode(16),
+		workers: []chaosWorker{dupeBatches, dupeBatches, dupeBatches, dupeBatches},
 		fault: func(t *testing.T, e *chaosEnv) {
-			for round := 0; round < 20; round++ {
+			round := 0
+			err := e.joinDrain(func() bool {
 				e.waitOps(t, int64(2*round))
-				scratch := memNode(16)(e, fmt.Sprintf("scratch-%d", round))
-				e.retired = append(e.retired, scratch)
-				if err := e.c.AddNode(scratch); err != nil {
-					t.Fatalf("AddNode: %v", err)
-				}
-				if err := e.c.RemoveNode(scratch.ID()); err != nil {
-					t.Fatalf("RemoveNode: %v", err)
-				}
+				round++
+				return round > 20
+			})
+			if err != nil {
+				t.Fatalf("seed %d: %v", e.seed, err)
 			}
 		},
 	},
@@ -416,6 +414,17 @@ var chaosRows = []chaosRow{
 		fault:    wipeAndRejoin,
 		after:    replicasHealed,
 	},
+	// A drain hands its entries to journaled write-back nodes whose
+	// destager is held back, so what they acked from RAM stays there; one
+	// target's store is killed before its next wave and the node is reborn
+	// from store and journal. The hand-off is durable on return, so no seed
+	// the drained node held is lost with the target's RAM.
+	{
+		name: "WriteBackTargetKilledAfterDrain", nodes: 3, seeded: 1500,
+		member:  heldBackNode,
+		workers: []chaosWorker{dupes, dupes, reads},
+		fault:   killTargetAfterDrain,
+	},
 }
 
 func sleepNode(e *chaosEnv, id string) *Node {
@@ -428,16 +437,20 @@ func sleepNode(e *chaosEnv, id string) *Node {
 	})
 }
 
-// wbNode is a journaled write-back node with small fast waves; node-2's
-// store can be killed and outlives the kill.
-func wbNode(e *chaosEnv, id string) *Node {
-	var store hashdb.Store = hashdb.NewMemStore(nil)
-	if id == "node-2" {
-		e.victimMedium = durableStore{hashdb.NewMemStore(nil)}
-		e.victim = hashdb.NewFailpoint(e.victimMedium, math.MaxInt64, nil)
-		store = e.victim
+// memberStore is a member's store: node-2's can be killed and outlives the
+// kill.
+func (e *chaosEnv) memberStore(id string) hashdb.Store {
+	if id != "node-2" {
+		return hashdb.NewMemStore(nil)
 	}
-	return e.wbNodeOn(id, store, filepath.Join(e.dir, id+".wal"))
+	e.victimMedium = durableStore{hashdb.NewMemStore(nil)}
+	e.victim = hashdb.NewFailpoint(e.victimMedium, math.MaxInt64, nil)
+	return e.victim
+}
+
+// wbNode is a journaled write-back node with small fast waves.
+func wbNode(e *chaosEnv, id string) *Node {
+	return e.wbNodeOn(id, e.memberStore(id), filepath.Join(e.dir, id+".wal"))
 }
 
 func (e *chaosEnv) wbNodeOn(id string, store hashdb.Store, journal string) *Node {
@@ -447,14 +460,55 @@ func (e *chaosEnv) wbNodeOn(id string, store hashdb.Store, journal string) *Node
 	})
 }
 
-func killAndRebirth(t *testing.T, e *chaosEnv) {
-	// Seeds durable everywhere: after this a "new" can come only from lost
-	// state or routing, never from the write-back window.
+// heldBack configures a journaled write-back node in the backlogged shape
+// with a cache larger than any test's keys: nothing leaves its RAM unless
+// it is written through or flushed.
+func heldBack(id string, store hashdb.Store, journal string) NodeConfig {
+	return backlogged(NodeConfig{
+		ID: ring.NodeID(id), Store: store, CacheSize: 4096, BloomExpected: 1 << 16,
+		WriteBack: true, JournalPath: journal,
+	})
+}
+
+func heldBackNode(e *chaosEnv, id string) *Node {
+	return e.mustNode(heldBack(id, e.memberStore(id), filepath.Join(e.dir, id+".wal")))
+}
+
+// flushMembers makes the seeds durable everywhere: after it a "new" can
+// come only from lost state or routing, never from the write-back window.
+func (e *chaosEnv) flushMembers(t *testing.T) {
 	for _, n := range e.nodes {
 		if err := n.Flush(); err != nil {
 			t.Fatalf("seed Flush: %v", err)
 		}
 	}
+}
+
+// rebirth kills node-2's store and swaps in reborn(medium, journal): the
+// node rebuilt from the store as the kill froze it and the journal as it
+// stood at that instant. With the gate held no call or churn round spans
+// the dead window.
+func (e *chaosEnv) rebirth(t *testing.T, reborn func(store hashdb.Store, journal string) *Node) {
+	e.gate.Lock()
+	defer e.gate.Unlock()
+	e.victim.Kill()
+	snap, err := os.ReadFile(filepath.Join(e.dir, "node-2.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := e.nodes[2]
+	victim.Close() // error expected: the store is dead
+	e.nodes[2] = reborn(e.victimMedium, crashWAL(t, e.dir, snap))
+	if err := e.c.removeNode(victim.ID()); err != nil {
+		t.Fatalf("removeNode: %v", err)
+	}
+	if err := e.c.addNode(e.nodes[2]); err != nil {
+		t.Fatalf("addNode: %v", err)
+	}
+}
+
+func killAndRebirth(t *testing.T, e *chaosEnv) {
+	e.flushMembers(t)
 	var over atomic.Bool
 	churn := make(chan error, 1)
 	go func() { churn <- e.joinDrain(over.Load) }()
@@ -465,28 +519,32 @@ func killAndRebirth(t *testing.T, e *chaosEnv) {
 		}
 	}()
 	e.waitOps(t, 3000)
-	// With the gate held no call or churn round spans the dead window, but
-	// the destager keeps draining the dirty buffer the traffic left, so the
+	// The destager keeps draining the dirty buffer the traffic left, so the
 	// kill still lands against in-flight waves.
-	func() {
-		e.gate.Lock()
-		defer e.gate.Unlock()
-		e.victim.Kill()
-		snap, err := os.ReadFile(filepath.Join(e.dir, "node-2.wal"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		victim := e.nodes[2]
-		victim.Close() // error expected: the store is dead
-		e.nodes[2] = e.wbNodeOn("node-2", e.victimMedium, crashWAL(t, e.dir, snap))
-		if err := e.c.RemoveNode(victim.ID()); err != nil {
-			t.Fatalf("RemoveNode: %v", err)
-		}
-		if err := e.c.AddNode(e.nodes[2]); err != nil {
-			t.Fatalf("AddNode: %v", err)
-		}
-	}()
+	e.rebirth(t, func(store hashdb.Store, journal string) *Node { return e.wbNodeOn("node-2", store, journal) })
 	e.waitOps(t, e.ops.Load()+3000)
+}
+
+// killTargetAfterDrain drains node-0 into node-1 and node-2 under traffic,
+// then kills node-2 before any wave ran and brings it back.
+func killTargetAfterDrain(t *testing.T, e *chaosEnv) {
+	e.flushMembers(t)
+	e.waitOps(t, 200)
+	drained := e.nodes[0]
+	before, err := drained.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := e.c.DrainNode(context.Background(), drained.ID())
+	e.retired = append(e.retired, drained)
+	if err != nil {
+		t.Fatalf("DrainNode: %v", err)
+	}
+	if st.Moved < before.StoreEntries {
+		t.Fatalf("drain moved %d of node-0's %d entries", st.Moved, before.StoreEntries)
+	}
+	e.rebirth(t, func(store hashdb.Store, journal string) *Node { return e.mustNode(heldBack("node-2", store, journal)) })
+	e.waitOps(t, e.ops.Load()+500)
 }
 
 // fileNode is a journaled write-back node over a file-backed table in the
@@ -513,8 +571,8 @@ func wipeAndRejoin(t *testing.T, e *chaosEnv) {
 	e.waitOps(t, e.ops.Load()+200)
 	// Wipe: the hash table and the journal are gone. Rejoin empty, under
 	// the same identity.
-	if err := e.c.RemoveNode(victim.ID()); err != nil {
-		t.Fatalf("RemoveNode: %v", err)
+	if err := e.c.removeNode(victim.ID()); err != nil {
+		t.Fatalf("removeNode: %v", err)
 	}
 	for _, ext := range []string{".shdb", ".wal"} {
 		if err := os.Remove(filepath.Join(e.dir, string(victim.ID())+ext)); err != nil {
@@ -522,8 +580,8 @@ func wipeAndRejoin(t *testing.T, e *chaosEnv) {
 		}
 	}
 	e.nodes[1] = fileNode(e, string(victim.ID()))
-	if err := e.c.AddNode(e.nodes[1]); err != nil {
-		t.Fatalf("AddNode: %v", err)
+	if err := e.c.addNode(e.nodes[1]); err != nil {
+		t.Fatalf("addNode: %v", err)
 	}
 	e.waitOps(t, e.ops.Load()+400) // workers against the empty rejoined owner
 	// Heal. The membership changes woke the background sweeper too, which

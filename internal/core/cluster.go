@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -72,11 +73,11 @@ type ClusterConfig struct {
 	DisableReadRepair bool
 	// AntiEntropyInterval adds a periodic tick to the background
 	// anti-entropy sweeper (Replicas > 1 only). The sweeper itself always
-	// runs with replication on — membership changes (AddNode, RemoveNode,
-	// JoinNode, DrainNode) trigger a sweep regardless, because the repair
-	// queue drops overflow and failed repairs on the promise that a sweep
-	// heals them. 0 keeps only the membership-triggered sweeps;
-	// AntiEntropy can also be called manually at any time.
+	// runs with replication on — membership changes (JoinNode, DrainNode)
+	// trigger a sweep regardless, because the repair queue drops overflow
+	// and failed repairs on the promise that a sweep heals them. 0 keeps
+	// only the membership-triggered sweeps; AntiEntropy can also be called
+	// manually at any time.
 	AntiEntropyInterval time.Duration
 }
 
@@ -98,8 +99,10 @@ type Cluster struct {
 	quorum       int
 	noReadRepair bool
 	// route is the routing snapshot every operation loads once; each
-	// membership change publishes a new one under mu.
-	route atomic.Pointer[routing]
+	// membership change publishes a new one under mu. superseded holds the
+	// replaced snapshots that calls may still route on (see hold).
+	route      atomic.Pointer[routing]
+	superseded []*routing
 
 	// repl holds the replication counters (see ReplicationStats).
 	repl replCounters
@@ -181,21 +184,87 @@ type routing struct {
 	gen      uint64
 	table    *ring.Table
 	backends []Backend
+	// ops counts the calls routing on the snapshot (see hold).
+	ops atomic.Int64
 }
 
 // publishLocked swaps in the routing snapshot for the ring and backends as
 // they are now. Callers hold c.mu for writing (or own c exclusively).
 func (c *Cluster) publishLocked() {
-	rt := &routing{table: c.ring.Table()}
+	rt := routeOn(c.ring.Table(), c.backends)
 	if old := c.route.Load(); old != nil {
 		rt.gen = old.gen + 1
-	}
-	rt.backends = make([]Backend, len(rt.table.Nodes()))
-	for i, id := range rt.table.Nodes() {
-		rt.backends[i] = c.backends[id]
+		c.superseded = append(slices.DeleteFunc(c.superseded, func(o *routing) bool { return o.ops.Load() == 0 }), old)
 	}
 	c.route.Store(rt)
 	c.signalMembershipChange()
+}
+
+// hold loads the routing snapshot and counts the caller on it until the
+// caller's ops.Add(-1). A snapshot replaced between the load and the count
+// is let go and the new one taken, so quiesce, which a membership change
+// runs after its publish, sees every call that may still ask the nodes an
+// older table names.
+func (c *Cluster) hold() *routing {
+	for {
+		rt := c.route.Load()
+		rt.ops.Add(1)
+		if c.route.Load() == rt {
+			return rt
+		}
+		rt.ops.Add(-1)
+	}
+}
+
+// quiesce waits until no call routes on a superseded snapshot. A move
+// removes nothing before it: a call that routed on the table before a flip
+// could otherwise miss an entry on the node it asks — and, once a second
+// flip hands the range back to that node, insert it there again as "new",
+// where no reconciliation can tell.
+func (c *Cluster) quiesce(ctx context.Context) error {
+	c.mu.RLock()
+	old := slices.Clone(c.superseded)
+	c.mu.RUnlock()
+	for _, rt := range old {
+		for rt.ops.Load() > 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	return nil
+}
+
+// routeOn is the routing of table over the named backends.
+func routeOn(table *ring.Table, backends map[ring.NodeID]Backend) *routing {
+	rt := &routing{table: table, backends: make([]Backend, len(table.Nodes()))}
+	for i, id := range table.Nodes() {
+		rt.backends[i] = backends[id]
+	}
+	return rt
+}
+
+// shadowLocked is the routing the ring's members would publish with join
+// added (when not nil) and leave taken out: the table a membership change
+// copies ahead to before it flips. Caller holds c.mu.
+func (c *Cluster) shadowLocked(join Backend, leave ring.NodeID) (*routing, error) {
+	r := ring.NewReplicated(c.vnodes, c.replicas)
+	members := make(map[ring.NodeID]Backend, len(c.backends)+1)
+	for _, id := range c.ring.Nodes() {
+		if id != leave {
+			members[id] = c.backends[id]
+		}
+	}
+	if join != nil {
+		members[join.ID()] = join
+	}
+	for id := range members {
+		if err := r.Add(id); err != nil {
+			return nil, err
+		}
+	}
+	return routeOn(r.Table(), members), nil
 }
 
 // point returns fp's ring position, or ring.ErrEmpty.
@@ -258,31 +327,6 @@ func (c *Cluster) addLocked(b Backend) error {
 		return err
 	}
 	c.backends[id] = b
-	c.publishLocked()
-	return nil
-}
-
-// AddNode joins a new backend to the ring (dynamic scaling extension).
-// Existing entries are not migrated; fingerprints that move ranges will be
-// re-inserted on their next lookup, which is safe for a dedup index
-// (a moved entry only costs one redundant chunk upload).
-func (c *Cluster) AddNode(b Backend) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.addLocked(b)
-}
-
-// RemoveNode detaches a backend from the ring without closing it.
-func (c *Cluster) RemoveNode(id ring.NodeID) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.backends[id]; !ok {
-		return fmt.Errorf("core: unknown backend %q", id)
-	}
-	if err := c.ring.Remove(id); err != nil {
-		return err
-	}
-	delete(c.backends, id)
 	c.publishLocked()
 	return nil
 }
@@ -362,7 +406,9 @@ func (c *Cluster) Lookup(ctx context.Context, fp fingerprint.Fingerprint) (Looku
 // returned. With DisableReadRepair (or Replicas == 1) the first answer,
 // hit or miss, wins.
 func (c *Cluster) lookupOnce(ctx context.Context, fp fingerprint.Fingerprint) (LookupResult, ring.NodeID, error) {
-	targets, err := c.routingFor(fp)
+	rt := c.hold()
+	defer rt.ops.Add(-1)
+	targets, err := rt.replicasFor(fp)
 	if err != nil {
 		return LookupResult{}, "", err
 	}
@@ -424,8 +470,10 @@ func (c *Cluster) LookupOrInsert(ctx context.Context, fp fingerprint.Fingerprint
 //   - found with our own value: indistinguishable between our own insert
 //     migrated over and an old entry that stored the same locator; "new"
 //     is consistent either way (the upload lands on the same locator).
-//   - still missing: keep "new" and heal placement by inserting on the
-//     current owner, so future lookups find the entry where routing looks.
+//   - still missing: keep "new" and heal placement by filling the hole on
+//     the current owner, so future lookups find the entry where routing
+//     looks. Only a hole: a racing call may have created the entry there
+//     since the probe, and its value is the one that call answered.
 func (c *Cluster) reconcileMiss(ctx context.Context, fp fingerprint.Fingerprint, val Value, miss LookupResult) LookupResult {
 	for attempt := 0; attempt < routeRetries; attempt++ {
 		if ctx.Err() != nil {
@@ -449,7 +497,7 @@ func (c *Cluster) reconcileMiss(ctx context.Context, fp fingerprint.Fingerprint,
 			return miss
 		}
 		if !c.ownerMoved(fp, owner.ID()) {
-			_ = owner.Insert(ctx, fp, val)
+			_, _ = owner.LookupOrInsert(ctx, fp, val)
 			return miss
 		}
 	}
@@ -555,7 +603,8 @@ func (c *Cluster) BatchLookupOrInsert(ctx context.Context, pairs []Pair) ([]Look
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rt := c.route.Load()
+	rt := c.hold()
+	defer rt.ops.Add(-1)
 	if rt.table.Len() == 0 {
 		return nil, ring.ErrEmpty
 	}
@@ -698,188 +747,122 @@ type Migrator interface {
 	Remove(fp fingerprint.Fingerprint) (bool, error)
 }
 
-// RebalanceStats summarizes a migration pass.
+// RebalanceStats summarizes a membership change's migration.
 type RebalanceStats struct {
-	// Scanned is the number of entries examined. An entry relocated early
-	// in the pass is examined again when its new home is scanned, so
-	// Scanned can exceed the cluster's entry count.
+	// Scanned is the number of entries examined, over both passes.
 	Scanned int
-	// Moved is the number of entries relocated to a new owner.
+	// Moved is the number of entries removed from a node that no longer
+	// holds them, once their new nodes held them durably.
 	Moved int
 	// Skipped counts backends that do not support migration.
 	Skipped int
 }
 
-// Rebalance moves every entry to its current owner node. Call it after
-// AddNode to spread existing fingerprints onto the new member (the paper's
-// "dynamic resource scaling" future work). Lookups remain correct during
-// the pass: an entry is inserted at its new owner before it is removed
-// from the old one. ctx is checked between entries, so a cancelled
-// rebalance stops promptly and leaves the index consistent (entries moved
-// so far are complete; the rest stay where they were).
-func (c *Cluster) Rebalance(ctx context.Context) (RebalanceStats, error) {
-	c.mu.RLock()
-	backends := make([]Backend, 0, len(c.backends))
-	for _, b := range c.backends {
-		backends = append(backends, b)
-	}
-	c.mu.RUnlock()
-
-	var stats RebalanceStats
-	for _, b := range backends {
-		m, ok := b.(Migrator)
-		if !ok {
-			stats.Skipped++
-			continue
-		}
-		moved, scanned, err := c.migrateFrom(ctx, b.ID(), m, false)
-		if err != nil {
-			return stats, err
-		}
-		stats.Moved += moved
-		stats.Scanned += scanned
-	}
-	return stats, nil
-}
-
-// JoinNode adds a backend with minimal duplicate-detection disruption: it
-// first copies the entries the new node will own onto it (computed against
-// a shadow ring), then flips routing, then cleans relocated entries off
-// their old owners. Unlike AddNode+Rebalance, fingerprints already stored
-// are continuously detected as duplicates throughout the join (only
-// entries inserted during the copy window can be re-uploaded once).
+// JoinNode adds a backend with no duplicate-detection disruption: it first
+// copies the entries the new node will hold onto it (placed by a shadow of
+// the table to come) while routing is untouched, then flips routing, then
+// moves what the old nodes no longer hold and removes it from them (picking
+// up what was inserted during the copy). Fingerprints already stored are
+// detected as duplicates throughout the join; one first inserted on its old
+// node during the copy can be answered "new" once, by a call routed after
+// the flip, until the move hands it over.
 //
 // Cancelling ctx before routing flips aborts the join (the joiner holds
-// copies that are simply never routed to); after the flip, the cleanup
-// pass stops early and the leftover duplicates cost at most redundant
-// storage, never wrong answers.
+// copies that are simply never routed to); after the flip, the move stops
+// early and the entries left on their old nodes cost storage, never wrong
+// answers.
 func (c *Cluster) JoinNode(ctx context.Context, b Backend) (RebalanceStats, error) {
-	newID := b.ID()
-
-	// Build the shadow ring: current members plus the joiner.
+	var stats RebalanceStats
 	c.mu.RLock()
-	if _, dup := c.backends[newID]; dup {
+	if _, dup := c.backends[b.ID()]; dup {
 		c.mu.RUnlock()
-		return RebalanceStats{}, fmt.Errorf("core: duplicate backend %q", newID)
+		return stats, fmt.Errorf("core: duplicate backend %q", b.ID())
 	}
-	shadow := ring.New(c.vnodes)
-	for id := range c.backends {
-		if err := shadow.Add(id); err != nil {
-			c.mu.RUnlock()
-			return RebalanceStats{}, err
+	shadow, err := c.shadowLocked(b, "")
+	var sources []Backend
+	for _, id := range c.ring.Nodes() {
+		if _, ok := c.backends[id].(Migrator); ok {
+			sources = append(sources, c.backends[id])
+		} else {
+			stats.Skipped++
 		}
-	}
-	members := make([]Backend, 0, len(c.backends))
-	for _, m := range c.backends {
-		members = append(members, m)
 	}
 	c.mu.RUnlock()
-	if err := shadow.Add(newID); err != nil {
-		return RebalanceStats{}, err
+	if err != nil {
+		return stats, err
 	}
-
-	// Phase 1: copy soon-to-move entries to the joiner while routing is
-	// untouched (lookups still find them on their current owners).
-	var stats RebalanceStats
-	joiner := map[ring.NodeID]Backend{newID: b}
-	for _, m := range members {
-		mig, ok := m.(Migrator)
-		if !ok {
-			stats.Skipped++
-			continue
-		}
-		if err := c.copyAhead(ctx, m.ID(), mig, shadow, joiner, &stats); err != nil {
+	for _, m := range sources {
+		if _, _, err := c.move(ctx, m.ID(), m.(Migrator), shadow, false, &stats); err != nil {
 			return stats, err
 		}
 	}
-
-	// Phase 2: flip routing.
 	c.mu.Lock()
-	err := c.addLocked(b)
+	err = c.addLocked(b)
 	c.mu.Unlock()
 	if err != nil {
 		return stats, err
 	}
-
-	// Phase 3: remove relocated entries from their old owners (and pick
-	// up anything inserted during the copy window).
-	for _, m := range members {
-		mig, ok := m.(Migrator)
-		if !ok {
-			continue
-		}
-		moved, scanned, err := c.migrateFrom(ctx, m.ID(), mig, false)
-		if err != nil {
+	for _, m := range sources {
+		if _, _, err := c.move(ctx, m.ID(), m.(Migrator), c.route.Load(), true, &stats); err != nil {
 			return stats, err
 		}
-		stats.Scanned += scanned
-		_ = moved // already counted in phase 1 for pre-copied entries
 	}
 	return stats, nil
 }
 
-// DrainNode migrates every entry off the named node and detaches it from
-// the cluster (graceful decommission), in JoinNode's three phases: it copies
-// every entry to its owner-to-be (computed against a shadow ring) while
-// routing still sends the node's range here, then flips routing, then moves
-// everything again to pick up what was inserted during the copy. A lookup
-// routed after the flip so finds an entry where it looks, never a miss
-// that answers a stored fingerprint "new". The backend itself is not
-// closed; its owner closes it after the drain. A cancelled ctx before the
-// flip aborts the drain; after it, the move stops mid-pass and the node,
-// out of the ring, stays attached until every entry has moved, so
-// un-migrated entries are never orphaned and a later Rebalance can finish
-// the job.
+// DrainNode moves every entry off the named node and detaches it from the
+// cluster (graceful decommission), in JoinNode's three steps: it copies
+// every entry to the nodes a shadow of the table without it places the
+// entry on while routing still sends the node's range here, then flips
+// routing, then moves everything again — picking up what was inserted
+// during the copy — removing each entry once its new nodes hold it
+// durably. A lookup routed after the flip so finds an entry where it looks
+// (as for JoinNode, one inserted during the copy arrives with the move).
+// The backend itself is not closed; its owner closes it after the drain.
+//
+// A cancelled ctx before the flip aborts the drain. After it, the move
+// stops mid-pass and the node, out of the ring, stays attached with what
+// has not moved yet; calling DrainNode again on it resumes the move.
 func (c *Cluster) DrainNode(ctx context.Context, id ring.NodeID) (RebalanceStats, error) {
-	c.mu.Lock()
+	var stats RebalanceStats
+	c.mu.RLock()
 	b, ok := c.backends[id]
-	if !ok {
-		c.mu.Unlock()
-		return RebalanceStats{}, fmt.Errorf("core: unknown backend %q", id)
+	inRing := slices.Contains(c.ring.Nodes(), id)
+	last := c.ring.Len() == 1
+	var shadow *routing
+	var err error
+	if ok && inRing && !last {
+		shadow, err = c.shadowLocked(nil, id)
 	}
+	c.mu.RUnlock()
 	m, isMigrator := b.(Migrator)
-	if !isMigrator {
-		c.mu.Unlock()
-		return RebalanceStats{}, fmt.Errorf("core: backend %q does not support migration", id)
+	switch {
+	case !ok:
+		return stats, fmt.Errorf("core: unknown backend %q", id)
+	case !isMigrator:
+		return stats, fmt.Errorf("core: backend %q does not support migration", id)
+	case inRing && last:
+		return stats, errors.New("core: cannot drain the last node")
+	case err != nil:
+		return stats, err
 	}
-	if len(c.backends) == 1 {
-		c.mu.Unlock()
-		return RebalanceStats{}, errors.New("core: cannot drain the last node")
-	}
-	shadow := ring.New(c.vnodes)
-	rest := make(map[ring.NodeID]Backend, len(c.backends)-1)
-	for mid, mb := range c.backends {
-		if mid == id {
-			continue
+	if inRing {
+		if _, _, err := c.move(ctx, id, m, shadow, false, &stats); err != nil {
+			return stats, err
 		}
-		if err := shadow.Add(mid); err != nil {
-			c.mu.Unlock()
-			return RebalanceStats{}, err
+		// Take the node out of the ring so moved entries route to the
+		// surviving members; keep the backend attached for the move.
+		c.mu.Lock()
+		err := c.ring.Remove(id)
+		if err == nil {
+			c.publishLocked()
 		}
-		rest[mid] = mb
-	}
-	c.mu.Unlock()
-
-	if err := c.copyAhead(ctx, id, m, shadow, rest, &RebalanceStats{}); err != nil {
-		return RebalanceStats{}, err
-	}
-	// Take the node out of the ring so migrated entries route to the
-	// surviving members; keep the backend reachable for the move.
-	c.mu.Lock()
-	if _, ok := c.backends[id]; !ok {
 		c.mu.Unlock()
-		return RebalanceStats{}, fmt.Errorf("core: backend %q left during the drain", id)
+		if err != nil {
+			return stats, fmt.Errorf("core: drain %s: %w", id, err)
+		}
 	}
-	if err := c.ring.Remove(id); err != nil {
-		c.mu.Unlock()
-		return RebalanceStats{}, err
-	}
-	c.publishLocked()
-	c.mu.Unlock()
-
-	moved, scanned, err := c.migrateFrom(ctx, id, m, true)
-	stats := RebalanceStats{Moved: moved, Scanned: scanned}
-	if err != nil {
+	if _, _, err := c.move(ctx, id, m, c.route.Load(), true, &stats); err != nil {
 		return stats, err
 	}
 	c.mu.Lock()
@@ -888,121 +871,87 @@ func (c *Cluster) DrainNode(ctx context.Context, id ring.NodeID) (RebalanceStats
 	return stats, nil
 }
 
-// migrateFrom moves entries off one backend. When all is true every entry
-// moves (drain); otherwise only entries whose owner is no longer source.
-// ctx is checked between entries.
-func (c *Cluster) migrateFrom(ctx context.Context, source ring.NodeID, m Migrator, all bool) (moved, scanned int, err error) {
-	// Collect first: inserting into peers while ranging the same store
-	// would mutate it mid-iteration.
-	type entry struct {
-		fp  fingerprint.Fingerprint
-		val Value
+// movePage bounds one target's share of a move: the pairs one ApplyRepair
+// call carries.
+const movePage = 1024
+
+// move is the one mover: membership changes and anti-entropy hand entries
+// over through it. It walks the node id (src) and hands entries to the
+// nodes the table to places them on, one ApplyRepair call per target and
+// page of up to movePage pairs, and reports the pairs it sent and how many
+// of them their targets created. ApplyRepair only fills a hole — an entry
+// its target holds is the one lookups routed there were answered from —
+// and is durable on return.
+//
+// A copy (remove false) takes each entry the source holds under the table
+// in force; to is the shadow of a table about to be published, or for
+// anti-entropy the table in force. Anything else on the source is a stray
+// that a call routed on a superseded table left behind; a move takes it. A
+// move (remove true) runs under to, the table in force, once no call routes
+// on an older one (quiesce): it takes each entry the source no longer
+// holds, and the source removes it once its last target's page has
+// returned, if the table in force still does not place it there.
+func (c *Cluster) move(ctx context.Context, id ring.NodeID, src Migrator, to *routing, remove bool, st *RebalanceStats) (sent, created int, err error) {
+	rt := to
+	if remove {
+		if err := c.quiesce(ctx); err != nil {
+			return 0, 0, fmt.Errorf("core: move from %s: %w", id, err)
+		}
+	} else {
+		rt = c.route.Load()
 	}
-	var toMove []entry
-	rangeErr := m.Entries(ctx, func(fp fingerprint.Fingerprint, val Value) bool {
-		scanned++
-		if err = ctx.Err(); err != nil {
-			return false
+	if to.table.Len() == 0 {
+		return 0, 0, ring.ErrEmpty
+	}
+	buckets := make([][]Pair, len(to.backends))
+	err = src.Entries(ctx, func(fp fingerprint.Fingerprint, val Value) bool {
+		st.Scanned++
+		if held := rt.places(fp, id); held == remove {
+			return true // a copy takes what the source holds, a move the rest
 		}
-		if all {
-			toMove = append(toMove, entry{fp, val})
-			return true
-		}
-		owner, lerr := c.Owner(fp)
-		if lerr != nil {
-			err = lerr
-			return false
-		}
-		if owner != source {
-			toMove = append(toMove, entry{fp, val})
+		for _, k := range to.table.Successors(to.table.Point(fp.Prefix64())) {
+			if to.table.Nodes()[k] != id {
+				buckets[k] = append(buckets[k], Pair{FP: fp, Val: val})
+			}
 		}
 		return true
 	})
-	if err == nil {
-		err = rangeErr
-	}
 	if err != nil {
-		return moved, scanned, fmt.Errorf("core: migrate from %s: %w", source, err)
+		return 0, 0, fmt.Errorf("core: move from %s: %w", id, err)
 	}
-
-	for _, e := range toMove {
-		if cerr := ctx.Err(); cerr != nil {
-			return moved, scanned, fmt.Errorf("core: migrate from %s: %w", source, cerr)
-		}
-		targets, terr := c.routingFor(e.fp)
-		if terr != nil {
-			return moved, scanned, terr
-		}
-		for _, t := range targets {
-			if t.ID() == source {
+	for k, pairs := range buckets {
+		for len(pairs) > 0 {
+			page := pairs[:min(len(pairs), movePage)]
+			pairs = pairs[len(page):]
+			rs, err := applyRepair(ctx, to.backends[k], page)
+			if err != nil {
+				return sent, created, fmt.Errorf("core: move from %s to %s: %w", id, to.backends[k].ID(), err)
+			}
+			sent += len(page)
+			for _, r := range rs {
+				if !r.Exists {
+					created++
+				}
+			}
+			if !remove {
 				continue
 			}
-			// Fill a hole only: an entry the target holds is the one lookups
-			// routed there were answered from, while the source's may be a
-			// stray that a call routed on a superseded table left behind.
-			if _, ierr := t.LookupOrInsert(ctx, e.fp, e.val); ierr != nil {
-				return moved, scanned, fmt.Errorf("core: migrate %s to %s: %w", e.fp.Short(), t.ID(), ierr)
+			rt = c.route.Load()
+			for _, p := range page {
+				// Buckets go out in table order: an entry's last target is
+				// the highest of its nodes (none of them is the source).
+				if int(slices.Max(to.table.Successors(to.table.Point(p.FP.Prefix64())))) != k || rt.places(p.FP, id) {
+					continue
+				}
+				if _, err := src.Remove(p.FP); err != nil {
+					return sent, created, fmt.Errorf("core: move %s off %s: %w", p.FP.Short(), id, err)
+				}
+				st.Moved++
 			}
 		}
-		if _, rerr := m.Remove(e.fp); rerr != nil {
-			return moved, scanned, fmt.Errorf("core: migrate %s off %s: %w", e.fp.Short(), source, rerr)
-		}
-		moved++
 	}
-	return moved, scanned, nil
+	return sent, created, nil
 }
-
-// copyAhead is a membership change's first phase: while routing is still
-// untouched, it copies every entry of from that shadow — the ring as it will
-// be — gives to a node of to, so the entry is in place when routing flips.
-// Only entries from holds for the table in force are copied: anything else
-// on it is a stray a call routed on a superseded table left behind. Like
-// migrateFrom, a copy only fills a hole: the owner-to-be may already hold
-// the key (a drained secondary replica's primary does), and its entry is
-// the one lookups were answered from.
-func (c *Cluster) copyAhead(ctx context.Context, id ring.NodeID, from Migrator, shadow *ring.Ring, to map[ring.NodeID]Backend, stats *RebalanceStats) error {
-	moving := make(map[Backend][]Pair)
-	var lookupErr error
-	rt := c.route.Load()
-	err := from.Entries(ctx, func(fp fingerprint.Fingerprint, val Value) bool {
-		stats.Scanned++
-		if lookupErr = ctx.Err(); lookupErr != nil {
-			return false
-		}
-		if !rt.places(fp, id) {
-			return true
-		}
-		owner, lerr := shadow.Lookup(fp)
-		if lerr != nil {
-			lookupErr = lerr
-			return false
-		}
-		if b, ok := to[owner]; ok {
-			moving[b] = append(moving[b], Pair{FP: fp, Val: val})
-		}
-		return true
-	})
-	if err == nil {
-		err = lookupErr
-	}
-	if err != nil {
-		return fmt.Errorf("core: copy from %s: %w", id, err)
-	}
-	for b, pairs := range moving {
-		for len(pairs) > 0 {
-			chunk := pairs[:min(len(pairs), copyAheadChunk)]
-			pairs = pairs[len(chunk):]
-			if _, err := b.BatchLookupOrInsert(ctx, chunk); err != nil {
-				return fmt.Errorf("core: copy from %s to %s: %w", id, b.ID(), err)
-			}
-			stats.Moved += len(chunk)
-		}
-	}
-	return nil
-}
-
-// copyAheadChunk bounds one copy-ahead batch.
-const copyAheadChunk = 512
 
 // ClientTransportStats aggregates the client-side transport counters of
 // the cluster's remote backends: how often a caller stalled waiting for

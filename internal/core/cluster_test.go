@@ -325,26 +325,51 @@ func TestNoReplicationLosesDataOnFailure(t *testing.T) {
 	}
 }
 
+// addNode joins b to the ring and moves nothing: how a test swaps a member
+// in (a reborn node, a wiped one rejoining) or changes the ring under a
+// sweep. JoinNode is the membership change that moves entries.
+func (c *Cluster) addNode(b Backend) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.addLocked(b)
+}
+
+// removeNode detaches a backend and moves nothing: how a test takes a dead
+// member out. DrainNode is the membership change that moves entries.
+func (c *Cluster) removeNode(id ring.NodeID) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.backends[id]; !ok {
+		return fmt.Errorf("core: unknown backend %q", id)
+	}
+	if err := c.ring.Remove(id); err != nil {
+		return err
+	}
+	delete(c.backends, id)
+	c.publishLocked()
+	return nil
+}
+
 func TestAddRemoveNode(t *testing.T) {
 	c := newTestCluster(t, 2, ClusterConfig{})
 	extra, err := NewNode(NodeConfig{ID: "node-extra", Store: hashdb.NewMemStore(nil), CacheSize: 8})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}
-	if err := c.AddNode(extra); err != nil {
-		t.Fatalf("AddNode: %v", err)
+	if err := c.addNode(extra); err != nil {
+		t.Fatalf("addNode: %v", err)
 	}
 	if c.Size() != 3 {
 		t.Fatalf("Size = %d, want 3", c.Size())
 	}
-	if err := c.AddNode(extra); err == nil {
-		t.Fatal("duplicate AddNode succeeded")
+	if err := c.addNode(extra); err == nil {
+		t.Fatal("duplicate addNode succeeded")
 	}
-	if err := c.RemoveNode("node-extra"); err != nil {
-		t.Fatalf("RemoveNode: %v", err)
+	if err := c.removeNode("node-extra"); err != nil {
+		t.Fatalf("removeNode: %v", err)
 	}
-	if err := c.RemoveNode("node-extra"); err == nil {
-		t.Fatal("double RemoveNode succeeded")
+	if err := c.removeNode("node-extra"); err == nil {
+		t.Fatal("double removeNode succeeded")
 	}
 	if c.Size() != 2 {
 		t.Fatalf("Size = %d, want 2", c.Size())
@@ -354,4 +379,75 @@ func TestAddRemoveNode(t *testing.T) {
 		t.Fatalf("LookupOrInsert after churn: %v", err)
 	}
 	extra.Close()
+}
+
+// raceBackend runs a hook after a call it passes to its node, standing in
+// for whatever lands between that call and the cluster's next one.
+type raceBackend struct {
+	*Node
+	afterBatch func()
+	afterMiss  func(fingerprint.Fingerprint) // after a Lookup that missed
+}
+
+func (b *raceBackend) BatchLookupOrInsert(ctx context.Context, pairs []Pair) ([]LookupResult, error) {
+	rs, err := b.Node.BatchLookupOrInsert(ctx, pairs)
+	if hook := b.afterBatch; hook != nil {
+		b.afterBatch = nil
+		hook()
+	}
+	return rs, err
+}
+
+func (b *raceBackend) Lookup(ctx context.Context, f fingerprint.Fingerprint) (LookupResult, error) {
+	r, err := b.Node.Lookup(ctx, f)
+	if hook := b.afterMiss; hook != nil && err == nil && !r.Exists {
+		b.afterMiss = nil
+		hook(f)
+	}
+	return r, err
+}
+
+// A miss whose owner moved mid-batch is reconciled against the new owner;
+// when that probe misses too, the heal only fills the hole: a call that
+// created the entry there between the probe and the heal keeps its value.
+func TestReconcileHealFillsHoleOnly(t *testing.T) {
+	ctx := context.Background()
+	old := &raceBackend{Node: newNamedNode(t, "node-0")}
+	owner := &raceBackend{Node: newNamedNode(t, "node-1")}
+	c, err := NewCluster(ClusterConfig{}, old)
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	defer c.Close()
+	next := ring.New(0)
+	next.Add("node-0")
+	next.Add("node-1")
+	k := fp(0)
+	for i := uint64(1); ; i++ {
+		if id, _ := next.Lookup(k); id == "node-1" {
+			break
+		}
+		k = fp(i)
+	}
+	// node-0 decides k new, then node-1 joins and owns it; the probe of
+	// node-1 misses, and a racing call creates k there with its own value.
+	old.afterBatch = func() {
+		if err := c.addNode(owner); err != nil {
+			t.Errorf("addNode: %v", err)
+		}
+	}
+	owner.afterMiss = func(f fingerprint.Fingerprint) {
+		if _, err := owner.Node.LookupOrInsert(ctx, f, 2); err != nil {
+			t.Errorf("racing insert: %v", err)
+		}
+	}
+	if _, err := c.LookupOrInsert(ctx, k, 1); err != nil {
+		t.Fatalf("LookupOrInsert: %v", err)
+	}
+	if old.afterBatch != nil || owner.afterMiss != nil {
+		t.Fatal("the miss was not reconciled against the new owner; test is vacuous")
+	}
+	if r, err := owner.Node.Lookup(ctx, k); err != nil || !r.Exists || r.Value != 2 {
+		t.Fatalf("new owner holds %+v (%v) after the heal, want the racing call's value 2", r, err)
+	}
 }

@@ -58,7 +58,7 @@ func crashNodeConfig(store hashdb.Store, journalPath string) NodeConfig {
 // clean-ahead writes every entry before it is evicted, and a sweep would
 // pass with the journal snapshot emptied.
 func backlogged(cfg NodeConfig) NodeConfig {
-	cfg.DestageBatch, cfg.DestageInterval = 2*crashCache, time.Hour
+	cfg.DestageBatch, cfg.DestageInterval = 2*cfg.CacheSize, time.Hour
 	return cfg
 }
 

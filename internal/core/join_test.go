@@ -37,10 +37,14 @@ func TestJoinNodeBasic(t *testing.T) {
 	if stats.Moved == 0 {
 		t.Fatal("JoinNode moved nothing")
 	}
-	// The joiner owns and holds its share.
+	// The joiner owns and holds its share, and only its share moved: an
+	// entry whose owner did not change stays where it was.
 	jst, _ := joiner.Stats(context.Background())
 	if jst.StoreEntries == 0 {
 		t.Fatal("joiner holds no entries")
+	}
+	if stats.Moved != jst.StoreEntries {
+		t.Fatalf("Moved = %d, want the joiner's %d entries", stats.Moved, jst.StoreEntries)
 	}
 	// Relocated entries were cleaned off old owners: total entries == n.
 	all, _ := c.Stats(context.Background())

@@ -268,6 +268,26 @@ func (j *journal) wait(lsn uint64) error {
 	return nil
 }
 
+// cover readies a store write of pairs that bypasses the journal: a pair
+// the journal may hold an older record for — a value evicted earlier, or a
+// Remove's tombstone — gets a fresh record, durable before cover returns,
+// so replay never puts the older one back over the write. The caller keeps
+// Remove, whose tombstone would be newer, off those fingerprints until the
+// write lands.
+func (j *journal) cover(pairs []hashdb.Pair) error {
+	var lsn uint64
+	held := false
+	for _, p := range pairs {
+		if j.mayHold(p.FP) {
+			lsn, held = j.append(journalPut, p.FP, p.Val), true
+		}
+	}
+	if !held {
+		return nil
+	}
+	return j.wait(lsn)
+}
+
 // appendedLSN returns the LSN of the newest accepted record.
 func (j *journal) appendedLSN() uint64 {
 	j.mu.Lock()

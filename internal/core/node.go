@@ -566,21 +566,21 @@ func (n *Node) unlockAll() {
 // Lookup answers whether the fingerprint is stored, without inserting: a
 // LookupBatch of one (see pipeline.go for what cancelling ctx does).
 func (n *Node) Lookup(ctx context.Context, fp fingerprint.Fingerprint) (LookupResult, error) {
-	return n.one(ctx, Pair{FP: fp}, false)
+	return n.one(ctx, Pair{FP: fp}, modeLookup)
 }
 
 // LookupOrInsert runs the full Figure 4 flow: answer whether the
 // fingerprint exists, inserting it with val when it does not — a
 // BatchLookupOrInsert of one.
 func (n *Node) LookupOrInsert(ctx context.Context, fp fingerprint.Fingerprint, val Value) (LookupResult, error) {
-	return n.one(ctx, Pair{FP: fp, Val: val}, true)
+	return n.one(ctx, Pair{FP: fp, Val: val}, modeInsert)
 }
 
 // one runs a batch of one; the pair and its answer never leave the stack.
-func (n *Node) one(ctx context.Context, p Pair, insert bool) (LookupResult, error) {
+func (n *Node) one(ctx context.Context, p Pair, mode batchMode) (LookupResult, error) {
 	var res [1]LookupResult
 	pairs := [1]Pair{p}
-	err := n.batchPairs(ctx, res[:], pairs[:], insert)
+	err := n.batchPairs(ctx, res[:], pairs[:], mode)
 	return res[0], err
 }
 
@@ -609,7 +609,7 @@ func (n *Node) insertLocked(s *nodeStripe, fp fingerprint.Fingerprint, val Value
 }
 
 // Insert unconditionally records fp -> val (used when uploads complete
-// out-of-band from lookups, and by cluster mirroring and migration). It
+// out-of-band from lookups). It
 // first waits out any in-flight SSD phase for fp, so it can never race a
 // pipelined lookup's insert; the store write itself runs under the stripe
 // lock — Insert is a cold path and keeping it fully serialized makes the
@@ -672,22 +672,29 @@ func (n *Node) BatchLookupOrInsert(ctx context.Context, pairs []Pair) ([]LookupR
 		return nil, nil
 	}
 	results := make([]LookupResult, len(pairs))
-	if err := n.batchPairs(ctx, results, pairs, true); err != nil {
+	if err := n.batchPairs(ctx, results, pairs, modeInsert); err != nil {
 		return nil, err
 	}
 	return results, nil
 }
 
-// ApplyRepair applies a replication backfill batch. Each pair runs through
-// the normal lookup-or-insert flow — an entry already present keeps its
-// stored value, a missing one is created — so repair is idempotent and can
-// never clobber a newer locator. The per-pair results report what was
-// found (Exists) versus created, which lets the sender detect divergence.
-// The traffic is accounted in the Replica stats block on top of the
-// foreground counters the underlying batch already bumps.
+// ApplyRepair applies a replication backfill or migration batch. Each pair
+// runs through the normal lookup-or-insert flow — an entry already present
+// keeps its stored value, a missing one is created — so repair is
+// idempotent and can never clobber a newer locator. The per-pair results
+// report what was found (Exists) versus created, which lets the sender
+// detect divergence. Every pair is durable on return: a write-back node
+// writes the pairs it creates through to the store, and the ones it holds
+// only in RAM, instead of acking them from its cache — a sender may delete
+// its own copy once the call returns. The traffic is accounted in the
+// Replica stats block on top of the foreground counters the underlying
+// batch already bumps.
 func (n *Node) ApplyRepair(ctx context.Context, pairs []Pair) ([]LookupResult, error) {
-	rs, err := n.BatchLookupOrInsert(ctx, pairs)
-	if err != nil {
+	if len(pairs) == 0 {
+		return nil, nil
+	}
+	rs := make([]LookupResult, len(pairs))
+	if err := n.batchPairs(ctx, rs, pairs, modeDurable); err != nil {
 		return nil, err
 	}
 	var created uint64
@@ -711,7 +718,7 @@ func (n *Node) LookupBatch(ctx context.Context, fps []fingerprint.Fingerprint) (
 	results := make([]LookupResult, len(fps))
 	err := n.batchAsync(ctx, results,
 		func(i int) fingerprint.Fingerprint { return fps[i] },
-		func(int) Value { return 0 }, false)
+		func(int) Value { return 0 }, modeLookup)
 	if err != nil {
 		return nil, err
 	}
@@ -763,7 +770,8 @@ func (n *Node) flushLocked() error {
 }
 
 // Entries enumerates the node's stored fingerprints (flushing write-back
-// state first so the enumeration is complete). Used by cluster rebalancing.
+// state first so the enumeration is complete). Used by cluster membership
+// changes and anti-entropy.
 // The enumeration holds every stripe lock, so ctx is checked between
 // entries: a cancelled caller stops the walk and releases the node.
 func (n *Node) Entries(ctx context.Context, fn func(fp fingerprint.Fingerprint, val Value) bool) error {
@@ -794,7 +802,7 @@ func (n *Node) Entries(ctx context.Context, fn func(fp fingerprint.Fingerprint, 
 // Remove deletes a fingerprint from the node's cache and store. The Bloom
 // filter cannot forget, so it stays conservatively stale: a later lookup
 // of the removed fingerprint may pay one extra SSD probe, never a wrong
-// answer. Used by cluster rebalancing. Like Insert, Remove first waits out
+// answer. Used by cluster membership changes. Like Insert, Remove first waits out
 // any in-flight SSD phase for fp — otherwise a pipelined insert landing
 // after the delete would resurrect the entry on a node it just migrated
 // off.

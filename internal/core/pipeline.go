@@ -81,10 +81,30 @@ type flight struct {
 	interest int
 
 	// item is the input index of the batch item that owns the flight, and
-	// direct marks a Bloom-negative insert: no probe needed, just the put.
+	// direct marks a flight with no probe, just the put: a Bloom-negative
+	// insert, or a held hit.
 	item   int32
 	direct bool
+	// held is set on a durable batch's hit on an entry only RAM holds —
+	// dirty in a write-back cache, or in its destage buffer — and names the
+	// tier that found it. The flight writes that value through; exists and
+	// val hold it from the start.
+	held Source
 }
+
+// batchMode is what a batch does with a fingerprint it does not find.
+type batchMode uint8
+
+const (
+	// modeLookup only answers.
+	modeLookup batchMode = iota
+	// modeInsert inserts it; a write-back node acks the insert from RAM.
+	modeInsert
+	// modeDurable inserts it durable on return (ApplyRepair): a write-back
+	// node takes the write-through branch for the batch, and also writes
+	// through every hit it holds only in RAM.
+	modeDurable
+)
 
 // isCtxErr reports whether err is a context cancellation or deadline
 // error — the class of flight failures a waiting rider must not adopt.
@@ -98,9 +118,19 @@ func isCtxErr(err error) bool {
 // insert the fingerprint exists, with val — and returns the owner's answer.
 // On entry f.exists and f.val hold the probe's answer, unless f is direct.
 // Caller holds s.mu, and retires the flight before releasing it.
-func (n *Node) completeLocked(s *nodeStripe, f *flight, fp fingerprint.Fingerprint, val Value, insert bool) LookupResult {
+func (n *Node) completeLocked(s *nodeStripe, f *flight, fp fingerprint.Fingerprint, val Value, mode batchMode) LookupResult {
 	s.lookups++
 	switch {
+	case f.held != 0:
+		// Written through; the entry stays dirty for its own wave, which may
+		// hold an older capture that must not land last on a clean entry.
+		if f.held == SourceCache {
+			s.cacheHits++
+		} else {
+			s.destageHits++
+			s.storeHits++
+		}
+		return LookupResult{Exists: true, Value: f.val, Source: f.held}
 	case f.direct:
 		s.bloomShort++
 	case f.exists:
@@ -114,7 +144,7 @@ func (n *Node) completeLocked(s *nodeStripe, f *flight, fp fingerprint.Fingerpri
 		if n.bloom != nil {
 			s.bloomFalse++
 		}
-		if !insert {
+		if mode == modeLookup {
 			return LookupResult{Exists: false, Source: SourceNew}
 		}
 		if n.bloom != nil {
@@ -122,7 +152,7 @@ func (n *Node) completeLocked(s *nodeStripe, f *flight, fp fingerprint.Fingerpri
 		}
 	}
 	s.inserts++
-	if n.wb {
+	if n.wb && mode == modeInsert {
 		n.cache.PutDirty(fp, lru.Value(val))
 	} else if n.cache != nil {
 		n.cache.Put(fp, lru.Value(val))
@@ -200,14 +230,16 @@ func putNodeScratch(sc *nodeScratch) {
 // It answers item i in results[i], which the caller hands in zeroed — one per
 // item, in input order; a fingerprint appearing twice resolves in input
 // order, the second occurrence seeing the first as a duplicate.
-func (n *Node) batchAsync(ctx context.Context, results []LookupResult, fpOf func(int) fingerprint.Fingerprint, valOf func(int) Value, insert bool) error {
+func (n *Node) batchAsync(ctx context.Context, results []LookupResult, fpOf func(int) fingerprint.Fingerprint, valOf func(int) Value, mode batchMode) error {
 	// Phase 0 — lock-free prepass: resolve cache hits with no stripe lock. A
 	// resolved item (Source is set; the zero Source marks unresolved) never
 	// enters the locked RAM pass, so a cache-resident batch touches no mutex
 	// and no pooled scratch, and one shared counter: all its hits are counted
 	// on the stripe of the first (Stats only ever sums the stripes' counters;
 	// they are per stripe to spread the callers, not to attribute the hits).
-	if n.cache != nil && !n.closedFast.Load() {
+	// A durable batch on a write-back node skips it: it cannot tell a dirty
+	// hit from a clean one.
+	if n.cache != nil && !n.closedFast.Load() && !(n.wb && mode == modeDurable) {
 		hits, counted := 0, 0
 		for i := range results {
 			fp := fpOf(i)
@@ -231,7 +263,7 @@ func (n *Node) batchAsync(ctx context.Context, results []LookupResult, fpOf func
 			return nil
 		}
 	}
-	return n.batchMisses(ctx, results, fpOf, valOf, insert)
+	return n.batchMisses(ctx, results, fpOf, valOf, mode)
 }
 
 // batchMisses runs the items batchAsync's prepass left unresolved through
@@ -246,11 +278,12 @@ func (n *Node) batchAsync(ctx context.Context, results []LookupResult, fpOf func
 // other operations waiting on them observe a cancellation, never adopt
 // it, and re-run their own walks (the batch's whole wave is cancelled
 // together).
-func (n *Node) batchMisses(ctx context.Context, results []LookupResult, fpOf func(int) fingerprint.Fingerprint, valOf func(int) Value, insert bool) error {
+func (n *Node) batchMisses(ctx context.Context, results []LookupResult, fpOf func(int) fingerprint.Fingerprint, valOf func(int) Value, mode batchMode) error {
 	// One journal barrier covers the whole batch: every eviction its RAM
 	// pass and SSD-phase installs displaced is durable before the batch
 	// acknowledges, at the cost of a single shared group commit.
 	journalBefore := n.journalLSN()
+	holdHits := n.wb && mode == modeDurable
 	sc := getNodeScratch()
 	defer putNodeScratch(sc)
 	stripeOf := func(i int) int { return n.stripeIndex(fpOf(i)) }
@@ -302,7 +335,7 @@ func (n *Node) batchMisses(ctx context.Context, results []LookupResult, fpOf fun
 			for oi := lo; oi < hi; oi++ {
 				f, i := &flights[oi], int(flights[oi].item)
 				if f.err = err; err == nil {
-					results[i] = n.completeLocked(s, f, fpOf(i), valOf(i), insert)
+					results[i] = n.completeLocked(s, f, fpOf(i), valOf(i), mode)
 				}
 				delete(s.inflight, fpOf(i))
 			}
@@ -344,6 +377,10 @@ func (n *Node) batchMisses(ctx context.Context, results []LookupResult, fpOf fun
 			if timed {
 				t0 = time.Now()
 			}
+			// A durable batch on a write-back node writes through a hit
+			// only RAM holds (see flight.held).
+			var held Source
+			var heldVal Value
 			if n.cache != nil {
 				v, ok := n.cache.Get(fp)
 				if timed {
@@ -351,18 +388,21 @@ func (n *Node) batchMisses(ctx context.Context, results []LookupResult, fpOf fun
 					s.histCache.Observe(t1.Sub(t0))
 					t0 = t1
 				}
-				if ok {
+				if ok && !(holdHits && n.cache.Dirty(fp)) {
 					s.cacheHits++
 					s.lookups++
 					results[i] = LookupResult{Exists: true, Value: Value(v), Source: SourceCache}
 					continue
 				}
+				if ok {
+					held, heldVal = SourceCache, Value(v)
+				}
 			}
 			direct := false
-			if n.bloom != nil {
+			if n.bloom != nil && held == 0 {
 				// An insert adds what the filter proves new in the same call.
 				var neg bool
-				if insert {
+				if mode != modeLookup {
 					neg = !n.bloom.TestAndAdd(fp)
 				} else {
 					neg = !n.bloom.MayContain(fp)
@@ -371,13 +411,13 @@ func (n *Node) batchMisses(ctx context.Context, results []LookupResult, fpOf fun
 					s.histBloom.Observe(time.Since(t0))
 				}
 				if neg {
-					if !insert {
+					if mode == modeLookup {
 						s.bloomShort++
 						s.lookups++
 						results[i] = LookupResult{Exists: false, Source: SourceBloom}
 						continue
 					}
-					if n.wb {
+					if n.wb && mode == modeInsert {
 						s.bloomShort++
 						s.lookups++
 						s.inserts++
@@ -390,13 +430,16 @@ func (n *Node) batchMisses(ctx context.Context, results []LookupResult, fpOf fun
 					direct = true
 				}
 			}
-			if n.dst != nil {
+			if n.dst != nil && held == 0 {
 				if v, ok := n.dst.peek(fp); ok {
-					s.destageHits++
-					s.storeHits++
-					s.lookups++
-					results[i] = LookupResult{Exists: true, Value: v, Source: SourceStore}
-					continue
+					if !holdHits {
+						s.destageHits++
+						s.storeHits++
+						s.lookups++
+						results[i] = LookupResult{Exists: true, Value: v, Source: SourceStore}
+						continue
+					}
+					held, heldVal = SourceStore, v
 				}
 			}
 			if !direct { // what the filter just proved new is in nobody's flight
@@ -414,7 +457,8 @@ func (n *Node) batchMisses(ctx context.Context, results []LookupResult, fpOf fun
 				flights = make([]flight, 0, len(sc.order)-int(lo)-k)
 				done = make(chan struct{})
 			}
-			flights = append(flights, flight{done: done, interest: 1, item: i32, direct: direct})
+			flights = append(flights, flight{done: done, interest: 1, item: i32, direct: direct || held != 0,
+				held: held, exists: held != 0, val: heldVal})
 			s.inflight[fp] = &flights[len(flights)-1]
 		}
 		if len(flights) > registered {
@@ -431,7 +475,7 @@ func (n *Node) batchMisses(ctx context.Context, results []LookupResult, fpOf fun
 		// whole wave is one SSD-phase sample, attributed to the first
 		// flight's stripe (Stats merges the stripes' digests anyway).
 		t0 := time.Now()
-		err := n.ssdWave(ctx, sc, flights, fpOf, valOf, insert)
+		err := n.ssdWave(ctx, sc, flights, fpOf, valOf, mode)
 		n.stripes[stripeOf(int(flights[0].item))].histSSD.Observe(time.Since(t0))
 		if err != nil {
 			return land(err)
@@ -441,8 +485,9 @@ func (n *Node) batchMisses(ctx context.Context, results []LookupResult, fpOf fun
 
 	// Foreign flights: adopt the outcome another caller's SSD phase
 	// produced. A flight that was abandoned (its owner was cancelled; that
-	// is not this batch's failure) or that was a read-only probe's miss
-	// while this batch inserts leaves its item unanswered; what is left
+	// is not this batch's failure), that was a read-only probe's miss while
+	// this batch inserts, or that a durable batch on a write-back node cannot
+	// know reached the store leaves its item unanswered; what is left
 	// re-runs the walk as one follow-up batch and claims its fingerprints
 	// itself. Items of one fingerprint stay in input order: they share a
 	// stripe, and the RAM pass visited it in that order.
@@ -458,7 +503,7 @@ func (n *Node) batchMisses(ctx context.Context, results []LookupResult, fpOf fun
 		switch {
 		case fj.f.err != nil && !isCtxErr(fj.f.err):
 			return fmt.Errorf("core: batch item %d: %w", i, fj.f.err)
-		case fj.f.err == nil && (fj.f.exists || !insert):
+		case fj.f.err == nil && (mode == modeLookup || fj.f.exists && !holdHits):
 			s := &n.stripes[stripeOf(i)]
 			s.mu.Lock()
 			results[i] = n.adoptLocked(s, fj.f)
@@ -470,7 +515,7 @@ func (n *Node) batchMisses(ctx context.Context, results []LookupResult, fpOf fun
 	}
 	if len(again) > 0 {
 		rs := make([]LookupResult, len(again))
-		if err := n.batchPairs(ctx, rs, again, insert); err != nil {
+		if err := n.batchPairs(ctx, rs, again, mode); err != nil {
 			return err
 		}
 		for k, i := range rerun {
@@ -489,18 +534,20 @@ func (n *Node) batchMisses(ctx context.Context, results []LookupResult, fpOf fun
 
 // batchPairs is batchAsync over a slice of pairs; a read-only batch ignores
 // their values.
-func (n *Node) batchPairs(ctx context.Context, results []LookupResult, pairs []Pair, insert bool) error {
+func (n *Node) batchPairs(ctx context.Context, results []LookupResult, pairs []Pair, mode batchMode) error {
 	return n.batchAsync(ctx, results,
 		func(i int) fingerprint.Fingerprint { return pairs[i].FP },
-		func(i int) Value { return pairs[i].Val }, insert)
+		func(i int) Value { return pairs[i].Val }, mode)
 }
 
 // ssdWave is a batch's coalesced SSD phase: one batched read for the
 // flights that need a probe — their answers land in the flights — then, on
-// a write-through node that inserts, one batched write for the direct
-// (Bloom-negative) flights plus the probe misses: one read-modify-write per
-// bucket page, the group-committed twin of the read.
-func (n *Node) ssdWave(ctx context.Context, sc *nodeScratch, flights []flight, fpOf func(int) fingerprint.Fingerprint, valOf func(int) Value, insert bool) error {
+// an insert that does not ack from RAM (a write-through node's, or a
+// durable one), one batched write for the direct flights (Bloom-negative
+// inserts and held hits, with their held values) plus the probe misses:
+// one read-modify-write per bucket page, the group-committed twin of the
+// read.
+func (n *Node) ssdWave(ctx context.Context, sc *nodeScratch, flights []flight, fpOf func(int) fingerprint.Fingerprint, valOf func(int) Value, mode batchMode) error {
 	wrap := func(what string, err error) error {
 		if err == nil || isCtxErr(err) {
 			return err
@@ -526,17 +573,28 @@ func (n *Node) ssdWave(ctx context.Context, sc *nodeScratch, flights []flight, f
 			}
 		}
 	}
-	if !insert || n.wb {
+	if mode == modeLookup || n.wb && mode == modeInsert {
 		return nil
 	}
 	sc.pairs = sc.pairs[:0]
 	for oi := range flights {
 		if f := &flights[oi]; f.direct || !f.exists {
-			sc.pairs = append(sc.pairs, hashdb.Pair{FP: fpOf(int(f.item)), Val: valOf(int(f.item))})
+			v := valOf(int(f.item))
+			if f.held != 0 {
+				v = f.val
+			}
+			sc.pairs = append(sc.pairs, hashdb.Pair{FP: fpOf(int(f.item)), Val: v})
 		}
 	}
 	if len(sc.pairs) == 0 {
 		return nil
+	}
+	if n.jnl != nil {
+		// The write bypasses the journal; the batch's flights keep Remove
+		// off these keys until it lands.
+		if err := n.jnl.cover(sc.pairs); err != nil {
+			return wrap("journal", err)
+		}
 	}
 	_, _, err := n.store.PutBatch(ctx, sc.pairs)
 	return wrap("insert", err)

@@ -131,8 +131,8 @@ func TestRepairDroppedForRemovedNode(t *testing.T) {
 	defer nodes[2].Close() // detached below; the cluster no longer closes it
 	ctx := context.Background()
 
-	if err := c.RemoveNode("node-2"); err != nil {
-		t.Fatalf("RemoveNode: %v", err)
+	if err := c.removeNode("node-2"); err != nil {
+		t.Fatalf("removeNode: %v", err)
 	}
 	for i := uint64(0); i < 50; i++ {
 		c.enqueueRepair("node-2", fingerprint.FromUint64(i), Value(i+1))
@@ -190,12 +190,12 @@ func TestRepairChurnUnderMembershipChanges(t *testing.T) {
 				return
 			default:
 			}
-			if err := c.RemoveNode("node-2"); err != nil {
+			if err := c.removeNode("node-2"); err != nil {
 				continue
 			}
 			time.Sleep(time.Millisecond)
-			if err := c.AddNode(nodes[2]); err != nil {
-				t.Errorf("AddNode: %v", err)
+			if err := c.addNode(nodes[2]); err != nil {
+				t.Errorf("addNode: %v", err)
 				return
 			}
 			time.Sleep(time.Millisecond)

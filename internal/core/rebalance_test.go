@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -70,96 +71,6 @@ func TestEntriesIncludesWriteBackState(t *testing.T) {
 	}
 	if count != 50 {
 		t.Fatalf("Entries visited %d dirty-cached inserts, want 50", count)
-	}
-}
-
-func TestRebalanceAfterAddNode(t *testing.T) {
-	nodes := make([]*Node, 3)
-	backends := make([]Backend, 3)
-	for i := range nodes {
-		nodes[i] = newNamedNode(t, fmt.Sprintf("node-%d", i))
-		backends[i] = nodes[i]
-	}
-	c, err := NewCluster(ClusterConfig{}, backends...)
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	defer c.Close()
-
-	const n = 3000
-	for i := uint64(0); i < n; i++ {
-		if _, err := c.LookupOrInsert(context.Background(), fp(i), Value(i)); err != nil {
-			t.Fatalf("LookupOrInsert: %v", err)
-		}
-	}
-
-	extra := newNamedNode(t, "node-extra")
-	if err := c.AddNode(extra); err != nil {
-		t.Fatalf("AddNode: %v", err)
-	}
-	stats, err := c.Rebalance(context.Background())
-	if err != nil {
-		t.Fatalf("Rebalance: %v", err)
-	}
-	if stats.Scanned < n {
-		t.Fatalf("Scanned = %d, want >= %d", stats.Scanned, n)
-	}
-	// With 4 nodes, ~1/4 of keys should have moved to the new node.
-	if stats.Moved < n/10 || stats.Moved > n/2 {
-		t.Fatalf("Moved = %d, want roughly n/4 = %d", stats.Moved, n/4)
-	}
-
-	// Every fingerprint must be owned-and-stored: look it up directly on
-	// its owner node.
-	byID := map[ring.NodeID]*Node{}
-	for _, node := range nodes {
-		byID[node.ID()] = node
-	}
-	byID[extra.ID()] = extra
-	for i := uint64(0); i < n; i++ {
-		owner, err := c.Owner(fp(i))
-		if err != nil {
-			t.Fatalf("Owner: %v", err)
-		}
-		r, err := byID[owner].Lookup(context.Background(), fp(i))
-		if err != nil {
-			t.Fatalf("owner lookup: %v", err)
-		}
-		if !r.Exists {
-			t.Fatalf("fingerprint %d not on its owner %s after rebalance", i, owner)
-		}
-		if r.Value != Value(i) {
-			t.Fatalf("fingerprint %d value = %d after move, want %d", i, r.Value, i)
-		}
-	}
-	// The new node actually holds entries.
-	st, _ := extra.Stats(context.Background())
-	if st.StoreEntries == 0 {
-		t.Fatal("new node holds nothing after rebalance")
-	}
-	// Cluster-level dedup still intact: nothing re-inserted.
-	for i := uint64(0); i < n; i++ {
-		r, err := c.LookupOrInsert(context.Background(), fp(i), 999)
-		if err != nil {
-			t.Fatalf("post-rebalance LookupOrInsert: %v", err)
-		}
-		if !r.Exists {
-			t.Fatalf("fingerprint %d lost by rebalance", i)
-		}
-	}
-}
-
-func TestRebalanceNoMovesWhenStable(t *testing.T) {
-	c := newTestCluster(t, 3, ClusterConfig{})
-	for i := uint64(0); i < 500; i++ {
-		c.LookupOrInsert(context.Background(), fp(i), Value(i))
-	}
-	stats, err := c.Rebalance(context.Background())
-	if err != nil {
-		t.Fatalf("Rebalance: %v", err)
-	}
-	if stats.Moved != 0 {
-		t.Fatalf("stable cluster moved %d entries, want 0", stats.Moved)
 	}
 }
 
@@ -276,4 +187,129 @@ func TestDrainLastNodeRefused(t *testing.T) {
 	if _, err := c.DrainNode(context.Background(), "ghost"); err == nil {
 		t.Fatal("draining an unknown node succeeded")
 	}
+}
+
+// Draining a node hands its entries over in pages: 100k entries reach their
+// two targets in at most 1 % as many backend calls as entries (a per-key
+// mover makes one call per entry), and each lands on its owner with its
+// value.
+func TestDrainHandsOffInPages(t *testing.T) {
+	ctx := context.Background()
+	src := newNamedNode(t, "node-0")
+	targets := []*countingBackend{counting(newNamedNode(t, "node-1")), counting(newNamedNode(t, "node-2"))}
+	c, err := NewCluster(ClusterConfig{}, src, targets[0], targets[1])
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	defer c.Close()
+
+	const n = 100_000
+	var pairs []Pair
+	for i := uint64(0); len(pairs) < n; i++ {
+		if owner, _ := c.Owner(fp(i)); owner == "node-0" {
+			pairs = append(pairs, Pair{FP: fp(i), Val: Value(i + 1)})
+		}
+	}
+	for lo := 0; lo < n; lo += 4096 {
+		if _, err := src.BatchLookupOrInsert(ctx, pairs[lo:min(lo+4096, n)]); err != nil {
+			t.Fatalf("seed: %v", err)
+		}
+	}
+	st, err := c.DrainNode(ctx, "node-0")
+	if err != nil {
+		t.Fatalf("DrainNode: %v", err)
+	}
+	if st.Moved != n {
+		t.Fatalf("Moved = %d, want %d", st.Moved, n)
+	}
+	calls := int64(0)
+	for _, b := range targets {
+		calls += b.batches.Load() + b.singles.Load() + b.repairs.Load()
+	}
+	t.Logf("%d entries drained in %d target calls", n, calls)
+	if calls > n/100 {
+		t.Fatalf("the drain made %d target calls for %d entries, want at most %d", calls, n, n/100)
+	}
+	for _, p := range pairs[:1000] {
+		owner, _ := c.routingFor(p.FP)
+		if r, err := owner[0].Lookup(ctx, p.FP); err != nil || !r.Exists || r.Value != p.Val {
+			t.Fatalf("owner %s of %s = (%+v, %v), want value %d", owner[0].ID(), p.FP.Short(), r, err, p.Val)
+		}
+	}
+	src.Close()
+}
+
+// repairHook runs before on every ApplyRepair call it passes to its node; an
+// error from it fails the call.
+type repairHook struct {
+	*Node
+	before func(ctx context.Context) error
+}
+
+func (b *repairHook) ApplyRepair(ctx context.Context, pairs []Pair) ([]LookupResult, error) {
+	if err := b.before(ctx); err != nil {
+		return nil, err
+	}
+	return b.Node.ApplyRepair(ctx, pairs)
+}
+
+// A drain cancelled after its flip leaves the node attached and out of the
+// ring with what has not moved; DrainNode on it again resumes the move,
+// and leaves every key on its owner and the node detached.
+func TestDrainResumesAfterCancelledMove(t *testing.T) {
+	ctx := context.Background()
+	dctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var c *Cluster
+	moves := 0 // ApplyRepair calls after the flip
+	before := func(ctx context.Context) error {
+		if len(c.route.Load().backends) == 3 {
+			return nil
+		}
+		if moves++; moves == 2 {
+			cancel()
+			return ctx.Err()
+		}
+		return nil
+	}
+	drained := newNamedNode(t, "node-0")
+	targets := []*repairHook{{newNamedNode(t, "node-1"), before}, {newNamedNode(t, "node-2"), before}}
+	c, err := NewCluster(ClusterConfig{}, drained, targets[0], targets[1])
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	defer c.Close()
+	const n = 6000
+	for i := uint64(0); i < n; i++ {
+		if _, err := c.LookupOrInsert(ctx, fp(i), Value(i+1)); err != nil {
+			t.Fatalf("LookupOrInsert: %v", err)
+		}
+	}
+	held, _ := drained.Stats(ctx)
+
+	if _, err := c.DrainNode(dctx, "node-0"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("DrainNode cancelled after its flip = %v, want context.Canceled", err)
+	}
+	left, _ := drained.Stats(ctx)
+	if c.Size() != 3 || left.StoreEntries == 0 || left.StoreEntries == held.StoreEntries {
+		t.Fatalf("after the cancel: %d members, node-0 holds %d of its %d entries; want it attached, part moved",
+			c.Size(), left.StoreEntries, held.StoreEntries)
+	}
+	st, err := c.DrainNode(ctx, "node-0")
+	if err != nil {
+		t.Fatalf("resumed DrainNode: %v", err)
+	}
+	if st.Moved != left.StoreEntries {
+		t.Fatalf("resumed drain moved %d, want the %d left", st.Moved, left.StoreEntries)
+	}
+	if after, _ := drained.Stats(ctx); c.Size() != 2 || after.StoreEntries != 0 {
+		t.Fatalf("after the resumed drain: %d members, node-0 holds %d", c.Size(), after.StoreEntries)
+	}
+	for i := uint64(0); i < n; i++ {
+		owner, _ := c.routingFor(fp(i))
+		if r, err := owner[0].Lookup(ctx, fp(i)); err != nil || !r.Exists || r.Value != Value(i+1) {
+			t.Fatalf("owner %s of fingerprint %d = (%+v, %v), want value %d", owner[0].ID(), i, r, err, i+1)
+		}
+	}
+	drained.Close()
 }

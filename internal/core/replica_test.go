@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -297,10 +300,14 @@ func TestBatchQuorumFailoverWhenOwnerDown(t *testing.T) {
 // them all the same.
 type countingBackend struct {
 	*Node
-	dead             atomic.Bool
-	batches, singles atomic.Int64
-	mu               sync.Mutex
-	decided, mirror  map[fingerprint.Fingerprint]bool
+	dead                      atomic.Bool
+	batches, singles, repairs atomic.Int64
+	mu                        sync.Mutex
+	decided, mirror           map[fingerprint.Fingerprint]bool
+}
+
+func counting(n *Node) *countingBackend {
+	return &countingBackend{Node: n, decided: make(map[fingerprint.Fingerprint]bool), mirror: make(map[fingerprint.Fingerprint]bool)}
 }
 
 func (b *countingBackend) note(set map[fingerprint.Fingerprint]bool, pairs []Pair) error {
@@ -337,6 +344,7 @@ func (b *countingBackend) BatchLookupOrInsert(ctx context.Context, pairs []Pair)
 }
 
 func (b *countingBackend) ApplyRepair(ctx context.Context, pairs []Pair) ([]LookupResult, error) {
+	b.repairs.Add(1)
 	if err := b.note(b.mirror, pairs); err != nil {
 		return nil, err
 	}
@@ -356,11 +364,7 @@ func TestDeadOwnerFailsOverInBatches(t *testing.T) {
 	wrapped := make([]*countingBackend, replicas)
 	backends := make([]Backend, replicas)
 	for i := range wrapped {
-		wrapped[i] = &countingBackend{
-			Node:    newNamedNode(t, fmt.Sprintf("node-%d", i)),
-			decided: make(map[fingerprint.Fingerprint]bool),
-			mirror:  make(map[fingerprint.Fingerprint]bool),
-		}
+		wrapped[i] = counting(newNamedNode(t, fmt.Sprintf("node-%d", i)))
 		backends[i] = wrapped[i]
 	}
 	c, err := NewCluster(ClusterConfig{Replicas: replicas, WriteQuorum: replicas}, backends...)
@@ -496,5 +500,97 @@ func TestDuplicateInsertDoesNotRefan(t *testing.T) {
 	}
 	if got := c.ReplicationStats().FannedWrites; got != fanned {
 		t.Fatalf("duplicates fanned %d extra writes", got-fanned)
+	}
+}
+
+// ApplyRepair is durable on return on a write-back node whose destager is
+// held back: the pair it creates and the pair it finds only dirty in RAM
+// are both in the store when the call returns.
+func TestApplyRepairDurableOnWriteBack(t *testing.T) {
+	ctx := context.Background()
+	store := hashdb.NewMemStore(nil)
+	n, err := NewNode(heldBack("wb", store, ""))
+	if err != nil {
+		t.Fatalf("NewNode: %v", err)
+	}
+	defer n.Close()
+	if _, err := n.LookupOrInsert(ctx, fp(1), 1); err != nil {
+		t.Fatalf("LookupOrInsert: %v", err)
+	}
+	rs, err := n.ApplyRepair(ctx, []Pair{{FP: fp(1), Val: 9}, {FP: fp(2), Val: 2}})
+	if err != nil {
+		t.Fatalf("ApplyRepair: %v", err)
+	}
+	if !rs[0].Exists || rs[0].Value != 1 || rs[1].Exists {
+		t.Fatalf("ApplyRepair = %+v, want the held 1 found and 2 created", rs)
+	}
+	for i, want := range []Value{1, 2} {
+		if v, ok, err := store.Get(fp(uint64(i + 1))); err != nil || !ok || v != want {
+			t.Fatalf("store holds fingerprint %d = (%d, %v, %v) on return, want %d", i+1, v, ok, err, want)
+		}
+	}
+}
+
+// A replica's ack is a durable ack: on a Replicas 2, WriteQuorum 2 cluster
+// of journaled write-back nodes held back from destaging, the mirror is
+// killed right after the inserts are acked and reborn from its store and
+// journal, and keeps every pair it repair-created.
+func TestReplicatedMirrorKeepsRepairCreatedPairs(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	mustNode := func(cfg NodeConfig) *Node {
+		n, err := NewNode(cfg)
+		if err != nil {
+			t.Fatalf("NewNode(%s): %v", cfg.ID, err)
+		}
+		return n
+	}
+	medium := durableStore{hashdb.NewMemStore(nil)}
+	store := hashdb.NewFailpoint(medium, math.MaxInt64, nil)
+	mirror := mustNode(heldBack("node-1", store, filepath.Join(dir, "node-1.wal")))
+	c, err := NewCluster(ClusterConfig{Replicas: 2, WriteQuorum: 2},
+		mustNode(heldBack("node-0", hashdb.NewMemStore(nil), filepath.Join(dir, "node-0.wal"))), mirror)
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	defer c.Close()
+	pairs := make([]Pair, 1000)
+	for i := range pairs {
+		pairs[i] = Pair{FP: fp(uint64(i)), Val: Value(i + 1)}
+	}
+	rs, err := c.BatchLookupOrInsert(ctx, pairs)
+	if err != nil {
+		t.Fatalf("BatchLookupOrInsert: %v", err)
+	}
+	for i, r := range rs {
+		if r.Exists {
+			t.Fatalf("fresh pair %d answered duplicate", i)
+		}
+	}
+	st, _ := mirror.Stats(ctx)
+	created := int(st.Replica.RepairCreated)
+	if created == 0 {
+		t.Fatal("the mirror created nothing; test is vacuous")
+	}
+
+	store.Kill()
+	snap, err := os.ReadFile(filepath.Join(dir, "node-1.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror.Close() // error expected: the store is dead
+	reborn := mustNode(heldBack("node-1", medium, crashWAL(t, dir, snap)))
+	defer reborn.Close()
+	kept := 0
+	for _, p := range pairs {
+		if owner, _ := c.Owner(p.FP); owner != "node-0" {
+			continue // decided on the mirror: a client ack from RAM, not a repair
+		}
+		if r, err := reborn.Lookup(ctx, p.FP); err == nil && r.Exists && r.Value == p.Val {
+			kept++
+		}
+	}
+	if kept != created {
+		t.Fatalf("the killed mirror kept %d of the %d pairs it repair-created", kept, created)
 	}
 }

@@ -2,15 +2,18 @@ package core
 
 // Replication: the machinery that makes Replicas > 1 mean durable copies.
 //
-// Three paths keep the owner's successor set converged on the same entries:
+// Three paths keep the owner's successor set converged on the same entries,
+// all of them through ApplyRepair, which is durable on return: a write-back
+// mirror writes the pairs it creates through to its store instead of
+// acking them from its cache.
 //
 //   - Quorum fan-out (replicateBatch): every insert that creates an entry
 //     on its deciding node is replicated to the remaining replicas as one
 //     ApplyRepair batch per mirror, and the insert does not acknowledge
-//     until WriteQuorum replicas hold it. On a write-back node with a
-//     journal, a replica's ack is a durable ack (the batch does not return
-//     before the journal group-commit fsync), so a quorum-acked insert
-//     survives the loss of any quorum-minus-one nodes. An insert that
+//     until WriteQuorum replicas hold it. A mirror's ack is a durable ack,
+//     so a quorum-acked insert survives the loss of any quorum-minus-one
+//     nodes (a write-back decider's own copy is in its write-back window
+//     until its next wave). An insert that
 //     cannot reach its quorum (mirrors down) does NOT fail: the deciding
 //     node's copy is already durable, so failing would poison the index —
 //     a retry would be answered "duplicate" and the client would skip
@@ -436,23 +439,15 @@ type AntiEntropyStats struct {
 	Repaired int
 }
 
-// entrySource is the slice of Migrator anti-entropy needs: enumeration
-// only, never removal.
-type entrySource interface {
-	Entries(ctx context.Context, fn func(fp fingerprint.Fingerprint, val Value) bool) error
-}
-
-// antiEntropyChunk bounds one ApplyRepair batch issued by the sweep.
-const antiEntropyChunk = 512
-
 // AntiEntropy walks the ring and re-replicates under-replicated ranges:
-// every entry on every enumerable backend is pushed (with keep-existing
-// semantics) to the replicas its current ring placement names, so a
-// cluster that shrank, grew, or had a disk wiped converges back to full
-// replication. The background sweeper (always running when Replicas > 1)
-// calls this after membership changes, and on a periodic tick when
-// ClusterConfig.AntiEntropyInterval is set; it is also safe to call
-// manually at any time. ctx cancels the sweep between batches.
+// every entry a migratable backend holds under the table in force is
+// pushed (with keep-existing semantics) to the other replicas that table
+// names, through the membership mover, so a cluster that shrank, grew, or
+// had a disk wiped converges back to full replication. The background
+// sweeper (always running when Replicas > 1) calls this after membership
+// changes, and on a periodic tick when ClusterConfig.AntiEntropyInterval is
+// set; it is also safe to call manually at any time. ctx cancels the sweep
+// between batches.
 func (c *Cluster) AntiEntropy(ctx context.Context) (AntiEntropyStats, error) {
 	var st AntiEntropyStats
 	if c.replicas <= 1 {
@@ -465,69 +460,22 @@ func (c *Cluster) AntiEntropy(ctx context.Context) (AntiEntropyStats, error) {
 	}
 	c.mu.RUnlock()
 
+	var walked RebalanceStats
 	for _, src := range sources {
-		es, ok := src.(entrySource)
+		m, ok := src.(Migrator)
 		if !ok {
 			st.Skipped++
 			continue
 		}
 		st.Sources++
-		// Collect first: Entries holds the node's stripe locks, and
-		// issuing repairs (which insert) from inside the callback would
-		// deadlock or mutate the store mid-iteration.
-		var entries []Pair
-		if err := es.Entries(ctx, func(fp fingerprint.Fingerprint, val Value) bool {
-			entries = append(entries, Pair{FP: fp, Val: val})
-			return ctx.Err() == nil
-		}); err != nil {
-			return st, fmt.Errorf("core: anti-entropy: enumerate %s: %w", src.ID(), err)
-		}
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-		st.Scanned += len(entries)
-
-		// Bucket each entry to the replicas its current placement names.
-		srcID := src.ID()
-		rt := c.route.Load()
-		buckets := make(map[ring.NodeID][]Pair)
-		targets := make(map[ring.NodeID]Backend)
-		for _, e := range entries {
-			replicas, err := rt.replicasFor(e.FP)
-			if err != nil {
-				continue
-			}
-			for _, b := range replicas {
-				if id := b.ID(); id != srcID {
-					buckets[id] = append(buckets[id], e)
-					targets[id] = b
-				}
-			}
-		}
-
-		for id, pairs := range buckets {
-			for len(pairs) > 0 {
-				if err := ctx.Err(); err != nil {
-					return st, err
-				}
-				chunk := pairs
-				if len(chunk) > antiEntropyChunk {
-					chunk = chunk[:antiEntropyChunk]
-				}
-				pairs = pairs[len(chunk):]
-				rs, err := applyRepair(ctx, targets[id], chunk)
-				if err != nil {
-					return st, fmt.Errorf("core: anti-entropy: repair %s: %w", id, err)
-				}
-				st.Checked += len(chunk)
-				for _, r := range rs {
-					if !r.Exists {
-						st.Repaired++
-					}
-				}
-			}
+		sent, created, err := c.move(ctx, src.ID(), m, c.route.Load(), false, &walked)
+		st.Checked += sent
+		st.Repaired += created
+		if err != nil {
+			return st, fmt.Errorf("core: anti-entropy: %w", err)
 		}
 	}
+	st.Scanned = walked.Scanned
 	c.repl.antiEntropyRuns.Add(1)
 	c.repl.antiEntropyScanned.Add(uint64(st.Scanned))
 	c.repl.antiEntropyChecked.Add(uint64(st.Checked))
@@ -536,8 +484,8 @@ func (c *Cluster) AntiEntropy(ctx context.Context) (AntiEntropyStats, error) {
 }
 
 // antiEntropyLoop is the background sweeper: it runs AntiEntropy
-// immediately after a membership change (AddNode, RemoveNode, JoinNode,
-// DrainNode signal aeWake), so a shrunk cluster starts healing without
+// immediately after a membership change (every publish of a new table
+// signals aeWake), so a shrunk cluster starts healing without
 // waiting out the interval, and — when an interval is configured — on
 // every periodic tick. It runs whenever Replicas > 1: the repair queue
 // drops overflow and failed repairs on the promise that a sweep will

@@ -316,6 +316,12 @@ func (c *Cache) MarkCleanIf(fp fingerprint.Fingerprint, val Value) bool {
 	return true
 }
 
+// Dirty reports whether fp is cached with a value not yet persisted.
+func (c *Cache) Dirty(fp fingerprint.Fingerprint) bool {
+	i := c.find(fp)
+	return i != 0 && c.slab[i].dirty
+}
+
 // DirtyLen returns the number of dirty entries. Safe to call without the
 // owner's serialization.
 func (c *Cache) DirtyLen() int { return int(c.dirtyN.Load()) }

@@ -148,6 +148,14 @@ func (s *Striped) TryMarkCleanIf(fp fingerprint.Fingerprint, val Value) bool {
 	return true
 }
 
+// Dirty reports whether fp is cached with a value not yet persisted.
+func (s *Striped) Dirty(fp fingerprint.Fingerprint) bool {
+	st := s.stripe(fp)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.c.Dirty(fp)
+}
+
 // DirtyLen returns the number of dirty entries across stripes without
 // taking any stripe lock.
 func (s *Striped) DirtyLen() int {

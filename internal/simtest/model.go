@@ -33,10 +33,6 @@ type Excuse struct {
 	// before Crash: a write-back node acks from RAM, and what its cache still
 	// held dirty at the kill is gone.
 	Window int
-	// Unmigrated excuses a "new" (R5) while members join or leave without
-	// their entries moving (AddNode/RemoveNode): the key is re-inserted
-	// where routing now looks, which costs one redundant upload, not data.
-	Unmigrated bool
 }
 
 type keyState struct {
@@ -236,7 +232,7 @@ func (m *Model) Answer(op Call, exists bool, got uint64, ex Excuse) error {
 		return fmt.Errorf("R4: %s reported a duplicate (value %d), but nobody had written it", op.key.Short(), got)
 	case exists && !s.written[got]:
 		return fmt.Errorf("R1: %s answered with %d, a value no operation wrote for it", op.key.Short(), got)
-	case !exists && op.acked && !ex.Unmigrated:
+	case !exists && op.acked:
 		return fmt.Errorf("R5: acked %s answered new", op.key.Short())
 	}
 	if !op.insert {

@@ -127,16 +127,6 @@ func TestModelExcuses(t *testing.T) {
 	if err := m.Check(tg.get, Excuse{Window: 1}); err != nil {
 		t.Fatalf("a batch's keys lost inside a window of 1 ack: %v", err)
 	}
-
-	// Unmigrated excuses a "new" for an acked key, and nothing else.
-	m = NewModel()
-	if err := m.Answer(m.Propose(key(1), 10), false, 0, Excuse{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Answer(m.Propose(key(1), 11), false, 0, Excuse{Unmigrated: true}); err != nil {
-		t.Fatalf("unmigrated re-insert: %v", err)
-	}
-	wantRule(t, m.Answer(m.Propose(key(2), 20), true, 20, Excuse{Unmigrated: true}), "R4")
 }
 
 // TestModelUnackedEitherWay: an op the crash cut short may land or not.

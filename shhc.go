@@ -280,8 +280,8 @@ func NewCluster(cfg ClusterConfig, backends ...Backend) (*Cluster, error) {
 }
 
 // NewNodeForScaling creates a standalone hybrid node to pass to
-// Cluster.AddNode (dynamic scaling); unlike StartNodeServer it stays
-// in-process so Rebalance can migrate its entries directly.
+// Cluster.JoinNode (dynamic scaling); unlike StartNodeServer it stays
+// in-process, so JoinNode and DrainNode can move its entries directly.
 func NewNodeForScaling(cfg NodeConfig) (Backend, error) {
 	return core.NewNode(cfg)
 }
