@@ -83,13 +83,28 @@ func TestDeadlineExpiredBeforeSendShortCircuits(t *testing.T) {
 // the server-side cancellation actually reached the handler.
 type blockingBackend struct {
 	core.Backend
-	cancelled atomic.Int64
+	entered, cancelled atomic.Int64
 }
 
 func (b *blockingBackend) Lookup(ctx context.Context, p fingerprint.Fingerprint) (core.LookupResult, error) {
+	b.entered.Add(1)
 	<-ctx.Done()
 	b.cancelled.Add(1)
 	return core.LookupResult{}, ctx.Err()
+}
+
+// waitEntered waits until n handlers have blocked in the backend: a CANCEL
+// sent earlier can land before the handler reaches it, and the server then
+// answers CANCELLED without calling the backend at all.
+func (b *blockingBackend) waitEntered(t *testing.T, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for b.entered.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d handlers reached the backend in 10s", b.entered.Load(), n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 }
 
 // startBlockingServer serves a blockingBackend and returns it with the

@@ -213,6 +213,7 @@ func TestDuplicateInflightIDRejected(t *testing.T) {
 		t.Fatalf("refusing the duplicate cancelled %d handlers", n)
 	}
 
+	bb.waitEntered(t, 1)
 	p.send(wire.Frame{Type: wire.TypeCancel, ID: 7})
 	if ep := p.expectError(7); ep.Code != wire.CodeCancelled {
 		t.Fatalf("cancelled request answered %+v, want %v", ep, wire.CodeCancelled)
