@@ -8,20 +8,25 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
-	_ "net/http/pprof"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"sync/atomic"
 	"syscall"
 
 	"shhc/internal/core"
 	"shhc/internal/device"
 	"shhc/internal/directio"
 	"shhc/internal/hashdb"
+	"shhc/internal/metrics"
 	"shhc/internal/ring"
 	"shhc/internal/rpc"
 )
@@ -47,7 +52,7 @@ func run() error {
 		wbQueue = flag.Int("destage-queue", 0, "dirty destage buffer bound in entries; evictions block when full (0 = 4x -destage-batch when set, else an eighth of -cache, at least 1024)")
 		journal = flag.Bool("journal", false, "durable destage journal (write-back + -dir only): fsync evicted dirty entries to <dir>/<id>.wal before acking and replay the journal on restart")
 		backend = flag.String("backend", "buffered", "hash table I/O backend (-dir only): buffered|direct (direct = O_DIRECT, bypassing the page cache; falls back to buffered where unsupported)")
-		pprofOn = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty = off")
+		httpOn  = flag.String("http", "", "serve /metrics, /healthz, /readyz and net/http/pprof under /debug/pprof/ on this address (e.g. localhost:6060); empty = off")
 	)
 	flag.Parse()
 
@@ -61,7 +66,10 @@ func run() error {
 	}
 	dev := device.New(m, mode)
 
-	var store hashdb.Store
+	var (
+		store hashdb.Store
+		table *hashdb.DB // the on-disk table, nil for the in-memory one
+	)
 	if *dir != "" {
 		if err := os.MkdirAll(*dir, 0o755); err != nil {
 			return fmt.Errorf("create dir: %w", err)
@@ -95,7 +103,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			store = db
+			store, table = db, db
 			log.Printf("opened existing hash table %s (%d entries, %s)", path, db.Len(), kind)
 		} else {
 			f, kind, err := open(os.O_RDWR | os.O_CREATE | os.O_EXCL)
@@ -106,7 +114,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			store = db
+			store, table = db, db
 			log.Printf("created hash table %s (%s)", path, kind)
 		}
 	} else {
@@ -139,13 +147,12 @@ func run() error {
 		return err
 	}
 
-	if *pprofOn != "" {
-		// The blank net/http/pprof import registers its handlers on
-		// http.DefaultServeMux; serve that on the side address.
+	var serving atomic.Bool // /readyz: the rpc listener is up and no shutdown has begun
+	if *httpOn != "" {
 		go func() {
-			log.Printf("pprof on http://%s/debug/pprof/", *pprofOn)
-			if err := http.ListenAndServe(*pprofOn, nil); err != nil {
-				log.Printf("pprof server: %v", err)
+			log.Printf("metrics on http://%s/metrics, pprof under /debug/pprof/", *httpOn)
+			if err := http.ListenAndServe(*httpOn, observe(node, table, &serving)); err != nil {
+				log.Printf("http server: %v", err)
 			}
 		}()
 	}
@@ -156,14 +163,45 @@ func run() error {
 		node.Close()
 		return err
 	}
+	serving.Store(true)
 	log.Printf("node %s serving on %s", *id, bound)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
+	serving.Store(false)
 	log.Printf("shutting down")
 	if err := srv.Close(); err != nil {
 		log.Printf("server close: %v", err)
 	}
 	return node.Close()
+}
+
+// observe is the node's HTTP side: /metrics renders core.NodeStats as
+// shhc_node_* and, over an on-disk table, hashdb.Stats as shhc_hashdb_*;
+// /readyz answers 200 while serving says so; pprof serves under
+// /debug/pprof/.
+func observe(node *core.Node, table *hashdb.DB, serving *atomic.Bool) *http.ServeMux {
+	mux := http.NewServeMux()
+	metrics.Serve(mux, func(ctx context.Context, w io.Writer) error {
+		st, err := node.Stats(ctx)
+		if err != nil {
+			return err
+		}
+		if err := metrics.WritePrometheus(w, "shhc_node", "", nil, []core.NodeStats{st}); err != nil || table == nil {
+			return err
+		}
+		return metrics.WritePrometheus(w, "shhc_hashdb", "", nil, []hashdb.Stats{table.Stats()})
+	}, func(context.Context) error {
+		if !serving.Load() {
+			return errors.New("not serving")
+		}
+		return nil
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

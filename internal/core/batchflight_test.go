@@ -74,7 +74,7 @@ func interestIn(n *Node, fp fingerprint.Fingerprint) int {
 	s := &n.stripes[n.stripeIndex(fp)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if f, ok := s.inflight[fp]; ok {
+	if f, ok := s.inflight.get(fp); ok {
 		return f.interest
 	}
 	return 0

@@ -51,15 +51,15 @@ func TestGoldenJournalRecord(t *testing.T) {
 	}
 }
 
-// TestParentFilesOpenAndReplay opens a crash image written by the code
-// before the three-word fingerprint (testdata/mkparentfiles.go says how, and
-// what is in it): the hash table, left marked dirty, goes through its
-// recovery pass, the journal replays over it, and every fingerprint answers
-// with the value it was stored with. The recovery counts are the ones the
-// writing commit reported for the same image.
-func TestParentFilesOpenAndReplay(t *testing.T) {
+// TestGoldenCrashImageOpenAndReplay opens a crash image in hashdb format 5
+// (testdata/mkgoldenfiles.go says how it was made, and what is in it): the
+// hash table, left marked dirty, goes through its recovery pass, the journal
+// replays over it, and every fingerprint answers with the value it was
+// stored with. The recovery counts are the ones the writing code reported
+// for the same image.
+func TestGoldenCrashImageOpenAndReplay(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{"parent.shdb", "parent.wal"} {
+	for _, name := range []string{"golden.shdb", "golden.wal"} {
 		b, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
@@ -68,11 +68,11 @@ func TestParentFilesOpenAndReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db, err := hashdb.Open(filepath.Join(dir, "parent.shdb"), nil)
+	db, err := hashdb.Open(filepath.Join(dir, "golden.shdb"), nil)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	n := stalledJournalNode(t, db, filepath.Join(dir, "parent.wal"), 8)
+	n := stalledJournalNode(t, db, filepath.Join(dir, "golden.wal"), 8)
 	defer n.Close()
 	ctx := context.Background()
 	st, err := n.Stats(ctx)
@@ -80,8 +80,8 @@ func TestParentFilesOpenAndReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r := st.Recovery; r.JournalReplayed != 34 || r.JournalTornBytes != 0 || r.Store.Runs != 1 ||
-		r.Store.PagesScanned != 10 || r.Store.TornPages+r.Store.DroppedEntries+r.Store.OrphanPages != 0 {
-		t.Fatalf("recovery = %+v, want 34 records replayed over a 10-page scan that repaired nothing", r)
+		r.Store.PagesScanned != 11 || r.Store.TornPages+r.Store.DroppedEntries+r.Store.OrphanPages != 0 {
+		t.Fatalf("recovery = %+v, want 34 records replayed over an 11-page scan that repaired nothing", r)
 	}
 	if got := db.Len(); got != 630 {
 		t.Fatalf("table holds %d entries after replay, want 630", got)

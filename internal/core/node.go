@@ -315,7 +315,7 @@ type nodeStripe struct {
 
 	// inflight holds the stripe's fingerprints whose SSD phase is running
 	// outside the lock (see pipeline.go). Guarded by mu.
-	inflight map[fingerprint.Fingerprint]*flight
+	inflight flightTable
 
 	// Per-stripe phase histograms, like the counters: observations touch
 	// only stripe-local memory (no cross-core contention on the hot
@@ -425,7 +425,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		mask:    uint64(nstripes - 1),
 	}
 	for i := range n.stripes {
-		n.stripes[i].inflight = make(map[fingerprint.Fingerprint]*flight)
 		n.stripes[i].histCache = newPhaseHistogram()
 		n.stripes[i].histBloom = newPhaseHistogram()
 		n.stripes[i].histSSD = newPhaseHistogram()
@@ -630,7 +629,7 @@ func (n *Node) Insert(ctx context.Context, fp fingerprint.Fingerprint, val Value
 			s.mu.Unlock()
 			return errNodeClosed
 		}
-		f, inflight := s.inflight[fp]
+		f, inflight := s.inflight.get(fp)
 		if !inflight {
 			before := n.journalLSN()
 			err := n.insertLocked(s, fp, val)
@@ -814,7 +813,7 @@ func (n *Node) Remove(fp fingerprint.Fingerprint) (bool, error) {
 			s.mu.Unlock()
 			return false, errNodeClosed
 		}
-		f, inflight := s.inflight[fp]
+		f, inflight := s.inflight.get(fp)
 		if !inflight {
 			break
 		}

@@ -337,7 +337,7 @@ func (n *Node) batchMisses(ctx context.Context, results []LookupResult, fpOf fun
 				if f.err = err; err == nil {
 					results[i] = n.completeLocked(s, f, fpOf(i), valOf(i), mode)
 				}
-				delete(s.inflight, fpOf(i))
+				s.inflight.del(fpOf(i))
 			}
 			for ; err == nil && di < len(sc.dups) && stripeOf(int(sc.dups[di].item)) == si; di++ {
 				results[sc.dups[di].item] = n.adoptLocked(s, sc.dups[di].f)
@@ -443,7 +443,7 @@ func (n *Node) batchMisses(ctx context.Context, results []LookupResult, fpOf fun
 				}
 			}
 			if !direct { // what the filter just proved new is in nobody's flight
-				if f, ok := s.inflight[fp]; ok {
+				if f, ok := s.inflight.get(fp); ok {
 					if f.done == done {
 						sc.dups = append(sc.dups, waiter{i32, f})
 					} else {
@@ -459,7 +459,7 @@ func (n *Node) batchMisses(ctx context.Context, results []LookupResult, fpOf fun
 			}
 			flights = append(flights, flight{done: done, interest: 1, item: i32, direct: direct || held != 0,
 				held: held, exists: held != 0, val: heldVal})
-			s.inflight[fp] = &flights[len(flights)-1]
+			s.inflight.put(fp, &flights[len(flights)-1])
 		}
 		if len(flights) > registered {
 			n.flights.Add(len(flights) - registered)

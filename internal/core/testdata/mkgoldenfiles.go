@@ -1,15 +1,15 @@
 //go:build ignore
 
-// mkparentfiles writes parent.shdb and parent.wal, the crash image that
-// TestParentFilesOpenAndReplay opens: a hash table and a destage journal as
-// the code before the three-word fingerprint wrote them. It was run once, in
-// a checkout of commit 869feae (the last with `type Fingerprint [20]byte`):
+// mkgoldenfiles writes golden.shdb and golden.wal, the crash image that
+// TestGoldenCrashImageOpenAndReplay opens: a hash table in hashdb format 5,
+// left marked dirty, and the destage journal of the write-back node that
+// was using it. Run from the repository root:
 //
-//	cp internal/core/testdata/mkparentfiles.go <checkout>/cmd/mkparentfiles/main.go
-//	cd <checkout> && go run ./cmd/mkparentfiles <dir>
+//	go run internal/core/testdata/mkgoldenfiles.go internal/core/testdata
 //
-// Do not regenerate the files with a later commit: that they were written by
-// the old representation is the point.
+// It prints what the writing code makes of the image, which is what the
+// test pins. Regenerate the files only with a change to the on-disk formats:
+// that an image written once still opens is the point.
 package main
 
 import (
@@ -33,18 +33,19 @@ const (
 )
 
 func open(dir string) (*hashdb.DB, *core.Node) {
-	path := filepath.Join(dir, "parent.shdb")
+	path := filepath.Join(dir, "golden.shdb")
 	db, err := hashdb.Open(path, nil)
 	if errors.Is(err, os.ErrNotExist) {
-		// Three buckets for 640 entries: the table splits and chains.
-		db, err = hashdb.Create(path, hashdb.Options{ExpectedItems: 200})
+		// Three buckets for 640 entries: the table splits, so the image
+		// holds a directory page.
+		db, err = hashdb.Create(path, hashdb.Options{Buckets: 3})
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
 	n, err := core.NewNode(core.NodeConfig{
-		ID: "parent", Store: db, CacheSize: cacheSize, BloomExpected: 1 << 12,
-		WriteBack: true, JournalPath: filepath.Join(dir, "parent.wal"),
+		ID: "golden", Store: db, CacheSize: cacheSize, BloomExpected: 1 << 12,
+		WriteBack: true, JournalPath: filepath.Join(dir, "golden.wal"),
 		DestageBatch: 1 << 20, DestageInterval: time.Hour, DestageQueue: 1 << 20,
 	})
 	if err != nil {
@@ -82,7 +83,7 @@ func main() {
 		}
 	}
 	// The crash: copy both files as they stand, with the node still open.
-	for _, name := range []string{"parent.shdb", "parent.wal"} {
+	for _, name := range []string{"golden.shdb", "golden.wal"} {
 		b, err := os.ReadFile(filepath.Join(live, name))
 		if err != nil {
 			log.Fatal(err)
@@ -98,7 +99,7 @@ func main() {
 	// the numbers the test pins.
 	check := filepath.Join(dir, "check")
 	os.MkdirAll(check, 0o755)
-	for _, name := range []string{"parent.shdb", "parent.wal"} {
+	for _, name := range []string{"golden.shdb", "golden.wal"} {
 		b, _ := os.ReadFile(filepath.Join(dir, name))
 		os.WriteFile(filepath.Join(check, name), b, 0o644)
 	}

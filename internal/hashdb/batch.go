@@ -3,6 +3,7 @@ package hashdb
 import (
 	"cmp"
 	"context"
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"slices"
@@ -101,15 +102,120 @@ func (sc *groupScratch) group(n int, idxs []int32, keyOf func(int) uint64) {
 }
 
 // chainScratch is the pooled staging of the chain walks one worker makes:
-// the indices of a run that still map to its bucket, putChain's index of the
-// run's distinct fingerprints (a Bucket64's bits above shift pick its first
-// slot), and the chain's pages. It owns its page buffers — they are not the
-// page pool's — and keeps them from one walk to the next.
+// the indices of a run that still map to its bucket, the index of the run's
+// distinct fingerprints (a Bucket64's bits above shift pick its first slot;
+// one is the slot of a run with a single distinct fingerprint, else -1),
+// the matches scan found on the last page, and the chain's pages. It owns
+// its page buffers — they are not the page pool's — and keeps them from one
+// walk to the next.
 type chainScratch struct {
 	live  []int32
 	slots []runSlot
 	shift uint
+	one   int32
+	hits  []hit
 	chain []chainPage
+}
+
+// runSlot is a slot of a run's open-addressed index (chainScratch.index): one
+// distinct fingerprint of the run under its Bucket64 — the first of its
+// items, and the last: a batched write creates the fingerprint from the
+// first if the chain lacks it and ends with the last's value, so in-batch
+// duplicates resolve in input order, as sequential Puts would.
+type runSlot struct {
+	hash        uint64
+	first, last int32
+	used, found bool
+}
+
+// hit is one page entry a run holds: the entry's slot on the page, and its
+// fingerprint's slot in the run's index.
+type hit struct{ entry, slot int32 }
+
+// index builds the run's table of distinct fingerprints, so a chain walk
+// costs one probe per page entry instead of one compare per item, and
+// returns how many there are. It is keyed by Bucket64: every fingerprint of
+// a chain shares the bits of Prefix64 that chose its bucket, and none of
+// Bucket64's. The table is at most a quarter full.
+func (cs *chainScratch) index(live []int32, fpOf func(int32) fingerprint.Fingerprint) (distinct int) {
+	size := 4 << bits.Len(uint(len(live)))
+	cs.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	cs.slots = slices.Grow(cs.slots[:0], size)[:size]
+	clear(cs.slots)
+	for _, idx := range live {
+		fp := fpOf(idx)
+		s := cs.find(fp, fpOf)
+		if sl := &cs.slots[s]; sl.used {
+			sl.last = idx
+		} else {
+			*sl = runSlot{hash: fp.Bucket64(), first: idx, last: idx, used: true}
+			distinct++
+			cs.one = s
+		}
+	}
+	if distinct != 1 {
+		cs.one = -1
+	}
+	return distinct
+}
+
+// find returns the index of fp's slot in the run's index, or of the empty
+// slot it belongs in.
+func (cs *chainScratch) find(fp fingerprint.Fingerprint, fpOf func(int32) fingerprint.Fingerprint) int32 {
+	h, mask := fp.Bucket64(), uint64(len(cs.slots)-1)
+	for s := h >> cs.shift; ; s = (s + 1) & mask {
+		if sl := &cs.slots[s]; !sl.used || sl.hash == h && fpOf(sl.first) == fp {
+			return int32(s)
+		}
+	}
+}
+
+// slot returns fp's slot in the run's index, or the empty slot it belongs in.
+func (cs *chainScratch) slot(fp fingerprint.Fingerprint, fpOf func(int32) fingerprint.Fingerprint) *runSlot {
+	return &cs.slots[cs.find(fp, fpOf)]
+}
+
+// scan is the chain-scan kernel of both batched walks: it matches the
+// entries of one chain page, as read, against the run the index holds and
+// returns the matches, stopping once want fingerprints are found. Each entry
+// costs one load of its Bucket64 word: a run of one fingerprint compares it
+// with the key's, a larger run probes the index. A fingerprint found on an
+// earlier page is not looked for again.
+func (cs *chainScratch) scan(page []byte, want int, fpOf func(int32) fingerprint.Fingerprint) []hit {
+	cs.hits = cs.hits[:0]
+	n := pageCount(page)
+	if cs.one >= 0 {
+		sl := &cs.slots[cs.one]
+		if sl.found {
+			return cs.hits
+		}
+		for j := 0; j < n; j++ {
+			e := page[pageHdrSize+j*entrySize:][:entrySize]
+			if binary.BigEndian.Uint64(e[8:]) == sl.hash && fingerprint.FromBytes(e) == fpOf(sl.first) {
+				sl.found = true
+				cs.hits = append(cs.hits, hit{int32(j), cs.one})
+				break
+			}
+		}
+		return cs.hits
+	}
+	slots, mask := cs.slots, uint64(len(cs.slots)-1)
+	for j := 0; j < n && len(cs.hits) < want; j++ {
+		e := page[pageHdrSize+j*entrySize:][:entrySize]
+		h := binary.BigEndian.Uint64(e[8:]) // the entry's Bucket64
+		for s := h >> cs.shift; ; s = (s + 1) & mask {
+			sl := &slots[s]
+			if !sl.used {
+				break
+			}
+			if sl.hash == h && !sl.found && fingerprint.FromBytes(e) == fpOf(sl.first) {
+				sl.found = true
+				cs.hits = append(cs.hits, hit{int32(j), int32(s)})
+				break
+			}
+		}
+	}
+	return cs.hits
 }
 
 var chainScratchPool = sync.Pool{New: func() any { return new(chainScratch) }}
@@ -266,12 +372,16 @@ func (db *DB) getChain(ctx context.Context, cs *chainScratch, run []keyed, fps [
 	if db.closed {
 		return ErrClosed
 	}
-	live := db.live(cs, bucket, run, func(i int32) fingerprint.Fingerprint { return fps[i] }, stale)
+	fpOf := func(i int32) fingerprint.Fingerprint { return fps[i] }
+	live := db.live(cs, bucket, run, fpOf, stale)
+	if len(live) == 0 {
+		return nil
+	}
+	distinct := cs.index(live, fpOf)
 	done := ctx.Done()
 	cs.chain = cs.chain[:0]
 	page := cs.addPage(0).buf
-	remaining := len(live)
-	for p := db.bucketPageOf(bucket); p != 0 && remaining > 0; {
+	for p, remaining := db.bucketPageOf(bucket), distinct; p != 0 && remaining > 0; {
 		if done != nil {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -280,17 +390,20 @@ func (db *DB) getChain(ctx context.Context, cs *chainScratch, run []keyed, fps [
 		if err := db.readPage(p, page); err != nil {
 			return err
 		}
-		n := pageCount(page)
-		for i := 0; i < n && remaining > 0; i++ {
-			for _, idx := range live {
-				if !found[idx] && entryIs(page, i, fps[idx]) {
-					vals[idx] = entryVal(page, i)
-					found[idx] = true
-					remaining--
-				}
+		hits := cs.scan(page, remaining, fpOf)
+		for _, h := range hits {
+			idx := cs.slots[h.slot].first
+			vals[idx], found[idx] = entryVal(page, int(h.entry)), true
+		}
+		remaining -= len(hits)
+		p = pageNext(page)
+	}
+	if distinct < len(live) { // duplicates take their first's answer
+		for _, idx := range live {
+			if first := cs.slot(fps[idx], fpOf).first; first != idx {
+				vals[idx], found[idx] = vals[first], found[first]
 			}
 		}
-		p = pageNext(page)
 	}
 	return nil
 }

@@ -143,3 +143,91 @@ func TestGroupRunsMatchMap(t *testing.T) {
 		}
 	}
 }
+
+// TestScanKernelMatchesNaive holds the chain-scan kernel to a compare of
+// every page entry with every fingerprint of the run: seeded pages and runs
+// drawn from one pool, with in-batch duplicates, fingerprints no page
+// holds, and decoys that share a page entry's Bucket64 word and differ
+// elsewhere. Runs of one distinct fingerprint take the word-compare path,
+// larger ones the index; a fingerprint found on one page is not matched on
+// the next.
+func TestScanKernelMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	pool := make([]fingerprint.Fingerprint, 300)
+	for i := range pool {
+		pool[i] = fp(uint64(i))
+		if i%10 == 9 { // a decoy: the previous one's Bucket64, another prefix
+			pool[i] = fingerprint.FromWords(rng.Uint64(), pool[i-1].Bucket64(), pool[i-1].Tail32())
+		}
+	}
+	page := func() []byte {
+		pg := make([]byte, PageSize)
+		n := rng.Intn(SlotsPerPage + 1)
+		for j, k := range rng.Perm(len(pool))[:n] {
+			setEntryAt(pg, j, pool[k], Value(k))
+		}
+		setPageCount(pg, n)
+		return pg
+	}
+	cs := new(chainScratch)
+	for round := 0; round < 2000; round++ {
+		size := 1 + rng.Intn(40)
+		if round%4 == 0 {
+			size = 1 + rng.Intn(3) // mostly one distinct fingerprint, duplicated
+		}
+		keys := make([]fingerprint.Fingerprint, size)
+		live := make([]int32, size)
+		for i := range keys {
+			keys[i] = pool[rng.Intn(len(pool))]
+			if round%4 == 0 {
+				keys[i] = keys[0]
+			}
+			live[i] = int32(i)
+		}
+		fpOf := func(i int32) fingerprint.Fingerprint { return keys[i] }
+		distinct := cs.index(live, fpOf)
+		found := map[fingerprint.Fingerprint]bool{}
+		for _, pg := range [][]byte{page(), page()} {
+			want := map[int32]fingerprint.Fingerprint{} // entry -> key, the naive way
+			for j := 0; j < pageCount(pg); j++ {
+				for _, k := range keys {
+					if !found[k] && entryIs(pg, j, k) {
+						want[int32(j)] = k
+					}
+				}
+			}
+			hits := cs.scan(pg, distinct-len(found), fpOf)
+			if len(hits) != len(want) {
+				t.Fatalf("round %d: %d hits, want %d", round, len(hits), len(want))
+			}
+			for _, h := range hits {
+				sl := cs.slots[h.slot]
+				if k, ok := want[h.entry]; !ok || keys[sl.first] != k || !sl.found {
+					t.Fatalf("round %d: entry %d matched key %d, want %v", round, h.entry, sl.first, k)
+				}
+				if keys[sl.last] != keys[sl.first] || firstIndex(keys, keys[sl.first]) != sl.first || lastIndex(keys, keys[sl.first]) != sl.last {
+					t.Fatalf("round %d: slot's first/last %d/%d are not its key's first and last items", round, sl.first, sl.last)
+				}
+				found[keys[sl.first]] = true
+			}
+		}
+	}
+}
+
+func firstIndex(keys []fingerprint.Fingerprint, k fingerprint.Fingerprint) int32 {
+	for i := range keys {
+		if keys[i] == k {
+			return int32(i)
+		}
+	}
+	return -1
+}
+
+func lastIndex(keys []fingerprint.Fingerprint, k fingerprint.Fingerprint) int32 {
+	for i := len(keys) - 1; i >= 0; i-- {
+		if keys[i] == k {
+			return int32(i)
+		}
+	}
+	return -1
+}

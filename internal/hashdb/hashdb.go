@@ -47,14 +47,16 @@ const (
 	PageSize = 4096
 
 	magic = "SHDB"
-	// version is the file format. Format 4 is the first that records the
-	// linear-hashing state, free-list root and bucket-directory root; no
-	// other is read or written.
-	version = 4
+	// version is the file format. Format 5 records the linear-hashing
+	// state, free-list root and bucket-directory root in the header, and
+	// checksums what a page holds (pageSum); no other is read or written.
+	version = 5
 
 	// page layout: crc32 uint32 | count uint16 | next uint64 | entries...
-	// The CRC covers everything after itself and detects torn writes and
-	// media corruption on read.
+	// The CRC detects torn writes and media corruption on read. It covers
+	// the header after itself and the count live entries, [4, 14+28·count),
+	// or, on a page whose count is 0 (directory, free, empty bucket), the
+	// whole page after itself. See pageSum.
 	pageCRCSize = 4
 	pageHdrSize = pageCRCSize + 2 + 8
 	entrySize   = fingerprint.Size + 8
@@ -238,6 +240,9 @@ type DB struct {
 	// lengths (bucket i counts chains of i+1 pages, the last clamps).
 	maxChain  atomic.Uint64
 	chainHist [chainHistBuckets]atomic.Uint64
+	// checksumBytes counts the bytes every page read and write has
+	// checksummed (pageSpan less the CRC field).
+	checksumBytes atomic.Uint64
 	// closed is written with every stripe write-locked and read under any
 	// stripe lock, so each operation observes it coherently.
 	closed bool
@@ -560,6 +565,34 @@ func (db *DB) readHeader(filePages uint64) error {
 	return nil
 }
 
+// pageSpan is the end of the bytes a page's checksum covers. The span is
+// every byte a reader interprets: the count and next fields and the count
+// live entries, so a page costs a checksum in proportion to what it holds,
+// not to its size. A corrupt count moves the span and fails the check, and
+// no reader looks at a slot past count, so the garbage a delete leaves
+// there needs no cover. A count-0 page (directory, free, empty bucket)
+// keeps its whole body covered: a directory page's slots lie past its
+// count. A count above SlotsPerPage fails in readPage before any sum.
+func pageSpan(page []byte) int {
+	if n := pageCount(page); n > 0 && n <= SlotsPerPage {
+		return pageHdrSize + n*entrySize
+	}
+	return PageSize
+}
+
+// pageSum is the checksum a page stores in its first four bytes.
+func pageSum(page []byte) uint32 {
+	return crc32.ChecksumIEEE(page[pageCRCSize:pageSpan(page)])
+}
+
+// sum is pageSum, counted in Stats().ChecksumBytes.
+func (db *DB) sum(page []byte) uint32 {
+	db.checksumBytes.Add(uint64(pageSpan(page) - pageCRCSize))
+	return pageSum(page)
+}
+
+// readPage reads page p into buf and verifies it: a page that claims more
+// entries than it has slots, or whose checksum fails, is a CorruptionError.
 func (db *DB) readPage(p uint64, buf []byte) error {
 	db.dev.Read(PageSize)
 	if _, err := db.f.ReadAt(buf, int64(p)*PageSize); err != nil {
@@ -571,7 +604,10 @@ func (db *DB) readPage(p uint64, buf []byte) error {
 		// empty by construction.
 		return nil
 	}
-	if got := crc32.ChecksumIEEE(buf[pageCRCSize:]); got != stored {
+	if c := pageCount(buf); c > SlotsPerPage {
+		return &CorruptionError{Path: db.path, Detail: fmt.Sprintf("page %d count %d exceeds capacity", p, c)}
+	}
+	if got := db.sum(buf); got != stored {
 		return &CorruptionError{
 			Path:   db.path,
 			Detail: fmt.Sprintf("page %d checksum mismatch (stored %08x, computed %08x)", p, stored, got),
@@ -585,7 +621,7 @@ var zeroPage [PageSize]byte
 func isZeroPage(b []byte) bool { return bytes.Equal(b, zeroPage[:len(b)]) }
 
 func (db *DB) writePage(p uint64, buf []byte) error {
-	binary.BigEndian.PutUint32(buf[0:pageCRCSize], crc32.ChecksumIEEE(buf[pageCRCSize:]))
+	binary.BigEndian.PutUint32(buf[0:pageCRCSize], db.sum(buf))
 	db.dev.Write(PageSize)
 	if _, err := db.f.WriteAt(buf, int64(p)*PageSize); err != nil {
 		return fmt.Errorf("hashdb: %s: write page %d: %w", db.path, p, err)
@@ -954,6 +990,10 @@ type Stats struct {
 	// that LoadFactor alone hides.
 	MaxChain  uint64
 	ChainHist [chainHistBuckets]uint64
+	// ChecksumBytes counts the bytes page reads and writes have checksummed
+	// since open: a page's header and live entries, or all of a page that
+	// holds none (see pageSpan).
+	ChecksumBytes uint64
 	// LoadFactor is entries / total bucket-region slots.
 	LoadFactor float64
 	// Recovery is what the open-time recovery pass repaired (all zero
@@ -989,6 +1029,7 @@ func (db *DB) Stats() Stats {
 		Pages:         db.pages.Load(),
 		OverflowPages: db.overflowPages.Load(),
 		MaxChain:      db.maxChain.Load(),
+		ChecksumBytes: db.checksumBytes.Load(),
 		LoadFactor:    lf,
 		Recovery:      db.recovery,
 		Device:        db.dev.Stats(),

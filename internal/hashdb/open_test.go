@@ -26,7 +26,7 @@ func sealCRCs(file []byte) {
 	}
 	for off := PageSize; off+PageSize <= len(file); off += PageSize {
 		page := file[off : off+PageSize]
-		binary.BigEndian.PutUint32(page, crc32.ChecksumIEEE(page[pageCRCSize:]))
+		binary.BigEndian.PutUint32(page, pageSum(page))
 	}
 }
 

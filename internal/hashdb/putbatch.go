@@ -13,9 +13,6 @@ package hashdb
 
 import (
 	"context"
-	"encoding/binary"
-	"math/bits"
-	"slices"
 	"sync/atomic"
 
 	"shhc/internal/fingerprint"
@@ -87,72 +84,6 @@ type chainPage struct {
 	dirty bool
 }
 
-// runSlot is a slot of a run's open-addressed index (chainScratch.index): one
-// distinct fingerprint of the run under its Bucket64 — the first of its
-// pairs, which creates it if the chain lacks it, and the last, whose value it
-// ends with: in-batch duplicates resolve in input order, as sequential Puts
-// would.
-type runSlot struct {
-	hash        uint64
-	first, last int32
-	used, found bool
-}
-
-// index builds the run's table of distinct fingerprints, so the chain walk
-// costs one probe per page entry instead of one compare per pair, and
-// returns how many there are. It is keyed by Bucket64: every fingerprint of
-// a chain shares the bits of Prefix64 that chose its bucket, and none of
-// Bucket64's. The table is at most a quarter full.
-func (cs *chainScratch) index(live []int32, pairs []Pair) (distinct int) {
-	size := 4 << bits.Len(uint(len(live)))
-	cs.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	cs.slots = slices.Grow(cs.slots[:0], size)[:size]
-	clear(cs.slots)
-	for _, idx := range live {
-		if sl := cs.slot(pairs[idx].FP, pairs); sl.used {
-			sl.last = idx
-		} else {
-			*sl = runSlot{hash: pairs[idx].FP.Bucket64(), first: idx, last: idx, used: true}
-			distinct++
-		}
-	}
-	return distinct
-}
-
-// slot returns fp's slot in the run's index, or the empty slot it belongs in.
-func (cs *chainScratch) slot(fp fingerprint.Fingerprint, pairs []Pair) *runSlot {
-	h, mask := fp.Bucket64(), uint64(len(cs.slots)-1)
-	for s := h >> cs.shift; ; s = (s + 1) & mask {
-		if sl := &cs.slots[s]; !sl.used || sl.hash == h && pairs[sl.first].FP == fp {
-			return sl
-		}
-	}
-}
-
-// scanPage applies the run to one chain page as read: an entry the run holds
-// takes its last pair's value. It stops once want fingerprints are found and
-// reports how many it found.
-func (cs *chainScratch) scanPage(page []byte, pairs []Pair, want int) (found int) {
-	slots, mask := cs.slots, uint64(len(cs.slots)-1)
-	for j, n := 0, pageCount(page); j < n && found < want; j++ {
-		e := page[pageHdrSize+j*entrySize:][:entrySize]
-		h := binary.BigEndian.Uint64(e[8:]) // the entry's Bucket64
-		for s := h >> cs.shift; ; s = (s + 1) & mask {
-			sl := &slots[s]
-			if !sl.used {
-				break
-			}
-			if sl.hash == h && !sl.found && fingerprint.FromBytes(e) == pairs[sl.first].FP {
-				setEntryAt(page, j, pairs[sl.last].FP, pairs[sl.last].Val)
-				sl.found = true
-				found++
-				break
-			}
-		}
-	}
-	return found
-}
-
 // putChain applies the run's pairs to one bucket chain as a single
 // read-modify-write under the owning stripe's lock: the chain is read once
 // into the scratch's page buffers, all updates and appends are applied in
@@ -186,7 +117,8 @@ func (db *DB) putChain(ctx context.Context, cs *chainScratch, run []keyed, pairs
 	// A fingerprint appears at most once per chain, so a found one cannot
 	// also live on an unread page. Appends need the whole chain (free-slot
 	// search + tail link), so reading continues while any is unresolved.
-	unresolved := cs.index(live, pairs)
+	fpOf := func(i int32) fingerprint.Fingerprint { return pairs[i].FP }
+	unresolved := cs.index(live, fpOf)
 	cs.chain = cs.chain[:0]
 	done := ctx.Done()
 	for p := db.bucketPageOf(bucket); p != 0 && unresolved > 0; {
@@ -200,9 +132,14 @@ func (db *DB) putChain(ctx context.Context, cs *chainScratch, run []keyed, pairs
 		if err := db.readPage(p, buf); err != nil {
 			return 0, err
 		}
-		if found := cs.scanPage(buf, pairs, unresolved); found > 0 {
+		// An entry the run holds takes its last pair's value.
+		if hits := cs.scan(buf, unresolved, fpOf); len(hits) > 0 {
+			for _, h := range hits {
+				last := pairs[cs.slots[h.slot].last]
+				setEntryAt(buf, int(h.entry), last.FP, last.Val)
+			}
 			cp.dirty = true
-			unresolved -= found
+			unresolved -= len(hits)
 		}
 		p = pageNext(buf)
 	}
@@ -218,7 +155,7 @@ func (db *DB) putChain(ctx context.Context, cs *chainScratch, run []keyed, pairs
 		if unresolved == 0 {
 			break
 		}
-		k := cs.slot(pairs[idx].FP, pairs)
+		k := cs.slot(pairs[idx].FP, fpOf)
 		if k.found || k.first != idx {
 			continue
 		}

@@ -105,19 +105,6 @@ func (db *DB) zeroPage(p uint64) error {
 	return nil
 }
 
-// readPageChecked is readPage plus the structural invariant that a page
-// can never claim more entries than it has slots; a page that does is as
-// untrustworthy as a CRC failure and is reported the same way.
-func (db *DB) readPageChecked(p uint64, buf []byte) error {
-	if err := db.readPage(p, buf); err != nil {
-		return err
-	}
-	if c := pageCount(buf); c > SlotsPerPage {
-		return &CorruptionError{Path: db.path, Detail: fmt.Sprintf("page %d count %d exceeds capacity", p, c)}
-	}
-	return nil
-}
-
 // recover repairs the file after an unclean shutdown. It runs
 // single-threaded inside Open; see the file comment for the pass's steps.
 func (db *DB) recover() error {
@@ -159,7 +146,7 @@ func (db *DB) recover() error {
 	defer putPage(page)
 	for p := uint64(1); p < pages; p++ {
 		rs.PagesScanned++
-		err := db.readPageChecked(p, page)
+		err := db.readPage(p, page)
 		if err == nil {
 			continue
 		}
@@ -251,7 +238,7 @@ func (db *DB) recover() error {
 	var salvage []Pair
 	for _, bp := range extras {
 		for p := bp; p != 0; {
-			if err := db.readPageChecked(p, page); err != nil {
+			if err := db.readPage(p, page); err != nil {
 				return err
 			}
 			n := pageCount(page)
@@ -294,7 +281,7 @@ func (db *DB) recover() error {
 		clear(chainSeen)
 		for {
 			reached[cur] = true
-			if err := db.readPageChecked(cur, page); err != nil {
+			if err := db.readPage(cur, page); err != nil {
 				return err
 			}
 			// Drop entries that are duplicates of one already reached in
@@ -356,7 +343,7 @@ func (db *DB) recover() error {
 		if reached[p] {
 			continue
 		}
-		if err := db.readPageChecked(p, page); err != nil {
+		if err := db.readPage(p, page); err != nil {
 			return err
 		}
 		n := pageCount(page)
@@ -437,18 +424,17 @@ func (db *DB) check(lenient bool) (overflow uint64, err error) {
 	page := getPage()
 	defer putPage(page)
 	damaged := false
-	// read reports whether page p read back whole into page.
+	// read reports whether page p read back whole into page. A page that
+	// claims more entries than it has slots is never passed over: the walk
+	// fails on it, and Open recovers the file.
 	read := func(p uint64) (bool, error) {
 		if err := db.readPage(p, page); err != nil {
 			var ce *CorruptionError
-			if lenient && errors.As(err, &ce) {
+			if lenient && errors.As(err, &ce) && pageCount(page) <= SlotsPerPage {
 				damaged = true
 				return false, nil
 			}
 			return false, err
-		}
-		if c := pageCount(page); c > SlotsPerPage {
-			return false, corrupt("page %d count %d exceeds capacity", p, c)
 		}
 		return true, nil
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"path/filepath"
 	"testing"
 
@@ -123,7 +122,7 @@ func TestRecoveryCutsDanglingLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	setPageNext(page, 9999)
-	binary.BigEndian.PutUint32(page[0:pageCRCSize], crc32.ChecksumIEEE(page[pageCRCSize:]))
+	binary.BigEndian.PutUint32(page[0:pageCRCSize], pageSum(page))
 	if _, err := f.WriteAt(page, PageSize); err != nil {
 		t.Fatal(err)
 	}

@@ -234,6 +234,9 @@ func (db *DB) freePage(p uint64) error {
 // caller publishes dir and split state together once the split's data
 // movement is complete, so a failed split leaves only a stale on-disk
 // slot that the next split overwrites and recovery ignores.
+//
+// Every page it writes is built from the in-memory mirror, which holds
+// each committed slot the page does, so a split reads no directory page.
 func (db *DB) dirAppend(newPage uint64) error {
 	d := db.dir.Load()
 	idx := d.n // committed entries; on-disk counts beyond this are stale
@@ -249,8 +252,7 @@ func (db *DB) dirAppend(newPage uint64) error {
 		if err != nil {
 			return err
 		}
-		clear(buf)
-		setDirEntryAt(buf, 0, newPage)
+		db.fillDirPage(buf, d, pageIdx, newPage)
 		if err := db.writePage(np[0], buf); err != nil {
 			return err
 		}
@@ -259,24 +261,35 @@ func (db *DB) dirAppend(newPage uint64) error {
 			db.dirHead = np[0]
 			db.allocMu.Unlock()
 		} else {
-			last := db.dirPages[pageIdx-1]
-			if err := db.readPage(last, buf); err != nil {
-				return err
-			}
+			db.fillDirPage(buf, d, pageIdx-1, 0)
 			setPageNext(buf, np[0])
-			if err := db.writePage(last, buf); err != nil {
+			if err := db.writePage(db.dirPages[pageIdx-1], buf); err != nil {
 				return err
 			}
 		}
 		db.dirPages = append(db.dirPages, np[0])
 		return nil
 	}
-	dp := db.dirPages[pageIdx]
-	if err := db.readPage(dp, buf); err != nil {
-		return err
+	db.fillDirPage(buf, d, pageIdx, newPage)
+	return db.writePage(db.dirPages[pageIdx], buf)
+}
+
+// fillDirPage lays out directory page i as the mirror d holds it: its
+// committed slots, then appended in the slot after them unless it is 0, and
+// the link to the directory page after it, if there is one yet.
+func (db *DB) fillDirPage(buf []byte, d *bucketDir, i int, appended uint64) {
+	clear(buf)
+	lo := i * dirSlotsPerPage
+	committed := d.pages[lo:min(d.n, lo+dirSlotsPerPage)]
+	for s, p := range committed {
+		setDirEntryAt(buf, s, p)
 	}
-	setDirEntryAt(buf, slot, newPage)
-	return db.writePage(dp, buf)
+	if appended != 0 {
+		setDirEntryAt(buf, len(committed), appended)
+	}
+	if i+1 < len(db.dirPages) {
+		setPageNext(buf, db.dirPages[i+1])
+	}
 }
 
 // publishDirEntry extends the in-memory directory snapshot with

@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httputil"
@@ -22,6 +23,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"shhc/internal/metrics"
 )
 
 // Config configures the load balancer.
@@ -68,6 +71,9 @@ type Balancer struct {
 	client   *http.Client
 
 	httpSrv *http.Server
+	// obs serves the balancer's own /metrics, /healthz and /readyz; every
+	// other path is proxied.
+	obs *http.ServeMux
 
 	stop     chan struct{}
 	done     chan struct{}
@@ -100,6 +106,22 @@ func New(cfg Config) (*Balancer, error) {
 			proxy:  httputil.NewSingleHostReverseProxy(u),
 		})
 	}
+	b.obs = http.NewServeMux()
+	metrics.Serve(b.obs, func(_ context.Context, w io.Writer) error {
+		st := b.Stats()
+		urls := make([]string, len(st))
+		for i := range st {
+			urls[i] = st[i].URL
+		}
+		return metrics.WritePrometheus(w, "shhc_lb", "backend", urls, st)
+	}, func(context.Context) error {
+		for _, be := range b.backends {
+			if be.healthy.Load() {
+				return nil
+			}
+		}
+		return errors.New("lb: no healthy backends")
+	})
 	go b.healthLoop()
 	return b, nil
 }
@@ -162,6 +184,11 @@ func (b *Balancer) WaitHealthy(ctx context.Context, timeout time.Duration) bool 
 
 // ServeHTTP proxies the request to the next healthy backend.
 func (b *Balancer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	switch r.URL.Path {
+	case "/metrics", "/healthz", "/readyz":
+		b.obs.ServeHTTP(w, r)
+		return
+	}
 	// Try each backend at most once, starting from the round-robin point.
 	n := len(b.backends)
 	start := int(b.next.Add(1))

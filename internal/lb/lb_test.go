@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"shhc/internal/metrics"
 )
 
 // newBackendServer returns a front-end-ish test server that identifies
@@ -194,5 +196,59 @@ func TestCloseStopsHealthLoop(t *testing.T) {
 	// Close must be idempotent-safe for the health loop (stopOnce).
 	if err := b.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestScrapeBalancerEndpoints: the balancer answers /metrics, /healthz and
+// /readyz itself instead of proxying them, with each BackendStats leaf once
+// per backend, labelled with its URL; /readyz is 503 until a backend is
+// healthy.
+func TestScrapeBalancerEndpoints(t *testing.T) {
+	be1, _ := newBackendServer(t, "a")
+	be2, _ := newBackendServer(t, "b")
+	b := newBalancer(t, be1.URL, be2.URL)
+	front := httptest.NewServer(b)
+	defer front.Close()
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(front.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	if !b.WaitHealthy(context.Background(), 5*time.Second) {
+		t.Fatal("no backend became healthy")
+	}
+	code, body := get("/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics = %d %s", code, body)
+	}
+	counts := metrics.SampleCounts(body)
+	for _, f := range metrics.Fields(BackendStats{}) {
+		for _, u := range []string{be1.URL, be2.URL} {
+			if series := metrics.PromName("shhc_lb", f.Name) + `{backend="` + u + `"}`; counts[series] != 1 {
+				t.Errorf("%d samples of %s, want 1", counts[series], series)
+			}
+		}
+	}
+	for _, path := range []string{"/healthz", "/readyz"} {
+		if code, _ := get(path); code != http.StatusOK {
+			t.Fatalf("%s = %d, want 200", path, code)
+		}
+	}
+	be1.Close()
+	be2.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for code, _ := get("/readyz"); code != http.StatusServiceUnavailable; code, _ = get("/readyz") {
+		if time.Now().After(deadline) {
+			t.Fatalf("/readyz with every backend down = %d, want 503", code)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"iter"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"unicode"
@@ -17,15 +18,17 @@ import (
 // '.' ("bloom_false", "destage.wave_sizes.p99"). A leaf is an integer, a
 // time.Duration, a bool or a float64, and Bits holds it as itself, in
 // nanoseconds, as 0 or 1, or as its IEEE-754 bits. String fields are
-// skipped, struct fields walked, and any other kind of field panics the
-// first time its type is walked.
+// skipped, struct fields walked, an array's elements walked as fields
+// named by their index ("chain_hist.0"), and any other kind of field panics
+// the first time its type is walked.
 type Field struct {
 	Name string
 	Bits uint64
 }
 
 // schema is a struct type's leaves: their names in declaration order, and
-// each one's field index path by name.
+// each one's path by name — at each step a field index into a struct or an
+// element index into an array (see at).
 type schema struct {
 	names []string
 	index map[string][]int
@@ -46,17 +49,37 @@ func schemaOf(t reflect.Type) *schema {
 func (s *schema) walk(t reflect.Type, prefix string, index []int) {
 	for i := range t.NumField() {
 		f := t.Field(i)
-		name, at := prefix+snake(f.Name), append(index[:len(index):len(index)], i)
-		switch f.Type.Kind() {
-		case reflect.String:
-		case reflect.Struct:
-			s.walk(f.Type, name+".", at)
-		default:
-			bits(reflect.Zero(f.Type)) // panics on a field that is not a counter
-			s.names = append(s.names, name)
-			s.index[name] = at
+		s.leaf(f.Type, prefix+snake(f.Name), append(index[:len(index):len(index)], i))
+	}
+}
+
+// leaf records the leaves of a value of type t named name at path.
+func (s *schema) leaf(t reflect.Type, name string, path []int) {
+	switch t.Kind() {
+	case reflect.String:
+	case reflect.Struct:
+		s.walk(t, name+".", path)
+	case reflect.Array:
+		for e := range t.Len() {
+			s.leaf(t.Elem(), name+"."+strconv.Itoa(e), append(path[:len(path):len(path)], e))
+		}
+	default:
+		bits(reflect.Zero(t)) // panics on a field that is not a counter
+		s.names = append(s.names, name)
+		s.index[name] = path
+	}
+}
+
+// at follows a schema path from v.
+func at(v reflect.Value, path []int) reflect.Value {
+	for _, i := range path {
+		if v.Kind() == reflect.Array {
+			v = v.Index(i)
+		} else {
+			v = v.Field(i)
 		}
 	}
+	return v
 }
 
 // bits is the one mapping from a leaf to a Field's 64 bits; setBits is its
@@ -98,7 +121,7 @@ func leaves(v any) iter.Seq2[string, reflect.Value] {
 	s := schemaOf(rv.Type())
 	return func(yield func(string, reflect.Value) bool) {
 		for _, name := range s.names {
-			if !yield(name, rv.FieldByIndex(s.index[name])) {
+			if !yield(name, at(rv, s.index[name])) {
 				return
 			}
 		}
@@ -134,8 +157,8 @@ func SetFields(dst any, fs []Field) {
 	rv := reflect.ValueOf(dst).Elem()
 	s := schemaOf(rv.Type())
 	for _, f := range fs {
-		if at, ok := s.index[f.Name]; ok {
-			setBits(rv.FieldByIndex(at), f.Bits)
+		if path, ok := s.index[f.Name]; ok {
+			setBits(at(rv, path), f.Bits)
 		}
 	}
 }

@@ -137,6 +137,10 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/upload", s.handleUpload)
 	s.mux.HandleFunc("/v1/chunk/", s.handleChunk)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
+	metrics.Serve(s.mux, s.writeMetrics, func(ctx context.Context) error {
+		_, err := cfg.Index.Stats(ctx)
+		return err
+	})
 	if cfg.EnablePprof {
 		// Explicit registrations on our own mux (the blank net/http/pprof
 		// import only feeds http.DefaultServeMux, which we do not serve).
@@ -356,6 +360,41 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Nodes[i]["id"] = nodeStats[i].ID
 	}
 	writeJSON(w, resp)
+}
+
+// writeMetrics renders /metrics: the blocks /v1/stats serves, as
+// Prometheus text — the front-end's own counters, aggregation, transport
+// and replication as shhc_front_*, and every node's counters as
+// shhc_node_*{node="<id>"}.
+func (s *Server) writeMetrics(ctx context.Context, w io.Writer) error {
+	nodeStats, err := s.cfg.Index.Stats(ctx)
+	if err != nil {
+		return err
+	}
+	own := []struct{ Plans, Lookups, Uploads int64 }{{s.plans.Load(), s.lookups.Load(), s.uploads.Load()}}
+	if err := metrics.WritePrometheus(w, "shhc_front", "", nil, own); err != nil {
+		return err
+	}
+	if s.agg != nil {
+		if err := metrics.WritePrometheus(w, "shhc_front_aggregation", "", nil, []batcher.Stats{s.agg.Stats()}); err != nil {
+			return err
+		}
+	}
+	if tr, ok := s.cfg.Index.(clientTransportReporter); ok {
+		if err := metrics.WritePrometheus(w, "shhc_front_transport", "", nil, []core.ClientTransportStats{tr.ClientTransportStats()}); err != nil {
+			return err
+		}
+	}
+	if rr, ok := s.cfg.Index.(replicationReporter); ok && rr.Replicated() {
+		if err := metrics.WritePrometheus(w, "shhc_front_replication", "", nil, []core.ReplicationStats{rr.ReplicationStats()}); err != nil {
+			return err
+		}
+	}
+	ids := make([]string, len(nodeStats))
+	for i := range nodeStats {
+		ids[i] = string(nodeStats[i].ID)
+	}
+	return metrics.WritePrometheus(w, "shhc_node", "node", ids, nodeStats)
 }
 
 func writeJSON(w http.ResponseWriter, v interface{}) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -391,6 +392,51 @@ func TestMethodEnforcement(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusMethodNotAllowed {
 			t.Fatalf("%s %s status = %d, want 405", tt.method, tt.path, resp.StatusCode)
+		}
+	}
+}
+
+// TestScrapeFrontEndpoints scrapes the front-end's /metrics: its own
+// counters and the aggregation block once each, and every core.NodeStats
+// leaf once per node, labelled with the node's id; /healthz and /readyz
+// answer 200.
+func TestScrapeFrontEndpoints(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(b)
+	}
+	code, body := get("/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics = %d %s", code, body)
+	}
+	counts := metrics.SampleCounts(body)
+	want := []string{"shhc_front_plans", "shhc_front_lookups", "shhc_front_uploads"}
+	for _, f := range metrics.Fields(batcher.Stats{}) {
+		want = append(want, metrics.PromName("shhc_front_aggregation", f.Name))
+	}
+	for _, f := range metrics.Fields(core.NodeStats{}) {
+		for _, id := range []string{"n0", "n1"} {
+			want = append(want, metrics.PromName("shhc_node", f.Name)+`{node="`+id+`"}`)
+		}
+	}
+	for _, series := range want {
+		if counts[series] != 1 {
+			t.Errorf("%d samples of %s, want 1", counts[series], series)
+		}
+	}
+	for _, path := range []string{"/healthz", "/readyz"} {
+		if code, _ := get(path); code != http.StatusOK {
+			t.Fatalf("%s = %d, want 200", path, code)
 		}
 	}
 }
