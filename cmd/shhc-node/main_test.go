@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -33,20 +32,11 @@ func TestScrapeNodeEndpoints(t *testing.T) {
 	}
 	var serving atomic.Bool
 	serving.Store(true)
-	ts := httptest.NewServer(observe(node, db, &serving))
-	defer ts.Close()
+	mux := observe(node, db, &serving)
 	get := func(path string) (int, string) {
-		t.Helper()
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, string(b)
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Code, rec.Body.String()
 	}
 	code, body := get("/metrics")
 	if code != http.StatusOK {

@@ -207,20 +207,10 @@ func TestScrapeBalancerEndpoints(t *testing.T) {
 	be1, _ := newBackendServer(t, "a")
 	be2, _ := newBackendServer(t, "b")
 	b := newBalancer(t, be1.URL, be2.URL)
-	front := httptest.NewServer(b)
-	defer front.Close()
 	get := func(path string) (int, string) {
-		t.Helper()
-		resp, err := http.Get(front.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, string(body)
+		rec := httptest.NewRecorder()
+		b.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Code, rec.Body.String()
 	}
 	if !b.WaitHealthy(context.Background(), 5*time.Second) {
 		t.Fatal("no backend became healthy")

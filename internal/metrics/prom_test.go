@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -66,25 +65,14 @@ func TestWritePrometheus(t *testing.T) {
 
 func TestServeEndpoints(t *testing.T) {
 	mux := http.NewServeMux()
-	var ready atomic.Bool
+	notReady := io.ErrUnexpectedEOF
 	Serve(mux, func(_ context.Context, w io.Writer) error {
 		return WritePrometheus(w, "p", "", nil, []sampleStats{{Lookups: 3}})
-	}, func(context.Context) error {
-		if !ready.Load() {
-			return io.ErrUnexpectedEOF
-		}
-		return nil
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
+	}, func(context.Context) error { return notReady })
 	get := func(path string) (int, string) {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(b)
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Code, rec.Body.String()
 	}
 	if code, body := get("/metrics"); code != 200 || SampleCounts(body)["p_lookups"] != 1 {
 		t.Fatalf("/metrics = %d %q", code, body)
@@ -95,7 +83,7 @@ func TestServeEndpoints(t *testing.T) {
 	if code, _ := get("/readyz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz while not ready = %d, want 503", code)
 	}
-	ready.Store(true)
+	notReady = nil
 	if code, _ := get("/readyz"); code != 200 {
 		t.Fatalf("/readyz when ready = %d", code)
 	}

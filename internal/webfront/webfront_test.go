@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -401,19 +400,11 @@ func TestMethodEnforcement(t *testing.T) {
 // leaf once per node, labelled with the node's id; /healthz and /readyz
 // answer 200.
 func TestScrapeFrontEndpoints(t *testing.T) {
-	_, ts, _ := newTestServer(t)
+	srv, _, _ := newTestServer(t)
 	get := func(path string) (int, string) {
-		t.Helper()
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, string(b)
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Code, rec.Body.String()
 	}
 	code, body := get("/metrics")
 	if code != http.StatusOK {
