@@ -239,10 +239,14 @@ func TestCrashEveryKillPointRecoversAckedEvictions(t *testing.T) {
 // TestCrashKillPointsOnDiskStore runs the sweep over an on-disk table, so the
 // reopen is hashdb recovery plus journal replay stacked. Every third point
 // keeps the file churn affordable; the in-memory sweep covers every point.
+// Over a table a run issues a few writes more than it inserts keys, how many
+// depending on how the destager's waves interleave the inserts, so the sweep
+// reaches past crashInserts whatever one probe counted; a point the run
+// never reaches is a clean close and reopen.
 func TestCrashKillPointsOnDiskStore(t *testing.T) {
 	sweepDestagers(t, func(shape func(NodeConfig) NodeConfig) simtest.Sweep {
 		sw := nodeSweep(crashOps, true, shape)
-		sw.Step = 3
+		sw.Step, sw.Through = 3, crashInserts+crashCache/2
 		return sw
 	})
 }

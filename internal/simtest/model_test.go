@@ -215,3 +215,26 @@ func TestSweepVisitsEveryPoint(t *testing.T) {
 		t.Fatalf("visited %v, want %v", got, want)
 	}
 }
+
+// TestSweepThroughExtendsPastProbe: Through adds the points past a short
+// probe's count and never cuts a longer one short.
+func TestSweepThroughExtendsPastProbe(t *testing.T) {
+	for _, tc := range []struct {
+		probe, through int64
+		want           []int64
+	}{
+		{probe: 2, through: 5, want: []int64{1, 3, 5}},
+		{probe: 7, through: 5, want: []int64{1, 3, 5, 7}},
+	} {
+		var got []int64
+		Sweep{
+			Probe:   func(*testing.T) int64 { return tc.probe },
+			Through: tc.through,
+			Step:    2,
+			Kill:    func(_ *testing.T, kill int64, _ int) { got = append(got, kill) },
+		}.Run(t)
+		if !slices.Equal(got, tc.want) {
+			t.Fatalf("probe %d through %d: visited %v, want %v", tc.probe, tc.through, got, tc.want)
+		}
+	}
+}

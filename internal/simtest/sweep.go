@@ -17,6 +17,11 @@ type Sweep struct {
 	// Tears are how many bytes of the killing write reach the medium; 0 is
 	// an atomic device, which never performs the write. Empty means {0}.
 	Tears []int
+	// Through extends the sweep to at least this point. A schedule whose
+	// write count depends on goroutine timing probes a different count each
+	// run; sweeping past it keeps the points, and their subtest names, the
+	// same every run. Kill must accept a point its run never reaches.
+	Through int64
 	// Step visits every Step-th point (0: every point).
 	Step int64
 	// RaceStep replaces Step under the race detector, for sweeps whose runs
@@ -44,7 +49,7 @@ func (s Sweep) Run(t *testing.T) {
 		step = s.RaceStep
 	}
 	step = max(step, 1)
-	for k := int64(1); k <= writes; k += step {
+	for k := int64(1); k <= max(writes, s.Through); k += step {
 		ok := t.Run(fmt.Sprintf("kill=%d", k), func(t *testing.T) {
 			for _, tear := range tears {
 				if !t.Run(fmt.Sprintf("tear=%d", tear), func(t *testing.T) { s.Kill(t, k, tear) }) {
