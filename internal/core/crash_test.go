@@ -302,7 +302,10 @@ func insertsOnly(s simtest.Schedule) simtest.Schedule {
 // owns. An ack either met the quorum (node-1 durably took the mirror write)
 // or degraded below it, which here happens only when node-1 decided the
 // insert after failover. Either way the survivor must serve every acked key
-// at its value, before any repair runs.
+// at its value, before any repair runs. The owner's destager issues 48–50
+// writes a run, how many depending on how its waves interleave the inserts,
+// so the sweep reaches past crashInserts whatever one probe counted; a point
+// the run never reaches is a clean run, held to the same check.
 func TestReplicatedCrashKillOwnerAtEveryWrite(t *testing.T) {
 	fps := replCrashFPs(t)
 	// run inserts every key, acking those whose insert returned: after the
@@ -320,7 +323,8 @@ func TestReplicatedCrashKillOwnerAtEveryWrite(t *testing.T) {
 		return c, b, m
 	}
 	simtest.Sweep{
-		Floor: crashInserts / 2,
+		Floor:   crashInserts / 2,
+		Through: crashInserts + crashCache/2,
 		Probe: func(t *testing.T) int64 {
 			probe := hashdb.NewFailpoint(hashdb.NewMemStore(nil), math.MaxInt64, nil)
 			c, _, _ := run(t, probe)
