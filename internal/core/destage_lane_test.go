@@ -241,7 +241,7 @@ func TestForegroundBatchUnderWave(t *testing.T) {
 	if _, err := n.BatchLookupOrInsert(context.Background(), pairs); err != nil {
 		t.Fatal(err)
 	}
-	<-f.parked // half the cache is dirty: the wave fired and is inside putChain
+	<-f.parked // half the cache is dirty: the wave fired and is inside putUnit
 	rs, err := n.BatchLookupOrInsert(context.Background(), pairs)
 	if err != nil {
 		t.Fatal(err)

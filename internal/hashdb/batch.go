@@ -1,5 +1,16 @@
 package hashdb
 
+// This file implements the batched read path and what both batched paths
+// share. A batch groups its keys by bucket, in ascending order, and its
+// buckets by stripe block: a unit is the runs of one block, at most 32
+// chains, and one worker takes it under one hold of the stripe lock. The
+// unit's chain heads, adjacent pages in the file, are read with one call per
+// run of consecutive page numbers into one slab, each verified as a page
+// read alone is; every page of a chain is then matched against all of the
+// chain's keys at once by the chain-scan kernel. Paying a syscall per run of
+// pages instead of per page is what the batch buys on a fast device, where
+// the software's cost per I/O sets the throughput.
+
 import (
 	"cmp"
 	"context"
@@ -15,27 +26,21 @@ import (
 )
 
 // keyed is one item of a batch: its input index under its group key (bucket
-// page for the on-disk table, map shard for MemStore), scrambled by spread.
+// number for the on-disk table, map shard for MemStore).
 type keyed struct {
 	key uint64
 	idx int32
 }
 
-// spread is the odd multiplier (2^64/φ) that scrambles group keys. It is a
-// bijection on uint64, so equal products mean equal keys, and its top bits
-// depend on every bit of the key — which makes them a partition number, and
-// makes the order groups come out in unrelated to bucket order: walking the
-// file in bucket order measured 3 µs per fingerprint slower than a
-// scattered walk (PR 12).
-const spread = 0x9E3779B97F4A7C15
-
 // groupScratch is the pooled working memory of one batch's grouping. After
 // group, run r is items[starts[r]:starts[r+1]]: the items that share a key,
 // in input order — which is what gives batched writes their in-order
-// duplicate semantics.
+// duplicate semantics — and the runs ascend by key. eachUnit cuts the runs
+// into units (units) and the units into chunks (chunks).
 type groupScratch struct {
 	items, unsorted []keyed
 	starts, count   []int32
+	units, chunks   []int32
 }
 
 var groupScratchPool = sync.Pool{New: func() any { return new(groupScratch) }}
@@ -53,16 +58,17 @@ func putGroupScratch(sc *groupScratch) {
 
 // group sorts the items idxs — every index below n when idxs is nil; a retry
 // round regroups only what a concurrent bucket split displaced — into runs
-// of equal key. It is a counting sort on the top bits of the scrambled key
-// into more partitions than items, so nearly every partition holds one key
-// and a stable sort of the few that hold more finishes the job: linear
-// whether the batch spreads over as many keys as it has items or lands on one.
-func (sc *groupScratch) group(n int, idxs []int32, keyOf func(int) uint64) {
+// of equal key, in ascending key order. Every key must lie below bound. It is
+// a counting sort on the top bits of the key into at least as many
+// partitions as items, so a batch spread over the key space holds about one
+// key a partition and a stable sort of the few that hold more finishes the
+// job: linear unless the batch packs many keys into one partition of bound.
+func (sc *groupScratch) group(n int, idxs []int32, bound uint64, keyOf func(int) uint64) {
 	if idxs != nil {
 		n = len(idxs)
 	}
-	shift := 64 - bits.Len(uint(n))
-	parts := 1 << (64 - shift)
+	shift := max(0, bits.Len64(bound-1)-bits.Len(uint(n)))
+	parts := int((bound-1)>>shift) + 1
 	sc.items = slices.Grow(sc.items[:0], n)[:n]
 	sc.unsorted = slices.Grow(sc.unsorted[:0], n)[:n]
 	sc.count = slices.Grow(sc.count[:0], parts+1)[:parts+1]
@@ -73,7 +79,7 @@ func (sc *groupScratch) group(n int, idxs []int32, keyOf func(int) uint64) {
 		if idxs != nil {
 			i = int(idxs[j])
 		}
-		k := keyOf(i) * spread
+		k := keyOf(i)
 		sc.unsorted[j] = keyed{k, int32(i)}
 		count[k>>shift+1]++
 	}
@@ -101,20 +107,47 @@ func (sc *groupScratch) group(n int, idxs []int32, keyOf func(int) uint64) {
 	sc.starts = append(sc.starts, int32(n))
 }
 
-// chainScratch is the pooled staging of the chain walks one worker makes:
-// the indices of a run that still map to its bucket, the index of the run's
-// distinct fingerprints (a Bucket64's bits above shift pick its first slot;
-// one is the slot of a run with a single distinct fingerprint, else -1),
-// the matches scan found on the last page, and the chain's pages. It owns
-// its page buffers — they are not the page pool's — and keeps them from one
-// walk to the next.
+// unit is the runs one worker takes under one lock hold: the runs of one
+// stripe block for the on-disk table (at most 1<<stripeShift chains), one
+// shard for MemStore. Run r is items[starts[r]:starts[r+1]].
+type unit struct {
+	items  []keyed
+	starts []int32
+}
+
+func (u unit) runs() int { return len(u.starts) - 1 }
+
+func (u unit) run(r int) []keyed { return u.items[u.starts[r]:u.starts[r+1]] }
+
+// chainScratch is the pooled staging of the units one worker takes: the
+// unit's chains (one a run that kept items) with the indices of their items
+// that still map to their bucket, the chains' head pages in one slab, and the
+// walk of the chain in hand — the index of its distinct fingerprints (a
+// Bucket64's bits above shift pick its first slot; one is the slot of a run
+// with a single distinct fingerprint, else -1), the matches scan found on the
+// last page, its head (top, a page of the slab) and the overflow pages read
+// or added below it (chain). It owns its buffers — they are not the page
+// pool's — and keeps them from one unit to the next. untimed is what the
+// unit spent outside chain I/O, which the lane's probe leaves out.
 type chainScratch struct {
-	live  []int32
-	slots []runSlot
-	shift uint
-	one   int32
-	hits  []hit
-	chain []chainPage
+	live    []int32
+	chains  []unitChain
+	slab    []byte
+	slots   []runSlot
+	shift   uint
+	one     int32
+	hits    []hit
+	top     chainPage
+	chain   []chainPage
+	untimed time.Duration
+}
+
+// unitChain is one chain of a unit: the page of its head, its items
+// cs.live[lo:hi], and whether the walk changed its head.
+type unitChain struct {
+	head   uint64
+	lo, hi int32
+	dirty  bool
 }
 
 // runSlot is a slot of a run's open-addressed index (chainScratch.index): one
@@ -225,7 +258,7 @@ func getChainScratch() *chainScratch { return chainScratchPool.Get().(*chainScra
 
 //shhc:takes-buf sc
 func putChainScratch(sc *chainScratch) {
-	if cap(sc.chain) > 8 || cap(sc.slots) > 1<<12 { // one long chain or run must not pin its memory
+	if cap(sc.chain) > 8 || cap(sc.slots) > 1<<12 || cap(sc.live) > 1<<12 { // one long chain or run must not pin its memory
 		*sc = chainScratch{}
 	}
 	chainScratchPool.Put(sc)
@@ -243,6 +276,9 @@ func (sc *chainScratch) addPage(no uint64) *chainPage {
 	return cp
 }
 
+// head is chain c's head page in the slab.
+func (sc *chainScratch) head(c int) []byte { return sc.slab[c*PageSize:][:PageSize] }
+
 // maxChunkRuns caps a chunk: how long a worker holds its processor (100–200
 // µs) and the spacing of the yields on parallel's background lane. A batch of
 // up to 2 048 runs never reaches it; a destage wave's 13k did (≈ 200 a chunk
@@ -251,37 +287,55 @@ func (sc *chainScratch) addPage(no uint64) *chainPage {
 // plan_p95_ms (17.3) and 8 a worse plan_p50_ms (+32 %) (first_full_wb, PR 21).
 const maxChunkRuns = 32
 
-// blockingChain is the wall time of one chain (stripe lock, page read, page
-// write) above which its I/O must have blocked: eachRun's probe read 1–7 µs
-// over the page cache (10–27 µs under -race) and 42–166 µs over O_DIRECT on
-// a virtio ext4 disk, where one worker takes 922 ms for 8 192 chains and
-// IODepth workers 510 (BenchmarkWavePutBatch, PR 21). A device whose direct
-// chain is faster than this was not at hand; it would keep one worker.
+// blockingChain is the wall time of one chain's I/O (page reads, scan, page
+// writes; not the stripe lock's wait or the fsync of a dirty mark) above
+// which its I/O must have blocked: eachUnit's probe read 1–7 µs over the page
+// cache (10–27 µs under -race) and 42–166 µs over O_DIRECT on a virtio ext4
+// disk, where one worker takes 922 ms for 8 192 chains and IODepth workers
+// 510 (BenchmarkWavePutBatch, PR 21). A device whose direct chain is faster
+// than this was not at hand; it would keep one worker.
 const blockingChain = 30 * time.Microsecond
 
-// eachRun calls fn for every run of the grouping, up to parallel.IODepth
-// runs at a time, so modeled (Sleep-mode) devices overlap page I/O the way
-// real flash channels do. A worker takes several consecutive runs per pull
-// once there are many, and makes all of them with one scratch: a batch of a
-// thousand one-key chains is not a thousand trips to a mutex and a pool.
-// The first chunk times its runs and, if even the fastest blocked (a
-// preempted run is not the fastest), says so: parallel.Widen.
-func (sc *groupScratch) eachRun(ctx context.Context, fn func(cs *chainScratch, run []keyed) error) error {
+// eachUnit calls fn for every unit of the grouping — the runs whose keys
+// agree above the low shift bits — up to parallel.IODepth units at a time, so
+// modeled (Sleep-mode) devices overlap page I/O the way real flash channels
+// do. A worker takes whole units, about maxChunkRuns runs of them a pull once
+// there are many, and makes all of them with one scratch: a batch of a
+// thousand one-key chains is not a thousand trips to a mutex and a pool. The
+// first chunk times its units and, if even the fastest chain blocked (a
+// preempted unit is not the fastest), says so: parallel.Widen.
+func (sc *groupScratch) eachUnit(ctx context.Context, shift uint, fn func(cs *chainScratch, u unit) error) error {
 	runs := len(sc.starts) - 1
-	per := min(maxChunkRuns, (runs+4*parallel.IODepth-1)/(4*parallel.IODepth))
-	return parallel.Do(ctx, (runs+per-1)/per, parallel.IODepth, func(c int) error {
+	sc.units = sc.units[:0]
+	for r := 0; r < runs; r++ {
+		if r == 0 || sc.items[sc.starts[r]].key>>shift != sc.items[sc.starts[r-1]].key>>shift {
+			sc.units = append(sc.units, int32(r))
+		}
+	}
+	sc.units = append(sc.units, int32(runs))
+	per := int32(min(maxChunkRuns, (runs+4*parallel.IODepth-1)/(4*parallel.IODepth)))
+	sc.chunks = sc.chunks[:0]
+	for u := 0; u+1 < len(sc.units); u++ {
+		if u == 0 || sc.units[u+1]-sc.units[sc.chunks[len(sc.chunks)-1]] > per {
+			sc.chunks = append(sc.chunks, int32(u))
+		}
+	}
+	sc.chunks = append(sc.chunks, int32(len(sc.units)-1))
+	return parallel.Do(ctx, len(sc.chunks)-1, parallel.IODepth, func(c int) error {
 		cs := getChainScratch()
 		defer putChainScratch(cs)
-		fastest, start := time.Duration(math.MaxInt64), time.Time{}
-		for r := c * per; r < min((c+1)*per, runs); r++ {
+		fastest := time.Duration(math.MaxInt64)
+		for u := sc.chunks[c]; u < sc.chunks[c+1]; u++ {
+			lo, hi := sc.units[u], sc.units[u+1]
+			start := time.Time{}
 			if c == 0 {
-				start = time.Now()
+				start, cs.untimed = time.Now(), 0
 			}
-			if err := fn(cs, sc.items[sc.starts[r]:sc.starts[r+1]]); err != nil {
+			if err := fn(cs, unit{items: sc.items, starts: sc.starts[lo : hi+1]}); err != nil {
 				return err
 			}
 			if c == 0 {
-				fastest = min(fastest, time.Since(start))
+				fastest = min(fastest, (time.Since(start)-cs.untimed)/time.Duration(hi-lo))
 			}
 		}
 		if c == 0 && fastest > blockingChain {
@@ -312,28 +366,58 @@ func (s *staleList) take() (idxs []int32) {
 	return idxs
 }
 
-// live filters run down to the items that map to bucket now that its stripe
-// is locked — the mapping is stable under the lock, so the filter is
-// authoritative — and reports the others stale.
-func (db *DB) live(cs *chainScratch, bucket uint64, run []keyed, fpOf func(int32) fingerprint.Fingerprint, stale *staleList) []int32 {
-	cs.live = cs.live[:0]
-	for _, it := range run {
-		if db.bucketOf(fpOf(it.idx)) == bucket {
-			cs.live = append(cs.live, it.idx)
-		} else {
-			stale.add(it.idx)
+// stageUnit is the first half of a unit's walk, under its stripe lock: every
+// run is filtered down to the items that map to its bucket now that the
+// stripe is locked — the mapping is stable under the lock, so the filter is
+// authoritative — the others are reported stale, and the head pages of the
+// chains that keep items are read into the slab, one file call per run of
+// consecutive page numbers. Cancelling ctx stops it before any page's device
+// charge; nothing has changed by then.
+func (db *DB) stageUnit(ctx context.Context, cs *chainScratch, u unit, fpOf func(int32) fingerprint.Fingerprint, stale *staleList) error {
+	cs.live, cs.chains = cs.live[:0], cs.chains[:0]
+	for r := 0; r < u.runs(); r++ {
+		run := u.run(r)
+		bucket, lo := run[0].key, len(cs.live)
+		for _, it := range run {
+			if db.bucketOf(fpOf(it.idx)) == bucket {
+				cs.live = append(cs.live, it.idx)
+			} else {
+				stale.add(it.idx)
+			}
+		}
+		if len(cs.live) > lo {
+			cs.chains = append(cs.chains, unitChain{head: db.bucketPageOf(bucket), lo: int32(lo), hi: int32(len(cs.live))})
 		}
 	}
-	return cs.live
+	n := len(cs.chains)
+	if cap(cs.slab) < n*PageSize {
+		// A power of two pages: a slab sized to each unit's chain count left
+		// garbage behind every time a unit outgrew it by a page, and
+		// incr_hot's mem_peak_mb read +2.8 %; a whole unit's for every
+		// scratch read chatty's +3.3 %.
+		cs.slab = make([]byte, PageSize<<bits.Len(uint(n-1)))
+	}
+	cs.slab = cs.slab[:n*PageSize]
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && cs.chains[hi].head == cs.chains[hi-1].head+1 {
+			hi++
+		}
+		if err := db.readPages(ctx, cs.chains[lo].head, cs.slab[lo*PageSize:hi*PageSize]); err != nil {
+			return err
+		}
+		lo = hi
+	}
+	return nil
 }
 
 // GetBatch looks up every fingerprint, reading each distinct bucket page
-// once. Probes are grouped by bucket page; each group walks its bucket
-// chain under the owning stripe's read lock, scanning one page buffer for
-// all of the group's fingerprints. Results are positionally aligned with
-// fps; duplicate fingerprints in the input each get the same answer at the
-// cost of no extra I/O. Cancelling ctx stops new page reads between groups
-// and between chain pages.
+// once. Probes are grouped by bucket and the buckets by stripe block; each
+// unit reads its chains' head pages under the stripe's read lock, adjacent
+// pages with one file call, and scans each page once for all of its chain's
+// fingerprints. Results are positionally aligned with fps; duplicate
+// fingerprints in the input each get the same answer at the cost of no
+// extra I/O. Cancelling ctx stops new page reads between pages.
 func (db *DB) GetBatch(ctx context.Context, fps []fingerprint.Fingerprint) ([]Value, []bool, error) {
 	vals := make([]Value, len(fps))
 	found := make([]bool, len(fps))
@@ -347,9 +431,10 @@ func (db *DB) GetBatch(ctx context.Context, fps []fingerprint.Fingerprint) ([]Va
 		pending []int32 // nil: everything
 	)
 	for {
-		g.group(len(fps), pending, func(i int) uint64 { return db.bucketOf(fps[i]) })
-		err := g.eachRun(ctx, func(cs *chainScratch, run []keyed) error {
-			return db.getChain(ctx, cs, run, fps, vals, found, &stale)
+		m := db.mapping()
+		g.group(len(fps), pending, m.bound(), func(i int) uint64 { return m.bucket(fps[i].Prefix64()) })
+		err := g.eachUnit(ctx, stripeShift, func(cs *chainScratch, u unit) error {
+			return db.getUnit(ctx, cs, u, fps, vals, found, &stale)
 		})
 		if err != nil {
 			return nil, nil, err
@@ -361,47 +446,52 @@ func (db *DB) GetBatch(ctx context.Context, fps []fingerprint.Fingerprint) ([]Va
 	}
 }
 
-// getChain walks one bucket chain, resolving every probe of the run. Each
-// chain page is read exactly once and scanned for all still-missing
-// fingerprints of the group.
-func (db *DB) getChain(ctx context.Context, cs *chainScratch, run []keyed, fps []fingerprint.Fingerprint, vals []Value, found []bool, stale *staleList) error {
-	bucket := db.bucketOf(fps[run[0].idx])
-	st := db.stripeOf(bucket)
+// getUnit resolves every probe of one unit under its stripe's read lock:
+// each chain's head is scanned in the slab for all of the chain's
+// fingerprints, and the walk goes on into overflow pages, each read once,
+// only while some are still missing.
+func (db *DB) getUnit(ctx context.Context, cs *chainScratch, u unit, fps []fingerprint.Fingerprint, vals []Value, found []bool, stale *staleList) error {
+	st := db.stripeOf(u.items[u.starts[0]].key)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	if db.closed {
 		return ErrClosed
 	}
 	fpOf := func(i int32) fingerprint.Fingerprint { return fps[i] }
-	live := db.live(cs, bucket, run, fpOf, stale)
-	if len(live) == 0 {
-		return nil
+	if err := db.stageUnit(ctx, cs, u, fpOf, stale); err != nil {
+		return err
 	}
-	distinct := cs.index(live, fpOf)
-	done := ctx.Done()
 	cs.chain = cs.chain[:0]
-	page := cs.addPage(0).buf
-	for p, remaining := db.bucketPageOf(bucket), distinct; p != 0 && remaining > 0; {
-		if done != nil {
-			if err := ctx.Err(); err != nil {
+	var overflow []byte
+	for c := range cs.chains {
+		ch := &cs.chains[c]
+		live := cs.live[ch.lo:ch.hi]
+		distinct := cs.index(live, fpOf)
+		page := cs.head(c)
+		for remaining := distinct; ; {
+			hits := cs.scan(page, remaining, fpOf)
+			for _, h := range hits {
+				idx := cs.slots[h.slot].first
+				vals[idx], found[idx] = entryVal(page, int(h.entry)), true
+			}
+			remaining -= len(hits)
+			p := pageNext(page)
+			if p == 0 || remaining == 0 {
+				break
+			}
+			if overflow == nil {
+				overflow = cs.addPage(0).buf
+			}
+			if err := db.readPages(ctx, p, overflow); err != nil {
 				return err
 			}
+			page = overflow
 		}
-		if err := db.readPage(p, page); err != nil {
-			return err
-		}
-		hits := cs.scan(page, remaining, fpOf)
-		for _, h := range hits {
-			idx := cs.slots[h.slot].first
-			vals[idx], found[idx] = entryVal(page, int(h.entry)), true
-		}
-		remaining -= len(hits)
-		p = pageNext(page)
-	}
-	if distinct < len(live) { // duplicates take their first's answer
-		for _, idx := range live {
-			if first := cs.slot(fps[idx], fpOf).first; first != idx {
-				vals[idx], found[idx] = vals[first], found[first]
+		if distinct < len(live) { // duplicates take their first's answer
+			for _, idx := range live {
+				if first := cs.slot(fps[idx], fpOf).first; first != idx {
+					vals[idx], found[idx] = vals[first], found[first]
+				}
 			}
 		}
 	}
@@ -422,9 +512,10 @@ func (s *MemStore) GetBatch(ctx context.Context, fps []fingerprint.Fingerprint) 
 	}
 	g := getGroupScratch()
 	defer putGroupScratch(g)
-	g.group(len(fps), nil, func(i int) uint64 { return fps[i].Bucket64() & (memShards - 1) })
+	g.group(len(fps), nil, memShards, func(i int) uint64 { return fps[i].Bucket64() & (memShards - 1) })
 	done := ctx.Done()
-	err := g.eachRun(ctx, func(_ *chainScratch, run []keyed) error {
+	err := g.eachUnit(ctx, 0, func(_ *chainScratch, u unit) error {
+		run := u.run(0)
 		sh := s.shard(fps[run[0].idx])
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()

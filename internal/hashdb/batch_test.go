@@ -81,31 +81,24 @@ func TestGetBatchEmptyAndClosed(t *testing.T) {
 // TestGroupRunsMatchMap checks the counting-sort grouping against the
 // obvious one (a map of slices) over batch sizes from one key up, key
 // domains from one value (every item in one run) to far more values than
-// items (nearly every item its own run), keys that collide in their top
-// bits (the adversarial batch), and retry-style index subsets, reusing one
-// scratch throughout:
-// every item lands in exactly one run, a run holds exactly the items of one
-// key, and they are in input order.
+// items (nearly every item its own run), every key packed into one
+// partition of a far larger bound (the adversarial batch), and retry-style
+// index subsets, reusing one scratch throughout: every item lands in exactly
+// one run, a run holds exactly the items of one key, in input order, and the
+// runs ascend by key.
 func TestGroupRunsMatchMap(t *testing.T) {
-	unspread := uint64(1) // spread's inverse mod 2^64, by Newton's iteration
-	for i := 0; i < 6; i++ {
-		unspread *= 2 - spread*unspread
-	}
-	if unspread*spread != 1 {
-		t.Fatalf("unspread = %#x is not spread's inverse", unspread)
-	}
 	rng := rand.New(rand.NewSource(7))
 	var sc groupScratch
 	for round := 0; round < 2000; round++ {
 		n := 1 + rng.Intn(1+rng.Intn(3000))
 		domain := uint64(1 + rng.Intn(1+rng.Intn(4*n)))
-		stride := uint64(1)
+		bound := domain
 		if round%3 == 0 {
-			stride = unspread // every key scrambles to a small number: one partition holds them all
+			bound = 1 << 40 // partitions of 2^28 keys or more: the first holds them all
 		}
 		keys := make([]uint64, n)
 		for i := range keys {
-			keys[i] = uint64(rng.Int63n(int64(domain))) * stride
+			keys[i] = uint64(rng.Int63n(int64(domain)))
 		}
 		var idxs []int32
 		if round%4 == 1 {
@@ -126,7 +119,7 @@ func TestGroupRunsMatchMap(t *testing.T) {
 				total++
 			}
 		}
-		sc.group(n, idxs, func(i int) uint64 { return keys[i] })
+		sc.group(n, idxs, bound, func(i int) uint64 { return keys[i] })
 		if len(sc.items) != total || len(sc.starts) != len(want)+1 || int(sc.starts[len(want)]) != total {
 			t.Fatalf("round %d: %d items in %d runs ending at %d, want %d items in %d runs",
 				round, len(sc.items), len(sc.starts)-1, sc.starts[len(sc.starts)-1], total, len(want))
@@ -139,6 +132,9 @@ func TestGroupRunsMatchMap(t *testing.T) {
 			}
 			if k := keys[run[0].idx]; !slices.Equal(got, want[k]) {
 				t.Fatalf("round %d run %d (key %d): items %v, want %v", round, r, k, got, want[k])
+			}
+			if r > 0 && sc.items[sc.starts[r-1]].key >= run[0].key {
+				t.Fatalf("round %d: run %d (key %d) follows key %d", round, r, run[0].key, sc.items[sc.starts[r-1]].key)
 			}
 		}
 	}

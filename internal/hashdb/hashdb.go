@@ -133,15 +133,24 @@ type Options struct {
 // all-stripe operations (Sync, Range, Close) stay cheap.
 const stripeCount = 64
 
+// stripeShift makes a stripe own blocks of 1<<stripeShift = 32 adjacent
+// buckets: bucket b belongs to stripe (b>>stripeShift) & (stripeCount-1). A
+// batch takes the runs of one block as one unit — one lock hold, and their
+// head pages, adjacent in the base region and mostly so among split buckets
+// (the file gains them in order), read and written with one file call per
+// run of consecutive pages. A constant, the size of a unit: 32 chains bound
+// a worker's hold on its processor as maxChunkRuns does.
+const stripeShift = 5
+
 // testHook, when set, sees every table Create and OpenFile make before they
 // return it. Only this package's tests set it, to pin a table to the shape
 // it starts with or to move its split trigger.
 var testHook func(*DB)
 
 // dbStripe guards a slice of the bucket space: bucket b belongs to stripe
-// b & (len(stripes)-1). Overflow pages are reached only through their
-// bucket's chain, so a chain — bucket page plus its overflow pages — is
-// covered entirely by one stripe lock.
+// (b>>stripeShift) & (len(stripes)-1). Overflow pages are reached only
+// through their bucket's chain, so a chain — bucket page plus its overflow
+// pages — is covered entirely by one stripe lock.
 type dbStripe struct {
 	mu sync.RWMutex
 	_  [40]byte // keep neighboring stripe locks off one cache line
@@ -243,6 +252,8 @@ type DB struct {
 	// checksumBytes counts the bytes every page read and write has
 	// checksummed (pageSpan less the CRC field).
 	checksumBytes atomic.Uint64
+	// readCalls and writeCalls count the file calls (pread, pwrite).
+	readCalls, writeCalls atomic.Uint64
 	// closed is written with every stripe write-locked and read under any
 	// stripe lock, so each operation observes it coherently.
 	closed bool
@@ -456,7 +467,7 @@ func (db *DB) writeHeader(clean bool) error {
 	binary.BigEndian.PutUint64(buf[77:85], db.dirHead)
 	binary.BigEndian.PutUint32(buf[0:4], crc32.ChecksumIEEE(buf[4:]))
 	db.dev.Write(fileHdrSize)
-	if _, err := db.f.WriteAt(buf[:], int64(seq%2)*headerSlotStride); err != nil {
+	if _, err := db.pwrite(buf[:], int64(seq%2)*headerSlotStride); err != nil {
 		return fmt.Errorf("hashdb: %s: write header: %w", db.path, err)
 	}
 	db.headerSeq = seq
@@ -535,11 +546,11 @@ func (h *header) invalid(filePages uint64) string {
 func (db *DB) readHeader(filePages uint64) error {
 	var slots [2][fileHdrSize]byte
 	db.dev.Read(fileHdrSize)
-	if _, err := db.f.ReadAt(slots[0][:], 0); err != nil {
+	if _, err := db.pread(slots[0][:], 0); err != nil {
 		return fmt.Errorf("hashdb: %s: read header: %w", db.path, err)
 	}
 	// The second slot may not exist yet in a file torn during Create.
-	if _, err := db.f.ReadAt(slots[1][:], headerSlotStride); err != nil && !errors.Is(err, io.EOF) {
+	if _, err := db.pread(slots[1][:], headerSlotStride); err != nil && !errors.Is(err, io.EOF) {
 		return fmt.Errorf("hashdb: %s: read header: %w", db.path, err)
 	}
 	var h header
@@ -591,13 +602,38 @@ func (db *DB) sum(page []byte) uint32 {
 	return pageSum(page)
 }
 
-// readPage reads page p into buf and verifies it: a page that claims more
-// entries than it has slots, or whose checksum fails, is a CorruptionError.
+// readPage reads page p into buf and verifies it (checkPage).
 func (db *DB) readPage(p uint64, buf []byte) error {
-	db.dev.Read(PageSize)
-	if _, err := db.f.ReadAt(buf, int64(p)*PageSize); err != nil {
+	return db.readPages(context.Background(), p, buf)
+}
+
+// readPages reads the len(buf)/PageSize consecutive pages from page p on into
+// buf with one file call and verifies each (checkPage). The device is charged
+// a read per page; cancelling ctx stops the call before the next charge.
+func (db *DB) readPages(ctx context.Context, p uint64, buf []byte) error {
+	done := ctx.Done()
+	for range len(buf) / PageSize {
+		if done != nil {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		db.dev.Read(PageSize)
+	}
+	if _, err := db.pread(buf, int64(p)*PageSize); err != nil {
 		return fmt.Errorf("hashdb: %s: read page %d: %w", db.path, p, err)
 	}
+	for i := 0; i < len(buf); i += PageSize {
+		if err := db.checkPage(p+uint64(i/PageSize), buf[i:i+PageSize]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkPage verifies page p as read into buf: a page that claims more entries
+// than it has slots, or whose checksum fails, is a CorruptionError.
+func (db *DB) checkPage(p uint64, buf []byte) error {
 	stored := binary.BigEndian.Uint32(buf[0:pageCRCSize])
 	if stored == 0 && isZeroPage(buf[pageCRCSize:]) {
 		// Never-written bucket page from the initial truncate: valid and
@@ -620,13 +656,32 @@ var zeroPage [PageSize]byte
 
 func isZeroPage(b []byte) bool { return bytes.Equal(b, zeroPage[:len(b)]) }
 
-func (db *DB) writePage(p uint64, buf []byte) error {
-	binary.BigEndian.PutUint32(buf[0:pageCRCSize], db.sum(buf))
-	db.dev.Write(PageSize)
-	if _, err := db.f.WriteAt(buf, int64(p)*PageSize); err != nil {
+func (db *DB) writePage(p uint64, buf []byte) error { return db.writePages(p, buf) }
+
+// writePages seals the len(buf)/PageSize consecutive pages from page p on and
+// writes them with one file call, charging the device a write per page.
+func (db *DB) writePages(p uint64, buf []byte) error {
+	for i := 0; i < len(buf); i += PageSize {
+		page := buf[i : i+PageSize]
+		binary.BigEndian.PutUint32(page[0:pageCRCSize], db.sum(page))
+		db.dev.Write(PageSize)
+	}
+	if _, err := db.pwrite(buf, int64(p)*PageSize); err != nil {
 		return fmt.Errorf("hashdb: %s: write page %d: %w", db.path, p, err)
 	}
 	return nil
+}
+
+// pread and pwrite are the table's file calls, counted in Stats().ReadCalls
+// and WriteCalls.
+func (db *DB) pread(buf []byte, off int64) (int, error) {
+	db.readCalls.Add(1)
+	return db.f.ReadAt(buf, off)
+}
+
+func (db *DB) pwrite(buf []byte, off int64) (int, error) {
+	db.writeCalls.Add(1)
+	return db.f.WriteAt(buf, off)
 }
 
 // markDirty lazily flips the on-disk clean flag before the first mutation
@@ -743,19 +798,20 @@ func (db *DB) Has(fp fingerprint.Fingerprint) (bool, error) {
 
 // Put stores fp -> v, overwriting any previous value. It reports whether a
 // new entry was created (false means an existing entry was updated). Put is
-// the single-pair case of the batched chain walk (putChain): one read and
-// at most one write per chain page.
+// the batched write path's unit of one chain (putUnit): one read and at most
+// one write per chain page.
 func (db *DB) Put(fp fingerprint.Fingerprint, v Value) (bool, error) {
 	pairs := [1]Pair{{FP: fp, Val: v}}
 	var (
 		created [1]bool
-		run     [1]keyed
 		stale   staleList
 	)
+	starts := [2]int32{0, 1}
 	cs := getChainScratch()
 	defer putChainScratch(cs)
 	for {
-		if _, err := db.putChain(context.Background(), cs, run[:], pairs[:], created[:], &stale); err != nil {
+		run := [1]keyed{{key: db.bucketOf(fp)}}
+		if _, err := db.putUnit(context.Background(), cs, unit{items: run[:], starts: starts[:]}, pairs[:], created[:], &stale); err != nil {
 			return created[0], err
 		}
 		if stale.take() == nil {
@@ -994,6 +1050,10 @@ type Stats struct {
 	// since open: a page's header and live entries, or all of a page that
 	// holds none (see pageSpan).
 	ChecksumBytes uint64
+	// ReadCalls and WriteCalls count the file calls since open. A batch
+	// reads and writes each run of adjacent bucket pages with one, so
+	// Device.Reads / ReadCalls is the pages a read call moves.
+	ReadCalls, WriteCalls uint64
 	// LoadFactor is entries / total bucket-region slots.
 	LoadFactor float64
 	// Recovery is what the open-time recovery pass repaired (all zero
@@ -1030,6 +1090,8 @@ func (db *DB) Stats() Stats {
 		OverflowPages: db.overflowPages.Load(),
 		MaxChain:      db.maxChain.Load(),
 		ChecksumBytes: db.checksumBytes.Load(),
+		ReadCalls:     db.readCalls.Load(),
+		WriteCalls:    db.writeCalls.Load(),
 		LoadFactor:    lf,
 		Recovery:      db.recovery,
 		Device:        db.dev.Stats(),

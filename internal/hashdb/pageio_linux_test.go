@@ -29,7 +29,10 @@ import (
 // write), then the same pass again (warm: in the page cache). Run it with
 // -benchtime 3x.
 func BenchmarkPageIO(b *testing.B) {
-	const pageIOPages = 1 << 15 // 128 MiB, never more than one file at a time
+	const (
+		pageIOPages = 1 << 15 // 128 MiB, never more than one file at a time
+		scatter     = 0x9E3779B97F4A7C15
+	)
 	for _, op := range []string{"read", "write"} {
 		for _, order := range []string{"scattered", "ascending", "ascending-fadv-random"} {
 			for _, k := range []int{1, 8, 64} {
@@ -57,9 +60,9 @@ func BenchmarkPageIO(b *testing.B) {
 							for s := 0; s < slots; s++ {
 								slot := s
 								if order == "scattered" {
-									// An odd multiplier is a bijection on the
-									// power-of-two slot count.
-									slot = int(uint64(s) * spread % uint64(slots))
+									// An odd multiplier (2^64/φ) is a bijection
+									// on the power-of-two slot count.
+									slot = int(uint64(s) * scatter % uint64(slots))
 								}
 								off := int64(slot) * int64(len(buf))
 								if op == "read" {

@@ -550,7 +550,7 @@ func TestAllocHashdbBatch(t *testing.T) {
 // goroutineFile counts the goroutines that read pages through it: the first
 // one, and how many reads came from any other. The caller locks its goroutine
 // to its OS thread, so no other goroutine reads on that thread and threadID
-// tells them apart. It sits inside the chains eachRun times, so it is kept
+// tells them apart. It sits inside the chains eachUnit times, so it is kept
 // cheap: gettid is well under 1 µs, where runtime.Stack at the depth of a
 // chain walk took 13 µs on a 2-vCPU VM and pushed a page-cache chain past
 // blockingChain.

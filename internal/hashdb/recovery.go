@@ -99,7 +99,7 @@ func (db *DB) zeroPage(p uint64) error {
 	defer putPage(buf)
 	clear(buf)
 	db.dev.Write(PageSize)
-	if _, err := db.f.WriteAt(buf, int64(p)*PageSize); err != nil {
+	if _, err := db.pwrite(buf, int64(p)*PageSize); err != nil {
 		return fmt.Errorf("hashdb: %s: zero page %d: %w", db.path, p, err)
 	}
 	return nil

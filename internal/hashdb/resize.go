@@ -107,15 +107,27 @@ func (db *DB) bucketOf(fp fingerprint.Fingerprint) uint64 {
 	return db.bucketOfHash(fp.Prefix64())
 }
 
-func (db *DB) bucketOfHash(h uint64) uint64 {
+func (db *DB) bucketOfHash(h uint64) uint64 { return db.mapping().bucket(h) }
+
+// mapping is one snapshot of the linear-hashing state: n buckets addressed
+// at the level, the first split of them already rehashed one level deeper.
+type mapping struct{ n, split uint64 }
+
+func (db *DB) mapping() mapping {
 	level, split := unpackState(db.state.Load())
-	n := db.levelBuckets(level)
-	b := h % n
-	if b < split {
-		b = h % (n << 1)
+	return mapping{db.levelBuckets(level), split}
+}
+
+func (m mapping) bucket(h uint64) uint64 {
+	b := h % m.n
+	if b < m.split {
+		b = h % (m.n << 1)
 	}
 	return b
 }
+
+// bound is one past the largest bucket the mapping can name.
+func (m mapping) bound() uint64 { return m.n << 1 }
 
 // bucketPageOf returns the file page holding bucket b's head. Base
 // buckets sit at their create-time offsets; later buckets resolve
@@ -130,8 +142,10 @@ func (db *DB) bucketPageOf(b uint64) uint64 {
 
 // stripeOf returns the lock stripe owning bucket b's chain.
 func (db *DB) stripeOf(b uint64) *dbStripe {
-	return &db.stripes[b&db.stripeMask]
+	return &db.stripes[db.stripeIndex(b)]
 }
+
+func (db *DB) stripeIndex(b uint64) uint64 { return (b >> stripeShift) & db.stripeMask }
 
 // rlockBucket read-locks the stripe owning fp's bucket, rechecking the
 // mapping after acquiring the lock: a split that moved fp's bucket while
@@ -391,7 +405,7 @@ func (db *DB) splitOne() error {
 	s, t := split, split+n
 	// Lock the two affected stripes in index order (one lock if they
 	// collide). Mutators of either bucket are quiesced for the split.
-	si, ti := s&db.stripeMask, t&db.stripeMask
+	si, ti := db.stripeIndex(s), db.stripeIndex(t)
 	lo, hi := min(si, ti), max(si, ti)
 	db.stripes[lo].mu.Lock()
 	if hi != lo {

@@ -10,7 +10,7 @@
 // The widening rule: once the flag Background was given is set, Do hands the
 // items not yet started to the workers a foreground call gets, for good. It
 // is set by whoever comes to wait for the work (core's destager) and, through
-// Widen, by work whose I/O blocks (hashdb.eachRun), which one worker would
+// Widen, by work whose I/O blocks (hashdb.eachUnit), which one worker would
 // serialise.
 package parallel
 
