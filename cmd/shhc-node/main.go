@@ -21,9 +21,9 @@ import (
 	"path/filepath"
 	"sync/atomic"
 	"syscall"
+	"time"
 
 	"shhc/internal/core"
-	"shhc/internal/device"
 	"shhc/internal/directio"
 	"shhc/internal/hashdb"
 	"shhc/internal/metrics"
@@ -32,51 +32,56 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "shhc-node:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var (
-		id      = flag.String("id", "node-00", "node identity on the hash ring")
-		addr    = flag.String("addr", "127.0.0.1:7001", "listen address")
-		dir     = flag.String("dir", "", "directory for the on-disk hash table (empty = in-memory)")
-		cache   = flag.Int("cache", 1<<16, "LRU cache capacity in entries")
-		model   = flag.String("device", "ssd", "modeled index device: ssd|hdd|ram|null")
-		sleep   = flag.Bool("sleep-device", false, "realize modeled device latency with real sleeps")
-		wb      = flag.Bool("write-back", false, "acknowledge inserts from RAM and destage them in group-commit waves ahead of eviction")
-		wbBatch = flag.Int("destage-batch", 0, "largest group-commit destage wave in entries (0 = half of -cache, at least 256)")
-		wbIval  = flag.Duration("destage-interval", 0, "longest a dirty entry waits before a destage wave fires (0 = default 2ms)")
-		wbQueue = flag.Int("destage-queue", 0, "dirty destage buffer bound in entries; evictions block when full (0 = 4x -destage-batch when set, else an eighth of -cache, at least 1024)")
-		journal = flag.Bool("journal", false, "durable destage journal (write-back + -dir only): fsync evicted dirty entries to <dir>/<id>.wal before acking and replay the journal on restart")
-		backend = flag.String("backend", "buffered", "hash table I/O backend (-dir only): buffered|direct (direct = O_DIRECT, bypassing the page cache; falls back to buffered where unsupported)")
-		httpOn  = flag.String("http", "", "serve /metrics, /healthz, /readyz and net/http/pprof under /debug/pprof/ on this address (e.g. localhost:6060); empty = off")
-	)
-	flag.Parse()
+// options is the node's command line.
+type options struct {
+	id, addr, dir, backend, http string
+	cache, wbBatch, wbQueue      int
+	wbIval                       time.Duration
+	wb, journal                  bool
+}
 
-	m, err := device.ModelByName(*model)
-	if err != nil {
+// flags declares the command's flags over o, with their defaults; usage goes
+// to out.
+func flags(o *options, out io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("shhc-node", flag.ContinueOnError)
+	fs.SetOutput(out)
+	fs.StringVar(&o.id, "id", "node-00", "node identity on the hash ring")
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:7001", "listen address")
+	fs.StringVar(&o.dir, "dir", "", "directory for the on-disk hash table (empty = in-memory)")
+	fs.IntVar(&o.cache, "cache", 1<<16, "LRU cache capacity in entries")
+	fs.BoolVar(&o.wb, "write-back", false, "acknowledge inserts from RAM and destage them in group-commit waves ahead of eviction")
+	fs.IntVar(&o.wbBatch, "destage-batch", 0, "largest group-commit destage wave in entries (0 = half of -cache, at least 256)")
+	fs.DurationVar(&o.wbIval, "destage-interval", 0, "longest a dirty entry waits before a destage wave fires (0 = default 2ms)")
+	fs.IntVar(&o.wbQueue, "destage-queue", 0, "dirty destage buffer bound in entries; evictions block when full (0 = 4x -destage-batch when set, else an eighth of -cache, at least 1024)")
+	fs.BoolVar(&o.journal, "journal", false, "durable destage journal (write-back + -dir only): fsync evicted dirty entries to <dir>/<id>.wal before acking and replay the journal on restart")
+	fs.StringVar(&o.backend, "backend", "buffered", "hash table I/O backend (-dir only): buffered|direct (direct = O_DIRECT, bypassing the page cache; falls back to buffered where unsupported)")
+	fs.StringVar(&o.http, "http", "", "serve /metrics, /healthz, /readyz and net/http/pprof under /debug/pprof/ on this address (e.g. localhost:6060); empty = off")
+	return fs
+}
+
+// run parses args and serves the node until SIGINT or SIGTERM.
+func run(args []string, stdout io.Writer) error {
+	var o options
+	if err := flags(&o, stdout).Parse(args); err != nil {
 		return err
 	}
-	mode := device.Account
-	if *sleep {
-		mode = device.Sleep
-	}
-	dev := device.New(m, mode)
-
 	var (
 		store hashdb.Store
 		table *hashdb.DB // the on-disk table, nil for the in-memory one
 	)
-	if *dir != "" {
-		if err := os.MkdirAll(*dir, 0o755); err != nil {
+	if o.dir != "" {
+		if err := os.MkdirAll(o.dir, 0o755); err != nil {
 			return fmt.Errorf("create dir: %w", err)
 		}
-		path := filepath.Join(*dir, *id+".shdb")
+		path := filepath.Join(o.dir, o.id+".shdb")
 		open := func(flag int) (hashdb.File, string, error) {
-			switch *backend {
+			switch o.backend {
 			case "buffered":
 				f, err := os.OpenFile(path, flag, 0o644)
 				return f, "buffered", err
@@ -91,7 +96,7 @@ func run() error {
 				}
 				return f, kind, nil
 			default:
-				return nil, "", fmt.Errorf("unknown -backend %q (want buffered or direct)", *backend)
+				return nil, "", fmt.Errorf("unknown -backend %q (want buffered or direct)", o.backend)
 			}
 		}
 		if _, statErr := os.Stat(path); statErr == nil {
@@ -99,7 +104,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			db, err := hashdb.OpenFile(f, path, dev)
+			db, err := hashdb.OpenFile(f, path)
 			if err != nil {
 				return err
 			}
@@ -110,7 +115,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			db, err := hashdb.CreateFile(f, path, hashdb.Options{Device: dev})
+			db, err := hashdb.CreateFile(f, path, hashdb.Options{})
 			if err != nil {
 				return err
 			}
@@ -118,28 +123,28 @@ func run() error {
 			log.Printf("created hash table %s (%s)", path, kind)
 		}
 	} else {
-		store = hashdb.NewMemStore(dev)
-		log.Printf("using in-memory hash table (device model %s)", m.Name)
+		store = hashdb.NewMemStore()
+		log.Printf("using in-memory hash table")
 	}
 
 	journalPath := ""
-	if *journal {
-		if !*wb || *dir == "" {
+	if o.journal {
+		if !o.wb || o.dir == "" {
 			store.Close()
 			return fmt.Errorf("-journal requires -write-back and -dir")
 		}
-		journalPath = filepath.Join(*dir, *id+".wal")
+		journalPath = filepath.Join(o.dir, o.id+".wal")
 		log.Printf("destage journal at %s", journalPath)
 	}
 
 	node, err := core.NewNode(core.NodeConfig{
-		ID:              ring.NodeID(*id),
+		ID:              ring.NodeID(o.id),
 		Store:           store,
-		CacheSize:       *cache,
-		WriteBack:       *wb,
-		DestageBatch:    *wbBatch,
-		DestageInterval: *wbIval,
-		DestageQueue:    *wbQueue,
+		CacheSize:       o.cache,
+		WriteBack:       o.wb,
+		DestageBatch:    o.wbBatch,
+		DestageInterval: o.wbIval,
+		DestageQueue:    o.wbQueue,
 		JournalPath:     journalPath,
 	})
 	if err != nil {
@@ -148,23 +153,23 @@ func run() error {
 	}
 
 	var serving atomic.Bool // /readyz: the rpc listener is up and no shutdown has begun
-	if *httpOn != "" {
+	if o.http != "" {
 		go func() {
-			log.Printf("metrics on http://%s/metrics, pprof under /debug/pprof/", *httpOn)
-			if err := http.ListenAndServe(*httpOn, observe(node, table, &serving)); err != nil {
+			log.Printf("metrics on http://%s/metrics, pprof under /debug/pprof/", o.http)
+			if err := http.ListenAndServe(o.http, observe(node, table, &serving)); err != nil {
 				log.Printf("http server: %v", err)
 			}
 		}()
 	}
 
 	srv := rpc.NewServer(node, rpc.ServerConfig{Logger: log.Default()})
-	bound, err := srv.Listen(*addr)
+	bound, err := srv.Listen(o.addr)
 	if err != nil {
 		node.Close()
 		return err
 	}
 	serving.Store(true)
-	log.Printf("node %s serving on %s", *id, bound)
+	log.Printf("node %s serving on %s", o.id, bound)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"shhc"
+	"shhc/internal/device"
+	"shhc/internal/hashdb"
 )
 
 // ExampleNewLocalCluster is the package quickstart: an in-process cluster
@@ -71,17 +73,22 @@ func ExampleCluster_LookupOrInsert() {
 // A lookup is a batch of one, and a deadline acts between device
 // operations: a read already issued completes (one lookup behind one slow
 // read returns its answer, late), the next is never issued. So the example
-// stores 64 fingerprints, then asks for them again over a modeled HDD with
-// real sleeps — a 6 ms seek each, sixteen at a time — and gets
-// context.DeadlineExceeded back after the reads in flight, not after all 64.
-// The same context would also propagate over the wire to remote nodes.
+// stores 64 fingerprints on a node whose store sits behind a modeled hard
+// disk — a 6 ms seek a read, sixteen at a time, really slept — then asks for
+// them again and gets context.DeadlineExceeded back during the first seeks,
+// not after all 64. The same context would also propagate over the wire to
+// remote nodes.
 func ExampleCluster_Lookup_deadline() {
-	cluster, err := shhc.NewLocalCluster(shhc.ClusterOptions{
-		Nodes:        1,
-		DeviceModel:  "hdd",
-		SleepDevices: true, // modeled latency is real time.Sleep
-		CacheSize:    1,    // 0 would select the default; one entry sends reads to the device
+	hdd := device.Model{Name: "hdd", ReadBase: 6 * time.Millisecond, WriteBase: 6 * time.Millisecond}
+	node, err := shhc.NewNodeForScaling(shhc.NodeConfig{
+		ID:        "node-00",
+		Store:     device.Slow(hashdb.NewMemStore(), hdd),
+		CacheSize: 1, // 0 would select the default; one entry sends reads to the device
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	cluster, err := shhc.NewCluster(shhc.ClusterConfig{}, node)
 	if err != nil {
 		log.Fatal(err)
 	}

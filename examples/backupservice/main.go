@@ -35,7 +35,7 @@ func run() error {
 		id := shhc.NodeID(fmt.Sprintf("node-%02d", i))
 		srv, err := shhc.StartNodeServer("127.0.0.1:0", shhc.NodeConfig{
 			ID:            id,
-			Store:         hashdb.NewMemStore(nil),
+			Store:         hashdb.NewMemStore(),
 			CacheSize:     1 << 14,
 			BloomExpected: 1 << 18,
 		})

@@ -26,7 +26,7 @@ func main() {
 func newNode(id string) (shhc.Backend, error) {
 	return shhc.NewNodeForScaling(shhc.NodeConfig{
 		ID:            shhc.NodeID(id),
-		Store:         hashdb.NewMemStore(nil),
+		Store:         hashdb.NewMemStore(),
 		CacheSize:     1 << 12,
 		BloomExpected: 1 << 17,
 	})

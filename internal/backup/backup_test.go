@@ -30,7 +30,7 @@ func newPipeline(t *testing.T, nodes int) *pipeline {
 	for i := range backends {
 		node, err := core.NewNode(core.NodeConfig{
 			ID:            ring.NodeID(fmt.Sprintf("n%d", i)),
-			Store:         hashdb.NewMemStore(nil),
+			Store:         hashdb.NewMemStore(),
 			CacheSize:     512,
 			BloomExpected: 100000,
 		})

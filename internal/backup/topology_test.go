@@ -28,7 +28,7 @@ func TestFullFigure2Topology(t *testing.T) {
 	for i := range backends {
 		node, err := core.NewNode(core.NodeConfig{
 			ID:            ring.NodeID(fmt.Sprintf("n%d", i)),
-			Store:         hashdb.NewMemStore(nil),
+			Store:         hashdb.NewMemStore(),
 			CacheSize:     1 << 12,
 			BloomExpected: 1 << 16,
 		})

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"shhc/internal/core"
-	"shhc/internal/device"
 	"shhc/internal/fingerprint"
 	"shhc/internal/hashdb"
 	"shhc/internal/ring"
@@ -25,14 +24,13 @@ import (
 )
 
 // buildLocalCluster assembles an in-process cluster of n hybrid nodes with
-// memory-backed stores charged at SSD rates (Account mode: fast but
-// honestly metered).
+// memory-backed stores.
 func buildLocalCluster(n, cacheSize, expected int) (*core.Cluster, error) {
 	backends := make([]core.Backend, 0, n)
 	for i := 0; i < n; i++ {
 		node, err := core.NewNode(core.NodeConfig{
 			ID:            ring.NodeID(fmt.Sprintf("node-%02d", i)),
-			Store:         hashdb.NewMemStore(device.New(device.SSD, device.Account)),
+			Store:         hashdb.NewMemStore(),
 			CacheSize:     cacheSize,
 			BloomExpected: expected,
 		})
@@ -68,7 +66,7 @@ func buildTCPCluster(n, cacheSize, expected, connsPerNode int) (*tcpCluster, err
 		id := ring.NodeID(fmt.Sprintf("node-%02d", i))
 		node, err := core.NewNode(core.NodeConfig{
 			ID:            id,
-			Store:         hashdb.NewMemStore(device.New(device.SSD, device.Account)),
+			Store:         hashdb.NewMemStore(),
 			CacheSize:     cacheSize,
 			BloomExpected: expected,
 		})

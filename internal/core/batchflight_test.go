@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"shhc/internal/device"
 	"shhc/internal/fingerprint"
 	"shhc/internal/hashdb"
 	"shhc/internal/ring"
@@ -24,7 +23,7 @@ type gatedBatchStore struct {
 }
 
 func newGatedBatchStore() *gatedBatchStore {
-	return &gatedBatchStore{MemStore: hashdb.NewMemStore(nil), gate: make(chan struct{}), entered: make(chan int, 8)}
+	return &gatedBatchStore{MemStore: hashdb.NewMemStore(), gate: make(chan struct{}), entered: make(chan int, 8)}
 }
 
 func (g *gatedBatchStore) GetBatch(ctx context.Context, fps []fingerprint.Fingerprint) ([]hashdb.Value, []bool, error) {
@@ -188,7 +187,7 @@ func TestCancelledBatchRidersRerun(t *testing.T) {
 // scratch and its page, mostly — so the bounds are loose: they fail at one
 // allocation per four keys.
 func TestAllocNodeBatchMiss(t *testing.T) {
-	db, err := hashdb.Create(filepath.Join(t.TempDir(), "alloc.shdb"), hashdb.Options{Device: device.New(device.Null, device.Account)})
+	db, err := hashdb.Create(filepath.Join(t.TempDir(), "alloc.shdb"), hashdb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func cachedCluster(t testing.TB, nodes int, cfg ClusterConfig) *Cluster {
 	for i := range backends {
 		n, err := NewNode(NodeConfig{
 			ID:            ring.NodeID(fmt.Sprintf("node-%d", i)),
-			Store:         hashdb.NewMemStore(nil),
+			Store:         hashdb.NewMemStore(),
 			CacheSize:     1 << 13,
 			BloomExpected: 1 << 16,
 		})

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"shhc/internal/device"
 	"shhc/internal/hashdb"
 	"shhc/internal/ring"
 )
@@ -18,7 +17,7 @@ func benchNode(b *testing.B, cacheSize int, noBloom bool) *Node {
 	b.Helper()
 	n, err := NewNode(NodeConfig{
 		ID:            "bench",
-		Store:         hashdb.NewMemStore(nil),
+		Store:         hashdb.NewMemStore(),
 		CacheSize:     cacheSize,
 		noBloom:       noBloom,
 		BloomExpected: 1 << 21,
@@ -123,7 +122,7 @@ func BenchmarkNodeBatchMiss(b *testing.B) {
 	const batch, cache = 1024, 1 << 16
 	for _, mode := range []string{"store-hit", "all-new"} {
 		b.Run(mode, func(b *testing.B) {
-			db, err := hashdb.Create(filepath.Join(b.TempDir(), "bench.shdb"), hashdb.Options{Device: device.New(device.Null, device.Account)})
+			db, err := hashdb.Create(filepath.Join(b.TempDir(), "bench.shdb"), hashdb.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -174,7 +173,7 @@ func BenchmarkNodeBatchMiss(b *testing.B) {
 // parked on them, and run at full depth for it.
 func BenchmarkForegroundUnderWave(b *testing.B) {
 	const batch, cache, period, think = 1024, 1 << 16, 500 * time.Microsecond, 2 * time.Millisecond
-	db, err := hashdb.Create(filepath.Join(b.TempDir(), "bench.shdb"), hashdb.Options{Device: device.New(device.Null, device.Account)})
+	db, err := hashdb.Create(filepath.Join(b.TempDir(), "bench.shdb"), hashdb.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -257,7 +256,7 @@ func BenchmarkNodeLookupParallel(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			n, err := NewNode(NodeConfig{
 				ID:            "parallel",
-				Store:         hashdb.NewMemStore(nil),
+				Store:         hashdb.NewMemStore(),
 				CacheSize:     1 << 16,
 				BloomExpected: 1 << 17,
 				stripes:       cfg.stripes,
@@ -313,7 +312,7 @@ func BenchmarkClusterRoutingOverhead(b *testing.B) {
 	for i := range backends {
 		n, err := NewNode(NodeConfig{
 			ID:            ring.NodeID(fmt.Sprintf("n%d", i)),
-			Store:         hashdb.NewMemStore(nil),
+			Store:         hashdb.NewMemStore(),
 			CacheSize:     1 << 12,
 			BloomExpected: 1 << 20,
 		})

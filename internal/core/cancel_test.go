@@ -166,8 +166,7 @@ func TestCancelRiderLeavesFlightIntact(t *testing.T) {
 // the store from being asked for further reads; the batch fails with the
 // context error and the node remains usable.
 func TestCancelBatchStopsDeviceReads(t *testing.T) {
-	dev := device.New(device.Model{Name: "slow", ReadBase: 20 * time.Millisecond}, device.Sleep)
-	store := hashdb.NewMemStore(dev)
+	store := device.Slow(hashdb.NewMemStore(), device.Model{Name: "slow", ReadBase: 20 * time.Millisecond})
 	n, err := NewNode(NodeConfig{
 		ID:        ring.NodeID("batch-cancel"),
 		Store:     store,
@@ -198,9 +197,8 @@ func TestCancelBatchStopsDeviceReads(t *testing.T) {
 	if elapsed > 200*time.Millisecond {
 		t.Fatalf("cancelled batch took %v; device reads were not abandoned", elapsed)
 	}
-	reads := store.Device().Stats().Reads
-	if reads >= batch {
-		t.Fatalf("store issued all %d reads despite cancellation", reads)
+	if _, keys := store.Passed(); keys >= batch {
+		t.Fatalf("store was asked for all %d keys despite cancellation", keys)
 	}
 
 	// The node must stay usable afterwards.
@@ -231,7 +229,7 @@ func (f *failingPutStore) PutBatch(_ context.Context, pairs []hashdb.Pair) ([]bo
 // failure parked by an eviction must surface on the next insert even when
 // that insert runs with a cancellable context.
 func TestCancelPathSurfacesDestageError(t *testing.T) {
-	fs := &failingPutStore{MemStore: hashdb.NewMemStore(nil)}
+	fs := &failingPutStore{MemStore: hashdb.NewMemStore()}
 	n, err := NewNode(NodeConfig{
 		ID:        ring.NodeID("wb"),
 		Store:     fs,
@@ -270,8 +268,7 @@ func TestCancelPathSurfacesDestageError(t *testing.T) {
 // all cancelled and checks the goroutine count returns to baseline: no
 // owner or rider may be left behind.
 func TestCancelStormNoGoroutineLeak(t *testing.T) {
-	dev := device.New(device.Model{Name: "slow", ReadBase: 2 * time.Millisecond}, device.Sleep)
-	store := hashdb.NewMemStore(dev)
+	store := device.Slow(hashdb.NewMemStore(), device.Model{Name: "slow", ReadBase: 2 * time.Millisecond})
 	n, err := NewNode(NodeConfig{
 		ID:        ring.NodeID("storm"),
 		Store:     store,

@@ -32,7 +32,7 @@ type heldStore struct {
 
 func newHeldStore() *heldStore {
 	// entered is buffered for more waves than any test below starts.
-	return &heldStore{MemStore: hashdb.NewMemStore(nil), entered: make(chan int, 64), release: make(chan struct{})}
+	return &heldStore{MemStore: hashdb.NewMemStore(), entered: make(chan int, 64), release: make(chan struct{})}
 }
 
 func (h *heldStore) PutBatch(ctx context.Context, pairs []hashdb.Pair) ([]bool, int, error) {
@@ -93,7 +93,7 @@ func journalFileSize(t *testing.T, path string) int64 {
 // nothing for the insert's barrier to wait for — and are still found.
 func TestCleanAheadEvictsWithoutJournal(t *testing.T) {
 	jpath := filepath.Join(t.TempDir(), "node.wal")
-	store := hashdb.NewMemStore(nil)
+	store := hashdb.NewMemStore()
 	n := cleanAheadNode(t, store, jpath)
 	defer n.Close()
 
@@ -253,7 +253,7 @@ func TestCleanAheadStalledFallsBackToJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reborn := cleanAheadNode(t, hashdb.NewMemStore(nil), crashWAL(t, dir, snap))
+	reborn := cleanAheadNode(t, hashdb.NewMemStore(), crashWAL(t, dir, snap))
 	rst, err := reborn.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +302,7 @@ func TestCleanAheadStalledFallsBackToJournal(t *testing.T) {
 func TestJournalSurvivesManyWavesUntruncated(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "node.wal")
-	inner := durableStore{hashdb.NewMemStore(nil)}
+	inner := durableStore{hashdb.NewMemStore()}
 	killable := hashdb.NewFailpoint(inner, 1<<62, nil)
 	cfg := crashNodeConfig(killable, jpath)
 	// Waves fire on the four-entry batch; the interval only has to keep the
@@ -373,7 +373,7 @@ func TestJournalSurvivesManyWavesUntruncated(t *testing.T) {
 func TestCleanAheadJournalsOverAStaleRecord(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "node.wal")
-	store := durableStore{hashdb.NewMemStore(nil)}
+	store := durableStore{hashdb.NewMemStore()}
 	n := cleanAheadNode(t, store, jpath)
 
 	target := fingerprint.FromUint64(1 << 40)

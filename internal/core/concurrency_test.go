@@ -169,7 +169,7 @@ func TestLookupBatchReadOnly(t *testing.T) {
 // enough to destage continuously and checks no entry is lost between the
 // cache and the store.
 func TestWriteBackConcurrentDestage(t *testing.T) {
-	store := hashdb.NewMemStore(nil)
+	store := hashdb.NewMemStore()
 	n := newMemNode(t, NodeConfig{Store: store, CacheSize: 64, WriteBack: true, BloomExpected: 1 << 16})
 
 	const (

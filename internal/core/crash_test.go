@@ -172,7 +172,7 @@ func nodeSweep(sched simtest.Schedule, onDisk bool, shape func(NodeConfig) NodeC
 // writes than its probe counted and then closes cleanly before its rebirth.
 func crashStore(t *testing.T, dir string, onDisk bool) hashdb.Store {
 	if !onDisk {
-		return durableStore{hashdb.NewMemStore(nil)}
+		return durableStore{hashdb.NewMemStore()}
 	}
 	db, err := hashdb.Create(filepath.Join(dir, "node.shdb"), hashdb.Options{Buckets: 4})
 	if err != nil {
@@ -214,7 +214,7 @@ func nodeKill(t *testing.T, sched simtest.Schedule, onDisk bool, shape func(Node
 		}
 	}
 	if onDisk {
-		if inner, err = hashdb.Open(filepath.Join(dir, "node.shdb"), nil); err != nil {
+		if inner, err = hashdb.Open(filepath.Join(dir, "node.shdb")); err != nil {
 			t.Fatalf("hashdb.Open after the crash: %v", err)
 		}
 	}
@@ -326,13 +326,13 @@ func TestReplicatedCrashKillOwnerAtEveryWrite(t *testing.T) {
 		Floor:   crashInserts / 2,
 		Through: crashInserts + crashCache/2,
 		Probe: func(t *testing.T) int64 {
-			probe := hashdb.NewFailpoint(hashdb.NewMemStore(nil), math.MaxInt64, nil)
+			probe := hashdb.NewFailpoint(hashdb.NewMemStore(), math.MaxInt64, nil)
 			c, _, _ := run(t, probe)
 			c.Close() // flushes the owner's destage tail through the probe store
 			return probe.Writes()
 		},
 		Kill: func(t *testing.T, kill int64, _ int) {
-			c, b, m := run(t, hashdb.NewFailpoint(hashdb.NewMemStore(nil), kill, nil))
+			c, b, m := run(t, hashdb.NewFailpoint(hashdb.NewMemStore(), kill, nil))
 			defer c.Close() // errors expected after a kill
 			if err := m.Check(lookupVia(b), simtest.Excuse{}); err != nil {
 				t.Fatalf("survivor: %v", err)
@@ -372,7 +372,7 @@ func buildReplicatedPair(t *testing.T, storeA hashdb.Store, journalA string) (*C
 	}
 	b, err := NewNode(NodeConfig{
 		ID:            ring.NodeID("node-1"),
-		Store:         hashdb.NewMemStore(nil),
+		Store:         hashdb.NewMemStore(),
 		CacheSize:     256,
 		BloomExpected: 1 << 12,
 	})

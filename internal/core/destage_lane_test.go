@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"shhc/internal/device"
 	"shhc/internal/hashdb"
 	"shhc/internal/parallel"
 )
@@ -80,7 +79,7 @@ func (s *laneStore) lanes() []bool {
 
 func TestDestageWaveLanes(t *testing.T) {
 	t.Run("threshold, then Flush, then Close", func(t *testing.T) {
-		store := &laneStore{MemStore: hashdb.NewMemStore(nil)}
+		store := &laneStore{MemStore: hashdb.NewMemStore()}
 		n := cleanAheadNode(t, store, "")
 		insertRange(t, n, 0, caWave)
 		waitUntil(t, "the threshold wave cleaned its entries", func() bool { return n.cache.DirtyLen() == 0 })
@@ -98,7 +97,7 @@ func TestDestageWaveLanes(t *testing.T) {
 	})
 
 	t.Run("interval", func(t *testing.T) {
-		store := &laneStore{MemStore: hashdb.NewMemStore(nil)}
+		store := &laneStore{MemStore: hashdb.NewMemStore()}
 		n := newMemNode(t, NodeConfig{
 			Store: store, CacheSize: 8, WriteBack: true,
 			DestageBatch: 1 << 20, DestageQueue: 1 << 20, DestageInterval: time.Millisecond,
@@ -114,7 +113,7 @@ func TestDestageWaveLanes(t *testing.T) {
 		old := journalCheckpointBytes
 		journalCheckpointBytes = 1024
 		defer func() { journalCheckpointBytes = old }()
-		store := &laneStore{MemStore: hashdb.NewMemStore(nil)}
+		store := &laneStore{MemStore: hashdb.NewMemStore()}
 		// Neither threshold nor interval can fire: only the checkpoint does.
 		n := stalledJournalNode(t, store, filepath.Join(t.TempDir(), "node.wal"), 8)
 		defer n.Close()
@@ -126,7 +125,7 @@ func TestDestageWaveLanes(t *testing.T) {
 	})
 
 	t.Run("full buffer", func(t *testing.T) {
-		store := &laneStore{MemStore: hashdb.NewMemStore(nil), entered: make(chan struct{}, 64), release: make(chan struct{})}
+		store := &laneStore{MemStore: hashdb.NewMemStore(), entered: make(chan struct{}, 64), release: make(chan struct{})}
 		n := newMemNode(t, NodeConfig{
 			Store: store, CacheSize: 8, WriteBack: true,
 			DestageBatch: 4, DestageQueue: 4, DestageInterval: time.Hour,
@@ -166,7 +165,7 @@ func TestDestageWaveLanes(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			store := &laneStore{MemStore: hashdb.NewMemStore(nil), entered: make(chan struct{}, 64), release: make(chan struct{})}
+			store := &laneStore{MemStore: hashdb.NewMemStore(), entered: make(chan struct{}, 64), release: make(chan struct{})}
 			n := newMemNode(t, NodeConfig{
 				Store: store, CacheSize: 8, WriteBack: true,
 				DestageBatch: 4, DestageQueue: 4, DestageInterval: time.Hour,
@@ -222,7 +221,7 @@ func TestForegroundBatchUnderWave(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := &gatedFile{File: osf, arm: make(chan struct{}), release: make(chan struct{}), parked: make(chan struct{})}
-	db, err := hashdb.CreateFile(f, path, hashdb.Options{Device: device.New(device.Null, device.Account)})
+	db, err := hashdb.CreateFile(f, path, hashdb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestDestageDurabilityCloseReopen(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	db2, err := hashdb.Open(path, nil)
+	db2, err := hashdb.Open(path)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -64,7 +64,7 @@ func TestDestageDurabilityCloseReopen(t *testing.T) {
 // TestDestageDurabilityFlush checks Flush (the node's Sync) drains the
 // destage buffer fully: after it returns, every entry is in the store.
 func TestDestageDurabilityFlush(t *testing.T) {
-	store := hashdb.NewMemStore(nil)
+	store := hashdb.NewMemStore()
 	n := newMemNode(t, NodeConfig{
 		Store:         store,
 		CacheSize:     32,
@@ -132,7 +132,7 @@ func (g *gatedWriteStore) PutBatch(_ context.Context, pairs []hashdb.Pair) ([]bo
 // must still complete, with the evicted entries answerable from the dirty
 // buffer, and only a later drain performs the writes.
 func TestDestageNoDeviceIOUnderCacheLock(t *testing.T) {
-	gs := &gatedWriteStore{MemStore: hashdb.NewMemStore(nil), gate: make(chan struct{})}
+	gs := &gatedWriteStore{MemStore: hashdb.NewMemStore(), gate: make(chan struct{})}
 	n, err := NewNode(NodeConfig{
 		ID:            ring.NodeID("gated"),
 		Store:         gs,
@@ -194,7 +194,7 @@ func TestDestageNoDeviceIOUnderCacheLock(t *testing.T) {
 // waves under no caller context. Every insert that was acknowledged before
 // the cancellation must be durable after Flush.
 func TestDestageMidDrainCancellation(t *testing.T) {
-	store := hashdb.NewMemStore(nil)
+	store := hashdb.NewMemStore()
 	n := newMemNode(t, NodeConfig{
 		Store:           store,
 		CacheSize:       16,
@@ -385,7 +385,7 @@ func (f *flakyPutStore) PutBatch(_ context.Context, pairs []hashdb.Pair) ([]bool
 // its entries — they are re-queued (still answerable from the buffer) and
 // land durably once the store recovers. The parked error still surfaces.
 func TestDestageTransientFailureRetries(t *testing.T) {
-	fs := &flakyPutStore{MemStore: hashdb.NewMemStore(nil)}
+	fs := &flakyPutStore{MemStore: hashdb.NewMemStore()}
 	fs.remaining.Store(1) // exactly the first wave fails
 	n, err := NewNode(NodeConfig{
 		ID:              ring.NodeID("flaky"),
@@ -427,7 +427,7 @@ func TestDestageTransientFailureRetries(t *testing.T) {
 // TestDestageBackpressure bounds the buffer tightly and hammers it: no
 // insert may be lost even when evictions must repeatedly block for space.
 func TestDestageBackpressure(t *testing.T) {
-	store := hashdb.NewMemStore(nil)
+	store := hashdb.NewMemStore()
 	n := newMemNode(t, NodeConfig{
 		Store:           store,
 		CacheSize:       8,
@@ -471,7 +471,7 @@ func TestDestageBackpressure(t *testing.T) {
 // acknowledged, the fingerprint must answer as a duplicate from whichever
 // tier currently holds it (cache, dirty buffer, or store).
 func TestDestageConcurrentLookupsRace(t *testing.T) {
-	store := hashdb.NewMemStore(nil)
+	store := hashdb.NewMemStore()
 	n := newMemNode(t, NodeConfig{
 		Store:           store,
 		CacheSize:       16,
@@ -528,7 +528,7 @@ func TestDestageConcurrentLookupsRace(t *testing.T) {
 func BenchmarkNodeWriteBackDestage(b *testing.B) {
 	n, err := NewNode(NodeConfig{
 		ID:            "bench-wb",
-		Store:         hashdb.NewMemStore(nil),
+		Store:         hashdb.NewMemStore(),
 		CacheSize:     1 << 10,
 		WriteBack:     true,
 		BloomExpected: 1 << 21,

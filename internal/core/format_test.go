@@ -68,7 +68,7 @@ func TestGoldenCrashImageOpenAndReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db, err := hashdb.Open(filepath.Join(dir, "golden.shdb"), nil)
+	db, err := hashdb.Open(filepath.Join(dir, "golden.shdb"))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

@@ -44,7 +44,7 @@ func TestJournalReplayRecoversBufferedEvictions(t *testing.T) {
 	jpath := filepath.Join(dir, "node.wal")
 	const cache, inserts = 8, 64
 
-	n := stalledJournalNode(t, hashdb.NewMemStore(nil), jpath, cache)
+	n := stalledJournalNode(t, hashdb.NewMemStore(), jpath, cache)
 	for i := uint64(0); i < inserts; i++ {
 		if _, err := n.LookupOrInsert(context.Background(), fp(i), Value(i+7)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
@@ -60,7 +60,7 @@ func TestJournalReplayRecoversBufferedEvictions(t *testing.T) {
 	n.Close()
 
 	// A brand-new store: what survives can only come from the journal.
-	n2 := stalledJournalNode(t, hashdb.NewMemStore(nil), crashWAL(t, dir, snap), cache)
+	n2 := stalledJournalNode(t, hashdb.NewMemStore(), crashWAL(t, dir, snap), cache)
 	defer n2.Close()
 
 	st, err := n2.Stats(context.Background())
@@ -88,7 +88,7 @@ func TestJournalReplayRecoversBufferedEvictions(t *testing.T) {
 func TestJournalTruncatesAfterQuiesce(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "node.wal")
-	store := hashdb.NewMemStore(nil)
+	store := hashdb.NewMemStore()
 	n, err := NewNode(NodeConfig{
 		ID:            "jnl-node",
 		Store:         store,
@@ -140,7 +140,7 @@ func TestJournalTombstoneStopsResurrection(t *testing.T) {
 	jpath := filepath.Join(dir, "node.wal")
 	const cache = 4
 
-	n := stalledJournalNode(t, hashdb.NewMemStore(nil), jpath, cache)
+	n := stalledJournalNode(t, hashdb.NewMemStore(), jpath, cache)
 	// Insert the victim, then enough to evict it into the buffer/journal.
 	victim := fp(1000)
 	if _, err := n.LookupOrInsert(context.Background(), victim, Value(42)); err != nil {
@@ -160,7 +160,7 @@ func TestJournalTombstoneStopsResurrection(t *testing.T) {
 	}
 	n.Close()
 
-	n2 := stalledJournalNode(t, hashdb.NewMemStore(nil), crashWAL(t, dir, snap), cache)
+	n2 := stalledJournalNode(t, hashdb.NewMemStore(), crashWAL(t, dir, snap), cache)
 	defer n2.Close()
 	r, err := n2.Lookup(context.Background(), victim)
 	if err != nil {
@@ -178,7 +178,7 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	jpath := filepath.Join(dir, "node.wal")
 	const cache, inserts = 8, 40
 
-	n := stalledJournalNode(t, hashdb.NewMemStore(nil), jpath, cache)
+	n := stalledJournalNode(t, hashdb.NewMemStore(), jpath, cache)
 	for i := uint64(0); i < inserts; i++ {
 		if _, err := n.LookupOrInsert(context.Background(), fp(i), Value(i)); err != nil {
 			t.Fatal(err)
@@ -195,7 +195,7 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	if len(snap) < 8+2*torn {
 		t.Fatalf("journal too small to tear: %d bytes", len(snap))
 	}
-	n2 := stalledJournalNode(t, hashdb.NewMemStore(nil), crashWAL(t, dir, snap[:len(snap)-torn]), cache)
+	n2 := stalledJournalNode(t, hashdb.NewMemStore(), crashWAL(t, dir, snap[:len(snap)-torn]), cache)
 	defer n2.Close()
 	st, err := n2.Stats(context.Background())
 	if err != nil {
@@ -225,7 +225,7 @@ func TestJournalCoalescedOverwriteKeepsNewest(t *testing.T) {
 	jpath := filepath.Join(dir, "node.wal")
 	const cache = 4
 
-	n := stalledJournalNode(t, hashdb.NewMemStore(nil), jpath, cache)
+	n := stalledJournalNode(t, hashdb.NewMemStore(), jpath, cache)
 	target := fp(5000)
 	if err := n.Insert(context.Background(), target, Value(1)); err != nil {
 		t.Fatal(err)
@@ -249,7 +249,7 @@ func TestJournalCoalescedOverwriteKeepsNewest(t *testing.T) {
 	}
 	n.Close()
 
-	n2 := stalledJournalNode(t, hashdb.NewMemStore(nil), crashWAL(t, dir, snap), cache)
+	n2 := stalledJournalNode(t, hashdb.NewMemStore(), crashWAL(t, dir, snap), cache)
 	defer n2.Close()
 	r, err := n2.Lookup(context.Background(), target)
 	if err != nil || !r.Exists {
@@ -271,7 +271,7 @@ func TestJournalCheckpointBoundsGrowth(t *testing.T) {
 
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "node.wal")
-	store := hashdb.NewMemStore(nil)
+	store := hashdb.NewMemStore()
 	// Waves would normally never fire (huge batch, huge interval): only
 	// the checkpoint can truncate.
 	n := stalledJournalNode(t, store, jpath, 8)
@@ -362,7 +362,7 @@ func FuzzJournalReplay(f *testing.F) {
 				delete(want, r.fp)
 			}
 		}
-		store := durableStore{hashdb.NewMemStore(nil)}
+		store := durableStore{hashdb.NewMemStore()}
 		for round := range 2 {
 			n := stalledJournalNode(t, store, crashWAL(t, dir, wal), 8)
 			st, err := n.Stats(context.Background())

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"shhc/internal/device"
 	"shhc/internal/fingerprint"
 	"shhc/internal/hashdb"
 )
@@ -100,7 +99,7 @@ func assertStatsInvariant(t *testing.T, n *Node) NodeStats {
 // the cache it installs) rather than issue their own — one device read
 // total.
 func TestAsyncProbeCoalescing(t *testing.T) {
-	hs := &hookStore{Store: hashdb.NewMemStore(nil), getGate: make(chan struct{})}
+	hs := &hookStore{Store: hashdb.NewMemStore(), getGate: make(chan struct{})}
 	if _, err := hs.Store.Put(fp(1), 42); err != nil {
 		t.Fatalf("seed: %v", err)
 	}
@@ -149,7 +148,7 @@ func TestAsyncProbeCoalescing(t *testing.T) {
 // fingerprint arrive: exactly one insert may happen, every other caller
 // must see a duplicate with the winner's value.
 func TestAsyncExactlyOnceInsert(t *testing.T) {
-	hs := &hookStore{Store: hashdb.NewMemStore(nil), putGate: make(chan struct{})}
+	hs := &hookStore{Store: hashdb.NewMemStore(), putGate: make(chan struct{})}
 	n := newMemNode(t, NodeConfig{Store: hs, CacheSize: 16})
 
 	const writers = 8
@@ -202,7 +201,7 @@ func TestAsyncExactlyOnceInsert(t *testing.T) {
 // fingerprint, and insert exactly once.
 func TestAsyncReadOnlyMissThenInsert(t *testing.T) {
 	gate := make(chan struct{})
-	hs := &hookStore{Store: hashdb.NewMemStore(nil), getGate: gate}
+	hs := &hookStore{Store: hashdb.NewMemStore(), getGate: gate}
 	n := newMemNode(t, NodeConfig{Store: hs, CacheSize: 16, noBloom: true})
 
 	var (
@@ -243,7 +242,7 @@ func TestAsyncReadOnlyMissThenInsert(t *testing.T) {
 // to the owner and to every waiter that joined the flight, and count no
 // lookup.
 func TestAsyncStoreErrorPropagates(t *testing.T) {
-	hs := &hookStore{Store: hashdb.NewMemStore(nil), getGate: make(chan struct{})}
+	hs := &hookStore{Store: hashdb.NewMemStore(), getGate: make(chan struct{})}
 	hs.failGets.Store(true)
 	n := newMemNode(t, NodeConfig{Store: hs, CacheSize: 16, noBloom: true})
 
@@ -277,7 +276,7 @@ func TestAsyncStoreErrorPropagates(t *testing.T) {
 // flight land against the open store; the probing caller gets its answer,
 // later callers get the closed error.
 func TestCloseWaitsForInflightProbes(t *testing.T) {
-	hs := &hookStore{Store: hashdb.NewMemStore(nil), getGate: make(chan struct{})}
+	hs := &hookStore{Store: hashdb.NewMemStore(), getGate: make(chan struct{})}
 	if _, err := hs.Store.Put(fp(5), 55); err != nil {
 		t.Fatalf("seed: %v", err)
 	}
@@ -348,11 +347,10 @@ func TestBatchAsyncDuplicateFingerprints(t *testing.T) {
 }
 
 // TestBatchAsyncCoalescesDeviceReads runs a cold-cache batch against the
-// on-disk hash table and checks the device was charged roughly one read
-// per bucket page, not one per fingerprint — the payoff of GetBatch.
+// on-disk hash table and checks it read roughly one page per bucket page,
+// not one per fingerprint — the payoff of GetBatch.
 func TestBatchAsyncCoalescesDeviceReads(t *testing.T) {
-	dev := device.New(device.SSD, device.Account)
-	db, err := hashdb.Create(filepath.Join(t.TempDir(), "batch.db"), hashdb.Options{Buckets: 32, Device: dev})
+	db, err := hashdb.Create(filepath.Join(t.TempDir(), "batch.db"), hashdb.Options{Buckets: 32})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -376,12 +374,12 @@ func TestBatchAsyncCoalescesDeviceReads(t *testing.T) {
 	for i := range fps {
 		fps[i] = fp(uint64(i))
 	}
-	before := dev.Stats().Reads
+	before := db.Stats().Device.Reads
 	rs, err := n.LookupBatch(context.Background(), fps)
 	if err != nil {
 		t.Fatalf("LookupBatch: %v", err)
 	}
-	reads := dev.Stats().Reads - before
+	reads := db.Stats().Device.Reads - before
 	for i, r := range rs {
 		if !r.Exists || r.Value != Value(i+1) {
 			t.Fatalf("item %d = %+v, want exists value %d", i, r, i+1)
@@ -389,10 +387,10 @@ func TestBatchAsyncCoalescesDeviceReads(t *testing.T) {
 	}
 	pages := int64(db.Stats().Pages)
 	if reads > pages {
-		t.Fatalf("batch charged %d device reads for a %d-page table; want one read per page at most", reads, pages)
+		t.Fatalf("batch read %d pages of a %d-page table; want one read per page at most", reads, pages)
 	}
 	if reads*4 > count {
-		t.Fatalf("batch charged %d reads for %d fingerprints; want at least 4x coalescing", reads, count)
+		t.Fatalf("batch read %d pages for %d fingerprints; want at least 4x coalescing", reads, count)
 	}
 	assertStatsInvariant(t, n)
 }
@@ -400,7 +398,7 @@ func TestBatchAsyncCoalescesDeviceReads(t *testing.T) {
 // TestAsyncWriteBackBatch drives the write-back arm through the batch
 // pipeline and checks nothing is lost between cache and store.
 func TestAsyncWriteBackBatch(t *testing.T) {
-	store := hashdb.NewMemStore(nil)
+	store := hashdb.NewMemStore()
 	n := newMemNode(t, NodeConfig{Store: store, CacheSize: 64, WriteBack: true, BloomExpected: 1 << 12})
 	const count = 1000
 	pairs := make([]Pair, count)

@@ -15,7 +15,7 @@ func newNamedNode(t *testing.T, id string) *Node {
 	t.Helper()
 	n, err := NewNode(NodeConfig{
 		ID:            ring.NodeID(id),
-		Store:         hashdb.NewMemStore(nil),
+		Store:         hashdb.NewMemStore(),
 		CacheSize:     128,
 		BloomExpected: 1 << 16,
 	})
@@ -56,7 +56,7 @@ func TestNodeEntriesAndRemove(t *testing.T) {
 }
 
 func TestEntriesIncludesWriteBackState(t *testing.T) {
-	store := hashdb.NewMemStore(nil)
+	store := hashdb.NewMemStore()
 	n, err := NewNode(NodeConfig{ID: "wb", Store: store, CacheSize: 1024, WriteBack: true, BloomExpected: 4096})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)

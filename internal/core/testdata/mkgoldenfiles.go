@@ -34,7 +34,7 @@ const (
 
 func open(dir string) (*hashdb.DB, *core.Node) {
 	path := filepath.Join(dir, "golden.shdb")
-	db, err := hashdb.Open(path, nil)
+	db, err := hashdb.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		// Three buckets for 640 entries: the table splits, so the image
 		// holds a directory page.

@@ -1,18 +1,14 @@
-// Package device models the latency of the storage hardware SHHC runs on.
+// Package device models the latency of hardware this host does not have.
 //
-// The paper evaluates on machines with a SATA II SSD holding the hash table
-// and contrasts against hard-disk indexes whose seek time dominates random
-// lookups. This environment has neither device, so every store charges its
-// random I/Os to a Model that reproduces the device's latency profile —
-// either by sleeping (live cluster benchmarks) or by pure accounting
-// (discrete-event simulation). Only latency *shape* matters for the paper's
-// claims: SSD random reads are ~100x faster than HDD seeks, and RAM is ~100x
-// faster again.
+// A Device charges operations to a Model, by accounting only or by
+// sleeping; cloudsim's WAN link is one. Slow puts a Model in front of a
+// hashdb.Store, for tests and experiments that need an index device slower
+// than this host's. The index itself models nothing: hashdb counts the pages
+// its file moves, and its latency is the file's.
 package device
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -29,22 +25,6 @@ type Model struct {
 	PerByte time.Duration
 }
 
-// Predefined models. Values follow the devices in the paper's testbed
-// (SATA II SSD, 7200rpm HDD baseline, DRAM) at the granularity the
-// evaluation needs: relative order-of-magnitude gaps.
-var (
-	// SSD models a SATA II flash drive: ~60us random 4K read, writes
-	// roughly 3x slower, ~250 MB/s transfer.
-	SSD = Model{Name: "ssd", ReadBase: 60 * time.Microsecond, WriteBase: 180 * time.Microsecond, PerByte: 4 * time.Nanosecond}
-	// HDD models a 7200rpm SATA disk: ~6ms seek+rotate per random I/O,
-	// ~100 MB/s transfer.
-	HDD = Model{Name: "hdd", ReadBase: 6 * time.Millisecond, WriteBase: 6 * time.Millisecond, PerByte: 10 * time.Nanosecond}
-	// RAM models DRAM access as seen by a hash-table probe.
-	RAM = Model{Name: "ram", ReadBase: 200 * time.Nanosecond, WriteBase: 200 * time.Nanosecond, PerByte: 0}
-	// Null charges nothing; used when real hardware timing is wanted.
-	Null = Model{Name: "null"}
-)
-
 // ReadLatency returns the modeled duration of one random read of n bytes.
 func (m Model) ReadLatency(n int) time.Duration {
 	return m.ReadBase + time.Duration(n)*m.PerByte
@@ -59,8 +39,8 @@ func (m Model) WriteLatency(n int) time.Duration {
 type Mode int
 
 const (
-	// Account only accumulates modeled time; callers never block. The
-	// discrete-event simulator and unit tests use this mode.
+	// Account only accumulates modeled time; callers never block.
+	// cloudsim's default network uses this mode.
 	Account Mode = iota + 1
 	// Sleep blocks the calling goroutine for the modeled duration, so a
 	// live cluster behaves as if the device were attached.
@@ -80,9 +60,6 @@ type Device struct {
 	readBytes  atomic.Int64
 	writeBytes atomic.Int64
 	busy       atomic.Int64 // nanoseconds of modeled device time
-
-	mu    sync.Mutex
-	nowNS int64 // virtual clock for Account mode, monotone
 }
 
 // New creates a Device with the given latency model and mode.
@@ -145,20 +122,4 @@ func (d *Device) Stats() Stats {
 func (s Stats) String() string {
 	return fmt.Sprintf("reads=%d writes=%d readB=%d writeB=%d busy=%v",
 		s.Reads, s.Writes, s.ReadBytes, s.WriteBytes, s.Busy)
-}
-
-// ModelByName resolves a profile name ("ssd", "hdd", "ram", "null") to its
-// Model, for command-line flags.
-func ModelByName(name string) (Model, error) {
-	switch name {
-	case "ssd":
-		return SSD, nil
-	case "hdd":
-		return HDD, nil
-	case "ram":
-		return RAM, nil
-	case "null", "":
-		return Null, nil
-	}
-	return Model{}, fmt.Errorf("device: unknown model %q (want ssd|hdd|ram|null)", name)
 }

@@ -108,8 +108,8 @@ func (sc *groupScratch) group(n int, idxs []int32, bound uint64, keyOf func(int)
 }
 
 // unit is the runs one worker takes under one lock hold: the runs of one
-// stripe block for the on-disk table (at most 1<<stripeShift chains), one
-// shard for MemStore. Run r is items[starts[r]:starts[r+1]].
+// stripe block (at most 1<<stripeShift chains). Run r is
+// items[starts[r]:starts[r+1]].
 type unit struct {
 	items  []keyed
 	starts []int32
@@ -298,11 +298,10 @@ const blockingChain = 30 * time.Microsecond
 
 // eachUnit calls fn for every unit of the grouping — the runs whose keys
 // agree above the low shift bits — up to parallel.IODepth units at a time, so
-// modeled (Sleep-mode) devices overlap page I/O the way real flash channels
-// do. A worker takes whole units, about maxChunkRuns runs of them a pull once
-// there are many, and makes all of them with one scratch: a batch of a
-// thousand one-key chains is not a thousand trips to a mutex and a pool. The
-// first chunk times its units and, if even the fastest chain blocked (a
+// page I/O that blocks overlaps up to a device's queue depth. A worker takes
+// whole units, about maxChunkRuns runs of them a pull once there are many,
+// and makes all of them with one scratch: a batch of a thousand one-key
+// chains is not a thousand trips to a mutex and a pool. The first chunk times its units and, if even the fastest chain blocked (a
 // preempted unit is not the fastest), says so: parallel.Widen.
 func (sc *groupScratch) eachUnit(ctx context.Context, shift uint, fn func(cs *chainScratch, u unit) error) error {
 	runs := len(sc.starts) - 1
@@ -371,8 +370,8 @@ func (s *staleList) take() (idxs []int32) {
 // stripe is locked — the mapping is stable under the lock, so the filter is
 // authoritative — the others are reported stale, and the head pages of the
 // chains that keep items are read into the slab, one file call per run of
-// consecutive page numbers. Cancelling ctx stops it before any page's device
-// charge; nothing has changed by then.
+// consecutive page numbers. Cancelling ctx stops it before a read call;
+// nothing has changed by then.
 func (db *DB) stageUnit(ctx context.Context, cs *chainScratch, u unit, fpOf func(int32) fingerprint.Fingerprint, stale *staleList) error {
 	cs.live, cs.chains = cs.live[:0], cs.chains[:0]
 	for r := 0; r < u.runs(); r++ {
@@ -496,45 +495,4 @@ func (db *DB) getUnit(ctx context.Context, cs *chainScratch, u unit, fps []finge
 		}
 	}
 	return nil
-}
-
-// GetBatch looks up every fingerprint. The in-RAM store has no pages to
-// coalesce, but probes still overlap across shard groups up to
-// parallel.IODepth so a MemStore charged to a Sleep-mode device exposes
-// the same device parallelism as the on-disk table — this is what keeps
-// MemStore an honest stand-in for the SSD hash table in simulations.
-// Cancelling ctx stops new device reads between probes.
-func (s *MemStore) GetBatch(ctx context.Context, fps []fingerprint.Fingerprint) ([]Value, []bool, error) {
-	vals := make([]Value, len(fps))
-	found := make([]bool, len(fps))
-	if len(fps) == 0 {
-		return vals, found, nil
-	}
-	g := getGroupScratch()
-	defer putGroupScratch(g)
-	g.group(len(fps), nil, memShards, func(i int) uint64 { return fps[i].Bucket64() & (memShards - 1) })
-	done := ctx.Done()
-	err := g.eachUnit(ctx, 0, func(_ *chainScratch, u unit) error {
-		run := u.run(0)
-		sh := s.shard(fps[run[0].idx])
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		if s.closed {
-			return ErrClosed
-		}
-		for _, it := range run {
-			if done != nil {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			s.dev.Read(entrySize)
-			vals[it.idx], found[it.idx] = sh.m[fps[it.idx]]
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return vals, found, nil
 }

@@ -7,16 +7,13 @@ import (
 	"slices"
 	"testing"
 
-	"shhc/internal/device"
 	"shhc/internal/fingerprint"
 )
 
 // TestGetBatchCoalescesPageReads is the point of the API: a batch touching
-// b distinct buckets must charge the device ~b page reads, not one per
-// fingerprint.
+// b distinct buckets must read ~b pages, not one per fingerprint.
 func TestGetBatchCoalescesPageReads(t *testing.T) {
-	dev := device.New(device.SSD, device.Account)
-	db, err := Create(filepath.Join(t.TempDir(), "coalesce.db"), Options{Buckets: 8, Device: dev})
+	db, err := Create(filepath.Join(t.TempDir(), "coalesce.db"), Options{Buckets: 8})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -31,7 +28,7 @@ func TestGetBatchCoalescesPageReads(t *testing.T) {
 		}
 	}
 
-	before := dev.Stats().Reads
+	before := db.Stats().Device.Reads
 	_, found, err := db.GetBatch(context.Background(), fps)
 	if err != nil {
 		t.Fatalf("GetBatch: %v", err)
@@ -41,24 +38,24 @@ func TestGetBatchCoalescesPageReads(t *testing.T) {
 			t.Fatalf("probe %d missing", i)
 		}
 	}
-	batchReads := dev.Stats().Reads - before
+	batchReads := db.Stats().Device.Reads - before
 
-	before = dev.Stats().Reads
+	before = db.Stats().Device.Reads
 	for _, fp := range fps {
 		if _, _, err := db.Get(fp); err != nil {
 			t.Fatalf("Get: %v", err)
 		}
 	}
-	pointReads := dev.Stats().Reads - before
+	pointReads := db.Stats().Device.Reads - before
 
 	if batchReads >= pointReads/4 {
-		t.Fatalf("GetBatch charged %d reads vs %d for point probes; want at least 4x coalescing", batchReads, pointReads)
+		t.Fatalf("GetBatch read %d pages vs %d for point probes; want at least 4x coalescing", batchReads, pointReads)
 	}
 	// 500 entries in 8 buckets overflow each bucket's page chain; the
 	// batch still reads each chain page at most once.
 	maxPages := int64(db.Stats().Pages)
 	if batchReads > maxPages {
-		t.Fatalf("GetBatch charged %d reads for a %d-page file", batchReads, maxPages)
+		t.Fatalf("GetBatch read %d pages of a %d-page file", batchReads, maxPages)
 	}
 }
 

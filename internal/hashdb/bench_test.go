@@ -10,15 +10,13 @@ import (
 	"testing"
 	"time"
 
-	"shhc/internal/device"
 	"shhc/internal/directio"
 	"shhc/internal/parallel"
 )
 
 func benchDB(b *testing.B) *DB {
 	b.Helper()
-	// Null device: measure the store's own CPU+filesystem cost.
-	db, err := Create(filepath.Join(b.TempDir(), "bench.shdb"), Options{Device: device.New(device.Null, device.Account)})
+	db, err := Create(filepath.Join(b.TempDir(), "bench.shdb"), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -64,7 +62,7 @@ func BenchmarkDBGetMiss(b *testing.B) {
 }
 
 func BenchmarkMemStorePut(b *testing.B) {
-	s := NewMemStore(device.New(device.Null, device.Account))
+	s := NewMemStore()
 	defer s.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -77,27 +75,31 @@ func BenchmarkMemStorePut(b *testing.B) {
 // BenchmarkWavePutBatch is the measurement blockingChain rests on: one op is
 // one PutBatch of `runs` one-key chains, a destage wave's shape, on either
 // lane of package parallel, over storage that does not block (the page
-// cache) and storage that does (O_DIRECT where the filesystem has it, and the
-// Sleep-mode SSD model). chain-µs is one chain alone, the fastest of 16.
+// cache) and storage that does (O_DIRECT where the filesystem has it, and a
+// file that sleeps a SATA SSD's 76 µs a page read and 196 µs a page written).
+// chain-µs is one chain alone, the fastest of 16.
 // Every table keeps the shape it starts with: a split would move the
 // chains the pairs were chosen for.
 func BenchmarkWavePutBatch(b *testing.B) {
 	pinShape(b)
-	buffered := func(dev *device.Device) func(*testing.B, string) (File, *device.Device) {
-		return func(b *testing.B, path string) (File, *device.Device) {
+	buffered := func(read, write time.Duration) func(*testing.B, string) File {
+		return func(b *testing.B, path string) File {
 			f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 			if err != nil {
 				b.Fatal(err)
 			}
-			return f, dev
+			if read > 0 {
+				return sleepFile{f, read, write}
+			}
+			return f
 		}
 	}
 	for _, backend := range []struct {
 		name string
-		open func(*testing.B, string) (File, *device.Device)
+		open func(*testing.B, string) File
 	}{
-		{"pagecache", buffered(device.New(device.Null, device.Account))},
-		{"direct", func(b *testing.B, path string) (File, *device.Device) {
+		{"pagecache", buffered(0, 0)},
+		{"direct", func(b *testing.B, path string) File {
 			f, err := directio.Open(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644, directio.Options{})
 			if err != nil {
 				b.Fatal(err)
@@ -105,16 +107,15 @@ func BenchmarkWavePutBatch(b *testing.B) {
 			if !f.Direct() {
 				b.Skip("no O_DIRECT on this filesystem")
 			}
-			return f, device.New(device.Null, device.Account)
+			return f
 		}},
-		{"ssd", buffered(device.New(device.SSD, device.Sleep))},
+		{"ssd", buffered(76*time.Microsecond, 196*time.Microsecond)},
 	} {
 		for _, runs := range []int{128, 8192} {
 			for _, lane := range []string{"foreground", "background"} {
 				b.Run(fmt.Sprintf("%s/runs=%d/%s", backend.name, runs, lane), func(b *testing.B) {
 					path := filepath.Join(b.TempDir(), "wave.shdb")
-					f, dev := backend.open(b, path)
-					db, err := CreateFile(f, path, Options{Buckets: 1 << 16, Device: dev})
+					db, err := CreateFile(backend.open(b, path), path, Options{Buckets: 1 << 16})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -154,7 +155,7 @@ func BenchmarkWavePutBatch(b *testing.B) {
 	// clock, deleting each op's appends leaves every page as it was.
 	b.Run("pagecache/pairs=22/load=0.45", func(b *testing.B) {
 		const buckets, perChain = 1 << 10, 22
-		db, err := Create(filepath.Join(b.TempDir(), "wave.shdb"), Options{Buckets: buckets, Device: device.New(device.Null, device.Account)})
+		db, err := Create(filepath.Join(b.TempDir(), "wave.shdb"), Options{Buckets: buckets})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"shhc/internal/device"
 	"shhc/internal/fingerprint"
 )
 
@@ -65,7 +64,7 @@ func callDB(t *testing.T, buckets uint64) (*DB, *callFile) {
 		t.Fatal(err)
 	}
 	f := &callFile{File: osf}
-	db, err := CreateFile(f, path, Options{Buckets: buckets, Device: device.New(device.Null, device.Account)})
+	db, err := CreateFile(f, path, Options{Buckets: buckets})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +208,7 @@ func TestPutBatchCancelledLenMatchesReopen(t *testing.T) {
 	if err := db.CloseWithoutSync(); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := Open(path, nil)
+	db2, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

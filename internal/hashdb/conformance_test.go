@@ -22,10 +22,10 @@ var stores = []struct {
 		}
 		return db
 	}},
-	{"MemStore", func(*testing.T) hashdb.Store { return hashdb.NewMemStore(nil) }},
+	{"MemStore", func(*testing.T) hashdb.Store { return hashdb.NewMemStore() }},
 	// The kill point is out of reach: this is the forwarding that is checked.
 	{"Failpoint(MemStore)", func(*testing.T) hashdb.Store {
-		return hashdb.NewFailpoint(hashdb.NewMemStore(nil), 1<<40, nil)
+		return hashdb.NewFailpoint(hashdb.NewMemStore(), 1<<40, nil)
 	}},
 }
 

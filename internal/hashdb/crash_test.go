@@ -107,7 +107,7 @@ func (s dbSweep) sweep(t *testing.T) simtest.Sweep {
 	}
 	s.Probe = func(t *testing.T) int64 {
 		path, _, ff := fresh(t, "probe.shdb", math.MaxInt64, 0)
-		db, err := OpenFile(ff, path, nil)
+		db, err := OpenFile(ff, path)
 		if err != nil {
 			t.Fatalf("probe open: %v", err)
 		}
@@ -123,7 +123,7 @@ func (s dbSweep) sweep(t *testing.T) simtest.Sweep {
 	}
 	s.Kill = func(t *testing.T, kill int64, tear int) {
 		path, f, ff := fresh(t, "run.shdb", kill, tear)
-		db, err := OpenFile(ff, path, nil)
+		db, err := OpenFile(ff, path)
 		if err != nil {
 			t.Fatalf("open on the clean template: %v", err)
 		}
@@ -142,7 +142,7 @@ func (s dbSweep) sweep(t *testing.T) simtest.Sweep {
 			t.Fatalf("schedule failed with a non-kill error: %v", err)
 		}
 
-		db2, err := OpenFile(s.open(t, path), path, nil)
+		db2, err := OpenFile(s.open(t, path), path)
 		if err != nil {
 			t.Fatalf("open after the crash: %v", err)
 		}
@@ -165,7 +165,7 @@ func (s dbSweep) sweep(t *testing.T) simtest.Sweep {
 			s.check(t, db2)
 		}
 		db2.Close()
-		db3, err := OpenFile(s.open(t, path), path, nil)
+		db3, err := OpenFile(s.open(t, path), path)
 		if err != nil {
 			t.Fatalf("second open: %v", err)
 		}
@@ -297,6 +297,59 @@ func TestCompactCrashMultiPageRepack(t *testing.T) {
 		},
 		Sweep: simtest.Sweep{Tears: everyTear},
 	}.sweep(t).Run(t)
+}
+
+// TestOverflowFromFreeListCrashInjection kills a PutBatch that grows a full
+// chain onto a page of the free list at each of its writes. A freed page stays
+// a valid empty page whose next field links the rest of the free list, so a
+// head written before that page would, killed between the two, link recovery
+// into the free list: it would adopt every page of it as an empty overflow
+// page. Written overflow page first, a kill leaves the head unlinked, and no
+// recovered chain holds an overflow page with no entries.
+func TestOverflowFromFreeListCrashInjection(t *testing.T) {
+	pinShape(t)
+	dbSweep{
+		opts: Options{Buckets: 1},
+		// A chain of 145 + 145 + 20 whose two overflow pages empty, one by
+		// one, onto the free list.
+		seed: simtest.Schedule{
+			{Kind: simtest.Put, Keys: simtest.Span(0, 2*SlotsPerPage+20)},
+			{Kind: simtest.Delete, Keys: simtest.Span(SlotsPerPage, 2*SlotsPerPage+20)},
+			{Kind: simtest.Sync},
+		},
+		sched: simtest.Schedule{
+			{Kind: simtest.PutBatch, Keys: simtest.Span(1000, 1010), Gen: 1},
+			{Kind: simtest.Sync},
+		},
+		guard: func(t *testing.T, st Stats, _ CompactStats) {
+			if st.OverflowPages != 1 || st.FreePages != 1 {
+				t.Fatalf("the batch grew %d overflow pages and left %d free, want 1 taken from a free list of 2", st.OverflowPages, st.FreePages)
+			}
+		},
+		check: func(t *testing.T, db *DB) {
+			if p := emptyOverflow(t, db); p != 0 && db.Recovery().TornPages == 0 {
+				t.Fatalf("a chain holds overflow page %d with no entries (recovery %+v)", p, db.Recovery())
+			}
+		},
+		Sweep: simtest.Sweep{Tears: everyTear},
+	}.sweep(t).Run(t)
+}
+
+// emptyOverflow returns the first overflow page of db's chains that holds no
+// entry, or 0.
+func emptyOverflow(t *testing.T, db *DB) uint64 {
+	page := make([]byte, PageSize)
+	for b := uint64(0); b < db.numBuckets(); b++ {
+		for p, head := db.bucketPageOf(b), true; p != 0; p, head = pageNext(page), false {
+			if err := db.readPage(p, page); err != nil {
+				t.Fatal(err)
+			}
+			if !head && pageCount(page) == 0 {
+				return p
+			}
+		}
+	}
+	return 0
 }
 
 // growCrashFiller is the ballast that brings the template to its trigger:

@@ -44,7 +44,7 @@ func TestDirectIOBackendServes(t *testing.T) {
 	}
 
 	f2 := openDirect(t, path, os.O_RDWR)
-	db2, err := OpenFile(f2, path, nil)
+	db2, err := OpenFile(f2, path)
 	if err != nil {
 		t.Fatalf("OpenFile over directio: %v", err)
 	}

@@ -116,7 +116,7 @@ func TestPageGarbagePastCount(t *testing.T) {
 	if err := os.WriteFile(path, file, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	db, err = Open(path, nil)
+	db, err = Open(path)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -264,7 +264,7 @@ func TestOpenRefusesFormat4(t *testing.T) {
 	if err := os.WriteFile(path, file, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	db, err := Open(path, nil)
+	db, err := Open(path)
 	var ce *CorruptionError
 	if !errors.As(err, &ce) {
 		if err == nil {

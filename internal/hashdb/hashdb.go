@@ -16,9 +16,9 @@
 //	                        pages created by splits (located via the bucket
 //	                        directory), directory pages, and free pages
 //
-// Every physical page read/write is charged to a device.Device so the
-// store's latency follows the configured hardware model (SSD in the paper's
-// deployment).
+// The table counts the pages it reads and writes (Stats().Device) and the
+// file calls that move them (ReadCalls, WriteCalls); its latency is the real
+// file's, page cache or O_DIRECT.
 package hashdb
 
 import (
@@ -34,7 +34,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"shhc/internal/device"
 	"shhc/internal/fingerprint"
 )
 
@@ -123,9 +122,6 @@ type Options struct {
 	// Buckets is the bucket count the table starts with (tests); 0 selects
 	// startBuckets. The table grows from it like from any other.
 	Buckets uint64
-	// Device charges modeled latency per page I/O. Defaults to a
-	// non-sleeping SSD accountant.
-	Device *device.Device
 }
 
 // stripeCount is the lock-stripe count (a power of two). 64 is enough to
@@ -177,7 +173,6 @@ type File interface {
 type DB struct {
 	f          File
 	path       string
-	dev        *device.Device
 	stripes    []dbStripe
 	stripeMask uint64
 
@@ -254,6 +249,9 @@ type DB struct {
 	checksumBytes atomic.Uint64
 	// readCalls and writeCalls count the file calls (pread, pwrite).
 	readCalls, writeCalls atomic.Uint64
+	// pagesRead and pagesWritten count the pages those calls move
+	// (Stats().Device).
+	pagesRead, pagesWritten atomic.Int64
 	// closed is written with every stripe write-locked and read under any
 	// stripe lock, so each operation observes it coherently.
 	closed bool
@@ -288,11 +286,8 @@ func (db *DB) observeChain(n int) {
 }
 
 // newDB is the in-memory side of a table over f, before its geometry is set.
-func newDB(f File, path string, dev *device.Device) *DB {
-	if dev == nil {
-		dev = device.New(device.SSD, device.Account)
-	}
-	db := &DB{f: f, path: path, dev: dev, stripes: make([]dbStripe, stripeCount), splitLF: splitLoadFactor}
+func newDB(f File, path string) *DB {
+	db := &DB{f: f, path: path, stripes: make([]dbStripe, stripeCount), splitLF: splitLoadFactor}
 	db.stripeMask = uint64(len(db.stripes) - 1)
 	db.dir.Store(&bucketDir{})
 	return db
@@ -312,7 +307,7 @@ func Create(path string, opts Options) (*DB, error) {
 // in messages and is removed when initialization fails. CreateFile takes
 // ownership of f.
 func CreateFile(f File, path string, opts Options) (*DB, error) {
-	db := newDB(f, path, opts.Device)
+	db := newDB(f, path)
 	db.baseBuckets = opts.Buckets
 	if db.baseBuckets == 0 {
 		db.baseBuckets = startBuckets
@@ -339,12 +334,12 @@ func CreateFile(f File, path string, opts Options) (*DB, error) {
 // runs the recovery pass (see recovery.go): torn pages are quarantined,
 // dangling overflow links cut, orphaned chain tails salvaged, and the
 // counters recomputed, so an unclean file never fails Open permanently.
-func Open(path string, dev *device.Device) (*DB, error) {
+func Open(path string) (*DB, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return nil, fmt.Errorf("hashdb: open %s: %w", path, err)
 	}
-	return OpenFile(f, path, dev)
+	return OpenFile(f, path)
 }
 
 // OpenFile is Open over an injected backing file (testing and failure
@@ -356,8 +351,8 @@ func Open(path string, dev *device.Device) (*DB, error) {
 // free list and the entry count it describes (a page whose checksum fails is
 // left for the read that touches it to report). A clean file that does not
 // is marked dirty and recovered like one a crash left behind.
-func OpenFile(f File, path string, dev *device.Device) (*DB, error) {
-	db := newDB(f, path, dev)
+func OpenFile(f File, path string) (*DB, error) {
+	db := newDB(f, path)
 	fail := func(err error) (*DB, error) {
 		f.Close()
 		return nil, err
@@ -466,7 +461,7 @@ func (db *DB) writeHeader(clean bool) error {
 	binary.BigEndian.PutUint64(buf[69:77], db.freeCount)
 	binary.BigEndian.PutUint64(buf[77:85], db.dirHead)
 	binary.BigEndian.PutUint32(buf[0:4], crc32.ChecksumIEEE(buf[4:]))
-	db.dev.Write(fileHdrSize)
+	db.pagesWritten.Add(1)
 	if _, err := db.pwrite(buf[:], int64(seq%2)*headerSlotStride); err != nil {
 		return fmt.Errorf("hashdb: %s: write header: %w", db.path, err)
 	}
@@ -545,7 +540,7 @@ func (h *header) invalid(filePages uint64) string {
 // of filePages pages.
 func (db *DB) readHeader(filePages uint64) error {
 	var slots [2][fileHdrSize]byte
-	db.dev.Read(fileHdrSize)
+	db.pagesRead.Add(1)
 	if _, err := db.pread(slots[0][:], 0); err != nil {
 		return fmt.Errorf("hashdb: %s: read header: %w", db.path, err)
 	}
@@ -608,18 +603,15 @@ func (db *DB) readPage(p uint64, buf []byte) error {
 }
 
 // readPages reads the len(buf)/PageSize consecutive pages from page p on into
-// buf with one file call and verifies each (checkPage). The device is charged
-// a read per page; cancelling ctx stops the call before the next charge.
+// buf with one file call and verifies each (checkPage). Cancelling ctx stops
+// the call before it is made.
 func (db *DB) readPages(ctx context.Context, p uint64, buf []byte) error {
-	done := ctx.Done()
-	for range len(buf) / PageSize {
-		if done != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+	if ctx.Done() != nil {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		db.dev.Read(PageSize)
 	}
+	db.pagesRead.Add(int64(len(buf) / PageSize))
 	if _, err := db.pread(buf, int64(p)*PageSize); err != nil {
 		return fmt.Errorf("hashdb: %s: read page %d: %w", db.path, p, err)
 	}
@@ -659,13 +651,13 @@ func isZeroPage(b []byte) bool { return bytes.Equal(b, zeroPage[:len(b)]) }
 func (db *DB) writePage(p uint64, buf []byte) error { return db.writePages(p, buf) }
 
 // writePages seals the len(buf)/PageSize consecutive pages from page p on and
-// writes them with one file call, charging the device a write per page.
+// writes them with one file call.
 func (db *DB) writePages(p uint64, buf []byte) error {
 	for i := 0; i < len(buf); i += PageSize {
 		page := buf[i : i+PageSize]
 		binary.BigEndian.PutUint32(page[0:pageCRCSize], db.sum(page))
-		db.dev.Write(PageSize)
 	}
+	db.pagesWritten.Add(int64(len(buf) / PageSize))
 	if _, err := db.pwrite(buf, int64(p)*PageSize); err != nil {
 		return fmt.Errorf("hashdb: %s: write page %d: %w", db.path, p, err)
 	}
@@ -1059,10 +1051,17 @@ type Stats struct {
 	// Recovery is what the open-time recovery pass repaired (all zero
 	// when the file was opened cleanly).
 	Recovery RecoveryStats
-	Device   device.Stats
+	// Device counts the pages read and written since open, a header read or
+	// write as one page.
+	Device PageStats
 }
 
-// Stats returns a snapshot of the database's shape and device usage. The
+// PageStats counts a table's page I/O.
+type PageStats struct {
+	Reads, Writes int64
+}
+
+// Stats returns a snapshot of the database's shape and I/O counters. The
 // counters are read atomically without quiescing writers, so concurrent
 // mutations may make the snapshot loosely consistent.
 func (db *DB) Stats() Stats {
@@ -1094,16 +1093,13 @@ func (db *DB) Stats() Stats {
 		WriteCalls:    db.writeCalls.Load(),
 		LoadFactor:    lf,
 		Recovery:      db.recovery,
-		Device:        db.dev.Stats(),
+		Device:        PageStats{Reads: db.pagesRead.Load(), Writes: db.pagesWritten.Load()},
 	}
 	for i := range db.chainHist {
 		st.ChainHist[i] = db.chainHist[i].Load()
 	}
 	return st
 }
-
-// Device returns the device the store charges its I/O to.
-func (db *DB) Device() *device.Device { return db.dev }
 
 // Path returns the file path of the database.
 func (db *DB) Path() string { return db.path }

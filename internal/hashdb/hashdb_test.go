@@ -1,13 +1,13 @@
 package hashdb
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
 
-	"shhc/internal/device"
 	"shhc/internal/fingerprint"
 )
 
@@ -153,7 +153,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	db2, err := Open(path, nil)
+	db2, err := Open(path)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -183,7 +183,7 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatalf("CloseWithoutSync: %v", err)
 	}
 
-	db2, err := Open(path, nil)
+	db2, err := Open(path)
 	if err != nil {
 		t.Fatalf("Open after crash: %v", err)
 	}
@@ -227,7 +227,7 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	}
 	f.Close()
 
-	db2, err := Open(path, nil)
+	db2, err := Open(path)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -255,7 +255,7 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	if err := writeFile(path, make([]byte, PageSize)); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Open(path, nil)
+	_, err := Open(path)
 	var corrupt *CorruptionError
 	if !errors.As(err, &corrupt) {
 		t.Fatalf("Open of zero file = %v, want CorruptionError", err)
@@ -330,27 +330,54 @@ func TestRange(t *testing.T) {
 	}
 }
 
+// TestDeviceAccountingChargesPages runs a fixed sequence — Create, six
+// 1 000-pair PutBatches that split the table from 16 buckets to 92, a GetBatch
+// of the 6 000 keys and 1 000 absent ones, Sync, reopen, the GetBatch again —
+// and pins the pages Stats().Device counts to what the SSD model the table
+// once charged counted for the same sequence: one a page moved, one a header
+// read or written.
 func TestDeviceAccountingChargesPages(t *testing.T) {
-	dev := device.New(device.SSD, device.Account)
-	path := filepath.Join(t.TempDir(), "dev.shdb")
-	db, err := Create(path, Options{Device: dev})
+	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "counters.shdb")
+	db, err := Create(path, Options{Buckets: 16})
 	if err != nil {
-		t.Fatalf("Create: %v", err)
+		t.Fatal(err)
+	}
+	pairs := make([]Pair, 1000)
+	for round := uint64(0); round < 6; round++ {
+		for i := range pairs {
+			k := round*1000 + uint64(i)
+			pairs[i] = Pair{FP: fp(k), Val: Value(k)}
+		}
+		if _, _, err := db.PutBatch(ctx, pairs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fps := make([]fingerprint.Fingerprint, 7000)
+	for i := range fps {
+		fps[i] = fp(uint64(i))
+	}
+	if _, _, err := db.GetBatch(ctx, fps); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if st := db.Stats(); st.Device != (PageStats{Reads: 491, Writes: 554}) || st.Buckets != 92 {
+		t.Errorf("before reopen: %+v over %d buckets, want {Reads:491 Writes:554} over 92", st.Device, st.Buckets)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(path); err != nil {
+		t.Fatal(err)
 	}
 	defer db.Close()
-
-	before := dev.Stats()
-	db.Get(fp(1))
-	after := dev.Stats()
-	if after.Reads <= before.Reads {
-		t.Fatal("Get did not charge a device read")
+	if _, _, err := db.GetBatch(ctx, fps); err != nil {
+		t.Fatal(err)
 	}
-
-	before = after
-	db.Put(fp(1), 1)
-	after = dev.Stats()
-	if after.Writes <= before.Writes {
-		t.Fatal("Put did not charge a device write")
+	if got := db.Stats().Device; got != (PageStats{Reads: 186}) {
+		t.Errorf("after reopen: %+v, want {Reads:186 Writes:0}", got)
 	}
 }
 

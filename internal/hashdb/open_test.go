@@ -95,7 +95,7 @@ func TestCraftedHeadersRejectedOrRecovered(t *testing.T) {
 				if err := os.WriteFile(path, file, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				db, err := Open(path, nil)
+				db, err := Open(path)
 				if clean {
 					var ce *CorruptionError
 					if !errors.As(err, &ce) {
@@ -199,7 +199,7 @@ func FuzzOpen(f *testing.F) {
 		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		db, err := Open(path, nil)
+		db, err := Open(path)
 		if err != nil {
 			return // a refusal is an answer
 		}
@@ -223,7 +223,7 @@ func FuzzOpen(f *testing.F) {
 		if err := db.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
-		db, err = Open(path, nil)
+		db, err = Open(path)
 		if err != nil {
 			t.Fatalf("reopen after Sync: %v", err)
 		}

@@ -28,10 +28,10 @@ type Pair struct {
 }
 
 // PutBatch stores every pair with one read-modify-write per distinct
-// bucket chain. Units run concurrently up to parallel.IODepth, so modeled
-// (Sleep-mode) devices overlap page I/O the way real flash channels do; a
-// parallel.Background ctx trades that overlap for yielding while I/O does
-// not block (see package parallel).
+// bucket chain. Units run concurrently up to parallel.IODepth, so page I/O
+// that blocks overlaps up to a device's queue depth; a parallel.Background
+// ctx trades that overlap for yielding while I/O does not block (see
+// package parallel).
 //
 // The bucket grouping is computed without locks, so a concurrent linear-
 // hashing split can remap some pairs between grouping and the stripe
@@ -264,45 +264,4 @@ func (db *DB) putChain(cs *chainScratch, c int, pairs []Pair, created []bool) (w
 	}
 	ch.dirty = cs.top.dirty
 	return writes, createdCount, newPages, nil
-}
-
-// PutBatch stores every pair. The in-RAM store has no pages to coalesce —
-// pagesWritten is one per entry — but writes still overlap across shard
-// groups up to parallel.IODepth and each shard lock is taken once per
-// group instead of once per pair, mirroring GetBatch. Cancelling ctx stops
-// new device writes between entries.
-func (s *MemStore) PutBatch(ctx context.Context, pairs []Pair) ([]bool, int, error) {
-	created := make([]bool, len(pairs))
-	if len(pairs) == 0 {
-		return created, 0, nil
-	}
-	g := getGroupScratch()
-	defer putGroupScratch(g)
-	g.group(len(pairs), nil, memShards, func(i int) uint64 { return pairs[i].FP.Bucket64() & (memShards - 1) })
-	done := ctx.Done()
-	err := g.eachUnit(ctx, 0, func(_ *chainScratch, u unit) error {
-		run := u.run(0)
-		sh := s.shard(pairs[run[0].idx].FP)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if s.closed {
-			return ErrClosed
-		}
-		for _, it := range run {
-			if done != nil {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			s.dev.Write(entrySize)
-			_, existed := sh.m[pairs[it.idx].FP]
-			sh.m[pairs[it.idx].FP] = pairs[it.idx].Val
-			created[it.idx] = !existed
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return created, len(pairs), nil
 }

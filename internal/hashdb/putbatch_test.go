@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"shhc/internal/device"
 	"shhc/internal/fingerprint"
 	"shhc/internal/parallel"
 )
@@ -160,9 +159,8 @@ func TestPutUpdateStopsAtHitPage(t *testing.T) {
 	// An in-place update found on an early chain page must not pay reads
 	// for the rest of the chain (the old per-key Put's early return,
 	// preserved by the streaming update in putChain).
-	dev := device.New(device.Null, device.Account)
 	pinShape(t)
-	db, err := Create(filepath.Join(t.TempDir(), "early.shdb"), Options{Buckets: 1, Device: dev})
+	db, err := Create(filepath.Join(t.TempDir(), "early.shdb"), Options{Buckets: 1})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -173,12 +171,12 @@ func TestPutUpdateStopsAtHitPage(t *testing.T) {
 			t.Fatalf("Put: %v", err)
 		}
 	}
-	readsBefore := dev.Stats().Reads
+	readsBefore := db.Stats().Device.Reads
 	// fp(0) was inserted first, so it lives on the bucket page itself.
 	if created, err := db.Put(fp(0), 999); err != nil || created {
 		t.Fatalf("update Put = (%v,%v), want (false,nil)", created, err)
 	}
-	if reads := dev.Stats().Reads - readsBefore; reads != 1 {
+	if reads := db.Stats().Device.Reads - readsBefore; reads != 1 {
 		t.Fatalf("update on the bucket page cost %d page reads, want 1", reads)
 	}
 	if v, ok, _ := db.Get(fp(0)); !ok || v != 999 {
@@ -214,10 +212,7 @@ func TestPutBatchCancelled(t *testing.T) {
 // pinned), the worst case for the read-modify-write exclusion.
 func TestPutBatchConcurrentWithReads(t *testing.T) {
 	pinShape(t)
-	db, err := Create(filepath.Join(t.TempDir(), "race.shdb"), Options{
-		Buckets: 1,
-		Device:  device.New(device.Null, device.Account),
-	})
+	db, err := Create(filepath.Join(t.TempDir(), "race.shdb"), Options{Buckets: 1})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -462,7 +457,7 @@ func TestBatchSkewedOntoOneBucket(t *testing.T) {
 		same[i] = Pair{FP: inBucket(nb, 5, 0), Val: Value(1000 + i)}
 	}
 	for name, pairs := range map[string][]Pair{"one bucket": skewed, "one key": same} {
-		for _, store := range []Store{db, NewMemStore(nil)} {
+		for _, store := range []Store{db, NewMemStore()} {
 			created, _, err := store.PutBatch(ctx, pairs)
 			if err != nil {
 				t.Fatalf("%s: PutBatch: %v", name, err)
@@ -500,7 +495,7 @@ func TestBatchSkewedOntoOneBucket(t *testing.T) {
 // loose: they fail at one allocation per four keys.
 func TestAllocHashdbBatch(t *testing.T) {
 	ctx := context.Background()
-	db := testDB(t, Options{Device: device.New(device.Null, device.Account)})
+	db := testDB(t, Options{})
 	next := uint64(0)
 	run := func(size int) (put, get float64) {
 		const runs = 20
@@ -582,25 +577,22 @@ func distinctChains(db *DB, n int) []Pair {
 // TestBackgroundWidensWhenIOBlocks pins both halves of the background lane
 // as PutBatch sees it. Over storage that never blocks, a background batch of
 // one-key chains reads every page on one goroutine and leaves the lane's flag
-// alone. Over a device whose page I/O sleeps it notices from its first chunk
+// alone. Over a file whose page I/O sleeps it notices from its first chunk
 // — however few chains that chunk holds: 4 of 256, 2 of 128 — sets the flag
 // and overlaps the rest: 256 chains of 1 ms reads finish in a fraction of the
 // 256 ms one worker would need.
 func TestBackgroundWidensWhenIOBlocks(t *testing.T) {
-	sleeps := func(d time.Duration) *device.Device {
-		return device.New(device.Model{Name: "slow", ReadBase: d}, device.Sleep)
-	}
 	for _, tc := range []struct {
 		name   string
-		dev    *device.Device
+		read   time.Duration // a page read's sleep; 0: the page cache alone
 		chains int
 		within time.Duration // 0: the lane must not widen
 	}{
-		{"account", device.New(device.SSD, device.Account), 1024, 0},
-		{"sleep 1 ms", sleeps(time.Millisecond), 256, 192 * time.Millisecond},
+		{"account", 0, 1024, 0},
+		{"sleep 1 ms", time.Millisecond, 256, 192 * time.Millisecond},
 		// One worker at the nominal 100 µs would pass the bound too: the
 		// goroutine count decides. Sleeps round up to about 1 ms on some hosts.
-		{"sleep 100 µs", sleeps(100 * time.Microsecond), 128, 96 * time.Millisecond},
+		{"sleep 100 µs", 100 * time.Microsecond, 128, 96 * time.Millisecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "lane.shdb")
@@ -609,7 +601,10 @@ func TestBackgroundWidensWhenIOBlocks(t *testing.T) {
 				t.Fatal(err)
 			}
 			f := &goroutineFile{File: osf}
-			db, err := CreateFile(f, path, Options{Buckets: 1 << 14, Device: tc.dev})
+			if tc.read > 0 {
+				f.File = sleepFile{File: osf, read: tc.read}
+			}
+			db, err := CreateFile(f, path, Options{Buckets: 1 << 14})
 			if err != nil {
 				t.Fatal(err)
 			}

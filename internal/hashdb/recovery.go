@@ -98,7 +98,7 @@ func (db *DB) zeroPage(p uint64) error {
 	buf := getPage()
 	defer putPage(buf)
 	clear(buf)
-	db.dev.Write(PageSize)
+	db.pagesWritten.Add(1)
 	if _, err := db.pwrite(buf, int64(p)*PageSize); err != nil {
 		return fmt.Errorf("hashdb: %s: zero page %d: %w", db.path, p, err)
 	}

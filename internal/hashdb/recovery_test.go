@@ -69,7 +69,7 @@ func TestRecoveryQuarantinesTornPage(t *testing.T) {
 	}
 	f.Close()
 
-	db, err := Open(path, nil)
+	db, err := Open(path)
 	if err != nil {
 		t.Fatalf("Open after torn page = %v, want recovery to repair", err)
 	}
@@ -95,7 +95,7 @@ func TestRecoveryQuarantinesTornPage(t *testing.T) {
 
 	// A second open is clean: recovery converged and committed.
 	db.Close()
-	db2, err := Open(path, nil)
+	db2, err := Open(path)
 	if err != nil {
 		t.Fatalf("second Open: %v", err)
 	}
@@ -128,7 +128,7 @@ func TestRecoveryCutsDanglingLink(t *testing.T) {
 	}
 	f.Close()
 
-	db, err := Open(path, nil)
+	db, err := Open(path)
 	if err != nil {
 		t.Fatalf("Open after dangling link = %v, want recovery to repair", err)
 	}
@@ -171,7 +171,7 @@ func TestRecoveryTruncatesTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	db, err := Open(path, nil)
+	db, err := Open(path)
 	if err != nil {
 		t.Fatalf("Open after torn tail = %v, want recovery to truncate it", err)
 	}
@@ -213,7 +213,7 @@ func TestHeaderSurvivesOneTornSlot(t *testing.T) {
 		}
 		f.Close()
 
-		db2, err := Open(path, nil)
+		db2, err := Open(path)
 		if err != nil {
 			t.Fatalf("Open with slot at %d torn: %v", off, err)
 		}
@@ -248,7 +248,7 @@ func TestHeaderSurvivesOneTornSlot(t *testing.T) {
 		}
 	}
 	f.Close()
-	_, err = Open(path, nil)
+	_, err = Open(path)
 	var corrupt *CorruptionError
 	if !errors.As(err, &corrupt) {
 		t.Fatalf("Open with both header slots torn = %v, want CorruptionError", err)
@@ -305,7 +305,7 @@ func TestReopenMatrix(t *testing.T) {
 		if err := db.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
-		db, err = Open(path, nil)
+		db, err = Open(path)
 		if err != nil {
 			t.Fatalf("Open cycle %d: %v", cycle, err)
 		}
@@ -361,7 +361,7 @@ func TestChecksumDetectsCorruptionBatch(t *testing.T) {
 	}
 	f.Close()
 
-	db2, err := Open(path, nil) // clean header: no recovery, flip undetected until read
+	db2, err := Open(path) // clean header: no recovery, flip undetected until read
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -395,7 +395,7 @@ func TestRecoveryAfterByteFlipOnDirtyFile(t *testing.T) {
 	}
 	f.Close()
 
-	db, err := Open(path, nil)
+	db, err := Open(path)
 	if err != nil {
 		t.Fatalf("Open after byte flip on dirty file = %v, want recovery", err)
 	}

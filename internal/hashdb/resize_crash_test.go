@@ -56,7 +56,7 @@ func TestGrowUnsyncedCrashReopens(t *testing.T) {
 			}
 
 			start := time.Now()
-			db, err = Open(path, nil)
+			db, err = Open(path)
 			if err != nil {
 				t.Fatalf("Open after the kill: %v", err)
 			}

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"shhc/internal/device"
 	"shhc/internal/fingerprint"
 	"shhc/internal/parallel"
 )
@@ -92,7 +91,7 @@ func TestResizeStatePersistsAcrossReopen(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	db, err = Open(path, device.New(device.SSD, device.Account))
+	db, err = Open(path)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -212,7 +211,7 @@ func rangeOnce(t *testing.T, db *DB, where string) map[fingerprint.Fingerprint]V
 // split now lands between most batches' grouping and their stripe locks, so
 // the stale-retry rounds must have run, and nothing may be lost or doubled.
 func TestGrowFromBaseUnderBatches(t *testing.T) {
-	db := newTestDB(t, Options{Device: device.New(device.Null, device.Account)})
+	db := newTestDB(t, Options{})
 	const (
 		writers   = 3 // the last one is the background wave
 		batch     = 512

@@ -5,7 +5,6 @@ import (
 	"os"
 	"testing"
 
-	"shhc/internal/device"
 	"shhc/internal/fingerprint"
 )
 
@@ -16,7 +15,7 @@ func osWriteFile(path string, data []byte) error {
 }
 
 func TestMemStoreRoundTrip(t *testing.T) {
-	s := NewMemStore(nil)
+	s := NewMemStore()
 	defer s.Close()
 
 	created, err := s.Put(fp(1), 11)
@@ -40,7 +39,7 @@ func TestMemStoreRoundTrip(t *testing.T) {
 }
 
 func TestMemStoreDelete(t *testing.T) {
-	s := NewMemStore(nil)
+	s := NewMemStore()
 	defer s.Close()
 	s.Put(fp(1), 1)
 	if ok, _ := s.Delete(fp(1)); !ok {
@@ -52,7 +51,7 @@ func TestMemStoreDelete(t *testing.T) {
 }
 
 func TestMemStoreRange(t *testing.T) {
-	s := NewMemStore(nil)
+	s := NewMemStore()
 	defer s.Close()
 	for i := uint64(0); i < 50; i++ {
 		s.Put(fp(i), Value(i))
@@ -68,7 +67,7 @@ func TestMemStoreRange(t *testing.T) {
 }
 
 func TestMemStoreClosed(t *testing.T) {
-	s := NewMemStore(nil)
+	s := NewMemStore()
 	s.Close()
 	if _, _, err := s.Get(fp(1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Get after close = %v, want ErrClosed", err)
@@ -81,18 +80,6 @@ func TestMemStoreClosed(t *testing.T) {
 	}
 	if err := s.Close(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("double Close = %v, want ErrClosed", err)
-	}
-}
-
-func TestMemStoreChargesDevice(t *testing.T) {
-	dev := device.New(device.RAM, device.Account)
-	s := NewMemStore(dev)
-	defer s.Close()
-	s.Put(fp(1), 1)
-	s.Get(fp(1))
-	st := dev.Stats()
-	if st.Reads != 1 || st.Writes != 1 {
-		t.Fatalf("device ops = %d reads / %d writes, want 1/1", st.Reads, st.Writes)
 	}
 }
 

@@ -22,9 +22,10 @@ import (
 )
 
 // IODepth is the default bound on how many storage operations one batch
-// overlaps. Modeled after SATA NCQ / flash-channel queue depth: enough to
-// expose a device's internal parallelism, small enough not to flood the
-// runtime with goroutines. It bounds foreground overlap: see the lane rule.
+// overlaps: a SATA NCQ queue's depth, enough to keep a device that serves
+// requests in parallel busy when page I/O blocks (O_DIRECT), small enough not
+// to flood the runtime with goroutines. device.Slow serves a batch this many
+// keys at a time. It bounds foreground overlap: see the lane rule.
 const IODepth = 16
 
 type laneKey struct{}

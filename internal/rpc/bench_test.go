@@ -15,7 +15,7 @@ func benchClient(b *testing.B) *Client {
 	b.Helper()
 	node, err := core.NewNode(core.NodeConfig{
 		ID:            "bench",
-		Store:         hashdb.NewMemStore(nil),
+		Store:         hashdb.NewMemStore(),
 		CacheSize:     1 << 14,
 		BloomExpected: 1 << 21,
 	})

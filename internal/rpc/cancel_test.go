@@ -15,13 +15,14 @@ import (
 	"shhc/internal/wire"
 )
 
-// startSleepyNode serves a node whose store sleeps readBase per probe —
-// a modeled slow device with real (wall-clock) latency — and holds seeded.
+// startSleepyNode serves a node whose store sleeps readBase a read call of up
+// to 16 keys — a modeled slow device with real (wall-clock) latency — and
+// holds seeded.
 // Writes are free, so seeding costs nothing; the node's Bloom filter admits
 // the seeded fingerprints, so a lookup of one reaches the sleeping store.
 func startSleepyNode(t *testing.T, id ring.NodeID, readBase time.Duration, cfg ClientConfig, seeded ...fingerprint.Fingerprint) (*core.Node, *Client) {
 	t.Helper()
-	store := hashdb.NewMemStore(device.New(device.Model{Name: "sleepy", ReadBase: readBase}, device.Sleep))
+	store := device.Slow(hashdb.NewMemStore(), device.Model{Name: "sleepy", ReadBase: readBase})
 	for i, f := range seeded {
 		if _, err := store.Put(f, hashdb.Value(i+1)); err != nil {
 			t.Fatalf("seed: %v", err)
@@ -111,7 +112,7 @@ func (b *blockingBackend) waitEntered(t *testing.T, n int64) {
 // server's address.
 func startBlockingServer(t *testing.T) (*blockingBackend, string) {
 	t.Helper()
-	node, err := core.NewNode(core.NodeConfig{ID: "n1", Store: hashdb.NewMemStore(nil)})
+	node, err := core.NewNode(core.NodeConfig{ID: "n1", Store: hashdb.NewMemStore()})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}

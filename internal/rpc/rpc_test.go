@@ -25,7 +25,7 @@ func startNode(t *testing.T, id ring.NodeID) (*core.Node, *Client) {
 	t.Helper()
 	node, err := core.NewNode(core.NodeConfig{
 		ID:            id,
-		Store:         hashdb.NewMemStore(nil),
+		Store:         hashdb.NewMemStore(),
 		CacheSize:     256,
 		BloomExpected: 100000,
 	})
@@ -310,7 +310,7 @@ func TestClusterOverRPC(t *testing.T) {
 }
 
 func TestServerSurvivesGarbageConnection(t *testing.T) {
-	node, err := core.NewNode(core.NodeConfig{ID: "g", Store: hashdb.NewMemStore(nil), CacheSize: 8})
+	node, err := core.NewNode(core.NodeConfig{ID: "g", Store: hashdb.NewMemStore(), CacheSize: 8})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}
@@ -342,7 +342,7 @@ func TestServerSurvivesGarbageConnection(t *testing.T) {
 }
 
 func TestClientReconnectsAfterServerRestart(t *testing.T) {
-	node, err := core.NewNode(core.NodeConfig{ID: "r", Store: hashdb.NewMemStore(nil), CacheSize: 8})
+	node, err := core.NewNode(core.NodeConfig{ID: "r", Store: hashdb.NewMemStore(), CacheSize: 8})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}
@@ -397,7 +397,7 @@ func TestClientClosedErrors(t *testing.T) {
 
 func TestServerErrorPropagation(t *testing.T) {
 	// A closed node makes the server return TypeError frames.
-	node, err := core.NewNode(core.NodeConfig{ID: "dead", Store: hashdb.NewMemStore(nil), CacheSize: 8})
+	node, err := core.NewNode(core.NodeConfig{ID: "dead", Store: hashdb.NewMemStore(), CacheSize: 8})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}

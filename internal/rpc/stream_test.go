@@ -18,7 +18,7 @@ import (
 // the end-to-end proof that per-stream credit accounting, the coalesced
 // flusher, and response demultiplexing hold up under interleaving.
 func TestMuxStreamInterleavingStormRPC(t *testing.T) {
-	node, err := core.NewNode(core.NodeConfig{ID: "storm", Store: hashdb.NewMemStore(nil), CacheSize: 1024})
+	node, err := core.NewNode(core.NodeConfig{ID: "storm", Store: hashdb.NewMemStore(), CacheSize: 1024})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}
@@ -101,7 +101,7 @@ func TestMuxStreamInterleavingStormRPC(t *testing.T) {
 // before a deadline: a stalled consumer's exhausted credit is its own
 // problem, never its neighbours'.
 func TestCreditStallIsolatesSiblingStream(t *testing.T) {
-	node, err := core.NewNode(core.NodeConfig{ID: "stall", Store: hashdb.NewMemStore(nil), CacheSize: 1024})
+	node, err := core.NewNode(core.NodeConfig{ID: "stall", Store: hashdb.NewMemStore(), CacheSize: 1024})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}
@@ -179,7 +179,7 @@ func TestCreditStallIsolatesSiblingStream(t *testing.T) {
 // HelloAck carries the server's per-stream response window, so the client
 // can coalesce consumption grants.
 func TestStreamHandshakeWindowAdvertisement(t *testing.T) {
-	node, err := core.NewNode(core.NodeConfig{ID: "hello", Store: hashdb.NewMemStore(nil)})
+	node, err := core.NewNode(core.NodeConfig{ID: "hello", Store: hashdb.NewMemStore()})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}
@@ -205,7 +205,7 @@ func TestStreamHandshakeWindowAdvertisement(t *testing.T) {
 // the client's own redial-with-backoff to success — no caller-side retry
 // loop.
 func TestRedialBrieflyRestartedNode(t *testing.T) {
-	node, err := core.NewNode(core.NodeConfig{ID: "flap", Store: hashdb.NewMemStore(nil), CacheSize: 8})
+	node, err := core.NewNode(core.NodeConfig{ID: "flap", Store: hashdb.NewMemStore(), CacheSize: 8})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}

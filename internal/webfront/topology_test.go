@@ -36,7 +36,7 @@ func (h *heldIndex) BatchLookupOrInsert(ctx context.Context, pairs []core.Pair) 
 func TestCrossRequestAggregation(t *testing.T) {
 	node, err := core.NewNode(core.NodeConfig{
 		ID:            "agg",
-		Store:         hashdb.NewMemStore(nil),
+		Store:         hashdb.NewMemStore(),
 		CacheSize:     1 << 10,
 		BloomExpected: 1 << 14,
 	})

@@ -31,7 +31,7 @@ func newTestServerCached(t *testing.T, cacheSize int) (*Server, *httptest.Server
 	for i := range backends {
 		node, err := core.NewNode(core.NodeConfig{
 			ID:            ring.NodeID(fmt.Sprintf("n%d", i)),
-			Store:         hashdb.NewMemStore(nil),
+			Store:         hashdb.NewMemStore(),
 			CacheSize:     cacheSize,
 			BloomExpected: 10000,
 		})
@@ -65,7 +65,7 @@ func newTestServerWithLimits(t *testing.T, maxPlan, maxChunk int) string {
 	t.Helper()
 	node, err := core.NewNode(core.NodeConfig{
 		ID:            "lim",
-		Store:         hashdb.NewMemStore(nil),
+		Store:         hashdb.NewMemStore(),
 		CacheSize:     64,
 		BloomExpected: 1024,
 	})
@@ -333,7 +333,7 @@ func TestStatsReplicationBlock(t *testing.T) {
 	for i := range backends {
 		node, err := core.NewNode(core.NodeConfig{
 			ID:            ring.NodeID(fmt.Sprintf("r%d", i)),
-			Store:         hashdb.NewMemStore(nil),
+			Store:         hashdb.NewMemStore(),
 			CacheSize:     128,
 			BloomExpected: 10000,
 		})

@@ -43,7 +43,6 @@ import (
 	"shhc/internal/batcher"
 	"shhc/internal/cloudsim"
 	"shhc/internal/core"
-	"shhc/internal/device"
 	"shhc/internal/fingerprint"
 	"shhc/internal/hashdb"
 	"shhc/internal/ring"
@@ -118,15 +117,8 @@ type ClusterOptions struct {
 	// evaluated configuration).
 	Nodes int
 	// Dir, when set, stores each node's hash table in a file under Dir;
-	// empty keeps tables in memory (still charged with SSD latency).
+	// empty keeps tables in memory.
 	Dir string
-	// DeviceModel is the modeled index device per node: "ssd" (default),
-	// "hdd", "ram", or "null".
-	DeviceModel string
-	// SleepDevices makes modeled device latency real (time.Sleep) so
-	// live benchmarks behave as if the hardware were attached; otherwise
-	// latency is only accounted.
-	SleepDevices bool
 	// CacheSize is the per-node LRU capacity. Default 1<<16 entries.
 	CacheSize int
 	// WriteBack acknowledges inserts from RAM and writes the SSD hash
@@ -185,9 +177,6 @@ func (o *ClusterOptions) fill() {
 	if o.CacheSize <= 0 {
 		o.CacheSize = 1 << 16
 	}
-	if o.DeviceModel == "" {
-		o.DeviceModel = "ssd"
-	}
 }
 
 // NewLocalCluster builds an in-process SHHC cluster: n hybrid nodes behind
@@ -195,15 +184,6 @@ func (o *ClusterOptions) fill() {
 // single-machine use and for experiments.
 func NewLocalCluster(opts ClusterOptions) (*Cluster, error) {
 	opts.fill()
-	model, err := device.ModelByName(opts.DeviceModel)
-	if err != nil {
-		return nil, err
-	}
-	mode := device.Account
-	if opts.SleepDevices {
-		mode = device.Sleep
-	}
-
 	if opts.Journal && (opts.Dir == "" || !opts.WriteBack) {
 		return nil, fmt.Errorf("shhc: ClusterOptions.Journal requires Dir and WriteBack")
 	}
@@ -212,19 +192,15 @@ func NewLocalCluster(opts ClusterOptions) (*Cluster, error) {
 	for i := 0; i < opts.Nodes; i++ {
 		id := ring.NodeID(fmt.Sprintf("node-%02d", i))
 		var store hashdb.Store
-		dev := device.New(model, mode)
 		if opts.Dir != "" {
-			db, err := hashdb.Create(
-				fmt.Sprintf("%s/%s.shdb", opts.Dir, id),
-				hashdb.Options{Device: dev},
-			)
+			db, err := hashdb.Create(fmt.Sprintf("%s/%s.shdb", opts.Dir, id), hashdb.Options{})
 			if err != nil {
 				closeAll(backends)
 				return nil, err
 			}
 			store = db
 		} else {
-			store = hashdb.NewMemStore(dev)
+			store = hashdb.NewMemStore()
 		}
 		journalPath := ""
 		if opts.Journal {

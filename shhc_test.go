@@ -49,8 +49,8 @@ func TestLocalClusterOnDisk(t *testing.T) {
 }
 
 func TestLocalClusterOptionValidation(t *testing.T) {
-	if _, err := NewLocalCluster(ClusterOptions{DeviceModel: "tape"}); err == nil {
-		t.Fatal("invalid device model accepted")
+	if _, err := NewLocalCluster(ClusterOptions{Journal: true, WriteBack: true}); err == nil {
+		t.Fatal("a journal without Dir accepted")
 	}
 }
 
