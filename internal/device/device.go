@@ -70,9 +70,6 @@ func New(model Model, mode Mode) *Device {
 	return &Device{model: model, mode: mode}
 }
 
-// Model returns the device's latency model.
-func (d *Device) Model() Model { return d.model }
-
 // Read charges one random read of n bytes and returns the modeled latency.
 func (d *Device) Read(n int) time.Duration {
 	lat := d.model.ReadLatency(n)
