@@ -84,17 +84,15 @@ func TestCancelGetBatchAlreadyExpired(t *testing.T) {
 	fps := []fingerprint.Fingerprint{fingerprint.FromUint64(1), fingerprint.FromUint64(2)}
 	mem := NewMemStore()
 	defer mem.Close()
-	for _, s := range []Store{mem, newTestDB(t, Options{})} {
-		reads := func() int64 { return 0 }
-		if db, ok := s.(*DB); ok {
-			reads = func() int64 { return db.Stats().Device.Reads }
-		}
-		before := reads()
-		if _, _, err := s.GetBatch(ctx, fps); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%T: expired GetBatch = %v, want context.Canceled", s, err)
-		}
-		if n := reads() - before; n != 0 {
-			t.Fatalf("%T: expired GetBatch read %d pages, want 0", s, n)
-		}
+	if _, _, err := mem.GetBatch(ctx, fps); !errors.Is(err, context.Canceled) {
+		t.Fatalf("expired MemStore GetBatch = %v, want context.Canceled", err)
+	}
+	db := newTestDB(t, Options{})
+	before := db.Stats().Device.Reads
+	if _, _, err := db.GetBatch(ctx, fps); !errors.Is(err, context.Canceled) {
+		t.Fatalf("expired GetBatch = %v, want context.Canceled", err)
+	}
+	if n := db.Stats().Device.Reads - before; n != 0 {
+		t.Fatalf("expired GetBatch read %d pages, want 0", n)
 	}
 }

@@ -333,9 +333,9 @@ func TestRange(t *testing.T) {
 // TestDeviceAccountingChargesPages runs a fixed sequence — Create, six
 // 1 000-pair PutBatches that split the table from 16 buckets to 92, a GetBatch
 // of the 6 000 keys and 1 000 absent ones, Sync, reopen, the GetBatch again —
-// and pins the pages Stats().Device counts to what the SSD model the table
-// once charged counted for the same sequence: one a page moved, one a header
-// read or written.
+// and pins the pages Stats().Device counts, one a page moved and one a header
+// read or written. The end-to-end benchmark's page metrics read these
+// counters, so a change to what they count must show here first.
 func TestDeviceAccountingChargesPages(t *testing.T) {
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "counters.shdb")
