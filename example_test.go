@@ -166,3 +166,58 @@ func ExampleNewBackupClient() {
 	// gen2: 16 chunks, 0 uploaded
 	// restore intact: true
 }
+
+// ExampleCluster_JoinNode grows a loaded cluster by a node and shrinks it
+// again (the paper's dynamic-scaling future work). Each change copies the
+// losing nodes' entries ahead, fences them at the next routing generation,
+// copies what arrived meanwhile, and only then lets the gaining nodes
+// answer, so every stored fingerprint stays a duplicate throughout.
+func ExampleCluster_JoinNode() {
+	ctx := context.Background()
+	newNode := func(id string) shhc.Backend {
+		b, err := shhc.NewNodeForScaling(shhc.NodeConfig{ID: shhc.NodeID(id), Store: hashdb.NewMemStore(), CacheSize: 1 << 10})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return b
+	}
+	cluster, err := shhc.NewCluster(shhc.ClusterConfig{}, newNode("node-00"), newNode("node-01"), newNode("node-02"))
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer cluster.Close()
+	const n = 6000
+	pairs := make([]shhc.Pair, n)
+	for i := range pairs {
+		pairs[i] = shhc.Pair{FP: shhc.FingerprintOf([]byte(fmt.Sprintf("chunk-%d", i))), Val: shhc.Value(i + 1)}
+	}
+	duplicates := func() int {
+		rs, err := cluster.BatchLookupOrInsert(ctx, pairs)
+		if err != nil {
+			log.Fatal(err)
+		}
+		dups := 0
+		for _, r := range rs {
+			if r.Exists {
+				dups++
+			}
+		}
+		return dups
+	}
+	fmt.Println("duplicates on first sight:", duplicates())
+
+	join, err := cluster.JoinNode(ctx, newNode("node-03"))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("node-03 joined: %d entries moved, %d of %d still duplicates\n", join.Moved, duplicates(), n)
+	drain, err := cluster.DrainNode(ctx, "node-01")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("node-01 drained: %d entries moved, %d of %d still duplicates, %d nodes\n", drain.Moved, duplicates(), n, cluster.Size())
+	// Output:
+	// duplicates on first sight: 0
+	// node-03 joined: 1407 entries moved, 6000 of 6000 still duplicates
+	// node-01 drained: 1471 entries moved, 6000 of 6000 still duplicates, 3 nodes
+}

@@ -11,8 +11,8 @@ import (
 
 // The batch path routes on one snapshot of the routing table and regroups
 // the batch in pooled scratch. These tests pin what that buys: a constant
-// number of allocations per call. Owner-move reconciliation under batches in
-// flight is a chaos row (chaos_test.go).
+// number of allocations per call. Batches in flight across a membership
+// change are chaos rows (chaos_test.go).
 
 // cachedCluster is an in-process cluster whose nodes hold the whole working
 // set in their LRU, so a repeated batch is all lock-free cache hits.

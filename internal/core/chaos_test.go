@@ -36,11 +36,13 @@ const (
 	reads                           // Lookup of seeded keys
 	fresh                           // LookupOrInsert of keys never seen before
 	freshBatches                    // 128-pair batches of fresh keys
+	freshTwice                      // 32-pair batches of fresh keys, each asked again at once
 )
 
 type chaosRow struct {
 	name    string
 	nodes   int
+	fronts  int // Clusters over the same members; 0: one. Membership changes go through the first.
 	cfg     ClusterConfig
 	member  func(e *chaosEnv, id string) *Node // nil: an in-memory node
 	scratch func(e *chaosEnv, id string) *Node // churn's joiners; nil: an in-memory node
@@ -58,14 +60,15 @@ type chaosRow struct {
 }
 
 type chaosEnv struct {
-	row   chaosRow
-	seed  int64
-	dir   string
-	c     *Cluster
-	m     *simtest.Model
-	nodes []*Node
-	ops   atomic.Int64  // worker calls made
-	next  atomic.Uint64 // the last fresh key handed out
+	row    chaosRow
+	seed   int64
+	dir    string
+	c      *Cluster
+	fronts []*Cluster // c first; worker w sends through fronts[w % len]
+	m      *simtest.Model
+	nodes  []*Node
+	ops    atomic.Int64  // worker calls made
+	next   atomic.Uint64 // the last fresh key handed out
 	// gate is read-held by every call and churn round, so a script can swap
 	// a dead member out with nothing in flight.
 	gate    sync.RWMutex
@@ -108,6 +111,9 @@ func (e *chaosEnv) joinDrain(done func() bool) error {
 	for round := 0; !done(); round++ {
 		e.gate.RLock()
 		scratch := e.row.scratch(e, fmt.Sprintf("churn-%d", round))
+		for _, f := range e.fronts[1:] {
+			f.attach(scratch)
+		}
 		_, err := e.c.JoinNode(context.Background(), scratch)
 		if err == nil {
 			_, err = e.c.DrainNode(context.Background(), scratch.ID())
@@ -121,17 +127,26 @@ func (e *chaosEnv) joinDrain(done func() bool) error {
 	return nil
 }
 
-// joinDrainUntil churns until the workers have made calls calls.
+// joinDrainUntil churns until the workers have made calls calls, or one of
+// them failed.
 func joinDrainUntil(calls int64) func(*testing.T, *chaosEnv) {
 	return func(t *testing.T, e *chaosEnv) {
-		if err := e.joinDrain(func() bool { return e.ops.Load() >= calls }); err != nil {
+		if err := e.joinDrain(func() bool { return e.ops.Load() >= calls || t.Failed() }); err != nil {
 			t.Fatalf("seed %d: %v", e.seed, err)
 		}
 	}
 }
 
-// call makes one worker call and holds its answers to the model.
-func (e *chaosEnv) call(rng *rand.Rand, kind chaosWorker) error {
+// attach makes b known to c without naming it in c's record: what a
+// deployment's front would dial once a refusal taught it a record naming b.
+func (c *Cluster) attach(b Backend) {
+	c.mu.Lock()
+	c.backends[b.ID()] = b
+	c.mu.Unlock()
+}
+
+// call makes one worker call through c and holds its answers to the model.
+func (e *chaosEnv) call(c *Cluster, rng *rand.Rand, kind chaosWorker) error {
 	ctx := context.Background()
 	hot := e.row.hot
 	if hot == 0 {
@@ -140,8 +155,6 @@ func (e *chaosEnv) call(rng *rand.Rand, kind chaosWorker) error {
 	var (
 		calls []simtest.Call
 		pairs []Pair
-		rs    []LookupResult
-		err   error
 	)
 	propose := func(k uint64, v uint64) {
 		f := fingerprint.FromUint64(k)
@@ -164,12 +177,12 @@ func (e *chaosEnv) call(rng *rand.Rand, kind chaosWorker) error {
 		}
 	case reads:
 		f := fingerprint.FromUint64(uint64(rng.Intn(hot)))
-		c := e.m.Read(f)
-		r, err := e.c.Lookup(ctx, f)
+		call := e.m.Read(f)
+		r, err := c.Lookup(ctx, f)
 		if err != nil {
 			return e.soft(err)
 		}
-		return e.m.Answer(c, r.Exists, uint64(r.Value), simtest.Excuse{})
+		return e.m.Answer(call, r.Exists, uint64(r.Value), simtest.Excuse{})
 	case fresh:
 		k := e.next.Add(1)
 		propose(k, seedVal(k))
@@ -178,13 +191,34 @@ func (e *chaosEnv) call(rng *rand.Rand, kind chaosWorker) error {
 		for j := uint64(0); j < 128; j++ {
 			propose(base+j, seedVal(base+j))
 		}
+	case freshTwice:
+		base := e.next.Add(32) - 31
+		for j := uint64(0); j < 32; j++ {
+			propose(base+j, seedVal(base+j))
+		}
+		if err := e.ask(c, calls, pairs); err != nil {
+			return err
+		}
+		calls, pairs = calls[:0], pairs[:0]
+		for j := uint64(0); j < 32; j++ {
+			propose(base+j, simtest.Val(base+j, 2))
+		}
 	}
+	return e.ask(c, calls, pairs)
+}
+
+// ask sends pairs through c and holds the answers to the model's calls.
+func (e *chaosEnv) ask(c *Cluster, calls []simtest.Call, pairs []Pair) error {
+	var (
+		rs  []LookupResult
+		err error
+	)
 	if len(pairs) == 1 {
 		var r LookupResult
-		r, err = e.c.LookupOrInsert(ctx, pairs[0].FP, pairs[0].Val)
+		r, err = c.LookupOrInsert(context.Background(), pairs[0].FP, pairs[0].Val)
 		rs = []LookupResult{r}
 	} else {
-		rs, err = e.c.BatchLookupOrInsert(ctx, pairs)
+		rs, err = c.BatchLookupOrInsert(context.Background(), pairs)
 	}
 	if err != nil {
 		return e.soft(err)
@@ -214,6 +248,8 @@ func TestConcurrentMembershipAndTraffic(t *testing.T)                    { chaos
 func TestChaosDestageKillAndReopenDuringChurn(t *testing.T)              { chaos(t) }
 func TestChaosWipeDiskRejoinAndAntiEntropy(t *testing.T)                 { chaos(t) }
 func TestWriteBackTargetKilledAfterDrain(t *testing.T)                   { chaos(t) }
+func TestTwoFrontsBatchesDuringJoinDrain(t *testing.T)                   { chaos(t) }
+func TestFreshReaskedAcrossJoinDrain(t *testing.T)                       { chaos(t) }
 
 // chaos runs the row the calling test is named after; its seed is the
 // row's place in chaosRows.
@@ -242,13 +278,19 @@ func runChaos(t *testing.T, row chaosRow, seed int64) {
 		e.nodes = append(e.nodes, n)
 		backends[i] = n
 	}
-	c, err := NewCluster(row.cfg, backends...)
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
+	for range max(row.fronts, 1) {
+		c, err := NewCluster(row.cfg, backends...)
+		if err != nil {
+			t.Fatalf("NewCluster: %v", err)
+		}
+		e.fronts = append(e.fronts, c)
 	}
+	c := e.fronts[0]
 	e.c = c
 	defer func() {
-		c.Close()
+		for _, f := range e.fronts {
+			f.Close() // the fronts share their members: every Close after the first finds them closed
+		}
 		for _, n := range e.retired {
 			n.Close()
 		}
@@ -289,7 +331,7 @@ func runChaos(t *testing.T, row chaosRow, seed int64) {
 				default:
 				}
 				e.gate.RLock()
-				err := e.call(rng, kind)
+				err := e.call(e.fronts[w%len(e.fronts)], rng, kind)
 				e.gate.RUnlock()
 				e.ops.Add(1)
 				if err != nil {
@@ -329,8 +371,8 @@ var chaosRows = []chaosRow{
 		},
 	},
 	// Batches that routed on the old table ask an owner that may already
-	// have handed their entries over; reconciliation against the new owner
-	// turns the miss back into the duplicate it is.
+	// have handed their entries over; the owner refuses them, and they are
+	// routed again on the table it holds.
 	{
 		name: "BatchesDuringJoinNode", nodes: 3, seeded: 4096,
 		workers: []chaosWorker{dupeBatches, dupeBatches, dupeBatches, dupeBatches},
@@ -345,8 +387,8 @@ var chaosRows = []chaosRow{
 		},
 	},
 	// The other direction: while JoinNode/DrainNode swap the table, a key
-	// seen for the first time is always "new" — a reconciliation that read
-	// back the call's own insert as a duplicate would lose the chunk.
+	// seen for the first time is always "new" — a retry that read back the
+	// call's own insert as a duplicate would lose the chunk.
 	{
 		name: "FreshInsertsNeverReportedDuplicateDuringMigration", nodes: 3, seeded: 2000,
 		workers: []chaosWorker{fresh, fresh, fresh, fresh},
@@ -389,6 +431,29 @@ var chaosRows = []chaosRow{
 				t.Fatalf("seed %d: %v", e.seed, err)
 			}
 		},
+	},
+	// Two fronts route over the same members while the first joins and
+	// drains a scratch node: the second learns each change only from the
+	// nodes, which refuse what it routed on a replaced table, so no seed is
+	// ever answered "new" through either.
+	{
+		name: "TwoFrontsBatchesDuringJoinDrain", nodes: 3, seeded: 1000, fronts: 2,
+		scratch: memNode(16),
+		workers: []chaosWorker{dupeBatches, dupeBatches, dupeBatches, dupeBatches},
+		fault:   joinDrainUntil(400),
+		after: func(t *testing.T, e *chaosEnv) {
+			if gen := e.fronts[1].route.Load().rec.Gen; gen == 1 {
+				t.Fatal("the second front never learned a record from a refusal; the row is vacuous")
+			}
+		},
+	},
+	// A fresh key asked again right after its insert is a duplicate, also
+	// when a flip lands between the two calls: a node answers for an arc
+	// only once what was inserted on its old node during the copy arrived.
+	{
+		name: "FreshReaskedAcrossJoinDrain", nodes: 3,
+		workers: []chaosWorker{freshTwice, freshTwice, freshTwice, freshTwice},
+		fault:   joinDrainUntil(600),
 	},
 	// Destage waves run on journaled write-back nodes while join/drain churn
 	// the ring; one member's store is killed mid-wave, the node is reborn

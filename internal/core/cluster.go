@@ -85,12 +85,10 @@ type ClusterConfig struct {
 // client-side view of SHHC: the web front-end holds one Cluster and sends
 // each fingerprint (or batch) to the node owning its hash range.
 type Cluster struct {
-	// mu guards membership: the ring's writers and the backends map, which
-	// also holds a draining node the ring no longer names. Routing never
+	// mu guards the backends map, which also holds a joiner no record names
+	// yet and a draining node the record no longer names. Routing never
 	// takes it — every operation routes on the snapshot in route.
 	mu       sync.RWMutex
-	ring     *ring.Ring
-	vnodes   int
 	backends map[ring.NodeID]Backend
 	replicas int
 	// quorum is the resolved write quorum (acks required per insert,
@@ -99,10 +97,11 @@ type Cluster struct {
 	quorum       int
 	noReadRepair bool
 	// route is the routing snapshot every operation loads once; each
-	// membership change publishes a new one under mu. superseded holds the
-	// replaced snapshots that calls may still route on (see hold).
-	route      atomic.Pointer[routing]
-	superseded []*routing
+	// membership change, and each record learned from a node, publishes a
+	// new one under mu.
+	route atomic.Pointer[routing]
+	// change serializes JoinNode and DrainNode.
+	change sync.Mutex
 
 	// repl holds the replication counters (see ReplicationStats).
 	repl replCounters
@@ -124,7 +123,9 @@ type Cluster struct {
 	bgWg     sync.WaitGroup
 }
 
-// NewCluster creates a cluster over the given backends.
+// NewCluster creates a cluster over the given backends. It routes on
+// generation 1 of their record; a node that holds a newer one refuses the
+// first call routed to it, and the cluster then learns that record.
 func NewCluster(cfg ClusterConfig, backends ...Backend) (*Cluster, error) {
 	if len(backends) == 0 {
 		return nil, errors.New("core: cluster needs at least one backend")
@@ -141,18 +142,20 @@ func NewCluster(cfg ClusterConfig, backends ...Backend) (*Cluster, error) {
 		quorum = replicas
 	}
 	c := &Cluster{
-		ring:         ring.NewReplicated(cfg.VirtualNodes, replicas),
-		vnodes:       cfg.VirtualNodes,
 		backends:     make(map[ring.NodeID]Backend, len(backends)),
 		replicas:     replicas,
 		quorum:       quorum,
 		noReadRepair: cfg.DisableReadRepair,
 	}
+	rec := Routing{Gen: 1, VNodes: cfg.VirtualNodes, Replicas: replicas}
 	for _, b := range backends {
-		if err := c.addLocked(b); err != nil {
-			return nil, err
+		if _, dup := c.backends[b.ID()]; dup {
+			return nil, fmt.Errorf("core: duplicate backend %q", b.ID())
 		}
+		c.backends[b.ID()] = b
+		rec.Members = append(rec.Members, b.ID())
 	}
+	c.route.Store(c.routeLocked(rec))
 	if replicas > 1 {
 		bgctx, cancel := context.WithCancel(context.Background())
 		c.bgCancel = cancel
@@ -170,101 +173,60 @@ func NewCluster(cfg ClusterConfig, backends ...Backend) (*Cluster, error) {
 	return c, nil
 }
 
-// routing is what one operation routes on: the ring's table, the backend of
-// each table node (indexed like table.Nodes()), and the membership
-// generation the two belong to. gen rides in the same snapshot so that "did
-// membership change since I routed?" compares against the generation of the
-// very table the routing decisions came from — read separately, a bump
-// between the two loads could pair a new table with an old generation and
-// hide an owner move from reconciliation.
+// routing is what one operation routes on: a routing record, the ring's
+// table built from it, and the backend of each table node (indexed like
+// table.Nodes()). Every call carries rec.Gen to the nodes it asks.
 type routing struct {
-	// gen counts membership changes. A batch only has misses to reconcile
-	// when it moved (see ownerMoved/reconcileMiss), closing the window
-	// where an entry migrates away between routing and execution.
-	gen      uint64
+	rec      Routing
 	table    *ring.Table
 	backends []Backend
-	// ops counts the calls routing on the snapshot (see hold).
-	ops atomic.Int64
 }
 
-// publishLocked swaps in the routing snapshot for the ring and backends as
-// they are now. Callers hold c.mu for writing (or own c exclusively).
-func (c *Cluster) publishLocked() {
-	rt := routeOn(c.ring.Table(), c.backends)
-	if old := c.route.Load(); old != nil {
-		rt.gen = old.gen + 1
-		c.superseded = append(slices.DeleteFunc(c.superseded, func(o *routing) bool { return o.ops.Load() == 0 }), old)
+// routeLocked builds the routing of rec over the cluster's backends. A
+// member the cluster has no backend for routes to an absent one. Caller
+// holds c.mu (or owns c exclusively).
+func (c *Cluster) routeLocked(rec Routing) *routing {
+	r := ring.NewReplicated(rec.VNodes, rec.Replicas)
+	for _, id := range rec.Members {
+		_ = r.Add(id) // a member named twice is one member
 	}
-	c.route.Store(rt)
-	c.signalMembershipChange()
-}
-
-// hold loads the routing snapshot and counts the caller on it until the
-// caller's ops.Add(-1). A snapshot replaced between the load and the count
-// is let go and the new one taken, so quiesce, which a membership change
-// runs after its publish, sees every call that may still ask the nodes an
-// older table names.
-func (c *Cluster) hold() *routing {
-	for {
-		rt := c.route.Load()
-		rt.ops.Add(1)
-		if c.route.Load() == rt {
-			return rt
+	rt := &routing{rec: rec, table: r.Table()}
+	rt.rec.Members = rt.table.Nodes()
+	rt.backends = make([]Backend, len(rt.rec.Members))
+	for i, id := range rt.rec.Members {
+		if rt.backends[i] = c.backends[id]; rt.backends[i] == nil {
+			rt.backends[i] = absent(id)
 		}
-		rt.ops.Add(-1)
-	}
-}
-
-// quiesce waits until no call routes on a superseded snapshot. A move
-// removes nothing before it: a call that routed on the table before a flip
-// could otherwise miss an entry on the node it asks — and, once a second
-// flip hands the range back to that node, insert it there again as "new",
-// where no reconciliation can tell.
-func (c *Cluster) quiesce(ctx context.Context) error {
-	c.mu.RLock()
-	old := slices.Clone(c.superseded)
-	c.mu.RUnlock()
-	for _, rt := range old {
-		for rt.ops.Load() > 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-	return nil
-}
-
-// routeOn is the routing of table over the named backends.
-func routeOn(table *ring.Table, backends map[ring.NodeID]Backend) *routing {
-	rt := &routing{table: table, backends: make([]Backend, len(table.Nodes()))}
-	for i, id := range table.Nodes() {
-		rt.backends[i] = backends[id]
 	}
 	return rt
 }
 
-// shadowLocked is the routing the ring's members would publish with join
-// added (when not nil) and leave taken out: the table a membership change
-// copies ahead to before it flips. Caller holds c.mu.
-func (c *Cluster) shadowLocked(join Backend, leave ring.NodeID) (*routing, error) {
-	r := ring.NewReplicated(c.vnodes, c.replicas)
-	members := make(map[ring.NodeID]Backend, len(c.backends)+1)
-	for _, id := range c.ring.Nodes() {
-		if id != leave {
-			members[id] = c.backends[id]
-		}
+// publishLocked makes rt the routing every operation loads. Caller holds
+// c.mu for writing.
+func (c *Cluster) publishLocked(rt *routing) {
+	c.route.Store(rt)
+	c.signalMembershipChange()
+}
+
+// adopt publishes rec unless the cluster already routes on a record as new.
+func (c *Cluster) adopt(rec Routing) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if rec.Gen > c.route.Load().rec.Gen {
+		c.publishLocked(c.routeLocked(rec))
 	}
-	if join != nil {
-		members[join.ID()] = join
+}
+
+// next is rt's record one generation on, with join added (when not empty)
+// and leave taken out.
+func (rt *routing) next(join, leave ring.NodeID) Routing {
+	rec := rt.rec
+	rec.Gen++
+	rec.Members = slices.DeleteFunc(slices.Clone(rec.Members), func(id ring.NodeID) bool { return id == leave })
+	if join != "" {
+		rec.Members = append(rec.Members, join)
 	}
-	for id := range members {
-		if err := r.Add(id); err != nil {
-			return nil, err
-		}
-	}
-	return routeOn(r.Table(), members), nil
+	return rec
 }
 
 // point returns fp's ring position, or ring.ErrEmpty.
@@ -318,16 +280,25 @@ func (rt *routing) places(fp fingerprint.Fingerprint, id ring.NodeID) bool {
 	return false
 }
 
-func (c *Cluster) addLocked(b Backend) error {
-	id := b.ID()
-	if _, dup := c.backends[id]; dup {
-		return fmt.Errorf("core: duplicate backend %q", id)
+// relearn makes the cluster route on the record held by the node that
+// refused a call routed on rt. A record the cluster has learned since is
+// as good.
+func (c *Cluster) relearn(ctx context.Context, rt *routing, r *refusal) error {
+	if r.gen <= rt.rec.Gen {
+		return r // a refusal that names no newer generation teaches nothing
 	}
-	if err := c.ring.Add(id); err != nil {
-		return err
+	if c.route.Load().rec.Gen >= r.gen {
+		return nil
 	}
-	c.backends[id] = b
-	c.publishLocked()
+	h, ok := r.from.(RoutingHolder)
+	if !ok {
+		return r
+	}
+	rec, err := h.Routing(ctx, Routing{})
+	if err != nil {
+		return fmt.Errorf("core: read the routing record of %s: %w", r.from.ID(), err)
+	}
+	c.adopt(rec)
 	return nil
 }
 
@@ -355,64 +326,38 @@ func (c *Cluster) Owner(fp fingerprint.Fingerprint) (ring.NodeID, error) {
 	return c.route.Load().owner(fp)
 }
 
-// routeRetries bounds how many times a miss is replayed after the queried
-// fingerprint's owner changed mid-flight. Two ownership changes landing
-// inside one lookup's flight time is already vanishingly rare; three
-// retries is effectively "until stable".
-const routeRetries = 3
-
-// routingFor returns fp's replica set under the current routing snapshot.
-func (c *Cluster) routingFor(fp fingerprint.Fingerprint) ([]Backend, error) {
-	return c.route.Load().replicasFor(fp)
-}
-
-// ownerMoved reports whether fp's owner is now a different node than the
-// one the caller just queried. This — not a bare generation bump — is the
-// retry condition for a miss: if the owner is unchanged, a miss (or the
-// caller's own fresh insert) on that owner is the authoritative answer,
-// and replaying would read back the caller's own insert as a spurious
-// "duplicate". Only when ownership actually moved can the current owner
-// know something the queried node did not (a migrated entry).
-func (c *Cluster) ownerMoved(fp fingerprint.Fingerprint, queried ring.NodeID) bool {
-	owner, err := c.Owner(fp)
-	return err == nil && owner != queried
-}
-
 // Lookup queries the owner node, failing over to successor replicas when
-// the owner errors (only useful with Replicas > 1). A miss that raced an
-// ownership change (the entry may have just migrated to a new owner) is
-// retried against the current ring.
+// the owner errors (only useful with Replicas > 1). A node that refuses the
+// call as stale-routed teaches the cluster its record, and the lookup runs
+// again on it.
 func (c *Cluster) Lookup(ctx context.Context, fp fingerprint.Fingerprint) (LookupResult, error) {
-	var (
-		res LookupResult
-		err error
-	)
-	for attempt := 0; attempt < routeRetries; attempt++ {
-		var owner ring.NodeID
-		res, owner, err = c.lookupOnce(ctx, fp)
-		if err != nil || res.Exists || !c.ownerMoved(fp, owner) {
+	for {
+		rt := c.route.Load()
+		res, err := c.lookupOn(ctx, rt, fp)
+		r, stale := err.(*refusal)
+		if !stale {
 			return res, err
 		}
+		if err := c.relearn(ctx, rt, r); err != nil {
+			return LookupResult{}, err
+		}
 	}
-	return res, err
 }
 
-// lookupOnce consults the replica set sequentially. A hit from any replica
-// answers immediately and read-repairs the replicas observed missing it. A
-// miss is verified: with read-repair enabled the remaining replicas are
-// probed too, so a single replica that lost its entries (a wiped disk, a
+// lookupOn consults fp's replica set under rt sequentially. A hit from any
+// replica answers immediately and read-repairs the replicas observed missing
+// it. A miss is verified: with read-repair enabled the remaining replicas
+// are probed too, so a single replica that lost its entries (a wiped disk, a
 // node that rejoined empty) cannot turn a stored fingerprint into a
 // spurious "new" — only when every reachable replica misses is the miss
-// returned. With DisableReadRepair (or Replicas == 1) the first answer,
-// hit or miss, wins.
-func (c *Cluster) lookupOnce(ctx context.Context, fp fingerprint.Fingerprint) (LookupResult, ring.NodeID, error) {
-	rt := c.hold()
-	defer rt.ops.Add(-1)
+// returned. With DisableReadRepair (or Replicas == 1) the first answer, hit
+// or miss, wins. A refusal ends the walk.
+func (c *Cluster) lookupOn(ctx context.Context, rt *routing, fp fingerprint.Fingerprint) (LookupResult, error) {
 	targets, err := rt.replicasFor(fp)
 	if err != nil {
-		return LookupResult{}, "", err
+		return LookupResult{}, err
 	}
-	owner := targets[0].ID()
+	rctx := WithRouteGen(ctx, rt.rec.Gen)
 	verifyMiss := len(targets) > 1 && !c.noReadRepair
 	var (
 		lastErr   error
@@ -422,19 +367,22 @@ func (c *Cluster) lookupOnce(ctx context.Context, fp fingerprint.Fingerprint) (L
 	)
 	for _, b := range targets {
 		if cerr := ctx.Err(); cerr != nil {
-			return LookupResult{}, owner, cerr
+			return LookupResult{}, cerr
 		}
-		r, err := b.Lookup(ctx, fp)
+		r, err := b.Lookup(rctx, fp)
 		if err != nil {
+			if ref := refusedBy(b, err); ref != nil {
+				return LookupResult{}, ref
+			}
 			lastErr = err
 			continue
 		}
 		if r.Exists {
 			c.readRepair(missers, fp, r.Value)
-			return r, owner, nil
+			return r, nil
 		}
 		if !verifyMiss {
-			return r, owner, nil
+			return r, nil
 		}
 		if !missSeen {
 			missSeen, firstMiss = true, r
@@ -442,14 +390,14 @@ func (c *Cluster) lookupOnce(ctx context.Context, fp fingerprint.Fingerprint) (L
 		missers = append(missers, b)
 	}
 	if missSeen {
-		return firstMiss, owner, nil
+		return firstMiss, nil
 	}
-	return LookupResult{}, owner, fmt.Errorf("core: lookup %s: all replicas failed: %w", fp.Short(), lastErr)
+	return LookupResult{}, fmt.Errorf("core: lookup %s: all replicas failed: %w", fp.Short(), lastErr)
 }
 
 // LookupOrInsert runs the Figure 4 flow for one fingerprint: a
-// BatchLookupOrInsert of one, with that call's routing, fail-over, quorum
-// replication and miss reconciliation.
+// BatchLookupOrInsert of one, with that call's routing, fail-over and quorum
+// replication.
 func (c *Cluster) LookupOrInsert(ctx context.Context, fp fingerprint.Fingerprint, val Value) (LookupResult, error) {
 	rs, err := c.BatchLookupOrInsert(ctx, []Pair{{FP: fp, Val: val}})
 	if err != nil {
@@ -458,56 +406,10 @@ func (c *Cluster) LookupOrInsert(ctx context.Context, fp fingerprint.Fingerprint
 	return rs[0], nil
 }
 
-// reconcileMiss re-examines a LookupOrInsert miss whose owner moved while
-// the call was in flight. The insert already happened on the old owner, so
-// only a read-only probe of the current owner is safe; the probe's result
-// is interpreted with a bias toward "new", because the failure modes are
-// asymmetric — a wrong "new" costs one redundant upload, a wrong
-// "duplicate" drops the chunk from the upload plan and loses data:
-//
-//   - found with a different value: a pre-existing entry migrated here —
-//     report the duplicate.
-//   - found with our own value: indistinguishable between our own insert
-//     migrated over and an old entry that stored the same locator; "new"
-//     is consistent either way (the upload lands on the same locator).
-//   - still missing: keep "new" and heal placement by filling the hole on
-//     the current owner, so future lookups find the entry where routing
-//     looks. Only a hole: a racing call may have created the entry there
-//     since the probe, and its value is the one that call answered.
-func (c *Cluster) reconcileMiss(ctx context.Context, fp fingerprint.Fingerprint, val Value, miss LookupResult) LookupResult {
-	for attempt := 0; attempt < routeRetries; attempt++ {
-		if ctx.Err() != nil {
-			// The caller is leaving; the biased-toward-"new" miss is the
-			// safe answer to leave behind.
-			return miss
-		}
-		targets, err := c.routingFor(fp)
-		if err != nil {
-			return miss
-		}
-		owner := targets[0]
-		r, err := owner.Lookup(ctx, fp)
-		if err != nil {
-			return miss
-		}
-		if r.Exists {
-			if r.Value != val {
-				return r
-			}
-			return miss
-		}
-		if !c.ownerMoved(fp, owner.ID()) {
-			_, _ = owner.LookupOrInsert(ctx, fp, val)
-			return miss
-		}
-	}
-	return miss
-}
-
 // grouped is a batch sorted by owner node: node k's group is
 // pairs[start[k]:start[k+1]], indices[j] is the input position of pairs[j],
-// and points[i] the ring position of input pair i — owner, replica set and,
-// after a membership change, the NodeID that was asked all derive from it.
+// and points[i] the ring position of input pair i — owner and replica set
+// both derive from it.
 type grouped struct {
 	pairs   []Pair
 	indices []int32
@@ -593,7 +495,9 @@ func (sc *batchScratch) group(rt *routing, pairs []Pair) grouped {
 // cannot be met degrades to the safe "new" answers instead of failing —
 // see replicateBatch). A group whose owner node is down fails over to its
 // pairs' next replicas as sub-batches (see failOver), so one dead node does
-// not fail the batch when its ranges have live replicas.
+// not fail the batch when its ranges have live replicas. A group whose
+// owner refuses it as stale-routed did nothing there: the cluster learns
+// that node's record and routes the group's pairs again.
 // A cancelled ctx fails the whole batch with ctx.Err(); per-node batches
 // already in flight stop issuing device reads.
 func (c *Cluster) BatchLookupOrInsert(ctx context.Context, pairs []Pair) ([]LookupResult, error) {
@@ -603,25 +507,59 @@ func (c *Cluster) BatchLookupOrInsert(ctx context.Context, pairs []Pair) ([]Look
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rt := c.hold()
-	defer rt.ops.Add(-1)
-	if rt.table.Len() == 0 {
-		return nil, ring.ErrEmpty
+	rt := c.route.Load()
+	results := make([]LookupResult, len(pairs))
+	refused, r, err := c.batchOn(ctx, rt, pairs, results)
+	if err != nil {
+		return nil, err
 	}
+	if len(refused) == 0 {
+		return results, nil
+	}
+	if err := c.relearn(ctx, rt, r); err != nil {
+		return nil, fmt.Errorf("core: batch: %w", err)
+	}
+	again := make([]Pair, len(refused))
+	for j, i := range refused {
+		again[j] = pairs[i]
+	}
+	rs, err := c.BatchLookupOrInsert(ctx, again)
+	if err != nil {
+		return nil, err
+	}
+	for j, i := range refused {
+		results[i] = rs[j]
+	}
+	return results, nil
+}
+
+// batchOn runs the batch routed on rt, answering into results. It returns
+// the input positions of the groups a node refused as stale-routed, and one
+// of the refusals.
+func (c *Cluster) batchOn(ctx context.Context, rt *routing, pairs []Pair, results []LookupResult) (refused []int32, r *refusal, err error) {
+	if rt.table.Len() == 0 {
+		return nil, nil, ring.ErrEmpty
+	}
+	ctx = WithRouteGen(ctx, rt.rec.Gen)
 	sc := getBatchScratch()
 	defer putBatchScratch(sc)
 	g := sc.group(rt, pairs)
 
-	results := make([]LookupResult, len(pairs))
 	var (
 		wg       sync.WaitGroup
-		errMu    sync.Mutex
+		mu       sync.Mutex
 		firstErr error
 	)
 	runGroup := func(k int) {
 		gpairs, gidx := g.pairs[g.start[k]:g.start[k+1]], g.indices[g.start[k]:g.start[k+1]]
 		rs, err := rt.backends[k].BatchLookupOrInsert(ctx, gpairs)
 		if err != nil {
+			if ref := refusedBy(rt.backends[k], err); ref != nil {
+				mu.Lock()
+				refused, r = append(refused, gidx...), ref
+				mu.Unlock()
+				return
+			}
 			// A dead owner fails its whole group's decision. With
 			// replication the successors hold the same ranges, so the
 			// group fails over to them. Erroring the batch instead would
@@ -635,11 +573,11 @@ func (c *Cluster) BatchLookupOrInsert(ctx context.Context, pairs []Pair) ([]Look
 				err = c.failOver(ctx, rt, g.points, gpairs, gidx, results, err)
 			}
 			if err != nil {
-				errMu.Lock()
+				mu.Lock()
 				if firstErr == nil {
 					firstErr = err
 				}
-				errMu.Unlock()
+				mu.Unlock()
 			}
 			return
 		}
@@ -670,26 +608,11 @@ func (c *Cluster) BatchLookupOrInsert(ctx context.Context, pairs []Pair) ([]Look
 	wg.Wait()
 	if firstErr != nil {
 		if isCtxErr(firstErr) {
-			return nil, firstErr
+			return nil, nil, firstErr
 		}
-		return nil, fmt.Errorf("core: batch: %w", firstErr)
+		return nil, nil, fmt.Errorf("core: batch: %w", firstErr)
 	}
-	// Reconcile only the misses whose owner moved mid-batch (see
-	// reconcileMiss): a miss whose owner is unchanged is final, and
-	// probing again would read back this batch's own insert as a spurious
-	// duplicate, dropping the chunk from the upload plan.
-	if c.route.Load().gen != rt.gen {
-		for i, r := range results {
-			if r.Exists {
-				continue
-			}
-			queried := rt.table.Nodes()[rt.table.Owner(int(g.points[i]))]
-			if c.ownerMoved(pairs[i].FP, queried) {
-				results[i] = c.reconcileMiss(ctx, pairs[i].FP, pairs[i].Val, r)
-			}
-		}
-	}
-	return results, nil
+	return refused, r, nil
 }
 
 // failOver decides a group whose owner errored (with err) on its pairs' other
@@ -758,81 +681,66 @@ type RebalanceStats struct {
 	Skipped int
 }
 
-// JoinNode adds a backend with no duplicate-detection disruption: it first
-// copies the entries the new node will hold onto it (placed by a shadow of
-// the table to come) while routing is untouched, then flips routing, then
-// moves what the old nodes no longer hold and removes it from them (picking
-// up what was inserted during the copy). Fingerprints already stored are
-// detected as duplicates throughout the join; one first inserted on its old
-// node during the copy can be answered "new" once, by a call routed after
-// the flip, until the move hands it over.
+// JoinNode adds a backend and hands it its arcs (see handOff): existing
+// members only give arcs up, the joiner only takes them. Fingerprints
+// already stored, and those first inserted during the join, are detected as
+// duplicates throughout: the joiner answers for an arc only once what its
+// old node held there has arrived.
 //
-// Cancelling ctx before routing flips aborts the join (the joiner holds
-// copies that are simply never routed to); after the flip, the move stops
-// early and the entries left on their old nodes cost storage, never wrong
-// answers.
+// Cancelling ctx before the joiner is raised rolls the join back; after
+// that, the removal of moved entries stops early and the entries left on
+// their old nodes cost storage, never wrong answers.
 func (c *Cluster) JoinNode(ctx context.Context, b Backend) (RebalanceStats, error) {
 	var stats RebalanceStats
-	c.mu.RLock()
+	c.change.Lock()
+	defer c.change.Unlock()
+	c.mu.Lock()
 	if _, dup := c.backends[b.ID()]; dup {
-		c.mu.RUnlock()
+		c.mu.Unlock()
 		return stats, fmt.Errorf("core: duplicate backend %q", b.ID())
 	}
-	shadow, err := c.shadowLocked(b, "")
-	var sources []Backend
-	for _, id := range c.ring.Nodes() {
-		if _, ok := c.backends[id].(Migrator); ok {
-			sources = append(sources, c.backends[id])
-		} else {
-			stats.Skipped++
-		}
-	}
-	c.mu.RUnlock()
-	if err != nil {
-		return stats, err
-	}
-	for _, m := range sources {
-		if _, _, err := c.move(ctx, m.ID(), m.(Migrator), shadow, false, &stats); err != nil {
-			return stats, err
-		}
-	}
-	c.mu.Lock()
-	err = c.addLocked(b)
+	// Known before any record names it: a refusal that teaches this cluster
+	// the next record finds the joiner's backend.
+	c.backends[b.ID()] = b
+	cur := c.route.Load()
+	next := c.routeLocked(cur.next(b.ID(), ""))
 	c.mu.Unlock()
-	if err != nil {
+	if err := c.handOff(ctx, cur, next, cur.backends, []Backend{b}, &stats); err != nil {
+		c.mu.Lock()
+		delete(c.backends, b.ID())
+		c.mu.Unlock()
 		return stats, err
 	}
-	for _, m := range sources {
-		if _, _, err := c.move(ctx, m.ID(), m.(Migrator), c.route.Load(), true, &stats); err != nil {
-			return stats, err
+	for _, s := range cur.backends {
+		if m, ok := s.(Migrator); ok {
+			if _, _, err := c.move(ctx, s.ID(), m, next, next, true, &stats); err != nil {
+				return stats, err
+			}
 		}
 	}
 	return stats, nil
 }
 
 // DrainNode moves every entry off the named node and detaches it from the
-// cluster (graceful decommission), in JoinNode's three steps: it copies
-// every entry to the nodes a shadow of the table without it places the
-// entry on while routing still sends the node's range here, then flips
-// routing, then moves everything again — picking up what was inserted
-// during the copy — removing each entry once its new nodes hold it
-// durably. A lookup routed after the flip so finds an entry where it looks
-// (as for JoinNode, one inserted during the copy arrives with the move).
-// The backend itself is not closed; its owner closes it after the drain.
+// cluster (graceful decommission), in JoinNode's steps: the drained node
+// only gives arcs up and the survivors only take them. The backend itself
+// is not closed; its owner closes it after the drain.
 //
-// A cancelled ctx before the flip aborts the drain. After it, the move
-// stops mid-pass and the node, out of the ring, stays attached with what
-// has not moved yet; calling DrainNode again on it resumes the move.
+// Cancelling ctx before the survivors are raised rolls the drain back.
+// After that, the removal stops mid-pass and the node, out of the ring,
+// stays attached with what it has not removed yet; calling DrainNode again
+// on it resumes the removal.
 func (c *Cluster) DrainNode(ctx context.Context, id ring.NodeID) (RebalanceStats, error) {
 	var stats RebalanceStats
+	c.change.Lock()
+	defer c.change.Unlock()
 	c.mu.RLock()
 	b, ok := c.backends[id]
-	inRing := slices.Contains(c.ring.Nodes(), id)
-	last := c.ring.Len() == 1
-	var shadow *routing
-	var err error
-	if ok && inRing && !last {
-		shadow, err = c.shadowLocked(nil, id)
+	cur := c.route.Load()
+	inRing := slices.Contains(cur.rec.Members, id)
+	var next *routing
+	if ok && inRing && len(cur.rec.Members) > 1 {
+		next = c.routeLocked(cur.next("", id))
 	}
 	c.mu.RUnlock()
 	m, isMigrator := b.(Migrator)
@@ -841,34 +749,106 @@ func (c *Cluster) DrainNode(ctx context.Context, id ring.NodeID) (RebalanceStats
 		return stats, fmt.Errorf("core: unknown backend %q", id)
 	case !isMigrator:
 		return stats, fmt.Errorf("core: backend %q does not support migration", id)
-	case inRing && last:
+	case inRing && next == nil:
 		return stats, errors.New("core: cannot drain the last node")
-	case err != nil:
-		return stats, err
 	}
 	if inRing {
-		if _, _, err := c.move(ctx, id, m, shadow, false, &stats); err != nil {
+		survivors := slices.DeleteFunc(slices.Clone(cur.backends), func(s Backend) bool { return s.ID() == id })
+		if err := c.handOff(ctx, cur, next, []Backend{b}, survivors, &stats); err != nil {
 			return stats, err
 		}
-		// Take the node out of the ring so moved entries route to the
-		// surviving members; keep the backend attached for the move.
-		c.mu.Lock()
-		err := c.ring.Remove(id)
-		if err == nil {
-			c.publishLocked()
-		}
-		c.mu.Unlock()
-		if err != nil {
-			return stats, fmt.Errorf("core: drain %s: %w", id, err)
-		}
 	}
-	if _, _, err := c.move(ctx, id, m, c.route.Load(), true, &stats); err != nil {
+	rt := c.route.Load()
+	if _, _, err := c.move(ctx, id, m, rt, rt, true, &stats); err != nil {
 		return stats, err
 	}
 	c.mu.Lock()
 	delete(c.backends, id)
 	c.mu.Unlock()
 	return stats, nil
+}
+
+// handOff moves the cluster from routing cur to next, which differ by one
+// member, so the losers only give arcs up and the gainers only take them.
+// It runs the first four steps of a membership change; the caller removes
+// what moved, the fifth:
+//
+//  0. every node involved holds cur's record, so a gainer holds the calls
+//     routed on next's until step 4;
+//  1. the losers' entries are copied ahead to where next places them, while
+//     routing is untouched;
+//  2. the losers are raised to next's generation: from here no call routed
+//     on cur reaches what they gave up, and none they admitted is still
+//     running;
+//  3. the copy runs again, taking what was inserted during step 1;
+//  4. the gainers are raised, and the cluster routes on next.
+//
+// A failure in steps 2–4 rolls back: every node involved, and the cluster,
+// move on to cur's membership under the generation after next's. Nothing
+// was removed yet, and the gainers answered nothing for their new arcs.
+func (c *Cluster) handOff(ctx context.Context, cur, next *routing, losers, gainers []Backend, st *RebalanceStats) error {
+	involved := append(slices.Clone(losers), gainers...)
+	for _, b := range involved {
+		if _, ok := b.(RoutingHolder); !ok {
+			return fmt.Errorf("core: backend %q holds no routing record", b.ID())
+		}
+	}
+	var sources []Backend
+	for _, b := range losers {
+		if _, ok := b.(Migrator); ok {
+			sources = append(sources, b)
+		} else {
+			st.Skipped++
+		}
+	}
+	copyAhead := func() error {
+		for _, b := range sources {
+			if _, _, err := c.move(ctx, b.ID(), b.(Migrator), cur, next, false, st); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := c.raise(ctx, involved, cur.rec); err != nil {
+		return err
+	}
+	if err := copyAhead(); err != nil {
+		return err
+	}
+	err := c.raise(ctx, losers, next.rec)
+	if err == nil {
+		err = copyAhead()
+	}
+	if err == nil {
+		err = c.raise(ctx, gainers, next.rec)
+	}
+	if err != nil {
+		back := cur.rec
+		back.Gen = next.rec.Gen + 1
+		if rerr := c.raise(context.WithoutCancel(ctx), involved, back); rerr != nil {
+			err = errors.Join(err, rerr)
+		}
+		c.adopt(back)
+		return err
+	}
+	c.adopt(next.rec)
+	return nil
+}
+
+// raise hands rec to each of bs in turn, and fails unless each then holds
+// exactly rec's generation: a node past it has taken a membership change
+// this cluster did not make.
+func (c *Cluster) raise(ctx context.Context, bs []Backend, rec Routing) error {
+	for _, b := range bs {
+		got, err := b.(RoutingHolder).Routing(ctx, rec)
+		if err != nil {
+			return fmt.Errorf("core: raise %s to routing generation %d: %w", b.ID(), rec.Gen, err)
+		}
+		if got.Gen != rec.Gen {
+			return fmt.Errorf("core: %s is at routing generation %d, not %d", b.ID(), got.Gen, rec.Gen)
+		}
+	}
+	return nil
 }
 
 // movePage bounds one target's share of a move: the pairs one ApplyRepair
@@ -881,33 +861,24 @@ const movePage = 1024
 // page of up to movePage pairs, and reports the pairs it sent and how many
 // of them their targets created. ApplyRepair only fills a hole — an entry
 // its target holds is the one lookups routed there were answered from —
-// and is durable on return.
+// and is durable on return. Its pages carry no routing generation: a node
+// takes them whatever its own.
 //
-// A copy (remove false) takes each entry the source holds under the table
-// in force; to is the shadow of a table about to be published, or for
-// anti-entropy the table in force. Anything else on the source is a stray
-// that a call routed on a superseded table left behind; a move takes it. A
-// move (remove true) runs under to, the table in force, once no call routes
-// on an older one (quiesce): it takes each entry the source no longer
-// holds, and the source removes it once its last target's page has
-// returned, if the table in force still does not place it there.
-func (c *Cluster) move(ctx context.Context, id ring.NodeID, src Migrator, to *routing, remove bool, st *RebalanceStats) (sent, created int, err error) {
-	rt := to
-	if remove {
-		if err := c.quiesce(ctx); err != nil {
-			return 0, 0, fmt.Errorf("core: move from %s: %w", id, err)
-		}
-	} else {
-		rt = c.route.Load()
-	}
+// A copy (remove false) takes each entry that held places on the source;
+// anything else there is a stray a stale call left behind before the fence
+// refused such calls, which a removal takes. A removal runs under to, the
+// table in force, with held == to: it takes each entry the table does not
+// place on the source, and the source removes it once its last target's
+// page has returned, if the table in force still does not place it there.
+func (c *Cluster) move(ctx context.Context, id ring.NodeID, src Migrator, held, to *routing, remove bool, st *RebalanceStats) (sent, created int, err error) {
 	if to.table.Len() == 0 {
 		return 0, 0, ring.ErrEmpty
 	}
 	buckets := make([][]Pair, len(to.backends))
 	err = src.Entries(ctx, func(fp fingerprint.Fingerprint, val Value) bool {
 		st.Scanned++
-		if held := rt.places(fp, id); held == remove {
-			return true // a copy takes what the source holds, a move the rest
+		if held.places(fp, id) == remove {
+			return true // a copy takes what the source holds, a removal the rest
 		}
 		for _, k := range to.table.Successors(to.table.Point(fp.Prefix64())) {
 			if to.table.Nodes()[k] != id {
@@ -936,7 +907,7 @@ func (c *Cluster) move(ctx context.Context, id ring.NodeID, src Migrator, to *ro
 			if !remove {
 				continue
 			}
-			rt = c.route.Load()
+			rt := c.route.Load()
 			for _, p := range page {
 				// Buckets go out in table order: an entry's last target is
 				// the highest of its nodes (none of them is the source).

@@ -330,24 +330,45 @@ func TestNoReplicationLosesDataOnFailure(t *testing.T) {
 // sweep. JoinNode is the membership change that moves entries.
 func (c *Cluster) addNode(b Backend) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.addLocked(b)
+	if _, dup := c.backends[b.ID()]; dup {
+		c.mu.Unlock()
+		return fmt.Errorf("core: duplicate backend %q", b.ID())
+	}
+	c.backends[b.ID()] = b
+	return c.publishTest(c.route.Load().next(b.ID(), ""))
 }
 
 // removeNode detaches a backend and moves nothing: how a test takes a dead
 // member out. DrainNode is the membership change that moves entries.
 func (c *Cluster) removeNode(id ring.NodeID) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, ok := c.backends[id]; !ok {
+		c.mu.Unlock()
 		return fmt.Errorf("core: unknown backend %q", id)
 	}
-	if err := c.ring.Remove(id); err != nil {
-		return err
-	}
 	delete(c.backends, id)
-	c.publishLocked()
-	return nil
+	return c.publishTest(c.route.Load().next("", id))
+}
+
+// publishTest publishes rec and hands it to every member that holds a
+// record, so calls routed on it are served at once. Caller holds c.mu,
+// which publishTest releases.
+func (c *Cluster) publishTest(rec Routing) error {
+	rt := c.routeLocked(rec)
+	c.publishLocked(rt)
+	c.mu.Unlock()
+	var holders []Backend
+	for _, b := range rt.backends {
+		if _, ok := b.(RoutingHolder); ok {
+			holders = append(holders, b)
+		}
+	}
+	return c.raise(context.Background(), holders, rec)
+}
+
+// routingFor returns fp's replica set under the current routing snapshot.
+func (c *Cluster) routingFor(fp fingerprint.Fingerprint) ([]Backend, error) {
+	return c.route.Load().replicasFor(fp)
 }
 
 func TestAddRemoveNode(t *testing.T) {
@@ -379,75 +400,4 @@ func TestAddRemoveNode(t *testing.T) {
 		t.Fatalf("LookupOrInsert after churn: %v", err)
 	}
 	extra.Close()
-}
-
-// raceBackend runs a hook after a call it passes to its node, standing in
-// for whatever lands between that call and the cluster's next one.
-type raceBackend struct {
-	*Node
-	afterBatch func()
-	afterMiss  func(fingerprint.Fingerprint) // after a Lookup that missed
-}
-
-func (b *raceBackend) BatchLookupOrInsert(ctx context.Context, pairs []Pair) ([]LookupResult, error) {
-	rs, err := b.Node.BatchLookupOrInsert(ctx, pairs)
-	if hook := b.afterBatch; hook != nil {
-		b.afterBatch = nil
-		hook()
-	}
-	return rs, err
-}
-
-func (b *raceBackend) Lookup(ctx context.Context, f fingerprint.Fingerprint) (LookupResult, error) {
-	r, err := b.Node.Lookup(ctx, f)
-	if hook := b.afterMiss; hook != nil && err == nil && !r.Exists {
-		b.afterMiss = nil
-		hook(f)
-	}
-	return r, err
-}
-
-// A miss whose owner moved mid-batch is reconciled against the new owner;
-// when that probe misses too, the heal only fills the hole: a call that
-// created the entry there between the probe and the heal keeps its value.
-func TestReconcileHealFillsHoleOnly(t *testing.T) {
-	ctx := context.Background()
-	old := &raceBackend{Node: newNamedNode(t, "node-0")}
-	owner := &raceBackend{Node: newNamedNode(t, "node-1")}
-	c, err := NewCluster(ClusterConfig{}, old)
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	defer c.Close()
-	next := ring.New(0)
-	next.Add("node-0")
-	next.Add("node-1")
-	k := fp(0)
-	for i := uint64(1); ; i++ {
-		if id, _ := next.Lookup(k); id == "node-1" {
-			break
-		}
-		k = fp(i)
-	}
-	// node-0 decides k new, then node-1 joins and owns it; the probe of
-	// node-1 misses, and a racing call creates k there with its own value.
-	old.afterBatch = func() {
-		if err := c.addNode(owner); err != nil {
-			t.Errorf("addNode: %v", err)
-		}
-	}
-	owner.afterMiss = func(f fingerprint.Fingerprint) {
-		if _, err := owner.Node.LookupOrInsert(ctx, f, 2); err != nil {
-			t.Errorf("racing insert: %v", err)
-		}
-	}
-	if _, err := c.LookupOrInsert(ctx, k, 1); err != nil {
-		t.Fatalf("LookupOrInsert: %v", err)
-	}
-	if old.afterBatch != nil || owner.afterMiss != nil {
-		t.Fatal("the miss was not reconciled against the new owner; test is vacuous")
-	}
-	if r, err := owner.Node.Lookup(ctx, k); err != nil || !r.Exists || r.Value != 2 {
-		t.Fatalf("new owner holds %+v (%v) after the heal, want the racing call's value 2", r, err)
-	}
 }

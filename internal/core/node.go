@@ -382,6 +382,12 @@ type Node struct {
 	destageMu  sync.Mutex
 	destageErr error
 
+	// fence is held for reading by every admitted routed call and for
+	// writing by a raise of epoch, the routing generation the node serves,
+	// which it guards (see fence.go).
+	fence sync.RWMutex
+	epoch *epoch
+
 	// closed is written with every stripe locked and read under any
 	// single stripe lock. closedFast mirrors it for the lock-free read
 	// path, which holds no lock to read closed under.
@@ -429,6 +435,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		n.stripes[i].histBloom = newPhaseHistogram()
 		n.stripes[i].histSSD = newPhaseHistogram()
 	}
+	n.epoch = &epoch{next: make(chan struct{})}
 	// fail closes whatever NewNode opened before an error unwinds it.
 	fail := func(err error) (*Node, error) {
 		if n.jnl != nil {
@@ -616,6 +623,11 @@ func (n *Node) insertLocked(s *nodeStripe, fp fingerprint.Fingerprint, val Value
 // (the insert then never starts); Insert is not a result-waiter, so
 // giving up never aborts the flight it was waiting out.
 func (n *Node) Insert(ctx context.Context, fp fingerprint.Fingerprint, val Value) error {
+	if ok, err := n.admit(ctx); err != nil {
+		return err
+	} else if ok {
+		defer n.fence.RUnlock()
+	}
 	s := &n.stripes[n.stripeIndex(fp)]
 	cancellable := ctx.Done() != nil
 	for {

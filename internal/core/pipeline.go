@@ -231,6 +231,12 @@ func putNodeScratch(sc *nodeScratch) {
 // item, in input order; a fingerprint appearing twice resolves in input
 // order, the second occurrence seeing the first as a duplicate.
 func (n *Node) batchAsync(ctx context.Context, results []LookupResult, fpOf func(int) fingerprint.Fingerprint, valOf func(int) Value, mode batchMode) error {
+	// The routing fence answers first: a stale-routed call touches nothing.
+	if ok, err := n.admit(ctx); err != nil {
+		return err
+	} else if ok {
+		defer n.fence.RUnlock()
+	}
 	// Phase 0 — lock-free prepass: resolve cache hits with no stripe lock. A
 	// resolved item (Source is set; the zero Source marks unresolved) never
 	// enters the locked RAM pass, so a cache-resident batch touches no mutex

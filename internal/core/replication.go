@@ -244,8 +244,11 @@ func (c *Cluster) drainRepairBatch(ctx context.Context) bool {
 	// Group valid tasks per target. A task whose target left the cluster,
 	// or is no longer in the fingerprint's replica set (the entry's range
 	// moved — e.g. the key was migrated or removed), is dropped: applying
-	// it could resurrect an entry on a node that just migrated it off.
+	// it could resurrect an entry on a node that just migrated it off. The
+	// repairs are routed on rt, so a node that has moved past it refuses
+	// them, and they are dropped too.
 	rt := c.route.Load()
+	routed := WithRouteGen(ctx, rt.rec.Gen)
 	groups := make(map[ring.NodeID][]Pair)
 	backends := make(map[ring.NodeID]Backend)
 	var dropped uint64
@@ -266,7 +269,7 @@ func (c *Cluster) drainRepairBatch(ctx context.Context) bool {
 	}
 
 	for id, pairs := range groups {
-		if _, err := applyRepair(ctx, backends[id], pairs); err != nil {
+		if _, err := applyRepair(routed, backends[id], pairs); err != nil {
 			// Best-effort: a failed repair is dropped, not retried — the
 			// anti-entropy sweep is the backstop.
 			dropped += uint64(len(pairs))
@@ -308,9 +311,9 @@ func (c *Cluster) readRepair(missers []Backend, fp fingerprint.Fingerprint, val 
 // A mirror that reports a pair already present under its own locator reveals
 // a divergence: the mirror's copy predates this insert (the decider's miss
 // was a wiped disk, not a first sighting), so that pair's result is flipped
-// to the mirror's duplicate answer — the same safe bias as reconcileMiss (a
-// wrong "new" costs one redundant upload; a wrong "duplicate" would lose
-// data, and here the mirror's copy proves the chunk is stored).
+// to the mirror's duplicate answer (a wrong "new" costs one redundant
+// upload; a wrong "duplicate" would lose data, and here the mirror's copy
+// proves the chunk is stored).
 //
 // The call returns as soon as every created pair has met its write quorum —
 // waves still in the air past that point complete asynchronously and account
@@ -461,6 +464,7 @@ func (c *Cluster) AntiEntropy(ctx context.Context) (AntiEntropyStats, error) {
 	c.mu.RUnlock()
 
 	var walked RebalanceStats
+	rt := c.route.Load()
 	for _, src := range sources {
 		m, ok := src.(Migrator)
 		if !ok {
@@ -468,7 +472,7 @@ func (c *Cluster) AntiEntropy(ctx context.Context) (AntiEntropyStats, error) {
 			continue
 		}
 		st.Sources++
-		sent, created, err := c.move(ctx, src.ID(), m, c.route.Load(), false, &walked)
+		sent, created, err := c.move(ctx, src.ID(), m, rt, rt, false, &walked)
 		st.Checked += sent
 		st.Repaired += created
 		if err != nil {

@@ -15,6 +15,7 @@ package main
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"log"
 	"os"
@@ -55,7 +56,26 @@ func open(dir string) (*hashdb.DB, *core.Node) {
 }
 
 func main() {
-	dir := os.Args[1]
+	// Exactly one argument, an existing directory; anything else, -h
+	// included, prints the usage and writes nothing.
+	fs := flag.NewFlagSet("mkgoldenfiles", flag.ContinueOnError)
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), "usage: go run internal/core/testdata/mkgoldenfiles.go <existing directory>")
+	}
+	err := fs.Parse(os.Args[1:])
+	if err == nil && fs.NArg() != 1 {
+		fs.Usage()
+		err = flag.ErrHelp
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+	dir := fs.Arg(0)
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		fmt.Fprintf(fs.Output(), "mkgoldenfiles: %s is not an existing directory\n", dir)
+		fs.Usage()
+		os.Exit(2)
+	}
 	ctx := context.Background()
 	live := filepath.Join(dir, "live")
 	if err := os.MkdirAll(live, 0o755); err != nil {

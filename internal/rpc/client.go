@@ -22,26 +22,30 @@ import (
 var ErrClientClosed = errors.New("rpc: client is closed")
 
 // ServerError is a failure reported by the remote node (as opposed to a
-// transport failure). Code is the server's error code, and the only thing
-// that maps to behaviour: CodeCancelled and CodeDeadline unwrap to the
-// matching context error, so errors.Is(err, context.DeadlineExceeded)
-// holds across the wire, and Dial fails with CodeVersionMismatch against a
-// peer on another protocol. Msg is for people.
+// transport failure). Code is the server's error code, and with Arg the
+// only thing that maps to behaviour: CodeCancelled and CodeDeadline unwrap
+// to the matching context error, so errors.Is(err, context.DeadlineExceeded)
+// holds across the wire, CodeStaleRoute unwraps to a *core.StaleRouteError
+// carrying the node's generation, and Dial fails with CodeVersionMismatch
+// against a peer on another protocol. Msg is for people.
 type ServerError struct {
 	Msg  string
 	Code wire.Code
+	Arg  uint64
 }
 
 func (e *ServerError) Error() string { return "rpc: server: " + e.Msg }
 
-// Unwrap exposes the context error the server's failure was, if it was
-// one.
+// Unwrap exposes the context error or the stale route the server's failure
+// was, if it was one.
 func (e *ServerError) Unwrap() error {
 	switch e.Code {
 	case wire.CodeCancelled:
 		return context.Canceled
 	case wire.CodeDeadline:
 		return context.DeadlineExceeded
+	case wire.CodeStaleRoute:
+		return &core.StaleRouteError{Gen: e.Arg}
 	}
 	return nil
 }
@@ -52,7 +56,7 @@ func decodeServerError(payload []byte) *ServerError {
 	if err != nil {
 		return &ServerError{Msg: "undecodable server error"}
 	}
-	return &ServerError{Msg: ep.Msg, Code: ep.Code}
+	return &ServerError{Msg: ep.Msg, Code: ep.Code, Arg: ep.Arg}
 }
 
 // ClientConfig configures a Client.
@@ -339,9 +343,9 @@ func (c *Client) timeoutFor(ctx context.Context) time.Duration {
 }
 
 // send writes one request on the given logical stream and returns its
-// pending call. It takes ownership of reqBuf (the pooled buffer holding the
-// request payload; nil for empty payloads) and releases it once the frame
-// is on the wire.
+// pending call; the frame carries the routing generation ctx does. It takes
+// ownership of reqBuf (the pooled buffer holding the request payload; nil
+// for empty payloads) and releases it once the frame is on the wire.
 //
 //shhc:takes-buf reqBuf
 func (c *Client) send(ctx context.Context, stream uint32, reqType wire.Type, reqBuf *[]byte) (*pendingCall, error) {
@@ -358,7 +362,7 @@ func (c *Client) send(ctx context.Context, stream uint32, reqType wire.Type, req
 	if reqBuf != nil {
 		payload = *reqBuf
 	}
-	pc, err := cc.start(ctx, stream, reqType, payload, c.timeoutFor(ctx))
+	pc, err := cc.start(ctx, wire.Frame{Type: reqType, Timeout: c.timeoutFor(ctx), Stream: stream, Gen: core.RouteGen(ctx), Payload: payload})
 	wire.PutBuf(reqBuf)
 	return pc, err
 }
@@ -542,6 +546,28 @@ func (b *BatchCall) wait() {
 	wire.PutBuf(body)
 }
 
+// Routing offers the remote node a routing record over the routing verb
+// and returns the record it holds (see core.RoutingHolder).
+func (c *Client) Routing(ctx context.Context, rec core.Routing) (core.Routing, error) {
+	buf := wire.GetBuf(0)
+	*buf = wire.AppendRouting((*buf)[:0], toWireRouting(rec))
+	resp, body, err := c.call(ctx, 0, wire.TypeRouting, buf)
+	if err != nil {
+		return core.Routing{}, err
+	}
+	defer wire.PutBuf(body)
+	if resp.Type != wire.TypeRoutingResult {
+		return core.Routing{}, fmt.Errorf("rpc: routing got %v", resp.Type)
+	}
+	out, err := wire.DecodeRouting(resp.Payload)
+	if err != nil {
+		return core.Routing{}, err
+	}
+	return fromWireRouting(out), nil
+}
+
+var _ core.RoutingHolder = (*Client)(nil)
+
 // Stats fetches the remote node's counters.
 func (c *Client) Stats(ctx context.Context) (core.NodeStats, error) {
 	resp, body, err := c.call(ctx, 0, wire.TypeStats, nil)
@@ -635,6 +661,11 @@ func (s *ClientStream) GoBatchLookupOrInsert(ctx context.Context, pairs []core.P
 // Stats fetches the remote node's counters (control stream).
 func (s *ClientStream) Stats(ctx context.Context) (core.NodeStats, error) {
 	return s.c.Stats(ctx)
+}
+
+// Routing offers the remote node a routing record (control stream).
+func (s *ClientStream) Routing(ctx context.Context, rec core.Routing) (core.Routing, error) {
+	return s.c.Routing(ctx, rec)
 }
 
 // Close releases nothing: the stream is just an id, and the underlying
@@ -872,14 +903,14 @@ func (cc *clientConn) readLoop(br *bufio.Reader) {
 	}
 }
 
-// start registers a call and writes its request frame, returning without
-// waiting for the response — this is what pipelines multiple requests onto
-// one connection. timeout (relative, 0 = none) rides in the frame. The
-// payload is first charged against the stream's send window; a caller on
-// an exhausted stream blocks here (under ctx) until the server grants
-// credit, while callers on other streams sail past.
-func (cc *clientConn) start(ctx context.Context, stream uint32, reqType wire.Type, payload []byte, timeout time.Duration) (*pendingCall, error) {
-	if err := cc.acquire(ctx, stream, len(payload)); err != nil {
+// start registers a call and writes its request frame f, numbered here,
+// returning without waiting for the response — this is what pipelines
+// multiple requests onto one connection. The payload is first charged
+// against the stream's send window; a caller on an exhausted stream blocks
+// here (under ctx) until the server grants credit, while callers on other
+// streams sail past.
+func (cc *clientConn) start(ctx context.Context, f wire.Frame) (*pendingCall, error) {
+	if err := cc.acquire(ctx, f.Stream, len(f.Payload)); err != nil {
 		return nil, err
 	}
 	cc.mu.Lock()
@@ -891,7 +922,7 @@ func (cc *clientConn) start(ctx context.Context, stream uint32, reqType wire.Typ
 	id := atomic.AddUint64(&cc.nextID, 1)
 	pc := &pendingCall{
 		cc:      cc,
-		reqType: reqType,
+		reqType: f.Type,
 		id:      id,
 		ch:      make(chan response, 1),
 		settled: make(chan struct{}),
@@ -900,7 +931,8 @@ func (cc *clientConn) start(ctx context.Context, stream uint32, reqType wire.Typ
 	cc.mu.Unlock()
 
 	cc.writeMu.Lock()
-	err := cc.fw.WriteFrame(wire.Frame{Type: reqType, ID: id, Timeout: timeout, Stream: stream, Payload: payload})
+	f.ID = id
+	err := cc.fw.WriteFrame(f)
 	cc.writeMu.Unlock()
 	if err != nil {
 		cc.shutdown(fmt.Errorf("rpc: send: %w", err))

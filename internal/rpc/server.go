@@ -23,6 +23,7 @@ import (
 
 	"shhc/internal/core"
 	"shhc/internal/metrics"
+	"shhc/internal/ring"
 	"shhc/internal/wire"
 )
 
@@ -439,14 +440,17 @@ func (s *Server) handle(ctx context.Context, f wire.Frame) (wire.Frame, *[]byte)
 	// fail builds an error response whose code lets the client recover a
 	// context error without string matching.
 	fail := func(err error) (wire.Frame, *[]byte) {
-		code := wire.CodeInternal
+		e := wire.ErrorPayload{Code: wire.CodeInternal, Msg: err.Error()}
+		var stale *core.StaleRouteError
 		switch {
 		case errors.Is(err, context.Canceled):
-			code = wire.CodeCancelled
+			e.Code = wire.CodeCancelled
 		case errors.Is(err, context.DeadlineExceeded):
-			code = wire.CodeDeadline
+			e.Code = wire.CodeDeadline
+		case errors.As(err, &stale):
+			e.Code, e.Arg = wire.CodeStaleRoute, stale.Gen
 		}
-		return errorFrame(f.ID, wire.ErrorPayload{Code: code, Msg: err.Error()})
+		return errorFrame(f.ID, e)
 	}
 	badReq := func(err error) (wire.Frame, *[]byte) {
 		return errorFrame(f.ID, wire.ErrorPayload{Code: wire.CodeBadRequest, Msg: err.Error()})
@@ -465,6 +469,9 @@ func (s *Server) handle(ctx context.Context, f wire.Frame) (wire.Frame, *[]byte)
 	// tearing down) is not worth starting.
 	if err := ctx.Err(); err != nil {
 		return fail(err)
+	}
+	if f.Gen != 0 {
+		ctx = core.WithRouteGen(ctx, f.Gen)
 	}
 	switch f.Type {
 	case wire.TypePing:
@@ -517,6 +524,23 @@ func (s *Server) handle(ctx context.Context, f wire.Frame) (wire.Frame, *[]byte)
 			return fail(err)
 		}
 		return batchResult(rs)
+
+	case wire.TypeRouting:
+		h, ok := s.backend.(core.RoutingHolder)
+		if !ok {
+			return badReq(errors.New("rpc: this node holds no routing record"))
+		}
+		in, err := wire.DecodeRouting(f.Payload)
+		if err != nil {
+			return badReq(err)
+		}
+		rec, err := h.Routing(ctx, fromWireRouting(in))
+		if err != nil {
+			return fail(err)
+		}
+		buf := wire.GetBuf(0)
+		*buf = wire.AppendRouting((*buf)[:0], toWireRouting(rec))
+		return wire.Frame{Type: wire.TypeRoutingResult, ID: f.ID, Payload: *buf}, buf
 
 	case wire.TypeStats:
 		st, err := s.backend.Stats(ctx)
@@ -589,6 +613,22 @@ func decodeCoreResults(payload []byte, want int, verb string) ([]core.LookupResu
 		out[i] = fromWireResult(wire.ResultAt(payload, i))
 	}
 	return out, nil
+}
+
+func toWireRouting(rec core.Routing) wire.RoutingPayload {
+	r := wire.RoutingPayload{Gen: rec.Gen, VNodes: uint32(rec.VNodes), Replicas: uint32(rec.Replicas)}
+	for _, m := range rec.Members {
+		r.Members = append(r.Members, string(m))
+	}
+	return r
+}
+
+func fromWireRouting(r wire.RoutingPayload) core.Routing {
+	rec := core.Routing{Gen: r.Gen, VNodes: int(r.VNodes), Replicas: int(r.Replicas)}
+	for _, m := range r.Members {
+		rec.Members = append(rec.Members, ring.NodeID(m))
+	}
+	return rec
 }
 
 func toWireResult(r core.LookupResult) wire.ResultPayload {

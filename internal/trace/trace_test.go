@@ -2,7 +2,6 @@ package trace
 
 import (
 	"math"
-	"path/filepath"
 	"testing"
 
 	"shhc/internal/fingerprint"
@@ -185,82 +184,6 @@ func TestInterleaveMergesAll(t *testing.T) {
 	}
 	if n != 1500 {
 		t.Fatalf("merged stream length = %d, want 1500", n)
-	}
-}
-
-func TestFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "test.shtr")
-	spec := Spec{Name: "file-test", Fingerprints: 3000, PctRedundant: 0.3, Distance: 100, ChunkSize: ChunkSize8K, Seed: 5}
-	want := NewGenerator(spec).Drain()
-
-	w, err := NewWriter(path, spec.Name, spec.ChunkSize)
-	if err != nil {
-		t.Fatalf("NewWriter: %v", err)
-	}
-	for _, fp := range want {
-		if err := w.Write(fp); err != nil {
-			t.Fatalf("Write: %v", err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	r, err := OpenReader(path)
-	if err != nil {
-		t.Fatalf("OpenReader: %v", err)
-	}
-	defer r.Close()
-	if r.Name() != spec.Name {
-		t.Fatalf("Name = %q, want %q", r.Name(), spec.Name)
-	}
-	if r.ChunkSize() != spec.ChunkSize {
-		t.Fatalf("ChunkSize = %d, want %d", r.ChunkSize(), spec.ChunkSize)
-	}
-	if int(r.Count()) != len(want) {
-		t.Fatalf("Count = %d, want %d", r.Count(), len(want))
-	}
-	for i, wantFP := range want {
-		fp, ok, err := r.Next()
-		if err != nil || !ok {
-			t.Fatalf("Next(%d) = (%v, %v)", i, ok, err)
-		}
-		if fp != wantFP {
-			t.Fatalf("record %d mismatch", i)
-		}
-	}
-	if _, ok, _ := r.Next(); ok {
-		t.Fatal("Next past end returned a record")
-	}
-}
-
-func TestWriteSpecHelper(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "spec.shtr")
-	spec := Spec{Name: "helper", Fingerprints: 2000, PctRedundant: 0.4, Distance: 100, Seed: 9}
-	st, err := WriteSpec(path, spec)
-	if err != nil {
-		t.Fatalf("WriteSpec: %v", err)
-	}
-	if st.Fingerprints != 2000 {
-		t.Fatalf("stats fingerprints = %d, want 2000", st.Fingerprints)
-	}
-	r, err := OpenReader(path)
-	if err != nil {
-		t.Fatalf("OpenReader: %v", err)
-	}
-	defer r.Close()
-	if int(r.Count()) != 2000 {
-		t.Fatalf("file count = %d, want 2000", r.Count())
-	}
-}
-
-func TestOpenReaderRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.shtr")
-	if err := osWriteFile(path, []byte("this is not a trace file at all")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenReader(path); err == nil {
-		t.Fatal("OpenReader accepted garbage")
 	}
 }
 

@@ -1,6 +1,9 @@
 package wire
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Code is the one-byte error code that opens every TypeError payload, so a
 // client dispatches on a number instead of parsing prose. The table in
@@ -23,6 +26,9 @@ const (
 	// CodeVersionMismatch refuses a connection whose first frame is not a
 	// Hello carrying ProtocolVersion. The connection closes behind it.
 	CodeVersionMismatch Code = 5
+	// CodeStaleRoute refuses a request routed on a generation older than
+	// the node's; the payload's argument is the node's generation.
+	CodeStaleRoute Code = 6
 )
 
 // codeNames is what Code.String prints, and the "Name" column of the
@@ -33,6 +39,7 @@ var codeNames = [...]string{
 	CodeCancelled:       "CANCELLED",
 	CodeDeadline:        "DEADLINE",
 	CodeVersionMismatch: "VERSION_MISMATCH",
+	CodeStaleRoute:      "STALE_ROUTE",
 }
 
 func (c Code) String() string {
@@ -46,44 +53,36 @@ func (c Code) String() string {
 type ErrorPayload struct {
 	Code Code
 	Msg  string
+	// Arg is the code's argument: the node's generation for
+	// CodeStaleRoute, 0 for every other code.
+	Arg uint64
 }
 
 // AppendError appends a TypeError payload to dst:
 //
 //	uint8   code
 //	uint16  message length | message bytes
-//	uint16  0   (reserved string, always empty)
-//	uint16  0   (reserved string, always empty)
-//
-// The two reserved strings keep the layout a protocol-8 peer decodes: it
-// refuses an error payload without them, and would then report a
-// VERSION_MISMATCH refusal as an undecodable INTERNAL error.
+//	uint64  argument
 func AppendError(dst []byte, e ErrorPayload) []byte {
 	dst = append(dst, byte(e.Code))
 	dst = appendString(dst, e.Msg)
-	return append(dst, 0, 0, 0, 0)
+	return binary.BigEndian.AppendUint64(dst, e.Arg)
 }
 
-// DecodeErrorPayload decodes a TypeError payload. The reserved strings must
-// be present and are otherwise ignored. A code this build does not know
-// decodes as itself and, mapping to nothing, acts as CodeInternal.
+// DecodeErrorPayload decodes a TypeError payload. A code this build does
+// not know decodes as itself and, mapping to nothing, acts as CodeInternal.
 func DecodeErrorPayload(b []byte) (ErrorPayload, error) {
 	if len(b) < 1 {
 		return ErrorPayload{}, fmt.Errorf("wire: error payload: missing code: %w", ErrShortPayload)
 	}
 	e := ErrorPayload{Code: Code(b[0])}
-	rest := b[1:]
-	var err error
-	if e.Msg, rest, err = cutString(rest); err != nil {
+	msg, rest, err := cutString(b[1:])
+	if err != nil {
 		return ErrorPayload{}, fmt.Errorf("wire: error payload message: %w", err)
 	}
-	for range 2 {
-		if _, rest, err = cutString(rest); err != nil {
-			return ErrorPayload{}, fmt.Errorf("wire: error payload reserved string: %w", err)
-		}
+	if len(rest) != 8 {
+		return ErrorPayload{}, fmt.Errorf("wire: error payload: want an 8-byte argument, have %d bytes: %w", len(rest), ErrShortPayload)
 	}
-	if len(rest) != 0 {
-		return ErrorPayload{}, fmt.Errorf("wire: error payload: %d trailing bytes: %w", len(rest), ErrShortPayload)
-	}
+	e.Msg, e.Arg = msg, binary.BigEndian.Uint64(rest)
 	return e, nil
 }

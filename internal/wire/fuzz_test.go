@@ -26,8 +26,7 @@ func readChecked(t testing.TB, data []byte) (Frame, *[]byte, error) {
 }
 
 // v8NotOwner is an error payload as a protocol-8 node sent NOT_OWNER: code
-// 4, a message, and the owner's id and address in the two strings that are
-// now reserved.
+// 4, a message, and the owner's id and address in two more strings.
 var v8NotOwner = []byte{4, 0, 5, 'm', 'o', 'v', 'e', 'd', 0, 2, 'n', '2', 0, 3, 'a', ':', '1'}
 
 // FuzzDecodeFrame feeds arbitrary bytes to the frame reader and to every
@@ -87,14 +86,14 @@ func FuzzDecodeFrame(f *testing.F) {
 }
 
 // fuzzControl is the shared body of the control-payload checks: coded
-// errors, window updates, the hello. Whatever decodes re-encodes to the
-// same bytes — except an error's reserved strings, which decode to nothing
-// and re-encode empty, so an error compares as the value it decoded to.
+// errors with their argument, window updates, the hello, routing records.
+// Whatever decodes re-encodes to the same bytes.
 func fuzzControl(t *testing.T, data []byte) {
-	if e, err := DecodeErrorPayload(data); err == nil {
-		if e2, err := DecodeErrorPayload(AppendError(nil, e)); err != nil || e2 != e {
-			t.Fatalf("error payload round trip: %+v -> %+v, %v", e, e2, err)
-		}
+	if e, err := DecodeErrorPayload(data); err == nil && !bytes.Equal(AppendError(nil, e), data) {
+		t.Fatalf("error payload %+v re-encodes to %x, was %x", e, AppendError(nil, e), data)
+	}
+	if r, err := DecodeRouting(data); err == nil && !bytes.Equal(AppendRouting(nil, r), data) {
+		t.Fatalf("routing record %+v re-encodes to %x, was %x", r, AppendRouting(nil, r), data)
 	}
 	if n, err := DecodeWindowUpdate(data); err == nil && !bytes.Equal(AppendWindowUpdate(nil, n), data) {
 		t.Fatalf("window update re-encodes to %x, was %x", AppendWindowUpdate(nil, n), data)
@@ -111,6 +110,8 @@ func FuzzMuxControl(f *testing.F) {
 	f.Add(v8NotOwner)
 	f.Add(AppendError(nil, ErrorPayload{Code: CodeDeadline, Msg: "context deadline exceeded"}))
 	f.Add(AppendError(nil, ErrorPayload{Code: CodeVersionMismatch, Msg: "peer offers protocol 6"}))
+	f.Add(AppendError(nil, ErrorPayload{Code: CodeStaleRoute, Msg: "stale route", Arg: 3}))
+	f.Add(AppendRouting(nil, RoutingPayload{Gen: 2, Replicas: 2, Members: []string{"node-0", "node-1"}}))
 	f.Add(AppendWindowUpdate(nil, 1<<18))
 	f.Add(AppendHello(nil, ProtocolVersion, DefaultWindow))
 	f.Add(AppendHello(nil, ProtocolVersion+1, 0))
@@ -232,8 +233,11 @@ func TestMalformedFrames(t *testing.T) {
 		{"error length lies", decodeError, []byte{byte(CodeInternal), 0, 10, 'h', 'i'}},
 		{"window update short", func(b []byte) error { _, err := DecodeWindowUpdate(b); return err }, []byte{1, 2, 3}},
 		{"coded error truncated reserved string", decodeError, v8NotOwner[:len(v8NotOwner)-2]},
+		{"coded error with protocol 8's strings", decodeError, v8NotOwner},
 		{"coded error without reserved strings", decodeError, []byte{byte(CodeVersionMismatch), 0, 1, 'x'}},
 		{"coded error trailing bytes", decodeError, append(AppendError(nil, ErrorPayload{Code: CodeInternal, Msg: "x"}), 0)},
+		{"routing count lies", func(b []byte) error { _, err := DecodeRouting(b); return err }, append(make([]byte, 16), 0xff, 0xff, 0xff, 0xff, 0, 1, 'n')},
+		{"routing trailing bytes", func(b []byte) error { _, err := DecodeRouting(b); return err }, append(AppendRouting(nil, RoutingPayload{Gen: 1}), 0)},
 		// The version-6 coded layout: 0xFFFF, code, then the strings.
 		{"error payload with the old 0xFFFF sentinel", decodeError,
 			append([]byte{0xff, 0xff}, AppendError(nil, ErrorPayload{Code: CodeDeadline, Msg: "late"})...)},

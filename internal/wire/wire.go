@@ -12,6 +12,7 @@
 //	uint64  request id (echoed in the response)
 //	uint64  timeout, nanoseconds remaining, 0 = none
 //	uint32  stream id, 0 = the control stream
+//	uint64  routing generation the request was routed on, 0 = unrouted
 //	...     type-specific payload
 //
 // All integers are big-endian. Fingerprints travel as raw 20-byte values.
@@ -36,7 +37,7 @@ import (
 // sides of a connection state it in the Hello/HelloAck exchange; a peer
 // that states another is refused with CodeVersionMismatch, never
 // negotiated down to.
-const ProtocolVersion = 9
+const ProtocolVersion = 10
 
 // Type identifies a frame's payload.
 type Type uint8
@@ -95,25 +96,34 @@ const (
 	// the receiver has consumed and returns to the sender's window.
 	// Control traffic — never itself credit-charged.
 	TypeWindowUpdate Type = 16
+
+	// TypeRouting offers the node a routing record: it adopts one newer
+	// than its own, and answers with the record it holds. A record with
+	// generation 0 only reads.
+	TypeRouting Type = 17
+	// TypeRoutingResult answers TypeRouting with the node's record.
+	TypeRoutingResult Type = 18
 )
 
 // typeNames is what Type.String prints, and the "Name" column of the
 // message table in docs/PROTOCOL.md.
 var typeNames = [...]string{
-	TypeLookup:       "lookup",
-	TypeBatch:        "batch",
-	TypeInsert:       "insert",
-	TypeStats:        "stats",
-	TypePing:         "ping",
-	TypeBatchResult:  "batch-result",
-	TypeStatsResult:  "stats-result",
-	TypePong:         "pong",
-	TypeError:        "error",
-	TypeHello:        "hello",
-	TypeHelloAck:     "hello-ack",
-	TypeCancel:       "cancel",
-	TypeRepair:       "repair",
-	TypeWindowUpdate: "window-update",
+	TypeLookup:        "lookup",
+	TypeBatch:         "batch",
+	TypeInsert:        "insert",
+	TypeStats:         "stats",
+	TypePing:          "ping",
+	TypeBatchResult:   "batch-result",
+	TypeStatsResult:   "stats-result",
+	TypePong:          "pong",
+	TypeError:         "error",
+	TypeHello:         "hello",
+	TypeHelloAck:      "hello-ack",
+	TypeCancel:        "cancel",
+	TypeRepair:        "repair",
+	TypeWindowUpdate:  "window-update",
+	TypeRouting:       "routing",
+	TypeRoutingResult: "routing-result",
 }
 
 func (t Type) String() string {
@@ -125,8 +135,8 @@ func (t Type) String() string {
 
 const (
 	// headerSize is what a frame carries between its length prefix and its
-	// payload: type + request id + timeout + stream id.
-	headerSize = 1 + 8 + 8 + 4
+	// payload: type + request id + timeout + stream id + generation.
+	headerSize = 1 + 8 + 8 + 4 + 8
 
 	// MaxFrameSize bounds a frame to keep a misbehaving peer from forcing
 	// huge allocations. 64 MiB admits batches of >2M fingerprints.
@@ -159,7 +169,10 @@ type Frame struct {
 	Timeout time.Duration
 	// Stream names the logical stream this frame belongs to; 0 is the
 	// control stream, which is never credit-charged.
-	Stream  uint32
+	Stream uint32
+	// Gen is the routing generation the request was routed on; 0 means
+	// unrouted, which a node serves whatever its own generation.
+	Gen     uint64
 	Payload []byte
 }
 
@@ -175,6 +188,7 @@ func putHeader(hdr *[4 + headerSize]byte, f *Frame) error {
 	binary.BigEndian.PutUint64(hdr[5:13], f.ID)
 	binary.BigEndian.PutUint64(hdr[13:21], uint64(f.Timeout))
 	binary.BigEndian.PutUint32(hdr[21:25], f.Stream)
+	binary.BigEndian.PutUint64(hdr[25:33], f.Gen)
 	return nil
 }
 
@@ -187,6 +201,7 @@ func parseHeader(body []byte) Frame {
 		ID:      binary.BigEndian.Uint64(body[1:9]),
 		Timeout: time.Duration(binary.BigEndian.Uint64(body[9:17])),
 		Stream:  binary.BigEndian.Uint32(body[17:21]),
+		Gen:     binary.BigEndian.Uint64(body[21:29]),
 		Payload: body[headerSize:],
 	}
 }
@@ -317,6 +332,57 @@ func DecodeWindowUpdate(b []byte) (uint32, error) {
 		return 0, fmt.Errorf("wire: window update payload: want 4 bytes, got %d: %w", len(b), ErrShortPayload)
 	}
 	return binary.BigEndian.Uint32(b), nil
+}
+
+// RoutingPayload is a routing record on the wire (TypeRouting and
+// TypeRoutingResult): the generation, the ring's shape and its members.
+type RoutingPayload struct {
+	Gen      uint64
+	VNodes   uint32
+	Replicas uint32
+	Members  []string
+}
+
+// AppendRouting appends a routing record to dst: gen, vnodes, replicas, a
+// uint32 count, then that many member ids as strings.
+func AppendRouting(dst []byte, r RoutingPayload) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, r.Gen)
+	dst = binary.BigEndian.AppendUint32(dst, r.VNodes)
+	dst = binary.BigEndian.AppendUint32(dst, r.Replicas)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Members)))
+	for _, m := range r.Members {
+		dst = appendString(dst, m)
+	}
+	return dst
+}
+
+// DecodeRouting decodes a routing record. A member count the payload
+// cannot hold is refused before anything is allocated, and so are bytes
+// after the last member.
+func DecodeRouting(b []byte) (RoutingPayload, error) {
+	if len(b) < 20 {
+		return RoutingPayload{}, fmt.Errorf("wire: routing payload: %d bytes: %w", len(b), ErrShortPayload)
+	}
+	r := RoutingPayload{
+		Gen:      binary.BigEndian.Uint64(b),
+		VNodes:   binary.BigEndian.Uint32(b[8:]),
+		Replicas: binary.BigEndian.Uint32(b[12:]),
+	}
+	count, rest := binary.BigEndian.Uint32(b[16:]), b[20:]
+	if uint64(count)*2 > uint64(len(rest)) {
+		return RoutingPayload{}, fmt.Errorf("wire: routing payload: %d members cannot fit in %d bytes: %w", count, len(rest), ErrShortPayload)
+	}
+	r.Members = make([]string, count)
+	var err error
+	for i := range r.Members {
+		if r.Members[i], rest, err = cutString(rest); err != nil {
+			return RoutingPayload{}, fmt.Errorf("wire: routing member %d: %w", i, err)
+		}
+	}
+	if len(rest) != 0 {
+		return RoutingPayload{}, fmt.Errorf("wire: routing payload: %d trailing bytes: %w", len(rest), ErrShortPayload)
+	}
+	return r, nil
 }
 
 // statsFieldMin is the smallest (name, value) pair a stats-result payload

