@@ -201,19 +201,14 @@ func (c *Cluster) routeLocked(rec Routing) *routing {
 	return rt
 }
 
-// publishLocked makes rt the routing every operation loads. Caller holds
-// c.mu for writing.
-func (c *Cluster) publishLocked(rt *routing) {
-	c.route.Store(rt)
-	c.signalMembershipChange()
-}
-
-// adopt publishes rec unless the cluster already routes on a record as new.
+// adopt publishes rec as the routing every operation loads, unless the
+// cluster already routes on a record as new.
 func (c *Cluster) adopt(rec Routing) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if rec.Gen > c.route.Load().rec.Gen {
-		c.publishLocked(c.routeLocked(rec))
+		c.route.Store(c.routeLocked(rec))
+		c.signalMembershipChange()
 	}
 }
 
@@ -307,18 +302,6 @@ func (c *Cluster) Size() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.backends)
-}
-
-// NodeIDs returns the member node IDs, sorted for stable output.
-func (c *Cluster) NodeIDs() []ring.NodeID {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	ids := make([]ring.NodeID, 0, len(c.backends))
-	for id := range c.backends {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // Owner returns the node responsible for a fingerprint.

@@ -330,11 +330,14 @@ func TestNoReplicationLosesDataOnFailure(t *testing.T) {
 // sweep. JoinNode is the membership change that moves entries.
 func (c *Cluster) addNode(b Backend) error {
 	c.mu.Lock()
-	if _, dup := c.backends[b.ID()]; dup {
-		c.mu.Unlock()
+	_, dup := c.backends[b.ID()]
+	if !dup {
+		c.backends[b.ID()] = b
+	}
+	c.mu.Unlock()
+	if dup {
 		return fmt.Errorf("core: duplicate backend %q", b.ID())
 	}
-	c.backends[b.ID()] = b
 	return c.publishTest(c.route.Load().next(b.ID(), ""))
 }
 
@@ -342,23 +345,21 @@ func (c *Cluster) addNode(b Backend) error {
 // member out. DrainNode is the membership change that moves entries.
 func (c *Cluster) removeNode(id ring.NodeID) error {
 	c.mu.Lock()
-	if _, ok := c.backends[id]; !ok {
-		c.mu.Unlock()
+	_, ok := c.backends[id]
+	delete(c.backends, id)
+	c.mu.Unlock()
+	if !ok {
 		return fmt.Errorf("core: unknown backend %q", id)
 	}
-	delete(c.backends, id)
 	return c.publishTest(c.route.Load().next("", id))
 }
 
 // publishTest publishes rec and hands it to every member that holds a
-// record, so calls routed on it are served at once. Caller holds c.mu,
-// which publishTest releases.
+// record, so calls routed on it are served at once.
 func (c *Cluster) publishTest(rec Routing) error {
-	rt := c.routeLocked(rec)
-	c.publishLocked(rt)
-	c.mu.Unlock()
+	c.adopt(rec)
 	var holders []Backend
-	for _, b := range rt.backends {
+	for _, b := range c.route.Load().backends {
 		if _, ok := b.(RoutingHolder); ok {
 			holders = append(holders, b)
 		}
