@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -102,6 +103,51 @@ func TestJoinNodePreservesValues(t *testing.T) {
 		}
 		if r.Value != Value(i*3) {
 			t.Fatalf("fingerprint %d value = %d after join, want %d", i, r.Value, i*3)
+		}
+	}
+}
+
+// A join whose hand-off fails once the existing members were raised rolls
+// back: every node involved and the cluster move on, one generation past
+// the aborted one, to the old membership, and nothing the members held is
+// lost or answered "new".
+func TestJoinNodeRollsBackWhenTheJoinerFails(t *testing.T) {
+	ctx := context.Background()
+	nodes := []*Node{newNamedNode(t, "node-0"), newNamedNode(t, "node-1")}
+	c, err := NewCluster(ClusterConfig{}, nodes[0], nodes[1])
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	defer c.Close()
+	const n = 2000
+	for i := uint64(0); i < n; i++ {
+		if _, err := c.LookupOrInsert(ctx, fp(i), Value(i)); err != nil {
+			t.Fatalf("LookupOrInsert: %v", err)
+		}
+	}
+	// The joiner takes the copy ahead, then fails every page once the
+	// members refuse generation 1: step 3 of the hand-off.
+	joiner := &repairHook{Node: newNamedNode(t, "node-join"), before: func(context.Context) error {
+		if rec, _ := nodes[0].Routing(ctx, Routing{}); rec.Gen > 1 {
+			return errInjected
+		}
+		return nil
+	}}
+	defer joiner.Close()
+	if _, err := c.JoinNode(ctx, joiner); !errors.Is(err, errInjected) {
+		t.Fatalf("JoinNode = %v, want the joiner's failure", err)
+	}
+	if got := c.route.Load().rec; got.Gen != 3 || len(got.Members) != 2 || c.Size() != 2 {
+		t.Fatalf("after the rollback the cluster routes on %+v with %d backends, want generation 3 of the two members", got, c.Size())
+	}
+	for _, h := range []RoutingHolder{nodes[0], nodes[1], joiner} {
+		if rec, _ := h.Routing(ctx, Routing{}); rec.Gen != 3 || len(rec.Members) != 2 {
+			t.Fatalf("a node involved holds %+v after the rollback, want generation 3 of the two members", rec)
+		}
+	}
+	for i := uint64(0); i < n; i++ {
+		if r, err := c.LookupOrInsert(ctx, fp(i), 999); err != nil || !r.Exists || r.Value != Value(i) {
+			t.Fatalf("fingerprint %d after the rollback = %+v, %v", i, r, err)
 		}
 	}
 }
