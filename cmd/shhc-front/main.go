@@ -2,7 +2,8 @@
 // clients talk to. It pools small plans from many clients into shared
 // batches, routes fingerprint batches to hash nodes (remote shhc-node
 // processes, or an embedded local cluster for single-machine use) and
-// forwards new chunks to the (simulated) cloud store.
+// forwards new chunks to the (simulated) cloud store. Given neither -nodes
+// nor -local, it runs an embedded cluster of 4 nodes.
 //
 // Examples:
 //
@@ -11,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -26,29 +29,50 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "shhc-front:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var (
-		addr     = flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
-		nodes    = flag.String("nodes", "", "comma-separated id=host:port remote hash nodes")
-		local    = flag.Int("local", 0, "run an embedded local cluster of this many nodes instead")
-		replicas = flag.Int("replicas", 1, "replicas per fingerprint (fault tolerance)")
-		quorum   = flag.Int("quorum", 0, "write quorum when replicas > 1 (0 = majority)")
-		antiGap  = flag.Duration("anti-entropy", 0, "anti-entropy sweep interval when replicas > 1 (0 = only on membership changes)")
-		pprofOn  = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the front-end mux")
-		rpcConns = flag.Int("rpc-conns", 0, "TCP connections per remote hash node (0 = default 2; streams multiplex over them)")
-		rpcStrms = flag.Int("rpc-streams", 0, "logical streams per node connection for plain calls (0 = default 4)")
-		rpcWin   = flag.Int("rpc-window", 0, "per-stream send-credit window in bytes (0 = default 256KiB)")
-	)
-	flag.Parse()
+// defaultLocal is the embedded cluster's size when neither -nodes nor
+// -local is given.
+const defaultLocal = 4
 
-	transport := shhc.TransportOptions{Conns: *rpcConns, StreamsPerConn: *rpcStrms, Window: *rpcWin}
-	cluster, err := buildCluster(*nodes, *local, *replicas, *quorum, *antiGap, transport)
+// options is the front-end's command line.
+type options struct {
+	addr, nodes              string
+	local, replicas, quorum  int
+	antiGap                  time.Duration
+	pprof                    bool
+	rpcConns, rpcStrms, rpcW int
+}
+
+// flags declares the command's flags over o, with their defaults; usage goes
+// to out.
+func flags(o *options, out io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("shhc-front", flag.ContinueOnError)
+	fs.SetOutput(out)
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:8080", "HTTP listen address")
+	fs.StringVar(&o.nodes, "nodes", "", "comma-separated id=host:port remote hash nodes")
+	fs.IntVar(&o.local, "local", 0, fmt.Sprintf("run an embedded local cluster of this many nodes instead of -nodes (0 = %d when -nodes is empty)", defaultLocal))
+	fs.IntVar(&o.replicas, "replicas", 1, "replicas per fingerprint (fault tolerance)")
+	fs.IntVar(&o.quorum, "quorum", 0, "write quorum when replicas > 1 (0 = majority)")
+	fs.DurationVar(&o.antiGap, "anti-entropy", 0, "anti-entropy sweep interval when replicas > 1 (0 = only on membership changes)")
+	fs.BoolVar(&o.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/ on the front-end mux")
+	fs.IntVar(&o.rpcConns, "rpc-conns", 0, "TCP connections per remote hash node (0 = default 2; streams multiplex over them)")
+	fs.IntVar(&o.rpcStrms, "rpc-streams", 0, "logical streams per node connection for plain calls (0 = default 4)")
+	fs.IntVar(&o.rpcW, "rpc-window", 0, "per-stream send-credit window in bytes (0 = default 256KiB)")
+	return fs
+}
+
+// run parses args and serves the front-end until SIGINT or SIGTERM.
+func run(args []string, stdout io.Writer) error {
+	var o options
+	if err := flags(&o, stdout).Parse(args); err != nil {
+		return err
+	}
+	cluster, err := buildCluster(o)
 	if err != nil {
 		return err
 	}
@@ -63,16 +87,16 @@ func run() error {
 	// /v1/stats "aggregation" shows it working.
 	front, err := webfront.New(webfront.Config{
 		Index: cluster, Chunks: chunks, AggregateBelow: 64,
-		EnablePprof: *pprofOn, Logger: log.Default(),
+		EnablePprof: o.pprof, Logger: log.Default(),
 	})
 	if err != nil {
 		return err
 	}
-	bound, err := front.Listen(*addr)
+	bound, err := front.Listen(o.addr)
 	if err != nil {
 		return err
 	}
-	log.Printf("front-end serving on http://%s (cluster size %d, replicas %d)", bound, cluster.Size(), *replicas)
+	log.Printf("front-end serving on http://%s (cluster size %d, replicas %d)", bound, cluster.Size(), o.replicas)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -81,24 +105,26 @@ func run() error {
 	return front.Close()
 }
 
-func buildCluster(nodes string, local, replicas, quorum int, antiGap time.Duration, transport shhc.TransportOptions) (*shhc.Cluster, error) {
-	if nodes != "" && local > 0 {
+// buildCluster dials o's remote nodes, or starts its embedded ones.
+func buildCluster(o options) (*shhc.Cluster, error) {
+	if o.nodes != "" && o.local > 0 {
 		return nil, fmt.Errorf("use either -nodes or -local, not both")
 	}
-	if nodes == "" && local <= 0 {
-		local = 4
+	if o.nodes == "" && o.local <= 0 {
+		o.local = defaultLocal
 	}
-	if local > 0 {
+	if o.local > 0 {
 		return shhc.NewLocalCluster(shhc.ClusterOptions{
-			Nodes:               local,
-			Replicas:            replicas,
-			WriteQuorum:         quorum,
-			AntiEntropyInterval: antiGap,
+			Nodes:               o.local,
+			Replicas:            o.replicas,
+			WriteQuorum:         o.quorum,
+			AntiEntropyInterval: o.antiGap,
 		})
 	}
 
+	transport := shhc.TransportOptions{Conns: o.rpcConns, StreamsPerConn: o.rpcStrms, Window: o.rpcW}
 	var backends []shhc.Backend
-	for _, entry := range strings.Split(nodes, ",") {
+	for _, entry := range strings.Split(o.nodes, ",") {
 		id, hostport, ok := strings.Cut(strings.TrimSpace(entry), "=")
 		if !ok {
 			return nil, fmt.Errorf("bad -nodes entry %q (want id=host:port)", entry)
@@ -110,8 +136,8 @@ func buildCluster(nodes string, local, replicas, quorum int, antiGap time.Durati
 		backends = append(backends, client)
 	}
 	return shhc.NewCluster(shhc.ClusterConfig{
-		Replicas:            replicas,
-		WriteQuorum:         quorum,
-		AntiEntropyInterval: antiGap,
+		Replicas:            o.replicas,
+		WriteQuorum:         o.quorum,
+		AntiEntropyInterval: o.antiGap,
 	}, backends...)
 }

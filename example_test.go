@@ -39,8 +39,9 @@ func ExampleNewLocalCluster() {
 	// second sight, duplicate: true locator: 1
 }
 
-// ExampleCluster_LookupOrInsert shows the per-fingerprint dedup decision
-// and which tier of the hybrid node answered each query.
+// ExampleCluster_LookupOrInsert shows the per-fingerprint dedup decision,
+// the node the ring routes it to, and which tier of that hybrid node
+// answered each query.
 func ExampleCluster_LookupOrInsert() {
 	cluster, err := shhc.NewLocalCluster(shhc.ClusterOptions{Nodes: 2})
 	if err != nil {
@@ -56,7 +57,11 @@ func ExampleCluster_LookupOrInsert() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("exists=%v source=%s\n", r1.Exists, r1.Source)
+	owner, err := cluster.Owner(fp)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("exists=%v source=%s owner=%s\n", r1.Exists, r1.Source, owner)
 
 	// Same fingerprint again: answered from the RAM LRU cache.
 	r2, err := cluster.LookupOrInsert(context.Background(), fp, 99)
@@ -65,7 +70,7 @@ func ExampleCluster_LookupOrInsert() {
 	}
 	fmt.Printf("exists=%v source=%s value=%d\n", r2.Exists, r2.Source, r2.Value)
 	// Output:
-	// exists=false source=bloom
+	// exists=false source=bloom owner=node-01
 	// exists=true source=cache value=42
 }
 
@@ -220,4 +225,98 @@ func ExampleCluster_JoinNode() {
 	// duplicates on first sight: 0
 	// node-03 joined: 1407 entries moved, 6000 of 6000 still duplicates
 	// node-01 drained: 1471 entries moved, 6000 of 6000 still duplicates, 3 nodes
+}
+
+// ExamplePaperWorkloads replays the paper's Table I workloads, scaled down
+// 1024 times, through a cold four-node cluster each, and reports the
+// duplicates found against the redundancy the paper measured.
+func ExamplePaperWorkloads() {
+	for _, spec := range shhc.PaperWorkloads() {
+		spec = spec.Scaled(1024)
+		cluster, err := shhc.NewLocalCluster(shhc.ClusterOptions{Nodes: 4})
+		if err != nil {
+			log.Fatal(err)
+		}
+		gen := shhc.NewWorkload(spec)
+		var pairs []shhc.Pair
+		for fp, ok := gen.Next(); ok; fp, ok = gen.Next() {
+			pairs = append(pairs, shhc.Pair{FP: fp, Val: shhc.Value(len(pairs) + 1)})
+		}
+		total, dups := len(pairs), 0
+		for len(pairs) > 0 {
+			batch := pairs[:min(len(pairs), 2048)]
+			pairs = pairs[len(batch):]
+			rs, err := cluster.BatchLookupOrInsert(context.Background(), batch)
+			if err != nil {
+				log.Fatal(err)
+			}
+			for _, r := range rs {
+				if r.Exists {
+					dups++
+				}
+			}
+		}
+		cluster.Close()
+		fmt.Printf("%-21s %5d fingerprints, %4.1f%% duplicates (paper %2.0f%%)\n",
+			spec.Name, total, float64(dups)/float64(total)*100, spec.PctRedundant*100)
+	}
+	// Output:
+	// Web Server (1/1024)    2045 fingerprints, 19.8% duplicates (paper 18%)
+	// Home Dir (1/1024)      2442 fingerprints, 36.5% duplicates (paper 37%)
+	// Mail Server (1/1024)  23556 fingerprints, 84.7% duplicates (paper 85%)
+	// Time machine (1/1024) 12838 fingerprints, 12.5% duplicates (paper 17%)
+}
+
+// ExampleDialNode runs three hash nodes over TCP with two replicas of every
+// fingerprint (the paper's fault-tolerance future work), then stops one
+// node: every fingerprint is still a duplicate, answered by its surviving
+// replica, so backing the same chunks up again uploads none.
+func ExampleDialNode() {
+	ctx := context.Background()
+	var servers []*shhc.NodeServer
+	var backends []shhc.Backend
+	for i := range 3 {
+		id := shhc.NodeID(fmt.Sprintf("node-%02d", i))
+		srv, err := shhc.StartNodeServer("127.0.0.1:0", shhc.NodeConfig{ID: id, Store: hashdb.NewMemStore(), CacheSize: 1 << 12})
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer srv.Close()
+		servers = append(servers, srv)
+		client, err := shhc.DialNode(id, srv.Addr.String())
+		if err != nil {
+			log.Fatal(err)
+		}
+		backends = append(backends, client)
+	}
+	cluster, err := shhc.NewCluster(shhc.ClusterConfig{Replicas: 2}, backends...)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer cluster.Close()
+
+	const n = 2000
+	pairs := make([]shhc.Pair, n)
+	for i := range pairs {
+		pairs[i] = shhc.Pair{FP: shhc.FingerprintOf([]byte(fmt.Sprintf("chunk-%d", i))), Val: shhc.Value(i + 1)}
+	}
+	if _, err := cluster.BatchLookupOrInsert(ctx, pairs); err != nil {
+		log.Fatal(err)
+	}
+	servers[1].Close()
+
+	// A call to the stopped node fails over to the next replica.
+	rs, err := cluster.BatchLookupOrInsert(ctx, pairs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	dups := 0
+	for _, r := range rs {
+		if r.Exists {
+			dups++
+		}
+	}
+	fmt.Printf("node-01 stopped: %d of %d still duplicates\n", dups, n)
+	// Output:
+	// node-01 stopped: 2000 of 2000 still duplicates
 }

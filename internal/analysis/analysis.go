@@ -84,8 +84,3 @@ type Diagnostic struct {
 	Pos      token.Pos
 	Message  string
 }
-
-// Position resolves the diagnostic's position against a file set.
-func (d Diagnostic) Position(fset *token.FileSet) token.Position {
-	return fset.Position(d.Pos)
-}

@@ -78,11 +78,6 @@ func FuncIsIO(pass *analysis.Pass, fn *types.Func) bool {
 	return false
 }
 
-// CallIsIO reports whether a call expression performs I/O.
-func CallIsIO(pass *analysis.Pass, call *ast.CallExpr) bool {
-	return FuncIsIO(pass, analysis.Callee(pass.TypesInfo, call))
-}
-
 // netPure lists net functions that never touch a socket.
 var netPure = map[string]bool{
 	"ParseIP": true, "ParseCIDR": true, "ParseMAC": true,

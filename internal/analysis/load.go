@@ -17,7 +17,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
 )
 
 // frameworkVersion salts the fact/diagnostic cache: bump it when the
@@ -243,16 +242,4 @@ func (w *World) SourcePackages() []*Package {
 		}
 	}
 	return out
-}
-
-// ModulePath reports the module path of the module rooted at or above
-// dir, per `go list -m`.
-func ModulePath(dir string) (string, error) {
-	cmd := exec.Command("go", "list", "-m")
-	cmd.Dir = dir
-	out, err := cmd.Output()
-	if err != nil {
-		return "", fmt.Errorf("analysis: go list -m: %v", err)
-	}
-	return strings.TrimSpace(string(out)), nil
 }

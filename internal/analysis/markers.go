@@ -70,12 +70,6 @@ func (s *MarkerSet) Get(key string) *Marker {
 // ForObject returns the marker attached to a function or method.
 func (s *MarkerSet) ForObject(obj types.Object) *Marker { return s.Get(ObjKey(obj)) }
 
-// ForField returns the marker attached to the named field of the (possibly
-// pointer-to) named struct type recv.
-func (s *MarkerSet) ForField(recv types.Type, fieldName string) *Marker {
-	return s.Get(FieldKey(recv, fieldName))
-}
-
 // ObjKey builds the canonical cross-package key for a package-level
 // function, method (by receiver base type), or interface method:
 // "pkg/path.Name" or "pkg/path.Type.Name". Objects without a package

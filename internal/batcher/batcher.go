@@ -235,14 +235,6 @@ type Stats struct {
 	Batches uint64
 }
 
-// MeanBatchSize is queries per dispatched batch.
-func (s Stats) MeanBatchSize() float64 {
-	if s.Batches == 0 {
-		return 0
-	}
-	return float64(s.Queries) / float64(s.Batches)
-}
-
 // Stats returns a snapshot of the counters.
 func (b *Batcher) Stats() Stats {
 	b.mu.Lock()

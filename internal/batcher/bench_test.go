@@ -54,7 +54,8 @@ func BenchmarkBatcherClosedLoop(b *testing.B) {
 			}
 			wg.Wait()
 			b.StopTimer()
-			b.ReportMetric(bt.Stats().MeanBatchSize(), "keys/batch")
+			st := bt.Stats()
+			b.ReportMetric(float64(st.Queries)/float64(st.Batches), "keys/batch")
 		})
 	}
 }

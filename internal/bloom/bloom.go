@@ -204,12 +204,6 @@ func (f *Filter) MayContain(fp fingerprint.Fingerprint) bool {
 // Len returns the number of Add calls.
 func (f *Filter) Len() int { return int(f.n.Load()) }
 
-// Bits returns the size of the bit array.
-func (f *Filter) Bits() uint64 { return uint64(len(f.words)) * 64 }
-
-// Hashes returns the number of bits a key sets in its word.
-func (f *Filter) Hashes() int { return f.k }
-
 // EstimatedFPRate returns the expected false positive probability given the
 // current fill (fpRate).
 func (f *Filter) EstimatedFPRate() float64 {

@@ -57,13 +57,13 @@ func TestEstimatedFPRate(t *testing.T) {
 func TestSizingMonotonicity(t *testing.T) {
 	small := New(1000, 0.01)
 	big := New(100000, 0.01)
-	if small.Bits() >= big.Bits() {
-		t.Fatalf("filter for more items must use more bits: %d vs %d", small.Bits(), big.Bits())
+	if len(small.words)*64 >= len(big.words)*64 {
+		t.Fatalf("filter for more items must use more bits: %d vs %d", len(small.words)*64, len(big.words)*64)
 	}
 	loose := New(1000, 0.1)
 	tight := New(1000, 0.001)
-	if loose.Bits() >= tight.Bits() {
-		t.Fatalf("tighter FP target must use more bits: %d vs %d", loose.Bits(), tight.Bits())
+	if len(loose.words)*64 >= len(tight.words)*64 {
+		t.Fatalf("tighter FP target must use more bits: %d vs %d", len(loose.words)*64, len(tight.words)*64)
 	}
 }
 
@@ -103,9 +103,9 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err := g.UnmarshalBinary(data); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if g.Len() != f.Len() || g.Bits() != f.Bits() || g.Hashes() != f.Hashes() {
+	if g.Len() != f.Len() || len(g.words)*64 != len(f.words)*64 || g.k != f.k {
 		t.Fatalf("restored filter shape differs: %d/%d/%d vs %d/%d/%d",
-			g.Len(), g.Bits(), g.Hashes(), f.Len(), f.Bits(), f.Hashes())
+			g.Len(), len(g.words)*64, g.k, f.Len(), len(f.words)*64, f.k)
 	}
 	for i := uint64(0); i < 3000; i++ {
 		if !g.MayContain(fingerprint.FromUint64(i)) {
@@ -197,9 +197,9 @@ func TestBloomBlockedFPRAtCapacity(t *testing.T) {
 		}
 		got, probes := measuredFPRate(f, splitmix(1000+i), rate, 1000, 1<<23)
 		std := -math.Log(rate) / (math.Ln2 * math.Ln2)
-		perKey := float64(f.Bits()) / n
+		perKey := float64(len(f.words)*64) / n
 		t.Logf("rate %.4f%%: k=%d, %.1f bits/key (standard %.1f, %.2fx); measured %.4f%% over %d probes, model %.4f%%",
-			rate*100, f.Hashes(), perKey, std, perKey/std, got*100, probes, f.EstimatedFPRate()*100)
+			rate*100, f.k, perKey, std, perKey/std, got*100, probes, f.EstimatedFPRate()*100)
 		if got > rate {
 			t.Errorf("rate %g: measured %g at capacity", rate, got)
 		}

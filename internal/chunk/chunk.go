@@ -212,32 +212,3 @@ func (g *GearChunker) scan(min, end int) int {
 	}
 	return -1
 }
-
-// All drains a chunker into a slice (testing and small inputs).
-func All(c Chunker) ([]Chunk, error) {
-	var chunks []Chunk
-	for {
-		ch, err := c.Next()
-		if err == io.EOF {
-			return chunks, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		chunks = append(chunks, ch)
-	}
-}
-
-// Reassemble concatenates chunk payloads, verifying offsets are contiguous.
-func Reassemble(chunks []Chunk) ([]byte, error) {
-	var out []byte
-	var expect int64
-	for i, ch := range chunks {
-		if ch.Offset != expect {
-			return nil, fmt.Errorf("chunk: gap at chunk %d: offset %d, want %d", i, ch.Offset, expect)
-		}
-		out = append(out, ch.Data...)
-		expect += int64(len(ch.Data))
-	}
-	return out, nil
-}

@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -9,6 +10,35 @@ import (
 
 	"shhc/internal/fingerprint"
 )
+
+// All drains a chunker into a slice.
+func All(c Chunker) ([]Chunk, error) {
+	var chunks []Chunk
+	for {
+		ch, err := c.Next()
+		if err == io.EOF {
+			return chunks, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		chunks = append(chunks, ch)
+	}
+}
+
+// Reassemble concatenates chunk payloads, verifying offsets are contiguous.
+func Reassemble(chunks []Chunk) ([]byte, error) {
+	var out []byte
+	var expect int64
+	for i, ch := range chunks {
+		if ch.Offset != expect {
+			return nil, fmt.Errorf("chunk: gap at chunk %d: offset %d, want %d", i, ch.Offset, expect)
+		}
+		out = append(out, ch.Data...)
+		expect += int64(len(ch.Data))
+	}
+	return out, nil
+}
 
 func randomBytes(n int, seed int64) []byte {
 	rng := rand.New(rand.NewSource(seed))

@@ -43,8 +43,6 @@ var _ Backend = (*Node)(nil)
 
 // ClusterConfig configures the cluster router.
 type ClusterConfig struct {
-	// VirtualNodes per backend on the ring; 0 selects the default.
-	VirtualNodes int
 	// Replicas is the number of nodes each fingerprint is written to.
 	// 1 (default) reproduces the paper; >1 enables the fault-tolerance
 	// extension: inserts fan out to the owner's successor set with quorum
@@ -64,13 +62,6 @@ type ClusterConfig struct {
 	// ack and the repair queue / anti-entropy converging it. Ignored when
 	// Replicas is 1.
 	WriteQuorum int
-	// DisableReadRepair turns off miss verification and read-repair on the
-	// lookup paths (Replicas > 1 only): a lookup then returns the first
-	// answer — hit or miss — from any replica, which restores the fastest
-	// possible miss at the cost of trusting a single replica's "new". Keep
-	// it off (the default) where a spurious "new" for a stored fingerprint
-	// is not acceptable, e.g. when a replica could have lost its disk.
-	DisableReadRepair bool
 	// AntiEntropyInterval adds a periodic tick to the background
 	// anti-entropy sweeper (Replicas > 1 only). The sweeper itself always
 	// runs with replication on — membership changes (JoinNode, DrainNode)
@@ -92,10 +83,8 @@ type Cluster struct {
 	backends map[ring.NodeID]Backend
 	replicas int
 	// quorum is the resolved write quorum (acks required per insert,
-	// deciding node included); noReadRepair disables miss verification
-	// and read-repair on the lookup paths. See ClusterConfig.
-	quorum       int
-	noReadRepair bool
+	// deciding node included). See ClusterConfig.
+	quorum int
 	// route is the routing snapshot every operation loads once; each
 	// membership change, and each record learned from a node, publishes a
 	// new one under mu.
@@ -142,12 +131,11 @@ func NewCluster(cfg ClusterConfig, backends ...Backend) (*Cluster, error) {
 		quorum = replicas
 	}
 	c := &Cluster{
-		backends:     make(map[ring.NodeID]Backend, len(backends)),
-		replicas:     replicas,
-		quorum:       quorum,
-		noReadRepair: cfg.DisableReadRepair,
+		backends: make(map[ring.NodeID]Backend, len(backends)),
+		replicas: replicas,
+		quorum:   quorum,
 	}
-	rec := Routing{Gen: 1, VNodes: cfg.VirtualNodes, Replicas: replicas}
+	rec := Routing{Gen: 1, Replicas: replicas}
 	for _, b := range backends {
 		if _, dup := c.backends[b.ID()]; dup {
 			return nil, fmt.Errorf("core: duplicate backend %q", b.ID())
@@ -186,11 +174,7 @@ type routing struct {
 // member the cluster has no backend for routes to an absent one. Caller
 // holds c.mu (or owns c exclusively).
 func (c *Cluster) routeLocked(rec Routing) *routing {
-	r := ring.NewReplicated(rec.VNodes, rec.Replicas)
-	for _, id := range rec.Members {
-		_ = r.Add(id) // a member named twice is one member
-	}
-	rt := &routing{rec: rec, table: r.Table()}
+	rt := &routing{rec: rec, table: ring.Build(rec.VNodes, rec.Replicas, rec.Members)}
 	rt.rec.Members = rt.table.Nodes()
 	rt.backends = make([]Backend, len(rt.rec.Members))
 	for i, id := range rt.rec.Members {
@@ -333,15 +317,15 @@ func (c *Cluster) Lookup(ctx context.Context, fp fingerprint.Fingerprint) (Looku
 // are probed too, so a single replica that lost its entries (a wiped disk, a
 // node that rejoined empty) cannot turn a stored fingerprint into a
 // spurious "new" — only when every reachable replica misses is the miss
-// returned. With DisableReadRepair (or Replicas == 1) the first answer, hit
-// or miss, wins. A refusal ends the walk.
+// returned. With Replicas == 1 the one answer, hit or miss, wins. A refusal
+// ends the walk.
 func (c *Cluster) lookupOn(ctx context.Context, rt *routing, fp fingerprint.Fingerprint) (LookupResult, error) {
 	targets, err := rt.replicasFor(fp)
 	if err != nil {
 		return LookupResult{}, err
 	}
 	rctx := WithRouteGen(ctx, rt.rec.Gen)
-	verifyMiss := len(targets) > 1 && !c.noReadRepair
+	verifyMiss := len(targets) > 1
 	var (
 		lastErr   error
 		missSeen  bool

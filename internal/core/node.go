@@ -570,7 +570,7 @@ func (n *Node) unlockAll() {
 }
 
 // Lookup answers whether the fingerprint is stored, without inserting: a
-// LookupBatch of one (see pipeline.go for what cancelling ctx does).
+// read-only batch of one (see pipeline.go for what cancelling ctx does).
 func (n *Node) Lookup(ctx context.Context, fp fingerprint.Fingerprint) (LookupResult, error) {
 	return n.one(ctx, Pair{FP: fp}, modeLookup)
 }
@@ -718,22 +718,6 @@ func (n *Node) ApplyRepair(ctx context.Context, pairs []Pair) ([]LookupResult, e
 	n.replRepairPairs.Add(uint64(len(pairs)))
 	n.replRepairCreated.Add(created)
 	return rs, nil
-}
-
-// LookupBatch answers a batch of read-only lookups through the same
-// pipeline as BatchLookupOrInsert, without inserting missing fingerprints.
-func (n *Node) LookupBatch(ctx context.Context, fps []fingerprint.Fingerprint) ([]LookupResult, error) {
-	if len(fps) == 0 {
-		return nil, nil
-	}
-	results := make([]LookupResult, len(fps))
-	err := n.batchAsync(ctx, results,
-		func(i int) fingerprint.Fingerprint { return fps[i] },
-		func(int) Value { return 0 }, modeLookup)
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
 }
 
 // Flush destages every dirty cache entry to the store, drains the destage

@@ -538,3 +538,19 @@ func TestPhaseTimingsPopulated(t *testing.T) {
 		t.Fatal("cache phase recorded no time at all")
 	}
 }
+
+// LookupBatch answers a batch of read-only lookups through the same
+// pipeline as BatchLookupOrInsert, without inserting missing fingerprints.
+func (n *Node) LookupBatch(ctx context.Context, fps []fingerprint.Fingerprint) ([]LookupResult, error) {
+	if len(fps) == 0 {
+		return nil, nil
+	}
+	results := make([]LookupResult, len(fps))
+	err := n.batchAsync(ctx, results,
+		func(i int) fingerprint.Fingerprint { return fps[i] },
+		func(int) Value { return 0 }, modeLookup)
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}

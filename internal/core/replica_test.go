@@ -594,3 +594,24 @@ func TestReplicatedMirrorKeepsRepairCreatedPairs(t *testing.T) {
 		t.Fatalf("the killed mirror kept %d of the %d pairs it repair-created", kept, created)
 	}
 }
+
+// FlushRepairs blocks until the repair queue is empty and the worker is
+// idle (or ctx is done), which makes async read-repair deterministic.
+func (c *Cluster) FlushRepairs(ctx context.Context) error {
+	if c.repairWake == nil {
+		return nil
+	}
+	for {
+		c.repairMu.Lock()
+		idle := len(c.repairOrder) == 0 && !c.repairBusy
+		c.repairMu.Unlock()
+		if idle {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(200 * time.Microsecond):
+		}
+	}
+}

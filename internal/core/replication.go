@@ -174,28 +174,6 @@ func (c *Cluster) enqueueRepair(target ring.NodeID, fp fingerprint.Fingerprint, 
 	}
 }
 
-// FlushRepairs blocks until the repair queue is empty and the worker is
-// idle (or ctx is done). Tests use it to make async read-repair
-// deterministic; it is also a reasonable pre-shutdown barrier.
-func (c *Cluster) FlushRepairs(ctx context.Context) error {
-	if c.repairWake == nil {
-		return nil
-	}
-	for {
-		c.repairMu.Lock()
-		idle := len(c.repairOrder) == 0 && !c.repairBusy
-		c.repairMu.Unlock()
-		if idle {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(200 * time.Microsecond):
-		}
-	}
-}
-
 // repairWorker is the single background goroutine that drains the repair
 // queue in coalesced per-target batches, keeping repair I/O off the
 // foreground paths.
@@ -290,7 +268,7 @@ func (c *Cluster) drainRepairBatch(ctx context.Context) bool {
 
 // readRepair backfills fp -> val onto the replicas observed missing it.
 func (c *Cluster) readRepair(missers []Backend, fp fingerprint.Fingerprint, val Value) {
-	if len(missers) == 0 || c.noReadRepair {
+	if len(missers) == 0 {
 		return
 	}
 	for _, m := range missers {

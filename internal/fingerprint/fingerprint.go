@@ -20,7 +20,6 @@
 package fingerprint
 
 import (
-	"cmp"
 	"crypto/sha1"
 	"encoding/binary"
 	"encoding/hex"
@@ -115,11 +114,6 @@ func (fp Fingerprint) Short() string {
 	return hex.EncodeToString(raw[:4])
 }
 
-// IsZero reports whether the fingerprint is the zero sentinel.
-func (fp Fingerprint) IsZero() bool {
-	return fp == Zero
-}
-
 // Prefix64 returns the first 8 bytes as a big-endian uint64. The ring
 // partitioner and the on-disk hash table both key off this prefix; SHA-1
 // output is uniform, so the prefix is uniform too.
@@ -132,15 +126,3 @@ func (fp Fingerprint) Bucket64() uint64 { return fp.b }
 
 // Tail32 returns the last 4 bytes as a big-endian uint32.
 func (fp Fingerprint) Tail32() uint32 { return fp.c }
-
-// Compare orders fingerprints lexicographically by digest, returning -1, 0
-// or +1.
-func (fp Fingerprint) Compare(other Fingerprint) int {
-	if c := cmp.Compare(fp.a, other.a); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(fp.b, other.b); c != 0 {
-		return c
-	}
-	return cmp.Compare(fp.c, other.c)
-}

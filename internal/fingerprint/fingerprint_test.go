@@ -50,10 +50,10 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestZeroSentinel(t *testing.T) {
-	if !Zero.IsZero() {
-		t.Fatal("Zero.IsZero() = false")
+	if Zero != (Fingerprint{}) {
+		t.Fatal("Zero is not the zero value")
 	}
-	if FromData(nil).IsZero() {
+	if FromData(nil) == Zero {
 		t.Fatal("FromData(nil) should not be the zero sentinel")
 	}
 }
@@ -76,26 +76,6 @@ func TestPrefix64Distinct(t *testing.T) {
 	}
 }
 
-func TestCompare(t *testing.T) {
-	lo, hi := Zero, FromBytes([]byte{0: 1, Size - 1: 0})
-	if lo.Compare(hi) != -1 {
-		t.Fatal("lo.Compare(hi) != -1")
-	}
-	if hi.Compare(lo) != 1 {
-		t.Fatal("hi.Compare(lo) != 1")
-	}
-	if lo.Compare(lo) != 0 {
-		t.Fatal("lo.Compare(lo) != 0")
-	}
-}
-
-func TestCompareTieBreakLaterBytes(t *testing.T) {
-	a, b := FromBytes([]byte{Size - 1: 1}), FromBytes([]byte{Size - 1: 2})
-	if a.Compare(b) != -1 || b.Compare(a) != 1 {
-		t.Fatal("Compare must order on the last byte when prefixes tie")
-	}
-}
-
 func TestFromUint64Deterministic(t *testing.T) {
 	if FromUint64(42) != FromUint64(42) {
 		t.Fatal("FromUint64 not deterministic")
@@ -111,21 +91,6 @@ func TestQuickParseRoundTrip(t *testing.T) {
 		fp := FromBytes(raw[:])
 		parsed, err := Parse(fp.String())
 		return err == nil && parsed == fp && fp.String() == hex.EncodeToString(raw[:])
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Compare is antisymmetric and consistent with equality.
-func TestQuickCompareAntisymmetric(t *testing.T) {
-	f := func(a, b [Size]byte) bool {
-		x, y := FromBytes(a[:]), FromBytes(b[:])
-		c := x.Compare(y)
-		if x == y {
-			return c == 0
-		}
-		return c == -y.Compare(x) && c != 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -155,7 +120,7 @@ func TestFingerprintBytesRoundTrip(t *testing.T) {
 
 // nearby is a generator for pairs of digests that differ in few bytes (or
 // none): independent random digests never tie on a prefix, which is the
-// only interesting case for == and Compare.
+// only interesting case for ==.
 func nearby(a [Size]byte, at, n uint8, with byte) [Size]byte {
 	b := a
 	for i := 0; i < int(n%4); i++ {
@@ -164,13 +129,12 @@ func nearby(a [Size]byte, at, n uint8, with byte) [Size]byte {
 	return b
 }
 
-// Property: == and Compare on fingerprints are == and bytes.Compare on the
-// digests.
+// Property: == on fingerprints is == on the digests.
 func TestFingerprintOrderMatchesDigest(t *testing.T) {
 	f := func(a [Size]byte, at, n uint8, with byte) bool {
 		b := nearby(a, at, n, with)
 		x, y := FromBytes(a[:]), FromBytes(b[:])
-		return (x == y) == (a == b) && x.Compare(y) == bytes.Compare(a[:], b[:])
+		return (x == y) == (a == b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)

@@ -204,7 +204,7 @@ func TestPutBatchCancelledLenMatchesReopen(t *testing.T) {
 	if n == 0 || n >= len(pairs) {
 		t.Fatalf("the cancelled batch left %d of %d entries; want the units read before the cancel", n, len(pairs))
 	}
-	path := db.Path()
+	path := db.path
 	if err := db.CloseWithoutSync(); err != nil {
 		t.Fatal(err)
 	}

@@ -1101,7 +1101,4 @@ func (db *DB) Stats() Stats {
 	return st
 }
 
-// Path returns the file path of the database.
-func (db *DB) Path() string { return db.path }
-
 var _ io.Closer = (*DB)(nil)

@@ -387,29 +387,7 @@ func (db *DB) recover() error {
 	return db.commitClean()
 }
 
-// Check CRC-scans every page and validates the directory, every bucket
-// chain, the entry count and the free list without modifying anything,
-// returning the first inconsistency found (nil means the file is
-// structurally sound). It holds every stripe read lock for the duration,
-// which also quiesces splits and compaction (both need stripe write locks),
-// so the growth state it validates is stable.
-func (db *DB) Check() error {
-	for i := range db.stripes {
-		db.stripes[i].mu.RLock()
-	}
-	defer func() {
-		for i := len(db.stripes) - 1; i >= 0; i-- {
-			db.stripes[i].mu.RUnlock()
-		}
-	}()
-	if db.closed {
-		return ErrClosed
-	}
-	_, err := db.check(false)
-	return err
-}
-
-// check is Check's walk over a quiesced table; it counts the overflow pages
+// check walks a quiesced table (Open's, and the tests' Check); it counts the overflow pages
 // on the chains. At open (lenient) a page whose checksum fails is passed
 // over, its link unfollowed and its entries uncounted: in a file its header
 // calls clean, such a page is the business of the read that touches it.

@@ -70,7 +70,7 @@ func TestSecondChanceEviction(t *testing.T) {
 	if len(evicted) != 1 || evicted[0] != b {
 		t.Fatalf("evicted %v; want [b]: clock bit should spare a and evict b", evicted)
 	}
-	if _, ok := c.Peek(a); !ok {
+	if _, ok := c.peek(a); !ok {
 		t.Fatal("a evicted despite second chance")
 	}
 	// With the bit consumed, a is now MRU; next eviction is exact LRU (d).
@@ -93,8 +93,8 @@ func TestSecondChanceAllReferenced(t *testing.T) {
 		}
 	}
 	c.Put(fingerprint.FromUint64(9), 9)
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d want 3", c.Len())
+	if c.n != 3 {
+		t.Fatalf("Len = %d want 3", c.n)
 	}
 }
 

@@ -137,9 +137,6 @@ func (c *Cache) find(fp fingerprint.Fingerprint) uint32 {
 	return 0
 }
 
-// Len returns the number of cached entries.
-func (c *Cache) Len() int { return c.n }
-
 // Capacity returns the maximum number of entries.
 func (c *Cache) Capacity() int { return c.capacity }
 
@@ -182,15 +179,6 @@ func (c *Cache) GetFast(fp fingerprint.Fingerprint) (Value, bool) {
 	return 0, false
 }
 
-// Peek looks up a fingerprint without updating recency or statistics.
-func (c *Cache) Peek(fp fingerprint.Fingerprint) (Value, bool) {
-	i := c.find(fp)
-	if i == 0 {
-		return 0, false
-	}
-	return Value(c.slab[i].val.Load()), true
-}
-
 // Put inserts or updates a clean entry (one already persisted on SSD),
 // promoting it to most-recently-used. It reports whether an older entry was
 // evicted to make room.
@@ -202,19 +190,6 @@ func (c *Cache) Put(fp fingerprint.Fingerprint, val Value) bool {
 // The eviction callback sees dirty=true unless MarkCleanIf cleans it first.
 func (c *Cache) PutDirty(fp fingerprint.Fingerprint, val Value) bool {
 	return c.put(fp, val, true)
-}
-
-// PutIfAbsent inserts a clean entry only when the fingerprint is not
-// already cached, reporting whether it inserted. An existing entry — its
-// value, dirty flag, and recency — is left untouched, so a speculative
-// install (e.g. of a stale probe result) can never overwrite a fresher or
-// dirty entry.
-func (c *Cache) PutIfAbsent(fp fingerprint.Fingerprint, val Value) bool {
-	if c.find(fp) != 0 {
-		return false
-	}
-	c.insert(fp, val, false)
-	return true
 }
 
 func (c *Cache) put(fp fingerprint.Fingerprint, val Value, dirty bool) bool {
@@ -357,24 +332,6 @@ func (c *Cache) Remove(fp fingerprint.Fingerprint) bool {
 	return true
 }
 
-// Oldest returns the least-recently-used fingerprint, if any.
-func (c *Cache) Oldest() (fingerprint.Fingerprint, bool) {
-	if c.tail == 0 {
-		return fingerprint.Zero, false
-	}
-	return c.slab[c.tail].fingerprint(), true
-}
-
-// Keys returns fingerprints from most- to least-recently-used. It allocates
-// a fresh slice; mutation by the caller cannot corrupt the cache.
-func (c *Cache) Keys() []fingerprint.Fingerprint {
-	keys := make([]fingerprint.Fingerprint, 0, c.n)
-	for i := c.head; i != 0; i = c.slab[i].next {
-		keys = append(keys, c.slab[i].fingerprint())
-	}
-	return keys
-}
-
 // Stats reports cache effectiveness counters.
 type Stats struct {
 	Hits      uint64
@@ -382,15 +339,6 @@ type Stats struct {
 	Evictions uint64
 	Len       int
 	Capacity  int
-}
-
-// HitRate returns hits / (hits + misses), or 0 for an unused cache.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
 }
 
 // Stats returns a snapshot of the counters. Hits are Get hits only (see

@@ -65,16 +65,9 @@ func NewStriped(stripes, capacity int, onEvict EvictFunc) *Striped {
 	return s
 }
 
-// Stripes returns the number of stripes.
-func (s *Striped) Stripes() int { return len(s.stripes) }
-
-// StripeFor returns the index of the stripe owning fp.
-func (s *Striped) StripeFor(fp fingerprint.Fingerprint) int {
-	// Bucket64 (bytes 8..16) is independent of the ring prefix (bytes 0..8),
-	// so one node's share of the key space still spreads over all stripes.
-	return int(fp.Bucket64() & s.mask)
-}
-
+// stripe returns the stripe owning fp. Bucket64 (bytes 8..16) is
+// independent of the ring prefix (bytes 0..8), so one node's share of the
+// key space still spreads over all stripes.
 func (s *Striped) stripe(fp fingerprint.Fingerprint) *cacheStripe {
 	return &s.stripes[fp.Bucket64()&s.mask]
 }
@@ -99,14 +92,6 @@ func (s *Striped) GetFast(fp fingerprint.Fingerprint) (Value, bool) {
 	return s.stripe(fp).c.GetFast(fp)
 }
 
-// Peek looks up a fingerprint without updating recency or statistics.
-func (s *Striped) Peek(fp fingerprint.Fingerprint) (Value, bool) {
-	st := s.stripe(fp)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.c.Peek(fp)
-}
-
 // Put inserts or updates a clean entry, reporting whether the stripe
 // evicted an older entry to make room.
 func (s *Striped) Put(fp fingerprint.Fingerprint, val Value) bool {
@@ -122,16 +107,6 @@ func (s *Striped) PutDirty(fp fingerprint.Fingerprint, val Value) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.c.PutDirty(fp, val)
-}
-
-// PutIfAbsent inserts a clean entry only when the fingerprint is not
-// already cached, leaving any existing entry (including its dirty flag)
-// untouched. See Cache.PutIfAbsent.
-func (s *Striped) PutIfAbsent(fp fingerprint.Fingerprint, val Value) bool {
-	st := s.stripe(fp)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.c.PutIfAbsent(fp, val)
 }
 
 // TryMarkCleanIf clears fp's dirty flag if the entry still holds val, the
@@ -207,17 +182,6 @@ func (s *Striped) Remove(fp fingerprint.Fingerprint) bool {
 	return st.c.Remove(fp)
 }
 
-// Len returns the total number of cached entries across stripes.
-func (s *Striped) Len() int {
-	n := 0
-	for i := range s.stripes {
-		s.stripes[i].mu.Lock()
-		n += s.stripes[i].c.Len()
-		s.stripes[i].mu.Unlock()
-	}
-	return n
-}
-
 // Capacity returns the total capacity across stripes.
 func (s *Striped) Capacity() int {
 	n := 0
@@ -225,18 +189,6 @@ func (s *Striped) Capacity() int {
 		n += s.stripes[i].c.Capacity()
 	}
 	return n
-}
-
-// Keys returns every cached fingerprint, stripe by stripe and most- to
-// least-recently-used within each stripe.
-func (s *Striped) Keys() []fingerprint.Fingerprint {
-	var keys []fingerprint.Fingerprint
-	for i := range s.stripes {
-		s.stripes[i].mu.Lock()
-		keys = append(keys, s.stripes[i].c.Keys()...)
-		s.stripes[i].mu.Unlock()
-	}
-	return keys
 }
 
 // Stats sums the per-stripe counters. Each stripe is snapshotted under its

@@ -9,8 +9,8 @@ import (
 
 func TestStripedSingleStripeIsExactLRU(t *testing.T) {
 	s := NewStriped(1, 2, nil)
-	if s.Stripes() != 1 {
-		t.Fatalf("Stripes() = %d, want 1", s.Stripes())
+	if len(s.stripes) != 1 {
+		t.Fatalf("Stripes() = %d, want 1", len(s.stripes))
 	}
 	s.Put(fp(1), 1)
 	s.Put(fp(2), 2)
@@ -25,11 +25,11 @@ func TestStripedSingleStripeIsExactLRU(t *testing.T) {
 
 func TestStripedClampsStripesToCapacity(t *testing.T) {
 	s := NewStriped(16, 3, nil)
-	if s.Stripes() > 3 {
-		t.Fatalf("Stripes() = %d, want <= capacity 3", s.Stripes())
+	if len(s.stripes) > 3 {
+		t.Fatalf("Stripes() = %d, want <= capacity 3", len(s.stripes))
 	}
-	if s.Stripes()&(s.Stripes()-1) != 0 {
-		t.Fatalf("Stripes() = %d, want a power of two", s.Stripes())
+	if len(s.stripes)&(len(s.stripes)-1) != 0 {
+		t.Fatalf("Stripes() = %d, want a power of two", len(s.stripes))
 	}
 	if s.Capacity() != 3 {
 		t.Fatalf("Capacity() = %d, want 3", s.Capacity())
@@ -39,12 +39,12 @@ func TestStripedClampsStripesToCapacity(t *testing.T) {
 func TestStripedFingerprintAlwaysSameStripe(t *testing.T) {
 	s := NewStriped(8, 64, nil)
 	for i := uint64(0); i < 100; i++ {
-		a, b := s.StripeFor(fp(i)), s.StripeFor(fp(i))
+		a, b := s.index(fp(i)), s.index(fp(i))
 		if a != b {
-			t.Fatalf("StripeFor(fp(%d)) unstable: %d then %d", i, a, b)
+			t.Fatalf("stripe of fp(%d) unstable: %d then %d", i, a, b)
 		}
-		if a < 0 || a >= s.Stripes() {
-			t.Fatalf("StripeFor(fp(%d)) = %d out of range", i, a)
+		if a < 0 || a >= len(s.stripes) {
+			t.Fatalf("stripe of fp(%d) = %d out of range", i, a)
 		}
 	}
 }
@@ -65,13 +65,13 @@ func TestStripedDirtyEvictionCallback(t *testing.T) {
 	for i := uint64(0); i < n; i++ {
 		s.PutDirty(fp(i), Value(i))
 	}
-	if s.Len() != s.Capacity() {
-		t.Fatalf("Len() = %d, want full capacity %d", s.Len(), s.Capacity())
+	if s.Stats().Len != s.Capacity() {
+		t.Fatalf("Len() = %d, want full capacity %d", s.Stats().Len, s.Capacity())
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(destaged)+s.Len() != n {
-		t.Fatalf("destaged %d + cached %d != inserted %d", len(destaged), s.Len(), n)
+	if len(destaged)+s.Stats().Len != n {
+		t.Fatalf("destaged %d + cached %d != inserted %d", len(destaged), s.Stats().Len, n)
 	}
 	for f, v := range destaged {
 		if Value(fpIndex(t, f)) != v {
@@ -119,19 +119,6 @@ func TestStripedConcurrentCoherence(t *testing.T) {
 	}
 }
 
-func TestStripedPutIfAbsent(t *testing.T) {
-	s := NewStriped(4, 64, nil)
-	if !s.PutIfAbsent(fp(1), 10) {
-		t.Fatal("PutIfAbsent into empty striped cache reported no insert")
-	}
-	if s.PutIfAbsent(fp(1), 20) {
-		t.Fatal("PutIfAbsent over an existing striped entry reported an insert")
-	}
-	if v, ok := s.Peek(fp(1)); !ok || v != 10 {
-		t.Fatalf("Peek = (%v, %v), want (10, true)", v, ok)
-	}
-}
-
 // TestStripedColdDirtySkipsBusyStripe: the scan must not wait for a stripe
 // lock — an eviction callback can hold one for as long as its owner applies
 // backpressure — and must still visit every other stripe's dirty entries.
@@ -143,17 +130,17 @@ func TestStripedColdDirtySkipsBusyStripe(t *testing.T) {
 	if s.DirtyLen() != 32 {
 		t.Fatalf("DirtyLen = %d, want 32", s.DirtyLen())
 	}
-	busy := s.StripeFor(fp(0))
+	busy := s.index(fp(0))
 	inBusy := 0
 	for i := uint64(0); i < 32; i++ {
-		if s.StripeFor(fp(i)) == busy {
+		if s.index(fp(i)) == busy {
 			inBusy++
 		}
 	}
 	s.stripes[busy].mu.Lock()
 	visited := make(map[fingerprint.Fingerprint]bool)
 	n := s.ColdDirty(1<<10, func(f fingerprint.Fingerprint, _ Value) bool {
-		if s.StripeFor(f) == busy {
+		if s.index(f) == busy {
 			t.Errorf("visited %s in the locked stripe", f.Short())
 		}
 		visited[f] = true
@@ -181,11 +168,24 @@ func TestStripedColdDirtySkipsBusyStripe(t *testing.T) {
 	}
 }
 
+// index returns the position of fp's stripe.
+func (s *Striped) index(fp fingerprint.Fingerprint) int {
+	for i := range s.stripes {
+		if &s.stripes[i] == s.stripe(fp) {
+			return i
+		}
+	}
+	return -1
+}
+
 func (s *Striped) mustPeek(t *testing.T, f fingerprint.Fingerprint) Value {
 	t.Helper()
-	v, ok := s.Peek(f)
+	st := s.stripe(f)
+	st.mu.Lock()
+	v, ok := st.c.peek(f)
+	st.mu.Unlock()
 	if !ok {
-		t.Fatalf("Peek(%s): not cached", f.Short())
+		t.Fatalf("%s: not cached", f.Short())
 	}
 	return v
 }

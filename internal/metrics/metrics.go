@@ -1,13 +1,11 @@
-// Package metrics provides the latency histograms and throughput meters the
-// benchmark harness uses to reproduce the paper's measurements (execution
-// time in Figure 1, chunks/second in Figure 5).
+// Package metrics provides the latency histograms the benchmark harness
+// uses to reproduce the paper's measurements (execution time in Figure 1),
+// walks stats structs field by field, and serves them as Prometheus text.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -167,85 +165,4 @@ func (h *Histogram) percentile(count int64, q float64) time.Duration {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p90=%v p99=%v max=%v",
 		s.Count, s.Mean, s.P50, s.P90, s.P99, s.Max)
-}
-
-// Counter is a monotonically increasing event counter.
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Meter measures throughput over a wall-clock window.
-type Meter struct {
-	mu    sync.Mutex
-	count int64
-	start time.Time
-	now   func() time.Time
-}
-
-// NewMeter creates a meter that starts counting immediately.
-func NewMeter() *Meter {
-	m := &Meter{now: time.Now}
-	m.start = m.now()
-	return m
-}
-
-// Mark records n events.
-func (m *Meter) Mark(n int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.count += n
-}
-
-// Rate returns events per second since the meter started.
-func (m *Meter) Rate() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	elapsed := m.now().Sub(m.start).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(m.count) / elapsed
-}
-
-// Count returns the number of marked events.
-func (m *Meter) Count() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.count
-}
-
-// Reset zeroes the meter and restarts the clock.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.count = 0
-	m.start = m.now()
-}
-
-// Percentile computes the q-quantile (0..1) of raw duration samples.
-// Used by tests and offline analysis where exactness matters more than
-// memory. The input slice is sorted in place.
-func Percentile(samples []time.Duration, q float64) time.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	if q <= 0 {
-		return samples[0]
-	}
-	if q >= 1 {
-		return samples[len(samples)-1]
-	}
-	idx := int(math.Ceil(q*float64(len(samples)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return samples[idx]
 }

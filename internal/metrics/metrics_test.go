@@ -81,55 +81,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(9)
-	if c.Value() != 10 {
-		t.Fatalf("Value = %d, want 10", c.Value())
-	}
-}
-
-func TestMeterRate(t *testing.T) {
-	m := NewMeter()
-	base := time.Now()
-	m.now = func() time.Time { return base.Add(2 * time.Second) }
-	m.start = base
-	m.Mark(100)
-	if got := m.Rate(); got != 50 {
-		t.Fatalf("Rate = %v, want 50", got)
-	}
-	if m.Count() != 100 {
-		t.Fatalf("Count = %d, want 100", m.Count())
-	}
-	m.Reset()
-	if m.Count() != 0 {
-		t.Fatal("Reset did not zero the count")
-	}
-}
-
-func TestPercentileExact(t *testing.T) {
-	samples := []time.Duration{5, 1, 4, 2, 3}
-	tests := []struct {
-		q    float64
-		want time.Duration
-	}{
-		{q: 0, want: 1},
-		{q: 0.2, want: 1},
-		{q: 0.5, want: 3},
-		{q: 0.8, want: 4},
-		{q: 1.0, want: 5},
-	}
-	for _, tt := range tests {
-		if got := Percentile(samples, tt.q); got != tt.want {
-			t.Fatalf("Percentile(%v) = %v, want %v", tt.q, got, tt.want)
-		}
-	}
-	if got := Percentile(nil, 0.5); got != 0 {
-		t.Fatalf("Percentile(nil) = %v, want 0", got)
-	}
-}
-
 func TestHistogramMerge(t *testing.T) {
 	a := NewHistogram(time.Microsecond, 10)
 	b := NewHistogram(time.Microsecond, 10)

@@ -2,145 +2,111 @@ package ring
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
-	"testing/quick"
 
 	"shhc/internal/fingerprint"
 )
 
-func newRing(t *testing.T, n int) *Ring {
-	t.Helper()
-	r := New(DefaultVirtualNodes)
-	for i := 0; i < n; i++ {
-		if err := r.Add(NodeID(fmt.Sprintf("node-%d", i))); err != nil {
-			t.Fatalf("Add: %v", err)
-		}
+func members(n int) []NodeID {
+	ids := make([]NodeID, n)
+	for i := range ids {
+		ids[i] = NodeID(fmt.Sprintf("node-%d", i))
 	}
-	return r
+	return ids
 }
 
-func TestEmptyRingErrors(t *testing.T) {
-	r := New(0)
-	if _, err := r.Lookup(fingerprint.FromUint64(1)); err == nil {
-		t.Fatal("Lookup on empty ring succeeded")
+// shares returns each member's fraction of the 64-bit key space: a key
+// routes to the first point at or clockwise from it, so the arc before a
+// point belongs to that point's owner.
+func shares(tab *Table) []float64 {
+	s := make([]float64, len(tab.Nodes()))
+	for i, h := range tab.hashes {
+		prev := tab.hashes[(i+len(tab.hashes)-1)%len(tab.hashes)]
+		s[tab.Owner(i)] += float64(h-prev) / (1 << 64)
 	}
-	if _, err := r.LookupN(fingerprint.FromUint64(1), 2); err == nil {
-		t.Fatal("LookupN on empty ring succeeded")
-	}
+	return s
 }
 
-func TestAddRemoveMembership(t *testing.T) {
-	r := newRing(t, 3)
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", r.Len())
-	}
-	if err := r.Add("node-0"); err == nil {
-		t.Fatal("duplicate Add succeeded")
-	}
-	if err := r.Remove("node-1"); err != nil {
-		t.Fatalf("Remove: %v", err)
-	}
-	if err := r.Remove("node-1"); err == nil {
-		t.Fatal("double Remove succeeded")
-	}
-	if r.Len() != 2 {
-		t.Fatalf("Len after remove = %d, want 2", r.Len())
-	}
-	for _, id := range r.Nodes() {
-		if id == "node-1" {
-			t.Fatal("removed node still reported by Nodes()")
-		}
-	}
-}
+func spread(s []float64) float64 { return slices.Max(s) / slices.Min(s) }
 
-func TestLookupDeterministic(t *testing.T) {
-	r := newRing(t, 4)
-	fp := fingerprint.FromUint64(12345)
-	first, err := r.Lookup(fp)
-	if err != nil {
-		t.Fatalf("Lookup: %v", err)
-	}
-	for i := 0; i < 100; i++ {
-		got, _ := r.Lookup(fp)
-		if got != first {
-			t.Fatalf("Lookup not deterministic: %s vs %s", got, first)
-		}
-	}
-}
+// TestReplicaPlacementProperty is the routing table's contract, for every
+// membership of 1-8 nodes and 1-5 replicas:
+//   - the same members, in any order and with repeats, build tables that
+//     agree point for point, so two fronts route alike on one record;
+//   - at 2, 4 and 8 nodes and the default virtual nodes, no member's share
+//     of the key space is over twice another's (the paper's Figure 6);
+//   - every successor set is min(replicas, nodes) distinct members, owner
+//     first.
+func TestReplicaPlacementProperty(t *testing.T) {
+	for nodes := 1; nodes <= 8; nodes++ {
+		for replicas := 1; replicas <= 5; replicas++ {
+			t.Run(fmt.Sprintf("nodes=%d/replicas=%d", nodes, replicas), func(t *testing.T) {
+				ids := members(nodes)
+				tab := Build(0, replicas, ids)
+				rng := rand.New(rand.NewSource(int64(nodes*8 + replicas)))
+				mixed := append(slices.Clone(ids), ids[rng.Intn(nodes)], ids[0])
+				rng.Shuffle(len(mixed), func(i, j int) { mixed[i], mixed[j] = mixed[j], mixed[i] })
+				again := Build(0, replicas, mixed)
+				if !slices.Equal(tab.Nodes(), ids) || !slices.Equal(again.Nodes(), ids) {
+					t.Fatalf("members %v and %v, want %v", tab.Nodes(), again.Nodes(), ids)
+				}
+				probes := slices.Clone(tab.hashes)
+				for range 2000 {
+					probes = append(probes, rng.Uint64())
+				}
+				for _, h := range probes {
+					p, q := tab.Point(h), again.Point(h)
+					if !slices.Equal(tab.Successors(p), again.Successors(q)) {
+						t.Fatalf("position %#x: %v from %v, %v from %v", h, tab.Successors(p), ids, again.Successors(q), mixed)
+					}
+				}
 
-func TestLookupDistribution(t *testing.T) {
-	// Figure 6 reproduction in miniature: ~25% per node at N=4.
-	r := newRing(t, 4)
-	counts := map[NodeID]int{}
-	const n = 40000
-	for i := 0; i < n; i++ {
-		id, err := r.Lookup(fingerprint.FromUint64(uint64(i)))
-		if err != nil {
-			t.Fatalf("Lookup: %v", err)
-		}
-		counts[id]++
-	}
-	if len(counts) != 4 {
-		t.Fatalf("keys landed on %d nodes, want 4", len(counts))
-	}
-	for id, c := range counts {
-		share := float64(c) / n
-		if share < 0.15 || share > 0.35 {
-			t.Fatalf("node %s got %.1f%% of keys, want 25%% +/- 10", id, share*100)
+				if nodes == 2 || nodes == 4 || nodes == 8 {
+					if s := shares(tab); spread(s) > 2.0 {
+						t.Errorf("shares %v: max/min %.2f, want <= 2.0 with %d vnodes", s, spread(s), DefaultVirtualNodes)
+					}
+				}
+
+				want := min(replicas, nodes)
+				for p := range tab.Len() {
+					set := tab.Successors(p)
+					if len(set) != want || set[0] != tab.Owner(p) {
+						t.Fatalf("position %d: successors %v, owner %d, want %d members owner first", p, set, tab.Owner(p), want)
+					}
+					for i, o := range set {
+						if slices.Contains(set[:i], o) {
+							t.Fatalf("position %d: %d twice in %v", p, o, set)
+						}
+					}
+				}
+			})
 		}
 	}
 }
 
-func TestLookupNReplicas(t *testing.T) {
-	r := newRing(t, 5)
-	fp := fingerprint.FromUint64(777)
-	replicas, err := r.LookupN(fp, 3)
-	if err != nil {
-		t.Fatalf("LookupN: %v", err)
-	}
-	if len(replicas) != 3 {
-		t.Fatalf("got %d replicas, want 3", len(replicas))
-	}
-	seen := map[NodeID]bool{}
-	for _, id := range replicas {
-		if seen[id] {
-			t.Fatalf("duplicate replica %s", id)
-		}
-		seen[id] = true
-	}
-	owner, _ := r.Lookup(fp)
-	if replicas[0] != owner {
-		t.Fatalf("first replica %s is not the owner %s", replicas[0], owner)
+// TestMoreVNodesImproveBalance: more points per member even out the shares.
+func TestMoreVNodesImproveBalance(t *testing.T) {
+	coarse, fine := spread(shares(Build(4, 1, members(4)))), spread(shares(Build(512, 1, members(4))))
+	if fine > coarse {
+		t.Fatalf("more vnodes worsened balance: fine=%v coarse=%v", fine, coarse)
 	}
 }
 
-func TestLookupNMoreThanNodes(t *testing.T) {
-	r := newRing(t, 2)
-	replicas, err := r.LookupN(fingerprint.FromUint64(1), 5)
-	if err != nil {
-		t.Fatalf("LookupN: %v", err)
-	}
-	if len(replicas) != 2 {
-		t.Fatalf("got %d replicas, want all 2 nodes", len(replicas))
-	}
-}
-
+// TestRemovalOnlyMovesKeysFromRemovedNode is consistent hashing's key
+// property: without one member, only the keys it owned route elsewhere.
 func TestRemovalOnlyMovesKeysFromRemovedNode(t *testing.T) {
-	// Consistent hashing's key property: removing a node relocates only
-	// the keys it owned.
-	r := newRing(t, 4)
-	const n = 5000
-	before := make([]NodeID, n)
-	for i := 0; i < n; i++ {
-		before[i], _ = r.Lookup(fingerprint.FromUint64(uint64(i)))
+	ids := members(4)
+	all := Build(0, 1, ids)
+	less := Build(0, 1, slices.Delete(slices.Clone(ids), 2, 3))
+	owner := func(tab *Table, i int) NodeID {
+		return tab.Nodes()[tab.Owner(tab.Point(fingerprint.FromUint64(uint64(i)).Prefix64()))]
 	}
-	if err := r.Remove("node-2"); err != nil {
-		t.Fatalf("Remove: %v", err)
-	}
-	for i := 0; i < n; i++ {
-		after, _ := r.Lookup(fingerprint.FromUint64(uint64(i)))
-		if before[i] != "node-2" && after != before[i] {
-			t.Fatalf("key %d moved from surviving node %s to %s", i, before[i], after)
+	for i := range 5000 {
+		before, after := owner(all, i), owner(less, i)
+		if before != "node-2" && after != before {
+			t.Fatalf("key %d moved from surviving node %s to %s", i, before, after)
 		}
 		if after == "node-2" {
 			t.Fatalf("key %d still routed to removed node", i)
@@ -148,80 +114,25 @@ func TestRemovalOnlyMovesKeysFromRemovedNode(t *testing.T) {
 	}
 }
 
-func TestBalanceShares(t *testing.T) {
-	r := newRing(t, 4)
-	b := r.Balance()
-	total := 0.0
-	for _, s := range b.Share {
-		total += s
-	}
-	if total < 0.999 || total > 1.001 {
-		t.Fatalf("shares sum to %v, want 1.0", total)
-	}
-	if b.MaxOverMin > 2.0 {
-		t.Fatalf("MaxOverMin = %v, want <= 2.0 with %d vnodes", b.MaxOverMin, DefaultVirtualNodes)
+// TestTableOrderIndependent: points tied on hash order by member, not by
+// the order they arrived in.
+func TestTableOrderIndependent(t *testing.T) {
+	tied := []point{{hash: 7, node: 1}, {hash: 7, node: 0}, {hash: 3, node: 1}}
+	tab := build(tied, []NodeID{"y", "z"}, 1)
+	if got := fmt.Sprint(tab.owner); got != "[1 0 1]" {
+		t.Fatalf("owners of tied points = %s, want [1 0 1] (z@3, y@7, z@7)", got)
 	}
 }
 
-func TestBalancePredictsRouting(t *testing.T) {
-	// Balance() must reflect where keys actually route, including with
-	// few virtual nodes where arcs are uneven. Compare the keyspace
-	// share against an empirical routing histogram.
-	r := New(4) // deliberately coarse
-	for i := 0; i < 4; i++ {
-		r.Add(NodeID(fmt.Sprintf("n%d", i)))
-	}
-	const n = 200000
-	counts := map[NodeID]float64{}
-	for i := 0; i < n; i++ {
-		id, err := r.Lookup(fingerprint.FromUint64(uint64(i)))
-		if err != nil {
-			t.Fatalf("Lookup: %v", err)
-		}
-		counts[id]++
-	}
-	shares := r.Balance().Share
-	for id, c := range counts {
-		empirical := c / n
-		predicted := shares[id]
-		if diff := empirical - predicted; diff > 0.02 || diff < -0.02 {
-			t.Fatalf("node %s: empirical share %.3f vs Balance prediction %.3f", id, empirical, predicted)
-		}
-	}
-}
-
-func TestMoreVNodesImproveBalance(t *testing.T) {
-	coarse := New(4)
-	fine := New(512)
-	for i := 0; i < 4; i++ {
-		id := NodeID(fmt.Sprintf("n%d", i))
-		coarse.Add(id)
-		fine.Add(id)
-	}
-	if fine.Balance().MaxOverMin > coarse.Balance().MaxOverMin {
-		t.Fatalf("more vnodes worsened balance: fine=%v coarse=%v",
-			fine.Balance().MaxOverMin, coarse.Balance().MaxOverMin)
-	}
-}
-
-// Property: Lookup always returns a member node, and LookupN(k)[0] equals
-// Lookup, for arbitrary fingerprints.
-func TestQuickLookupConsistency(t *testing.T) {
-	r := newRing(t, 3)
-	members := map[NodeID]bool{}
-	for _, id := range r.Nodes() {
-		members[id] = true
-	}
-	f := func(seed uint64) bool {
-		fp := fingerprint.FromUint64(seed)
-		owner, err := r.Lookup(fp)
-		if err != nil || !members[owner] {
-			return false
-		}
-		replicas, err := r.LookupN(fp, 2)
-		return err == nil && replicas[0] == owner
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+// TestAllocLookup pins the owner lookup at zero allocations.
+func TestAllocLookup(t *testing.T) {
+	tab := Build(0, 2, members(4))
+	var h uint64
+	allocs := testing.AllocsPerRun(1000, func() {
+		h += 0x9e3779b97f4a7c15
+		_ = tab.Successors(tab.Point(h))
+	})
+	if allocs != 0 {
+		t.Fatalf("table owner lookup allocates %v/op; want 0", allocs)
 	}
 }

@@ -182,9 +182,6 @@ func (c *Client) CreditStalls() uint64 {
 // ID returns the remote node's ring identity.
 func (c *Client) ID() ring.NodeID { return c.id }
 
-// Addr returns the remote address.
-func (c *Client) Addr() string { return c.addr }
-
 func (c *Client) dialConn() (*clientConn, error) {
 	conn, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 	if err != nil {
@@ -454,8 +451,7 @@ var _ core.RepairApplier = (*Client)(nil)
 
 // BatchCall is an in-flight batch request: a future for the pipelined
 // protocol. Results blocks until the response frame arrives (or the
-// request's context is cancelled or it times out); Done exposes
-// completion for select loops.
+// request's context is cancelled or it times out).
 type BatchCall struct {
 	n int
 	//lint:ignore ctxfirst a BatchCall is itself call-scoped (one request's future); the field carries the caller's ctx to the deferred Results wait, not past the call.
@@ -500,26 +496,6 @@ func appendCorePairBatch(pairs []core.Pair) *[]byte {
 	*buf = b
 	return buf
 }
-
-// Done returns a channel closed when the response (or a connection
-// failure) is available; Results will not block after it is closed. A
-// call that failed before sending returns an already-closed channel.
-// Cancellation of the call's context is not reflected here — select on
-// ctx.Done() alongside Done when waiting for either.
-func (b *BatchCall) Done() <-chan struct{} {
-	if b.pc == nil {
-		return closedChan
-	}
-	return b.pc.settled
-}
-
-// closedChan is what Done returns for every call that failed before it was
-// sent.
-var closedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
 
 // Results blocks for the response and decodes the ordered results. It is
 // safe to call more than once; every call returns the same outcome.
@@ -626,9 +602,6 @@ func (s *ClientStream) ID() ring.NodeID { return s.c.ID() }
 
 // Stream returns the handle's logical stream id.
 func (s *ClientStream) Stream() uint32 { return s.id }
-
-// Ping checks liveness (control stream; never credit-charged).
-func (s *ClientStream) Ping(ctx context.Context) error { return s.c.Ping(ctx) }
 
 // Lookup runs a lookup on this handle's stream.
 func (s *ClientStream) Lookup(ctx context.Context, fp fingerprint.Fingerprint) (core.LookupResult, error) {

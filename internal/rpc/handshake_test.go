@@ -100,7 +100,7 @@ func (p *rawPeer) expectError(id uint64) wire.ErrorPayload {
 // fall back to.
 func TestHandshakeVersionMismatch(t *testing.T) {
 	_, client := startNode(t, "n1")
-	addr := client.Addr()
+	addr := client.addr
 
 	for _, tc := range []struct {
 		name  string
@@ -235,7 +235,7 @@ func TestDuplicateInflightIDRejected(t *testing.T) {
 // BAD_REQUEST, and the connection keeps serving.
 func TestProtocolFreedTypesBadRequest(t *testing.T) {
 	node, client := startNode(t, "freed")
-	p := dialRaw(t, client.Addr())
+	p := dialRaw(t, client.addr)
 	p.hello()
 	lies := append([]byte{0, 0, 0, 2}, pairBatch(core.Pair{FP: fp(1)})[4:]...)
 	for i, f := range []wire.Frame{

@@ -106,7 +106,7 @@ func TestPipeliningManyInFlightBatches(t *testing.T) {
 	node, client := startNode(t, "pipeline-many")
 	_ = node
 
-	single, err := Dial("pipeline-many-single", client.Addr(), ClientConfig{Conns: 1, Timeout: 10 * time.Second})
+	single, err := Dial("pipeline-many-single", client.addr, ClientConfig{Conns: 1, Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -184,3 +184,23 @@ func TestPipelinedBatchDoneChannel(t *testing.T) {
 		t.Fatalf("Results after Done: %v", err)
 	}
 }
+
+// Done returns a channel closed when the response (or a connection
+// failure) is available; Results will not block after it is closed. A
+// call that failed before sending returns an already-closed channel.
+// Cancellation of the call's context is not reflected here — select on
+// ctx.Done() alongside Done when waiting for either.
+func (b *BatchCall) Done() <-chan struct{} {
+	if b.pc == nil {
+		return closedChan
+	}
+	return b.pc.settled
+}
+
+// closedChan is what Done returns for every call that failed before it was
+// sent.
+var closedChan = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()

@@ -114,7 +114,7 @@ func TestStaleRouteRelearnedOverRPC(t *testing.T) {
 // generation leave the hello without its payload.
 func TestHandshakeRefusesProtocol9Hello(t *testing.T) {
 	_, client := startNode(t, "n1")
-	conn, err := net.Dial("tcp", client.Addr())
+	conn, err := net.Dial("tcp", client.addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}

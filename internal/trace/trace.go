@@ -163,9 +163,6 @@ func NewGenerator(spec Spec) *Generator {
 	return g
 }
 
-// Spec returns the generator's (filled) spec.
-func (g *Generator) Spec() Spec { return g.spec }
-
 // Remaining returns how many fingerprints are left in the stream.
 func (g *Generator) Remaining() int { return g.spec.Fingerprints - g.pos }
 
@@ -276,20 +273,6 @@ func (g *Generator) sampleRunLength() int {
 		l = 1
 	}
 	return l
-}
-
-// Drain produces the whole remaining stream as a slice. Intended for
-// scaled-down workloads; full paper-scale streams are better consumed via
-// Next or written to a file.
-func (g *Generator) Drain() []fingerprint.Fingerprint {
-	out := make([]fingerprint.Fingerprint, 0, g.Remaining())
-	for {
-		fp, ok := g.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, fp)
-	}
 }
 
 // Stats are the Table I statistics recomputed from a stream.

@@ -166,8 +166,6 @@ type ClusterOptions struct {
 	// that re-replicates entries missing from any replica (Replicas > 1
 	// only). Membership changes always trigger a sweep, interval or not.
 	AntiEntropyInterval time.Duration
-	// VirtualNodes per node on the hash ring; 0 selects the default.
-	VirtualNodes int
 }
 
 func (o *ClusterOptions) fill() {
@@ -224,7 +222,6 @@ func NewLocalCluster(opts ClusterOptions) (*Cluster, error) {
 		backends = append(backends, node)
 	}
 	cluster, err := core.NewCluster(core.ClusterConfig{
-		VirtualNodes:        opts.VirtualNodes,
 		Replicas:            opts.Replicas,
 		WriteQuorum:         opts.WriteQuorum,
 		AntiEntropyInterval: opts.AntiEntropyInterval,
@@ -243,10 +240,7 @@ func closeAll(backends []core.Backend) {
 }
 
 // ClusterConfig configures NewCluster (explicit-backend clusters): the
-// replication factor, write quorum and ring virtual-node count.
-// Unlike the old NewCluster(replicas int, ...) signature, every routing
-// knob is reachable for distributed deployments, not only for
-// NewLocalCluster's in-process ones.
+// replication factor, write quorum and anti-entropy interval.
 type ClusterConfig = core.ClusterConfig
 
 // NewCluster assembles a cluster from explicit backends (e.g. DialNode
