@@ -1,6 +1,7 @@
 package lru
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -210,6 +211,28 @@ func TestRemove(t *testing.T) {
 	}
 	if c.n != 0 {
 		t.Fatalf("Len = %d, want 0", c.n)
+	}
+}
+
+// TestOldestAndKeys: a Get moves its key to the front of the recency
+// order, so the key left at the back is the oldest and the next to go.
+func TestOldestAndKeys(t *testing.T) {
+	c := New(3, nil)
+	if keys := c.keys(); len(keys) != 0 {
+		t.Fatalf("keys of empty cache = %v", keys)
+	}
+	c.Put(fp(1), 1)
+	c.Put(fp(2), 2)
+	c.Put(fp(3), 3)
+	c.Get(fp(1))
+	keys := c.keys()
+	want := []fingerprint.Fingerprint{fp(1), fp(3), fp(2)}
+	if !slices.Equal(keys, want) {
+		t.Fatalf("keys = %v, want %v", keys, want)
+	}
+	c.Put(fp(4), 4)
+	if _, ok := c.peek(fp(2)); ok {
+		t.Fatalf("oldest key %s survived an insert into a full cache", fp(2).Short())
 	}
 }
 

@@ -5,9 +5,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
+
+	"shhc/internal/fingerprint"
 )
 
 // refPoint is one position of the reference ring.
@@ -134,6 +137,39 @@ func TestTableMatchesReference(t *testing.T) {
 			}
 			rng.Shuffle(len(named), func(i, j int) { named[i], named[j] = named[j], named[i] })
 			checkAgainstReference(t, Build(vnodes, replicas, named), newReference(member, vnodes), replicas, rng, probes)
+		}
+	}
+}
+
+// TestReplicaPlacementAcrossMembershipChange: as members leave and one
+// comes back, each fingerprint's replica set is min(3, members) distinct
+// members and the one the reference walk names for its prefix hash.
+func TestReplicaPlacementAcrossMembershipChange(t *testing.T) {
+	member := map[NodeID]bool{}
+	for _, id := range members(5) {
+		member[id] = true
+	}
+	for _, change := range []NodeID{"", "node-2", "node-4", "node-2"} {
+		if change != "" {
+			member[change] = !member[change]
+		}
+		var ids []NodeID
+		for id, in := range member {
+			if in {
+				ids = append(ids, id)
+			}
+		}
+		tab, ref := Build(32, 3, ids), newReference(member, 32)
+		for i := range uint64(500) {
+			fp := fingerprint.FromUint64(i)
+			set := successors(tab, fp)
+			if len(set) != min(3, len(ids)) {
+				t.Fatalf("%d members: fingerprint %d has replicas %v", len(ids), i, set)
+			}
+			distinct(t, set)
+			if want := ref.lookupNHash(fp.Prefix64(), 3); !slices.Equal(set, want) {
+				t.Fatalf("%d members: fingerprint %d has replicas %v, reference %v", len(ids), i, set, want)
+			}
 		}
 	}
 }
