@@ -1,5 +1,4 @@
 GO ?= go
-VET_CACHE ?= .vetcache
 
 .PHONY: all build test race vet lint golden bench-smoke clean
 
@@ -15,11 +14,10 @@ race:
 	$(GO) test -race ./...
 
 # The invariant gate: go vet plus the repo's own analyzers (bufown,
-# poolescape, lockio, atomicmix, ctxfirst). The fact cache makes re-runs
-# on an unchanged tree near-instant.
+# lockio, ctxfirst).
 vet:
 	$(GO) vet ./...
-	$(GO) run ./cmd/shhc-vet -cache $(VET_CACHE) ./...
+	$(GO) run ./cmd/shhc-vet ./...
 
 # lint is vet plus the pinned external checkers when they are installed
 # (CI installs them; offline dev boxes may not have them).
@@ -35,4 +33,4 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./...
 
 clean:
-	rm -rf $(VET_CACHE) cover.out
+	rm -f cover.out

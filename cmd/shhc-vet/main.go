@@ -1,18 +1,16 @@
 // Command shhc-vet is the multichecker for the repo's invariant
 // analyzers. It mechanically enforces the contracts the hot path relies
-// on — pooled-buffer ownership (bufown, poolescape), no I/O under
-// RAM-only stripe locks plus lock rank order (lockio), context-first
-// APIs (ctxfirst), and atomic/plain access discipline (atomicmix) —
-// using the //shhc: markers in source as ground truth.
+// on — pooled buffers released exactly once on every path (bufown), no
+// I/O under RAM-only stripe locks plus lock rank order (lockio), and
+// context-first APIs (ctxfirst) — using the //shhc: markers in source as
+// ground truth.
 //
 // Usage:
 //
-//	go run ./cmd/shhc-vet [-cache dir] [-list] [packages...]
+//	go run ./cmd/shhc-vet [-list] [-only name] [-v] [packages...]
 //
 // Patterns default to ./... relative to the current module. The exit
 // status is 1 when any finding is reported, so CI can gate on it.
-// -cache persists per-package facts and findings keyed by content hash;
-// unchanged packages replay instantly.
 package main
 
 import (
@@ -21,23 +19,18 @@ import (
 	"os"
 
 	"shhc/internal/analysis"
-	"shhc/internal/analysis/atomicmix"
 	"shhc/internal/analysis/bufown"
 	"shhc/internal/analysis/ctxfirst"
 	"shhc/internal/analysis/lockio"
-	"shhc/internal/analysis/poolescape"
 )
 
 var all = []*analysis.Analyzer{
 	bufown.Analyzer,
 	lockio.Analyzer,
 	ctxfirst.Analyzer,
-	atomicmix.Analyzer,
-	poolescape.Analyzer,
 }
 
 func main() {
-	cacheDir := flag.String("cache", "", "directory for the per-package fact/finding cache (empty disables caching)")
 	list := flag.Bool("list", false, "list registered analyzers and exit")
 	only := flag.String("only", "", "comma-free single analyzer name to run alone (debugging)")
 	verbose := flag.Bool("v", false, "print run statistics")
@@ -79,7 +72,6 @@ func main() {
 		Dir:       dir,
 		Patterns:  patterns,
 		Analyzers: analyzers,
-		CacheDir:  *cacheDir,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "shhc-vet: %v\n", err)
@@ -90,8 +82,8 @@ func main() {
 		fmt.Println(f.String())
 	}
 	if *verbose {
-		fmt.Fprintf(os.Stderr, "shhc-vet: %d packages (%d cached), %d findings, %d suppressed\n",
-			res.Packages, res.CacheHits, len(res.Findings), res.Suppressed)
+		fmt.Fprintf(os.Stderr, "shhc-vet: %d packages, %d findings, %d suppressed\n",
+			res.Packages, len(res.Findings), res.Suppressed)
 	}
 	if len(res.Findings) > 0 {
 		os.Exit(1)

@@ -13,14 +13,13 @@
 //   - Cross-package object facts (facts.go): a pass on package P can
 //     export a fact about one of P's objects ("this function performs
 //     device I/O") and a later pass on a dependent package imports it.
-//     Facts are JSON, so they cache between runs (cache.go).
 //   - Invariant markers (markers.go): machine-readable `//shhc:` comments
 //     on declarations — the source of truth the analyzers enforce.
 //   - Suppressions (suppress.go): `//lint:ignore <analyzers> <reason>`
 //     silences a finding on the next line, with a mandatory reason.
 //
-// The concrete analyzers live in subpackages (bufown, ctxfirst, lockio,
-// atomicmix, poolescape) and are driven by cmd/shhc-vet.
+// The concrete analyzers live in subpackages (bufown, lockio,
+// ctxfirst) and are driven by cmd/shhc-vet.
 package analysis
 
 import (
@@ -63,7 +62,7 @@ type Pass struct {
 	Markers *MarkerSet
 
 	report func(Diagnostic)
-	facts  *factStore
+	facts  factStore
 }
 
 // Report records a finding. Findings on lines carrying a matching

@@ -6,9 +6,11 @@
 // (wire.PutBuf), sync.Pool.Put, or any call through a func value we
 // cannot see into — storing it into a composite literal or channel (the
 // rpc response handoff), or returning it (functions that do so must
-// themselves be marked //shhc:returns-buf — poolescape checks that).
+// themselves be marked //shhc:returns-buf).
 // Passing a buffer to an ordinary function is a borrow: pageCount(page)
-// does not release the page.
+// does not release the page. Whether a stored buffer is read after its
+// release is not checked: the -race tests catch a pooled value kept past
+// its release.
 //
 // The analyzer walks each function's statement structure symbolically:
 // branches fork the ownership state, merges reconcile it, and every
@@ -618,7 +620,7 @@ func (w *walker) assign(st *ast.AssignStmt, s *state) {
 			}
 		default:
 			// Storing a tracked buffer into a field, slice, or map is an
-			// ownership handoff (poolescape judges whether it is legal).
+			// ownership handoff.
 			if i < len(st.Rhs) {
 				w.transferExpr(st.Rhs[i], s)
 			}

@@ -7,89 +7,34 @@ import (
 
 // Facts are how analyzers see across package boundaries: while analyzing
 // package P, an analyzer may export a fact about one of P's objects
-// (keyed by ObjKey), and when a dependent package is analyzed later the
-// same analyzer imports it. lockio, for example, exports "this function
-// performs I/O" facts bottom-up through the dependency order.
+// (keyed by ObjKey), and when a dependent package is analyzed later it
+// imports it. ioflow exports "this function performs I/O" facts
+// bottom-up through the dependency order for lockio and ctxfirst.
 //
-// Facts are plain JSON values, which keeps them serializable for the
-// between-runs cache (cache.go) with no codec registration.
+// A fact is stored as JSON and decoded into the importer's value, so an
+// importer never shares memory with the exporting pass.
 
-// factStore holds every exported fact of a run, grouped by the package
-// that exported it (the cacheable unit) and indexed globally for import.
-type factStore struct {
-	byPkg map[string]pkgFacts        // exporting package -> facts
-	index map[string]json.RawMessage // analyzer + "\x00" + objkey -> fact
-}
+// factStore holds every exported fact of a run, keyed by namespace +
+// "\x00" + object key.
+type factStore map[string]json.RawMessage
 
-// pkgFacts is one package's exports: analyzer name -> object key -> fact.
-type pkgFacts map[string]map[string]json.RawMessage
+func newFactStore() factStore { return make(factStore) }
 
-func newFactStore() *factStore {
-	return &factStore{
-		byPkg: make(map[string]pkgFacts),
-		index: make(map[string]json.RawMessage),
-	}
-}
-
-func (fs *factStore) export(pkgPath, analyzer, key string, fact any) error {
+func (fs factStore) export(ns, key string, fact any) error {
 	raw, err := json.Marshal(fact)
 	if err != nil {
-		return fmt.Errorf("analysis: marshal %s fact for %s: %v", analyzer, key, err)
+		return fmt.Errorf("analysis: marshal %s fact for %s: %v", ns, key, err)
 	}
-	pf := fs.byPkg[pkgPath]
-	if pf == nil {
-		pf = make(pkgFacts)
-		fs.byPkg[pkgPath] = pf
-	}
-	af := pf[analyzer]
-	if af == nil {
-		af = make(map[string]json.RawMessage)
-		pf[analyzer] = af
-	}
-	af[key] = raw
-	fs.index[analyzer+"\x00"+key] = raw
+	fs[ns+"\x00"+key] = raw
 	return nil
 }
 
-func (fs *factStore) importFact(analyzer, key string, out any) bool {
-	raw, ok := fs.index[analyzer+"\x00"+key]
+func (fs factStore) importFact(ns, key string, out any) bool {
+	raw, ok := fs[ns+"\x00"+key]
 	if !ok {
 		return false
 	}
 	return json.Unmarshal(raw, out) == nil
-}
-
-// merge installs a package's cached facts into the store.
-func (fs *factStore) merge(pkgPath string, pf pkgFacts) {
-	if len(pf) == 0 {
-		return
-	}
-	fs.byPkg[pkgPath] = pf
-	for analyzer, af := range pf {
-		for key, raw := range af {
-			fs.index[analyzer+"\x00"+key] = raw
-		}
-	}
-}
-
-// ExportObjectFact records a fact about the object with the given
-// canonical key (ObjKey/FieldKey), visible to later passes of the same
-// analyzer on dependent packages.
-func (p *Pass) ExportObjectFact(key string, fact any) error {
-	if key == "" {
-		return fmt.Errorf("analysis: empty fact key")
-	}
-	return p.facts.export(p.Pkg.Path(), p.Analyzer.Name, key, fact)
-}
-
-// ImportObjectFact loads a fact previously exported under key by this
-// analyzer (in this package or any dependency), reporting whether one
-// existed.
-func (p *Pass) ImportObjectFact(key string, out any) bool {
-	if key == "" {
-		return false
-	}
-	return p.facts.importFact(p.Analyzer.Name, key, out)
 }
 
 // ExportNamespacedFact and ImportNamespacedFact are the shared-namespace
@@ -100,7 +45,7 @@ func (p *Pass) ExportNamespacedFact(ns, key string, fact any) error {
 	if key == "" {
 		return fmt.Errorf("analysis: empty fact key")
 	}
-	return p.facts.export(p.Pkg.Path(), ns, key, fact)
+	return p.facts.export(ns, key, fact)
 }
 
 // ImportNamespacedFact loads a fact from a shared namespace.

@@ -19,9 +19,8 @@
 // dynamic gated-store tests cover that blind spot.
 //
 // Facts are exported in the shared "ioflow" namespace: the first
-// analyzer to run on a package computes them, later analyzers (and
-// dependent packages) reuse them, and the driver's cache persists them
-// between runs.
+// analyzer to run on a package computes them, and later analyzers (and
+// dependent packages) reuse them.
 package ioflow
 
 import (
@@ -44,7 +43,7 @@ type Fact struct {
 func sentinelKey(pkgPath string) string { return pkgPath + ".\x00done" }
 
 // Ensure computes and exports I/O facts for the pass's package if no
-// analyzer has done so yet in this run (or a cached run).
+// analyzer has done so yet in this run.
 func Ensure(pass *analysis.Pass) {
 	var done Fact
 	if pass.ImportNamespacedFact(Namespace, sentinelKey(pass.Pkg.Path()), &done) {

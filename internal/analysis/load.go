@@ -2,8 +2,6 @@ package analysis
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -16,13 +14,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
-	"sort"
 )
-
-// frameworkVersion salts the fact/diagnostic cache: bump it when the
-// framework or any analyzer changes behavior so stale cached results are
-// not replayed against new rules.
-const frameworkVersion = "shhc-vet-1"
 
 // Package is one loaded package: the `go list` metadata plus, for
 // packages typechecked from source, the syntax and type information the
@@ -31,7 +23,6 @@ type Package struct {
 	ImportPath string
 	Dir        string
 	GoFiles    []string
-	Imports    []string
 	Standard   bool
 	Export     string // compiler export data (build cache), for importing
 	DepOnly    bool   // pulled in as a dependency, not named by the patterns
@@ -40,11 +31,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-
-	// Hash identifies this package's analysis inputs: its source bytes,
-	// its dependencies' hashes, and the framework version. Two runs with
-	// equal hashes produce equal facts and diagnostics.
-	Hash string
 }
 
 // World is a loaded, typechecked package graph in dependency order.
@@ -65,7 +51,6 @@ type listPackage struct {
 	ImportPath string
 	Dir        string
 	GoFiles    []string
-	Imports    []string
 	Standard   bool
 	Export     string
 	DepOnly    bool
@@ -83,7 +68,7 @@ func Load(dir string, patterns ...string) (*World, error) {
 	}
 	args := append([]string{
 		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Dir,GoFiles,Imports,Standard,Export,DepOnly,Error",
+		"-json=ImportPath,Dir,GoFiles,Standard,Export,DepOnly,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -115,7 +100,6 @@ func Load(dir string, patterns ...string) (*World, error) {
 			ImportPath: lp.ImportPath,
 			Dir:        lp.Dir,
 			GoFiles:    lp.GoFiles,
-			Imports:    lp.Imports,
 			Standard:   lp.Standard,
 			Export:     lp.Export,
 			DepOnly:    lp.DepOnly,
@@ -151,7 +135,6 @@ func Load(dir string, patterns ...string) (*World, error) {
 			return nil, err
 		}
 	}
-	w.hashPackages()
 	return w, nil
 }
 
@@ -197,40 +180,6 @@ func (w *World) typecheck(p *Package) error {
 	p.Info = info
 	w.source[p.ImportPath] = tp
 	return nil
-}
-
-// hashPackages computes each source package's analysis-input hash:
-// sha256(framework version, own source bytes, dependency hashes).
-// Dependencies resolve before dependents in w.Order, so one sweep
-// suffices; GOROOT packages contribute their export file path + mtime
-// (the build cache already content-addresses them).
-func (w *World) hashPackages() {
-	for _, path := range w.Order {
-		p := w.Pkgs[path]
-		h := sha256.New()
-		io.WriteString(h, frameworkVersion+"\n"+p.ImportPath+"\n")
-		if p.Standard {
-			io.WriteString(h, p.Export+"\n")
-		} else {
-			for _, name := range p.GoFiles {
-				b, err := os.ReadFile(filepath.Join(p.Dir, name))
-				if err != nil {
-					io.WriteString(h, "unreadable:"+name+"\n")
-					continue
-				}
-				io.WriteString(h, name+"\n")
-				h.Write(b)
-			}
-			deps := append([]string(nil), p.Imports...)
-			sort.Strings(deps)
-			for _, dep := range deps {
-				if dp, ok := w.Pkgs[dep]; ok {
-					io.WriteString(h, dep+":"+dp.Hash+"\n")
-				}
-			}
-		}
-		p.Hash = hex.EncodeToString(h.Sum(nil))
-	}
 }
 
 // SourcePackages returns the non-GOROOT packages in dependency order.

@@ -22,8 +22,7 @@ import (
 //
 //	//shhc:returns-buf
 //	    On a function: its pooled-buffer result transfers ownership to
-//	    the caller, who must release it on every path (bufown) and must
-//	    not let it escape to long-lived storage (poolescape).
+//	    the caller, who must release it on every path (bufown).
 //
 //	//shhc:takes-buf <param> [param...]
 //	    On a function: it assumes ownership of the pooled buffer passed

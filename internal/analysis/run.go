@@ -6,13 +6,13 @@ import (
 )
 
 // Finding is one reported, position-resolved diagnostic — the unit the
-// driver prints and the cache stores.
+// driver prints.
 type Finding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 func (f Finding) String() string {
@@ -27,9 +27,6 @@ type RunConfig struct {
 	Patterns []string
 	// Analyzers to apply, in order.
 	Analyzers []*Analyzer
-	// CacheDir, when non-empty, persists per-package facts and findings
-	// keyed by content hash so unchanged packages are not re-analyzed.
-	CacheDir string
 }
 
 // Result is the outcome of a run.
@@ -39,9 +36,7 @@ type Result struct {
 	Findings []Finding
 	// Suppressed counts findings silenced by //lint:ignore comments.
 	Suppressed int
-	// CacheHits counts packages whose analysis was replayed from cache.
-	CacheHits int
-	// Packages counts source packages analyzed (including cache hits).
+	// Packages counts source packages analyzed.
 	Packages int
 }
 
@@ -73,32 +68,10 @@ func RunWorld(world *World, cfg RunConfig) (*Result, error) {
 		}
 	}
 
-	var cache *factCache
-	if cfg.CacheDir != "" {
-		cache = &factCache{dir: cfg.CacheDir}
-	}
-	analyzerSalt := ""
-	for _, a := range cfg.Analyzers {
-		analyzerSalt += a.Name + ","
-	}
-
 	facts := newFactStore()
 	res := &Result{}
 	for _, p := range srcPkgs {
 		res.Packages++
-		key := cacheKey(p.Hash, analyzerSalt)
-		if cache != nil {
-			if ent, ok := cache.load(key); ok {
-				facts.merge(p.ImportPath, ent.Facts)
-				if !p.DepOnly {
-					res.Findings = append(res.Findings, ent.Findings...)
-					res.Suppressed += ent.Suppressed
-				}
-				res.CacheHits++
-				continue
-			}
-		}
-
 		var diags []Diagnostic
 		report := func(d Diagnostic) { diags = append(diags, d) }
 		sups := collectSuppressions(world.Fset, p.Files, report)
@@ -119,10 +92,12 @@ func RunWorld(world *World, cfg RunConfig) (*Result, error) {
 		}
 		diags, suppressed := applySuppressions(world.Fset, diags, sups)
 
-		findings := make([]Finding, 0, len(diags))
+		if p.DepOnly {
+			continue
+		}
 		for _, d := range diags {
 			pos := world.Fset.Position(d.Pos)
-			findings = append(findings, Finding{
+			res.Findings = append(res.Findings, Finding{
 				Analyzer: d.Analyzer,
 				File:     pos.Filename,
 				Line:     pos.Line,
@@ -130,17 +105,7 @@ func RunWorld(world *World, cfg RunConfig) (*Result, error) {
 				Message:  d.Message,
 			})
 		}
-		if cache != nil {
-			cache.store(key, &cacheEntry{
-				Facts:      facts.byPkg[p.ImportPath],
-				Findings:   findings,
-				Suppressed: suppressed,
-			})
-		}
-		if !p.DepOnly {
-			res.Findings = append(res.Findings, findings...)
-			res.Suppressed += suppressed
-		}
+		res.Suppressed += suppressed
 	}
 
 	sort.Slice(res.Findings, func(i, j int) bool {

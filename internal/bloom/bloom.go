@@ -262,7 +262,6 @@ func (f *Filter) UnmarshalBinary(data []byte) error {
 	for i := range w {
 		w[i] = binary.BigEndian.Uint64(data[marshalHdrSize+i*8:])
 	}
-	//lint:ignore atomicmix UnmarshalBinary replaces the whole filter pre-publication; the doc comment requires callers not to race it with Add/Test.
 	f.words, f.k = w, k
 	f.n.Store(n)
 	return nil

@@ -282,7 +282,7 @@ func (s *Scalable) UnmarshalBinary(data []byte) error {
 			return fmt.Errorf("bloom: unmarshal scalable: slice %d: %w", i, err)
 		}
 		off += n
-		//lint:ignore atomicmix restored is private until the Store below publishes it; no reader can hold it yet.
+		// restored is private until the Store below publishes it.
 		restored = append(restored, scalableSlice{f: f, cap: cap})
 	}
 	if off != len(data) {

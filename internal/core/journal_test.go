@@ -7,6 +7,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -129,6 +130,96 @@ func TestJournalTruncatesAfterQuiesce(t *testing.T) {
 	}
 	if st.Recovery.JournalReplayed != 0 {
 		t.Fatalf("clean shutdown left %d journal records to replay", st.Recovery.JournalReplayed)
+	}
+}
+
+// syncOrderStore logs the store calls a destager makes, "put" for a
+// PutBatch and "sync" for a Sync, each with the journal's size as the call
+// starts.
+type syncOrderStore struct {
+	hashdb.Store
+	jpath string
+	mu    sync.Mutex
+	ops   []string
+	sizes []int64
+}
+
+func (s *syncOrderStore) log(op string) {
+	fi, err := os.Stat(s.jpath)
+	size := int64(-1)
+	if err == nil {
+		size = fi.Size()
+	}
+	s.mu.Lock()
+	s.ops, s.sizes = append(s.ops, op), append(s.sizes, size)
+	s.mu.Unlock()
+}
+
+func (s *syncOrderStore) PutBatch(ctx context.Context, pairs []hashdb.Pair) ([]bool, int, error) {
+	s.log("put")
+	return s.Store.PutBatch(ctx, pairs)
+}
+
+func (s *syncOrderStore) Sync() error {
+	s.log("sync")
+	return s.Store.Sync()
+}
+
+// TestJournalTruncatesOnlyAfterStoreSync: the journal may shrink only once
+// the store has synced every PutBatch before the shrink. Truncating after
+// the writes but before their fsync drops the only durable copy of entries
+// a crash can still take from the store.
+func TestJournalTruncatesOnlyAfterStoreSync(t *testing.T) {
+	old := journalCheckpointBytes
+	journalCheckpointBytes = 1024 // truncate after every wave that empties the buffer
+	defer func() { journalCheckpointBytes = old }()
+
+	jpath := filepath.Join(t.TempDir(), "node.wal")
+	store := &syncOrderStore{Store: hashdb.NewMemStore(), jpath: jpath}
+	n, err := NewNode(NodeConfig{
+		ID:            "jnl-node",
+		Store:         store,
+		CacheSize:     8,
+		BloomExpected: 1 << 12,
+		WriteBack:     true,
+		JournalPath:   jpath,
+		DestageBatch:  4,
+	})
+	if err != nil {
+		t.Fatalf("NewNode: %v", err)
+	}
+	for i := uint64(0); i < 128; i++ {
+		if _, err := n.LookupOrInsert(context.Background(), fp(i), Value(i)); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	if err := n.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	store.log("end")
+	if err := n.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	store.mu.Lock()
+	defer store.mu.Unlock()
+	shrinks, synced := 0, false
+	for i, op := range store.ops {
+		if i > 0 && store.sizes[i] < store.sizes[i-1] {
+			shrinks++
+			if !synced {
+				t.Errorf("journal shrank from %d to %d bytes before %q (call %d) with a PutBatch not yet synced", store.sizes[i-1], store.sizes[i], op, i)
+			}
+		}
+		switch op {
+		case "put":
+			synced = false
+		case "sync":
+			synced = true
+		}
+	}
+	if shrinks == 0 {
+		t.Fatalf("journal never shrank over %d store calls", len(store.ops))
 	}
 }
 

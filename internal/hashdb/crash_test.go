@@ -436,3 +436,82 @@ func FuzzCrashSchedule(f *testing.F) {
 		sw.Kill(t, int64(kill)+1, int(tear)%PageSize)
 	})
 }
+
+// orderFile logs what a table asks of its file, in order: "page" for a page
+// write, "dirty" or "clean" for a header write, "sync" for an fsync.
+type orderFile struct {
+	File
+	ops []string
+}
+
+func (f *orderFile) WriteAt(p []byte, off int64) (int, error) {
+	op := "page"
+	if off < PageSize && len(p) == fileHdrSize {
+		op = "dirty"
+		if p[40] == 1 { // writeHeader's clean byte
+			op = "clean"
+		}
+	}
+	f.ops = append(f.ops, op)
+	return f.File.WriteAt(p, off)
+}
+
+func (f *orderFile) Sync() error {
+	f.ops = append(f.ops, "sync")
+	return f.File.Sync()
+}
+
+// TestCrashCleanMarkAfterDataSync holds Sync and Close to commitClean's
+// order: every page written before a clean header is fsynced before that
+// header is written, and the header is fsynced right after. With one fsync
+// for both, the device may persist the clean mark ahead of a page, and a
+// crash leaves a torn page that Open, trusting the mark, never recovers.
+func TestCrashCleanMarkAfterDataSync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "order.shdb")
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &orderFile{File: f}
+	db, err := CreateFile(rec, path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.ops = nil // Create's header covers no page yet
+	put := func(from, to uint64) {
+		for i := from; i < to; i++ {
+			if _, err := db.Put(fingerprint.FromUint64(i), Value(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put(0, 500)
+	if err := db.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	put(500, 1000)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cleans, synced := 0, true
+	for i, op := range rec.ops {
+		switch op {
+		case "page", "dirty":
+			synced = false
+		case "sync":
+			synced = true
+		case "clean":
+			cleans++
+			if !synced {
+				t.Errorf("op %d: clean header written before the writes ahead of it were synced", i)
+			}
+			if i+1 == len(rec.ops) || rec.ops[i+1] != "sync" {
+				t.Errorf("op %d: clean header not synced before the next write", i)
+			}
+		}
+	}
+	if cleans < 2 {
+		t.Fatalf("%d clean header writes, want one from Sync and one from Close", cleans)
+	}
+}

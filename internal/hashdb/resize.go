@@ -607,7 +607,6 @@ func (db *DB) compactBucket(b uint64, cs *CompactStats) error {
 			putPage(buf)
 			return err
 		}
-		//lint:ignore poolescape chain is a function-local staging slice; every chainPage.buf is released by the deferred putPage loop.
 		chain = append(chain, chainPage{no: p, buf: buf})
 		p = pageNext(buf)
 	}

@@ -83,9 +83,11 @@ const (
 	// A call that finds its connection slot dead redials it up to
 	// redialAttempts times, redialBackoff apart and doubling, so a
 	// briefly restarted node costs in-flight-free callers a short wait
-	// instead of an error.
+	// instead of an error. A redial that uses every attempt has waited
+	// redialSpan; for that long again, calls fail at once with its error.
 	redialAttempts = 3
 	redialBackoff  = 50 * time.Millisecond
+	redialSpan     = redialBackoff * (1<<(redialAttempts-1) - 1)
 )
 
 func (c *ClientConfig) fill() {
@@ -120,6 +122,13 @@ type Client struct {
 	conns  []*clientConn
 	next   uint64
 	closed bool
+	// dialErr is the error of the last redial that used all its attempts;
+	// until dialRetry, a call that finds its slot dead fails with it at
+	// once. Every slot dials the same address, so the client remembers
+	// it, not the slot: a caller rotating through the pool would
+	// otherwise pay the backoff again on each slot.
+	dialErr   error
+	dialRetry time.Time
 
 	// nextStreamID hands out logical stream ids: 1..StreamsPerConn are
 	// the default round-robin pool, the repair stream and OpenStream
@@ -270,16 +279,26 @@ func (c *Client) pick(ctx context.Context) (*clientConn, error) {
 	idx := int(c.next % uint64(len(c.conns)))
 	c.next++
 	cc := c.conns[idx]
+	dialErr, dialRetry := c.dialErr, c.dialRetry
 	c.mu.Unlock()
 	if cc != nil && !cc.isDead() {
 		return cc, nil
 	}
+	if dialErr != nil && time.Now().Before(dialRetry) {
+		return nil, dialErr
+	}
 
 	fresh, err := c.redial(ctx)
 	if err != nil {
+		if ctx.Err() == nil { // every attempt failed, not cut short
+			c.mu.Lock()
+			c.dialErr, c.dialRetry = err, time.Now().Add(redialSpan)
+			c.mu.Unlock()
+		}
 		return nil, err
 	}
 	c.mu.Lock()
+	c.dialErr = nil
 	if c.closed {
 		c.mu.Unlock()
 		fresh.shutdown(ErrClientClosed)
@@ -862,7 +881,8 @@ func (cc *clientConn) readLoop(br *bufio.Reader) {
 		}
 		cc.mu.Unlock()
 		if ok {
-			//lint:ignore poolescape intentional ownership hand-off: pc.ch is buffered 1 and the waiter (or discardSettled on an abandon race) releases body exactly once.
+			// pc.ch is buffered 1; the waiter (or discardSettled on an
+			// abandon race) releases body.
 			pc.ch <- response{f: frame, body: body}
 			close(pc.settled)
 		} else {

@@ -384,6 +384,84 @@ func TestClientReconnectsAfterServerRestart(t *testing.T) {
 	}
 }
 
+// TestDeadReplicaFailsFastThenRedials stops one of three nodes behind a
+// three-replica cluster. The lookups its replicas answer must not each wait
+// out the redial backoff to the stopped node: one redial that fails is
+// remembered for redialSpan. Restarted at the same address, the node is
+// reached again by the first call after that span.
+func TestDeadReplicaFailsFastThenRedials(t *testing.T) {
+	var (
+		backends = make([]core.Backend, 3)
+		clients  = make([]*Client, 3)
+		nodes    = make([]*core.Node, 3)
+		srvs     = make([]*Server, 3)
+		addrs    = make([]string, 3)
+	)
+	for i := range backends {
+		id := ring.NodeID(fmt.Sprintf("replica-%d", i))
+		node, err := core.NewNode(core.NodeConfig{ID: id, Store: hashdb.NewMemStore(), CacheSize: 256})
+		if err != nil {
+			t.Fatalf("NewNode: %v", err)
+		}
+		srvs[i] = NewServer(node, ServerConfig{})
+		addr, err := srvs[i].Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("Listen: %v", err)
+		}
+		addrs[i] = addr.String()
+		if clients[i], err = Dial(id, addrs[i], ClientConfig{Timeout: 5 * time.Second}); err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		nodes[i], backends[i] = node, clients[i]
+	}
+	t.Cleanup(func() {
+		for i := range clients {
+			clients[i].Close()
+			srvs[i].Close()
+			nodes[i].Close()
+		}
+	})
+	cluster, err := core.NewCluster(core.ClusterConfig{Replicas: 3, WriteQuorum: 3}, backends...)
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	const n = 60
+	ctx := context.Background()
+	for i := uint64(0); i < n; i++ {
+		if _, err := cluster.LookupOrInsert(ctx, fp(i), core.Value(i)); err != nil {
+			t.Fatalf("LookupOrInsert %d: %v", i, err)
+		}
+	}
+
+	srvs[0].Close()
+	slow := 0
+	for i := uint64(0); i < n; i++ {
+		start := time.Now()
+		r, err := cluster.Lookup(ctx, fp(i))
+		if err != nil || !r.Exists || r.Value != core.Value(i) {
+			t.Fatalf("Lookup %d with a replica down = (%+v, %v), want its value", i, r, err)
+		}
+		if time.Since(start) > redialSpan*2/3 {
+			slow++
+		}
+	}
+	// Each redial to the stopped node takes redialSpan and is followed by
+	// redialSpan of failing fast; n lookups of microseconds run well inside
+	// two such rounds.
+	if slow > 2 {
+		t.Fatalf("%d of %d lookups waited out the redial backoff to a stopped replica, want at most 2", slow, n)
+	}
+
+	srvs[0] = NewServer(nodes[0], ServerConfig{})
+	if _, err := srvs[0].Listen(addrs[0]); err != nil {
+		t.Fatalf("relisten: %v", err)
+	}
+	time.Sleep(redialSpan)
+	if r, err := clients[0].Lookup(ctx, fp(0)); err != nil || !r.Exists {
+		t.Fatalf("Lookup on the restarted node = (%+v, %v), want it reached again", r, err)
+	}
+}
+
 func TestClientClosedErrors(t *testing.T) {
 	_, client := startNode(t, "n1")
 	client.Close()

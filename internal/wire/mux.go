@@ -120,7 +120,6 @@ func (s *muxStream) flushable(id uint32) bool {
 //
 //shhc:takes-buf bp
 func (m *MuxWriter) Enqueue(f Frame, bp *[]byte, onFlush func()) error {
-	//lint:ignore poolescape the muxFrame literal IS the takes-buf transfer this method declares: the flush loop (or the enqueue/Close error paths) releases bp exactly once.
 	return m.enqueue(muxFrame{f: f, bp: bp, onFlush: onFlush}, false)
 }
 
@@ -130,7 +129,6 @@ func (m *MuxWriter) Enqueue(f Frame, bp *[]byte, onFlush func()) error {
 //
 //shhc:takes-buf bp
 func (m *MuxWriter) EnqueueControl(f Frame, bp *[]byte) error {
-	//lint:ignore poolescape the muxFrame literal IS the takes-buf transfer this method declares: the flush loop (or the enqueue/Close error paths) releases bp exactly once.
 	return m.enqueue(muxFrame{f: f, bp: bp}, true)
 }
 
