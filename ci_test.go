@@ -1,6 +1,8 @@
 package shhc
 
 import (
+	"go/ast"
+	"go/parser"
 	"go/scanner"
 	"go/token"
 	"io/fs"
@@ -9,6 +11,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"shhc/internal/configdoc"
 )
 
 // TestCIPatternsMatchTests holds the CI workflow to the tests the tree
@@ -132,6 +136,73 @@ func TestDocReferencesResolve(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("found no document reference to check")
+	}
+}
+
+// TestConfigTableMatchesCode holds ARCHITECTURE's Configuration table to
+// the code: every exported field of an exported struct type named Config or
+// Options, or ending in either, outside the test files, the frozen benchmark
+// and the tools that configure experiments rather than a deployment (the vet
+// analyzers, the queueing model and its experiments), is one row
+// "pkg.Type.Field", and every such row names one. The command-line rows are
+// checked by each command's TestFlagsAndTheirDocs.
+func TestConfigTableMatchesCode(t *testing.T) {
+	rows, err := configdoc.Rows(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	skip := map[string]bool{".git": true, "testdata": true, "benchmark": true,
+		"analysis": true, "sim": true, "bench": true}
+	code := map[string]bool{}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && skip[d.Name()]:
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || !ts.Name.IsExported() || ts.Assign.IsValid() ||
+				!(strings.HasSuffix(ts.Name.Name, "Config") || strings.HasSuffix(ts.Name.Name, "Options")) {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, field := range st.Fields.List {
+				for _, name := range field.Names {
+					if name.IsExported() {
+						code[f.Name.Name+"."+ts.Name.Name+"."+name.Name] = true
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for field := range code {
+		if _, ok := rows[field]; !ok {
+			t.Errorf("%s has no row in the Configuration table", field)
+		}
+	}
+	for setting := range rows {
+		if !code[setting] && !strings.HasPrefix(setting, "shhc-") {
+			t.Errorf("the Configuration table lists %s, which is no exported config field", setting)
+		}
+	}
+	if len(code) == 0 {
+		t.Fatal("found no config struct")
 	}
 }
 

@@ -41,11 +41,10 @@ const defaultLocal = 4
 
 // options is the front-end's command line.
 type options struct {
-	addr, nodes              string
-	local, replicas, quorum  int
-	antiGap                  time.Duration
-	pprof                    bool
-	rpcConns, rpcStrms, rpcW int
+	addr, nodes             string
+	local, replicas, quorum int
+	antiGap                 time.Duration
+	pprof                   bool
 }
 
 // flags declares the command's flags over o, with their defaults; usage goes
@@ -60,9 +59,6 @@ func flags(o *options, out io.Writer) *flag.FlagSet {
 	fs.IntVar(&o.quorum, "quorum", 0, "write quorum when replicas > 1 (0 = majority)")
 	fs.DurationVar(&o.antiGap, "anti-entropy", 0, "anti-entropy sweep interval when replicas > 1 (0 = only on membership changes)")
 	fs.BoolVar(&o.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/ on the front-end mux")
-	fs.IntVar(&o.rpcConns, "rpc-conns", 0, "TCP connections per remote hash node (0 = default 2; streams multiplex over them)")
-	fs.IntVar(&o.rpcStrms, "rpc-streams", 0, "logical streams per node connection for plain calls (0 = default 4)")
-	fs.IntVar(&o.rpcW, "rpc-window", 0, "per-stream send-credit window in bytes (0 = default 256KiB)")
 	return fs
 }
 
@@ -122,14 +118,13 @@ func buildCluster(o options) (*shhc.Cluster, error) {
 		})
 	}
 
-	transport := shhc.TransportOptions{Conns: o.rpcConns, StreamsPerConn: o.rpcStrms, Window: o.rpcW}
 	var backends []shhc.Backend
 	for _, entry := range strings.Split(o.nodes, ",") {
 		id, hostport, ok := strings.Cut(strings.TrimSpace(entry), "=")
 		if !ok {
 			return nil, fmt.Errorf("bad -nodes entry %q (want id=host:port)", entry)
 		}
-		client, err := shhc.DialNodeTransport(shhc.NodeID(id), hostport, transport)
+		client, err := shhc.DialNode(shhc.NodeID(id), hostport)
 		if err != nil {
 			return nil, fmt.Errorf("dial %s: %w", entry, err)
 		}

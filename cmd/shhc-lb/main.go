@@ -9,8 +9,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -22,34 +24,50 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "shhc-lb:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var (
-		addr     = flag.String("addr", "127.0.0.1:8000", "listen address")
-		backends = flag.String("backends", "", "comma-separated front-end base URLs")
-		interval = flag.Duration("health-interval", time.Second, "health probe period")
-	)
-	flag.Parse()
-	if *backends == "" {
+// options is the balancer's command line.
+type options struct {
+	addr, backends string
+	interval       time.Duration
+}
+
+// flags declares the command's flags over o, with their defaults; usage goes
+// to out.
+func flags(o *options, out io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("shhc-lb", flag.ContinueOnError)
+	fs.SetOutput(out)
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:8000", "listen address")
+	fs.StringVar(&o.backends, "backends", "", "comma-separated front-end base URLs")
+	fs.DurationVar(&o.interval, "health-interval", time.Second, "health probe period")
+	return fs
+}
+
+// run parses args and serves the balancer until SIGINT or SIGTERM.
+func run(args []string, stdout io.Writer) error {
+	var o options
+	if err := flags(&o, stdout).Parse(args); err != nil {
+		return err
+	}
+	if o.backends == "" {
 		return fmt.Errorf("-backends is required")
 	}
 
 	var urls []string
-	for _, u := range strings.Split(*backends, ",") {
+	for _, u := range strings.Split(o.backends, ",") {
 		urls = append(urls, strings.TrimSpace(u))
 	}
-	balancer, err := lb.New(lb.Config{Backends: urls, HealthInterval: *interval})
+	balancer, err := lb.New(lb.Config{Backends: urls, HealthInterval: o.interval})
 	if err != nil {
 		return err
 	}
 	defer balancer.Close()
 
-	bound, err := balancer.Listen(*addr)
+	bound, err := balancer.Listen(o.addr)
 	if err != nil {
 		return err
 	}

@@ -21,7 +21,6 @@ import (
 	"path/filepath"
 	"sync/atomic"
 	"syscall"
-	"time"
 
 	"shhc/internal/core"
 	"shhc/internal/directio"
@@ -41,8 +40,7 @@ func main() {
 // options is the node's command line.
 type options struct {
 	id, addr, dir, backend, http string
-	cache, wbBatch, wbQueue      int
-	wbIval                       time.Duration
+	cache                        int
 	wb, journal                  bool
 }
 
@@ -56,9 +54,6 @@ func flags(o *options, out io.Writer) *flag.FlagSet {
 	fs.StringVar(&o.dir, "dir", "", "directory for the on-disk hash table (empty = in-memory)")
 	fs.IntVar(&o.cache, "cache", 1<<16, "LRU cache capacity in entries")
 	fs.BoolVar(&o.wb, "write-back", false, "acknowledge inserts from RAM and destage them in group-commit waves ahead of eviction")
-	fs.IntVar(&o.wbBatch, "destage-batch", 0, "largest group-commit destage wave in entries (0 = half of -cache, at least 256)")
-	fs.DurationVar(&o.wbIval, "destage-interval", 0, "longest a dirty entry waits before a destage wave fires (0 = default 2ms)")
-	fs.IntVar(&o.wbQueue, "destage-queue", 0, "dirty destage buffer bound in entries; evictions block when full (0 = 4x -destage-batch when set, else an eighth of -cache, at least 1024)")
 	fs.BoolVar(&o.journal, "journal", false, "durable destage journal (write-back + -dir only): fsync evicted dirty entries to <dir>/<id>.wal before acking and replay the journal on restart")
 	fs.StringVar(&o.backend, "backend", "buffered", "hash table I/O backend (-dir only): buffered|direct (direct = O_DIRECT, bypassing the page cache; falls back to buffered where unsupported)")
 	fs.StringVar(&o.http, "http", "", "serve /metrics, /healthz, /readyz and net/http/pprof under /debug/pprof/ on this address (e.g. localhost:6060); empty = off")
@@ -138,14 +133,11 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	node, err := core.NewNode(core.NodeConfig{
-		ID:              ring.NodeID(o.id),
-		Store:           store,
-		CacheSize:       o.cache,
-		WriteBack:       o.wb,
-		DestageBatch:    o.wbBatch,
-		DestageInterval: o.wbIval,
-		DestageQueue:    o.wbQueue,
-		JournalPath:     journalPath,
+		ID:          ring.NodeID(o.id),
+		Store:       store,
+		CacheSize:   o.cache,
+		WriteBack:   o.wb,
+		JournalPath: journalPath,
 	})
 	if err != nil {
 		store.Close()

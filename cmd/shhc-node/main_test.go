@@ -2,19 +2,14 @@ package main
 
 import (
 	"context"
-	"flag"
 	"io"
-	"maps"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
-	"regexp"
-	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
+	"shhc/internal/configdoc"
 	"shhc/internal/core"
 	"shhc/internal/fingerprint"
 	"shhc/internal/hashdb"
@@ -74,52 +69,21 @@ func TestScrapeNodeEndpoints(t *testing.T) {
 	}
 }
 
-// TestFlagsAndTheirDocs parses the command line without serving: exactly
-// these flags, with these defaults, and every `shhc-node -flag` that
-// README.md, docs/ARCHITECTURE.md and the command's doc comment write is one
-// of them.
+// TestFlagsAndTheirDocs parses the command line without serving: the flags
+// and defaults are the Configuration table's shhc-node rows, and every
+// `shhc-node -flag` that README.md, docs/ARCHITECTURE.md and the command's
+// doc comment write is one of them.
 func TestFlagsAndTheirDocs(t *testing.T) {
-	want := map[string]string{
-		"id": "node-00", "addr": "127.0.0.1:7001", "dir": "", "cache": "65536",
-		"write-back": "false", "destage-batch": "0", "destage-interval": "0s", "destage-queue": "0",
-		"journal": "false", "backend": "buffered", "http": "",
-	}
 	var o options
 	fs := flags(&o, io.Discard)
-	got := map[string]string{}
-	fs.VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
-	if !maps.Equal(got, want) {
-		t.Errorf("flags and defaults = %v, want %v", got, want)
-	}
-	if err := fs.Parse([]string{"-id", "n7", "-write-back", "-destage-interval", "5ms"}); err != nil {
+	configdoc.CheckFlags(t, "../..", fs)
+	if err := fs.Parse([]string{"-id", "n7", "-write-back", "-cache", "4096"}); err != nil {
 		t.Fatal(err)
 	}
-	if o.id != "n7" || !o.wb || o.wbIval != 5*time.Millisecond || o.cache != 1<<16 {
+	if o.id != "n7" || !o.wb || o.cache != 4096 || o.addr != "127.0.0.1:7001" {
 		t.Errorf("parsed %+v", o)
 	}
 	if err := flags(new(options), io.Discard).Parse([]string{"-device", "ssd"}); err == nil {
 		t.Error("an unknown flag parsed")
-	}
-
-	// A use runs from "shhc-node" to a backtick, the line's end or the next
-	// command; each -word in it is a flag.
-	use := regexp.MustCompile("shhc-node([^`\\n]*?)(?:`|\\n|shhc-|$)")
-	flagRef := regexp.MustCompile(`(?:^|\s)-([a-z][a-z-]*)`)
-	for _, doc := range []string{"../../README.md", "../../docs/ARCHITECTURE.md", "main.go"} {
-		raw, err := os.ReadFile(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := string(raw)
-		if doc == "main.go" {
-			src, _, _ = strings.Cut(src, "package main")
-		}
-		for _, u := range use.FindAllStringSubmatch(src, -1) {
-			for _, f := range flagRef.FindAllStringSubmatch(u[1], -1) {
-				if _, ok := want[f[1]]; !ok {
-					t.Errorf("%s: shhc-node%s names -%s, which is no flag", doc, u[1], f[1])
-				}
-			}
-		}
 	}
 }

@@ -15,7 +15,11 @@
 // x.mu.Unlock()/RUnlock() closes it, and defer x.mu.Unlock() holds it to
 // function exit. Branches are merged by intersection (a lock must be
 // held on every path to count), which keeps conditional-unlock patterns
-// quiet. Calls inside function literals are only charged when the
+// quiet. A path that leaves by return, panic or continue reaches nothing
+// after the merge and is left out of it, so the lock an `if closed {
+// mu.Unlock(); return }` guard releases stays held after the guard; an
+// unlabeled break joins the path after its loop, switch or select instead
+// (a labeled one is dropped). Calls inside function literals are only charged when the
 // literal is invoked or deferred in the region. goto bails.
 package lockio
 
@@ -64,6 +68,7 @@ type heldLock struct {
 
 type lockState struct {
 	held map[string]*heldLock
+	left bool // the path jumped away: it reaches no following statement
 }
 
 func newLockState() *lockState { return &lockState{held: make(map[string]*heldLock)} }
@@ -73,20 +78,31 @@ func (s *lockState) clone() *lockState {
 	for k, v := range s.held {
 		c.held[k] = v
 	}
+	c.left = s.left
 	return c
 }
 
-// mergeIntersect keeps only locks held on both paths.
-func (s *lockState) mergeIntersect(other *lockState) {
-	for k := range s.held {
-		if _, ok := other.held[k]; !ok {
-			delete(s.held, k)
+// merge joins the path other into s where both meet: a lock stays held
+// only if it is held on both, and a path that has left brings nothing.
+func (s *lockState) merge(other *lockState) {
+	switch {
+	case other.left:
+	case s.left:
+		*s = *other
+	default:
+		for k := range s.held {
+			if _, ok := other.held[k]; !ok {
+				delete(s.held, k)
+			}
 		}
 	}
 }
 
 type lockWalker struct {
 	pass *analysis.Pass
+	// breaks holds, per enclosing loop, switch or select, the join of the
+	// paths its unlabeled breaks leave on (nil while it has none).
+	breaks []*lockState
 }
 
 func walkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
@@ -99,6 +115,9 @@ func walkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 
 func (w *lockWalker) stmts(list []ast.Stmt, s *lockState) {
 	for _, st := range list {
+		if s.left {
+			return // unreachable
+		}
 		w.stmt(st, s)
 	}
 }
@@ -107,6 +126,7 @@ func (w *lockWalker) stmt(stmt ast.Stmt, s *lockState) {
 	switch st := stmt.(type) {
 	case *ast.ExprStmt:
 		w.expr(st.X, s)
+		s.left = s.left || w.isPanic(st.X)
 	case *ast.AssignStmt:
 		for _, r := range st.Rhs {
 			w.expr(r, s)
@@ -147,6 +167,12 @@ func (w *lockWalker) stmt(stmt ast.Stmt, s *lockState) {
 		for _, r := range st.Results {
 			w.expr(r, s)
 		}
+		s.left = true
+	case *ast.BranchStmt:
+		if st.Tok == token.BREAK && st.Label == nil {
+			w.joinBreak(s)
+		}
+		s.left = st.Tok == token.BREAK || st.Tok == token.CONTINUE
 	case *ast.IfStmt:
 		if st.Init != nil {
 			w.stmt(st.Init, s)
@@ -158,7 +184,7 @@ func (w *lockWalker) stmt(stmt ast.Stmt, s *lockState) {
 		if st.Else != nil {
 			w.stmt(st.Else, els)
 		}
-		then.mergeIntersect(els)
+		then.merge(els)
 		*s = *then
 	case *ast.SwitchStmt:
 		if st.Init != nil {
@@ -183,16 +209,20 @@ func (w *lockWalker) stmt(stmt ast.Stmt, s *lockState) {
 			w.expr(st.Cond, s)
 		}
 		body := s.clone()
+		w.breaks = append(w.breaks, nil)
 		w.stmts(st.Body.List, body)
 		if st.Post != nil {
 			w.stmt(st.Post, body)
 		}
-		s.mergeIntersect(body)
+		s.merge(body)
+		w.mergeBreaks(s)
 	case *ast.RangeStmt:
 		w.expr(st.X, s)
 		body := s.clone()
+		w.breaks = append(w.breaks, nil)
 		w.stmts(st.Body.List, body)
-		s.mergeIntersect(body)
+		s.merge(body)
+		w.mergeBreaks(s)
 	case *ast.BlockStmt:
 		w.stmts(st.List, s)
 	case *ast.LabeledStmt:
@@ -201,6 +231,7 @@ func (w *lockWalker) stmt(stmt ast.Stmt, s *lockState) {
 }
 
 func (w *lockWalker) clauses(clauses []ast.Stmt, s *lockState) {
+	w.breaks = append(w.breaks, nil)
 	var arms []*lockState
 	for _, c := range clauses {
 		arm := s.clone()
@@ -218,10 +249,47 @@ func (w *lockWalker) clauses(clauses []ast.Stmt, s *lockState) {
 		}
 		arms = append(arms, arm)
 	}
-	out := s
 	for _, arm := range arms {
-		out.mergeIntersect(arm)
+		s.merge(arm)
 	}
+	w.mergeBreaks(s)
+}
+
+// joinBreak adds the path s to the innermost breakable statement's breaks.
+func (w *lockWalker) joinBreak(s *lockState) {
+	if len(w.breaks) == 0 {
+		return
+	}
+	top := &w.breaks[len(w.breaks)-1]
+	if *top == nil {
+		*top = s.clone()
+	} else {
+		(*top).merge(s)
+	}
+}
+
+// mergeBreaks pops the innermost breakable statement and merges the paths
+// its breaks left on into s, the path after it.
+func (w *lockWalker) mergeBreaks(s *lockState) {
+	b := w.breaks[len(w.breaks)-1]
+	w.breaks = w.breaks[:len(w.breaks)-1]
+	if b != nil {
+		s.merge(b)
+	}
+}
+
+// isPanic reports whether e calls the builtin panic.
+func (w *lockWalker) isPanic(e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	_, builtin := w.pass.TypesInfo.Uses[id].(*types.Builtin)
+	return builtin && id.Name == "panic"
 }
 
 // expr scans an expression for lock events and, inside ramonly regions,

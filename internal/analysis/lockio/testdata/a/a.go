@@ -67,3 +67,63 @@ func (d *dev) rankInversion(i int) {
 	d.mu.Unlock()
 	s.mu.Unlock()
 }
+
+// ioAfterReturnGuard is the node-stripe walk's shape: a guard that
+// unlocks and returns leaves the lock held on the path that goes on.
+func (d *dev) ioAfterReturnGuard(i int, closed bool) error {
+	s := &d.shards[i]
+	s.mu.Lock()
+	if closed {
+		s.mu.Unlock()
+		return nil
+	}
+	err := d.flush() // want `may perform I/O while s\.mu \(//shhc:lock ramonly\) is held`
+	s.mu.Unlock()
+	return err
+}
+
+// ioAfterSwitchGuard leaves by return and by panic in two clauses.
+func (d *dev) ioAfterSwitchGuard(i, mode int) error {
+	s := &d.shards[i]
+	s.mu.Lock()
+	switch mode {
+	case 0:
+		s.mu.Unlock()
+		return nil
+	case 1:
+		s.mu.Unlock()
+		panic("bad mode")
+	}
+	err := d.flush() // want `may perform I/O while s\.mu \(//shhc:lock ramonly\) is held`
+	s.mu.Unlock()
+	return err
+}
+
+// ioAfterSelectGuard leaves by return when done is closed.
+func (d *dev) ioAfterSelectGuard(i int, done <-chan struct{}) error {
+	s := &d.shards[i]
+	s.mu.Lock()
+	select {
+	case <-done:
+		s.mu.Unlock()
+		return nil
+	default:
+	}
+	err := d.flush() // want `may perform I/O while s\.mu \(//shhc:lock ramonly\) is held`
+	s.mu.Unlock()
+	return err
+}
+
+// ioAfterContinue skips an idle shard; the busy one goes on locked.
+func (d *dev) ioAfterContinue(n int) {
+	for i := 0; i < n; i++ {
+		s := &d.shards[i%len(d.shards)]
+		s.mu.Lock()
+		if s.hits == 0 {
+			s.mu.Unlock()
+			continue
+		}
+		d.flush() // want `may perform I/O while s\.mu \(//shhc:lock ramonly\) is held`
+		s.mu.Unlock()
+	}
+}

@@ -51,3 +51,33 @@ func (d *dev) goroutineNotCharged(i int) {
 	go func() { _ = d.flush() }()
 	s.hits++
 }
+
+// ioAfterGuardAndUnlock is the guard's shape done right: the path that
+// goes on unlocks before its I/O.
+func (d *dev) ioAfterGuardAndUnlock(i int, closed bool) error {
+	s := &d.shards[i]
+	s.mu.Lock()
+	if closed {
+		s.mu.Unlock()
+		return nil
+	}
+	s.hits++
+	s.mu.Unlock()
+	return d.flush()
+}
+
+// takeOne holds the stripe across its loop; the one way out is a break
+// that unlocks first, so the I/O after the loop runs unlocked.
+func (d *dev) takeOne(i int) error {
+	s := &d.shards[i]
+	s.mu.Lock()
+	for {
+		if s.hits > 0 {
+			s.hits--
+			s.mu.Unlock()
+			break
+		}
+		s.hits++
+	}
+	return d.flush()
+}

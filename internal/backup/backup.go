@@ -26,15 +26,16 @@ type Config struct {
 	// ChunkSize selects fixed-size chunking when > 0 (paper default 4 KiB
 	// or 8 KiB); 0 selects content-defined chunking.
 	ChunkSize int
-	// Gear tunes content-defined chunking when ChunkSize == 0.
-	Gear chunk.GearConfig
 	// PlanBatch is the number of fingerprints sent per plan request —
 	// the client-side buffer of §IV ("each client holds a buffer to
 	// aggregate hash queries and send them as a batch"). Default 2048.
 	PlanBatch int
-	// HTTPClient overrides the default client (testing).
-	HTTPClient *http.Client
 }
+
+// requestTimeout bounds each plan, upload and restore request, so that a
+// run against a front that stopped answering ends. The caller's context
+// bounds the run as a whole.
+const requestTimeout = 60 * time.Second
 
 func (c *Config) fill() error {
 	if c.FrontURL == "" {
@@ -42,9 +43,6 @@ func (c *Config) fill() error {
 	}
 	if c.PlanBatch <= 0 {
 		c.PlanBatch = 2048
-	}
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{Timeout: 60 * time.Second}
 	}
 	return nil
 }
@@ -82,7 +80,8 @@ func (r Report) String() string {
 
 // Client talks to the web front-end.
 type Client struct {
-	cfg Config
+	cfg  Config
+	http *http.Client
 }
 
 // New creates a backup client.
@@ -90,14 +89,14 @@ func New(cfg Config) (*Client, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	return &Client{cfg: cfg}, nil
+	return &Client{cfg: cfg, http: &http.Client{Timeout: requestTimeout}}, nil
 }
 
 func (c *Client) newChunker(r io.Reader) (chunk.Chunker, error) {
 	if c.cfg.ChunkSize > 0 {
 		return chunk.NewFixed(r, c.cfg.ChunkSize)
 	}
-	return chunk.NewGear(r, c.cfg.Gear)
+	return chunk.NewGear(r, chunk.GearConfig{})
 }
 
 // Backup deduplicates and uploads one stream under the given name.
@@ -175,7 +174,7 @@ func (c *Client) processBatch(ctx context.Context, batch []chunk.Chunk, report *
 		return fmt.Errorf("backup: build plan request: %w", err)
 	}
 	planReq.Header.Set("Content-Type", "application/json")
-	resp, err := c.cfg.HTTPClient.Do(planReq)
+	resp, err := c.http.Do(planReq)
 	if err != nil {
 		return fmt.Errorf("backup: plan request: %w", err)
 	}
@@ -216,7 +215,7 @@ func (c *Client) upload(ctx context.Context, ch chunk.Chunk) error {
 	}
 	req.Header.Set(webfront.FingerprintHeader, ch.FP.String())
 	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.cfg.HTTPClient.Do(req)
+	resp, err := c.http.Do(req)
 	if err != nil {
 		return fmt.Errorf("backup: upload %s: %w", ch.FP.Short(), err)
 	}
@@ -240,7 +239,7 @@ func (c *Client) Restore(ctx context.Context, m Manifest, w io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("backup: build fetch chunk %d: %w", i, err)
 		}
-		resp, err := c.cfg.HTTPClient.Do(req)
+		resp, err := c.http.Do(req)
 		if err != nil {
 			return fmt.Errorf("backup: fetch chunk %d: %w", i, err)
 		}

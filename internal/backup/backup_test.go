@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"shhc/internal/cloudsim"
 	"shhc/internal/core"
@@ -76,6 +77,13 @@ func randomBytes(n int, seed int64) []byte {
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New without FrontURL accepted")
+	}
+	c, err := New(Config{FrontURL: "http://127.0.0.1:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.http.Timeout != 60*time.Second || c.cfg.PlanBatch != 2048 {
+		t.Fatalf("request timeout %v, plan batch %d; want 1m and 2048", c.http.Timeout, c.cfg.PlanBatch)
 	}
 }
 

@@ -27,12 +27,9 @@ var ErrClosed = errors.New("cloudsim: store is closed")
 // store: 20 ms RTT, ~100 MB/s sustained.
 var WAN = device.Model{Name: "wan", ReadBase: 20 * time.Millisecond, WriteBase: 20 * time.Millisecond, PerByte: 10 * time.Nanosecond}
 
-// Config configures the simulated store.
-type Config struct {
-	// Network charges latency per object transfer. Nil defaults to a
-	// non-sleeping WAN accountant.
-	Network *device.Device
-}
+// Config configures the simulated store. It has no fields: every store
+// charges its transfers to a non-sleeping WAN accountant (Stats.Network).
+type Config struct{}
 
 // Store is a content-addressed object store: chunks are keyed by their
 // fingerprint, so storing is idempotent. Safe for concurrent use.
@@ -49,12 +46,8 @@ type Store struct {
 }
 
 // New creates an empty simulated cloud store.
-func New(cfg Config) *Store {
-	net := cfg.Network
-	if net == nil {
-		net = device.New(WAN, device.Account)
-	}
-	return &Store{objects: make(map[fingerprint.Fingerprint][]byte), net: net}
+func New(Config) *Store {
+	return &Store{objects: make(map[fingerprint.Fingerprint][]byte), net: device.New(WAN, device.Account)}
 }
 
 // Put stores a chunk under its fingerprint. It reports whether the object

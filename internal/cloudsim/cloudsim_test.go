@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"shhc/internal/device"
 	"shhc/internal/fingerprint"
 )
 
@@ -79,15 +78,14 @@ func TestCallerCannotMutateStored(t *testing.T) {
 }
 
 func TestNetworkCharged(t *testing.T) {
-	net := device.New(WAN, device.Account)
-	s := New(Config{Network: net})
+	s := New(Config{})
 	defer s.Close()
 	data := make([]byte, 8192)
 	fp := fingerprint.FromData(data)
 	s.Put(context.Background(), fp, data)
 	s.Get(context.Background(), fp)
 
-	st := net.Stats()
+	st := s.Stats().Network
 	if st.Writes != 1 || st.Reads != 1 {
 		t.Fatalf("network ops = %d writes / %d reads, want 1/1", st.Writes, st.Reads)
 	}

@@ -525,7 +525,7 @@ func wbNode(e *chaosEnv, id string) *Node {
 func (e *chaosEnv) wbNodeOn(id string, store hashdb.Store, journal string) *Node {
 	return e.mustNode(NodeConfig{
 		ID: ring.NodeID(id), Store: store, CacheSize: 64, BloomExpected: 1 << 16,
-		WriteBack: true, JournalPath: journal, DestageBatch: 8, DestageInterval: 100 * time.Microsecond,
+		WriteBack: true, JournalPath: journal, destageBatch: 8, destageQueue: 32, destageInterval: 100 * time.Microsecond,
 	})
 }
 
@@ -626,7 +626,7 @@ func fileNode(e *chaosEnv, id string) *Node {
 	return e.mustNode(NodeConfig{
 		ID: ring.NodeID(id), Store: db, CacheSize: 64, BloomExpected: 1 << 12,
 		WriteBack: true, JournalPath: filepath.Join(e.dir, id+".wal"),
-		DestageBatch: 8, DestageInterval: 200 * time.Microsecond, DestageQueue: 32,
+		destageBatch: 8, destageInterval: 200 * time.Microsecond, destageQueue: 32,
 	})
 }
 

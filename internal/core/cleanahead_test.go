@@ -3,7 +3,7 @@ package core
 // Tests of the clean-ahead destage protocol. They run a node whose destage
 // tuning is left at its zero values, so a wave is half the cache: with a
 // 1 024-entry cache (one exact-LRU stripe) clean-ahead fires at 512 dirty
-// entries, and DestageInterval is an hour so nothing but the protocol under
+// entries, and the destage interval is an hour so nothing but the protocol under
 // test truncates the journal or starts a wave.
 
 import (
@@ -51,7 +51,7 @@ func cleanAheadNode(t *testing.T, store hashdb.Store, journalPath string) *Node 
 	t.Helper()
 	n, err := NewNode(NodeConfig{
 		ID: "ca-node", Store: store, CacheSize: caCache, BloomExpected: 1 << 14,
-		WriteBack: true, JournalPath: journalPath, DestageInterval: time.Hour,
+		WriteBack: true, JournalPath: journalPath, destageInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
@@ -307,7 +307,7 @@ func TestJournalSurvivesManyWavesUntruncated(t *testing.T) {
 	cfg := crashNodeConfig(killable, jpath)
 	// Waves fire on the four-entry batch; the interval only has to keep the
 	// quiet-node truncation (a hundred of them) out of a slow test run.
-	cfg.DestageInterval = time.Second
+	cfg.destageInterval = time.Second
 	n, err := NewNode(cfg)
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)

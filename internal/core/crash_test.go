@@ -46,9 +46,9 @@ func crashNodeConfig(store hashdb.Store, journalPath string) NodeConfig {
 		BloomExpected:   1 << 12,
 		WriteBack:       true,
 		JournalPath:     journalPath,
-		DestageBatch:    4,
-		DestageInterval: 200 * time.Microsecond,
-		DestageQueue:    16,
+		destageBatch:    4,
+		destageInterval: 200 * time.Microsecond,
+		destageQueue:    16,
 	}
 }
 
@@ -58,7 +58,7 @@ func crashNodeConfig(store hashdb.Store, journalPath string) NodeConfig {
 // clean-ahead writes every entry before it is evicted, and a sweep would
 // pass with the journal snapshot emptied.
 func backlogged(cfg NodeConfig) NodeConfig {
-	cfg.DestageBatch, cfg.DestageInterval = 2*cfg.CacheSize, time.Hour
+	cfg.destageBatch, cfg.destageQueue, cfg.destageInterval = 2*cfg.CacheSize, 2*cfg.CacheSize, time.Hour
 	return cfg
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -87,23 +88,24 @@ import (
 // global d.mu; the lock order is cache stripe → d.mu → shard.mu, never the
 // reverse, and peek takes only the shard lock.
 
-// Default destage tuning, used for the NodeConfig fields left zero. A wave
-// holds up to half the cache: the table is sized for half-full bucket pages,
-// so a wave of that many uniformly hashed entries lands several on every
-// page it touches. The buffer only has to absorb the evictions the destager
-// did not get ahead of, and 2ms bounds how long a buffered entry waits for
-// its wave.
+// Destage tuning. A wave holds half the cache, at least 256 entries: the
+// table is sized for half-full bucket pages, so a wave of that many
+// uniformly hashed entries lands several on every page it touches. The
+// buffer only has to absorb the evictions the destager did not get ahead of:
+// an eighth of the cache, at least 1024 entries. 2ms bounds how long a
+// buffered entry waits for its wave. All three follow from the cache size,
+// which the operator sets; no deployment has needed another value.
 const (
-	minDestageBatch        = 256
-	minDestageQueue        = 1024
-	defaultDestageInterval = 2 * time.Millisecond
+	minWave             = 256
+	minBuffer           = 1024
+	defaultWaveInterval = 2 * time.Millisecond
 )
 
 // maxDestageRetries bounds how many failed writes one buffered entry may
 // see before it is abandoned.
 const maxDestageRetries = 2
 
-// Two pauses, counted in DestageIntervals so that a test's explicit interval
+// Two pauses, counted in destage intervals so that a test's own interval
 // scales them: how long clean-ahead holds off after a wave could not write
 // its cache entries, and how long the node must be quiet before the
 // destager wakes just to truncate the journal.
@@ -140,7 +142,7 @@ type dirtyEntry struct {
 	// wave holds it in flight).
 	queued bool
 	// at is when the entry (re-)entered the queue, driving the
-	// DestageInterval group-commit trigger.
+	// interval group-commit trigger.
 	at time.Time
 	// retries counts this entry's own failed writes; past
 	// maxDestageRetries it is dropped (the parked error already reports
@@ -230,26 +232,12 @@ type destager struct {
 	waveHist  *metrics.Histogram
 }
 
-// newDestager sizes the destager from the NodeConfig fields: zero values
-// derive from cacheSize, explicit ones are honored as given (a DestageBatch
-// without a DestageQueue bounds the buffer at four waves).
-func newDestager(n *Node, cacheSize, batch, capacity int, interval time.Duration) *destager {
-	explicit := batch > 0
-	if !explicit {
-		batch = max(minDestageBatch, cacheSize/2)
-	}
-	if capacity <= 0 {
-		capacity = max(minDestageQueue, cacheSize/8)
-		if explicit {
-			capacity = 4 * batch
-		}
-	}
-	if explicit && capacity < batch {
-		capacity = batch
-	}
-	if interval <= 0 {
-		interval = defaultDestageInterval
-	}
+// newDestager sizes the destager from cfg.CacheSize, or from the test
+// hooks that are set.
+func newDestager(n *Node, cfg NodeConfig) *destager {
+	batch := cmp.Or(cfg.destageBatch, max(minWave, cfg.CacheSize/2))
+	capacity := cmp.Or(cfg.destageQueue, max(minBuffer, cfg.CacheSize/8))
+	interval := cmp.Or(cfg.destageInterval, defaultWaveInterval)
 	d := &destager{
 		n: n,
 		// One index shard per node stripe: a shard's entries are exactly

@@ -100,7 +100,7 @@ func TestDestageWaveLanes(t *testing.T) {
 		store := &laneStore{MemStore: hashdb.NewMemStore()}
 		n := newMemNode(t, NodeConfig{
 			Store: store, CacheSize: 8, WriteBack: true,
-			DestageBatch: 1 << 20, DestageQueue: 1 << 20, DestageInterval: time.Millisecond,
+			destageBatch: 1 << 20, destageQueue: 1 << 20, destageInterval: time.Millisecond,
 		})
 		insertRange(t, n, 0, 20) // 12 dirty evictions into the buffer, far below a wave's worth
 		waitUntil(t, "the interval fired a wave", func() bool { return len(store.lanes()) > 0 })
@@ -128,7 +128,7 @@ func TestDestageWaveLanes(t *testing.T) {
 		store := &laneStore{MemStore: hashdb.NewMemStore(), entered: make(chan struct{}, 64), release: make(chan struct{})}
 		n := newMemNode(t, NodeConfig{
 			Store: store, CacheSize: 8, WriteBack: true,
-			DestageBatch: 4, DestageQueue: 4, DestageInterval: time.Hour,
+			destageBatch: 4, destageQueue: 4, destageInterval: time.Hour,
 		})
 		insertRange(t, n, 0, 4) // a wave's worth: clean-ahead copies them and parks in the store
 		<-store.entered
@@ -168,7 +168,7 @@ func TestDestageWaveLanes(t *testing.T) {
 			store := &laneStore{MemStore: hashdb.NewMemStore(), entered: make(chan struct{}, 64), release: make(chan struct{})}
 			n := newMemNode(t, NodeConfig{
 				Store: store, CacheSize: 8, WriteBack: true,
-				DestageBatch: 4, DestageQueue: 4, DestageInterval: time.Hour,
+				destageBatch: 4, destageQueue: 4, destageInterval: time.Hour,
 			})
 			var once sync.Once
 			release := func() { once.Do(func() { close(store.release) }) }
@@ -225,7 +225,7 @@ func TestForegroundBatchUnderWave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := NewNode(NodeConfig{ID: "wave", Store: db, CacheSize: 2 * batch, BloomExpected: 1 << 14, WriteBack: true, DestageInterval: time.Hour})
+	n, err := NewNode(NodeConfig{ID: "wave", Store: db, CacheSize: 2 * batch, BloomExpected: 1 << 14, WriteBack: true, destageInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,8 @@ func TestDestageDurabilityCloseReopen(t *testing.T) {
 		CacheSize:     64, // far smaller than the insert count: constant eviction pressure
 		WriteBack:     true,
 		BloomExpected: 8192,
-		DestageBatch:  32,
+		destageBatch:  32,
+		destageQueue:  128,
 	})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
@@ -70,10 +71,11 @@ func TestDestageDurabilityFlush(t *testing.T) {
 		CacheSize:     32,
 		WriteBack:     true,
 		BloomExpected: 4096,
-		DestageBatch:  16,
+		destageBatch:  16,
+		destageQueue:  64,
 		// A long interval: only Flush's drain (not the timer) can have
 		// destaged the tail of the buffer.
-		DestageInterval: time.Hour,
+		destageInterval: time.Hour,
 	})
 	const total = 500
 	for i := uint64(0); i < total; i++ {
@@ -139,8 +141,8 @@ func TestDestageNoDeviceIOUnderCacheLock(t *testing.T) {
 		CacheSize:     2,
 		WriteBack:     true,
 		BloomExpected: 1024,
-		DestageBatch:  4,
-		DestageQueue:  64,
+		destageBatch:  4,
+		destageQueue:  64,
 	})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
@@ -200,8 +202,9 @@ func TestDestageMidDrainCancellation(t *testing.T) {
 		CacheSize:       16,
 		WriteBack:       true,
 		BloomExpected:   8192,
-		DestageBatch:    8,
-		DestageInterval: 100 * time.Microsecond,
+		destageBatch:    8,
+		destageQueue:    32,
+		destageInterval: 100 * time.Microsecond,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -243,8 +246,9 @@ func TestDestageCoalescing(t *testing.T) {
 		CacheSize:       32,
 		WriteBack:       true,
 		BloomExpected:   4096,
-		DestageBatch:    64,
-		DestageInterval: 50 * time.Millisecond, // let waves fill instead of firing early
+		destageBatch:    64,
+		destageQueue:    256,
+		destageInterval: 50 * time.Millisecond, // let waves fill instead of firing early
 	})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
@@ -393,8 +397,9 @@ func TestDestageTransientFailureRetries(t *testing.T) {
 		CacheSize:       8,
 		WriteBack:       true,
 		BloomExpected:   4096,
-		DestageBatch:    16,
-		DestageInterval: 200 * time.Microsecond,
+		destageBatch:    16,
+		destageQueue:    64,
+		destageInterval: 200 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
@@ -433,9 +438,9 @@ func TestDestageBackpressure(t *testing.T) {
 		CacheSize:       8,
 		WriteBack:       true,
 		BloomExpected:   16384,
-		DestageBatch:    4,
-		DestageQueue:    4, // clamped to the batch size: constant backpressure
-		DestageInterval: time.Millisecond,
+		destageBatch:    4,
+		destageQueue:    4, // one wave's worth: constant backpressure
+		destageInterval: time.Millisecond,
 	})
 	const total = 3000
 	var wg sync.WaitGroup
@@ -477,8 +482,9 @@ func TestDestageConcurrentLookupsRace(t *testing.T) {
 		CacheSize:       16,
 		WriteBack:       true,
 		BloomExpected:   16384,
-		DestageBatch:    8,
-		DestageInterval: 200 * time.Microsecond,
+		destageBatch:    8,
+		destageQueue:    32,
+		destageInterval: 200 * time.Microsecond,
 	})
 	const total = 1500
 	var inserted atomic.Uint64
@@ -541,6 +547,22 @@ func BenchmarkNodeWriteBackDestage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := n.LookupOrInsert(context.Background(), fp(uint64(i)), Value(i+1)); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestDestageSizesFollowTheCache pins the write-back destager's sizes: a
+// wave of half the cache and a buffer of an eighth, at least 256 and 1024
+// entries, and a 2ms interval.
+func TestDestageSizesFollowTheCache(t *testing.T) {
+	for _, tc := range []struct{ cache, batch, queue int }{
+		{64, 256, 1024},
+		{1 << 16, 32768, 8192},
+	} {
+		n := newMemNode(t, NodeConfig{CacheSize: tc.cache, WriteBack: true})
+		if d := n.dst; d.batch != tc.batch || d.capacity != tc.queue || d.interval != 2*time.Millisecond {
+			t.Errorf("cache %d: batch %d, queue %d, interval %v; want %d, %d, 2ms",
+				tc.cache, d.batch, d.capacity, d.interval, tc.batch, tc.queue)
 		}
 	}
 }

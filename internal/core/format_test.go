@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -51,28 +52,101 @@ func TestGoldenJournalRecord(t *testing.T) {
 	}
 }
 
-// TestGoldenCrashImageOpenAndReplay opens a crash image in hashdb format 5
-// (testdata/mkgoldenfiles.go says how it was made, and what is in it): the
-// hash table, left marked dirty, goes through its recovery pass, the journal
-// replays over it, and every fingerprint answers with the value it was
-// stored with. The recovery counts are the ones the writing code reported
-// for the same image.
-func TestGoldenCrashImageOpenAndReplay(t *testing.T) {
+// update makes TestWriteGoldenCrashImage rewrite the committed crash image:
+//
+//	go test ./internal/core -run TestWriteGoldenCrashImage -update
+//
+// Regenerate it only with a change to the on-disk formats: that an image
+// written once still opens is the point.
+var update = flag.Bool("update", false, "rewrite testdata/golden.shdb and testdata/golden.wal")
+
+// The golden crash image: fingerprint i maps to i+7.
+const (
+	goldenStored    = 600 // fingerprints 0..599 reach the table through Flush
+	goldenJournaled = 32  // 600..631 are evicted into a destager that never runs
+	goldenCache     = 8   // 632..639 stay dirty in the cache and die with the process
+)
+
+// TestWriteGoldenCrashImage writes golden.shdb and golden.wal, the crash
+// image TestGoldenCrashImageOpenAndReplay opens: a hash table in hashdb
+// format 5, left marked dirty, and the destage journal of the write-back
+// node that was using it. With -update it writes testdata; otherwise it
+// writes a temporary directory and checks that today's code makes an image
+// that replays as the committed one does.
+func TestWriteGoldenCrashImage(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{"golden.shdb", "golden.wal"} {
-		b, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			t.Fatal(err)
+	if *update {
+		dir = "testdata"
+	}
+	live := t.TempDir()
+	// Three buckets for 640 entries: the table splits, so the image holds a
+	// directory page.
+	db, err := hashdb.Create(filepath.Join(live, "golden.shdb"), hashdb.Options{Buckets: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := stalledJournalNode(t, db, filepath.Join(live, "golden.wal"), goldenCache)
+	ctx := context.Background()
+	insert := func(from, to uint64) {
+		for i := from; i < to; i++ {
+			if _, err := n.LookupOrInsert(ctx, fp(i), Value(i+7)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+	}
+	insert(0, goldenStored)
+	if err := n.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	insert(goldenStored, goldenStored+goldenJournaled+goldenCache)
+	// Two tombstones: 3 is deleted from the table (which leaves the file
+	// marked dirty, so the next open runs hashdb's recovery pass), 605 only
+	// from the journal's own earlier record.
+	for _, i := range []uint64{3, 605} {
+		if _, err := n.Remove(fp(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// The crash: copy both files as they stand, with the node still open.
+	copyFiles(t, live, dir, "golden.shdb", "golden.wal")
+	n.Close()
+	checkGoldenImage(t, dir)
+}
+
+// TestGoldenCrashImageOpenAndReplay opens the committed crash image (see
+// TestWriteGoldenCrashImage): the hash table, left marked dirty, goes
+// through its recovery pass, the journal replays over it, and every
+// fingerprint answers with the value it was stored with. The recovery
+// counts are the ones the writing code reported for the same image.
+func TestGoldenCrashImageOpenAndReplay(t *testing.T) {
+	checkGoldenImage(t, "testdata")
+}
+
+// copyFiles copies the named files from one directory to another.
+func copyFiles(t *testing.T, from, to string, names ...string) {
+	t.Helper()
+	for _, name := range names {
+		b, err := os.ReadFile(filepath.Join(from, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(to, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// checkGoldenImage opens a copy of the crash image in src and checks its
+// recovery and every fingerprint's answer.
+func checkGoldenImage(t *testing.T, src string) {
+	t.Helper()
+	dir := t.TempDir()
+	copyFiles(t, src, dir, "golden.shdb", "golden.wal")
 	db, err := hashdb.Open(filepath.Join(dir, "golden.shdb"))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	n := stalledJournalNode(t, db, filepath.Join(dir, "golden.wal"), 8)
+	n := stalledJournalNode(t, db, filepath.Join(dir, "golden.wal"), goldenCache)
 	defer n.Close()
 	ctx := context.Background()
 	st, err := n.Stats(ctx)
@@ -88,7 +162,7 @@ func TestGoldenCrashImageOpenAndReplay(t *testing.T) {
 	}
 	// 0..599 were in the table, 600..631 only in the journal; 3 and 605 were
 	// removed again (a tombstone each).
-	for i := uint64(0); i < 632; i++ {
+	for i := uint64(0); i < goldenStored+goldenJournaled; i++ {
 		r, err := n.Lookup(ctx, fp(i))
 		if err != nil {
 			t.Fatalf("Lookup(%d): %v", i, err)

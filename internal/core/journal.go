@@ -82,10 +82,21 @@ type jrec struct {
 	val  Value
 }
 
+// journalFile is the journal's file: an *os.File, or in tests a wrapper
+// that logs its writes and syncs.
+type journalFile interface {
+	io.ReaderAt
+	io.WriterAt
+	Stat() (os.FileInfo, error)
+	Truncate(size int64) error
+	Sync() error
+	Close() error
+}
+
 // journal is the destage write-ahead log plus its group-commit syncer.
 type journal struct {
 	path string
-	f    *os.File
+	f    journalFile
 
 	mu   sync.Mutex
 	cond sync.Cond // broadcast when durable advances, err is set, or buf fills
@@ -121,6 +132,11 @@ func openJournal(path string) (*journal, []jrec, int64, error) {
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("core: journal %s: %w", path, err)
 	}
+	return newJournal(path, f)
+}
+
+// newJournal is openJournal over an open file, which it owns from then on.
+func newJournal(path string, f journalFile) (*journal, []jrec, int64, error) {
 	j := &journal{path: path, f: f, done: make(chan struct{})}
 	j.cond.L = &j.mu
 
@@ -186,7 +202,7 @@ func openJournal(path string) (*journal, []jrec, int64, error) {
 // readJournalRecords parses records until EOF or the first record that is
 // short or fails its CRC (a torn append), returning the valid records, the
 // offset of the first invalid byte, and how many tail bytes are torn.
-func readJournalRecords(f *os.File, size int64) ([]jrec, int64, int64, error) {
+func readJournalRecords(f io.ReaderAt, size int64) ([]jrec, int64, int64, error) {
 	body := make([]byte, size-journalHdrSize)
 	if _, err := f.ReadAt(body, journalHdrSize); err != nil && !errors.Is(err, io.EOF) {
 		return nil, 0, 0, fmt.Errorf("read records: %w", err)

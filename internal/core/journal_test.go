@@ -27,9 +27,9 @@ func stalledJournalNode(t *testing.T, store hashdb.Store, journalPath string, ca
 		BloomExpected:   1 << 12,
 		WriteBack:       true,
 		JournalPath:     journalPath,
-		DestageBatch:    1 << 20,
-		DestageInterval: time.Hour,
-		DestageQueue:    1 << 20,
+		destageBatch:    1 << 20,
+		destageInterval: time.Hour,
+		destageQueue:    1 << 20,
 	})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
@@ -97,7 +97,8 @@ func TestJournalTruncatesAfterQuiesce(t *testing.T) {
 		BloomExpected: 1 << 12,
 		WriteBack:     true,
 		JournalPath:   jpath,
-		DestageBatch:  4,
+		destageBatch:  4,
+		destageQueue:  16,
 	})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
@@ -183,7 +184,8 @@ func TestJournalTruncatesOnlyAfterStoreSync(t *testing.T) {
 		BloomExpected: 1 << 12,
 		WriteBack:     true,
 		JournalPath:   jpath,
-		DestageBatch:  4,
+		destageBatch:  4,
+		destageQueue:  16,
 	})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
@@ -221,6 +223,76 @@ func TestJournalTruncatesOnlyAfterStoreSync(t *testing.T) {
 	if shrinks == 0 {
 		t.Fatalf("journal never shrank over %d store calls", len(store.ops))
 	}
+}
+
+// syncedFile is a journal file that tracks how far its writes reach and how
+// far a completed Sync has made them durable.
+type syncedFile struct {
+	*os.File
+	mu                  sync.Mutex
+	written, syncedUpTo int64
+}
+
+func (f *syncedFile) WriteAt(b []byte, off int64) (int, error) {
+	n, err := f.File.WriteAt(b, off)
+	f.mu.Lock()
+	f.written = max(f.written, off+int64(n))
+	f.mu.Unlock()
+	return n, err
+}
+
+func (f *syncedFile) Sync() error {
+	f.mu.Lock()
+	reach := f.written
+	f.mu.Unlock()
+	err := f.File.Sync()
+	if err == nil {
+		f.mu.Lock()
+		f.syncedUpTo = max(f.syncedUpTo, reach)
+		f.mu.Unlock()
+	}
+	return err
+}
+
+// TestJournalWaitReturnsAfterFsync: a record is durable when wait returns,
+// which is what lets an eviction acknowledge on it. Concurrent appenders
+// share group commits; each one's record must lie within what a completed
+// fsync covered. Dropping the group commit's fsync fails it.
+func TestJournalWaitReturnsAfterFsync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "node.wal")
+	osf, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &syncedFile{File: osf}
+	j, _, _, err := newJournal(path, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.close()
+	var wg sync.WaitGroup
+	for w := uint64(0); w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := uint64(0); i < 50; i++ {
+				lsn := j.append(journalPut, fp(w<<32|i), Value(i))
+				if err := j.wait(lsn); err != nil {
+					t.Error(err)
+					return
+				}
+				f.mu.Lock()
+				synced := f.syncedUpTo
+				f.mu.Unlock()
+				// Records land in LSN order, so record lsn ends here.
+				if end := journalHdrSize + int64(lsn)*journalRecSize; end > synced {
+					t.Errorf("record %d (bytes up to %d) acknowledged with only %d bytes synced", lsn, end, synced)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestJournalTombstoneStopsResurrection: a Remove after an eviction leaves

@@ -110,20 +110,6 @@ type NodeConfig struct {
 	// bounded dirty buffer that the next wave drains first (see
 	// destage.go); no device I/O ever runs under a cache-stripe lock.
 	WriteBack bool
-	// DestageBatch is the largest group-commit wave (entries) the
-	// write-back destager writes at once, and the number of pending
-	// entries — dirty in the cache or buffered — that makes a wave fire.
-	// 0 selects the default: half of CacheSize, at least 256.
-	DestageBatch int
-	// DestageInterval bounds how long an evicted dirty entry waits in the
-	// destage buffer before a wave is forced even if DestageBatch entries
-	// have not accumulated. 0 selects the default (2ms).
-	DestageInterval time.Duration
-	// DestageQueue bounds the dirty destage buffer (entries); evictions
-	// into a full buffer block until the destager frees space
-	// (backpressure). 0 selects the default: 4 × DestageBatch when that is
-	// set, otherwise an eighth of CacheSize, at least 1024.
-	DestageQueue int
 	// JournalPath enables the durable destage journal (WriteBack only):
 	// every entry entering the dirty buffer is appended here and
 	// group-commit fsynced before the eviction acknowledges, and NewNode
@@ -135,12 +121,17 @@ type NodeConfig struct {
 	// crash).
 	JournalPath string
 
-	// stripes and noBloom are set only by this package's tests. stripes
-	// pins the hot-path lock stripe count (rounded down to a power of two;
-	// 0 selects defaultStripeCount); noBloom builds the node without its
-	// filter, so every cache miss reaches the store.
-	stripes int
-	noBloom bool
+	// stripes, noBloom and the destage fields are set only by this
+	// package's tests. stripes pins the hot-path lock stripe count (rounded
+	// down to a power of two; 0 selects defaultStripeCount); noBloom builds
+	// the node without its filter, so every cache miss reaches the store.
+	// destageBatch, destageQueue and destageInterval replace the write-back
+	// destager's derived sizes (see newDestager) when nonzero.
+	stripes         int
+	noBloom         bool
+	destageBatch    int
+	destageQueue    int
+	destageInterval time.Duration
 }
 
 // PhaseTimings are per-tier latency digests of the lookup pipeline: how
@@ -507,7 +498,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		return fail(errors.New("core: WriteBack requires a cache"))
 	}
 	if cfg.WriteBack {
-		n.dst = newDestager(n, cfg.CacheSize, cfg.DestageBatch, cfg.DestageQueue, cfg.DestageInterval)
+		n.dst = newDestager(n, cfg)
 	}
 	return n, nil
 }
@@ -592,6 +583,13 @@ func (n *Node) one(ctx context.Context, p Pair, mode batchMode) (LookupResult, e
 
 // insertLocked records a new fingerprint in bloom, cache and store
 // according to the write policy. Caller holds the stripe lock owning fp.
+//
+// Write-through, that means a store write under the stripe lock. Its one
+// caller is Insert, the cold out-of-band path that stays fully serialized
+// with the lookups of fp so that migration needs no flight of its own;
+// no lookup path calls it. lockio is told so here:
+//
+//shhc:noio
 func (n *Node) insertLocked(s *nodeStripe, fp fingerprint.Fingerprint, val Value) error {
 	s.inserts++
 	if n.bloom != nil {

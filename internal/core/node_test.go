@@ -172,10 +172,10 @@ func TestBatchPreservesOrderAndDetectsIntraBatchDuplicates(t *testing.T) {
 
 func TestWriteBackDestagesOnEviction(t *testing.T) {
 	store := hashdb.NewMemStore()
-	// A tiny DestageInterval keeps the asynchronous group-commit prompt
+	// A tiny destage interval keeps the asynchronous group-commit prompt
 	// even though one eviction never fills a wave.
 	n := newMemNode(t, NodeConfig{Store: store, CacheSize: 2, WriteBack: true,
-		DestageInterval: 100 * time.Microsecond})
+		destageInterval: 100 * time.Microsecond})
 
 	n.LookupOrInsert(context.Background(), fp(1), 1)
 	if store.Len() != 0 {
@@ -258,7 +258,7 @@ func TestWriteBackStoreEntries(t *testing.T) {
 		// A cache twice the inserts and an hour's interval: no wave fires
 		// before Flush, so every new entry is still dirty in the cache.
 		n, err := NewNode(NodeConfig{ID: "wb", Store: db, CacheSize: 4096, WriteBack: true,
-			BloomExpected: 1 << 14, DestageInterval: time.Hour})
+			BloomExpected: 1 << 14, destageInterval: time.Hour})
 		if err != nil {
 			t.Fatalf("NewNode: %v", err)
 		}

@@ -12,6 +12,7 @@
 package lb
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -31,28 +32,32 @@ import (
 type Config struct {
 	// Backends are the web front-end base URLs, e.g. "http://10.0.0.2:8080".
 	Backends []string
-	// HealthPath is probed on each backend; any 2xx marks it healthy.
-	// Default "/v1/stats".
-	HealthPath string
 	// HealthInterval is the probe period. Default 1s.
 	HealthInterval time.Duration
-	// HealthTimeout bounds one probe. Default 500ms.
-	HealthTimeout time.Duration
+
+	// healthTimeout replaces probeTimeout when nonzero. Only this
+	// package's tests set it.
+	healthTimeout time.Duration
 }
+
+// A probe is a GET of healthPath on each backend; any 2xx marks it healthy.
+// Every backend is a webfront.Server, and /v1/stats is the endpoint that
+// asks its hash cluster, so a front whose nodes are unreachable leaves the
+// rotation. A probe that takes longer than probeTimeout (half the
+// default interval) fails, so a round ends before the next one starts.
+const (
+	healthPath   = "/v1/stats"
+	probeTimeout = 500 * time.Millisecond
+)
 
 func (c *Config) fill() error {
 	if len(c.Backends) == 0 {
 		return errors.New("lb: at least one backend is required")
 	}
-	if c.HealthPath == "" {
-		c.HealthPath = "/v1/stats"
-	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = time.Second
 	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = 500 * time.Millisecond
-	}
+	c.healthTimeout = cmp.Or(c.healthTimeout, probeTimeout)
 	return nil
 }
 
@@ -89,7 +94,7 @@ func New(cfg Config) (*Balancer, error) {
 	}
 	b := &Balancer{
 		cfg:    cfg,
-		client: &http.Client{Timeout: cfg.HealthTimeout},
+		client: &http.Client{Timeout: cfg.healthTimeout},
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -150,7 +155,7 @@ func (b *Balancer) probeAll() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := b.client.Get(be.rawURL + b.cfg.HealthPath)
+			resp, err := b.client.Get(be.rawURL + healthPath)
 			healthy := err == nil && resp.StatusCode >= 200 && resp.StatusCode < 300
 			if resp != nil {
 				resp.Body.Close()

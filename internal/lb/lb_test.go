@@ -36,7 +36,7 @@ func newBalancer(t *testing.T, backends ...string) *Balancer {
 	b, err := New(Config{
 		Backends:       backends,
 		HealthInterval: 20 * time.Millisecond,
-		HealthTimeout:  200 * time.Millisecond,
+		healthTimeout:  200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -240,5 +240,18 @@ func TestScrapeBalancerEndpoints(t *testing.T) {
 			t.Fatalf("/readyz with every backend down = %d, want 503", code)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestHealthProbeConstants pins the health probe: a GET of /v1/stats,
+// bounded by 500ms.
+func TestHealthProbeConstants(t *testing.T) {
+	b, err := New(Config{Backends: []string{"http://127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if healthPath != "/v1/stats" || b.client.Timeout != 500*time.Millisecond {
+		t.Fatalf("probe %s bounded by %v, want /v1/stats bounded by 500ms", healthPath, b.client.Timeout)
 	}
 }

@@ -67,17 +67,16 @@ type ClientConfig struct {
 	// Timeout bounds each request round-trip when the caller's context
 	// carries no earlier deadline. Default 30s.
 	Timeout time.Duration
-	// StreamsPerConn is how many logical streams the client's default
-	// (non-OpenStream) traffic round-robins across on each connection.
-	// Default 4.
-	StreamsPerConn int
-	// Window is the initial per-stream send-credit window in bytes
-	// (0 = wire.DefaultWindow). Must match nothing on the server — each
-	// side sizes its own send window and announces it in the handshake.
-	Window int
 }
 
 const (
+	// defaultStreams is how many logical streams a client's default
+	// (non-OpenStream) traffic round-robins across on each connection:
+	// enough that one slow batch does not hold up the calls behind it,
+	// few enough that repair and OpenStream ids stay distinct and small.
+	// A client's per-stream send window is wire.DefaultWindow; each side
+	// sizes its own and announces it in the handshake.
+	defaultStreams = 4
 	// dialTimeout bounds connection establishment, handshake included.
 	dialTimeout = 5 * time.Second
 	// A call that finds its connection slot dead redials it up to
@@ -96,12 +95,6 @@ func (c *ClientConfig) fill() {
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 30 * time.Second
-	}
-	if c.StreamsPerConn <= 0 {
-		c.StreamsPerConn = 4
-	}
-	if c.Window <= 0 {
-		c.Window = wire.DefaultWindow
 	}
 }
 
@@ -130,7 +123,7 @@ type Client struct {
 	dialErr   error
 	dialRetry time.Time
 
-	// nextStreamID hands out logical stream ids: 1..StreamsPerConn are
+	// nextStreamID hands out logical stream ids: 1..defaultStreams are
 	// the default round-robin pool, the repair stream and OpenStream
 	// handles take ids above that. Stream 0 is the control stream.
 	nextStreamID uint32
@@ -152,12 +145,12 @@ func Dial(id ring.NodeID, addr string, cfg ClientConfig) (*Client, error) {
 		addr:  addr,
 		cfg:   cfg,
 		conns: make([]*clientConn, cfg.Conns),
-		// Default traffic rotates streams 1..StreamsPerConn; the repair
+		// Default traffic rotates streams 1..defaultStreams; the repair
 		// stream is the first id after the pool (already allocated here,
 		// hence +2), so replication backfill never shares a window with
 		// foreground lookups.
-		nextStreamID: uint32(cfg.StreamsPerConn) + 2,
-		repairStream: uint32(cfg.StreamsPerConn) + 1,
+		nextStreamID: defaultStreams + 2,
+		repairStream: defaultStreams + 1,
 	}
 	// Establish the first connection eagerly so configuration errors
 	// surface at startup; the rest dial lazily.
@@ -174,7 +167,7 @@ func Dial(id ring.NodeID, addr string, cfg ClientConfig) (*Client, error) {
 // consumer cannot starve every caller sharing the client.
 func (c *Client) nextStream() uint32 {
 	n := atomic.AddUint64(&c.streamNext, 1)
-	return 1 + uint32(n%uint64(c.cfg.StreamsPerConn))
+	return 1 + uint32(n%defaultStreams)
 }
 
 // RedirectsFollowed is always 0: the protocol has no redirect. It stays
@@ -204,7 +197,7 @@ func (c *Client) dialConn() (*clientConn, error) {
 		fw:      wire.NewFrameWriter(conn),
 		pending: make(map[uint64]*pendingCall),
 		windows: make(map[uint32]*sendWindow),
-		window:  int64(c.cfg.Window),
+		window:  wire.DefaultWindow,
 		deadCh:  make(chan struct{}),
 		stalls:  &c.creditStalls,
 	}

@@ -498,3 +498,23 @@ func TestServerErrorPropagation(t *testing.T) {
 		t.Fatalf("err = %v, want *ServerError", err)
 	}
 }
+
+// TestTransportConstants pins the transport's fixed sizes: four default
+// streams per connection, the repair stream after them, and a 256 KiB
+// send window on both sides, which the client grants back a quarter at a
+// time.
+func TestTransportConstants(t *testing.T) {
+	_, client := startNode(t, "n1")
+	client.mu.Lock()
+	cc := client.conns[0]
+	client.mu.Unlock()
+	if defaultStreams != 4 || client.repairStream != 5 || cc.window != 256<<10 || cc.grantEvery != 64<<10 {
+		t.Fatalf("streams %d, repair stream %d, client window %d, grant every %d; want 4, 5, 256 KiB, 64 KiB",
+			defaultStreams, client.repairStream, cc.window, cc.grantEvery)
+	}
+	srv := NewServer(nil, ServerConfig{})
+	defer srv.Close()
+	if srv.window != 256<<10 {
+		t.Fatalf("server window %d, want 256 KiB", srv.window)
+	}
+}

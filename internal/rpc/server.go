@@ -11,6 +11,7 @@ package rpc
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -64,10 +65,11 @@ type Server struct {
 type ServerConfig struct {
 	// Logger receives connection-level errors; nil discards them.
 	Logger *log.Logger
-	// Window is the initial per-stream send-credit window, in bytes, for
-	// responses (0 = wire.DefaultWindow). No binary sets it; it stays
-	// because tests run streams under a smaller window.
-	Window int
+
+	// window replaces wire.DefaultWindow as the per-stream send-credit
+	// window for responses, in bytes, when nonzero. Only this package's
+	// tests set it, to run streams under a smaller window.
+	window int
 }
 
 // NewServer creates a server for the given backend.
@@ -77,17 +79,13 @@ func NewServer(backend core.Backend, cfg ServerConfig) *Server {
 		logger = log.New(io.Discard, "", 0)
 	}
 	rootCtx, rootCancel := context.WithCancel(context.Background())
-	window := cfg.Window
-	if window <= 0 {
+	return &Server{
+		backend: backend,
+		logger:  logger,
 		// Resolve the default here, not just inside the mux: the resolved
 		// value is advertised to clients in the HelloAck so they can
 		// coalesce consumption grants against it.
-		window = wire.DefaultWindow
-	}
-	return &Server{
-		backend:    backend,
-		logger:     logger,
-		window:     window,
+		window:     cmp.Or(cfg.window, wire.DefaultWindow),
 		rootCtx:    rootCtx,
 		rootCancel: rootCancel,
 		conns:      make(map[net.Conn]struct{}),

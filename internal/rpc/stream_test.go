@@ -183,7 +183,7 @@ func TestStreamHandshakeWindowAdvertisement(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}
-	srv := NewServer(node, ServerConfig{Window: 128 << 10})
+	srv := NewServer(node, ServerConfig{window: 128 << 10})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)

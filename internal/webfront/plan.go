@@ -33,7 +33,7 @@ import (
 
 const (
 	// planBytesPerFP and planBytesSlack bound a plan body by what
-	// MaxPlanSize fingerprints can occupy: 40 hex digits, two quotes and a
+	// maxPlanSize fingerprints can occupy: 40 hex digits, two quotes and a
 	// comma are 43 bytes; 64 leaves room for the newline and indentation a
 	// pretty-printer adds per element, the slack for the object around them.
 	planBytesPerFP = 64
@@ -274,7 +274,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := getPlanScratch()
 	defer putPlanScratch(sc)
-	maxBody := int64(s.cfg.MaxPlanSize)*planBytesPerFP + planBytesSlack
+	maxBody := int64(s.cfg.maxPlan)*planBytesPerFP + planBytesSlack
 	if err := sc.readBody(r.Body, r.ContentLength, maxBody); err != nil {
 		if errors.Is(err, errPlanBodyTooLarge) {
 			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
@@ -283,7 +283,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	pairs, perr := decodePlan(sc.body, sc.pairs, s.cfg.MaxPlanSize)
+	pairs, perr := decodePlan(sc.body, sc.pairs, s.cfg.maxPlan)
 	sc.pairs = pairs
 	if perr != nil {
 		http.Error(w, perr.msg, perr.status)

@@ -17,6 +17,7 @@
 package webfront
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -60,10 +61,6 @@ type Config struct {
 	Index Index
 	// Chunks is the backing chunk store. Required.
 	Chunks ChunkStore
-	// MaxChunkSize bounds uploads. Default 1 MiB.
-	MaxChunkSize int
-	// MaxPlanSize bounds fingerprints per plan request. Default 1<<20.
-	MaxPlanSize int
 	// AggregateBelow enables cross-request aggregation: plan requests
 	// with fewer fingerprints than this are pooled with other clients'
 	// queries into shared batches (the paper's front-end "aggregates
@@ -88,7 +85,21 @@ type Config struct {
 	EnablePprof bool
 	// Logger receives request errors; nil discards.
 	Logger *log.Logger
+
+	// maxChunk and maxPlan replace maxChunkSize and maxPlanSize when
+	// nonzero. Only this package's tests set them.
+	maxChunk, maxPlan int
 }
+
+// Request bounds, answered with 413 beyond them. An upload is one chunk,
+// and chunk sizes are kilobytes (4 KiB fixed, or content-defined at most
+// 64 KiB, in package backup), so 1 MiB admits any of them with room. A plan
+// of 1<<20 fingerprints names gigabytes of chunks, far more than one request
+// needs: backup clients send 2048 (backup.Config.PlanBatch).
+const (
+	maxChunkSize = 1 << 20
+	maxPlanSize  = 1 << 20
+)
 
 // Server is the web front-end.
 type Server struct {
@@ -117,12 +128,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Chunks == nil {
 		return nil, errors.New("webfront: Config.Chunks is required")
 	}
-	if cfg.MaxChunkSize <= 0 {
-		cfg.MaxChunkSize = 1 << 20
-	}
-	if cfg.MaxPlanSize <= 0 {
-		cfg.MaxPlanSize = 1 << 20
-	}
+	cfg.maxChunk = cmp.Or(cfg.maxChunk, maxChunkSize)
+	cfg.maxPlan = cmp.Or(cfg.maxPlan, maxPlanSize)
 	if cfg.Logger == nil {
 		cfg.Logger = log.New(io.Discard, "", 0)
 	}
@@ -243,12 +250,12 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad "+FingerprintHeader+": "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, int64(s.cfg.MaxChunkSize)+1))
+	data, err := io.ReadAll(io.LimitReader(r.Body, int64(s.cfg.maxChunk)+1))
 	if err != nil {
 		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if len(data) > s.cfg.MaxChunkSize {
+	if len(data) > s.cfg.maxChunk {
 		http.Error(w, "chunk too large", http.StatusRequestEntityTooLarge)
 		return
 	}

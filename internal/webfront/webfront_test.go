@@ -79,12 +79,12 @@ func newTestServerWithLimits(t *testing.T, maxPlan, maxChunk int) string {
 	chunks := cloudsim.New(cloudsim.Config{})
 	cfg := Config{Index: cluster, Chunks: chunks}
 	if maxPlan > 0 {
-		cfg.MaxPlanSize = maxPlan
+		cfg.maxPlan = maxPlan
 	} else {
-		cfg.MaxPlanSize = 2
+		cfg.maxPlan = 2
 	}
 	if maxChunk > 0 {
-		cfg.MaxChunkSize = maxChunk
+		cfg.maxChunk = maxChunk
 	}
 	srv, err := New(cfg)
 	if err != nil {
@@ -429,5 +429,14 @@ func TestScrapeFrontEndpoints(t *testing.T) {
 		if code, _ := get(path); code != http.StatusOK {
 			t.Fatalf("%s = %d, want 200", path, code)
 		}
+	}
+}
+
+// TestRequestBounds pins the request bounds: 1 MiB uploads and 1<<20
+// fingerprints per plan.
+func TestRequestBounds(t *testing.T) {
+	srv, _, _ := newTestServer(t)
+	if srv.cfg.maxChunk != 1<<20 || srv.cfg.maxPlan != 1<<20 {
+		t.Fatalf("chunk bound %d, plan bound %d; want 1 MiB and 1<<20", srv.cfg.maxChunk, srv.cfg.maxPlan)
 	}
 }

@@ -129,18 +129,6 @@ type ClusterOptions struct {
 	// destaged survive only until a crash (call Flush/Close to write them
 	// out durably).
 	WriteBack bool
-	// DestageBatch is the largest group-commit destage wave in entries
-	// (write-back only); 0 selects the default (half of CacheSize, at
-	// least 256).
-	DestageBatch int
-	// DestageInterval bounds how long an evicted dirty entry waits
-	// before a destage wave is forced; 0 selects the default (2ms).
-	DestageInterval time.Duration
-	// DestageQueue bounds the per-node dirty destage buffer; evictions
-	// block when it is full (backpressure). 0 selects the default
-	// (4 × DestageBatch when that is set, otherwise an eighth of
-	// CacheSize, at least 1024).
-	DestageQueue int
 	// Journal enables each node's durable destage journal (requires Dir
 	// and WriteBack): an evicted dirty entry is group-commit fsynced to
 	// <Dir>/<node>.wal before its eviction acknowledges, and the journal
@@ -205,14 +193,11 @@ func NewLocalCluster(opts ClusterOptions) (*Cluster, error) {
 			journalPath = fmt.Sprintf("%s/%s.wal", opts.Dir, id)
 		}
 		node, err := core.NewNode(core.NodeConfig{
-			ID:              id,
-			Store:           store,
-			CacheSize:       opts.CacheSize,
-			WriteBack:       opts.WriteBack,
-			DestageBatch:    opts.DestageBatch,
-			DestageInterval: opts.DestageInterval,
-			DestageQueue:    opts.DestageQueue,
-			JournalPath:     journalPath,
+			ID:          id,
+			Store:       store,
+			CacheSize:   opts.CacheSize,
+			WriteBack:   opts.WriteBack,
+			JournalPath: journalPath,
 		})
 		if err != nil {
 			store.Close()
@@ -292,28 +277,6 @@ func StartNodeServer(addr string, cfg NodeConfig) (*NodeServer, error) {
 // in NewCluster.
 func DialNode(id NodeID, addr string) (Backend, error) {
 	return rpc.Dial(id, addr, rpc.ClientConfig{})
-}
-
-// TransportOptions tunes the multiplexed client transport. Zero values
-// select the defaults.
-type TransportOptions struct {
-	// Conns is the TCP connection pool size per node (default 2).
-	Conns int
-	// StreamsPerConn is how many logical streams round-robin over each
-	// connection for plain calls (default 4).
-	StreamsPerConn int
-	// Window is the per-stream send-credit window in bytes
-	// (default 256KiB).
-	Window int
-}
-
-// DialNodeTransport is DialNode with explicit transport tuning.
-func DialNodeTransport(id NodeID, addr string, o TransportOptions) (Backend, error) {
-	return rpc.Dial(id, addr, rpc.ClientConfig{
-		Conns:          o.Conns,
-		StreamsPerConn: o.StreamsPerConn,
-		Window:         o.Window,
-	})
 }
 
 // NewBatcher wraps a cluster with front-end-style query aggregation, by
