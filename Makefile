@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint golden bench-smoke clean
+.PHONY: all build test race vet lint golden bench-smoke bench-e2e clean
 
 all: build vet test
 
@@ -31,6 +31,12 @@ golden:
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./...
+
+# The end-to-end benchmark (its own module, benchmark/): ten untraced runs of
+# every workload, recorded as the root BENCH_e2e.json. Compare a later run
+# against it with: go run -C benchmark . -compare ../BENCH_e2e.json new.json
+bench-e2e:
+	$(GO) run -C benchmark . -repeat 10 -seed 49500 -out ../BENCH_e2e.json
 
 clean:
 	rm -f cover.out

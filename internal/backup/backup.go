@@ -96,7 +96,7 @@ func (c *Client) newChunker(r io.Reader) (chunk.Chunker, error) {
 	if c.cfg.ChunkSize > 0 {
 		return chunk.NewFixed(r, c.cfg.ChunkSize)
 	}
-	return chunk.NewGear(r, chunk.GearConfig{})
+	return chunk.NewGear(r), nil
 }
 
 // Backup deduplicates and uploads one stream under the given name.

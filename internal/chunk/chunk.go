@@ -81,27 +81,24 @@ func (c *FixedChunker) Next() (Chunk, error) {
 	return ch, nil
 }
 
-// GearConfig tunes the content-defined chunker.
-type GearConfig struct {
-	// Min, Avg, Max bound chunk sizes. Defaults: 2 KiB / 8 KiB / 64 KiB.
-	Min, Avg, Max int
-	// Seed derives the gear table; all chunkers that should agree on
-	// boundaries must share it. Default 0.
-	Seed int64
-}
+// gearConfig bounds content-defined chunk sizes. avg must be a power of two
+// (its mask cuts the chunks). NewGear takes defaultGear; only this package's
+// tests pick others.
+type gearConfig struct{ min, avg, max int }
 
-func (c *GearConfig) fill() error {
-	if c.Min == 0 && c.Avg == 0 && c.Max == 0 {
-		c.Min, c.Avg, c.Max = 2048, 8192, 65536
+// defaultGear is 2 KiB / 8 KiB / 64 KiB, the bounds package backup chunks
+// with.
+var defaultGear = gearConfig{min: 2048, avg: 8192, max: 65536}
+
+func (c gearConfig) validate() error {
+	if c.min <= 0 || c.avg <= 0 || c.max <= 0 {
+		return fmt.Errorf("chunk: gear sizes must be positive (min=%d avg=%d max=%d)", c.min, c.avg, c.max)
 	}
-	if c.Min <= 0 || c.Avg <= 0 || c.Max <= 0 {
-		return fmt.Errorf("chunk: gear sizes must be positive (min=%d avg=%d max=%d)", c.Min, c.Avg, c.Max)
+	if c.min > c.avg || c.avg > c.max {
+		return fmt.Errorf("chunk: need min <= avg <= max (min=%d avg=%d max=%d)", c.min, c.avg, c.max)
 	}
-	if c.Min > c.Avg || c.Avg > c.Max {
-		return fmt.Errorf("chunk: need min <= avg <= max (min=%d avg=%d max=%d)", c.Min, c.Avg, c.Max)
-	}
-	if c.Avg&(c.Avg-1) != 0 {
-		return fmt.Errorf("chunk: avg must be a power of two, got %d", c.Avg)
+	if c.avg&(c.avg-1) != 0 {
+		return fmt.Errorf("chunk: avg must be a power of two, got %d", c.avg)
 	}
 	return nil
 }
@@ -111,7 +108,7 @@ func (c *GearConfig) fill() error {
 // in per step) cut where hash & mask == 0.
 type GearChunker struct {
 	r      io.Reader
-	cfg    GearConfig
+	cfg    gearConfig
 	table  [256]uint64
 	mask   uint64
 	offset int64
@@ -120,17 +117,22 @@ type GearChunker struct {
 	done bool
 }
 
-// NewGear creates a content-defined chunker.
-func NewGear(r io.Reader, cfg GearConfig) (*GearChunker, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
+// NewGear creates a content-defined chunker. Every chunker derives the same
+// gear table, so any two agree on boundaries.
+func NewGear(r io.Reader) *GearChunker { return newGear(r, defaultGear) }
+
+// newGear panics on an invalid cfg: only NewGear and this package's tests
+// pick one.
+func newGear(r io.Reader, cfg gearConfig) *GearChunker {
+	if err := cfg.validate(); err != nil {
+		panic(err)
 	}
-	g := &GearChunker{r: r, cfg: cfg, mask: uint64(cfg.Avg - 1)}
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x47454152)) // "GEAR"
+	g := &GearChunker{r: r, cfg: cfg, mask: uint64(cfg.avg - 1)}
+	rng := rand.New(rand.NewSource(0x47454152)) // "GEAR"
 	for i := range g.table {
 		g.table[i] = rng.Uint64()
 	}
-	return g, nil
+	return g
 }
 
 // Next returns the next content-defined chunk.
@@ -140,8 +142,8 @@ func (g *GearChunker) Next() (Chunk, error) {
 	}
 	cut := g.findCut()
 	for cut < 0 && !g.done {
-		// Need more data: grow the readahead by up to Max bytes.
-		tmp := make([]byte, g.cfg.Max)
+		// Need more data: grow the readahead by up to max bytes.
+		tmp := make([]byte, g.cfg.max)
 		n, err := g.r.Read(tmp)
 		if n > 0 {
 			g.buf = append(g.buf, tmp[:n]...)
@@ -175,24 +177,24 @@ func (g *GearChunker) findCut() int {
 	if len(g.buf) == 0 {
 		return -1
 	}
-	if len(g.buf) >= g.cfg.Max {
-		// Look for a natural cut within [Min, Max); force Max otherwise.
-		if cut := g.scan(g.cfg.Min, g.cfg.Max); cut > 0 {
+	if len(g.buf) >= g.cfg.max {
+		// Look for a natural cut within [min, max); force max otherwise.
+		if cut := g.scan(g.cfg.min, g.cfg.max); cut > 0 {
 			return cut
 		}
-		return g.cfg.Max
+		return g.cfg.max
 	}
-	if len(g.buf) < g.cfg.Min {
+	if len(g.buf) < g.cfg.min {
 		return -1
 	}
-	if cut := g.scan(g.cfg.Min, len(g.buf)); cut > 0 {
+	if cut := g.scan(g.cfg.min, len(g.buf)); cut > 0 {
 		return cut
 	}
 	return -1
 }
 
 // scan looks for the first boundary in buf[min:end) and returns the cut
-// length (exclusive) or -1. The gear hash warms up over the Min prefix so
+// length (exclusive) or -1. The gear hash warms up over the min prefix so
 // boundaries depend only on content, not read segmentation.
 func (g *GearChunker) scan(min, end int) int {
 	var h uint64

@@ -114,11 +114,7 @@ func TestFixedChunkerFingerprints(t *testing.T) {
 
 func TestGearChunkerReassembly(t *testing.T) {
 	data := randomBytes(200000, 4)
-	g, err := NewGear(bytes.NewReader(data), GearConfig{})
-	if err != nil {
-		t.Fatalf("NewGear: %v", err)
-	}
-	chunks, err := All(g)
+	chunks, err := All(NewGear(bytes.NewReader(data)))
 	if err != nil {
 		t.Fatalf("All: %v", err)
 	}
@@ -133,21 +129,20 @@ func TestGearChunkerReassembly(t *testing.T) {
 
 func TestGearChunkerBounds(t *testing.T) {
 	data := randomBytes(500000, 5)
-	cfg := GearConfig{Min: 2048, Avg: 8192, Max: 65536}
-	g, _ := NewGear(bytes.NewReader(data), cfg)
-	chunks, _ := All(g)
+	cfg := defaultGear
+	chunks, _ := All(NewGear(bytes.NewReader(data)))
 	if len(chunks) < 2 {
 		t.Fatalf("got %d chunks from 500KB", len(chunks))
 	}
 	for i, ch := range chunks[:len(chunks)-1] { // final chunk may be short
-		if len(ch.Data) < cfg.Min || len(ch.Data) > cfg.Max {
-			t.Fatalf("chunk %d size %d outside [%d, %d]", i, len(ch.Data), cfg.Min, cfg.Max)
+		if len(ch.Data) < cfg.min || len(ch.Data) > cfg.max {
+			t.Fatalf("chunk %d size %d outside [%d, %d]", i, len(ch.Data), cfg.min, cfg.max)
 		}
 	}
 	// Mean in the right ballpark (within 4x of Avg either way).
 	mean := 500000 / len(chunks)
-	if mean < cfg.Avg/4 || mean > cfg.Avg*4 {
-		t.Fatalf("mean chunk size %d far from avg %d", mean, cfg.Avg)
+	if mean < cfg.avg/4 || mean > cfg.avg*4 {
+		t.Fatalf("mean chunk size %d far from avg %d", mean, cfg.avg)
 	}
 }
 
@@ -157,10 +152,8 @@ func TestGearChunkerShiftResistance(t *testing.T) {
 	data := randomBytes(300000, 6)
 	shifted := append(randomBytes(100, 7), data...)
 
-	g1, _ := NewGear(bytes.NewReader(data), GearConfig{})
-	g2, _ := NewGear(bytes.NewReader(shifted), GearConfig{})
-	c1, _ := All(g1)
-	c2, _ := All(g2)
+	c1, _ := All(NewGear(bytes.NewReader(data)))
+	c2, _ := All(NewGear(bytes.NewReader(shifted)))
 
 	fps1 := map[fingerprint.Fingerprint]bool{}
 	for _, ch := range c1 {
@@ -180,11 +173,8 @@ func TestGearChunkerShiftResistance(t *testing.T) {
 func TestGearChunkerDeterministicAcrossSegmentation(t *testing.T) {
 	// Boundaries must not depend on how the reader splits its reads.
 	data := randomBytes(150000, 8)
-	g1, _ := NewGear(bytes.NewReader(data), GearConfig{})
-	c1, _ := All(g1)
-
-	g2, _ := NewGear(iotest1ByteReader{bytes.NewReader(data)}, GearConfig{})
-	c2, _ := All(g2)
+	c1, _ := All(NewGear(bytes.NewReader(data)))
+	c2, _ := All(NewGear(iotest1ByteReader{bytes.NewReader(data)}))
 
 	if len(c1) != len(c2) {
 		t.Fatalf("chunk counts differ across read segmentation: %d vs %d", len(c1), len(c2))
@@ -209,25 +199,33 @@ func (r iotest1ByteReader) Read(p []byte) (int, error) {
 func TestGearConfigValidation(t *testing.T) {
 	tests := []struct {
 		name string
-		cfg  GearConfig
+		cfg  gearConfig
 	}{
-		{name: "negative min", cfg: GearConfig{Min: -1, Avg: 8192, Max: 65536}},
-		{name: "min above avg", cfg: GearConfig{Min: 9000, Avg: 8192, Max: 65536}},
-		{name: "avg above max", cfg: GearConfig{Min: 2048, Avg: 8192, Max: 4096}},
-		{name: "avg not power of two", cfg: GearConfig{Min: 2048, Avg: 8000, Max: 65536}},
+		{name: "negative min", cfg: gearConfig{min: -1, avg: 8192, max: 65536}},
+		{name: "min above avg", cfg: gearConfig{min: 9000, avg: 8192, max: 65536}},
+		{name: "avg above max", cfg: gearConfig{min: 2048, avg: 8192, max: 4096}},
+		{name: "avg not power of two", cfg: gearConfig{min: 2048, avg: 8000, max: 65536}},
+	}
+	if err := defaultGear.validate(); err != nil {
+		t.Fatalf("defaultGear rejected: %v", err)
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := NewGear(bytes.NewReader(nil), tt.cfg); err == nil {
+			if err := tt.cfg.validate(); err == nil {
 				t.Fatal("invalid config accepted")
 			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("newGear accepted an invalid config")
+				}
+			}()
+			newGear(bytes.NewReader(nil), tt.cfg)
 		})
 	}
 }
 
 func TestGearChunkerEmptyInput(t *testing.T) {
-	g, _ := NewGear(bytes.NewReader(nil), GearConfig{})
-	if _, err := g.Next(); err != io.EOF {
+	if _, err := NewGear(bytes.NewReader(nil)).Next(); err != io.EOF {
 		t.Fatalf("Next on empty input = %v, want EOF", err)
 	}
 }
@@ -269,11 +267,7 @@ func TestQuickFixedRoundTrip(t *testing.T) {
 // Property: gear chunking reassembles to the identity.
 func TestQuickGearRoundTrip(t *testing.T) {
 	f := func(data []byte) bool {
-		g, err := NewGear(bytes.NewReader(data), GearConfig{Min: 16, Avg: 64, Max: 256})
-		if err != nil {
-			return false
-		}
-		chunks, err := All(g)
+		chunks, err := All(newGear(bytes.NewReader(data), gearConfig{min: 16, avg: 64, max: 256}))
 		if err != nil {
 			return false
 		}

@@ -42,22 +42,16 @@ import (
 // exactly one aligned block.
 const BlockSize = 4096
 
-// DefaultQueueDepth bounds concurrent direct transfers when Options leaves
-// it zero — deep enough to keep an NVMe queue busy, shallow enough not to
-// starve the rest of the process of file descriptors' worth of inflight I/O.
-const DefaultQueueDepth = 32
+// queueDepth bounds concurrent direct transfers (a semaphore around the
+// pread/pwrite) — deep enough to keep an NVMe queue busy, shallow enough not
+// to starve the rest of the process of file descriptors' worth of inflight
+// I/O. Buffered fallback I/O is not throttled: the page cache absorbs it.
+const queueDepth = 32
 
-// Options configures Open.
-type Options struct {
-	// QueueDepth caps concurrent direct transfers (a semaphore around the
-	// pread/pwrite). 0 means DefaultQueueDepth. Buffered fallback I/O is
-	// not throttled — the page cache absorbs it. No binary sets it; it
-	// stays because tests drive the semaphore at a depth of 4.
-	QueueDepth int
-	// Disable forces buffered I/O even where O_DIRECT would work. No binary
-	// sets it; it stays because tests drive the buffered path with it.
-	Disable bool
-}
+// Options has nothing to configure. It stays, with Open's signature, only
+// because the end-to-end benchmark (benchmark/report.go), which is frozen,
+// passes an Options{} to Open.
+type Options struct{}
 
 // File is an os.File whose I/O goes through O_DIRECT when the filesystem
 // supports it and plain buffered I/O when it does not. It satisfies
@@ -71,17 +65,20 @@ type File struct {
 // Open opens (or creates, per flag) path for direct I/O. The flag and perm
 // arguments are os.OpenFile's. The returned file is always usable; Direct
 // reports whether O_DIRECT actually engaged.
-func Open(path string, flag int, perm os.FileMode, opts Options) (*File, error) {
+func Open(path string, flag int, perm os.FileMode, _ Options) (*File, error) {
+	return open(path, flag, perm, queueDepth, true)
+}
+
+// open is Open at a queue depth of depth, trying O_DIRECT only if direct:
+// this package's tests drive the semaphore shallower and the buffered path
+// where O_DIRECT would work.
+func open(path string, flag int, perm os.FileMode, depth int, direct bool) (*File, error) {
 	f, err := os.OpenFile(path, flag, perm)
 	if err != nil {
 		return nil, err
 	}
-	depth := opts.QueueDepth
-	if depth <= 0 {
-		depth = DefaultQueueDepth
-	}
 	d := &File{f: f, sem: make(chan struct{}, depth)}
-	if !opts.Disable && trySetDirect(f) {
+	if direct && trySetDirect(f) {
 		d.direct.Store(true)
 	}
 	return d, nil

@@ -10,10 +10,10 @@ import (
 	"testing"
 )
 
-func openTemp(t *testing.T, opts Options) *File {
+func openTemp(t *testing.T, depth int, direct bool) *File {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "blob")
-	f, err := Open(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644, opts)
+	f, err := open(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644, depth, direct)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -25,9 +25,9 @@ func openTemp(t *testing.T, opts Options) *File {
 // both unaligned RMW shapes (head fragment, tail fragment, sub-block span).
 func TestDirectIORoundTrip(t *testing.T) {
 	for _, disable := range []bool{false, true} {
-		f := openTemp(t, Options{Disable: disable})
+		f := openTemp(t, queueDepth, !disable)
 		if disable && f.Direct() {
-			t.Fatal("Disable did not force buffered I/O")
+			t.Fatal("a buffered open engaged O_DIRECT")
 		}
 		t.Logf("disable=%v direct=%v", disable, f.Direct())
 
@@ -83,7 +83,7 @@ func TestDirectIORoundTrip(t *testing.T) {
 // read crossing EOF returns the available bytes with io.EOF, a read fully
 // past EOF returns 0, io.EOF.
 func TestDirectIOReadAtEOF(t *testing.T) {
-	f := openTemp(t, Options{})
+	f := openTemp(t, queueDepth, true)
 	if err := f.Truncate(BlockSize); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestDirectIOFallbackTmpfs(t *testing.T) {
 // goroutines through a small queue depth, exercising the semaphore and the
 // bounce-block pool.
 func TestDirectIOConcurrent(t *testing.T) {
-	f := openTemp(t, Options{QueueDepth: 4})
+	f := openTemp(t, 4, true)
 	const pages = 64
 	if err := f.Truncate(pages * BlockSize); err != nil {
 		t.Fatal(err)

@@ -149,8 +149,8 @@ func BenchmarkWavePutBatch(b *testing.B) {
 	}
 
 	// A wave on a grown table: first_full_wb's runs, 22 new pairs on each
-	// chain of a table at the split trigger's load factor (≈ 65 entries a
-	// page), where the cases above have one pair a chain and cannot see the
+	// chain of a table where a level starts (sweepTo / 2 ≈ 65 entries a
+	// page, load factor 0.45), where the cases above have one pair a chain and cannot see the
 	// chain walk's in-memory scan. The geometry is pinned so that, off the
 	// clock, deleting each op's appends leaves every page as it was.
 	b.Run("pagecache/pairs=22/load=0.45", func(b *testing.B) {
@@ -160,7 +160,7 @@ func BenchmarkWavePutBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer db.Close()
-		stored := make([]Pair, int(splitLoadFactor*SlotsPerPage*buckets))
+		stored := make([]Pair, int(sweepTo/2*buckets))
 		for i := range stored {
 			stored[i] = Pair{FP: fp(uint64(i)), Val: Value(i)}
 		}

@@ -202,11 +202,12 @@ func TestCrashInjectionEveryWritePoint(t *testing.T) {
 	}.sweep(t).Run(t)
 }
 
-// TestResizeCrashInjectionEveryWritePoint splits at a load factor low enough
-// that the schedule's ~60 keys split the 2-bucket template several times, so
-// kills land inside splits, a compaction's repack and free-list reuse.
+// TestResizeCrashInjectionEveryWritePoint sweeps at unsplit fills low enough
+// (6 to 9 entries a bucket) that the schedule's ~60 keys split the 2-bucket
+// template seven times, through two levels, so kills land inside splits, a
+// compaction's repack and free-list reuse.
 func TestResizeCrashInjectionEveryWritePoint(t *testing.T) {
-	splitAt(t, 0.05)
+	sweepAt(t, 6, 9)
 	dbSweep{
 		opts: Options{Buckets: 2}, seed: seedTen,
 		sched: simtest.Schedule{
@@ -221,8 +222,9 @@ func TestResizeCrashInjectionEveryWritePoint(t *testing.T) {
 			{Kind: simtest.Sync},
 		},
 		guard: func(t *testing.T, st Stats, _ CompactStats) {
-			if st.Splits == 0 {
-				t.Fatalf("the schedule made no splits (stats %+v)", st)
+			if st.Splits < 7 || st.UnsplitFill > 9 {
+				t.Fatalf("the schedule split %d times to an unsplit fill of %.1f, want 7 to at most 9 (stats %+v)",
+					st.Splits, st.UnsplitFill, st)
 			}
 		},
 		Sweep: simtest.Sweep{Floor: 50, Tears: everyTear},
@@ -243,12 +245,12 @@ func minedKeys(n int, parity uint64) []uint64 {
 	return keys
 }
 
-// TestCompactCrashInjectionEveryWritePoint splits at a load factor no real
-// load reaches, so growth comes only from the chain-length trigger: a mined
+// TestCompactCrashInjectionEveryWritePoint sweeps at a fill no real load
+// reaches, so growth comes only from the chain-length trigger: a mined
 // wave makes a three-page chain, one more put splits it once, deletes leave
 // both halves sparse, and Compact has real repacking and page-freeing to do.
 func TestCompactCrashInjectionEveryWritePoint(t *testing.T) {
-	splitAt(t, 2.0)
+	sweepAt(t, 1e9, 1e9)
 	mined := minedKeys(2*SlotsPerPage+25, 0)
 	last := len(mined) - 1
 	dbSweep{
@@ -352,19 +354,20 @@ func emptyOverflow(t *testing.T, db *DB) uint64 {
 	return 0
 }
 
-// growCrashFiller is the ballast that brings the template to its trigger:
-// keys the schedule never touches, checked after every crash by one Range.
+// growCrashFiller is the ballast that brings the template to where its first
+// sweep starts: keys the schedule never touches, checked after every crash
+// by one Range.
 const growCrashFiller = 1 << 20
 
 // TestGrowCrashInjectionEveryWritePoint is the path every node takes since
-// tables start small: a default-created table filled to just under its
-// trigger and closed cleanly, then grown by PutBatch waves. Each wave splits
-// ahead of itself and then walks its chains, so the kill points fall inside a
-// split-ahead run, between it and the chain writes, and among the chain
-// writes into buckets split a moment before.
+// tables start small: a default-created table filled to just under the fill
+// its first sweep starts at and closed cleanly, then grown by PutBatch waves.
+// Each wave splits ahead of itself and then walks its chains, so the kill
+// points fall inside a split-ahead run, between it and the chain writes, and
+// among the chain writes into buckets split a moment before.
 func TestGrowCrashInjectionEveryWritePoint(t *testing.T) {
-	// Fill to sixty entries under the trigger, so the first wave crosses it.
-	room := int(splitLoadFactor*startBuckets*SlotsPerPage) - 10 - 60
+	// Fill to sixty entries under sweepFrom's, so the first wave crosses it.
+	room := int(sweepFrom*startBuckets) - 10 - 60
 	filler := make(map[fingerprint.Fingerprint]Value, room)
 	dbSweep{
 		seed: seedTen,
@@ -389,8 +392,9 @@ func TestGrowCrashInjectionEveryWritePoint(t *testing.T) {
 			{Kind: simtest.Sync},
 		},
 		guard: func(t *testing.T, st Stats, _ CompactStats) {
-			if st.Splits < 4 {
-				t.Fatalf("the schedule split %d times; the waves are not growing the table (stats %+v)", st.Splits, st)
+			if st.Splits < 5 || st.UnsplitFill > sweepTo {
+				t.Fatalf("the schedule split %d times to an unsplit fill of %.1f; the waves are not growing the table (stats %+v)",
+					st.Splits, st.UnsplitFill, st)
 			}
 		},
 		// Every filler entry survives any kill (a torn page may take its own
@@ -421,8 +425,7 @@ func TestGrowCrashInjectionEveryWritePoint(t *testing.T) {
 }
 
 // FuzzCrashSchedule composes crash × split × compact × delete: a schedule
-// generated from seed runs over a two-bucket table that splits at a low load
-// factor, and its file dies at write kill with tear bytes of that write
+// generated from seed runs over a two-bucket table that sweeps at low fills, and its file dies at write kill with tear bytes of that write
 // landing. The seed corpus runs with the tests.
 func FuzzCrashSchedule(f *testing.F) {
 	f.Add(int64(1), uint16(40), uint16(0))
@@ -431,7 +434,7 @@ func FuzzCrashSchedule(f *testing.F) {
 	f.Add(int64(4), uint16(230), uint16(PageSize-1))
 	f.Add(int64(5), uint16(17), uint16(0))
 	f.Fuzz(func(t *testing.T, seed int64, kill, tear uint16) {
-		splitAt(t, 0.05)
+		sweepAt(t, 6, 9)
 		sw := dbSweep{opts: Options{Buckets: 2}, seed: seedTen, sched: simtest.Generate(seed, 300, 30)}.sweep(t)
 		sw.Kill(t, int64(kill)+1, int(tear)%PageSize)
 	})

@@ -64,7 +64,7 @@ func TestDirectIOBackendServes(t *testing.T) {
 // parallel.Do fan-out) through the backend's queue-depth semaphore.
 func TestDirectIOBackendBatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "batch.shdb")
-	f, err := directio.Open(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644, directio.Options{QueueDepth: 4})
+	f, err := directio.Open(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644, directio.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,19 +89,29 @@ func (e *CorruptionError) Error() string {
 	return fmt.Sprintf("hashdb: %s: corrupt database: %s", e.Path, e.Detail)
 }
 
-// splitLoadFactor is the aggregate load factor (entries per bucket-region
-// slot) at which a table runs incremental splits.
-// Linear hashing is skewed 2 : 1 — a bucket the split pointer has not yet
-// reached holds twice what one it has passed does — so late in a level the
-// unsplit buckets carry up to twice the mean, 2 × trigger × SlotsPerPage
-// entries each. The trigger therefore sits under one half, for those
-// buckets to fit their one page and a lookup to stay one page read: at 0.45
-// they hold 130 ± 11 of 145 slots at worst, and the benchmark's full-backup
-// tables end with overflow pages on 0.2–0.3 % of their buckets and no chain
-// over two pages (0.4: none; 0.5: 2.6–3.5 %; 0.75, the value this replaced,
-// a second page on every other bucket). TestCreateStartsSmall holds the
-// bound at every point of every level.
-const splitLoadFactor = 0.45
+// sweepFrom and sweepTo schedule a table's splits by the mean fill of the
+// buckets the split pointer has not reached, entries / (base<<level): the
+// fullest buckets, since linear hashing is skewed 2 : 1 — a bucket the
+// pointer has passed holds half of what an unsplit one does. A level's sweep
+// starts when that fill reaches sweepFrom and owes
+// base<<level × (fill − sweepFrom) / (sweepTo − sweepFrom) splits from then
+// on, so it ends, and the level doubles, exactly as the fill reaches sweepTo;
+// between sweeps the table does not split.
+//
+// sweepTo, 130.5 of 145 slots, is as full as a bucket may run for its
+// spread to still fit one page and a lookup to stay one page read. It is the
+// worst case of the schedule this one replaced, a constant 0.45 load factor
+// (the special case sweepFrom = sweepTo / 2), which held every table half
+// empty; with the same worst case a table never holds more buckets than it
+// would have, and runs at a load factor of 0.45–0.62. sweepFrom was measured
+// end to end (CHANGES.md): from 90, the benchmark's full-backup tables end
+// with overflow pages on under 1 % of their buckets and no chain over two
+// pages; from 95, 100 and 110 some passed 1 %. TestSweepBoundsEveryBatch
+// holds the schedule's bounds at every batch size.
+const (
+	sweepTo   = 2 * 0.45 * SlotsPerPage
+	sweepFrom = 90
+)
 
 // startBuckets is the bucket count a table is created with: 1 MiB of bucket
 // pages, whatever the caller expects to store. Splits keep the table at the
@@ -181,9 +191,9 @@ type DB struct {
 	// linear-hashing mapping is anchored to it (numBuckets() =
 	// baseBuckets<<level + split).
 	baseBuckets uint64
-	// splitLF is the load factor that triggers splits: splitLoadFactor,
-	// unless a test moved it (testHook).
-	splitLF float64
+	// sweepFrom and sweepTo are the unsplit fills a level's sweep starts
+	// and ends at: the constants, unless a test moved them (testHook).
+	sweepFrom, sweepTo float64
 	// state packs the linear-hashing (level, split) position into one
 	// atomic word (see resize.go) so the read path derives a coherent
 	// mapping from a single load.
@@ -287,7 +297,8 @@ func (db *DB) observeChain(n int) {
 
 // newDB is the in-memory side of a table over f, before its geometry is set.
 func newDB(f File, path string) *DB {
-	db := &DB{f: f, path: path, stripes: make([]dbStripe, stripeCount), splitLF: splitLoadFactor}
+	db := &DB{f: f, path: path, stripes: make([]dbStripe, stripeCount),
+		sweepFrom: sweepFrom, sweepTo: sweepTo}
 	db.stripeMask = uint64(len(db.stripes) - 1)
 	db.dir.Store(&bucketDir{})
 	return db
@@ -1048,6 +1059,10 @@ type Stats struct {
 	ReadCalls, WriteCalls uint64
 	// LoadFactor is entries / total bucket-region slots.
 	LoadFactor float64
+	// UnsplitFill is entries / (BaseBuckets<<Level), the mean fill of the
+	// buckets the split pointer has not reached: the fullest ones, and
+	// what the split schedule is keyed to (sweepFrom, sweepTo).
+	UnsplitFill float64
 	// Recovery is what the open-time recovery pass repaired (all zero
 	// when the file was opened cleanly).
 	Recovery RecoveryStats
@@ -1092,6 +1107,7 @@ func (db *DB) Stats() Stats {
 		ReadCalls:     db.readCalls.Load(),
 		WriteCalls:    db.writeCalls.Load(),
 		LoadFactor:    lf,
+		UnsplitFill:   float64(entries) / float64(db.levelBuckets(level)),
 		Recovery:      db.recovery,
 		Device:        PageStats{Reads: db.pagesRead.Load(), Writes: db.pagesWritten.Load()},
 	}

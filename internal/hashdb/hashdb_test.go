@@ -36,11 +36,14 @@ func shapeTables(t testing.TB, shape func(*DB)) {
 }
 
 // pinShape holds the tables of the rest of t at the bucket count they start
-// with: neither the load factor nor a long chain splits them.
+// with: neither the split schedule nor a long chain splits them.
 func pinShape(t testing.TB) { shapeTables(t, func(db *DB) { db.holdSplits = true }) }
 
-// splitAt moves the load factor at which the tables of the rest of t split.
-func splitAt(t testing.TB, lf float64) { shapeTables(t, func(db *DB) { db.splitLF = lf }) }
+// sweepAt moves the unsplit fills at which the tables of the rest of t start
+// and end a level's sweep (sweepFrom, sweepTo).
+func sweepAt(t testing.TB, from, to float64) {
+	shapeTables(t, func(db *DB) { db.sweepFrom, db.sweepTo = from, to })
+}
 
 func TestPutGetRoundTrip(t *testing.T) {
 	db := newTestDB(t, Options{})
@@ -331,7 +334,7 @@ func TestRange(t *testing.T) {
 }
 
 // TestDeviceAccountingChargesPages runs a fixed sequence — Create, six
-// 1 000-pair PutBatches that split the table from 16 buckets to 92, a GetBatch
+// 1 000-pair PutBatches that split the table from 16 buckets to 70, a GetBatch
 // of the 6 000 keys and 1 000 absent ones, Sync, reopen, the GetBatch again —
 // and pins the pages Stats().Device counts, one a page moved and one a header
 // read or written. The end-to-end benchmark's page metrics read these
@@ -352,6 +355,9 @@ func TestDeviceAccountingChargesPages(t *testing.T) {
 		if _, _, err := db.PutBatch(ctx, pairs); err != nil {
 			t.Fatal(err)
 		}
+		if fill := db.Stats().UnsplitFill; fill > sweepTo {
+			t.Fatalf("batch %d: unsplit fill %.1f above sweepTo %.1f", round, fill, sweepTo)
+		}
 	}
 	fps := make([]fingerprint.Fingerprint, 7000)
 	for i := range fps {
@@ -363,8 +369,8 @@ func TestDeviceAccountingChargesPages(t *testing.T) {
 	if err := db.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if st := db.Stats(); st.Device != (PageStats{Reads: 491, Writes: 554}) || st.Buckets != 92 {
-		t.Errorf("before reopen: %+v over %d buckets, want {Reads:491 Writes:554} over 92", st.Device, st.Buckets)
+	if st := db.Stats(); st.Device != (PageStats{Reads: 399, Writes: 440}) || st.Buckets != 70 {
+		t.Errorf("before reopen: %+v over %d buckets, want {Reads:399 Writes:440} over 70", st.Device, st.Buckets)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -376,8 +382,8 @@ func TestDeviceAccountingChargesPages(t *testing.T) {
 	if _, _, err := db.GetBatch(ctx, fps); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Stats().Device; got != (PageStats{Reads: 186}) {
-		t.Errorf("after reopen: %+v, want {Reads:186 Writes:0}", got)
+	if got := db.Stats().Device; got != (PageStats{Reads: 142}) {
+		t.Errorf("after reopen: %+v, want {Reads:142 Writes:0}", got)
 	}
 }
 

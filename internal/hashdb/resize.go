@@ -20,9 +20,10 @@ package hashdb
 //     top bit into a freshly allocated bucket at index split+base<<level;
 //   - splits are incremental — one bucket at a time, under the two
 //     affected bucket-region stripe locks — and are triggered by the live
-//     telemetry the write path already records (load factor and observed
-//     chain length), not by an offline rebuild. A batch splits ahead of
-//     itself, for the entries it is about to add (maybeSplit).
+//     telemetry the write path already records (the unsplit buckets' mean
+//     fill and observed chain length), not by an offline rebuild. A batch
+//     splits ahead of itself, for the entries it is about to add
+//     (maybeSplit).
 //
 // Bucket pages beyond the base region cannot live at a fixed file offset,
 // so they are recorded in a small directory: a chain of pages holding
@@ -325,27 +326,30 @@ func (db *DB) publishDirEntry(newPage uint64) {
 // ---- split triggering and execution ----
 
 // chainSplitTrigger is the observed chain length (pages) at which the
-// write path requests a split regardless of aggregate load factor: a
+// write path requests a split regardless of the split schedule: a
 // chain this deep means lookups in that region pay multiple device
 // reads.
 const chainSplitTrigger = 3
 
-// overloaded reports whether the table would sit at or past its split
-// threshold with extra more entries than it holds now.
+// overloaded reports whether the table would owe a split with extra more
+// entries than it holds now: whether the split pointer trails
+// base<<level × (fill − sweepFrom) / (sweepTo − sweepFrom), fill being the
+// unsplit buckets' mean, entries / (base<<level).
 func (db *DB) overloaded(extra int) bool {
-	slots := float64(db.numBuckets() * SlotsPerPage)
-	return float64(db.entries.Load()+uint64(extra)) >= db.splitLF*slots
+	level, split := unpackState(db.state.Load())
+	e := float64(db.entries.Load() + uint64(extra))
+	return e >= float64(db.levelBuckets(level))*db.sweepFrom+float64(split)*(db.sweepTo-db.sweepFrom)
 }
 
 // maybeSplit runs pending incremental splits if the live telemetry says
 // the table is too small for what it holds plus the extra entries the
-// caller is about to add: the aggregate load factor would reach the split
-// threshold, or a write-path chain walk observed a chain of
-// chainSplitTrigger+ pages. Splitting ahead of a batch is what keeps a
-// wave into a young table from building overflow chains only to split
-// them a millisecond later. At most one caller splits at a time (TryLock);
-// everyone else returns immediately, so the trigger never convoys the
-// write path. Callers must not hold stripe locks.
+// caller is about to add: the split schedule would owe one (overloaded), or
+// a write-path chain walk observed a chain of chainSplitTrigger+ pages.
+// Splitting ahead of a batch is what keeps a wave into a young table from
+// building overflow chains only to split them a millisecond later. At most
+// one caller splits at a time (TryLock); everyone else returns immediately,
+// so the trigger never convoys the write path. Callers must not hold stripe
+// locks.
 func (db *DB) maybeSplit(extra int) error {
 	if db.holdSplits {
 		return nil

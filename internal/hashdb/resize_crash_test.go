@@ -43,6 +43,9 @@ func TestGrowUnsyncedCrashReopens(t *testing.T) {
 			committed := uint64(startBuckets)
 			for db.Stats().Buckets < target {
 				wave()
+				if fill := db.Stats().UnsplitFill; fill > sweepTo {
+					t.Fatalf("after %d inserts: unsplit fill %.1f above sweepTo %.1f", n, fill, sweepTo)
+				}
 				if b := db.Stats().Buckets; syncAt != 0 && committed == startBuckets && b >= syncAt {
 					if err := db.Sync(); err != nil {
 						t.Fatalf("Sync: %v", err)
@@ -99,9 +102,9 @@ func TestGrowUnsyncedCrashReopens(t *testing.T) {
 			verify("after recovery")
 			// The next write grows the table back to the size of its content.
 			wave()
-			if st := db.Stats(); st.LoadFactor > splitLoadFactor || st.Buckets < grown.Buckets {
-				t.Fatalf("after the next wave: %d buckets at load factor %.2f, want at least %d under %.2f",
-					st.Buckets, st.LoadFactor, grown.Buckets, splitLoadFactor)
+			if st := db.Stats(); st.UnsplitFill > sweepTo || st.Buckets < grown.Buckets {
+				t.Fatalf("after the next wave: %d buckets at unsplit fill %.1f, want at least %d at or under %.1f",
+					st.Buckets, st.UnsplitFill, grown.Buckets, sweepTo)
 			}
 			verify("after regrowth")
 		})

@@ -1,6 +1,7 @@
 package hashdb
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -50,7 +51,7 @@ func TestResizeSplitsGrowBuckets(t *testing.T) {
 
 // TestResizeKeepsChainsShort: a table started at four buckets and driven to
 // fifteen hundred entries a bucket holds its chains flat by splitting, and
-// its load factor near its trigger.
+// its unsplit buckets' fill at or under sweepTo after every write.
 func TestResizeKeepsChainsShort(t *testing.T) {
 	const n = 6000
 	db := newTestDB(t, Options{Buckets: 4})
@@ -58,13 +59,12 @@ func TestResizeKeepsChainsShort(t *testing.T) {
 		if _, err := db.Put(fp(i), Value(i)); err != nil {
 			t.Fatalf("Put(%d): %v", i, err)
 		}
+		if fill := db.Stats().UnsplitFill; fill > sweepTo {
+			t.Fatalf("after %d puts: unsplit fill %.1f above sweepTo %.1f", i+1, fill, sweepTo)
+		}
 	}
-	st := db.Stats()
-	if st.MaxChain > 2 {
+	if st := db.Stats(); st.MaxChain > 2 {
 		t.Fatalf("a write walked a chain of %d pages", st.MaxChain)
-	}
-	if st.LoadFactor > splitLoadFactor {
-		t.Fatalf("load factor %.2f above the split trigger %.2f", st.LoadFactor, splitLoadFactor)
 	}
 }
 
@@ -120,12 +120,12 @@ func TestResizeStatePersistsAcrossReopen(t *testing.T) {
 }
 
 // TestCreateStartsSmall pins what a default-created table is: startBuckets,
-// then the size of its content — load factor
-// between half the trigger and the trigger, a file within a small multiple
-// of the entries' own bytes — and still one page read per lookup: no write
-// path walk ever saw a chain over two pages and overflow pages stay under
-// 1 % of the buckets at every point of every level, the late ones included,
-// where the unsplit buckets carry twice the mean.
+// then the size of its content — the unsplit buckets' fill at or under
+// sweepTo, a file within a small multiple of the entries' own bytes — and
+// still one page read per lookup: no write path walk ever saw a chain over
+// two pages and overflow pages stay under 1 % of the buckets at every point
+// of every level, the ends of the sweeps included, where the unsplit buckets
+// carry sweepTo.
 func TestCreateStartsSmall(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "small.shdb")
 	db, err := Create(path, Options{})
@@ -147,11 +147,10 @@ func TestCreateStartsSmall(t *testing.T) {
 		t.Fatalf("an empty default table is %d bytes, want <= 2 MiB", sz)
 	}
 	const batch = 1024
-	total := 300 * batch // three and a half doublings past the first split
+	total := 300 * batch // four doublings past the first split
 	if raceEnabled {
 		total = 100 * batch // one goroutine: two doublings under the detector
 	}
-	trigger := splitLoadFactor
 	pairs := make([]Pair, batch)
 	for n := 0; n < total; {
 		for i := range pairs {
@@ -168,8 +167,8 @@ func TestCreateStartsSmall(t *testing.T) {
 		if st.Splits == 0 {
 			continue // still inside the base: its size is startBuckets, not the content's
 		}
-		if st.LoadFactor > trigger || st.LoadFactor < trigger/2 {
-			t.Fatalf("n=%d: load factor %.3f outside [%.3f, %.3f] (%d buckets)", n, st.LoadFactor, trigger/2, trigger, st.Buckets)
+		if st.UnsplitFill > sweepTo {
+			t.Fatalf("n=%d: unsplit fill %.1f above sweepTo %.1f (%d buckets)", n, st.UnsplitFill, sweepTo, st.Buckets)
 		}
 		if st.MaxChain > 2 {
 			t.Fatalf("n=%d: a write walked a chain of %d pages", n, st.MaxChain)
@@ -178,12 +177,55 @@ func TestCreateStartsSmall(t *testing.T) {
 			t.Fatalf("n=%d: %d overflow pages over %d buckets (level %d, split %d), want <= 1 %%",
 				n, st.OverflowPages, st.Buckets, st.Level, st.SplitPointer)
 		}
-		if sz, bound := fileSize(), int64(3*float64(n)*entrySize/trigger); sz > bound {
-			t.Fatalf("n=%d: file is %d bytes, want <= %d (3 x entries x %d / trigger)", n, sz, bound, entrySize)
+		if sz, bound := fileSize(), int64(3*float64(n)*PageSize/sweepFrom); sz > bound {
+			t.Fatalf("n=%d: file is %d bytes, want <= %d (3 x entries x %d / sweepFrom)", n, sz, bound, PageSize)
 		}
 	}
 	if err := db.Check(); err != nil {
 		t.Fatalf("Check: %v", err)
+	}
+}
+
+// TestSweepBoundsEveryBatch holds the split schedule to its bounds after every
+// PutBatch of a single pair, of a front's 1 024 and of a 32 768-pair destage
+// wave, through three doublings of a default table: no split while the batch
+// leaves the unsplit fill under sweepFrom, that fill at or under sweepTo,
+// chains of at most two pages, and never more buckets than the constant 0.45
+// load factor this schedule replaced would hold for the same entries.
+func TestSweepBoundsEveryBatch(t *testing.T) {
+	for _, size := range []int{1, 1024, 32768} {
+		t.Run(fmt.Sprintf("batch=%d", size), func(t *testing.T) {
+			opts := Options{}
+			if size == 1 {
+				opts.Buckets = 32 // the same sweeps in an eighth of the calls
+			}
+			db := newTestDB(t, opts)
+			base := db.Stats().BaseBuckets
+			// oldBuckets is what the 0.45 schedule would hold for e entries.
+			oldBuckets := func(e uint64) uint64 { return max(base, uint64(float64(e)/(sweepTo/2))+1) }
+			pairs := make([]Pair, size)
+			for n := 0; db.Stats().Level < 3; n += size {
+				for i := range pairs {
+					pairs[i] = Pair{FP: fp(uint64(n + i)), Val: Value(n + i)}
+				}
+				before := db.Stats()
+				if _, _, err := db.PutBatch(t.Context(), pairs); err != nil {
+					t.Fatalf("PutBatch at %d: %v", n, err)
+				}
+				st := db.Stats()
+				ahead := float64(before.Entries+uint64(size)) / float64(base<<before.Level)
+				switch {
+				case ahead < sweepFrom && st.Splits != before.Splits:
+					t.Fatalf("n=%d: %d splits at an unsplit fill of %.1f, under sweepFrom", n, st.Splits-before.Splits, ahead)
+				case st.UnsplitFill > sweepTo:
+					t.Fatalf("n=%d: unsplit fill %.1f above sweepTo %.1f", n, st.UnsplitFill, sweepTo)
+				case st.MaxChain > 2:
+					t.Fatalf("n=%d: a write walked a chain of %d pages", n, st.MaxChain)
+				case st.Buckets > oldBuckets(st.Entries):
+					t.Fatalf("n=%d: %d buckets for %d entries, the 0.45 schedule held %d", n, st.Buckets, st.Entries, oldBuckets(st.Entries))
+				}
+			}
+		})
 	}
 }
 
@@ -222,7 +264,8 @@ func TestGrowFromBaseUnderBatches(t *testing.T) {
 	if testing.Short() {
 		wantBuckets = 1000
 	}
-	per := int(float64(wantBuckets*SlotsPerPage)*splitLoadFactor)/writers + waveBatch
+	// wantBuckets × sweepFrom entries grow any table past wantBuckets.
+	per := int(float64(wantBuckets)*sweepFrom)/writers + waveBatch
 	ctx := t.Context()
 	var acked [writers]atomic.Int64 // keys [w<<32, w<<32+acked[w]) are stored, value = key
 	key := func(w, i int) uint64 { return uint64(w)<<32 | uint64(i) }
