@@ -147,7 +147,7 @@ func BenchmarkPlanPath(b *testing.B) {
 	for i := range backends {
 		n, err := core.NewNode(core.NodeConfig{
 			ID:            ring.NodeID(fmt.Sprintf("node-%02d", i)),
-			Store:         hashdb.NewMemStore(),
+			Store:         hashdb.CreateMem(nil, hashdb.Options{}),
 			CacheSize:     1 << 13,
 			BloomExpected: 1 << 16,
 		})

@@ -11,6 +11,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"shhc/internal/configdoc"
 )
@@ -71,6 +72,29 @@ func TestCIPatternsMatchTests(t *testing.T) {
 	}
 	if patterns == 0 {
 		t.Fatal("found no -run or -fuzz pattern in ci.yml")
+	}
+}
+
+// TestChangesEntryFits holds the newest CHANGES.md entry to the file's
+// rule: ≤ 25 lines of ≤ 120 columns, its FOUND and MENDED lines counted. An
+// entry runs from its "- PR n" line to the next one or the end.
+func TestChangesEntryFits(t *testing.T) {
+	src, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := strings.LastIndex(string(src), "\n- PR ")
+	if start < 0 {
+		t.Fatal("CHANGES.md has no \"- PR\" entry")
+	}
+	entry := strings.Split(strings.TrimRight(string(src[start+1:]), "\n"), "\n")
+	if len(entry) > 25 {
+		t.Errorf("the newest entry (%.40s…) is %d lines, want ≤ 25", entry[0], len(entry))
+	}
+	for i, l := range entry {
+		if n := utf8.RuneCountInString(l); n > 120 {
+			t.Errorf("line %d of the newest entry is %d columns, want ≤ 120", i+1, n)
+		}
 	}
 }
 

@@ -66,10 +66,7 @@ func run(args []string, stdout io.Writer) error {
 	if err := flags(&o, stdout).Parse(args); err != nil {
 		return err
 	}
-	var (
-		store hashdb.Store
-		table *hashdb.DB // the on-disk table, nil for the in-memory one
-	)
+	var table *hashdb.DB
 	if o.dir != "" {
 		if err := os.MkdirAll(o.dir, 0o755); err != nil {
 			return fmt.Errorf("create dir: %w", err)
@@ -99,33 +96,33 @@ func run(args []string, stdout io.Writer) error {
 			if err != nil {
 				return err
 			}
-			db, err := hashdb.OpenFile(f, path)
-			if err != nil {
+			if table, err = hashdb.OpenFile(f, path); err != nil {
 				return err
 			}
-			store, table = db, db
-			log.Printf("opened existing hash table %s (%d entries, %s)", path, db.Len(), kind)
+			log.Printf("opened existing hash table %s (%d entries, %s)", path, table.Len(), kind)
 		} else {
 			f, kind, err := open(os.O_RDWR | os.O_CREATE | os.O_EXCL)
 			if err != nil {
 				return err
 			}
-			db, err := hashdb.CreateFile(f, path, hashdb.Options{})
-			if err != nil {
+			if table, err = hashdb.CreateFile(f, path, hashdb.Options{}); err != nil {
 				return err
 			}
-			store, table = db, db
+			if err := hashdb.SyncDir(path); err != nil {
+				table.Close()
+				return fmt.Errorf("create %s: %w", path, err)
+			}
 			log.Printf("created hash table %s (%s)", path, kind)
 		}
 	} else {
-		store = hashdb.NewMemStore()
-		log.Printf("using in-memory hash table")
+		table = hashdb.CreateMem(nil, hashdb.Options{})
+		log.Printf("hash table in memory: the same table, not on disk")
 	}
 
 	journalPath := ""
 	if o.journal {
 		if !o.wb || o.dir == "" {
-			store.Close()
+			table.Close()
 			return fmt.Errorf("-journal requires -write-back and -dir")
 		}
 		journalPath = filepath.Join(o.dir, o.id+".wal")
@@ -134,13 +131,13 @@ func run(args []string, stdout io.Writer) error {
 
 	node, err := core.NewNode(core.NodeConfig{
 		ID:          ring.NodeID(o.id),
-		Store:       store,
+		Store:       table,
 		CacheSize:   o.cache,
 		WriteBack:   o.wb,
 		JournalPath: journalPath,
 	})
 	if err != nil {
-		store.Close()
+		table.Close()
 		return err
 	}
 
@@ -175,7 +172,7 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // observe is the node's HTTP side: /metrics renders core.NodeStats as
-// shhc_node_* and, over an on-disk table, hashdb.Stats as shhc_hashdb_*;
+// shhc_node_* and the table's hashdb.Stats as shhc_hashdb_*;
 // /readyz answers 200 while serving says so; pprof serves under
 // /debug/pprof/.
 func observe(node *core.Node, table *hashdb.DB, serving *atomic.Bool) *http.ServeMux {
@@ -185,7 +182,7 @@ func observe(node *core.Node, table *hashdb.DB, serving *atomic.Bool) *http.Serv
 		if err != nil {
 			return err
 		}
-		if err := metrics.WritePrometheus(w, "shhc_node", "", nil, []core.NodeStats{st}); err != nil || table == nil {
+		if err := metrics.WritePrometheus(w, "shhc_node", "", nil, []core.NodeStats{st}); err != nil {
 			return err
 		}
 		return metrics.WritePrometheus(w, "shhc_hashdb", "", nil, []hashdb.Stats{table.Stats()})

@@ -87,7 +87,7 @@ func ExampleCluster_Lookup_deadline() {
 	hdd := device.Model{Name: "hdd", ReadBase: 6 * time.Millisecond, WriteBase: 6 * time.Millisecond}
 	node, err := shhc.NewNodeForScaling(shhc.NodeConfig{
 		ID:        "node-00",
-		Store:     device.Slow(hashdb.NewMemStore(), hdd),
+		Store:     device.Slow(hashdb.CreateMem(nil, hashdb.Options{}), hdd),
 		CacheSize: 1, // 0 would select the default; one entry sends reads to the device
 	})
 	if err != nil {
@@ -180,7 +180,7 @@ func ExampleNewBackupClient() {
 func ExampleCluster_JoinNode() {
 	ctx := context.Background()
 	newNode := func(id string) shhc.Backend {
-		b, err := shhc.NewNodeForScaling(shhc.NodeConfig{ID: shhc.NodeID(id), Store: hashdb.NewMemStore(), CacheSize: 1 << 10})
+		b, err := shhc.NewNodeForScaling(shhc.NodeConfig{ID: shhc.NodeID(id), Store: hashdb.CreateMem(nil, hashdb.Options{}), CacheSize: 1 << 10})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -277,7 +277,7 @@ func ExampleDialNode() {
 	var backends []shhc.Backend
 	for i := range 3 {
 		id := shhc.NodeID(fmt.Sprintf("node-%02d", i))
-		srv, err := shhc.StartNodeServer("127.0.0.1:0", shhc.NodeConfig{ID: id, Store: hashdb.NewMemStore(), CacheSize: 1 << 12})
+		srv, err := shhc.StartNodeServer("127.0.0.1:0", shhc.NodeConfig{ID: id, Store: hashdb.CreateMem(nil, hashdb.Options{}), CacheSize: 1 << 12})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -31,7 +31,7 @@ func newPipeline(t *testing.T, nodes int) *pipeline {
 	for i := range backends {
 		node, err := core.NewNode(core.NodeConfig{
 			ID:            ring.NodeID(fmt.Sprintf("n%d", i)),
-			Store:         hashdb.NewMemStore(),
+			Store:         hashdb.CreateMem(nil, hashdb.Options{}),
 			CacheSize:     512,
 			BloomExpected: 100000,
 		})

@@ -30,7 +30,7 @@ func buildLocalCluster(n, cacheSize, expected int) (*core.Cluster, error) {
 	for i := 0; i < n; i++ {
 		node, err := core.NewNode(core.NodeConfig{
 			ID:            ring.NodeID(fmt.Sprintf("node-%02d", i)),
-			Store:         hashdb.NewMemStore(),
+			Store:         hashdb.CreateMem(nil, hashdb.Options{}),
 			CacheSize:     cacheSize,
 			BloomExpected: expected,
 		})
@@ -66,7 +66,7 @@ func buildTCPCluster(n, cacheSize, expected, connsPerNode int) (*tcpCluster, err
 		id := ring.NodeID(fmt.Sprintf("node-%02d", i))
 		node, err := core.NewNode(core.NodeConfig{
 			ID:            id,
-			Store:         hashdb.NewMemStore(),
+			Store:         hashdb.CreateMem(nil, hashdb.Options{}),
 			CacheSize:     cacheSize,
 			BloomExpected: expected,
 		})

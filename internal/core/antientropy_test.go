@@ -19,7 +19,7 @@ func TestAntiEntropyRestoresReplicationAfterJoin(t *testing.T) {
 	for i := range nodes {
 		node, err := NewNode(NodeConfig{
 			ID:            ring.NodeID(fmt.Sprintf("node-%d", i)),
-			Store:         hashdb.NewMemStore(),
+			Store:         hashdb.CreateMem(nil, hashdb.Options{}),
 			CacheSize:     512,
 			BloomExpected: 100000,
 		})
@@ -125,7 +125,7 @@ func TestAntiEntropyLoopHealsAfterMembershipChange(t *testing.T) {
 	for i := range nodes {
 		node, err := NewNode(NodeConfig{
 			ID:            ring.NodeID(fmt.Sprintf("node-%d", i)),
-			Store:         hashdb.NewMemStore(),
+			Store:         hashdb.CreateMem(nil, hashdb.Options{}),
 			CacheSize:     512,
 			BloomExpected: 100000,
 		})

@@ -16,14 +16,14 @@ import (
 // batch's context ends), so a test can hold a batch's SSD wave in the air
 // while other operations pile onto its flights. Point operations pass.
 type gatedBatchStore struct {
-	*hashdb.MemStore
+	*hashdb.DB
 	gate    chan struct{}
 	entered chan int // receives the key count of each GetBatch as it parks
 	probed  atomic.Int64
 }
 
 func newGatedBatchStore() *gatedBatchStore {
-	return &gatedBatchStore{MemStore: hashdb.NewMemStore(), gate: make(chan struct{}), entered: make(chan int, 8)}
+	return &gatedBatchStore{DB: hashdb.CreateMem(nil, hashdb.Options{}), gate: make(chan struct{}), entered: make(chan int, 8)}
 }
 
 func (g *gatedBatchStore) GetBatch(ctx context.Context, fps []fingerprint.Fingerprint) ([]hashdb.Value, []bool, error) {
@@ -34,12 +34,12 @@ func (g *gatedBatchStore) GetBatch(ctx context.Context, fps []fingerprint.Finger
 	case <-ctx.Done():
 		return nil, nil, ctx.Err()
 	}
-	return g.MemStore.GetBatch(ctx, fps)
+	return g.DB.GetBatch(ctx, fps)
 }
 
 func (g *gatedBatchStore) Get(fp fingerprint.Fingerprint) (hashdb.Value, bool, error) {
 	g.probed.Add(1)
-	return g.MemStore.Get(fp)
+	return g.DB.Get(fp)
 }
 
 // newSSDOnlyNode has no cache and no filter: every lookup reaches the SSD
@@ -166,10 +166,10 @@ func TestCancelledBatchRidersRerun(t *testing.T) {
 	if s.rs[0].Exists == r.rs[0].Exists {
 		t.Fatalf("riders answered %+v and %+v: exactly one must have inserted", s.rs[0], r.rs[0])
 	}
-	if v, ok, _ := store.MemStore.Get(shared); !ok || (v != 2 && v != 3) {
+	if v, ok, _ := store.DB.Get(shared); !ok || (v != 2 && v != 3) {
 		t.Fatalf("store holds %d,%v for the shared fingerprint, want a rider's value", v, ok)
 	}
-	if _, ok, _ := store.MemStore.Get(fp(7)); ok {
+	if _, ok, _ := store.DB.Get(fp(7)); ok {
 		t.Fatal("the cancelled batch's own fingerprint was inserted")
 	}
 	if got := interestIn(n, shared); got != 0 {

@@ -17,7 +17,7 @@ func benchNode(b *testing.B, cacheSize int, noBloom bool) *Node {
 	b.Helper()
 	n, err := NewNode(NodeConfig{
 		ID:            "bench",
-		Store:         hashdb.NewMemStore(),
+		Store:         hashdb.CreateMem(nil, hashdb.Options{}),
 		CacheSize:     cacheSize,
 		noBloom:       noBloom,
 		BloomExpected: 1 << 21,
@@ -256,7 +256,7 @@ func BenchmarkNodeLookupParallel(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			n, err := NewNode(NodeConfig{
 				ID:            "parallel",
-				Store:         hashdb.NewMemStore(),
+				Store:         hashdb.CreateMem(nil, hashdb.Options{}),
 				CacheSize:     1 << 16,
 				BloomExpected: 1 << 17,
 				stripes:       cfg.stripes,
@@ -312,7 +312,7 @@ func BenchmarkClusterRoutingOverhead(b *testing.B) {
 	for i := range backends {
 		n, err := NewNode(NodeConfig{
 			ID:            ring.NodeID(fmt.Sprintf("n%d", i)),
-			Store:         hashdb.NewMemStore(),
+			Store:         hashdb.CreateMem(nil, hashdb.Options{}),
 			CacheSize:     1 << 12,
 			BloomExpected: 1 << 20,
 		})

@@ -39,7 +39,7 @@ func TestCancelOwnerHandsFlightToRider(t *testing.T) {
 	store := newGatedBatchStore()
 	n := newSSDOnlyNode(t, store)
 	shared := fp(42)
-	if _, err := store.MemStore.Put(shared, 7); err != nil {
+	if _, err := store.DB.Put(shared, 7); err != nil {
 		t.Fatalf("seed store: %v", err)
 	}
 
@@ -121,7 +121,7 @@ func TestCancelRiderLeavesFlightIntact(t *testing.T) {
 	store := newGatedBatchStore()
 	n := newSSDOnlyNode(t, store)
 	fp := fingerprint.FromUint64(7)
-	if _, err := store.MemStore.Put(fp, 3); err != nil {
+	if _, err := store.DB.Put(fp, 3); err != nil {
 		t.Fatalf("seed store: %v", err)
 	}
 
@@ -166,7 +166,7 @@ func TestCancelRiderLeavesFlightIntact(t *testing.T) {
 // the store from being asked for further reads; the batch fails with the
 // context error and the node remains usable.
 func TestCancelBatchStopsDeviceReads(t *testing.T) {
-	store := device.Slow(hashdb.NewMemStore(), device.Model{Name: "slow", ReadBase: 20 * time.Millisecond})
+	store := device.Slow(hashdb.CreateMem(nil, hashdb.Options{}), device.Model{Name: "slow", ReadBase: 20 * time.Millisecond})
 	n, err := NewNode(NodeConfig{
 		ID:        ring.NodeID("batch-cancel"),
 		Store:     store,
@@ -210,7 +210,7 @@ func TestCancelBatchStopsDeviceReads(t *testing.T) {
 // failingPutStore fails every Put once armed, a batched one included; Gets
 // pass through.
 type failingPutStore struct {
-	*hashdb.MemStore
+	*hashdb.DB
 	failPuts atomic.Bool
 }
 
@@ -218,7 +218,7 @@ func (f *failingPutStore) Put(fp fingerprint.Fingerprint, v hashdb.Value) (bool,
 	if f.failPuts.Load() {
 		return false, errors.New("injected put failure")
 	}
-	return f.MemStore.Put(fp, v)
+	return f.DB.Put(fp, v)
 }
 
 func (f *failingPutStore) PutBatch(_ context.Context, pairs []hashdb.Pair) ([]bool, int, error) {
@@ -229,7 +229,7 @@ func (f *failingPutStore) PutBatch(_ context.Context, pairs []hashdb.Pair) ([]bo
 // failure parked by an eviction must surface on the next insert even when
 // that insert runs with a cancellable context.
 func TestCancelPathSurfacesDestageError(t *testing.T) {
-	fs := &failingPutStore{MemStore: hashdb.NewMemStore()}
+	fs := &failingPutStore{DB: hashdb.CreateMem(nil, hashdb.Options{})}
 	n, err := NewNode(NodeConfig{
 		ID:        ring.NodeID("wb"),
 		Store:     fs,
@@ -268,7 +268,7 @@ func TestCancelPathSurfacesDestageError(t *testing.T) {
 // all cancelled and checks the goroutine count returns to baseline: no
 // owner or rider may be left behind.
 func TestCancelStormNoGoroutineLeak(t *testing.T) {
-	store := device.Slow(hashdb.NewMemStore(), device.Model{Name: "slow", ReadBase: 2 * time.Millisecond})
+	store := device.Slow(hashdb.CreateMem(nil, hashdb.Options{}), device.Model{Name: "slow", ReadBase: 2 * time.Millisecond})
 	n, err := NewNode(NodeConfig{
 		ID:        ring.NodeID("storm"),
 		Store:     store,

@@ -74,16 +74,44 @@ type chaosEnv struct {
 	gate    sync.RWMutex
 	retired []*Node // nodes that left the ring, closed when the row ends
 
-	victim       *hashdb.Failpoint // kill-and-rebirth: the victim's store
-	victimMedium hashdb.Store      // and what survives it
+	victim     *simtest.FaultFile // kill-and-rebirth: the file under the victim's table
+	victimFile *hashdb.MemFile    // and what survives it
+
+	tablesMu sync.Mutex
+	tables   []*hashdb.DB // every table the row created, for its split count
 }
 
 func seedVal(i uint64) uint64 { return simtest.Val(i, 1) }
 
 func memNode(cache int) func(*chaosEnv, string) *Node {
 	return func(e *chaosEnv, id string) *Node {
-		return e.mustNode(NodeConfig{ID: ring.NodeID(id), Store: hashdb.NewMemStore(), CacheSize: cache, BloomExpected: 1 << 16})
+		return e.mustNode(NodeConfig{ID: ring.NodeID(id), Store: e.table(&hashdb.MemFile{}), CacheSize: cache, BloomExpected: 1 << 16})
 	}
+}
+
+// table creates a member's table on f, one bucket at the start, so that
+// every row's tables split while the workers run: the churn meets a table
+// that is growing.
+func (e *chaosEnv) table(f hashdb.File) *hashdb.DB {
+	db, err := hashdb.CreateFile(f, "", hashdb.Options{Buckets: 1})
+	if err != nil {
+		panic(fmt.Sprintf("hashdb.CreateFile: %v", err))
+	}
+	e.tablesMu.Lock()
+	defer e.tablesMu.Unlock()
+	e.tables = append(e.tables, db)
+	return db
+}
+
+// splits sums the splits of every table the row made.
+func (e *chaosEnv) splits() uint64 {
+	e.tablesMu.Lock()
+	defer e.tablesMu.Unlock()
+	var n uint64
+	for _, db := range e.tables {
+		n += db.Stats().Splits
+	}
+	return n
 }
 
 func (e *chaosEnv) mustNode(cfg NodeConfig) *Node {
@@ -316,6 +344,7 @@ func runChaos(t *testing.T, row chaosRow, seed int64) {
 		}
 	}
 	settle("seeding")
+	seeded := e.splits()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -347,6 +376,9 @@ func runChaos(t *testing.T, row chaosRow, seed int64) {
 	}()
 	if t.Failed() {
 		t.FailNow()
+	}
+	if e.splits() == seeded {
+		t.Fatalf("seed %d: no table split while the workers ran; the row never meets a growing table", seed)
 	}
 	// The row's own check runs first: the sweep below read-repairs replicas,
 	// which would cover for a heal the fault script was to do.
@@ -499,22 +531,22 @@ var ssd = device.Model{Name: "ssd", ReadBase: 60 * time.Microsecond, WriteBase: 
 func sleepNode(e *chaosEnv, id string) *Node {
 	return e.mustNode(NodeConfig{
 		ID:            ring.NodeID(id),
-		Store:         device.Slow(hashdb.NewMemStore(), ssd),
+		Store:         device.Slow(e.table(&hashdb.MemFile{}), ssd),
 		CacheSize:     64, // tiny: most lookups reach the SSD tier
 		BloomExpected: 1 << 14,
 		stripes:       4,
 	})
 }
 
-// memberStore is a member's store: node-2's can be killed and outlives the
-// kill.
+// memberStore is a member's table: node-2's is over a file that can be
+// killed, and what the file held outlives the kill.
 func (e *chaosEnv) memberStore(id string) hashdb.Store {
 	if id != "node-2" {
-		return hashdb.NewMemStore()
+		return e.table(&hashdb.MemFile{})
 	}
-	e.victimMedium = durableStore{hashdb.NewMemStore()}
-	e.victim = hashdb.NewFailpoint(e.victimMedium, math.MaxInt64, nil)
-	return e.victim
+	e.victimFile = &hashdb.MemFile{}
+	e.victim = simtest.NewFaultFile(e.victimFile, hashdb.PageSize, math.MaxInt64, 0)
+	return e.table(e.victim)
 }
 
 // wbNode is a journaled write-back node with small fast waves.
@@ -553,10 +585,10 @@ func (e *chaosEnv) flushMembers(t *testing.T) {
 	}
 }
 
-// rebirth kills node-2's store and swaps in reborn(medium, journal): the
-// node rebuilt from the store as the kill froze it and the journal as it
-// stood at that instant. With the gate held no call or churn round spans
-// the dead window.
+// rebirth kills node-2's table and swaps in reborn(table, journal): the
+// node rebuilt from the table as the kill froze it, recovered, and the
+// journal as it stood at that instant. With the gate held no call or churn
+// round spans the dead window.
 func (e *chaosEnv) rebirth(t *testing.T, reborn func(store hashdb.Store, journal string) *Node) {
 	e.gate.Lock()
 	defer e.gate.Unlock()
@@ -566,8 +598,8 @@ func (e *chaosEnv) rebirth(t *testing.T, reborn func(store hashdb.Store, journal
 		t.Fatal(err)
 	}
 	victim := e.nodes[2]
-	victim.Close() // error expected: the store is dead
-	e.nodes[2] = reborn(e.victimMedium, crashWAL(t, e.dir, snap))
+	victim.Close() // error expected: the table is dead
+	e.nodes[2] = reborn(reopen(t, e.victimFile), crashWAL(t, e.dir, snap))
 	if err := e.c.removeNode(victim.ID()); err != nil {
 		t.Fatalf("removeNode: %v", err)
 	}
@@ -619,12 +651,12 @@ func killTargetAfterDrain(t *testing.T, e *chaosEnv) {
 // fileNode is a journaled write-back node over a file-backed table in the
 // row's directory.
 func fileNode(e *chaosEnv, id string) *Node {
-	db, err := hashdb.Create(filepath.Join(e.dir, id+".shdb"), hashdb.Options{})
+	f, err := os.OpenFile(filepath.Join(e.dir, id+".shdb"), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
-		panic(fmt.Sprintf("hashdb.Create(%s): %v", id, err))
+		panic(fmt.Sprintf("create %s: %v", id, err))
 	}
 	return e.mustNode(NodeConfig{
-		ID: ring.NodeID(id), Store: db, CacheSize: 64, BloomExpected: 1 << 12,
+		ID: ring.NodeID(id), Store: e.table(f), CacheSize: 64, BloomExpected: 1 << 12,
 		WriteBack: true, JournalPath: filepath.Join(e.dir, id+".wal"),
 		destageBatch: 8, destageInterval: 200 * time.Microsecond, destageQueue: 32,
 	})

@@ -8,6 +8,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -25,27 +26,23 @@ const (
 // heldStore parks every batched write between entered and release, so a
 // test can act while a wave is in flight.
 type heldStore struct {
-	*hashdb.MemStore
-	entered chan int // receives the size of each PutBatch as it arrives
+	*hashdb.DB
+	file    *hashdb.MemFile // what the table leaves for a restarted node
+	entered chan int        // receives the size of each PutBatch as it arrives
 	release chan struct{}
 }
 
 func newHeldStore() *heldStore {
+	f := &hashdb.MemFile{}
 	// entered is buffered for more waves than any test below starts.
-	return &heldStore{MemStore: hashdb.NewMemStore(), entered: make(chan int, 64), release: make(chan struct{})}
+	return &heldStore{DB: hashdb.CreateMem(f, hashdb.Options{}), file: f, entered: make(chan int, 64), release: make(chan struct{})}
 }
 
 func (h *heldStore) PutBatch(ctx context.Context, pairs []hashdb.Pair) ([]bool, int, error) {
 	h.entered <- len(pairs)
 	<-h.release
-	return h.MemStore.PutBatch(ctx, pairs)
+	return h.DB.PutBatch(ctx, pairs)
 }
-
-// durableStore survives its node: Close is the process exiting, and the
-// next node opens on what the medium holds.
-type durableStore struct{ *hashdb.MemStore }
-
-func (durableStore) Close() error { return nil }
 
 func cleanAheadNode(t *testing.T, store hashdb.Store, journalPath string) *Node {
 	t.Helper()
@@ -93,7 +90,7 @@ func journalFileSize(t *testing.T, path string) int64 {
 // nothing for the insert's barrier to wait for — and are still found.
 func TestCleanAheadEvictsWithoutJournal(t *testing.T) {
 	jpath := filepath.Join(t.TempDir(), "node.wal")
-	store := hashdb.NewMemStore()
+	store := hashdb.CreateMem(nil, hashdb.Options{})
 	n := cleanAheadNode(t, store, jpath)
 	defer n.Close()
 
@@ -152,7 +149,7 @@ func TestCleanAheadRedirtyMidWaveStaysDirty(t *testing.T) {
 	}
 	store.release <- struct{}{}
 	waitUntil(t, "the wave cleaned everything but the re-dirtied entry", func() bool { return n.cache.DirtyLen() == 1 })
-	if v, ok, _ := store.MemStore.Get(fp(victim)); !ok || v != victim+1 {
+	if v, ok, _ := store.DB.Get(fp(victim)); !ok || v != victim+1 {
 		t.Fatalf("store holds (%v, %v) for the re-dirtied entry, want the wave's old value %d", v, ok, victim+1)
 	}
 	if r, err := n.Lookup(context.Background(), fp(victim)); err != nil || r.Value != newVal || r.Source != SourceCache {
@@ -163,7 +160,7 @@ func TestCleanAheadRedirtyMidWaveStaysDirty(t *testing.T) {
 	if err := n.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	if v, ok, _ := store.MemStore.Get(fp(victim)); !ok || v != newVal {
+	if v, ok, _ := store.DB.Get(fp(victim)); !ok || v != newVal {
 		t.Fatalf("store holds (%v, %v) after Flush, want the new value %d", v, ok, newVal)
 	}
 	if d := n.cache.DirtyLen(); d != 0 {
@@ -202,7 +199,7 @@ func TestCleanAheadRemoveWaitsOutTheWave(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Remove still blocked after the wave landed")
 	}
-	if _, ok, _ := store.MemStore.Get(fp(victim)); ok {
+	if _, ok, _ := store.DB.Get(fp(victim)); ok {
 		t.Fatal("the wave's write landed after the delete: removed entry resurrected in the store")
 	}
 	if err := n.Flush(); err != nil {
@@ -211,8 +208,8 @@ func TestCleanAheadRemoveWaitsOutTheWave(t *testing.T) {
 	if r, err := n.Lookup(context.Background(), fp(victim)); err != nil || r.Exists {
 		t.Fatalf("Lookup of the removed entry = (%+v, %v), want absent", r, err)
 	}
-	if store.MemStore.Len() != caWave-1 {
-		t.Fatalf("store holds %d entries, want %d", store.MemStore.Len(), caWave-1)
+	if store.DB.Len() != caWave-1 {
+		t.Fatalf("store holds %d entries, want %d", store.DB.Len(), caWave-1)
 	}
 }
 
@@ -238,8 +235,8 @@ func TestCleanAheadStalledFallsBackToJournal(t *testing.T) {
 	if st.Destage.QueueDepth != evictions {
 		t.Fatalf("dirty buffer holds %d entries, want the %d evictions", st.Destage.QueueDepth, evictions)
 	}
-	if store.MemStore.Len() != 0 {
-		t.Fatalf("store holds %d entries while stalled, want 0", store.MemStore.Len())
+	if store.DB.Len() != 0 {
+		t.Fatalf("store holds %d entries while stalled, want 0", store.DB.Len())
 	}
 	for i := uint64(0); i < caCache+evictions; i++ {
 		r, err := n.Lookup(context.Background(), fp(i))
@@ -253,7 +250,7 @@ func TestCleanAheadStalledFallsBackToJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reborn := cleanAheadNode(t, hashdb.NewMemStore(), crashWAL(t, dir, snap))
+	reborn := cleanAheadNode(t, hashdb.CreateMem(nil, hashdb.Options{}), crashWAL(t, dir, snap))
 	rst, err := reborn.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -274,8 +271,8 @@ func TestCleanAheadStalledFallsBackToJournal(t *testing.T) {
 	if err := n.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	if store.MemStore.Len() != caCache+evictions {
-		t.Fatalf("store holds %d entries after Flush, want %d", store.MemStore.Len(), caCache+evictions)
+	if store.DB.Len() != caCache+evictions {
+		t.Fatalf("store holds %d entries after Flush, want %d", store.DB.Len(), caCache+evictions)
 	}
 	if size := journalFileSize(t, jpath); size != journalHdrSize {
 		t.Fatalf("journal is %d bytes after Flush, want its %d-byte header", size, journalHdrSize)
@@ -287,10 +284,13 @@ func TestCleanAheadStalledFallsBackToJournal(t *testing.T) {
 	if size := journalFileSize(t, jpath); size != journalHdrSize {
 		t.Fatalf("journal is %d bytes after Close, want its %d-byte header", size, journalHdrSize)
 	}
-	again := cleanAheadNode(t, store.MemStore, jpath)
+	again := cleanAheadNode(t, reopen(t, store.file), jpath)
 	defer again.Close()
 	if ast, _ := again.Stats(context.Background()); ast.Recovery.JournalReplayed != 0 {
 		t.Fatalf("clean shutdown left %d journal records to replay", ast.Recovery.JournalReplayed)
+	}
+	if r, err := again.LookupOrInsert(context.Background(), fp(0), 7); err != nil || !r.Exists || r.Value != 1 {
+		t.Fatalf("a key flushed before the close = (%+v, %v) after the restart, want the duplicate of value 1", r, err)
 	}
 }
 
@@ -302,9 +302,10 @@ func TestCleanAheadStalledFallsBackToJournal(t *testing.T) {
 func TestJournalSurvivesManyWavesUntruncated(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "node.wal")
-	inner := durableStore{hashdb.NewMemStore()}
-	killable := hashdb.NewFailpoint(inner, 1<<62, nil)
-	cfg := crashNodeConfig(killable, jpath)
+	f := &hashdb.MemFile{}
+	hashdb.CreateMem(f, hashdb.Options{}).Close()
+	db, killable := faultTable(t, f, math.MaxInt64, 0)
+	cfg := crashNodeConfig(db, jpath)
 	// Waves fire on the four-entry batch; the interval only has to keep the
 	// quiet-node truncation (a hundred of them) out of a slow test run.
 	cfg.destageInterval = time.Second
@@ -335,7 +336,7 @@ func TestJournalSurvivesManyWavesUntruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Close() // error expected: the store is dead
+	n.Close() // error expected: the table is dead
 	if len(snap) <= journalHdrSize+100*journalRecSize {
 		t.Fatalf("journal snapshot is only %d bytes: waves are still truncating it", len(snap))
 	}
@@ -343,7 +344,8 @@ func TestJournalSurvivesManyWavesUntruncated(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		// The same snapshot twice: the second replay lands on a store that
 		// has absorbed every record already.
-		reborn, err := NewNode(crashNodeConfig(inner, crashWAL(t, dir, snap)))
+		db = reopen(t, f)
+		reborn, err := NewNode(crashNodeConfig(db, crashWAL(t, dir, snap)))
 		if err != nil {
 			t.Fatalf("round %d: NewNode after crash: %v", round, err)
 		}
@@ -361,8 +363,8 @@ func TestJournalSurvivesManyWavesUntruncated(t *testing.T) {
 			t.Fatalf("round %d: Close: %v", round, err)
 		}
 	}
-	if inner.Len() > inserts {
-		t.Fatalf("store holds %d entries after two replays of %d inserts", inner.Len(), inserts)
+	if db.Len() > inserts {
+		t.Fatalf("store holds %d entries after two replays of %d inserts", db.Len(), inserts)
 	}
 }
 
@@ -373,7 +375,8 @@ func TestJournalSurvivesManyWavesUntruncated(t *testing.T) {
 func TestCleanAheadJournalsOverAStaleRecord(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "node.wal")
-	store := durableStore{hashdb.NewMemStore()}
+	f := &hashdb.MemFile{}
+	store := hashdb.CreateMem(f, hashdb.Options{})
 	n := cleanAheadNode(t, store, jpath)
 
 	target := fingerprint.FromUint64(1 << 40)
@@ -404,7 +407,7 @@ func TestCleanAheadJournalsOverAStaleRecord(t *testing.T) {
 	n.Close()
 
 	// Rebirth on the store as the crash left it: the re-insert is in it.
-	reborn := cleanAheadNode(t, store, crashWAL(t, dir, snap))
+	reborn := cleanAheadNode(t, reopen(t, f), crashWAL(t, dir, snap))
 	defer reborn.Close()
 	if r, err := reborn.Lookup(context.Background(), target); err != nil || !r.Exists || r.Value != 2 {
 		t.Fatalf("Lookup after replay = (%+v, %v), want the re-inserted value 2 (the stale tombstone won)", r, err)

@@ -18,7 +18,7 @@ func newTestCluster(t *testing.T, n int, cfg ClusterConfig) *Cluster {
 	for i := 0; i < n; i++ {
 		node, err := NewNode(NodeConfig{
 			ID:            ring.NodeID(fmt.Sprintf("node-%d", i)),
-			Store:         hashdb.NewMemStore(),
+			Store:         hashdb.CreateMem(nil, hashdb.Options{}),
 			CacheSize:     256,
 			BloomExpected: 100000,
 		})
@@ -39,8 +39,8 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := NewCluster(ClusterConfig{}); err == nil {
 		t.Fatal("empty cluster accepted")
 	}
-	n1, _ := NewNode(NodeConfig{ID: "dup", Store: hashdb.NewMemStore()})
-	n2, _ := NewNode(NodeConfig{ID: "dup", Store: hashdb.NewMemStore()})
+	n1, _ := NewNode(NodeConfig{ID: "dup", Store: hashdb.CreateMem(nil, hashdb.Options{})})
+	n2, _ := NewNode(NodeConfig{ID: "dup", Store: hashdb.CreateMem(nil, hashdb.Options{})})
 	if _, err := NewCluster(ClusterConfig{}, n1, n2); err == nil {
 		t.Fatal("duplicate backend IDs accepted")
 	}
@@ -254,7 +254,7 @@ func TestReplicationFailover(t *testing.T) {
 	for i := range backends {
 		node, err := NewNode(NodeConfig{
 			ID:            ring.NodeID(fmt.Sprintf("node-%d", i)),
-			Store:         hashdb.NewMemStore(),
+			Store:         hashdb.CreateMem(nil, hashdb.Options{}),
 			CacheSize:     64,
 			BloomExpected: 10000,
 		})
@@ -307,7 +307,7 @@ func TestNoReplicationLosesDataOnFailure(t *testing.T) {
 	// its fingerprints unavailable (errors), proving the replication
 	// extension is what provides the tolerance.
 	flaky := &flakyBackend{}
-	node, err := NewNode(NodeConfig{ID: "only", Store: hashdb.NewMemStore(), CacheSize: 8})
+	node, err := NewNode(NodeConfig{ID: "only", Store: hashdb.CreateMem(nil, hashdb.Options{}), CacheSize: 8})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}
@@ -374,7 +374,7 @@ func (c *Cluster) routingFor(fp fingerprint.Fingerprint) ([]Backend, error) {
 
 func TestAddRemoveNode(t *testing.T) {
 	c := newTestCluster(t, 2, ClusterConfig{})
-	extra, err := NewNode(NodeConfig{ID: "node-extra", Store: hashdb.NewMemStore(), CacheSize: 8})
+	extra, err := NewNode(NodeConfig{ID: "node-extra", Store: hashdb.CreateMem(nil, hashdb.Options{}), CacheSize: 8})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}

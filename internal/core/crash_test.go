@@ -1,9 +1,10 @@
 package core
 
 // The node-level kill-point sweeps. A write-back node with a journal runs a
-// schedule over a store that dies at its Nth entry write (hashdb.Failpoint);
-// the node is then rebuilt from exactly what a dead process leaves — the
-// store as the kill froze it and the journal as it was at that instant — and
+// schedule over a table whose file dies at its Nth page write
+// (simtest.FaultFile); the node is then rebuilt from exactly what a dead
+// process leaves — the table as the kill froze it and the journal as it was
+// at that instant — and
 // what the reborn node serves is held to the contract model (internal/simtest,
 // ARCHITECTURE "Safety contract"). The only excuse is the write-back window:
 // the cache (one exact-LRU stripe of crashCache entries) acks inserts from
@@ -142,119 +143,172 @@ func crashWAL(t *testing.T, dir string, snap []byte) string {
 	return path
 }
 
-// nodeSweep sweeps sched over a crash node shaped by shape, whose store is in
-// memory or, onDisk, a hashdb table whose reopen runs hashdb recovery under
-// the journal replay.
-func nodeSweep(sched simtest.Schedule, onDisk bool, shape func(NodeConfig) NodeConfig) simtest.Sweep {
-	return simtest.Sweep{
-		Probe: func(t *testing.T) int64 {
-			dir := t.TempDir()
-			probe := hashdb.NewFailpoint(crashStore(t, dir, onDisk), math.MaxInt64, nil)
-			n, err := NewNode(shape(crashNodeConfig(probe, filepath.Join(dir, "node.wal"))))
-			if err != nil {
-				t.Fatalf("probe NewNode: %v", err)
-			}
-			if err := sched.Run(nodeTarget{n}, simtest.NewModel()); err != nil {
-				t.Fatalf("probe schedule: %v", err)
-			}
-			if err := n.Close(); err != nil {
-				t.Fatalf("probe Close: %v", err)
-			}
-			return probe.Writes()
-		},
-		Kill: func(t *testing.T, kill int64, _ int) { nodeKill(t, sched, onDisk, shape, kill) },
+// crashBuckets and ballast shape a crash node's table: it starts with the
+// ballast in crashBuckets buckets, crashInserts/2 entries short of the one
+// that starts its first split, so the schedule's inserts split it and a
+// wave lands about one page a key.
+const crashBuckets = 8
+
+// ballast is the pairs a crash node's table starts with, keys from 1<<20
+// that no schedule touches: those a table of crashBuckets takes, one Put at
+// a time, before it splits, less crashInserts/2.
+var ballast = func() []hashdb.Pair {
+	db := hashdb.CreateMem(nil, hashdb.Options{Buckets: crashBuckets})
+	defer db.Close()
+	var pairs []hashdb.Pair
+	for k := uint64(1 << 20); db.Stats().Splits == 0; k++ {
+		p := hashdb.Pair{FP: fingerprint.FromUint64(k), Val: hashdb.Value(simtest.Val(k, 1))}
+		if _, err := db.Put(p.FP, p.Val); err != nil {
+			panic(err)
+		}
+		pairs = append(pairs, p)
+	}
+	return pairs[:len(pairs)-crashInserts/2]
+}()
+
+// crashTable is a crash node's table as it starts, ballast stored, on a
+// new MemFile.
+func crashTable() *hashdb.MemFile {
+	f := &hashdb.MemFile{}
+	db := hashdb.CreateMem(f, hashdb.Options{Buckets: crashBuckets})
+	if _, _, err := db.PutBatch(context.Background(), ballast); err != nil {
+		panic(err)
+	}
+	db.Close()
+	return f
+}
+
+// checkBallast holds a reborn crash node's table to its ballast, which no
+// schedule touches: every pair is there with its value, unless a page tore.
+func checkBallast(t *testing.T, db *hashdb.DB, torn bool) {
+	t.Helper()
+	fps := make([]fingerprint.Fingerprint, len(ballast))
+	for i, p := range ballast {
+		fps[i] = p.FP
+	}
+	vals, found, err := db.GetBatch(context.Background(), fps)
+	if err != nil {
+		t.Fatalf("reading the ballast back: %v", err)
+	}
+	for i, p := range ballast {
+		if found[i] && vals[i] != p.Val || !found[i] && !torn {
+			t.Fatalf("ballast %s = (%d, %v) after recovery, want %d (recovery %+v)", p.FP.Short(), vals[i], found[i], p.Val, db.Recovery())
+		}
 	}
 }
 
-// crashStore is the medium a crash node writes to. The in-memory one
-// survives the node's Close: a wave may write an entry twice (copied for
-// clean-ahead, then evicted dirty mid-wave), so a run can finish in fewer
-// writes than its probe counted and then closes cleanly before its rebirth.
-func crashStore(t *testing.T, dir string, onDisk bool) hashdb.Store {
-	if !onDisk {
-		return durableStore{hashdb.NewMemStore()}
-	}
-	db, err := hashdb.Create(filepath.Join(dir, "node.shdb"), hashdb.Options{Buckets: 4})
+// reopen opens the table a node left on f, as its process restarting would:
+// recovered, if the node died.
+func reopen(t *testing.T, f *hashdb.MemFile) *hashdb.DB {
+	t.Helper()
+	db, err := hashdb.OpenFile(f, "")
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("reopening the table: %v", err)
 	}
 	return db
 }
 
-func nodeKill(t *testing.T, sched simtest.Schedule, onDisk bool, shape func(NodeConfig) NodeConfig, kill int64) {
+// faultTable opens the table on f over a file that dies at its kill-th page
+// write, tear bytes of that page landing; math.MaxInt64 dies only at Kill.
+// What f holds outlives the death.
+func faultTable(t *testing.T, f *hashdb.MemFile, kill int64, tear int) (*hashdb.DB, *simtest.FaultFile) {
+	t.Helper()
+	ff := simtest.NewFaultFile(f, hashdb.PageSize, kill, tear)
+	db, err := hashdb.OpenFile(ff, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, ff
+}
+
+// nodeSweep sweeps sched over a crash node shaped by shape, whose table dies
+// at a page write with tear bytes of that page landing; the probe, a run no
+// kill reaches, checks that the schedule splits the table.
+func nodeSweep(sched simtest.Schedule, shape func(NodeConfig) NodeConfig) simtest.Sweep {
+	return simtest.Sweep{
+		Probe: func(t *testing.T) int64 {
+			writes, splits := nodeKill(t, sched, shape, math.MaxInt64, 0)
+			if splits == 0 {
+				t.Fatal("the schedule never split the table")
+			}
+			return writes
+		},
+		Kill: func(t *testing.T, kill int64, tear int) { nodeKill(t, sched, shape, kill, tear) },
+	}
+}
+
+// nodeKill runs sched on a crash node whose table dies at its kill-th page
+// write, then rebuilds the node from exactly what a dead process leaves: the
+// table as the kill froze it and the journal as it was at that instant. It
+// returns the pages the run wrote and the splits its table made.
+func nodeKill(t *testing.T, sched simtest.Schedule, shape func(NodeConfig) NodeConfig, kill int64, tear int) (writes int64, splits uint64) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "node.wal")
-	inner := crashStore(t, dir, onDisk)
-	m := simtest.NewModel()
+	m, f := simtest.NewModel(), crashTable()
+	db, ff := faultTable(t, f, kill, tear)
 	var snap []byte
-	store := hashdb.NewFailpoint(inner, kill, func() {
+	ff.OnKill = func() {
 		m.Crash()
 		snap, _ = os.ReadFile(jpath)
-	})
-	n, err := NewNode(shape(crashNodeConfig(store, jpath)))
+	}
+	n, err := NewNode(shape(crashNodeConfig(db, jpath)))
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}
-	if err := sched.Run(nodeTarget{n}, m); err != nil && !errors.Is(err, hashdb.ErrKilled) {
+	if err := sched.Run(nodeTarget{n}, m); err != nil && !errors.Is(err, simtest.ErrKilled) {
 		t.Fatalf("schedule failed with a non-kill error: %v", err)
 	}
-	n.Close() // tears down goroutines; errors expected after a kill
+	if err := n.Close(); err != nil && !ff.Killed() {
+		t.Fatalf("Close: %v", err)
+	}
 
 	var ex simtest.Excuse
-	if store.Killed() {
+	if ff.Killed() {
 		if snap == nil {
 			t.Fatal("no journal snapshot captured at the kill")
 		}
 		jpath, ex.Window = crashWAL(t, dir, snap), crashCache
-		if db, ok := inner.(*hashdb.DB); ok {
-			// The process died: the table was never closed cleanly.
-			if err := db.CloseWithoutSync(); err != nil {
-				t.Fatalf("CloseWithoutSync: %v", err)
-			}
-		}
 	}
-	if onDisk {
-		if inner, err = hashdb.Open(filepath.Join(dir, "node.shdb")); err != nil {
-			t.Fatalf("hashdb.Open after the crash: %v", err)
-		}
-	}
-	n2, err := NewNode(crashNodeConfig(inner, jpath))
+	reborn := reopen(t, f)
+	ex.Torn = reborn.Recovery().TornPages > 0
+	n2, err := NewNode(crashNodeConfig(reborn, jpath))
 	if err != nil {
 		t.Fatalf("NewNode after the crash: %v", err)
 	}
 	defer n2.Close()
 	if err := m.Check(lookupVia(n2), ex); err != nil {
-		t.Fatal(err)
+		t.Fatalf("%v (recovery %+v)", err, reborn.Recovery())
 	}
+	checkBallast(t, reborn, ex.Torn)
+	return ff.Writes(), db.Stats().Splits
 }
 
 func TestCrashEveryKillPointRecoversAckedEvictions(t *testing.T) {
 	sweepDestagers(t, func(shape func(NodeConfig) NodeConfig) simtest.Sweep {
-		sw := nodeSweep(crashOps, false, shape)
-		sw.Floor = crashInserts / 2
+		sw := nodeSweep(crashOps, shape)
+		sw.Floor, sw.Through = crashInserts/2, crashInserts
 		return sw
 	})
 }
 
-// TestCrashKillPointsOnDiskStore runs the sweep over an on-disk table, so the
-// reopen is hashdb recovery plus journal replay stacked. Every third point
-// keeps the file churn affordable; the in-memory sweep covers every point.
-// Over a table a run issues a few writes more than it inserts keys, how many
-// depending on how the destager's waves interleave the inserts, so the sweep
-// reaches past crashInserts whatever one probe counted; a point the run
-// never reaches is a clean close and reopen.
+// TestCrashKillPointsOnDiskStore tears the killing page, at every third
+// point: the reopen is hashdb recovery quarantining a torn page, then journal
+// replay over what is left, and a lost acked key is excused only by the torn
+// page. How many pages a run writes depends on how the destager's waves
+// interleave the inserts, so both sweeps reach a fixed point whatever one
+// probe counted; a point the run never reaches is a clean close and reopen.
 func TestCrashKillPointsOnDiskStore(t *testing.T) {
 	sweepDestagers(t, func(shape func(NodeConfig) NodeConfig) simtest.Sweep {
-		sw := nodeSweep(crashOps, true, shape)
-		sw.Step, sw.Through = 3, crashInserts+crashCache/2
+		sw := nodeSweep(crashOps, shape)
+		sw.Step, sw.Through, sw.Tears = 3, crashInserts+crashCache, []int{0, hashdb.PageSize / 2}
 		return sw
 	})
 }
 
-// FuzzNodeCrashSchedule composes crash × destage wave × hashdb recovery ×
-// journal replay: a schedule generated from seed runs on a crash node over an
-// on-disk table that dies at its kill-th entry write. The seed corpus runs
-// with the tests.
+// FuzzNodeCrashSchedule composes crash × destage wave × split × hashdb
+// recovery × journal replay: a schedule generated from seed runs on a crash
+// node whose table dies at its kill-th page write. The seed corpus runs with
+// the tests.
 func FuzzNodeCrashSchedule(f *testing.F) {
 	f.Add(int64(1), uint16(5))
 	f.Add(int64(2), uint16(40))
@@ -262,7 +316,7 @@ func FuzzNodeCrashSchedule(f *testing.F) {
 	f.Add(int64(4), uint16(150))
 	f.Add(int64(5), uint16(1000))
 	f.Fuzz(func(t *testing.T, seed int64, kill uint16) {
-		nodeKill(t, insertsOnly(simtest.Generate(seed, 200, 25)), true, backlogged, int64(kill)+1)
+		nodeKill(t, insertsOnly(simtest.Generate(seed, 200, 25)), backlogged, int64(kill)+1, 0)
 	})
 }
 
@@ -310,7 +364,7 @@ func TestReplicatedCrashKillOwnerAtEveryWrite(t *testing.T) {
 	fps := replCrashFPs(t)
 	// run inserts every key, acking those whose insert returned: after the
 	// kill a failed insert is simply not acked.
-	run := func(t *testing.T, store hashdb.Store) (*Cluster, *Node, *simtest.Model) {
+	run := func(t *testing.T, store *hashdb.DB) (*Cluster, *Node, *simtest.Model) {
 		c, b := buildReplicatedPair(t, store, filepath.Join(t.TempDir(), "node.wal"))
 		m := simtest.NewModel()
 		for i, f := range fps {
@@ -326,13 +380,17 @@ func TestReplicatedCrashKillOwnerAtEveryWrite(t *testing.T) {
 		Floor:   crashInserts / 2,
 		Through: crashInserts + crashCache/2,
 		Probe: func(t *testing.T) int64 {
-			probe := hashdb.NewFailpoint(hashdb.NewMemStore(), math.MaxInt64, nil)
-			c, _, _ := run(t, probe)
-			c.Close() // flushes the owner's destage tail through the probe store
+			db, probe := faultTable(t, crashTable(), math.MaxInt64, 0)
+			c, _, _ := run(t, db)
+			c.Close() // flushes the owner's destage tail through the probe file
+			if db.Stats().Splits == 0 {
+				t.Fatal("the inserts never split the owner's table")
+			}
 			return probe.Writes()
 		},
 		Kill: func(t *testing.T, kill int64, _ int) {
-			c, b, m := run(t, hashdb.NewFailpoint(hashdb.NewMemStore(), kill, nil))
+			db, _ := faultTable(t, crashTable(), kill, 0)
+			c, b, m := run(t, db)
 			defer c.Close() // errors expected after a kill
 			if err := m.Check(lookupVia(b), simtest.Excuse{}); err != nil {
 				t.Fatalf("survivor: %v", err)
@@ -372,7 +430,7 @@ func buildReplicatedPair(t *testing.T, storeA hashdb.Store, journalA string) (*C
 	}
 	b, err := NewNode(NodeConfig{
 		ID:            ring.NodeID("node-1"),
-		Store:         hashdb.NewMemStore(),
+		Store:         hashdb.CreateMem(nil, hashdb.Options{}),
 		CacheSize:     256,
 		BloomExpected: 1 << 12,
 	})

@@ -41,7 +41,7 @@ func onBackgroundLane(ctx context.Context) bool {
 
 // laneStore records the lane of every batched write.
 type laneStore struct {
-	*hashdb.MemStore
+	*hashdb.DB
 	mu         sync.Mutex
 	background []bool
 	// entered and release, when set, park each PutBatch between them;
@@ -62,7 +62,7 @@ func (s *laneStore) PutBatch(ctx context.Context, pairs []hashdb.Pair) ([]bool, 
 		s.released = append(s.released, onBackgroundLane(ctx))
 		s.mu.Unlock()
 	}
-	return s.MemStore.PutBatch(ctx, pairs)
+	return s.DB.PutBatch(ctx, pairs)
 }
 
 func (s *laneStore) lanesAtRelease() []bool {
@@ -79,7 +79,7 @@ func (s *laneStore) lanes() []bool {
 
 func TestDestageWaveLanes(t *testing.T) {
 	t.Run("threshold, then Flush, then Close", func(t *testing.T) {
-		store := &laneStore{MemStore: hashdb.NewMemStore()}
+		store := &laneStore{DB: hashdb.CreateMem(nil, hashdb.Options{})}
 		n := cleanAheadNode(t, store, "")
 		insertRange(t, n, 0, caWave)
 		waitUntil(t, "the threshold wave cleaned its entries", func() bool { return n.cache.DirtyLen() == 0 })
@@ -97,7 +97,7 @@ func TestDestageWaveLanes(t *testing.T) {
 	})
 
 	t.Run("interval", func(t *testing.T) {
-		store := &laneStore{MemStore: hashdb.NewMemStore()}
+		store := &laneStore{DB: hashdb.CreateMem(nil, hashdb.Options{})}
 		n := newMemNode(t, NodeConfig{
 			Store: store, CacheSize: 8, WriteBack: true,
 			destageBatch: 1 << 20, destageQueue: 1 << 20, destageInterval: time.Millisecond,
@@ -113,7 +113,7 @@ func TestDestageWaveLanes(t *testing.T) {
 		old := journalCheckpointBytes
 		journalCheckpointBytes = 1024
 		defer func() { journalCheckpointBytes = old }()
-		store := &laneStore{MemStore: hashdb.NewMemStore()}
+		store := &laneStore{DB: hashdb.CreateMem(nil, hashdb.Options{})}
 		// Neither threshold nor interval can fire: only the checkpoint does.
 		n := stalledJournalNode(t, store, filepath.Join(t.TempDir(), "node.wal"), 8)
 		defer n.Close()
@@ -125,7 +125,7 @@ func TestDestageWaveLanes(t *testing.T) {
 	})
 
 	t.Run("full buffer", func(t *testing.T) {
-		store := &laneStore{MemStore: hashdb.NewMemStore(), entered: make(chan struct{}, 64), release: make(chan struct{})}
+		store := &laneStore{DB: hashdb.CreateMem(nil, hashdb.Options{}), entered: make(chan struct{}, 64), release: make(chan struct{})}
 		n := newMemNode(t, NodeConfig{
 			Store: store, CacheSize: 8, WriteBack: true,
 			destageBatch: 4, destageQueue: 4, destageInterval: time.Hour,
@@ -165,7 +165,7 @@ func TestDestageWaveLanes(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			store := &laneStore{MemStore: hashdb.NewMemStore(), entered: make(chan struct{}, 64), release: make(chan struct{})}
+			store := &laneStore{DB: hashdb.CreateMem(nil, hashdb.Options{}), entered: make(chan struct{}, 64), release: make(chan struct{})}
 			n := newMemNode(t, NodeConfig{
 				Store: store, CacheSize: 8, WriteBack: true,
 				destageBatch: 4, destageQueue: 4, destageInterval: time.Hour,

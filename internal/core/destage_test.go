@@ -65,7 +65,7 @@ func TestDestageDurabilityCloseReopen(t *testing.T) {
 // TestDestageDurabilityFlush checks Flush (the node's Sync) drains the
 // destage buffer fully: after it returns, every entry is in the store.
 func TestDestageDurabilityFlush(t *testing.T) {
-	store := hashdb.NewMemStore()
+	store := hashdb.CreateMem(nil, hashdb.Options{})
 	n := newMemNode(t, NodeConfig{
 		Store:         store,
 		CacheSize:     32,
@@ -115,13 +115,13 @@ func TestDestageDurabilityFlush(t *testing.T) {
 // wedge behind it; with the async pipeline they must complete while the
 // store write is still parked.
 type gatedWriteStore struct {
-	*hashdb.MemStore
+	*hashdb.DB
 	gate chan struct{}
 }
 
 func (g *gatedWriteStore) Put(f fingerprint.Fingerprint, v hashdb.Value) (bool, error) {
 	<-g.gate
-	return g.MemStore.Put(f, v)
+	return g.DB.Put(f, v)
 }
 
 func (g *gatedWriteStore) PutBatch(_ context.Context, pairs []hashdb.Pair) ([]bool, int, error) {
@@ -134,7 +134,7 @@ func (g *gatedWriteStore) PutBatch(_ context.Context, pairs []hashdb.Pair) ([]bo
 // must still complete, with the evicted entries answerable from the dirty
 // buffer, and only a later drain performs the writes.
 func TestDestageNoDeviceIOUnderCacheLock(t *testing.T) {
-	gs := &gatedWriteStore{MemStore: hashdb.NewMemStore(), gate: make(chan struct{})}
+	gs := &gatedWriteStore{DB: hashdb.CreateMem(nil, hashdb.Options{}), gate: make(chan struct{})}
 	n, err := NewNode(NodeConfig{
 		ID:            ring.NodeID("gated"),
 		Store:         gs,
@@ -168,8 +168,8 @@ func TestDestageNoDeviceIOUnderCacheLock(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("inserts blocked: eviction destage is doing device I/O under a cache-stripe lock")
 	}
-	if gs.MemStore.Len() != 0 {
-		t.Fatalf("store len = %d while writes gated, want 0", gs.MemStore.Len())
+	if gs.DB.Len() != 0 {
+		t.Fatalf("store len = %d while writes gated, want 0", gs.DB.Len())
 	}
 	// Evicted-but-undestaged entries still answer through the buffer.
 	for i := uint64(0); i < 8; i++ {
@@ -183,8 +183,8 @@ func TestDestageNoDeviceIOUnderCacheLock(t *testing.T) {
 	if err := n.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	if gs.MemStore.Len() != 8 {
-		t.Fatalf("store len after drain = %d, want 8", gs.MemStore.Len())
+	if gs.DB.Len() != 8 {
+		t.Fatalf("store len after drain = %d, want 8", gs.DB.Len())
 	}
 	if err := n.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -196,7 +196,7 @@ func TestDestageNoDeviceIOUnderCacheLock(t *testing.T) {
 // waves under no caller context. Every insert that was acknowledged before
 // the cancellation must be durable after Flush.
 func TestDestageMidDrainCancellation(t *testing.T) {
-	store := hashdb.NewMemStore()
+	store := hashdb.CreateMem(nil, hashdb.Options{})
 	n := newMemNode(t, NodeConfig{
 		Store:           store,
 		CacheSize:       16,
@@ -374,7 +374,7 @@ func TestDestageWavesSharePagesOnYoungTable(t *testing.T) {
 
 // flakyPutStore fails the first `failures` batched writes, then recovers.
 type flakyPutStore struct {
-	*hashdb.MemStore
+	*hashdb.DB
 	remaining atomic.Int64
 }
 
@@ -389,7 +389,7 @@ func (f *flakyPutStore) PutBatch(_ context.Context, pairs []hashdb.Pair) ([]bool
 // its entries — they are re-queued (still answerable from the buffer) and
 // land durably once the store recovers. The parked error still surfaces.
 func TestDestageTransientFailureRetries(t *testing.T) {
-	fs := &flakyPutStore{MemStore: hashdb.NewMemStore()}
+	fs := &flakyPutStore{DB: hashdb.CreateMem(nil, hashdb.Options{})}
 	fs.remaining.Store(1) // exactly the first wave fails
 	n, err := NewNode(NodeConfig{
 		ID:              ring.NodeID("flaky"),
@@ -419,7 +419,7 @@ func TestDestageTransientFailureRetries(t *testing.T) {
 		}
 	}
 	for i := uint64(0); i < total; i++ {
-		v, ok, _ := fs.MemStore.Get(fp(i))
+		v, ok, _ := fs.DB.Get(fp(i))
 		if !ok || v != hashdb.Value(i+1) {
 			t.Fatalf("entry %d lost to a transient wave failure: (%v,%v)", i, v, ok)
 		}
@@ -432,7 +432,7 @@ func TestDestageTransientFailureRetries(t *testing.T) {
 // TestDestageBackpressure bounds the buffer tightly and hammers it: no
 // insert may be lost even when evictions must repeatedly block for space.
 func TestDestageBackpressure(t *testing.T) {
-	store := hashdb.NewMemStore()
+	store := hashdb.CreateMem(nil, hashdb.Options{})
 	n := newMemNode(t, NodeConfig{
 		Store:           store,
 		CacheSize:       8,
@@ -476,7 +476,7 @@ func TestDestageBackpressure(t *testing.T) {
 // acknowledged, the fingerprint must answer as a duplicate from whichever
 // tier currently holds it (cache, dirty buffer, or store).
 func TestDestageConcurrentLookupsRace(t *testing.T) {
-	store := hashdb.NewMemStore()
+	store := hashdb.CreateMem(nil, hashdb.Options{})
 	n := newMemNode(t, NodeConfig{
 		Store:           store,
 		CacheSize:       16,
@@ -534,7 +534,7 @@ func TestDestageConcurrentLookupsRace(t *testing.T) {
 func BenchmarkNodeWriteBackDestage(b *testing.B) {
 	n, err := NewNode(NodeConfig{
 		ID:            "bench-wb",
-		Store:         hashdb.NewMemStore(),
+		Store:         hashdb.CreateMem(nil, hashdb.Options{}),
 		CacheSize:     1 << 10,
 		WriteBack:     true,
 		BloomExpected: 1 << 21,

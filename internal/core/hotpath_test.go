@@ -16,7 +16,7 @@ func newHotPathNode(t *testing.T, cfg NodeConfig) *Node {
 		cfg.ID = ring.NodeID("hotpath")
 	}
 	if cfg.Store == nil {
-		cfg.Store = hashdb.NewMemStore()
+		cfg.Store = hashdb.CreateMem(nil, hashdb.Options{})
 	}
 	n, err := NewNode(cfg)
 	if err != nil {

@@ -67,7 +67,7 @@ func TestJoinNodeBasic(t *testing.T) {
 
 func TestJoinNodeDuplicateRejected(t *testing.T) {
 	c := newTestCluster(t, 2, ClusterConfig{})
-	dup, err := NewNode(NodeConfig{ID: "node-0", Store: hashdb.NewMemStore(), CacheSize: 8})
+	dup, err := NewNode(NodeConfig{ID: "node-0", Store: hashdb.CreateMem(nil, hashdb.Options{}), CacheSize: 8})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}

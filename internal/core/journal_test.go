@@ -45,7 +45,7 @@ func TestJournalReplayRecoversBufferedEvictions(t *testing.T) {
 	jpath := filepath.Join(dir, "node.wal")
 	const cache, inserts = 8, 64
 
-	n := stalledJournalNode(t, hashdb.NewMemStore(), jpath, cache)
+	n := stalledJournalNode(t, hashdb.CreateMem(nil, hashdb.Options{}), jpath, cache)
 	for i := uint64(0); i < inserts; i++ {
 		if _, err := n.LookupOrInsert(context.Background(), fp(i), Value(i+7)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
@@ -61,7 +61,7 @@ func TestJournalReplayRecoversBufferedEvictions(t *testing.T) {
 	n.Close()
 
 	// A brand-new store: what survives can only come from the journal.
-	n2 := stalledJournalNode(t, hashdb.NewMemStore(), crashWAL(t, dir, snap), cache)
+	n2 := stalledJournalNode(t, hashdb.CreateMem(nil, hashdb.Options{}), crashWAL(t, dir, snap), cache)
 	defer n2.Close()
 
 	st, err := n2.Stats(context.Background())
@@ -89,10 +89,10 @@ func TestJournalReplayRecoversBufferedEvictions(t *testing.T) {
 func TestJournalTruncatesAfterQuiesce(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "node.wal")
-	store := hashdb.NewMemStore()
+	f := &hashdb.MemFile{}
 	n, err := NewNode(NodeConfig{
 		ID:            "jnl-node",
-		Store:         store,
+		Store:         hashdb.CreateMem(f, hashdb.Options{}),
 		CacheSize:     8,
 		BloomExpected: 1 << 12,
 		WriteBack:     true,
@@ -123,7 +123,7 @@ func TestJournalTruncatesAfterQuiesce(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	n2 := stalledJournalNode(t, store, jpath, 8)
+	n2 := stalledJournalNode(t, reopen(t, f), jpath, 8)
 	defer n2.Close()
 	st, err := n2.Stats(context.Background())
 	if err != nil {
@@ -131,6 +131,9 @@ func TestJournalTruncatesAfterQuiesce(t *testing.T) {
 	}
 	if st.Recovery.JournalReplayed != 0 {
 		t.Fatalf("clean shutdown left %d journal records to replay", st.Recovery.JournalReplayed)
+	}
+	if r, err := n2.LookupOrInsert(context.Background(), fp(5), 99); err != nil || !r.Exists || r.Value != 5 {
+		t.Fatalf("a key flushed before the close = (%+v, %v) after the restart, want the duplicate of value 5", r, err)
 	}
 }
 
@@ -176,7 +179,7 @@ func TestJournalTruncatesOnlyAfterStoreSync(t *testing.T) {
 	defer func() { journalCheckpointBytes = old }()
 
 	jpath := filepath.Join(t.TempDir(), "node.wal")
-	store := &syncOrderStore{Store: hashdb.NewMemStore(), jpath: jpath}
+	store := &syncOrderStore{Store: hashdb.CreateMem(nil, hashdb.Options{}), jpath: jpath}
 	n, err := NewNode(NodeConfig{
 		ID:            "jnl-node",
 		Store:         store,
@@ -303,7 +306,7 @@ func TestJournalTombstoneStopsResurrection(t *testing.T) {
 	jpath := filepath.Join(dir, "node.wal")
 	const cache = 4
 
-	n := stalledJournalNode(t, hashdb.NewMemStore(), jpath, cache)
+	n := stalledJournalNode(t, hashdb.CreateMem(nil, hashdb.Options{}), jpath, cache)
 	// Insert the victim, then enough to evict it into the buffer/journal.
 	victim := fp(1000)
 	if _, err := n.LookupOrInsert(context.Background(), victim, Value(42)); err != nil {
@@ -323,7 +326,7 @@ func TestJournalTombstoneStopsResurrection(t *testing.T) {
 	}
 	n.Close()
 
-	n2 := stalledJournalNode(t, hashdb.NewMemStore(), crashWAL(t, dir, snap), cache)
+	n2 := stalledJournalNode(t, hashdb.CreateMem(nil, hashdb.Options{}), crashWAL(t, dir, snap), cache)
 	defer n2.Close()
 	r, err := n2.Lookup(context.Background(), victim)
 	if err != nil {
@@ -341,7 +344,7 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	jpath := filepath.Join(dir, "node.wal")
 	const cache, inserts = 8, 40
 
-	n := stalledJournalNode(t, hashdb.NewMemStore(), jpath, cache)
+	n := stalledJournalNode(t, hashdb.CreateMem(nil, hashdb.Options{}), jpath, cache)
 	for i := uint64(0); i < inserts; i++ {
 		if _, err := n.LookupOrInsert(context.Background(), fp(i), Value(i)); err != nil {
 			t.Fatal(err)
@@ -358,7 +361,7 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	if len(snap) < 8+2*torn {
 		t.Fatalf("journal too small to tear: %d bytes", len(snap))
 	}
-	n2 := stalledJournalNode(t, hashdb.NewMemStore(), crashWAL(t, dir, snap[:len(snap)-torn]), cache)
+	n2 := stalledJournalNode(t, hashdb.CreateMem(nil, hashdb.Options{}), crashWAL(t, dir, snap[:len(snap)-torn]), cache)
 	defer n2.Close()
 	st, err := n2.Stats(context.Background())
 	if err != nil {
@@ -388,7 +391,7 @@ func TestJournalCoalescedOverwriteKeepsNewest(t *testing.T) {
 	jpath := filepath.Join(dir, "node.wal")
 	const cache = 4
 
-	n := stalledJournalNode(t, hashdb.NewMemStore(), jpath, cache)
+	n := stalledJournalNode(t, hashdb.CreateMem(nil, hashdb.Options{}), jpath, cache)
 	target := fp(5000)
 	if err := n.Insert(context.Background(), target, Value(1)); err != nil {
 		t.Fatal(err)
@@ -412,7 +415,7 @@ func TestJournalCoalescedOverwriteKeepsNewest(t *testing.T) {
 	}
 	n.Close()
 
-	n2 := stalledJournalNode(t, hashdb.NewMemStore(), crashWAL(t, dir, snap), cache)
+	n2 := stalledJournalNode(t, hashdb.CreateMem(nil, hashdb.Options{}), crashWAL(t, dir, snap), cache)
 	defer n2.Close()
 	r, err := n2.Lookup(context.Background(), target)
 	if err != nil || !r.Exists {
@@ -434,7 +437,7 @@ func TestJournalCheckpointBoundsGrowth(t *testing.T) {
 
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "node.wal")
-	store := hashdb.NewMemStore()
+	store := hashdb.CreateMem(nil, hashdb.Options{})
 	// Waves would normally never fire (huge batch, huge interval): only
 	// the checkpoint can truncate.
 	n := stalledJournalNode(t, store, jpath, 8)
@@ -525,9 +528,10 @@ func FuzzJournalReplay(f *testing.F) {
 				delete(want, r.fp)
 			}
 		}
-		store := durableStore{hashdb.NewMemStore()}
+		f := &hashdb.MemFile{}
+		hashdb.CreateMem(f, hashdb.Options{}).Close()
 		for round := range 2 {
-			n := stalledJournalNode(t, store, crashWAL(t, dir, wal), 8)
+			n := stalledJournalNode(t, reopen(t, f), crashWAL(t, dir, wal), 8)
 			st, err := n.Stats(context.Background())
 			if err != nil {
 				t.Fatal(err)
@@ -540,7 +544,9 @@ func FuzzJournalReplay(f *testing.F) {
 				t.Fatalf("round %d: Close: %v", round, err)
 			}
 			got := make(map[fingerprint.Fingerprint]Value)
+			store := reopen(t, f)
 			store.Range(func(f fingerprint.Fingerprint, v Value) bool { got[f] = v; return true })
+			store.Close()
 			if !maps.Equal(got, want) {
 				t.Fatalf("round %d: the store holds %v after replay, want %v", round, got, want)
 			}

@@ -18,7 +18,7 @@ func newMemNode(t *testing.T, cfg NodeConfig) *Node {
 		cfg.ID = "test-node"
 	}
 	if cfg.Store == nil {
-		cfg.Store = hashdb.NewMemStore()
+		cfg.Store = hashdb.CreateMem(nil, hashdb.Options{})
 	}
 	if cfg.BloomExpected == 0 {
 		cfg.BloomExpected = 10000
@@ -35,10 +35,10 @@ func TestNewNodeValidation(t *testing.T) {
 	if _, err := NewNode(NodeConfig{ID: "x"}); err == nil {
 		t.Fatal("NewNode without store succeeded")
 	}
-	if _, err := NewNode(NodeConfig{Store: hashdb.NewMemStore()}); err == nil {
+	if _, err := NewNode(NodeConfig{Store: hashdb.CreateMem(nil, hashdb.Options{})}); err == nil {
 		t.Fatal("NewNode without ID succeeded")
 	}
-	if _, err := NewNode(NodeConfig{ID: "x", Store: hashdb.NewMemStore(), WriteBack: true}); err == nil {
+	if _, err := NewNode(NodeConfig{ID: "x", Store: hashdb.CreateMem(nil, hashdb.Options{}), WriteBack: true}); err == nil {
 		t.Fatal("NewNode with WriteBack but no cache succeeded")
 	}
 }
@@ -171,7 +171,7 @@ func TestBatchPreservesOrderAndDetectsIntraBatchDuplicates(t *testing.T) {
 }
 
 func TestWriteBackDestagesOnEviction(t *testing.T) {
-	store := hashdb.NewMemStore()
+	store := hashdb.CreateMem(nil, hashdb.Options{})
 	// A tiny destage interval keeps the asynchronous group-commit prompt
 	// even though one eviction never fills a wave.
 	n := newMemNode(t, NodeConfig{Store: store, CacheSize: 2, WriteBack: true,
@@ -205,7 +205,7 @@ func TestWriteBackDestagesOnEviction(t *testing.T) {
 }
 
 func TestWriteBackFlush(t *testing.T) {
-	store := hashdb.NewMemStore()
+	store := hashdb.CreateMem(nil, hashdb.Options{})
 	n := newMemNode(t, NodeConfig{Store: store, CacheSize: 16, WriteBack: true})
 	for i := uint64(1); i <= 5; i++ {
 		n.LookupOrInsert(context.Background(), fp(i), Value(i))
@@ -404,7 +404,7 @@ func TestNodeRestartPreservesDedup(t *testing.T) {
 func TestNodeRestartBloomSizedForExistingData(t *testing.T) {
 	// Restarting on a store larger than BloomExpected must not create an
 	// undersized (useless) filter.
-	store := hashdb.NewMemStore()
+	store := hashdb.CreateMem(nil, hashdb.Options{})
 	for i := uint64(0); i < 5000; i++ {
 		store.Put(fp(i), hashdb.Value(i))
 	}

@@ -99,7 +99,7 @@ func assertStatsInvariant(t *testing.T, n *Node) NodeStats {
 // the cache it installs) rather than issue their own — one device read
 // total.
 func TestAsyncProbeCoalescing(t *testing.T) {
-	hs := &hookStore{Store: hashdb.NewMemStore(), getGate: make(chan struct{})}
+	hs := &hookStore{Store: hashdb.CreateMem(nil, hashdb.Options{}), getGate: make(chan struct{})}
 	if _, err := hs.Store.Put(fp(1), 42); err != nil {
 		t.Fatalf("seed: %v", err)
 	}
@@ -148,7 +148,7 @@ func TestAsyncProbeCoalescing(t *testing.T) {
 // fingerprint arrive: exactly one insert may happen, every other caller
 // must see a duplicate with the winner's value.
 func TestAsyncExactlyOnceInsert(t *testing.T) {
-	hs := &hookStore{Store: hashdb.NewMemStore(), putGate: make(chan struct{})}
+	hs := &hookStore{Store: hashdb.CreateMem(nil, hashdb.Options{}), putGate: make(chan struct{})}
 	n := newMemNode(t, NodeConfig{Store: hs, CacheSize: 16})
 
 	const writers = 8
@@ -201,7 +201,7 @@ func TestAsyncExactlyOnceInsert(t *testing.T) {
 // fingerprint, and insert exactly once.
 func TestAsyncReadOnlyMissThenInsert(t *testing.T) {
 	gate := make(chan struct{})
-	hs := &hookStore{Store: hashdb.NewMemStore(), getGate: gate}
+	hs := &hookStore{Store: hashdb.CreateMem(nil, hashdb.Options{}), getGate: gate}
 	n := newMemNode(t, NodeConfig{Store: hs, CacheSize: 16, noBloom: true})
 
 	var (
@@ -242,7 +242,7 @@ func TestAsyncReadOnlyMissThenInsert(t *testing.T) {
 // to the owner and to every waiter that joined the flight, and count no
 // lookup.
 func TestAsyncStoreErrorPropagates(t *testing.T) {
-	hs := &hookStore{Store: hashdb.NewMemStore(), getGate: make(chan struct{})}
+	hs := &hookStore{Store: hashdb.CreateMem(nil, hashdb.Options{}), getGate: make(chan struct{})}
 	hs.failGets.Store(true)
 	n := newMemNode(t, NodeConfig{Store: hs, CacheSize: 16, noBloom: true})
 
@@ -276,7 +276,7 @@ func TestAsyncStoreErrorPropagates(t *testing.T) {
 // flight land against the open store; the probing caller gets its answer,
 // later callers get the closed error.
 func TestCloseWaitsForInflightProbes(t *testing.T) {
-	hs := &hookStore{Store: hashdb.NewMemStore(), getGate: make(chan struct{})}
+	hs := &hookStore{Store: hashdb.CreateMem(nil, hashdb.Options{}), getGate: make(chan struct{})}
 	if _, err := hs.Store.Put(fp(5), 55); err != nil {
 		t.Fatalf("seed: %v", err)
 	}
@@ -398,7 +398,7 @@ func TestBatchAsyncCoalescesDeviceReads(t *testing.T) {
 // TestAsyncWriteBackBatch drives the write-back arm through the batch
 // pipeline and checks nothing is lost between cache and store.
 func TestAsyncWriteBackBatch(t *testing.T) {
-	store := hashdb.NewMemStore()
+	store := hashdb.CreateMem(nil, hashdb.Options{})
 	n := newMemNode(t, NodeConfig{Store: store, CacheSize: 64, WriteBack: true, BloomExpected: 1 << 12})
 	const count = 1000
 	pairs := make([]Pair, count)

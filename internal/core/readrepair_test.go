@@ -22,7 +22,7 @@ func TestLookupRepairsMissingOwner(t *testing.T) {
 	for i := range nodes {
 		node, err := NewNode(NodeConfig{
 			ID:            ring.NodeID(fmt.Sprintf("node-%d", i)),
-			Store:         hashdb.NewMemStore(),
+			Store:         hashdb.CreateMem(nil, hashdb.Options{}),
 			CacheSize:     256,
 			BloomExpected: 100000,
 		})
@@ -113,7 +113,7 @@ func TestRepairDroppedForRemovedNode(t *testing.T) {
 	for i := range nodes {
 		node, err := NewNode(NodeConfig{
 			ID:            ring.NodeID(fmt.Sprintf("node-%d", i)),
-			Store:         hashdb.NewMemStore(),
+			Store:         hashdb.CreateMem(nil, hashdb.Options{}),
 			CacheSize:     256,
 			BloomExpected: 100000,
 		})
@@ -158,7 +158,7 @@ func TestRepairChurnUnderMembershipChanges(t *testing.T) {
 	for i := range nodes {
 		node, err := NewNode(NodeConfig{
 			ID:            ring.NodeID(fmt.Sprintf("node-%d", i)),
-			Store:         hashdb.NewMemStore(),
+			Store:         hashdb.CreateMem(nil, hashdb.Options{}),
 			CacheSize:     512,
 			BloomExpected: 100000,
 		})

@@ -154,7 +154,7 @@ func newReplicatedPair(t *testing.T, cfg ClusterConfig) (*Cluster, [2]*Node, *fl
 	for i := range nodes {
 		node, err := NewNode(NodeConfig{
 			ID:            ring.NodeID(fmt.Sprintf("node-%d", i)),
-			Store:         hashdb.NewMemStore(),
+			Store:         hashdb.CreateMem(nil, hashdb.Options{}),
 			CacheSize:     256,
 			BloomExpected: 100000,
 		})
@@ -508,7 +508,7 @@ func TestDuplicateInsertDoesNotRefan(t *testing.T) {
 // are both in the store when the call returns.
 func TestApplyRepairDurableOnWriteBack(t *testing.T) {
 	ctx := context.Background()
-	store := hashdb.NewMemStore()
+	store := hashdb.CreateMem(nil, hashdb.Options{})
 	n, err := NewNode(heldBack("wb", store, ""))
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
@@ -545,11 +545,12 @@ func TestReplicatedMirrorKeepsRepairCreatedPairs(t *testing.T) {
 		}
 		return n
 	}
-	medium := durableStore{hashdb.NewMemStore()}
-	store := hashdb.NewFailpoint(medium, math.MaxInt64, nil)
-	mirror := mustNode(heldBack("node-1", store, filepath.Join(dir, "node-1.wal")))
+	f := &hashdb.MemFile{}
+	hashdb.CreateMem(f, hashdb.Options{}).Close()
+	db, store := faultTable(t, f, math.MaxInt64, 0)
+	mirror := mustNode(heldBack("node-1", db, filepath.Join(dir, "node-1.wal")))
 	c, err := NewCluster(ClusterConfig{Replicas: 2, WriteQuorum: 2},
-		mustNode(heldBack("node-0", hashdb.NewMemStore(), filepath.Join(dir, "node-0.wal"))), mirror)
+		mustNode(heldBack("node-0", hashdb.CreateMem(nil, hashdb.Options{}), filepath.Join(dir, "node-0.wal"))), mirror)
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
@@ -578,8 +579,8 @@ func TestReplicatedMirrorKeepsRepairCreatedPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mirror.Close() // error expected: the store is dead
-	reborn := mustNode(heldBack("node-1", medium, crashWAL(t, dir, snap)))
+	mirror.Close() // error expected: the table is dead
+	reborn := mustNode(heldBack("node-1", reopen(t, f), crashWAL(t, dir, snap)))
 	defer reborn.Close()
 	kept := 0
 	for _, p := range pairs {

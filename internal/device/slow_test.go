@@ -23,7 +23,7 @@ func slowKeys(n int) []fingerprint.Fingerprint {
 // call that reaches the store is counted with its keys.
 func TestSlowStoreSleepsOnceACall(t *testing.T) {
 	const lat = 5 * time.Millisecond
-	s := Slow(hashdb.NewMemStore(), Model{Name: "slow", ReadBase: lat, WriteBase: 2 * lat})
+	s := Slow(hashdb.CreateMem(nil, hashdb.Options{}), Model{Name: "slow", ReadBase: lat, WriteBase: 2 * lat})
 	defer s.Close()
 	ctx := context.Background()
 	for _, c := range []struct {
@@ -65,7 +65,7 @@ func TestSlowStoreSleepsOnceACall(t *testing.T) {
 // sleep fails with the context's error at once, and the store never sees it;
 // an already-dead context does not sleep at all. The store stays usable.
 func TestSlowStoreCancelNeverReachesStore(t *testing.T) {
-	s := Slow(hashdb.NewMemStore(), Model{Name: "slow", ReadBase: 10 * time.Millisecond})
+	s := Slow(hashdb.CreateMem(nil, hashdb.Options{}), Model{Name: "slow", ReadBase: 10 * time.Millisecond})
 	defer s.Close()
 	fps := slowKeys(512) // 32 latencies: 320 ms
 

@@ -25,8 +25,8 @@ import (
 	"shhc/internal/parallel"
 )
 
-// keyed is one item of a batch: its input index under its group key (bucket
-// number for the on-disk table, map shard for MemStore).
+// keyed is one item of a batch: its input index under its group key, the
+// bucket number.
 type keyed struct {
 	key uint64
 	idx int32

@@ -61,17 +61,6 @@ func BenchmarkDBGetMiss(b *testing.B) {
 	}
 }
 
-func BenchmarkMemStorePut(b *testing.B) {
-	s := NewMemStore()
-	defer s.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Put(fp(uint64(i)), Value(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkWavePutBatch is the measurement blockingChain rests on: one op is
 // one PutBatch of `runs` one-key chains, a destage wave's shape, on either
 // lane of package parallel, over storage that does not block (the page

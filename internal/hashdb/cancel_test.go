@@ -82,11 +82,6 @@ func TestCancelGetBatchAlreadyExpired(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	fps := []fingerprint.Fingerprint{fingerprint.FromUint64(1), fingerprint.FromUint64(2)}
-	mem := NewMemStore()
-	defer mem.Close()
-	if _, _, err := mem.GetBatch(ctx, fps); !errors.Is(err, context.Canceled) {
-		t.Fatalf("expired MemStore GetBatch = %v, want context.Canceled", err)
-	}
 	db := newTestDB(t, Options{})
 	before := db.Stats().Device.Reads
 	if _, _, err := db.GetBatch(ctx, fps); !errors.Is(err, context.Canceled) {

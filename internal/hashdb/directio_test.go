@@ -103,7 +103,7 @@ func TestDirectIOBackendBatch(t *testing.T) {
 }
 
 // TestDirectIOCrashEveryWrite is TestCrashInjectionEveryWritePoint through
-// the direct-I/O backend: the FailFile sits over a directio.File and recovery
+// the direct-I/O backend: the FaultFile sits over a directio.File and recovery
 // reopens through the backend too, so the RMW bounce path cannot turn a torn
 // write into silent corruption. Atomic kills plus one torn shape keep it fast
 // enough for -race CI; the os.File sweep, which shares every layer above the

@@ -31,6 +31,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -162,9 +163,9 @@ type dbStripe struct {
 	_  [40]byte // keep neighboring stripe locks off one cache line
 }
 
-// File is the backing-file contract DB needs. *os.File satisfies it; tests
-// inject failpoint wrappers (see FailFile) to tear writes at arbitrary
-// byte offsets.
+// File is the backing-file contract DB needs. *os.File and MemFile satisfy
+// it; the crash tests wrap one in simtest.FaultFile, which kills it at a
+// page write and tears that page.
 type File interface {
 	io.ReaderAt
 	io.WriterAt
@@ -304,18 +305,41 @@ func newDB(f File, path string) *DB {
 	return db
 }
 
-// Create creates a new database file at path, failing if it exists.
+// Create creates a new database file at path, failing if it exists. The
+// file and its directory entry are durable when it returns.
 func Create(path string, opts Options) (*DB, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("hashdb: create %s: %w", path, err)
 	}
-	return CreateFile(f, path, opts)
+	db, err := CreateFile(f, path, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := SyncDir(path); err != nil {
+		db.Close()
+		os.Remove(path)
+		return nil, fmt.Errorf("hashdb: create %s: %w", path, err)
+	}
+	return db, nil
+}
+
+// SyncDir fsyncs the directory holding path, which makes a file just
+// created there durable under its name.
+func SyncDir(path string) error {
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // CreateFile is Create over an injected, freshly created backing file
-// (alternate I/O backends such as directio, testing). path names the file
-// in messages and is removed when initialization fails. CreateFile takes
+// (alternate I/O backends such as directio, a MemFile, testing). path names
+// the file in messages and is removed when initialization fails. The clean
+// header is fsynced before CreateFile returns, so a table created just
+// before a power cut opens; the caller syncs the directory. CreateFile takes
 // ownership of f.
 func CreateFile(f File, path string, opts Options) (*DB, error) {
 	db := newDB(f, path)
@@ -330,7 +354,13 @@ func CreateFile(f File, path string, opts Options) (*DB, error) {
 		os.Remove(path)
 		return nil, fmt.Errorf("hashdb: create %s: %w", path, err)
 	}
-	if err := db.writeHeader(true); err != nil {
+	err := db.writeHeader(true)
+	if err == nil {
+		if err = f.Sync(); err != nil {
+			err = fmt.Errorf("hashdb: create %s: sync header: %w", path, err)
+		}
+	}
+	if err != nil {
 		f.Close()
 		os.Remove(path)
 		return nil, err
@@ -353,8 +383,8 @@ func Open(path string) (*DB, error) {
 	return OpenFile(f, path)
 }
 
-// OpenFile is Open over an injected backing file (testing and failure
-// injection; see FailFile). path is used for messages only. OpenFile takes
+// OpenFile is Open over an injected backing file (directio, a MemFile a
+// table was created over, failure injection). path is used for messages only. OpenFile takes
 // ownership of f and closes it when opening fails.
 //
 // A clean header is believed only once the file bears it out: its pages

@@ -15,18 +15,8 @@ import (
 	"shhc/internal/parallel"
 )
 
-func testDB(t *testing.T, opts Options) *DB {
-	t.Helper()
-	db, err := Create(filepath.Join(t.TempDir(), "putbatch.shdb"), opts)
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	t.Cleanup(func() { db.Close() })
-	return db
-}
-
 func TestPutBatchBasic(t *testing.T) {
-	db := testDB(t, Options{})
+	db := newTestDB(t, Options{})
 	pairs := make([]Pair, 100)
 	for i := range pairs {
 		pairs[i] = Pair{FP: fp(uint64(i)), Val: Value(i + 1)}
@@ -80,7 +70,7 @@ func TestPutBatchBasic(t *testing.T) {
 }
 
 func TestPutBatchDuplicateInBatch(t *testing.T) {
-	db := testDB(t, Options{})
+	db := newTestDB(t, Options{})
 	pairs := []Pair{
 		{FP: fp(7), Val: 1},
 		{FP: fp(8), Val: 2},
@@ -105,7 +95,7 @@ func TestPutBatchOverflowChains(t *testing.T) {
 	// One bucket, pinned: everything chains off a single page, forcing
 	// overflow allocation inside the batch.
 	pinShape(t)
-	db := testDB(t, Options{Buckets: 1})
+	db := newTestDB(t, Options{Buckets: 1})
 	n := SlotsPerPage*3 + 5
 	pairs := make([]Pair, n)
 	for i := range pairs {
@@ -185,7 +175,7 @@ func TestPutUpdateStopsAtHitPage(t *testing.T) {
 }
 
 func TestPutBatchCancelled(t *testing.T) {
-	db := testDB(t, Options{})
+	db := newTestDB(t, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	pairs := make([]Pair, 64)
@@ -337,7 +327,7 @@ func chainPos(t *testing.T, db *DB, f fingerprint.Fingerprint) int {
 // overflow pages and updates land past the bucket page.
 func TestPutBatchIndexedRunsMatchModel(t *testing.T) {
 	ctx := context.Background()
-	db := testDB(t, Options{})
+	db := newTestDB(t, Options{})
 	rng := rand.New(rand.NewSource(26))
 	model := map[fingerprint.Fingerprint]Value{}
 	stored := map[uint64][]fingerprint.Fingerprint{} // by pattern, in order of creation
@@ -442,11 +432,10 @@ func inBucket(nb, b, k uint64) fingerprint.Fingerprint {
 // degrade on. Every key in one bucket is one run, one chain walk growing
 // through overflow pages; one fingerprint repeated is one run resolving in
 // input order — the first occurrence creates, the last value wins. Both are
-// checked against what sequential Puts would do, for the table and for its
-// in-RAM stand-in.
+// checked against what sequential Puts would do.
 func TestBatchSkewedOntoOneBucket(t *testing.T) {
 	ctx := context.Background()
-	db := testDB(t, Options{})
+	db := newTestDB(t, Options{})
 	nb := db.numBuckets()
 	skewed := make([]Pair, 2*SlotsPerPage+7)
 	for i := range skewed {
@@ -457,27 +446,25 @@ func TestBatchSkewedOntoOneBucket(t *testing.T) {
 		same[i] = Pair{FP: inBucket(nb, 5, 0), Val: Value(1000 + i)}
 	}
 	for name, pairs := range map[string][]Pair{"one bucket": skewed, "one key": same} {
-		for _, store := range []Store{db, NewMemStore()} {
-			created, _, err := store.PutBatch(ctx, pairs)
-			if err != nil {
-				t.Fatalf("%s: PutBatch: %v", name, err)
+		created, _, err := db.PutBatch(ctx, pairs)
+		if err != nil {
+			t.Fatalf("%s: PutBatch: %v", name, err)
+		}
+		model := make(map[fingerprint.Fingerprint]Value)
+		fps := make([]fingerprint.Fingerprint, len(pairs))
+		for i, p := range pairs {
+			if _, existed := model[p.FP]; created[i] == existed {
+				t.Fatalf("%s: created[%d] = %v, sequential Puts say %v", name, i, created[i], !existed)
 			}
-			model := make(map[fingerprint.Fingerprint]Value)
-			fps := make([]fingerprint.Fingerprint, len(pairs))
-			for i, p := range pairs {
-				if _, existed := model[p.FP]; created[i] == existed {
-					t.Fatalf("%s: created[%d] = %v, sequential Puts say %v", name, i, created[i], !existed)
-				}
-				model[p.FP], fps[i] = p.Val, p.FP
-			}
-			vals, found, err := store.GetBatch(ctx, fps)
-			if err != nil {
-				t.Fatalf("%s: GetBatch: %v", name, err)
-			}
-			for i, f := range fps {
-				if !found[i] || vals[i] != model[f] {
-					t.Fatalf("%s: GetBatch[%d] = %d,%v, sequential Puts leave %d", name, i, vals[i], found[i], model[f])
-				}
+			model[p.FP], fps[i] = p.Val, p.FP
+		}
+		vals, found, err := db.GetBatch(ctx, fps)
+		if err != nil {
+			t.Fatalf("%s: GetBatch: %v", name, err)
+		}
+		for i, f := range fps {
+			if !found[i] || vals[i] != model[f] {
+				t.Fatalf("%s: GetBatch[%d] = %d,%v, sequential Puts leave %d", name, i, vals[i], found[i], model[f])
 			}
 		}
 	}
@@ -495,7 +482,7 @@ func TestBatchSkewedOntoOneBucket(t *testing.T) {
 // loose: they fail at one allocation per four keys.
 func TestAllocHashdbBatch(t *testing.T) {
 	ctx := context.Background()
-	db := testDB(t, Options{})
+	db := newTestDB(t, Options{})
 	next := uint64(0)
 	run := func(size int) (put, get float64) {
 		const runs = 20

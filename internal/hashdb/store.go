@@ -2,7 +2,6 @@ package hashdb
 
 import (
 	"context"
-	"sync"
 
 	"shhc/internal/fingerprint"
 )
@@ -13,8 +12,8 @@ import (
 // whole batch, because that is what lets a paged store pay one file call
 // per run of bucket pages instead of one per fingerprint and overlap pages
 // up to the device's queue depth; Get and Put serve the node's single-key
-// operations. *DB (the on-disk page store), *MemStore (pure RAM) and the
-// Failpoint wrapper implement it.
+// operations. *DB implements it, over a file or a MemFile; the rest are
+// decorators of a *DB (device.Slow, tests' gates and fault hooks).
 // Implementations must be safe for concurrent use: the striped hybrid node
 // issues overlapping probes from every stripe.
 // The //shhc:io markers declare every probe and mutation to be I/O for
@@ -41,9 +40,8 @@ type Store interface {
 	// reports, in input order, whether each pair created a new entry
 	// (a fingerprint appearing twice in one batch resolves in input
 	// order, so the second occurrence is an update). pagesWritten is the
-	// number of page writes the batch cost — entry writes for
-	// stores without pages — the denominator of the write-coalescing
-	// ratio. A store error fails the whole batch. A cancelled ctx stops
+	// number of page writes the batch cost, the denominator of the
+	// write-coalescing ratio. A store error fails the whole batch. A cancelled ctx stops
 	// the batch from issuing I/O for further bucket chains and
 	// fails it with ctx.Err(); a chain whose in-memory mutation has
 	// finished always writes out completely, so cancellation can strand
@@ -61,217 +59,4 @@ type Store interface {
 	Close() error //shhc:io
 }
 
-var (
-	_ Store = (*DB)(nil)
-	_ Store = (*MemStore)(nil)
-	_ Store = (*Failpoint)(nil)
-)
-
-// memShards is the MemStore shard count (power of two). 64 shards keep
-// shard-lock collision probability low through at least ~32 hardware
-// threads while costing only 64 small map headers per store.
-const memShards = 64
-
-// MemStore is an in-RAM Store: the index of a node without a -dir, and of
-// tests that do not want filesystem traffic.
-//
-// The key space is split over power-of-two map shards, each guarded by its
-// own RWMutex, so concurrent probes from different node stripes proceed in
-// parallel instead of serializing behind one lock.
-type MemStore struct {
-	shards [memShards]memShard
-	// closed is written under every shard lock and read under any one,
-	// so each operation observes it coherently with the shard it locks.
-	closed bool
-}
-
-type memShard struct {
-	mu sync.RWMutex
-	m  map[fingerprint.Fingerprint]Value
-}
-
-// NewMemStore creates an empty in-memory store.
-func NewMemStore() *MemStore {
-	s := &MemStore{}
-	for i := range s.shards {
-		s.shards[i].m = make(map[fingerprint.Fingerprint]Value)
-	}
-	return s
-}
-
-func (s *MemStore) shard(fp fingerprint.Fingerprint) *memShard {
-	return &s.shards[fp.Bucket64()&(memShards-1)]
-}
-
-// Get returns the value stored for fp.
-func (s *MemStore) Get(fp fingerprint.Fingerprint) (Value, bool, error) {
-	sh := s.shard(fp)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if s.closed {
-		return 0, false, ErrClosed
-	}
-	v, ok := sh.m[fp]
-	return v, ok, nil
-}
-
-// Put stores fp -> v, reporting whether a new entry was created.
-func (s *MemStore) Put(fp fingerprint.Fingerprint, v Value) (bool, error) {
-	sh := s.shard(fp)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if s.closed {
-		return false, ErrClosed
-	}
-	_, existed := sh.m[fp]
-	sh.m[fp] = v
-	return !existed, nil
-}
-
-// GetBatch looks up every fingerprint on the caller's goroutine, one shard
-// lock hold for the fingerprints of a shard. Cancelling ctx stops it between
-// shards.
-func (s *MemStore) GetBatch(ctx context.Context, fps []fingerprint.Fingerprint) ([]Value, []bool, error) {
-	vals := make([]Value, len(fps))
-	found := make([]bool, len(fps))
-	err := s.eachShard(ctx, len(fps), func(i int) fingerprint.Fingerprint { return fps[i] }, false,
-		func(m map[fingerprint.Fingerprint]Value, i int32) { vals[i], found[i] = m[fps[i]] })
-	if err != nil {
-		return nil, nil, err
-	}
-	return vals, found, nil
-}
-
-// PutBatch stores every pair on the caller's goroutine, one shard lock hold
-// for the pairs of a shard; pagesWritten is one per entry. Cancelling ctx
-// stops it between shards.
-func (s *MemStore) PutBatch(ctx context.Context, pairs []Pair) ([]bool, int, error) {
-	created := make([]bool, len(pairs))
-	err := s.eachShard(ctx, len(pairs), func(i int) fingerprint.Fingerprint { return pairs[i].FP }, true,
-		func(m map[fingerprint.Fingerprint]Value, i int32) {
-			_, existed := m[pairs[i].FP]
-			m[pairs[i].FP] = pairs[i].Val
-			created[i] = !existed
-		})
-	if err != nil {
-		return nil, 0, err
-	}
-	return created, len(pairs), nil
-}
-
-// eachShard groups the n keys of a batch by shard and calls fn with each key's
-// index, under its shard's lock (the write lock if write) and in input order
-// within a shard, which gives PutBatch its in-order duplicates. ctx is
-// checked before each shard.
-func (s *MemStore) eachShard(ctx context.Context, n int, key func(int) fingerprint.Fingerprint, write bool, fn func(m map[fingerprint.Fingerprint]Value, i int32)) error {
-	if n == 0 {
-		return nil
-	}
-	g := getGroupScratch()
-	defer putGroupScratch(g)
-	g.group(n, nil, memShards, func(i int) uint64 { return key(i).Bucket64() & (memShards - 1) })
-	done := ctx.Done()
-	for r := 0; r+1 < len(g.starts); r++ {
-		if done != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		run := g.items[g.starts[r]:g.starts[r+1]]
-		sh := &s.shards[run[0].key]
-		if write {
-			sh.mu.Lock()
-		} else {
-			sh.mu.RLock()
-		}
-		closed := s.closed
-		if !closed {
-			for _, it := range run {
-				fn(sh.m, it.idx)
-			}
-		}
-		if write {
-			sh.mu.Unlock()
-		} else {
-			sh.mu.RUnlock()
-		}
-		if closed {
-			return ErrClosed
-		}
-	}
-	return nil
-}
-
-// Delete removes fp, reporting whether it was present.
-func (s *MemStore) Delete(fp fingerprint.Fingerprint) (bool, error) {
-	sh := s.shard(fp)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if s.closed {
-		return false, ErrClosed
-	}
-	_, existed := sh.m[fp]
-	delete(sh.m, fp)
-	return existed, nil
-}
-
-// Len returns the number of stored entries. Shards are counted one at a
-// time, so the total is loosely consistent under concurrent writes.
-func (s *MemStore) Len() int {
-	n := 0
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-		n += len(s.shards[i].m)
-		s.shards[i].mu.RUnlock()
-	}
-	return n
-}
-
-// Range calls fn for every entry until fn returns false. Each shard is
-// visited under its own read lock; entries written to an already-visited
-// shard during the walk are not observed.
-func (s *MemStore) Range(fn func(fp fingerprint.Fingerprint, v Value) bool) error {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		if s.closed {
-			sh.mu.RUnlock()
-			return ErrClosed
-		}
-		for fp, v := range sh.m {
-			if !fn(fp, v) {
-				sh.mu.RUnlock()
-				return nil
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return nil
-}
-
-// Sync is a no-op for the in-memory store.
-func (s *MemStore) Sync() error {
-	sh := &s.shards[0]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return nil
-}
-
-// Close releases the store.
-func (s *MemStore) Close() error {
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-		defer s.shards[i].mu.Unlock()
-	}
-	if s.closed {
-		return ErrClosed
-	}
-	s.closed = true
-	for i := range s.shards {
-		s.shards[i].m = nil
-	}
-	return nil
-}
+var _ Store = (*DB)(nil)

@@ -15,7 +15,7 @@ func benchClient(b *testing.B) *Client {
 	b.Helper()
 	node, err := core.NewNode(core.NodeConfig{
 		ID:            "bench",
-		Store:         hashdb.NewMemStore(),
+		Store:         hashdb.CreateMem(nil, hashdb.Options{}),
 		CacheSize:     1 << 14,
 		BloomExpected: 1 << 21,
 	})

@@ -22,7 +22,7 @@ import (
 // the seeded fingerprints, so a lookup of one reaches the sleeping store.
 func startSleepyNode(t *testing.T, id ring.NodeID, readBase time.Duration, cfg ClientConfig, seeded ...fingerprint.Fingerprint) (*core.Node, *Client) {
 	t.Helper()
-	store := device.Slow(hashdb.NewMemStore(), device.Model{Name: "sleepy", ReadBase: readBase})
+	store := device.Slow(hashdb.CreateMem(nil, hashdb.Options{}), device.Model{Name: "sleepy", ReadBase: readBase})
 	for i, f := range seeded {
 		if _, err := store.Put(f, hashdb.Value(i+1)); err != nil {
 			t.Fatalf("seed: %v", err)
@@ -112,7 +112,7 @@ func (b *blockingBackend) waitEntered(t *testing.T, n int64) {
 // server's address.
 func startBlockingServer(t *testing.T) (*blockingBackend, string) {
 	t.Helper()
-	node, err := core.NewNode(core.NodeConfig{ID: "n1", Store: hashdb.NewMemStore()})
+	node, err := core.NewNode(core.NodeConfig{ID: "n1", Store: hashdb.CreateMem(nil, hashdb.Options{})})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}

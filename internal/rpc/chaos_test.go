@@ -17,7 +17,7 @@ import (
 func TestServerDeathMidFlight(t *testing.T) {
 	node, err := core.NewNode(core.NodeConfig{
 		ID:            "chaos",
-		Store:         hashdb.NewMemStore(),
+		Store:         hashdb.CreateMem(nil, hashdb.Options{}),
 		CacheSize:     256,
 		BloomExpected: 1 << 16,
 	})
@@ -93,7 +93,7 @@ func TestServerDeathMidFlight(t *testing.T) {
 func TestPipelinedResponsesInterleave(t *testing.T) {
 	node, err := core.NewNode(core.NodeConfig{
 		ID:            "pipeline",
-		Store:         hashdb.NewMemStore(),
+		Store:         hashdb.CreateMem(nil, hashdb.Options{}),
 		CacheSize:     16,
 		BloomExpected: 1 << 20,
 	})

@@ -16,7 +16,7 @@ import (
 
 // heldIndex holds its first lookup open until released, so plans that arrive
 // meanwhile queue behind that flight: aggregation is then the batcher's
-// doing, not the luck of a clock against a microsecond MemStore node.
+// doing, not the luck of a clock against a microsecond in-memory node.
 type heldIndex struct {
 	Index
 	held    atomic.Bool
@@ -36,7 +36,7 @@ func (h *heldIndex) BatchLookupOrInsert(ctx context.Context, pairs []core.Pair) 
 func TestCrossRequestAggregation(t *testing.T) {
 	node, err := core.NewNode(core.NodeConfig{
 		ID:            "agg",
-		Store:         hashdb.NewMemStore(),
+		Store:         hashdb.CreateMem(nil, hashdb.Options{}),
 		CacheSize:     1 << 10,
 		BloomExpected: 1 << 14,
 	})

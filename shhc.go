@@ -117,7 +117,7 @@ type ClusterOptions struct {
 	// evaluated configuration).
 	Nodes int
 	// Dir, when set, stores each node's hash table in a file under Dir;
-	// empty keeps tables in memory.
+	// empty keeps the same tables in memory, only not on disk.
 	Dir string
 	// CacheSize is the per-node LRU capacity. Default 1<<16 entries.
 	CacheSize int
@@ -177,16 +177,16 @@ func NewLocalCluster(opts ClusterOptions) (*Cluster, error) {
 	backends := make([]core.Backend, 0, opts.Nodes)
 	for i := 0; i < opts.Nodes; i++ {
 		id := ring.NodeID(fmt.Sprintf("node-%02d", i))
-		var store hashdb.Store
-		if opts.Dir != "" {
+		var store *hashdb.DB
+		if opts.Dir == "" {
+			store = hashdb.CreateMem(nil, hashdb.Options{})
+		} else {
 			db, err := hashdb.Create(fmt.Sprintf("%s/%s.shdb", opts.Dir, id), hashdb.Options{})
 			if err != nil {
 				closeAll(backends)
 				return nil, err
 			}
 			store = db
-		} else {
-			store = hashdb.NewMemStore()
 		}
 		journalPath := ""
 		if opts.Journal {

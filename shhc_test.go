@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"testing"
+
+	"shhc/internal/hashdb"
 )
 
 func TestLocalClusterQuickstart(t *testing.T) {
@@ -61,7 +63,7 @@ func TestDistributedClusterAssembly(t *testing.T) {
 		id := NodeID(fmt.Sprintf("remote-%d", i))
 		srv, err := StartNodeServer("127.0.0.1:0", NodeConfig{
 			ID:        id,
-			Store:     newMemStoreForTest(),
+			Store:     hashdb.CreateMem(nil, hashdb.Options{}),
 			CacheSize: 64,
 		})
 		if err != nil {
