@@ -18,12 +18,10 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sync/atomic"
 	"syscall"
 
 	"shhc/internal/core"
-	"shhc/internal/directio"
 	"shhc/internal/hashdb"
 	"shhc/internal/metrics"
 	"shhc/internal/ring"
@@ -31,7 +29,9 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "shhc-node:", err)
 		os.Exit(1)
 	}
@@ -41,7 +41,7 @@ func main() {
 type options struct {
 	id, addr, dir, backend, http string
 	cache                        int
-	wb, journal                  bool
+	wb                           bool
 }
 
 // flags declares the command's flags over o, with their defaults; usage goes
@@ -50,102 +50,42 @@ func flags(o *options, out io.Writer) *flag.FlagSet {
 	fs := flag.NewFlagSet("shhc-node", flag.ContinueOnError)
 	fs.SetOutput(out)
 	fs.StringVar(&o.id, "id", "node-00", "node identity on the hash ring")
-	fs.StringVar(&o.addr, "addr", "127.0.0.1:7001", "listen address")
-	fs.StringVar(&o.dir, "dir", "", "directory for the on-disk hash table (empty = in-memory)")
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:7001", "listen address (port 0 picks one; the bound address is printed)")
+	fs.StringVar(&o.dir, "dir", "", "directory for the node's files, created if missing: <id>.shdb, the hash table, and with -write-back <id>.wal, the destage journal replayed on restart (empty = in memory, no journal)")
 	fs.IntVar(&o.cache, "cache", 1<<16, "LRU cache capacity in entries")
 	fs.BoolVar(&o.wb, "write-back", false, "acknowledge inserts from RAM and destage them in group-commit waves ahead of eviction")
-	fs.BoolVar(&o.journal, "journal", false, "durable destage journal (write-back + -dir only): fsync evicted dirty entries to <dir>/<id>.wal before acking and replay the journal on restart")
 	fs.StringVar(&o.backend, "backend", "buffered", "hash table I/O backend (-dir only): buffered|direct (direct = O_DIRECT, bypassing the page cache; falls back to buffered where unsupported)")
 	fs.StringVar(&o.http, "http", "", "serve /metrics, /healthz, /readyz and net/http/pprof under /debug/pprof/ on this address (e.g. localhost:6060); empty = off")
 	return fs
 }
 
-// run parses args and serves the node until SIGINT or SIGTERM.
-func run(args []string, stdout io.Writer) error {
+// run parses args and serves the node until ctx is done. It prints the
+// address it serves on to stdout.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
 	var o options
 	if err := flags(&o, stdout).Parse(args); err != nil {
 		return err
 	}
-	var table *hashdb.DB
-	if o.dir != "" {
-		if err := os.MkdirAll(o.dir, 0o755); err != nil {
-			return fmt.Errorf("create dir: %w", err)
-		}
-		path := filepath.Join(o.dir, o.id+".shdb")
-		open := func(flag int) (hashdb.File, string, error) {
-			switch o.backend {
-			case "buffered":
-				f, err := os.OpenFile(path, flag, 0o644)
-				return f, "buffered", err
-			case "direct":
-				f, err := directio.Open(path, flag, 0o644, directio.Options{})
-				if err != nil {
-					return nil, "", err
-				}
-				kind := "O_DIRECT"
-				if !f.Direct() {
-					kind = "O_DIRECT unsupported here, buffered fallback"
-				}
-				return f, kind, nil
-			default:
-				return nil, "", fmt.Errorf("unknown -backend %q (want buffered or direct)", o.backend)
-			}
-		}
-		if _, statErr := os.Stat(path); statErr == nil {
-			f, kind, err := open(os.O_RDWR)
-			if err != nil {
-				return err
-			}
-			if table, err = hashdb.OpenFile(f, path); err != nil {
-				return err
-			}
-			log.Printf("opened existing hash table %s (%d entries, %s)", path, table.Len(), kind)
-		} else {
-			f, kind, err := open(os.O_RDWR | os.O_CREATE | os.O_EXCL)
-			if err != nil {
-				return err
-			}
-			if table, err = hashdb.CreateFile(f, path, hashdb.Options{}); err != nil {
-				return err
-			}
-			if err := hashdb.SyncDir(path); err != nil {
-				table.Close()
-				return fmt.Errorf("create %s: %w", path, err)
-			}
-			log.Printf("created hash table %s (%s)", path, kind)
-		}
-	} else {
-		table = hashdb.CreateMem(nil, hashdb.Options{})
-		log.Printf("hash table in memory: the same table, not on disk")
+	if o.backend != "buffered" && o.backend != "direct" {
+		return fmt.Errorf("unknown -backend %q (want buffered or direct)", o.backend)
 	}
-
-	journalPath := ""
-	if o.journal {
-		if !o.wb || o.dir == "" {
-			table.Close()
-			return fmt.Errorf("-journal requires -write-back and -dir")
-		}
-		journalPath = filepath.Join(o.dir, o.id+".wal")
-		log.Printf("destage journal at %s", journalPath)
-	}
-
-	node, err := core.NewNode(core.NodeConfig{
-		ID:          ring.NodeID(o.id),
-		Store:       table,
-		CacheSize:   o.cache,
-		WriteBack:   o.wb,
-		JournalPath: journalPath,
-	})
+	node, table, err := core.OpenNode(o.dir, core.NodeConfig{
+		ID:        ring.NodeID(o.id),
+		CacheSize: o.cache,
+		WriteBack: o.wb,
+	}, o.backend == "direct")
 	if err != nil {
-		table.Close()
 		return err
 	}
+	log.Printf("node %s: %d entries in its hash table (dir %q, %s)", o.id, table.Len(), o.dir, o.backend)
 
 	var serving atomic.Bool // /readyz: the rpc listener is up and no shutdown has begun
 	if o.http != "" {
+		hs := &http.Server{Addr: o.http, Handler: observe(node, table, &serving)}
+		defer hs.Close()
 		go func() {
 			log.Printf("metrics on http://%s/metrics, pprof under /debug/pprof/", o.http)
-			if err := http.ListenAndServe(o.http, observe(node, table, &serving)); err != nil {
+			if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Printf("http server: %v", err)
 			}
 		}()
@@ -158,11 +98,9 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	serving.Store(true)
-	log.Printf("node %s serving on %s", o.id, bound)
+	fmt.Fprintf(stdout, "node %s serving on %s\n", o.id, bound)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
+	<-ctx.Done()
 	serving.Store(false)
 	log.Printf("shutting down")
 	if err := srv.Close(); err != nil {

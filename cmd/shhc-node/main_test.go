@@ -1,11 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 	"shhc/internal/fingerprint"
 	"shhc/internal/hashdb"
 	"shhc/internal/metrics"
+	"shhc/internal/rpc"
 )
 
 // TestScrapeNodeEndpoints scrapes a node's HTTP side over an on-disk table:
@@ -21,11 +23,7 @@ import (
 // /healthz and /readyz answer 200 while the node serves, and /readyz 503
 // once it stops.
 func TestScrapeNodeEndpoints(t *testing.T) {
-	db, err := hashdb.Create(filepath.Join(t.TempDir(), "n.shdb"), hashdb.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	node, err := core.NewNode(core.NodeConfig{ID: "n0", Store: db})
+	node, db, err := core.OpenNode(t.TempDir(), core.NodeConfig{ID: "n0"}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,6 +64,69 @@ func TestScrapeNodeEndpoints(t *testing.T) {
 	}
 	if err := node.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunRestartsOnItsDir serves a write-back node over a directory with
+// -addr 127.0.0.1:0, inserts over rpc, cancels it, and runs it again on the
+// same directory: every fingerprint the first run acknowledged is there,
+// with its value. The direct backend falls back to buffered I/O where the
+// filesystem refuses O_DIRECT.
+func TestRunRestartsOnItsDir(t *testing.T) {
+	for _, backend := range []string{"buffered", "direct"} {
+		t.Run(backend, func(t *testing.T) {
+			args := []string{"-id", "n1", "-addr", "127.0.0.1:0", "-dir", t.TempDir(),
+				"-write-back", "-cache", "256", "-backend", backend}
+			pairs := make([]core.Pair, 3000)
+			for i := range pairs {
+				pairs[i] = core.Pair{FP: fingerprint.FromUint64(uint64(i)), Val: core.Value(i + 1)}
+			}
+			for round := 0; round < 2; round++ {
+				client, stop := serve(t, args)
+				for i := 0; i < len(pairs); i += 500 {
+					res, err := client.BatchLookupOrInsert(context.Background(), pairs[i:i+500])
+					if err != nil {
+						t.Fatal(err)
+					}
+					for j, r := range res {
+						if r.Exists != (round == 1) || (round == 1 && r.Value != pairs[i+j].Val) {
+							t.Fatalf("round %d, pair %d: %+v", round, i+j, r)
+						}
+					}
+				}
+				client.Close()
+				stop()
+			}
+		})
+	}
+}
+
+// serve runs the command over args until the returned stop, which fails the
+// test if run does, and dials the address it prints.
+func serve(t *testing.T, args []string) (*rpc.Client, func()) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	out, w := io.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, args, w); w.Close() }()
+	line, err := bufio.NewReader(out).ReadString('\n')
+	if err != nil {
+		t.Fatalf("run printed no address: %v (run: %v)", err, <-done)
+	}
+	go io.Copy(io.Discard, out)
+	fields := strings.Fields(line)
+	client, err := rpc.Dial("n1", fields[len(fields)-1], rpc.ClientConfig{})
+	if err != nil {
+		cancel()
+		t.Fatal(err)
+	}
+	return client, func() {
+		t.Helper()
+		cancel()
+		if err := <-done; err != nil {
+			t.Fatalf("run: %v", err)
+		}
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 
 	"shhc/internal/core"
 	"shhc/internal/fingerprint"
-	"shhc/internal/hashdb"
 	"shhc/internal/ring"
 	"shhc/internal/rpc"
 	"shhc/internal/trace"
@@ -28,12 +27,11 @@ import (
 func buildLocalCluster(n, cacheSize, expected int) (*core.Cluster, error) {
 	backends := make([]core.Backend, 0, n)
 	for i := 0; i < n; i++ {
-		node, err := core.NewNode(core.NodeConfig{
+		node, _, err := core.OpenNode("", core.NodeConfig{
 			ID:            ring.NodeID(fmt.Sprintf("node-%02d", i)),
-			Store:         hashdb.CreateMem(nil, hashdb.Options{}),
 			CacheSize:     cacheSize,
 			BloomExpected: expected,
-		})
+		}, false)
 		if err != nil {
 			closeBackends(backends)
 			return nil, err
@@ -64,12 +62,11 @@ func buildTCPCluster(n, cacheSize, expected, connsPerNode int) (*tcpCluster, err
 	backends := make([]core.Backend, 0, n)
 	for i := 0; i < n; i++ {
 		id := ring.NodeID(fmt.Sprintf("node-%02d", i))
-		node, err := core.NewNode(core.NodeConfig{
+		node, _, err := core.OpenNode("", core.NodeConfig{
 			ID:            id,
-			Store:         hashdb.CreateMem(nil, hashdb.Options{}),
 			CacheSize:     cacheSize,
 			BloomExpected: expected,
-		})
+		}, false)
 		if err != nil {
 			tc.Close()
 			return nil, err

@@ -187,7 +187,7 @@ func TestCancelledBatchRidersRerun(t *testing.T) {
 // scratch and its page, mostly — so the bounds are loose: they fail at one
 // allocation per four keys.
 func TestAllocNodeBatchMiss(t *testing.T) {
-	db, err := hashdb.Create(filepath.Join(t.TempDir(), "alloc.shdb"), hashdb.Options{})
+	db, err := createTable(filepath.Join(t.TempDir(), "alloc.shdb"), hashdb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

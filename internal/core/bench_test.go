@@ -122,7 +122,7 @@ func BenchmarkNodeBatchMiss(b *testing.B) {
 	const batch, cache = 1024, 1 << 16
 	for _, mode := range []string{"store-hit", "all-new"} {
 		b.Run(mode, func(b *testing.B) {
-			db, err := hashdb.Create(filepath.Join(b.TempDir(), "bench.shdb"), hashdb.Options{})
+			db, err := createTable(filepath.Join(b.TempDir(), "bench.shdb"), hashdb.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -173,7 +173,7 @@ func BenchmarkNodeBatchMiss(b *testing.B) {
 // parked on them, and run at full depth for it.
 func BenchmarkForegroundUnderWave(b *testing.B) {
 	const batch, cache, period, think = 1024, 1 << 16, 500 * time.Microsecond, 2 * time.Millisecond
-	db, err := hashdb.Create(filepath.Join(b.TempDir(), "bench.shdb"), hashdb.Options{})
+	db, err := createTable(filepath.Join(b.TempDir(), "bench.shdb"), hashdb.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -19,22 +19,17 @@ import (
 // Close, including entries that were sitting in the destage buffer.
 func TestDestageDurabilityCloseReopen(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "wb.shdb")
-	db, err := hashdb.Create(path, hashdb.Options{})
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	n, err := NewNode(NodeConfig{
+	cfg := NodeConfig{
 		ID:            "wb-durability",
-		Store:         db,
 		CacheSize:     64, // far smaller than the insert count: constant eviction pressure
 		WriteBack:     true,
 		BloomExpected: 8192,
 		destageBatch:  32,
 		destageQueue:  128,
-	})
+	}
+	n, _, err := OpenNode(dir, cfg, false)
 	if err != nil {
-		t.Fatalf("NewNode: %v", err)
+		t.Fatalf("OpenNode: %v", err)
 	}
 	const total = 2000
 	for i := uint64(0); i < total; i++ {
@@ -46,11 +41,14 @@ func TestDestageDurabilityCloseReopen(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	db2, err := hashdb.Open(path)
+	// Close emptied the journal, so the restarted node's table holds
+	// every entry on its own.
+	wantJournalEmpty(t, filepath.Join(dir, "wb-durability.wal"))
+	n, db2, err := OpenNode(dir, cfg, false)
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatalf("OpenNode again: %v", err)
 	}
-	defer db2.Close()
+	defer n.Close()
 	if db2.Len() != total {
 		t.Fatalf("persisted entries = %d, want %d", db2.Len(), total)
 	}
@@ -236,7 +234,7 @@ func TestDestageMidDrainCancellation(t *testing.T) {
 // dirty buffer, and group commit must write fewer pages than entries.
 func TestDestageCoalescing(t *testing.T) {
 	dir := t.TempDir()
-	db, err := hashdb.Create(filepath.Join(dir, "coalesce.shdb"), hashdb.Options{})
+	db, err := createTable(filepath.Join(dir, "coalesce.shdb"), hashdb.Options{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -297,7 +295,7 @@ func TestDestageCoalescing(t *testing.T) {
 // the pre-sized table). The stack's configuration: default-created table,
 // 64 Ki-entry cache, default wave size.
 func TestDestageWavesSharePagesOnYoungTable(t *testing.T) {
-	db, err := hashdb.Create(filepath.Join(t.TempDir(), "young.shdb"), hashdb.Options{})
+	db, err := createTable(filepath.Join(t.TempDir(), "young.shdb"), hashdb.Options{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}

@@ -81,7 +81,7 @@ func TestWriteGoldenCrashImage(t *testing.T) {
 	live := t.TempDir()
 	// Three buckets for 640 entries: the table splits, so the image holds a
 	// directory page.
-	db, err := hashdb.Create(filepath.Join(live, "golden.shdb"), hashdb.Options{Buckets: 3})
+	db, err := createTable(filepath.Join(live, "golden.shdb"), hashdb.Options{Buckets: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -220,13 +220,10 @@ func TestWriteBackFlush(t *testing.T) {
 
 func TestWriteBackCloseFlushes(t *testing.T) {
 	dir := t.TempDir()
-	db, err := hashdb.Create(filepath.Join(dir, "wb.shdb"), hashdb.Options{})
+	cfg := NodeConfig{ID: "wb", CacheSize: 64, WriteBack: true, BloomExpected: 1000}
+	n, _, err := OpenNode(dir, cfg, false)
 	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	n, err := NewNode(NodeConfig{ID: "wb", Store: db, CacheSize: 64, WriteBack: true, BloomExpected: 1000})
-	if err != nil {
-		t.Fatalf("NewNode: %v", err)
+		t.Fatalf("OpenNode: %v", err)
 	}
 	for i := uint64(0); i < 20; i++ {
 		n.LookupOrInsert(context.Background(), fp(i), Value(i))
@@ -235,13 +232,16 @@ func TestWriteBackCloseFlushes(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	db2, err := hashdb.Open(filepath.Join(dir, "wb.shdb"))
+	// An empty journal: the restarted node's table holds the entries on
+	// its own.
+	wantJournalEmpty(t, filepath.Join(dir, "wb.wal"))
+	n, db, err := OpenNode(dir, cfg, false)
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatalf("OpenNode again: %v", err)
 	}
-	defer db2.Close()
-	if db2.Len() != 20 {
-		t.Fatalf("persisted entries = %d, want 20", db2.Len())
+	defer n.Close()
+	if db.Len() != 20 {
+		t.Fatalf("persisted entries = %d, want 20", db.Len())
 	}
 }
 
@@ -249,18 +249,15 @@ func TestWriteBackCloseFlushes(t *testing.T) {
 // store's entries plus those acknowledged but not yet destaged — across a
 // reopen, a Remove and a Flush, not the inserts since it opened.
 func TestWriteBackStoreEntries(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wb.shdb")
-	open := func(db *hashdb.DB, err error) (*Node, *hashdb.DB) {
+	dir := t.TempDir()
+	open := func() (*Node, *hashdb.DB) {
 		t.Helper()
-		if err != nil {
-			t.Fatalf("open store: %v", err)
-		}
 		// A cache twice the inserts and an hour's interval: no wave fires
 		// before Flush, so every new entry is still dirty in the cache.
-		n, err := NewNode(NodeConfig{ID: "wb", Store: db, CacheSize: 4096, WriteBack: true,
-			BloomExpected: 1 << 14, destageInterval: time.Hour})
+		n, db, err := OpenNode(dir, NodeConfig{ID: "wb", CacheSize: 4096, WriteBack: true,
+			BloomExpected: 1 << 14, destageInterval: time.Hour}, false)
 		if err != nil {
-			t.Fatalf("NewNode: %v", err)
+			t.Fatalf("OpenNode: %v", err)
 		}
 		return n, db
 	}
@@ -276,7 +273,7 @@ func TestWriteBackStoreEntries(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	n, _ := open(hashdb.Create(path, hashdb.Options{}))
+	n, _ := open()
 	for i := uint64(0); i < 2000; i++ {
 		n.LookupOrInsert(ctx, fp(i), Value(i+1))
 	}
@@ -285,7 +282,7 @@ func TestWriteBackStoreEntries(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	n, db := open(hashdb.Open(path))
+	n, db := open()
 	defer n.Close()
 	entries(n, 2000, "after reopen")
 	for i := uint64(0); i < 1000; i++ {
@@ -356,14 +353,10 @@ func TestNodeRestartPreservesDedup(t *testing.T) {
 	// Bloom filter, or every stored fingerprint would be misreported as
 	// new (the filter would short-circuit to "absent").
 	dir := t.TempDir()
-	path := filepath.Join(dir, "restart.shdb")
-	db, err := hashdb.Create(path, hashdb.Options{})
+	cfg := NodeConfig{ID: "r", CacheSize: 64, BloomExpected: 2000}
+	n1, _, err := OpenNode(dir, cfg, false)
 	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	n1, err := NewNode(NodeConfig{ID: "r", Store: db, CacheSize: 64, BloomExpected: 2000})
-	if err != nil {
-		t.Fatalf("NewNode: %v", err)
+		t.Fatalf("OpenNode: %v", err)
 	}
 	for i := uint64(0); i < 500; i++ {
 		n1.LookupOrInsert(context.Background(), fp(i), Value(i))
@@ -372,13 +365,9 @@ func TestNodeRestartPreservesDedup(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	db2, err := hashdb.Open(path)
+	n2, _, err := OpenNode(dir, cfg, false)
 	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	n2, err := NewNode(NodeConfig{ID: "r", Store: db2, CacheSize: 64, BloomExpected: 2000})
-	if err != nil {
-		t.Fatalf("NewNode after restart: %v", err)
+		t.Fatalf("OpenNode after restart: %v", err)
 	}
 	defer n2.Close()
 
@@ -425,7 +414,7 @@ func TestDedupCorrectnessOnPersistentStore(t *testing.T) {
 	// End-to-end node property on the real page store: every unique
 	// fingerprint is created exactly once; every duplicate is detected.
 	dir := t.TempDir()
-	db, err := hashdb.Create(filepath.Join(dir, "dedup.shdb"), hashdb.Options{})
+	db, err := createTable(filepath.Join(dir, "dedup.shdb"), hashdb.Options{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}

@@ -350,7 +350,7 @@ func TestBatchAsyncDuplicateFingerprints(t *testing.T) {
 // on-disk hash table and checks it read roughly one page per bucket page,
 // not one per fingerprint — the payoff of GetBatch.
 func TestBatchAsyncCoalescesDeviceReads(t *testing.T) {
-	db, err := hashdb.Create(filepath.Join(t.TempDir(), "batch.db"), hashdb.Options{Buckets: 32})
+	db, err := createTable(filepath.Join(t.TempDir(), "batch.db"), hashdb.Options{Buckets: 32})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}

@@ -13,7 +13,7 @@ import (
 // TestGetBatchCoalescesPageReads is the point of the API: a batch touching
 // b distinct buckets must read ~b pages, not one per fingerprint.
 func TestGetBatchCoalescesPageReads(t *testing.T) {
-	db, err := Create(filepath.Join(t.TempDir(), "coalesce.db"), Options{Buckets: 8})
+	db, err := create(filepath.Join(t.TempDir(), "coalesce.db"), Options{Buckets: 8})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -60,7 +60,7 @@ func TestGetBatchCoalescesPageReads(t *testing.T) {
 }
 
 func TestGetBatchEmptyAndClosed(t *testing.T) {
-	db, err := Create(filepath.Join(t.TempDir(), "edge.db"), Options{})
+	db, err := create(filepath.Join(t.TempDir(), "edge.db"), Options{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}

@@ -16,7 +16,7 @@ import (
 
 func benchDB(b *testing.B) *DB {
 	b.Helper()
-	db, err := Create(filepath.Join(b.TempDir(), "bench.shdb"), Options{})
+	db, err := create(filepath.Join(b.TempDir(), "bench.shdb"), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func BenchmarkWavePutBatch(b *testing.B) {
 	// clock, deleting each op's appends leaves every page as it was.
 	b.Run("pagecache/pairs=22/load=0.45", func(b *testing.B) {
 		const buckets, perChain = 1 << 10, 22
-		db, err := Create(filepath.Join(b.TempDir(), "wave.shdb"), Options{Buckets: buckets})
+		db, err := create(filepath.Join(b.TempDir(), "wave.shdb"), Options{Buckets: buckets})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -69,7 +69,7 @@ type dbSweep struct {
 func (s dbSweep) sweep(t *testing.T) simtest.Sweep {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "tmpl.shdb")
-	db, err := Create(path, s.opts)
+	db, err := create(path, s.opts)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}

@@ -17,7 +17,7 @@ import (
 // rawPageDB is a one-bucket table whose page 1 the test writes by hand.
 func rawPageDB(t *testing.T) *DB {
 	t.Helper()
-	db, err := Create(filepath.Join(t.TempDir(), "raw.shdb"), Options{Buckets: 1})
+	db, err := create(filepath.Join(t.TempDir(), "raw.shdb"), Options{Buckets: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestPageSpanBitFlips(t *testing.T) {
 // garbage there opens clean, answers every lookup and passes Check.
 func TestPageGarbagePastCount(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "garbage.shdb")
-	db, err := Create(path, Options{Buckets: 1})
+	db, err := create(path, Options{Buckets: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -305,25 +305,6 @@ func newDB(f File, path string) *DB {
 	return db
 }
 
-// Create creates a new database file at path, failing if it exists. The
-// file and its directory entry are durable when it returns.
-func Create(path string, opts Options) (*DB, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("hashdb: create %s: %w", path, err)
-	}
-	db, err := CreateFile(f, path, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := SyncDir(path); err != nil {
-		db.Close()
-		os.Remove(path)
-		return nil, fmt.Errorf("hashdb: create %s: %w", path, err)
-	}
-	return db, nil
-}
-
 // SyncDir fsyncs the directory holding path, which makes a file just
 // created there durable under its name.
 func SyncDir(path string) error {

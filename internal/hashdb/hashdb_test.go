@@ -13,10 +13,19 @@ import (
 
 func fp(i uint64) fingerprint.Fingerprint { return fingerprint.FromUint64(i) }
 
+// create makes a table file at path, which must not exist.
+func create(path string, opts Options) (*DB, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return CreateFile(f, path, opts)
+}
+
 func newTestDB(t *testing.T, opts Options) *DB {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "test.shdb")
-	db, err := Create(path, opts)
+	db, err := create(path, opts)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -145,7 +154,7 @@ func TestDelete(t *testing.T) {
 
 func TestPersistenceAcrossReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "persist.shdb")
-	db, err := Create(path, Options{})
+	db, err := create(path, Options{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -174,7 +183,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 
 func TestCrashRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "crash.shdb")
-	db, err := Create(path, Options{})
+	db, err := create(path, Options{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -203,7 +212,7 @@ func TestCrashRecovery(t *testing.T) {
 
 func TestChecksumDetectsCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "corrupt.shdb")
-	db, err := Create(path, Options{Buckets: 1})
+	db, err := create(path, Options{Buckets: 1})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -265,21 +274,9 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestCreateRefusesExisting(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "dup.shdb")
-	db, err := Create(path, Options{})
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	defer db.Close()
-	if _, err := Create(path, Options{}); err == nil {
-		t.Fatal("second Create succeeded, want error")
-	}
-}
-
 func TestClosedErrors(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "closed.shdb")
-	db, err := Create(path, Options{})
+	db, err := create(path, Options{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -342,7 +339,7 @@ func TestRange(t *testing.T) {
 func TestDeviceAccountingChargesPages(t *testing.T) {
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "counters.shdb")
-	db, err := Create(path, Options{Buckets: 16})
+	db, err := create(path, Options{Buckets: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +441,7 @@ func writeFile(path string, data []byte) error {
 func TestGoldenPageEntry(t *testing.T) {
 	const abc = "\xa9\x99\x3e\x36\x47\x06\x81\x6a\xba\x3e\x25\x71\x78\x50\xc2\x6c\x9c\xd0\xd8\x9d" // SHA-1("abc")
 	path := filepath.Join(t.TempDir(), "golden.shdb")
-	db, err := Create(path, Options{Buckets: 1})
+	db, err := create(path, Options{Buckets: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func sealCRCs(file []byte) {
 func tableBytes(t testing.TB, buckets uint64, fill func(db *DB) error) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "seed.shdb")
-	db, err := Create(path, Options{Buckets: buckets})
+	db, err := create(path, Options{Buckets: buckets})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,7 +150,7 @@ func TestPutUpdateStopsAtHitPage(t *testing.T) {
 	// for the rest of the chain (the old per-key Put's early return,
 	// preserved by the streaming update in putChain).
 	pinShape(t)
-	db, err := Create(filepath.Join(t.TempDir(), "early.shdb"), Options{Buckets: 1})
+	db, err := create(filepath.Join(t.TempDir(), "early.shdb"), Options{Buckets: 1})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -202,7 +202,7 @@ func TestPutBatchCancelled(t *testing.T) {
 // pinned), the worst case for the read-modify-write exclusion.
 func TestPutBatchConcurrentWithReads(t *testing.T) {
 	pinShape(t)
-	db, err := Create(filepath.Join(t.TempDir(), "race.shdb"), Options{Buckets: 1})
+	db, err := create(filepath.Join(t.TempDir(), "race.shdb"), Options{Buckets: 1})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}

@@ -17,7 +17,7 @@ import (
 func crashDB(t *testing.T, path string, n uint64) {
 	t.Helper()
 	pinShape(t)
-	db, err := Create(path, Options{Buckets: 1})
+	db, err := create(path, Options{Buckets: 1})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -186,7 +186,7 @@ func TestRecoveryTruncatesTornTail(t *testing.T) {
 
 func TestHeaderSurvivesOneTornSlot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hdr.shdb")
-	db, err := Create(path, Options{Buckets: 4})
+	db, err := create(path, Options{Buckets: 4})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -260,7 +260,7 @@ func TestHeaderSurvivesOneTornSlot(t *testing.T) {
 // removes.
 func TestReopenMatrix(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "reopen.shdb")
-	db, err := Create(path, Options{})
+	db, err := create(path, Options{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -335,7 +335,7 @@ func TestReopenMatrix(t *testing.T) {
 // GetBatch fail with a checksum error — it never returns garbage.
 func TestChecksumDetectsCorruptionBatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "flip.shdb")
-	db, err := Create(path, Options{Buckets: 1})
+	db, err := create(path, Options{Buckets: 1})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}

@@ -24,7 +24,7 @@ func TestGrowUnsyncedCrashReopens(t *testing.T) {
 	for _, syncAt := range []uint64{0, 400} {
 		t.Run(fmt.Sprintf("sync-at-%d-buckets", syncAt), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "unsynced.shdb")
-			db, err := Create(path, Options{})
+			db, err := create(path, Options{})
 			if err != nil {
 				t.Fatalf("Create: %v", err)
 			}

@@ -73,7 +73,7 @@ func TestResizeKeepsChainsShort(t *testing.T) {
 // level/pointer/bucket-directory and every key.
 func TestResizeStatePersistsAcrossReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "grow.shdb")
-	db, err := Create(path, Options{Buckets: 2})
+	db, err := create(path, Options{Buckets: 2})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -128,7 +128,7 @@ func TestResizeStatePersistsAcrossReopen(t *testing.T) {
 // carry sweepTo.
 func TestCreateStartsSmall(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "small.shdb")
-	db, err := Create(path, Options{})
+	db, err := create(path, Options{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}

@@ -44,7 +44,6 @@ import (
 	"shhc/internal/cloudsim"
 	"shhc/internal/core"
 	"shhc/internal/fingerprint"
-	"shhc/internal/hashdb"
 	"shhc/internal/ring"
 	"shhc/internal/rpc"
 	"shhc/internal/trace"
@@ -116,8 +115,9 @@ type ClusterOptions struct {
 	// Nodes is the cluster size. Default 4 (the paper's largest
 	// evaluated configuration).
 	Nodes int
-	// Dir, when set, stores each node's hash table in a file under Dir;
-	// empty keeps the same tables in memory, only not on disk.
+	// Dir, when set, keeps each node's hash table, and with WriteBack its
+	// journal, under Dir (see core.OpenNode); a cluster built again over
+	// Dir reopens them. Empty keeps the tables in memory.
 	Dir string
 	// CacheSize is the per-node LRU capacity. Default 1<<16 entries.
 	CacheSize int
@@ -127,14 +127,10 @@ type ClusterOptions struct {
 	// dirty entry that is evicted anyway is parked in a bounded per-node
 	// buffer for the next wave. Inserts are RAM-speed; entries not yet
 	// destaged survive only until a crash (call Flush/Close to write them
-	// out durably).
+	// out durably). With Dir, an evicted dirty entry is group-commit
+	// fsynced to the node's journal before its eviction acknowledges, so
+	// a crash between eviction and destage loses nothing.
 	WriteBack bool
-	// Journal enables each node's durable destage journal (requires Dir
-	// and WriteBack): an evicted dirty entry is group-commit fsynced to
-	// <Dir>/<node>.wal before its eviction acknowledges, and the journal
-	// is replayed into the hash table when the node restarts — closing
-	// write-back's crash window between eviction and destage.
-	Journal bool
 	// Replicas > 1 keeps that many durable copies of every entry on
 	// consecutive ring successors: inserts replicate with quorum
 	// acknowledgment, divergent lookups trigger read-repair, and
@@ -170,37 +166,14 @@ func (o *ClusterOptions) fill() {
 // single-machine use and for experiments.
 func NewLocalCluster(opts ClusterOptions) (*Cluster, error) {
 	opts.fill()
-	if opts.Journal && (opts.Dir == "" || !opts.WriteBack) {
-		return nil, fmt.Errorf("shhc: ClusterOptions.Journal requires Dir and WriteBack")
-	}
-
 	backends := make([]core.Backend, 0, opts.Nodes)
 	for i := 0; i < opts.Nodes; i++ {
-		id := ring.NodeID(fmt.Sprintf("node-%02d", i))
-		var store *hashdb.DB
-		if opts.Dir == "" {
-			store = hashdb.CreateMem(nil, hashdb.Options{})
-		} else {
-			db, err := hashdb.Create(fmt.Sprintf("%s/%s.shdb", opts.Dir, id), hashdb.Options{})
-			if err != nil {
-				closeAll(backends)
-				return nil, err
-			}
-			store = db
-		}
-		journalPath := ""
-		if opts.Journal {
-			journalPath = fmt.Sprintf("%s/%s.wal", opts.Dir, id)
-		}
-		node, err := core.NewNode(core.NodeConfig{
-			ID:          id,
-			Store:       store,
-			CacheSize:   opts.CacheSize,
-			WriteBack:   opts.WriteBack,
-			JournalPath: journalPath,
-		})
+		node, _, err := core.OpenNode(opts.Dir, core.NodeConfig{
+			ID:        ring.NodeID(fmt.Sprintf("node-%02d", i)),
+			CacheSize: opts.CacheSize,
+			WriteBack: opts.WriteBack,
+		}, false)
 		if err != nil {
-			store.Close()
 			closeAll(backends)
 			return nil, err
 		}

@@ -36,23 +36,32 @@ func TestLocalClusterQuickstart(t *testing.T) {
 	}
 }
 
+// TestLocalClusterOnDisk builds a write-back cluster over a directory, closes
+// it, and builds it again over the same directory: every fingerprint it
+// acknowledged is there, with its value.
 func TestLocalClusterOnDisk(t *testing.T) {
-	cluster, err := NewLocalCluster(ClusterOptions{Nodes: 2, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatalf("NewLocalCluster: %v", err)
+	opts := ClusterOptions{Nodes: 2, Dir: t.TempDir(), CacheSize: 256, WriteBack: true}
+	fps := make([]Fingerprint, 2000)
+	for i := range fps {
+		fps[i] = FingerprintOf([]byte(fmt.Sprintf("chunk-%d", i)))
 	}
-	defer cluster.Close()
-	for i := 0; i < 100; i++ {
-		fp := FingerprintOf([]byte(fmt.Sprintf("chunk-%d", i)))
-		if _, err := cluster.LookupOrInsert(context.Background(), fp, Value(i)); err != nil {
-			t.Fatalf("LookupOrInsert: %v", err)
+	for round := 0; round < 2; round++ {
+		cluster, err := NewLocalCluster(opts)
+		if err != nil {
+			t.Fatalf("NewLocalCluster, round %d: %v", round, err)
 		}
-	}
-}
-
-func TestLocalClusterOptionValidation(t *testing.T) {
-	if _, err := NewLocalCluster(ClusterOptions{Journal: true, WriteBack: true}); err == nil {
-		t.Fatal("a journal without Dir accepted")
+		for i, fp := range fps {
+			res, err := cluster.LookupOrInsert(context.Background(), fp, Value(i))
+			if err != nil {
+				t.Fatalf("LookupOrInsert: %v", err)
+			}
+			if res.Exists != (round == 1) || (round == 1 && res.Value != Value(i)) {
+				t.Fatalf("round %d, fingerprint %d: %+v", round, i, res)
+			}
+		}
+		if err := cluster.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
 	}
 }
 
